@@ -549,8 +549,7 @@ enum Arrival {
     Uniform { window: f64 },
     /// A Poisson process: exponential inter-arrival gaps with the given
     /// mean, flows assigned to pods uniformly. Concurrency settles at a
-    /// mid-scale steady state (arrival rate × sojourn time), so patch
-    /// hits and refills both matter.
+    /// mid-scale steady state (arrival rate × sojourn time).
     Poisson { mean_gap: f64 },
 }
 
@@ -580,8 +579,6 @@ struct ScaleRow {
     pod_frac: f64,
     alloc_batches: usize,
     batched_events: usize,
-    delta_fill_hits: u64,
-    delta_fill_fallbacks: u64,
     phase: PhaseTimings,
 }
 
@@ -736,8 +733,6 @@ fn run_scale(spec: &ScaleSpec) -> (ScaleRow, u64) {
         pod_frac: stats.pod_recompute_fraction(),
         alloc_batches: pstats.alloc_batches,
         batched_events: pstats.batched_events,
-        delta_fill_hits: stats.delta_fill_hits,
-        delta_fill_fallbacks: stats.delta_fill_fallbacks,
         phase: pstats.phase,
     };
     (row, digest)
@@ -750,11 +745,9 @@ fn print_scale_row(r: &ScaleRow) {
     );
     let total = r.phase.total_ns().max(1) as f64;
     println!(
-        "             batches {:>8} (+{} coalesced)  fill hits {:>8} / fallbacks {:>8}  phases: queue {:>4.1}% alloc {:>4.1}% write {:>4.1}% book {:>4.1}%",
+        "             batches {:>8} (+{} coalesced)  phases: queue {:>4.1}% alloc {:>4.1}% write {:>4.1}% book {:>4.1}%",
         r.alloc_batches,
         r.batched_events,
-        r.delta_fill_hits,
-        r.delta_fill_fallbacks,
         100.0 * r.phase.queue_ns as f64 / total,
         100.0 * r.phase.allocate_ns as f64 / total,
         100.0 * r.phase.write_back_ns as f64 / total,
@@ -905,14 +898,6 @@ fn scale_smoke_json(rows: &[(ScaleRow, u64)]) -> String {
         json.push_str(&format!("      \"flows\": {},\n", r.flows));
         json.push_str(&format!("      \"events\": {},\n", r.events));
         json.push_str(&format!("      \"events_per_sec\": {},\n", fmt_f64(r.eps)));
-        json.push_str(&format!(
-            "      \"delta_fill_hits\": {},\n",
-            r.delta_fill_hits
-        ));
-        json.push_str(&format!(
-            "      \"delta_fill_fallbacks\": {},\n",
-            r.delta_fill_fallbacks
-        ));
         json.push_str(&format!("      \"completion_digest\": \"{d:016x}\"\n"));
         json.push_str(if i + 1 < rows.len() {
             "    },\n"
@@ -950,14 +935,6 @@ fn scale_json(rows: &[(ScaleRow, u64)]) -> String {
         json.push_str(&format!(
             "      \"batched_events\": {},\n",
             r.batched_events
-        ));
-        json.push_str(&format!(
-            "      \"delta_fill_hits\": {},\n",
-            r.delta_fill_hits
-        ));
-        json.push_str(&format!(
-            "      \"delta_fill_fallbacks\": {},\n",
-            r.delta_fill_fallbacks
         ));
         json.push_str("      \"phase_timings\": {\n");
         json.push_str(&format!("        \"queue_ns\": {},\n", r.phase.queue_ns));
@@ -1009,8 +986,7 @@ fn scale_specs() -> [ScaleSpec; 3] {
         },
         // Staggered mid-concurrency regime between the two uniform
         // extremes: Poisson arrivals hold a few hundred flows in flight,
-        // where both the delta-fill patch path and sparse refills carry
-        // weight.
+        // so completions interleave with releases.
         ScaleSpec {
             label: "k16-staggered",
             k: 16,

@@ -84,40 +84,41 @@ pub struct AllocScratch {
     /// Dedup marker in pod-rank space (ranked waterfills); all-false
     /// between calls.
     rank_seen: Vec<bool>,
-    /// Ascending pod-local ranks the current ranked filling touches.
+    /// Pod-local ranks the current ranked filling touches (ascending in
+    /// the member-major engine, first-seen order in the bucket engine).
     touched: Vec<u32>,
-    /// Inverted rank→member index for the recorded pod waterfill:
-    /// member positions crossing each touched rank, flattened.
+    /// Inverted rank→member index for the bucket pod waterfill: member
+    /// positions crossing each touched rank, flattened.
     crossers_flat: Vec<u32>,
     /// `crossers_flat` span per pod rank; only touched ranks are read.
     crossers_span: Vec<(u32, u32)>,
-    /// Integer crosser count per rank (recorded engine). Mirrors the f64
+    /// Integer crosser count per rank (bucket engine). Mirrors the f64
     /// mass exactly: masses are whole numbers, and whole numbers up to
     /// 2^53 are exact in f64, so `cnt as f64` is bitwise the value the
     /// reference engine accumulates by repeated `+= 1.0`.
     mass_cnt: Vec<u32>,
-    /// Per-member still-filling flag (recorded engine); mirrors
+    /// Per-member still-filling flag (bucket engine); mirrors
     /// membership of `unfrozen` in the reference engine.
     active: Vec<bool>,
     /// Ranks that crossed the saturation threshold this round.
     newly_sat: Vec<u32>,
-    /// Candidate (`residual / mass`) per *live* rank, computed during
-    /// the recorded engine's min pass and reused for binding marks, so
-    /// the division runs once per rank per round.
+    /// Candidate (`residual / mass`) per *live* rank, refreshed by the
+    /// bucket engine's subtraction pass and freeze fix-ups so the min
+    /// pass never divides.
     cand: Vec<f64>,
-    /// Unfrozen member positions (recorded engine), swap-removed as
+    /// Unfrozen member positions (bucket engine), swap-removed as
     /// members freeze so late rounds iterate only the survivors.
     live_members: Vec<u32>,
     /// Member position → index in `live_members`; only read while the
     /// member is unfrozen.
     member_pos: Vec<u32>,
-    /// Rank id → touched position for the current recording; only read
-    /// for ranks on the current `touched` list.
+    /// Rank id → touched position for the current fill; only read for
+    /// ranks on the current `touched` list.
     rank_pos: Vec<u32>,
     /// Touched positions whose crosser count changed during this round's
     /// freezes; their cached candidates are re-divided once per round.
     mass_changed: Vec<u32>,
-    /// Integer crosser count per touched position (recorded engine).
+    /// Integer crosser count per touched position (bucket engine).
     cnt_local: Vec<u32>,
     /// Touched positions permuted ascending by crosser count — a bucket
     /// queue: dead ranks (count 0) collect at the front and leave the
@@ -131,8 +132,6 @@ pub struct AllocScratch {
     bucket_start: Vec<u32>,
     /// Scratch cursors for the counting sort that seeds `order`.
     bucket_cursor: Vec<u32>,
-    /// Live ranks whose candidate equals this round's increment.
-    ties: Vec<u32>,
 }
 
 impl AllocScratch {
@@ -511,6 +510,19 @@ pub fn waterfill_subset_dense(
     }
 }
 
+/// Entries reserved per arena slot in the flat rank-route arenas fed to
+/// [`waterfill_pod_ranked`]. Pod-local fat-tree routes are at most 4 hops
+/// (host→edge→agg→edge→host); 8 leaves headroom and keeps each slot's
+/// route within a single cache line.
+pub const ROUTE_RANK_STRIDE: usize = 8;
+
+/// Route-hop total at or below which [`waterfill_pod_bucket`] dispatches
+/// to the member-major [`waterfill_pod_ranked`] instead of building its
+/// rank-translated bucket queue: for a pod this narrow the setup costs
+/// more than every round it would accelerate. Output is bitwise
+/// identical either way.
+const SMALL_POD_RANKS: usize = 64;
+
 /// Rank-space pod waterfill: bit-identical to [`waterfill_subset_dense`]
 /// over the same members, but with every per-call global-array access
 /// hoisted out. The caller provides the pod's capacities indexed by
@@ -528,20 +540,10 @@ pub fn waterfill_subset_dense(
 /// caller invalidates its snapshot on every fault). The unit tests pin
 /// ranked-vs-subset equality, and the caching differential suites pin it
 /// end to end.
-/// Entries reserved per arena slot in the flat rank-route arenas fed to
-/// [`waterfill_pod_ranked`]. Pod-local fat-tree routes are at most 4 hops
-/// (host→edge→agg→edge→host); 8 leaves headroom and keeps each slot's
-/// route within a single cache line.
-pub const ROUTE_RANK_STRIDE: usize = 8;
-
-/// Route-hop total at or below which [`waterfill_pod_recorded`]
-/// dispatches to the member-major [`waterfill_pod_recorded_small`]
-/// instead of building its rank-translated bucket-queue engine: for a
-/// pod this narrow the setup costs more than every round it would
-/// accelerate. Output and recorded state are bitwise identical either
-/// way (see the small engine's doc comment for the argument).
-const SMALL_POD_RANKS: usize = 64;
-
+///
+/// Besides being the reference the pod policy's bucket-queue engine is
+/// pinned against, this is the production engine for narrow pods (at
+/// most 64 route hops), where the bucket queue's setup would not pay off.
 pub fn waterfill_pod_ranked(
     caps: &[f64],
     subset: &[usize],
@@ -649,412 +651,11 @@ pub fn waterfill_pod_ranked(
     }
 }
 
-/// Converged fill state of one pod, recorded by
-/// [`waterfill_pod_recorded`] and patched in place by single-flow deltas.
-///
-/// A pod waterfill is a sequence of *rounds*; round `r` (1-based) raises
-/// every still-filling member by `incs[r-1]` and then freezes the members
-/// whose route hit a saturated rank. The cache stores, per member, the
-/// round it froze at (`freeze_round`, so its rate is bitwise
-/// `incs[..freeze_round]` accumulated by `+=` from 0.0), and per pod
-/// rank, the first round the rank's candidate level *equalled* the chosen
-/// increment (`bound_round`, every tie marked) and the first round at
-/// whose end its residual fell to ≤ EPS (`sat_round`). Those two arrays
-/// are exactly what the patch admissibility checks need: a delta is
-/// patchable only when replaying it could not have changed any round's
-/// increment or any survivor's freeze round — in which case every
-/// survivor's rate is bitwise unchanged and the patched cache equals what
-/// a fresh recorded run would have produced (see DESIGN.md §13).
-///
-/// `valid` is true only after a *clean* convergence (every member froze);
-/// any full recompute through a non-recording path, fault, or capacity
-/// mutation must invalidate the entry.
-#[derive(Debug, Default, Clone)]
-pub struct PodFill {
-    valid: bool,
-    /// Round increments, in order; `incs.len()` is the round count.
-    incs: Vec<f64>,
-    /// Member slots in id-sorted member order (parallels the pod's
-    /// membership list at record time).
-    member_slots: Vec<u32>,
-    /// 1-based round each member froze at; member `j`'s rate is the
-    /// `+=`-accumulation of `incs[..freeze_round[j]]`.
-    freeze_round: Vec<u32>,
-    /// Per rank: first round whose increment this rank's candidate
-    /// equalled (all ties marked), `u32::MAX` if never.
-    bound_round: Vec<u32>,
-    /// Per rank: first round at whose end the residual was ≤ EPS,
-    /// `u32::MAX` if never.
-    sat_round: Vec<u32>,
-    /// Per rank: crosser count among the recorded membership (patches
-    /// keep it in step with arrivals/departures). Every member is still
-    /// filling at round 1, so this is exactly the rank's round-1 mass;
-    /// an arrival's round-1 candidate is then `caps / (mass0 + 1)`,
-    /// which lets hopeless patch attempts bail in O(route hops) before
-    /// building crossing lists. Zero off `touched` by the same
-    /// induction as the round marks.
-    mass0: Vec<u32>,
-    /// Arrival-replay scratch: crossing members' freeze rounds per hop of
-    /// the new flow's route (sorted ascending), reused across patches.
-    crossing: Vec<Vec<u32>>,
-    /// Ranks whose `bound_round`/`sat_round` entries were written by the
-    /// last recording (plus any ranks an arrival patch added). Every
-    /// entry off this list is `u32::MAX`, so a re-record resets only
-    /// these instead of memsetting the pod's whole rank universe —
-    /// sparse pods re-record in O(touched), not O(nranks).
-    touched: Vec<u32>,
-}
-
-impl PodFill {
-    /// Whether the entry holds a clean recorded fill that patches may
-    /// build on.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// Drops the recorded state; the next fill must re-record before any
-    /// patch is attempted. Called on faults, capacity mutations, and any
-    /// recompute through a non-recording path.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Member count of the recorded fill (for cheap consistency checks
-    /// against the caller's membership list).
-    pub fn members(&self) -> usize {
-        self.member_slots.len()
-    }
-
-    /// Round count of the recorded fill (`incs.len()`).
-    pub fn incs_len(&self) -> usize {
-        self.incs.len()
-    }
-
-    /// Attempts to remove the member at position `pos` (id-sorted order)
-    /// without recomputing the pod. Returns `true` and updates the cache
-    /// in place when the departure provably leaves every survivor's rate
-    /// bitwise unchanged; returns `false` (cache untouched) otherwise.
-    ///
-    /// Admissibility: writing `R_surv` for the latest round any survivor
-    /// froze at, every rank `l` on the departing route must satisfy
-    /// `bound_round[l] > R_surv` (l never set a round's increment while
-    /// survivors were still filling — including ranks the departing flow
-    /// crossed alone, which could otherwise have set the global minimum)
-    /// and no survivor crossing `l` may have frozen exactly at
-    /// `sat_round[l]` (saturation freezes every unfrozen crosser, so a
-    /// crossing survivor always froze at or before `sat_round[l]`;
-    /// requiring "strictly before" means its freeze was forced by a rank
-    /// off the departing route, whose residual history is bitwise
-    /// identical without the departed flow). On success the rounds up to
-    /// `R_surv` replay identically without the departed member, so the
-    /// increments truncate, survivor rates are untouched, and `l`'s
-    /// candidate (residual up, mass down) can only rise — `bound_round`
-    /// resets to "never" for the departed route's ranks.
-    pub fn depart(&mut self, pos: usize, slot_routes: &[u32], slot_route_len: &[u8]) -> bool {
-        if !self.valid || pos >= self.member_slots.len() {
-            return false;
-        }
-        let slot = self.member_slots[pos] as usize;
-        let dbase = slot * ROUTE_RANK_STRIDE;
-        let dlen = slot_route_len[slot] as usize;
-        let droute = &slot_routes[dbase..dbase + dlen];
-        let mut r_surv: u32 = 0;
-        for (j, &f) in self.freeze_round.iter().enumerate() {
-            if j != pos {
-                r_surv = r_surv.max(f);
-            }
-        }
-        for &l in droute {
-            if self.bound_round[l as usize] <= r_surv {
-                return false;
-            }
-        }
-        for (j, &s) in self.member_slots.iter().enumerate() {
-            if j == pos {
-                continue;
-            }
-            let base = s as usize * ROUTE_RANK_STRIDE;
-            let len = slot_route_len[s as usize] as usize;
-            for &h in &slot_routes[base..base + len] {
-                if droute.contains(&h) && self.freeze_round[j] == self.sat_round[h as usize] {
-                    return false;
-                }
-            }
-        }
-        // Patch: survivors are bitwise unchanged; drop the member,
-        // truncate the round list, and forget the departed route's
-        // binding marks (exact: its candidates only rise). Saturation
-        // marks beyond the truncated horizon go stale-high, which is
-        // sound — they can only force a fallback, never admit one —
-        // and an arrival replay overwrites its route's marks exactly.
-        for &l in droute {
-            self.bound_round[l as usize] = u32::MAX;
-            self.mass0[l as usize] -= 1;
-        }
-        self.member_slots.remove(pos);
-        self.freeze_round.remove(pos);
-        self.incs.truncate(r_surv as usize);
-        true
-    }
-
-    /// Attempts to add a member with arena slot `slot` at id-sorted
-    /// position `pos` without recomputing the pod. Returns the new
-    /// member's rate (every existing member's rate is bitwise unchanged)
-    /// and updates the cache in place, or `None` (cache untouched) when
-    /// any recorded round could have diverged.
-    ///
-    /// The patch replays only the new route's ranks through the recorded
-    /// rounds: survivors crossing each rank and the recorded increments
-    /// reproduce the rank's residual history bitwise (subtracting the
-    /// same increment n times yields the same value in any order), so
-    /// every admissibility comparison is exact. A round is rejected if
-    /// the rank's candidate level would have tied or undercut the
-    /// recorded increment (the "epsilon guard": ties fall back rather
-    /// than reason about ordering), or if a saturation would have frozen
-    /// a survivor earlier than recorded. If the new flow outlives all
-    /// recorded rounds it takes one extra solo round over its own
-    /// residuals, which is appended to the record.
-    pub fn arrive(
-        &mut self,
-        slot: u32,
-        pos: usize,
-        caps: &[f64],
-        slot_routes: &[u32],
-        slot_route_len: &[u8],
-    ) -> Option<f64> {
-        if !self.valid || pos > self.member_slots.len() {
-            return None;
-        }
-        debug_assert!(!self.member_slots.contains(&slot));
-        let abase = slot as usize * ROUTE_RANK_STRIDE;
-        let alen = slot_route_len[slot as usize] as usize;
-        if alen == 0 || alen > ROUTE_RANK_STRIDE {
-            return None;
-        }
-        let aroute = &slot_routes[abase..abase + alen];
-        // Round-1 pre-filter: every recorded member is still filling at
-        // round 1, so the newcomer's rank candidates there are exactly
-        // `caps / (mass0 + 1)` — the same whole-number division the
-        // replay below performs, hence bitwise the same comparison.
-        // Anything at or below the recorded first increment trips the
-        // epsilon guard anyway; bailing here skips the
-        // O(members × hops) crossing-list build, which keeps *failed*
-        // patch attempts cheap in trickle regimes where most arrivals
-        // tie the uniform fabric level.
-        if let Some(&inc0) = self.incs.first() {
-            for &l in aroute {
-                let li = l as usize;
-                if caps[li].max(0.0) / (self.mass0[li] + 1) as f64 <= inc0 {
-                    return None;
-                }
-            }
-        }
-        // Crossing survivors' freeze rounds per hop, ascending.
-        if self.crossing.len() < alen {
-            self.crossing.resize_with(alen, Vec::new);
-        }
-        for c in self.crossing.iter_mut() {
-            c.clear();
-        }
-        for (j, &s) in self.member_slots.iter().enumerate() {
-            let base = s as usize * ROUTE_RANK_STRIDE;
-            let len = slot_route_len[s as usize] as usize;
-            for &h in &slot_routes[base..base + len] {
-                for (k, &a) in aroute.iter().enumerate() {
-                    if h == a {
-                        self.crossing[k].push(self.freeze_round[j]);
-                    }
-                }
-            }
-        }
-        for c in self.crossing.iter_mut() {
-            c.sort_unstable();
-        }
-        let r_max = self.incs.len() as u32;
-        let mut res = [0.0f64; ROUTE_RANK_STRIDE];
-        let mut first_sat = [u32::MAX; ROUTE_RANK_STRIDE];
-        let mut ptr = [0usize; ROUTE_RANK_STRIDE];
-        for (k, &l) in aroute.iter().enumerate() {
-            res[k] = caps[l as usize];
-        }
-        let mut a_rate = 0.0f64;
-        let mut a_freeze: u32 = 0; // 0 = still filling
-        for r in 1..=r_max {
-            let inc = self.incs[(r - 1) as usize];
-            let a_active = a_freeze == 0;
-            if a_active {
-                a_rate += inc;
-            }
-            for k in 0..alen {
-                let cross = &self.crossing[k];
-                while ptr[k] < cross.len() && cross[ptr[k]] < r {
-                    ptr[k] += 1;
-                }
-                let n = (cross.len() - ptr[k]) + a_active as usize;
-                if n == 0 {
-                    continue;
-                }
-                // The rank joins this round's minimum with the new flow's
-                // mass included; anything ≤ the recorded increment means
-                // the round's level would have moved (or tied) — bail.
-                let cand = res[k].max(0.0) / (n as f64);
-                if cand <= inc {
-                    return None;
-                }
-                for _ in 0..n {
-                    res[k] -= inc;
-                }
-            }
-            let mut a_hit = false;
-            for k in 0..alen {
-                if res[k] <= EPS && first_sat[k] == u32::MAX {
-                    // A crossing survivor still filling after this round
-                    // would have been frozen here instead — diverges.
-                    if self.crossing[k].last().is_some_and(|&f| f > r) {
-                        return None;
-                    }
-                    first_sat[k] = r;
-                    if a_freeze == 0 {
-                        a_hit = true;
-                    }
-                }
-            }
-            if a_hit {
-                a_freeze = r;
-            }
-        }
-        let mut solo_inc = None;
-        if a_freeze == 0 {
-            // The new flow outlives every recorded round: one extra round
-            // with only it filling, exactly what a fresh run would append.
-            let mut inc = f64::INFINITY;
-            for &r in res.iter().take(alen) {
-                inc = inc.min(r.max(0.0) / 1.0);
-            }
-            if !inc.is_finite() {
-                return None;
-            }
-            a_rate += inc;
-            let mut sat_any = false;
-            for k in 0..alen {
-                let bound = (res[k].max(0.0) / 1.0) == inc;
-                res[k] -= inc;
-                if res[k] <= EPS && first_sat[k] == u32::MAX {
-                    first_sat[k] = r_max + 1;
-                    sat_any = true;
-                }
-                if bound {
-                    // Binding marks for the solo round are recorded via
-                    // sat/first use below; stash in first pass through
-                    // bound_round update after commit.
-                    let l = aroute[k] as usize;
-                    self.bound_round[l] = u32::MAX - 1; // sentinel, fixed below
-                }
-            }
-            if !sat_any {
-                // Would need a second solo round — cannot happen for a
-                // finite increment (the argmin residual lands exactly on
-                // 0.0), kept as a defensive fallback.
-                for &l in aroute.iter().take(alen) {
-                    if self.bound_round[l as usize] == u32::MAX - 1 {
-                        self.bound_round[l as usize] = u32::MAX;
-                    }
-                }
-                return None;
-            }
-            solo_inc = Some(inc);
-            a_freeze = r_max + 1;
-        }
-        // Commit. Rounds 1..=r_max were verified unchanged, so survivor
-        // rates and freeze rounds hold; the new route's ranks never bound
-        // within them (strict inequality above), so their binding marks
-        // are "never" unless the solo round set them, and their
-        // saturation marks are the replay's exact values.
-        for (k, &l) in aroute.iter().enumerate() {
-            // Ranks only the new flow crosses may be new to the recorded
-            // touched set; register them so the next re-record resets
-            // their marks (the off-list-is-MAX invariant).
-            if !self.touched.contains(&l) {
-                self.touched.push(l);
-            }
-            let l = l as usize;
-            self.mass0[l] += 1;
-            self.sat_round[l] = first_sat[k];
-            if self.bound_round[l] == u32::MAX - 1 {
-                self.bound_round[l] = r_max + 1;
-            } else {
-                self.bound_round[l] = u32::MAX;
-            }
-        }
-        if let Some(inc) = solo_inc {
-            self.incs.push(inc);
-        }
-        self.member_slots.insert(pos, slot);
-        self.freeze_round.insert(pos, a_freeze);
-        Some(a_rate)
-    }
-}
-
-/// Per-pod [`PodFill`] entries plus the hit/fallback counters surfaced in
-/// `DriveStats` — the fill cache of the pod-decomposed waterfill.
-#[derive(Debug, Default, Clone)]
-pub struct FillCache {
-    pods: Vec<PodFill>,
-    /// Single-delta allocations answered by an in-place patch.
-    pub hits: u64,
-    /// Sparse-path pod recomputes (full refills, including failed patch
-    /// attempts and multi-pod batches).
-    pub fallbacks: u64,
-}
-
-impl FillCache {
-    /// Grows the per-pod table to `npods` entries (new entries invalid).
-    pub fn ensure(&mut self, npods: usize) {
-        if self.pods.len() < npods {
-            self.pods.resize_with(npods, PodFill::default);
-        }
-    }
-
-    /// The pod's entry; callers must have sized the table via [`ensure`].
-    ///
-    /// [`ensure`]: FillCache::ensure
-    pub fn pod_mut(&mut self, pod: usize) -> &mut PodFill {
-        &mut self.pods[pod]
-    }
-
-    /// Invalidates every pod's recorded fill (faults, capacity churn,
-    /// whole-fabric fallback repairs).
-    pub fn invalidate_all(&mut self) {
-        for p in self.pods.iter_mut() {
-            p.valid = false;
-        }
-    }
-
-    /// Exclusive references to the entries for `pods` (strictly
-    /// ascending), for handing disjoint pods to worker threads — the
-    /// threaded sparse refill records through these so fill validity
-    /// (and therefore patch-hit accounting) never depends on the thread
-    /// count.
-    pub fn pods_mut(&mut self, pods: &[usize]) -> Vec<&mut PodFill> {
-        debug_assert!(pods.windows(2).all(|w| w[0] < w[1]));
-        let mut want = pods.iter().copied().peekable();
-        let mut out = Vec::with_capacity(pods.len());
-        for (i, f) in self.pods.iter_mut().enumerate() {
-            if want.peek() == Some(&i) {
-                want.next();
-                out.push(f);
-            }
-        }
-        debug_assert_eq!(out.len(), pods.len());
-        out
-    }
-}
-
-/// Ranked pod waterfill that additionally records the converged fill
-/// structure into `fill` for later delta patching. Bit-identical to
-/// [`waterfill_pod_ranked`] over the same inputs (the unit tests pin
-/// this), but restructured around an inverted rank→member index so a
-/// round costs O(active route hops) instead of three full member sweeps:
+/// Bucket-queue pod waterfill: the pod policy's refill engine.
+/// Bit-identical to [`waterfill_pod_ranked`] over the same inputs (the
+/// unit tests pin this), but restructured around an inverted rank→member
+/// index so a round costs O(active route hops) instead of three full
+/// member sweeps:
 ///
 /// - masses are maintained as integer crosser counts, decremented as
 ///   members freeze (whole-number f64 arithmetic is exact, so
@@ -1067,8 +668,10 @@ impl FillCache {
 /// - a member freezes in the round a route rank first reaches ≤ EPS,
 ///   which is exactly the reference's end-of-round retain test: an
 ///   active member's ranks were all > EPS at the previous round's end.
-#[allow(clippy::too_many_arguments)]
-pub fn waterfill_pod_recorded(
+///
+/// Pods of at most [`SMALL_POD_RANKS`] route hops go to
+/// [`waterfill_pod_ranked`] instead.
+pub(crate) fn waterfill_pod_bucket(
     caps: &[f64],
     subset: &[usize],
     slots: &[u32],
@@ -1076,7 +679,6 @@ pub fn waterfill_pod_recorded(
     slot_route_len: &[u8],
     rates: &mut [f64],
     ws: &mut AllocScratch,
-    fill: &mut PodFill,
 ) {
     debug_assert_eq!(subset.len(), slots.len());
     // Tiny pods (the trickle regime: a handful of members on short
@@ -1089,16 +691,7 @@ pub fn waterfill_pod_recorded(
         .map(|&s| slot_route_len[s as usize] as usize)
         .sum();
     if route_sum <= SMALL_POD_RANKS {
-        waterfill_pod_recorded_small(
-            caps,
-            subset,
-            slots,
-            slot_routes,
-            slot_route_len,
-            rates,
-            ws,
-            fill,
-        );
+        waterfill_pod_ranked(caps, subset, slots, slot_routes, slot_route_len, rates, ws);
         return;
     }
     let AllocScratch {
@@ -1123,7 +716,6 @@ pub fn waterfill_pod_recorded(
         opos,
         bucket_start,
         bucket_cursor,
-        ties,
         ..
     } = ws;
     let nranks = caps.len();
@@ -1136,28 +728,9 @@ pub fn waterfill_pod_recorded(
     if crossers_span.len() < nranks {
         crossers_span.resize(nranks, (0, 0));
     }
-    fill.valid = false;
-    fill.incs.clear();
-    fill.member_slots.clear();
-    fill.member_slots.extend_from_slice(slots);
-    fill.freeze_round.clear();
-    fill.freeze_round.resize(subset.len(), 0);
-    // Reset only the rank entries the previous recording (or an arrival
-    // patch) wrote: everything off `fill.touched` is already `u32::MAX`
-    // by induction, so a sparse pod re-records without touching its
-    // whole rank universe.
-    if fill.bound_round.len() < nranks {
-        fill.bound_round.resize(nranks, u32::MAX);
-        fill.sat_round.resize(nranks, u32::MAX);
-        fill.mass0.resize(nranks, 0);
-    }
-    for &l in fill.touched.iter() {
-        fill.bound_round[l as usize] = u32::MAX;
-        fill.sat_round[l as usize] = u32::MAX;
-        fill.mass0[l as usize] = 0;
-    }
-    fill.touched.clear();
-    // Touched ranks (ascending) and integer masses.
+    // Touched ranks and integer masses. Intra-round results are
+    // order-independent (min and counted subtractions commute bitwise),
+    // so the ranks stay in first-seen order, unsorted.
     touched.clear();
     let n = subset.len();
     for &slot in slots {
@@ -1173,11 +746,6 @@ pub fn waterfill_pod_recorded(
             mass_cnt[li] += 1;
         }
     }
-    // Intra-round results are order-independent (min, equality marks,
-    // and counted subtractions all commute bitwise), so any
-    // deterministic touched order works; plain ascending keeps the
-    // recorded `fill.touched` canonical for the patch paths.
-    touched.sort_unstable();
     let tcount = touched.len();
     // Everything the round loop reads or writes per iteration lives in
     // small dense arrays indexed by *touched position* (0..tcount), not
@@ -1196,7 +764,6 @@ pub fn waterfill_pod_recorded(
         let li = l as usize;
         rank_seen[li] = false; // restore the all-false invariant
         rank_pos[li] = t as u32;
-        fill.mass0[li] = mass_cnt[li];
         residual_local.push(caps[li]);
         cnt_local.push(mass_cnt[li]);
         maxc = maxc.max(mass_cnt[li]);
@@ -1261,7 +828,6 @@ pub fn waterfill_pod_recorded(
         }
         route_span.push((start, routes_local.len() as u32));
     }
-    fill.touched.extend_from_slice(touched);
     rate_local.clear();
     rate_local.resize(n, 0.0);
     active.clear();
@@ -1271,52 +837,33 @@ pub fn waterfill_pod_recorded(
     member_pos.clear();
     member_pos.extend(0..n as u32);
     // Running prefix of the increment sequence. Every member active
-    // through round `r` accumulates exactly `incs[..r]` in order, so one
-    // shared fold replaces the reference's per-member accumulators:
-    // assigning `prefix` at freeze time is bitwise the same value.
+    // through round `r` accumulates exactly the first `r` increments in
+    // order, so one shared fold replaces the reference's per-member
+    // accumulators: assigning `prefix` at freeze time is bitwise the
+    // same value.
     let mut prefix = 0.0f64;
-    let mut round: u32 = 0;
 
     while !live_members.is_empty() {
-        round += 1;
         let live0 = bucket_start[1] as usize;
         // Min pass over live ranks only: a pure scan of the cached
         // candidates — the divisions already happened in the previous
         // round's subtraction pass (or the freeze fix-ups). The scan
         // runs count-descending (reversed bucket order) because heavier
         // ranks tend toward smaller candidates, so the running min
-        // settles early and the tie branch stays predictable. Min over
+        // settles early and its branch stays predictable. Min over
         // non-NaN values is order-independent and ties carry identical
-        // bits, so any scan order picks the reference minimum's bits;
-        // the tie list doubles as the binding-mark set, replacing a
-        // separate equality sweep.
+        // bits, so any scan order picks the reference minimum's bits.
         let mut inc = f64::INFINITY;
-        ties.clear();
-        for i in (live0..tcount).rev() {
-            let t = order[i] as usize;
-            let c = cand[t];
+        for &t in order[live0..tcount].iter().rev() {
+            let c = cand[t as usize];
             if c < inc {
                 inc = c;
-                ties.clear();
-                ties.push(t as u32);
-            } else if c == inc {
-                ties.push(t as u32);
             }
         }
         if !inc.is_finite() {
             break;
         }
-        fill.incs.push(inc);
         prefix += inc;
-        // Binding marks: every live rank whose candidate equals the
-        // chosen increment this round (`==` on the stored bits is
-        // exact; dead ranks were never scanned).
-        for &t in ties.iter() {
-            let li = touched[t as usize] as usize;
-            if fill.bound_round[li] == u32::MAX {
-                fill.bound_round[li] = round;
-            }
-        }
         // Rank-major counted subtraction over the live suffix, fused
         // with saturation detection and the next round's candidate
         // division. Per rank the reference subtracts `inc` once per
@@ -1391,9 +938,6 @@ pub fn waterfill_pod_recorded(
                 i += 1;
             }
         }
-        for &t in newly_sat.iter() {
-            fill.sat_round[touched[t as usize] as usize] = round;
-        }
         let before = live_members.len();
         mass_changed.clear();
         for &t in newly_sat.iter() {
@@ -1403,7 +947,6 @@ pub fn waterfill_pod_recorded(
                 if active[j] {
                     active[j] = false;
                     rate_local[j] = prefix;
-                    fill.freeze_round[j] = round;
                     let p = member_pos[j] as usize;
                     live_members.swap_remove(p);
                     if p < live_members.len() {
@@ -1451,192 +994,9 @@ pub fn waterfill_pod_recorded(
     // Members that never froze (zero-capacity stall or a no-progress
     // round) hold everything accumulated so far — the same fold `prefix`
     // carries.
-    let frozen_all = live_members.is_empty();
     for &j in live_members.iter() {
         rate_local[j as usize] = prefix;
     }
-    for (j, &i) in subset.iter().enumerate() {
-        rates[i] = rate_local[j];
-    }
-    fill.valid = frozen_all;
-}
-
-/// Member-major recorded waterfill for tiny pods: the
-/// [`waterfill_pod_ranked`] round loop (rebuild masses, take the min,
-/// subtract, retain) plus the [`PodFill`] recording of
-/// [`waterfill_pod_recorded`]. A pod whose members touch at most
-/// [`SMALL_POD_RANKS`] route hops spends more on the recorded engine's
-/// setup — rank translation, crosser spans, the bucket permutation —
-/// than on every round that setup would accelerate, so this path skips
-/// all of it and pays O(route hops) per round on global-rank arrays.
-///
-/// Output and recorded state are bitwise identical to the bucket
-/// engine: masses rebuilt by `+= 1.0` over whole numbers equal the
-/// counted `cnt as f64`; the min over per-rank candidates is
-/// scan-order independent with ties carrying identical bits; each
-/// member's `+=` rate accumulation folds the same increments in the
-/// same order as the shared prefix; and the binding/saturation marks
-/// repeat the min pass's divisions bit-for-bit, so the `==` tests
-/// recover exactly the tie set the bucket engine reads off its tie
-/// list and exactly the first-saturation rounds its retired ranks
-/// imply.
-#[allow(clippy::too_many_arguments)]
-fn waterfill_pod_recorded_small(
-    caps: &[f64],
-    subset: &[usize],
-    slots: &[u32],
-    slot_routes: &[u32],
-    slot_route_len: &[u8],
-    rates: &mut [f64],
-    ws: &mut AllocScratch,
-    fill: &mut PodFill,
-) {
-    let AllocScratch {
-        unfrozen,
-        residual_local,
-        mass_local,
-        routes_local,
-        route_span,
-        rate_local,
-        rank_seen,
-        touched,
-        ..
-    } = ws;
-    let nranks = caps.len();
-    if rank_seen.len() < nranks {
-        rank_seen.resize(nranks, false);
-    }
-    if residual_local.len() < nranks {
-        residual_local.resize(nranks, 0.0);
-    }
-    if mass_local.len() < nranks {
-        mass_local.resize(nranks, 0.0);
-    }
-    fill.valid = false;
-    fill.incs.clear();
-    fill.member_slots.clear();
-    fill.member_slots.extend_from_slice(slots);
-    fill.freeze_round.clear();
-    fill.freeze_round.resize(subset.len(), 0);
-    // Same sparse mark reset as the bucket engine: everything off the
-    // previous recording's `touched` list is already `u32::MAX` / zero
-    // by induction.
-    if fill.bound_round.len() < nranks {
-        fill.bound_round.resize(nranks, u32::MAX);
-        fill.sat_round.resize(nranks, u32::MAX);
-        fill.mass0.resize(nranks, 0);
-    }
-    for &l in fill.touched.iter() {
-        fill.bound_round[l as usize] = u32::MAX;
-        fill.sat_round[l as usize] = u32::MAX;
-        fill.mass0[l as usize] = 0;
-    }
-    fill.touched.clear();
-    // Flatten the members' cached rank routes (global rank ids — no
-    // translation) and collect the touched ranks, counting round-1
-    // crossers into `mass0` as a side effect (off-list entries are zero
-    // by the induction above, so `+= 1` starts from a clean slate).
-    routes_local.clear();
-    route_span.clear();
-    rate_local.clear();
-    touched.clear();
-    for &slot in slots {
-        let start = routes_local.len() as u32;
-        let base = slot as usize * ROUTE_RANK_STRIDE;
-        let len = slot_route_len[slot as usize] as usize;
-        for &l in &slot_routes[base..base + len] {
-            routes_local.push(l);
-            fill.mass0[l as usize] += 1;
-            if !rank_seen[l as usize] {
-                rank_seen[l as usize] = true;
-                touched.push(l);
-            }
-        }
-        route_span.push((start, routes_local.len() as u32));
-        rate_local.push(0.0);
-    }
-    touched.sort_unstable();
-    for &l in touched.iter() {
-        rank_seen[l as usize] = false; // restore the all-false invariant
-        residual_local[l as usize] = caps[l as usize];
-    }
-    fill.touched.extend_from_slice(touched);
-    unfrozen.clear();
-    unfrozen.extend(0..subset.len());
-
-    let mut round: u32 = 0;
-    while !unfrozen.is_empty() {
-        round += 1;
-        for &l in touched.iter() {
-            mass_local[l as usize] = 0.0;
-        }
-        for &j in unfrozen.iter() {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                mass_local[l as usize] += 1.0;
-            }
-        }
-        let mut inc = f64::INFINITY;
-        for &l in touched.iter() {
-            let m = mass_local[l as usize];
-            if m > EPS {
-                inc = inc.min((residual_local[l as usize].max(0.0)) / m);
-            }
-        }
-        if !inc.is_finite() {
-            break;
-        }
-        fill.incs.push(inc);
-        // Binding marks: repeating the min pass's division lands on the
-        // same bits, so `==` finds every rank that tied this round's
-        // increment.
-        for &l in touched.iter() {
-            let li = l as usize;
-            let m = mass_local[li];
-            if m > EPS
-                && (residual_local[li].max(0.0)) / m == inc
-                && fill.bound_round[li] == u32::MAX
-            {
-                fill.bound_round[li] = round;
-            }
-        }
-        for &j in unfrozen.iter() {
-            rate_local[j] += inc;
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                residual_local[l as usize] -= inc;
-            }
-        }
-        // Saturation marks: a rank that still had active crossers this
-        // round and ended ≤ EPS freezes them all in the retain below,
-        // so its mass is zero in every later round and the mark is
-        // written at most once — the bucket engine's retired-rank
-        // semantics.
-        for &l in touched.iter() {
-            let li = l as usize;
-            if mass_local[li] > EPS && residual_local[li] <= EPS && fill.sat_round[li] == u32::MAX {
-                fill.sat_round[li] = round;
-            }
-        }
-        let before = unfrozen.len();
-        unfrozen.retain(|&j| {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                if residual_local[l as usize] <= EPS {
-                    fill.freeze_round[j] = round;
-                    return false;
-                }
-            }
-            true
-        });
-        if unfrozen.len() == before {
-            break;
-        }
-    }
-    // Members that never froze (zero-capacity stall or a no-progress
-    // round) keep their accumulated rate; the fill is only patchable
-    // after a clean convergence.
-    fill.valid = unfrozen.is_empty();
     for (j, &i) in subset.iter().enumerate() {
         rates[i] = rate_local[j];
     }
@@ -2226,21 +1586,35 @@ mod tests {
         alloc_to_dense(&flows, &alloc, &mut out);
     }
 
-    /// Randomized rank-space pod instances for the fill-cache tests: an
-    /// id-sorted membership over a stride-arena of rank routes, mutated
-    /// by arrivals/departures/capacity churn like the policy would.
+    /// A random rank-space pod: capacities per pod-local rank and one
+    /// stride-arena route per member, with members mapped to shuffled
+    /// arena slots the way the policy's recycled arena maps them.
     struct PodSim {
         caps: Vec<f64>,
-        ids: Vec<u64>,
         slots: Vec<u32>,
         slot_routes: Vec<u32>,
         slot_route_len: Vec<u8>,
-        free_slots: Vec<u32>,
     }
 
+    /// The signature shared by the pod waterfill engines.
+    type PodEngine = fn(&[f64], &[usize], &[u32], &[u32], &[u8], &mut [f64], &mut AllocScratch);
+
     impl PodSim {
-        fn new(rng: &mut echelon_detrand::DetRng) -> PodSim {
-            let nranks = rng.usize_range_inclusive(2, 10);
+        /// A narrow pod (at most 12 members on 2–10 ranks: never more
+        /// than 48 route hops) or a wide one (17–64 members on 8–40
+        /// ranks: usually more than [`SMALL_POD_RANKS`]).
+        fn new(rng: &mut echelon_detrand::DetRng, wide: bool) -> PodSim {
+            let (nranks, members) = if wide {
+                (
+                    rng.usize_range_inclusive(8, 40),
+                    rng.usize_range_inclusive(17, 64),
+                )
+            } else {
+                (
+                    rng.usize_range_inclusive(2, 10),
+                    rng.usize_range_inclusive(0, 12),
+                )
+            };
             let caps = (0..nranks)
                 .map(|_| {
                     if rng.usize_range_inclusive(0, 9) == 0 {
@@ -2250,58 +1624,35 @@ mod tests {
                     }
                 })
                 .collect();
+            let mut slot_routes = vec![0; members * ROUTE_RANK_STRIDE];
+            let mut slot_route_len = vec![0; members];
+            for (slot, len) in slot_route_len.iter_mut().enumerate() {
+                let hops = rng.usize_range_inclusive(1, nranks.min(4));
+                let mut route: Vec<u32> = (0..nranks as u32).collect();
+                rng.shuffle(&mut route);
+                let base = slot * ROUTE_RANK_STRIDE;
+                slot_routes[base..base + hops].copy_from_slice(&route[..hops]);
+                *len = hops as u8;
+            }
+            let mut slots: Vec<u32> = (0..members as u32).collect();
+            rng.shuffle(&mut slots);
             PodSim {
                 caps,
-                ids: Vec::new(),
-                slots: Vec::new(),
-                slot_routes: Vec::new(),
-                slot_route_len: Vec::new(),
-                free_slots: Vec::new(),
+                slots,
+                slot_routes,
+                slot_route_len,
             }
         }
 
-        /// Adds a member with a random distinct-rank route; returns its
-        /// id-sorted position.
-        fn arrive(&mut self, rng: &mut echelon_detrand::DetRng) -> usize {
-            let id = loop {
-                let id = rng.next_u64();
-                if self.ids.binary_search(&id).is_err() {
-                    break id;
-                }
-            };
-            let slot = self.free_slots.pop().unwrap_or_else(|| {
-                let s = self.slot_route_len.len() as u32;
-                self.slot_routes
-                    .resize((s as usize + 1) * ROUTE_RANK_STRIDE, 0);
-                self.slot_route_len.push(0);
-                s
-            });
-            let hops = rng.usize_range_inclusive(1, self.caps.len().min(4));
-            let mut route: Vec<u32> = (0..self.caps.len() as u32).collect();
-            rng.shuffle(&mut route);
-            route.truncate(hops);
-            let base = slot as usize * ROUTE_RANK_STRIDE;
-            for (k, &l) in route.iter().enumerate() {
-                self.slot_routes[base + k] = l;
-            }
-            self.slot_route_len[slot as usize] = hops as u8;
-            let pos = self.ids.binary_search(&id).unwrap_err();
-            self.ids.insert(pos, id);
-            self.slots.insert(pos, slot);
-            pos
+        fn route_hops(&self) -> usize {
+            self.slot_route_len.iter().map(|&l| l as usize).sum()
         }
 
-        fn depart(&mut self, pos: usize) {
-            self.ids.remove(pos);
-            let slot = self.slots.remove(pos);
-            self.free_slots.push(slot);
-        }
-
-        /// Full refill through the unrecorded reference engine.
-        fn reference(&self, ws: &mut AllocScratch) -> Vec<f64> {
-            let subset: Vec<usize> = (0..self.ids.len()).collect();
-            let mut rates = vec![f64::NAN; self.ids.len()];
-            waterfill_pod_ranked(
+        /// Fills every member through `engine`.
+        fn fill(&self, engine: PodEngine, ws: &mut AllocScratch) -> Vec<f64> {
+            let subset: Vec<usize> = (0..self.slots.len()).collect();
+            let mut rates = vec![f64::NAN; self.slots.len()];
+            engine(
                 &self.caps,
                 &subset,
                 &self.slots,
@@ -2312,119 +1663,35 @@ mod tests {
             );
             rates
         }
-
-        /// Full refill through the recording engine.
-        fn recorded(&self, ws: &mut AllocScratch, fill: &mut PodFill) -> Vec<f64> {
-            let subset: Vec<usize> = (0..self.ids.len()).collect();
-            let mut rates = vec![f64::NAN; self.ids.len()];
-            waterfill_pod_recorded(
-                &self.caps,
-                &subset,
-                &self.slots,
-                &self.slot_routes,
-                &self.slot_route_len,
-                &mut rates,
-                ws,
-                fill,
-            );
-            rates
-        }
     }
 
-    fn assert_bits_eq(a: &[f64], b: &[f64]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x} != {y}");
-        }
-    }
-
+    /// Both arms of the bucket engine's dispatch — the member-major
+    /// engine at or under [`SMALL_POD_RANKS`] route hops, the bucket
+    /// queue above it — must be bitwise the ranked reference, with one
+    /// scratch reused across pods of every width.
     #[test]
-    fn recorded_engine_matches_ranked_bitwise() {
+    fn bucket_engine_matches_ranked_bitwise() {
         let mut ws = AllocScratch::new();
-        let mut fill = PodFill::default();
-        let mut clean_runs = 0usize;
+        let mut wide = 0usize;
         for seed in 0..300u64 {
             let mut rng = echelon_detrand::DetRng::seed_from_u64(0xF111 + seed);
-            let mut sim = PodSim::new(&mut rng);
-            for _ in 0..rng.usize_range_inclusive(0, 12) {
-                sim.arrive(&mut rng);
+            let sim = PodSim::new(&mut rng, seed % 2 == 1);
+            let want = sim.fill(waterfill_pod_ranked, &mut ws);
+            let got = sim.fill(waterfill_pod_bucket, &mut ws);
+            assert_eq!(want.len(), got.len());
+            for (j, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "seed {seed} member {j}: {a} != {b}"
+                );
             }
-            let want = sim.reference(&mut ws);
-            let got = sim.recorded(&mut ws, &mut fill);
-            assert_bits_eq(&want, &got);
-            if fill.is_valid() {
-                clean_runs += 1;
-                assert_eq!(fill.members(), sim.ids.len());
-            }
-        }
-        // Non-vacuity: the recording must usually converge cleanly.
-        assert!(clean_runs > 200, "only {clean_runs} clean recordings");
-    }
-
-    /// Random single-delta sequences (arrivals, departures, capacity
-    /// churn standing in for faults): after every step the maintained
-    /// rates — updated by in-place patches when admissible, refilled
-    /// otherwise — must match a full reference recompute bit-for-bit,
-    /// and both patch directions must actually fire (non-vacuity).
-    #[test]
-    fn fill_patches_match_full_recompute_bitwise() {
-        let mut ws = AllocScratch::new();
-        let mut arrive_hits = 0usize;
-        let mut depart_hits = 0usize;
-        for seed in 0..120u64 {
-            let mut rng = echelon_detrand::DetRng::seed_from_u64(0xDE17A + seed);
-            let mut sim = PodSim::new(&mut rng);
-            let mut fill = PodFill::default();
-            for _ in 0..rng.usize_range_inclusive(0, 6) {
-                sim.arrive(&mut rng);
-            }
-            let mut cur = sim.recorded(&mut ws, &mut fill);
-            for _ in 0..40 {
-                match rng.usize_range_inclusive(0, 9) {
-                    0 => {
-                        // Capacity churn: what a fault does to the pod.
-                        let l = rng.usize_range_inclusive(0, sim.caps.len() - 1);
-                        sim.caps[l] = rng.f64_range(0.0, 3.0);
-                        fill.invalidate();
-                        cur = sim.recorded(&mut ws, &mut fill);
-                    }
-                    1..=5 => {
-                        let pos = sim.arrive(&mut rng);
-                        let slot = sim.slots[pos];
-                        match fill.arrive(
-                            slot,
-                            pos,
-                            &sim.caps,
-                            &sim.slot_routes,
-                            &sim.slot_route_len,
-                        ) {
-                            Some(rate) => {
-                                arrive_hits += 1;
-                                cur.insert(pos, rate);
-                            }
-                            None => cur = sim.recorded(&mut ws, &mut fill),
-                        }
-                    }
-                    _ => {
-                        if sim.ids.is_empty() {
-                            continue;
-                        }
-                        let pos = rng.usize_range_inclusive(0, sim.ids.len() - 1);
-                        sim.depart(pos);
-                        if fill.depart(pos, &sim.slot_routes, &sim.slot_route_len) {
-                            depart_hits += 1;
-                            cur.remove(pos);
-                        } else {
-                            cur = sim.recorded(&mut ws, &mut fill);
-                        }
-                    }
-                }
-                assert_bits_eq(&cur, &sim.reference(&mut ws));
+            if sim.route_hops() > SMALL_POD_RANKS {
+                wide += 1;
             }
         }
-        // Non-vacuity, mirroring the threaded_pods() pattern: the patch
-        // paths must have answered a healthy share of the deltas.
-        assert!(arrive_hits > 50, "only {arrive_hits} arrival patches");
-        assert!(depart_hits > 50, "only {depart_hits} departure patches");
+        // Non-vacuity: the narrow half always takes the member-major
+        // arm, and most of the wide half must reach the bucket queue.
+        assert!(wide > 100, "only {wide} of 300 pods took the bucket queue");
     }
 }

@@ -316,14 +316,13 @@ pub struct DriveStats {
     /// a batch of N same-instant events contributes N-1. Zero means every
     /// batch was a single event (no simultaneous cohorts in the run).
     pub batched_events: usize,
-    /// Single-flow deltas answered by patching a pod's recorded fill in
-    /// place instead of refilling it (see
-    /// [`RatePolicy::delta_fill_stats`]). Zero for policies without a
-    /// fill cache.
+    /// Fill-cache patch hits reported through
+    /// [`RatePolicy::delta_fill_stats`]. Always zero: no policy in the
+    /// workspace keeps a fill cache. Kept because readers of
+    /// `DriveStats` (the benchmark) still report it.
     pub delta_fill_hits: u64,
-    /// Pods refilled from scratch on the sparse path (failed patch
-    /// attempts, multi-pod batches, invalidated caches), summed
-    /// likewise. Zero for policies without a fill cache.
+    /// Fill-cache refill fallbacks, reported and kept likewise; always
+    /// zero.
     pub delta_fill_fallbacks: u64,
     /// Wall-clock phase breakdown (all zero unless
     /// [`DriveConfig::profile`] was on).

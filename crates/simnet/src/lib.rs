@@ -19,7 +19,6 @@
 //!
 //! - [`time`] — simulated time ([`time::SimTime`]) and epsilon-aware comparison.
 //! - [`ids`] — small integer identifiers for nodes, links and flows.
-//! - [`engine`] — a generic discrete-event queue with cancellation.
 //! - [`fattree`] — k-ary fat-tree builder with oversubscription, the
 //!   datacenter fabric experiments run on.
 //! - [`topology`] — the two network models used throughout: a non-blocking
@@ -76,7 +75,6 @@
 pub mod alloc;
 pub mod calendar;
 pub mod driver;
-pub mod engine;
 pub mod fattree;
 pub mod fault;
 pub mod flow;
@@ -95,7 +93,6 @@ pub mod prelude {
     pub use crate::alloc::{max_min_rates, priority_fill, weighted_rates, RateAlloc};
     pub use crate::calendar::CalendarQueue;
     pub use crate::driver::{drive, drive_faulted, DriveOutcome, WorkloadSource};
-    pub use crate::engine::{EventId, EventQueue};
     pub use crate::fattree::{FatTree, FatTreeFabric};
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::flow::{ActiveFlowView, FlowArena, FlowDemand};

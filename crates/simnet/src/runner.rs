@@ -23,8 +23,8 @@
 //! cluster arrivals) plug their own sources into the same driver.
 
 use crate::alloc::{
-    alloc_to_dense, waterfill_dense, waterfill_pod_recorded, waterfill_subset_dense, AllocScratch,
-    PodFill, RateAlloc,
+    alloc_to_dense, waterfill_dense, waterfill_pod_bucket, waterfill_subset_dense, AllocScratch,
+    RateAlloc,
 };
 use crate::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
 use crate::fault::{FaultKind, FaultPlan};
@@ -149,15 +149,12 @@ pub trait RatePolicy {
         None
     }
 
-    /// Delta-fill counters as `(patch hits, full-refill fallbacks)`,
-    /// summed over this policy's sparse allocations, for
-    /// [`DriveStats`]`::{delta_fill_hits, delta_fill_fallbacks}`. A hit
-    /// is a single-flow delta answered by patching the pod's recorded
-    /// fill in place ([`crate::alloc::FillCache`]); a fallback is a pod
-    /// refilled from scratch on the sparse path (failed patch attempts,
-    /// multi-pod batches, invalidated caches). `None` (the default)
-    /// means the policy keeps no fill cache; the driver leaves the
-    /// counters at zero.
+    /// Delta-fill counters as `(patch hits, full-refill fallbacks)`, for
+    /// [`DriveStats`]`::{delta_fill_hits, delta_fill_fallbacks}`. No
+    /// policy in the workspace keeps a fill cache, so every one returns
+    /// the default `None` and the driver leaves both counters at zero.
+    /// The hook stays because policy decorators (the benchmark's
+    /// `TracedPolicy`) forward it.
     ///
     /// [`DriveStats`]: crate::driver::DriveStats
     fn delta_fill_stats(&self) -> Option<(u64, u64)> {
@@ -395,37 +392,6 @@ pub struct PodMaxMinPolicy {
     /// ran on the serial path). Non-vacuity probe for the parallel
     /// digest gates.
     pods_threaded: usize,
-    /// Recorded per-pod fill structures and the hit/fallback counters
-    /// surfaced through [`RatePolicy::delta_fill_stats`]. Entries are
-    /// recorded by the serial sparse refill and patched in place by
-    /// single-flow deltas; every non-recording recompute path and every
-    /// fault invalidates the entries it touches.
-    fills: crate::alloc::FillCache,
-    /// Single-flow patch opportunity captured while classifying the
-    /// current delta; consumed (and verified against the dirty set) by
-    /// the sparse fill. Reset at the top of every incremental
-    /// allocation, so a plan never outlives its delta.
-    patch: Option<PatchPlan>,
-}
-
-/// A single-flow delta eligible for an in-place [`PodFill`] patch:
-/// which pod, and where in the pod's id-sorted membership the flow sits
-/// (for departures, its position *before* removal — the recorded fill
-/// still carries it).
-///
-/// [`PodFill`]: crate::alloc::PodFill
-#[derive(Debug, Clone, Copy)]
-enum PatchPlan {
-    Depart { pod: u32, pos: u32 },
-    Arrive { pod: u32, pos: u32, slot: u32 },
-}
-
-impl PatchPlan {
-    fn pod(&self) -> u32 {
-        match *self {
-            PatchPlan::Depart { pod, .. } | PatchPlan::Arrive { pod, .. } => pod,
-        }
-    }
 }
 
 /// Entries per arena slot in [`PodMaxMinPolicy::route_ranks`]; see
@@ -625,10 +591,6 @@ impl PodMaxMinPolicy {
         for pod in 0..npods {
             if self.fresh[pod] {
                 self.pods_recomputed += 1;
-                // The dense subset waterfill does not record fill
-                // structure; any entry for a pod recomputed here is
-                // stale and must not serve later patches.
-                self.fills.pod_mut(pod).invalidate();
                 if self.caching {
                     for &i in &self.members[pod] {
                         let slot = flows[i].slot as usize;
@@ -693,8 +655,8 @@ impl PodMaxMinPolicy {
     /// caller applies through `FluidNetwork::set_rates_sparse`, which
     /// never reads them. Bit-identity with the dense path holds because
     /// members resolve in ascending id order (the same order the dense
-    /// scan collects them) and the per-pod waterfill is the identical
-    /// subset call.
+    /// scan collects them) and the per-pod engine is bitwise the subset
+    /// waterfill over the same members.
     fn fill_pods_sparse(
         &mut self,
         npods: usize,
@@ -713,21 +675,6 @@ impl PodMaxMinPolicy {
             self.pods_total += 1;
             if !self.cache_valid[pod] {
                 dirty.push(pod);
-            }
-        }
-        // Patch fast path: a single-flow delta over one pod with a valid
-        // recorded fill patches the cached solution in place — O(route ×
-        // rounds) instead of refilling the pod. The pod counts toward
-        // scope but not toward recomputes.
-        if let Some(plan) = self.patch.take() {
-            if dirty.len() == 1
-                && dirty[0] == plan.pod() as usize
-                && self.try_patch(plan, flows, out)
-            {
-                self.cache_valid[plan.pod() as usize] = true;
-                self.fills.hits += 1;
-                self.dirty_pods = dirty;
-                return;
             }
         }
         // Pass 1: resolve each dirty pod's members, slots, and capacity
@@ -753,16 +700,13 @@ impl PodMaxMinPolicy {
                 }
             }
         }
-        self.fills.fallbacks += dirty.len() as u64;
         #[cfg(feature = "parallel")]
         let threaded = self.try_sparse_parallel(&dirty, flows.len(), out);
         #[cfg(not(feature = "parallel"))]
         let threaded = false;
         if !threaded {
-            // The serial refill records each pod's fill structure so the
-            // next single-flow delta can patch instead of refilling.
             for &pod in &dirty {
-                waterfill_pod_recorded(
+                waterfill_pod_bucket(
                     &self.pod_caps[pod],
                     &self.members[pod],
                     &self.member_slots[pod],
@@ -770,7 +714,6 @@ impl PodMaxMinPolicy {
                     &self.route_rank_len,
                     out,
                     ws,
-                    self.fills.pod_mut(pod),
                 );
             }
         }
@@ -787,61 +730,6 @@ impl PodMaxMinPolicy {
             self.changed_idx.extend_from_slice(&self.members[pod]);
         }
         self.dirty_pods = dirty;
-    }
-
-    /// Attempts the in-place fill patch described by `plan`. Returns
-    /// `true` with the pod's cache, slot table, and `changed_idx` fully
-    /// updated, or `false` with nothing changed (the caller refills).
-    ///
-    /// A successful departure patch leaves every survivor's rate bitwise
-    /// unchanged, so nothing is emitted at all; a successful arrival
-    /// patch emits exactly the new flow's rate. The recorded membership
-    /// count is checked against the maintained `pod_members` list first:
-    /// a mismatch means the fill predates an unrecorded membership
-    /// change (conservative fallback rather than a panic).
-    fn try_patch(&mut self, plan: PatchPlan, flows: &[ActiveFlowView], out: &mut [f64]) -> bool {
-        match plan {
-            PatchPlan::Depart { pod, pos } => {
-                let live = self.pod_members[pod as usize].len();
-                let fill = self.fills.pod_mut(pod as usize);
-                if !fill.is_valid() || fill.members() != live + 1 {
-                    return false;
-                }
-                fill.depart(pos as usize, &self.route_ranks, &self.route_rank_len)
-            }
-            PatchPlan::Arrive { pod, pos, slot } => {
-                let podu = pod as usize;
-                if self.pod_caps[podu].is_empty() {
-                    return false;
-                }
-                let live = self.pod_members[podu].len();
-                let fill = self.fills.pod_mut(podu);
-                if !fill.is_valid() || fill.members() + 1 != live {
-                    return false;
-                }
-                let Some(rate) = fill.arrive(
-                    slot,
-                    pos as usize,
-                    &self.pod_caps[podu],
-                    &self.route_ranks,
-                    &self.route_rank_len,
-                ) else {
-                    return false;
-                };
-                let id = self.pod_members[podu][pos as usize];
-                let i = flows
-                    .binary_search_by(|v| v.id.cmp(&id))
-                    .expect("patched arrival missing from the active slice");
-                out[i] = rate;
-                let slot = slot as usize;
-                if slot >= self.slot_rate.len() {
-                    self.slot_rate.resize(slot + 1, 0.0);
-                }
-                self.slot_rate[slot] = rate;
-                self.changed_idx.push(i);
-                true
-            }
-        }
     }
 
     /// Threaded branch of [`Self::fill_pods_sparse`], gated exactly
@@ -865,24 +753,8 @@ impl PodMaxMinPolicy {
         let pod_caps = &self.pod_caps;
         let route_ranks = &self.route_ranks;
         let route_rank_len = &self.route_rank_len;
-        // Each worker records its claimed pods' fill structures through
-        // an exclusive per-pod reference (pods are disjoint; the mutex
-        // is uncontended, locked once by the claiming worker). Recording
-        // here keeps fill validity — and therefore patch-hit accounting
-        // — identical across thread counts: the recorded structure is a
-        // pure function of the pod's inputs.
-        let fill_refs: Vec<std::sync::Mutex<&mut PodFill>> = self
-            .fills
-            .pods_mut(dirty)
-            .into_iter()
-            .map(std::sync::Mutex::new)
-            .collect();
         waterfill_pods_threaded(dirty, members, nflows, threads, out, |pod, buf, ws| {
-            let t = dirty
-                .binary_search(&pod)
-                .expect("threaded pod missing from the dirty list");
-            let mut fill = fill_refs[t].lock().expect("pod fill slot poisoned");
-            waterfill_pod_recorded(
+            waterfill_pod_bucket(
                 &pod_caps[pod],
                 &members[pod],
                 &member_slots[pod],
@@ -890,7 +762,6 @@ impl PodMaxMinPolicy {
                 route_rank_len,
                 buf,
                 ws,
-                &mut fill,
             );
         });
         true
@@ -915,7 +786,6 @@ impl PodMaxMinPolicy {
         if self.pod_members.len() < npods {
             self.pod_members.resize(npods, Vec::new());
         }
-        self.fills.ensure(npods);
     }
 
     /// Shared body of the incremental entry points. `allow_sparse`
@@ -934,7 +804,6 @@ impl PodMaxMinPolicy {
         allow_sparse: bool,
     ) {
         self.sparse_report = false;
-        self.patch = None;
         let Some((npods, pod_of_res)) = topo.pod_partition() else {
             self.allocate_dense(now, flows, topo, ws, out);
             return;
@@ -942,10 +811,6 @@ impl PodMaxMinPolicy {
         let npods = npods as usize;
         self.build_ranks(npods, pod_of_res);
         self.ensure_pods(npods);
-        // A delta of exactly one flow event may be answerable by an
-        // in-place fill patch; the loops below capture the plan and the
-        // sparse fill verifies and consumes it.
-        let single = self.caching && delta.arrived.len() + delta.departed.len() == 1;
         // Dirty exactly the pods the delta touched. An arrival missing
         // from the flow slice arrived *and* departed within this delta:
         // it was never allocated, the pod's set is net-unchanged, and it
@@ -984,13 +849,6 @@ impl PodMaxMinPolicy {
                 let pm = &mut self.pod_members[pod as usize];
                 if let Err(p) = pm.binary_search(&id) {
                     pm.insert(p, id);
-                    if single {
-                        self.patch = Some(PatchPlan::Arrive {
-                            pod,
-                            pos: p as u32,
-                            slot: slot as u32,
-                        });
-                    }
                 }
             }
         }
@@ -1002,9 +860,6 @@ impl PodMaxMinPolicy {
                     let pm = &mut self.pod_members[pod as usize];
                     if let Ok(p) = pm.binary_search(id) {
                         pm.remove(p);
-                        if single {
-                            self.patch = Some(PatchPlan::Depart { pod, pos: p as u32 });
-                        }
                     }
                 }
                 None => {} // arrived+departed within this delta
@@ -1121,8 +976,6 @@ impl RatePolicy for PodMaxMinPolicy {
         for caps in &mut self.pod_caps {
             caps.clear();
         }
-        // Recorded fills bake in pre-fault capacities.
-        self.fills.invalidate_all();
     }
 
     fn name(&self) -> &'static str {
@@ -1131,10 +984,6 @@ impl RatePolicy for PodMaxMinPolicy {
 
     fn pod_stats(&self) -> Option<(usize, usize)> {
         Some((self.pods_recomputed, self.pods_total))
-    }
-
-    fn delta_fill_stats(&self) -> Option<(u64, u64)> {
-        Some((self.fills.hits, self.fills.fallbacks))
     }
 
     fn changed_indices(&self) -> Option<&[usize]> {

@@ -38,12 +38,14 @@ use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::sched::varys::{CoflowOrder, VarysMadd};
 use echelonflow::simnet::driver::DriveConfig;
+use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::fault::{FaultKind, FaultPlan};
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::NextCompletionMode;
 use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
 use echelonflow::simnet::runner::{
-    run_flows_faulted, run_flows_faulted_configured, MaxMinPolicy, RatePolicy, RecomputeMode,
+    run_flows_faulted, run_flows_faulted_configured, MaxMinPolicy, PodMaxMinPolicy, RatePolicy,
+    RecomputeMode,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
@@ -224,6 +226,88 @@ fn queue_enforced_coordinator_survives_churn() {
                 QueueConfig::default(),
             ))
         });
+    }
+}
+
+/// Pod-local demands on a k=4 fat-tree with staggered releases, long
+/// enough to straddle the fault instants of the pod churn test below.
+fn staggered_pod_demands(seed: u64) -> Vec<FlowDemand> {
+    let (pods, hosts_per_pod, per_pod) = (4, 4, 20);
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut demands = Vec::new();
+    for p in 0..pods {
+        let base = p * hosts_per_pod;
+        for f in 0..per_pod {
+            let src = base + rng.usize_range_inclusive(0, hosts_per_pod - 1);
+            let mut dst = base + rng.usize_range_inclusive(0, hosts_per_pod - 2);
+            if dst >= src {
+                dst += 1;
+            }
+            demands.push(FlowDemand {
+                id: FlowId((p * per_pod + f) as u64),
+                src: NodeId(src as u32),
+                dst: NodeId(dst as u32),
+                size: rng.f64_range(2.0, 6.0),
+                release: SimTime::new(rng.f64_range(0.0, 2.0)),
+            });
+        }
+    }
+    demands
+}
+
+/// The pod-decomposed allocator under churn: the caching policy on the
+/// incremental path (per-pod rate cache, sparse write-back, bucket and
+/// ranked pod engines) must match the uncached per-pod refill and the
+/// Full path, traces and completions bit for bit. Each degrade/restore
+/// pair invalidates every pod's cache; every degrade is restored so no
+/// route is left starved.
+#[test]
+fn pod_policy_survives_churn_bit_identically() {
+    let fabric = FatTree::new(4).build_fabric();
+    let plan = FaultPlan::empty()
+        .with(
+            SimTime::new(1.0),
+            FaultKind::LinkDegrade(ResourceId(0), 0.5),
+        )
+        .with(SimTime::new(2.5), FaultKind::LinkRestore(ResourceId(0)))
+        .with(
+            SimTime::new(3.5),
+            FaultKind::LinkDegrade(ResourceId(1), 0.25),
+        )
+        .with(SimTime::new(4.5), FaultKind::LinkRestore(ResourceId(1)));
+    for seed in 0..5u64 {
+        let demands = staggered_pod_demands(seed);
+        let run = |mut policy: PodMaxMinPolicy, mode: RecomputeMode| {
+            run_flows_faulted(&fabric, demands.clone(), &mut policy, mode, &plan)
+        };
+        let cached = run(PodMaxMinPolicy::new(), RecomputeMode::Incremental);
+        let uncached = run(
+            PodMaxMinPolicy::without_caching(),
+            RecomputeMode::Incremental,
+        );
+        let full = run(PodMaxMinPolicy::new(), RecomputeMode::Full);
+        for (label, other) in [("uncached refill", &uncached), ("full recompute", &full)] {
+            assert_eq!(
+                cached.trace().events(),
+                other.trace().events(),
+                "cached trace diverged from the {label}, seed {seed}"
+            );
+            assert_eq!(
+                cached.completions(),
+                other.completions(),
+                "cached completions diverged from the {label}, seed {seed}"
+            );
+        }
+        // Non-vacuity: faults fired, and the cache skipped clean pods.
+        let stats = cached.drive_stats();
+        assert!(stats.fault_events > 0, "no fault fired, seed {seed}");
+        assert!(stats.pods_total > 0, "seed {seed}: no pod work reported");
+        assert!(
+            stats.pods_recomputed < stats.pods_total,
+            "seed {seed}: caching never skipped a pod ({}/{})",
+            stats.pods_recomputed,
+            stats.pods_total
+        );
     }
 }
 
