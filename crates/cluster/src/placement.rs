@@ -295,6 +295,13 @@ pub trait Placer {
 
     /// Picks `req.demand` free hosts from `pool`, or returns the typed
     /// waitlist outcome. Must not mutate the pool — the caller claims.
+    ///
+    /// Two rules every policy keeps, which admission relies on to skip
+    /// calls and passes whose outcome it already knows:
+    ///
+    /// - it returns `Err` exactly when `req.demand > pool.num_free()`;
+    /// - a failed call leaves the placer's memory unchanged, so failing
+    ///   calls interleaved between successful ones change none of them.
     fn place(
         &mut self,
         req: &PlacementRequest,

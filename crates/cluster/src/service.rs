@@ -12,7 +12,8 @@
 //!   next arrival time is only known once the job is generated), parks
 //!   arrivals whose pre-assigned hosts are busy in a bounded pending
 //!   queue, and admits them in `(tenant tier, arrival)` order with
-//!   backfill;
+//!   backfill — re-scanning that queue only after an arrival or a
+//!   retirement could change the outcome;
 //! - a [`ServicePolicy`] wraps the scheduler and applies job
 //!   [`Lifecycle`] events from a shared bus: flow groups are registered
 //!   when their job is admitted and **evicted** when it retires, so the
@@ -141,7 +142,8 @@ pub struct JobRecord {
 
 /// A generated job waiting for its hosts to free (fixed placement) or
 /// for the placer to find it hosts (admission-time placement, where
-/// `dag` is `None` until admission compiles it).
+/// `dag` is `None` and `hosts` empty until admission places and compiles
+/// it).
 struct PendingJob {
     job: JobId,
     dag: Option<JobDag>,
@@ -153,14 +155,11 @@ struct PendingJob {
     /// placer wants it (admission retries reuse it).
     phase_gap: Option<f64>,
     hosts: Vec<NodeId>,
-    tenant: usize,
-    record: usize,
-    echelon_ids: Vec<EchelonId>,
-    coflow_ids: Vec<EchelonId>,
 }
 
-/// Admission-time placement state: the pool mirrors the runtime's
-/// claimed set on every admission pass, the placer carries cross-job
+/// Admission-time placement state: the pool is reset from the runtime's
+/// claimed set at the start of every admission pass and claims each
+/// placement the pass makes, the placer carries cross-job
 /// memory (pod residents, link loads), and the feed-owned allocator
 /// issues ids in admission order — identical in both service modes,
 /// which is what keeps the open≡closed differential alive with deferred
@@ -220,7 +219,20 @@ pub struct ServiceFeed {
     /// One generated-but-not-yet-due job (the stream must be pulled to
     /// learn the next arrival time).
     lookahead: Option<StreamJob>,
-    pending: Vec<PendingJob>,
+    /// Parked jobs keyed by `(tenant tier, record index)`: iteration
+    /// order is the admission scan order (lower tenant index = higher
+    /// tier, then arrival).
+    pending: BTreeMap<(usize, usize), PendingJob>,
+    /// Set by an admission pass that admitted nothing, cleared by the
+    /// next retirement. A pass is a deterministic function of the
+    /// pending set, the runtime's claimed set and the placer's memory;
+    /// after an empty pass none of them changes until an arrival or a
+    /// retirement (failed placements leave the placer untouched, see
+    /// [`Placer::place`]), so re-running it would admit nothing again.
+    /// A pass that admitted jobs never settles: a DpPs job's parameter
+    /// server is placed but not claimed by the runtime, so the next
+    /// pass sees more free hosts than this one ended with.
+    settled: bool,
     pending_limit: usize,
     records: Vec<JobRecord>,
     record_of: BTreeMap<JobId, usize>,
@@ -326,7 +338,8 @@ impl ServiceFeed {
         ServiceFeed {
             jobs,
             lookahead,
-            pending: Vec::new(),
+            pending: BTreeMap::new(),
+            settled: false,
             pending_limit: service.pending_limit,
             records: Vec::new(),
             record_of: BTreeMap::new(),
@@ -361,6 +374,14 @@ impl ServiceFeed {
         {
             let job = self.lookahead.take().expect("checked above");
             self.lookahead = self.jobs.next();
+            // The admission scan treats every parked job the feed's way:
+            // fixed jobs by their hosts, deferred ones through the placer.
+            assert_eq!(
+                job.dag.is_none(),
+                self.placement.is_some(),
+                "job {} does not match the feed's placement mode",
+                job.job
+            );
             let rejected = self.pending.len() >= self.pending_limit;
             let record = self.records.len();
             self.record_of.insert(job.job, record);
@@ -383,16 +404,6 @@ impl ServiceFeed {
                 self.rejected_per_tenant[job.tenant] += 1;
                 continue;
             }
-            let echelon_ids = job
-                .dag
-                .as_ref()
-                .map(|d| d.echelons.iter().map(|h| h.id()).collect())
-                .unwrap_or_default();
-            let coflow_ids = job
-                .dag
-                .as_ref()
-                .map(|d| d.coflows.iter().map(|c| c.id()).collect())
-                .unwrap_or_default();
             // Profile the spec's communication period once, at arrival,
             // when the placer is phase-aware and will need it.
             let phase_gap = match &self.placement {
@@ -407,20 +418,19 @@ impl ServiceFeed {
                 }
                 _ => None,
             };
-            self.pending.push(PendingJob {
-                job: job.job,
-                dag: job.dag,
-                kind: job.kind,
-                demand: job.demand,
-                comp_scale: job.comp_scale,
-                bytes_scale: job.bytes_scale,
-                phase_gap,
-                hosts: job.hosts,
-                tenant: job.tenant,
-                record,
-                echelon_ids,
-                coflow_ids,
-            });
+            self.pending.insert(
+                (job.tenant, record),
+                PendingJob {
+                    job: job.job,
+                    dag: job.dag,
+                    kind: job.kind,
+                    demand: job.demand,
+                    comp_scale: job.comp_scale,
+                    bytes_scale: job.bytes_scale,
+                    phase_gap,
+                    hosts: job.hosts,
+                },
+            );
         }
     }
 }
@@ -430,71 +440,70 @@ impl JobFeed for ServiceFeed {
         self.lookahead.as_ref().map(|j| SimTime::new(j.arrival))
     }
 
+    /// Runs a pass when an arrival is due, or when jobs are parked and no
+    /// pass has come up empty since the last retirement (see
+    /// [`ServiceFeed`]'s `settled` rule).
+    fn wants_admission(&self, now: SimTime) -> bool {
+        self.next_event_at().is_some_and(|t| t.at_or_before(now))
+            || (!self.settled && !self.pending.is_empty())
+    }
+
     fn admit(&mut self, now: SimTime, claimed: &BTreeSet<NodeId>) -> Vec<JobDag> {
         self.pull_due(now);
-        // Admission scan: tier priority first (lower tenant index = higher
-        // tier), arrival order within a tier; a blocked job does not block
-        // later admissible ones (backfill).
-        let mut order: Vec<usize> = (0..self.pending.len()).collect();
-        order.sort_by_key(|&i| (self.pending[i].tenant, self.pending[i].record));
-        let mut busy: BTreeSet<NodeId> = claimed.clone();
-        let mut take: Vec<usize> = Vec::new();
-        let mut placed: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-        for &i in &order {
-            let p = &self.pending[i];
-            if p.dag.is_some() {
-                // Fixed placement: the job waits for its exact hosts.
-                if p.hosts.iter().all(|h| !busy.contains(h)) {
-                    busy.extend(p.hosts.iter().copied());
-                    take.push(i);
+        // Admission scan in `pending` key order (tier, then arrival); a
+        // blocked job does not block later admissible ones (backfill).
+        let mut take: Vec<(usize, usize)> = Vec::new();
+        match &mut self.placement {
+            // Fixed placement: the job waits for its exact hosts.
+            None => {
+                let mut busy: BTreeSet<NodeId> = claimed.clone();
+                for (&key, p) in &self.pending {
+                    if p.hosts.iter().all(|h| !busy.contains(h)) {
+                        busy.extend(p.hosts.iter().copied());
+                        take.push(key);
+                    }
                 }
-            } else {
-                // Admission-time placement: choose hosts from whatever
-                // is free right now; an unplaceable job stays parked
-                // (the waitlist outcome) without blocking backfill.
-                let ap = self
-                    .placement
-                    .as_mut()
-                    .expect("deferred job without an admission placer");
-                ap.pool.reset_with_busy(&busy);
-                let req = PlacementRequest {
-                    job: p.job,
-                    index: p.record,
-                    demand: p.demand,
-                    phase_gap: p.phase_gap,
-                };
-                if let Ok(hosts) = ap.placer.place(&req, &ap.pool, &ap.topo) {
-                    busy.extend(hosts.iter().copied());
-                    placed.insert(i, hosts);
-                    take.push(i);
+            }
+            // Admission-time placement: choose hosts from whatever is
+            // free right now; an unplaceable job stays parked (the
+            // waitlist outcome) without blocking backfill.
+            Some(ap) => {
+                ap.pool.reset_with_busy(claimed);
+                for (&key, p) in self.pending.iter_mut() {
+                    // The placer's own failure condition, checked without
+                    // calling it (a failed call changes nothing).
+                    if p.demand > ap.pool.num_free() {
+                        continue;
+                    }
+                    let req = PlacementRequest {
+                        job: p.job,
+                        index: key.1,
+                        demand: p.demand,
+                        phase_gap: p.phase_gap,
+                    };
+                    if let Ok(hosts) = ap.placer.place(&req, &ap.pool, &ap.topo) {
+                        ap.pool.claim(&hosts);
+                        p.hosts = hosts;
+                        take.push(key);
+                    }
                 }
             }
         }
-        if take.is_empty() {
-            return Vec::new();
-        }
-        let taken: BTreeSet<usize> = take.iter().copied().collect();
-        let mut extracted: BTreeMap<usize, PendingJob> = BTreeMap::new();
-        let mut kept = Vec::with_capacity(self.pending.len() - take.len());
-        for (i, p) in std::mem::take(&mut self.pending).into_iter().enumerate() {
-            if taken.contains(&i) {
-                extracted.insert(i, p);
-            } else {
-                kept.push(p);
-            }
-        }
-        self.pending = kept;
+        self.settled = take.is_empty();
         let mut out = Vec::with_capacity(take.len());
-        for i in take {
-            let mut p = extracted.remove(&i).expect("index extracted above");
+        for key in take {
+            let record = key.1;
+            let mut p = self.pending.remove(&key).expect("scanned above");
             let dag = match p.dag.take() {
                 Some(dag) => dag,
                 None => {
                     // Compile in admission order with the feed-owned
                     // allocator: both service modes admit identically,
                     // so ids — and therefore digests — line up.
-                    p.hosts = placed.remove(&i).expect("placed during the scan");
-                    let ap = self.placement.as_mut().expect("placer checked above");
+                    let ap = self
+                        .placement
+                        .as_mut()
+                        .expect("deferred jobs park only in a placing feed");
                     let dag = compile_job(
                         p.job,
                         p.kind,
@@ -504,22 +513,21 @@ impl JobFeed for ServiceFeed {
                         ap.iterations,
                         &mut ap.alloc,
                     );
-                    p.echelon_ids = dag.echelons.iter().map(|h| h.id()).collect();
-                    p.coflow_ids = dag.coflows.iter().map(|c| c.id()).collect();
-                    self.records[p.record].echelons = dag.echelons.clone();
-                    self.records[p.record].hosts = p.hosts.clone();
+                    self.records[record].echelons = dag.echelons.clone();
+                    self.records[record].hosts = p.hosts;
                     dag
                 }
             };
-            self.records[p.record].admitted_at = Some(now.secs());
+            self.records[record].admitted_at = Some(now.secs());
             if let Some(bus) = &self.bus {
                 bus.borrow_mut().push_back(Lifecycle::Admitted {
                     echelons: dag.echelons.clone(),
                     coflows: dag.coflows.clone(),
                 });
             }
-            self.retire_ids
-                .insert(dag.job, (p.echelon_ids, p.coflow_ids));
+            let echelon_ids = dag.echelons.iter().map(|h| h.id()).collect();
+            let coflow_ids = dag.coflows.iter().map(|c| c.id()).collect();
+            self.retire_ids.insert(dag.job, (echelon_ids, coflow_ids));
             out.push(dag);
         }
         out
@@ -535,6 +543,8 @@ impl JobFeed for ServiceFeed {
             // pool is rebuilt from it on every admission pass).
             ap.placer.forget(job);
         }
+        // Freed claims and placer memory can unblock parked jobs.
+        self.settled = false;
         let ids = self.retire_ids.remove(&job);
         if let Some(bus) = &self.bus {
             if let Some((echelons, coflows)) = ids {
@@ -1065,7 +1075,13 @@ mod tests {
         let mut feed = ServiceFeed::materialized(jobs, 2, &ServiceConfig::default());
         let busy: BTreeSet<NodeId> = [NodeId(0)].into();
         assert!(feed.admit(SimTime::new(0.0), &busy).is_empty());
+        // An empty pass settles the feed until an arrival or retirement.
+        assert!(!feed.wants_admission(SimTime::new(0.25)));
+        assert!(feed.wants_admission(SimTime::new(0.5)), "arrival due");
         assert!(feed.admit(SimTime::new(0.5), &busy).is_empty());
+        assert!(!feed.wants_admission(SimTime::new(0.75)));
+        feed.on_job_retired(SimTime::new(0.75), JobId(99));
+        assert!(feed.wants_admission(SimTime::new(0.75)), "retirement");
         let out = feed.admit(SimTime::new(1.0), &BTreeSet::new());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].job, JobId(1), "higher tier admitted first");

@@ -1,5 +1,7 @@
 //! Property tests for the placement subsystem: host-set soundness for
-//! every policy on both topology families, pod-minimality of the
+//! every policy on both topology families, the `Placer::place` failure
+//! contract (fails exactly on overdemand, failures leave memory
+//! untouched), pod-minimality of the
 //! pod-packed policy against a brute-force oracle, thread-invariance of
 //! the placement-axis sweep, and the open≡closed digest contract under
 //! admission-time placement.
@@ -71,6 +73,122 @@ fn every_policy_places_disjoint_in_range_hosts() {
                             policy.name()
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// A pool over `hosts` with a random share of them (0–100%) claimed.
+fn random_claims(rng: &mut DetRng, topo: &Topology, hosts: usize) -> HostPool {
+    let mut pool = HostPool::on_topology(hosts, topo).unwrap();
+    let share = rng.next_f64();
+    let busy: BTreeSet<NodeId> = (0..hosts as u32)
+        .map(NodeId)
+        .filter(|_| rng.next_f64() < share)
+        .collect();
+    pool.reset_with_busy(&busy);
+    pool
+}
+
+/// The first half of the `Placer::place` contract the admission scan's
+/// count pre-check relies on: every policy fails exactly when the demand
+/// exceeds the free-host count, and otherwise returns that many distinct
+/// free hosts.
+#[test]
+fn place_fails_exactly_when_demand_exceeds_free() {
+    let fabric = FatTree::new(4).build_fabric();
+    let flat = Topology::big_switch_uniform(16, 1.0);
+    for (tname, topo) in [("big-switch", &flat), ("fat-tree", &fabric)] {
+        for trial in 0..40u64 {
+            let mut rng = DetRng::seed_from_u64(0xFA11 ^ trial);
+            for policy in policies(trial) {
+                let mut placer = placer_for(policy);
+                for call in 0..8usize {
+                    let pool = random_claims(&mut rng, topo, 16);
+                    let req = PlacementRequest {
+                        job: JobId(call as u32),
+                        index: call,
+                        demand: rng.usize_range_inclusive(1, 17),
+                        phase_gap: Some(rng.f64_range(0.5, 4.0)),
+                    };
+                    let free = pool.num_free();
+                    let ctx = format!("{} on {tname} trial {trial} call {call}", policy.name());
+                    match placer.place(&req, &pool, topo) {
+                        Ok(hosts) => {
+                            assert!(req.demand <= free, "{ctx}: placed {} of {free}", req.demand);
+                            let distinct: BTreeSet<NodeId> = hosts.iter().copied().collect();
+                            assert_eq!(distinct.len(), req.demand, "{ctx}: wrong host count");
+                            assert!(hosts.iter().all(|&h| pool.is_free(h)), "{ctx}: busy host");
+                        }
+                        Err(e) => assert_eq!(
+                            e,
+                            PlacementError::Insufficient {
+                                demand: req.demand,
+                                free
+                            },
+                            "{ctx}: refused a placeable demand"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The second half of the contract: a failed call leaves the placer's
+/// memory unchanged, so a placer that also answers failing requests
+/// (against arbitrary claim states) between its successful ones places
+/// every job exactly like a twin that never saw them — across
+/// retirements (`forget`) too.
+#[test]
+fn failed_placements_leave_placer_memory_unchanged() {
+    let fabric = FatTree::new(4).build_fabric();
+    let flat = Topology::big_switch_uniform(16, 1.0);
+    for (tname, topo) in [("big-switch", &flat), ("fat-tree", &fabric)] {
+        for trial in 0..20u64 {
+            let mut rng = DetRng::seed_from_u64(0x3E30 ^ trial);
+            for policy in policies(trial) {
+                let mut probed = placer_for(policy);
+                let mut twin = placer_for(policy);
+                let mut pool = HostPool::on_topology(16, topo).unwrap();
+                let mut live: Vec<(JobId, Vec<NodeId>)> = Vec::new();
+                for step in 0..12u32 {
+                    let ctx = format!("{} on {tname} trial {trial} step {step}", policy.name());
+                    if !live.is_empty()
+                        && (pool.num_free() == 0 || rng.usize_range_inclusive(0, 2) == 0)
+                    {
+                        let (job, hosts) =
+                            live.remove(rng.usize_range_inclusive(0, live.len() - 1));
+                        probed.forget(job);
+                        twin.forget(job);
+                        pool.release(&hosts);
+                        continue;
+                    }
+                    for probe in 0..rng.usize_range_inclusive(1, 3) {
+                        let other = random_claims(&mut rng, topo, 16);
+                        let req = PlacementRequest {
+                            job: JobId(1000 + 10 * step + probe as u32),
+                            index: rng.usize_range_inclusive(0, 99),
+                            demand: other.num_free() + rng.usize_range_inclusive(1, 3),
+                            phase_gap: Some(rng.f64_range(0.5, 4.0)),
+                        };
+                        assert!(probed.place(&req, &other, topo).is_err(), "{ctx}");
+                    }
+                    let req = PlacementRequest {
+                        job: JobId(step),
+                        index: step as usize,
+                        demand: rng.usize_range_inclusive(1, pool.num_free().min(5)),
+                        phase_gap: Some(rng.f64_range(0.5, 4.0)),
+                    };
+                    let hosts = probed.place(&req, &pool, topo).unwrap();
+                    assert_eq!(
+                        twin.place(&req, &pool, topo).unwrap(),
+                        hosts,
+                        "{ctx}: failed calls changed a later placement"
+                    );
+                    pool.claim(&hosts);
+                    live.push((req.job, hosts));
                 }
             }
         }

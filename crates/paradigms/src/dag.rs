@@ -95,7 +95,10 @@ pub struct JobDag {
 }
 
 impl JobDag {
-    /// The workers this job occupies.
+    /// The workers this job occupies: the hosts with a computation
+    /// program. Hosts that only terminate flows — a parameter server that
+    /// aggregates without computing — are not included, so the runtime,
+    /// which claims exactly these hosts, never reserves them.
     pub fn workers(&self) -> Vec<NodeId> {
         self.programs.keys().copied().collect()
     }

@@ -75,8 +75,9 @@ pub fn make_policy(grouping: Grouping, dags: &[&JobDag]) -> Box<dyn RatePolicy> 
 /// An incremental job supplier for open-loop runs ([`run_jobs_streamed`]).
 ///
 /// The runtime polls the feed instead of holding a pre-materialized DAG
-/// slice: at every event it asks for jobs whose arrival time has come and
-/// whose admission test passes, and it reports each job's retirement (all
+/// slice: at every event where the feed wants an admission pass it asks
+/// for jobs whose arrival time has come and whose admission test passes,
+/// and it reports each job's retirement (all
 /// units finished) so the feed can release queue slots, record completion
 /// times, and emit lifecycle notifications (e.g. scheduler-registry
 /// eviction). Worker claims are freed on retirement, so a host set can be
@@ -85,13 +86,19 @@ pub fn make_policy(grouping: Grouping, dags: &[&JobDag]) -> Box<dyn RatePolicy> 
 pub trait JobFeed {
     /// Absolute time of the next new arrival, if the stream has more
     /// jobs. Pending-but-blocked jobs are *not* events: their admission
-    /// is re-attempted whenever any other event fires (host-freeing is
-    /// always accompanied by one).
+    /// is re-attempted at a later event whenever
+    /// [`wants_admission`](Self::wants_admission) reports that the
+    /// outcome may have changed (host-freeing always comes with an event
+    /// and an [`on_job_retired`](Self::on_job_retired) call).
     fn next_event_at(&self) -> Option<SimTime>;
 
-    /// Whether an [`admit`](Self::admit) call at `now` could do anything:
-    /// an arrival is due or blocked jobs are queued. Lets the runtime
-    /// skip building the claimed-worker set on quiet events.
+    /// Whether an [`admit`](Self::admit) call at `now` could admit
+    /// anything. The runtime skips the pass, and building the
+    /// claimed-worker set, when this is false. The default says yes when
+    /// an arrival is due or blocked jobs are queued, i.e. a pass on every
+    /// event while anything waits; a feed that can tell its blocked jobs
+    /// are still blocked (nothing retired since a pass that admitted
+    /// nothing) may say no.
     fn wants_admission(&self, now: SimTime) -> bool {
         self.next_event_at().is_some_and(|t| t.at_or_before(now)) || self.backlog() > 0
     }
@@ -100,6 +107,11 @@ pub trait JobFeed {
     /// order. `claimed` is the set of workers currently held by admitted,
     /// unfinished jobs; the feed must only return jobs whose workers are
     /// all unclaimed (and disjoint among the returned batch).
+    ///
+    /// The runtime claims exactly [`JobDag::workers`] of each admitted
+    /// job. A host a job uses without running a program there — the
+    /// parameter server of a PS data-parallel job — is never claimed, so
+    /// a later pass may hand it to another job.
     fn admit(&mut self, now: SimTime, claimed: &BTreeSet<NodeId>) -> Vec<JobDag>;
 
     /// Notification that an admitted job retired (every computation and
