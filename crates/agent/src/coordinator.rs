@@ -19,12 +19,21 @@
 //!   [`CoordinatorConfig::control_latency`] have not completed the
 //!   agent → coordinator round-trip yet; until then they receive only
 //!   backfilled (fair-share leftover) bandwidth.
+//!
+//! [`CoordinatedPolicy`] allocates in the simulator's dense rate currency
+//! (`out[i]` rates `flows[i]` of the id-sorted active slice; see
+//! [`echelon_simnet::alloc`]): the engine writes straight into the
+//! driver's buffer with the driver's scratch, and the decision cache, the
+//! between-decisions cache and the fresh-flow backfill stay dense too. The
+//! map entry points of [`RatePolicy`] are adapters over the dense ones.
 
 use crate::api::EchelonRequest;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
 use echelon_sched::echelon::{EchelonMadd, InterOrder, IntraMode};
-use echelon_simnet::alloc::{priority_fill, waterfill, RateAlloc};
+use echelon_simnet::alloc::{
+    alloc_via_dense, priority_fill_dense, waterfill_dense, AllocScratch, RateAlloc,
+};
 use echelon_simnet::fault::FaultKind;
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
@@ -167,12 +176,26 @@ impl Coordinator {
             decisions_computed: 0,
             group_counts: BTreeMap::new(),
             counts_valid: false,
-            cached_between: None,
+            cached_between: BetweenCache::default(),
             outage: false,
             pending_register: Vec::new(),
             rejected_registrations: 0,
+            known: Vec::new(),
+            known_pos: Vec::new(),
+            fresh: Vec::new(),
+            known_rates: Vec::new(),
+            order: Vec::new(),
         }
     }
+}
+
+/// [`CoordinatedPolicy`]'s between-decisions cache. Its buffers persist
+/// across invalidations, so refilling it reuses their capacity.
+#[derive(Debug, Default)]
+struct BetweenCache {
+    valid: bool,
+    rates: Vec<f64>,
+    fresh: Vec<FlowId>,
 }
 
 /// The coordinator's scheduling decision applied as a [`RatePolicy`].
@@ -180,12 +203,17 @@ impl Coordinator {
 pub struct CoordinatedPolicy {
     config: CoordinatorConfig,
     engine: EchelonMadd,
-    /// Decision cache: a global flow priority order, refreshed per
-    /// trigger. Flows absent from the cache queue behind it in id order.
-    cached_order: Vec<FlowId>,
+    /// Decision cache: every flow the last decision rated, as a global
+    /// flow priority order — higher allocated rate first, then id,
+    /// approximating the engine's serve order. Allocations between
+    /// decisions enforce it; flows absent from it queue behind it in id
+    /// order.
+    cached_order: Vec<(FlowId, f64)>,
     last_decision: Option<SimTime>,
     /// Active EchelonFlow set at the last decision (for PerGroupChange).
     last_groups: Vec<EchelonId>,
+    /// When each flow was first seen, for the control-latency split.
+    /// Stays empty without control latency: every flow is known at once.
     first_seen: BTreeMap<FlowId, SimTime>,
     decisions_computed: usize,
     /// Incremental state: active member count per EchelonFlow, maintained
@@ -193,9 +221,9 @@ pub struct CoordinatedPolicy {
     group_counts: BTreeMap<EchelonId, usize>,
     /// Whether `group_counts` has been initialised from a full scan.
     counts_valid: bool,
-    /// Between-decisions cache: the last allocation returned while no
-    /// decision was due, plus the fresh-flow ids it was computed for.
-    /// Valid while the flow set, the known/fresh split, *and the link
+    /// Between-decisions cache: the last (dense) allocation returned
+    /// while no decision was due, plus the fresh-flow ids it was computed
+    /// for. Valid while the flow set, the known/fresh split, *and the link
     /// capacities* are unchanged (`priority_fill`/`waterfill` depend on
     /// routes and capacities, not on remaining bytes, so the naive
     /// recompute would reproduce it). Capacity changes arrive as faults:
@@ -203,7 +231,7 @@ pub struct CoordinatedPolicy {
     /// cache was keyed only on the flow set and silently served pre-fault
     /// rates after a link degradation (the stale-cache defect the fault
     /// differential suite was built to expose).
-    cached_between: Option<(RateAlloc, Vec<FlowId>)>,
+    cached_between: BetweenCache,
     /// True between [`FaultKind::CoordinatorDown`] and
     /// [`FaultKind::CoordinatorUp`]: no decisions are computed and every
     /// flow gets plain fair-share bandwidth (the agents' local fallback —
@@ -219,6 +247,17 @@ pub struct CoordinatedPolicy {
     pending_register: Vec<EchelonFlow>,
     /// Registrations refused at the full pending queue.
     rejected_registrations: usize,
+    /// The control-latency split of the current allocation, written by
+    /// [`Self::split_known`]: the fresh flows' ids, and — only when there
+    /// are any — the known flows' views and their positions in the
+    /// active slice.
+    known: Vec<ActiveFlowView>,
+    known_pos: Vec<usize>,
+    fresh: Vec<FlowId>,
+    /// Reused buffers: the known flows' rates while fresh flows exist,
+    /// and the priority order served between decisions.
+    known_rates: Vec<f64>,
+    order: Vec<FlowId>,
 }
 
 impl CoordinatedPolicy {
@@ -295,14 +334,16 @@ impl CoordinatedPolicy {
         }
     }
 
-    fn decision_due(&self, now: SimTime, active_groups: &[EchelonId]) -> bool {
-        if self.last_decision.is_none() {
+    /// Whether the heuristic must run now. `active_groups` yields the
+    /// active EchelonFlows in id order; only `PerGroupChange` reads it.
+    fn decision_due(&self, now: SimTime, active_groups: impl Iterator<Item = EchelonId>) -> bool {
+        let Some(t0) = self.last_decision else {
             return true;
-        }
+        };
         match self.config.trigger {
             Trigger::PerEvent => true,
-            Trigger::PerGroupChange => self.last_groups != active_groups,
-            Trigger::Interval(dt) => now.secs() - self.last_decision.unwrap().secs() + 1e-12 >= dt,
+            Trigger::PerGroupChange => !self.last_groups.iter().copied().eq(active_groups),
+            Trigger::Interval(dt) => now.secs() - t0.secs() + 1e-12 >= dt,
         }
     }
 
@@ -360,100 +401,171 @@ impl CoordinatedPolicy {
         }
     }
 
-    /// Shared decision-due bookkeeping: runs the engine, caches the
-    /// implied priority order, and extends to fresh flows via backfill.
+    /// A due decision: runs the heuristic on the known flows — from the
+    /// engine's delta-maintained caches when `cached`, else from scratch
+    /// — caches the implied priority order, and lets fresh flows (present
+    /// only when `any_fresh`) ride the leftover bandwidth.
     #[allow(clippy::too_many_arguments)]
     fn decide(
         &mut self,
         now: SimTime,
         flows: &[ActiveFlowView],
-        known: &[ActiveFlowView],
-        fresh_empty: bool,
-        groups: Vec<EchelonId>,
-        rates: RateAlloc,
+        any_fresh: bool,
+        cached: bool,
         topo: &Topology,
-    ) -> RateAlloc {
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
         self.last_decision = Some(now);
-        self.last_groups = groups;
         self.decisions_computed += 1;
-        self.cached_between = None;
-        // Cache the order: flows sorted by allocated rate share of
-        // their bottleneck — higher rate first — approximating the
-        // engine's serve order for reuse between decisions.
-        let mut order: Vec<FlowId> = known.iter().map(|v| v.id).collect();
-        order.sort_by(|a, b| {
-            let ra = rates.get(a).copied().unwrap_or(0.0);
-            let rb = rates.get(b).copied().unwrap_or(0.0);
-            rb.total_cmp(&ra).then(a.cmp(b))
-        });
-        self.cached_order = order;
-        if fresh_empty {
-            return rates;
+        self.cached_between.valid = false;
+        debug_assert!(!(cached && any_fresh), "the engine cache covers every flow");
+        if any_fresh {
+            self.engine
+                .allocate_dense(now, &self.known, topo, ws, &mut self.known_rates);
+        } else if cached {
+            self.engine.allocate_cached(now, flows, topo, ws, out);
+        } else {
+            self.engine.allocate_dense(now, flows, topo, ws, out);
         }
-        // Fresh flows: leftover bandwidth only.
-        waterfill(
-            topo,
-            flows,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
-            Some(&rates),
-        )
+        let (known, rates): (&[ActiveFlowView], &[f64]) = if any_fresh {
+            (&self.known, &self.known_rates)
+        } else {
+            (flows, out)
+        };
+        self.cached_order.clear();
+        self.cached_order
+            .extend(known.iter().map(|v| v.id).zip(rates.iter().copied()));
+        self.cached_order
+            .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        if any_fresh {
+            self.backfill_fresh(flows, topo, ws, out);
+        }
     }
 
-    /// Control-latency split: stamps first-seen times and partitions the
-    /// active flows into (known to the coordinator, still in flight to
-    /// it). Flows are known once they have aged past the round-trip.
-    fn split_known(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-    ) -> (Vec<ActiveFlowView>, Vec<ActiveFlowView>) {
-        for v in flows {
-            self.first_seen.entry(v.id).or_insert(now);
+    /// Control-latency split: stamps first-seen times and sorts the
+    /// active flows into known to the coordinator (aged past the
+    /// round-trip) and fresh (still in flight to it). Returns whether any
+    /// flow is fresh. Only then are the known flows copied out (into
+    /// `known`, with their positions in `known_pos`); otherwise the known
+    /// set is `flows` itself. `fresh` always ends up holding the fresh
+    /// flows' ids.
+    fn split_known(&mut self, now: SimTime, flows: &[ActiveFlowView]) -> bool {
+        self.fresh.clear();
+        if self.config.control_latency <= 0.0 {
+            return false;
         }
-        flows.iter().cloned().partition(|v| {
-            now.secs() - self.first_seen[&v.id].secs() + 1e-12 >= self.config.control_latency
-        })
+        self.known_pos.clear();
+        for (i, v) in flows.iter().enumerate() {
+            let seen = *self.first_seen.entry(v.id).or_insert(now);
+            if now.secs() - seen.secs() + 1e-12 >= self.config.control_latency {
+                self.known_pos.push(i);
+            } else {
+                self.fresh.push(v.id);
+            }
+        }
+        if self.fresh.is_empty() {
+            return false;
+        }
+        self.known.clear();
+        self.known
+            .extend(self.known_pos.iter().map(|&i| flows[i].clone()));
+        true
     }
 
-    /// Shared between-decisions path: enforce the cached order via
-    /// priority filling; unknown flows queue after it in id order.
+    /// Between decisions: enforce the cached order by priority filling
+    /// the known flows, then let fresh flows (present only when
+    /// `any_fresh`) ride the leftover bandwidth.
     fn between_decisions(
         &mut self,
         flows: &[ActiveFlowView],
-        known: &[ActiveFlowView],
-        fresh_empty: bool,
+        any_fresh: bool,
         topo: &Topology,
-    ) -> RateAlloc {
-        let mut order = self.cached_order.clone();
-        for v in known {
-            if !order.contains(&v.id) {
-                order.push(v.id);
-            }
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        let known: &[ActiveFlowView] = if any_fresh { &self.known } else { flows };
+        // Every known flow follows the cached order in id order. Priority
+        // filling serves a flow at its first mention only, so the cached
+        // flows keep their slots and the flows the order does not mention
+        // queue behind it in id order.
+        self.order.clear();
+        self.order
+            .extend(self.cached_order.iter().map(|&(id, _)| id));
+        self.order.extend(known.iter().map(|v| v.id));
+        let rates = if any_fresh {
+            &mut self.known_rates
+        } else {
+            &mut *out
+        };
+        rates.clear();
+        rates.resize(known.len(), 0.0);
+        priority_fill_dense(topo, known, &self.order, None, rates, ws);
+        if any_fresh {
+            self.backfill_fresh(flows, topo, ws, out);
         }
-        let rates = priority_fill(topo, known, &order, &BTreeMap::new());
-        if fresh_empty && known.len() == flows.len() {
-            return rates;
+    }
+
+    /// Fresh flows get leftover bandwidth only: the known flows' rates
+    /// (`known_rates`, placed at `known_pos`) are the waterfill floor, and
+    /// fresh flows start from zero.
+    fn backfill_fresh(
+        &self,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(flows.len(), 0.0);
+        for (&p, &rate) in self.known_pos.iter().zip(&self.known_rates) {
+            out[p] = rate;
         }
-        waterfill(
-            topo,
-            flows,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
-            Some(&rates),
-        )
+        waterfill_dense(topo, flows, None, None, out, ws);
     }
 
     /// The outage allocation: plain fair-share waterfill over every
     /// active flow, ignoring the cached decision entirely. Used by both
     /// the full and incremental paths so they stay bit-identical.
-    fn fair_share(&self, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        waterfill(topo, flows, &BTreeMap::new(), &BTreeMap::new(), None)
+    fn fair_share(
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(flows.len(), 0.0);
+        waterfill_dense(topo, flows, None, None, out, ws);
     }
 }
 
 impl RatePolicy for CoordinatedPolicy {
     fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense(now, flows, topo, ws, out)
+        })
+    }
+
+    fn allocate_incremental(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        delta: &FlowDelta,
+        topo: &Topology,
+    ) -> RateAlloc {
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense_incremental(now, flows, delta, topo, ws, out)
+        })
+    }
+
+    fn allocate_dense(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
         // Queued live registrations land before the observation pass so
         // a head flow releasing this very event still binds its group's
         // reference.
@@ -472,87 +584,70 @@ impl RatePolicy for CoordinatedPolicy {
             // decision; agents fall back to fair sharing. Flows arriving
             // during the outage are first seen (for control-latency
             // aging) once the coordinator is back.
-            return self.fair_share(flows, topo);
+            return Self::fair_share(flows, topo, ws, out);
         }
-        let (known, fresh) = self.split_known(now, flows);
-
+        let any_fresh = self.split_known(now, flows);
         let groups = self.active_groups(flows);
-        if self.decision_due(now, &groups) {
+        if self.decision_due(now, groups.iter().copied()) {
             // Full heuristic run: rates for known flows, and the implied
             // global priority order becomes the cached decision.
-            let rates = self.engine.allocate(now, &known, topo);
-            return self.decide(now, flows, &known, fresh.is_empty(), groups, rates, topo);
+            self.last_groups = groups;
+            return self.decide(now, flows, any_fresh, false, topo, ws, out);
         }
-        self.between_decisions(flows, &known, fresh.is_empty(), topo)
+        self.between_decisions(flows, any_fresh, topo, ws, out);
     }
 
-    fn allocate_incremental(
+    fn allocate_dense_incremental(
         &mut self,
         now: SimTime,
         flows: &[ActiveFlowView],
         delta: &FlowDelta,
         topo: &Topology,
-    ) -> RateAlloc {
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
         self.flush_pending();
         self.update_group_counts(flows, delta);
-        let groups: Vec<EchelonId> = self.group_counts.keys().copied().collect();
-
-        if self.config.control_latency <= 0.0 {
-            // Every flow is immediately known, so the known set is exactly
-            // `flows` and the engine's incremental path applies. Feed the
-            // engine its delta at *every* event — not just when a decision
-            // is due — so its caches never go stale across skipped
-            // decisions (this also holds through a coordinator outage:
-            // the engine keeps absorbing deltas it will need when the
-            // coordinator returns).
+        // Without control latency every flow is immediately known, so the
+        // known set is exactly `flows` and the engine's incremental path
+        // applies. Feed the engine its delta at *every* event — not just
+        // when a decision is due — so its caches never go stale across
+        // skipped decisions (this also holds through a coordinator
+        // outage: the engine keeps absorbing deltas it will need when the
+        // coordinator returns). With control latency the known set
+        // changes as flows age in ways a flow delta does not capture, so
+        // the engine runs its full path on the known subset; group
+        // counting and the between-decisions cache still apply. Observe
+        // the *whole* slice first (fresh flows included) so reference
+        // binding matches the naive path, which observes every event.
+        let cached = self.config.control_latency <= 0.0;
+        if cached {
             self.engine.apply_delta(now, flows, delta);
-            if self.outage {
-                return self.fair_share(flows, topo);
-            }
-            if self.decision_due(now, &groups) {
-                let rates = self.engine.allocate_cached(now, flows, topo);
-                return self.decide(now, flows, flows, true, groups, rates, topo);
-            }
-            // Between decisions with an unchanged flow set, the cached
-            // allocation is exactly what the naive path would recompute.
-            if delta.is_empty() {
-                if let Some((rates, ids)) = &self.cached_between {
-                    if ids.is_empty() {
-                        return rates.clone();
-                    }
-                }
-            }
-            let rates = self.between_decisions(flows, flows, true, topo);
-            self.cached_between = Some((rates.clone(), Vec::new()));
-            return rates;
+        } else {
+            self.engine.observe(now, flows);
         }
-
-        // With control latency the known set changes as flows age in ways
-        // a flow delta does not capture, so the engine runs its full path
-        // on the known subset; group counting and the between-decisions
-        // cache still apply. Observe the *whole* slice first (fresh flows
-        // included) so reference binding matches the naive path, which
-        // observes every event.
-        self.engine.observe(now, flows);
         if self.outage {
-            return self.fair_share(flows, topo);
+            return Self::fair_share(flows, topo, ws, out);
         }
-        let (known, fresh) = self.split_known(now, flows);
-        if self.decision_due(now, &groups) {
-            let rates = self.engine.allocate(now, &known, topo);
-            return self.decide(now, flows, &known, fresh.is_empty(), groups, rates, topo);
+        let any_fresh = self.split_known(now, flows);
+        if self.decision_due(now, self.group_counts.keys().copied()) {
+            self.last_groups.clear();
+            self.last_groups.extend(self.group_counts.keys().copied());
+            return self.decide(now, flows, any_fresh, cached, topo, ws, out);
         }
-        let fresh_ids: Vec<FlowId> = fresh.iter().map(|v| v.id).collect();
-        if delta.is_empty() {
-            if let Some((rates, ids)) = &self.cached_between {
-                if *ids == fresh_ids {
-                    return rates.clone();
-                }
-            }
+        // Between decisions with an unchanged flow set and known/fresh
+        // split, the cached allocation is exactly what the naive path
+        // would recompute.
+        let cache = &self.cached_between;
+        if delta.is_empty() && cache.valid && cache.fresh == self.fresh {
+            out.clone_from(&cache.rates);
+            return;
         }
-        let rates = self.between_decisions(flows, &known, fresh.is_empty(), topo);
-        self.cached_between = Some((rates.clone(), fresh_ids));
-        rates
+        self.between_decisions(flows, any_fresh, topo, ws, out);
+        let cache = &mut self.cached_between;
+        cache.rates.clone_from(out);
+        cache.fresh.clone_from(&self.fresh);
+        cache.valid = true;
     }
 
     /// Between decisions the coordinator serves a *frozen* priority order
@@ -569,15 +664,15 @@ impl RatePolicy for CoordinatedPolicy {
                 // kept serving stale (possibly now-infeasible) rates
                 // after capacity churn while the naive path recomputed —
                 // the pre-existing stale-cache defect this PR fixes.
-                self.cached_between = None;
+                self.cached_between.valid = false;
             }
             FaultKind::CoordinatorDown => {
                 self.outage = true;
-                self.cached_between = None;
+                self.cached_between.valid = false;
             }
             FaultKind::CoordinatorUp => {
                 self.outage = false;
-                self.cached_between = None;
+                self.cached_between.valid = false;
                 // The recovered coordinator has no trustworthy decision:
                 // force a fresh one at the next allocation, whatever the
                 // trigger.
@@ -916,7 +1011,7 @@ mod tests {
 
         policy.on_fault(SimTime::new(1.0), &FaultKind::CoordinatorDown);
         let rates = policy.allocate(SimTime::new(1.0), &views, &topo);
-        let fair = waterfill(&topo, &views, &BTreeMap::new(), &BTreeMap::new(), None);
+        let fair = echelon_simnet::alloc::max_min_rates(&topo, &views);
         assert_eq!(rates, fair, "outage allocation is not plain fair share");
         // No decision ran during the outage.
         assert_eq!(policy.decisions_computed(), 1);

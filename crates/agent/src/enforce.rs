@@ -14,7 +14,7 @@
 //! 8-queue enforcement versus exact rates is one of the bundled
 //! ablations.
 
-use echelon_simnet::alloc::{weighted_rates, RateAlloc};
+use echelon_simnet::alloc::{alloc_via_dense, waterfill_dense, AllocScratch, RateAlloc};
 use echelon_simnet::fault::FaultKind;
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
@@ -22,7 +22,6 @@ use echelon_simnet::ids::FlowId;
 use echelon_simnet::runner::RatePolicy;
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
-use std::collections::BTreeMap;
 
 /// Priority-queue enforcement configuration.
 #[derive(Debug, Clone, Copy)]
@@ -54,42 +53,41 @@ impl QueueConfig {
 /// Buckets flows into priority queues by their allocated rate: the
 /// highest-rate flows land in queue 0. Flows with zero allocated rate go
 /// to the lowest queue.
+///
+/// `rates[i]` is the rate of the `i`-th flow of an id-sorted active slice
+/// (the dense rate currency); equal rates rank by position, i.e. by flow
+/// id. Writes flow `i`'s queue into `queues[i]`; `ranked` is scratch for
+/// the rate ranking (its contents on entry are ignored).
 pub fn quantize_to_queues(
-    rates: &RateAlloc,
-    flows: &[ActiveFlowView],
+    rates: &[f64],
     config: &QueueConfig,
-) -> BTreeMap<FlowId, u8> {
+    ranked: &mut Vec<usize>,
+    queues: &mut Vec<u8>,
+) {
     assert!(
         (1..=16).contains(&config.queues),
         "queue count {} out of range",
         config.queues
     );
-    let mut ranked: Vec<(FlowId, f64)> = flows
-        .iter()
-        .map(|v| (v.id, rates.get(&v.id).copied().unwrap_or(0.0)))
-        .collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-
-    let mut out = BTreeMap::new();
-    if ranked.is_empty() {
-        return out;
-    }
+    let len = rates.len();
+    ranked.clear();
+    ranked.extend(0..len);
+    ranked.sort_by(|&a, &b| rates[b].total_cmp(&rates[a]).then(a.cmp(&b)));
+    queues.clear();
+    queues.resize(len, 0);
     // Spread ranks evenly across all queues: flow at rank `i` of `len`
     // lands in queue `i * queues / len`. Unlike the ceiling-sized buckets
     // this replaced (`per_queue = len.div_ceil(queues)`), every queue in
     // `0..min(len, queues)` receives at least one flow — with e.g. 9 flows
     // and 8 queues the old scheme put 2 flows in each of queues 0..=3 and
     // left queues 5..=7 empty, collapsing the intended weight spread.
-    let len = ranked.len();
-    for (i, (fid, rate)) in ranked.into_iter().enumerate() {
-        let q = if rate <= 0.0 {
+    for (i, &p) in ranked.iter().enumerate() {
+        queues[p] = if rates[p] <= 0.0 {
             config.queues - 1
         } else {
             (i * config.queues as usize / len) as u8
         };
-        out.insert(fid, q);
     }
-    out
 }
 
 /// Replays an inner policy's allocation through priority-queue
@@ -98,8 +96,15 @@ pub fn quantize_to_queues(
 pub struct QueueEnforcedPolicy<P> {
     inner: P,
     config: QueueConfig,
-    /// Latest queue assignment (inspectable by agents/experiments).
-    last_assignment: BTreeMap<FlowId, u8>,
+    /// Latest queue assignment as `(flow, queue)`, in ascending flow id
+    /// (inspectable by agents/experiments).
+    last_assignment: Vec<(FlowId, u8)>,
+    /// Reused per-flow buffers: the inner policy's exact rates, their
+    /// rate ranking, their queues, and the queues' weights.
+    exact: Vec<f64>,
+    ranked: Vec<usize>,
+    queues: Vec<u8>,
+    weights: Vec<f64>,
 }
 
 impl<P: RatePolicy> QueueEnforcedPolicy<P> {
@@ -108,12 +113,17 @@ impl<P: RatePolicy> QueueEnforcedPolicy<P> {
         QueueEnforcedPolicy {
             inner,
             config,
-            last_assignment: BTreeMap::new(),
+            last_assignment: Vec::new(),
+            exact: Vec::new(),
+            ranked: Vec::new(),
+            queues: Vec::new(),
+            weights: Vec::new(),
         }
     }
 
-    /// The most recent queue assignment.
-    pub fn last_assignment(&self) -> &BTreeMap<FlowId, u8> {
+    /// The most recent queue assignment, `(flow, queue)` in ascending
+    /// flow id.
+    pub fn last_assignment(&self) -> &[(FlowId, u8)] {
         &self.last_assignment
     }
 
@@ -122,28 +132,39 @@ impl<P: RatePolicy> QueueEnforcedPolicy<P> {
         &self.inner
     }
 
-    /// Quantizes `exact` into queues and re-divides bandwidth by queue
-    /// weight (shared by both `RatePolicy` entry points).
+    /// Quantizes the inner policy's exact rates into queues and
+    /// re-divides bandwidth by queue weight into `out` (shared by both
+    /// dense entry points).
     fn enforce(
         &mut self,
-        exact: RateAlloc,
         flows: &[ActiveFlowView],
         topo: &Topology,
-    ) -> RateAlloc {
-        let assignment = quantize_to_queues(&exact, flows, &self.config);
-        let weights: BTreeMap<FlowId, f64> = assignment
-            .iter()
-            .map(|(&fid, &q)| (fid, self.config.weight(q)))
-            .collect();
-        self.last_assignment = assignment;
-        weighted_rates(topo, flows, &weights)
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        quantize_to_queues(
+            &self.exact,
+            &self.config,
+            &mut self.ranked,
+            &mut self.queues,
+        );
+        self.weights.clear();
+        self.weights
+            .extend(self.queues.iter().map(|&q| self.config.weight(q)));
+        self.last_assignment.clear();
+        self.last_assignment
+            .extend(flows.iter().map(|v| v.id).zip(self.queues.iter().copied()));
+        out.clear();
+        out.resize(flows.len(), 0.0);
+        waterfill_dense(topo, flows, Some(&self.weights), None, out, ws);
     }
 }
 
 impl<P: RatePolicy> RatePolicy for QueueEnforcedPolicy<P> {
     fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        let exact = self.inner.allocate(now, flows, topo);
-        self.enforce(exact, flows, topo)
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense(now, flows, topo, ws, out)
+        })
     }
 
     fn allocate_incremental(
@@ -153,8 +174,36 @@ impl<P: RatePolicy> RatePolicy for QueueEnforcedPolicy<P> {
         delta: &FlowDelta,
         topo: &Topology,
     ) -> RateAlloc {
-        let exact = self.inner.allocate_incremental(now, flows, delta, topo);
-        self.enforce(exact, flows, topo)
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense_incremental(now, flows, delta, topo, ws, out)
+        })
+    }
+
+    fn allocate_dense(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.inner
+            .allocate_dense(now, flows, topo, ws, &mut self.exact);
+        self.enforce(flows, topo, ws, out);
+    }
+
+    fn allocate_dense_incremental(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        delta: &FlowDelta,
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.inner
+            .allocate_dense_incremental(now, flows, delta, topo, ws, &mut self.exact);
+        self.enforce(flows, topo, ws, out);
     }
 
     fn on_fault(&mut self, now: SimTime, fault: &FaultKind) {
@@ -177,50 +226,32 @@ mod tests {
     use echelon_simnet::ids::NodeId;
     use echelon_simnet::runner::{run_flows, MaxMinPolicy};
 
-    fn views(topo: &Topology, demands: &[FlowDemand]) -> Vec<ActiveFlowView> {
-        demands
-            .iter()
-            .map(|d| ActiveFlowView {
-                id: d.id,
-                src: d.src,
-                dst: d.dst,
-                size: d.size,
-                remaining: d.size,
-                release: d.release,
-                route: topo.route(d.src, d.dst),
-                slot: d.id.0 as u32,
-            })
-            .collect()
-    }
-
     fn demand(id: u64, size: f64) -> FlowDemand {
         FlowDemand::new(FlowId(id), NodeId(0), NodeId(1), size, SimTime::ZERO)
     }
 
     #[test]
     fn quantization_ranks_by_rate() {
-        let topo = Topology::chain(2, 1.0);
-        let demands = vec![
-            demand(0, 1.0),
-            demand(1, 1.0),
-            demand(2, 1.0),
-            demand(3, 1.0),
-        ];
-        let flows = views(&topo, &demands);
-        let mut rates = RateAlloc::new();
-        rates.insert(FlowId(0), 0.5);
-        rates.insert(FlowId(1), 0.3);
-        rates.insert(FlowId(2), 0.2);
-        rates.insert(FlowId(3), 0.0);
         let cfg = QueueConfig {
             queues: 2,
             ratio: 4.0,
         };
-        let q = quantize_to_queues(&rates, &flows, &cfg);
-        assert_eq!(q[&FlowId(0)], 0);
-        assert_eq!(q[&FlowId(1)], 0);
-        assert_eq!(q[&FlowId(2)], 1);
-        assert_eq!(q[&FlowId(3)], 1); // zero rate → lowest queue
+        let mut q = Vec::new();
+        quantize_to_queues(&[0.5, 0.3, 0.2, 0.0], &cfg, &mut Vec::new(), &mut q);
+        // The zero-rate flow goes to the lowest queue.
+        assert_eq!(q, [0, 0, 1, 1]);
+    }
+
+    /// Equal rates rank by position in the id-sorted slice, i.e. by id.
+    #[test]
+    fn quantization_breaks_rate_ties_by_id() {
+        let cfg = QueueConfig {
+            queues: 4,
+            ratio: 2.0,
+        };
+        let mut q = Vec::new();
+        quantize_to_queues(&[0.3, 0.5, 0.3, 0.3], &cfg, &mut Vec::new(), &mut q);
+        assert_eq!(q, [1, 0, 2, 3]);
     }
 
     #[test]
@@ -229,23 +260,21 @@ mod tests {
         // 0..min(n, q) receives at least one flow. The pre-fix ceiling
         // bucketing violated this whenever q did not divide n (e.g. 9
         // flows / 8 queues left queues 5..=7 empty).
-        let topo = Topology::chain(2, 1.0);
+        // One rank buffer across every call: stale contents from a longer
+        // previous slice must not leak into a shorter one.
+        let mut ranked = Vec::new();
+        let mut assignment = Vec::new();
         for queues in 1u8..=16 {
-            for n in 1u64..=24 {
-                let demands: Vec<FlowDemand> = (0..n).map(|i| demand(i, 1.0)).collect();
-                let flows = views(&topo, &demands);
-                let mut rates = RateAlloc::new();
-                for i in 0..n {
-                    // Distinct positive rates, descending in id.
-                    rates.insert(FlowId(i), (n - i) as f64);
-                }
+            for n in 1usize..=24 {
+                // Distinct positive rates, descending in id.
+                let rates: Vec<f64> = (0..n).map(|i| (n - i) as f64).collect();
                 let cfg = QueueConfig { queues, ratio: 2.0 };
-                let assignment = quantize_to_queues(&rates, &flows, &cfg);
+                quantize_to_queues(&rates, &cfg, &mut ranked, &mut assignment);
                 let mut hit = vec![false; queues as usize];
-                for (_, &q) in assignment.iter() {
+                for &q in &assignment {
                     hit[q as usize] = true;
                 }
-                let expect = (n as usize).min(queues as usize);
+                let expect = n.min(queues as usize);
                 let occupied = hit.iter().filter(|&&h| h).count();
                 assert_eq!(
                     occupied, expect,
@@ -253,9 +282,7 @@ mod tests {
                 );
                 // Ranking is monotone: a higher-rate flow never lands in a
                 // strictly lower-priority queue.
-                for i in 1..n {
-                    assert!(assignment[&FlowId(i - 1)] <= assignment[&FlowId(i)]);
-                }
+                assert!(assignment.windows(2).all(|w| w[0] <= w[1]));
             }
         }
     }
@@ -321,16 +348,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn zero_queues_rejected() {
-        let topo = Topology::chain(2, 1.0);
-        let demands = vec![demand(0, 1.0)];
-        let flows = views(&topo, &demands);
-        let _ = quantize_to_queues(
-            &RateAlloc::new(),
-            &flows,
-            &QueueConfig {
-                queues: 0,
-                ratio: 2.0,
-            },
-        );
+        let cfg = QueueConfig {
+            queues: 0,
+            ratio: 2.0,
+        };
+        quantize_to_queues(&[1.0], &cfg, &mut Vec::new(), &mut Vec::new());
     }
 }

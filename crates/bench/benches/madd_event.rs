@@ -7,7 +7,7 @@
 //!
 //! - **scan** — the naive [`RatePolicy::allocate_dense`]: regroup all
 //!   flows and rebuild every transient map from scratch;
-//! - **indexed** — the warmed `allocate_cached_dense`: the link-indexed
+//! - **indexed** — the warmed `allocate_cached`: the link-indexed
 //!   cache is consistent, so the event runs entirely out of the flat
 //!   CSR/`LinkLoad` workspaces with no per-event heap allocation.
 //!
@@ -130,7 +130,7 @@ fn main() {
                 topo,
                 &views,
                 &mut echelon,
-                |p, now, f, t, ws, out| p.allocate_cached_dense(now, f, t, ws, out),
+                |p, now, f, t, ws, out| p.allocate_cached(now, f, t, ws, out),
             );
 
             let mut varys = VarysMadd::new(coflows);
@@ -141,7 +141,7 @@ fn main() {
                 topo,
                 &views,
                 &mut varys,
-                |p, now, f, t, ws, out| p.allocate_cached_dense(now, f, t, ws, out),
+                |p, now, f, t, ws, out| p.allocate_cached(now, f, t, ws, out),
             );
         }
     }

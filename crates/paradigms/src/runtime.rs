@@ -870,7 +870,7 @@ impl WorkloadSource for JobSource<'_> {
         // every-event reference records bit-identical rates there, which
         // `record_rate`'s dedup drops — so the traces stay identical.
         for (v, &rate) in flows.iter().zip(out.iter()) {
-            self.result.trace.record_rate(now, v.id, rate.max(0.0));
+            self.result.trace.record_rate(now, v, rate.max(0.0));
         }
         // The rate trace above reads every entry of `out`, so this
         // source always requests the fully populated dense contract.

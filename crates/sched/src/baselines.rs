@@ -5,13 +5,13 @@
 //! SRPT — the preemptive shortest-remaining-processing-time discipline
 //! that per-flow schedulers like pFabric approximate.
 
-use echelon_simnet::alloc::{priority_fill, priority_fill_dense, AllocScratch, RateAlloc};
+use echelon_simnet::alloc::{alloc_via_dense, priority_fill_dense, AllocScratch, RateAlloc};
 use echelon_simnet::flow::ActiveFlowView;
+use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
 use echelon_simnet::runner::{AllocHorizon, RatePolicy};
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
-use std::collections::BTreeMap;
 
 /// Max-min fair sharing (re-exported from the substrate for symmetry).
 pub type FairPolicy = echelon_simnet::runner::MaxMinPolicy;
@@ -22,11 +22,10 @@ pub type FairPolicy = echelon_simnet::runner::MaxMinPolicy;
 pub struct FifoPolicy;
 
 impl RatePolicy for FifoPolicy {
-    fn allocate(&mut self, _now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        let mut order: Vec<&ActiveFlowView> = flows.iter().collect();
-        order.sort_by(|a, b| a.release.cmp(&b.release).then(a.id.cmp(&b.id)));
-        let ids: Vec<FlowId> = order.into_iter().map(|f| f.id).collect();
-        priority_fill(topo, flows, &ids, &BTreeMap::new())
+    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense(now, flows, topo, ws, out)
+        })
     }
 
     fn allocate_dense(
@@ -43,6 +42,18 @@ impl RatePolicy for FifoPolicy {
         out.clear();
         out.resize(flows.len(), 0.0);
         priority_fill_dense(topo, flows, &ids, None, out, ws);
+    }
+
+    fn allocate_dense_incremental(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        _delta: &FlowDelta,
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.allocate_dense(now, flows, topo, ws, out);
     }
 
     /// The FIFO order depends only on release times and ids, and the
@@ -65,11 +76,10 @@ impl RatePolicy for FifoPolicy {
 pub struct SrptPolicy;
 
 impl RatePolicy for SrptPolicy {
-    fn allocate(&mut self, _now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        let mut order: Vec<&ActiveFlowView> = flows.iter().collect();
-        order.sort_by(|a, b| a.remaining.total_cmp(&b.remaining).then(a.id.cmp(&b.id)));
-        let ids: Vec<FlowId> = order.into_iter().map(|f| f.id).collect();
-        priority_fill(topo, flows, &ids, &BTreeMap::new())
+    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense(now, flows, topo, ws, out)
+        })
     }
 
     fn allocate_dense(
@@ -86,6 +96,18 @@ impl RatePolicy for SrptPolicy {
         out.clear();
         out.resize(flows.len(), 0.0);
         priority_fill_dense(topo, flows, &ids, None, out, ws);
+    }
+
+    fn allocate_dense_incremental(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        _delta: &FlowDelta,
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.allocate_dense(now, flows, topo, ws, out);
     }
 
     /// The greedy fill depends only on the priority order, so the

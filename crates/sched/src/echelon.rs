@@ -29,7 +29,7 @@ use crate::scratch::GroupCsr;
 use crate::sincronia::{bssi_order, GroupLoad};
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
-use echelon_simnet::alloc::{dense_to_alloc, waterfill_dense, AllocScratch, RateAlloc};
+use echelon_simnet::alloc::{alloc_via_dense, waterfill_dense, AllocScratch, RateAlloc};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
@@ -847,25 +847,12 @@ impl EchelonMadd {
     }
 
     /// Allocation from the cached group structure maintained by
-    /// [`Self::apply_delta`]. Requires `flows` sorted by ascending id (the
-    /// fluid network's view order). Observationally identical to the naive
-    /// [`RatePolicy::allocate`]; if the cache does not cover the active
-    /// set (a missed delta), it is rebuilt from scratch first.
+    /// [`Self::apply_delta`], written densely into `out` (`out[i]` rates
+    /// `flows[i]`). Requires `flows` sorted by ascending id (the fluid
+    /// network's view order). Observationally identical to the naive
+    /// [`RatePolicy::allocate_dense`]; if the cache does not cover the
+    /// active set (a missed delta), it is rebuilt from scratch first.
     pub fn allocate_cached(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        topo: &Topology,
-    ) -> RateAlloc {
-        let mut ws = AllocScratch::new();
-        let mut out = Vec::new();
-        self.allocate_cached_dense(now, flows, topo, &mut ws, &mut out);
-        dense_to_alloc(flows, &out)
-    }
-
-    /// [`Self::allocate_cached`] writing the dense allocation (indexed
-    /// like the id-sorted `flows`) into `out` instead of building a map.
-    pub fn allocate_cached_dense(
         &mut self,
         now: SimTime,
         flows: &[ActiveFlowView],
@@ -908,10 +895,9 @@ impl EchelonMadd {
 
 impl RatePolicy for EchelonMadd {
     fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        let mut ws = AllocScratch::new();
-        let mut out = Vec::new();
-        self.allocate_dense(now, flows, topo, &mut ws, &mut out);
-        dense_to_alloc(flows, &out)
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense(now, flows, topo, ws, out)
+        })
     }
 
     fn allocate_dense(
@@ -943,8 +929,9 @@ impl RatePolicy for EchelonMadd {
         delta: &FlowDelta,
         topo: &Topology,
     ) -> RateAlloc {
-        self.apply_delta(now, flows, delta);
-        self.allocate_cached(now, flows, topo)
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense_incremental(now, flows, delta, topo, ws, out)
+        })
     }
 
     fn allocate_dense_incremental(
@@ -957,7 +944,7 @@ impl RatePolicy for EchelonMadd {
         out: &mut Vec<f64>,
     ) {
         self.apply_delta(now, flows, delta);
-        self.allocate_cached_dense(now, flows, topo, ws, out);
+        self.allocate_cached(now, flows, topo, ws, out);
     }
 
     fn name(&self) -> &'static str {

@@ -176,6 +176,20 @@ pub fn dense_to_alloc(flows: &[ActiveFlowView], rates: &[f64]) -> RateAlloc {
     flows.iter().zip(rates).map(|(f, &r)| (f.id, r)).collect()
 }
 
+/// The map edge of a dense-native policy: runs `fill` (which writes
+/// `out[i]` for `flows[i]`) against a fresh scratch and converts the
+/// result once. Dense-native policies implement the map entry points of
+/// [`crate::runner::RatePolicy`] with this one call.
+pub fn alloc_via_dense(
+    flows: &[ActiveFlowView],
+    fill: impl FnOnce(&mut AllocScratch, &mut Vec<f64>),
+) -> RateAlloc {
+    let mut ws = AllocScratch::new();
+    let mut out = Vec::new();
+    fill(&mut ws, &mut out);
+    dense_to_alloc(flows, &out)
+}
+
 /// Converts a map allocation to dense form over the id-sorted `flows`,
 /// writing into `out` (cleared first).
 ///

@@ -573,7 +573,7 @@ pub fn drive_faulted_configured(
                 };
                 if config.trace && source.wants_trace() {
                     for (v, rate) in net.flows_with_rates() {
-                        trace.record_rate(now, v.id, rate);
+                        trace.record_rate(now, v, rate);
                     }
                 }
                 if let Some(t) = t_write {

@@ -23,8 +23,8 @@
 //! cluster arrivals) plug their own sources into the same driver.
 
 use crate::alloc::{
-    alloc_to_dense, waterfill_dense, waterfill_pod_bucket, waterfill_subset_dense, AllocScratch,
-    RateAlloc,
+    alloc_to_dense, alloc_via_dense, waterfill_dense, waterfill_pod_bucket, waterfill_subset_dense,
+    AllocScratch, RateAlloc,
 };
 use crate::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
 use crate::fault::{FaultKind, FaultPlan};
@@ -72,8 +72,8 @@ pub trait RatePolicy {
     /// Dense full recompute: writes `out[i]` for `flows[i]` (the id-sorted
     /// active slice), reusing the caller-owned scratch so steady-state
     /// allocations touch no heap. The default adapts [`Self::allocate`];
-    /// dense-native policies override this (and usually reimplement the
-    /// map-based entry points as adapters over it).
+    /// dense-native policies override this and implement the map-based
+    /// entry points as one-line adapters over it ([`alloc_via_dense`]).
     fn allocate_dense(
         &mut self,
         now: SimTime,
@@ -897,10 +897,9 @@ impl PodMaxMinPolicy {
 
 impl RatePolicy for PodMaxMinPolicy {
     fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        let mut ws = AllocScratch::new();
-        let mut out = Vec::new();
-        self.allocate_dense(now, flows, topo, &mut ws, &mut out);
-        crate::alloc::dense_to_alloc(flows, &out)
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense(now, flows, topo, ws, out)
+        })
     }
 
     fn allocate_dense(

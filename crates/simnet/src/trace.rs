@@ -5,6 +5,7 @@
 //! exactly that: release, every rate change, and completion per flow, so
 //! the experiment harness can print the same series the figure plots.
 
+use crate::flow::ActiveFlowView;
 use crate::ids::FlowId;
 use crate::time::{SimTime, EPS};
 use std::collections::BTreeMap;
@@ -35,10 +36,10 @@ pub struct TraceEvent {
 #[derive(Debug, Default, Clone)]
 pub struct FlowTrace {
     events: Vec<TraceEvent>,
-    // Last rate recorded per flow, so the no-op dedup in `record_rate` is
-    // O(log flows) instead of a reverse scan over the whole event log
-    // (which made long runs accidentally quadratic).
-    last_rate: BTreeMap<FlowId, f64>,
+    // Last rate recorded per arena slot, tagged with the flow holding the
+    // slot: the no-op dedup in `record_rate` runs for every flow at every
+    // allocation, so it is one indexed read, not a search.
+    last_rate: Vec<Option<(FlowId, f64)>>,
 }
 
 impl FlowTrace {
@@ -56,18 +57,28 @@ impl FlowTrace {
         self.events.push(TraceEvent { time, flow, kind });
     }
 
-    /// Records a rate change, skipping no-op updates (same rate as the
-    /// flow's previous rate event) to keep traces readable.
-    pub fn record_rate(&mut self, time: SimTime, flow: FlowId, rate: f64) {
-        if let Some(prev) = self.last_rate.get(&flow) {
-            if (prev - rate).abs() < EPS {
-                return;
-            }
-        } else if rate.abs() < EPS {
-            return; // initial zero rate is implicit
+    /// Records a rate change for the active flow `flow`, skipping no-op
+    /// updates (same rate as the flow's previous rate event) to keep
+    /// traces readable.
+    ///
+    /// The previous rate is kept per arena slot. A slot holds one flow for
+    /// that flow's whole lifetime, and flow ids are unique within a run, so
+    /// a slot whose tag names another flow means this flow has no rate
+    /// event yet.
+    pub fn record_rate(&mut self, time: SimTime, flow: &ActiveFlowView, rate: f64) {
+        let slot = flow.slot as usize;
+        if slot >= self.last_rate.len() {
+            self.last_rate.resize(slot + 1, None);
         }
-        self.last_rate.insert(flow, rate);
-        self.record(time, flow, TraceEventKind::RateSet(rate));
+        let unchanged = match self.last_rate[slot] {
+            Some((id, prev)) if id == flow.id => (prev - rate).abs() < EPS,
+            _ => rate.abs() < EPS, // initial zero rate is implicit
+        };
+        if unchanged {
+            return;
+        }
+        self.last_rate[slot] = Some((flow.id, rate));
+        self.record(time, flow.id, TraceEventKind::RateSet(rate));
     }
 
     /// All events in order.
@@ -124,6 +135,7 @@ impl FlowTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
 
     #[test]
     fn records_in_order() {
@@ -133,35 +145,72 @@ mod tests {
         assert_eq!(tr.events().len(), 2);
     }
 
+    fn view(id: u64, slot: u32) -> ActiveFlowView {
+        ActiveFlowView {
+            id: FlowId(id),
+            slot,
+            src: NodeId(0),
+            dst: NodeId(1),
+            size: 1.0,
+            remaining: 1.0,
+            release: SimTime::ZERO,
+            route: Vec::new(),
+        }
+    }
+
+    fn rate_events(tr: &FlowTrace, flow: FlowId) -> Vec<f64> {
+        tr.for_flow(flow)
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::RateSet(r) => Some(r),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn rate_dedup_skips_noop() {
         let mut tr = FlowTrace::new();
-        tr.record(SimTime::new(0.0), FlowId(0), TraceEventKind::Released);
-        tr.record_rate(SimTime::new(0.0), FlowId(0), 0.5);
-        tr.record_rate(SimTime::new(1.0), FlowId(0), 0.5); // no-op
-        tr.record_rate(SimTime::new(2.0), FlowId(0), 1.0);
-        let rates: Vec<_> = tr
-            .for_flow(FlowId(0))
-            .into_iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::RateSet(_)))
-            .collect();
-        assert_eq!(rates.len(), 2);
+        let f = view(0, 0);
+        tr.record(SimTime::new(0.0), f.id, TraceEventKind::Released);
+        tr.record_rate(SimTime::new(0.0), &f, 0.5);
+        tr.record_rate(SimTime::new(1.0), &f, 0.5); // no-op
+        tr.record_rate(SimTime::new(2.0), &f, 1.0);
+        assert_eq!(rate_events(&tr, f.id), [0.5, 1.0]);
     }
 
     #[test]
     fn initial_zero_rate_implicit() {
         let mut tr = FlowTrace::new();
-        tr.record(SimTime::new(0.0), FlowId(0), TraceEventKind::Released);
-        tr.record_rate(SimTime::new(0.0), FlowId(0), 0.0);
-        assert_eq!(tr.for_flow(FlowId(0)).len(), 1);
+        let f = view(0, 0);
+        tr.record(SimTime::new(0.0), f.id, TraceEventKind::Released);
+        tr.record_rate(SimTime::new(0.0), &f, 0.0);
+        assert_eq!(tr.for_flow(f.id).len(), 1);
+    }
+
+    /// A recycled slot starts the new flow's dedup afresh: its first rate
+    /// is recorded even when it equals the slot's previous flow's last
+    /// rate, and a zero first rate stays implicit.
+    #[test]
+    fn recycled_slot_does_not_inherit_the_previous_flows_rate() {
+        let mut tr = FlowTrace::new();
+        let (a, b, c) = (view(0, 3), view(1, 3), view(2, 3));
+        tr.record_rate(SimTime::new(0.0), &a, 0.5);
+        tr.record_rate(SimTime::new(1.0), &b, 0.5);
+        tr.record_rate(SimTime::new(2.0), &c, 0.0);
+        tr.record_rate(SimTime::new(3.0), &c, 0.25);
+        assert_eq!(rate_events(&tr, a.id), [0.5]);
+        assert_eq!(rate_events(&tr, b.id), [0.5]);
+        assert_eq!(rate_events(&tr, c.id), [0.25]);
     }
 
     #[test]
     fn delivered_bytes_integrates_rate() {
         let mut tr = FlowTrace::new();
+        let f = view(0, 0);
         tr.record(SimTime::new(0.0), FlowId(0), TraceEventKind::Released);
-        tr.record_rate(SimTime::new(0.0), FlowId(0), 0.5);
-        tr.record_rate(SimTime::new(2.0), FlowId(0), 1.0);
+        tr.record_rate(SimTime::new(0.0), &f, 0.5);
+        tr.record_rate(SimTime::new(2.0), &f, 1.0);
         tr.record(SimTime::new(3.0), FlowId(0), TraceEventKind::Finished);
         // 0.5 * 2 + 1.0 * 1 = 2.0
         assert!((tr.delivered_bytes(FlowId(0)) - 2.0).abs() < 1e-9);

@@ -92,6 +92,6 @@ fn main() {
         enforced.inner().decisions_computed()
     );
     let queues: std::collections::BTreeSet<u8> =
-        enforced.last_assignment().values().copied().collect();
+        enforced.last_assignment().iter().map(|&(_, q)| q).collect();
     println!("priority queues in use at the last decision: {queues:?}");
 }
