@@ -63,13 +63,11 @@ use echelon_sched::echelon::EchelonMadd;
 use echelon_sched::varys::VarysMadd;
 use echelon_simnet::driver::{DriveConfig, PhaseTimings};
 use echelon_simnet::fattree::FatTree;
-use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::FlowDemand;
 use echelon_simnet::fluid::NextCompletionMode;
-use echelon_simnet::ids::{FlowId, NodeId, ResourceId};
+use echelon_simnet::ids::{FlowId, NodeId};
 use echelon_simnet::runner::{
-    run_flows_configured, run_flows_faulted_configured, run_flows_with, FlowOutcomes,
-    PodMaxMinPolicy, RatePolicy, RecomputeMode,
+    run_flows_configured, run_flows_with, FlowOutcomes, PodMaxMinPolicy, RatePolicy, RecomputeMode,
 };
 use echelon_simnet::sweep;
 use echelon_simnet::time::SimTime;
@@ -776,59 +774,6 @@ fn scale_sweep_gate(specs: &[ScaleSpec]) {
     println!("scale gate: 1-thread and 2-thread completion digests identical");
 }
 
-/// Byte-identity gate for *intra-run* parallelism: one scale scenario
-/// driven twice with the pod policy's worker budget pinned to 1 and 2
-/// threads must produce identical completion digests. A degrade/restore
-/// pair dirties every pod at once mid-run — the widest per-pod fan-out
-/// surface — and the 2-thread run asserts its threaded path actually
-/// engaged, so the comparison is never vacuous.
-fn scale_intra_gate(spec: &ScaleSpec) {
-    let topo = FatTree::new(spec.k).build_fabric();
-    let demands = scale_demands(spec);
-    let release_span = demands
-        .iter()
-        .map(|d| d.release.secs())
-        .fold(0.0f64, f64::max);
-    let plan = FaultPlan::empty()
-        .with(
-            SimTime::new(release_span * 0.5),
-            FaultKind::LinkDegrade(ResourceId(0), 0.5),
-        )
-        .with(
-            SimTime::new(release_span * 0.9),
-            FaultKind::LinkRestore(ResourceId(0)),
-        );
-    let run = |threads: usize| -> (u64, usize) {
-        let mut policy = PodMaxMinPolicy::new().with_threads(threads);
-        let out = run_flows_faulted_configured(
-            &topo,
-            demands.clone(),
-            &mut policy,
-            RecomputeMode::Incremental,
-            &plan,
-            scale_config(),
-        );
-        (completion_digest(&out), policy.threaded_pods())
-    };
-    let (serial, serial_threaded) = run(1);
-    let (parallel, parallel_threaded) = run(2);
-    assert_eq!(
-        serial, parallel,
-        "k={}: intra-run digest diverged between 1 and 2 pod threads",
-        spec.k
-    );
-    assert_eq!(serial_threaded, 0, "1-thread budget must stay serial");
-    assert!(
-        parallel_threaded > 0,
-        "k={}: per-pod parallel path never engaged — the intra-run gate is vacuous",
-        spec.k
-    );
-    println!(
-        "intra-run gate: k={} 1-thread and 2-thread pod recomputes identical ({} pods threaded)",
-        spec.k, parallel_threaded
-    );
-}
-
 /// Absolute throughput floor for smoke rows with no committed baseline
 /// (fresh checkouts, or a `BENCH_sched.json` predating the
 /// `scale_smoke` section).
@@ -1430,7 +1375,6 @@ fn main() {
             gate_smoke_row(&row, committed.as_deref());
         }
         scale_sweep_gate(&specs);
-        scale_intra_gate(&specs[0]);
         println!("\nscale smoke ok");
         return;
     }

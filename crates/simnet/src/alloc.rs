@@ -394,8 +394,12 @@ pub fn waterfill_dense(
 }
 
 /// Unweighted, uncapped max-min filling restricted to `subset` (indices
-/// into the id-sorted `flows` slice): the per-pod core of the
-/// pod-decomposed waterfill (see [`crate::runner::PodMaxMinPolicy`]).
+/// into the id-sorted `flows` slice): the reference arithmetic of the
+/// pod-decomposed waterfill (see [`crate::runner::PodMaxMinPolicy`]),
+/// which fills each pod's members with it in ascending pod order. The
+/// policy itself runs the rank-space engines, which the unit tests pin
+/// bitwise to this function, and the differential suites compare the
+/// policy against a pod-sequential reference built on it.
 ///
 /// Only `rates[i]` for `i ∈ subset` are written (zeroed, then filled);
 /// other entries are untouched. Residuals are seeded from capacity on
@@ -530,6 +534,23 @@ pub fn waterfill_subset_dense(
 /// route within a single cache line.
 pub const ROUTE_RANK_STRIDE: usize = 8;
 
+/// Pod-local link relabeling for the ranked pod engines. Every resource
+/// belongs to exactly one pod (`pod_of_res[r]`), so each pod's links get
+/// dense ranks `0..n_p` in ascending global order — rank order then
+/// preserves the ascending-global iteration order the waterfill
+/// arithmetic pins. Returns each resource's rank and, per pod, its
+/// ascending global link ids (rank → global id).
+pub(crate) fn pod_link_ranks(npods: usize, pod_of_res: &[u32]) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let mut rank_of_link = Vec::with_capacity(pod_of_res.len());
+    let mut pod_links: Vec<Vec<u32>> = vec![Vec::new(); npods];
+    for (r, &p) in pod_of_res.iter().enumerate() {
+        let links = &mut pod_links[p as usize];
+        rank_of_link.push(links.len() as u32);
+        links.push(r as u32);
+    }
+    (rank_of_link, pod_links)
+}
+
 /// Route-hop total at or below which [`waterfill_pod_bucket`] dispatches
 /// to the member-major [`waterfill_pod_ranked`] instead of building its
 /// rank-translated bucket queue: for a pod this narrow the setup costs
@@ -552,8 +573,8 @@ const SMALL_POD_RANKS: usize = 64;
 /// per-route order, and the freeze/retain logic are unchanged; and
 /// `caps[rank]` is the same capacity value `topo.capacity` returns (the
 /// caller invalidates its snapshot on every fault). The unit tests pin
-/// ranked-vs-subset equality, and the caching differential suites pin it
-/// end to end.
+/// ranked-vs-subset equality per pod on fat trees, degraded and
+/// zero-capacity links included.
 ///
 /// Besides being the reference the pod policy's bucket-queue engine is
 /// pinned against, this is the production engine for narrow pods (at
@@ -1707,5 +1728,100 @@ mod tests {
         // Non-vacuity: the narrow half always takes the member-major
         // arm, and most of the wide half must reach the bucket queue.
         assert!(wide > 100, "only {wide} of 300 pods took the bucket queue");
+    }
+
+    /// The ranked engine must be bitwise the subset waterfill, pod by
+    /// pod, on k=4 and k=8 fat trees: random pod-local flow sets on
+    /// shuffled arena slots, link ranks and rank routes built the way
+    /// the pod policy builds them, about one link in five degraded and
+    /// one in twenty cut to zero capacity.
+    #[test]
+    fn ranked_engine_matches_subset_waterfill_per_pod() {
+        let mut ws = AllocScratch::new();
+        let (mut filled, mut starved) = (0usize, 0usize);
+        for seed in 0..40u64 {
+            let mut rng = echelon_detrand::DetRng::seed_from_u64(0x5B5E7 + seed);
+            let k = if seed % 2 == 0 { 4 } else { 8 };
+            let mut topo = crate::fattree::FatTree::new(k).build_fabric();
+            for r in 0..topo.num_resources() {
+                let r = ResourceId(r as u32);
+                match rng.usize_range_inclusive(0, 19) {
+                    0 => topo.set_capacity(r, 0.0),
+                    1..=4 => topo.set_capacity(r, topo.capacity(r) * rng.f64_range(0.1, 0.9)),
+                    _ => {}
+                }
+            }
+            let (npods, pod_of_res) = topo.pod_partition().expect("fat trees have pods");
+            let npods = npods as usize;
+            let (rank_of_link, pod_links) = pod_link_ranks(npods, pod_of_res);
+            let hosts_per_pod = k * k / 4;
+            let n = rng.usize_range_inclusive(npods, 12 * npods);
+            let mut slots: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut slots);
+            let mut flows = Vec::with_capacity(n);
+            let mut slot_routes = vec![0; n * ROUTE_RANK_STRIDE];
+            let mut slot_route_len = vec![0; n];
+            for (id, &slot) in slots.iter().enumerate() {
+                let base = rng.usize_range_inclusive(0, npods - 1) * hosts_per_pod;
+                let src = rng.usize_range_inclusive(0, hosts_per_pod - 1);
+                let mut dst = rng.usize_range_inclusive(0, hosts_per_pod - 2);
+                if dst >= src {
+                    dst += 1;
+                }
+                let d = FlowDemand::new(
+                    FlowId(id as u64),
+                    NodeId((base + src) as u32),
+                    NodeId((base + dst) as u32),
+                    1.0,
+                    SimTime::ZERO,
+                );
+                let v = ActiveFlowView {
+                    slot,
+                    ..view(&topo, &d)
+                };
+                let at = slot as usize * ROUTE_RANK_STRIDE;
+                for (h, r) in v.route.iter().enumerate() {
+                    slot_routes[at + h] = rank_of_link[r.0 as usize];
+                }
+                slot_route_len[slot as usize] = v.route.len() as u8;
+                flows.push(v);
+            }
+            for (pod, links) in pod_links.iter().enumerate() {
+                let subset: Vec<usize> = (0..n)
+                    .filter(|&i| topo.host_pod(flows[i].src) == Some(pod as u32))
+                    .collect();
+                let pod_slots: Vec<u32> = subset.iter().map(|&i| flows[i].slot).collect();
+                let caps: Vec<f64> = links
+                    .iter()
+                    .map(|&r| topo.capacity(ResourceId(r)))
+                    .collect();
+                let mut want = vec![f64::NAN; n];
+                waterfill_subset_dense(&topo, &flows, &subset, &mut want, &mut ws);
+                let mut got = vec![f64::NAN; n];
+                waterfill_pod_ranked(
+                    &caps,
+                    &subset,
+                    &pod_slots,
+                    &slot_routes,
+                    &slot_route_len,
+                    &mut got,
+                    &mut ws,
+                );
+                for &i in &subset {
+                    assert_eq!(
+                        want[i].to_bits(),
+                        got[i].to_bits(),
+                        "seed {seed} pod {pod} flow {i}: {} != {}",
+                        want[i],
+                        got[i]
+                    );
+                }
+                filled += subset.len();
+                starved += subset.iter().filter(|&&i| want[i] == 0.0).count();
+            }
+        }
+        // Non-vacuity: plenty of members, some behind a dead link.
+        assert!(filled > 500, "only {filled} pod members filled");
+        assert!(starved > 0, "no member crossed a zero-capacity link");
     }
 }

@@ -42,6 +42,9 @@ use echelonflow::simnet::runner::{
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
+mod support;
+use support::PodReference;
+
 const HOSTS: usize = 6;
 
 /// A seeded multi-job workload: flows on a big switch, some grouped into
@@ -682,9 +685,9 @@ fn fattree_demands(seed: u64, cross_pod: bool) -> Vec<FlowDemand> {
     demands
 }
 
-/// The pod-decomposition axis: with caching enabled the policy replays
-/// cached per-pod rates for untouched pods; that must be bit-identical
-/// to recomputing every pod, across recompute modes and next-completion
+/// The pod-decomposition axis: the policy keeps per-pod rates for
+/// untouched pods; that must be bit-identical to the stateless
+/// pod-sequential reference, across recompute modes and next-completion
 /// backends, with and without core-crossing flows in the mix.
 #[test]
 fn pod_decomposition_caching_is_bit_identical() {
@@ -692,27 +695,26 @@ fn pod_decomposition_caching_is_bit_identical() {
     for seed in 20..24u64 {
         for cross_pod in [false, true] {
             let demands = fattree_demands(seed, cross_pod);
-            let mut traces = Vec::new();
-            for caching in [true, false] {
-                for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-                    for nc in [NextCompletionMode::Scan, NextCompletionMode::Calendar] {
-                        let mut policy = if caching {
-                            PodMaxMinPolicy::new()
-                        } else {
-                            PodMaxMinPolicy::without_caching()
-                        };
-                        let out = run_flows_configured(
-                            &topo,
-                            demands.clone(),
-                            &mut policy,
-                            mode,
-                            DriveConfig {
-                                next_completion: nc,
-                                ..DriveConfig::default()
-                            },
-                        );
-                        traces.push((format!("{caching}/{mode:?}/{nc:?}"), out));
-                    }
+            let reference = run_flows_with(
+                &topo,
+                demands.clone(),
+                &mut PodReference,
+                RecomputeMode::Full,
+            );
+            let mut traces = vec![("reference".to_string(), reference)];
+            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+                for nc in [NextCompletionMode::Scan, NextCompletionMode::Calendar] {
+                    let out = run_flows_configured(
+                        &topo,
+                        demands.clone(),
+                        &mut PodMaxMinPolicy::new(),
+                        mode,
+                        DriveConfig {
+                            next_completion: nc,
+                            ..DriveConfig::default()
+                        },
+                    );
+                    traces.push((format!("{mode:?}/{nc:?}"), out));
                 }
             }
             let (ref_label, reference) = &traces[0];
@@ -725,11 +727,11 @@ fn pod_decomposition_caching_is_bit_identical() {
                 );
                 assert_eq!(reference.completions(), out.completions());
             }
-            // The caching incremental run must actually skip pods on the
+            // The incremental run must actually skip pods on the
             // pod-local workloads (non-vacuous).
             if !cross_pod {
-                // Index 2 = caching=true, Incremental, Scan (loop order).
-                let stats = traces[2].1.drive_stats();
+                // Index 3 = Incremental, Scan (after the reference).
+                let stats = traces[3].1.drive_stats();
                 assert!(stats.pods_total > 0, "seed {seed}: no pod work reported");
                 assert!(
                     stats.pods_recomputed < stats.pods_total,

@@ -44,11 +44,14 @@ use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::NextCompletionMode;
 use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
 use echelonflow::simnet::runner::{
-    run_flows_faulted, run_flows_faulted_configured, MaxMinPolicy, PodMaxMinPolicy, RatePolicy,
-    RecomputeMode,
+    run_flows_faulted, run_flows_faulted_configured, FlowOutcomes, MaxMinPolicy, PodMaxMinPolicy,
+    RatePolicy, RecomputeMode,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
+
+mod support;
+use support::PodReference;
 
 const HOSTS: usize = 6;
 
@@ -229,10 +232,11 @@ fn queue_enforced_coordinator_survives_churn() {
     }
 }
 
-/// Pod-local demands on a k=4 fat-tree with staggered releases, long
-/// enough to straddle the fault instants of the pod churn test below.
-fn staggered_pod_demands(seed: u64) -> Vec<FlowDemand> {
-    let (pods, hosts_per_pod, per_pod) = (4, 4, 20);
+/// `per_pod` pod-local demands in each pod of a k=4 fat tree, released
+/// over `[0, window)` and long enough to straddle the fault instants of
+/// the pod churn tests below.
+fn pod_demands(seed: u64, per_pod: usize, window: f64) -> Vec<FlowDemand> {
+    let (pods, hosts_per_pod) = (4, 4);
     let mut rng = DetRng::seed_from_u64(seed);
     let mut demands = Vec::new();
     for p in 0..pods {
@@ -248,65 +252,102 @@ fn staggered_pod_demands(seed: u64) -> Vec<FlowDemand> {
                 src: NodeId(src as u32),
                 dst: NodeId(dst as u32),
                 size: rng.f64_range(2.0, 6.0),
-                release: SimTime::new(rng.f64_range(0.0, 2.0)),
+                release: SimTime::new(rng.f64_range(0.0, window)),
             });
         }
     }
     demands
 }
 
-/// The pod-decomposed allocator under churn: the caching policy on the
-/// incremental path (per-pod rate cache, sparse write-back, bucket and
-/// ranked pod engines) must match the uncached per-pod refill and the
-/// Full path, traces and completions bit for bit. Each degrade/restore
-/// pair invalidates every pod's cache; every degrade is restored so no
-/// route is left starved.
-#[test]
-fn pod_policy_survives_churn_bit_identically() {
-    let fabric = FatTree::new(4).build_fabric();
-    let plan = FaultPlan::empty()
+/// Two degrade/restore pairs at the given instants; each fault dirties
+/// every pod, and every degrade is restored so no route is left starved.
+fn pod_churn_plan(at: [f64; 4]) -> FaultPlan {
+    FaultPlan::empty()
         .with(
-            SimTime::new(1.0),
+            SimTime::new(at[0]),
             FaultKind::LinkDegrade(ResourceId(0), 0.5),
         )
-        .with(SimTime::new(2.5), FaultKind::LinkRestore(ResourceId(0)))
+        .with(SimTime::new(at[1]), FaultKind::LinkRestore(ResourceId(0)))
         .with(
-            SimTime::new(3.5),
+            SimTime::new(at[2]),
             FaultKind::LinkDegrade(ResourceId(1), 0.25),
         )
-        .with(SimTime::new(4.5), FaultKind::LinkRestore(ResourceId(1)));
-    for seed in 0..5u64 {
-        let demands = staggered_pod_demands(seed);
-        let run = |mut policy: PodMaxMinPolicy, mode: RecomputeMode| {
-            run_flows_faulted(&fabric, demands.clone(), &mut policy, mode, &plan)
-        };
-        let cached = run(PodMaxMinPolicy::new(), RecomputeMode::Incremental);
-        let uncached = run(
-            PodMaxMinPolicy::without_caching(),
-            RecomputeMode::Incremental,
+        .with(SimTime::new(at[3]), FaultKind::LinkRestore(ResourceId(1)))
+}
+
+/// Runs the pod policy in both recompute modes under `plan` and asserts
+/// each bitwise equal to the stateless pod-sequential reference, traces
+/// and completions. Returns the incremental run for non-vacuity checks.
+fn assert_pod_policy_matches_reference(
+    demands: &[FlowDemand],
+    plan: &FaultPlan,
+    label: &str,
+) -> FlowOutcomes {
+    let fabric = FatTree::new(4).build_fabric();
+    let run = |policy: &mut dyn RatePolicy, mode| {
+        run_flows_faulted(&fabric, demands.to_vec(), policy, mode, plan)
+    };
+    let reference = run(&mut PodReference, RecomputeMode::Full);
+    let mut incremental = None;
+    for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+        let out = run(&mut PodMaxMinPolicy::new(), mode);
+        assert_eq!(
+            reference.trace().events(),
+            out.trace().events(),
+            "trace diverged from the reference, {label}, mode {mode:?}"
         );
-        let full = run(PodMaxMinPolicy::new(), RecomputeMode::Full);
-        for (label, other) in [("uncached refill", &uncached), ("full recompute", &full)] {
-            assert_eq!(
-                cached.trace().events(),
-                other.trace().events(),
-                "cached trace diverged from the {label}, seed {seed}"
-            );
-            assert_eq!(
-                cached.completions(),
-                other.completions(),
-                "cached completions diverged from the {label}, seed {seed}"
-            );
-        }
-        // Non-vacuity: faults fired, and the cache skipped clean pods.
-        let stats = cached.drive_stats();
-        assert!(stats.fault_events > 0, "no fault fired, seed {seed}");
+        assert_eq!(
+            reference.completions(),
+            out.completions(),
+            "completions diverged from the reference, {label}, mode {mode:?}"
+        );
+        assert!(
+            out.drive_stats().fault_events > 0,
+            "no fault fired, {label}"
+        );
+        incremental = Some(out);
+    }
+    incremental.expect("the mode loop ran")
+}
+
+/// The pod-decomposed allocator under churn (per-pod rate store, sparse
+/// write-back, bucket and ranked pod engines) against the reference.
+#[test]
+fn pod_policy_survives_churn_bit_identically() {
+    let plan = pod_churn_plan([1.0, 2.5, 3.5, 4.5]);
+    for seed in 0..5u64 {
+        let demands = pod_demands(seed, 20, 2.0);
+        let out = assert_pod_policy_matches_reference(&demands, &plan, &format!("seed {seed}"));
+        // Non-vacuity: the incremental run skipped clean pods.
+        let stats = out.drive_stats();
         assert!(stats.pods_total > 0, "seed {seed}: no pod work reported");
         assert!(
             stats.pods_recomputed < stats.pods_total,
             "seed {seed}: caching never skipped a pod ({}/{})",
             stats.pods_recomputed,
             stats.pods_total
+        );
+    }
+}
+
+/// Wide pods under churn: 4 pods × 48 members, all live across the fault
+/// instants, so every fault refills every pod at once — the widest
+/// refill the policy performs.
+#[test]
+fn wide_pod_churn_matches_reference() {
+    let plan = pod_churn_plan([1.0, 2.0, 3.0, 4.0]);
+    for seed in 0..3u64 {
+        let demands = pod_demands(seed, 48, 0.5);
+        let out =
+            assert_pod_policy_matches_reference(&demands, &plan, &format!("wide, seed {seed}"));
+        let first_finish = out
+            .completions()
+            .values()
+            .map(|c| c.finish.secs())
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            first_finish > 4.0,
+            "seed {seed}: a flow finished at {first_finish}, before the last fault"
         );
     }
 }

@@ -1,33 +1,21 @@
-//! Differential suite for intra-run parallel allocation (the PR-8
-//! tentpole): same-instant event batching and per-pod thread sharding.
+//! Differential suite for same-instant event batching.
 //!
-//! Two guarantees are pinned here:
-//!
-//! 1. **Batching is transparent.** The driver coalesces every raw event
-//!    sharing an instant (same-timestamp releases, simultaneous
-//!    completions, due faults) into one allocation decision. Draining
-//!    the same workload one event at a time — an allocation per raw
-//!    event — must produce bit-identical completions across scheduler
-//!    families, and the batch counters must account for exactly the raw
-//!    events the run processed.
-//!
-//! 2. **Thread sharding is invisible.** `PodMaxMinPolicy` recomputing
-//!    its dirty pods on worker threads must stay bit-identical to the
-//!    serial path, through fault churn (which dirties every pod at
-//!    once — the widest parallel surface), in both recompute modes. The
-//!    threaded side's `threaded_pods` probe is asserted nonzero so the
-//!    comparison is never vacuous.
+//! The driver coalesces every raw event sharing an instant (same-timestamp
+//! releases, simultaneous completions, due faults) into one allocation
+//! decision. Draining the same workload one event at a time — an
+//! allocation per raw event — must produce bit-identical completions
+//! across scheduler families, and the batch counters must account for
+//! exactly the raw events the run processed.
 
 use echelon_detrand::DetRng;
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
 use echelonflow::simnet::driver::{drive, DriveOutcome, WorkloadSource};
 use echelonflow::simnet::fattree::FatTree;
-use echelonflow::simnet::fault::{FaultKind, FaultPlan};
 use echelonflow::simnet::flow::{FlowCompletion, FlowDemand};
 use echelonflow::simnet::fluid::FluidNetwork;
-use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
+use echelonflow::simnet::ids::{FlowId, NodeId};
 use echelonflow::simnet::runner::{
-    run_flows_faulted, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,
+    run_flows_with, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
@@ -193,9 +181,6 @@ fn batched_draining_matches_single_event_draining_pod_policy() {
         assert_batching_transparent(seed, "PodMaxMinPolicy", &fabric, 16, || {
             Box::new(PodMaxMinPolicy::new())
         });
-        assert_batching_transparent(seed, "PodMaxMinPolicy/nocache", &fabric, 16, || {
-            Box::new(PodMaxMinPolicy::without_caching())
-        });
     }
 }
 
@@ -273,97 +258,6 @@ fn alloc_batches_account_for_every_drained_event() {
     }
 }
 
-/// Pod-local demand set wide enough to clear the parallel work
-/// threshold: `per_pod` flows inside each of the fat-tree's pods, all
-/// long-lived past the fault instants.
-fn pod_local_demands(
-    seed: u64,
-    pods: usize,
-    hosts_per_pod: usize,
-    per_pod: usize,
-) -> Vec<FlowDemand> {
-    let mut rng = DetRng::seed_from_u64(seed);
-    let mut demands = Vec::new();
-    for p in 0..pods {
-        let base = p * hosts_per_pod;
-        for f in 0..per_pod {
-            let src = base + rng.usize_range_inclusive(0, hosts_per_pod - 1);
-            let mut dst = base + rng.usize_range_inclusive(0, hosts_per_pod - 2);
-            if dst >= src {
-                dst += 1;
-            }
-            demands.push(FlowDemand {
-                id: FlowId((p * per_pod + f) as u64),
-                src: NodeId(src as u32),
-                dst: NodeId(dst as u32),
-                size: rng.f64_range(2.0, 6.0),
-                release: SimTime::new(rng.f64_range(0.0, 0.5)),
-            });
-        }
-    }
-    demands
-}
-
-/// Fault churn that dirties every pod repeatedly (any fault invalidates
-/// every pod cache and capacity snapshot), with every degrade restored.
-fn churn_plan() -> FaultPlan {
-    FaultPlan::empty()
-        .with(
-            SimTime::new(1.0),
-            FaultKind::LinkDegrade(ResourceId(0), 0.5),
-        )
-        .with(SimTime::new(2.0), FaultKind::LinkRestore(ResourceId(0)))
-        .with(
-            SimTime::new(3.0),
-            FaultKind::LinkDegrade(ResourceId(1), 0.25),
-        )
-        .with(SimTime::new(4.0), FaultKind::LinkRestore(ResourceId(1)))
-}
-
-/// Per-pod thread sharding must be bit-identical to the serial path in
-/// both recompute modes, through fault churn that dirties every pod at
-/// once. The threaded side must actually have fanned out.
-#[test]
-fn parallel_pod_recompute_matches_serial_under_churn() {
-    let fabric = FatTree::new(4).build_fabric();
-    let plan = churn_plan();
-    for seed in 0..3u64 {
-        // 4 pods x 48 members = 192 live flows, comfortably past the
-        // 128-member fan-out threshold at every fault instant.
-        let demands = pod_local_demands(seed, 4, 4, 48);
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            let mut serial = PodMaxMinPolicy::new().with_threads(1);
-            let a = run_flows_faulted(&fabric, demands.clone(), &mut serial, mode, &plan);
-            let mut threaded = PodMaxMinPolicy::new().with_threads(4);
-            let b = run_flows_faulted(&fabric, demands.clone(), &mut threaded, mode, &plan);
-            assert_eq!(
-                a.trace().events(),
-                b.trace().events(),
-                "trace diverged across thread counts, seed {seed}, mode {mode:?}"
-            );
-            assert_eq!(
-                a.completions(),
-                b.completions(),
-                "completions diverged across thread counts, seed {seed}, mode {mode:?}"
-            );
-            assert_eq!(
-                a.drive_stats().pods_recomputed,
-                b.drive_stats().pods_recomputed,
-                "pod accounting diverged across thread counts, seed {seed}, mode {mode:?}"
-            );
-            assert_eq!(
-                serial.threaded_pods(),
-                0,
-                "thread budget 1 must stay serial"
-            );
-            assert!(
-                threaded.threaded_pods() > 0,
-                "parallel path never engaged (seed {seed}, mode {mode:?}) — the gate is vacuous"
-            );
-        }
-    }
-}
-
 /// Derived-metric denominators on a same-instant-heavy workload: every
 /// release instant and every completion instant is shared by a whole
 /// wave (12 equal-size flows per pod on one host pair split a route
@@ -399,19 +293,8 @@ fn same_instant_heavy_denominators_count_batches_not_events() {
         }
     }
     let n = demands.len();
-    for caching in [true, false] {
-        let mut policy = if caching {
-            PodMaxMinPolicy::new()
-        } else {
-            PodMaxMinPolicy::without_caching()
-        };
-        let out = run_flows_faulted(
-            &fabric,
-            demands.clone(),
-            &mut policy,
-            RecomputeMode::Incremental,
-            &FaultPlan::empty(),
-        );
+    for mode in [RecomputeMode::Incremental, RecomputeMode::Full] {
+        let out = run_flows_with(&fabric, demands.clone(), &mut PodMaxMinPolicy::new(), mode);
         let stats = out.drive_stats();
         assert_eq!(out.completions().len(), n);
         // The fraction's denominator is pods × batches: each allocation
@@ -420,17 +303,17 @@ fn same_instant_heavy_denominators_count_batches_not_events() {
         assert_eq!(
             stats.pods_total,
             pods * stats.alloc_batches,
-            "pods_total must be pod-count × batch-count (caching={caching})"
+            "pods_total must be pod-count × batch-count (mode={mode:?})"
         );
         assert_eq!(
             stats.alloc_batches, stats.allocations,
-            "every batch is one allocation decision (caching={caching})"
+            "every batch is one allocation decision (mode={mode:?})"
         );
         // Non-vacuity: each release wave really coalesced its 48 − 1
         // same-instant arrivals.
         assert!(
             stats.batched_events >= waves * (pods * width - 1),
-            "same-instant waves did not coalesce (caching={caching}): {} batched events",
+            "same-instant waves did not coalesce (mode={mode:?}): {} batched events",
             stats.batched_events
         );
         // Raw-event identity (DESIGN §12.1): batches + absorbed events
@@ -450,7 +333,7 @@ fn same_instant_heavy_denominators_count_batches_not_events() {
         assert_eq!(
             stats.alloc_batches + stats.batched_events,
             2 * n - final_batch,
-            "raw-event accounting identity broke (caching={caching})"
+            "raw-event accounting identity broke (mode={mode:?})"
         );
     }
 }
