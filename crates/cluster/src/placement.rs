@@ -172,6 +172,15 @@ impl HostPool {
             }
             pods[pod].push(h);
         }
+        // `free_in_pod` reads each pod as one range of the free set.
+        let contiguous = |p: &Vec<NodeId>| {
+            p.last()
+                .is_none_or(|l| (l.0 - p[0].0) as usize + 1 == p.len())
+        };
+        assert!(
+            pods.iter().all(contiguous),
+            "pods must be contiguous host ranges"
+        );
         Ok(HostPool {
             free: (0..n).map(NodeId).collect(),
             pods,
@@ -209,12 +218,14 @@ impl HostPool {
         self.free.iter().copied()
     }
 
-    /// Free hosts of pod `p`, ascending.
+    /// Free hosts of pod `p`, ascending. Pods are contiguous host ranges,
+    /// so these are one range of the free set: no per-host lookup.
     pub fn free_in_pod(&self, p: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.pods[p]
-            .iter()
-            .copied()
-            .filter(|h| self.free.contains(h))
+        let pod = &self.pods[p];
+        pod.first()
+            .zip(pod.last())
+            .into_iter()
+            .flat_map(|(&lo, &hi)| self.free.range(lo..=hi).copied())
     }
 
     /// Marks hosts busy.
@@ -844,5 +855,43 @@ mod tests {
         assert!(!pool.is_free(NodeId(0)));
         assert!(pool.is_free(NodeId(1)));
         assert_eq!(pool.pods_spanned(&[NodeId(1), NodeId(4)]), 2);
+    }
+
+    /// `free_in_pod` reads a range of the free set; it must list exactly
+    /// the pod's hosts that are free, in ascending order, through claims,
+    /// releases and resets, on fat-tree and flat pools alike.
+    #[test]
+    fn free_in_pod_lists_the_pods_free_hosts() {
+        let topo = FatTree::new(4).build_fabric();
+        let mut pools = [
+            HostPool::on_topology(16, &topo).unwrap(),
+            HostPool::flat(16).unwrap(),
+            HostPool::flat(0).unwrap(),
+        ];
+        for pool in &mut pools {
+            let check = |pool: &HostPool| {
+                for p in 0..pool.num_pods() {
+                    let want: Vec<NodeId> = pool
+                        .pod_hosts(p)
+                        .iter()
+                        .copied()
+                        .filter(|&h| pool.is_free(h))
+                        .collect();
+                    assert_eq!(pool.free_in_pod(p).collect::<Vec<_>>(), want, "pod {p}");
+                }
+            };
+            check(pool);
+            let busy: Vec<NodeId> = [0, 3, 4, 7, 8, 15]
+                .into_iter()
+                .filter(|&h| h < pool.num_hosts() as u32)
+                .map(NodeId)
+                .collect();
+            pool.claim(&busy);
+            check(pool);
+            pool.release(&busy[..busy.len() / 2]);
+            check(pool);
+            pool.reset_with_busy(&[NodeId(5), NodeId(12)].into());
+            check(pool);
+        }
     }
 }

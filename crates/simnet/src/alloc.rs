@@ -59,18 +59,21 @@ pub struct AllocScratch {
     unfrozen: Vec<usize>,
     /// Per-flow served marker (priority-fill duplicate suppression).
     seen: Vec<bool>,
-    /// Ascending resource ids the current filling can touch (the union of
-    /// the participating flows' routes) — waterfill rounds scan only
-    /// these instead of every resource.
+    /// Resource ids the current filling can touch (the union of the
+    /// participating flows' routes) — waterfill rounds scan only these
+    /// instead of every resource. Ascending, except in the bucket
+    /// engine, which keeps first-seen order.
     links: Vec<u32>,
     /// Dedup marker for building `links`; all-false between calls.
     link_seen: Vec<bool>,
-    /// Global→local link rank during subset waterfills; entries are only
-    /// read for links on the current `links` list, so no restore pass.
+    /// Link id → position in `links` (subset and bucket waterfills);
+    /// entries are only read for links on the current `links` list, so
+    /// no restore pass.
     link_slot: Vec<u32>,
-    /// Local-rank mirrors of `residual`/`mass` for subset waterfills: a
-    /// pod's route union is tiny, so the rounds run on L1-resident
-    /// arrays instead of striding the fabric-sized tables.
+    /// Mirrors of `residual`/`mass` indexed by `links` position (subset
+    /// and bucket waterfills) or by link id (ranked waterfill): a route
+    /// union is small, so the rounds run on cache-resident entries
+    /// instead of striding the fabric-sized tables.
     residual_local: Vec<f64>,
     /// See `residual_local`.
     mass_local: Vec<f64>,
@@ -81,30 +84,25 @@ pub struct AllocScratch {
     route_span: Vec<(u32, u32)>,
     /// Per-member rate accumulator during subset rounds.
     rate_local: Vec<f64>,
-    /// Dedup marker in pod-rank space (ranked waterfills); all-false
-    /// between calls.
-    rank_seen: Vec<bool>,
-    /// Pod-local ranks the current ranked filling touches (ascending in
-    /// the member-major engine, first-seen order in the bucket engine).
-    touched: Vec<u32>,
-    /// Inverted rank→member index for the bucket pod waterfill: member
-    /// positions crossing each touched rank, flattened.
+    /// Inverted link→member index for the bucket waterfill: member
+    /// positions crossing each touched link, flattened.
     crossers_flat: Vec<u32>,
-    /// `crossers_flat` span per pod rank; only touched ranks are read.
+    /// `crossers_flat` span per touched position.
     crossers_span: Vec<(u32, u32)>,
-    /// Integer crosser count per rank (bucket engine). Mirrors the f64
-    /// mass exactly: masses are whole numbers, and whole numbers up to
-    /// 2^53 are exact in f64, so `cnt as f64` is bitwise the value the
+    /// Integer crosser count per link id (bucket engine). Mirrors the
+    /// f64 mass exactly: masses are whole numbers, and whole numbers up
+    /// to 2^53 are exact in f64, so `cnt as f64` is bitwise the value the
     /// reference engine accumulates by repeated `+= 1.0`.
     mass_cnt: Vec<u32>,
     /// Per-member still-filling flag (bucket engine); mirrors
     /// membership of `unfrozen` in the reference engine.
     active: Vec<bool>,
-    /// Ranks that crossed the saturation threshold this round.
+    /// Touched positions that crossed the saturation threshold this
+    /// round.
     newly_sat: Vec<u32>,
-    /// Candidate (`residual / mass`) per *live* rank, refreshed by the
-    /// bucket engine's subtraction pass and freeze fix-ups so the min
-    /// pass never divides.
+    /// Candidate (`residual / mass`) per *live* touched position,
+    /// refreshed by the bucket engine's subtraction pass and freeze
+    /// fix-ups so the min pass never divides.
     cand: Vec<f64>,
     /// Unfrozen member positions (bucket engine), swap-removed as
     /// members freeze so late rounds iterate only the survivors.
@@ -112,9 +110,6 @@ pub struct AllocScratch {
     /// Member position → index in `live_members`; only read while the
     /// member is unfrozen.
     member_pos: Vec<u32>,
-    /// Rank id → touched position for the current fill; only read for
-    /// ranks on the current `touched` list.
-    rank_pos: Vec<u32>,
     /// Touched positions whose crosser count changed during this round's
     /// freezes; their cached candidates are re-divided once per round.
     mass_changed: Vec<u32>,
@@ -397,9 +392,10 @@ pub fn waterfill_dense(
 /// into the id-sorted `flows` slice): the reference arithmetic of the
 /// pod-decomposed waterfill (see [`crate::runner::PodMaxMinPolicy`]),
 /// which fills each pod's members with it in ascending pod order. The
-/// policy itself runs the rank-space engines, which the unit tests pin
-/// bitwise to this function, and the differential suites compare the
-/// policy against a pod-sequential reference built on it.
+/// policy itself runs `waterfill_ranked` and its bucket-queue twin,
+/// which the unit tests pin bitwise to this function, and the
+/// differential suites compare the policy against a pod-sequential
+/// reference built on it.
 ///
 /// Only `rates[i]` for `i ∈ subset` are written (zeroed, then filled);
 /// other entries are untouched. Residuals are seeded from capacity on
@@ -528,63 +524,72 @@ pub fn waterfill_subset_dense(
     }
 }
 
-/// Entries reserved per arena slot in the flat rank-route arenas fed to
-/// [`waterfill_pod_ranked`]. Pod-local fat-tree routes are at most 4 hops
-/// (host→edge→agg→edge→host); 8 leaves headroom and keeps each slot's
-/// route within a single cache line.
-pub const ROUTE_RANK_STRIDE: usize = 8;
+/// Entries per arena slot in the flat route arenas the link-id
+/// waterfills read ([`waterfill_ranked`] and its bucket-queue twin): the
+/// first entry holds the route's hop count, the rest its hops as global
+/// link ids. Fat-tree routes are at most 6 hops (host→edge→agg→core→
+/// agg→edge→host for a core crosser), so a slot keeps a spare entry and
+/// fits one cache line.
+pub(crate) const ROUTE_RANK_STRIDE: usize = 8;
 
-/// Pod-local link relabeling for the ranked pod engines. Every resource
-/// belongs to exactly one pod (`pod_of_res[r]`), so each pod's links get
-/// dense ranks `0..n_p` in ascending global order — rank order then
-/// preserves the ascending-global iteration order the waterfill
-/// arithmetic pins. Returns each resource's rank and, per pod, its
-/// ascending global link ids (rank → global id).
-pub(crate) fn pod_link_ranks(npods: usize, pod_of_res: &[u32]) -> (Vec<u32>, Vec<Vec<u32>>) {
-    let mut rank_of_link = Vec::with_capacity(pod_of_res.len());
-    let mut pod_links: Vec<Vec<u32>> = vec![Vec::new(); npods];
-    for (r, &p) in pod_of_res.iter().enumerate() {
-        let links = &mut pod_links[p as usize];
-        rank_of_link.push(links.len() as u32);
-        links.push(r as u32);
+/// Writes `route` into `slot`'s block of a stride-[`ROUTE_RANK_STRIDE`]
+/// route arena, growing the arena to cover the slot.
+///
+/// # Panics
+///
+/// Panics if the route has more hops than a slot holds.
+pub(crate) fn store_slot_route(arena: &mut Vec<u32>, slot: u32, route: &[ResourceId]) {
+    assert!(
+        route.len() < ROUTE_RANK_STRIDE,
+        "route of {} hops does not fit a {ROUTE_RANK_STRIDE}-entry arena slot",
+        route.len()
+    );
+    let base = slot as usize * ROUTE_RANK_STRIDE;
+    if arena.len() < base + ROUTE_RANK_STRIDE {
+        arena.resize(base + ROUTE_RANK_STRIDE, 0);
     }
-    (rank_of_link, pod_links)
+    arena[base] = route.len() as u32;
+    for (e, r) in arena[base + 1..].iter_mut().zip(route) {
+        *e = r.0;
+    }
 }
 
-/// Route-hop total at or below which [`waterfill_pod_bucket`] dispatches
-/// to the member-major [`waterfill_pod_ranked`] instead of building its
-/// rank-translated bucket queue: for a pod this narrow the setup costs
-/// more than every round it would accelerate. Output is bitwise
-/// identical either way.
+/// `slot`'s route in a stride-[`ROUTE_RANK_STRIDE`] arena.
+fn slot_route(arena: &[u32], slot: u32) -> &[u32] {
+    let base = slot as usize * ROUTE_RANK_STRIDE;
+    &arena[base + 1..base + 1 + arena[base] as usize]
+}
+
+/// Route-hop total at or below which [`waterfill_bucket`] dispatches to
+/// the member-major [`waterfill_ranked`] instead of building its bucket
+/// queue: for a fill this narrow the setup costs more than every round
+/// it would accelerate. Output is bitwise identical either way.
 const SMALL_POD_RANKS: usize = 64;
 
-/// Rank-space pod waterfill: bit-identical to [`waterfill_subset_dense`]
-/// over the same members, but with every per-call global-array access
-/// hoisted out. The caller provides the pod's capacities indexed by
-/// *pod-local rank* and each member's route pre-translated to ranks in a
-/// flat stride-[`ROUTE_RANK_STRIDE`] arena (`slot_routes`, cached at
-/// arrival; `slot_route_len[slot]` is the live prefix) — a recompute
-/// then touches only pod-sized rank-indexed scratch, never the
-/// fabric-sized residual/mass/dedup tables or the view structs.
+/// Member-major waterfill over global link ids: bit-identical to
+/// [`waterfill_subset_dense`] over the same members, with every per-call
+/// view and topology access hoisted out. The caller provides a capacity
+/// snapshot indexed by global link id (`caps`) and each member's route,
+/// as global link ids, in a flat stride-[`ROUTE_RANK_STRIDE`] arena
+/// keyed by arena slot (`slot_routes`, written once at arrival) — a
+/// refill then touches only its members' arena slots and scratch.
 ///
-/// Bit-identity argument: ranks ascend with global link id inside a pod,
-/// so the ascending `touched` scan visits links in exactly the order the
-/// subset variant's ascending global union scan does; member order,
-/// per-route order, and the freeze/retain logic are unchanged; and
-/// `caps[rank]` is the same capacity value `topo.capacity` returns (the
-/// caller invalidates its snapshot on every fault). The unit tests pin
-/// ranked-vs-subset equality per pod on fat trees, degraded and
-/// zero-capacity links included.
+/// Bit-identity argument: the touched links are scanned in ascending id
+/// order, exactly as the subset variant's ascending union scan; member
+/// order, per-route order, and the freeze/retain logic are unchanged;
+/// and `caps[l]` is the value `topo.capacity` returns (the caller
+/// invalidates its snapshot on every fault). The unit tests pin it per
+/// pod on fat trees, and over whole fabrics with core crossers against
+/// [`waterfill_dense`], degraded and zero-capacity links included.
 ///
-/// Besides being the reference the pod policy's bucket-queue engine is
-/// pinned against, this is the production engine for narrow pods (at
-/// most 64 route hops), where the bucket queue's setup would not pay off.
-pub fn waterfill_pod_ranked(
+/// Besides being the reference the bucket-queue engine is pinned
+/// against, this is the production engine for narrow fills (at most 64
+/// route hops), where the bucket queue's setup would not pay off.
+pub(crate) fn waterfill_ranked(
     caps: &[f64],
     subset: &[usize],
     slots: &[u32],
     slot_routes: &[u32],
-    slot_route_len: &[u8],
     rates: &mut [f64],
     ws: &mut AllocScratch,
 ) {
@@ -596,12 +601,12 @@ pub fn waterfill_pod_ranked(
         routes_local,
         route_span,
         rate_local,
-        rank_seen,
-        touched,
+        link_seen,
+        links,
         ..
     } = ws;
-    if rank_seen.len() < caps.len() {
-        rank_seen.resize(caps.len(), false);
+    if link_seen.len() < caps.len() {
+        link_seen.resize(caps.len(), false);
     }
     if residual_local.len() < caps.len() {
         residual_local.resize(caps.len(), 0.0);
@@ -609,37 +614,35 @@ pub fn waterfill_pod_ranked(
     if mass_local.len() < caps.len() {
         mass_local.resize(caps.len(), 0.0);
     }
-    // Flatten the members' cached rank routes and collect the touched
-    // ranks, ascending (rank order == ascending global order).
+    // Flatten the members' stored routes and collect the touched links,
+    // ascending.
     routes_local.clear();
     route_span.clear();
     rate_local.clear();
-    touched.clear();
+    links.clear();
     for &slot in slots {
         let start = routes_local.len() as u32;
-        let base = slot as usize * ROUTE_RANK_STRIDE;
-        let len = slot_route_len[slot as usize] as usize;
-        for &l in &slot_routes[base..base + len] {
+        for &l in slot_route(slot_routes, slot) {
             routes_local.push(l);
-            if !rank_seen[l as usize] {
-                rank_seen[l as usize] = true;
-                touched.push(l);
+            if !link_seen[l as usize] {
+                link_seen[l as usize] = true;
+                links.push(l);
             }
         }
         route_span.push((start, routes_local.len() as u32));
         rate_local.push(0.0);
     }
-    touched.sort_unstable();
-    for &l in touched.iter() {
-        rank_seen[l as usize] = false; // restore the all-false invariant
+    links.sort_unstable();
+    for &l in links.iter() {
+        link_seen[l as usize] = false; // restore the all-false invariant
         residual_local[l as usize] = caps[l as usize];
     }
-    // `unfrozen` holds member ranks (positions in `subset`).
+    // `unfrozen` holds member positions in `subset`.
     unfrozen.clear();
     unfrozen.extend(0..subset.len());
 
     while !unfrozen.is_empty() {
-        for &l in touched.iter() {
+        for &l in links.iter() {
             mass_local[l as usize] = 0.0;
         }
         for &j in unfrozen.iter() {
@@ -649,7 +652,7 @@ pub fn waterfill_pod_ranked(
             }
         }
         let mut inc = f64::INFINITY;
-        for &l in touched.iter() {
+        for &l in links.iter() {
             let m = mass_local[l as usize];
             if m > EPS {
                 inc = inc.min((residual_local[l as usize].max(0.0)) / m);
@@ -686,53 +689,54 @@ pub fn waterfill_pod_ranked(
     }
 }
 
-/// Bucket-queue pod waterfill: the pod policy's refill engine.
-/// Bit-identical to [`waterfill_pod_ranked`] over the same inputs (the
-/// unit tests pin this), but restructured around an inverted rank→member
-/// index so a round costs O(active route hops) instead of three full
-/// member sweeps:
+/// Bucket-queue waterfill: the pod policy's refill engine, for one pod
+/// or the whole fabric. Bit-identical to [`waterfill_ranked`] over the
+/// same inputs (the unit tests pin this), but restructured around an
+/// inverted link→member index so a round costs O(active route hops)
+/// instead of three full member sweeps:
 ///
 /// - masses are maintained as integer crosser counts, decremented as
 ///   members freeze (whole-number f64 arithmetic is exact, so
 ///   `cnt as f64` is bitwise the reference's `+= 1.0` accumulation);
-/// - each rank's round subtraction applies the increment once per
+/// - each link's round subtraction applies the increment once per
 ///   crossing active member — the reference interleaves subtractions
-///   across ranks in member order, but every subtraction on a rank in a
+///   across links in member order, but every subtraction on a link in a
 ///   given round subtracts the *same* increment, so only the count
 ///   matters for the resulting bits;
-/// - a member freezes in the round a route rank first reaches ≤ EPS,
+/// - a member freezes in the round a route link first reaches ≤ EPS,
 ///   which is exactly the reference's end-of-round retain test: an
-///   active member's ranks were all > EPS at the previous round's end.
+///   active member's links were all > EPS at the previous round's end.
 ///
-/// Pods of at most [`SMALL_POD_RANKS`] route hops go to
-/// [`waterfill_pod_ranked`] instead.
-pub(crate) fn waterfill_pod_bucket(
+/// Inputs are those of [`waterfill_ranked`]: global link ids, routes of
+/// at most 6 hops. Fills of at most [`SMALL_POD_RANKS`] route hops go to
+/// [`waterfill_ranked`] instead.
+pub(crate) fn waterfill_bucket(
     caps: &[f64],
     subset: &[usize],
     slots: &[u32],
     slot_routes: &[u32],
-    slot_route_len: &[u8],
     rates: &mut [f64],
     ws: &mut AllocScratch,
 ) {
     debug_assert_eq!(subset.len(), slots.len());
-    // Tiny pods (the trickle regime: a handful of members on short
-    // routes) are dominated by the setup below — rank translation,
+    // Tiny fills (the trickle regime: a handful of members on short
+    // routes) are dominated by the setup below — route translation,
     // crosser spans, the bucket permutation — not by rounds. The total
-    // route-hop count bounds the touched-rank count, so it is the cheap
-    // pre-test; such pods take the member-major engine instead.
+    // route-hop count bounds the touched-link count, so it is the cheap
+    // pre-test; such fills take the member-major engine instead.
     let route_sum: usize = slots
         .iter()
-        .map(|&s| slot_route_len[s as usize] as usize)
+        .map(|&s| slot_routes[s as usize * ROUTE_RANK_STRIDE] as usize)
         .sum();
     if route_sum <= SMALL_POD_RANKS {
-        waterfill_pod_ranked(caps, subset, slots, slot_routes, slot_route_len, rates, ws);
+        waterfill_ranked(caps, subset, slots, slot_routes, rates, ws);
         return;
     }
     let AllocScratch {
         rate_local,
-        rank_seen,
-        touched,
+        link_seen,
+        links,
+        link_slot,
         crossers_flat,
         crossers_span,
         mass_cnt,
@@ -742,7 +746,6 @@ pub(crate) fn waterfill_pod_bucket(
         live_members,
         member_pos,
         residual_local,
-        rank_pos,
         routes_local,
         route_span,
         mass_changed,
@@ -753,56 +756,52 @@ pub(crate) fn waterfill_pod_bucket(
         bucket_cursor,
         ..
     } = ws;
-    let nranks = caps.len();
-    if rank_seen.len() < nranks {
-        rank_seen.resize(nranks, false);
+    let nlinks = caps.len();
+    if link_seen.len() < nlinks {
+        link_seen.resize(nlinks, false);
     }
-    if mass_cnt.len() < nranks {
-        mass_cnt.resize(nranks, 0);
+    if mass_cnt.len() < nlinks {
+        mass_cnt.resize(nlinks, 0);
     }
-    if crossers_span.len() < nranks {
-        crossers_span.resize(nranks, (0, 0));
+    if link_slot.len() < nlinks {
+        link_slot.resize(nlinks, 0);
     }
-    // Touched ranks and integer masses. Intra-round results are
+    // Touched links and integer masses. Intra-round results are
     // order-independent (min and counted subtractions commute bitwise),
-    // so the ranks stay in first-seen order, unsorted.
-    touched.clear();
+    // so the links stay in first-seen order, unsorted.
+    links.clear();
     let n = subset.len();
     for &slot in slots {
-        let base = slot as usize * ROUTE_RANK_STRIDE;
-        let len = slot_route_len[slot as usize] as usize;
-        for &l in &slot_routes[base..base + len] {
+        for &l in slot_route(slot_routes, slot) {
             let li = l as usize;
-            if !rank_seen[li] {
-                rank_seen[li] = true;
-                touched.push(l);
+            if !link_seen[li] {
+                link_seen[li] = true;
+                links.push(l);
                 mass_cnt[li] = 0;
             }
             mass_cnt[li] += 1;
         }
     }
-    let tcount = touched.len();
+    let tcount = links.len();
     // Everything the round loop reads or writes per iteration lives in
     // small dense arrays indexed by *touched position* (0..tcount), not
-    // by global rank id: residuals, crosser counts, candidates, crosser
-    // spans, and pre-translated member routes. A pod touches a few
-    // hundred ranks at most, so the whole working set stays
+    // by global link id: residuals, crosser counts, candidates, crosser
+    // spans, and pre-translated member routes. Even a whole-fabric fill
+    // touches only its live routes' links, so the working set stays
     // cache-resident.
-    if rank_pos.len() < nranks {
-        rank_pos.resize(nranks, 0);
-    }
     residual_local.clear();
     cnt_local.clear();
+    crossers_span.clear();
     let mut total = 0u32;
     let mut maxc = 0u32;
-    for (t, &l) in touched.iter().enumerate() {
+    for (t, &l) in links.iter().enumerate() {
         let li = l as usize;
-        rank_seen[li] = false; // restore the all-false invariant
-        rank_pos[li] = t as u32;
+        link_seen[li] = false; // restore the all-false invariant
+        link_slot[li] = t as u32;
         residual_local.push(caps[li]);
         cnt_local.push(mass_cnt[li]);
         maxc = maxc.max(mass_cnt[li]);
-        crossers_span[t] = (total, total);
+        crossers_span.push((total, total));
         total += mass_cnt[li];
     }
     // Seed the candidate cache with the round-1 divisions; later rounds
@@ -819,9 +818,9 @@ pub(crate) fn waterfill_pod_bucket(
     );
     // Bucket queue over touched positions, ascending by crosser count:
     // `order` is the permutation, `opos` its inverse, `bucket_start[c]`
-    // the first `order` index holding a count-`c` rank. Decrementing a
+    // the first `order` index holding a count-`c` link. Decrementing a
     // count is an O(1) swap-to-bucket-front plus a boundary bump, so
-    // ranks whose last crosser froze (count 0) migrate before
+    // links whose last crosser froze (count 0) migrate before
     // `bucket_start[1]` and silently leave every later sweep — no inert
     // sentinels, no liveness branches — while the live suffix stays
     // grouped by count so the interleaved subtraction lanes below stay
@@ -851,11 +850,9 @@ pub(crate) fn waterfill_pod_bucket(
     routes_local.clear();
     route_span.clear();
     for (j, &slot) in slots.iter().enumerate() {
-        let base = slot as usize * ROUTE_RANK_STRIDE;
-        let len = slot_route_len[slot as usize] as usize;
         let start = routes_local.len() as u32;
-        for &l in &slot_routes[base..base + len] {
-            let t = rank_pos[l as usize] as usize;
+        for &l in slot_route(slot_routes, slot) {
+            let t = link_slot[l as usize] as usize;
             let span = &mut crossers_span[t];
             crossers_flat[span.1 as usize] = j as u32;
             span.1 += 1;
@@ -880,11 +877,11 @@ pub(crate) fn waterfill_pod_bucket(
 
     while !live_members.is_empty() {
         let live0 = bucket_start[1] as usize;
-        // Min pass over live ranks only: a pure scan of the cached
+        // Min pass over live links only: a pure scan of the cached
         // candidates — the divisions already happened in the previous
         // round's subtraction pass (or the freeze fix-ups). The scan
         // runs count-descending (reversed bucket order) because heavier
-        // ranks tend toward smaller candidates, so the running min
+        // links tend toward smaller candidates, so the running min
         // settles early and its branch stays predictable. Min over
         // non-NaN values is order-independent and ties carry identical
         // bits, so any scan order picks the reference minimum's bits.
@@ -899,19 +896,19 @@ pub(crate) fn waterfill_pod_bucket(
             break;
         }
         prefix += inc;
-        // Rank-major counted subtraction over the live suffix, fused
+        // Link-major counted subtraction over the live suffix, fused
         // with saturation detection and the next round's candidate
-        // division. Per rank the reference subtracts `inc` once per
-        // crossing active member, interleaved across ranks in member
+        // division. Per link the reference subtracts `inc` once per
+        // crossing active member, interleaved across links in member
         // order — but equal-decrement chains land on the same bits in
-        // any interleaving, so folding each rank's `cnt` subtractions
-        // in a register is bitwise the member-major order. Four ranks
+        // any interleaving, so folding each link's `cnt` subtractions
+        // in a register is bitwise the member-major order. Four links
         // run in interleaved lanes to hide the subtraction latency;
         // bucket order groups near-equal counts, so the masked `- 0.0`
         // padding (a bitwise identity for non-NaN x) on shorter lanes
         // is marginal. The candidate cache written here uses this
         // round's pre-freeze counts; freeze fix-ups below re-divide the
-        // few ranks whose count changes.
+        // few links whose count changes.
         newly_sat.clear();
         let inc_bits = inc.to_bits();
         {
@@ -987,9 +984,9 @@ pub(crate) fn waterfill_pod_bucket(
                     if p < live_members.len() {
                         member_pos[live_members[p] as usize] = p as u32;
                     }
-                    // O(1) bucket-queue decrement per route rank: swap
-                    // the rank to the front of its count bucket and bump
-                    // the boundary. A rank hitting count 0 thereby moves
+                    // O(1) bucket-queue decrement per route link: swap
+                    // the link to the front of its count bucket and bump
+                    // the boundary. A link hitting count 0 thereby moves
                     // below `bucket_start[1]` and leaves every later
                     // sweep.
                     let (s, e) = route_span[j];
@@ -1010,9 +1007,9 @@ pub(crate) fn waterfill_pod_bucket(
                 }
             }
         }
-        // Candidate fix-ups for surviving ranks whose crosser count
+        // Candidate fix-ups for surviving links whose crosser count
         // changed: the division the reference would perform next round
-        // (same residual bits, post-freeze count). Ranks at count 0 need
+        // (same residual bits, post-freeze count). Links at count 0 need
         // nothing — the bucket queue already retired them. Duplicate
         // entries are harmless, the fix-up is idempotent.
         for &t in mass_changed.iter() {
@@ -1621,23 +1618,22 @@ mod tests {
         alloc_to_dense(&flows, &alloc, &mut out);
     }
 
-    /// A random rank-space pod: capacities per pod-local rank and one
+    /// A random synthetic fill: capacities over `nranks` link ids and one
     /// stride-arena route per member, with members mapped to shuffled
     /// arena slots the way the policy's recycled arena maps them.
     struct PodSim {
         caps: Vec<f64>,
         slots: Vec<u32>,
         slot_routes: Vec<u32>,
-        slot_route_len: Vec<u8>,
     }
 
-    /// The signature shared by the pod waterfill engines.
-    type PodEngine = fn(&[f64], &[usize], &[u32], &[u32], &[u8], &mut [f64], &mut AllocScratch);
+    /// The signature shared by the link-id waterfill engines.
+    type Engine = fn(&[f64], &[usize], &[u32], &[u32], &mut [f64], &mut AllocScratch);
 
     impl PodSim {
-        /// A narrow pod (at most 12 members on 2–10 ranks: never more
+        /// A narrow fill (at most 12 members on 2–10 links: never more
         /// than 48 route hops) or a wide one (17–64 members on 8–40
-        /// ranks: usually more than [`SMALL_POD_RANKS`]).
+        /// links: usually more than [`SMALL_POD_RANKS`]).
         fn new(rng: &mut echelon_detrand::DetRng, wide: bool) -> PodSim {
             let (nranks, members) = if wide {
                 (
@@ -1653,21 +1649,18 @@ mod tests {
             let caps = (0..nranks)
                 .map(|_| {
                     if rng.usize_range_inclusive(0, 9) == 0 {
-                        0.0 // exercise saturated-at-birth ranks
+                        0.0 // exercise saturated-at-birth links
                     } else {
                         rng.f64_range(0.25, 3.0)
                     }
                 })
                 .collect();
-            let mut slot_routes = vec![0; members * ROUTE_RANK_STRIDE];
-            let mut slot_route_len = vec![0; members];
-            for (slot, len) in slot_route_len.iter_mut().enumerate() {
+            let mut slot_routes = Vec::new();
+            for slot in 0..members as u32 {
                 let hops = rng.usize_range_inclusive(1, nranks.min(4));
-                let mut route: Vec<u32> = (0..nranks as u32).collect();
+                let mut route: Vec<ResourceId> = (0..nranks as u32).map(ResourceId).collect();
                 rng.shuffle(&mut route);
-                let base = slot * ROUTE_RANK_STRIDE;
-                slot_routes[base..base + hops].copy_from_slice(&route[..hops]);
-                *len = hops as u8;
+                store_slot_route(&mut slot_routes, slot, &route[..hops]);
             }
             let mut slots: Vec<u32> = (0..members as u32).collect();
             rng.shuffle(&mut slots);
@@ -1675,16 +1668,11 @@ mod tests {
                 caps,
                 slots,
                 slot_routes,
-                slot_route_len,
             }
         }
 
-        fn route_hops(&self) -> usize {
-            self.slot_route_len.iter().map(|&l| l as usize).sum()
-        }
-
         /// Fills every member through `engine`.
-        fn fill(&self, engine: PodEngine, ws: &mut AllocScratch) -> Vec<f64> {
+        fn fill(&self, engine: Engine, ws: &mut AllocScratch) -> Vec<f64> {
             let subset: Vec<usize> = (0..self.slots.len()).collect();
             let mut rates = vec![f64::NAN; self.slots.len()];
             engine(
@@ -1692,7 +1680,6 @@ mod tests {
                 &subset,
                 &self.slots,
                 &self.slot_routes,
-                &self.slot_route_len,
                 &mut rates,
                 ws,
             );
@@ -1700,10 +1687,19 @@ mod tests {
         }
     }
 
+    /// Total route hops of `slots` in a stride arena: the quantity the
+    /// bucket engine's dispatch compares with [`SMALL_POD_RANKS`].
+    fn route_hops(slot_routes: &[u32], slots: &[u32]) -> usize {
+        slots
+            .iter()
+            .map(|&s| slot_route(slot_routes, s).len())
+            .sum()
+    }
+
     /// Both arms of the bucket engine's dispatch — the member-major
     /// engine at or under [`SMALL_POD_RANKS`] route hops, the bucket
     /// queue above it — must be bitwise the ranked reference, with one
-    /// scratch reused across pods of every width.
+    /// scratch reused across fills of every width.
     #[test]
     fn bucket_engine_matches_ranked_bitwise() {
         let mut ws = AllocScratch::new();
@@ -1711,8 +1707,8 @@ mod tests {
         for seed in 0..300u64 {
             let mut rng = echelon_detrand::DetRng::seed_from_u64(0xF111 + seed);
             let sim = PodSim::new(&mut rng, seed % 2 == 1);
-            let want = sim.fill(waterfill_pod_ranked, &mut ws);
-            let got = sim.fill(waterfill_pod_bucket, &mut ws);
+            let want = sim.fill(waterfill_ranked, &mut ws);
+            let got = sim.fill(waterfill_bucket, &mut ws);
             assert_eq!(want.len(), got.len());
             for (j, (a, b)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(
@@ -1721,27 +1717,28 @@ mod tests {
                     "seed {seed} member {j}: {a} != {b}"
                 );
             }
-            if sim.route_hops() > SMALL_POD_RANKS {
+            if route_hops(&sim.slot_routes, &sim.slots) > SMALL_POD_RANKS {
                 wide += 1;
             }
         }
         // Non-vacuity: the narrow half always takes the member-major
         // arm, and most of the wide half must reach the bucket queue.
-        assert!(wide > 100, "only {wide} of 300 pods took the bucket queue");
+        assert!(wide > 100, "only {wide} of 300 fills took the bucket queue");
     }
 
-    /// The ranked engine must be bitwise the subset waterfill, pod by
-    /// pod, on k=4 and k=8 fat trees: random pod-local flow sets on
-    /// shuffled arena slots, link ranks and rank routes built the way
-    /// the pod policy builds them, about one link in five degraded and
-    /// one in twenty cut to zero capacity.
-    #[test]
-    fn ranked_engine_matches_subset_waterfill_per_pod() {
-        let mut ws = AllocScratch::new();
-        let (mut filled, mut starved) = (0usize, 0usize);
-        for seed in 0..40u64 {
-            let mut rng = echelon_detrand::DetRng::seed_from_u64(0x5B5E7 + seed);
-            let k = if seed % 2 == 0 { 4 } else { 8 };
+    /// A random fat-tree workload: a k-ary fabric with about one link in
+    /// five degraded and one in twenty cut to zero capacity, and `n`
+    /// flows on shuffled arena slots whose routes are stored as global
+    /// link ids, the way the pod policy stores them. Each flow crosses
+    /// the core with probability `cross`.
+    struct FabricSim {
+        topo: Topology,
+        flows: Vec<ActiveFlowView>,
+        slot_routes: Vec<u32>,
+    }
+
+    impl FabricSim {
+        fn new(rng: &mut echelon_detrand::DetRng, k: usize, n: usize, cross: f64) -> FabricSim {
             let mut topo = crate::fattree::FatTree::new(k).build_fabric();
             for r in 0..topo.num_resources() {
                 let r = ResourceId(r as u32);
@@ -1751,18 +1748,18 @@ mod tests {
                     _ => {}
                 }
             }
-            let (npods, pod_of_res) = topo.pod_partition().expect("fat trees have pods");
-            let npods = npods as usize;
-            let (rank_of_link, pod_links) = pod_link_ranks(npods, pod_of_res);
             let hosts_per_pod = k * k / 4;
-            let n = rng.usize_range_inclusive(npods, 12 * npods);
             let mut slots: Vec<u32> = (0..n as u32).collect();
             rng.shuffle(&mut slots);
             let mut flows = Vec::with_capacity(n);
-            let mut slot_routes = vec![0; n * ROUTE_RANK_STRIDE];
-            let mut slot_route_len = vec![0; n];
+            let mut slot_routes = Vec::new();
             for (id, &slot) in slots.iter().enumerate() {
-                let base = rng.usize_range_inclusive(0, npods - 1) * hosts_per_pod;
+                let src_pod = rng.usize_range_inclusive(0, k - 1);
+                let dst_pod = if rng.next_f64() < cross {
+                    (src_pod + rng.usize_range_inclusive(1, k - 1)) % k
+                } else {
+                    src_pod
+                };
                 let src = rng.usize_range_inclusive(0, hosts_per_pod - 1);
                 let mut dst = rng.usize_range_inclusive(0, hosts_per_pod - 2);
                 if dst >= src {
@@ -1770,8 +1767,8 @@ mod tests {
                 }
                 let d = FlowDemand::new(
                     FlowId(id as u64),
-                    NodeId((base + src) as u32),
-                    NodeId((base + dst) as u32),
+                    NodeId((src_pod * hosts_per_pod + src) as u32),
+                    NodeId((dst_pod * hosts_per_pod + dst) as u32),
                     1.0,
                     SimTime::ZERO,
                 );
@@ -1779,34 +1776,48 @@ mod tests {
                     slot,
                     ..view(&topo, &d)
                 };
-                let at = slot as usize * ROUTE_RANK_STRIDE;
-                for (h, r) in v.route.iter().enumerate() {
-                    slot_routes[at + h] = rank_of_link[r.0 as usize];
-                }
-                slot_route_len[slot as usize] = v.route.len() as u8;
+                store_slot_route(&mut slot_routes, slot, &v.route);
                 flows.push(v);
             }
-            for (pod, links) in pod_links.iter().enumerate() {
+            FabricSim {
+                topo,
+                flows,
+                slot_routes,
+            }
+        }
+
+        /// The fabric capacity snapshot, indexed by global link id.
+        fn caps(&self) -> Vec<f64> {
+            let mut caps = Vec::new();
+            self.topo.capacities_into(&mut caps);
+            caps
+        }
+    }
+
+    /// The ranked engine must be bitwise the subset waterfill, pod by
+    /// pod, on k=4 and k=8 fat trees: random pod-local flow sets on
+    /// shuffled arena slots, routes as global link ids, one fabric
+    /// capacity snapshot, about one link in five degraded and one in
+    /// twenty cut to zero capacity.
+    #[test]
+    fn ranked_engine_matches_subset_waterfill_per_pod() {
+        let mut ws = AllocScratch::new();
+        let (mut filled, mut starved) = (0usize, 0usize);
+        for seed in 0..40u64 {
+            let mut rng = echelon_detrand::DetRng::seed_from_u64(0x5B5E7 + seed);
+            let k = if seed % 2 == 0 { 4 } else { 8 };
+            let n = rng.usize_range_inclusive(k, 12 * k);
+            let sim = FabricSim::new(&mut rng, k, n, 0.0);
+            let caps = sim.caps();
+            for pod in 0..k as u32 {
                 let subset: Vec<usize> = (0..n)
-                    .filter(|&i| topo.host_pod(flows[i].src) == Some(pod as u32))
+                    .filter(|&i| sim.topo.host_pod(sim.flows[i].src) == Some(pod))
                     .collect();
-                let pod_slots: Vec<u32> = subset.iter().map(|&i| flows[i].slot).collect();
-                let caps: Vec<f64> = links
-                    .iter()
-                    .map(|&r| topo.capacity(ResourceId(r)))
-                    .collect();
+                let slots: Vec<u32> = subset.iter().map(|&i| sim.flows[i].slot).collect();
                 let mut want = vec![f64::NAN; n];
-                waterfill_subset_dense(&topo, &flows, &subset, &mut want, &mut ws);
+                waterfill_subset_dense(&sim.topo, &sim.flows, &subset, &mut want, &mut ws);
                 let mut got = vec![f64::NAN; n];
-                waterfill_pod_ranked(
-                    &caps,
-                    &subset,
-                    &pod_slots,
-                    &slot_routes,
-                    &slot_route_len,
-                    &mut got,
-                    &mut ws,
-                );
+                waterfill_ranked(&caps, &subset, &slots, &sim.slot_routes, &mut got, &mut ws);
                 for &i in &subset {
                     assert_eq!(
                         want[i].to_bits(),
@@ -1823,5 +1834,61 @@ mod tests {
         // Non-vacuity: plenty of members, some behind a dead link.
         assert!(filled > 500, "only {filled} pod members filled");
         assert!(starved > 0, "no member crossed a zero-capacity link");
+    }
+
+    /// The pod policy's whole-fabric fallback — the bucket engine over
+    /// every flow in id order, routes as global link ids — must be
+    /// bitwise the unweighted, uncapped, zero-floor [`waterfill_dense`]
+    /// on k=4 and k=8 fat trees with 10–40 % core crossers and degraded
+    /// and zero-capacity links, one scratch shared by both engines.
+    #[test]
+    fn fabric_fallback_engine_matches_dense_waterfill_bitwise() {
+        let mut ws = AllocScratch::new();
+        let cases = 60u64;
+        let (mut wide, mut starved, mut flows, mut crossers) = (0u64, 0usize, 0usize, 0usize);
+        for seed in 0..cases {
+            let mut rng = echelon_detrand::DetRng::seed_from_u64(0xFAB1C + seed);
+            let k = if seed % 2 == 0 { 4 } else { 8 };
+            let n = rng.usize_range_inclusive(2 * k, 16 * k);
+            let cross = rng.f64_range(0.1, 0.4);
+            let sim = FabricSim::new(&mut rng, k, n, cross);
+            let mut want = vec![0.0; n];
+            waterfill_dense(&sim.topo, &sim.flows, None, None, &mut want, &mut ws);
+            let subset: Vec<usize> = (0..n).collect();
+            let slots: Vec<u32> = sim.flows.iter().map(|v| v.slot).collect();
+            let mut got = vec![f64::NAN; n];
+            waterfill_bucket(
+                &sim.caps(),
+                &subset,
+                &slots,
+                &sim.slot_routes,
+                &mut got,
+                &mut ws,
+            );
+            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} flow {i}: {a} != {b}");
+            }
+            if route_hops(&sim.slot_routes, &slots) > SMALL_POD_RANKS {
+                wide += 1;
+            }
+            starved += want.iter().filter(|&&r| r == 0.0).count();
+            flows += n;
+            crossers += sim
+                .flows
+                .iter()
+                .filter(|v| sim.topo.host_pod(v.src) != sim.topo.host_pod(v.dst))
+                .count();
+        }
+        // Non-vacuity: most fills reach the bucket queue, core crossers
+        // are a real share of the flows, and a dead link starves some.
+        assert!(
+            wide > cases * 3 / 4,
+            "only {wide} of {cases} fills took the bucket queue"
+        );
+        assert!(
+            crossers * 10 >= flows,
+            "only {crossers} of {flows} flows cross the core"
+        );
+        assert!(starved > 0, "no flow crossed a zero-capacity link");
     }
 }

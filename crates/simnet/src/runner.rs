@@ -23,7 +23,7 @@
 //! cluster arrivals) plug their own sources into the same driver.
 
 use crate::alloc::{
-    alloc_to_dense, alloc_via_dense, pod_link_ranks, waterfill_dense, waterfill_pod_bucket,
+    alloc_to_dense, alloc_via_dense, store_slot_route, waterfill_bucket, waterfill_dense,
     AllocScratch, RateAlloc,
 };
 use crate::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
@@ -309,9 +309,12 @@ const CROSS_POD: u32 = u32::MAX;
 /// capacities. The full recompute ([`RatePolicy::allocate_dense`]) is
 /// the same machine fed a delta in which every live flow arrived. Any
 /// fault dirties every pod ([`RatePolicy::on_fault`]), and any live
-/// core-crossing flow forces the whole-fabric fallback until it drains.
-/// The differential suites pin both recompute modes bitwise against an
-/// independent pod-sequential reference.
+/// core-crossing flow forces the whole-fabric fallback until it drains:
+/// the same engine over every live flow, bitwise
+/// [`crate::alloc::waterfill_dense`]. Pod and fabric fills share one
+/// coordinate system, global link ids. The differential suites pin both
+/// recompute modes bitwise against an independent pod-sequential
+/// reference.
 ///
 /// On topologies without pods the policy always uses the whole-fabric
 /// waterfill and reports no pod work.
@@ -337,7 +340,8 @@ pub struct PodMaxMinPolicy {
     slot_rate: Vec<f64>,
     /// Scratch: output indices of the members of the pods the latest
     /// allocation refilled, in ascending pod order — after a sparse
-    /// allocation, exactly the rewritten entries.
+    /// allocation, exactly the rewritten entries. A whole-fabric
+    /// fallback lists every flow.
     members: Vec<usize>,
     /// Scratch parallel to `members`: each member's arena slot.
     member_slots: Vec<u32>,
@@ -350,29 +354,17 @@ pub struct PodMaxMinPolicy {
     emit_all: bool,
     pods_recomputed: usize,
     pods_total: usize,
-    /// Global resource id → rank within its owning pod (see
-    /// [`pod_link_ranks`]).
-    rank_of_link: Vec<u32>,
-    /// Ascending global link ids per pod (rank → global id).
-    pod_links: Vec<Vec<u32>>,
-    /// Rank-indexed capacity snapshot per pod; empty = stale. Rebuilt
-    /// lazily from the topology and cleared on every fault (capacities
-    /// are the only fault-mutable input) and every reset.
-    pod_caps: Vec<Vec<f64>>,
-    /// Per arena slot: the flow's route translated to pod-local ranks,
-    /// written once at arrival (routes are fixed for a flow's lifetime,
-    /// slots recycle only through a departure + arrival). Flat arena of
-    /// [`ROUTE_STRIDE`] entries per slot — one cache line, no pointer
-    /// chase — with `route_rank_len` holding each slot's live prefix.
-    /// Unset for core-crossing flows, which are never pod members.
-    route_ranks: Vec<u32>,
-    /// Live entries of `route_ranks` per slot.
-    route_rank_len: Vec<u8>,
+    /// Capacity per global link id; empty = stale. Snapshotted lazily
+    /// from the topology and cleared on every fault (capacities are the
+    /// only fault-mutable input) and every reset.
+    caps: Vec<f64>,
+    /// Per arena slot: the flow's route as global link ids, core
+    /// crossers included, written once at arrival (routes are fixed for
+    /// a flow's lifetime, slots recycle only through a departure +
+    /// arrival). Flat arena of [`crate::alloc::ROUTE_RANK_STRIDE`]
+    /// entries per slot — one cache line, no pointer chase.
+    routes: Vec<u32>,
 }
-
-/// Entries per arena slot in [`PodMaxMinPolicy::route_ranks`]; see
-/// [`crate::alloc::ROUTE_RANK_STRIDE`].
-const ROUTE_STRIDE: usize = crate::alloc::ROUTE_RANK_STRIDE;
 
 impl PodMaxMinPolicy {
     /// A pod-decomposed policy with no flows observed yet.
@@ -397,16 +389,12 @@ impl PodMaxMinPolicy {
         }
     }
 
-    /// Sizes the per-pod state for a fabric, relabeling its links once
-    /// (again only if a later fabric has a different resource count).
-    fn ensure_pods(&mut self, npods: usize, pod_of_res: &[u32]) {
-        if self.rank_of_link.len() == pod_of_res.len() {
-            return;
+    /// Sizes the per-pod state for a fabric of `npods` pods.
+    fn ensure_pods(&mut self, npods: usize) {
+        if self.pod_members.len() != npods {
+            self.pod_members = vec![Vec::new(); npods];
+            self.cache_valid = vec![false; npods];
         }
-        (self.rank_of_link, self.pod_links) = pod_link_ranks(npods, pod_of_res);
-        self.pod_caps = vec![Vec::new(); npods];
-        self.pod_members = vec![Vec::new(); npods];
-        self.cache_valid = vec![false; npods];
     }
 
     /// Forgets every flow observed so far, as if all of them departed:
@@ -415,7 +403,8 @@ impl PodMaxMinPolicy {
     /// then still be live. It also drops the departures the driver
     /// never delivers — flows finishing at a run's final instant — which
     /// a reused policy would otherwise resolve, and the capacity
-    /// snapshots, since a previous run may have ended on a degraded link.
+    /// snapshot, since a previous run may have ended on a degraded link
+    /// or run on another fabric.
     fn reset(&mut self) {
         for (pod, members) in self.pod_members.iter_mut().enumerate() {
             if !members.is_empty() {
@@ -425,37 +414,24 @@ impl PodMaxMinPolicy {
         }
         self.pod_of_flow.clear();
         self.cross_pod_live = 0;
-        for caps in &mut self.pod_caps {
-            caps.clear();
-        }
+        self.caps.clear();
     }
 
-    /// Observes `v` arriving: dirties its pod and translates its route to
-    /// pod-local ranks once (routes are fixed for the flow's lifetime and
-    /// a slot is recycled only through a departure + arrival).
+    /// Observes `v` arriving: stores its route in the slot arena once
+    /// (routes are fixed for the flow's lifetime and a slot is recycled
+    /// only through a departure + arrival) and dirties its pod.
     fn arrive(&mut self, v: &ActiveFlowView, topo: &Topology) {
+        let slot = v.slot as usize;
+        if slot >= self.slot_rate.len() {
+            self.slot_rate.resize(slot + 1, 0.0);
+        }
+        store_slot_route(&mut self.routes, v.slot, &v.route);
         let pod = Self::classify(topo, v.src, v.dst);
         self.pod_of_flow.insert(v.id, pod);
         if pod == CROSS_POD {
             self.cross_pod_live += 1;
             return;
         }
-        let slot = v.slot as usize;
-        if slot >= self.slot_rate.len() {
-            self.slot_rate.resize(slot + 1, 0.0);
-            self.route_ranks.resize((slot + 1) * ROUTE_STRIDE, 0);
-            self.route_rank_len.resize(slot + 1, 0);
-        }
-        assert!(
-            v.route.len() <= ROUTE_STRIDE,
-            "pod-local route longer than ROUTE_STRIDE ({} hops)",
-            v.route.len()
-        );
-        let base = slot * ROUTE_STRIDE;
-        for (k, r) in v.route.iter().enumerate() {
-            self.route_ranks[base + k] = self.rank_of_link[r.0 as usize];
-        }
-        self.route_rank_len[slot] = v.route.len() as u8;
         self.cache_valid[pod as usize] = false;
         let pm = &mut self.pod_members[pod as usize];
         if let Err(p) = pm.binary_search(&v.id) {
@@ -490,7 +466,6 @@ impl PodMaxMinPolicy {
         &mut self,
         npods: usize,
         flows: &[ActiveFlowView],
-        topo: &Topology,
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
@@ -512,25 +487,9 @@ impl PodMaxMinPolicy {
                 self.members.push(i);
                 self.member_slots.push(flows[i].slot);
             }
-            if self.pod_caps[pod].is_empty() {
-                let links = &self.pod_links[pod];
-                self.pod_caps[pod].extend(
-                    links
-                        .iter()
-                        .map(|&r| topo.capacity(crate::ids::ResourceId(r))),
-                );
-            }
             let members = &self.members[start..];
             let slots = &self.member_slots[start..];
-            waterfill_pod_bucket(
-                &self.pod_caps[pod],
-                members,
-                slots,
-                &self.route_ranks,
-                &self.route_rank_len,
-                out,
-                ws,
-            );
+            waterfill_bucket(&self.caps, members, slots, &self.routes, out, ws);
             for (&i, &slot) in members.iter().zip(slots) {
                 self.slot_rate[slot as usize] = out[i];
             }
@@ -551,21 +510,36 @@ impl PodMaxMinPolicy {
         out: &mut Vec<f64>,
         allow_sparse: bool,
     ) {
+        if self.caps.is_empty() {
+            topo.capacities_into(&mut self.caps);
+        }
         if self.cross_pod_live > 0 {
-            // The fabric waterfill overwrites every live flow's applied
-            // rate, including clean pods' — a later sparse apply would
-            // never repair those, so the next pod-mode allocation must
-            // emit densely. Touched pods stay dirty, so pod mode resumes
-            // exactly when the crossing flows drain.
+            // The fabric fill overwrites every live flow's applied rate,
+            // including clean pods' — a later sparse apply would never
+            // repair those, so the next pod-mode allocation must emit
+            // densely. Touched pods stay dirty, so pod mode resumes
+            // exactly when the crossing flows drain. Every flow in id
+            // order through the pod engine is bitwise the unweighted,
+            // uncapped, zero-floor `waterfill_dense` (DESIGN §10.3).
             self.emit_all = true;
             self.pods_total += npods;
             self.pods_recomputed += npods;
-            out.clear();
+            self.members.clear();
+            self.members.extend(0..flows.len());
+            self.member_slots.clear();
+            self.member_slots.extend(flows.iter().map(|v| v.slot));
             out.resize(flows.len(), 0.0);
-            waterfill_dense(topo, flows, None, None, out, ws);
+            waterfill_bucket(
+                &self.caps,
+                &self.members,
+                &self.member_slots,
+                &self.routes,
+                out,
+                ws,
+            );
             return;
         }
-        self.refill(npods, flows, topo, ws, out);
+        self.refill(npods, flows, ws, out);
         if allow_sparse && !self.emit_all {
             self.sparse_report = true;
         } else {
@@ -591,13 +565,13 @@ impl PodMaxMinPolicy {
         out: &mut Vec<f64>,
         allow_sparse: bool,
     ) {
-        let Some((npods, pod_of_res)) = topo.pod_partition() else {
+        let Some((npods, _)) = topo.pod_partition() else {
             self.allocate_dense(now, flows, topo, ws, out);
             return;
         };
         let npods = npods as usize;
         self.sparse_report = false;
-        self.ensure_pods(npods, pod_of_res);
+        self.ensure_pods(npods);
         let position = |id: &FlowId| flows.binary_search_by(|v| v.id.cmp(id)).ok();
         if delta.arrived.len() >= flows.len()
             && delta
@@ -641,14 +615,14 @@ impl RatePolicy for PodMaxMinPolicy {
         out: &mut Vec<f64>,
     ) {
         self.sparse_report = false;
-        let Some((npods, pod_of_res)) = topo.pod_partition() else {
+        let Some((npods, _)) = topo.pod_partition() else {
             out.clear();
             out.resize(flows.len(), 0.0);
             waterfill_dense(topo, flows, None, None, out, ws);
             return;
         };
         let npods = npods as usize;
-        self.ensure_pods(npods, pod_of_res);
+        self.ensure_pods(npods);
         self.reset();
         for v in flows {
             self.arrive(v, topo);
@@ -688,14 +662,12 @@ impl RatePolicy for PodMaxMinPolicy {
     }
 
     /// Any fault may change link capacities, and a pod's stored rates
-    /// bake those in: dirty every pod *and* drop its capacity snapshot
-    /// (the snapshots feed the pod engine and must be re-read from the
+    /// bake those in: dirty every pod *and* drop the capacity snapshot
+    /// (it feeds every pod and fabric fill and must be re-read from the
     /// post-fault topology).
     fn on_fault(&mut self, _now: SimTime, _fault: &FaultKind) {
         self.cache_valid.fill(false);
-        for caps in &mut self.pod_caps {
-            caps.clear();
-        }
+        self.caps.clear();
     }
 
     fn name(&self) -> &'static str {

@@ -275,17 +275,18 @@ fn pod_churn_plan(at: [f64; 4]) -> FaultPlan {
         .with(SimTime::new(at[3]), FaultKind::LinkRestore(ResourceId(1)))
 }
 
-/// Runs the pod policy in both recompute modes under `plan` and asserts
-/// each bitwise equal to the stateless pod-sequential reference, traces
-/// and completions. Returns the incremental run for non-vacuity checks.
+/// Runs the pod policy in both recompute modes on `fabric` under `plan`
+/// and asserts each bitwise equal to the stateless pod-sequential
+/// reference, traces and completions. Returns the incremental run for
+/// non-vacuity checks.
 fn assert_pod_policy_matches_reference(
+    fabric: &Topology,
     demands: &[FlowDemand],
     plan: &FaultPlan,
     label: &str,
 ) -> FlowOutcomes {
-    let fabric = FatTree::new(4).build_fabric();
     let run = |policy: &mut dyn RatePolicy, mode| {
-        run_flows_faulted(&fabric, demands.to_vec(), policy, mode, plan)
+        run_flows_faulted(fabric, demands.to_vec(), policy, mode, plan)
     };
     let reference = run(&mut PodReference, RecomputeMode::Full);
     let mut incremental = None;
@@ -314,10 +315,12 @@ fn assert_pod_policy_matches_reference(
 /// write-back, bucket and ranked pod engines) against the reference.
 #[test]
 fn pod_policy_survives_churn_bit_identically() {
+    let fabric = FatTree::new(4).build_fabric();
     let plan = pod_churn_plan([1.0, 2.5, 3.5, 4.5]);
     for seed in 0..5u64 {
         let demands = pod_demands(seed, 20, 2.0);
-        let out = assert_pod_policy_matches_reference(&demands, &plan, &format!("seed {seed}"));
+        let label = format!("seed {seed}");
+        let out = assert_pod_policy_matches_reference(&fabric, &demands, &plan, &label);
         // Non-vacuity: the incremental run skipped clean pods.
         let stats = out.drive_stats();
         assert!(stats.pods_total > 0, "seed {seed}: no pod work reported");
@@ -335,11 +338,12 @@ fn pod_policy_survives_churn_bit_identically() {
 /// refill the policy performs.
 #[test]
 fn wide_pod_churn_matches_reference() {
+    let fabric = FatTree::new(4).build_fabric();
     let plan = pod_churn_plan([1.0, 2.0, 3.0, 4.0]);
     for seed in 0..3u64 {
         let demands = pod_demands(seed, 48, 0.5);
-        let out =
-            assert_pod_policy_matches_reference(&demands, &plan, &format!("wide, seed {seed}"));
+        let label = format!("wide, seed {seed}");
+        let out = assert_pod_policy_matches_reference(&fabric, &demands, &plan, &label);
         let first_finish = out
             .completions()
             .values()
@@ -349,6 +353,103 @@ fn wide_pod_churn_matches_reference() {
             first_finish > 4.0,
             "seed {seed}: a flow finished at {first_finish}, before the last fault"
         );
+    }
+}
+
+/// Route hops at or below which the pod engine takes its narrow
+/// member-major arm instead of the bucket queue
+/// (`simnet::alloc::SMALL_POD_RANKS`).
+const NARROW_FILL_HOPS: usize = 64;
+
+/// `n` flows on a k=8 fat tree (8 pods × 16 hosts), released as a
+/// Poisson stream with mean gap 0.1 s; each crosses the core with
+/// probability `cross`, the rest stay inside their pod.
+fn crosspod_demands(seed: u64, n: usize, cross: f64) -> Vec<FlowDemand> {
+    let (pods, hosts_per_pod) = (8, 16);
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut release = 0.0;
+    (0..n)
+        .map(|i| {
+            release -= 0.1 * (1.0 - rng.next_f64()).ln();
+            let src_pod = rng.usize_range_inclusive(0, pods - 1);
+            let dst_pod = if rng.next_f64() < cross {
+                (src_pod + rng.usize_range_inclusive(1, pods - 1)) % pods
+            } else {
+                src_pod
+            };
+            let src = rng.usize_range_inclusive(0, hosts_per_pod - 1);
+            let mut dst = rng.usize_range_inclusive(0, hosts_per_pod - 2);
+            if dst >= src {
+                dst += 1;
+            }
+            FlowDemand {
+                id: FlowId(i as u64),
+                src: NodeId((src_pod * hosts_per_pod + src) as u32),
+                dst: NodeId((dst_pod * hosts_per_pod + dst) as u32),
+                size: rng.f64_range(2.0, 6.0),
+                release: SimTime::new(release),
+            }
+        })
+        .collect()
+}
+
+/// Degrade/restore pairs that each strike a live core crosser: half a
+/// second after a crosser's release, its core→agg hop drops to a quarter
+/// of its capacity for one second. Links carry at most 1.0 and every
+/// flow is at least 2.0 long, so the crosser is live across both
+/// instants. Crossers are picked from t = 3 s on, once the stream has
+/// built up, and at least two seconds apart, so no two pairs overlap.
+/// Returns the plan and its degrade instants.
+fn crosser_churn_plan(fabric: &Topology, demands: &[FlowDemand]) -> (FaultPlan, Vec<f64>) {
+    let mut plan = FaultPlan::empty();
+    let mut degrades: Vec<f64> = Vec::new();
+    for d in demands {
+        let crosses = fabric.host_pod(d.src) != fabric.host_pod(d.dst);
+        let start = d.release.secs();
+        let after = degrades.last().map_or(3.0, |&t| t + 2.0);
+        if !crosses || start < after {
+            continue;
+        }
+        let link = fabric.route(d.src, d.dst)[3];
+        plan = plan
+            .with(
+                SimTime::new(start + 0.5),
+                FaultKind::LinkDegrade(link, 0.25),
+            )
+            .with(SimTime::new(start + 1.5), FaultKind::LinkRestore(link));
+        degrades.push(start + 0.5);
+    }
+    (plan, degrades)
+}
+
+/// The whole-fabric fallback under churn: ~200 Poisson flows on a k=8
+/// fat tree, ~10 % of them core-crossing, with degrade/restore pairs
+/// that land while crossers are live. Each fault forces a fabric fill
+/// over a stale-free capacity snapshot, wide enough for the bucket
+/// queue, in both recompute modes.
+#[test]
+fn crosspod_churn_matches_reference() {
+    let fabric = FatTree::new(8).build_fabric();
+    for seed in 0..3u64 {
+        let demands = crosspod_demands(0xC805 + seed, 200, 0.1);
+        let (plan, degrades) = crosser_churn_plan(&fabric, &demands);
+        assert!(degrades.len() >= 3, "seed {seed}: only {degrades:?}");
+        let label = format!("crosspod, seed {seed}");
+        let out = assert_pod_policy_matches_reference(&fabric, &demands, &plan, &label);
+        // Non-vacuity: at every degrade a crosser is live, so the
+        // fault-forced allocation is a fabric fill; it must carry more
+        // route hops than the narrow arm takes.
+        for &t in &degrades {
+            let hops: usize = demands
+                .iter()
+                .filter(|d| d.release.secs() <= t && out.finish(d.id).unwrap().secs() > t)
+                .map(|d| fabric.route(d.src, d.dst).len())
+                .sum();
+            assert!(
+                hops > NARROW_FILL_HOPS,
+                "seed {seed}: only {hops} route hops live at the degrade at t={t}"
+            );
+        }
     }
 }
 
