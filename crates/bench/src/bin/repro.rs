@@ -26,53 +26,50 @@ use echelon_paradigms::dag::CompKind;
 use echelon_paradigms::runtime::Grouping;
 use echelon_simnet::ids::NodeId;
 
+/// An experiment's command-line name and the function printing it.
+type Experiment = (&'static str, fn());
+
+/// Every experiment, in `repro all` order.
+const EXPERIMENTS: [Experiment; 15] = [
+    ("fig2", fig2),
+    ("table1", table1),
+    ("fig1", fig1),
+    ("fig6", fig6),
+    ("workflows", workflows),
+    ("prop1", prop1),
+    ("multijob", multijob),
+    ("ablations", ablations),
+    ("placement", placement),
+    ("jitter", jitter),
+    ("quantization", quantization),
+    ("hierarchy", hierarchy),
+    ("steady", steady_state),
+    ("churn", churn),
+    ("codesign", codesign),
+];
+
+/// The experiments `name` selects: the whole table for `all`, one entry
+/// for an experiment's name, `None` for anything else.
+fn select(name: &str) -> Option<&'static [Experiment]> {
+    if name == "all" {
+        return Some(&EXPERIMENTS);
+    }
+    let i = EXPERIMENTS.iter().position(|(n, _)| *n == name)?;
+    Some(&EXPERIMENTS[i..=i])
+}
+
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = arg == "all";
-    if all || arg == "fig2" {
-        fig2();
-    }
-    if all || arg == "table1" {
-        table1();
-    }
-    if all || arg == "fig1" {
-        fig1();
-    }
-    if all || arg == "fig6" {
-        fig6();
-    }
-    if all || arg == "workflows" {
-        workflows();
-    }
-    if all || arg == "prop1" {
-        prop1();
-    }
-    if all || arg == "multijob" {
-        multijob();
-    }
-    if all || arg == "ablations" {
-        ablations();
-    }
-    if all || arg == "placement" {
-        placement();
-    }
-    if all || arg == "jitter" {
-        jitter();
-    }
-    if all || arg == "quantization" {
-        quantization();
-    }
-    if all || arg == "hierarchy" {
-        hierarchy();
-    }
-    if all || arg == "steady" {
-        steady_state();
-    }
-    if all || arg == "churn" {
-        churn();
-    }
-    if all || arg == "codesign" {
-        codesign();
+    let Some(experiments) = select(&arg) else {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "repro: unknown experiment `{arg}`; expected `all` or one of: {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    };
+    for (_, run) in experiments {
+        run();
     }
 }
 
@@ -403,4 +400,27 @@ fn ablations() {
         t.row(vec![label, f(makespan)]);
     }
     print!("{}", t.render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_documented_name_resolves_and_no_other() {
+        let documented: Vec<&str> = include_str!("repro.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! repro "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(documented.len(), EXPERIMENTS.len() + 1, "{documented:?}");
+        for name in &documented {
+            assert!(select(name).is_some(), "`repro {name}` does not resolve");
+        }
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
+        assert!(select("bogus").is_none());
+    }
 }

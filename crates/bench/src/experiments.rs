@@ -1154,8 +1154,8 @@ pub fn codesign_experiment(seed: u64) -> Vec<PlacementCell> {
 
 /// [`codesign_experiment`] with an explicit sweep thread count. Results
 /// are bit-identical at any thread count (each cell is shared-nothing
-/// and generation happens before the fan-out) — `sched_bench
-/// --placement --smoke` gates on 1 vs 2 threads.
+/// and generation happens before the fan-out); the unit tests gate on
+/// 1 vs 2 threads and pin every cell's digest at seed 42.
 pub fn codesign_experiment_with(threads: usize, seed: u64) -> Vec<PlacementCell> {
     use echelon_cluster::churn::{random_fault_plan, ChurnConfig};
     use echelon_cluster::metrics::{percentile, placement_spread};
@@ -1376,6 +1376,40 @@ mod tests {
         for (sched, spread) in spreads {
             assert!(spread >= 0.0 && spread.is_finite(), "{sched}: {spread}");
         }
+    }
+
+    /// The E18 grid's completion digests at seed 42, one line per
+    /// `placement scheduler`: the clean run's digest, then the churned run's.
+    const CODESIGN_SEED42_DIGESTS: &str = "\
+packed fair 216fc993492af549 b933bcc055d815a9
+packed coflow f96d4c1b5756b9e6 ce8388fe48fe0977
+packed echelon 7e7e6ef2e80db5a8 a1c245c9c6ea3886
+scattered fair 5cf78a1573456855 c759e89e7bc9132d
+scattered coflow 6124ee9446006006 6124ee9446006006
+scattered echelon 875d6ba5f22714d9 be8f7eeafbc5b50e
+pod-packed fair 216fc993492af549 05f874b281b4a59b
+pod-packed coflow f96d4c1b5756b9e6 14cc20ae32c24e79
+pod-packed echelon 7e7e6ef2e80db5a8 e164c112b0796ca1
+phase-interleaved fair 216fc993492af549 05f874b281b4a59b
+phase-interleaved coflow f96d4c1b5756b9e6 14cc20ae32c24e79
+phase-interleaved echelon 7e7e6ef2e80db5a8 e164c112b0796ca1
+least-contended fair 216fc993492af549 b933bcc055d815a9
+least-contended coflow f96d4c1b5756b9e6 ce8388fe48fe0977
+least-contended echelon 7e7e6ef2e80db5a8 a1c245c9c6ea3886
+";
+
+    #[test]
+    fn codesign_grid_digests_are_pinned_at_seed_42() {
+        let rendered: String = codesign_experiment_with(2, 42)
+            .chunks(2)
+            .map(|pair| {
+                let (clean, churn) = (&pair[0], &pair[1]);
+                assert!(!clean.faulted && churn.faulted);
+                let (p, s) = (clean.placement, clean.scheduler);
+                format!("{p} {s} {:016x} {:016x}\n", clean.digest, churn.digest)
+            })
+            .collect();
+        assert_eq!(rendered, CODESIGN_SEED42_DIGESTS);
     }
 
     #[test]

@@ -1007,6 +1007,29 @@ mod tests {
         assert_eq!(open.digest, closed.digest);
     }
 
+    /// The same bound at stream scale: 2,000 Poisson jobs at offered
+    /// load 0.8 keep the echelon book's high-water mark under a quarter
+    /// of the groups offered.
+    #[test]
+    #[ignore = "2,000-job stream; run in release with --ignored"]
+    fn eviction_bounds_book_occupancy_on_a_long_stream() {
+        let c = cfg(0x0BE7, 2000, 16, 1.2 / 0.8);
+        let open = run(
+            &c,
+            16,
+            SchedulerKind::Echelon,
+            RecomputeMode::Incremental,
+            ServiceMode::Streaming,
+        );
+        let groups: usize = open.records.iter().map(|r| r.echelons.len()).sum();
+        assert!(open.peak_book_occupancy > 0, "book never held a group");
+        assert!(
+            open.peak_book_occupancy * 4 < groups,
+            "peak book occupancy {} not sublinear in {groups} offered groups",
+            open.peak_book_occupancy
+        );
+    }
+
     #[test]
     fn every_offered_job_finishes() {
         let c = cfg(5, 20, 8, 0.5);

@@ -106,13 +106,6 @@ pub struct PhaseTimings {
     pub bookkeeping_ns: u64,
 }
 
-impl PhaseTimings {
-    /// Sum of all phase counters.
-    pub fn total_ns(&self) -> u64 {
-        self.queue_ns + self.allocate_ns + self.write_back_ns + self.bookkeeping_ns
-    }
-}
-
 /// How [`WorkloadSource::allocate`]'s output buffer must be applied to
 /// the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,15 +323,6 @@ pub struct DriveStats {
 }
 
 impl DriveStats {
-    /// `dirty_links / occupied_links` (0.0 when nothing was occupied).
-    pub fn link_recompute_fraction(&self) -> f64 {
-        if self.occupied_links == 0 {
-            0.0
-        } else {
-            self.dirty_links as f64 / self.occupied_links as f64
-        }
-    }
-
     /// `pods_recomputed / pods_total` (0.0 when the policy never reported
     /// pod work — e.g. a non-pod policy, or a run with no allocations).
     pub fn pod_recompute_fraction(&self) -> f64 {
@@ -779,7 +763,6 @@ mod tests {
         // policy) has no occupied links and no pod work.
         let stats = DriveStats::default();
         assert_eq!(stats.occupied_links, 0);
-        assert_eq!(stats.link_recompute_fraction(), 0.0);
         assert_eq!(stats.pods_total, 0);
         assert_eq!(stats.pod_recompute_fraction(), 0.0);
     }

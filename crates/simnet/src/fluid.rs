@@ -113,7 +113,7 @@ pub struct FluidNetwork {
     /// [`Self::set_rates_dense`] / [`Self::set_rates`] calls.
     links_dirty: usize,
     /// Occupied-link count at each rate application, summed likewise —
-    /// the denominator of the `link_recompute_fraction` benchmark counter.
+    /// the denominator of the link-recompute fraction.
     links_occupied: usize,
     /// Per-resource generation stamp deduplicating `links_dirty` within
     /// one rate application.
@@ -356,7 +356,7 @@ impl FluidNetwork {
     /// `(dirty, occupied)` link counters summed over rate applications:
     /// `dirty` counts distinct links touched by a bitwise rate change per
     /// application, `occupied` the links carrying at least one flow. Their
-    /// ratio is the `link_recompute_fraction` reported by `sched_bench`.
+    /// ratio is the run's link-recompute fraction.
     pub fn link_stats(&self) -> (usize, usize) {
         (self.links_dirty, self.links_occupied)
     }

@@ -1,0 +1,210 @@
+//! Pinned completion digests for pod-local flows on fat trees under
+//! [`PodMaxMinPolicy`], with tracing, feasibility checks and link counters
+//! off. Each scenario asserts that every flow completes, that peak
+//! concurrency reaches its floor, that turning the phase timers on records
+//! phase time without changing the digest, and that the digest equals the
+//! committed value. The full-size scenarios are `#[ignore]`d; run them with
+//! `cargo test --release --test scale_digests -- --ignored`.
+
+use echelon_detrand::DetRng;
+use echelonflow::simnet::driver::{DriveConfig, PhaseTimings};
+use echelonflow::simnet::fattree::FatTree;
+use echelonflow::simnet::flow::FlowDemand;
+use echelonflow::simnet::fluid::NextCompletionMode;
+use echelonflow::simnet::ids::{FlowId, NodeId};
+use echelonflow::simnet::runner::{
+    run_flows_configured, FlowOutcomes, PodMaxMinPolicy, RecomputeMode,
+};
+use echelonflow::simnet::time::SimTime;
+
+/// How a scale scenario's releases are spread over time: uniformly in
+/// `[0, window)`, or as a Poisson process with the given mean gap.
+enum Arrival {
+    Uniform { window: f64 },
+    Poisson { mean_gap: f64 },
+}
+
+struct ScaleSpec {
+    k: usize,
+    flows_per_pod: usize,
+    arrival: Arrival,
+    size_lo: f64,
+    size_hi: f64,
+    /// Lower bound asserted on the peak concurrent flow count.
+    min_peak_active: usize,
+}
+
+/// Pod-local demands on a fat-tree: every flow stays inside its pod, so
+/// the allocator's per-pod dirty sets are non-trivial and the
+/// whole-fabric fallback never triggers.
+fn scale_demands(spec: &ScaleSpec) -> Vec<FlowDemand> {
+    let half = spec.k / 2;
+    let hosts_per_pod = half * half;
+    let total = spec.k * spec.flows_per_pod;
+    let mut demands = Vec::with_capacity(total);
+    let mut next_id = 0u64;
+    match spec.arrival {
+        Arrival::Uniform { window } => {
+            let mut rng = DetRng::seed_from_u64(0x5CA1E + spec.k as u64);
+            for pod in 0..spec.k {
+                let base = pod * hosts_per_pod;
+                for _ in 0..spec.flows_per_pod {
+                    let src = rng.usize_range_inclusive(0, hosts_per_pod - 1);
+                    let dst_raw = rng.usize_range_inclusive(0, hosts_per_pod - 2);
+                    let dst = if dst_raw >= src { dst_raw + 1 } else { dst_raw };
+                    demands.push(FlowDemand {
+                        id: FlowId(next_id),
+                        src: NodeId((base + src) as u32),
+                        dst: NodeId((base + dst) as u32),
+                        size: rng.f64_range(spec.size_lo, spec.size_hi),
+                        release: SimTime::new(rng.f64_range(0.0, window)),
+                    });
+                    next_id += 1;
+                }
+            }
+        }
+        Arrival::Poisson { mean_gap } => {
+            // Different seed constant than the uniform arm so the two
+            // k=16 rows exercise independent draws.
+            let mut rng = DetRng::seed_from_u64(0x57A66 + spec.k as u64);
+            let mut t = 0.0f64;
+            for _ in 0..total {
+                let u = rng.f64_range(0.0, 1.0);
+                t += -mean_gap * (1.0 - u).ln();
+                let pod = rng.usize_range_inclusive(0, spec.k - 1);
+                let base = pod * hosts_per_pod;
+                let src = rng.usize_range_inclusive(0, hosts_per_pod - 1);
+                let dst_raw = rng.usize_range_inclusive(0, hosts_per_pod - 2);
+                let dst = if dst_raw >= src { dst_raw + 1 } else { dst_raw };
+                demands.push(FlowDemand {
+                    id: FlowId(next_id),
+                    src: NodeId((base + src) as u32),
+                    dst: NodeId((base + dst) as u32),
+                    size: rng.f64_range(spec.size_lo, spec.size_hi),
+                    release: SimTime::new(t),
+                });
+                next_id += 1;
+            }
+        }
+    }
+    demands
+}
+
+/// FNV-style digest over the completion map (deterministic iteration
+/// order): the byte-identity witness for scale runs, where full rate
+/// traces are too large to keep.
+fn completion_digest(out: &FlowOutcomes) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for (id, c) in out.completions() {
+        for word in [id.0, c.finish.secs().to_bits(), c.size.to_bits()] {
+            h ^= word;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// Runs `spec` with the phase timers off and on, checks the floor and
+/// the timing identity, and asserts the digest equals `pinned` (hex).
+fn assert_pinned(spec: ScaleSpec, pinned: &str) {
+    let topo = FatTree::new(spec.k).build_fabric();
+    let demands = scale_demands(&spec);
+    let run = |profile: bool| {
+        let mut policy = PodMaxMinPolicy::new();
+        let config = DriveConfig {
+            next_completion: NextCompletionMode::Calendar,
+            feasibility_checks: false,
+            trace: false,
+            profile,
+            link_stats: false,
+        };
+        run_flows_configured(
+            &topo,
+            demands.clone(),
+            &mut policy,
+            RecomputeMode::Incremental,
+            config,
+        )
+    };
+    let timed = run(false);
+    assert_eq!(timed.completions().len(), demands.len(), "flows lost");
+    let peak = timed.drive_stats().peak_active;
+    assert!(peak >= spec.min_peak_active, "peak_active {peak}");
+    let profiled = run(true);
+    assert_ne!(profiled.drive_stats().phase, PhaseTimings::default());
+    let digest = completion_digest(&timed);
+    assert_eq!(completion_digest(&profiled), digest, "profiled run");
+    assert_eq!(format!("{digest:016x}"), pinned);
+}
+
+#[test]
+fn k8_smoke_burst_digest_is_pinned() {
+    let spec = ScaleSpec {
+        k: 8,
+        flows_per_pod: 60,
+        arrival: Arrival::Uniform { window: 1.0 },
+        size_lo: 0.5,
+        size_hi: 1.5,
+        min_peak_active: 64,
+    };
+    assert_pinned(spec, "1cfdc92157f75eda");
+}
+
+#[test]
+fn k8_smoke_spread_digest_is_pinned() {
+    let spec = ScaleSpec {
+        k: 8,
+        flows_per_pod: 120,
+        arrival: Arrival::Uniform { window: 4.0 },
+        size_lo: 0.3,
+        size_hi: 0.9,
+        min_peak_active: 32,
+    };
+    assert_pinned(spec, "fc73076793ae00d5");
+}
+
+/// Saturation: ≥10k flows in flight at once.
+#[test]
+#[ignore = "full-size scale row; run in release with --ignored"]
+fn k16_burst_digest_is_pinned() {
+    let spec = ScaleSpec {
+        k: 16,
+        flows_per_pod: 800,
+        arrival: Arrival::Uniform { window: 1.0 },
+        size_lo: 0.5,
+        size_hi: 1.5,
+        min_peak_active: 10_000,
+    };
+    assert_pinned(spec, "73c77269a7769748");
+}
+
+/// 10⁵ flows streamed across 8,192 hosts.
+#[test]
+#[ignore = "full-size scale row; run in release with --ignored"]
+fn k32_trickle_digest_is_pinned() {
+    let spec = ScaleSpec {
+        k: 32,
+        flows_per_pod: 3200,
+        arrival: Arrival::Uniform { window: 300.0 },
+        size_lo: 0.2,
+        size_hi: 0.6,
+        min_peak_active: 64,
+    };
+    assert_pinned(spec, "bba2343c68164add");
+}
+
+/// Between the two uniform extremes: Poisson arrivals hold a few hundred
+/// flows in flight, so completions interleave with releases.
+#[test]
+#[ignore = "full-size scale row; run in release with --ignored"]
+fn k16_staggered_digest_is_pinned() {
+    let spec = ScaleSpec {
+        k: 16,
+        flows_per_pod: 800,
+        arrival: Arrival::Poisson { mean_gap: 0.002 },
+        size_lo: 0.5,
+        size_hi: 1.5,
+        min_peak_active: 128,
+    };
+    assert_pinned(spec, "91de76748782197e");
+}
