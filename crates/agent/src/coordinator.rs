@@ -14,7 +14,10 @@
 //!   order, so newly arrived flows are served at stale priorities until
 //!   the next recomputation — trading decision freshness for coordinator
 //!   load, the scalability lever the paper proposes to exploit for
-//!   iterative DDLT jobs.
+//!   iterative DDLT jobs. Under `PerGroupChange` and `Interval` a
+//!   decision's own rates stand until the flow set changes, a fault
+//!   strikes or the next decision may come due, however many other
+//!   events (computation completions, say) pass in between.
 //! - **Control latency**: flows younger than
 //!   [`CoordinatorConfig::control_latency`] have not completed the
 //!   agent → coordinator round-trip yet; until then they receive only
@@ -24,8 +27,8 @@
 //! (`out[i]` rates `flows[i]` of the id-sorted active slice; see
 //! [`echelon_simnet::alloc`]): the engine writes straight into the
 //! driver's buffer with the driver's scratch, and the decision cache, the
-//! between-decisions cache and the fresh-flow backfill stay dense too. The
-//! map entry points of [`RatePolicy`] are adapters over the dense ones.
+//! held decision and the fresh-flow backfill stay dense too. The map
+//! entry points of [`RatePolicy`] are adapters over the dense ones.
 
 use crate::api::EchelonRequest;
 use echelon_core::echelon::EchelonFlow;
@@ -176,7 +179,7 @@ impl Coordinator {
             decisions_computed: 0,
             group_counts: BTreeMap::new(),
             counts_valid: false,
-            cached_between: BetweenCache::default(),
+            held: HeldDecision::default(),
             outage: false,
             pending_register: Vec::new(),
             rejected_registrations: 0,
@@ -189,13 +192,16 @@ impl Coordinator {
     }
 }
 
-/// [`CoordinatedPolicy`]'s between-decisions cache. Its buffers persist
-/// across invalidations, so refilling it reuses their capacity.
+/// The last decision's rates and the flows they were computed for. Its
+/// buffers persist across decisions, so recording one reuses their
+/// capacity.
 #[derive(Debug, Default)]
-struct BetweenCache {
-    valid: bool,
+struct HeldDecision {
+    /// Allocations before this time (seconds) over the same flows serve
+    /// `rates` unchanged; `None` when nothing is held.
+    until: Option<f64>,
+    ids: Vec<FlowId>,
     rates: Vec<f64>,
-    fresh: Vec<FlowId>,
 }
 
 /// The coordinator's scheduling decision applied as a [`RatePolicy`].
@@ -221,17 +227,10 @@ pub struct CoordinatedPolicy {
     group_counts: BTreeMap<EchelonId, usize>,
     /// Whether `group_counts` has been initialised from a full scan.
     counts_valid: bool,
-    /// Between-decisions cache: the last (dense) allocation returned
-    /// while no decision was due, plus the fresh-flow ids it was computed
-    /// for. Valid while the flow set, the known/fresh split, *and the link
-    /// capacities* are unchanged (`priority_fill`/`waterfill` depend on
-    /// routes and capacities, not on remaining bytes, so the naive
-    /// recompute would reproduce it). Capacity changes arrive as faults:
-    /// [`Self::on_fault`] drops the cache — before that hook existed the
-    /// cache was keyed only on the flow set and silently served pre-fault
-    /// rates after a link degradation (the stale-cache defect the fault
-    /// differential suite was built to expose).
-    cached_between: BetweenCache,
+    /// The decision the agents keep enforcing between triggers (see
+    /// [`Self::hold`]). Every fault voids it, and so does
+    /// [`RatePolicy::release_held`].
+    held: HeldDecision,
     /// True between [`FaultKind::CoordinatorDown`] and
     /// [`FaultKind::CoordinatorUp`]: no decisions are computed and every
     /// flow gets plain fair-share bandwidth (the agents' local fallback —
@@ -418,7 +417,6 @@ impl CoordinatedPolicy {
     ) {
         self.last_decision = Some(now);
         self.decisions_computed += 1;
-        self.cached_between.valid = false;
         debug_assert!(!(cached && any_fresh), "the engine cache covers every flow");
         if any_fresh {
             self.engine
@@ -441,6 +439,57 @@ impl CoordinatedPolicy {
         if any_fresh {
             self.backfill_fresh(flows, topo, ws, out);
         }
+        self.hold(now, flows, out);
+    }
+
+    /// Records a decision's `rates` for `flows` as the answer the agents
+    /// keep enforcing until the flow set changes, a fault strikes, or the
+    /// trigger may fire:
+    ///
+    /// - `PerGroupChange`: no decision can come due while the flows stay
+    ///   the same;
+    /// - `Interval(dt)`: until just before the next decision is due (the
+    ///   1 µs margin keeps clear of `decision_due`'s own rounding);
+    /// - `PerEvent`, or any trigger with control latency: nothing is
+    ///   held, since every event may bring a decision or a flow
+    ///   graduating from fresh to known.
+    ///
+    /// The cached order's priority fill differs from the decision's rates
+    /// for the same flows, so holding is a choice, not a cache. Every
+    /// other allocation is a deterministic function of the flows, the
+    /// known/fresh split and the link capacities, so it is recomputed.
+    fn hold(&mut self, now: SimTime, flows: &[ActiveFlowView], rates: &[f64]) {
+        let until = if self.config.control_latency > 0.0 {
+            None
+        } else {
+            match self.config.trigger {
+                Trigger::PerEvent => None,
+                Trigger::PerGroupChange => Some(f64::INFINITY),
+                Trigger::Interval(dt) => Some(now.secs() + dt - 1e-6),
+            }
+        };
+        let held = &mut self.held;
+        held.until = until;
+        if until.is_some() {
+            held.ids.clear();
+            held.ids.extend(flows.iter().map(|v| v.id));
+            held.rates.clear();
+            held.rates.extend_from_slice(rates);
+        }
+    }
+
+    /// Serves the held decision into `out` if it covers this allocation:
+    /// the same flows as when it was made, no fault since, and the
+    /// trigger's window still open.
+    fn serve_held(&self, now: SimTime, flows: &[ActiveFlowView], out: &mut Vec<f64>) -> bool {
+        let held = &self.held;
+        let covered = held.until.is_some_and(|t| now.secs() < t)
+            && flows.len() == held.ids.len()
+            && flows.iter().zip(&held.ids).all(|(v, &id)| v.id == id);
+        if covered {
+            out.clone_from(&held.rates);
+        }
+        covered
     }
 
     /// Control-latency split: stamps first-seen times and sorts the
@@ -566,6 +615,9 @@ impl RatePolicy for CoordinatedPolicy {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
+        if self.serve_held(now, flows, out) {
+            return;
+        }
         // Queued live registrations land before the observation pass so
         // a head flow releasing this very event still binds its group's
         // reference.
@@ -606,6 +658,9 @@ impl RatePolicy for CoordinatedPolicy {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
+        if self.serve_held(now, flows, out) {
+            return;
+        }
         self.flush_pending();
         self.update_group_counts(flows, delta);
         // Without control latency every flow is immediately known, so the
@@ -617,7 +672,7 @@ impl RatePolicy for CoordinatedPolicy {
         // coordinator returns). With control latency the known set
         // changes as flows age in ways a flow delta does not capture, so
         // the engine runs its full path on the known subset; group
-        // counting and the between-decisions cache still apply. Observe
+        // counting still applies. Observe
         // the *whole* slice first (fresh flows included) so reference
         // binding matches the naive path, which observes every event.
         let cached = self.config.control_latency <= 0.0;
@@ -635,81 +690,33 @@ impl RatePolicy for CoordinatedPolicy {
             self.last_groups.extend(self.group_counts.keys().copied());
             return self.decide(now, flows, any_fresh, cached, topo, ws, out);
         }
-        // Between decisions with an unchanged flow set and known/fresh
-        // split, the cached allocation is exactly what the naive path
-        // would recompute.
-        let cache = &self.cached_between;
-        if delta.is_empty() && cache.valid && cache.fresh == self.fresh {
-            out.clone_from(&cache.rates);
-            return;
-        }
         self.between_decisions(flows, any_fresh, topo, ws, out);
-        let cache = &mut self.cached_between;
-        cache.rates.clone_from(out);
-        cache.fresh.clone_from(&self.fresh);
-        cache.valid = true;
     }
 
-    /// Between decisions the coordinator serves a *frozen* priority order
-    /// (plus a static fill for fresh flows), so its rates only move when
-    /// the flow set changes or the next decision fires. With a control
-    /// latency, flows graduate from fresh to known as their observations
-    /// land — a time-driven rate change no horizon can cover.
+    /// Every fault voids the held decision: link faults change the
+    /// capacities it was computed against, and a coordinator outage
+    /// switches agents to fair share. Recovery also forces a fresh
+    /// decision at the next allocation.
     fn on_fault(&mut self, _now: SimTime, fault: &FaultKind) {
+        self.held.until = None;
         match fault {
-            FaultKind::LinkDown(_) | FaultKind::LinkRestore(_) | FaultKind::LinkDegrade(..) => {
-                // `cached_between` was computed against pre-fault
-                // capacities; priority_fill/waterfill results change with
-                // them. Without this invalidation the incremental path
-                // kept serving stale (possibly now-infeasible) rates
-                // after capacity churn while the naive path recomputed —
-                // the pre-existing stale-cache defect this PR fixes.
-                self.cached_between.valid = false;
-            }
-            FaultKind::CoordinatorDown => {
-                self.outage = true;
-                self.cached_between.valid = false;
-            }
+            FaultKind::CoordinatorDown => self.outage = true,
             FaultKind::CoordinatorUp => {
                 self.outage = false;
-                self.cached_between.valid = false;
                 // The recovered coordinator has no trustworthy decision:
                 // force a fresh one at the next allocation, whatever the
                 // trigger.
                 self.last_decision = None;
             }
-            FaultKind::WorkerSlowdown { .. } => {}
+            FaultKind::LinkDown(_)
+            | FaultKind::LinkRestore(_)
+            | FaultKind::LinkDegrade(..)
+            | FaultKind::WorkerSlowdown { .. } => {}
         }
     }
 
-    fn horizon(
-        &self,
-        _now: SimTime,
-        _flows: &[ActiveFlowView],
-        _rates: &[f64],
-    ) -> echelon_simnet::runner::AllocHorizon {
-        use echelon_simnet::runner::AllocHorizon;
-        if self.outage {
-            // Fair share depends only on routes and capacities; any fault
-            // (including CoordinatorUp) resets the certificate in the
-            // driver, so this is safe across the whole outage window.
-            return AllocHorizon::UntilFlowChange;
-        }
-        if self.config.control_latency > 0.0 {
-            return AllocHorizon::NextEvent;
-        }
-        match self.config.trigger {
-            Trigger::PerEvent => AllocHorizon::NextEvent,
-            Trigger::PerGroupChange => AllocHorizon::UntilFlowChange,
-            Trigger::Interval(dt) => match self.last_decision {
-                // The margin keeps the certification conservative against
-                // float non-associativity between this bound and
-                // `decision_due`'s own `now - t0 + 1e-12 >= dt` predicate;
-                // recomputing early just re-evaluates that predicate.
-                Some(t0) => AllocHorizon::Until(SimTime::new(t0.secs() + dt - 1e-6)),
-                None => AllocHorizon::NextEvent,
-            },
-        }
+    fn release_held(&mut self) {
+        self.held.until = None;
     }
 
     fn name(&self) -> &'static str {
@@ -997,6 +1004,42 @@ mod tests {
         );
     }
 
+    /// Between triggers the agents keep the decision: a `PerGroupChange`
+    /// decision's rates are held while the flows stay the same, although
+    /// the cached order's priority fill differs from them. A fault or
+    /// [`RatePolicy::release_held`] voids the held decision without
+    /// forcing a new one.
+    #[test]
+    fn decision_is_held_while_flows_are_unchanged() {
+        let dag = fig2_dag();
+        let topo = Topology::chain(2, 1.0);
+        let views = views_of(&dag, &topo);
+        let cfg = CoordinatorConfig {
+            trigger: Trigger::PerGroupChange,
+            intra: IntraMode::Equalize,
+            ..CoordinatorConfig::default()
+        };
+        let slowdown = FaultKind::WorkerSlowdown {
+            worker: views[0].src,
+            factor: 2.0,
+        };
+        let mut policy = policy_with(cfg, &dag);
+        let decided = policy.allocate(SimTime::ZERO, &views, &topo);
+        let held = policy.allocate(SimTime::new(0.5), &views, &topo);
+        assert_eq!(held, decided, "the decision was not held");
+        policy.on_fault(SimTime::new(0.5), &slowdown);
+        let filled = policy.allocate(SimTime::new(0.5), &views, &topo);
+        assert_ne!(filled, decided, "priority fill matched the decision");
+        assert_eq!(policy.decisions_computed(), 1);
+
+        let mut policy = policy_with(cfg, &dag);
+        let _ = policy.allocate(SimTime::ZERO, &views, &topo);
+        policy.release_held();
+        let released = policy.allocate(SimTime::new(0.5), &views, &topo);
+        assert_eq!(released, filled);
+        assert_eq!(policy.decisions_computed(), 1);
+    }
+
     /// During a coordinator outage the policy serves plain fair share (no
     /// stale priority order), and recovery forces a fresh decision.
     #[test]
@@ -1015,10 +1058,6 @@ mod tests {
         assert_eq!(rates, fair, "outage allocation is not plain fair share");
         // No decision ran during the outage.
         assert_eq!(policy.decisions_computed(), 1);
-        assert_eq!(
-            policy.horizon(SimTime::new(1.0), &views, &[]),
-            echelon_simnet::runner::AllocHorizon::UntilFlowChange
-        );
 
         policy.on_fault(SimTime::new(2.0), &FaultKind::CoordinatorUp);
         let _ = policy.allocate(SimTime::new(2.0), &views, &topo);

@@ -93,6 +93,9 @@ pub fn quantize_to_queues(
 /// Replays an inner policy's allocation through priority-queue
 /// quantization: the inner policy's exact rates pick each flow's queue,
 /// and the actual bandwidth division is weighted max-min by queue weight.
+/// The queues are re-derived from the inner policy's fresh answer at
+/// every event: the inner policy is told to release any answer it holds
+/// ([`RatePolicy::release_held`]) before each allocation.
 pub struct QueueEnforcedPolicy<P> {
     inner: P,
     config: QueueConfig,
@@ -187,6 +190,7 @@ impl<P: RatePolicy> RatePolicy for QueueEnforcedPolicy<P> {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
+        self.inner.release_held();
         self.inner
             .allocate_dense(now, flows, topo, ws, &mut self.exact);
         self.enforce(flows, topo, ws, out);
@@ -201,6 +205,7 @@ impl<P: RatePolicy> RatePolicy for QueueEnforcedPolicy<P> {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
+        self.inner.release_held();
         self.inner
             .allocate_dense_incremental(now, flows, delta, topo, ws, &mut self.exact);
         self.enforce(flows, topo, ws, out);

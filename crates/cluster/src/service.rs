@@ -54,7 +54,7 @@ use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::NodeId;
-use echelon_simnet::runner::{AllocHorizon, MaxMinPolicy, RatePolicy, RecomputeMode};
+use echelon_simnet::runner::{MaxMinPolicy, RatePolicy, RecomputeMode};
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
 use std::cell::RefCell;
@@ -758,10 +758,6 @@ impl RatePolicy for ServicePolicy {
         self.engine_mut()
             .allocate_dense_incremental(now, flows, delta, topo, ws, out);
         self.apply_evictions(flows);
-    }
-
-    fn horizon(&self, now: SimTime, flows: &[ActiveFlowView], rates: &[f64]) -> AllocHorizon {
-        self.engine_ref().horizon(now, flows, rates)
     }
 
     fn on_fault(&mut self, now: SimTime, fault: &FaultKind) {

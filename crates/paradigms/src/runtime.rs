@@ -30,9 +30,7 @@ use echelon_core::JobId;
 use echelon_sched::echelon::EchelonMadd;
 use echelon_sched::varys::VarysMadd;
 use echelon_simnet::alloc::AllocScratch;
-use echelon_simnet::driver::{
-    drive, drive_faulted, DriveStats, RateApply, RecomputeCadence, WorkloadSource,
-};
+use echelon_simnet::driver::{drive, drive_faulted, DriveStats, RateApply, WorkloadSource};
 use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::{FlowCompletion, FlowDemand};
 use echelon_simnet::fluid::FluidNetwork;
@@ -190,8 +188,8 @@ pub struct RunResult {
     /// Per-flow release/rate/finish trace (regenerates the rate series of
     /// the paper's Fig. 2 sub-figures).
     pub trace: FlowTrace,
-    /// Driver counters: rate recomputations performed and events skipped
-    /// under the policy-reported recompute horizon.
+    /// Driver counters: rate recomputations (one per event batch with
+    /// active flows), event batching and faults.
     pub stats: DriveStats,
 }
 
@@ -294,9 +292,6 @@ struct JobSource<'a> {
     comms_done: usize,
     total_comps: usize,
     total_comms: usize,
-    /// Force [`RecomputeCadence::EveryEvent`], ignoring policy horizons.
-    /// The every-event reference run for the horizon differential tests.
-    force_every_event: bool,
     /// Per-worker compute slowdown multipliers from
     /// [`FaultKind::WorkerSlowdown`] faults (absent = 1.0). Applied to
     /// the duration of units started after the fault and to the remaining
@@ -335,7 +330,6 @@ impl<'a> JobSource<'a> {
             comms_done: 0,
             total_comps: 0,
             total_comms: 0,
-            force_every_event: false,
             slow_factor: BTreeMap::new(),
             result: RunResult {
                 comp_spans: BTreeMap::new(),
@@ -821,26 +815,6 @@ impl WorkloadSource for JobSource<'_> {
         }
     }
 
-    /// Unlike the pure-flow runner, rates may need recomputing at events
-    /// that leave the flow set unchanged (computation completions pass
-    /// time, and tardiness-driven orderings shift as time passes). The
-    /// policy knows best: under [`RecomputeCadence::PolicyHorizon`] the
-    /// driver asks [`RatePolicy::horizon`] after each recomputation and
-    /// skips allocation until the horizon passes or the flow set changes.
-    /// Policies that cannot certify a horizon (the MADD engines, whose
-    /// remaining-proportional rates are not a floating-point fixed point)
-    /// keep the default [`AllocHorizon::NextEvent`][horizon] and behave
-    /// exactly as before.
-    ///
-    /// [horizon]: echelon_simnet::runner::AllocHorizon::NextEvent
-    fn cadence(&self) -> RecomputeCadence {
-        if self.force_every_event {
-            RecomputeCadence::EveryEvent
-        } else {
-            RecomputeCadence::PolicyHorizon
-        }
-    }
-
     /// The source records releases/rates/finishes into its own
     /// [`RunResult`] trace (the driver's copy would duplicate it).
     fn wants_trace(&self) -> bool {
@@ -866,9 +840,9 @@ impl WorkloadSource for JobSource<'_> {
         }
         // Record the applied rates here (rather than via the driver's
         // trace) so the trace lands in the same [`RunResult`] as the rest
-        // of the bookkeeping. Horizon-skipped events record nothing; the
-        // every-event reference records bit-identical rates there, which
-        // `record_rate`'s dedup drops — so the traces stay identical.
+        // of the bookkeeping. `record_rate` drops a rate identical to the
+        // flow's previous one, so an event that leaves a flow's rate
+        // unchanged records nothing for it.
         for (v, &rate) in flows.iter().zip(out.iter()) {
             self.result.trace.record_rate(now, v, rate.max(0.0));
         }
@@ -985,22 +959,6 @@ pub fn run_jobs_arriving(
     run_jobs_impl(topo, dags, arrivals.to_vec(), policy, mode)
 }
 
-/// Like [`run_jobs_with`], but forcing a rate recomputation at every
-/// event, ignoring any [`horizon`](RatePolicy::horizon) the policy
-/// reports. This is the reference run for the horizon differential
-/// tests: its trace must be bit-identical to the horizon-skipping run of
-/// [`run_jobs_with`].
-pub fn run_jobs_every_event(
-    topo: &Topology,
-    dags: &[&JobDag],
-    policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
-) -> RunResult {
-    let mut source = JobSource::new(dags, vec![SimTime::ZERO; dags.len()]);
-    source.force_every_event = true;
-    finish_run(drive(topo, &mut source, policy, mode), source)
-}
-
 /// [`run_jobs_with`] under an injected [`FaultPlan`]: link churn,
 /// coordinator outages, and worker slowdowns strike at their scheduled
 /// times while the jobs run (see [`echelon_simnet::fault`]).
@@ -1018,20 +976,6 @@ pub fn run_jobs_faulted(
     plan: &FaultPlan,
 ) -> RunResult {
     let mut source = JobSource::new(dags, vec![SimTime::ZERO; dags.len()]);
-    finish_run(drive_faulted(topo, &mut source, policy, mode, plan), source)
-}
-
-/// [`run_jobs_faulted`] forcing a rate recomputation at every event — the
-/// naive full-recompute reference for the fault differential suite.
-pub fn run_jobs_faulted_every_event(
-    topo: &Topology,
-    dags: &[&JobDag],
-    policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
-    plan: &FaultPlan,
-) -> RunResult {
-    let mut source = JobSource::new(dags, vec![SimTime::ZERO; dags.len()]);
-    source.force_every_event = true;
     finish_run(drive_faulted(topo, &mut source, policy, mode, plan), source)
 }
 

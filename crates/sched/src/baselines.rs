@@ -9,7 +9,7 @@ use echelon_simnet::alloc::{alloc_via_dense, priority_fill_dense, AllocScratch, 
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
-use echelon_simnet::runner::{AllocHorizon, RatePolicy};
+use echelon_simnet::runner::RatePolicy;
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
 
@@ -54,13 +54,6 @@ impl RatePolicy for FifoPolicy {
         out: &mut Vec<f64>,
     ) {
         self.allocate_dense(now, flows, topo, ws, out);
-    }
-
-    /// The FIFO order depends only on release times and ids, and the
-    /// greedy fill only on routes and capacities — neither moves with
-    /// time, so the allocation holds until the flow set changes.
-    fn horizon(&self, _now: SimTime, _flows: &[ActiveFlowView], _rates: &[f64]) -> AllocHorizon {
-        AllocHorizon::UntilFlowChange
     }
 
     fn name(&self) -> &'static str {
@@ -108,42 +101,6 @@ impl RatePolicy for SrptPolicy {
         out: &mut Vec<f64>,
     ) {
         self.allocate_dense(now, flows, topo, ws, out);
-    }
-
-    /// The greedy fill depends only on the priority order, so the
-    /// allocation stays valid until two flows swap places in the
-    /// remaining-bytes sort. Under the current rates each gap shrinks
-    /// linearly, so the first crossing is computable in closed form; the
-    /// margin keeps the certification conservative against accumulated
-    /// float rounding in the actual remaining-bytes evolution (an early
-    /// recompute is always safe — it just re-derives the same order).
-    fn horizon(&self, now: SimTime, flows: &[ActiveFlowView], rates: &[f64]) -> AllocHorizon {
-        const MARGIN: f64 = 1e-6;
-        let mut idx: Vec<usize> = (0..flows.len()).collect();
-        idx.sort_by(|&a, &b| {
-            flows[a]
-                .remaining
-                .total_cmp(&flows[b].remaining)
-                .then(flows[a].id.cmp(&flows[b].id))
-        });
-        let mut first: Option<f64> = None;
-        for pair in idx.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            let (ra, rb) = (rates[a], rates[b]);
-            if rb <= ra {
-                continue; // the gap never shrinks: no crossing
-            }
-            let gap = flows[b].remaining - flows[a].remaining;
-            let dt = gap / (rb - ra);
-            if dt <= MARGIN {
-                return AllocHorizon::NextEvent; // crossing is imminent
-            }
-            first = Some(first.map_or(dt, |cur: f64| cur.min(dt)));
-        }
-        match first {
-            None => AllocHorizon::UntilFlowChange,
-            Some(dt) => AllocHorizon::Until(SimTime::new(now.secs() + dt - MARGIN)),
-        }
     }
 
     fn name(&self) -> &'static str {

@@ -5,20 +5,20 @@
 //! alternates the same four steps: release whatever is due, ask the
 //! policy to (re)allocate rates, advance to the next event, and hand
 //! completions back to the workload. [`drive`] owns that skeleton once:
-//! delta draining, the dirty-flag allocation skip, relative-delta time
+//! delta draining, same-instant event batching, relative-delta time
 //! stepping, deadlock detection with actionable diagnostics, and trace
-//! recording. The parts that differ per workload live behind
+//! recording. It has one recompute rule, the fluid model's: rates are
+//! reallocated at every event batch that has active flows, and held
+//! constant in between. The parts that differ per workload live behind
 //! [`WorkloadSource`]:
 //!
 //! - the static demand runner ([`crate::runner::run_flows_with`]) releases
-//!   flows at fixed times and skips allocations while the flow set is
-//!   unchanged;
+//!   flows at fixed times;
 //! - the chunk-quantized validator ([`crate::quantized`]) chains chunk
 //!   releases off completions and presents chunks to the policy under
 //!   their parents' identities;
-//! - the DAG runtime (`echelon-paradigms`) completes computation units,
-//!   cascades newly ready communication stages, and recomputes rates at
-//!   every event because tardiness orderings shift with time;
+//! - the DAG runtime (`echelon-paradigms`) completes computation units
+//!   and cascades newly ready communication stages;
 //! - the cluster scenario layer adds per-job admission times on top of
 //!   the DAG runtime.
 //!
@@ -30,7 +30,7 @@ use crate::alloc::AllocScratch;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::flow::{ActiveFlowView, FlowCompletion};
 use crate::fluid::{FlowDelta, FluidNetwork, NextCompletionMode};
-use crate::runner::{AllocHorizon, RatePolicy, RecomputeMode};
+use crate::runner::{RatePolicy, RecomputeMode};
 use crate::time::{SimTime, EPS};
 use crate::topology::Topology;
 use crate::trace::{FlowTrace, TraceEventKind};
@@ -89,8 +89,7 @@ impl Default for DriveConfig {
 ///   ([`WorkloadSource::allocate`]);
 /// - **write-back**: applying the dense rates to the network
 ///   ([`FluidNetwork::set_rates_dense`] — bitwise change detection, due
-///   re-derivation, calendar upserts), plus the post-allocation horizon
-///   query and rate-trace recording;
+///   re-derivation, calendar upserts), plus rate-trace recording;
 /// - **bookkeeping**: everything else — fault application, releases,
 ///   byte transfer + completion collection ([`FluidNetwork::advance`]),
 ///   and completion hand-back to the source.
@@ -120,25 +119,10 @@ pub enum RateApply {
     Sparse,
 }
 
-/// When the driver recomputes rates for a workload (beyond the always-on
-/// trigger of a changed flow set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecomputeCadence {
-    /// Recompute only when the flow set changed (static demand sets: the
-    /// previous rates stay valid between releases and completions).
-    OnFlowChange,
-    /// Recompute at every event, unconditionally (chunk semantics, or
-    /// reference runs for the differential tests).
-    EveryEvent,
-    /// Ask the policy for an [`AllocHorizon`] after each allocation and
-    /// skip recomputes inside it. Policies that cannot bound their
-    /// validity report [`AllocHorizon::NextEvent`], degrading gracefully
-    /// to `EveryEvent` behaviour.
-    PolicyHorizon,
-}
-
 /// A workload plugged into [`drive`]: where flows come from, what happens
-/// when they finish, and when the workload is over.
+/// when they finish, and when the workload is over. The driver allocates
+/// at every event batch that has active flows, so a source controls
+/// recomputes only through the events it schedules.
 pub trait WorkloadSource {
     /// Processes everything scheduled at the current instant: releases
     /// due flows into `net` (recording `Released` events if it traces),
@@ -167,15 +151,6 @@ pub trait WorkloadSource {
         net: &mut FluidNetwork,
         trace: &mut FlowTrace,
     );
-
-    /// When rates must be recomputed beyond flow-set changes. Static
-    /// demand sets skip the allocation while the pending delta is empty
-    /// (the previous rates are still valid); chunk semantics recompute
-    /// unconditionally; the DAG runtime lets the *policy* bound how long
-    /// its answer stays bit-identical ([`RecomputeCadence::PolicyHorizon`]).
-    fn cadence(&self) -> RecomputeCadence {
-        RecomputeCadence::OnFlowChange
-    }
 
     /// Whether the driver records rate and finish events into the trace.
     /// Sources whose flow ids are internal artifacts (e.g. chunk ids in
@@ -249,23 +224,21 @@ pub trait WorkloadSource {
     }
 }
 
-/// Driver counters: how often rates were actually recomputed and how
-/// often the recompute-horizon let an event skip the allocation. Lets
-/// tests assert the skip logic fired (not vacuously enabled) and the
-/// steady state really is allocation-free.
+/// Driver counters: allocations, event batching, faults, and the
+/// policies' own reports. Lets tests assert that batching and fault
+/// handling fired (not vacuously enabled) and account for every event.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DriveStats {
-    /// Rate allocations performed.
+    /// Rate allocations performed: one per event batch with active flows.
     pub allocations: usize,
-    /// Events where a [`RecomputeCadence::PolicyHorizon`] workload skipped
-    /// the recompute because the flow set was unchanged and the policy's
-    /// horizon still covered the current time.
+    /// Always zero: the driver allocates at every event batch and skips
+    /// none. Kept because readers of `DriveStats` (the benchmark) still
+    /// report it.
     pub horizon_skips: usize,
     /// Fault events applied from the [`FaultPlan`].
     pub fault_events: usize,
-    /// Allocations forced by a fault instant (the flow set may have been
-    /// unchanged — these are recomputes the cadence alone would have
-    /// skipped, performed because capacities or component state changed).
+    /// Allocations at a fault instant: batches that drained at least one
+    /// fault, whether or not the flow set also changed.
     pub fault_recomputes: usize,
     /// Flow-seconds spent stalled on a downed link (each active flow
     /// whose route crosses a zero-capacity resource contributes one
@@ -343,7 +316,7 @@ pub struct DriveOutcome {
     /// Simulated time when the source reported completion — the time of
     /// the last processed event.
     pub end: SimTime,
-    /// Allocation/skip counters for this run.
+    /// Allocation and batching counters for this run.
     pub stats: DriveStats,
 }
 
@@ -369,9 +342,9 @@ fn stuck_flows(net: &FluidNetwork) -> String {
 ///
 /// 1. [`WorkloadSource::release_due`] — everything scheduled now;
 /// 2. stop if [`WorkloadSource::finished`];
-/// 3. recompute rates iff the flow set changed (pending [`FlowDelta`])
-///    or the source always recomputes, draining the delta so incremental
-///    policies see each arrival/departure exactly once;
+/// 3. if flows are active, recompute rates, draining the pending
+///    [`FlowDelta`] so incremental policies see each arrival/departure
+///    exactly once;
 /// 4. advance to the earliest of the source's next event and the next
 ///    flow completion (relative deltas — absolute-time subtraction can
 ///    round a sub-ulp gap to zero and stall);
@@ -401,12 +374,10 @@ pub fn drive(
 /// At each fault instant the driver applies due events in plan order —
 /// link capacity changes mutate the network's authoritative topology
 /// copy, and every fault is forwarded to [`RatePolicy::on_fault`] and
-/// [`WorkloadSource::on_fault`] — then *unconditionally* recomputes
-/// rates (even when the flow set is unchanged) and discards any
-/// outstanding [`AllocHorizon`] certificate, since both were computed
-/// against pre-fault capacities. Allocations from that point on see the
-/// mutated topology, so flows crossing a downed link stall at rate 0
-/// until its restore event.
+/// [`WorkloadSource::on_fault`] — then recomputes rates like at any
+/// other event, even when the flow set is unchanged. Allocations from
+/// that point on see the mutated topology, so flows crossing a downed
+/// link stall at rate 0 until its restore event.
 ///
 /// # Panics
 ///
@@ -446,9 +417,7 @@ pub fn drive_faulted_configured(
     // the whole run: the steady-state loop performs no heap allocation.
     let mut ws = AllocScratch::new();
     let mut rates_buf: Vec<f64> = Vec::new();
-    let mut horizon = AllocHorizon::NextEvent;
     let mut stats = DriveStats::default();
-    let cadence = source.cadence();
     let mut plan = plan.clone();
     plan.reset();
     let profile = config.profile;
@@ -478,11 +447,6 @@ pub fn drive_faulted_configured(
             fault_backlog += 1;
             faulted = true;
         }
-        if faulted {
-            // Whatever the policy certified was against the old
-            // capacities/component state.
-            horizon = AllocHorizon::NextEvent;
-        }
         source.release_due(now, &mut net, &mut trace);
         stats.peak_active = stats.peak_active.max(net.active_count());
         if let Some(t) = t_book {
@@ -493,78 +457,52 @@ pub fn drive_faulted_configured(
         }
 
         if net.active_count() > 0 {
-            // A changed flow set or an applied fault always forces a
-            // recompute; otherwise the cadence decides. Under
-            // PolicyHorizon the previous answer is reused while the
-            // policy's certified window covers `now` (skipping is
-            // conservative: `Until(t)` recomputes at the first event with
-            // now >= t).
-            let recompute = faulted
-                || net.has_pending_delta()
-                || match cadence {
-                    RecomputeCadence::OnFlowChange => false,
-                    RecomputeCadence::EveryEvent => true,
-                    RecomputeCadence::PolicyHorizon => match horizon {
-                        AllocHorizon::NextEvent => true,
-                        AllocHorizon::UntilFlowChange => false,
-                        AllocHorizon::Until(t) => now.secs() >= t.secs(),
-                    },
-                };
-            if recompute {
-                let delta = net.take_delta();
-                // One coalesced batch: every raw event since the last
-                // applied allocation — same-instant completions drained
-                // by one advance, releases coinciding with them, and any
-                // due faults — funnels into this single decision. A batch
-                // triggered by a source-internal event carries an empty
-                // delta and still counts as one event.
-                let raw_events = delta.arrived.len() + delta.departed.len() + fault_backlog;
-                fault_backlog = 0;
-                stats.alloc_batches += 1;
-                stats.batched_events += raw_events.saturating_sub(1);
-                let t_alloc = profile.then(std::time::Instant::now);
-                let apply = source.allocate(
-                    policy,
-                    mode,
-                    now,
-                    net.views(),
-                    &delta,
-                    net.topology(),
-                    &mut ws,
-                    &mut rates_buf,
-                );
-                if let Some(t) = t_alloc {
-                    stats.phase.allocate_ns += t.elapsed().as_nanos() as u64;
+            let delta = net.take_delta();
+            // One coalesced batch: every raw event since the last applied
+            // allocation — same-instant completions drained by one
+            // advance, releases coinciding with them, and any due faults —
+            // funnels into this single decision. A batch triggered by a
+            // source-internal event carries an empty delta and still
+            // counts as one event.
+            let raw_events = delta.arrived.len() + delta.departed.len() + fault_backlog;
+            fault_backlog = 0;
+            stats.alloc_batches += 1;
+            stats.batched_events += raw_events.saturating_sub(1);
+            let t_alloc = profile.then(std::time::Instant::now);
+            let apply = source.allocate(
+                policy,
+                mode,
+                now,
+                net.views(),
+                &delta,
+                net.topology(),
+                &mut ws,
+                &mut rates_buf,
+            );
+            if let Some(t) = t_alloc {
+                stats.phase.allocate_ns += t.elapsed().as_nanos() as u64;
+            }
+            let t_write = profile.then(std::time::Instant::now);
+            match apply {
+                RateApply::Dense => net.set_rates_dense(&rates_buf),
+                RateApply::Sparse => {
+                    let changed = policy
+                        .changed_indices()
+                        .expect("sparse apply without a changed-index report");
+                    net.set_rates_sparse(&rates_buf, changed);
                 }
-                let t_write = profile.then(std::time::Instant::now);
-                match apply {
-                    RateApply::Dense => net.set_rates_dense(&rates_buf),
-                    RateApply::Sparse => {
-                        let changed = policy
-                            .changed_indices()
-                            .expect("sparse apply without a changed-index report");
-                        net.set_rates_sparse(&rates_buf, changed);
-                    }
+            }
+            stats.allocations += 1;
+            if faulted {
+                stats.fault_recomputes += 1;
+            }
+            if config.trace && source.wants_trace() {
+                for (v, rate) in net.flows_with_rates() {
+                    trace.record_rate(now, v, rate);
                 }
-                stats.allocations += 1;
-                if faulted {
-                    stats.fault_recomputes += 1;
-                }
-                horizon = if cadence == RecomputeCadence::PolicyHorizon {
-                    policy.horizon(now, net.views(), net.rates())
-                } else {
-                    AllocHorizon::NextEvent
-                };
-                if config.trace && source.wants_trace() {
-                    for (v, rate) in net.flows_with_rates() {
-                        trace.record_rate(now, v, rate);
-                    }
-                }
-                if let Some(t) = t_write {
-                    stats.phase.write_back_ns += t.elapsed().as_nanos() as u64;
-                }
-            } else if cadence == RecomputeCadence::PolicyHorizon {
-                stats.horizon_skips += 1;
+            }
+            if let Some(t) = t_write {
+                stats.phase.write_back_ns += t.elapsed().as_nanos() as u64;
             }
         }
 

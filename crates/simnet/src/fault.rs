@@ -26,12 +26,11 @@
 //!   [`crate::driver::WorkloadSource::on_fault`]; the DAG runtime
 //!   stretches the remaining time of computation units on the straggler.
 //!
-//! Every fault resets the driver's [`crate::runner::AllocHorizon`]
-//! certificate and forces a recompute even when the flow set is
-//! unchanged, so incremental caches are exercised against capacity
-//! changes — the differential suite (`tests/fault_differential.rs`)
-//! asserts bit-identity with a naive full-recompute reference at every
-//! event.
+//! A fault instant is an event like a release or a completion: the driver
+//! recomputes rates there even when the flow set is unchanged, so
+//! incremental caches are exercised against capacity changes — the
+//! differential suite (`tests/fault_differential.rs`) asserts that
+//! incremental and full recomputes stay bit-identical through churn.
 
 use crate::ids::{NodeId, ResourceId};
 use crate::time::SimTime;

@@ -82,8 +82,8 @@ pub struct FluidNetwork {
     /// Absolute predicted completion time per arena slot (`INFINITY` for
     /// a non-progressing or absent flow). Rewritten *only* when the
     /// flow's rate changes bitwise — a bit-identical rate reapplication
-    /// leaves it untouched, which is what keeps horizon-skipped and
-    /// every-event runs evolving identically. This replaces the old
+    /// leaves it untouched, so reallocating an unchanged answer never
+    /// perturbs a completion time. This replaces the old
     /// decrement-on-advance `next_due` scalar cache, whose fault-path
     /// validity rested on a comment instead of a mechanism.
     due: Vec<f64>,
@@ -377,12 +377,6 @@ impl FluidNetwork {
         std::mem::take(&mut self.delta)
     }
 
-    /// True when arrivals or departures are pending in the delta (i.e. the
-    /// flow set changed since the last [`Self::take_delta`]).
-    pub fn has_pending_delta(&self) -> bool {
-        !self.delta.is_empty()
-    }
-
     /// Applies a rate allocation. Active flows missing from the allocation
     /// get rate zero.
     ///
@@ -455,8 +449,8 @@ impl FluidNetwork {
     ///
     /// If every rate is bit-identical to the current one, the call is a
     /// no-op that preserves the incrementally maintained next-completion
-    /// estimate — the property that makes horizon-skipped and every-event
-    /// runs evolve bit-identically.
+    /// estimate, so a run evolves bit-identically however often it
+    /// reapplies unchanged rates.
     ///
     /// # Panics
     ///
@@ -948,11 +942,9 @@ mod tests {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(3, 1.0));
         net.release(&demand(0, 0, 1, 1.0, 0.0));
         net.release(&demand(1, 2, 1, 4.0, 0.0));
-        assert!(net.has_pending_delta());
         let d = net.take_delta();
         assert_eq!(d.arrived, vec![FlowId(0), FlowId(1)]);
         assert!(d.departed.is_empty());
-        assert!(!net.has_pending_delta());
 
         let rates = max_min_rates(net.topology(), net.views());
         net.set_rates(&rates);

@@ -24,7 +24,7 @@
 //! simulators.
 
 use crate::alloc::AllocScratch;
-use crate::driver::{drive, RateApply, RecomputeCadence, WorkloadSource};
+use crate::driver::{drive, RateApply, WorkloadSource};
 use crate::flow::{ActiveFlowView, FlowCompletion, FlowDemand};
 use crate::fluid::{FlowDelta, FluidNetwork};
 use crate::ids::FlowId;
@@ -139,12 +139,6 @@ impl WorkloadSource for ChunkSource<'_> {
                 self.parent_departed.push(parent);
             }
         }
-    }
-
-    /// Chunk boundaries are rate-change points even when the flow set did
-    /// not change at parent granularity.
-    fn cadence(&self) -> RecomputeCadence {
-        RecomputeCadence::EveryEvent
     }
 
     /// Chunk ids are internal artifacts; callers only get parent finishes.

@@ -103,21 +103,9 @@ pub trait RatePolicy {
         alloc_to_dense(flows, &alloc, out);
     }
 
-    /// How long the allocation just computed remains *certifiably* valid:
-    /// until when would recomputing with an unchanged flow set return the
-    /// bit-identical answer? Queried by the driver right after each
-    /// allocation when the workload opted into
-    /// [`crate::driver::RecomputeCadence::PolicyHorizon`]; events inside
-    /// the horizon skip the recompute entirely.
-    ///
-    /// `rates` are the applied rates (`rates[i]` for `flows[i]`), i.e. the
-    /// speeds flows will drain at during the horizon. Implementations must
-    /// be conservative: claiming validity the recompute would not honour
-    /// breaks the differential bit-identity guarantee, while
-    /// under-claiming merely costs a recompute. The default claims
-    /// nothing. Policies whose rates depend on remaining bytes (the
-    /// MADD family) must stay with [`AllocHorizon::NextEvent`]: their
-    /// recompute is only a fixed point in exact arithmetic, not bitwise.
+    /// Unused: the driver allocates at every event batch and never asks.
+    /// Kept, returning [`AllocHorizon::NextEvent`], because the benchmark
+    /// binary's policy wrapper still forwards it.
     fn horizon(&self, now: SimTime, flows: &[ActiveFlowView], rates: &[f64]) -> AllocHorizon {
         let _ = (now, flows, rates);
         AllocHorizon::NextEvent
@@ -134,6 +122,14 @@ pub trait RatePolicy {
     fn on_fault(&mut self, now: SimTime, fault: &FaultKind) {
         let _ = (now, fault);
     }
+
+    /// Voids any answer the policy holds over from an earlier allocation
+    /// (a coordinator keeps a decision's rates in force between its
+    /// triggers), so the next allocation computes afresh. A decorator
+    /// that re-derives its own answer from the wrapped policy's at every
+    /// event calls it before each allocation; the driver never does.
+    /// Default: nothing is held.
+    fn release_held(&mut self) {}
 
     /// Human-readable policy name for reports.
     fn name(&self) -> &'static str {
@@ -214,20 +210,12 @@ pub trait RatePolicy {
     }
 }
 
-/// A policy's self-certified validity window for its latest allocation
-/// (see [`RatePolicy::horizon`]). A flow-set change always ends the
-/// window, whatever the variant.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The return type of the unused [`RatePolicy::horizon`]: the driver
+/// recomputes at every event batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocHorizon {
-    /// No certification: recompute at the next event.
+    /// Recompute at the next event.
     NextEvent,
-    /// Valid until the active flow set changes (the allocation does not
-    /// depend on time or remaining bytes — e.g. fixed priority orders).
-    UntilFlowChange,
-    /// Valid until the given absolute time (or a flow-set change,
-    /// whichever comes first) — e.g. until an SRPT ordering crossing or a
-    /// coordinator's next scheduled decision.
-    Until(SimTime),
 }
 
 /// Which `RatePolicy` entry point the simulation loop drives.
@@ -272,12 +260,6 @@ impl RatePolicy for MaxMinPolicy {
         out: &mut Vec<f64>,
     ) {
         self.allocate_dense(now, flows, topo, ws, out);
-    }
-
-    /// Max-min rates depend only on routes and capacities, so the
-    /// allocation stays bit-identical until the flow set changes.
-    fn horizon(&self, _now: SimTime, _flows: &[ActiveFlowView], _rates: &[f64]) -> AllocHorizon {
-        AllocHorizon::UntilFlowChange
     }
 
     fn name(&self) -> &'static str {
@@ -655,12 +637,6 @@ impl RatePolicy for PodMaxMinPolicy {
         self.sparse_report
     }
 
-    /// Pod rates depend only on routes and capacities: bit-identical
-    /// until the flow set changes.
-    fn horizon(&self, _now: SimTime, _flows: &[ActiveFlowView], _rates: &[f64]) -> AllocHorizon {
-        AllocHorizon::UntilFlowChange
-    }
-
     /// Any fault may change link capacities, and a pod's stored rates
     /// bake those in: dirty every pod *and* drop the capacity snapshot
     /// (it feeds every pod and fabric fill and must be re-read from the
@@ -718,7 +694,7 @@ impl FlowOutcomes {
         self.makespan
     }
 
-    /// Driver counters: allocations performed and horizon skips.
+    /// Driver counters: allocations, event batching and faults.
     pub fn drive_stats(&self) -> DriveStats {
         self.stats
     }
@@ -744,9 +720,8 @@ pub fn run_flows(
 }
 
 /// The static-demand [`WorkloadSource`]: flows release at fixed times and
-/// nothing else ever happens. The driver's dirty-flag skip applies — the
-/// flow set only changes at releases and completions, so allocations are
-/// skipped while the pending delta is empty.
+/// nothing else ever happens, so every event the driver allocates at is
+/// a release, a completion or a fault.
 struct DemandSource {
     /// Ascending (release, id); `cursor` marks the next unreleased demand.
     pending: Vec<FlowDemand>,

@@ -24,7 +24,7 @@ use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::fault::{FaultKind, FaultPlan};
 use echelonflow::simnet::flow::ActiveFlowView;
 use echelonflow::simnet::fluid::FlowDelta;
-use echelonflow::simnet::runner::{AllocHorizon, RatePolicy, RecomputeMode};
+use echelonflow::simnet::runner::{RatePolicy, RecomputeMode};
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 use echelonflow::simnet::trace::TraceEventKind;
@@ -224,12 +224,12 @@ impl<P: RatePolicy> RatePolicy for DenseOnly<P> {
             .allocate_dense_incremental(now, flows, delta, topo, ws, out)
     }
 
-    fn horizon(&self, now: SimTime, flows: &[ActiveFlowView], rates: &[f64]) -> AllocHorizon {
-        self.0.horizon(now, flows, rates)
-    }
-
     fn on_fault(&mut self, now: SimTime, fault: &FaultKind) {
         self.0.on_fault(now, fault)
+    }
+
+    fn release_held(&mut self) {
+        self.0.release_held()
     }
 }
 

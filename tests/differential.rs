@@ -25,7 +25,7 @@ use echelonflow::paradigms::hybrid::{build_hybrid, HybridConfig};
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
 use echelonflow::paradigms::runtime::{
-    make_policy, run_jobs_arriving, run_jobs_every_event, run_jobs_with, Grouping,
+    make_policy, run_jobs_arriving, run_jobs_with, Grouping, RunResult,
 };
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder, IntraMode};
@@ -41,6 +41,7 @@ use echelonflow::simnet::runner::{
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
+use echelonflow::simnet::trace::TraceEventKind;
 
 mod support;
 use support::PodReference;
@@ -430,166 +431,87 @@ fn cluster_scenario_matches_across_modes() {
     }
 }
 
-/// The recompute-horizon path: under `RecomputeCadence::PolicyHorizon`
-/// (the DAG runtime's default) the driver skips rate recomputation at
-/// events the policy certified as covered by its latest allocation. The
-/// trace must be bit-identical to the every-event reference, and for
-/// horizon-certifying policies the skipping must actually fire
-/// (non-vacuous: `horizon_skips > 0`, and allocations + skips in the
-/// horizon run account for every allocation of the reference run).
-#[test]
-fn policy_horizon_skipping_matches_every_event_runtime() {
-    let topo = Topology::big_switch_uniform(HOSTS, 1.0);
-    type Mk = fn() -> Box<dyn RatePolicy>;
-    let kinds: [(&str, Mk, bool); 3] = [
-        ("MaxMin", || Box::new(MaxMinPolicy), true),
-        ("Fifo", || Box::new(FifoPolicy), true),
-        ("Srpt", || Box::new(SrptPolicy), true),
-    ];
-    for (label, mk, expect_skips) in kinds {
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            let run = |every_event: bool| {
-                let mut alloc = IdAlloc::new();
-                let dags = paradigm_mix(&mut alloc);
-                let dag_refs: Vec<&JobDag> = dags.iter().collect();
-                let mut policy = mk();
-                if every_event {
-                    run_jobs_every_event(&topo, &dag_refs, policy.as_mut(), mode)
-                } else {
-                    run_jobs_with(&topo, &dag_refs, policy.as_mut(), mode)
-                }
-            };
-            let horizon = run(false);
-            let every = run(true);
-            assert_eq!(
-                horizon.trace.events(),
-                every.trace.events(),
-                "trace diverged for {label} ({mode:?})"
-            );
-            assert_eq!(horizon.makespan, every.makespan);
-            assert_eq!(horizon.job_makespans, every.job_makespans);
-            assert_eq!(every.stats.horizon_skips, 0, "{label} reference skipped");
-            assert_eq!(
-                horizon.stats.allocations + horizon.stats.horizon_skips,
-                every.stats.allocations,
-                "allocation accounting broke for {label} ({mode:?})"
-            );
-            if expect_skips {
-                assert!(
-                    horizon.stats.horizon_skips > 0,
-                    "{label} ({mode:?}) never skipped — the horizon path is vacuous"
-                );
+/// FNV-1a over every trace event (time, flow, kind, rate bits), the run's
+/// makespan and each job's makespan.
+fn runtime_digest(result: &RunResult) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        h ^= word;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for e in result.trace.events() {
+        eat(e.time.secs().to_bits());
+        eat(e.flow.0);
+        match e.kind {
+            TraceEventKind::Released => eat(1),
+            TraceEventKind::RateSet(rate) => {
+                eat(2);
+                eat(rate.to_bits());
             }
+            TraceEventKind::Finished => eat(3),
+        }
+    }
+    eat(result.makespan.secs().to_bits());
+    for (job, end) in &result.job_makespans {
+        eat(u64::from(job.0));
+        eat(end.secs().to_bits());
+    }
+    h
+}
+
+type PinnedPolicy = (&'static str, fn(&[&JobDag]) -> Box<dyn RatePolicy>, u64);
+
+/// Runs `paradigm_mix` on the DAG runtime under each policy, in both
+/// recompute modes, and checks the digest of its trace and makespans
+/// against the pin. Full and Incremental share one pin, since their
+/// traces are bit-identical.
+fn assert_runtime_pins(pins: &[PinnedPolicy]) {
+    let topo = Topology::big_switch_uniform(HOSTS, 1.0);
+    for &(label, mk, pin) in pins {
+        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+            let mut alloc = IdAlloc::new();
+            let dags = paradigm_mix(&mut alloc);
+            let dag_refs: Vec<&JobDag> = dags.iter().collect();
+            let mut policy = mk(&dag_refs);
+            let out = run_jobs_with(&topo, &dag_refs, policy.as_mut(), mode);
+            assert_eq!(runtime_digest(&out), pin, "{label} ({mode:?}) digest moved");
         }
     }
 }
 
-/// The MADD engines cannot certify a horizon (their remaining-
-/// proportional rates are not a floating-point fixed point), so under
-/// `PolicyHorizon` they must degrade to exactly the every-event behaviour:
-/// identical traces, zero skips, same allocation count.
+/// Max-min, FIFO and SRPT on `paradigm_mix`, pinned to digests recorded
+/// from `run_jobs_with` while the driver still skipped allocations inside
+/// a policy-certified recompute horizon: on this mix all three reported
+/// `horizon_skips > 0`. The driver now allocates at every event batch,
+/// so unchanged pins show the skipping was exact. SRPT shares its pin
+/// with echelon MADD: the two produce the same schedule on this mix.
 #[test]
-fn madd_policies_never_skip_and_match_every_event() {
-    let topo = Topology::big_switch_uniform(HOSTS, 1.0);
-    for grouping in [Grouping::Echelon, Grouping::Coflow] {
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            let run = |every_event: bool| {
-                let mut alloc = IdAlloc::new();
-                let dags = paradigm_mix(&mut alloc);
-                let dag_refs: Vec<&JobDag> = dags.iter().collect();
-                let mut policy = make_policy(grouping, &dag_refs);
-                if every_event {
-                    run_jobs_every_event(&topo, &dag_refs, policy.as_mut(), mode)
-                } else {
-                    run_jobs_with(&topo, &dag_refs, policy.as_mut(), mode)
-                }
-            };
-            let horizon = run(false);
-            let every = run(true);
-            assert_eq!(
-                horizon.trace.events(),
-                every.trace.events(),
-                "trace diverged for {grouping:?} ({mode:?})"
-            );
-            assert_eq!(
-                horizon.stats.horizon_skips, 0,
-                "{grouping:?} certified a horizon it cannot honour"
-            );
-            assert_eq!(horizon.stats.allocations, every.stats.allocations);
-        }
-    }
+fn policy_runtime_matches_pinned_digests() {
+    assert_runtime_pins(&[
+        ("MaxMin", |_| Box::new(MaxMinPolicy), 0xc091_8ded_461c_2d20),
+        ("Fifo", |_| Box::new(FifoPolicy), 0x3fa6_10e6_252d_8aab),
+        ("Srpt", |_| Box::new(SrptPolicy), 0xf3cc_dca0_9ff9_1717),
+    ]);
 }
 
-/// The coordinator's trigger disciplines certify horizons when control
-/// latency is zero (frozen priority order between decisions); the
-/// horizon run must match the every-event reference bit-for-bit with the
-/// same number of decisions, and skipping must fire for the non-PerEvent
-/// triggers.
+/// Echelon and coflow MADD on `paradigm_mix`, pinned to digests recorded
+/// from `run_jobs_with` before the recompute horizon was deleted. The
+/// MADD engines never certified a horizon, so they allocated at every
+/// event then as every policy does now.
 #[test]
-fn coordinator_horizon_matches_every_event_for_all_triggers() {
-    let topo = Topology::big_switch_uniform(HOSTS, 1.0);
-    let configs = [
-        (CoordinatorConfig::default(), false), // PerEvent: no horizon
+fn madd_runtime_matches_pinned_digests() {
+    assert_runtime_pins(&[
         (
-            CoordinatorConfig {
-                trigger: Trigger::PerGroupChange,
-                ..CoordinatorConfig::default()
-            },
-            true,
+            "EchelonMadd",
+            |d| make_policy(Grouping::Echelon, d),
+            0xf3cc_dca0_9ff9_1717,
         ),
         (
-            CoordinatorConfig {
-                trigger: Trigger::Interval(2.0),
-                ..CoordinatorConfig::default()
-            },
-            true,
+            "CoflowMadd",
+            |d| make_policy(Grouping::Coflow, d),
+            0x24b9_7f6e_6681_d3dd,
         ),
-        (
-            // Control latency disables horizon certification entirely.
-            CoordinatorConfig {
-                trigger: Trigger::PerGroupChange,
-                control_latency: 0.4,
-                ..CoordinatorConfig::default()
-            },
-            false,
-        ),
-    ];
-    for (cfg, expect_skips) in configs {
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            let run = |every_event: bool| {
-                let mut alloc = IdAlloc::new();
-                let dags = paradigm_mix(&mut alloc);
-                let dag_refs: Vec<&JobDag> = dags.iter().collect();
-                let mut coordinator = Coordinator::new(cfg);
-                for dag in &dags {
-                    coordinator.submit_all(requests_from_dag(dag));
-                }
-                let mut policy = coordinator.into_policy();
-                let out = if every_event {
-                    run_jobs_every_event(&topo, &dag_refs, &mut policy, mode)
-                } else {
-                    run_jobs_with(&topo, &dag_refs, &mut policy, mode)
-                };
-                (out, policy.decisions_computed())
-            };
-            let (horizon, d_horizon) = run(false);
-            let (every, d_every) = run(true);
-            assert_eq!(
-                horizon.trace.events(),
-                every.trace.events(),
-                "trace diverged for {cfg:?} ({mode:?})"
-            );
-            assert_eq!(d_horizon, d_every, "decision count diverged for {cfg:?}");
-            if expect_skips {
-                assert!(
-                    horizon.stats.horizon_skips > 0,
-                    "{cfg:?} ({mode:?}) never skipped — the horizon path is vacuous"
-                );
-            } else {
-                assert_eq!(horizon.stats.horizon_skips, 0, "{cfg:?} skipped");
-            }
-        }
-    }
+    ]);
 }
 
 /// The next-completion backend axis: the calendar queue and the linear

@@ -11,11 +11,12 @@ use echelon_detrand::DetRng;
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
 use echelonflow::simnet::driver::{drive, DriveOutcome, WorkloadSource};
 use echelonflow::simnet::fattree::FatTree;
+use echelonflow::simnet::fault::{FaultKind, FaultPlan};
 use echelonflow::simnet::flow::{FlowCompletion, FlowDemand};
 use echelonflow::simnet::fluid::FluidNetwork;
-use echelonflow::simnet::ids::{FlowId, NodeId};
+use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
 use echelonflow::simnet::runner::{
-    run_flows_with, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,
+    run_flows_faulted, run_flows_with, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
@@ -225,35 +226,76 @@ fn alloc_batches_exact_accounting_single_cohort() {
     );
 }
 
-/// Collision-robust accounting identity: over any run without faults,
-/// `alloc_batches + batched_events` equals every raw event the driver
-/// drained into an allocation — all n arrivals plus all departures
-/// except those of the flows finishing at the very last instant (the
-/// run ends before their batch is allocated). Holds however releases
-/// and completions happen to coincide.
+/// Collision-robust accounting identity: `alloc_batches +
+/// batched_events` equals every raw event the driver drained into an
+/// allocation — all n arrivals, all departures except those of the flows
+/// finishing at the very last instant (the run ends before their batch
+/// is allocated), and every applied fault. Holds however releases,
+/// completions and faults happen to coincide. The driver allocates at
+/// every event batch that has active flows, so an allocation on an
+/// iteration that drained no raw event would break the count: the
+/// faulted static-demand arm pins that no such iteration exists, with
+/// faults both coinciding with release cohorts and landing between flow
+/// events.
 #[test]
 fn alloc_batches_account_for_every_drained_event() {
-    for seed in 0..6u64 {
-        let topo = Topology::big_switch_uniform(6, 1.5);
-        let demands = cohort_demands(seed, 6, 3, 5);
-        let n = demands.len();
-        let (out, done) = run_cohorts(
-            &topo,
-            demands,
-            &mut MaxMinPolicy,
-            RecomputeMode::Incremental,
-            true,
-        );
+    fn drained(n: usize, done: &[FlowCompletion], faults: usize) -> usize {
         let last = done
             .iter()
             .map(|c| c.finish)
             .max_by(|a, b| a.secs().total_cmp(&b.secs()))
             .expect("workload completed no flows");
         let final_batch = done.iter().filter(|c| c.finish == last).count();
+        2 * n - final_batch + faults
+    }
+    let topo = Topology::big_switch_uniform(6, 1.5);
+    // Cohorts release at 0, 0.7 and 1.4: the faults at 0.7 and 1.4
+    // coincide with a release, the others land between flow events. All
+    // of them precede the last completion (the 1.4 cohort is still
+    // draining), so every fault is drained into some batch.
+    let plan = FaultPlan::empty()
+        .with(
+            SimTime::new(0.35),
+            FaultKind::LinkDegrade(ResourceId(0), 0.5),
+        )
+        .with(SimTime::new(0.7), FaultKind::LinkRestore(ResourceId(0)))
+        .with(SimTime::new(0.7), FaultKind::CoordinatorDown)
+        .with(SimTime::new(1.05), FaultKind::LinkDown(ResourceId(7)))
+        .with(SimTime::new(1.2), FaultKind::CoordinatorUp)
+        .with(SimTime::new(1.4), FaultKind::LinkRestore(ResourceId(7)));
+    for seed in 0..6u64 {
+        let demands = cohort_demands(seed, 6, 3, 5);
+        let n = demands.len();
+        let (out, done) = run_cohorts(
+            &topo,
+            demands.clone(),
+            &mut MaxMinPolicy,
+            RecomputeMode::Incremental,
+            true,
+        );
         assert_eq!(
             out.stats.alloc_batches + out.stats.batched_events,
-            2 * n - final_batch,
+            drained(n, &done, 0),
             "batch denominator accounting broke for seed {seed}"
+        );
+
+        let faulted = run_flows_faulted(
+            &topo,
+            demands,
+            &mut MaxMinPolicy,
+            RecomputeMode::Incremental,
+            &plan,
+        );
+        let stats = faulted.drive_stats();
+        assert_eq!(
+            stats.fault_events, 6,
+            "seed {seed}: a fault was not applied"
+        );
+        let done: Vec<FlowCompletion> = faulted.completions().values().copied().collect();
+        assert_eq!(
+            stats.alloc_batches + stats.batched_events,
+            drained(n, &done, stats.fault_events),
+            "faulted batch accounting broke for seed {seed}"
         );
     }
 }
