@@ -401,9 +401,10 @@ impl CoordinatedPolicy {
     }
 
     /// A due decision: runs the heuristic on the known flows — from the
-    /// engine's delta-maintained caches when `cached`, else from scratch
-    /// — caches the implied priority order, and lets fresh flows (present
-    /// only when `any_fresh`) ride the leftover bandwidth.
+    /// engine's delta-maintained caches when `cached`, else after
+    /// rebuilding them from the flows — caches the implied priority order,
+    /// and lets fresh flows (present only when `any_fresh`) ride the
+    /// leftover bandwidth.
     #[allow(clippy::too_many_arguments)]
     fn decide(
         &mut self,

@@ -1489,6 +1489,36 @@ least-contended echelon 7e7e6ef2e80db5a8 a1c245c9c6ea3886
         }
     }
 
+    /// E10's multi-tenant rows as `repro` prints them (seed 42, 6 jobs,
+    /// 32 hosts, scattered): per scheduler, the f64 bits of total
+    /// tardiness, mean JCT, p95 JCT, makespan and utilization.
+    const MULTIJOB_SEED42_BITS: &str = "\
+fair 4067eeabf22451e6 4037bc0835ccc753 404a184d5587d7c9 404db77b3530353c 3fa7da89b088209f
+fifo 4063fe6084494a1a 40371ed88aed15cf 404a184d5587d7c9 404db77b3530353c 3fa7da89b088209f
+srpt 406411efce06b1ed 403775d778625547 404a184d5587d7c9 404db77b3530353c 3fa7da89b088209f
+coflow 406485d5429bc4af 4037cc04ff488590 404a184d5587d7c9 404db77b3530353c 3fa7da89b088209f
+echelon 406411efce06b1ed 403738eced3ef591 404a184d5587d7c9 404db77b3530353c 3fa7da89b088209f
+";
+
+    #[test]
+    fn multijob_rows_are_pinned_at_seed_42() {
+        let rendered: String = multijob(42, 6, 32, true)
+            .iter()
+            .map(|(name, m)| {
+                let bits = [
+                    m.total_tardiness,
+                    m.mean_jct,
+                    m.p95_jct,
+                    m.makespan,
+                    m.mean_utilization,
+                ]
+                .map(|x| format!("{:016x}", x.to_bits()));
+                format!("{name} {}\n", bits.join(" "))
+            })
+            .collect();
+        assert_eq!(rendered, MULTIJOB_SEED42_BITS);
+    }
+
     #[test]
     fn multijob_runs_all_schedulers() {
         let rows = multijob(3, 3, 16, false);

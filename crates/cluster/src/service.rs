@@ -564,9 +564,22 @@ impl JobFeed for ServiceFeed {
 }
 
 enum Engine {
-    Echelon(EchelonMadd),
-    Coflow(VarysMadd),
+    /// The MADD engine; `coflows` says which of an admitted job's group
+    /// lists it schedules (coflows enter as one-stage EchelonFlows).
+    Madd {
+        engine: Box<EchelonMadd>,
+        coflows: bool,
+    },
     Plain(Box<dyn RatePolicy>),
+}
+
+impl Engine {
+    fn madd(engine: impl Into<EchelonMadd>, coflows: bool) -> Engine {
+        Engine::Madd {
+            engine: Box::new(engine.into()),
+            coflows,
+        }
+    }
 }
 
 /// Scheduler wrapper for service runs: drains the [`LifecycleBus`]
@@ -594,8 +607,8 @@ pub struct ServicePolicy {
 
 fn engine_for(kind: SchedulerKind) -> Engine {
     match kind {
-        SchedulerKind::Echelon => Engine::Echelon(EchelonMadd::new(Vec::new())),
-        SchedulerKind::Coflow => Engine::Coflow(VarysMadd::new(Vec::new())),
+        SchedulerKind::Echelon => Engine::madd(EchelonMadd::new(Vec::new()), false),
+        SchedulerKind::Coflow => Engine::madd(VarysMadd::new(Vec::new()), true),
         SchedulerKind::Fair => Engine::Plain(Box::new(MaxMinPolicy)),
         SchedulerKind::Fifo => Engine::Plain(Box::new(FifoPolicy)),
         SchedulerKind::Srpt => Engine::Plain(Box::new(SrptPolicy)),
@@ -633,12 +646,14 @@ impl ServicePolicy {
     pub fn closed(kind: SchedulerKind, jobs: &[StreamJob]) -> ServicePolicy {
         let dags = || jobs.iter().filter_map(|j| j.dag.as_ref());
         let engine = match kind {
-            SchedulerKind::Echelon => Engine::Echelon(EchelonMadd::new(
-                dags().flat_map(|d| d.echelons.iter().cloned()).collect(),
-            )),
-            SchedulerKind::Coflow => Engine::Coflow(VarysMadd::new(
-                dags().flat_map(|d| d.coflows.iter().cloned()).collect(),
-            )),
+            SchedulerKind::Echelon => Engine::madd(
+                EchelonMadd::new(dags().flat_map(|d| d.echelons.iter().cloned()).collect()),
+                false,
+            ),
+            SchedulerKind::Coflow => Engine::madd(
+                VarysMadd::new(dags().flat_map(|d| d.coflows.iter().cloned()).collect()),
+                true,
+            ),
             other => engine_for(other),
         };
         ServicePolicy {
@@ -657,11 +672,21 @@ impl ServicePolicy {
         let mut queue = bus.borrow_mut();
         while let Some(event) = queue.pop_front() {
             match event {
-                Lifecycle::Admitted { echelons, coflows } => match &mut self.engine {
-                    Engine::Echelon(e) => echelons.into_iter().for_each(|h| e.register(h)),
-                    Engine::Coflow(v) => coflows.into_iter().for_each(|c| v.register(c)),
-                    Engine::Plain(_) => {}
-                },
+                Lifecycle::Admitted { echelons, coflows } => {
+                    if let Engine::Madd {
+                        engine,
+                        coflows: by_coflow,
+                    } = &mut self.engine
+                    {
+                        if *by_coflow {
+                            coflows
+                                .into_iter()
+                                .for_each(|c| engine.register(c.into_echelon()));
+                        } else {
+                            echelons.into_iter().for_each(|h| engine.register(h));
+                        }
+                    }
+                }
                 Lifecycle::Retired { echelons, coflows } => {
                     if self.evict {
                         self.pending_evictions.push((echelons, coflows));
@@ -676,34 +701,28 @@ impl ServicePolicy {
     /// flows, so its incremental caches are already clean.
     fn apply_evictions(&mut self, active: &[ActiveFlowView]) {
         for (echelons, coflows) in std::mem::take(&mut self.pending_evictions) {
-            match &mut self.engine {
-                Engine::Echelon(e) => {
-                    for id in echelons {
-                        assert!(e.evict(id, active), "evicting retired {id:?} refused");
-                    }
+            if let Engine::Madd {
+                engine,
+                coflows: by_coflow,
+            } = &mut self.engine
+            {
+                for id in if *by_coflow { coflows } else { echelons } {
+                    assert!(engine.evict(id, active), "evicting retired {id:?} refused");
                 }
-                Engine::Coflow(v) => {
-                    for id in coflows {
-                        assert!(v.evict(id, active), "evicting retired {id:?} refused");
-                    }
-                }
-                Engine::Plain(_) => {}
             }
         }
     }
 
     fn engine_mut(&mut self) -> &mut dyn RatePolicy {
         match &mut self.engine {
-            Engine::Echelon(e) => e,
-            Engine::Coflow(v) => v,
+            Engine::Madd { engine, .. } => engine.as_mut(),
             Engine::Plain(p) => p.as_mut(),
         }
     }
 
     fn engine_ref(&self) -> &dyn RatePolicy {
         match &self.engine {
-            Engine::Echelon(e) => e,
-            Engine::Coflow(v) => v,
+            Engine::Madd { engine, .. } => engine.as_ref(),
             Engine::Plain(p) => p.as_ref(),
         }
     }

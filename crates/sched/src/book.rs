@@ -9,9 +9,8 @@
 //!   start time — the runner recomputes rates at every release, so "first
 //!   seen active" is exactly the head flow's start);
 //! - resolves per-flow **ideal finish times** through the arrangement
-//!   function;
-//! - projects each EchelonFlow's **tardiness under isolation**, the
-//!   quantity Property 4 ranks by.
+//!   function, from which the MADD engine projects each EchelonFlow's
+//!   **tardiness under isolation**, the quantity Property 4 ranks by.
 
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
@@ -19,7 +18,6 @@ use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
 use echelon_simnet::time::SimTime;
-use echelon_simnet::topology::Topology;
 use std::collections::BTreeMap;
 
 /// Registry of declared EchelonFlows with lazy reference binding.
@@ -200,65 +198,6 @@ impl EchelonBook {
     pub fn get(&self, id: EchelonId) -> Option<&EchelonFlow> {
         self.echelons.get(&id)
     }
-
-    /// Projects the tardiness (Eq. 2) EchelonFlow `id` would accumulate if
-    /// it ran **alone** on the network from `now`: its active flows are
-    /// served earliest-due-date at full capacity per resource, and the
-    /// projected tardiness is the max over resources of the max over EDD
-    /// prefixes of `now + cumulative_bytes / capacity − d_j`.
-    ///
-    /// This is the tardiness analog of Varys' bottleneck Γ and the ranking
-    /// key of Property 4's inter-EchelonFlow step. Returns `None` when no
-    /// member flow is active.
-    pub fn projected_tardiness(
-        &self,
-        id: EchelonId,
-        now: SimTime,
-        active: &[ActiveFlowView],
-        topo: &Topology,
-    ) -> Option<f64> {
-        let h = self.echelons.get(&id)?;
-        h.reference()?;
-        // Member active flows with their deadlines, EDD order.
-        let mut members: Vec<(&ActiveFlowView, SimTime)> = active
-            .iter()
-            .filter(|v| h.contains(v.id))
-            .map(|v| (v, h.ideal_finish_of_flow(v.id).expect("member flow")))
-            .collect();
-        if members.is_empty() {
-            return None;
-        }
-        members.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-        let mut worst = f64::NEG_INFINITY;
-        // Per resource: cumulative load of the EDD prefix.
-        let mut per_resource: BTreeMap<u32, f64> = BTreeMap::new();
-        for (v, d) in &members {
-            for r in &v.route {
-                *per_resource.entry(r.0).or_insert(0.0) += v.remaining / topo.capacity(*r);
-            }
-            // Finishing this flow requires at least the heaviest prefix
-            // among the resources it traverses.
-            let finish_lb = v
-                .route
-                .iter()
-                .map(|r| per_resource[&r.0])
-                .fold(0.0f64, f64::max);
-            worst = worst.max(now.secs() + finish_lb - d.secs());
-        }
-        Some(worst)
-    }
-
-    /// Total remaining bytes of a bound EchelonFlow's active flows.
-    pub fn remaining_bytes(&self, id: EchelonId, active: &[ActiveFlowView]) -> f64 {
-        match self.echelons.get(&id) {
-            Some(h) => active
-                .iter()
-                .filter(|v| h.contains(v.id))
-                .map(|v| v.remaining)
-                .sum(),
-            None => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,6 +207,7 @@ mod tests {
     use echelon_core::echelon::FlowRef;
     use echelon_core::JobId;
     use echelon_simnet::ids::NodeId;
+    use echelon_simnet::topology::Topology;
 
     fn fr(id: u64, size: f64) -> FlowRef {
         FlowRef::new(FlowId(id), NodeId(0), NodeId(1), size)
@@ -375,46 +315,6 @@ mod tests {
             book.get(EchelonId(0)).unwrap().reference(),
             Some(SimTime::new(1.0))
         );
-    }
-
-    #[test]
-    fn projected_tardiness_matches_fig2_hand_calc() {
-        // Fig. 2 geometry at t = 3 with all three 2B flows released on a
-        // B = 1 link and nothing sent yet: EDD prefixes finish at 5, 7, 9
-        // against deadlines 1, 2, 3 → projected tardiness = max(4, 5, 6).
-        let topo = Topology::chain(2, 1.0);
-        let mut book = pipeline_book();
-        let active = vec![
-            view(0, 2.0, 2.0, 1.0, &topo),
-            view(1, 2.0, 2.0, 2.0, &topo),
-            view(2, 2.0, 2.0, 3.0, &topo),
-        ];
-        book.observe(SimTime::new(1.0), &active);
-        let tau = book
-            .projected_tardiness(EchelonId(0), SimTime::new(3.0), &active, &topo)
-            .unwrap();
-        assert!((tau - 6.0).abs() < 1e-9, "tau = {tau}");
-    }
-
-    #[test]
-    fn projected_tardiness_none_when_inactive() {
-        let topo = Topology::chain(2, 1.0);
-        let mut book = pipeline_book();
-        book.observe(SimTime::ZERO, &[]);
-        assert!(book
-            .projected_tardiness(EchelonId(0), SimTime::ZERO, &[], &topo)
-            .is_none());
-    }
-
-    #[test]
-    fn remaining_bytes_sums_members_only() {
-        let topo = Topology::chain(2, 1.0);
-        let book = pipeline_book();
-        let active = vec![
-            view(0, 2.0, 1.5, 1.0, &topo),
-            view(99, 2.0, 2.0, 1.0, &topo), // not a member
-        ];
-        assert!((book.remaining_bytes(EchelonId(0), &active) - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The EchelonFlow scheduler (the paper's contribution, §3.3 Property 4).
+//! The one MADD engine: the EchelonFlow scheduler (the paper's
+//! contribution, §3.3 Property 4) and, under a coflow ranking, Varys.
 //!
 //! Property 4 states Coflow algorithms adapt to EchelonFlow scheduling by
 //! swapping the metric: *"in intra-EchelonFlow scheduling, we estimate the
@@ -23,10 +24,22 @@
 //!   `Equalize` mode instead shapes rates so every flow targets
 //!   `d_j + τ*` (the literal constant-tardiness echelon), the behaviour
 //!   sketched in the paper's Fig. 6.
+//!
+//! Varys is the same engine with a different ranking: a coflow enters
+//! the book as a one-stage EchelonFlow (`Coflow::into_echelon`, Eq. 5),
+//! so all its members share one ideal finish time and form one MADD
+//! stage, and [`crate::varys::CoflowOrder`] picks the group ranking.
+//!
+//! There is one allocation path. Group membership is cached and patched
+//! from flow deltas ([`EchelonMadd::apply_delta`]); a full recompute
+//! rebuilds that cache from the flow slice and then runs the same
+//! ranking and serving pass. The map-based reference the differential
+//! suites check this engine against lives in test support.
 
 use crate::book::EchelonBook;
 use crate::scratch::GroupCsr;
 use crate::sincronia::{bssi_order, GroupLoad};
+use crate::varys::CoflowOrder;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
 use echelon_simnet::alloc::{alloc_via_dense, waterfill_dense, AllocScratch, RateAlloc};
@@ -78,62 +91,49 @@ pub enum IntraMode {
     Equalize,
 }
 
+/// The engine's group ranking (Property 4's swapped metric): an
+/// EchelonFlow order, or a coflow order when the engine runs as Varys.
+/// SEBF ranks exactly as [`InterOrder::LeastWork`] and both BSSIs are
+/// one solve; only the coflow arrival order has no EchelonFlow twin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ranking {
+    /// Set by [`EchelonMadd::with_inter`].
+    Echelon(InterOrder),
+    /// Set by [`crate::varys::VarysMadd::with_order`].
+    Coflow(CoflowOrder),
+}
+
 /// Grouping key: declared EchelonFlow or implicit singleton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum GroupKey {
+pub(crate) enum GroupKey {
     Echelon(EchelonId),
     Solo(FlowId),
-}
-
-/// A member flow with its resolved ideal finish time.
-struct Member<'a> {
-    view: &'a ActiveFlowView,
-    deadline: SimTime,
-}
-
-/// Projected tardiness of a member set under isolation: serve EDD at full
-/// capacity; the answer is the max over EDD prefixes and resources of
-/// `now + prefix_occupancy − deadline`.
-fn projected_tardiness(now: SimTime, members: &[Member<'_>], topo: &Topology) -> f64 {
-    let mut worst = f64::NEG_INFINITY;
-    let mut per_resource: BTreeMap<u32, f64> = BTreeMap::new();
-    for m in members {
-        for r in &m.view.route {
-            *per_resource.entry(r.0).or_insert(0.0) += m.view.remaining / topo.capacity(*r);
-        }
-        let finish_lb = m
-            .view
-            .route
-            .iter()
-            .map(|r| per_resource[&r.0])
-            .fold(0.0f64, f64::max);
-        worst = worst.max(now.secs() + finish_lb - m.deadline.secs());
-    }
-    worst
 }
 
 /// The EchelonFlow scheduler: tardiness-metric MADD per Property 4.
 #[derive(Debug, Clone)]
 pub struct EchelonMadd {
     book: EchelonBook,
-    inter: InterOrder,
+    ranking: Ranking,
     intra: IntraMode,
     backfill: bool,
-    // Incremental state: EDD-ordered `(deadline, id)` member list per
-    // active group. Ideal finish times are static once an echelon's
-    // reference is bound, so these orderings survive across events; only
-    // groups whose flows arrived or departed need touching. Maintained by
-    // `apply_delta`, consumed by `allocate_cached`; the naive `allocate`
-    // path neither reads nor writes it.
+    // EDF-ordered `(deadline, id)` member list per active group. Ideal
+    // finish times are static once an echelon's reference is bound, so
+    // these orderings survive across events; only groups whose flows
+    // arrived or departed need touching.
     cached_members: BTreeMap<GroupKey, Vec<(SimTime, FlowId)>>,
+    // First-seen time of each group: the `now` of its first allocation.
+    // Kept only under the coflow arrival ranking, its only reader; a solo
+    // flow's entry leaves with the flow.
+    arrivals: BTreeMap<GroupKey, SimTime>,
     // Link↔flow adjacency maintained in lockstep with `cached_members`
     // from the same deltas. Its O(F) consistency check guards both; when
     // it fails, the conservative fallback rebuilds everything from the
     // flow table (see DESIGN.md §8).
     links: LinkIndex,
-    // Reusable flat group structure + per-link accumulator for the
-    // cached allocation path: steady-state events allocate nothing.
-    scratch: GroupCsr<GroupKey>,
+    // Reusable flat group structure + per-link accumulator: steady-state
+    // events allocate nothing.
+    scratch: GroupCsr,
     load: LinkLoad,
 }
 
@@ -144,10 +144,11 @@ impl EchelonMadd {
     pub fn new(echelons: Vec<EchelonFlow>) -> EchelonMadd {
         EchelonMadd {
             book: EchelonBook::new(echelons),
-            inter: InterOrder::EarliestDeadline,
+            ranking: Ranking::Echelon(InterOrder::EarliestDeadline),
             intra: IntraMode::FinishEarly,
             backfill: true,
             cached_members: BTreeMap::new(),
+            arrivals: BTreeMap::new(),
             links: LinkIndex::default(),
             scratch: GroupCsr::default(),
             load: LinkLoad::new(),
@@ -155,8 +156,12 @@ impl EchelonMadd {
     }
 
     /// Selects the inter-EchelonFlow ordering.
-    pub fn with_inter(mut self, inter: InterOrder) -> EchelonMadd {
-        self.inter = inter;
+    pub fn with_inter(self, inter: InterOrder) -> EchelonMadd {
+        self.with_ranking(Ranking::Echelon(inter))
+    }
+
+    pub(crate) fn with_ranking(mut self, ranking: Ranking) -> EchelonMadd {
+        self.ranking = ranking;
         self
     }
 
@@ -190,15 +195,17 @@ impl EchelonMadd {
     }
 
     /// Evicts a completed EchelonFlow, refusing (returning `false`) while
-    /// any member flow is still active. The active-flow guard also
-    /// guarantees the incremental member cache holds no entry for the
-    /// group, so no cache surgery is needed.
+    /// any member flow is still active. The member cache may still list
+    /// the group's departed flows when the last allocation was a full
+    /// recompute (its departures reach the cache only at the next
+    /// rebuild), so the group's entry goes with it; the link index then
+    /// fails its consistency check and the next allocation rebuilds.
     pub fn evict(&mut self, id: EchelonId, active: &[ActiveFlowView]) -> bool {
         let evicted = self.book.evict(id, active);
-        debug_assert!(
-            !evicted || !self.cached_members.contains_key(&GroupKey::Echelon(id)),
-            "evicted echelon {id} still has cached members"
-        );
+        if evicted {
+            self.cached_members.remove(&GroupKey::Echelon(id));
+            self.arrivals.remove(&GroupKey::Echelon(id));
+        }
         evicted
     }
 
@@ -223,26 +230,6 @@ impl EchelonMadd {
         }
     }
 
-    /// Resolves members with deadlines for one group. Solo flows use
-    /// their release time as deadline, making their tardiness their FCT.
-    fn members<'a>(&self, key: GroupKey, flows: &[&'a ActiveFlowView]) -> Vec<Member<'a>> {
-        let mut members: Vec<Member<'a>> = flows
-            .iter()
-            .map(|v| {
-                let deadline = match key {
-                    GroupKey::Echelon(_) => self
-                        .book
-                        .ideal_finish(v.id)
-                        .expect("member of bound echelon"),
-                    GroupKey::Solo(_) => v.release,
-                };
-                Member { view: v, deadline }
-            })
-            .collect();
-        members.sort_by(|a, b| a.deadline.cmp(&b.deadline).then(a.view.id.cmp(&b.view.id)));
-        members
-    }
-
     fn weight_of(&self, key: GroupKey) -> f64 {
         match key {
             GroupKey::Echelon(id) => self.book.get(id).map(|h| h.weight()).unwrap_or(1.0),
@@ -250,220 +237,8 @@ impl EchelonMadd {
         }
     }
 
-    fn isolation_gamma(members: &[Member<'_>], topo: &Topology) -> f64 {
-        let mut per_resource: BTreeMap<u32, f64> = BTreeMap::new();
-        for m in members {
-            for r in &m.view.route {
-                *per_resource.entry(r.0).or_insert(0.0) += m.view.remaining / topo.capacity(*r);
-            }
-        }
-        per_resource.values().fold(0.0f64, |a, &b| a.max(b))
-    }
-
-    fn serve_order(
-        &self,
-        now: SimTime,
-        groups: &BTreeMap<GroupKey, Vec<&ActiveFlowView>>,
-        topo: &Topology,
-    ) -> Vec<GroupKey> {
-        let mut keys: Vec<GroupKey> = groups.keys().copied().collect();
-        match self.inter {
-            InterOrder::MostTardy => {
-                // Rank by *weighted* projected tardiness: the weighted sum
-                // objective (Eq. 4) makes a unit of lateness on a heavy
-                // EchelonFlow cost `weight` units, so heavier groups are
-                // proportionally more urgent.
-                keys.sort_by(|a, b| {
-                    let ta = self.weight_of(*a)
-                        * projected_tardiness(now, &self.members(*a, &groups[a]), topo);
-                    let tb = self.weight_of(*b)
-                        * projected_tardiness(now, &self.members(*b, &groups[b]), topo);
-                    tb.total_cmp(&ta).then(a.cmp(b))
-                });
-            }
-            InterOrder::LeastWork => {
-                keys.sort_by(|a, b| {
-                    let ga = Self::isolation_gamma(&self.members(*a, &groups[a]), topo);
-                    let gb = Self::isolation_gamma(&self.members(*b, &groups[b]), topo);
-                    ga.total_cmp(&gb).then(a.cmp(b))
-                });
-            }
-            InterOrder::StageLeastWork => {
-                let stage_key = |k: &GroupKey| -> (f64, SimTime) {
-                    let members = self.members(*k, &groups[k]);
-                    let head_deadline = members[0].deadline;
-                    let stage: Vec<_> = members
-                        .iter()
-                        .take_while(|m| m.deadline.approx_eq(head_deadline))
-                        .collect();
-                    let mut per_resource: BTreeMap<u32, f64> = BTreeMap::new();
-                    for m in &stage {
-                        for r in &m.view.route {
-                            *per_resource.entry(r.0).or_insert(0.0) +=
-                                m.view.remaining / topo.capacity(*r);
-                        }
-                    }
-                    let gamma = per_resource.values().fold(0.0f64, |a, &b| a.max(b));
-                    (gamma, head_deadline)
-                };
-                keys.sort_by(|a, b| {
-                    let (ga, da) = stage_key(a);
-                    let (gb, db) = stage_key(b);
-                    ga.total_cmp(&gb).then(da.cmp(&db)).then(a.cmp(b))
-                });
-            }
-            InterOrder::EarliestDeadline => {
-                keys.sort_by(|a, b| {
-                    let da = self.members(*a, &groups[a])[0].deadline;
-                    let db = self.members(*b, &groups[b])[0].deadline;
-                    da.cmp(&db).then(a.cmp(b))
-                });
-            }
-            InterOrder::Bssi => {
-                let mut key_for_id = BTreeMap::new();
-                let loads: Vec<GroupLoad> = keys
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &k)| {
-                        let id = EchelonId(i as u64);
-                        key_for_id.insert(id, k);
-                        let mut load = BTreeMap::new();
-                        for v in &groups[&k] {
-                            for r in &v.route {
-                                *load.entry(r.0).or_insert(0.0) += v.remaining / topo.capacity(*r);
-                            }
-                        }
-                        GroupLoad {
-                            id,
-                            weight: self.weight_of(k),
-                            load,
-                        }
-                    })
-                    .collect();
-                keys = bssi_order(&loads)
-                    .into_iter()
-                    .map(|id| key_for_id[&id])
-                    .collect();
-            }
-        }
-        keys
-    }
-
-    /// MADD over one deadline-stage against residual capacity: all flows
-    /// of the stage finish together at the stage's residual bottleneck.
-    /// Rates land in the dense `rates` slice (indexed like `flows`); the
-    /// slice starts zeroed, so a starved stage writes nothing.
-    fn serve_stage(
-        stage: &[Member<'_>],
-        flows: &[ActiveFlowView],
-        residual: &mut [f64],
-        rates: &mut [f64],
-        rate_caps: Option<&BTreeMap<FlowId, f64>>,
-    ) {
-        let mut per_resource: BTreeMap<u32, f64> = BTreeMap::new();
-        for m in stage {
-            for r in &m.view.route {
-                *per_resource.entry(r.0).or_insert(0.0) += m.view.remaining;
-            }
-        }
-        let mut gamma: f64 = 0.0;
-        for (&r, &bytes) in &per_resource {
-            let res = residual[r as usize];
-            if res <= EPS {
-                gamma = f64::INFINITY;
-                break;
-            }
-            gamma = gamma.max(bytes / res);
-        }
-        if !gamma.is_finite() || gamma <= EPS {
-            return;
-        }
-        for m in stage {
-            let v = m.view;
-            let mut rate = v.remaining / gamma;
-            if let Some(caps) = rate_caps {
-                if let Some(&cap) = caps.get(&v.id) {
-                    rate = rate.min(cap);
-                }
-            }
-            let idx = flows
-                .binary_search_by(|f| f.id.cmp(&v.id))
-                .expect("served flow is active");
-            rates[idx] = rate;
-            for r in &v.route {
-                residual[r.0 as usize] = (residual[r.0 as usize] - rate).max(0.0);
-            }
-        }
-    }
-
-    /// Serves pre-ordered groups against residual capacity and backfills,
-    /// writing the dense allocation (indexed like the id-sorted `flows`)
-    /// into `rates`. Shared tail of the naive and incremental allocation
-    /// paths; member lists must be EDD-ordered (deadline, then id).
-    #[allow(clippy::too_many_arguments)]
-    fn serve(
-        &self,
-        now: SimTime,
-        order: &[GroupKey],
-        members_of: &BTreeMap<GroupKey, Vec<Member<'_>>>,
-        flows: &[ActiveFlowView],
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        rates: &mut Vec<f64>,
-    ) {
-        debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        let mut residual: Vec<f64> = (0..topo.num_resources())
-            .map(|r| topo.capacity(echelon_simnet::ids::ResourceId(r as u32)))
-            .collect();
-        rates.clear();
-        rates.resize(flows.len(), 0.0);
-
-        for key in order {
-            let members = &members_of[key];
-            // In Equalize mode, cap every flow at the rate that makes it
-            // finish exactly at d_j + τ*; in FinishEarly mode, no caps.
-            let rate_caps: Option<BTreeMap<FlowId, f64>> = match self.intra {
-                IntraMode::FinishEarly => None,
-                IntraMode::Equalize => {
-                    let tau = projected_tardiness(now, members, topo).max(0.0);
-                    Some(
-                        members
-                            .iter()
-                            .map(|m| {
-                                let target = m.deadline.secs() + tau;
-                                let horizon = (target - now.secs()).max(EPS);
-                                (m.view.id, m.view.remaining / horizon)
-                            })
-                            .collect(),
-                    )
-                }
-            };
-            // Partition into deadline stages (EDD order is already sorted).
-            let mut i = 0;
-            while i < members.len() {
-                let d = members[i].deadline;
-                let mut j = i;
-                while j < members.len() && members[j].deadline.approx_eq(d) {
-                    j += 1;
-                }
-                Self::serve_stage(
-                    &members[i..j],
-                    flows,
-                    &mut residual,
-                    rates,
-                    rate_caps.as_ref(),
-                );
-                i = j;
-            }
-        }
-
-        if self.backfill {
-            // The MADD rates become the waterfill floor in place: leftover
-            // capacity is shared max-min on top of them.
-            waterfill_dense(topo, flows, None, None, rates, ws);
-        }
-    }
-
+    /// A member's ideal finish time. Solo flows use their release time,
+    /// making their tardiness their FCT.
     fn deadline_of(&self, key: GroupKey, view: &ActiveFlowView) -> SimTime {
         match key {
             GroupKey::Echelon(_) => self
@@ -472,6 +247,10 @@ impl EchelonMadd {
                 .expect("member of bound echelon"),
             GroupKey::Solo(_) => view.release,
         }
+    }
+
+    fn stamps_arrivals(&self) -> bool {
+        self.ranking == Ranking::Coflow(CoflowOrder::Arrival)
     }
 
     /// Updates the cached group membership/EDD orderings for the flows
@@ -486,23 +265,29 @@ impl EchelonMadd {
         // O(active flows); debug builds assert agreement with the full
         // scan inside `observe_delta`.
         self.book.observe_delta(now, flows, delta);
+        let stamp = self.stamps_arrivals();
         // Arrivals in ascending id order: reference binding is first-touch,
-        // and the naive path observes the id-sorted flow slice.
+        // and the rebuild observes the id-sorted flow slice.
         let mut arrived = delta.arrived.clone();
         arrived.sort_unstable();
         for id in arrived {
             let Ok(idx) = flows.binary_search_by(|v| v.id.cmp(&id)) else {
                 continue; // arrived and departed without ever being served
             };
-            let view = &flows[idx];
             let key = self.group_of(id);
-            let deadline = self.deadline_of(key, view);
+            let deadline = self.deadline_of(key, &flows[idx]);
+            if stamp {
+                self.arrivals.entry(key).or_insert(now);
+            }
             let list = self.cached_members.entry(key).or_default();
             let pos = list.partition_point(|&(d, f)| (d, f) < (deadline, id));
             list.insert(pos, (deadline, id));
         }
         for &id in &delta.departed {
             let key = self.group_of(id);
+            if matches!(key, GroupKey::Solo(_)) {
+                self.arrivals.remove(&key);
+            }
             if let Some(list) = self.cached_members.get_mut(&key) {
                 if let Some(pos) = list.iter().position(|&(_, f)| f == id) {
                     list.remove(pos);
@@ -517,23 +302,25 @@ impl EchelonMadd {
         self.links.apply_delta(flows, delta);
     }
 
-    /// True when the cache covers exactly the given active set. Checked
-    /// through the link index (updated in lockstep with `cached_members`
-    /// from the same deltas): an O(F) id-set walk instead of a per-flow
-    /// binary-search sweep.
-    fn cache_consistent(&self, flows: &[ActiveFlowView]) -> bool {
-        self.links.consistent(flows)
-    }
-
-    /// Re-derives the cache (and the link index) from scratch — the
-    /// conservative fallback when a delta was missed. Identical grouping
-    /// and ordering to the naive path.
+    /// Re-derives the cache (and the link index) from the flow slice: the
+    /// full recompute, and the conservative fallback when a delta was
+    /// missed.
     fn rebuild_cache(&mut self, now: SimTime, flows: &[ActiveFlowView]) {
         self.book.observe(now, flows);
         self.cached_members.clear();
+        let stamp = self.stamps_arrivals();
+        if stamp {
+            self.arrivals.retain(|k, _| match k {
+                GroupKey::Solo(id) => flows.binary_search_by(|v| v.id.cmp(id)).is_ok(),
+                GroupKey::Echelon(_) => true,
+            });
+        }
         for v in flows {
             let key = self.group_of(v.id);
             let deadline = self.deadline_of(key, v);
+            if stamp {
+                self.arrivals.entry(key).or_insert(now);
+            }
             self.cached_members
                 .entry(key)
                 .or_default()
@@ -545,10 +332,10 @@ impl EchelonMadd {
         self.links.rebuild(flows);
     }
 
-    /// [`projected_tardiness`] over CSR member slices, accumulating into
-    /// the reusable [`LinkLoad`] instead of a transient `BTreeMap`. The
-    /// running per-link sums build in the same member order with the same
-    /// first-touch semantics, so the result is bit-identical.
+    /// Projected tardiness of a member set under isolation: serve EDD at
+    /// full capacity; the answer is the max over EDD prefixes and
+    /// resources of `now + prefix_occupancy − deadline`. The per-link
+    /// sums accumulate into the reusable [`LinkLoad`].
     fn projected_tardiness_csr(
         now: SimTime,
         flows: &[ActiveFlowView],
@@ -570,9 +357,9 @@ impl EchelonMadd {
         worst
     }
 
-    /// [`Self::isolation_gamma`] over a CSR member slice: max of the
-    /// per-link load sums, folded over the ascending touched-link list
-    /// exactly as the map-based fold enumerates its keys.
+    /// Isolation bottleneck Γ of a member slice (Varys' effective
+    /// bottleneck): max of the per-link occupancy sums, folded over the
+    /// ascending touched-link list.
     fn isolation_gamma_csr(
         flows: &[ActiveFlowView],
         pos: &[usize],
@@ -594,141 +381,105 @@ impl EchelonMadd {
         gamma
     }
 
-    /// Inter-group ordering over the flat group structure: each group's
-    /// ranking value is computed once into a reusable rank buffer, then
-    /// `order` is sorted with a strict total order (deterministic key
-    /// tie-break), yielding exactly the naive path's order.
+    /// Inter-group ordering over the flat group structure. Every ranking
+    /// but BSSI computes one `(rank, time)` pair per group into reusable
+    /// buffers; `order` is then sorted by rank, time and group key (a
+    /// strict total order, so the result is deterministic).
     fn order_groups(
         &self,
         now: SimTime,
         flows: &[ActiveFlowView],
         topo: &Topology,
-        sc: &mut GroupCsr<GroupKey>,
+        sc: &mut GroupCsr,
         load: &mut LinkLoad,
     ) {
         let groups = sc.keys.len();
         sc.order.clear();
-        sc.order.extend(0..groups);
-        match self.inter {
-            InterOrder::MostTardy => {
-                sc.rank.clear();
-                for g in 0..groups {
-                    let tau = Self::projected_tardiness_csr(
-                        now,
-                        flows,
-                        &sc.pos[sc.starts[g]..sc.starts[g + 1]],
-                        &sc.deadline[sc.starts[g]..sc.starts[g + 1]],
-                        topo,
-                        load,
-                    );
-                    sc.rank.push(self.weight_of(sc.keys[g]) * tau);
-                }
-                let GroupCsr {
-                    keys, order, rank, ..
-                } = sc;
-                order.sort_by(|&a, &b| rank[b].total_cmp(&rank[a]).then(keys[a].cmp(&keys[b])));
-            }
-            InterOrder::LeastWork => {
-                sc.rank.clear();
-                for g in 0..groups {
-                    sc.rank.push(Self::isolation_gamma_csr(
-                        flows,
-                        &sc.pos[sc.starts[g]..sc.starts[g + 1]],
-                        topo,
-                        load,
-                    ));
-                }
-                let GroupCsr {
-                    keys, order, rank, ..
-                } = sc;
-                order.sort_by(|&a, &b| rank[a].total_cmp(&rank[b]).then(keys[a].cmp(&keys[b])));
-            }
-            InterOrder::StageLeastWork => {
-                sc.rank.clear();
-                sc.rank_time.clear();
-                for g in 0..groups {
-                    let pos = &sc.pos[sc.starts[g]..sc.starts[g + 1]];
-                    let deadline = &sc.deadline[sc.starts[g]..sc.starts[g + 1]];
-                    let head_deadline = deadline[0];
-                    let stage_len = deadline
-                        .iter()
-                        .take_while(|d| d.approx_eq(head_deadline))
-                        .count();
-                    sc.rank.push(Self::isolation_gamma_csr(
-                        flows,
-                        &pos[..stage_len],
-                        topo,
-                        load,
-                    ));
-                    sc.rank_time.push(head_deadline);
-                }
-                let GroupCsr {
-                    keys,
-                    order,
-                    rank,
-                    rank_time,
-                    ..
-                } = sc;
-                order.sort_by(|&a, &b| {
-                    rank[a]
-                        .total_cmp(&rank[b])
-                        .then(rank_time[a].cmp(&rank_time[b]))
-                        .then(keys[a].cmp(&keys[b]))
-                });
-            }
-            InterOrder::EarliestDeadline => {
-                sc.rank_time.clear();
-                for g in 0..groups {
-                    sc.rank_time.push(sc.deadline[sc.starts[g]]);
-                }
-                let GroupCsr {
-                    keys,
-                    order,
-                    rank_time,
-                    ..
-                } = sc;
-                order.sort_by(|&a, &b| rank_time[a].cmp(&rank_time[b]).then(keys[a].cmp(&keys[b])));
-            }
-            InterOrder::Bssi => {
-                // Non-default ablation: keep the map-based load build (the
-                // BSSI solve itself dominates). Accumulate in ascending id
-                // order — member positions index the id-sorted flow slice,
-                // so sorting positions ascending is ascending id order —
-                // to match the naive path's float summation bit-for-bit.
-                let mut key_for_id = BTreeMap::new();
-                let loads: Vec<GroupLoad> = (0..groups)
-                    .map(|g| {
-                        let id = EchelonId(g as u64);
-                        key_for_id.insert(id, g);
-                        let mut by_id: Vec<usize> = sc.pos[sc.starts[g]..sc.starts[g + 1]].to_vec();
-                        by_id.sort_unstable();
-                        let mut load = BTreeMap::new();
-                        for p in by_id {
-                            let v = &flows[p];
-                            for r in &v.route {
-                                *load.entry(r.0).or_insert(0.0) += v.remaining / topo.capacity(*r);
-                            }
+        if let Ranking::Echelon(InterOrder::Bssi) | Ranking::Coflow(CoflowOrder::Bssi) =
+            self.ranking
+        {
+            // Non-default ablation: keep the map-based load build (the
+            // BSSI solve itself dominates). Accumulate in ascending id
+            // order — member positions index the id-sorted flow slice, so
+            // sorting positions ascending is ascending id order.
+            let loads: Vec<GroupLoad> = (0..groups)
+                .map(|g| {
+                    let mut by_id: Vec<usize> = sc.pos[sc.starts[g]..sc.starts[g + 1]].to_vec();
+                    by_id.sort_unstable();
+                    let mut load = BTreeMap::new();
+                    for p in by_id {
+                        let v = &flows[p];
+                        for r in &v.route {
+                            *load.entry(r.0).or_insert(0.0) += v.remaining / topo.capacity(*r);
                         }
-                        GroupLoad {
-                            id,
-                            weight: self.weight_of(sc.keys[g]),
-                            load,
-                        }
-                    })
-                    .collect();
-                sc.order.clear();
-                sc.order
-                    .extend(bssi_order(&loads).into_iter().map(|id| key_for_id[&id]));
-            }
+                    }
+                    GroupLoad {
+                        id: EchelonId(g as u64),
+                        weight: self.weight_of(sc.keys[g]),
+                        load,
+                    }
+                })
+                .collect();
+            sc.order
+                .extend(bssi_order(&loads).into_iter().map(|id| id.0 as usize));
+            return;
         }
+        sc.order.extend(0..groups);
+        sc.rank.clear();
+        sc.rank_time.clear();
+        for g in 0..groups {
+            let (start, end) = (sc.starts[g], sc.starts[g + 1]);
+            let (pos, deadline) = (&sc.pos[start..end], &sc.deadline[start..end]);
+            let (rank, time) = match self.ranking {
+                // Largest weighted tardiness first: the weighted objective
+                // (Eq. 4) makes a unit of lateness on a heavy EchelonFlow
+                // cost `weight` units. Negation reverses the total order.
+                Ranking::Echelon(InterOrder::MostTardy) => {
+                    let tau = Self::projected_tardiness_csr(now, flows, pos, deadline, topo, load);
+                    (-(self.weight_of(sc.keys[g]) * tau), SimTime::ZERO)
+                }
+                Ranking::Echelon(InterOrder::LeastWork) | Ranking::Coflow(CoflowOrder::Sebf) => (
+                    Self::isolation_gamma_csr(flows, pos, topo, load),
+                    SimTime::ZERO,
+                ),
+                Ranking::Echelon(InterOrder::StageLeastWork) => {
+                    let head = deadline[0];
+                    let stage = deadline.iter().take_while(|d| d.approx_eq(head)).count();
+                    (
+                        Self::isolation_gamma_csr(flows, &pos[..stage], topo, load),
+                        head,
+                    )
+                }
+                Ranking::Echelon(InterOrder::EarliestDeadline) => (0.0, deadline[0]),
+                Ranking::Coflow(CoflowOrder::Arrival) => {
+                    (0.0, self.arrivals.get(&sc.keys[g]).copied().unwrap_or(now))
+                }
+                Ranking::Echelon(InterOrder::Bssi) | Ranking::Coflow(CoflowOrder::Bssi) => {
+                    unreachable!("BSSI returned above")
+                }
+            };
+            sc.rank.push(rank);
+            sc.rank_time.push(time);
+        }
+        let GroupCsr {
+            keys,
+            order,
+            rank,
+            rank_time,
+            ..
+        } = sc;
+        order.sort_by(|&a, &b| {
+            rank[a]
+                .total_cmp(&rank[b])
+                .then(rank_time[a].cmp(&rank_time[b]))
+                .then(keys[a].cmp(&keys[b]))
+        });
     }
 
-    /// MADD over one deadline-stage given as CSR member positions: the
-    /// flat mirror of [`Self::serve_stage`], with the per-link byte sums
-    /// in the reusable [`LinkLoad`] (gamma folds over the ascending
-    /// touched-link list, exactly the map iteration order) and member
-    /// positions used directly instead of re-finding each flow by binary
-    /// search.
+    /// MADD over one deadline-stage given as CSR member positions against
+    /// residual capacity: all flows of the stage finish together at the
+    /// stage's residual bottleneck (gamma folds over the ascending
+    /// touched-link list). A starved stage writes nothing.
     fn serve_stage_csr(
         stage: &[usize],
         flows: &[ActiveFlowView],
@@ -771,10 +522,10 @@ impl EchelonMadd {
         }
     }
 
-    /// Serving pass over the flat group structure: the allocation-free
-    /// mirror of [`Self::serve`]. Equalize caps land in a dense per-flow
-    /// buffer written just before each group's stages are served (entries
-    /// of other groups are stale and never read).
+    /// Serving pass over the flat group structure: each group in serve
+    /// order, its stages EDD, then the backfill. Equalize caps land in a
+    /// dense per-flow buffer written just before each group's stages are
+    /// served (entries of other groups are stale and never read).
     #[allow(clippy::too_many_arguments)]
     fn serve_csr(
         &self,
@@ -782,7 +533,7 @@ impl EchelonMadd {
         flows: &[ActiveFlowView],
         topo: &Topology,
         ws: &mut AllocScratch,
-        sc: &mut GroupCsr<GroupKey>,
+        sc: &mut GroupCsr,
         load: &mut LinkLoad,
         rates: &mut Vec<f64>,
     ) {
@@ -849,9 +600,9 @@ impl EchelonMadd {
     /// Allocation from the cached group structure maintained by
     /// [`Self::apply_delta`], written densely into `out` (`out[i]` rates
     /// `flows[i]`). Requires `flows` sorted by ascending id (the fluid
-    /// network's view order). Observationally identical to the naive
-    /// [`RatePolicy::allocate_dense`]; if the cache does not cover the
-    /// active set (a missed delta), it is rebuilt from scratch first.
+    /// network's view order). If the cache does not cover the active set
+    /// (a missed delta), it is rebuilt from scratch first.
+    /// [`RatePolicy::allocate_dense`] is this call after a forced rebuild.
     pub fn allocate_cached(
         &mut self,
         now: SimTime,
@@ -861,7 +612,7 @@ impl EchelonMadd {
         out: &mut Vec<f64>,
     ) {
         debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        if !self.cache_consistent(flows) {
+        if !self.links.consistent(flows) {
             self.rebuild_cache(now, flows);
         }
         let mut sc = std::mem::take(&mut self.scratch);
@@ -877,7 +628,7 @@ impl EchelonMadd {
     /// each member's position in the id-sorted flow slice once. Groups
     /// land in ascending key order (the member cache's `BTreeMap`
     /// iteration order), members in their cached EDD order.
-    fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr<GroupKey>) {
+    fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr) {
         sc.clear_groups();
         for (k, list) in &self.cached_members {
             sc.keys.push(*k);
@@ -900,6 +651,8 @@ impl RatePolicy for EchelonMadd {
         })
     }
 
+    /// The full recompute: the "everything changed" delta, i.e. a cache
+    /// rebuild followed by the shared ranking and serving pass.
     fn allocate_dense(
         &mut self,
         now: SimTime,
@@ -908,18 +661,8 @@ impl RatePolicy for EchelonMadd {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        self.book.observe(now, flows);
-
-        let mut groups: BTreeMap<GroupKey, Vec<&ActiveFlowView>> = BTreeMap::new();
-        for v in flows {
-            groups.entry(self.group_of(v.id)).or_default().push(v);
-        }
-        let order = self.serve_order(now, &groups, topo);
-        let members_of: BTreeMap<GroupKey, Vec<Member<'_>>> = groups
-            .iter()
-            .map(|(k, vs)| (*k, self.members(*k, vs)))
-            .collect();
-        self.serve(now, &order, &members_of, flows, topo, ws, out);
+        self.rebuild_cache(now, flows);
+        self.allocate_cached(now, flows, topo, ws, out);
     }
 
     fn allocate_incremental(
@@ -948,13 +691,19 @@ impl RatePolicy for EchelonMadd {
     }
 
     fn name(&self) -> &'static str {
-        match (self.inter, self.intra) {
-            (InterOrder::EarliestDeadline, IntraMode::FinishEarly) => "echelon-madd",
-            (InterOrder::EarliestDeadline, IntraMode::Equalize) => "echelon-madd(equalize)",
-            (InterOrder::MostTardy, _) => "echelon-madd(most-tardy)",
-            (InterOrder::LeastWork, _) => "echelon-madd(least-work)",
-            (InterOrder::StageLeastWork, _) => "echelon-madd(stage-least-work)",
-            (InterOrder::Bssi, _) => "echelon-madd(bssi)",
+        use InterOrder as I;
+        match (self.ranking, self.intra) {
+            (Ranking::Echelon(I::EarliestDeadline), IntraMode::FinishEarly) => "echelon-madd",
+            (Ranking::Echelon(I::EarliestDeadline), IntraMode::Equalize) => {
+                "echelon-madd(equalize)"
+            }
+            (Ranking::Echelon(I::MostTardy), _) => "echelon-madd(most-tardy)",
+            (Ranking::Echelon(I::LeastWork), _) => "echelon-madd(least-work)",
+            (Ranking::Echelon(I::StageLeastWork), _) => "echelon-madd(stage-least-work)",
+            (Ranking::Echelon(I::Bssi), _) => "echelon-madd(bssi)",
+            (Ranking::Coflow(CoflowOrder::Sebf), _) => "varys-madd(sebf)",
+            (Ranking::Coflow(CoflowOrder::Bssi), _) => "varys-madd(bssi)",
+            (Ranking::Coflow(CoflowOrder::Arrival), _) => "varys-madd(arrival)",
         }
     }
 
@@ -1162,9 +911,10 @@ mod tests {
         assert!(out.finish(FlowId(2)).unwrap().approx_eq(SimTime::new(7.0)));
     }
 
-    /// The incremental path must be bit-identical to the naive one across
-    /// every inter/intra combination (the broad differential sweep lives
-    /// in `tests/differential.rs` at the workspace root).
+    /// The delta-patched cache must allocate bit-identically to the cache
+    /// rebuilt at every call (Full mode) across every inter/intra
+    /// combination. The sweep against the map-based reference lives in
+    /// `tests/differential.rs` at the workspace root.
     #[test]
     fn incremental_path_matches_naive() {
         use echelon_simnet::runner::{run_flows_with, RecomputeMode};
@@ -1207,6 +957,104 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Under the coflow arrival ranking the first-seen map drops a solo
+    /// flow's entry with the flow: over a long solo-flow stream it never
+    /// holds more than the live solo flows plus the registered coflows,
+    /// on the delta path and on the rebuild alike.
+    #[test]
+    fn arrival_map_stays_bounded_by_live_groups() {
+        use crate::varys::VarysMadd;
+        use echelon_core::coflow::Coflow;
+        use echelon_simnet::runner::{run_flows_with, RecomputeMode};
+
+        struct Probe(EchelonMadd);
+        impl Probe {
+            fn check(&self, flows: &[ActiveFlowView]) {
+                let solo = flows
+                    .iter()
+                    .filter(|v| self.0.book.echelon_of(v.id).is_none())
+                    .count();
+                let bound = solo + self.0.book.occupancy();
+                assert!(
+                    self.0.arrivals.len() <= bound,
+                    "{} arrival entries, {bound} live solo flows and coflows",
+                    self.0.arrivals.len()
+                );
+            }
+        }
+        impl RatePolicy for Probe {
+            fn allocate(&mut self, now: SimTime, f: &[ActiveFlowView], t: &Topology) -> RateAlloc {
+                let alloc = self.0.allocate(now, f, t);
+                self.check(f);
+                alloc
+            }
+            fn allocate_incremental(
+                &mut self,
+                now: SimTime,
+                f: &[ActiveFlowView],
+                delta: &FlowDelta,
+                t: &Topology,
+            ) -> RateAlloc {
+                let alloc = self.0.allocate_incremental(now, f, delta, t);
+                self.check(f);
+                alloc
+            }
+        }
+
+        let topo = Topology::chain(2, 1.0);
+        let coflow = Coflow::new(
+            EchelonId(0),
+            JobId(0),
+            vec![fr(0, 0, 1, 1.0), fr(1, 0, 1, 1.0)],
+        );
+        let demands: Vec<FlowDemand> = (0..200)
+            .map(|i| demand(i, 0, 1, 1.0, 0.6 * i as f64))
+            .collect();
+        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+            let varys = VarysMadd::new(vec![coflow.clone()]).with_order(CoflowOrder::Arrival);
+            let mut probe = Probe(varys.into());
+            let out = run_flows_with(&topo, demands.clone(), &mut probe, mode);
+            assert_eq!(out.completions().len(), 200);
+            // The coflow, and at most the last solo flow: no allocation
+            // follows its departure.
+            assert!(
+                probe.0.arrivals.len() <= 2,
+                "{mode:?}: {:?}",
+                probe.0.arrivals
+            );
+        }
+    }
+
+    /// Fig. 2 at t = 3 with all three 2B flows released on a B = 1 link
+    /// and nothing sent yet: EDD prefixes finish at 5, 7, 9 against
+    /// deadlines 1, 2, 3, so the projected tardiness is max(4, 5, 6).
+    #[test]
+    fn projected_tardiness_matches_fig2_hand_calc() {
+        let topo = Topology::chain(2, 1.0);
+        let views: Vec<ActiveFlowView> = (0..3)
+            .map(|i| ActiveFlowView {
+                id: FlowId(i),
+                src: NodeId(0),
+                dst: NodeId(1),
+                size: 2.0,
+                remaining: 2.0,
+                release: SimTime::new(1.0 + i as f64),
+                route: topo.route(NodeId(0), NodeId(1)),
+                slot: i as u32,
+            })
+            .collect();
+        let deadlines = [1.0, 2.0, 3.0].map(SimTime::new);
+        let tau = EchelonMadd::projected_tardiness_csr(
+            SimTime::new(3.0),
+            &views,
+            &[0, 1, 2],
+            &deadlines,
+            &topo,
+            &mut LinkLoad::new(),
+        );
+        assert!((tau - 6.0).abs() < 1e-9, "tau = {tau}");
     }
 
     #[test]

@@ -1,36 +1,37 @@
-//! Persistent per-policy workspace for the MADD hot paths.
+//! Persistent per-policy workspace for the MADD engine.
 //!
-//! The cached (incremental) allocation paths of [`crate::echelon`] and
-//! [`crate::varys`] used to build transient `BTreeMap`s and `Vec`s on
-//! every event: per-group member lists with repeated binary searches,
-//! per-stage link-load maps, per-group cap maps, a fresh residual vector.
-//! MADD rates are remaining-proportional, so *values* can never be cached
-//! across events — but the *storage* can. [`GroupCsr`] keeps the whole
-//! group structure in flat reusable buffers (a CSR layout: one `starts`
-//! offset array over concatenated member slices), with member positions
-//! in the id-sorted flow table resolved once per event. Paired with
-//! [`echelon_simnet::linkindex::LinkLoad`] for the per-link sums, a
-//! steady-state MADD allocation performs no heap allocation.
+//! The MADD allocation path used to build transient `BTreeMap`s and
+//! `Vec`s on every event: per-group member lists with repeated binary
+//! searches, per-stage link-load maps, per-group cap maps, a fresh
+//! residual vector. MADD rates are remaining-proportional, so *values*
+//! can never be cached across events — but the *storage* can.
+//! [`GroupCsr`] keeps the whole group structure in flat reusable buffers
+//! (a CSR layout: one `starts` offset array over concatenated member
+//! slices), with member positions in the id-sorted flow table resolved
+//! once per event. Paired with [`echelon_simnet::linkindex::LinkLoad`]
+//! for the per-link sums, a steady-state MADD allocation performs no
+//! heap allocation.
 //!
-//! Bit-identity with the map-based reference path is preserved by
-//! construction: groups appear in ascending key order (the `BTreeMap`
-//! iteration order of the member cache they are built from), members keep
-//! their cached EDD order, and all per-link reductions run over
-//! ascending sorted touched-link lists (see `LinkLoad`).
+//! Bit-identity with the map-based MADD reference in the workspace's
+//! test support (`tests/support`) holds by construction: groups appear
+//! in ascending key order (the `BTreeMap` iteration order of the member
+//! cache they are built from), members keep their cached EDD order, and
+//! all per-link reductions run over ascending sorted touched-link lists
+//! (see `LinkLoad`).
 
+use crate::echelon::GroupKey;
 use echelon_simnet::time::SimTime;
 
 /// Flat, reusable group structure for one allocation event.
 ///
 /// Groups `g` own members `pos[starts[g]..starts[g + 1]]`; `pos` holds
 /// indices into the id-sorted active-flow slice, `deadline` the matching
-/// ideal finish times (unused by schedulers without per-member
-/// deadlines). `order`, `rank*`, `caps` and `residual` are working
-/// buffers for the inter-group sort and the serving pass.
-#[derive(Debug, Clone)]
-pub(crate) struct GroupCsr<K> {
+/// ideal finish times. `order`, `rank*`, `caps` and `residual` are
+/// working buffers for the inter-group sort and the serving pass.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GroupCsr {
     /// Group keys in ascending key order.
-    pub keys: Vec<K>,
+    pub keys: Vec<GroupKey>,
     /// CSR offsets into `pos`/`deadline`; `len = keys.len() + 1`.
     pub starts: Vec<usize>,
     /// Member positions in the id-sorted flow slice, per group.
@@ -51,23 +52,7 @@ pub(crate) struct GroupCsr<K> {
     pub residual: Vec<f64>,
 }
 
-impl<K> Default for GroupCsr<K> {
-    fn default() -> GroupCsr<K> {
-        GroupCsr {
-            keys: Vec::new(),
-            starts: Vec::new(),
-            pos: Vec::new(),
-            deadline: Vec::new(),
-            order: Vec::new(),
-            rank: Vec::new(),
-            rank_time: Vec::new(),
-            caps: Vec::new(),
-            residual: Vec::new(),
-        }
-    }
-}
-
-impl<K> GroupCsr<K> {
+impl GroupCsr {
     /// Clears the group structure (keys/offsets/members), keeping all
     /// capacity for reuse. Working buffers are reset by their own passes.
     pub fn clear_groups(&mut self) {

@@ -28,8 +28,8 @@ use echelonflow::paradigms::runtime::{
     make_policy, run_jobs_arriving, run_jobs_with, Grouping, RunResult,
 };
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
-use echelonflow::sched::echelon::{EchelonMadd, InterOrder, IntraMode};
-use echelonflow::sched::varys::{CoflowOrder, VarysMadd};
+use echelonflow::sched::echelon::EchelonMadd;
+use echelonflow::sched::varys::VarysMadd;
 use echelonflow::simnet::driver::DriveConfig;
 use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::flow::FlowDemand;
@@ -150,45 +150,52 @@ where
     );
 }
 
+/// Digests of every `support::Madd::all` configuration on seeds 0..6, in that
+/// order, recorded from the separate echelon and Varys engines before
+/// they merged into one.
+const MADD_PINS: [u64; 17] = [
+    0x5cc1_3d1b_5deb_fc12,
+    0x26bb_dfee_c4a7_b1c3,
+    0x11e0_5a39_9fb8_b647,
+    0xd0f2_2513_ec09_8859,
+    0xf2e1_ef93_d71b_2e6c,
+    0xd373_5721_cb99_a6c5,
+    0x92c5_69d1_e2ae_d637,
+    0x2c2a_1949_5116_3b80,
+    0x5375_f8b6_e352_e1f3,
+    0x7d34_c4fb_9f01_b4c1,
+    0x5e5b_3468_d00f_27e7,
+    0x7a03_1bfe_e1d1_ab53,
+    0xd282_2da0_94f1_b828,
+    0x4808_d2d0_f440_eb41,
+    0xbc0f_5ce4_0880_881c,
+    0x0b3e_770f_7b7f_85b1,
+    0x2d41_c4af_b381_b29b,
+];
+
+/// The three-way MADD check on seeds 0..6 of the seeded workload.
+fn assert_madd_three_way(coflow: bool) {
+    let topo = Topology::big_switch_uniform(HOSTS, 1.5);
+    support::assert_madd_three_way(
+        coflow,
+        &MADD_PINS,
+        0..6,
+        |seed| {
+            let w = workload(seed);
+            (w.echelons, w.coflows)
+        },
+        |seed, policy, mode| run_flows_with(&topo, workload(seed).demands, policy, mode),
+    );
+}
+
 #[test]
 fn echelon_madd_incremental_matches_full_on_seeded_workloads() {
-    let inters = [
-        InterOrder::MostTardy,
-        InterOrder::LeastWork,
-        InterOrder::StageLeastWork,
-        InterOrder::EarliestDeadline,
-        InterOrder::Bssi,
-    ];
-    let intras = [IntraMode::FinishEarly, IntraMode::Equalize];
-    for seed in 0..6u64 {
-        for inter in inters {
-            for intra in intras {
-                assert_flow_level_identical(
-                    seed,
-                    &format!("EchelonMadd {inter:?}/{intra:?}"),
-                    |w| {
-                        Box::new(
-                            EchelonMadd::new(w.echelons.clone())
-                                .with_inter(inter)
-                                .with_intra(intra),
-                        )
-                    },
-                );
-            }
-        }
-    }
+    assert_madd_three_way(false);
 }
 
 #[test]
 fn varys_madd_incremental_matches_full_on_seeded_workloads() {
-    let orders = [CoflowOrder::Sebf, CoflowOrder::Bssi, CoflowOrder::Arrival];
-    for seed in 0..6u64 {
-        for order in orders {
-            assert_flow_level_identical(seed, &format!("VarysMadd {order:?}"), |w| {
-                Box::new(VarysMadd::new(w.coflows.clone()).with_order(order))
-            });
-        }
-    }
+    assert_madd_three_way(true);
 }
 
 /// Policies without an incremental override fall back to the naive path;

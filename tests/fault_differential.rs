@@ -32,8 +32,8 @@ use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
 use echelonflow::paradigms::runtime::{make_policy, run_jobs_faulted, Grouping};
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
-use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
-use echelonflow::sched::varys::{CoflowOrder, VarysMadd};
+use echelonflow::sched::echelon::EchelonMadd;
+use echelonflow::sched::varys::VarysMadd;
 use echelonflow::simnet::driver::DriveConfig;
 use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::fault::{FaultKind, FaultPlan};
@@ -185,34 +185,61 @@ fn baselines_survive_churn_bit_identically() {
     }
 }
 
+/// Digests of every `support::Madd::all` configuration under churn on seeds
+/// 0..4, in that order, recorded from the separate echelon and Varys
+/// engines before they merged into one.
+const FAULTED_MADD_PINS: [u64; 17] = [
+    0x75b5_ad69_0a62_548f,
+    0x6e53_a4b5_8548_afb1,
+    0x6480_c700_3244_128c,
+    0xe571_762f_a6d2_2088,
+    0x1ccf_8270_e9e3_390b,
+    0x106c_f3f7_9e49_2e13,
+    0xe139_a432_cc42_bd98,
+    0x26cc_37c6_2dcb_4566,
+    0x7b42_a152_5c2f_2d38,
+    0xa0e9_9866_4a47_5e69,
+    0xbe79_7790_833b_3d5f,
+    0x21cf_77a2_04c0_cb00,
+    0xa527_6207_5e42_cbd1,
+    0x470a_47a0_e6b6_081b,
+    0xccd8_b0ed_40bd_c413,
+    0x91a4_646e_92b6_5675,
+    0x0afa_debd_5e34_59e9,
+];
+
+/// The plain suite's three-way MADD check under each seed's churn plan,
+/// on seeds 0..4.
+fn assert_faulted_madd_three_way(coflow: bool) {
+    let topo = Topology::big_switch_uniform(HOSTS, 1.5);
+    support::assert_madd_three_way(
+        coflow,
+        &FAULTED_MADD_PINS,
+        0..4,
+        |seed| {
+            let w = workload(seed);
+            (w.echelons, w.coflows)
+        },
+        |seed, policy, mode| {
+            let plan = flow_level_plan(seed, &topo);
+            let out = run_flows_faulted(&topo, workload(seed).demands, policy, mode, &plan);
+            assert!(
+                out.drive_stats().fault_events > 0,
+                "no fault fired on seed {seed}: the test is vacuous"
+            );
+            out
+        },
+    );
+}
+
 #[test]
 fn echelon_madd_survives_churn_bit_identically() {
-    let inters = [
-        InterOrder::MostTardy,
-        InterOrder::LeastWork,
-        InterOrder::StageLeastWork,
-        InterOrder::EarliestDeadline,
-        InterOrder::Bssi,
-    ];
-    for seed in 0..4u64 {
-        for inter in inters {
-            assert_faulted_flow_level_identical(seed, &format!("EchelonMadd {inter:?}"), |w| {
-                Box::new(EchelonMadd::new(w.echelons.clone()).with_inter(inter))
-            });
-        }
-    }
+    assert_faulted_madd_three_way(false);
 }
 
 #[test]
 fn varys_madd_survives_churn_bit_identically() {
-    let orders = [CoflowOrder::Sebf, CoflowOrder::Bssi, CoflowOrder::Arrival];
-    for seed in 0..4u64 {
-        for order in orders {
-            assert_faulted_flow_level_identical(seed, &format!("VarysMadd {order:?}"), |w| {
-                Box::new(VarysMadd::new(w.coflows.clone()).with_order(order))
-            });
-        }
-    }
+    assert_faulted_madd_three_way(true);
 }
 
 /// Queue enforcement wraps an inner policy; its `on_fault` forwarding

@@ -1,12 +1,25 @@
-//! The test-only pod-sequential reference shared by the differential suites.
+//! Test-only references shared by the differential suites: the
+//! pod-sequential max-min reference and the map-based MADD reference,
+//! plus the digest their pinned tables use.
 
+use echelonflow::core::coflow::Coflow;
+use echelonflow::core::echelon::EchelonFlow;
+use echelonflow::core::EchelonId;
+use echelonflow::sched::book::EchelonBook;
+use echelonflow::sched::echelon::{EchelonMadd, InterOrder, IntraMode};
+use echelonflow::sched::sincronia::{bssi_order, GroupLoad};
+use echelonflow::sched::varys::{CoflowOrder, VarysMadd};
 use echelonflow::simnet::alloc::{
     alloc_via_dense, waterfill_dense, waterfill_subset_dense, AllocScratch, RateAlloc,
 };
 use echelonflow::simnet::flow::ActiveFlowView;
-use echelonflow::simnet::runner::RatePolicy;
-use echelonflow::simnet::time::SimTime;
+use echelonflow::simnet::ids::FlowId;
+use echelonflow::simnet::runner::{FlowOutcomes, RatePolicy, RecomputeMode};
+use echelonflow::simnet::time::{SimTime, EPS};
 use echelonflow::simnet::topology::Topology;
+use echelonflow::simnet::trace::TraceEventKind;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The pod-sequential reference for `PodMaxMinPolicy`, re-derived from
 /// the flow slice on every call with no state at all: every flow is
@@ -52,4 +65,393 @@ impl RatePolicy for PodReference {
             waterfill_subset_dense(topo, flows, pod, out, ws);
         }
     }
+}
+
+/// A MADD group ranking: an EchelonFlow order or a coflow order.
+#[derive(Debug, Clone, Copy)]
+pub enum Rank {
+    Inter(InterOrder),
+    Coflow(CoflowOrder),
+}
+
+/// One MADD configuration, buildable as the production scheduler or as
+/// the map-based reference.
+#[derive(Debug, Clone, Copy)]
+pub struct Madd {
+    pub rank: Rank,
+    pub intra: IntraMode,
+    pub backfill: bool,
+}
+
+impl Madd {
+    /// Every EchelonFlow configuration (5 orders × 2 intra modes, then
+    /// the default with backfill off), then every coflow order with
+    /// backfill on and off.
+    pub fn all() -> Vec<Madd> {
+        let inters = [
+            InterOrder::MostTardy,
+            InterOrder::LeastWork,
+            InterOrder::StageLeastWork,
+            InterOrder::EarliestDeadline,
+            InterOrder::Bssi,
+        ];
+        let mut all = Vec::new();
+        for inter in inters {
+            for intra in [IntraMode::FinishEarly, IntraMode::Equalize] {
+                all.push(Madd {
+                    rank: Rank::Inter(inter),
+                    intra,
+                    backfill: true,
+                });
+            }
+        }
+        all.push(Madd {
+            rank: Rank::Inter(InterOrder::EarliestDeadline),
+            intra: IntraMode::FinishEarly,
+            backfill: false,
+        });
+        for order in [CoflowOrder::Sebf, CoflowOrder::Bssi, CoflowOrder::Arrival] {
+            for backfill in [true, false] {
+                all.push(Madd {
+                    rank: Rank::Coflow(order),
+                    intra: IntraMode::FinishEarly,
+                    backfill,
+                });
+            }
+        }
+        all
+    }
+
+    /// The production scheduler: `EchelonMadd` over `echelons`, or
+    /// `VarysMadd` over `coflows`.
+    pub fn engine(self, echelons: &[EchelonFlow], coflows: &[Coflow]) -> Box<dyn RatePolicy> {
+        match self.rank {
+            Rank::Inter(inter) => Box::new(
+                EchelonMadd::new(echelons.to_vec())
+                    .with_inter(inter)
+                    .with_intra(self.intra)
+                    .with_backfill(self.backfill),
+            ),
+            Rank::Coflow(order) => Box::new(
+                VarysMadd::new(coflows.to_vec())
+                    .with_order(order)
+                    .with_backfill(self.backfill),
+            ),
+        }
+    }
+
+    /// The map-based reference over the same groups; coflows enter as
+    /// one-stage EchelonFlows (Eq. 5).
+    pub fn reference(self, echelons: &[EchelonFlow], coflows: &[Coflow]) -> MaddReference {
+        let groups = match self.rank {
+            Rank::Inter(_) => echelons.to_vec(),
+            Rank::Coflow(_) => coflows.iter().cloned().map(Coflow::into_echelon).collect(),
+        };
+        MaddReference {
+            cfg: self,
+            book: EchelonBook::new(groups),
+            arrivals: BTreeMap::new(),
+        }
+    }
+}
+
+/// Group key: a declared group, or a flow of no group on its own.
+/// Declared groups sort first, as in the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Group(EchelonId),
+    Solo(FlowId),
+}
+
+/// The map-based MADD reference: regroups the flow slice on every call
+/// and keeps only the book's reference times and the first-seen time of
+/// every group. Members are served in (ideal finish, id) order, one MADD
+/// stage per ideal finish time; a solo flow's ideal finish is its release.
+#[derive(Debug)]
+pub struct MaddReference {
+    cfg: Madd,
+    book: EchelonBook,
+    arrivals: BTreeMap<Key, SimTime>,
+}
+
+/// Per-resource occupancy seconds of `members` (`scale` divides each
+/// flow's remaining bytes by link capacity), summed in member order.
+fn load(
+    members: &[(SimTime, usize)],
+    flows: &[ActiveFlowView],
+    topo: &Topology,
+    scale: bool,
+) -> BTreeMap<u32, f64> {
+    let mut per_resource = BTreeMap::new();
+    for &(_, i) in members {
+        let v = &flows[i];
+        for r in &v.route {
+            let div = if scale { topo.capacity(*r) } else { 1.0 };
+            *per_resource.entry(r.0).or_insert(0.0) += v.remaining / div;
+        }
+    }
+    per_resource
+}
+
+fn max_value(per_resource: &BTreeMap<u32, f64>) -> f64 {
+    per_resource.values().fold(0.0f64, |a, &b| a.max(b))
+}
+
+/// Tardiness of `members` served EDD in isolation: the max over EDD
+/// prefixes of `now + prefix occupancy − deadline`.
+fn projected_tardiness(
+    now: SimTime,
+    members: &[(SimTime, usize)],
+    flows: &[ActiveFlowView],
+    topo: &Topology,
+) -> f64 {
+    let mut worst = f64::NEG_INFINITY;
+    let mut per_resource: BTreeMap<u32, f64> = BTreeMap::new();
+    for &(d, i) in members {
+        let v = &flows[i];
+        for r in &v.route {
+            *per_resource.entry(r.0).or_insert(0.0) += v.remaining / topo.capacity(*r);
+        }
+        let finish = v
+            .route
+            .iter()
+            .map(|r| per_resource[&r.0])
+            .fold(0.0, f64::max);
+        worst = worst.max(now.secs() + finish - d.secs());
+    }
+    worst
+}
+
+/// The leading members that share the head's ideal finish time.
+fn stage(members: &[(SimTime, usize)]) -> &[(SimTime, usize)] {
+    let head = members[0].0;
+    let len = members.iter().take_while(|m| m.0.approx_eq(head)).count();
+    &members[..len]
+}
+
+impl MaddReference {
+    fn weight(&self, key: Key) -> f64 {
+        match key {
+            Key::Group(id) => self.book.get(id).map_or(1.0, |h| h.weight()),
+            Key::Solo(_) => 1.0,
+        }
+    }
+
+    /// The serve order over the active groups.
+    fn order(
+        &self,
+        now: SimTime,
+        groups: &BTreeMap<Key, Vec<(SimTime, usize)>>,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+    ) -> Vec<Key> {
+        use CoflowOrder as C;
+        use InterOrder as I;
+        if let Rank::Inter(I::Bssi) | Rank::Coflow(C::Bssi) = self.cfg.rank {
+            // BSSI sums each group's load in id order, not EDD order.
+            let keys: Vec<Key> = groups.keys().copied().collect();
+            let loads: Vec<GroupLoad> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| {
+                    let mut by_id = groups[k].clone();
+                    by_id.sort_by_key(|m| m.1);
+                    GroupLoad {
+                        id: EchelonId(i as u64),
+                        weight: self.weight(*k),
+                        load: load(&by_id, flows, topo, true),
+                    }
+                })
+                .collect();
+            return bssi_order(&loads)
+                .into_iter()
+                .map(|id| keys[id.0 as usize])
+                .collect();
+        }
+        let mut ranked: Vec<(f64, SimTime, Key)> = groups
+            .iter()
+            .map(|(&k, m)| {
+                let head = m[0].0;
+                let (rank, time) = match self.cfg.rank {
+                    Rank::Inter(I::MostTardy) => (
+                        -(self.weight(k) * projected_tardiness(now, m, flows, topo)),
+                        SimTime::ZERO,
+                    ),
+                    Rank::Inter(I::LeastWork) | Rank::Coflow(C::Sebf) => {
+                        (max_value(&load(m, flows, topo, true)), SimTime::ZERO)
+                    }
+                    Rank::Inter(I::StageLeastWork) => {
+                        (max_value(&load(stage(m), flows, topo, true)), head)
+                    }
+                    Rank::Inter(I::EarliestDeadline) => (0.0, head),
+                    Rank::Coflow(C::Arrival) => (0.0, self.arrivals[&k]),
+                    Rank::Inter(I::Bssi) | Rank::Coflow(C::Bssi) => unreachable!(),
+                };
+                (rank, time, k)
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        ranked.into_iter().map(|(_, _, k)| k).collect()
+    }
+}
+
+impl RatePolicy for MaddReference {
+    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense(now, flows, topo, ws, out)
+        })
+    }
+
+    fn allocate_dense(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.book.observe(now, flows);
+        let mut groups: BTreeMap<Key, Vec<(SimTime, usize)>> = BTreeMap::new();
+        for (i, v) in flows.iter().enumerate() {
+            let (key, deadline) = match self.book.echelon_of(v.id) {
+                Some(h) => (Key::Group(h.id()), self.book.ideal_finish(v.id).unwrap()),
+                None => (Key::Solo(v.id), v.release),
+            };
+            self.arrivals.entry(key).or_insert(now);
+            groups.entry(key).or_default().push((deadline, i));
+        }
+        for members in groups.values_mut() {
+            members.sort();
+        }
+        let mut residual: Vec<f64> = (0..topo.num_resources())
+            .map(|r| topo.capacity(echelonflow::simnet::ids::ResourceId(r as u32)))
+            .collect();
+        out.clear();
+        out.resize(flows.len(), 0.0);
+        for key in self.order(now, &groups, flows, topo) {
+            let members = &groups[&key];
+            // Equalize caps every member at the rate that finishes it at
+            // its ideal finish plus the group's projected tardiness.
+            let tau = projected_tardiness(now, members, flows, topo).max(0.0);
+            let cap = |d: SimTime, v: &ActiveFlowView| match self.cfg.intra {
+                IntraMode::FinishEarly => f64::INFINITY,
+                IntraMode::Equalize => v.remaining / (d.secs() + tau - now.secs()).max(EPS),
+            };
+            let mut rest = &members[..];
+            while !rest.is_empty() {
+                let st = stage(rest);
+                rest = &rest[st.len()..];
+                let mut gamma: f64 = 0.0;
+                for (&r, &bytes) in &load(st, flows, topo, false) {
+                    let res = residual[r as usize];
+                    if res <= EPS {
+                        gamma = f64::INFINITY;
+                        break;
+                    }
+                    gamma = gamma.max(bytes / res);
+                }
+                if !gamma.is_finite() || gamma <= EPS {
+                    continue;
+                }
+                for &(d, i) in st {
+                    let v = &flows[i];
+                    let rate = (v.remaining / gamma).min(cap(d, v));
+                    out[i] = rate;
+                    for r in &v.route {
+                        residual[r.0 as usize] = (residual[r.0 as usize] - rate).max(0.0);
+                    }
+                }
+            }
+        }
+        if self.cfg.backfill {
+            waterfill_dense(topo, flows, None, None, out, ws);
+        }
+    }
+}
+
+/// Runs each MADD configuration of one grouping (`coflow`, else
+/// EchelonFlow) three ways per seed: the map-based reference in Full
+/// mode, then the engine in Full and in Incremental mode. All three must
+/// agree in trace events, completions and fault accounting, and the
+/// digest folded over the seeds must equal the configuration's entry in
+/// `pins` (indexed like [`Madd::all`]). `groups(seed)` declares a seed's
+/// EchelonFlows and coflows; `run(seed, policy, mode)` drives its flows.
+pub fn assert_madd_three_way(
+    coflow: bool,
+    pins: &[u64],
+    seeds: Range<u64>,
+    groups: impl Fn(u64) -> (Vec<EchelonFlow>, Vec<Coflow>),
+    run: impl Fn(u64, &mut dyn RatePolicy, RecomputeMode) -> FlowOutcomes,
+) {
+    let mut moved = Vec::new();
+    for (cfg, &pin) in Madd::all().into_iter().zip(pins) {
+        if matches!(cfg.rank, Rank::Coflow(_)) != coflow {
+            continue;
+        }
+        let mut digest: u64 = 0;
+        for seed in seeds.clone() {
+            let (echelons, coflows) = groups(seed);
+            let reference = run(
+                seed,
+                &mut cfg.reference(&echelons, &coflows),
+                RecomputeMode::Full,
+            );
+            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+                let out = run(seed, cfg.engine(&echelons, &coflows).as_mut(), mode);
+                let at = format!("{cfg:?} ({mode:?}), seed {seed}");
+                assert_eq!(
+                    reference.trace().events(),
+                    out.trace().events(),
+                    "trace diverged from the reference for {at}"
+                );
+                assert_eq!(
+                    reference.completions(),
+                    out.completions(),
+                    "completions diverged for {at}"
+                );
+                assert_eq!(
+                    reference.drive_stats().fault_events,
+                    out.drive_stats().fault_events,
+                    "fault accounting diverged for {at}"
+                );
+            }
+            digest = (digest ^ flow_digest(&reference)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        if digest != pin {
+            moved.push(format!("{cfg:?}: {digest:#018x} (pinned {pin:#018x})"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "MADD digests moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// FNV-1a over a flow-level run: every trace event (time, flow, kind,
+/// rate bits), then every completion (id, release, finish).
+pub fn flow_digest(out: &FlowOutcomes) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        h ^= word;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for e in out.trace().events() {
+        eat(e.time.secs().to_bits());
+        eat(e.flow.0);
+        match e.kind {
+            TraceEventKind::Released => eat(1),
+            TraceEventKind::RateSet(rate) => {
+                eat(2);
+                eat(rate.to_bits());
+            }
+            TraceEventKind::Finished => eat(3),
+        }
+    }
+    for c in out.completions().values() {
+        eat(c.id.0);
+        eat(c.release.secs().to_bits());
+        eat(c.finish.secs().to_bits());
+    }
+    h
 }
