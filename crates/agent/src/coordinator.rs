@@ -28,15 +28,13 @@
 //! [`echelon_simnet::alloc`]): the engine writes straight into the
 //! driver's buffer with the driver's scratch, and the decision cache, the
 //! held decision and the fresh-flow backfill stay dense too. The map
-//! entry points of [`RatePolicy`] are adapters over the dense ones.
+//! entry points are [`RatePolicy`]'s provided adapters over the dense ones.
 
 use crate::api::EchelonRequest;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
 use echelon_sched::echelon::{EchelonMadd, InterOrder, IntraMode};
-use echelon_simnet::alloc::{
-    alloc_via_dense, priority_fill_dense, waterfill_dense, AllocScratch, RateAlloc,
-};
+use echelon_simnet::alloc::{priority_fill_dense, waterfill_dense, AllocScratch};
 use echelon_simnet::fault::FaultKind;
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
@@ -173,6 +171,7 @@ impl Coordinator {
             config: self.config,
             engine,
             cached_order: Vec::new(),
+            cached_sorted: true,
             last_decision: None,
             last_groups: Vec::new(),
             first_seen: BTreeMap::new(),
@@ -209,12 +208,17 @@ struct HeldDecision {
 pub struct CoordinatedPolicy {
     config: CoordinatorConfig,
     engine: EchelonMadd,
-    /// Decision cache: every flow the last decision rated, as a global
-    /// flow priority order — higher allocated rate first, then id,
-    /// approximating the engine's serve order. Allocations between
-    /// decisions enforce it; flows absent from it queue behind it in id
-    /// order.
+    /// Decision cache: every flow the last decision rated, with its
+    /// rate. Sorted into a global flow priority order — higher allocated
+    /// rate first, then id, approximating the engine's serve order — on
+    /// its first read after the decision (see `cached_sorted`).
+    /// Allocations between decisions enforce it; flows absent from it
+    /// queue behind it in id order.
     cached_order: Vec<(FlowId, f64)>,
+    /// Whether `cached_order` is in priority order yet. A decision
+    /// stores its pairs unsorted: under the `PerEvent` trigger every
+    /// allocation is a decision, and nothing reads the order.
+    cached_sorted: bool,
     last_decision: Option<SimTime>,
     /// Active EchelonFlow set at the last decision (for PerGroupChange).
     last_groups: Vec<EchelonId>,
@@ -402,9 +406,9 @@ impl CoordinatedPolicy {
 
     /// A due decision: runs the heuristic on the known flows — from the
     /// engine's delta-maintained caches when `cached`, else after
-    /// rebuilding them from the flows — caches the implied priority order,
-    /// and lets fresh flows (present only when `any_fresh`) ride the
-    /// leftover bandwidth.
+    /// rebuilding them from the flows — caches the rated flows for the
+    /// implied priority order, and lets fresh flows (present only when
+    /// `any_fresh`) ride the leftover bandwidth.
     #[allow(clippy::too_many_arguments)]
     fn decide(
         &mut self,
@@ -435,8 +439,7 @@ impl CoordinatedPolicy {
         self.cached_order.clear();
         self.cached_order
             .extend(known.iter().map(|v| v.id).zip(rates.iter().copied()));
-        self.cached_order
-            .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        self.cached_sorted = false;
         if any_fresh {
             self.backfill_fresh(flows, topo, ws, out);
         }
@@ -535,6 +538,11 @@ impl CoordinatedPolicy {
         out: &mut Vec<f64>,
     ) {
         let known: &[ActiveFlowView] = if any_fresh { &self.known } else { flows };
+        if !self.cached_sorted {
+            self.cached_order
+                .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            self.cached_sorted = true;
+        }
         // Every known flow follows the cached order in id order. Priority
         // filling serves a flow at its first mention only, so the cached
         // flows keep their slots and the flows the order does not mention
@@ -550,7 +558,7 @@ impl CoordinatedPolicy {
         };
         rates.clear();
         rates.resize(known.len(), 0.0);
-        priority_fill_dense(topo, known, &self.order, None, rates, ws);
+        priority_fill_dense(topo, known, &self.order, rates, ws);
         if any_fresh {
             self.backfill_fresh(flows, topo, ws, out);
         }
@@ -571,7 +579,7 @@ impl CoordinatedPolicy {
         for (&p, &rate) in self.known_pos.iter().zip(&self.known_rates) {
             out[p] = rate;
         }
-        waterfill_dense(topo, flows, None, None, out, ws);
+        waterfill_dense(topo, flows, None, out, ws);
     }
 
     /// The outage allocation: plain fair-share waterfill over every
@@ -585,29 +593,11 @@ impl CoordinatedPolicy {
     ) {
         out.clear();
         out.resize(flows.len(), 0.0);
-        waterfill_dense(topo, flows, None, None, out, ws);
+        waterfill_dense(topo, flows, None, out, ws);
     }
 }
 
 impl RatePolicy for CoordinatedPolicy {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense(now, flows, topo, ws, out)
-        })
-    }
-
-    fn allocate_incremental(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        delta: &FlowDelta,
-        topo: &Topology,
-    ) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense_incremental(now, flows, delta, topo, ws, out)
-        })
-    }
-
     fn allocate_dense(
         &mut self,
         now: SimTime,
@@ -1055,7 +1045,7 @@ mod tests {
 
         policy.on_fault(SimTime::new(1.0), &FaultKind::CoordinatorDown);
         let rates = policy.allocate(SimTime::new(1.0), &views, &topo);
-        let fair = echelon_simnet::alloc::max_min_rates(&topo, &views);
+        let fair = echelon_simnet::runner::MaxMinPolicy.allocate(SimTime::ZERO, &views, &topo);
         assert_eq!(rates, fair, "outage allocation is not plain fair share");
         // No decision ran during the outage.
         assert_eq!(policy.decisions_computed(), 1);

@@ -14,7 +14,7 @@
 //! 8-queue enforcement versus exact rates is one of the bundled
 //! ablations.
 
-use echelon_simnet::alloc::{alloc_via_dense, waterfill_dense, AllocScratch, RateAlloc};
+use echelon_simnet::alloc::{waterfill_dense, AllocScratch};
 use echelon_simnet::fault::FaultKind;
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
@@ -159,29 +159,11 @@ impl<P: RatePolicy> QueueEnforcedPolicy<P> {
             .extend(flows.iter().map(|v| v.id).zip(self.queues.iter().copied()));
         out.clear();
         out.resize(flows.len(), 0.0);
-        waterfill_dense(topo, flows, Some(&self.weights), None, out, ws);
+        waterfill_dense(topo, flows, Some(&self.weights), out, ws);
     }
 }
 
 impl<P: RatePolicy> RatePolicy for QueueEnforcedPolicy<P> {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense(now, flows, topo, ws, out)
-        })
-    }
-
-    fn allocate_incremental(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        delta: &FlowDelta,
-        topo: &Topology,
-    ) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense_incremental(now, flows, delta, topo, ws, out)
-        })
-    }
-
     fn allocate_dense(
         &mut self,
         now: SimTime,
@@ -220,6 +202,18 @@ impl<P: RatePolicy> RatePolicy for QueueEnforcedPolicy<P> {
 
     fn name(&self) -> &'static str {
         "queue-enforced"
+    }
+
+    /// The wrapped policy's pod counters: enforcement re-divides its
+    /// rates but does no pod work of its own.
+    fn pod_stats(&self) -> Option<(usize, usize)> {
+        self.inner.pod_stats()
+    }
+
+    /// The wrapped policy's group registry (the coordinator's book, on
+    /// the paper's agent path).
+    fn book_stats(&self) -> Option<(usize, usize)> {
+        self.inner.book_stats()
     }
 }
 
@@ -348,6 +342,41 @@ mod tests {
         let mut enforced = QueueEnforcedPolicy::new(SrptPolicy, QueueConfig::default());
         let _ = run_flows(&topo, demands, &mut enforced);
         assert!(!enforced.last_assignment().is_empty());
+    }
+
+    /// The wrapper reports the wrapped policy's counters: an enforced
+    /// coordinator's run shows the coordinator's book, exactly as the
+    /// unwrapped run does.
+    #[test]
+    fn enforcement_reports_the_inner_policy_counters() {
+        use crate::api::requests_from_dag;
+        use crate::coordinator::{Coordinator, CoordinatorConfig};
+        use echelon_core::JobId;
+        use echelon_paradigms::config::PpConfig;
+        use echelon_paradigms::ids::IdAlloc;
+        use echelon_paradigms::pp::build_pp_gpipe;
+        use echelon_paradigms::runtime::run_jobs_with;
+        use echelon_simnet::runner::{PodMaxMinPolicy, RecomputeMode};
+
+        let topo = Topology::chain(2, 1.0);
+        let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut IdAlloc::new());
+        let coordinated = || {
+            let mut coord = Coordinator::new(CoordinatorConfig::default());
+            coord.submit_all(requests_from_dag(&dag));
+            coord.into_policy()
+        };
+        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+            let bare = run_jobs_with(&topo, &[&dag], &mut coordinated(), mode);
+            let mut enforced = QueueEnforcedPolicy::new(coordinated(), QueueConfig::default());
+            let wrapped = run_jobs_with(&topo, &[&dag], &mut enforced, mode);
+            assert!(bare.stats.peak_book_occupancy > 0, "{mode:?}");
+            assert_eq!(
+                wrapped.stats.peak_book_occupancy, bare.stats.peak_book_occupancy,
+                "{mode:?}"
+            );
+        }
+        let pod = QueueEnforcedPolicy::new(PodMaxMinPolicy::new(), QueueConfig::default());
+        assert_eq!(pod.pod_stats(), Some((0, 0)));
     }
 
     #[test]

@@ -1,23 +1,19 @@
-//! Allocation-core microbenches: dense `Vec<f64>` waterfill/priority
-//! fill against the map-based adapters at 64/512/4096 active flows.
+//! Allocation-core microbenches: the dense `Vec<f64>` waterfill and
+//! priority fill at 64/512/4096 active flows.
 //!
-//! The dense variants reuse one [`AllocScratch`] and one rate buffer
-//! across iterations — zero heap allocations per call — while the map
-//! adapters rebuild `BTreeMap`s each time; the gap between the two
-//! curves is the win the driver's hot path banks at every recompute.
+//! Both reuse one [`AllocScratch`] and one rate buffer across
+//! iterations — zero heap allocations per call, as on the driver's hot
+//! path at every recompute.
 //!
 //! Plain `main()` harness (`harness = false`): run with
 //! `cargo bench --bench alloc`.
 
 use echelon_bench::timing::run;
-use echelon_simnet::alloc::{
-    priority_fill, priority_fill_dense, waterfill, waterfill_dense, AllocScratch,
-};
+use echelon_simnet::alloc::{priority_fill_dense, waterfill_dense, AllocScratch};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::ids::{FlowId, NodeId};
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
-use std::collections::BTreeMap;
 
 const HOSTS: usize = 32;
 
@@ -54,7 +50,6 @@ fn main() {
     for &n in &[64usize, 512, 4096] {
         let views = make_views(n, &topo);
         let order = srpt_order(&views);
-        let empty = BTreeMap::new();
 
         let mut ws = AllocScratch::new();
         let mut rates: Vec<f64> = Vec::new();
@@ -62,21 +57,15 @@ fn main() {
         run(&format!("alloc/waterfill_dense/{n}"), || {
             rates.clear();
             rates.resize(views.len(), 0.0);
-            waterfill_dense(&topo, &views, None, None, &mut rates, &mut ws);
+            waterfill_dense(&topo, &views, None, &mut rates, &mut ws);
             rates.last().copied()
-        });
-        run(&format!("alloc/waterfill_map/{n}"), || {
-            waterfill(&topo, &views, &empty, &empty, None)
         });
 
         run(&format!("alloc/priority_fill_dense/{n}"), || {
             rates.clear();
             rates.resize(views.len(), 0.0);
-            priority_fill_dense(&topo, &views, &order, None, &mut rates, &mut ws);
+            priority_fill_dense(&topo, &views, &order, &mut rates, &mut ws);
             rates.last().copied()
-        });
-        run(&format!("alloc/priority_fill_map/{n}"), || {
-            priority_fill(&topo, &views, &order, &empty)
         });
     }
 }

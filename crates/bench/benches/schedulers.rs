@@ -2,9 +2,10 @@
 //!
 //! Property 4 claims the MADD adaptation keeps the algorithmic
 //! complexity of the original: these benches measure a single
-//! `allocate()` call of Varys/MADD (CCT metric) and EchelonMadd
+//! `allocate_dense()` call of Varys/MADD (CCT metric) and EchelonMadd
 //! (tardiness metric) over growing flow populations — the curves should
-//! have the same shape, separated by a constant factor.
+//! have the same shape, separated by a constant factor. Every call
+//! reuses one scratch workspace and one rate buffer, as the driver does.
 //!
 //! Plain `main()` harness (`harness = false`): run with
 //! `cargo bench --bench schedulers`.
@@ -16,7 +17,7 @@ use echelon_core::echelon::{EchelonFlow, FlowRef};
 use echelon_core::{EchelonId, JobId};
 use echelon_sched::echelon::EchelonMadd;
 use echelon_sched::varys::VarysMadd;
-use echelon_simnet::alloc::max_min_rates;
+use echelon_simnet::alloc::{waterfill_dense, AllocScratch};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::ids::{FlowId, NodeId};
 use echelon_simnet::runner::RatePolicy;
@@ -88,20 +89,27 @@ fn main() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
     for &n in &[16usize, 64, 128, 256] {
         let views = make_views(n, &topo);
+        let mut ws = AllocScratch::new();
+        let mut rates: Vec<f64> = Vec::new();
         {
             let mut policy = VarysMadd::new(make_coflows(n));
             run(&format!("madd_scaling/varys_cct/{n}"), || {
-                policy.allocate(SimTime::new(1.0), &views, &topo)
+                policy.allocate_dense(SimTime::new(1.0), &views, &topo, &mut ws, &mut rates);
+                rates.last().copied()
             });
         }
         {
             let mut policy = EchelonMadd::new(make_echelons(n));
             run(&format!("madd_scaling/echelon_tardiness/{n}"), || {
-                policy.allocate(SimTime::new(1.0), &views, &topo)
+                policy.allocate_dense(SimTime::new(1.0), &views, &topo, &mut ws, &mut rates);
+                rates.last().copied()
             });
         }
         run(&format!("madd_scaling/max_min_baseline/{n}"), || {
-            max_min_rates(&topo, &views)
+            rates.clear();
+            rates.resize(views.len(), 0.0);
+            waterfill_dense(&topo, &views, None, &mut rates, &mut ws);
+            rates.last().copied()
         });
     }
 }

@@ -49,7 +49,7 @@ use echelon_paradigms::runtime::{run_jobs_streamed, JobFeed, RunResult};
 use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
 use echelon_sched::echelon::EchelonMadd;
 use echelon_sched::varys::VarysMadd;
-use echelon_simnet::alloc::{AllocScratch, RateAlloc};
+use echelon_simnet::alloc::AllocScratch;
 use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
@@ -729,28 +729,6 @@ impl ServicePolicy {
 }
 
 impl RatePolicy for ServicePolicy {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        self.apply_admissions();
-        let alloc = self.engine_mut().allocate(now, flows, topo);
-        self.apply_evictions(flows);
-        alloc
-    }
-
-    fn allocate_incremental(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        delta: &FlowDelta,
-        topo: &Topology,
-    ) -> RateAlloc {
-        self.apply_admissions();
-        let alloc = self
-            .engine_mut()
-            .allocate_incremental(now, flows, delta, topo);
-        self.apply_evictions(flows);
-        alloc
-    }
-
     fn allocate_dense(
         &mut self,
         now: SimTime,

@@ -5,9 +5,8 @@
 //! SRPT — the preemptive shortest-remaining-processing-time discipline
 //! that per-flow schedulers like pFabric approximate.
 
-use echelon_simnet::alloc::{alloc_via_dense, priority_fill_dense, AllocScratch, RateAlloc};
+use echelon_simnet::alloc::{priority_fill_dense, AllocScratch};
 use echelon_simnet::flow::ActiveFlowView;
-use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
 use echelon_simnet::runner::RatePolicy;
 use echelon_simnet::time::SimTime;
@@ -22,12 +21,6 @@ pub type FairPolicy = echelon_simnet::runner::MaxMinPolicy;
 pub struct FifoPolicy;
 
 impl RatePolicy for FifoPolicy {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense(now, flows, topo, ws, out)
-        })
-    }
-
     fn allocate_dense(
         &mut self,
         _now: SimTime,
@@ -41,19 +34,7 @@ impl RatePolicy for FifoPolicy {
         let ids: Vec<FlowId> = order.into_iter().map(|f| f.id).collect();
         out.clear();
         out.resize(flows.len(), 0.0);
-        priority_fill_dense(topo, flows, &ids, None, out, ws);
-    }
-
-    fn allocate_dense_incremental(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        _delta: &FlowDelta,
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        self.allocate_dense(now, flows, topo, ws, out);
+        priority_fill_dense(topo, flows, &ids, out, ws);
     }
 
     fn name(&self) -> &'static str {
@@ -69,12 +50,6 @@ impl RatePolicy for FifoPolicy {
 pub struct SrptPolicy;
 
 impl RatePolicy for SrptPolicy {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense(now, flows, topo, ws, out)
-        })
-    }
-
     fn allocate_dense(
         &mut self,
         _now: SimTime,
@@ -88,19 +63,7 @@ impl RatePolicy for SrptPolicy {
         let ids: Vec<FlowId> = order.into_iter().map(|f| f.id).collect();
         out.clear();
         out.resize(flows.len(), 0.0);
-        priority_fill_dense(topo, flows, &ids, None, out, ws);
-    }
-
-    fn allocate_dense_incremental(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        _delta: &FlowDelta,
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        self.allocate_dense(now, flows, topo, ws, out);
+        priority_fill_dense(topo, flows, &ids, out, ws);
     }
 
     fn name(&self) -> &'static str {

@@ -42,7 +42,7 @@ use crate::sincronia::{bssi_order, GroupLoad};
 use crate::varys::CoflowOrder;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
-use echelon_simnet::alloc::{alloc_via_dense, waterfill_dense, AllocScratch, RateAlloc};
+use echelon_simnet::alloc::{waterfill_dense, AllocScratch};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
@@ -593,7 +593,7 @@ impl EchelonMadd {
         if self.backfill {
             // The MADD rates become the waterfill floor in place: leftover
             // capacity is shared max-min on top of them.
-            waterfill_dense(topo, flows, None, None, rates, ws);
+            waterfill_dense(topo, flows, None, rates, ws);
         }
     }
 
@@ -645,12 +645,6 @@ impl EchelonMadd {
 }
 
 impl RatePolicy for EchelonMadd {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense(now, flows, topo, ws, out)
-        })
-    }
-
     /// The full recompute: the "everything changed" delta, i.e. a cache
     /// rebuild followed by the shared ranking and serving pass.
     fn allocate_dense(
@@ -663,18 +657,6 @@ impl RatePolicy for EchelonMadd {
     ) {
         self.rebuild_cache(now, flows);
         self.allocate_cached(now, flows, topo, ws, out);
-    }
-
-    fn allocate_incremental(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        delta: &FlowDelta,
-        topo: &Topology,
-    ) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense_incremental(now, flows, delta, topo, ws, out)
-        })
     }
 
     fn allocate_dense_incremental(
@@ -985,21 +967,28 @@ mod tests {
             }
         }
         impl RatePolicy for Probe {
-            fn allocate(&mut self, now: SimTime, f: &[ActiveFlowView], t: &Topology) -> RateAlloc {
-                let alloc = self.0.allocate(now, f, t);
+            fn allocate_dense(
+                &mut self,
+                now: SimTime,
+                f: &[ActiveFlowView],
+                t: &Topology,
+                ws: &mut AllocScratch,
+                out: &mut Vec<f64>,
+            ) {
+                self.0.allocate_dense(now, f, t, ws, out);
                 self.check(f);
-                alloc
             }
-            fn allocate_incremental(
+            fn allocate_dense_incremental(
                 &mut self,
                 now: SimTime,
                 f: &[ActiveFlowView],
                 delta: &FlowDelta,
                 t: &Topology,
-            ) -> RateAlloc {
-                let alloc = self.0.allocate_incremental(now, f, delta, t);
+                ws: &mut AllocScratch,
+                out: &mut Vec<f64>,
+            ) {
+                self.0.allocate_dense_incremental(now, f, delta, t, ws, out);
                 self.check(f);
-                alloc
             }
         }
 

@@ -12,7 +12,7 @@
 //!
 //! Complexity is `O(n!)` simulations; instances are capped at 9 flows.
 
-use echelon_simnet::alloc::priority_fill;
+use echelon_simnet::alloc::{priority_fill_dense, AllocScratch};
 use echelon_simnet::flow::{ActiveFlowView, FlowDemand};
 use echelon_simnet::ids::FlowId;
 use echelon_simnet::runner::{run_flows, FlowOutcomes, RatePolicy};
@@ -61,13 +61,17 @@ struct FixedOrderPolicy {
 }
 
 impl RatePolicy for FixedOrderPolicy {
-    fn allocate(
+    fn allocate_dense(
         &mut self,
         _now: SimTime,
         flows: &[ActiveFlowView],
         topo: &Topology,
-    ) -> echelon_simnet::alloc::RateAlloc {
-        priority_fill(topo, flows, &self.order, &BTreeMap::new())
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(flows.len(), 0.0);
+        priority_fill_dense(topo, flows, &self.order, out, ws);
     }
 
     fn name(&self) -> &'static str {

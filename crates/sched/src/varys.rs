@@ -26,7 +26,7 @@
 use crate::echelon::{EchelonMadd, Ranking};
 use echelon_core::coflow::Coflow;
 use echelon_core::EchelonId;
-use echelon_simnet::alloc::{AllocScratch, RateAlloc};
+use echelon_simnet::alloc::AllocScratch;
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::runner::RatePolicy;
@@ -110,10 +110,6 @@ impl From<VarysMadd> for EchelonMadd {
 }
 
 impl RatePolicy for VarysMadd {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        self.0.allocate(now, flows, topo)
-    }
-
     fn allocate_dense(
         &mut self,
         now: SimTime,
@@ -123,16 +119,6 @@ impl RatePolicy for VarysMadd {
         out: &mut Vec<f64>,
     ) {
         self.0.allocate_dense(now, flows, topo, ws, out);
-    }
-
-    fn allocate_incremental(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        delta: &FlowDelta,
-        topo: &Topology,
-    ) -> RateAlloc {
-        self.0.allocate_incremental(now, flows, delta, topo)
     }
 
     fn allocate_dense_incremental(

@@ -12,7 +12,7 @@ use echelon_detrand::DetRng;
 use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
 use echelon_sched::echelon::{EchelonMadd, InterOrder, IntraMode};
 use echelon_sched::varys::{CoflowOrder, VarysMadd};
-use echelon_simnet::alloc::check_feasible;
+use echelon_simnet::alloc::{check_feasible_dense, AllocScratch};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::ids::{FlowId, NodeId};
 use echelon_simnet::runner::{MaxMinPolicy, RatePolicy};
@@ -102,14 +102,28 @@ fn group(views: &[ActiveFlowView]) -> (Vec<EchelonFlow>, Vec<Coflow>) {
     (echelons, coflows)
 }
 
+/// The policy's dense full recompute at t = 5.
+fn rates(policy: &mut dyn RatePolicy, flows: &[ActiveFlowView], topo: &Topology) -> Vec<f64> {
+    let mut out = Vec::new();
+    policy.allocate_dense(
+        SimTime::new(5.0),
+        flows,
+        topo,
+        &mut AllocScratch::new(),
+        &mut out,
+    );
+    assert_eq!(out.len(), flows.len(), "{} misaligned", policy.name());
+    out
+}
+
 fn check_policy(policy: &mut dyn RatePolicy, flows: &[ActiveFlowView], topo: &Topology) {
-    let alloc = policy.allocate(SimTime::new(5.0), flows, topo);
-    check_feasible(topo, flows, &alloc)
+    let alloc = rates(policy, flows, topo);
+    check_feasible_dense(topo, flows, &alloc, &mut Vec::new())
         .unwrap_or_else(|e| panic!("{} infeasible: {e}", policy.name()));
     // No flow is starved forever when capacity is free: at least one
     // active flow must have positive rate.
     if !flows.is_empty() {
-        let total: f64 = alloc.values().sum();
+        let total: f64 = alloc.iter().sum();
         assert!(total > 0.0, "{} starved everything", policy.name());
     }
 }
@@ -171,11 +185,9 @@ fn backfill_never_reduces_rates() {
         let (echelons, _) = group(&flows);
         let mut with = EchelonMadd::new(echelons.clone());
         let mut without = EchelonMadd::new(echelons).with_backfill(false);
-        let a = with.allocate(SimTime::new(5.0), &flows, &topo);
-        let b = without.allocate(SimTime::new(5.0), &flows, &topo);
-        for v in &flows {
-            let ra = a.get(&v.id).copied().unwrap_or(0.0);
-            let rb = b.get(&v.id).copied().unwrap_or(0.0);
+        let a = rates(&mut with, &flows, &topo);
+        let b = rates(&mut without, &flows, &topo);
+        for (v, (&ra, &rb)) in flows.iter().zip(a.iter().zip(&b)) {
             assert!(
                 ra + 1e-9 >= rb,
                 "seed {seed}: backfill reduced {} from {rb} to {ra}",

@@ -1,32 +1,28 @@
 //! Bandwidth allocation primitives.
 //!
-//! Every scheduler in the EchelonFlow reproduction reduces to one of three
-//! allocation shapes over the active flows:
+//! Every scheduler in the EchelonFlow reproduction reduces to one of two
+//! fills over the active flows:
 //!
-//! - [`max_min_rates`] / [`weighted_rates`]: progressive-filling max-min
-//!   fairness — the "naive bandwidth fair sharing" baseline of the paper's
-//!   Fig. 2a, and the work-conserving backfill step of the MADD-family
-//!   schedulers.
-//! - [`waterfill`]: the general form — weighted max-min with optional
-//!   per-flow rate caps. MADD-style schedulers first pin each flow's rate to
-//!   its target (via caps) and then backfill the slack.
-//! - [`priority_fill`]: strict-priority greedy filling — flows are served
-//!   in a given order, each taking everything left on its path. This is how
-//!   the agent enforces schedules through priority queues (paper §5), and
-//!   how EDD/SEBF-style orderings become rates.
+//! - [`waterfill_dense`]: weighted max-min fairness by progressive
+//!   filling, on top of an optional per-flow floor. Unweighted with a
+//!   zero floor it is the "naive bandwidth fair sharing" baseline of the
+//!   paper's Fig. 2a; with the weights of the agent's queues it is
+//!   weighted enforcement; with the MADD rates as the floor it is the
+//!   work-conserving backfill of the MADD-family schedulers. The pod
+//!   policy runs the same unweighted fill through link-id engines
+//!   ([`waterfill_subset_dense`] is their reference).
+//! - [`priority_fill_dense`]: strict-priority greedy filling — flows are
+//!   served in a given order, each taking everything left on its path.
+//!   This is how the agent enforces schedules through priority queues
+//!   (paper §5), and how EDD/SEBF-style orderings become rates.
 //!
-//! ## Dense core
-//!
-//! The hot path works on *dense* state: rates are a `Vec<f64>` keyed by
-//! position in the id-sorted flow slice the [`crate::fluid::FluidNetwork`]
-//! maintains, and the filling loops reuse the buffers in an
-//! [`AllocScratch`] owned by the caller (the simulation driver keeps one
-//! for the whole run), so a steady-state recomputation performs no heap
-//! allocation. [`waterfill_dense`] and [`priority_fill_dense`] are the
-//! real implementations; the map-based functions ([`waterfill`],
-//! [`priority_fill`], …) are thin adapters kept for API compatibility and
-//! produce bit-identical results (the dense code performs the same
-//! floating-point operations in the same order).
+//! Rates are *dense*: a `Vec<f64>` keyed by position in the id-sorted
+//! flow slice the [`crate::fluid::FluidNetwork`] maintains. The filling
+//! loops reuse the buffers in an [`AllocScratch`] owned by the caller
+//! (the simulation driver keeps one for the whole run), so a
+//! steady-state recomputation performs no heap allocation. The map-based
+//! [`RateAlloc`] survives only at the edge, for the provided map entry
+//! points of [`crate::runner::RatePolicy`].
 //!
 //! All functions iterate flows in a caller-specified or id order, never in
 //! hash order, keeping allocations bit-for-bit deterministic.
@@ -37,9 +33,10 @@ use crate::time::EPS;
 use crate::topology::Topology;
 use std::collections::BTreeMap;
 
-/// A rate (bytes/second) per active flow. Flows absent from the map are
-/// treated as rate zero. This is the map-based *edge* currency; the hot
-/// path uses dense `Vec<f64>` rates indexed like the id-sorted flow slice.
+/// A rate (bytes/second) per active flow, keyed by id: the map-based
+/// *edge* currency of [`crate::runner::RatePolicy`]'s provided map entry
+/// points. Everything else uses dense `Vec<f64>` rates indexed like the
+/// id-sorted flow slice.
 pub type RateAlloc = BTreeMap<FlowId, f64>;
 
 /// Reusable workspace for the dense allocation primitives.
@@ -151,30 +148,16 @@ fn residuals_dense_into(
     }
 }
 
-/// Residual capacity per resource after subtracting an allocation.
-fn residuals(topo: &Topology, flows: &[ActiveFlowView], alloc: &RateAlloc) -> Vec<f64> {
-    let mut residual: Vec<f64> = (0..topo.num_resources())
-        .map(|r| topo.capacity(ResourceId(r as u32)))
-        .collect();
-    for f in flows {
-        let rate = alloc.get(&f.id).copied().unwrap_or(0.0);
-        for r in &f.route {
-            residual[r.0 as usize] -= rate;
-        }
-    }
-    residual
-}
-
 /// Converts a dense allocation back to the map-based edge currency.
 pub fn dense_to_alloc(flows: &[ActiveFlowView], rates: &[f64]) -> RateAlloc {
     debug_assert_eq!(flows.len(), rates.len());
     flows.iter().zip(rates).map(|(f, &r)| (f.id, r)).collect()
 }
 
-/// The map edge of a dense-native policy: runs `fill` (which writes
+/// The map edge of a dense allocation: runs `fill` (which writes
 /// `out[i]` for `flows[i]`) against a fresh scratch and converts the
-/// result once. Dense-native policies implement the map entry points of
-/// [`crate::runner::RatePolicy`] with this one call.
+/// result once. The provided map entry points of
+/// [`crate::runner::RatePolicy`] are this one call.
 pub fn alloc_via_dense(
     flows: &[ActiveFlowView],
     fill: impl FnOnce(&mut AllocScratch, &mut Vec<f64>),
@@ -185,55 +168,10 @@ pub fn alloc_via_dense(
     dense_to_alloc(flows, &out)
 }
 
-/// Converts a map allocation to dense form over the id-sorted `flows`,
-/// writing into `out` (cleared first).
-///
-/// # Panics
-///
-/// Panics if the allocation mentions a flow that is not in `flows` — the
-/// same policy bug [`crate::fluid::FluidNetwork::set_rates`] rejects,
-/// surfaced here so it cannot silently vanish in the dense conversion.
-pub fn alloc_to_dense(flows: &[ActiveFlowView], alloc: &RateAlloc, out: &mut Vec<f64>) {
-    for id in alloc.keys() {
-        assert!(
-            flows.binary_search_by(|v| v.id.cmp(id)).is_ok(),
-            "rate assigned to unknown flow {id} (not in the active set)"
-        );
-    }
-    out.clear();
-    out.extend(
-        flows
-            .iter()
-            .map(|f| alloc.get(&f.id).copied().unwrap_or(0.0)),
-    );
-}
-
-/// Verifies an allocation is feasible: no negative rates, and on every
-/// resource the summed rate does not exceed capacity (within [`EPS`]).
-pub fn check_feasible(
-    topo: &Topology,
-    flows: &[ActiveFlowView],
-    alloc: &RateAlloc,
-) -> Result<(), String> {
-    for f in flows {
-        let rate = alloc.get(&f.id).copied().unwrap_or(0.0);
-        if rate < -EPS {
-            return Err(format!("flow {} has negative rate {rate}", f.id));
-        }
-        if !rate.is_finite() {
-            return Err(format!("flow {} has non-finite rate {rate}", f.id));
-        }
-    }
-    for (idx, slack) in residuals(topo, flows, alloc).iter().enumerate() {
-        if *slack < -1e-6 {
-            return Err(format!("resource r{idx} oversubscribed by {}", -slack));
-        }
-    }
-    Ok(())
-}
-
-/// Dense [`check_feasible`]: validates `rates[i]` for `flows[i]`, reusing
-/// `residual` as the per-resource working buffer (no allocation).
+/// Verifies a dense allocation is feasible: `rates[i]` for `flows[i]` is
+/// finite and at least `-EPS`, and on every resource the summed rate
+/// exceeds capacity by at most 1e-6. Reuses `residual` as the
+/// per-resource working buffer (no allocation).
 pub fn check_feasible_dense(
     topo: &Topology,
     flows: &[ActiveFlowView],
@@ -258,26 +196,25 @@ pub fn check_feasible_dense(
     Ok(())
 }
 
-/// Dense weighted max-min fairness with optional per-flow rate caps, by
-/// progressive filling — the allocation-free core behind [`waterfill`].
+/// Weighted max-min fairness on top of a floor, by progressive filling.
 ///
 /// `rates` doubles as the floor on entry (zero it for no floor) and holds
-/// the allocation on exit; `weights[i]` / `caps[i]` apply to `flows[i]`
-/// (`None` means all-1.0 / all-unbounded). All working state lives in
-/// `ws`, so steady-state calls allocate nothing.
+/// the allocation on exit. Starting from the floor, every flow raises its
+/// rate in proportion to its weight until a resource on its route
+/// saturates; saturated flows freeze and the filling continues. The floor
+/// must be finite and feasible (MADD's "pin targets, then backfill").
+/// `weights[i]` applies to `flows[i]` (`None` means all 1.0). All working
+/// state lives in `ws`, so steady-state calls allocate nothing.
 pub fn waterfill_dense(
     topo: &Topology,
     flows: &[ActiveFlowView],
     weights: Option<&[f64]>,
-    caps: Option<&[f64]>,
     rates: &mut [f64],
     ws: &mut AllocScratch,
 ) {
     debug_assert_eq!(rates.len(), flows.len());
     debug_assert!(weights.is_none_or(|w| w.len() == flows.len()));
-    debug_assert!(caps.is_none_or(|c| c.len() == flows.len()));
     let w_of = |i: usize| weights.map_or(1.0, |w| w[i]).max(0.0);
-    let cap_of = |i: usize| caps.map_or(f64::INFINITY, |c| c[i]);
 
     let AllocScratch {
         residual,
@@ -288,11 +225,9 @@ pub fn waterfill_dense(
         ..
     } = ws;
     residuals_dense_into(topo, flows, rates, residual);
-    // Flows still participating in the filling; freeze anything already at
-    // cap from the floor.
+    // Flows still participating in the filling.
     unfrozen.clear();
     unfrozen.extend(0..flows.len());
-    unfrozen.retain(|&i| rates[i] + EPS < cap_of(i));
 
     // The links the filling can touch: the union of the participating
     // flows' routes, ascending. Rounds below reset/scan only these, so a
@@ -333,22 +268,12 @@ pub fn waterfill_dense(
                 mass[r.0 as usize] += w;
             }
         }
-        // Largest uniform increment before some resource saturates...
+        // Largest uniform increment before some resource saturates.
         let mut inc = f64::INFINITY;
         for &r in links.iter() {
             let m = mass[r as usize];
             if m > EPS {
                 inc = inc.min((residual[r as usize].max(0.0)) / m);
-            }
-        }
-        // ...or some flow hits its cap.
-        for &i in unfrozen.iter() {
-            let w = w_of(i);
-            if w > EPS {
-                let cap = cap_of(i);
-                if cap.is_finite() {
-                    inc = inc.min((cap - rates[i]).max(0.0) / w);
-                }
             }
         }
         if !inc.is_finite() {
@@ -363,14 +288,10 @@ pub fn waterfill_dense(
                 residual[r.0 as usize] -= delta;
             }
         }
-        // Freeze flows on saturated resources or at their cap.
+        // Freeze flows on saturated resources.
         let before = unfrozen.len();
         unfrozen.retain(|&i| {
-            let w = w_of(i);
-            if w <= EPS {
-                return false;
-            }
-            if rates[i] + EPS >= cap_of(i) {
+            if w_of(i) <= EPS {
                 return false;
             }
             for r in &flows[i].route {
@@ -381,15 +302,15 @@ pub fn waterfill_dense(
             true
         });
         // Progress guarantee: each round freezes at least one flow, because
-        // the binding constraint (resource or cap) saturates exactly.
+        // the binding resource saturates exactly.
         if unfrozen.len() == before {
             break;
         }
     }
 }
 
-/// Unweighted, uncapped max-min filling restricted to `subset` (indices
-/// into the id-sorted `flows` slice): the reference arithmetic of the
+/// Unweighted max-min filling restricted to `subset` (indices into
+/// the id-sorted `flows` slice): the reference arithmetic of the
 /// pod-decomposed waterfill (see [`crate::runner::PodMaxMinPolicy`]),
 /// which fills each pod's members with it in ascending pod order. The
 /// policy itself runs `waterfill_ranked` and its bucket-queue twin,
@@ -403,8 +324,8 @@ pub fn waterfill_dense(
 /// flow outside the subset crosses those links (the pod partition), so
 /// seeding from raw capacity is exact. For `subset == 0..flows.len()`
 /// this performs bit-for-bit the same arithmetic as an unweighted,
-/// uncapped, zero-floor [`waterfill_dense`] (multiplying by the implicit
-/// weight 1.0 is exact), which the unit tests pin.
+/// zero-floor [`waterfill_dense`] (multiplying by the implicit weight
+/// 1.0 is exact), which the unit tests pin.
 pub fn waterfill_subset_dense(
     topo: &Topology,
     flows: &[ActiveFlowView],
@@ -1034,67 +955,22 @@ pub(crate) fn waterfill_bucket(
     }
 }
 
-/// Weighted max-min fairness with optional per-flow rate caps, by
-/// progressive filling.
+/// Strict-priority greedy filling.
 ///
-/// Starting from an optional base allocation `floor` (useful for MADD's
-/// "pin targets, then backfill" pattern), all uncapped flows increase their
-/// rate proportionally to their weight until a resource saturates or a flow
-/// hits its cap; saturated/capped flows freeze and filling continues.
-///
-/// `weights` defaults to 1.0 for absent flows; `caps` to unbounded.
-/// Thin adapter over [`waterfill_dense`]; results are bit-identical.
-pub fn waterfill(
-    topo: &Topology,
-    flows: &[ActiveFlowView],
-    weights: &BTreeMap<FlowId, f64>,
-    caps: &BTreeMap<FlowId, f64>,
-    floor: Option<&RateAlloc>,
-) -> RateAlloc {
-    let w: Vec<f64> = flows
-        .iter()
-        .map(|f| weights.get(&f.id).copied().unwrap_or(1.0))
-        .collect();
-    let c: Vec<f64> = flows
-        .iter()
-        .map(|f| caps.get(&f.id).copied().unwrap_or(f64::INFINITY))
-        .collect();
-    let mut rates: Vec<f64> = flows
-        .iter()
-        .map(|f| floor.and_then(|fl| fl.get(&f.id)).copied().unwrap_or(0.0))
-        .collect();
-    let mut ws = AllocScratch::new();
-    waterfill_dense(topo, flows, Some(&w), Some(&c), &mut rates, &mut ws);
-    dense_to_alloc(flows, &rates)
-}
-
-/// Unweighted, uncapped max-min fairness: the paper's fair-sharing baseline.
-pub fn max_min_rates(topo: &Topology, flows: &[ActiveFlowView]) -> RateAlloc {
-    waterfill(topo, flows, &BTreeMap::new(), &BTreeMap::new(), None)
-}
-
-/// Weighted max-min fairness (no caps).
-pub fn weighted_rates(
-    topo: &Topology,
-    flows: &[ActiveFlowView],
-    weights: &BTreeMap<FlowId, f64>,
-) -> RateAlloc {
-    waterfill(topo, flows, weights, &BTreeMap::new(), None)
-}
-
-/// Dense strict-priority greedy filling — the allocation-free core behind
-/// [`priority_fill`].
+/// Flows are served in the order given by `order` (earlier = higher
+/// priority); each takes the minimum residual capacity along its route.
+/// Flows not listed in `order` receive rate zero. This realizes
+/// priority-queue enforcement (paper §5) and turns EDD/SEBF orderings
+/// into concrete rates.
 ///
 /// `flows` must be in ascending id order (the [`crate::fluid`] invariant);
 /// order entries are resolved by binary search instead of a per-call id
-/// map. `rates` is zeroed and filled in place; `caps[i]` applies to
-/// `flows[i]` (`None` = unbounded). Order entries naming unknown flows are
-/// skipped; duplicates are served once.
+/// map. `rates` is zeroed and filled in place. Order entries naming
+/// unknown flows are skipped; duplicates are served once.
 pub fn priority_fill_dense(
     topo: &Topology,
     flows: &[ActiveFlowView],
     order: &[FlowId],
-    caps: Option<&[f64]>,
     rates: &mut [f64],
     ws: &mut AllocScratch,
 ) {
@@ -1103,7 +979,6 @@ pub fn priority_fill_dense(
         "priority_fill flows must be sorted by ascending id"
     );
     debug_assert_eq!(rates.len(), flows.len());
-    debug_assert!(caps.is_none_or(|c| c.len() == flows.len()));
     let AllocScratch { residual, seen, .. } = ws;
     topo.capacities_into(residual);
     seen.clear();
@@ -1118,15 +993,12 @@ pub fn priority_fill_dense(
         }
         seen[i] = true;
         let f = &flows[i];
-        let mut rate = f
+        let rate = f
             .route
             .iter()
             .map(|r| residual[r.0 as usize])
             .fold(f64::INFINITY, f64::min)
             .max(0.0);
-        if let Some(c) = caps {
-            rate = rate.min(c[i].max(0.0));
-        }
         if rate > EPS {
             rates[i] = rate;
             for r in &f.route {
@@ -1134,38 +1006,6 @@ pub fn priority_fill_dense(
             }
         }
     }
-}
-
-/// Strict-priority greedy filling.
-///
-/// Flows are served in the order given by `order` (earlier = higher
-/// priority); each takes the minimum residual capacity along its route,
-/// optionally limited by a per-flow cap. Flows not listed in `order`
-/// receive rate zero. This realizes priority-queue enforcement (paper §5)
-/// and turns EDD/SEBF orderings into concrete rates.
-///
-/// `flows` must be in ascending id order. Thin adapter over
-/// [`priority_fill_dense`]; results are bit-identical.
-pub fn priority_fill(
-    topo: &Topology,
-    flows: &[ActiveFlowView],
-    order: &[FlowId],
-    caps: &BTreeMap<FlowId, f64>,
-) -> RateAlloc {
-    let c: Option<Vec<f64>> = if caps.is_empty() {
-        None
-    } else {
-        Some(
-            flows
-                .iter()
-                .map(|f| caps.get(&f.id).copied().unwrap_or(f64::INFINITY))
-                .collect(),
-        )
-    };
-    let mut rates = vec![0.0; flows.len()];
-    let mut ws = AllocScratch::new();
-    priority_fill_dense(topo, flows, order, c.as_deref(), &mut rates, &mut ws);
-    dense_to_alloc(flows, &rates)
 }
 
 #[cfg(test)]
@@ -1198,13 +1038,31 @@ mod tests {
         (topo, flows)
     }
 
+    /// Unweighted max-min fairness with no floor.
+    fn fair(topo: &Topology, flows: &[ActiveFlowView]) -> Vec<f64> {
+        let mut rates = vec![0.0; flows.len()];
+        waterfill_dense(topo, flows, None, &mut rates, &mut AllocScratch::new());
+        rates
+    }
+
+    /// Strict-priority rates in `order`.
+    fn priority(topo: &Topology, flows: &[ActiveFlowView], order: &[FlowId]) -> Vec<f64> {
+        let mut rates = vec![f64::NAN; flows.len()];
+        priority_fill_dense(topo, flows, order, &mut rates, &mut AllocScratch::new());
+        rates
+    }
+
+    fn feasible(topo: &Topology, flows: &[ActiveFlowView], rates: &[f64]) -> Result<(), String> {
+        check_feasible_dense(topo, flows, rates, &mut Vec::new())
+    }
+
     #[test]
     fn max_min_equal_split_on_shared_egress() {
         let (topo, flows) = two_flows_one_port();
-        let rates = max_min_rates(&topo, &flows);
-        assert!((rates[&FlowId(0)] - 0.5).abs() < 1e-9);
-        assert!((rates[&FlowId(1)] - 0.5).abs() < 1e-9);
-        check_feasible(&topo, &flows, &rates).unwrap();
+        let rates = fair(&topo, &flows);
+        assert!((rates[0] - 0.5).abs() < 1e-9);
+        assert!((rates[1] - 0.5).abs() < 1e-9);
+        feasible(&topo, &flows, &rates).unwrap();
     }
 
     #[test]
@@ -1217,98 +1075,73 @@ mod tests {
             FlowDemand::new(FlowId(2), NodeId(1), NodeId(2), 1.0, SimTime::ZERO),
         ];
         let flows: Vec<_> = demands.iter().map(|d| view(&topo, d)).collect();
-        let rates = max_min_rates(&topo, &flows);
+        let rates = fair(&topo, &flows);
         // f0 and f2 share n2's ingress: 0.5 each; f1 then gets n0's
         // remaining egress 0.5.
-        assert!((rates[&FlowId(0)] - 0.5).abs() < 1e-9);
-        assert!((rates[&FlowId(2)] - 0.5).abs() < 1e-9);
-        assert!((rates[&FlowId(1)] - 0.5).abs() < 1e-9);
-        check_feasible(&topo, &flows, &rates).unwrap();
+        assert!((rates[0] - 0.5).abs() < 1e-9);
+        assert!((rates[2] - 0.5).abs() < 1e-9);
+        assert!((rates[1] - 0.5).abs() < 1e-9);
+        feasible(&topo, &flows, &rates).unwrap();
     }
 
     #[test]
     fn weighted_split_follows_weights() {
         let (topo, flows) = two_flows_one_port();
-        let mut weights = BTreeMap::new();
-        weights.insert(FlowId(0), 3.0);
-        weights.insert(FlowId(1), 1.0);
-        let rates = weighted_rates(&topo, &flows, &weights);
-        assert!((rates[&FlowId(0)] - 0.75).abs() < 1e-9);
-        assert!((rates[&FlowId(1)] - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn caps_freeze_then_backfill() {
-        let (topo, flows) = two_flows_one_port();
-        let mut caps = BTreeMap::new();
-        caps.insert(FlowId(0), 0.25);
-        let rates = waterfill(&topo, &flows, &BTreeMap::new(), &caps, None);
-        // f0 pinned at 0.25; f1 work-conservingly takes the remaining 0.75.
-        assert!((rates[&FlowId(0)] - 0.25).abs() < 1e-9);
-        assert!((rates[&FlowId(1)] - 0.75).abs() < 1e-9);
+        let mut rates = vec![0.0; 2];
+        let mut ws = AllocScratch::new();
+        waterfill_dense(&topo, &flows, Some(&[3.0, 1.0]), &mut rates, &mut ws);
+        assert!((rates[0] - 0.75).abs() < 1e-9);
+        assert!((rates[1] - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn floor_is_respected() {
+        // f0 starts at its 0.6 floor; the remaining 0.4 of the shared
+        // egress is split equally on top of the floor.
         let (topo, flows) = two_flows_one_port();
-        let mut floor = RateAlloc::new();
-        floor.insert(FlowId(0), 0.6);
-        let mut caps = BTreeMap::new();
-        caps.insert(FlowId(0), 0.6); // frozen at its floor
-        let rates = waterfill(&topo, &flows, &BTreeMap::new(), &caps, Some(&floor));
-        assert!((rates[&FlowId(0)] - 0.6).abs() < 1e-9);
-        assert!((rates[&FlowId(1)] - 0.4).abs() < 1e-9);
+        let mut rates = vec![0.6, 0.0];
+        let mut ws = AllocScratch::new();
+        waterfill_dense(&topo, &flows, None, &mut rates, &mut ws);
+        assert!((rates[0] - 0.8).abs() < 1e-9);
+        assert!((rates[1] - 0.2).abs() < 1e-9);
     }
 
     #[test]
     fn priority_fill_is_strict() {
         let (topo, flows) = two_flows_one_port();
-        let rates = priority_fill(&topo, &flows, &[FlowId(1), FlowId(0)], &BTreeMap::new());
-        assert!((rates[&FlowId(1)] - 1.0).abs() < 1e-9);
-        assert!(rates[&FlowId(0)].abs() < 1e-9);
-    }
-
-    #[test]
-    fn priority_fill_with_cap_leaves_room() {
-        let (topo, flows) = two_flows_one_port();
-        let mut caps = BTreeMap::new();
-        caps.insert(FlowId(1), 0.3);
-        let rates = priority_fill(&topo, &flows, &[FlowId(1), FlowId(0)], &caps);
-        assert!((rates[&FlowId(1)] - 0.3).abs() < 1e-9);
-        assert!((rates[&FlowId(0)] - 0.7).abs() < 1e-9);
+        let rates = priority(&topo, &flows, &[FlowId(1), FlowId(0)]);
+        assert!((rates[1] - 1.0).abs() < 1e-9);
+        assert!(rates[0].abs() < 1e-9);
     }
 
     #[test]
     fn priority_fill_ignores_unknown_and_duplicate_ids() {
         let (topo, flows) = two_flows_one_port();
         let order = [FlowId(99), FlowId(0), FlowId(0), FlowId(1)];
-        let rates = priority_fill(&topo, &flows, &order, &BTreeMap::new());
-        assert!((rates[&FlowId(0)] - 1.0).abs() < 1e-9);
-        assert!(rates[&FlowId(1)].abs() < 1e-9);
+        let rates = priority(&topo, &flows, &order);
+        assert!((rates[0] - 1.0).abs() < 1e-9);
+        assert!(rates[1].abs() < 1e-9);
     }
 
     #[test]
     fn unlisted_flows_get_zero() {
         let (topo, flows) = two_flows_one_port();
-        let rates = priority_fill(&topo, &flows, &[FlowId(0)], &BTreeMap::new());
-        assert_eq!(rates[&FlowId(1)], 0.0);
+        let rates = priority(&topo, &flows, &[FlowId(0)]);
+        assert_eq!(rates[1], 0.0);
     }
 
     #[test]
     fn feasibility_rejects_oversubscription() {
         let (topo, flows) = two_flows_one_port();
-        let mut alloc = RateAlloc::new();
-        alloc.insert(FlowId(0), 0.8);
-        alloc.insert(FlowId(1), 0.8);
-        assert!(check_feasible(&topo, &flows, &alloc).is_err());
+        assert!(feasible(&topo, &flows, &[0.8, 0.8]).is_err());
+        assert!(feasible(&topo, &flows, &[0.5, 0.5]).is_ok());
     }
 
     #[test]
     fn feasibility_rejects_negative_rates() {
         let (topo, flows) = two_flows_one_port();
-        let mut alloc = RateAlloc::new();
-        alloc.insert(FlowId(0), -0.5);
-        assert!(check_feasible(&topo, &flows, &alloc).is_err());
+        assert!(feasible(&topo, &flows, &[-0.5, 0.0]).is_err());
+        assert!(feasible(&topo, &flows, &[f64::NAN, 0.0]).is_err());
     }
 
     #[test]
@@ -1321,73 +1154,8 @@ mod tests {
             FlowDemand::new(FlowId(2), NodeId(0), NodeId(1), 2.0, SimTime::ZERO),
         ];
         let flows: Vec<_> = demands.iter().map(|d| view(&topo, d)).collect();
-        let rates = max_min_rates(&topo, &flows);
-        for f in &flows {
-            assert!((rates[&f.id] - 1.0 / 3.0).abs() < 1e-9);
-        }
-    }
-
-    /// Dense and map-based waterfill must agree bit-for-bit, including
-    /// weights, caps, and a floor, with the scratch reused across calls.
-    #[test]
-    fn dense_waterfill_matches_map_adapter_bitwise() {
-        let topo = Topology::big_switch_uniform(4, 1.0);
-        let demands = [
-            FlowDemand::new(FlowId(0), NodeId(0), NodeId(2), 1.0, SimTime::ZERO),
-            FlowDemand::new(FlowId(1), NodeId(0), NodeId(3), 1.0, SimTime::ZERO),
-            FlowDemand::new(FlowId(2), NodeId(1), NodeId(2), 1.0, SimTime::ZERO),
-        ];
-        let flows: Vec<_> = demands.iter().map(|d| view(&topo, d)).collect();
-        let mut weights = BTreeMap::new();
-        weights.insert(FlowId(0), 2.0);
-        let mut caps = BTreeMap::new();
-        caps.insert(FlowId(2), 0.25);
-        let mut floor = RateAlloc::new();
-        floor.insert(FlowId(1), 0.1);
-
-        let via_map = waterfill(&topo, &flows, &weights, &caps, Some(&floor));
-
-        let w: Vec<f64> = flows
-            .iter()
-            .map(|f| weights.get(&f.id).copied().unwrap_or(1.0))
-            .collect();
-        let c: Vec<f64> = flows
-            .iter()
-            .map(|f| caps.get(&f.id).copied().unwrap_or(f64::INFINITY))
-            .collect();
-        let mut ws = AllocScratch::new();
-        for _ in 0..2 {
-            // Second round reuses the grown scratch: result must not change.
-            let mut dense: Vec<f64> = flows
-                .iter()
-                .map(|f| floor.get(&f.id).copied().unwrap_or(0.0))
-                .collect();
-            waterfill_dense(&topo, &flows, Some(&w), Some(&c), &mut dense, &mut ws);
-            for (i, f) in flows.iter().enumerate() {
-                assert_eq!(dense[i].to_bits(), via_map[&f.id].to_bits());
-            }
-        }
-    }
-
-    /// Dense and map-based priority_fill must agree bit-for-bit, with
-    /// unknown and duplicate order entries handled identically.
-    #[test]
-    fn dense_priority_fill_matches_map_adapter_bitwise() {
-        let (topo, flows) = two_flows_one_port();
-        let order = [FlowId(99), FlowId(1), FlowId(1), FlowId(0)];
-        let mut caps = BTreeMap::new();
-        caps.insert(FlowId(1), 0.3);
-        let via_map = priority_fill(&topo, &flows, &order, &caps);
-
-        let c: Vec<f64> = flows
-            .iter()
-            .map(|f| caps.get(&f.id).copied().unwrap_or(f64::INFINITY))
-            .collect();
-        let mut dense = vec![0.0; flows.len()];
-        let mut ws = AllocScratch::new();
-        priority_fill_dense(&topo, &flows, &order, Some(&c), &mut dense, &mut ws);
-        for (i, f) in flows.iter().enumerate() {
-            assert_eq!(dense[i].to_bits(), via_map[&f.id].to_bits());
+        for rate in fair(&topo, &flows) {
+            assert!((rate - 1.0 / 3.0).abs() < 1e-9);
         }
     }
 
@@ -1397,11 +1165,9 @@ mod tests {
         topo: &Topology,
         flows: &[ActiveFlowView],
         weights: Option<&[f64]>,
-        caps: Option<&[f64]>,
         rates: &mut [f64],
     ) {
         let w_of = |i: usize| weights.map_or(1.0, |w| w[i]).max(0.0);
-        let cap_of = |i: usize| caps.map_or(f64::INFINITY, |c| c[i]);
         let mut residual: Vec<f64> = (0..topo.num_resources())
             .map(|r| topo.capacity(ResourceId(r as u32)))
             .collect();
@@ -1410,9 +1176,7 @@ mod tests {
                 residual[r.0 as usize] -= rate;
             }
         }
-        let mut unfrozen: Vec<usize> = (0..flows.len())
-            .filter(|&i| rates[i] + EPS < cap_of(i))
-            .collect();
+        let mut unfrozen: Vec<usize> = (0..flows.len()).collect();
         while !unfrozen.is_empty() {
             let mut mass = vec![0.0; topo.num_resources()];
             for &i in &unfrozen {
@@ -1427,15 +1191,6 @@ mod tests {
                     inc = inc.min((residual[r].max(0.0)) / m);
                 }
             }
-            for &i in &unfrozen {
-                let w = w_of(i);
-                if w > EPS {
-                    let cap = cap_of(i);
-                    if cap.is_finite() {
-                        inc = inc.min((cap - rates[i]).max(0.0) / w);
-                    }
-                }
-            }
             if !inc.is_finite() {
                 break;
             }
@@ -1448,11 +1203,7 @@ mod tests {
             }
             let before = unfrozen.len();
             unfrozen.retain(|&i| {
-                let w = w_of(i);
-                if w <= EPS {
-                    return false;
-                }
-                if rates[i] + EPS >= cap_of(i) {
+                if w_of(i) <= EPS {
                     return false;
                 }
                 for r in &flows[i].route {
@@ -1504,44 +1255,19 @@ mod tests {
             }
             let weights: Option<Vec<f64>> =
                 (trial % 2 == 0).then(|| (0..n).map(|_| rng.f64_range(0.0, 3.0)).collect());
-            let caps: Option<Vec<f64>> = (trial % 3 == 0).then(|| {
-                (0..n)
-                    .map(|_| {
-                        if rng.next_f64() < 0.3 {
-                            f64::INFINITY
-                        } else {
-                            rng.f64_range(0.0, 1.5)
-                        }
-                    })
-                    .collect()
-            });
             let floor: Vec<f64> = (0..n)
-                .map(|i| {
-                    let c = caps.as_ref().map_or(f64::INFINITY, |c| c[i]);
+                .map(|_| {
                     if rng.next_f64() < 0.2 {
-                        rng.f64_range(0.0, 0.2).min(c)
+                        rng.f64_range(0.0, 0.2)
                     } else {
                         0.0
                     }
                 })
                 .collect();
             let mut optimized = floor.clone();
-            waterfill_dense(
-                topo,
-                &flows,
-                weights.as_deref(),
-                caps.as_deref(),
-                &mut optimized,
-                &mut ws,
-            );
+            waterfill_dense(topo, &flows, weights.as_deref(), &mut optimized, &mut ws);
             let mut reference = floor;
-            waterfill_reference(
-                topo,
-                &flows,
-                weights.as_deref(),
-                caps.as_deref(),
-                &mut reference,
-            );
+            waterfill_reference(topo, &flows, weights.as_deref(), &mut reference);
             for (i, (a, b)) in optimized.iter().zip(&reference).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -1553,9 +1279,9 @@ mod tests {
     }
 
     /// The full-set subset waterfill must be bit-identical to the plain
-    /// unweighted, uncapped, zero-floor dense waterfill, and disjoint
-    /// subsets must fill independently of the order they are computed in
-    /// (each seeds residuals from capacity on its own links only).
+    /// unweighted, zero-floor dense waterfill, and disjoint subsets must
+    /// fill independently of the order they are computed in (each seeds
+    /// residuals from capacity on its own links only).
     #[test]
     fn subset_waterfill_matches_dense_bitwise() {
         let topo = Topology::big_switch_uniform(6, 1.0);
@@ -1573,7 +1299,7 @@ mod tests {
         let mut ws = AllocScratch::new();
 
         let mut reference = vec![0.0; flows.len()];
-        waterfill_dense(&topo, &flows, None, None, &mut reference, &mut ws);
+        waterfill_dense(&topo, &flows, None, &mut reference, &mut ws);
 
         // Whole set through the subset entry point.
         let all: Vec<usize> = (0..flows.len()).collect();
@@ -1597,25 +1323,6 @@ mod tests {
         // Feasibility of the pod-by-pod fill on the shared topology.
         let mut residual = Vec::new();
         check_feasible_dense(&topo, &flows, &ab, &mut residual).unwrap();
-    }
-
-    #[test]
-    fn dense_feasibility_matches_map_check() {
-        let (topo, flows) = two_flows_one_port();
-        let mut residual = Vec::new();
-        assert!(check_feasible_dense(&topo, &flows, &[0.8, 0.8], &mut residual).is_err());
-        assert!(check_feasible_dense(&topo, &flows, &[-0.5, 0.0], &mut residual).is_err());
-        assert!(check_feasible_dense(&topo, &flows, &[0.5, 0.5], &mut residual).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown flow")]
-    fn alloc_to_dense_rejects_unknown_ids() {
-        let (_topo, flows) = two_flows_one_port();
-        let mut alloc = RateAlloc::new();
-        alloc.insert(FlowId(9999), 0.1);
-        let mut out = Vec::new();
-        alloc_to_dense(&flows, &alloc, &mut out);
     }
 
     /// A random synthetic fill: capacities over `nranks` link ids and one
@@ -1838,7 +1545,7 @@ mod tests {
 
     /// The pod policy's whole-fabric fallback — the bucket engine over
     /// every flow in id order, routes as global link ids — must be
-    /// bitwise the unweighted, uncapped, zero-floor [`waterfill_dense`]
+    /// bitwise the unweighted, zero-floor [`waterfill_dense`]
     /// on k=4 and k=8 fat trees with 10–40 % core crossers and degraded
     /// and zero-capacity links, one scratch shared by both engines.
     #[test]
@@ -1853,7 +1560,7 @@ mod tests {
             let cross = rng.f64_range(0.1, 0.4);
             let sim = FabricSim::new(&mut rng, k, n, cross);
             let mut want = vec![0.0; n];
-            waterfill_dense(&sim.topo, &sim.flows, None, None, &mut want, &mut ws);
+            waterfill_dense(&sim.topo, &sim.flows, None, &mut want, &mut ws);
             let subset: Vec<usize> = (0..n).collect();
             let slots: Vec<u32> = sim.flows.iter().map(|v| v.slot).collect();
             let mut got = vec![f64::NAN; n];

@@ -590,7 +590,6 @@ pub fn drive_faulted_configured(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::RateAlloc;
     use crate::flow::FlowDemand;
     use crate::ids::{FlowId, NodeId};
     use crate::runner::MaxMinPolicy;
@@ -685,13 +684,16 @@ mod tests {
     struct ZeroPolicy;
 
     impl RatePolicy for ZeroPolicy {
-        fn allocate(
+        fn allocate_dense(
             &mut self,
             _now: SimTime,
-            _flows: &[ActiveFlowView],
+            flows: &[ActiveFlowView],
             _topo: &Topology,
-        ) -> RateAlloc {
-            RateAlloc::new()
+            _ws: &mut AllocScratch,
+            out: &mut Vec<f64>,
+        ) {
+            out.clear();
+            out.resize(flows.len(), 0.0);
         }
     }
 

@@ -3,8 +3,10 @@
 //! [`FluidNetwork`] holds every released-but-unfinished flow together with
 //! its current rate. The surrounding simulation loop alternates between:
 //!
-//! 1. asking a policy for a [`RateAlloc`] over the current flows,
-//! 2. applying it with [`FluidNetwork::set_rates`] (feasibility-checked),
+//! 1. asking a policy for a dense rate buffer over the current flows
+//!    (`rates[i]` for `views()[i]`),
+//! 2. applying it with [`FluidNetwork::set_rates_dense`]
+//!    (feasibility-checked),
 //! 3. advancing to the next event with [`FluidNetwork::advance`], using
 //!    [`FluidNetwork::next_completion_in`] to bound the step.
 //!
@@ -20,7 +22,7 @@
 //! which incremental policies use to update cached group state instead of
 //! re-deriving it from the full flow set at every event.
 
-use crate::alloc::{check_feasible, check_feasible_dense, RateAlloc};
+use crate::alloc::check_feasible_dense;
 use crate::calendar::CalendarQueue;
 use crate::flow::{ActiveFlowView, FlowArena, FlowCompletion, FlowDemand};
 use crate::ids::{FlowId, ResourceId};
@@ -110,7 +112,7 @@ pub struct FluidNetwork {
     /// authoritative (always-consistent) copy policies can borrow.
     links: LinkIndex,
     /// Distinct links touched by a bitwise rate change, summed over
-    /// [`Self::set_rates_dense`] / [`Self::set_rates`] calls.
+    /// [`Self::set_rates_dense`] / [`Self::set_rates_sparse`] calls.
     links_dirty: usize,
     /// Occupied-link count at each rate application, summed likewise —
     /// the denominator of the link-recompute fraction.
@@ -377,44 +379,6 @@ impl FluidNetwork {
         std::mem::take(&mut self.delta)
     }
 
-    /// Applies a rate allocation. Active flows missing from the allocation
-    /// get rate zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the allocation is infeasible for the topology, or if it
-    /// assigns a rate to a flow id that is not in the active set (a policy
-    /// bug that would otherwise silently vanish).
-    pub fn set_rates(&mut self, alloc: &RateAlloc) {
-        for id in alloc.keys() {
-            assert!(
-                self.index_of(*id).is_some(),
-                "rate assigned to unknown flow {id} (not in the active set)"
-            );
-        }
-        if let Err(msg) = check_feasible(&self.topology, &self.views, alloc) {
-            panic!("infeasible rate allocation: {msg}");
-        }
-        self.dirty_mark += 1;
-        for i in 0..self.views.len() {
-            let new = alloc
-                .get(&self.views[i].id)
-                .copied()
-                .unwrap_or(0.0)
-                .max(0.0);
-            if new.to_bits() != self.rates[i].to_bits() {
-                self.rates[i] = new;
-                if self.link_stats_on {
-                    self.mark_route_dirty(i);
-                }
-                self.update_due(i);
-            }
-        }
-        if self.link_stats_on {
-            self.links_occupied += self.links.occupied_count();
-        }
-    }
-
     /// Re-derives flow `i`'s absolute due time from its (just-changed)
     /// rate and current remaining bytes, mirroring it into the calendar.
     fn update_due(&mut self, i: usize) {
@@ -445,7 +409,8 @@ impl FluidNetwork {
     }
 
     /// Applies a dense rate allocation (`rates[i]` for `views()[i]`, the
-    /// hot-path currency). Feasibility-checked like [`Self::set_rates`].
+    /// hot-path currency), checking feasibility unless it was switched
+    /// off.
     ///
     /// If every rate is bit-identical to the current one, the call is a
     /// no-op that preserves the incrementally maintained next-completion
@@ -695,8 +660,16 @@ impl FluidNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::max_min_rates;
+    use crate::alloc::{waterfill_dense, AllocScratch};
     use crate::ids::NodeId;
+
+    /// Applies the max-min fair allocation over the active flows.
+    fn apply_fair(net: &mut FluidNetwork) {
+        let mut rates = vec![0.0; net.active_count()];
+        let mut ws = AllocScratch::new();
+        waterfill_dense(net.topology(), net.views(), None, &mut rates, &mut ws);
+        net.set_rates_dense(&rates);
+    }
 
     fn demand(id: u64, src: u32, dst: u32, size: f64, release: f64) -> FlowDemand {
         FlowDemand::new(
@@ -712,8 +685,7 @@ mod tests {
     fn single_flow_runs_to_completion() {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
         net.release(&demand(0, 0, 1, 2.0, 0.0));
-        let rates = max_min_rates(net.topology(), net.views());
-        net.set_rates(&rates);
+        apply_fair(&mut net);
         let dt = net.next_completion_in().unwrap();
         assert!((dt - 2.0).abs() < 1e-9);
         let done = net.advance(dt);
@@ -727,8 +699,7 @@ mod tests {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
         net.release(&demand(0, 0, 1, 2.0, 0.0));
         net.release(&demand(1, 0, 1, 2.0, 0.0));
-        let rates = max_min_rates(net.topology(), net.views());
-        net.set_rates(&rates);
+        apply_fair(&mut net);
         let dt = net.next_completion_in().unwrap();
         assert!((dt - 4.0).abs() < 1e-9);
         let done = net.advance(dt);
@@ -739,8 +710,7 @@ mod tests {
     fn partial_advance_conserves_bytes() {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
         net.release(&demand(0, 0, 1, 2.0, 0.0));
-        let rates = max_min_rates(net.topology(), net.views());
-        net.set_rates(&rates);
+        apply_fair(&mut net);
         let done = net.advance(0.5);
         assert!(done.is_empty());
         let views = net.views();
@@ -764,20 +734,7 @@ mod tests {
     fn infeasible_rates_rejected() {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
         net.release(&demand(0, 0, 1, 2.0, 0.0));
-        let mut alloc = RateAlloc::new();
-        alloc.insert(FlowId(0), 5.0);
-        net.set_rates(&alloc);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown flow")]
-    fn rate_for_inactive_flow_rejected() {
-        let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
-        net.release(&demand(0, 0, 1, 2.0, 0.0));
-        let mut alloc = RateAlloc::new();
-        alloc.insert(FlowId(0), 0.5);
-        alloc.insert(FlowId(7), 0.1); // never released
-        net.set_rates(&alloc);
+        net.set_rates_dense(&[5.0]);
     }
 
     #[test]
@@ -793,8 +750,7 @@ mod tests {
     fn overshooting_advance_rejected() {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
         net.release(&demand(0, 0, 1, 1.0, 0.0));
-        let rates = max_min_rates(net.topology(), net.views());
-        net.set_rates(&rates);
+        apply_fair(&mut net);
         net.advance(5.0);
     }
 
@@ -802,12 +758,9 @@ mod tests {
     fn rate_changes_mid_flight() {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
         net.release(&demand(0, 0, 1, 2.0, 0.0));
-        let mut alloc = RateAlloc::new();
-        alloc.insert(FlowId(0), 0.5);
-        net.set_rates(&alloc);
+        net.set_rates_dense(&[0.5]);
         net.advance(2.0); // 1.0 bytes left
-        alloc.insert(FlowId(0), 1.0);
-        net.set_rates(&alloc);
+        net.set_rates_dense(&[1.0]);
         let dt = net.next_completion_in().unwrap();
         assert!((dt - 1.0).abs() < 1e-9);
         let done = net.advance(dt);
@@ -820,8 +773,7 @@ mod tests {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(3, 1.0));
         net.release(&demand(0, 0, 1, 1.0, 0.0));
         net.release(&demand(1, 2, 1, 1.0, 0.0));
-        let rates = max_min_rates(net.topology(), net.views());
-        net.set_rates(&rates);
+        apply_fair(&mut net);
         let dt = net.next_completion_in().unwrap();
         net.advance(dt);
         assert_eq!(net.completions().len(), 2);
@@ -832,8 +784,7 @@ mod tests {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(3, 1.0));
         net.release(&demand(0, 0, 2, 1.0, 0.0));
         net.release(&demand(1, 1, 2, 1.0, 0.0));
-        let rates = max_min_rates(net.topology(), net.views());
-        net.set_rates(&rates);
+        apply_fair(&mut net);
         assert!((net.total_rate() - 1.0).abs() < 1e-9); // n2 ingress bound
     }
 
@@ -871,8 +822,7 @@ mod tests {
         );
         assert_eq!(net.link_index().occupied_count(), 3);
 
-        let rates = max_min_rates(net.topology(), net.views());
-        net.set_rates(&rates);
+        apply_fair(&mut net);
         // One application: both flows' rates changed, touching all 3
         // occupied links.
         assert_eq!(net.link_stats(), (3, 3));
@@ -915,9 +865,7 @@ mod tests {
         net.release(&demand(0, 0, 1, 4.0, 0.0)); // crosses host0 egress
         net.release(&demand(1, 2, 1, 4.0, 0.0)); // does not
         net.apply_capacity_factor(crate::ids::ResourceId(0), 0.0);
-        let mut alloc = RateAlloc::new();
-        alloc.insert(FlowId(1), 0.5);
-        net.set_rates(&alloc);
+        net.set_rates_dense(&[0.0, 0.5]);
         net.advance(2.0);
         // Only flow 0 crosses the downed egress: 2.0 flow-seconds.
         assert!((net.stall_flow_seconds() - 2.0).abs() < 1e-9);
@@ -932,9 +880,7 @@ mod tests {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
         net.release(&demand(0, 0, 1, 2.0, 0.0));
         net.apply_capacity_factor(crate::ids::ResourceId(0), 0.25);
-        let mut alloc = RateAlloc::new();
-        alloc.insert(FlowId(0), 1.0); // feasible pre-fault, not post
-        net.set_rates(&alloc);
+        net.set_rates_dense(&[1.0]); // feasible pre-fault, not post
     }
 
     #[test]
@@ -946,8 +892,7 @@ mod tests {
         assert_eq!(d.arrived, vec![FlowId(0), FlowId(1)]);
         assert!(d.departed.is_empty());
 
-        let rates = max_min_rates(net.topology(), net.views());
-        net.set_rates(&rates);
+        apply_fair(&mut net);
         let dt = net.next_completion_in().unwrap();
         net.advance(dt);
         let d = net.take_delta();

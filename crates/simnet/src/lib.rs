@@ -26,9 +26,9 @@
 //!   model) and an explicit [`topology::LinkGraph`] with static shortest
 //!   path routing.
 //! - [`flow`] — flow demands and live flow state.
-//! - [`alloc`] — allocation primitives shared by all schedulers: max-min
-//!   waterfilling, weighted fairness, and priority filling with
-//!   work-conserving backfill.
+//! - [`alloc`] — dense allocation primitives shared by all schedulers:
+//!   weighted max-min waterfilling on top of a floor (the work-conserving
+//!   backfill), and strict-priority filling.
 //! - [`fluid`] — the active-flow table: applies a rate allocation, advances
 //!   time, and predicts the next flow completion via per-slot absolute due
 //!   times (linear scan or calendar queue, bit-identical by construction).
@@ -90,7 +90,7 @@ pub mod trace;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::alloc::{max_min_rates, priority_fill, weighted_rates, RateAlloc};
+    pub use crate::alloc::{AllocScratch, RateAlloc};
     pub use crate::calendar::CalendarQueue;
     pub use crate::driver::{drive, drive_faulted, DriveOutcome, WorkloadSource};
     pub use crate::fattree::{FatTree, FatTreeFabric};

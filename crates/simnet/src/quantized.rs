@@ -377,16 +377,20 @@ mod tests {
         // A crude SRPT stand-in over the visible remaining bytes.
         struct Srpt;
         impl RatePolicy for Srpt {
-            fn allocate(
+            fn allocate_dense(
                 &mut self,
                 _now: SimTime,
                 flows: &[ActiveFlowView],
                 topo: &Topology,
-            ) -> crate::alloc::RateAlloc {
+                ws: &mut AllocScratch,
+                out: &mut Vec<f64>,
+            ) {
                 let mut order: Vec<&ActiveFlowView> = flows.iter().collect();
                 order.sort_by(|a, b| a.remaining.total_cmp(&b.remaining).then(a.id.cmp(&b.id)));
                 let ids: Vec<FlowId> = order.into_iter().map(|f| f.id).collect();
-                crate::alloc::priority_fill(topo, flows, &ids, &BTreeMap::new())
+                out.clear();
+                out.resize(flows.len(), 0.0);
+                crate::alloc::priority_fill_dense(topo, flows, &ids, out, ws);
             }
         }
         let topo = Topology::chain(2, 1.0);

@@ -1,19 +1,17 @@
 //! Self-contained flow simulation loop for static demand sets.
 //!
 //! [`run_flows`] drives a static set of [`FlowDemand`]s to completion under
-//! a [`RatePolicy`], recomputing rates at every flow release and completion
-//! (the fluid model's only rate-change points for static demand sets).
-//! Iterations where the flow set did not change (e.g. an advance that lands
-//! just short of a release) skip the allocation entirely — the previous
-//! rates are still valid.
+//! a [`RatePolicy`]. The driver recomputes rates at every event batch
+//! that has active flows: releases, completions and faults (the fluid
+//! model's only rate-change points for static demand sets).
 //!
 //! [`run_flows_with`] additionally selects a [`RecomputeMode`]: `Full`
-//! calls [`RatePolicy::allocate`] (the naive reference path, re-deriving
-//! everything from the flow slice), `Incremental` calls
-//! [`RatePolicy::allocate_incremental`] with the [`FlowDelta`] accumulated
-//! since the previous allocation, letting stateful schedulers reuse cached
-//! group structure. Both modes must produce bit-identical traces; the
-//! differential tests in `tests/differential.rs` enforce this.
+//! calls [`RatePolicy::allocate_dense`] (the naive reference path,
+//! re-deriving everything from the flow slice), `Incremental` calls
+//! [`RatePolicy::allocate_dense_incremental`] with the [`FlowDelta`]
+//! accumulated since the previous allocation, letting stateful schedulers
+//! reuse cached group structure. Both modes must produce bit-identical
+//! traces; the differential tests in `tests/differential.rs` enforce this.
 //!
 //! The event-loop skeleton itself lives in [`crate::driver`]; this module
 //! contributes only the static-demand [`WorkloadSource`] (release flows at
@@ -23,8 +21,7 @@
 //! cluster arrivals) plug their own sources into the same driver.
 
 use crate::alloc::{
-    alloc_to_dense, alloc_via_dense, store_slot_route, waterfill_bucket, waterfill_dense,
-    AllocScratch, RateAlloc,
+    alloc_via_dense, store_slot_route, waterfill_bucket, waterfill_dense, AllocScratch, RateAlloc,
 };
 use crate::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
 use crate::fault::{FaultKind, FaultPlan};
@@ -39,25 +36,29 @@ use std::collections::BTreeMap;
 /// A bandwidth allocation policy: the single extension point all
 /// schedulers implement.
 ///
-/// `allocate` is called whenever the set of active flows changes (or, for
-/// interval-driven coordinators, on a timer) and must return a feasible
-/// allocation. Policies may keep internal state (e.g. coflow orderings
+/// The driver calls [`Self::allocate_dense`] or
+/// [`Self::allocate_dense_incremental`] (or its sparse variant) at every
+/// event batch with active flows, and the policy must write a feasible
+/// rate for every active flow. Policies may keep internal state (e.g. coflow orderings
 /// computed on arrival).
+///
+/// [`Self::allocate_dense`] is the one required method. Every other
+/// entry point has a provided default built on it: the incremental
+/// recompute ignores the delta, and the map-based [`Self::allocate`] and
+/// [`Self::allocate_incremental`] convert the dense answer once
+/// ([`alloc_via_dense`]). A stateful policy overrides
+/// [`Self::allocate_dense_incremental`] to patch its cached structure.
 pub trait RatePolicy {
-    /// Computes rates for the currently active flows.
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc;
+    /// Map-based full recompute, for callers outside the driver: the
+    /// dense answer as one id-keyed [`RateAlloc`].
+    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense(now, flows, topo, ws, out)
+        })
+    }
 
-    /// Incremental entry point: like [`Self::allocate`], but additionally
-    /// told which flows arrived/departed since the previous call, so
-    /// stateful policies can patch cached group structure instead of
-    /// re-deriving it from `flows`.
-    ///
-    /// The default implementation ignores the delta and falls back to the
-    /// full recompute, so plain policies stay correct for free.
-    /// Implementations must be *observationally identical* to `allocate`:
-    /// given the same event sequence, both paths must return bit-identical
-    /// allocations. Callers must report every arrival and departure through
-    /// `delta` exactly once across the sequence of incremental calls.
+    /// Map-based incremental recompute: the answer of
+    /// [`Self::allocate_dense_incremental`] as one [`RateAlloc`].
     fn allocate_incremental(
         &mut self,
         now: SimTime,
@@ -65,15 +66,14 @@ pub trait RatePolicy {
         delta: &FlowDelta,
         topo: &Topology,
     ) -> RateAlloc {
-        let _ = delta;
-        self.allocate(now, flows, topo)
+        alloc_via_dense(flows, |ws, out| {
+            self.allocate_dense_incremental(now, flows, delta, topo, ws, out)
+        })
     }
 
     /// Dense full recompute: writes `out[i]` for `flows[i]` (the id-sorted
     /// active slice), reusing the caller-owned scratch so steady-state
-    /// allocations touch no heap. The default adapts [`Self::allocate`];
-    /// dense-native policies override this and implement the map-based
-    /// entry points as one-line adapters over it ([`alloc_via_dense`]).
+    /// allocations touch no heap. `out` must end up `flows.len()` long.
     fn allocate_dense(
         &mut self,
         now: SimTime,
@@ -81,14 +81,20 @@ pub trait RatePolicy {
         topo: &Topology,
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
-    ) {
-        let _ = ws;
-        let alloc = self.allocate(now, flows, topo);
-        alloc_to_dense(flows, &alloc, out);
-    }
+    );
 
-    /// Dense incremental recompute: like [`Self::allocate_dense`] with the
-    /// flow delta. The default adapts [`Self::allocate_incremental`].
+    /// Dense incremental recompute: like [`Self::allocate_dense`], but
+    /// additionally told which flows arrived/departed since the previous
+    /// call, so stateful policies can patch cached group structure
+    /// instead of re-deriving it from `flows`.
+    ///
+    /// The default ignores the delta and runs the full recompute, so
+    /// plain policies stay correct for free. Implementations must be
+    /// *observationally identical* to [`Self::allocate_dense`]: given the
+    /// same event sequence, both paths must return bit-identical
+    /// allocations. Callers must report every arrival and departure
+    /// through `delta` exactly once across the sequence of incremental
+    /// calls.
     fn allocate_dense_incremental(
         &mut self,
         now: SimTime,
@@ -98,9 +104,8 @@ pub trait RatePolicy {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        let _ = ws;
-        let alloc = self.allocate_incremental(now, flows, delta, topo);
-        alloc_to_dense(flows, &alloc, out);
+        let _ = delta;
+        self.allocate_dense(now, flows, topo, ws, out);
     }
 
     /// Unused: the driver allocates at every event batch and never asks.
@@ -221,10 +226,10 @@ pub enum AllocHorizon {
 /// Which `RatePolicy` entry point the simulation loop drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecomputeMode {
-    /// Call [`RatePolicy::allocate`] — re-derive everything per event.
+    /// Call [`RatePolicy::allocate_dense`] — re-derive everything per event.
     #[default]
     Full,
-    /// Call [`RatePolicy::allocate_incremental`] with the flow delta.
+    /// Call [`RatePolicy::allocate_dense_incremental`] with the flow delta.
     Incremental,
 }
 
@@ -233,10 +238,6 @@ pub enum RecomputeMode {
 pub struct MaxMinPolicy;
 
 impl RatePolicy for MaxMinPolicy {
-    fn allocate(&mut self, _now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        crate::alloc::max_min_rates(topo, flows)
-    }
-
     fn allocate_dense(
         &mut self,
         _now: SimTime,
@@ -247,19 +248,7 @@ impl RatePolicy for MaxMinPolicy {
     ) {
         out.clear();
         out.resize(flows.len(), 0.0);
-        waterfill_dense(topo, flows, None, None, out, ws);
-    }
-
-    fn allocate_dense_incremental(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        _delta: &FlowDelta,
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        self.allocate_dense(now, flows, topo, ws, out);
+        waterfill_dense(topo, flows, None, out, ws);
     }
 
     fn name(&self) -> &'static str {
@@ -502,7 +491,7 @@ impl PodMaxMinPolicy {
             // densely. Touched pods stay dirty, so pod mode resumes
             // exactly when the crossing flows drain. Every flow in id
             // order through the pod engine is bitwise the unweighted,
-            // uncapped, zero-floor `waterfill_dense` (DESIGN §10.3).
+            // zero-floor `waterfill_dense` (DESIGN §10.3).
             self.emit_all = true;
             self.pods_total += npods;
             self.pods_recomputed += npods;
@@ -581,12 +570,6 @@ impl PodMaxMinPolicy {
 }
 
 impl RatePolicy for PodMaxMinPolicy {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense(now, flows, topo, ws, out)
-        })
-    }
-
     /// The full recompute: the delta in which every live flow arrived.
     fn allocate_dense(
         &mut self,
@@ -600,7 +583,7 @@ impl RatePolicy for PodMaxMinPolicy {
         let Some((npods, _)) = topo.pod_partition() else {
             out.clear();
             out.resize(flows.len(), 0.0);
-            waterfill_dense(topo, flows, None, None, out, ws);
+            waterfill_dense(topo, flows, None, out, ws);
             return;
         };
         let npods = npods as usize;
@@ -956,8 +939,8 @@ mod tests {
 
     #[test]
     fn full_and_incremental_modes_agree_for_default_policy() {
-        // The default allocate_incremental falls back to allocate, so the
-        // two modes must be trivially bit-identical.
+        // The default allocate_dense_incremental falls back to
+        // allocate_dense, so the two modes must be trivially bit-identical.
         let topo = Topology::big_switch_uniform(4, 1.0);
         let demands = || {
             vec![
@@ -1199,28 +1182,29 @@ mod tests {
         assert_eq!(incremental.trace().events(), full.trace().events());
     }
 
-    /// A policy that (incorrectly) hands a rate to a flow id outside the
-    /// active set; the network must reject it loudly instead of silently
-    /// dropping the rate.
-    struct GhostRatePolicy;
+    /// A policy that (incorrectly) writes one rate more than there are
+    /// active flows; the network must reject the buffer loudly instead of
+    /// silently applying a misaligned allocation.
+    struct OverlongPolicy;
 
-    impl RatePolicy for GhostRatePolicy {
-        fn allocate(
+    impl RatePolicy for OverlongPolicy {
+        fn allocate_dense(
             &mut self,
             _now: SimTime,
             flows: &[ActiveFlowView],
-            topo: &Topology,
-        ) -> RateAlloc {
-            let mut alloc = crate::alloc::max_min_rates(topo, flows);
-            alloc.insert(FlowId(9999), 0.0);
-            alloc
+            _topo: &Topology,
+            _ws: &mut AllocScratch,
+            out: &mut Vec<f64>,
+        ) {
+            out.clear();
+            out.resize(flows.len() + 1, 0.0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "unknown flow")]
-    fn policy_rating_inactive_flow_is_rejected() {
+    #[should_panic(expected = "dense allocation covers")]
+    fn policy_writing_a_misaligned_buffer_is_rejected() {
         let topo = Topology::big_switch_uniform(2, 1.0);
-        run_flows(&topo, vec![demand(0, 0, 1, 1.0, 0.0)], &mut GhostRatePolicy);
+        run_flows(&topo, vec![demand(0, 0, 1, 1.0, 0.0)], &mut OverlongPolicy);
     }
 }

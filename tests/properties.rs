@@ -201,22 +201,20 @@ fn property3_search_space_grows_factorially() {
 
 mod dense_allocation {
     //! The dense allocation core: `Vec<f64>` rates indexed like the
-    //! id-sorted flow table must agree **bit-for-bit** with the map-based
-    //! adapters at the public API edge, across random topologies and
-    //! demand sets, with the scratch workspace reused between rounds
-    //! (the reuse is the point — a stale buffer would corrupt later
-    //! rounds silently).
+    //! id-sorted flow table. A scratch workspace reused across random
+    //! topologies, demand sets, weights and floors must give **bit-for-bit**
+    //! the rates a fresh workspace gives (the reuse is the point — a stale
+    //! buffer would corrupt later rounds silently), and the map edge must
+    //! carry a dense answer without loss.
 
     use echelon_detrand::DetRng;
     use echelonflow::simnet::alloc::{
-        alloc_to_dense, check_feasible, check_feasible_dense, dense_to_alloc, priority_fill,
-        priority_fill_dense, waterfill, waterfill_dense, AllocScratch, RateAlloc,
+        alloc_via_dense, check_feasible_dense, priority_fill_dense, waterfill_dense, AllocScratch,
     };
     use echelonflow::simnet::flow::ActiveFlowView;
     use echelonflow::simnet::ids::{FlowId, NodeId};
     use echelonflow::simnet::time::SimTime;
     use echelonflow::simnet::topology::Topology;
-    use std::collections::BTreeMap;
 
     fn random_topology(rng: &mut DetRng) -> Topology {
         let hosts = rng.usize_range_inclusive(3, 8);
@@ -260,113 +258,116 @@ mod dense_allocation {
         topo.num_resources() / 2
     }
 
+    /// A random priority permutation of the flow ids.
+    fn random_order(rng: &mut DetRng, views: &[ActiveFlowView]) -> Vec<FlowId> {
+        let mut order: Vec<FlowId> = views.iter().map(|v| v.id).collect();
+        for i in (1..order.len()).rev() {
+            let j = rng.usize_range_inclusive(0, i);
+            order.swap(i, j);
+        }
+        order
+    }
+
+    fn assert_bitwise(seed: u64, reused: &[f64], fresh: &[f64]) {
+        assert_eq!(reused.len(), fresh.len());
+        for (i, (a, b)) in reused.iter().zip(fresh).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "seed {seed}: flow {i} reused scratch {a} vs fresh {b}"
+            );
+        }
+    }
+
     #[test]
-    fn dense_waterfill_agrees_with_map_adapter_bitwise() {
-        let mut ws = AllocScratch::new(); // reused across every round
-        let mut dense: Vec<f64> = Vec::new();
+    fn dense_waterfill_reused_scratch_agrees_with_fresh_bitwise() {
+        let mut ws = AllocScratch::new(); // reused across every fill
+        let (mut weighted, mut floored) = (0usize, 0usize);
         for seed in 0..40u64 {
             let mut rng = DetRng::seed_from_u64(0xDE45E + seed);
             let topo = random_topology(&mut rng);
             let views = random_views(&mut rng, &topo, hosts_of(&topo));
 
-            // Random weights/caps on a subset of flows, as a caller would
-            // pass them at the map edge.
-            let mut weights: BTreeMap<FlowId, f64> = BTreeMap::new();
-            let mut caps: BTreeMap<FlowId, f64> = BTreeMap::new();
-            for v in &views {
-                if rng.next_f64() < 0.4 {
-                    weights.insert(v.id, rng.f64_range(0.5, 3.0));
-                }
-                if rng.next_f64() < 0.3 {
-                    caps.insert(v.id, rng.f64_range(0.1, 1.5));
-                }
-            }
-            let via_map = waterfill(&topo, &views, &weights, &caps, None);
-
-            let w: Vec<f64> = views
+            // Random weights on a subset of flows, and a feasible floor:
+            // a random priority fill, each rate scaled down (or dropped),
+            // the way MADD rates floor the backfill.
+            let weights: Vec<f64> = views
                 .iter()
-                .map(|v| weights.get(&v.id).copied().unwrap_or(1.0))
+                .map(|_| {
+                    if rng.next_f64() < 0.4 {
+                        rng.f64_range(0.5, 3.0)
+                    } else {
+                        1.0
+                    }
+                })
                 .collect();
-            let c: Vec<f64> = views
-                .iter()
-                .map(|v| caps.get(&v.id).copied().unwrap_or(f64::INFINITY))
-                .collect();
-            dense.clear();
-            dense.resize(views.len(), 0.0);
-            waterfill_dense(&topo, &views, Some(&w), Some(&c), &mut dense, &mut ws);
-
-            for (v, &rate) in views.iter().zip(&dense) {
-                assert_eq!(
-                    rate.to_bits(),
-                    via_map[&v.id].to_bits(),
-                    "seed {seed}: flow {} dense {rate} vs map {}",
-                    v.id,
-                    via_map[&v.id]
-                );
+            weighted += weights.iter().filter(|&&w| w != 1.0).count();
+            let order = random_order(&mut rng, &views);
+            let mut floor = vec![0.0; views.len()];
+            priority_fill_dense(&topo, &views, &order, &mut floor, &mut ws);
+            for rate in &mut floor {
+                *rate *= if rng.next_f64() < 0.5 {
+                    rng.f64_range(0.0, 1.0)
+                } else {
+                    0.0
+                };
             }
-            assert!(check_feasible(&topo, &views, &via_map).is_ok());
-            let mut residual = Vec::new();
-            assert!(check_feasible_dense(&topo, &views, &dense, &mut residual).is_ok());
+            floored += floor.iter().filter(|&&r| r > 0.0).count();
+
+            let mut reused = floor.clone();
+            waterfill_dense(&topo, &views, Some(&weights), &mut reused, &mut ws);
+            let mut fresh = floor.clone();
+            waterfill_dense(
+                &topo,
+                &views,
+                Some(&weights),
+                &mut fresh,
+                &mut AllocScratch::new(),
+            );
+            assert_bitwise(seed, &reused, &fresh);
+            assert!(check_feasible_dense(&topo, &views, &reused, &mut Vec::new()).is_ok());
+            for (&r, &f) in reused.iter().zip(&floor) {
+                assert!(r >= f, "seed {seed}: the fill lowered a floor");
+            }
         }
+        // Non-vacuity: both knobs were exercised.
+        assert!(
+            weighted > 0 && floored > 0,
+            "{weighted} weighted, {floored} floored"
+        );
     }
 
     #[test]
-    fn dense_priority_fill_agrees_with_map_adapter_bitwise() {
+    fn dense_priority_fill_reused_scratch_agrees_with_fresh_bitwise() {
         let mut ws = AllocScratch::new();
-        let mut dense: Vec<f64> = Vec::new();
         for seed in 0..40u64 {
             let mut rng = DetRng::seed_from_u64(0xF111 + seed);
             let topo = random_topology(&mut rng);
             let views = random_views(&mut rng, &topo, hosts_of(&topo));
+            let order = random_order(&mut rng, &views);
 
-            // A random priority permutation of the flow ids.
-            let mut order: Vec<FlowId> = views.iter().map(|v| v.id).collect();
-            for i in (1..order.len()).rev() {
-                let j = rng.usize_range_inclusive(0, i);
-                order.swap(i, j);
-            }
-            let mut caps: BTreeMap<FlowId, f64> = BTreeMap::new();
-            for v in &views {
-                if rng.next_f64() < 0.3 {
-                    caps.insert(v.id, rng.f64_range(0.1, 1.5));
-                }
-            }
-            let via_map = priority_fill(&topo, &views, &order, &caps);
-
-            let c: Vec<f64> = views
-                .iter()
-                .map(|v| caps.get(&v.id).copied().unwrap_or(f64::INFINITY))
-                .collect();
-            dense.clear();
-            dense.resize(views.len(), 0.0);
-            priority_fill_dense(&topo, &views, &order, Some(&c), &mut dense, &mut ws);
-
-            for (v, &rate) in views.iter().zip(&dense) {
-                assert_eq!(
-                    rate.to_bits(),
-                    via_map[&v.id].to_bits(),
-                    "seed {seed}: flow {} dense {rate} vs map {}",
-                    v.id,
-                    via_map[&v.id]
-                );
-            }
+            let mut reused = vec![f64::NAN; views.len()];
+            priority_fill_dense(&topo, &views, &order, &mut reused, &mut ws);
+            let mut fresh = vec![0.0; views.len()];
+            priority_fill_dense(&topo, &views, &order, &mut fresh, &mut AllocScratch::new());
+            assert_bitwise(seed, &reused, &fresh);
+            assert!(check_feasible_dense(&topo, &views, &reused, &mut Vec::new()).is_ok());
         }
     }
 
+    /// Dense rates through the map edge (`alloc_via_dense`, the trait's
+    /// provided map entry points) and back by id: nothing is lost.
     #[test]
     fn dense_map_round_trip_is_lossless() {
         for seed in 0..20u64 {
             let mut rng = DetRng::seed_from_u64(0x2071 + seed);
             let topo = random_topology(&mut rng);
             let views = random_views(&mut rng, &topo, hosts_of(&topo));
-            let alloc: RateAlloc = views
-                .iter()
-                .map(|v| (v.id, rng.f64_range(0.0, 2.0)))
-                .collect();
-            let mut dense = Vec::new();
-            alloc_to_dense(&views, &alloc, &mut dense);
-            let back = dense_to_alloc(&views, &dense);
-            assert_eq!(alloc, back, "seed {seed}: round trip lost information");
+            let dense: Vec<f64> = views.iter().map(|_| rng.f64_range(0.0, 2.0)).collect();
+            let alloc = alloc_via_dense(&views, |_, out| out.extend_from_slice(&dense));
+            assert_eq!(alloc.len(), views.len(), "seed {seed}: map lost a flow");
+            let back: Vec<f64> = views.iter().map(|v| alloc[&v.id]).collect();
+            assert_bitwise(seed, &back, &dense);
         }
     }
 }

@@ -9,9 +9,7 @@ use echelonflow::sched::book::EchelonBook;
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder, IntraMode};
 use echelonflow::sched::sincronia::{bssi_order, GroupLoad};
 use echelonflow::sched::varys::{CoflowOrder, VarysMadd};
-use echelonflow::simnet::alloc::{
-    alloc_via_dense, waterfill_dense, waterfill_subset_dense, AllocScratch, RateAlloc,
-};
+use echelonflow::simnet::alloc::{waterfill_dense, waterfill_subset_dense, AllocScratch};
 use echelonflow::simnet::flow::ActiveFlowView;
 use echelonflow::simnet::ids::FlowId;
 use echelonflow::simnet::runner::{FlowOutcomes, RatePolicy, RecomputeMode};
@@ -31,12 +29,6 @@ use std::ops::Range;
 pub struct PodReference;
 
 impl RatePolicy for PodReference {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense(now, flows, topo, ws, out)
-        })
-    }
-
     fn allocate_dense(
         &mut self,
         _now: SimTime,
@@ -48,7 +40,7 @@ impl RatePolicy for PodReference {
         out.clear();
         out.resize(flows.len(), 0.0);
         let Some((npods, _)) = topo.pod_partition() else {
-            waterfill_dense(topo, flows, None, None, out, ws);
+            waterfill_dense(topo, flows, None, out, ws);
             return;
         };
         let mut members = vec![Vec::new(); npods as usize];
@@ -56,7 +48,7 @@ impl RatePolicy for PodReference {
             match (topo.host_pod(v.src), topo.host_pod(v.dst)) {
                 (Some(a), Some(b)) if a == b => members[a as usize].push(i),
                 _ => {
-                    waterfill_dense(topo, flows, None, None, out, ws);
+                    waterfill_dense(topo, flows, None, out, ws);
                     return;
                 }
             }
@@ -296,12 +288,6 @@ impl MaddReference {
 }
 
 impl RatePolicy for MaddReference {
-    fn allocate(&mut self, now: SimTime, flows: &[ActiveFlowView], topo: &Topology) -> RateAlloc {
-        alloc_via_dense(flows, |ws, out| {
-            self.allocate_dense(now, flows, topo, ws, out)
-        })
-    }
-
     fn allocate_dense(
         &mut self,
         now: SimTime,
@@ -364,7 +350,7 @@ impl RatePolicy for MaddReference {
             }
         }
         if self.cfg.backfill {
-            waterfill_dense(topo, flows, None, None, out, ws);
+            waterfill_dense(topo, flows, None, out, ws);
         }
     }
 }
