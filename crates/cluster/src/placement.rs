@@ -34,7 +34,7 @@
 use echelon_core::JobId;
 use echelon_detrand::DetRng;
 use echelon_simnet::ids::{NodeId, ResourceId};
-use echelon_simnet::linkindex::LinkLoad;
+use echelon_simnet::linkload::LinkLoad;
 use echelon_simnet::topology::Topology;
 use std::collections::BTreeSet;
 

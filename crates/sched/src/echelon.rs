@@ -46,7 +46,7 @@ use echelon_simnet::alloc::{waterfill_dense, AllocScratch};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::FlowId;
-use echelon_simnet::linkindex::{LinkIndex, LinkLoad};
+use echelon_simnet::linkload::LinkLoad;
 use echelon_simnet::runner::RatePolicy;
 use echelon_simnet::time::{SimTime, EPS};
 use echelon_simnet::topology::Topology;
@@ -126,11 +126,11 @@ pub struct EchelonMadd {
     // Kept only under the coflow arrival ranking, its only reader; a solo
     // flow's entry leaves with the flow.
     arrivals: BTreeMap<GroupKey, SimTime>,
-    // Link↔flow adjacency maintained in lockstep with `cached_members`
-    // from the same deltas. Its O(F) consistency check guards both; when
-    // it fails, the conservative fallback rebuilds everything from the
-    // flow table (see DESIGN.md §8).
-    links: LinkIndex,
+    // Id-sorted `(id, slot)` of the flows the member cache holds, fed the
+    // same deltas. Comparing it with the flow slice is the cache's O(F)
+    // guard; on a mismatch the conservative fallback rebuilds everything
+    // from the flow table (see DESIGN.md §8.1).
+    held: Vec<(FlowId, u32)>,
     // Reusable flat group structure + per-link accumulator: steady-state
     // events allocate nothing.
     scratch: GroupCsr,
@@ -149,7 +149,7 @@ impl EchelonMadd {
             backfill: true,
             cached_members: BTreeMap::new(),
             arrivals: BTreeMap::new(),
-            links: LinkIndex::default(),
+            held: Vec::new(),
             scratch: GroupCsr::default(),
             load: LinkLoad::new(),
         }
@@ -198,8 +198,8 @@ impl EchelonMadd {
     /// any member flow is still active. The member cache may still list
     /// the group's departed flows when the last allocation was a full
     /// recompute (its departures reach the cache only at the next
-    /// rebuild), so the group's entry goes with it; the link index then
-    /// fails its consistency check and the next allocation rebuilds.
+    /// rebuild), so the group's entry goes with it; the held-flow list then
+    /// no longer matches the flow slice and the next allocation rebuilds.
     pub fn evict(&mut self, id: EchelonId, active: &[ActiveFlowView]) -> bool {
         let evicted = self.book.evict(id, active);
         if evicted {
@@ -257,9 +257,11 @@ impl EchelonMadd {
     /// that arrived or departed since the previous call.
     ///
     /// `flows` is the *current* id-sorted active set (as produced by the
-    /// fluid network). Every arrival and departure must be reported
-    /// exactly once across the sequence of calls; [`Self::allocate_cached`]
-    /// self-heals from missed reports by rebuilding, at full cost.
+    /// fluid network). Every arrival and departure should be reported
+    /// exactly once across the sequence of calls; missed reports cost a
+    /// rebuild, here when an arrival is already held (its earlier
+    /// departure never arrived, as when an engine is reused for a second
+    /// run) and otherwise in [`Self::allocate_cached`].
     pub fn apply_delta(&mut self, now: SimTime, flows: &[ActiveFlowView], delta: &FlowDelta) {
         // Reference binding driven by the delta alone: O(arrivals), not
         // O(active flows); debug builds assert agreement with the full
@@ -274,6 +276,13 @@ impl EchelonMadd {
             let Ok(idx) = flows.binary_search_by(|v| v.id.cmp(&id)) else {
                 continue; // arrived and departed without ever being served
             };
+            let Err(at) = self.held.binary_search_by(|&(f, _)| f.cmp(&id)) else {
+                // Held already: its departure never arrived, so the cache
+                // is stale and caching the flow again would list it twice.
+                self.rebuild_cache(now, flows);
+                return;
+            };
+            self.held.insert(at, (id, flows[idx].slot));
             let key = self.group_of(id);
             let deadline = self.deadline_of(key, &flows[idx]);
             if stamp {
@@ -284,6 +293,9 @@ impl EchelonMadd {
             list.insert(pos, (deadline, id));
         }
         for &id in &delta.departed {
+            if let Ok(at) = self.held.binary_search_by(|&(f, _)| f.cmp(&id)) {
+                self.held.remove(at);
+            }
             let key = self.group_of(id);
             if matches!(key, GroupKey::Solo(_)) {
                 self.arrivals.remove(&key);
@@ -297,13 +309,10 @@ impl EchelonMadd {
                 }
             }
         }
-        // The link index receives exactly the same delta stream, so one
-        // O(F) consistency check covers both caches.
-        self.links.apply_delta(flows, delta);
     }
 
-    /// Re-derives the cache (and the link index) from the flow slice: the
-    /// full recompute, and the conservative fallback when a delta was
+    /// Re-derives the cache (and the held-flow list) from the flow slice:
+    /// the full recompute, and the conservative fallback when a delta was
     /// missed.
     fn rebuild_cache(&mut self, now: SimTime, flows: &[ActiveFlowView]) {
         self.book.observe(now, flows);
@@ -329,7 +338,8 @@ impl EchelonMadd {
         for list in self.cached_members.values_mut() {
             list.sort_unstable();
         }
-        self.links.rebuild(flows);
+        self.held.clear();
+        self.held.extend(flows.iter().map(|v| (v.id, v.slot)));
     }
 
     /// Projected tardiness of a member set under isolation: serve EDD at
@@ -612,7 +622,12 @@ impl EchelonMadd {
         out: &mut Vec<f64>,
     ) {
         debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        if !self.links.consistent(flows) {
+        let holds_flows = self
+            .held
+            .iter()
+            .copied()
+            .eq(flows.iter().map(|v| (v.id, v.slot)));
+        if !holds_flows {
             self.rebuild_cache(now, flows);
         }
         let mut sc = std::mem::take(&mut self.scratch);
@@ -937,6 +952,44 @@ mod tests {
                     b.trace().events(),
                     "trace mismatch for {inter:?}/{intra:?}"
                 );
+            }
+        }
+    }
+
+    /// A run's final-instant completions never reach the policy (no
+    /// allocation follows them), so an engine reused for a second run
+    /// still holds them when the second run re-announces the same ids in
+    /// its first delta. It must rebuild and then allocate exactly as a
+    /// fresh engine does.
+    #[test]
+    fn reused_engine_matches_a_fresh_one() {
+        use crate::varys::VarysMadd;
+        use echelon_simnet::runner::{run_flows_with, RecomputeMode};
+        let topo = Topology::big_switch_uniform(3, 1.0);
+        let demands = || {
+            vec![
+                demand(0, 0, 1, 2.0, 0.0),
+                demand(1, 2, 1, 1.0, 0.0),
+                demand(2, 0, 2, 3.0, 0.0),
+            ]
+        };
+        let engines: [fn() -> Box<dyn RatePolicy>; 2] = [
+            || Box::new(EchelonMadd::new(vec![])),
+            || Box::new(VarysMadd::new(vec![])),
+        ];
+        for make in engines {
+            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+                let mut reused = make();
+                run_flows_with(&topo, demands(), reused.as_mut(), mode);
+                let again = run_flows_with(&topo, demands(), reused.as_mut(), mode);
+                let fresh = run_flows_with(&topo, demands(), make().as_mut(), mode);
+                assert_eq!(
+                    again.trace().events(),
+                    fresh.trace().events(),
+                    "{} {mode:?}",
+                    reused.name()
+                );
+                assert_eq!(again.completions().len(), 3);
             }
         }
     }

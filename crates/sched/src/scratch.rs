@@ -8,7 +8,7 @@
 //! [`GroupCsr`] keeps the whole group structure in flat reusable buffers
 //! (a CSR layout: one `starts` offset array over concatenated member
 //! slices), with member positions in the id-sorted flow table resolved
-//! once per event. Paired with [`echelon_simnet::linkindex::LinkLoad`]
+//! once per event. Paired with [`echelon_simnet::linkload::LinkLoad`]
 //! for the per-link sums, a steady-state MADD allocation performs no
 //! heap allocation.
 //!

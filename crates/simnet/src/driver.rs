@@ -58,11 +58,8 @@ pub struct DriveConfig {
     /// real money at millions of events per second. Timing has no effect
     /// on the simulation arithmetic either way.
     pub profile: bool,
-    /// Maintain the link-recompute counters behind
-    /// [`FluidNetwork::link_stats`] (a per-changed-flow route walk plus
-    /// stamp table on every rate application). Pure diagnostics — no
-    /// simulation arithmetic reads them — so scale benchmarks turn them
-    /// off.
+    /// Has no effect. Kept only because existing struct literals (the
+    /// benchmark's flow config among them) name it.
     pub link_stats: bool,
 }
 
@@ -245,16 +242,6 @@ pub struct DriveStats {
     /// flow-second per second; see
     /// [`FluidNetwork::stall_flow_seconds`]).
     pub stall_flow_seconds: f64,
-    /// Distinct links touched by a bitwise rate change, summed over rate
-    /// applications (see [`FluidNetwork::link_stats`]).
-    pub dirty_links: usize,
-    /// Occupied links at each rate application, summed likewise.
-    /// `dirty_links / occupied_links` is the run's link-recompute
-    /// fraction: 1.0 means every applied allocation rewrote every
-    /// occupied link (the MADD steady state — their remaining-
-    /// proportional rates move every event), lower means the dirty-link
-    /// tracking actually narrowed the recompute.
-    pub occupied_links: usize,
     /// Pods actually recomputed by a pod-decomposed policy, summed over
     /// allocations (see [`RatePolicy::pod_stats`]). Zero for policies
     /// without pod decomposition.
@@ -408,7 +395,6 @@ pub fn drive_faulted_configured(
 ) -> DriveOutcome {
     let mut net = FluidNetwork::with_next_completion(topo.clone(), config.next_completion);
     net.set_feasibility_checks(config.feasibility_checks);
-    net.set_link_stats(config.link_stats);
     if let Some(expected) = source.expected_flows() {
         net.reserve(expected);
     }
@@ -564,9 +550,6 @@ pub fn drive_faulted_configured(
         }
     }
 
-    let (dirty, occupied) = net.link_stats();
-    stats.dirty_links = dirty;
-    stats.occupied_links = occupied;
     stats.stall_flow_seconds = net.stall_flow_seconds();
     stats.arena_capacity = net.arena_capacity();
     if let Some((recomputed, total)) = policy.pod_stats() {
@@ -700,9 +683,8 @@ mod tests {
     #[test]
     fn recompute_fractions_are_zero_when_nothing_ran() {
         // 0/0 must report 0.0, not NaN: an empty run (or a non-pod
-        // policy) has no occupied links and no pod work.
+        // policy) has no pod work.
         let stats = DriveStats::default();
-        assert_eq!(stats.occupied_links, 0);
         assert_eq!(stats.pods_total, 0);
         assert_eq!(stats.pod_recompute_fraction(), 0.0);
     }

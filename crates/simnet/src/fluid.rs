@@ -26,20 +26,19 @@ use crate::alloc::check_feasible_dense;
 use crate::calendar::CalendarQueue;
 use crate::flow::{ActiveFlowView, FlowArena, FlowCompletion, FlowDemand};
 use crate::ids::{FlowId, ResourceId};
-use crate::linkindex::LinkIndex;
 use crate::time::{SimTime, EPS};
 use crate::topology::Topology;
 
 /// How [`FluidNetwork::next_completion_in`] finds the earliest due flow.
 ///
-/// Both backends read the same per-slot absolute due table, which is
-/// rewritten only when a flow's rate changes bitwise — so they return
+/// Both backends read the same absolute due times, which are rewritten
+/// only when a flow's rate changes bitwise — so they return
 /// bit-identical `(flow, dt)` answers and whole simulations evolve
 /// identically under either (pinned by `tests/calendar_queue.rs` and the
 /// differential suites).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NextCompletionMode {
-    /// O(F) id-order scan of the due table — the naive reference.
+    /// O(F) id-order scan of the due times — the naive reference.
     Scan,
     /// Bucketed calendar queue ([`CalendarQueue`]) — O(1)-ish queries
     /// and per-flow updates; the default.
@@ -77,28 +76,21 @@ pub struct FluidNetwork {
     views: Vec<ActiveFlowView>,
     rates: Vec<f64>,
     now: SimTime,
-    completions: Vec<FlowCompletion>,
     delta: FlowDelta,
     /// Slot identity + route-buffer recycling for the active set.
     arena: FlowArena,
-    /// Absolute predicted completion time per arena slot (`INFINITY` for
-    /// a non-progressing or absent flow). Rewritten *only* when the
-    /// flow's rate changes bitwise — a bit-identical rate reapplication
-    /// leaves it untouched, so reallocating an unchanged answer never
-    /// perturbs a completion time. This replaces the old
-    /// decrement-on-advance `next_due` scalar cache, whose fault-path
-    /// validity rested on a comment instead of a mechanism.
-    due: Vec<f64>,
-    /// Position-indexed mirror of `due` (`due_pos[i]` ==
-    /// `due[views[i].slot]`, bitwise): the advance sweep reads it
-    /// sequentially instead of gathering through the slot indirection.
+    /// Absolute predicted completion time of `views[i]` (`INFINITY` for
+    /// a non-progressing flow). Rewritten *only* when the flow's rate
+    /// changes bitwise — a bit-identical rate reapplication leaves it
+    /// untouched, so reallocating an unchanged answer never perturbs a
+    /// completion time.
     due_pos: Vec<f64>,
     /// Position-indexed completion threshold, `EPS.max(size * 1e-12)`
     /// precomputed at release (a pure function of the flow's size, so
     /// the bits match computing it in the sweep).
     thresh: Vec<f64>,
-    /// Calendar mirror of the finite entries of `due`, maintained when
-    /// `mode` is [`NextCompletionMode::Calendar`].
+    /// Calendar mirror of the finite entries of `due_pos` (keyed by arena
+    /// slot), maintained when `mode` is [`NextCompletionMode::Calendar`].
     calendar: CalendarQueue,
     mode: NextCompletionMode,
     /// When false, [`Self::set_rates_dense`] skips the infeasibility
@@ -108,23 +100,6 @@ pub struct FluidNetwork {
     feasibility_checks: bool,
     /// Reused per-resource buffer for dense feasibility checks.
     feas_residual: Vec<f64>,
-    /// Link↔flow adjacency, maintained on every release/completion — the
-    /// authoritative (always-consistent) copy policies can borrow.
-    links: LinkIndex,
-    /// Distinct links touched by a bitwise rate change, summed over
-    /// [`Self::set_rates_dense`] / [`Self::set_rates_sparse`] calls.
-    links_dirty: usize,
-    /// Occupied-link count at each rate application, summed likewise —
-    /// the denominator of the link-recompute fraction.
-    links_occupied: usize,
-    /// Per-resource generation stamp deduplicating `links_dirty` within
-    /// one rate application.
-    dirty_stamp: Vec<u64>,
-    dirty_mark: u64,
-    /// When false, the link-recompute counters above stop being
-    /// maintained (route walks on every rate change, purely
-    /// diagnostic); see [`Self::set_link_stats`].
-    link_stats_on: bool,
     /// Construction-time capacities, the reference point fault factors
     /// scale from (see [`Self::apply_capacity_factor`]).
     base_caps: Vec<f64>,
@@ -157,22 +132,14 @@ impl FluidNetwork {
             views: Vec::new(),
             rates: Vec::new(),
             now: SimTime::ZERO,
-            completions: Vec::new(),
             delta: FlowDelta::default(),
             arena: FlowArena::new(),
-            due: Vec::new(),
             due_pos: Vec::new(),
             thresh: Vec::new(),
             calendar: CalendarQueue::new(),
             mode,
             feasibility_checks: true,
             feas_residual: Vec::new(),
-            links: LinkIndex::new(num_resources),
-            links_dirty: 0,
-            links_occupied: 0,
-            dirty_stamp: vec![0; num_resources],
-            dirty_mark: 0,
-            link_stats_on: true,
             base_caps,
             down: vec![false; num_resources],
             down_count: 0,
@@ -195,9 +162,8 @@ impl FluidNetwork {
     /// is still force-invalidated here, so every capacity mutation
     /// re-derives the next completion from the buckets instead of
     /// trusting that reasoning (the fault-differential suite pins the
-    /// two paths bit-identical). The [`LinkIndex`] is adjacency, not
-    /// capacity, and needs no repair — invalidation of *policy-side*
-    /// caches happens via [`crate::runner::RatePolicy::on_fault`].
+    /// two paths bit-identical). Invalidation of *policy-side* caches
+    /// happens via [`crate::runner::RatePolicy::on_fault`].
     ///
     /// # Panics
     ///
@@ -280,11 +246,6 @@ impl FluidNetwork {
         };
         let (slot, mut route) = self.arena.acquire();
         self.topology.route_into(demand.src, demand.dst, &mut route);
-        let si = slot as usize;
-        if si >= self.due.len() {
-            self.due.resize(si + 1, f64::INFINITY);
-        }
-        self.due[si] = f64::INFINITY; // recycled slot: no predicted completion yet
         self.views.insert(
             pos,
             ActiveFlowView {
@@ -301,7 +262,6 @@ impl FluidNetwork {
         self.rates.insert(pos, 0.0);
         self.due_pos.insert(pos, f64::INFINITY);
         self.thresh.insert(pos, EPS.max(demand.size * 1e-12));
-        self.links.insert(demand.id, slot, &self.views[pos].route);
         self.delta.arrived.push(demand.id);
     }
 
@@ -325,7 +285,7 @@ impl FluidNetwork {
     }
 
     /// Pre-sizes every per-flow structure for up to `n` concurrently
-    /// active flows (flow table, rate/due/threshold mirrors, calendar
+    /// active flows (flow table, rate/due/threshold tables, calendar
     /// slots, and the route arena), so a run whose workload size is
     /// known up front never reallocates them mid-drive. A hint, not a
     /// limit.
@@ -334,33 +294,8 @@ impl FluidNetwork {
         self.rates.reserve(n);
         self.due_pos.reserve(n);
         self.thresh.reserve(n);
-        self.due.reserve(n);
         self.calendar.reserve(n);
         self.arena.reserve(n);
-    }
-
-    /// Enables/disables the link-recompute counters ([`Self::link_stats`]).
-    /// They cost a route walk plus a stamp-table touch per changed flow
-    /// on every rate application, and nothing in the simulation reads
-    /// them — scale benchmarks turn them off. Counters freeze at their
-    /// current values while disabled.
-    pub fn set_link_stats(&mut self, on: bool) {
-        self.link_stats_on = on;
-    }
-
-    /// The link↔flow adjacency over the active set, maintained on every
-    /// release and completion (always [`LinkIndex::consistent`] with
-    /// [`Self::views`]).
-    pub fn link_index(&self) -> &LinkIndex {
-        &self.links
-    }
-
-    /// `(dirty, occupied)` link counters summed over rate applications:
-    /// `dirty` counts distinct links touched by a bitwise rate change per
-    /// application, `occupied` the links carrying at least one flow. Their
-    /// ratio is the run's link-recompute fraction.
-    pub fn link_stats(&self) -> (usize, usize) {
-        (self.links_dirty, self.links_occupied)
     }
 
     /// Snapshot of all active flows in ascending id order, as handed to
@@ -389,22 +324,9 @@ impl FluidNetwork {
         } else {
             f64::INFINITY
         };
-        self.due[v.slot as usize] = due;
         self.due_pos[i] = due;
         if self.mode == NextCompletionMode::Calendar {
             self.calendar.set(v.slot, v.id, due);
-        }
-    }
-
-    /// Counts the links of flow `i`'s route not yet marked this
-    /// application into `links_dirty`.
-    fn mark_route_dirty(&mut self, i: usize) {
-        for r in &self.views[i].route {
-            let ri = r.0 as usize;
-            if self.dirty_stamp[ri] != self.dirty_mark {
-                self.dirty_stamp[ri] = self.dirty_mark;
-                self.links_dirty += 1;
-            }
         }
     }
 
@@ -436,19 +358,12 @@ impl FluidNetwork {
                 panic!("infeasible rate allocation: {msg}");
             }
         }
-        self.dirty_mark += 1;
         for (i, &r) in rates.iter().enumerate() {
             let new = r.max(0.0);
             if new.to_bits() != self.rates[i].to_bits() {
                 self.rates[i] = new;
-                if self.link_stats_on {
-                    self.mark_route_dirty(i);
-                }
                 self.update_due(i);
             }
-        }
-        if self.link_stats_on {
-            self.links_occupied += self.links.occupied_count();
         }
     }
 
@@ -471,14 +386,10 @@ impl FluidNetwork {
             rates.len(),
             self.views.len()
         );
-        self.dirty_mark += 1;
         for &i in changed {
             let new = rates[i].max(0.0);
             if new.to_bits() != self.rates[i].to_bits() {
                 self.rates[i] = new;
-                if self.link_stats_on {
-                    self.mark_route_dirty(i);
-                }
                 self.update_due(i);
             }
         }
@@ -491,9 +402,6 @@ impl FluidNetwork {
             ) {
                 panic!("infeasible rate allocation: {msg}");
             }
-        }
-        if self.link_stats_on {
-            self.links_occupied += self.links.occupied_count();
         }
     }
 
@@ -514,8 +422,7 @@ impl FluidNetwork {
         match self.mode {
             NextCompletionMode::Scan => {
                 let mut best: Option<(FlowId, f64)> = None;
-                for v in &self.views {
-                    let due = self.due[v.slot as usize];
+                for (v, &due) in self.views.iter().zip(&self.due_pos) {
                     if due.is_finite() && best.is_none_or(|(_, b)| due < b) {
                         best = Some((v.id, due));
                     }
@@ -528,7 +435,7 @@ impl FluidNetwork {
 
     /// The earliest-finishing flow and the seconds until it completes at
     /// current rates, or `None` if no flow is making progress. Both
-    /// backends answer from the same due table, so Scan and Calendar
+    /// backends answer from the same due times, so Scan and Calendar
     /// modes agree bitwise (flow id *and* dt).
     pub fn next_completion(&mut self) -> Option<(FlowId, f64)> {
         let now = self.now.secs();
@@ -596,9 +503,9 @@ impl FluidNetwork {
             let v = &mut self.views[i];
             let remaining = (v.remaining - rate * dt).max(0.0);
             v.remaining = remaining;
-            // `thresh` and `due_pos` are position-indexed SoA mirrors of
-            // `EPS.max(size * 1e-12)` and `due[slot]` — sequential reads
-            // instead of a struct-field load and a slot gather.
+            // `thresh` is a position-indexed mirror of
+            // `EPS.max(size * 1e-12)` — a sequential read instead of a
+            // struct-field load.
             if remaining <= self.thresh[i] || self.due_pos[i] <= now_secs {
                 self.completed_scratch.push(i);
             }
@@ -606,7 +513,7 @@ impl FluidNetwork {
         if self.completed_scratch.is_empty() {
             return Vec::new();
         }
-        // Unwind completed flows' slots, dues, calendar entries, and
+        // Unwind completed flows' slots and calendar entries, and
         // recycle their route buffers before removal. Survivors' dues
         // are untouched and still valid — no rescan.
         let mut done = Vec::with_capacity(self.completed_scratch.len());
@@ -621,7 +528,6 @@ impl FluidNetwork {
                 finish: now,
                 size: v.size,
             });
-            self.due[slot as usize] = f64::INFINITY;
             if self.mode == NextCompletionMode::Calendar {
                 self.calendar.remove(slot);
             }
@@ -638,17 +544,8 @@ impl FluidNetwork {
             self.due_pos.remove(i);
             self.thresh.remove(i);
         }
-        for c in &done {
-            self.links.remove(c.id);
-        }
         self.delta.departed.extend(done.iter().map(|c| c.id));
-        self.completions.extend(done.iter().copied());
         done
-    }
-
-    /// All completions recorded so far, in completion order.
-    pub fn completions(&self) -> &[FlowCompletion] {
-        &self.completions
     }
 
     /// Aggregate bytes/second currently flowing.
@@ -769,14 +666,24 @@ mod tests {
     }
 
     #[test]
-    fn completion_log_accumulates() {
+    fn advance_returns_each_completion_once() {
         let mut net = FluidNetwork::new(Topology::big_switch_uniform(3, 1.0));
-        net.release(&demand(0, 0, 1, 1.0, 0.0));
         net.release(&demand(1, 2, 1, 1.0, 0.0));
+        net.release(&demand(0, 0, 1, 1.0, 0.0));
+        net.release(&demand(2, 0, 2, 3.0, 0.0));
         apply_fair(&mut net);
         let dt = net.next_completion_in().unwrap();
-        net.advance(dt);
-        assert_eq!(net.completions().len(), 2);
+        let done = net.advance(dt);
+        // Same-instant completions come back in ascending id order.
+        let ids: Vec<FlowId> = done.iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![FlowId(0), FlowId(1)]);
+        assert!(done.iter().all(|c| c.finish == net.now()));
+        apply_fair(&mut net);
+        let dt = net.next_completion_in().unwrap();
+        let done = net.advance(dt);
+        let ids: Vec<FlowId> = done.iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![FlowId(2)]);
+        assert_eq!(net.active_count(), 0);
     }
 
     #[test]
@@ -796,47 +703,6 @@ mod tests {
         net.release(&demand(3, 2, 3, 1.0, 0.0));
         let ids: Vec<FlowId> = net.views().iter().map(|v| v.id).collect();
         assert_eq!(ids, vec![FlowId(1), FlowId(3), FlowId(5)]);
-    }
-
-    #[test]
-    fn link_index_tracks_releases_and_completions() {
-        let mut net = FluidNetwork::new(Topology::big_switch_uniform(3, 1.0));
-        net.release(&demand(0, 0, 1, 1.0, 0.0));
-        net.release(&demand(1, 2, 1, 4.0, 0.0));
-        assert!(net.link_index().consistent(net.views()));
-        // Both flows land on host 1's ingress port (ResourceId 3); slots
-        // are assigned in release order.
-        use crate::linkindex::LinkFlow;
-        assert_eq!(
-            net.link_index().flows_on(crate::ids::ResourceId(3)),
-            &[
-                LinkFlow {
-                    id: FlowId(0),
-                    slot: 0
-                },
-                LinkFlow {
-                    id: FlowId(1),
-                    slot: 1
-                }
-            ]
-        );
-        assert_eq!(net.link_index().occupied_count(), 3);
-
-        apply_fair(&mut net);
-        // One application: both flows' rates changed, touching all 3
-        // occupied links.
-        assert_eq!(net.link_stats(), (3, 3));
-
-        let dt = net.next_completion_in().unwrap();
-        net.advance(dt); // flow 0 finishes
-        assert!(net.link_index().consistent(net.views()));
-        assert_eq!(net.link_index().occupied_count(), 2);
-
-        // Re-applying identical rates dirties nothing but still counts
-        // the occupied denominator.
-        let rates: Vec<f64> = net.rates().to_vec();
-        net.set_rates_dense(&rates);
-        assert_eq!(net.link_stats(), (3, 5));
     }
 
     #[test]

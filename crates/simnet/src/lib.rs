@@ -37,8 +37,7 @@
 //! - [`fault`] — timed fault injection: link down/restore/degrade,
 //!   coordinator outage windows, and straggler compute slowdowns, driven
 //!   as a first-class event source by [`driver::drive_faulted`].
-//! - [`linkindex`] — link↔flow adjacency maintained incrementally from
-//!   flow deltas, plus the stamped dense per-link accumulator the MADD
+//! - [`linkload`] — the stamped dense per-link accumulator the MADD
 //!   schedulers allocate rates with.
 //! - [`sweep`] — deterministic parallel sweep engine: shared-nothing
 //!   scenario/seed/scheduler tasks fan out across threads (`parallel`
@@ -80,7 +79,7 @@ pub mod fault;
 pub mod flow;
 pub mod fluid;
 pub mod ids;
-pub mod linkindex;
+pub mod linkload;
 pub mod quantized;
 pub mod runner;
 pub mod sweep;
@@ -98,7 +97,7 @@ pub mod prelude {
     pub use crate::flow::{ActiveFlowView, FlowArena, FlowDemand};
     pub use crate::fluid::{FlowDelta, FluidNetwork, NextCompletionMode};
     pub use crate::ids::{FlowId, LinkId, NodeId, ResourceId};
-    pub use crate::linkindex::{LinkFlow, LinkIndex, LinkLoad};
+    pub use crate::linkload::LinkLoad;
     pub use crate::quantized::{run_flows_quantized, QuantizedOutcome};
     pub use crate::runner::{
         run_flows, FlowOutcomes, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,

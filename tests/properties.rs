@@ -372,21 +372,30 @@ mod dense_allocation {
     }
 }
 
-mod link_index {
-    //! The link-indexed adjacency (`simnet::linkindex::LinkIndex`)
-    //! maintained incrementally from random `FlowDelta` sequences must
-    //! equal the index rebuilt from scratch after every drain — same
-    //! per-link membership, same ordering, same occupied-link list.
+mod madd_cache {
+    //! The MADD engine's delta-patched member cache
+    //! (`sched::echelon::EchelonMadd`), fed random `FlowDelta` sequences,
+    //! must allocate bitwise like a fresh engine's full recompute after
+    //! every drain — including after a drain it never received.
 
     use echelon_detrand::DetRng;
+    use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
+    use echelonflow::sched::varys::VarysMadd;
+    use echelonflow::simnet::alloc::AllocScratch;
     use echelonflow::simnet::flow::ActiveFlowView;
     use echelonflow::simnet::fluid::FlowDelta;
-    use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
-    use echelonflow::simnet::linkindex::LinkIndex;
+    use echelonflow::simnet::ids::{FlowId, NodeId};
+    use echelonflow::simnet::runner::RatePolicy;
     use echelonflow::simnet::time::SimTime;
     use echelonflow::simnet::topology::Topology;
 
-    fn view(id: u64, hosts: usize, topo: &Topology, rng: &mut DetRng) -> ActiveFlowView {
+    fn view(
+        id: u64,
+        hosts: usize,
+        topo: &Topology,
+        now: SimTime,
+        rng: &mut DetRng,
+    ) -> ActiveFlowView {
         let src = rng.usize_range_inclusive(0, hosts - 1);
         let mut dst = rng.usize_range_inclusive(0, hosts - 2);
         if dst >= src {
@@ -399,50 +408,46 @@ mod link_index {
             dst: NodeId(dst as u32),
             size,
             remaining: size,
-            release: SimTime::new(0.0),
+            release: now,
             route: topo.route(NodeId(src as u32), NodeId(dst as u32)),
             slot: id as u32,
-        }
-    }
-
-    fn assert_equal(incremental: &LinkIndex, rebuilt: &LinkIndex, step: usize) {
-        assert_eq!(
-            incremental.occupied_links(),
-            rebuilt.occupied_links(),
-            "step {step}: occupied-link lists differ"
-        );
-        let resources = incremental.num_resources().max(rebuilt.num_resources());
-        for r in 0..resources {
-            let r = ResourceId(r as u32);
-            assert_eq!(
-                incremental.flows_on(r),
-                rebuilt.flows_on(r),
-                "step {step}: per-link membership/order differs on {r:?}"
-            );
         }
     }
 
     /// Random arrive/depart churn, including the two tolerated edge
     /// cases: a flow that arrives and departs within the same drain
     /// (reported in `arrived` but absent from the active slice) and a
-    /// departure for a flow the index never held.
+    /// departure for a flow the engine never held. A second stream
+    /// withholds about one drain in ten from the engine, which must
+    /// notice and rebuild.
     #[test]
-    fn incremental_index_matches_rebuilt_from_scratch() {
+    fn incremental_cache_matches_a_fresh_full_recompute() {
+        let engines: [fn() -> Box<dyn RatePolicy>; 4] = [
+            || Box::new(EchelonMadd::new(vec![])),
+            || Box::new(EchelonMadd::new(vec![]).with_inter(InterOrder::LeastWork)),
+            || Box::new(EchelonMadd::new(vec![]).with_inter(InterOrder::MostTardy)),
+            || Box::new(VarysMadd::new(vec![])),
+        ];
         for seed in 0..25u64 {
             let mut rng = DetRng::seed_from_u64(0x11D3 + seed);
+            let mut withhold = DetRng::seed_from_u64(0x5EED + seed);
             let hosts = rng.usize_range_inclusive(3, 8);
             let topo = if rng.next_f64() < 0.5 {
                 Topology::chain(hosts, 1.0)
             } else {
                 Topology::big_switch_uniform(hosts, 1.0)
             };
+            let make = engines[seed as usize % engines.len()];
+            let mut engine = make();
+            let mut ws = AllocScratch::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
             let mut active: Vec<ActiveFlowView> = Vec::new();
-            let mut incremental = LinkIndex::new(topo.num_resources());
             let mut next_id = 0u64;
             for step in 0..60 {
+                let now = SimTime::new(0.25 * step as f64);
                 let mut delta = FlowDelta::default();
                 for _ in 0..rng.usize_range_inclusive(0, 3) {
-                    let v = view(next_id, hosts, &topo, &mut rng);
+                    let v = view(next_id, hosts, &topo, now, &mut rng);
                     delta.arrived.push(v.id);
                     active.push(v);
                     next_id += 1;
@@ -459,14 +464,17 @@ mod link_index {
                     delta.departed.push(active.remove(i).id);
                 }
                 active.sort_by_key(|v| v.id);
-                incremental.apply_delta(&active, &delta);
-
-                let mut rebuilt = LinkIndex::new(topo.num_resources());
-                rebuilt.rebuild(&active);
-                assert_equal(&incremental, &rebuilt, step);
-                assert!(
-                    incremental.consistent(&active),
-                    "seed {seed} step {step}: consistency check rejected a correct index"
+                if withhold.next_f64() < 0.1 {
+                    continue; // the engine never sees this drain
+                }
+                engine.allocate_dense_incremental(now, &active, &delta, &topo, &mut ws, &mut got);
+                make().allocate_dense(now, &active, &topo, &mut AllocScratch::new(), &mut want);
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "seed {seed} step {step} ({}): cached allocation differs from a fresh one",
+                    engine.name()
                 );
             }
         }
