@@ -9,8 +9,8 @@
 //!   paper's Fig. 2a; with the weights of the agent's queues it is
 //!   weighted enforcement; with the MADD rates as the floor it is the
 //!   work-conserving backfill of the MADD-family schedulers. The pod
-//!   policy runs the same unweighted fill through link-id engines
-//!   ([`waterfill_subset_dense`] is their reference).
+//!   policy runs the same unweighted, zero-floor fill through a link-id
+//!   bucket-queue engine that the unit tests pin bitwise to it.
 //! - [`priority_fill_dense`]: strict-priority greedy filling — flows are
 //!   served in a given order, each taking everything left on its path.
 //!   This is how the agent enforces schedules through priority queues
@@ -63,23 +63,21 @@ pub struct AllocScratch {
     links: Vec<u32>,
     /// Dedup marker for building `links`; all-false between calls.
     link_seen: Vec<bool>,
-    /// Link id → position in `links` (subset and bucket waterfills);
-    /// entries are only read for links on the current `links` list, so
-    /// no restore pass.
+    /// Link id → position in `links` (bucket waterfill); entries are
+    /// only read for links on the current `links` list, so no restore
+    /// pass.
     link_slot: Vec<u32>,
-    /// Mirrors of `residual`/`mass` indexed by `links` position (subset
-    /// and bucket waterfills) or by link id (ranked waterfill): a route
-    /// union is small, so the rounds run on cache-resident entries
-    /// instead of striding the fabric-sized tables.
+    /// Mirror of `residual` indexed by `links` position (bucket
+    /// waterfill): a route union is small, so the rounds run on
+    /// cache-resident entries instead of striding the fabric-sized
+    /// table.
     residual_local: Vec<f64>,
-    /// See `residual_local`.
-    mass_local: Vec<f64>,
-    /// Subset members' routes translated to local link ranks, flattened;
+    /// Members' routes translated to `links` positions, flattened;
     /// `route_span[j]` delimits member `j`'s slice.
     routes_local: Vec<u32>,
     /// See `routes_local`.
     route_span: Vec<(u32, u32)>,
-    /// Per-member rate accumulator during subset rounds.
+    /// Per-member rate (bucket waterfill), written as members freeze.
     rate_local: Vec<f64>,
     /// Inverted link→member index for the bucket waterfill: member
     /// positions crossing each touched link, flattened.
@@ -309,146 +307,9 @@ pub fn waterfill_dense(
     }
 }
 
-/// Unweighted max-min filling restricted to `subset` (indices into
-/// the id-sorted `flows` slice): the reference arithmetic of the
-/// pod-decomposed waterfill (see [`crate::runner::PodMaxMinPolicy`]),
-/// which fills each pod's members with it in ascending pod order. The
-/// policy itself runs `waterfill_ranked` and its bucket-queue twin,
-/// which the unit tests pin bitwise to this function, and the
-/// differential suites compare the policy against a pod-sequential
-/// reference built on it.
-///
-/// Only `rates[i]` for `i ∈ subset` are written (zeroed, then filled);
-/// other entries are untouched. Residuals are seeded from capacity on
-/// exactly the links the subset's routes cross — callers guarantee no
-/// flow outside the subset crosses those links (the pod partition), so
-/// seeding from raw capacity is exact. For `subset == 0..flows.len()`
-/// this performs bit-for-bit the same arithmetic as an unweighted,
-/// zero-floor [`waterfill_dense`] (multiplying by the implicit weight
-/// 1.0 is exact), which the unit tests pin.
-pub fn waterfill_subset_dense(
-    topo: &Topology,
-    flows: &[ActiveFlowView],
-    subset: &[usize],
-    rates: &mut [f64],
-    ws: &mut AllocScratch,
-) {
-    debug_assert_eq!(rates.len(), flows.len());
-    let AllocScratch {
-        unfrozen,
-        links,
-        link_seen,
-        link_slot,
-        residual_local,
-        mass_local,
-        routes_local,
-        route_span,
-        rate_local,
-        ..
-    } = ws;
-    if link_seen.len() < topo.num_resources() {
-        link_seen.resize(topo.num_resources(), false);
-    }
-    if link_slot.len() < topo.num_resources() {
-        link_slot.resize(topo.num_resources(), 0);
-    }
-    // Union of the subset's routes, ascending (see waterfill_dense).
-    links.clear();
-    for &i in subset {
-        for r in &flows[i].route {
-            let ri = r.0 as usize;
-            if !link_seen[ri] {
-                link_seen[ri] = true;
-                links.push(r.0);
-            }
-        }
-    }
-    links.sort_unstable();
-    // Relabel the union with local ranks. Rank order == ascending global
-    // order, so a 0..nl scan below visits links exactly as the global
-    // iteration did — every round then runs on small rank-indexed arrays
-    // that stay cache-resident instead of striding the fabric-sized
-    // residual/mass tables (one cache miss per route hop, per round).
-    let nl = links.len();
-    residual_local.clear();
-    for (l, &r) in links.iter().enumerate() {
-        link_seen[r as usize] = false; // restore the all-false invariant
-        link_slot[r as usize] = l as u32;
-        residual_local.push(topo.capacity(ResourceId(r)));
-    }
-    mass_local.clear();
-    mass_local.resize(nl, 0.0);
-    routes_local.clear();
-    route_span.clear();
-    rate_local.clear();
-    for &i in subset {
-        let start = routes_local.len() as u32;
-        for r in &flows[i].route {
-            routes_local.push(link_slot[r.0 as usize]);
-        }
-        route_span.push((start, routes_local.len() as u32));
-        rate_local.push(0.0);
-    }
-    // `unfrozen` holds member ranks (positions in `subset`), not flow
-    // indices: all round state is rank-indexed.
-    unfrozen.clear();
-    unfrozen.extend(0..subset.len());
-
-    while !unfrozen.is_empty() {
-        for m in mass_local.iter_mut() {
-            *m = 0.0;
-        }
-        for &j in unfrozen.iter() {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                mass_local[l as usize] += 1.0;
-            }
-        }
-        let mut inc = f64::INFINITY;
-        for l in 0..nl {
-            let m = mass_local[l];
-            if m > EPS {
-                inc = inc.min((residual_local[l].max(0.0)) / m);
-            }
-        }
-        if !inc.is_finite() {
-            break;
-        }
-        // waterfill_dense applies `w_of(i) * inc` with implicit weight
-        // 1.0; multiplying by 1.0 is exact, so adding `inc` directly is
-        // the bit-identical specialization.
-        for &j in unfrozen.iter() {
-            rate_local[j] += inc;
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                residual_local[l as usize] -= inc;
-            }
-        }
-        let before = unfrozen.len();
-        unfrozen.retain(|&j| {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                if residual_local[l as usize] <= EPS {
-                    return false;
-                }
-            }
-            true
-        });
-        if unfrozen.len() == before {
-            break;
-        }
-    }
-    // Same accumulation sequence as the in-place `rates[i] += inc`
-    // rounds, so the final values are bitwise what they produced.
-    for (j, &i) in subset.iter().enumerate() {
-        rates[i] = rate_local[j];
-    }
-}
-
-/// Entries per arena slot in the flat route arenas the link-id
-/// waterfills read ([`waterfill_ranked`] and its bucket-queue twin): the
-/// first entry holds the route's hop count, the rest its hops as global
-/// link ids. Fat-tree routes are at most 6 hops (host→edge→agg→core→
+/// Entries per arena slot in the flat route arenas [`waterfill_bucket`]
+/// reads: the first entry holds the route's hop count, the rest its hops
+/// as global link ids. Fat-tree routes are at most 6 hops (host→edge→agg→core→
 /// agg→edge→host for a core crosser), so a slot keeps a spare entry and
 /// fits one cache line.
 pub(crate) const ROUTE_RANK_STRIDE: usize = 8;
@@ -481,140 +342,13 @@ fn slot_route(arena: &[u32], slot: u32) -> &[u32] {
     &arena[base + 1..base + 1 + arena[base] as usize]
 }
 
-/// Route-hop total at or below which [`waterfill_bucket`] dispatches to
-/// the member-major [`waterfill_ranked`] instead of building its bucket
-/// queue: for a fill this narrow the setup costs more than every round
-/// it would accelerate. Output is bitwise identical either way.
-const SMALL_POD_RANKS: usize = 64;
-
-/// Member-major waterfill over global link ids: bit-identical to
-/// [`waterfill_subset_dense`] over the same members, with every per-call
-/// view and topology access hoisted out. The caller provides a capacity
-/// snapshot indexed by global link id (`caps`) and each member's route,
-/// as global link ids, in a flat stride-[`ROUTE_RANK_STRIDE`] arena
-/// keyed by arena slot (`slot_routes`, written once at arrival) — a
-/// refill then touches only its members' arena slots and scratch.
-///
-/// Bit-identity argument: the touched links are scanned in ascending id
-/// order, exactly as the subset variant's ascending union scan; member
-/// order, per-route order, and the freeze/retain logic are unchanged;
-/// and `caps[l]` is the value `topo.capacity` returns (the caller
-/// invalidates its snapshot on every fault). The unit tests pin it per
-/// pod on fat trees, and over whole fabrics with core crossers against
-/// [`waterfill_dense`], degraded and zero-capacity links included.
-///
-/// Besides being the reference the bucket-queue engine is pinned
-/// against, this is the production engine for narrow fills (at most 64
-/// route hops), where the bucket queue's setup would not pay off.
-pub(crate) fn waterfill_ranked(
-    caps: &[f64],
-    subset: &[usize],
-    slots: &[u32],
-    slot_routes: &[u32],
-    rates: &mut [f64],
-    ws: &mut AllocScratch,
-) {
-    debug_assert_eq!(subset.len(), slots.len());
-    let AllocScratch {
-        unfrozen,
-        residual_local,
-        mass_local,
-        routes_local,
-        route_span,
-        rate_local,
-        link_seen,
-        links,
-        ..
-    } = ws;
-    if link_seen.len() < caps.len() {
-        link_seen.resize(caps.len(), false);
-    }
-    if residual_local.len() < caps.len() {
-        residual_local.resize(caps.len(), 0.0);
-    }
-    if mass_local.len() < caps.len() {
-        mass_local.resize(caps.len(), 0.0);
-    }
-    // Flatten the members' stored routes and collect the touched links,
-    // ascending.
-    routes_local.clear();
-    route_span.clear();
-    rate_local.clear();
-    links.clear();
-    for &slot in slots {
-        let start = routes_local.len() as u32;
-        for &l in slot_route(slot_routes, slot) {
-            routes_local.push(l);
-            if !link_seen[l as usize] {
-                link_seen[l as usize] = true;
-                links.push(l);
-            }
-        }
-        route_span.push((start, routes_local.len() as u32));
-        rate_local.push(0.0);
-    }
-    links.sort_unstable();
-    for &l in links.iter() {
-        link_seen[l as usize] = false; // restore the all-false invariant
-        residual_local[l as usize] = caps[l as usize];
-    }
-    // `unfrozen` holds member positions in `subset`.
-    unfrozen.clear();
-    unfrozen.extend(0..subset.len());
-
-    while !unfrozen.is_empty() {
-        for &l in links.iter() {
-            mass_local[l as usize] = 0.0;
-        }
-        for &j in unfrozen.iter() {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                mass_local[l as usize] += 1.0;
-            }
-        }
-        let mut inc = f64::INFINITY;
-        for &l in links.iter() {
-            let m = mass_local[l as usize];
-            if m > EPS {
-                inc = inc.min((residual_local[l as usize].max(0.0)) / m);
-            }
-        }
-        if !inc.is_finite() {
-            break;
-        }
-        // Adding `inc` directly is the exact weight-1.0 specialization
-        // (see waterfill_subset_dense).
-        for &j in unfrozen.iter() {
-            rate_local[j] += inc;
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                residual_local[l as usize] -= inc;
-            }
-        }
-        let before = unfrozen.len();
-        unfrozen.retain(|&j| {
-            let (s, e) = route_span[j];
-            for &l in &routes_local[s as usize..e as usize] {
-                if residual_local[l as usize] <= EPS {
-                    return false;
-                }
-            }
-            true
-        });
-        if unfrozen.len() == before {
-            break;
-        }
-    }
-    for (j, &i) in subset.iter().enumerate() {
-        rates[i] = rate_local[j];
-    }
-}
-
 /// Bucket-queue waterfill: the pod policy's refill engine, for one pod
-/// or the whole fabric. Bit-identical to [`waterfill_ranked`] over the
-/// same inputs (the unit tests pin this), but restructured around an
-/// inverted link→member index so a round costs O(active route hops)
-/// instead of three full member sweeps:
+/// or the whole fabric. Bit-identical to the unweighted, zero-floor
+/// [`waterfill_dense`] over the same members (the unit tests pin this
+/// per pod, over whole fabrics with core crossers, and on synthetic
+/// fills, degraded and zero-capacity links included), but restructured
+/// around an inverted link→member index so a round costs O(active route
+/// hops) instead of three full member sweeps:
 ///
 /// - masses are maintained as integer crosser counts, decremented as
 ///   members freeze (whole-number f64 arithmetic is exact, so
@@ -628,9 +362,13 @@ pub(crate) fn waterfill_ranked(
 ///   which is exactly the reference's end-of-round retain test: an
 ///   active member's links were all > EPS at the previous round's end.
 ///
-/// Inputs are those of [`waterfill_ranked`]: global link ids, routes of
-/// at most 6 hops. Fills of at most [`SMALL_POD_RANKS`] route hops go to
-/// [`waterfill_ranked`] instead.
+/// The caller provides a capacity snapshot indexed by global link id
+/// (`caps`, the values `topo.capacity` returns; the caller invalidates
+/// it on every fault) and each member's route, as global link ids, in a
+/// flat stride-[`ROUTE_RANK_STRIDE`] arena keyed by arena slot
+/// (`slot_routes`, written once at arrival), so a refill touches only
+/// its members' arena slots and scratch. `slots[j]` is the arena slot of
+/// member `subset[j]`; only `rates[i]` for `i ∈ subset` are written.
 pub(crate) fn waterfill_bucket(
     caps: &[f64],
     subset: &[usize],
@@ -640,19 +378,6 @@ pub(crate) fn waterfill_bucket(
     ws: &mut AllocScratch,
 ) {
     debug_assert_eq!(subset.len(), slots.len());
-    // Tiny fills (the trickle regime: a handful of members on short
-    // routes) are dominated by the setup below — route translation,
-    // crosser spans, the bucket permutation — not by rounds. The total
-    // route-hop count bounds the touched-link count, so it is the cheap
-    // pre-test; such fills take the member-major engine instead.
-    let route_sum: usize = slots
-        .iter()
-        .map(|&s| slot_routes[s as usize * ROUTE_RANK_STRIDE] as usize)
-        .sum();
-    if route_sum <= SMALL_POD_RANKS {
-        waterfill_ranked(caps, subset, slots, slot_routes, rates, ws);
-        return;
-    }
     let AllocScratch {
         rate_local,
         link_seen,
@@ -1038,10 +763,12 @@ mod tests {
         (topo, flows)
     }
 
-    /// Unweighted max-min fairness with no floor.
-    fn fair(topo: &Topology, flows: &[ActiveFlowView]) -> Vec<f64> {
+    /// Unweighted max-min fairness with no floor: [`waterfill_dense`]
+    /// over `flows` alone, the reference every bucket-engine fill is
+    /// pinned to.
+    fn fair(topo: &Topology, flows: &[ActiveFlowView], ws: &mut AllocScratch) -> Vec<f64> {
         let mut rates = vec![0.0; flows.len()];
-        waterfill_dense(topo, flows, None, &mut rates, &mut AllocScratch::new());
+        waterfill_dense(topo, flows, None, &mut rates, ws);
         rates
     }
 
@@ -1059,7 +786,7 @@ mod tests {
     #[test]
     fn max_min_equal_split_on_shared_egress() {
         let (topo, flows) = two_flows_one_port();
-        let rates = fair(&topo, &flows);
+        let rates = fair(&topo, &flows, &mut AllocScratch::new());
         assert!((rates[0] - 0.5).abs() < 1e-9);
         assert!((rates[1] - 0.5).abs() < 1e-9);
         feasible(&topo, &flows, &rates).unwrap();
@@ -1075,7 +802,7 @@ mod tests {
             FlowDemand::new(FlowId(2), NodeId(1), NodeId(2), 1.0, SimTime::ZERO),
         ];
         let flows: Vec<_> = demands.iter().map(|d| view(&topo, d)).collect();
-        let rates = fair(&topo, &flows);
+        let rates = fair(&topo, &flows, &mut AllocScratch::new());
         // f0 and f2 share n2's ingress: 0.5 each; f1 then gets n0's
         // remaining egress 0.5.
         assert!((rates[0] - 0.5).abs() < 1e-9);
@@ -1154,7 +881,7 @@ mod tests {
             FlowDemand::new(FlowId(2), NodeId(0), NodeId(1), 2.0, SimTime::ZERO),
         ];
         let flows: Vec<_> = demands.iter().map(|d| view(&topo, d)).collect();
-        for rate in fair(&topo, &flows) {
+        for rate in fair(&topo, &flows, &mut AllocScratch::new()) {
             assert!((rate - 1.0 / 3.0).abs() < 1e-9);
         }
     }
@@ -1278,69 +1005,35 @@ mod tests {
         }
     }
 
-    /// The full-set subset waterfill must be bit-identical to the plain
-    /// unweighted, zero-floor dense waterfill, and disjoint subsets must
-    /// fill independently of the order they are computed in (each seeds
-    /// residuals from capacity on its own links only).
-    #[test]
-    fn subset_waterfill_matches_dense_bitwise() {
-        let topo = Topology::big_switch_uniform(6, 1.0);
-        // Two "pods": flows among hosts {0,1,2} and among hosts {3,4,5}
-        // (big-switch routes touch only src egress + dst ingress, so the
-        // two groups cross disjoint resources).
-        let demands = [
-            FlowDemand::new(FlowId(0), NodeId(0), NodeId(1), 1.0, SimTime::ZERO),
-            FlowDemand::new(FlowId(1), NodeId(0), NodeId(2), 1.0, SimTime::ZERO),
-            FlowDemand::new(FlowId(2), NodeId(2), NodeId(1), 1.0, SimTime::ZERO),
-            FlowDemand::new(FlowId(3), NodeId(3), NodeId(4), 1.0, SimTime::ZERO),
-            FlowDemand::new(FlowId(4), NodeId(5), NodeId(4), 1.0, SimTime::ZERO),
-        ];
-        let flows: Vec<_> = demands.iter().map(|d| view(&topo, d)).collect();
-        let mut ws = AllocScratch::new();
+    /// Route hops above which a fill counts as wide in the non-vacuity
+    /// checks below. Every fill builds the bucket queue, so both sides of
+    /// this line must stay pinned: narrow fills are a few members on
+    /// short routes, wide ones many members per link.
+    const WIDE_FILL_HOPS: usize = 64;
 
-        let mut reference = vec![0.0; flows.len()];
-        waterfill_dense(&topo, &flows, None, &mut reference, &mut ws);
-
-        // Whole set through the subset entry point.
-        let all: Vec<usize> = (0..flows.len()).collect();
-        let mut via_subset = vec![f64::NAN; flows.len()];
-        waterfill_subset_dense(&topo, &flows, &all, &mut via_subset, &mut ws);
-        for (a, b) in via_subset.iter().zip(&reference) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        // Disjoint subsets, computed in either order: identical rates —
-        // each subset's filling reads only its own links.
-        let mut ab = vec![f64::NAN; flows.len()];
-        waterfill_subset_dense(&topo, &flows, &[0, 1, 2], &mut ab, &mut ws);
-        waterfill_subset_dense(&topo, &flows, &[3, 4], &mut ab, &mut ws);
-        let mut ba = vec![f64::NAN; flows.len()];
-        waterfill_subset_dense(&topo, &flows, &[3, 4], &mut ba, &mut ws);
-        waterfill_subset_dense(&topo, &flows, &[0, 1, 2], &mut ba, &mut ws);
-        for (a, b) in ab.iter().zip(&ba) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Feasibility of the pod-by-pod fill on the shared topology.
-        let mut residual = Vec::new();
-        check_feasible_dense(&topo, &flows, &ab, &mut residual).unwrap();
+    /// The views of `subset`'s members, in `subset` order.
+    fn gather(flows: &[ActiveFlowView], subset: &[usize]) -> Vec<ActiveFlowView> {
+        subset.iter().map(|&i| flows[i].clone()).collect()
     }
 
     /// A random synthetic fill: capacities over `nranks` link ids and one
     /// stride-arena route per member, with members mapped to shuffled
-    /// arena slots the way the policy's recycled arena maps them.
+    /// arena slots the way the policy's recycled arena maps them. The
+    /// same fill is also given as views — member `j`'s route as
+    /// `ResourceId`s — on a big switch whose first `nranks` resources
+    /// carry the sim's capacities.
     struct PodSim {
+        topo: Topology,
+        views: Vec<ActiveFlowView>,
         caps: Vec<f64>,
         slots: Vec<u32>,
         slot_routes: Vec<u32>,
     }
 
-    /// The signature shared by the link-id waterfill engines.
-    type Engine = fn(&[f64], &[usize], &[u32], &[u32], &mut [f64], &mut AllocScratch);
-
     impl PodSim {
         /// A narrow fill (at most 12 members on 2–10 links: never more
         /// than 48 route hops) or a wide one (17–64 members on 8–40
-        /// links: usually more than [`SMALL_POD_RANKS`]).
+        /// links: usually more than [`WIDE_FILL_HOPS`]).
         fn new(rng: &mut echelon_detrand::DetRng, wide: bool) -> PodSim {
             let (nranks, members) = if wide {
                 (
@@ -1353,7 +1046,7 @@ mod tests {
                     rng.usize_range_inclusive(0, 12),
                 )
             };
-            let caps = (0..nranks)
+            let caps: Vec<f64> = (0..nranks)
                 .map(|_| {
                     if rng.usize_range_inclusive(0, 9) == 0 {
                         0.0 // exercise saturated-at-birth links
@@ -1371,18 +1064,41 @@ mod tests {
             }
             let mut slots: Vec<u32> = (0..members as u32).collect();
             rng.shuffle(&mut slots);
+            let mut topo = Topology::big_switch_uniform(nranks.div_ceil(2), 1.0);
+            for (r, &c) in caps.iter().enumerate() {
+                topo.set_capacity(ResourceId(r as u32), c);
+            }
+            let views = slots
+                .iter()
+                .enumerate()
+                .map(|(j, &slot)| ActiveFlowView {
+                    id: FlowId(j as u64),
+                    slot,
+                    src: NodeId(0),
+                    dst: NodeId(0),
+                    size: 1.0,
+                    remaining: 1.0,
+                    release: SimTime::ZERO,
+                    route: slot_route(&slot_routes, slot)
+                        .iter()
+                        .map(|&l| ResourceId(l))
+                        .collect(),
+                })
+                .collect();
             PodSim {
+                topo,
+                views,
                 caps,
                 slots,
                 slot_routes,
             }
         }
 
-        /// Fills every member through `engine`.
-        fn fill(&self, engine: Engine, ws: &mut AllocScratch) -> Vec<f64> {
+        /// Fills every member through the bucket engine.
+        fn bucket(&self, ws: &mut AllocScratch) -> Vec<f64> {
             let subset: Vec<usize> = (0..self.slots.len()).collect();
             let mut rates = vec![f64::NAN; self.slots.len()];
-            engine(
+            waterfill_bucket(
                 &self.caps,
                 &subset,
                 &self.slots,
@@ -1394,8 +1110,7 @@ mod tests {
         }
     }
 
-    /// Total route hops of `slots` in a stride arena: the quantity the
-    /// bucket engine's dispatch compares with [`SMALL_POD_RANKS`].
+    /// Total route hops of `slots` in a stride arena.
     fn route_hops(slot_routes: &[u32], slots: &[u32]) -> usize {
         slots
             .iter()
@@ -1403,19 +1118,18 @@ mod tests {
             .sum()
     }
 
-    /// Both arms of the bucket engine's dispatch — the member-major
-    /// engine at or under [`SMALL_POD_RANKS`] route hops, the bucket
-    /// queue above it — must be bitwise the ranked reference, with one
-    /// scratch reused across fills of every width.
+    /// The bucket engine must be bitwise the dense waterfill on random
+    /// synthetic fills of every width, narrow and wide, with one scratch
+    /// reused across all of them and shared with the reference.
     #[test]
-    fn bucket_engine_matches_ranked_bitwise() {
+    fn bucket_engine_matches_dense_waterfill_on_synthetic_fills() {
         let mut ws = AllocScratch::new();
-        let mut wide = 0usize;
+        let (mut narrow, mut wide) = (0usize, 0usize);
         for seed in 0..300u64 {
             let mut rng = echelon_detrand::DetRng::seed_from_u64(0xF111 + seed);
             let sim = PodSim::new(&mut rng, seed % 2 == 1);
-            let want = sim.fill(waterfill_ranked, &mut ws);
-            let got = sim.fill(waterfill_bucket, &mut ws);
+            let want = fair(&sim.topo, &sim.views, &mut ws);
+            let got = sim.bucket(&mut ws);
             assert_eq!(want.len(), got.len());
             for (j, (a, b)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(
@@ -1424,13 +1138,17 @@ mod tests {
                     "seed {seed} member {j}: {a} != {b}"
                 );
             }
-            if route_hops(&sim.slot_routes, &sim.slots) > SMALL_POD_RANKS {
+            if route_hops(&sim.slot_routes, &sim.slots) > WIDE_FILL_HOPS {
                 wide += 1;
+            } else {
+                narrow += 1;
             }
         }
-        // Non-vacuity: the narrow half always takes the member-major
-        // arm, and most of the wide half must reach the bucket queue.
-        assert!(wide > 100, "only {wide} of 300 fills took the bucket queue");
+        // Non-vacuity: both widths are pinned in bulk.
+        assert!(
+            narrow >= 100 && wide >= 100,
+            "only {narrow} narrow and {wide} wide fills of 300"
+        );
     }
 
     /// A random fat-tree workload: a k-ary fabric with about one link in
@@ -1499,15 +1217,25 @@ mod tests {
             self.topo.capacities_into(&mut caps);
             caps
         }
+
+        /// Indices of the flows that start and end in `pod`, ascending.
+        fn pod_members(&self, pod: u32) -> Vec<usize> {
+            (0..self.flows.len())
+                .filter(|&i| {
+                    let v = &self.flows[i];
+                    self.topo.host_pod(v.src) == Some(pod) && self.topo.host_pod(v.dst) == Some(pod)
+                })
+                .collect()
+        }
     }
 
-    /// The ranked engine must be bitwise the subset waterfill, pod by
-    /// pod, on k=4 and k=8 fat trees: random pod-local flow sets on
-    /// shuffled arena slots, routes as global link ids, one fabric
-    /// capacity snapshot, about one link in five degraded and one in
-    /// twenty cut to zero capacity.
+    /// The bucket engine must be bitwise the dense waterfill over each
+    /// pod's gathered views, pod by pod, on k=4 and k=8 fat trees: random
+    /// pod-local flow sets on shuffled arena slots, routes as global link
+    /// ids, one fabric capacity snapshot, about one link in five degraded
+    /// and one in twenty cut to zero capacity.
     #[test]
-    fn ranked_engine_matches_subset_waterfill_per_pod() {
+    fn bucket_engine_matches_dense_waterfill_per_pod() {
         let mut ws = AllocScratch::new();
         let (mut filled, mut starved) = (0usize, 0usize);
         for seed in 0..40u64 {
@@ -1517,30 +1245,88 @@ mod tests {
             let sim = FabricSim::new(&mut rng, k, n, 0.0);
             let caps = sim.caps();
             for pod in 0..k as u32 {
-                let subset: Vec<usize> = (0..n)
-                    .filter(|&i| sim.topo.host_pod(sim.flows[i].src) == Some(pod))
-                    .collect();
+                let subset = sim.pod_members(pod);
                 let slots: Vec<u32> = subset.iter().map(|&i| sim.flows[i].slot).collect();
-                let mut want = vec![f64::NAN; n];
-                waterfill_subset_dense(&sim.topo, &sim.flows, &subset, &mut want, &mut ws);
+                let want = fair(&sim.topo, &gather(&sim.flows, &subset), &mut ws);
                 let mut got = vec![f64::NAN; n];
-                waterfill_ranked(&caps, &subset, &slots, &sim.slot_routes, &mut got, &mut ws);
-                for &i in &subset {
+                waterfill_bucket(&caps, &subset, &slots, &sim.slot_routes, &mut got, &mut ws);
+                for (j, &i) in subset.iter().enumerate() {
                     assert_eq!(
-                        want[i].to_bits(),
+                        want[j].to_bits(),
                         got[i].to_bits(),
                         "seed {seed} pod {pod} flow {i}: {} != {}",
-                        want[i],
+                        want[j],
                         got[i]
                     );
                 }
                 filled += subset.len();
-                starved += subset.iter().filter(|&&i| want[i] == 0.0).count();
+                starved += want.iter().filter(|&&r| r == 0.0).count();
             }
         }
         // Non-vacuity: plenty of members, some behind a dead link.
         assert!(filled > 500, "only {filled} pod members filled");
         assert!(starved > 0, "no member crossed a zero-capacity link");
+    }
+
+    /// Disjoint fills through one scratch commute: a narrow pod fill and
+    /// a wide one, in either order with a whole-fabric fill between them,
+    /// land on the same bits, each the dense waterfill over its pod's
+    /// views. Every fill builds the bucket queue, so this pins the shared
+    /// scratch across fill widths: the `link_seen` restore, crosser
+    /// counts and `link_slot` entries left by the previous fill.
+    #[test]
+    fn bucket_engine_disjoint_fills_commute() {
+        let mut rng = echelon_detrand::DetRng::seed_from_u64(0xC0_33A7E);
+        let sim = FabricSim::new(&mut rng, 4, 160, 0.2);
+        let caps = sim.caps();
+        let n = sim.flows.len();
+        let mut narrow = sim.pod_members(0);
+        narrow.truncate(4);
+        let wide = sim.pod_members(1);
+        let slots_of =
+            |subset: &[usize]| -> Vec<u32> { subset.iter().map(|&i| sim.flows[i].slot).collect() };
+        assert!(route_hops(&sim.slot_routes, &slots_of(&narrow)) <= WIDE_FILL_HOPS);
+        assert!(route_hops(&sim.slot_routes, &slots_of(&wide)) > WIDE_FILL_HOPS);
+        let all: Vec<usize> = (0..n).collect();
+        let fill = |subset: &[usize], rates: &mut [f64], ws: &mut AllocScratch| {
+            waterfill_bucket(
+                &caps,
+                subset,
+                &slots_of(subset),
+                &sim.slot_routes,
+                rates,
+                ws,
+            );
+        };
+        let mut ws = AllocScratch::new();
+        let mut fabric = vec![f64::NAN; n];
+        let mut ab = vec![f64::NAN; n];
+        fill(&narrow, &mut ab, &mut ws);
+        fill(&all, &mut fabric, &mut ws);
+        fill(&wide, &mut ab, &mut ws);
+        let mut ba = vec![f64::NAN; n];
+        fill(&wide, &mut ba, &mut ws);
+        fill(&all, &mut fabric, &mut ws);
+        fill(&narrow, &mut ba, &mut ws);
+        for (name, subset) in [("narrow", &narrow), ("wide", &wide)] {
+            let want = fair(&sim.topo, &gather(&sim.flows, subset), &mut ws);
+            for (j, &i) in subset.iter().enumerate() {
+                assert_eq!(
+                    ab[i].to_bits(),
+                    ba[i].to_bits(),
+                    "{name} flow {i}: {} != {}",
+                    ab[i],
+                    ba[i]
+                );
+                assert_eq!(
+                    want[j].to_bits(),
+                    ab[i].to_bits(),
+                    "{name} flow {i}: dense {} != bucket {}",
+                    want[j],
+                    ab[i]
+                );
+            }
+        }
     }
 
     /// The pod policy's whole-fabric fallback — the bucket engine over
@@ -1559,8 +1345,7 @@ mod tests {
             let n = rng.usize_range_inclusive(2 * k, 16 * k);
             let cross = rng.f64_range(0.1, 0.4);
             let sim = FabricSim::new(&mut rng, k, n, cross);
-            let mut want = vec![0.0; n];
-            waterfill_dense(&sim.topo, &sim.flows, None, &mut want, &mut ws);
+            let want = fair(&sim.topo, &sim.flows, &mut ws);
             let subset: Vec<usize> = (0..n).collect();
             let slots: Vec<u32> = sim.flows.iter().map(|v| v.slot).collect();
             let mut got = vec![f64::NAN; n];
@@ -1575,7 +1360,7 @@ mod tests {
             for (i, (a, b)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} flow {i}: {a} != {b}");
             }
-            if route_hops(&sim.slot_routes, &slots) > SMALL_POD_RANKS {
+            if route_hops(&sim.slot_routes, &slots) > WIDE_FILL_HOPS {
                 wide += 1;
             }
             starved += want.iter().filter(|&&r| r == 0.0).count();
@@ -1586,11 +1371,11 @@ mod tests {
                 .filter(|v| sim.topo.host_pod(v.src) != sim.topo.host_pod(v.dst))
                 .count();
         }
-        // Non-vacuity: most fills reach the bucket queue, core crossers
-        // are a real share of the flows, and a dead link starves some.
+        // Non-vacuity: most fills are wide, core crossers are a real
+        // share of the flows, and a dead link starves some.
         assert!(
             wide > cases * 3 / 4,
-            "only {wide} of {cases} fills took the bucket queue"
+            "only {wide} of {cases} fills are wide"
         );
         assert!(
             crossers * 10 >= flows,

@@ -268,10 +268,11 @@ const CROSS_POD: u32 = u32::MAX;
 /// max-min filling decomposes into independent per-pod fillings over
 /// disjoint link sets. The canonical arithmetic is *pod-sequential*:
 /// each pod is filled on its own, seeding residuals from its own links
-/// only, bit for bit as [`crate::alloc::waterfill_subset_dense`] fills
-/// the pod's members in ascending id order. (This is the policy's own
-/// reference arithmetic — it is max-min fair per pod, but not
-/// bit-identical to [`MaxMinPolicy`]'s whole-fabric round structure.)
+/// only, bit for bit as the unweighted, zero-floor
+/// [`crate::alloc::waterfill_dense`] fills the pod's members alone, in
+/// ascending id order. (This is the policy's own reference arithmetic —
+/// it is max-min fair per pod, but not bit-identical to
+/// [`MaxMinPolicy`]'s whole-fabric round structure.)
 ///
 /// The policy is one state machine over flow deltas. Arrivals and
 /// departures dirty their pod; every allocation refills exactly the
@@ -282,8 +283,9 @@ const CROSS_POD: u32 = u32::MAX;
 /// fault dirties every pod ([`RatePolicy::on_fault`]), and any live
 /// core-crossing flow forces the whole-fabric fallback until it drains:
 /// the same engine over every live flow, bitwise
-/// [`crate::alloc::waterfill_dense`]. Pod and fabric fills share one
-/// coordinate system, global link ids. The differential suites pin both
+/// [`crate::alloc::waterfill_dense`]. Pod and fabric fills of every
+/// width run one engine, the bucket-queue waterfill, in one coordinate
+/// system, global link ids. The differential suites pin both
 /// recompute modes bitwise against an independent pod-sequential
 /// reference.
 ///

@@ -336,7 +336,7 @@ fn assert_pod_policy_matches_reference(
 }
 
 /// The pod-decomposed allocator under churn (per-pod rate store, sparse
-/// write-back, bucket and ranked pod engines) against the reference.
+/// write-back, the bucket-queue pod engine) against the reference.
 #[test]
 fn pod_policy_survives_churn_bit_identically() {
     let fabric = FatTree::new(4).build_fabric();
@@ -380,10 +380,10 @@ fn wide_pod_churn_matches_reference() {
     }
 }
 
-/// Route hops at or below which the pod engine takes its narrow
-/// member-major arm instead of the bucket queue
-/// (`simnet::alloc::SMALL_POD_RANKS`).
-const NARROW_FILL_HOPS: usize = 64;
+/// Route hops a fault-forced fabric fill must exceed: the check below
+/// proves that each degrade lands on a many-flow fabric fill, not on a
+/// trickle.
+const WIDE_FILL_HOPS: usize = 64;
 
 /// `n` flows on a k=8 fat tree (8 pods × 16 hosts), released as a
 /// Poisson stream with mean gap 0.1 s; each crosses the core with
@@ -449,8 +449,8 @@ fn crosser_churn_plan(fabric: &Topology, demands: &[FlowDemand]) -> (FaultPlan, 
 /// The whole-fabric fallback under churn: ~200 Poisson flows on a k=8
 /// fat tree, ~10 % of them core-crossing, with degrade/restore pairs
 /// that land while crossers are live. Each fault forces a fabric fill
-/// over a stale-free capacity snapshot, wide enough for the bucket
-/// queue, in both recompute modes.
+/// over a stale-free capacity snapshot, many flows wide, in both
+/// recompute modes.
 #[test]
 fn crosspod_churn_matches_reference() {
     let fabric = FatTree::new(8).build_fabric();
@@ -461,8 +461,8 @@ fn crosspod_churn_matches_reference() {
         let label = format!("crosspod, seed {seed}");
         let out = assert_pod_policy_matches_reference(&fabric, &demands, &plan, &label);
         // Non-vacuity: at every degrade a crosser is live, so the
-        // fault-forced allocation is a fabric fill; it must carry more
-        // route hops than the narrow arm takes.
+        // fault-forced allocation is a fabric fill; it must be a
+        // many-flow one, carrying more than `WIDE_FILL_HOPS` route hops.
         for &t in &degrades {
             let hops: usize = demands
                 .iter()
@@ -470,7 +470,7 @@ fn crosspod_churn_matches_reference() {
                 .map(|d| fabric.route(d.src, d.dst).len())
                 .sum();
             assert!(
-                hops > NARROW_FILL_HOPS,
+                hops > WIDE_FILL_HOPS,
                 "seed {seed}: only {hops} route hops live at the degrade at t={t}"
             );
         }

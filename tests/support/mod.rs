@@ -9,7 +9,7 @@ use echelonflow::sched::book::EchelonBook;
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder, IntraMode};
 use echelonflow::sched::sincronia::{bssi_order, GroupLoad};
 use echelonflow::sched::varys::{CoflowOrder, VarysMadd};
-use echelonflow::simnet::alloc::{waterfill_dense, waterfill_subset_dense, AllocScratch};
+use echelonflow::simnet::alloc::{waterfill_dense, AllocScratch};
 use echelonflow::simnet::flow::ActiveFlowView;
 use echelonflow::simnet::ids::FlowId;
 use echelonflow::simnet::runner::{FlowOutcomes, RatePolicy, RecomputeMode};
@@ -21,10 +21,11 @@ use std::ops::Range;
 
 /// The pod-sequential reference for `PodMaxMinPolicy`, re-derived from
 /// the flow slice on every call with no state at all: every flow is
-/// classified from the topology, and each pod's members are filled with
-/// `waterfill_subset_dense` in ascending pod order. Any core-crossing
-/// flow (or a topology without pods) takes the whole-fabric
-/// `waterfill_dense` instead.
+/// classified from the topology, and each pod is filled on its own, in
+/// ascending pod order: `waterfill_dense` over that pod's views alone,
+/// gathered in id order, with the rates scattered back. Any
+/// core-crossing flow (or a topology without pods) takes the
+/// whole-fabric `waterfill_dense` over every flow instead.
 #[derive(Debug, Default)]
 pub struct PodReference;
 
@@ -54,7 +55,12 @@ impl RatePolicy for PodReference {
             }
         }
         for pod in &members {
-            waterfill_subset_dense(topo, flows, pod, out, ws);
+            let views: Vec<ActiveFlowView> = pod.iter().map(|&i| flows[i].clone()).collect();
+            let mut rates = vec![0.0; views.len()];
+            waterfill_dense(topo, &views, None, &mut rates, ws);
+            for (&i, r) in pod.iter().zip(rates) {
+                out[i] = r;
+            }
         }
     }
 }
