@@ -777,7 +777,10 @@ impl RatePolicy for ServicePolicy {
 /// Everything one service run produces.
 #[derive(Debug)]
 pub struct ServiceOutcome {
-    /// The raw simulation trace.
+    /// The run's completions: flow releases and finishes, job makespans,
+    /// worker busy seconds and driver counters. A service run drives with
+    /// the trace off (see [`run_jobs_streamed`]), so the rate trace,
+    /// timeline and unit spans are empty.
     pub result: RunResult,
     /// One record per offered job, in arrival order.
     pub records: Vec<JobRecord>,
@@ -812,7 +815,8 @@ pub fn completion_digest(result: &RunResult) -> u64 {
 }
 
 /// Runs `cfg`'s job stream as a service on `topo` under `kind`, in the
-/// given [`ServiceMode`], and returns the trace plus per-job records.
+/// given [`ServiceMode`], and returns the completions plus per-job
+/// records.
 ///
 /// Streaming and materialized invocations with identical arguments
 /// produce bit-identical [`ServiceOutcome::digest`]s — the open≡closed
@@ -880,6 +884,21 @@ mod tests {
         OpenLoopConfig::default_tiers(seed, jobs, hosts, mean_ia)
     }
 
+    /// A service run keeps completions, not history: no trace event, no
+    /// timeline bar, no unit span, and a finish for every released flow.
+    fn assert_keeps_no_history(out: &ServiceOutcome) {
+        let r = &out.result;
+        assert!(r.trace.events().is_empty(), "trace kept");
+        assert!(r.timeline.is_empty(), "timeline kept");
+        assert!(r.comp_spans.is_empty(), "comp spans kept");
+        assert!(r.comm_spans.is_empty(), "comm spans kept");
+        assert!(!r.flow_releases.is_empty(), "no flow released");
+        assert!(
+            r.flow_releases.keys().eq(r.flow_finishes.keys()),
+            "finishes do not cover the released flows"
+        );
+    }
+
     fn run(
         c: &OpenLoopConfig,
         hosts: usize,
@@ -945,6 +964,8 @@ mod tests {
                 "makespans diverged for {}",
                 kind.name()
             );
+            assert_keeps_no_history(&open);
+            assert_keeps_no_history(&closed);
         }
     }
 
@@ -1002,7 +1023,8 @@ mod tests {
 
     /// The same bound at stream scale: 2,000 Poisson jobs at offered
     /// load 0.8 keep the echelon book's high-water mark under a quarter
-    /// of the groups offered.
+    /// of the groups offered, and the runtime keeps no per-unit or
+    /// per-rate history for them.
     #[test]
     #[ignore = "2,000-job stream; run in release with --ignored"]
     fn eviction_bounds_book_occupancy_on_a_long_stream() {
@@ -1021,6 +1043,7 @@ mod tests {
             "peak book occupancy {} not sublinear in {groups} offered groups",
             open.peak_book_occupancy
         );
+        assert_keeps_no_history(&open);
     }
 
     #[test]

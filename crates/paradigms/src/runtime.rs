@@ -24,13 +24,12 @@
 //! computation spans (Fig. 1a timelines, idle fractions), flow release and
 //! finish times (tardiness bookkeeping), and per-job makespans.
 
-use crate::dag::{CompKind, JobDag};
+use crate::dag::{CompKind, CompUnit, JobDag};
 use crate::ids::{CommId, CompId};
 use echelon_core::JobId;
 use echelon_sched::echelon::EchelonMadd;
 use echelon_sched::varys::VarysMadd;
-use echelon_simnet::alloc::AllocScratch;
-use echelon_simnet::driver::{drive, drive_faulted, DriveStats, RateApply, WorkloadSource};
+use echelon_simnet::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
 use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::{FlowCompletion, FlowDemand};
 use echelon_simnet::fluid::FluidNetwork;
@@ -167,11 +166,20 @@ pub struct TimelineEntry {
 }
 
 /// Everything measured during a run.
+///
+/// The per-unit history — `comp_spans`, `comm_spans`, `timeline` — and
+/// the flow `trace` are kept only when the run traces
+/// ([`DriveConfig::trace`]): every closed-loop entry point does, and
+/// [`run_jobs_streamed`] does not, so an open-loop run holds no record
+/// per unit or per rate change. The flow releases and finishes, job
+/// makespans and worker busy seconds are kept either way.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// Start/end of every computation unit.
+    /// Start/end of every computation unit. Empty when the run's trace
+    /// is off.
     pub comp_spans: BTreeMap<CompId, (SimTime, SimTime)>,
-    /// Start (stage-0 release)/end of every communication unit.
+    /// Start (stage-0 release)/end of every communication unit. Empty
+    /// when the run's trace is off.
     pub comm_spans: BTreeMap<CommId, (SimTime, SimTime)>,
     /// Release time of every flow.
     pub flow_releases: BTreeMap<FlowId, SimTime>,
@@ -183,10 +191,11 @@ pub struct RunResult {
     pub makespan: SimTime,
     /// Seconds of computation executed per worker.
     pub worker_busy: BTreeMap<NodeId, f64>,
-    /// Chronological worker timeline.
+    /// Chronological worker timeline. Empty when the run's trace is off.
     pub timeline: Vec<TimelineEntry>,
     /// Per-flow release/rate/finish trace (regenerates the rate series of
-    /// the paper's Fig. 2 sub-figures).
+    /// the paper's Fig. 2 sub-figures), recorded by the driver. Empty
+    /// when the run's trace is off.
     pub trace: FlowTrace,
     /// Driver counters: rate recomputations (one per event batch with
     /// active flows), event batching and faults.
@@ -221,6 +230,19 @@ impl RunResult {
             .map(|&(_, end)| end)
             .fold(SimTime::ZERO, SimTime::max)
     }
+
+    /// Records a computation unit's span and timeline bar.
+    fn record_comp(&mut self, id: CompId, unit: &CompUnit, start: SimTime, end: SimTime) {
+        self.comp_spans.insert(id, (start, end));
+        self.timeline.push(TimelineEntry {
+            worker: unit.worker,
+            comp: id,
+            label: unit.label.clone(),
+            kind: unit.kind,
+            start,
+            end,
+        });
+    }
 }
 
 #[derive(Debug)]
@@ -233,7 +255,7 @@ struct CommState {
 
 /// Units unblocked by the completion of one unit: the dependent
 /// computation units and communication ops whose counters it decrements.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Dependents {
     comps: Vec<CompId>,
     comms: Vec<CommId>,
@@ -297,6 +319,9 @@ struct JobSource<'a> {
     /// the duration of units started after the fault and to the remaining
     /// time of units running when it strikes.
     slow_factor: BTreeMap<NodeId, f64>,
+    /// Whether the run keeps the per-unit history (`comp_spans`,
+    /// `comm_spans`, `timeline`): the drive's [`DriveConfig::trace`].
+    history: bool,
     result: RunResult,
 }
 
@@ -331,6 +356,7 @@ impl<'a> JobSource<'a> {
             total_comps: 0,
             total_comms: 0,
             slow_factor: BTreeMap::new(),
+            history: true,
             result: RunResult {
                 comp_spans: BTreeMap::new(),
                 comm_spans: BTreeMap::new(),
@@ -459,16 +485,16 @@ impl<'a> JobSource<'a> {
             self.program_ptr.remove(&w);
             self.ready_workers.remove(&w);
         }
+        // Every unit has completed, and completion already removed its
+        // reverse edges.
         for &id in dag.comps.keys() {
             self.comp_of.remove(&id);
             self.comp_pending.remove(&id);
-            self.comp_dependents.remove(&id);
             self.comp_starts.remove(&id);
         }
         for (&id, comm) in &dag.comms {
             self.comm_of.remove(&id);
             self.comm_pending.remove(&id);
-            self.comm_dependents.remove(&id);
             self.comm_state.remove(&id);
             self.ready_comms.remove(&id);
             for f in comm.flows() {
@@ -520,43 +546,20 @@ impl<'a> JobSource<'a> {
         }
     }
 
-    /// A completed computation unit unblocks its dependents: counters
-    /// decrement, and units that reach zero enter the ready queues.
-    fn resolve_comp(&mut self, id: CompId) {
-        let Some(deps) = self.comp_dependents.get(&id) else {
+    /// A completed unit unblocks its dependents: counters decrement, and
+    /// units that reach zero enter the ready queues. Each unit completes
+    /// exactly once, so callers remove its reverse edges rather than
+    /// copy them.
+    fn resolve(&mut self, deps: Option<Dependents>) {
+        let Some(deps) = deps else {
             return;
         };
-        let deps = deps.clone();
         for c in deps.comps {
             let p = self.comp_pending.get_mut(&c).expect("known comp");
             *p -= 1;
             if *p == 0 {
                 // Startable once it is also at its program head; the
                 // worker queue re-checks that.
-                let di = self.comp_of[&c];
-                self.ready_workers
-                    .insert(self.dags[di].dag().comps[&c].worker);
-            }
-        }
-        for m in deps.comms {
-            let p = self.comm_pending.get_mut(&m).expect("known comm");
-            *p -= 1;
-            if *p == 0 {
-                self.ready_comms.insert(m);
-            }
-        }
-    }
-
-    /// Same as [`Self::resolve_comp`] for a completed communication op.
-    fn resolve_comm(&mut self, id: CommId) {
-        let Some(deps) = self.comm_dependents.get(&id) else {
-            return;
-        };
-        let deps = deps.clone();
-        for c in deps.comps {
-            let p = self.comp_pending.get_mut(&c).expect("known comp");
-            *p -= 1;
-            if *p == 0 {
                 let di = self.comp_of[&c];
                 self.ready_workers
                     .insert(self.dags[di].dag().comps[&c].worker);
@@ -585,15 +588,9 @@ impl<'a> JobSource<'a> {
         let unit = &dag.comps[&id];
         let worker = unit.worker;
         let start = self.comp_starts[&id];
-        self.result.comp_spans.insert(id, (start, now));
-        self.result.timeline.push(TimelineEntry {
-            worker,
-            comp: id,
-            label: unit.label.clone(),
-            kind: unit.kind,
-            start,
-            end: now,
-        });
+        if self.history {
+            self.result.record_comp(id, unit, start, now);
+        }
         // Wall time actually occupied (equals the nominal duration unless
         // a WorkerSlowdown fault stretched the unit mid-flight).
         *self.result.worker_busy.entry(worker).or_insert(0.0) += (now - start).max(0.0);
@@ -607,7 +604,8 @@ impl<'a> JobSource<'a> {
         self.worker_busy_now.insert(worker, false);
         *self.program_ptr.get_mut(&worker).expect("known worker") += 1;
         self.ready_workers.insert(worker);
-        self.resolve_comp(id);
+        let deps = self.comp_dependents.remove(&id);
+        self.resolve(deps);
         self.note_unit_done(di, now);
     }
 
@@ -617,14 +615,23 @@ impl<'a> JobSource<'a> {
         let st = self.comm_state.get_mut(&cid).expect("known comm");
         st.done = true;
         let started = st.started.expect("started comm");
-        self.result.comm_spans.insert(cid, (started, now));
+        if self.history {
+            self.result.comm_spans.insert(cid, (started, now));
+        }
         self.comms_done += 1;
-        self.resolve_comm(cid);
+        let deps = self.comm_dependents.remove(&cid);
+        self.resolve(deps);
         self.note_unit_done(di, now);
     }
 
     /// Releases the next stage of a ready communication op.
-    fn release_stage(&mut self, cid: CommId, now: SimTime, net: &mut FluidNetwork) {
+    fn release_stage(
+        &mut self,
+        cid: CommId,
+        now: SimTime,
+        net: &mut FluidNetwork,
+        trace: &mut FlowTrace,
+    ) {
         let dag = self.dags[self.comm_of[&cid]].dag();
         let comm = &dag.comms[&cid];
         let st = self.comm_state.get_mut(&cid).expect("known comm");
@@ -641,9 +648,7 @@ impl<'a> JobSource<'a> {
         for f in &stage.flows {
             net.release(&FlowDemand::new(f.id, f.src, f.dst, f.size, now));
             self.result.flow_releases.insert(f.id, now);
-            self.result
-                .trace
-                .record(now, f.id, TraceEventKind::Released);
+            trace.record(now, f.id, TraceEventKind::Released);
         }
     }
 
@@ -679,18 +684,13 @@ impl<'a> JobSource<'a> {
                 // Instantaneous unit (barrier): complete now. Bookkeeping
                 // mirrors the non-zero path except worker-busy seconds and
                 // job makespans, which a zero-length span cannot move.
-                self.result.comp_spans.insert(head, (now, now));
-                self.result.timeline.push(TimelineEntry {
-                    worker,
-                    comp: head,
-                    label: unit.label.clone(),
-                    kind: unit.kind,
-                    start: now,
-                    end: now,
-                });
+                if self.history {
+                    self.result.record_comp(head, unit, now, now);
+                }
                 self.comps_done += 1;
                 *self.program_ptr.get_mut(&worker).expect("known worker") += 1;
-                self.resolve_comp(head);
+                let deps = self.comp_dependents.remove(&head);
+                self.resolve(deps);
                 self.note_unit_done(di, now);
                 continue;
             }
@@ -703,7 +703,7 @@ impl<'a> JobSource<'a> {
 }
 
 impl WorkloadSource for JobSource<'_> {
-    fn release_due(&mut self, now: SimTime, net: &mut FluidNetwork, _trace: &mut FlowTrace) {
+    fn release_due(&mut self, now: SimTime, net: &mut FluidNetwork, trace: &mut FlowTrace) {
         // Admit jobs whose arrival time has come.
         while self.arrival_cursor < self.arrival_order.len() {
             let idx = self.arrival_order[self.arrival_cursor];
@@ -738,7 +738,7 @@ impl WorkloadSource for JobSource<'_> {
             loop {
                 if let Some(&cid) = self.ready_comms.iter().next() {
                     self.ready_comms.remove(&cid);
-                    self.release_stage(cid, now, net);
+                    self.release_stage(cid, now, net, trace);
                     continue;
                 }
                 if let Some(&w) = self.ready_workers.iter().next() {
@@ -788,9 +788,6 @@ impl WorkloadSource for JobSource<'_> {
     ) {
         for c in done {
             self.result.flow_finishes.insert(c.id, now);
-            self.result
-                .trace
-                .record(now, c.id, TraceEventKind::Finished);
             if let Some(job) = self.job_of_flow.get(&c.id) {
                 let e = self
                     .result
@@ -813,42 +810,6 @@ impl WorkloadSource for JobSource<'_> {
                 }
             }
         }
-    }
-
-    /// The source records releases/rates/finishes into its own
-    /// [`RunResult`] trace (the driver's copy would duplicate it).
-    fn wants_trace(&self) -> bool {
-        false
-    }
-
-    fn allocate(
-        &mut self,
-        policy: &mut dyn RatePolicy,
-        mode: RecomputeMode,
-        now: SimTime,
-        flows: &[echelon_simnet::flow::ActiveFlowView],
-        delta: &echelon_simnet::fluid::FlowDelta,
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) -> RateApply {
-        match mode {
-            RecomputeMode::Full => policy.allocate_dense(now, flows, topo, ws, out),
-            RecomputeMode::Incremental => {
-                policy.allocate_dense_incremental(now, flows, delta, topo, ws, out);
-            }
-        }
-        // Record the applied rates here (rather than via the driver's
-        // trace) so the trace lands in the same [`RunResult`] as the rest
-        // of the bookkeeping. `record_rate` drops a rate identical to the
-        // flow's previous one, so an event that leaves a flow's rate
-        // unchanged records nothing for it.
-        for (v, &rate) in flows.iter().zip(out.iter()) {
-            self.result.trace.record_rate(now, v, rate.max(0.0));
-        }
-        // The rate trace above reads every entry of `out`, so this
-        // source always requests the fully populated dense contract.
-        RateApply::Dense
     }
 
     /// Straggler injection: a [`FaultKind::WorkerSlowdown`] rescales the
@@ -931,7 +892,7 @@ pub fn run_jobs_with(
     policy: &mut dyn RatePolicy,
     mode: RecomputeMode,
 ) -> RunResult {
-    run_jobs_impl(topo, dags, vec![SimTime::ZERO; dags.len()], policy, mode)
+    run_jobs_faulted(topo, dags, policy, mode, &FaultPlan::empty())
 }
 
 /// Runs several jobs with per-job admission times: job `i` is invisible to
@@ -951,12 +912,7 @@ pub fn run_jobs_arriving(
     policy: &mut dyn RatePolicy,
     mode: RecomputeMode,
 ) -> RunResult {
-    assert_eq!(
-        arrivals.len(),
-        dags.len(),
-        "one arrival time per job dag required"
-    );
-    run_jobs_impl(topo, dags, arrivals.to_vec(), policy, mode)
+    run_jobs_arriving_faulted(topo, dags, arrivals, policy, mode, &FaultPlan::empty())
 }
 
 /// [`run_jobs_with`] under an injected [`FaultPlan`]: link churn,
@@ -975,8 +931,8 @@ pub fn run_jobs_faulted(
     mode: RecomputeMode,
     plan: &FaultPlan,
 ) -> RunResult {
-    let mut source = JobSource::new(dags, vec![SimTime::ZERO; dags.len()]);
-    finish_run(drive_faulted(topo, &mut source, policy, mode, plan), source)
+    let source = JobSource::new(dags, vec![SimTime::ZERO; dags.len()]);
+    drive_jobs(topo, source, policy, mode, plan, DriveConfig::default())
 }
 
 /// [`run_jobs_arriving`] under an injected [`FaultPlan`].
@@ -993,8 +949,8 @@ pub fn run_jobs_arriving_faulted(
         dags.len(),
         "one arrival time per job dag required"
     );
-    let mut source = JobSource::new(dags, arrivals.to_vec());
-    finish_run(drive_faulted(topo, &mut source, policy, mode, plan), source)
+    let source = JobSource::new(dags, arrivals.to_vec());
+    drive_jobs(topo, source, policy, mode, plan, DriveConfig::default())
 }
 
 /// Runs an open-loop service: jobs are admitted incrementally from
@@ -1009,6 +965,12 @@ pub fn run_jobs_arriving_faulted(
 /// completion events depend only on the gate decisions, which both modes
 /// share.
 ///
+/// The run drives with [`DriveConfig::trace`] off, so its memory follows
+/// the live jobs, not the stream: the returned [`RunResult`] has an empty
+/// `trace`, `timeline`, `comp_spans` and `comm_spans`, and keeps only the
+/// flow releases and finishes, job makespans, worker busy seconds and
+/// counters.
+///
 /// # Panics
 ///
 /// Panics if the feed admits a job whose worker is still claimed, or if
@@ -1021,24 +983,28 @@ pub fn run_jobs_streamed<'a>(
     mode: RecomputeMode,
     plan: &FaultPlan,
 ) -> RunResult {
-    let mut source = JobSource::with_feed(feed);
-    finish_run(drive_faulted(topo, &mut source, policy, mode, plan), source)
+    let config = DriveConfig {
+        trace: false,
+        ..DriveConfig::default()
+    };
+    drive_jobs(topo, JobSource::with_feed(feed), policy, mode, plan, config)
 }
 
-fn run_jobs_impl(
+/// Drives `source` under `config`, whose `trace` switch also decides
+/// whether the runtime keeps its per-unit history, and collects the run.
+fn drive_jobs(
     topo: &Topology,
-    dags: &[&JobDag],
-    arrivals: Vec<SimTime>,
+    mut source: JobSource<'_>,
     policy: &mut dyn RatePolicy,
     mode: RecomputeMode,
+    plan: &FaultPlan,
+    config: DriveConfig,
 ) -> RunResult {
-    let mut source = JobSource::new(dags, arrivals);
-    finish_run(drive(topo, &mut source, policy, mode), source)
-}
-
-fn finish_run(outcome: echelon_simnet::driver::DriveOutcome, source: JobSource<'_>) -> RunResult {
+    source.history = config.trace;
+    let outcome = drive_faulted_configured(topo, &mut source, policy, mode, plan, config);
     let mut result = source.result;
     result.makespan = outcome.end;
+    result.trace = outcome.trace;
     result.stats = outcome.stats;
     result
         .timeline

@@ -49,9 +49,15 @@ pub struct DriveConfig {
     /// ([`FluidNetwork::set_feasibility_checks`]); `false` for scale
     /// benchmarks where the O(flows · route) audit dominates.
     pub feasibility_checks: bool,
-    /// Whether the driver records rate/finish trace events at all
-    /// (AND-ed with [`WorkloadSource::wants_trace`]). Rate recording is
-    /// O(active flows) per allocation, so scale benchmarks turn it off.
+    /// Whether the run keeps a trace at all (AND-ed with
+    /// [`WorkloadSource::wants_trace`]). Off, every event kind is
+    /// skipped: the driver records no rate or finish events, and the
+    /// trace it passes to the source records nothing, so releases are
+    /// dropped too. The DAG runtime also keeps no per-unit history
+    /// (worker timeline, computation and communication spans) when it is
+    /// off. Rate recording is O(active flows) per allocation and the
+    /// trace grows with every flow, so scale benchmarks and open-loop
+    /// runs turn it off.
     pub trace: bool,
     /// Collect the [`PhaseTimings`] wall-clock breakdown. Off by default:
     /// the clock reads cost a few hundred nanoseconds per event, which is
@@ -122,7 +128,9 @@ pub enum RateApply {
 /// recomputes only through the events it schedules.
 pub trait WorkloadSource {
     /// Processes everything scheduled at the current instant: releases
-    /// due flows into `net` (recording `Released` events if it traces),
+    /// due flows into `net` (recording a `Released` event into `trace`
+    /// for each; the driver hands out a trace that drops them when
+    /// [`DriveConfig::trace`] is off),
     /// completes internal non-flow work (e.g. computation units), and
     /// cascades any releases that become ready as a result. Called at the
     /// top of every driver iteration, before the allocation.
@@ -149,9 +157,11 @@ pub trait WorkloadSource {
         trace: &mut FlowTrace,
     );
 
-    /// Whether the driver records rate and finish events into the trace.
-    /// Sources whose flow ids are internal artifacts (e.g. chunk ids in
-    /// the quantized validator) opt out.
+    /// Whether the run keeps a trace (AND-ed with
+    /// [`DriveConfig::trace`]). When either says no, the driver records
+    /// no rate or finish events and the trace passed to the source
+    /// records nothing. Sources whose flow ids are internal artifacts
+    /// (e.g. chunk ids in the quantized validator) opt out.
     fn wants_trace(&self) -> bool {
         true
     }
@@ -297,8 +307,9 @@ impl DriveStats {
 /// What [`drive`] hands back: the recorded trace and the clock at exit.
 #[derive(Debug, Clone)]
 pub struct DriveOutcome {
-    /// The recorded release/rate/finish trace (empty if the source opted
-    /// out of tracing).
+    /// The recorded release/rate/finish trace (empty if
+    /// [`DriveConfig::trace`] was off or the source opted out of
+    /// tracing).
     pub trace: FlowTrace,
     /// Simulated time when the source reported completion — the time of
     /// the last processed event.
@@ -398,7 +409,8 @@ pub fn drive_faulted_configured(
     if let Some(expected) = source.expected_flows() {
         net.reserve(expected);
     }
-    let mut trace = FlowTrace::new();
+    let tracing = config.trace && source.wants_trace();
+    let mut trace = FlowTrace::recording(tracing);
     // Driver-owned allocation workspace and dense rate buffer, reused for
     // the whole run: the steady-state loop performs no heap allocation.
     let mut ws = AllocScratch::new();
@@ -482,7 +494,7 @@ pub fn drive_faulted_configured(
             if faulted {
                 stats.fault_recomputes += 1;
             }
-            if config.trace && source.wants_trace() {
+            if tracing {
                 for (v, rate) in net.flows_with_rates() {
                     trace.record_rate(now, v, rate);
                 }
@@ -539,7 +551,7 @@ pub fn drive_faulted_configured(
                 || dt_fault.is_some_and(|d| d <= 0.0),
             "event loop made no progress at {now:?}"
         );
-        if config.trace && source.wants_trace() {
+        if tracing {
             for c in &done {
                 trace.record(now, c.id, TraceEventKind::Finished);
             }

@@ -939,6 +939,41 @@ mod tests {
         assert_eq!(a.trace().events(), b.trace().events());
     }
 
+    /// With the trace off, no event kind is recorded (releases included),
+    /// and the completions are those of the traced run.
+    #[test]
+    fn trace_off_records_no_event() {
+        let topo = Topology::big_switch_uniform(4, 1.0);
+        let demands = || {
+            vec![
+                demand(0, 0, 1, 2.0, 0.0),
+                demand(1, 2, 1, 1.0, 0.5),
+                demand(2, 0, 3, 3.0, 1.0),
+            ]
+        };
+        let run = |trace| {
+            run_flows_faulted_configured(
+                &topo,
+                demands(),
+                &mut MaxMinPolicy,
+                RecomputeMode::Full,
+                &FaultPlan::empty(),
+                DriveConfig {
+                    trace,
+                    ..DriveConfig::default()
+                },
+            )
+        };
+        let (on, off) = (run(true), run(false));
+        assert!(!on.trace().events().is_empty());
+        assert!(
+            off.trace().events().is_empty(),
+            "{:?}",
+            off.trace().events()
+        );
+        assert_eq!(off.completions(), on.completions());
+    }
+
     #[test]
     fn full_and_incremental_modes_agree_for_default_policy() {
         // The default allocate_dense_incremental falls back to

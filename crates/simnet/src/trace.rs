@@ -40,6 +40,9 @@ pub struct FlowTrace {
     // slot: the no-op dedup in `record_rate` runs for every flow at every
     // allocation, so it is one indexed read, not a search.
     last_rate: Vec<Option<(FlowId, f64)>>,
+    // Set on the trace the driver hands out when tracing is off: `record`
+    // then drops every event, so the trace stays empty.
+    off: bool,
 }
 
 impl FlowTrace {
@@ -48,9 +51,23 @@ impl FlowTrace {
         FlowTrace::default()
     }
 
+    /// An empty trace that records events only if `on`: the driver's
+    /// trace when [`DriveConfig::trace`](crate::driver::DriveConfig::trace)
+    /// is off records nothing.
+    pub(crate) fn recording(on: bool) -> FlowTrace {
+        FlowTrace {
+            off: !on,
+            ..FlowTrace::default()
+        }
+    }
+
     /// Appends an event. Events must be recorded in non-decreasing time
-    /// order (the simulator guarantees this).
+    /// order (the simulator guarantees this). A no-op on a trace that
+    /// does not record.
     pub fn record(&mut self, time: SimTime, flow: FlowId, kind: TraceEventKind) {
+        if self.off {
+            return;
+        }
         if let Some(last) = self.events.last() {
             debug_assert!(last.time.at_or_before(time), "trace time went backwards");
         }
