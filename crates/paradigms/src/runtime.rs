@@ -11,10 +11,13 @@
 //! The event loop is the shared [`echelon_simnet::driver`]; this module
 //! contributes `JobSource`, the DAG-runtime [`WorkloadSource`]. Readiness
 //! is tracked with *dependency counters and ready queues* rather than
-//! fixpoint rescans: reverse dependency edges are built once per run, every
-//! completion decrements exactly its dependents' counters, and units whose
-//! counters hit zero enter id-ordered ready queues — so an event costs
-//! O(dependents touched), not O(total DAG size).
+//! fixpoint rescans: each job's units get dense indices at admission, its
+//! reverse dependency edges are built once, every completion decrements
+//! exactly its dependents' counters, and units whose counters hit zero
+//! enter id-ordered ready queues. Running computations sit in a min-queue
+//! keyed by `(end, id)`. So an event costs O(dependents touched), not
+//! O(total DAG size) or O(running units), and a job's state is freed when
+//! it retires.
 //!
 //! [`run_jobs_arriving`] additionally admits each job at its own arrival
 //! time (the cluster workload shape): a job's workers and communication
@@ -38,7 +41,8 @@ use echelon_simnet::runner::{RatePolicy, RecomputeMode};
 use echelon_simnet::time::{SimTime, EPS};
 use echelon_simnet::topology::Topology;
 use echelon_simnet::trace::{FlowTrace, TraceEventKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Which declared grouping to schedule a job under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,28 +130,6 @@ pub trait JobFeed {
     }
 }
 
-/// A slot in the runtime's job arena: legacy entry points borrow their
-/// DAGs for the whole run, feed-driven runs own them and drop each on
-/// retirement (the bounded-memory half of the open-loop contract).
-enum DagEntry<'a> {
-    /// Borrowed from the caller (closed-loop entry points).
-    Borrowed(&'a JobDag),
-    /// Owned, admitted from a [`JobFeed`]; dropped at retirement.
-    Owned(Box<JobDag>),
-    /// Retired: every unit finished, the DAG released.
-    Retired,
-}
-
-impl DagEntry<'_> {
-    fn dag(&self) -> &JobDag {
-        match self {
-            DagEntry::Borrowed(d) => d,
-            DagEntry::Owned(d) => d,
-            DagEntry::Retired => panic!("retired job's DAG accessed"),
-        }
-    }
-}
-
 /// One bar of a worker timeline (Fig. 1a).
 #[derive(Debug, Clone)]
 pub struct TimelineEntry {
@@ -173,7 +155,7 @@ pub struct TimelineEntry {
 /// [`run_jobs_streamed`] does not, so an open-loop run holds no record
 /// per unit or per rate change. The flow releases and finishes, job
 /// makespans and worker busy seconds are kept either way.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Start/end of every computation unit. Empty when the run's trace
     /// is off.
@@ -245,68 +227,154 @@ impl RunResult {
     }
 }
 
-#[derive(Debug)]
+/// A job's DAG: borrowed for the whole run by the closed-loop entry
+/// points, owned and dropped at retirement when admitted from a feed.
+enum DagRef<'a> {
+    Borrowed(&'a JobDag),
+    Owned(JobDag),
+}
+
+impl DagRef<'_> {
+    fn get(&self) -> &JobDag {
+        match self {
+            DagRef::Borrowed(d) => d,
+            DagRef::Owned(d) => d,
+        }
+    }
+}
+
+struct CompState {
+    id: CompId,
+    worker: NodeId,
+    duration: f64,
+}
+
 struct CommState {
-    released_stages: usize,
-    outstanding: usize,
-    started: Option<SimTime>,
+    id: CommId,
+    stages: u32,
+    released_stages: u32,
+    /// Flows of the released stage still in flight.
+    outstanding: u32,
+    /// Release time of stage 0.
+    started: SimTime,
     done: bool,
 }
 
-/// Units unblocked by the completion of one unit: the dependent
-/// computation units and communication ops whose counters it decrements.
-#[derive(Debug, Default)]
-struct Dependents {
-    comps: Vec<CompId>,
-    comms: Vec<CommId>,
+/// A worker running one of the job's programs.
+struct WorkerState {
+    /// The program as computation indices, and the position of its head.
+    program: Vec<u32>,
+    ptr: u32,
+    busy: bool,
+}
+
+/// An admitted job's bookkeeping, freed at retirement. Its units get
+/// dense indices at admission: computations `0..nc` and then
+/// communication ops `nc..`, each in ascending id order.
+struct JobState<'a> {
+    dag: DagRef<'a>,
+    comps: Vec<CompState>,
+    comms: Vec<CommState>,
+    /// Unresolved dependency count per unit.
+    pending: Vec<u32>,
+    /// Reverse dependency edges: unit `u`'s dependents are
+    /// `dependents[dep_start[u]..dep_start[u + 1]]`.
+    dep_start: Vec<u32>,
+    dependents: Vec<u32>,
+    /// Program-running workers, in ascending host order.
+    workers: Vec<WorkerState>,
+    units_left: usize,
+    /// Latest computation or flow finish so far.
+    makespan: Option<SimTime>,
+}
+
+impl JobState<'_> {
+    /// A completed unit unblocks its dependents: counters decrement, and
+    /// units that reach zero enter the ready queues.
+    fn resolve(&mut self, slot: u32, done: usize, ready: &mut Ready) {
+        let edges = self.dep_start[done] as usize..self.dep_start[done + 1] as usize;
+        for &u in &self.dependents[edges] {
+            self.pending[u as usize] -= 1;
+            if self.pending[u as usize] > 0 {
+                continue;
+            }
+            if let Some(c) = self.comps.get(u as usize) {
+                // Startable once it is also at its program head; the
+                // worker queue re-checks that.
+                ready.workers.insert(c.worker);
+            } else {
+                let j = u - self.comps.len() as u32;
+                ready.comms.insert((self.comms[j as usize].id, slot, j));
+            }
+        }
+    }
+
+    fn note_finish(&mut self, now: SimTime) {
+        self.makespan = Some(self.makespan.map_or(now, |m| m.max(now)));
+    }
+}
+
+/// A computation unit in flight. The derived order is `(end, id)`: ids
+/// are unique, so the later fields never decide it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Running {
+    end: SimTime,
+    id: CompId,
+    start: SimTime,
+    worker: NodeId,
+    /// Job slot, computation index and worker index within the job.
+    slot: u32,
+    comp: u32,
+    local_worker: u32,
+}
+
+/// The instant's work queues, drained smallest first: communication ops
+/// `(id, job slot, op index)` by id, then hosts whose program head may
+/// have become startable.
+#[derive(Default)]
+struct Ready {
+    comms: BTreeSet<(CommId, u32, u32)>,
+    workers: BTreeSet<NodeId>,
+}
+
+/// Dense index of `id` among one job's ascending unit ids.
+fn dense<T: Ord + std::fmt::Display>(ids: &[T], id: T, job: JobId) -> u32 {
+    let i = ids.binary_search(&id);
+    i.unwrap_or_else(|_| panic!("{id} is not a unit of {job}")) as u32
+}
+
+/// The live job in `slot`. Queued and running units, in-flight flows
+/// and claims only ever name live jobs: a job retires after its last
+/// unit, and retirement drops its claims.
+fn live<'j, 'a>(jobs: &'j mut [Option<JobState<'a>>], slot: u32) -> &'j mut JobState<'a> {
+    jobs[slot as usize].as_mut().expect("slot of a live job")
 }
 
 /// The DAG-runtime [`WorkloadSource`]: computation programs, dependency
 /// counters, staged communication ops, and per-job admission times.
+#[derive(Default)]
 struct JobSource<'a> {
-    /// Job arena. Indices are stable (feed admissions append); retired
-    /// slots hold [`DagEntry::Retired`] and are never read again.
-    dags: Vec<DagEntry<'a>>,
+    /// Job arena. A retired job's slot is emptied and reused by the next
+    /// admission, so the arena follows the live jobs, not the stream.
+    jobs: Vec<Option<JobState<'a>>>,
+    free_slots: Vec<u32>,
     /// Incremental job supplier for open-loop runs; `None` on the legacy
     /// entry points (all DAGs admitted at construction).
     feed: Option<&'a mut dyn JobFeed>,
-    /// Per-dag admission time ([`SimTime::ZERO`] when not arrival-driven).
+    /// Per-slot activation time (legacy entry points only).
     arrivals: Vec<SimTime>,
-    /// Dag indices in ascending (arrival, index) order; `arrival_cursor`
-    /// marks the next unactivated dag.
+    /// Slots in ascending (arrival, slot) order; `arrival_cursor` marks
+    /// the next unactivated job.
     arrival_order: Vec<usize>,
     arrival_cursor: usize,
-
-    // Merged lookups (dag index per unit; flows to their comm/job).
-    comp_of: BTreeMap<CompId, usize>,
-    comm_of: BTreeMap<CommId, usize>,
-    flow_to_comm: BTreeMap<FlowId, CommId>,
-    job_of_flow: BTreeMap<FlowId, JobId>,
-    worker_dag: BTreeMap<NodeId, usize>,
-
-    /// Unresolved dependency count per unit. Built once; completions
-    /// decrement via the reverse edges below — no rescans.
-    comp_pending: BTreeMap<CompId, usize>,
-    comm_pending: BTreeMap<CommId, usize>,
-    /// Reverse dependency edges, built once per run.
-    comp_dependents: BTreeMap<CompId, Dependents>,
-    comm_dependents: BTreeMap<CommId, Dependents>,
-
-    comm_state: BTreeMap<CommId, CommState>,
-    /// In-flight computation units and their end times.
-    running: BTreeMap<CompId, SimTime>,
-    worker_busy_now: BTreeMap<NodeId, bool>,
-    program_ptr: BTreeMap<NodeId, usize>,
-    comp_starts: BTreeMap<CompId, SimTime>,
-    /// Communication ops with a releasable stage (deps met or previous
-    /// stage drained), released in ascending id order.
-    ready_comms: BTreeSet<CommId>,
-    /// Workers whose program head may have become startable.
-    ready_workers: BTreeSet<NodeId>,
-    /// Unfinished units (comps + comms) per admitted dag; a job whose
-    /// count hits zero retires: its per-unit lookups are dropped and its
-    /// worker claims freed for later arrivals.
-    job_units_left: BTreeMap<usize, usize>,
+    /// Per host id: the live job (slot, worker index) whose program runs
+    /// there.
+    claims: Vec<Option<(u32, u32)>>,
+    /// In-flight computation units, earliest `(end, id)` first.
+    running: BinaryHeap<Reverse<Running>>,
+    ready: Ready,
+    /// Job slot and op index of every in-flight flow.
+    in_flight: BTreeMap<FlowId, (u32, u32)>,
     /// Set when a job retires during the current release pass; the feed
     /// admission scan re-runs so a blocked job can enter at this instant.
     retired_in_pass: bool,
@@ -326,189 +394,162 @@ struct JobSource<'a> {
 }
 
 impl<'a> JobSource<'a> {
-    fn empty() -> JobSource<'a> {
-        JobSource {
-            dags: Vec::new(),
-            feed: None,
-            arrivals: Vec::new(),
-            arrival_order: Vec::new(),
-            arrival_cursor: 0,
-            comp_of: BTreeMap::new(),
-            comm_of: BTreeMap::new(),
-            flow_to_comm: BTreeMap::new(),
-            job_of_flow: BTreeMap::new(),
-            worker_dag: BTreeMap::new(),
-            comp_pending: BTreeMap::new(),
-            comm_pending: BTreeMap::new(),
-            comp_dependents: BTreeMap::new(),
-            comm_dependents: BTreeMap::new(),
-            comm_state: BTreeMap::new(),
-            running: BTreeMap::new(),
-            worker_busy_now: BTreeMap::new(),
-            program_ptr: BTreeMap::new(),
-            comp_starts: BTreeMap::new(),
-            ready_comms: BTreeSet::new(),
-            ready_workers: BTreeSet::new(),
-            job_units_left: BTreeMap::new(),
-            retired_in_pass: false,
-            comps_done: 0,
-            comms_done: 0,
-            total_comps: 0,
-            total_comms: 0,
-            slow_factor: BTreeMap::new(),
-            history: true,
-            result: RunResult {
-                comp_spans: BTreeMap::new(),
-                comm_spans: BTreeMap::new(),
-                flow_releases: BTreeMap::new(),
-                flow_finishes: BTreeMap::new(),
-                job_makespans: BTreeMap::new(),
-                makespan: SimTime::ZERO,
-                worker_busy: BTreeMap::new(),
-                timeline: Vec::new(),
-                trace: FlowTrace::new(),
-                stats: DriveStats::default(),
-            },
-        }
-    }
-
     fn new(dags: &'a [&'a JobDag], arrivals: Vec<SimTime>) -> JobSource<'a> {
-        let mut source = JobSource::empty();
-        source.arrival_order = {
-            let mut order: Vec<usize> = (0..dags.len()).collect();
-            order.sort_by(|&a, &b| arrivals[a].cmp(&arrivals[b]).then(a.cmp(&b)));
-            order
+        let mut arrival_order: Vec<usize> = (0..dags.len()).collect();
+        arrival_order.sort_by(|&a, &b| arrivals[a].cmp(&arrivals[b]).then(a.cmp(&b)));
+        let mut source = JobSource {
+            arrivals,
+            arrival_order,
+            ..JobSource::default()
         };
-        source.arrivals = arrivals;
         for &dag in dags {
-            source.admit_entry(DagEntry::Borrowed(dag));
+            source.admit(DagRef::Borrowed(dag));
         }
         source
     }
 
     fn with_feed(feed: &'a mut (dyn JobFeed + 'a)) -> JobSource<'a> {
-        let mut source = JobSource::empty();
-        source.feed = Some(feed);
-        source
+        JobSource {
+            feed: Some(feed),
+            ..JobSource::default()
+        }
     }
 
-    /// Indexes one job into the arena: lookups, dependency counters,
-    /// reverse edges, worker claims, unit totals. Panics if a worker is
-    /// already claimed by a live job — legacy entry points reach this from
-    /// construction (disjointness validation), feed-driven runs only after
-    /// the admission gate checked the claim set.
-    fn admit_entry(&mut self, entry: DagEntry<'a>) -> usize {
-        let di = self.dags.len();
-        self.dags.push(entry);
-        let dag = self.dags[di].dag();
-        for w in dag.workers() {
-            if let Some(&prev) = self.worker_dag.get(&w) {
-                let prev = self.dags[prev].dag().job;
-                panic!("worker {w} claimed by both {prev} and {}", dag.job);
-            }
-            self.worker_dag.insert(w, di);
-            self.worker_busy_now.insert(w, false);
-            self.program_ptr.insert(w, 0);
+    /// Indexes one job into a free arena slot: dense unit states,
+    /// dependency counters, reverse edges, worker claims, unit totals.
+    /// Panics if a worker is already claimed by a live job — legacy entry
+    /// points reach this from construction (disjointness validation),
+    /// feed-driven runs only after the admission gate checked the claim
+    /// set.
+    fn admit(&mut self, dag: DagRef<'a>) -> u32 {
+        let slot = self.free_slots.pop().unwrap_or(self.jobs.len() as u32);
+        let d = dag.get();
+        let comp_ids: Vec<CompId> = d.comps.keys().copied().collect();
+        let comm_ids: Vec<CommId> = d.comms.keys().copied().collect();
+        let deps = d
+            .comps
+            .values()
+            .map(|c| (&c.deps_comp, &c.deps_comm))
+            .chain(d.comms.values().map(|c| (&c.deps_comp, &c.deps_comm)));
+        let nc = comp_ids.len() as u32;
+        let mut pending = Vec::with_capacity(comp_ids.len() + comm_ids.len());
+        // (dependency, dependent) edges, bucketed by dependency below.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (u, (deps_comp, deps_comm)) in deps.enumerate() {
+            pending.push((deps_comp.len() + deps_comm.len()) as u32);
+            let comps = deps_comp.iter().map(|&c| dense(&comp_ids, c, d.job));
+            let comms = deps_comm.iter().map(|&m| nc + dense(&comm_ids, m, d.job));
+            edges.extend(comps.chain(comms).map(|dep| (dep, u as u32)));
         }
-        for (&id, unit) in &dag.comps {
-            self.comp_of.insert(id, di);
-            self.comp_pending
-                .insert(id, unit.deps_comp.len() + unit.deps_comm.len());
-            for &d in &unit.deps_comp {
-                self.comp_dependents.entry(d).or_default().comps.push(id);
+        edges.sort_by_key(|&(dep, _)| dep);
+        let dep_start = (0..=pending.len() as u32)
+            .map(|u| edges.partition_point(|&(dep, _)| dep < u) as u32)
+            .collect();
+        let mut workers = Vec::with_capacity(d.programs.len());
+        for (&w, program) in &d.programs {
+            let i = w.0 as usize;
+            if i >= self.claims.len() {
+                self.claims.resize(i + 1, None);
             }
-            for &d in &unit.deps_comm {
-                self.comm_dependents.entry(d).or_default().comps.push(id);
+            if let Some((prev, _)) = self.claims[i] {
+                let prev = live(&mut self.jobs, prev).dag.get().job;
+                panic!("worker {w} claimed by both {prev} and {}", d.job);
             }
+            self.claims[i] = Some((slot, workers.len() as u32));
+            workers.push(WorkerState {
+                program: program
+                    .iter()
+                    .map(|&c| dense(&comp_ids, c, d.job))
+                    .collect(),
+                ptr: 0,
+                busy: false,
+            });
         }
-        for (&id, comm) in &dag.comms {
-            self.comm_of.insert(id, di);
-            self.comm_pending
-                .insert(id, comm.deps_comp.len() + comm.deps_comm.len());
-            for &d in &comm.deps_comp {
-                self.comp_dependents.entry(d).or_default().comms.push(id);
-            }
-            for &d in &comm.deps_comm {
-                self.comm_dependents.entry(d).or_default().comms.push(id);
-            }
-            self.comm_state.insert(
+        let comps: Vec<CompState> = d
+            .comps
+            .iter()
+            .map(|(&id, c)| CompState {
                 id,
-                CommState {
-                    released_stages: 0,
-                    outstanding: 0,
-                    started: None,
-                    done: false,
-                },
-            );
-            for f in comm.flows() {
-                self.flow_to_comm.insert(f.id, id);
-                self.job_of_flow.insert(f.id, dag.job);
-            }
+                worker: c.worker,
+                duration: c.duration,
+            })
+            .collect();
+        let comms: Vec<CommState> = d
+            .comms
+            .iter()
+            .map(|(&id, c)| CommState {
+                id,
+                stages: c.stages.len() as u32,
+                released_stages: 0,
+                outstanding: 0,
+                started: SimTime::ZERO,
+                done: false,
+            })
+            .collect();
+        self.total_comps += comps.len();
+        self.total_comms += comms.len();
+        let job = JobState {
+            units_left: pending.len(),
+            comps,
+            comms,
+            pending,
+            dep_start,
+            dependents: edges.into_iter().map(|(_, u)| u).collect(),
+            workers,
+            makespan: None,
+            dag,
+        };
+        match self.jobs.get_mut(slot as usize) {
+            Some(free) => *free = Some(job),
+            None => self.jobs.push(Some(job)),
         }
-        self.total_comps += dag.comps.len();
-        self.total_comms += dag.comms.len();
-        self.job_units_left
-            .insert(di, dag.comps.len() + dag.comms.len());
-        di
+        slot
     }
 
     /// Admits a feed-supplied job at `now`: index, activate, and — for a
     /// degenerate job with no units at all — retire on the spot.
-    fn admit_dag(&mut self, dag: JobDag, now: SimTime) {
-        let di = self.admit_entry(DagEntry::Owned(Box::new(dag)));
-        self.activate(di);
-        if self.job_units_left.get(&di) == Some(&0) {
-            self.retire_job(di, now);
+    fn admit_owned(&mut self, mut dag: JobDag, now: SimTime) {
+        // The policy holds the groupings; the runtime never reads them.
+        dag.echelons = Vec::new();
+        dag.coflows = Vec::new();
+        let slot = self.admit(DagRef::Owned(dag));
+        self.activate(slot);
+        if live(&mut self.jobs, slot).units_left == 0 {
+            self.retire_job(slot, now);
         }
     }
 
     /// Decrements a job's unfinished-unit count, retiring it at zero.
-    fn note_unit_done(&mut self, di: usize, now: SimTime) {
-        let left = self.job_units_left.get_mut(&di).expect("live job");
-        *left -= 1;
-        if *left == 0 {
-            self.retire_job(di, now);
+    fn note_unit_done(&mut self, slot: u32, now: SimTime) {
+        let job = live(&mut self.jobs, slot);
+        job.units_left -= 1;
+        if job.units_left == 0 {
+            self.retire_job(slot, now);
         }
     }
 
-    /// Retires a finished job: every per-unit lookup is dropped, its
-    /// worker claims are freed (later arrivals may reuse the hosts), and
-    /// an owned DAG is released. Bounded memory for open-loop runs; for
-    /// legacy runs this is pure cleanup with no observable effect.
-    fn retire_job(&mut self, di: usize, now: SimTime) {
-        let entry = std::mem::replace(&mut self.dags[di], DagEntry::Retired);
-        let dag = entry.dag();
-        let job = dag.job;
-        for w in dag.workers() {
-            self.worker_dag.remove(&w);
-            self.worker_busy_now.remove(&w);
-            self.program_ptr.remove(&w);
-            self.ready_workers.remove(&w);
+    /// Retires a finished job: its makespan is recorded, its slot and
+    /// state are freed, its worker claims dropped (later arrivals may
+    /// reuse the hosts), and an owned DAG released. Bounded memory for
+    /// open-loop runs.
+    fn retire_job(&mut self, slot: u32, now: SimTime) {
+        let Some(job) = self.jobs[slot as usize].take() else {
+            return;
+        };
+        self.free_slots.push(slot);
+        let dag = job.dag.get();
+        for &w in dag.programs.keys() {
+            self.claims[w.0 as usize] = None;
+            self.ready.workers.remove(&w);
         }
-        // Every unit has completed, and completion already removed its
-        // reverse edges.
-        for &id in dag.comps.keys() {
-            self.comp_of.remove(&id);
-            self.comp_pending.remove(&id);
-            self.comp_starts.remove(&id);
-        }
-        for (&id, comm) in &dag.comms {
-            self.comm_of.remove(&id);
-            self.comm_pending.remove(&id);
-            self.comm_state.remove(&id);
-            self.ready_comms.remove(&id);
-            for f in comm.flows() {
-                self.flow_to_comm.remove(&f.id);
-                self.job_of_flow.remove(&f.id);
-            }
-        }
-        self.job_units_left.remove(&di);
-        // A unit-less job still completes: its makespan is its admission.
-        self.result.job_makespans.entry(job).or_insert(now);
-        drop(entry);
+        // A job in which no computation or flow finished still completes:
+        // its makespan is its retirement.
+        let end = job.makespan.unwrap_or(now);
+        let e = self.result.job_makespans.entry(dag.job).or_insert(end);
+        *e = (*e).max(end);
         self.retired_in_pass = true;
         if let Some(feed) = self.feed.as_deref_mut() {
-            feed.on_job_retired(now, job);
+            feed.on_job_retired(now, dag.job);
         }
     }
 
@@ -521,55 +562,24 @@ impl<'a> JobSource<'a> {
         if !feed.wants_admission(now) {
             return;
         }
-        let claimed: BTreeSet<NodeId> = self.worker_dag.keys().copied().collect();
-        let admitted = self
-            .feed
-            .as_deref_mut()
-            .expect("feed mode")
-            .admit(now, &claimed);
-        for dag in admitted {
-            self.admit_dag(dag, now);
+        let claimed: BTreeSet<NodeId> = (0..self.claims.len())
+            .filter(|&w| self.claims[w].is_some())
+            .map(|w| NodeId(w as u32))
+            .collect();
+        for dag in feed.admit(now, &claimed) {
+            self.admit_owned(dag, now);
         }
     }
 
-    /// Admits dag `idx`: its workers and dependency-free communication
-    /// ops enter the ready queues.
-    fn activate(&mut self, idx: usize) {
-        let dag = self.dags[idx].dag();
-        for w in dag.workers() {
-            self.ready_workers.insert(w);
-        }
-        for &cid in dag.comms.keys() {
-            if self.comm_pending[&cid] == 0 {
-                self.ready_comms.insert(cid);
-            }
-        }
-    }
-
-    /// A completed unit unblocks its dependents: counters decrement, and
-    /// units that reach zero enter the ready queues. Each unit completes
-    /// exactly once, so callers remove its reverse edges rather than
-    /// copy them.
-    fn resolve(&mut self, deps: Option<Dependents>) {
-        let Some(deps) = deps else {
-            return;
-        };
-        for c in deps.comps {
-            let p = self.comp_pending.get_mut(&c).expect("known comp");
-            *p -= 1;
-            if *p == 0 {
-                // Startable once it is also at its program head; the
-                // worker queue re-checks that.
-                let di = self.comp_of[&c];
-                self.ready_workers
-                    .insert(self.dags[di].dag().comps[&c].worker);
-            }
-        }
-        for m in deps.comms {
-            let p = self.comm_pending.get_mut(&m).expect("known comm");
-            *p -= 1;
-            if *p == 0 {
-                self.ready_comms.insert(m);
+    /// Activates the job in `slot`: its workers and dependency-free
+    /// communication ops enter the ready queues.
+    fn activate(&mut self, slot: u32) {
+        let job = live(&mut self.jobs, slot);
+        self.ready.workers.extend(job.dag.get().programs.keys());
+        let nc = job.comps.len();
+        for (j, m) in job.comms.iter().enumerate() {
+            if job.pending[nc + j] == 0 {
+                self.ready.comms.insert((m.id, slot, j as u32));
             }
         }
     }
@@ -581,74 +591,65 @@ impl<'a> JobSource<'a> {
     }
 
     /// Completes a running computation unit at `now`.
-    fn finish_comp(&mut self, id: CompId, now: SimTime) {
-        self.running.remove(&id);
-        let di = self.comp_of[&id];
-        let dag = self.dags[di].dag();
-        let unit = &dag.comps[&id];
-        let worker = unit.worker;
-        let start = self.comp_starts[&id];
+    fn finish_comp(&mut self, r: Running, now: SimTime) {
+        let job = live(&mut self.jobs, r.slot);
         if self.history {
-            self.result.record_comp(id, unit, start, now);
+            let unit = &job.dag.get().comps[&r.id];
+            self.result.record_comp(r.id, unit, r.start, now);
         }
         // Wall time actually occupied (equals the nominal duration unless
         // a WorkerSlowdown fault stretched the unit mid-flight).
-        *self.result.worker_busy.entry(worker).or_insert(0.0) += (now - start).max(0.0);
-        let e = self
-            .result
-            .job_makespans
-            .entry(dag.job)
-            .or_insert(SimTime::ZERO);
-        *e = (*e).max(now);
+        *self.result.worker_busy.entry(r.worker).or_insert(0.0) += (now - r.start).max(0.0);
+        job.note_finish(now);
+        let worker = &mut job.workers[r.local_worker as usize];
+        worker.busy = false;
+        worker.ptr += 1;
+        self.ready.workers.insert(r.worker);
+        job.resolve(r.slot, r.comp as usize, &mut self.ready);
         self.comps_done += 1;
-        self.worker_busy_now.insert(worker, false);
-        *self.program_ptr.get_mut(&worker).expect("known worker") += 1;
-        self.ready_workers.insert(worker);
-        let deps = self.comp_dependents.remove(&id);
-        self.resolve(deps);
-        self.note_unit_done(di, now);
+        self.note_unit_done(r.slot, now);
     }
 
     /// Marks a communication op complete (last flow of its last stage).
-    fn finish_comm(&mut self, cid: CommId, now: SimTime) {
-        let di = self.comm_of[&cid];
-        let st = self.comm_state.get_mut(&cid).expect("known comm");
-        st.done = true;
-        let started = st.started.expect("started comm");
+    fn finish_comm(&mut self, slot: u32, j: u32, now: SimTime) {
+        let job = live(&mut self.jobs, slot);
+        let m = &mut job.comms[j as usize];
+        m.done = true;
         if self.history {
-            self.result.comm_spans.insert(cid, (started, now));
+            self.result.comm_spans.insert(m.id, (m.started, now));
         }
+        job.resolve(slot, job.comps.len() + j as usize, &mut self.ready);
         self.comms_done += 1;
-        let deps = self.comm_dependents.remove(&cid);
-        self.resolve(deps);
-        self.note_unit_done(di, now);
+        self.note_unit_done(slot, now);
     }
 
     /// Releases the next stage of a ready communication op.
     fn release_stage(
         &mut self,
-        cid: CommId,
+        slot: u32,
+        j: u32,
         now: SimTime,
         net: &mut FluidNetwork,
         trace: &mut FlowTrace,
     ) {
-        let dag = self.dags[self.comm_of[&cid]].dag();
-        let comm = &dag.comms[&cid];
-        let st = self.comm_state.get_mut(&cid).expect("known comm");
+        let job = live(&mut self.jobs, slot);
+        let m = &mut job.comms[j as usize];
         debug_assert!(
-            !st.done && st.outstanding == 0 && st.released_stages < comm.stages.len(),
-            "{cid} not in a releasable state"
+            !m.done && m.outstanding == 0 && m.released_stages < m.stages,
+            "{} not in a releasable state",
+            m.id
         );
-        if st.started.is_none() {
-            st.started = Some(now);
+        if m.released_stages == 0 {
+            m.started = now;
         }
-        let stage = &comm.stages[st.released_stages];
-        st.released_stages += 1;
-        st.outstanding = stage.flows.len();
+        let stage = &job.dag.get().comms[&m.id].stages[m.released_stages as usize];
+        m.released_stages += 1;
+        m.outstanding = stage.flows.len() as u32;
         for f in &stage.flows {
             net.release(&FlowDemand::new(f.id, f.src, f.dst, f.size, now));
             self.result.flow_releases.insert(f.id, now);
             trace.record(now, f.id, TraceEventKind::Released);
+            self.in_flight.insert(f.id, (slot, j));
         }
     }
 
@@ -660,43 +661,43 @@ impl<'a> JobSource<'a> {
         // inline can retire the whole job, dropping the worker's claim
         // mid-loop.
         loop {
-            let Some(&di) = self.worker_dag.get(&worker) else {
+            let Some(&Some((slot, w))) = self.claims.get(worker.0 as usize) else {
                 return;
             };
-            if self.worker_busy_now[&worker] {
+            let slow = self.slow_of(worker);
+            let job = live(&mut self.jobs, slot);
+            let state = &job.workers[w as usize];
+            let Some(&head) = state.program.get(state.ptr as usize) else {
+                return;
+            };
+            if state.busy || job.pending[head as usize] > 0 {
                 return;
             }
-            let ptr = self.program_ptr[&worker];
-            let dag = self.dags[di].dag();
-            let Some(program) = dag.programs.get(&worker) else {
-                return;
-            };
-            let Some(&head) = program.get(ptr) else {
-                return;
-            };
-            if self.comp_pending[&head] > 0 {
-                return;
-            }
-            let unit = &dag.comps[&head];
-            let duration = unit.duration;
-            self.comp_starts.insert(head, now);
+            let CompState { id, duration, .. } = job.comps[head as usize];
             if duration <= EPS {
                 // Instantaneous unit (barrier): complete now. Bookkeeping
                 // mirrors the non-zero path except worker-busy seconds and
                 // job makespans, which a zero-length span cannot move.
                 if self.history {
-                    self.result.record_comp(head, unit, now, now);
+                    let unit = &job.dag.get().comps[&id];
+                    self.result.record_comp(id, unit, now, now);
                 }
+                job.workers[w as usize].ptr += 1;
+                job.resolve(slot, head as usize, &mut self.ready);
                 self.comps_done += 1;
-                *self.program_ptr.get_mut(&worker).expect("known worker") += 1;
-                let deps = self.comp_dependents.remove(&head);
-                self.resolve(deps);
-                self.note_unit_done(di, now);
+                self.note_unit_done(slot, now);
                 continue;
             }
-            self.worker_busy_now.insert(worker, true);
-            self.running
-                .insert(head, now + duration * self.slow_of(worker));
+            job.workers[w as usize].busy = true;
+            self.running.push(Reverse(Running {
+                end: now + duration * slow,
+                id,
+                start: now,
+                worker,
+                slot,
+                comp: head,
+                local_worker: w,
+            }));
             return;
         }
     }
@@ -704,25 +705,29 @@ impl<'a> JobSource<'a> {
 
 impl WorkloadSource for JobSource<'_> {
     fn release_due(&mut self, now: SimTime, net: &mut FluidNetwork, trace: &mut FlowTrace) {
-        // Admit jobs whose arrival time has come.
+        // Activate jobs whose arrival time has come.
         while self.arrival_cursor < self.arrival_order.len() {
-            let idx = self.arrival_order[self.arrival_cursor];
-            if !self.arrivals[idx].at_or_before(now) {
+            let slot = self.arrival_order[self.arrival_cursor];
+            if !self.arrivals[slot].at_or_before(now) {
                 break;
             }
             self.arrival_cursor += 1;
-            self.activate(idx);
+            self.activate(slot as u32);
         }
         // Complete computation units whose end time has arrived, in
-        // ascending id order.
-        let due: Vec<CompId> = self
-            .running
-            .iter()
-            .filter(|(_, end)| end.at_or_before(now))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            self.finish_comp(id, now);
+        // ascending id order. Due-ness is monotone in the end time, so
+        // the due units are a prefix of the queue.
+        let mut due = Vec::new();
+        while let Some(&Reverse(r)) = self.running.peek() {
+            if !r.end.at_or_before(now) {
+                break;
+            }
+            due.push(r);
+            self.running.pop();
+        }
+        due.sort_unstable_by_key(|r| r.id);
+        for r in due {
+            self.finish_comp(r, now);
         }
         // Feed admission, then cascade newly ready stages and program
         // heads to a fixpoint. Comms drain first (releasing flows as
@@ -736,17 +741,13 @@ impl WorkloadSource for JobSource<'_> {
             self.admit_from_feed(now);
             self.retired_in_pass = false;
             loop {
-                if let Some(&cid) = self.ready_comms.iter().next() {
-                    self.ready_comms.remove(&cid);
-                    self.release_stage(cid, now, net, trace);
-                    continue;
-                }
-                if let Some(&w) = self.ready_workers.iter().next() {
-                    self.ready_workers.remove(&w);
+                if let Some((_, slot, j)) = self.ready.comms.pop_first() {
+                    self.release_stage(slot, j, now, net, trace);
+                } else if let Some(w) = self.ready.workers.pop_first() {
                     self.advance_program(w, now);
-                    continue;
+                } else {
+                    break;
                 }
-                break;
             }
             if self.feed.is_none() || !self.retired_in_pass {
                 break;
@@ -755,19 +756,16 @@ impl WorkloadSource for JobSource<'_> {
     }
 
     fn finished(&self) -> bool {
-        let feed_dry = match &self.feed {
-            Some(feed) => feed.exhausted(),
-            None => true,
-        };
+        let feed_dry = self.feed.as_ref().is_none_or(|feed| feed.exhausted());
         feed_dry && self.comps_done == self.total_comps && self.comms_done == self.total_comms
     }
 
     fn next_event_in(&self, now: SimTime) -> Option<f64> {
-        let dt_comp = self.running.values().min().map(|end| (*end - now).max(0.0));
+        let dt_comp = self.running.peek().map(|r| (r.0.end - now).max(0.0));
         let dt_arrival = self
             .arrival_order
             .get(self.arrival_cursor)
-            .map(|&idx| (self.arrivals[idx] - now).max(0.0));
+            .map(|&slot| (self.arrivals[slot] - now).max(0.0));
         let dt_feed = self
             .feed
             .as_ref()
@@ -788,26 +786,20 @@ impl WorkloadSource for JobSource<'_> {
     ) {
         for c in done {
             self.result.flow_finishes.insert(c.id, now);
-            if let Some(job) = self.job_of_flow.get(&c.id) {
-                let e = self
-                    .result
-                    .job_makespans
-                    .entry(*job)
-                    .or_insert(SimTime::ZERO);
-                *e = (*e).max(now);
+            let (slot, j) = self.in_flight.remove(&c.id).expect("flow released here");
+            let job = live(&mut self.jobs, slot);
+            job.note_finish(now);
+            let m = &mut job.comms[j as usize];
+            m.outstanding -= 1;
+            if m.outstanding > 0 {
+                continue;
             }
-            let cid = self.flow_to_comm[&c.id];
-            let stages = self.dags[self.comm_of[&cid]].dag().comms[&cid].stages.len();
-            let st = self.comm_state.get_mut(&cid).expect("known comm");
-            st.outstanding -= 1;
-            if st.outstanding == 0 {
-                if st.released_stages == stages {
-                    self.finish_comm(cid, now);
-                } else {
-                    // Next stage releases at this same instant, in the
-                    // cascade at the top of the next driver iteration.
-                    self.ready_comms.insert(cid);
-                }
+            if m.released_stages == m.stages {
+                self.finish_comm(slot, j, now);
+            } else {
+                // Next stage releases at this same instant, in the
+                // cascade at the top of the next driver iteration.
+                self.ready.comms.insert((m.id, slot, j));
             }
         }
     }
@@ -823,21 +815,27 @@ impl WorkloadSource for JobSource<'_> {
         };
         let old = self.slow_of(*worker);
         self.slow_factor.insert(*worker, *factor);
-        for (id, end) in self.running.iter_mut() {
-            let unit_worker = self.dags[self.comp_of[id]].dag().comps[id].worker;
-            if unit_worker == *worker {
-                let left = (*end - now).max(0.0);
-                *end = now + left * (factor / old);
-            }
+        let mut running = std::mem::take(&mut self.running).into_vec();
+        for Reverse(r) in running.iter_mut().filter(|r| r.0.worker == *worker) {
+            let left = (r.end - now).max(0.0);
+            r.end = now + left * (factor / old);
         }
+        self.running = BinaryHeap::from(running);
     }
 
     fn deadlock_context(&self) -> String {
-        let pending: Vec<String> = self
-            .comm_state
+        let mut pending: Vec<(CommId, u32)> = self
+            .jobs
             .iter()
-            .filter(|(_, st)| !st.done)
-            .map(|(id, st)| format!("{id}@stage{}", st.released_stages))
+            .flatten()
+            .flat_map(|job| &job.comms)
+            .filter(|m| !m.done)
+            .map(|m| (m.id, m.released_stages))
+            .collect();
+        pending.sort_unstable();
+        let pending: Vec<String> = pending
+            .iter()
+            .map(|(id, stage)| format!("{id}@stage{stage}"))
             .collect();
         let feed_note = match &self.feed {
             Some(feed) => format!(
@@ -1023,7 +1021,12 @@ mod tests {
 
     /// comp(1s) → 2B flow → comp(1s) on a unit link: makespan 4.
     fn relay_dag(alloc: &mut IdAlloc) -> JobDag {
-        let mut b = DagBuilder::new(JobId(0), alloc);
+        relay_job(alloc, JobId(0))
+    }
+
+    /// [`relay_dag`] as job `job`.
+    fn relay_job(alloc: &mut IdAlloc, job: JobId) -> JobDag {
+        let mut b = DagBuilder::new(job, alloc);
         let f1 = b.comp(NodeId(0), 1.0, CompKind::Forward, "F1", &[], &[]);
         let send = b.comm_op(
             &CollectiveOp::P2p {
@@ -1218,10 +1221,14 @@ mod tests {
         // relay_dag: comp(1s)@w0 → 2B flow → comp(1s)@w1, makespan 4.
         // Slowing w0 by 2× at t=0.5 stretches the running unit's second
         // half to 1s (F1 ends at 1.5); the flow and w1 are untouched:
-        // makespan 1.5 + 2 + 1 = 4.5.
+        // makespan 1.5 + 2 + 1 = 4.5. A second job's unit on w2 sits in
+        // the running queue beside F1 and must keep its end time.
         let mut alloc = IdAlloc::new();
         let dag = relay_dag(&mut alloc);
-        let topo = Topology::chain(2, 1.0);
+        let mut b = DagBuilder::new(JobId(1), &mut alloc);
+        let solo = b.comp(NodeId(2), 1.2, CompKind::Forward, "S", &[], &[]);
+        let other = b.build();
+        let topo = Topology::chain(3, 1.0);
         let plan = FaultPlan::empty().with(
             SimTime::new(0.5),
             FaultKind::WorkerSlowdown {
@@ -1231,15 +1238,131 @@ mod tests {
         );
         let out = run_jobs_faulted(
             &topo,
-            &[&dag],
+            &[&dag, &other],
             &mut MaxMinPolicy,
             RecomputeMode::Full,
             &plan,
         );
         assert!(out.makespan.approx_eq(SimTime::new(4.5)));
+        // F1 led the queue (end 1.0) when the fault struck and was
+        // rescaled in place; S now ends first.
+        let f1 = dag.programs[&NodeId(0)][0];
+        assert!(out.comp_spans[&f1].1.approx_eq(SimTime::new(1.5)));
+        assert!(out.comp_spans[&solo].1.approx_eq(SimTime::new(1.2)));
         // Busy accounting reflects the stretched wall time.
         assert!((out.worker_busy[&NodeId(0)] - 1.5).abs() < 1e-9);
         assert!((out.worker_busy[&NodeId(1)] - 1.0).abs() < 1e-9);
+        assert!((out.worker_busy[&NodeId(2)] - 1.2).abs() < 1e-9);
+    }
+
+    /// A feed that admits each job at its arrival time and logs
+    /// retirements. Callers space arrivals so that claims never clash.
+    struct QueueFeed {
+        jobs: std::collections::VecDeque<(SimTime, JobDag)>,
+        retired: Vec<JobId>,
+    }
+
+    impl QueueFeed {
+        fn new(jobs: Vec<(SimTime, JobDag)>) -> QueueFeed {
+            QueueFeed {
+                jobs: jobs.into(),
+                retired: Vec::new(),
+            }
+        }
+    }
+
+    impl JobFeed for QueueFeed {
+        fn next_event_at(&self) -> Option<SimTime> {
+            self.jobs.front().map(|&(at, _)| at)
+        }
+
+        fn admit(&mut self, now: SimTime, _claimed: &BTreeSet<NodeId>) -> Vec<JobDag> {
+            let due = self
+                .jobs
+                .iter()
+                .take_while(|(at, _)| at.at_or_before(now))
+                .count();
+            self.jobs.drain(..due).map(|(_, dag)| dag).collect()
+        }
+
+        fn on_job_retired(&mut self, _now: SimTime, job: JobId) {
+            self.retired.push(job);
+        }
+
+        fn exhausted(&self) -> bool {
+            self.jobs.is_empty()
+        }
+    }
+
+    /// Units whose ends fall within `EPS` of each other complete at one
+    /// instant in ascending id order, even when the larger id ends first:
+    /// each is its job's last unit, so the retirement order shows it.
+    #[test]
+    fn same_instant_completions_run_in_id_order() {
+        let mut alloc = IdAlloc::new();
+        let mut solo = |job: u32, worker: u32, duration: f64| {
+            let mut b = DagBuilder::new(JobId(job), &mut alloc);
+            let id = b.comp(NodeId(worker), duration, CompKind::Forward, "F", &[], &[]);
+            (id, b.build())
+        };
+        let (first, late) = solo(0, 0, 1.0 + EPS / 2.0);
+        let (second, early) = solo(1, 1, 1.0);
+        assert!(first < second);
+        let mut feed = QueueFeed::new(vec![(SimTime::ZERO, late), (SimTime::ZERO, early)]);
+        let out = run_jobs_streamed(
+            &Topology::chain(2, 1.0),
+            &mut feed,
+            &mut MaxMinPolicy,
+            RecomputeMode::Full,
+            &FaultPlan::empty(),
+        );
+        assert_eq!(feed.retired, vec![JobId(0), JobId(1)]);
+        assert_eq!(out.job_makespans[&JobId(0)], SimTime::new(1.0));
+        assert_eq!(out.job_makespans[&JobId(1)], SimTime::new(1.0));
+    }
+
+    /// Once a fed stream drains, nothing of its jobs is left in the
+    /// runtime: no running unit, queued op or host, in-flight flow,
+    /// claim or per-job table. Each relay retires before the next one
+    /// arrives, so all ten reuse one arena slot.
+    #[test]
+    fn drained_stream_leaves_no_runtime_state() {
+        let mut alloc = IdAlloc::new();
+        let jobs = (0..10)
+            .map(|i| {
+                (
+                    SimTime::new(5.0 * i as f64),
+                    relay_job(&mut alloc, JobId(i)),
+                )
+            })
+            .collect();
+        let mut feed = QueueFeed::new(jobs);
+        let mut source = JobSource::with_feed(&mut feed);
+        // The configuration `run_jobs_streamed` drives with.
+        let config = DriveConfig {
+            trace: false,
+            ..DriveConfig::default()
+        };
+        drive_faulted_configured(
+            &Topology::chain(2, 1.0),
+            &mut source,
+            &mut MaxMinPolicy,
+            RecomputeMode::Full,
+            &FaultPlan::empty(),
+            config,
+        );
+        let out = &source.result;
+        assert_eq!(out.job_makespans.len(), 10);
+        assert!(out.job_makespans[&JobId(9)].approx_eq(SimTime::new(49.0)));
+        assert!(source.running.is_empty());
+        assert!(source.ready.comms.is_empty() && source.ready.workers.is_empty());
+        assert!(source.in_flight.is_empty());
+        assert!(source.claims.iter().all(Option::is_none));
+        assert_eq!(source.jobs.len(), 1, "one arena slot, reused by every job");
+        assert!(source.jobs.iter().all(Option::is_none));
+        assert!(out.comp_spans.is_empty() && out.timeline.is_empty());
+        drop(source);
+        assert_eq!(feed.retired, (0..10).map(JobId).collect::<Vec<_>>());
     }
 
     #[test]

@@ -187,11 +187,112 @@ pub fn check_feasible_dense(
     }
     residuals_dense_into(topo, flows, rates, residual);
     for (idx, slack) in residual.iter().enumerate() {
-        if *slack < -1e-6 {
+        if *slack < OVERSUBSCRIBED {
             return Err(format!("resource r{idx} oversubscribed by {}", -slack));
         }
     }
     Ok(())
+}
+
+/// Slack below which a resource counts as oversubscribed.
+const OVERSUBSCRIBED: f64 = -1e-6;
+
+/// [`check_feasible_dense`] over the links in use: the same verdict and
+/// the same message, at O(flows · route) instead of O(flows · route +
+/// resources).
+///
+/// The audit keeps its own copy of the current capacities, which its
+/// owner updates through [`Self::set_capacity`] (the fluid network does
+/// so on every fault). A check seeds a link's residual from that copy on
+/// first touch and subtracts rates in flow order, so every slack has the
+/// bits the reference computes. An untouched link's slack is its
+/// capacity; links with a capacity below the tolerance are cached and
+/// seeded up front, so they are judged too. The topology keeps every
+/// capacity non-negative, so that cache is empty in practice.
+#[derive(Debug, Clone)]
+pub(crate) struct FeasibilityAudit {
+    /// Current capacity per resource.
+    caps: Vec<f64>,
+    /// Resources whose capacity alone is below the tolerance, ascending.
+    oversubscribed_caps: Vec<u32>,
+    /// Sparse set over `touched`: `slot[r]` is `r`'s position there when
+    /// `touched[slot[r]].0 == r`, so a check needs no clearing pass.
+    slot: Vec<u32>,
+    /// `(resource, residual)` for every link the current check touched.
+    touched: Vec<(u32, f64)>,
+}
+
+impl FeasibilityAudit {
+    /// An audit of `topo` at its current capacities.
+    pub(crate) fn new(topo: &Topology) -> FeasibilityAudit {
+        let mut caps = Vec::new();
+        topo.capacities_into(&mut caps);
+        let oversubscribed_caps = (0..caps.len() as u32)
+            .filter(|&r| caps[r as usize] < OVERSUBSCRIBED)
+            .collect();
+        FeasibilityAudit {
+            slot: vec![0; caps.len()],
+            caps,
+            oversubscribed_caps,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Records that resource `r` now has capacity `cap`.
+    pub(crate) fn set_capacity(&mut self, r: ResourceId, cap: f64) {
+        self.caps[r.0 as usize] = cap;
+        let pos = self.oversubscribed_caps.binary_search(&r.0);
+        match (pos, cap < OVERSUBSCRIBED) {
+            (Err(at), true) => self.oversubscribed_caps.insert(at, r.0),
+            (Ok(at), false) => {
+                self.oversubscribed_caps.remove(at);
+            }
+            _ => {}
+        }
+    }
+
+    /// Checks `rates` (`rates[i]` for `flows[i]`) against the current
+    /// capacities; `Ok` or `Err` with exactly the message
+    /// [`check_feasible_dense`] returns for the same input.
+    pub(crate) fn check(&mut self, flows: &[ActiveFlowView], rates: &[f64]) -> Result<(), String> {
+        debug_assert_eq!(flows.len(), rates.len());
+        self.touched.clear();
+        for &r in &self.oversubscribed_caps {
+            self.slot[r as usize] = self.touched.len() as u32;
+            self.touched.push((r, self.caps[r as usize]));
+        }
+        for (f, &rate) in flows.iter().zip(rates) {
+            // Any rate error outranks every residual error in the
+            // reference, which checks all rates first.
+            if rate < -EPS {
+                return Err(format!("flow {} has negative rate {rate}", f.id));
+            }
+            if !rate.is_finite() {
+                return Err(format!("flow {} has non-finite rate {rate}", f.id));
+            }
+            for r in &f.route {
+                let ri = r.0 as usize;
+                let s = self.slot[ri] as usize;
+                match self.touched.get_mut(s) {
+                    Some(entry) if entry.0 == r.0 => entry.1 -= rate,
+                    _ => {
+                        self.slot[ri] = self.touched.len() as u32;
+                        self.touched.push((r.0, self.caps[ri] - rate));
+                    }
+                }
+            }
+        }
+        // The reference reports the lowest oversubscribed resource id.
+        let worst = self
+            .touched
+            .iter()
+            .filter(|&&(_, slack)| slack < OVERSUBSCRIBED)
+            .min_by_key(|&&(r, _)| r);
+        match worst {
+            Some(&(r, slack)) => Err(format!("resource r{r} oversubscribed by {}", -slack)),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Weighted max-min fairness on top of a floor, by progressive filling.
@@ -1382,5 +1483,87 @@ mod tests {
             "only {crossers} of {flows} flows cross the core"
         );
         assert!(starved > 0, "no flow crossed a zero-capacity link");
+    }
+
+    /// The touched-link audit returns exactly the reference's `Ok` or
+    /// `Err` string on k=4 and k=8 fat trees with degraded and
+    /// zero-capacity links: for feasible, oversubscribed, negative, NaN
+    /// and zero-capacity-link rates, while capacities go down, degrade
+    /// and come back between checks.
+    #[test]
+    fn touched_link_audit_matches_reference_check() {
+        let mut ws = AllocScratch::new();
+        let mut outcomes = BTreeMap::new();
+        for seed in 0..80u64 {
+            let mut rng = echelon_detrand::DetRng::seed_from_u64(0xA0D17 + seed);
+            let k = if seed % 2 == 0 { 4 } else { 8 };
+            let n = rng.usize_range_inclusive(k, 12 * k);
+            let cross = rng.f64_range(0.1, 0.5);
+            let mut sim = FabricSim::new(&mut rng, k, n, cross);
+            let base = sim.caps();
+            let mut audit = FeasibilityAudit::new(&sim.topo);
+            for step in 0..8 {
+                if step > 0 {
+                    // Down, degrade or restore a few links, through both.
+                    for _ in 0..rng.usize_range_inclusive(1, 4) {
+                        let r = ResourceId(rng.usize_range_inclusive(0, base.len() - 1) as u32);
+                        let factor =
+                            [0.0, rng.f64_range(0.05, 0.95), 1.0][rng.usize_range_inclusive(0, 2)];
+                        let cap = base[r.0 as usize] * factor;
+                        sim.topo.set_capacity(r, cap);
+                        audit.set_capacity(r, cap);
+                    }
+                }
+                let mut rates = fair(&sim.topo, &sim.flows, &mut ws);
+                let i = rng.usize_range_inclusive(0, n - 1);
+                match rng.usize_range_inclusive(0, 5) {
+                    // Feasible as filled.
+                    0 => {}
+                    // Oversubscribed: one or more flows overdrawn.
+                    1 => {
+                        for r in rates.iter_mut().filter(|_| rng.next_f64() < 0.3) {
+                            *r = *r * 1.5 + 0.25;
+                        }
+                    }
+                    // Negative: beyond and within the EPS tolerance.
+                    2 => rates[i] = -rng.f64_range(0.0, 2.0 * EPS),
+                    3 => {
+                        rates[i] = if seed % 3 == 0 {
+                            f64::INFINITY
+                        } else {
+                            f64::NAN
+                        }
+                    }
+                    // A positive rate on every flow crossing a dead link.
+                    4 => {
+                        for (f, r) in sim.flows.iter().zip(rates.iter_mut()) {
+                            if f.route.iter().any(|l| sim.topo.capacity(*l) == 0.0) {
+                                *r = 1e-3;
+                            }
+                        }
+                    }
+                    // A late error behind an earlier oversubscription.
+                    _ => {
+                        rates[0] += 10.0;
+                        rates[i] = -1.0;
+                    }
+                }
+                let want = check_feasible_dense(&sim.topo, &sim.flows, &rates, &mut Vec::new());
+                let got = audit.check(&sim.flows, &rates);
+                assert_eq!(got, want, "seed {seed} step {step}");
+                let kind = match &want {
+                    Ok(()) => "ok",
+                    Err(m) if m.contains("negative") => "negative",
+                    Err(m) if m.contains("non-finite") => "non-finite",
+                    Err(_) => "oversubscribed",
+                };
+                *outcomes.entry(kind).or_insert(0) += 1;
+            }
+        }
+        // Non-vacuity: every verdict occurs often.
+        for kind in ["ok", "negative", "non-finite", "oversubscribed"] {
+            let seen = outcomes.get(kind).copied().unwrap_or(0);
+            assert!(seen >= 20, "{kind} seen {seen} times: {outcomes:?}");
+        }
     }
 }

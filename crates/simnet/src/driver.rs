@@ -46,8 +46,9 @@ pub struct DriveConfig {
     /// driver's [`FluidNetwork`].
     pub next_completion: NextCompletionMode,
     /// Per-allocation feasibility verification
-    /// ([`FluidNetwork::set_feasibility_checks`]); `false` for scale
-    /// benchmarks where the O(flows · route) audit dominates.
+    /// ([`FluidNetwork::set_feasibility_checks`]): an O(flows · route)
+    /// pass over the links in use, with no arithmetic effect. `false`
+    /// for scale benchmarks, which pin the allocator by digest instead.
     pub feasibility_checks: bool,
     /// Whether the run keeps a trace at all (AND-ed with
     /// [`WorkloadSource::wants_trace`]). Off, every event kind is

@@ -22,7 +22,7 @@
 //! which incremental policies use to update cached group state instead of
 //! re-deriving it from the full flow set at every event.
 
-use crate::alloc::check_feasible_dense;
+use crate::alloc::FeasibilityAudit;
 use crate::calendar::CalendarQueue;
 use crate::flow::{ActiveFlowView, FlowArena, FlowCompletion, FlowDemand};
 use crate::ids::{FlowId, ResourceId};
@@ -94,12 +94,13 @@ pub struct FluidNetwork {
     calendar: CalendarQueue,
     mode: NextCompletionMode,
     /// When false, [`Self::set_rates_dense`] skips the infeasibility
-    /// panic (an O(F·route + R) safety scan with no arithmetic effect) —
-    /// the scale benches disable it after the differential suites have
-    /// pinned the allocator.
+    /// panic (an O(F·route) safety scan over the links in use, with no
+    /// arithmetic effect) — the scale benches disable it after the
+    /// differential suites have pinned the allocator.
     feasibility_checks: bool,
-    /// Reused per-resource buffer for dense feasibility checks.
-    feas_residual: Vec<f64>,
+    /// The audit and its copy of the current capacities, built at the
+    /// first check and dropped when checks are switched off.
+    audit: Option<FeasibilityAudit>,
     /// Construction-time capacities, the reference point fault factors
     /// scale from (see [`Self::apply_capacity_factor`]).
     base_caps: Vec<f64>,
@@ -139,7 +140,7 @@ impl FluidNetwork {
             calendar: CalendarQueue::new(),
             mode,
             feasibility_checks: true,
-            feas_residual: Vec::new(),
+            audit: None,
             base_caps,
             down: vec![false; num_resources],
             down_count: 0,
@@ -178,6 +179,9 @@ impl FluidNetwork {
         assert!(ri < self.base_caps.len(), "resource {r} out of range");
         let cap = self.base_caps[ri] * factor;
         self.topology.set_capacity(r, cap);
+        if let Some(audit) = &mut self.audit {
+            audit.set_capacity(r, cap);
+        }
         self.calendar.invalidate_min();
         let is_down = cap <= EPS;
         match (self.down[ri], is_down) {
@@ -282,6 +286,28 @@ impl FluidNetwork {
     /// it off after the differential suites have pinned the allocator.
     pub fn set_feasibility_checks(&mut self, on: bool) {
         self.feasibility_checks = on;
+        if !on {
+            self.audit = None;
+        }
+    }
+
+    /// Audits `rates` (`rates[i]` for `views()[i]`; `None` for the live
+    /// table) when checks are on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the allocation is infeasible for the current capacities.
+    fn audit(&mut self, rates: Option<&[f64]>) {
+        if !self.feasibility_checks {
+            return;
+        }
+        let topology = &self.topology;
+        let audit = self
+            .audit
+            .get_or_insert_with(|| FeasibilityAudit::new(topology));
+        if let Err(msg) = audit.check(&self.views, rates.unwrap_or(&self.rates)) {
+            panic!("infeasible rate allocation: {msg}");
+        }
     }
 
     /// Pre-sizes every per-flow structure for up to `n` concurrently
@@ -351,13 +377,7 @@ impl FluidNetwork {
             rates.len(),
             self.views.len()
         );
-        if self.feasibility_checks {
-            if let Err(msg) =
-                check_feasible_dense(&self.topology, &self.views, rates, &mut self.feas_residual)
-            {
-                panic!("infeasible rate allocation: {msg}");
-            }
-        }
+        self.audit(Some(rates));
         for (i, &r) in rates.iter().enumerate() {
             let new = r.max(0.0);
             if new.to_bits() != self.rates[i].to_bits() {
@@ -393,16 +413,7 @@ impl FluidNetwork {
                 self.update_due(i);
             }
         }
-        if self.feasibility_checks {
-            if let Err(msg) = check_feasible_dense(
-                &self.topology,
-                &self.views,
-                &self.rates,
-                &mut self.feas_residual,
-            ) {
-                panic!("infeasible rate allocation: {msg}");
-            }
-        }
+        self.audit(None);
     }
 
     /// Current rate of a flow (zero if inactive).
@@ -747,6 +758,33 @@ mod tests {
         net.release(&demand(0, 0, 1, 2.0, 0.0));
         net.apply_capacity_factor(crate::ids::ResourceId(0), 0.25);
         net.set_rates_dense(&[1.0]); // feasible pre-fault, not post
+    }
+
+    /// A capacity change reaches an audit that is already built: after a
+    /// feasible apply, downing the flow's link makes the same rates
+    /// panic with the reference check's message, on both apply paths.
+    #[test]
+    fn downed_link_reaches_a_built_audit() {
+        use crate::alloc::check_feasible_dense;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for sparse in [false, true] {
+            let mut net = FluidNetwork::new(Topology::big_switch_uniform(2, 1.0));
+            net.release(&demand(0, 0, 1, 2.0, 0.0));
+            net.set_rates_dense(&[1.0]);
+            net.apply_capacity_factor(crate::ids::ResourceId(0), 0.0);
+            let want = check_feasible_dense(net.topology(), net.views(), &[1.0], &mut Vec::new())
+                .expect_err("the downed link is oversubscribed");
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                if sparse {
+                    net.set_rates_sparse(&[1.0], &[]);
+                } else {
+                    net.set_rates_dense(&[1.0]);
+                }
+            }))
+            .expect_err("the stale allocation must be rejected");
+            let got = panic.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(*got, format!("infeasible rate allocation: {want}"));
+        }
     }
 
     #[test]
