@@ -848,7 +848,7 @@ mod tests {
     /// control latency.
     #[test]
     fn incremental_path_matches_naive() {
-        use echelon_paradigms::runtime::run_job_with;
+        use echelon_paradigms::runtime::run_jobs_with;
         use echelon_simnet::runner::RecomputeMode;
 
         let configs = [
@@ -878,12 +878,12 @@ mod tests {
             let mut coord = Coordinator::new(cfg);
             coord.submit_all(requests_from_dag(&dag));
             let mut naive = coord.into_policy();
-            let full = run_job_with(&topo, &dag, &mut naive, RecomputeMode::Full);
+            let full = run_jobs_with(&topo, &[&dag], &mut naive, RecomputeMode::Full);
 
             let mut coord = Coordinator::new(cfg);
             coord.submit_all(requests_from_dag(&dag));
             let mut inc = coord.into_policy();
-            let fast = run_job_with(&topo, &dag, &mut inc, RecomputeMode::Incremental);
+            let fast = run_jobs_with(&topo, &[&dag], &mut inc, RecomputeMode::Incremental);
 
             assert_eq!(
                 full.trace.events(),

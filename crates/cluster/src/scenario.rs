@@ -6,18 +6,15 @@
 //! times and utilization.
 
 use crate::metrics::{scenario_metrics, ScenarioMetrics};
-use crate::workload::{
-    generate_workload_on, generate_workload_ungated, GeneratedJob, WorkloadConfig,
-};
+use crate::workload::{generate_workload_on, GeneratedJob, WorkloadConfig};
 use echelon_paradigms::dag::JobDag;
 use echelon_paradigms::ids::IdAlloc;
 use echelon_paradigms::runtime::{
-    make_policy, run_jobs, run_jobs_arriving, run_jobs_faulted, run_jobs_with, Grouping, RunResult,
+    make_policy, run_jobs, run_jobs_faulted, run_jobs_with, Grouping, RunResult,
 };
 use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
 use echelon_simnet::fault::FaultPlan;
 use echelon_simnet::runner::{MaxMinPolicy, RatePolicy, RecomputeMode};
-use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
 
 /// The schedulers a scenario can compare.
@@ -100,17 +97,6 @@ impl Scenario {
         Scenario { topology, jobs }
     }
 
-    /// Generates a scenario whose DAGs carry **no** arrival gates: run it
-    /// through [`Scenario::run_admission`], which feeds the recorded
-    /// arrival times to the runtime's admission path instead. Ids match
-    /// the gated variant for the same config.
-    pub fn generate_ungated(cfg: &WorkloadConfig) -> Scenario {
-        let topology = Topology::big_switch_uniform(cfg.hosts, 1.0);
-        let mut alloc = IdAlloc::new();
-        let jobs = generate_workload_ungated(cfg, &mut alloc);
-        Scenario { topology, jobs }
-    }
-
     /// Runs the scenario under one scheduler.
     pub fn run(&self, kind: SchedulerKind) -> (RunResult, ScenarioMetrics) {
         self.run_with_mode(kind, RecomputeMode::Full)
@@ -126,23 +112,6 @@ impl Scenario {
         let dags: Vec<&_> = self.jobs.iter().map(|j| &j.dag).collect();
         let mut policy = policy_for(kind, &dags);
         let run = run_jobs_with(&self.topology, &dags, policy.as_mut(), mode);
-        let metrics = scenario_metrics(&self.jobs, &run);
-        (run, metrics)
-    }
-
-    /// Runs an **ungated** scenario (see [`Scenario::generate_ungated`])
-    /// by admitting each job at its recorded arrival time through the
-    /// runtime's admission path, instead of baking the arrival into the
-    /// DAG as a gate unit.
-    pub fn run_admission(
-        &self,
-        kind: SchedulerKind,
-        mode: RecomputeMode,
-    ) -> (RunResult, ScenarioMetrics) {
-        let dags: Vec<&_> = self.jobs.iter().map(|j| &j.dag).collect();
-        let arrivals: Vec<SimTime> = self.jobs.iter().map(|j| SimTime::new(j.arrival)).collect();
-        let mut policy = policy_for(kind, &dags);
-        let run = run_jobs_arriving(&self.topology, &dags, &arrivals, policy.as_mut(), mode);
         let metrics = scenario_metrics(&self.jobs, &run);
         (run, metrics)
     }
@@ -255,47 +224,6 @@ mod tests {
             );
             assert_eq!(full.flow_finishes, inc.flow_finishes);
             assert_eq!(full.job_makespans, inc.job_makespans);
-        }
-    }
-
-    /// The admission path (arrivals fed to the runtime) is bit-identical
-    /// across recompute modes too.
-    #[test]
-    fn admission_path_matches_across_modes() {
-        let cfg = WorkloadConfig::default_mix(31, 4, 24);
-        let scenario = Scenario::generate_ungated(&cfg);
-        for kind in [SchedulerKind::Fair, SchedulerKind::Echelon] {
-            let (full, _) = scenario.run_admission(kind, RecomputeMode::Full);
-            let (inc, _) = scenario.run_admission(kind, RecomputeMode::Incremental);
-            assert_eq!(
-                full.trace.events(),
-                inc.trace.events(),
-                "{} admission trace diverged between modes",
-                kind.name()
-            );
-            assert_eq!(full.flow_finishes, inc.flow_finishes);
-        }
-    }
-
-    /// Gate units and runtime admission are two representations of the
-    /// same workload: job completion times agree.
-    #[test]
-    fn admission_agrees_with_arrival_gates() {
-        let cfg = WorkloadConfig::default_mix(37, 4, 24);
-        let gated = Scenario::generate(&cfg);
-        let ungated = Scenario::generate_ungated(&cfg);
-        for kind in [SchedulerKind::Fair, SchedulerKind::Echelon] {
-            let (g, _) = gated.run_with_mode(kind, RecomputeMode::Full);
-            let (a, _) = ungated.run_admission(kind, RecomputeMode::Full);
-            assert_eq!(g.job_makespans.len(), a.job_makespans.len());
-            for (job, t) in &g.job_makespans {
-                let ta = a.job_makespans[job];
-                assert!(
-                    t.approx_eq(ta),
-                    "{} job {job:?}: gated {t:?} vs admitted {ta:?}",
-                    kind.name()
-                );
-            }
         }
     }
 

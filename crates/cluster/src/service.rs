@@ -245,32 +245,10 @@ pub struct ServiceFeed {
 }
 
 impl ServiceFeed {
-    /// Streaming feed over `cfg`'s lazily generated job stream,
-    /// publishing lifecycle events to `bus` when given one. Fixed
-    /// placement only — use [`ServiceFeed::streaming_on`] when the
-    /// config defers placement to admission.
-    pub fn streaming(
-        cfg: OpenLoopConfig,
-        service: &ServiceConfig,
-        bus: Option<LifecycleBus>,
-    ) -> ServiceFeed {
-        assert!(
-            cfg.placement == ServicePlacement::Fixed,
-            "admission-time placement needs the topology: use ServiceFeed::streaming_on"
-        );
-        let tenants = cfg.tenants.len();
-        ServiceFeed::over(
-            JobSourceIter::Stream(Box::new(JobStream::new(cfg))),
-            tenants,
-            service,
-            bus,
-            None,
-        )
-    }
-
-    /// [`ServiceFeed::streaming`] on an explicit topology: when `cfg`
-    /// defers placement to admission, the feed places each job from the
-    /// free-host set using the configured policy and compiles it then.
+    /// Streaming feed over `cfg`'s lazily generated job stream on
+    /// `topo`, publishing lifecycle events to `bus` when given one. When
+    /// `cfg` defers placement to admission, the feed places each job from
+    /// the free-host set using the configured policy and compiles it then.
     pub fn streaming_on(
         topo: &Topology,
         cfg: OpenLoopConfig,

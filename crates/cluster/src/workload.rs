@@ -206,7 +206,7 @@ pub fn apply_compute_jitter(dag: &mut JobDag, frac: f64, rng: &mut DetRng) {
 ///
 /// Panics if the sampled jobs need more hosts than the cluster has.
 pub fn generate_workload(cfg: &WorkloadConfig, alloc: &mut IdAlloc) -> Vec<GeneratedJob> {
-    generate_workload_impl(cfg, None, alloc, true)
+    generate_workload_impl(cfg, None, alloc)
 }
 
 /// [`generate_workload`] with placement steered by `topo`: pod-aware
@@ -222,26 +222,14 @@ pub fn generate_workload_on(
     topo: &Topology,
     alloc: &mut IdAlloc,
 ) -> Vec<GeneratedJob> {
-    generate_workload_impl(cfg, Some(topo), alloc, true)
-}
-
-/// Like [`generate_workload`] but *without* the arrival-gate units: the
-/// DAGs start at t = 0 and [`GeneratedJob::arrival`] is meant to be fed
-/// to the runtime's admission path
-/// ([`echelon_paradigms::runtime::run_jobs_arriving`]) instead.
-///
-/// Flow, communication and EchelonFlow ids are identical to the gated
-/// variant for the same config (the gates only consume computation ids),
-/// so flow-level comparisons across the two representations line up.
-pub fn generate_workload_ungated(cfg: &WorkloadConfig, alloc: &mut IdAlloc) -> Vec<GeneratedJob> {
-    generate_workload_impl(cfg, None, alloc, false)
+    generate_workload_impl(cfg, Some(topo), alloc)
 }
 
 /// Compiles one sampled job into its [`JobDag`] — the single shared
 /// frontend used by the batch generator and the open-loop [`JobStream`].
 /// `hosts` must have exactly [`hosts_needed`] entries for `kind`; the DAG
-/// is ungated (its arrival is enforced by the admission path, or by
-/// [`delay_start`] for the gated batch representation).
+/// is ungated (its arrival is enforced by the service feed's admission,
+/// or by [`delay_start`] in the closed-loop batch).
 pub fn compile_job(
     job: JobId,
     kind: ParadigmKind,
@@ -381,7 +369,6 @@ fn generate_workload_impl(
     cfg: &WorkloadConfig,
     topo: Option<&Topology>,
     alloc: &mut IdAlloc,
-    gate: bool,
 ) -> Vec<GeneratedJob> {
     assert!(cfg.jobs >= 1, "need at least one job");
     let mut rng = DetRng::seed_from_u64(cfg.seed);
@@ -462,13 +449,8 @@ fn generate_workload_impl(
             cfg.iterations,
             alloc,
         );
-        let dag = if gate {
-            delay_start(dag, draft.arrival, alloc)
-        } else {
-            dag
-        };
         jobs.push(GeneratedJob {
-            dag,
+            dag: delay_start(dag, draft.arrival, alloc),
             kind: draft.kind,
             arrival: draft.arrival,
             placement: hosts,

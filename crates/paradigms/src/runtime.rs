@@ -19,9 +19,10 @@
 //! O(total DAG size) or O(running units), and a job's state is freed when
 //! it retires.
 //!
-//! [`run_jobs_arriving`] additionally admits each job at its own arrival
-//! time (the cluster workload shape): a job's workers and communication
-//! units do not exist for the scheduler until the job is activated.
+//! A job enters in one of two ways, both through the same admission step:
+//! the closed-loop entry points admit every DAG at construction (t = 0;
+//! a later start is an arrival gate spliced into the DAG), and
+//! [`run_jobs_streamed`] admits each DAG its [`JobFeed`] hands over.
 //!
 //! The result records everything the paper's figures need: per-unit
 //! computation spans (Fig. 1a timelines, idle fractions), flow release and
@@ -351,22 +352,16 @@ fn live<'j, 'a>(jobs: &'j mut [Option<JobState<'a>>], slot: u32) -> &'j mut JobS
 }
 
 /// The DAG-runtime [`WorkloadSource`]: computation programs, dependency
-/// counters, staged communication ops, and per-job admission times.
+/// counters and staged communication ops.
 #[derive(Default)]
 struct JobSource<'a> {
     /// Job arena. A retired job's slot is emptied and reused by the next
     /// admission, so the arena follows the live jobs, not the stream.
     jobs: Vec<Option<JobState<'a>>>,
     free_slots: Vec<u32>,
-    /// Incremental job supplier for open-loop runs; `None` on the legacy
-    /// entry points (all DAGs admitted at construction).
+    /// Incremental job supplier for open-loop runs; `None` on the
+    /// closed-loop entry points (all DAGs admitted at construction).
     feed: Option<&'a mut dyn JobFeed>,
-    /// Per-slot activation time (legacy entry points only).
-    arrivals: Vec<SimTime>,
-    /// Slots in ascending (arrival, slot) order; `arrival_cursor` marks
-    /// the next unactivated job.
-    arrival_order: Vec<usize>,
-    arrival_cursor: usize,
     /// Per host id: the live job (slot, worker index) whose program runs
     /// there.
     claims: Vec<Option<(u32, u32)>>,
@@ -378,10 +373,6 @@ struct JobSource<'a> {
     /// Set when a job retires during the current release pass; the feed
     /// admission scan re-runs so a blocked job can enter at this instant.
     retired_in_pass: bool,
-    comps_done: usize,
-    comms_done: usize,
-    total_comps: usize,
-    total_comms: usize,
     /// Per-worker compute slowdown multipliers from
     /// [`FaultKind::WorkerSlowdown`] faults (absent = 1.0). Applied to
     /// the duration of units started after the fault and to the remaining
@@ -394,16 +385,10 @@ struct JobSource<'a> {
 }
 
 impl<'a> JobSource<'a> {
-    fn new(dags: &'a [&'a JobDag], arrivals: Vec<SimTime>) -> JobSource<'a> {
-        let mut arrival_order: Vec<usize> = (0..dags.len()).collect();
-        arrival_order.sort_by(|&a, &b| arrivals[a].cmp(&arrivals[b]).then(a.cmp(&b)));
-        let mut source = JobSource {
-            arrivals,
-            arrival_order,
-            ..JobSource::default()
-        };
+    fn new(dags: &'a [&'a JobDag]) -> JobSource<'a> {
+        let mut source = JobSource::default();
         for &dag in dags {
-            source.admit(DagRef::Borrowed(dag));
+            source.admit(DagRef::Borrowed(dag), SimTime::ZERO);
         }
         source
     }
@@ -415,13 +400,15 @@ impl<'a> JobSource<'a> {
         }
     }
 
-    /// Indexes one job into a free arena slot: dense unit states,
-    /// dependency counters, reverse edges, worker claims, unit totals.
-    /// Panics if a worker is already claimed by a live job — legacy entry
-    /// points reach this from construction (disjointness validation),
-    /// feed-driven runs only after the admission gate checked the claim
-    /// set.
-    fn admit(&mut self, dag: DagRef<'a>) -> u32 {
+    /// Admits one job at `now`, the only way into the runtime: indexes
+    /// it into a free arena slot (dense unit states, dependency counters,
+    /// reverse edges, worker claims), readies its workers and
+    /// dependency-free communication ops, and retires it on the spot if
+    /// it has no units. Panics if a worker is already claimed by a live
+    /// job — closed-loop runs reach this from construction (disjointness
+    /// validation), feed-driven runs only after the admission gate
+    /// checked the claim set.
+    fn admit(&mut self, dag: DagRef<'a>, now: SimTime) {
         let slot = self.free_slots.pop().unwrap_or(self.jobs.len() as u32);
         let d = dag.get();
         let comp_ids: Vec<CompId> = d.comps.keys().copied().collect();
@@ -486,10 +473,15 @@ impl<'a> JobSource<'a> {
                 done: false,
             })
             .collect();
-        self.total_comps += comps.len();
-        self.total_comms += comms.len();
+        self.ready.workers.extend(d.programs.keys());
+        for (j, m) in comms.iter().enumerate() {
+            if pending[nc as usize + j] == 0 {
+                self.ready.comms.insert((m.id, slot, j as u32));
+            }
+        }
+        let units_left = pending.len();
         let job = JobState {
-            units_left: pending.len(),
+            units_left,
             comps,
             comms,
             pending,
@@ -503,18 +495,7 @@ impl<'a> JobSource<'a> {
             Some(free) => *free = Some(job),
             None => self.jobs.push(Some(job)),
         }
-        slot
-    }
-
-    /// Admits a feed-supplied job at `now`: index, activate, and — for a
-    /// degenerate job with no units at all — retire on the spot.
-    fn admit_owned(&mut self, mut dag: JobDag, now: SimTime) {
-        // The policy holds the groupings; the runtime never reads them.
-        dag.echelons = Vec::new();
-        dag.coflows = Vec::new();
-        let slot = self.admit(DagRef::Owned(dag));
-        self.activate(slot);
-        if live(&mut self.jobs, slot).units_left == 0 {
+        if units_left == 0 {
             self.retire_job(slot, now);
         }
     }
@@ -566,21 +547,11 @@ impl<'a> JobSource<'a> {
             .filter(|&w| self.claims[w].is_some())
             .map(|w| NodeId(w as u32))
             .collect();
-        for dag in feed.admit(now, &claimed) {
-            self.admit_owned(dag, now);
-        }
-    }
-
-    /// Activates the job in `slot`: its workers and dependency-free
-    /// communication ops enter the ready queues.
-    fn activate(&mut self, slot: u32) {
-        let job = live(&mut self.jobs, slot);
-        self.ready.workers.extend(job.dag.get().programs.keys());
-        let nc = job.comps.len();
-        for (j, m) in job.comms.iter().enumerate() {
-            if job.pending[nc + j] == 0 {
-                self.ready.comms.insert((m.id, slot, j as u32));
-            }
+        for mut dag in feed.admit(now, &claimed) {
+            // The policy holds the groupings; the runtime never reads them.
+            dag.echelons = Vec::new();
+            dag.coflows = Vec::new();
+            self.admit(DagRef::Owned(dag), now);
         }
     }
 
@@ -606,7 +577,6 @@ impl<'a> JobSource<'a> {
         worker.ptr += 1;
         self.ready.workers.insert(r.worker);
         job.resolve(r.slot, r.comp as usize, &mut self.ready);
-        self.comps_done += 1;
         self.note_unit_done(r.slot, now);
     }
 
@@ -619,7 +589,6 @@ impl<'a> JobSource<'a> {
             self.result.comm_spans.insert(m.id, (m.started, now));
         }
         job.resolve(slot, job.comps.len() + j as usize, &mut self.ready);
-        self.comms_done += 1;
         self.note_unit_done(slot, now);
     }
 
@@ -684,7 +653,6 @@ impl<'a> JobSource<'a> {
                 }
                 job.workers[w as usize].ptr += 1;
                 job.resolve(slot, head as usize, &mut self.ready);
-                self.comps_done += 1;
                 self.note_unit_done(slot, now);
                 continue;
             }
@@ -705,15 +673,6 @@ impl<'a> JobSource<'a> {
 
 impl WorkloadSource for JobSource<'_> {
     fn release_due(&mut self, now: SimTime, net: &mut FluidNetwork, trace: &mut FlowTrace) {
-        // Activate jobs whose arrival time has come.
-        while self.arrival_cursor < self.arrival_order.len() {
-            let slot = self.arrival_order[self.arrival_cursor];
-            if !self.arrivals[slot].at_or_before(now) {
-                break;
-            }
-            self.arrival_cursor += 1;
-            self.activate(slot as u32);
-        }
         // Complete computation units whose end time has arrived, in
         // ascending id order. Due-ness is monotone in the end time, so
         // the due units are a prefix of the queue.
@@ -756,25 +715,19 @@ impl WorkloadSource for JobSource<'_> {
     }
 
     fn finished(&self) -> bool {
+        // Every slot is free exactly when no job is live.
         let feed_dry = self.feed.as_ref().is_none_or(|feed| feed.exhausted());
-        feed_dry && self.comps_done == self.total_comps && self.comms_done == self.total_comms
+        feed_dry && self.free_slots.len() == self.jobs.len()
     }
 
     fn next_event_in(&self, now: SimTime) -> Option<f64> {
         let dt_comp = self.running.peek().map(|r| (r.0.end - now).max(0.0));
-        let dt_arrival = self
-            .arrival_order
-            .get(self.arrival_cursor)
-            .map(|&slot| (self.arrivals[slot] - now).max(0.0));
         let dt_feed = self
             .feed
             .as_ref()
             .and_then(|feed| feed.next_event_at())
             .map(|t| (t - now).max(0.0));
-        [dt_comp, dt_arrival, dt_feed]
-            .into_iter()
-            .flatten()
-            .reduce(f64::min)
+        [dt_comp, dt_feed].into_iter().flatten().reduce(f64::min)
     }
 
     fn on_flow_completions(
@@ -845,26 +798,14 @@ impl WorkloadSource for JobSource<'_> {
             ),
             None => String::new(),
         };
-        format!(
-            "{}/{} comps, {}/{} comms done; pending comms: {pending:?}{feed_note}",
-            self.comps_done, self.total_comps, self.comms_done, self.total_comms
-        )
+        let live_jobs = self.jobs.len() - self.free_slots.len();
+        format!("{live_jobs} live jobs; pending comms: {pending:?}{feed_note}")
     }
 }
 
 /// Runs a single job to completion (convenience wrapper).
 pub fn run_job(topo: &Topology, dag: &JobDag, policy: &mut dyn RatePolicy) -> RunResult {
     run_jobs(topo, &[dag], policy)
-}
-
-/// Like [`run_job`], but selecting the policy recompute mode.
-pub fn run_job_with(
-    topo: &Topology,
-    dag: &JobDag,
-    policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
-) -> RunResult {
-    run_jobs_with(topo, &[dag], policy, mode)
 }
 
 /// Runs several jobs sharing the network to completion, using the
@@ -893,26 +834,6 @@ pub fn run_jobs_with(
     run_jobs_faulted(topo, dags, policy, mode, &FaultPlan::empty())
 }
 
-/// Runs several jobs with per-job admission times: job `i` is invisible to
-/// the simulation until `arrivals[i]` — its workers sit idle and its
-/// communication ops cannot release, exactly like a job that has not been
-/// submitted yet. This is the cluster-arrival workload shape, without the
-/// synthetic gate computation units `delay_start` would splice in.
-///
-/// # Panics
-///
-/// Panics if `arrivals.len() != dags.len()`, or for the same reasons as
-/// [`run_jobs_with`].
-pub fn run_jobs_arriving(
-    topo: &Topology,
-    dags: &[&JobDag],
-    arrivals: &[SimTime],
-    policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
-) -> RunResult {
-    run_jobs_arriving_faulted(topo, dags, arrivals, policy, mode, &FaultPlan::empty())
-}
-
 /// [`run_jobs_with`] under an injected [`FaultPlan`]: link churn,
 /// coordinator outages, and worker slowdowns strike at their scheduled
 /// times while the jobs run (see [`echelon_simnet::fault`]).
@@ -929,25 +850,7 @@ pub fn run_jobs_faulted(
     mode: RecomputeMode,
     plan: &FaultPlan,
 ) -> RunResult {
-    let source = JobSource::new(dags, vec![SimTime::ZERO; dags.len()]);
-    drive_jobs(topo, source, policy, mode, plan, DriveConfig::default())
-}
-
-/// [`run_jobs_arriving`] under an injected [`FaultPlan`].
-pub fn run_jobs_arriving_faulted(
-    topo: &Topology,
-    dags: &[&JobDag],
-    arrivals: &[SimTime],
-    policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
-    plan: &FaultPlan,
-) -> RunResult {
-    assert_eq!(
-        arrivals.len(),
-        dags.len(),
-        "one arrival time per job dag required"
-    );
-    let source = JobSource::new(dags, arrivals.to_vec());
+    let source = JobSource::new(dags);
     drive_jobs(topo, source, policy, mode, plan, DriveConfig::default())
 }
 
@@ -1160,27 +1063,31 @@ mod tests {
         assert!(out.job_makespans[&JobId(1)].approx_eq(SimTime::new(4.0)));
     }
 
+    /// A fed job enters at its admission time, not before: the whole
+    /// relay schedule shifts by it.
     #[test]
     fn arriving_job_starts_no_earlier_than_its_admission() {
         let mut alloc = IdAlloc::new();
         let dag = relay_dag(&mut alloc);
-        let topo = Topology::chain(2, 1.0);
-        let out = run_jobs_arriving(
-            &topo,
-            &[&dag],
-            &[SimTime::new(2.5)],
+        let flow_id = dag.all_flows()[0].id;
+        let mut feed = QueueFeed::new(vec![(SimTime::new(2.5), dag)]);
+        // Traced, unlike `run_jobs_streamed`, so the unit spans are kept.
+        let out = drive_jobs(
+            &Topology::chain(2, 1.0),
+            JobSource::with_feed(&mut feed),
             &mut MaxMinPolicy,
             RecomputeMode::Full,
+            &FaultPlan::empty(),
+            DriveConfig::default(),
         );
-        // The whole schedule shifts by the admission time: F1 [2.5,3.5];
-        // flow [3.5,5.5]; F1' [5.5,6.5].
+        // F1 [2.5,3.5]; flow [3.5,5.5]; F1' [5.5,6.5].
         assert!(
             out.makespan.approx_eq(SimTime::new(6.5)),
             "{:?}",
             out.makespan
         );
-        let flow_id = dag.all_flows()[0].id;
         assert!(out.flow_releases[&flow_id].approx_eq(SimTime::new(3.5)));
+        assert_eq!(out.comp_spans.len(), 2);
         for (start, _) in out.comp_spans.values() {
             assert!(
                 SimTime::new(2.5).at_or_before(*start),
@@ -1189,21 +1096,28 @@ mod tests {
         }
     }
 
+    /// A job with no units completes at its admission, whichever way it
+    /// enters: at construction or through a feed.
     #[test]
-    fn zero_arrivals_match_plain_run() {
-        let mut alloc = IdAlloc::new();
-        let dag = relay_dag(&mut alloc);
+    fn empty_job_completes_at_admission() {
+        let empty = || {
+            let mut dag = DagBuilder::new(JobId(0), &mut IdAlloc::new()).build();
+            dag.programs.insert(NodeId(0), Vec::new());
+            dag
+        };
         let topo = Topology::chain(2, 1.0);
-        let plain = run_job(&topo, &dag, &mut MaxMinPolicy);
-        let arriving = run_jobs_arriving(
+        let closed = run_jobs(&topo, &[&empty()], &mut MaxMinPolicy);
+        assert_eq!(closed.job_makespans[&JobId(0)], SimTime::ZERO);
+        let mut feed = QueueFeed::new(vec![(SimTime::new(1.5), empty())]);
+        let fed = run_jobs_streamed(
             &topo,
-            &[&dag],
-            &[SimTime::ZERO],
+            &mut feed,
             &mut MaxMinPolicy,
             RecomputeMode::Full,
+            &FaultPlan::empty(),
         );
-        assert_eq!(plain.trace.events(), arriving.trace.events());
-        assert_eq!(plain.makespan, arriving.makespan);
+        assert_eq!(fed.job_makespans[&JobId(0)], SimTime::new(1.5));
+        assert_eq!(feed.retired, vec![JobId(0)]);
     }
 
     #[test]

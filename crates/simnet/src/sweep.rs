@@ -13,40 +13,25 @@
 //! 3. `threads <= 1` takes the plain serial loop, which is also the
 //!    reference path the differential suite compares against.
 //!
-//! Threading is gated behind the `parallel` cargo feature (default on);
-//! without it every sweep degrades to the serial loop. The worker-thread
-//! count honours `RAYON_NUM_THREADS` (the conventional knob, kept so
+//! The worker-thread count honours `RAYON_NUM_THREADS` (the conventional knob, kept so
 //! sweeps tune like a rayon pool would) before falling back to
 //! [`std::thread::available_parallelism`].
 
-#[cfg(feature = "parallel")]
 use std::sync::atomic::{AtomicUsize, Ordering};
-#[cfg(feature = "parallel")]
 use std::sync::Mutex;
 
 /// Worker-thread count for [`sweep`]: `RAYON_NUM_THREADS` if set to a
-/// positive integer, else the machine's available parallelism (1 when the
-/// `parallel` feature is disabled).
+/// positive integer, else the machine's available parallelism.
 pub fn configured_threads() -> usize {
     match std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
     {
         Some(n) if n >= 1 => n,
-        _ => default_parallelism(),
+        _ => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
     }
-}
-
-#[cfg(feature = "parallel")]
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn default_parallelism() -> usize {
-    1
 }
 
 /// Maps `f` over `items` using [`configured_threads`] workers; results in
@@ -74,7 +59,6 @@ where
 /// `threads - 1` spawned workers, so an effective thread count of 1 runs
 /// the whole sweep inline — no thread is ever spawned just to be watched —
 /// and `threads` names the total worker count, not the spawn count.
-#[cfg(feature = "parallel")]
 pub fn sweep_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -109,19 +93,6 @@ where
                 .expect("sweep task skipped its slot")
         })
         .collect()
-}
-
-/// Serial fallback when the `parallel` feature is disabled: `threads` is
-/// accepted for API parity and ignored.
-#[cfg(not(feature = "parallel"))]
-pub fn sweep_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let _ = threads;
-    sweep_serial(items, f)
 }
 
 fn sweep_serial<T, U, F>(items: &[T], f: F) -> Vec<U>
@@ -167,7 +138,6 @@ mod tests {
         assert!(configured_threads() >= 1);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_matches_serial_bitwise() {
         let seeds: Vec<u64> = (0..17).collect();

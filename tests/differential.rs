@@ -12,7 +12,8 @@ use echelon_detrand::DetRng;
 use echelonflow::agent::api::requests_from_dag;
 use echelonflow::agent::coordinator::{Coordinator, CoordinatorConfig, Trigger};
 use echelonflow::cluster::scenario::{Scenario, SchedulerKind};
-use echelonflow::cluster::workload::WorkloadConfig;
+use echelonflow::cluster::service::{ServiceConfig, ServiceFeed};
+use echelonflow::cluster::workload::{ParadigmKind, StreamJob, WorkloadConfig};
 use echelonflow::core::arrangement::ArrangementFn;
 use echelonflow::core::coflow::Coflow;
 use echelonflow::core::echelon::{EchelonFlow, FlowRef};
@@ -25,13 +26,14 @@ use echelonflow::paradigms::hybrid::{build_hybrid, HybridConfig};
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
 use echelonflow::paradigms::runtime::{
-    make_policy, run_jobs_arriving, run_jobs_with, Grouping, RunResult,
+    make_policy, run_jobs_streamed, run_jobs_with, Grouping, RunResult,
 };
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
 use echelonflow::sched::echelon::EchelonMadd;
 use echelonflow::sched::varys::VarysMadd;
 use echelonflow::simnet::driver::DriveConfig;
 use echelonflow::simnet::fattree::FatTree;
+use echelonflow::simnet::fault::FaultPlan;
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::NextCompletionMode;
 use echelonflow::simnet::ids::{FlowId, NodeId};
@@ -385,54 +387,69 @@ fn hybrid_multi_iteration_runtime_matches_across_modes() {
     }
 }
 
-/// The runtime's admission path (jobs entering mid-simulation) stays
-/// bit-identical across recompute modes.
+/// Jobs entering mid-simulation through a feed stay bit-identical across
+/// recompute modes. The fed run keeps no rate trace, so the flow
+/// releases and finishes and the job makespans carry the comparison.
 #[test]
 fn admission_runtime_matches_across_modes() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
-    let arrivals = [SimTime::ZERO, SimTime::new(1.25), SimTime::new(2.75)];
+    let arrivals = [0.0, 1.25, 2.75];
+    let kinds = [
+        ParadigmKind::PpGpipe,
+        ParadigmKind::DpAllReduce,
+        ParadigmKind::Fsdp,
+    ];
     for grouping in [Grouping::Echelon, Grouping::Coflow] {
         let run = |mode: RecomputeMode| {
             let mut alloc = IdAlloc::new();
             let dags = paradigm_mix(&mut alloc);
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
             let mut policy = make_policy(grouping, &dag_refs);
-            run_jobs_arriving(&topo, &dag_refs, &arrivals, policy.as_mut(), mode)
+            let jobs = dags
+                .into_iter()
+                .zip(arrivals.iter().zip(kinds))
+                .map(|(dag, (&arrival, kind))| StreamJob {
+                    job: dag.job,
+                    kind,
+                    arrival,
+                    tenant: 0,
+                    hosts: dag.workers(),
+                    demand: dag.workers().len(),
+                    comp_scale: 1.0,
+                    bytes_scale: 1.0,
+                    dag: Some(dag),
+                })
+                .collect();
+            let mut feed = ServiceFeed::materialized(jobs, 1, &ServiceConfig::default());
+            run_jobs_streamed(&topo, &mut feed, policy.as_mut(), mode, &FaultPlan::empty())
         };
         let full = run(RecomputeMode::Full);
         let inc = run(RecomputeMode::Incremental);
+        assert_eq!(full.job_makespans.len(), 3);
+        assert!(SimTime::new(2.75).at_or_before(full.job_makespans[&JobId(2)]));
         assert_eq!(
-            full.trace.events(),
-            inc.trace.events(),
-            "admission trace diverged for {grouping:?}"
+            full.flow_releases, inc.flow_releases,
+            "admission releases diverged for {grouping:?}"
         );
+        assert_eq!(full.flow_finishes, inc.flow_finishes);
         assert_eq!(full.job_makespans, inc.job_makespans);
+        assert_eq!(full.makespan, inc.makespan);
     }
 }
 
 /// The full cluster layer — seeded multi-tenant workload through the
-/// scenario runner — is bit-identical across modes, for both the
-/// arrival-gate and runtime-admission representations.
+/// scenario runner — is bit-identical across modes.
 #[test]
 fn cluster_scenario_matches_across_modes() {
     let cfg = WorkloadConfig::default_mix(43, 4, 24);
-    let gated = Scenario::generate(&cfg);
-    let ungated = Scenario::generate_ungated(&cfg);
+    let scenario = Scenario::generate(&cfg);
     for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
-        let (full, _) = gated.run_with_mode(kind, RecomputeMode::Full);
-        let (inc, _) = gated.run_with_mode(kind, RecomputeMode::Incremental);
+        let (full, _) = scenario.run_with_mode(kind, RecomputeMode::Full);
+        let (inc, _) = scenario.run_with_mode(kind, RecomputeMode::Incremental);
         assert_eq!(
             full.trace.events(),
             inc.trace.events(),
-            "{} gated trace diverged",
-            kind.name()
-        );
-        let (full, _) = ungated.run_admission(kind, RecomputeMode::Full);
-        let (inc, _) = ungated.run_admission(kind, RecomputeMode::Incremental);
-        assert_eq!(
-            full.trace.events(),
-            inc.trace.events(),
-            "{} admission trace diverged",
+            "{} trace diverged",
             kind.name()
         );
     }
