@@ -37,7 +37,7 @@
 //! suites check this engine against lives in test support.
 
 use crate::book::EchelonBook;
-use crate::scratch::GroupCsr;
+use crate::scratch::{GroupCsr, Residual};
 use crate::sincronia::{bssi_order, GroupLoad};
 use crate::varys::CoflowOrder;
 use echelon_core::echelon::EchelonFlow;
@@ -131,10 +131,11 @@ pub struct EchelonMadd {
     // guard; on a mismatch the conservative fallback rebuilds everything
     // from the flow table (see DESIGN.md §8.1).
     held: Vec<(FlowId, u32)>,
-    // Reusable flat group structure + per-link accumulator: steady-state
-    // events allocate nothing.
+    // Reusable flat group structure, per-link accumulator and sorted
+    // arrivals buffer: steady-state events allocate nothing.
     scratch: GroupCsr,
     load: LinkLoad,
+    arrived: Vec<FlowId>,
 }
 
 impl EchelonMadd {
@@ -152,6 +153,7 @@ impl EchelonMadd {
             held: Vec::new(),
             scratch: GroupCsr::default(),
             load: LinkLoad::new(),
+            arrived: Vec::new(),
         }
     }
 
@@ -270,9 +272,10 @@ impl EchelonMadd {
         let stamp = self.stamps_arrivals();
         // Arrivals in ascending id order: reference binding is first-touch,
         // and the rebuild observes the id-sorted flow slice.
-        let mut arrived = delta.arrived.clone();
-        arrived.sort_unstable();
-        for id in arrived {
+        self.arrived.clone_from(&delta.arrived);
+        self.arrived.sort_unstable();
+        for k in 0..self.arrived.len() {
+            let id = self.arrived[k];
             let Ok(idx) = flows.binary_search_by(|v| v.id.cmp(&id)) else {
                 continue; // arrived and departed without ever being served
             };
@@ -488,28 +491,30 @@ impl EchelonMadd {
 
     /// MADD over one deadline-stage given as CSR member positions against
     /// residual capacity: all flows of the stage finish together at the
-    /// stage's residual bottleneck (gamma folds over the ascending
-    /// touched-link list). A starved stage writes nothing.
+    /// stage's residual bottleneck. A starved stage writes nothing.
     fn serve_stage_csr(
         stage: &[usize],
         flows: &[ActiveFlowView],
-        residual: &mut [f64],
+        topo: &Topology,
+        residual: &mut Residual,
         rates: &mut [f64],
         caps: Option<&[f64]>,
         load: &mut LinkLoad,
     ) {
-        load.begin(residual.len());
+        load.begin(topo.num_resources());
         for &p in stage {
             let v = &flows[p];
             for r in &v.route {
                 load.add(*r, v.remaining);
             }
         }
-        load.sort_touched();
+        // γ folds over the touched links unsorted: a max over non-NaN
+        // values is order-free, and a link at or below EPS makes γ
+        // infinite in any order.
         let mut gamma: f64 = 0.0;
         for i in 0..load.touched().len() {
             let r = load.touched()[i];
-            let res = residual[r.0 as usize];
+            let res = *residual.at(topo, r);
             if res <= EPS {
                 gamma = f64::INFINITY;
                 break;
@@ -527,7 +532,8 @@ impl EchelonMadd {
             }
             rates[p] = rate;
             for r in &v.route {
-                residual[r.0 as usize] = (residual[r.0 as usize] - rate).max(0.0);
+                let res = residual.at(topo, *r);
+                *res = (*res - rate).max(0.0);
             }
         }
     }
@@ -548,7 +554,7 @@ impl EchelonMadd {
         rates: &mut Vec<f64>,
     ) {
         debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        topo.capacities_into(&mut sc.residual);
+        sc.residual.begin(topo.num_resources());
         rates.clear();
         rates.resize(flows.len(), 0.0);
 
@@ -591,6 +597,7 @@ impl EchelonMadd {
                 Self::serve_stage_csr(
                     &sc.pos[i..j],
                     flows,
+                    topo,
                     &mut sc.residual,
                     rates,
                     use_caps.then_some(&sc.caps),
@@ -990,6 +997,62 @@ mod tests {
                     reused.name()
                 );
                 assert_eq!(again.completions().len(), 3);
+            }
+        }
+    }
+
+    /// The serving residual is seeded per allocation, not per engine: an
+    /// engine reused across allocations, with a link its members cross
+    /// degraded and then restored between them, allocates bitwise as a
+    /// fresh engine does at every step, backfill on and off.
+    #[test]
+    fn reused_engine_sees_capacity_changes_between_allocations() {
+        let mut topo = Topology::big_switch_uniform(4, 1.0);
+        let h0 = fig2_echelon();
+        let h1 = EchelonFlow::from_flows(
+            EchelonId(1),
+            JobId(1),
+            vec![fr(10, 0, 2, 1.0), fr(11, 3, 2, 2.0)],
+            ArrangementFn::Coflow,
+        );
+        let now = SimTime::new(3.0);
+        let views: Vec<ActiveFlowView> = [
+            demand(0, 0, 1, 2.0, 1.0),
+            demand(1, 0, 1, 2.0, 2.0),
+            demand(2, 0, 1, 2.0, 3.0),
+            demand(10, 0, 2, 1.0, 0.5),
+            demand(11, 3, 2, 2.0, 0.5),
+            demand(20, 1, 3, 0.7, 0.2),
+        ]
+        .iter()
+        .map(|d| ActiveFlowView {
+            id: d.id,
+            src: d.src,
+            dst: d.dst,
+            size: d.size,
+            remaining: d.size,
+            release: d.release,
+            route: topo.route(d.src, d.dst),
+            slot: d.id.0 as u32,
+        })
+        .collect();
+        // Host 0's egress: every flow of `h0` and `f10` crosses it.
+        let link = views[0].route[0];
+        for backfill in [true, false] {
+            let make = || EchelonMadd::new(vec![h0.clone(), h1.clone()]).with_backfill(backfill);
+            let mut reused = make();
+            for cap in [1.0, 0.3, 1.0, 0.0, 1.0] {
+                topo.set_capacity(link, cap);
+                let mut ws = AllocScratch::new();
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                reused.allocate_dense(now, &views, &topo, &mut ws, &mut got);
+                make().allocate_dense(now, &views, &topo, &mut ws, &mut want);
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "backfill {backfill}, capacity {cap}: {got:?} != {want:?}"
+                );
             }
         }
     }

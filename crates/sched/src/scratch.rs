@@ -16,11 +16,15 @@
 //! test support (`tests/support`) holds by construction: groups appear
 //! in ascending key order (the `BTreeMap` iteration order of the member
 //! cache they are built from), members keep their cached EDD order, and
-//! all per-link reductions run over ascending sorted touched-link lists
-//! (see `LinkLoad`).
+//! per-link sums accumulate in member order. Folds whose result depends
+//! on order run over ascending sorted touched-link lists (see
+//! `LinkLoad`); a stage's γ is a max, which is order-free, so it folds
+//! over the touched links as they were first touched.
 
 use crate::echelon::GroupKey;
+use echelon_simnet::ids::ResourceId;
 use echelon_simnet::time::SimTime;
+use echelon_simnet::topology::Topology;
 
 /// Flat, reusable group structure for one allocation event.
 ///
@@ -48,8 +52,9 @@ pub(crate) struct GroupCsr {
     /// valid for the group currently being served (written just before
     /// its stages are).
     pub caps: Vec<f64>,
-    /// Per-resource residual capacity during serving.
-    pub residual: Vec<f64>,
+    /// Per-resource residual capacity during serving, seeded from the
+    /// topology at each link's first touch in an allocation.
+    pub residual: Residual,
 }
 
 impl GroupCsr {
@@ -61,5 +66,37 @@ impl GroupCsr {
         self.pos.clear();
         self.deadline.clear();
         self.starts.push(0);
+    }
+}
+
+/// Per-resource residual capacity for one serving pass, seeded from the
+/// topology on each link's first touch in the pass: a per-allocation
+/// stamp stands in for a fabric-sized capacity copy. Entries not touched
+/// in the current pass are stale and never read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Residual {
+    val: Vec<f64>,
+    stamp: Vec<u64>,
+    cur: u64,
+}
+
+impl Residual {
+    /// Starts a serving pass: every link reads as its capacity again.
+    pub fn begin(&mut self, num_resources: usize) {
+        self.cur += 1;
+        if self.val.len() < num_resources {
+            self.val.resize(num_resources, 0.0);
+            self.stamp.resize(num_resources, 0);
+        }
+    }
+
+    /// `r`'s residual, seeded with its capacity on first touch.
+    pub fn at(&mut self, topo: &Topology, r: ResourceId) -> &mut f64 {
+        let i = r.0 as usize;
+        if self.stamp[i] != self.cur {
+            self.stamp[i] = self.cur;
+            self.val[i] = topo.capacity(r);
+        }
+        &mut self.val[i]
     }
 }

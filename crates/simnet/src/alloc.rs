@@ -8,9 +8,12 @@
 //!   zero floor it is the "naive bandwidth fair sharing" baseline of the
 //!   paper's Fig. 2a; with the weights of the agent's queues it is
 //!   weighted enforcement; with the MADD rates as the floor it is the
-//!   work-conserving backfill of the MADD-family schedulers. The pod
-//!   policy runs the same unweighted, zero-floor fill through a link-id
-//!   bucket-queue engine that the unit tests pin bitwise to it.
+//!   work-conserving backfill of the MADD-family schedulers. It costs
+//!   what its flows touch: seeding reads only the links they cross, and
+//!   each round only the unfrozen flows and their links, so a floor that
+//!   saturates most links leaves a round or two over a few members. The
+//!   pod policy runs the same unweighted, zero-floor fill through a
+//!   link-id bucket-queue engine that the unit tests pin bitwise to it.
 //! - [`priority_fill_dense`]: strict-priority greedy filling — flows are
 //!   served in a given order, each taking everything left on its path.
 //!   This is how the agent enforces schedules through priority queues
@@ -47,7 +50,8 @@ pub type RateAlloc = BTreeMap<FlowId, f64>;
 /// (empty) scratch grows to the needed sizes on first use.
 #[derive(Debug, Default, Clone)]
 pub struct AllocScratch {
-    /// Residual capacity per resource during filling.
+    /// Residual capacity per resource during filling. The waterfill
+    /// seeds only the links on `links`; other entries are stale.
     residual: Vec<f64>,
     /// Weight mass per resource among unfrozen flows (waterfill rounds).
     /// Entries off the active-link list are stale and never read.
@@ -58,8 +62,7 @@ pub struct AllocScratch {
     seen: Vec<bool>,
     /// Resource ids the current filling can touch (the union of the
     /// participating flows' routes) — waterfill rounds scan only these
-    /// instead of every resource. Ascending, except in the bucket
-    /// engine, which keeps first-seen order.
+    /// instead of every resource, in first-seen order.
     links: Vec<u32>,
     /// Dedup marker for building `links`; all-false between calls.
     link_seen: Vec<bool>,
@@ -301,9 +304,15 @@ impl FeasibilityAudit {
 /// the allocation on exit. Starting from the floor, every flow raises its
 /// rate in proportion to its weight until a resource on its route
 /// saturates; saturated flows freeze and the filling continues. The floor
-/// must be finite and feasible (MADD's "pin targets, then backfill").
-/// `weights[i]` applies to `flows[i]` (`None` means all 1.0). All working
-/// state lives in `ws`, so steady-state calls allocate nothing.
+/// must be finite and feasible (MADD's "pin targets, then backfill"), and
+/// the weights finite. `weights[i]` applies to `flows[i]` (`None` means
+/// all 1.0). All working state lives in `ws`, so steady-state calls
+/// allocate nothing.
+///
+/// A round costs O(hops of the unfrozen flows): no pass reads a resource
+/// they do not cross. A floor that saturates a link opens with a zero
+/// round, which only freezes that link's crossers, so a MADD backfill
+/// spends its later rounds on the few flows the floors leave room for.
 pub fn waterfill_dense(
     topo: &Topology,
     flows: &[ActiveFlowView],
@@ -323,53 +332,47 @@ pub fn waterfill_dense(
         link_seen,
         ..
     } = ws;
-    residuals_dense_into(topo, flows, rates, residual);
-    // Flows still participating in the filling.
+    let nres = topo.num_resources();
+    residual.resize(residual.len().max(nres), 0.0);
+    mass.resize(mass.len().max(nres), 0.0);
+    link_seen.resize(link_seen.len().max(nres), false);
     unfrozen.clear();
     unfrozen.extend(0..flows.len());
+    let mut seed = true;
 
-    // The links the filling can touch: the union of the participating
-    // flows' routes, ascending. Rounds below reset/scan only these, so a
-    // round costs O(active links + unfrozen routes) instead of O(all
-    // resources). Bit-identical to the full scan: every resource with
-    // nonzero mass is on this list, the list is ascending like the full
-    // enumeration, and off-list `mass` entries (stale from earlier calls)
-    // are never read.
-    links.clear();
-    if link_seen.len() < topo.num_resources() {
-        link_seen.resize(topo.num_resources(), false);
-    }
-    for &i in unfrozen.iter() {
-        for r in &flows[i].route {
-            let ri = r.0 as usize;
-            if !link_seen[ri] {
-                link_seen[ri] = true;
-                links.push(r.0);
-            }
-        }
-    }
-    links.sort_unstable();
-    for &r in links.iter() {
-        link_seen[r as usize] = false; // restore the all-false invariant
-    }
-    if mass.len() < topo.num_resources() {
-        mass.resize(topo.num_resources(), 0.0);
-    }
-
-    while !unfrozen.is_empty() {
-        // Weight mass per resource among unfrozen flows.
-        for &r in links.iter() {
-            mass[r as usize] = 0.0;
-        }
+    loop {
+        // The links the unfrozen flows cross, first-touch order, and their
+        // weight mass summed in flow order. The first pass also seeds each
+        // link's residual: capacity minus the floors in flow order, the
+        // bits of a full capacity copy minus the same floors. Entries off
+        // `links` are stale and never read.
+        links.clear();
         for &i in unfrozen.iter() {
             let w = w_of(i);
             for r in &flows[i].route {
-                mass[r.0 as usize] += w;
+                let ri = r.0 as usize;
+                if !link_seen[ri] {
+                    link_seen[ri] = true;
+                    links.push(r.0);
+                    mass[ri] = 0.0;
+                    if seed {
+                        residual[ri] = topo.capacity(*r);
+                    }
+                }
+                mass[ri] += w;
+                if seed {
+                    residual[ri] -= rates[i];
+                }
             }
         }
-        // Largest uniform increment before some resource saturates.
+        seed = false;
+        // Largest uniform increment before some resource saturates. A min
+        // over non-NaN values is order-free, and no candidate is −0.0
+        // (capacities and so residuals never are; `max(0.0)` lifts
+        // negatives to +0.0), so the unsorted links pick the same bits.
         let mut inc = f64::INFINITY;
         for &r in links.iter() {
+            link_seen[r as usize] = false; // restore the all-false invariant
             let m = mass[r as usize];
             if m > EPS {
                 inc = inc.min((residual[r as usize].max(0.0)) / m);
@@ -379,12 +382,14 @@ pub fn waterfill_dense(
             // Only zero-weight flows remain: they get nothing more.
             break;
         }
-        // Apply the increment.
         for &i in unfrozen.iter() {
             let delta = w_of(i) * inc;
             rates[i] += delta;
-            for r in &flows[i].route {
-                residual[r.0 as usize] -= delta;
+            // A zero round leaves every residual's bits alone.
+            if inc != 0.0 {
+                for r in &flows[i].route {
+                    residual[r.0 as usize] -= delta;
+                }
             }
         }
         // Freeze flows on saturated resources.
@@ -987,14 +992,17 @@ mod tests {
         }
     }
 
-    /// The pre-link-index progressive filling, kept verbatim as the
-    /// bitwise reference for [`waterfill_dense`]'s active-link rounds.
+    /// The pre-link-index progressive filling, its arithmetic kept
+    /// verbatim as the bitwise reference for [`waterfill_dense`].
+    /// Returns the first round's increment (`None` when no round ran),
+    /// for the tests' census of which rounds they pin.
     fn waterfill_reference(
         topo: &Topology,
         flows: &[ActiveFlowView],
         weights: Option<&[f64]>,
         rates: &mut [f64],
-    ) {
+    ) -> Option<f64> {
+        let mut first = None;
         let w_of = |i: usize| weights.map_or(1.0, |w| w[i]).max(0.0);
         let mut residual: Vec<f64> = (0..topo.num_resources())
             .map(|r| topo.capacity(ResourceId(r as u32)))
@@ -1019,6 +1027,7 @@ mod tests {
                     inc = inc.min((residual[r].max(0.0)) / m);
                 }
             }
+            first.get_or_insert(inc);
             if !inc.is_finite() {
                 break;
             }
@@ -1045,6 +1054,7 @@ mod tests {
                 break;
             }
         }
+        first
     }
 
     /// Randomized bitwise check of the active-link waterfill against the
@@ -1483,6 +1493,73 @@ mod tests {
             "only {crossers} of {flows} flows cross the core"
         );
         assert!(starved > 0, "no flow crossed a zero-capacity link");
+    }
+
+    /// The regime the MADD backfill runs in: floors that saturate links.
+    /// On k=4 and k=8 fat trees with degraded and dead links, floors come
+    /// from a strict-priority fill over a random subset of the flows in
+    /// random order; some are then scaled down, and some set to +0.0 or
+    /// −0.0; on a quarter of the fills, of a few flows each, every floor
+    /// is scaled down, so none saturates a link. Weighted and unweighted
+    /// fills, one scratch for all of them, each bitwise the full-scan
+    /// reference.
+    #[test]
+    fn waterfill_matches_reference_on_saturating_floors() {
+        let mut ws = AllocScratch::new();
+        let cases = 240u64;
+        let (mut zero_first, mut positive_first) = (0u64, 0u64);
+        for seed in 0..cases {
+            let mut rng = echelon_detrand::DetRng::seed_from_u64(0xF100 + seed);
+            let k = if seed % 2 == 0 { 4 } else { 8 };
+            // Few flows when no floor saturates, so that some fills cross
+            // no dead link either.
+            let scale_all = seed % 4 == 3;
+            let n = rng.usize_range_inclusive(1, if scale_all { k } else { 12 * k });
+            let cross = rng.f64_range(0.0, 0.5);
+            let sim = FabricSim::new(&mut rng, k, n, cross);
+            let mut order: Vec<FlowId> = sim
+                .flows
+                .iter()
+                .map(|v| v.id)
+                .filter(|_| rng.next_f64() < 0.7)
+                .collect();
+            rng.shuffle(&mut order);
+            let mut floor = vec![f64::NAN; n];
+            priority_fill_dense(&sim.topo, &sim.flows, &order, &mut floor, &mut ws);
+            for f in floor.iter_mut() {
+                match rng.usize_range_inclusive(0, 9) {
+                    _ if scale_all => *f *= rng.f64_range(0.05, 0.95),
+                    0 | 1 => *f *= rng.f64_range(0.0, 1.0),
+                    2 => *f = 0.0,
+                    3 => *f = -0.0,
+                    _ => {}
+                }
+            }
+            let weights: Option<Vec<f64>> =
+                (seed % 3 == 0).then(|| (0..n).map(|_| rng.f64_range(0.0, 3.0)).collect());
+            let mut got = floor.clone();
+            waterfill_dense(&sim.topo, &sim.flows, weights.as_deref(), &mut got, &mut ws);
+            let mut want = floor;
+            let first = waterfill_reference(&sim.topo, &sim.flows, weights.as_deref(), &mut want);
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} flow {i}: {a} != {b}");
+            }
+            match first {
+                Some(0.0) => zero_first += 1,
+                Some(inc) if inc > 0.0 && inc.is_finite() => positive_first += 1,
+                _ => {}
+            }
+        }
+        // Non-vacuity: most fills open with a zero round, as MADD's
+        // backfill does, and some with a positive one.
+        assert!(
+            zero_first * 2 > cases,
+            "only {zero_first} of {cases} fills open with a zero round"
+        );
+        assert!(
+            positive_first >= 10,
+            "only {positive_first} of {cases} fills open with a positive round"
+        );
     }
 
     /// The touched-link audit returns exactly the reference's `Ok` or

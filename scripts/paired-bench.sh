@@ -1,0 +1,152 @@
+#!/usr/bin/env bash
+# Paired benchmark of a parent revision against the working tree.
+#
+#   scripts/paired-bench.sh <parent-rev> <workload> [pairs]
+#
+# The measurement protocol of ROADMAP.md, end to end:
+#   - checks out <parent-rev> (`git archive`) and the working tree
+#     (tracked and untracked, not ignored, files) into sibling
+#     directories `par` and `chg`, whose paths have equal length;
+#   - builds the benchmark package in each, with its own
+#     CARGO_TARGET_DIR (`par.target`, `chg.target`);
+#   - runs `--workload <workload> --seconds 10 --trace 0` in [pairs]
+#     (default 10) alternating pairs: odd pairs run the parent first,
+#     even pairs the change;
+#   - prints every run, each side's median [Q1, Q3] flow_events_per_s
+#     (quartiles as the benchmark's `stats::quartiles` computes them),
+#     the ratio of the medians and the pairs the change won.
+#
+# Exits 1 if the two sides' instance completion digests differ in any
+# pair or a run reports `"correct": false`, and 2 on a usage error.
+# PAIRED_BENCH_DIR names the scratch directory (default: `mktemp -d`);
+# its checkouts and run logs are replaced on every call, and its target
+# directories reused.
+set -euo pipefail
+
+if [[ $# -lt 2 || $# -gt 3 ]]; then
+    echo "usage: $0 <parent-rev> <workload> [pairs]" >&2
+    exit 2
+fi
+rev=$1
+workload=$2
+pairs=${3:-10}
+repo=$(git rev-parse --show-toplevel)
+dir=${PAIRED_BENCH_DIR:-$(mktemp -d)}
+manifest=crates/bench/src/bin/benchmark/Cargo.toml
+
+mkdir -p "$dir"
+dir=$(cd "$dir" && pwd)
+rm -rf "$dir/par" "$dir/chg" "$dir"/par.*.log "$dir"/chg.*.log
+mkdir "$dir/par" "$dir/chg"
+git -C "$repo" archive "$(git -C "$repo" rev-parse --verify "$rev^{commit}")" |
+    tar -x -C "$dir/par"
+(
+    cd "$repo"
+    git ls-files -co --exclude-standard -z |
+        while IFS= read -r -d '' f; do
+            # A tracked file deleted in the working tree is not copied.
+            if [[ -e $f ]]; then
+                [[ $f == */* ]] && mkdir -p "$dir/chg/${f%/*}"
+                cp -p "$f" "$dir/chg/$f"
+            fi
+        done
+)
+
+for side in par chg; do
+    echo "building $side" >&2
+    (cd "$dir/$side" &&
+        CARGO_TARGET_DIR="$dir/$side.target" cargo build --release --quiet \
+            --manifest-path "$manifest")
+done
+
+# One run of `side`: appends "<side> <pair> <ev/s> <correct> <digests>".
+run() {
+    local side=$1 pair=$2 log="$dir/$1.$2.log"
+    (cd "$dir/$side" &&
+        "$dir/$side.target/release/benchmark" --workload "$workload" \
+            --seconds 10 --trace 0 >"$log" 2>&1)
+    awk -v side="$side" -v pair="$pair" '
+        match($0, /"instance_digests":\[[^]]*\]/) {
+            digests = substr($0, RSTART + 19, RLENGTH - 19)
+        }
+        match($0, /"flow_events_per_s":\{"value":[^,}]*/) {
+            evs = substr($0, RSTART + 29, RLENGTH - 29)
+        }
+        /"correct":false/ { correct = "false" }
+        END {
+            if (evs == "" || digests == "") {
+                print "no metrics in " FILENAME > "/dev/stderr"
+                exit 1
+            }
+            print side, pair, evs, (correct == "" ? "true" : correct), digests
+        }' "$log" >>"$dir/runs.txt"
+}
+
+: >"$dir/runs.txt"
+for ((p = 1; p <= pairs; p++)); do
+    if ((p % 2 == 1)); then
+        run par "$p"
+        run chg "$p"
+    else
+        run chg "$p"
+        run par "$p"
+    fi
+    awk -v p="$p" '$2 == p { printf "pair %2d %s %.0f ev/s\n", p, $1, $3 }' \
+        "$dir/runs.txt" >&2
+done
+
+awk -v workload="$workload" -v rev="$rev" '
+    function sort(a, n,    i, j, t) {
+        for (i = 2; i <= n; i++) {
+            t = a[i]
+            for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+            a[j + 1] = t
+        }
+    }
+    function median(a, n) {
+        return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+    }
+    # Python statistics.quantiles(n=4), the exclusive method.
+    function quartile(a, n, i,    m, j, d) {
+        if (n == 1) return a[1]
+        m = n + 1
+        j = int(i * m / 4)
+        if (j < 1) j = 1
+        if (j > n - 1) j = n - 1
+        d = i * m - 4 * j
+        return (a[j] * (4 - d) + a[j + 1] * d) / 4
+    }
+    function summary(name, a, n) {
+        sort(a, n)
+        printf "%-7s median %.0f [%.0f, %.0f] ev/s over %d runs\n",
+            name, median(a, n), quartile(a, n, 1), quartile(a, n, 3), n
+    }
+    {
+        v[$1, $2] = $3
+        d[$1, $2] = $5
+        if ($4 != "true") bad = 1
+        if ($2 > pairs) pairs = $2
+    }
+    END {
+        for (p = 1; p <= pairs; p++) {
+            par[p] = v["par", p]
+            chg[p] = v["chg", p]
+            if (v["chg", p] > v["par", p]) won++
+            if (d["par", p] != d["chg", p]) {
+                printf "pair %d: digests differ\n  par %s\n  chg %s\n",
+                    p, d["par", p], d["chg", p]
+                bad = 1
+            }
+        }
+        printf "%s, %d pairs, parent %s against the working tree\n",
+            workload, pairs, rev
+        summary("parent", par, pairs)
+        summary("change", chg, pairs)
+        printf "ratio   %.3fx (change median / parent median); change won %d of %d pairs\n",
+            median(chg, pairs) / median(par, pairs), won, pairs
+        if (bad) {
+            print "FAILED: digests differ or a run was not correct"
+            exit 1
+        }
+        print "digests identical on both sides"
+    }' "$dir/runs.txt"
