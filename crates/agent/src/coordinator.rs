@@ -187,6 +187,7 @@ impl Coordinator {
             fresh: Vec::new(),
             known_rates: Vec::new(),
             order: Vec::new(),
+            arrived: Vec::new(),
         }
     }
 }
@@ -261,6 +262,8 @@ pub struct CoordinatedPolicy {
     /// and the priority order served between decisions.
     known_rates: Vec<f64>,
     order: Vec<FlowId>,
+    /// Reused buffer: the current delta's arrivals, sorted.
+    arrived: Vec<FlowId>,
 }
 
 impl CoordinatedPolicy {
@@ -290,7 +293,8 @@ impl CoordinatedPolicy {
     {
         echelons
             .into_iter()
-            .filter(|h| self.register(h.clone()))
+            .map(|h| self.register(h))
+            .filter(|&accepted| accepted)
             .count()
     }
 
@@ -306,7 +310,9 @@ impl CoordinatedPolicy {
     /// jobs on an unbounded stream.
     pub fn evict(&mut self, id: EchelonId, active: &[ActiveFlowView]) -> bool {
         self.flush_pending();
+        // `first_seen` stays empty without control latency: nothing to drop.
         let member_ids: Vec<FlowId> = match self.engine.book().get(id) {
+            Some(_) if self.first_seen.is_empty() => Vec::new(),
             Some(h) => h.flows().map(|f| f.id).collect(),
             None => return false,
         };
@@ -384,8 +390,10 @@ impl CoordinatedPolicy {
                 *self.group_counts.entry(h.id()).or_insert(0) += 1;
             }
         }
+        self.arrived.clone_from(&delta.arrived);
+        self.arrived.sort_unstable();
         for &id in &delta.departed {
-            if delta.arrived.contains(&id) {
+            if self.arrived.binary_search(&id).is_ok() {
                 // Arrived and departed within this same delta: the arrival
                 // loop above never counted it (it is absent from `flows`),
                 // so decrementing here would steal a count from a flow

@@ -30,7 +30,8 @@
 //! so all its members share one ideal finish time and form one MADD
 //! stage, and [`crate::varys::CoflowOrder`] picks the group ranking.
 //!
-//! There is one allocation path. Group membership is cached and patched
+//! There is one allocation path. Group membership, each member's arena
+//! slot and the earliest-deadline serve order are cached and patched
 //! from flow deltas ([`EchelonMadd::apply_delta`]); a full recompute
 //! rebuilds that cache from the flow slice and then runs the same
 //! ranking and serving pass. The map-based reference the differential
@@ -110,6 +111,9 @@ pub(crate) enum GroupKey {
     Solo(FlowId),
 }
 
+/// A cached group member: ideal finish time, flow id, arena slot.
+type Member = (SimTime, FlowId, u32);
+
 /// The EchelonFlow scheduler: tardiness-metric MADD per Property 4.
 #[derive(Debug, Clone)]
 pub struct EchelonMadd {
@@ -117,20 +121,21 @@ pub struct EchelonMadd {
     ranking: Ranking,
     intra: IntraMode,
     backfill: bool,
-    // EDF-ordered `(deadline, id)` member list per active group. Ideal
-    // finish times are static once an echelon's reference is bound, so
-    // these orderings survive across events; only groups whose flows
-    // arrived or departed need touching.
-    cached_members: BTreeMap<GroupKey, Vec<(SimTime, FlowId)>>,
+    // `(head deadline, key, EDF-ordered members)` per active group, in
+    // the earliest-deadline serve order. Ideal finish times are static
+    // once an echelon's reference is bound, so only groups whose flows
+    // arrived or departed need touching; a group moves when its head does.
+    serve: Vec<(SimTime, GroupKey, Vec<Member>)>,
     // First-seen time of each group: the `now` of its first allocation.
     // Kept only under the coflow arrival ranking, its only reader; a solo
     // flow's entry leaves with the flow.
     arrivals: BTreeMap<GroupKey, SimTime>,
-    // Id-sorted `(id, slot)` of the flows the member cache holds, fed the
-    // same deltas. Comparing it with the flow slice is the cache's O(F)
-    // guard; on a mismatch the conservative fallback rebuilds everything
-    // from the flow table (see DESIGN.md §8.1).
-    held: Vec<(FlowId, u32)>,
+    // The flow the member cache holds in each arena slot, and how many
+    // it holds, fed the same deltas. Checking the flow slice against it
+    // is the cache's O(F) guard; on a mismatch the conservative fallback
+    // rebuilds everything from the flow table (see DESIGN.md §8.1).
+    held: Vec<Option<FlowId>>,
+    held_len: usize,
     // Reusable flat group structure, per-link accumulator and sorted
     // arrivals buffer: steady-state events allocate nothing.
     scratch: GroupCsr,
@@ -148,9 +153,10 @@ impl EchelonMadd {
             ranking: Ranking::Echelon(InterOrder::EarliestDeadline),
             intra: IntraMode::FinishEarly,
             backfill: true,
-            cached_members: BTreeMap::new(),
+            serve: Vec::new(),
             arrivals: BTreeMap::new(),
             held: Vec::new(),
+            held_len: 0,
             scratch: GroupCsr::default(),
             load: LinkLoad::new(),
             arrived: Vec::new(),
@@ -200,15 +206,19 @@ impl EchelonMadd {
     /// any member flow is still active. The member cache may still list
     /// the group's departed flows when the last allocation was a full
     /// recompute (its departures reach the cache only at the next
-    /// rebuild), so the group's entry goes with it; the held-flow list then
-    /// no longer matches the flow slice and the next allocation rebuilds.
+    /// rebuild), so the group's serve-order entry goes with it; the
+    /// held-slot table then no longer matches the flow slice and the next
+    /// allocation rebuilds.
     pub fn evict(&mut self, id: EchelonId, active: &[ActiveFlowView]) -> bool {
-        let evicted = self.book.evict(id, active);
-        if evicted {
-            self.cached_members.remove(&GroupKey::Echelon(id));
-            self.arrivals.remove(&GroupKey::Echelon(id));
+        if !self.book.evict(id, active) {
+            return false;
         }
-        evicted
+        let key = GroupKey::Echelon(id);
+        if let Some(at) = self.serve.iter().position(|e| e.1 == key) {
+            self.serve.remove(at);
+        }
+        self.arrivals.remove(&key);
+        true
     }
 
     /// Binds reference times for any EchelonFlow whose head flow has just
@@ -255,21 +265,41 @@ impl EchelonMadd {
         self.ranking == Ranking::Coflow(CoflowOrder::Arrival)
     }
 
-    /// Updates the cached group membership/EDD orderings for the flows
-    /// that arrived or departed since the previous call.
+    /// Updates the cached groups, their serve order and the held-slot
+    /// table for the flows that arrived or departed since the last call.
     ///
     /// `flows` is the *current* id-sorted active set (as produced by the
     /// fluid network). Every arrival and departure should be reported
     /// exactly once across the sequence of calls; missed reports cost a
-    /// rebuild, here when an arrival is already held (its earlier
-    /// departure never arrived, as when an engine is reused for a second
-    /// run) and otherwise in [`Self::allocate_cached`].
+    /// rebuild, here when an arrival lands in a slot the cache still
+    /// holds (its earlier occupant's departure never arrived, as when an
+    /// engine is reused for a second run) and otherwise in
+    /// [`Self::allocate_cached`].
     pub fn apply_delta(&mut self, now: SimTime, flows: &[ActiveFlowView], delta: &FlowDelta) {
         // Reference binding driven by the delta alone: O(arrivals), not
         // O(active flows); debug builds assert agreement with the full
         // scan inside `observe_delta`.
         self.book.observe_delta(now, flows, delta);
-        let stamp = self.stamps_arrivals();
+        // Departures first: an arrival of the same delta may take the
+        // arena slot a departure freed.
+        for &id in &delta.departed {
+            let key = self.group_of(id);
+            if matches!(key, GroupKey::Solo(_)) {
+                self.arrivals.remove(&key);
+            }
+            let Some(at) = self.serve.iter().position(|e| e.1 == key) else {
+                continue;
+            };
+            let Some(i) = self.serve[at].2.iter().position(|m| m.1 == id) else {
+                continue;
+            };
+            let slot = self.serve[at].2.remove(i).2 as usize;
+            if self.held[slot] == Some(id) {
+                self.held[slot] = None;
+                self.held_len -= 1;
+            }
+            self.reseat(at);
+        }
         // Arrivals in ascending id order: reference binding is first-touch,
         // and the rebuild observes the id-sorted flow slice.
         self.arrived.clone_from(&delta.arrived);
@@ -279,70 +309,79 @@ impl EchelonMadd {
             let Ok(idx) = flows.binary_search_by(|v| v.id.cmp(&id)) else {
                 continue; // arrived and departed without ever being served
             };
-            let Err(at) = self.held.binary_search_by(|&(f, _)| f.cmp(&id)) else {
-                // Held already: its departure never arrived, so the cache
-                // is stale and caching the flow again would list it twice.
+            if !self.admit(now, &flows[idx]) {
+                // Its slot is held already: the occupant's departure never
+                // arrived, so the cache is stale.
                 self.rebuild_cache(now, flows);
                 return;
-            };
-            self.held.insert(at, (id, flows[idx].slot));
-            let key = self.group_of(id);
-            let deadline = self.deadline_of(key, &flows[idx]);
-            if stamp {
-                self.arrivals.entry(key).or_insert(now);
-            }
-            let list = self.cached_members.entry(key).or_default();
-            let pos = list.partition_point(|&(d, f)| (d, f) < (deadline, id));
-            list.insert(pos, (deadline, id));
-        }
-        for &id in &delta.departed {
-            if let Ok(at) = self.held.binary_search_by(|&(f, _)| f.cmp(&id)) {
-                self.held.remove(at);
-            }
-            let key = self.group_of(id);
-            if matches!(key, GroupKey::Solo(_)) {
-                self.arrivals.remove(&key);
-            }
-            if let Some(list) = self.cached_members.get_mut(&key) {
-                if let Some(pos) = list.iter().position(|&(_, f)| f == id) {
-                    list.remove(pos);
-                }
-                if list.is_empty() {
-                    self.cached_members.remove(&key);
-                }
             }
         }
     }
 
-    /// Re-derives the cache (and the held-flow list) from the flow slice:
-    /// the full recompute, and the conservative fallback when a delta was
-    /// missed.
+    /// Caches flow `v` in its group, in its arena slot and in the serve
+    /// order; `false`, caching nothing, if the slot is held already.
+    fn admit(&mut self, now: SimTime, v: &ActiveFlowView) -> bool {
+        let s = v.slot as usize;
+        if self.held.get(s).is_some_and(Option::is_some) {
+            return false;
+        }
+        self.held.resize(self.held.len().max(s + 1), None);
+        self.held[s] = Some(v.id);
+        self.held_len += 1;
+        let key = self.group_of(v.id);
+        let deadline = self.deadline_of(key, v);
+        if self.stamps_arrivals() {
+            self.arrivals.entry(key).or_insert(now);
+        }
+        let at = match self.serve.iter().position(|e| e.1 == key) {
+            Some(at) => at,
+            None => {
+                let at = self.serve.partition_point(|e| (e.0, e.1) < (deadline, key));
+                self.serve.insert(at, (deadline, key, Vec::new()));
+                at
+            }
+        };
+        let list = &mut self.serve[at].2;
+        let i = list.partition_point(|&(d, f, _)| (d, f) < (deadline, v.id));
+        list.insert(i, (deadline, v.id, v.slot));
+        self.reseat(at);
+        true
+    }
+
+    /// Re-derives the cache, the held-slot table and the serve order from
+    /// the flow slice: the full recompute, and the conservative fallback
+    /// when a delta was missed.
     fn rebuild_cache(&mut self, now: SimTime, flows: &[ActiveFlowView]) {
         self.book.observe(now, flows);
-        self.cached_members.clear();
-        let stamp = self.stamps_arrivals();
-        if stamp {
+        self.serve.clear();
+        self.held.fill(None);
+        self.held_len = 0;
+        if self.stamps_arrivals() {
             self.arrivals.retain(|k, _| match k {
                 GroupKey::Solo(id) => flows.binary_search_by(|v| v.id.cmp(id)).is_ok(),
                 GroupKey::Echelon(_) => true,
             });
         }
         for v in flows {
-            let key = self.group_of(v.id);
-            let deadline = self.deadline_of(key, v);
-            if stamp {
-                self.arrivals.entry(key).or_insert(now);
-            }
-            self.cached_members
-                .entry(key)
-                .or_default()
-                .push((deadline, v.id));
+            let cached = self.admit(now, v);
+            debug_assert!(cached, "flow {} shares arena slot {}", v.id, v.slot);
         }
-        for list in self.cached_members.values_mut() {
-            list.sort_unstable();
+    }
+
+    /// Restores the serve order after the member list of `serve[at]`
+    /// changed: an emptied group leaves it, and a group whose head
+    /// deadline moved is moved with it.
+    fn reseat(&mut self, at: usize) {
+        let head = self.serve[at].2.first().map(|m| m.0);
+        if head.is_some_and(|h| h.cmp(&self.serve[at].0).is_eq()) {
+            return;
         }
-        self.held.clear();
-        self.held.extend(flows.iter().map(|v| (v.id, v.slot)));
+        let mut entry = self.serve.remove(at);
+        if let Some(head) = head {
+            entry.0 = head;
+            let to = self.serve.partition_point(|e| (e.0, e.1) < (head, entry.1));
+            self.serve.insert(to, entry);
+        }
     }
 
     /// Projected tardiness of a member set under isolation: serve EDD at
@@ -394,10 +433,10 @@ impl EchelonMadd {
         gamma
     }
 
-    /// Inter-group ordering over the flat group structure. Every ranking
-    /// but BSSI computes one `(rank, time)` pair per group into reusable
-    /// buffers; `order` is then sorted by rank, time and group key (a
-    /// strict total order, so the result is deterministic).
+    /// Inter-group ordering over the flat group structure, built in the
+    /// earliest-deadline order, so that ranking sorts nothing. Every other
+    /// but BSSI sorts one `(rank, time, key, group)` per group: a strict
+    /// total order, blind to the order the groups arrive in.
     fn order_groups(
         &self,
         now: SimTime,
@@ -408,15 +447,23 @@ impl EchelonMadd {
     ) {
         let groups = sc.keys.len();
         sc.order.clear();
+        if self.ranking == Ranking::Echelon(InterOrder::EarliestDeadline) {
+            sc.order.extend(0..groups);
+            return;
+        }
         if let Ranking::Echelon(InterOrder::Bssi) | Ranking::Coflow(CoflowOrder::Bssi) =
             self.ranking
         {
             // Non-default ablation: keep the map-based load build (the
-            // BSSI solve itself dominates). Accumulate in ascending id
+            // BSSI solve itself dominates). BSSI numbers the groups, so
+            // they enter it in key order. Accumulate in ascending id
             // order — member positions index the id-sorted flow slice, so
             // sorting positions ascending is ascending id order.
+            let mut by_key: Vec<usize> = (0..groups).collect();
+            by_key.sort_unstable_by_key(|&g| sc.keys[g]);
             let loads: Vec<GroupLoad> = (0..groups)
-                .map(|g| {
+                .map(|i| {
+                    let g = by_key[i];
                     let mut by_id: Vec<usize> = sc.pos[sc.starts[g]..sc.starts[g + 1]].to_vec();
                     by_id.sort_unstable();
                     let mut load = BTreeMap::new();
@@ -427,19 +474,17 @@ impl EchelonMadd {
                         }
                     }
                     GroupLoad {
-                        id: EchelonId(g as u64),
+                        id: EchelonId(i as u64),
                         weight: self.weight_of(sc.keys[g]),
                         load,
                     }
                 })
                 .collect();
-            sc.order
-                .extend(bssi_order(&loads).into_iter().map(|id| id.0 as usize));
+            let order = bssi_order(&loads).into_iter();
+            sc.order.extend(order.map(|id| by_key[id.0 as usize]));
             return;
         }
-        sc.order.extend(0..groups);
-        sc.rank.clear();
-        sc.rank_time.clear();
+        sc.ranked.clear();
         for g in 0..groups {
             let (start, end) = (sc.starts[g], sc.starts[g + 1]);
             let (pos, deadline) = (&sc.pos[start..end], &sc.deadline[start..end]);
@@ -463,30 +508,17 @@ impl EchelonMadd {
                         head,
                     )
                 }
-                Ranking::Echelon(InterOrder::EarliestDeadline) => (0.0, deadline[0]),
                 Ranking::Coflow(CoflowOrder::Arrival) => {
                     (0.0, self.arrivals.get(&sc.keys[g]).copied().unwrap_or(now))
                 }
-                Ranking::Echelon(InterOrder::Bssi) | Ranking::Coflow(CoflowOrder::Bssi) => {
-                    unreachable!("BSSI returned above")
-                }
+                Ranking::Echelon(InterOrder::EarliestDeadline | InterOrder::Bssi)
+                | Ranking::Coflow(CoflowOrder::Bssi) => unreachable!("ordered above"),
             };
-            sc.rank.push(rank);
-            sc.rank_time.push(time);
+            sc.ranked.push((rank, time, sc.keys[g], g));
         }
-        let GroupCsr {
-            keys,
-            order,
-            rank,
-            rank_time,
-            ..
-        } = sc;
-        order.sort_by(|&a, &b| {
-            rank[a]
-                .total_cmp(&rank[b])
-                .then(rank_time[a].cmp(&rank_time[b]))
-                .then(keys[a].cmp(&keys[b]))
-        });
+        sc.ranked
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        sc.order.extend(sc.ranked.iter().map(|r| r.3));
     }
 
     /// MADD over one deadline-stage given as CSR member positions against
@@ -617,9 +649,10 @@ impl EchelonMadd {
     /// Allocation from the cached group structure maintained by
     /// [`Self::apply_delta`], written densely into `out` (`out[i]` rates
     /// `flows[i]`). Requires `flows` sorted by ascending id (the fluid
-    /// network's view order). If the cache does not cover the active set
-    /// (a missed delta), it is rebuilt from scratch first.
-    /// [`RatePolicy::allocate_dense`] is this call after a forced rebuild.
+    /// network's view order) and in distinct arena slots. If the cache
+    /// does not cover the active set (a missed delta), it is rebuilt from
+    /// scratch first. [`RatePolicy::allocate_dense`] is this call after a
+    /// forced rebuild.
     pub fn allocate_cached(
         &mut self,
         now: SimTime,
@@ -629,14 +662,28 @@ impl EchelonMadd {
         out: &mut Vec<f64>,
     ) {
         debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        let holds_flows = self
-            .held
-            .iter()
-            .copied()
-            .eq(flows.iter().map(|v| (v.id, v.slot)));
+        // One pass: the cache guard, and each slot's position in `flows`.
+        let slot_pos = &mut self.scratch.slot_pos;
+        let mut holds_flows = self.held_len == flows.len();
+        for (i, v) in flows.iter().enumerate() {
+            let s = v.slot as usize;
+            slot_pos.resize(slot_pos.len().max(s + 1), 0);
+            slot_pos[s] = i as u32;
+            holds_flows &= self.held.get(s) == Some(&Some(v.id));
+        }
         if !holds_flows {
             self.rebuild_cache(now, flows);
         }
+        debug_assert!(
+            self.serve
+                .iter()
+                .all(|e| e.2.first().map(|m| m.0) == Some(e.0))
+                && self
+                    .serve
+                    .windows(2)
+                    .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "the kept serve order is not sorted by (head deadline, key)"
+        );
         let mut sc = std::mem::take(&mut self.scratch);
         let mut load = std::mem::take(&mut self.load);
         self.build_csr(flows, &mut sc);
@@ -646,19 +693,20 @@ impl EchelonMadd {
         self.load = load;
     }
 
-    /// Flattens the cached member lists into the CSR workspace, resolving
-    /// each member's position in the id-sorted flow slice once. Groups
-    /// land in ascending key order (the member cache's `BTreeMap`
-    /// iteration order), members in their cached EDD order.
+    /// Flattens the cached member lists into the CSR workspace in the kept
+    /// serve order, members in their cached EDD order, each member's
+    /// position in the flow slice read from the slot table.
     fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr) {
         sc.clear_groups();
-        for (k, list) in &self.cached_members {
-            sc.keys.push(*k);
-            for &(deadline, id) in list {
-                let idx = flows
-                    .binary_search_by(|v| v.id.cmp(&id))
-                    .expect("cached flow is active");
-                sc.pos.push(idx);
+        for (_, key, members) in &self.serve {
+            sc.keys.push(*key);
+            for &(deadline, id, slot) in members {
+                let p = sc.slot_pos[slot as usize] as usize;
+                assert!(
+                    flows.get(p).is_some_and(|v| v.id == id),
+                    "cached flow {id} is not the active flow in slot {slot}"
+                );
+                sc.pos.push(p);
                 sc.deadline.push(deadline);
             }
             sc.starts.push(sc.pos.len());
@@ -1055,6 +1103,129 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Arena slots recycle: a slot a flow leaves is the next one a new
+    /// flow takes. Member positions come from the slot table, so the
+    /// cache must never read a slot's new occupant as its old one. Each
+    /// case allocates once over `BEFORE`, then over its flows after its
+    /// delta, and must match a fresh engine bitwise under every ranking:
+    ///
+    /// - one delta in which a flow departs and another arrives into its
+    ///   slot (a solo flow's, then the echelon head's);
+    /// - a missed departure whose slot a reported arrival reuses;
+    /// - a missed departure whose slot an unreported arrival reuses, so
+    ///   only the allocation's guard sees it: same length, same slots;
+    /// - a missed departure and an unreported arrival into a fresh slot:
+    ///   same length.
+    #[test]
+    fn recycled_slots_match_a_fresh_engine() {
+        type Case = (&'static [(u64, u32)], &'static [u64], &'static [u64]);
+        const BEFORE: &[(u64, u32)] = &[(0, 0), (1, 1), (2, 4), (10, 2), (11, 3)];
+        const CASES: [Case; 5] = [
+            (&[(0, 0), (2, 4), (3, 1), (10, 2), (11, 3)], &[3], &[1]),
+            (&[(0, 0), (1, 1), (2, 4), (3, 2), (11, 3)], &[3], &[10]),
+            (&[(0, 0), (2, 4), (3, 1), (10, 2), (11, 3)], &[3], &[]),
+            (&[(0, 0), (2, 4), (3, 1), (10, 2), (11, 3)], &[], &[]),
+            (&[(0, 0), (2, 4), (3, 5), (10, 2), (11, 3)], &[], &[]),
+        ];
+        let topo = Topology::big_switch_uniform(4, 1.0);
+        // `(src, dst, remaining, release)`; both echelon members release
+        // at 0, so either binds the same reference.
+        let spec = |id: u64| match id {
+            0 => (0, 1, 2.0, 0.3),
+            1 => (0, 2, 1.0, 0.1),
+            2 => (3, 1, 1.5, 0.2),
+            3 => (2, 1, 0.5, 0.05),
+            10 => (0, 1, 2.5, 0.0),
+            _ => (3, 2, 1.0, 0.0),
+        };
+        let views = |flows: &[(u64, u32)]| -> Vec<ActiveFlowView> {
+            flows
+                .iter()
+                .map(|&(id, slot)| {
+                    let (src, dst, remaining, release) = spec(id);
+                    let (src, dst) = (NodeId(src), NodeId(dst));
+                    ActiveFlowView {
+                        id: FlowId(id),
+                        src,
+                        dst,
+                        size: remaining,
+                        remaining,
+                        release: SimTime::new(release),
+                        route: topo.route(src, dst),
+                        slot,
+                    }
+                })
+                .collect()
+        };
+        let h = EchelonFlow::from_flows(
+            EchelonId(0),
+            JobId(0),
+            vec![fr(10, 0, 1, 2.5), fr(11, 3, 2, 1.0)],
+            ArrangementFn::Staggered { gap: 0.5 },
+        );
+        let ids = |ids: &[u64]| ids.iter().map(|&i| FlowId(i)).collect();
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let now = SimTime::new(1.0);
+        for inter in [
+            InterOrder::MostTardy,
+            InterOrder::LeastWork,
+            InterOrder::StageLeastWork,
+            InterOrder::EarliestDeadline,
+            InterOrder::Bssi,
+        ] {
+            let make = || EchelonMadd::new(vec![h.clone()]).with_inter(inter);
+            for (i, &(after, arrived, departed)) in CASES.iter().enumerate() {
+                let mut ws = AllocScratch::new();
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut engine = make();
+                engine.allocate_dense(now, &views(BEFORE), &topo, &mut ws, &mut got);
+                let delta = FlowDelta {
+                    arrived: ids(arrived),
+                    departed: ids(departed),
+                };
+                let after = views(after);
+                engine.allocate_dense_incremental(now, &after, &delta, &topo, &mut ws, &mut got);
+                make().allocate_dense(now, &after, &topo, &mut ws, &mut want);
+                assert_eq!(bits(&got), bits(&want), "{inter:?}, case {i}");
+            }
+        }
+    }
+
+    /// BSSI breaks a tie between equally loaded groups by the number it
+    /// gives them (the smaller is placed last), so the groups enter it in
+    /// key order, not in the earliest-deadline order the group structure
+    /// is built in. Solo flows 0 and 1 load one link equally; flow 1's
+    /// earlier release puts it first by deadline, flow 0 is first by key
+    /// and so is placed last.
+    #[test]
+    fn bssi_numbers_groups_in_key_order() {
+        let topo = Topology::chain(2, 1.0);
+        let views: Vec<ActiveFlowView> = [(0, 0.5), (1, 0.0)]
+            .map(|(id, release)| ActiveFlowView {
+                id: FlowId(id),
+                src: NodeId(0),
+                dst: NodeId(1),
+                size: 1.0,
+                remaining: 1.0,
+                release: SimTime::new(release),
+                route: topo.route(NodeId(0), NodeId(1)),
+                slot: id as u32,
+            })
+            .into();
+        let mut rates = Vec::new();
+        EchelonMadd::new(vec![])
+            .with_inter(InterOrder::Bssi)
+            .with_backfill(false)
+            .allocate_dense(
+                SimTime::new(1.0),
+                &views,
+                &topo,
+                &mut AllocScratch::new(),
+                &mut rates,
+            );
+        assert_eq!(rates, [0.0, 1.0]);
     }
 
     /// Under the coflow arrival ranking the first-seen map drops a solo

@@ -7,15 +7,16 @@
 //! can never be cached across events — but the *storage* can.
 //! [`GroupCsr`] keeps the whole group structure in flat reusable buffers
 //! (a CSR layout: one `starts` offset array over concatenated member
-//! slices), with member positions in the id-sorted flow table resolved
-//! once per event. Paired with [`echelon_simnet::linkload::LinkLoad`]
-//! for the per-link sums, a steady-state MADD allocation performs no
-//! heap allocation.
+//! slices), with member positions in the id-sorted flow table read from
+//! a slot table the cache guard writes once per event. Paired with
+//! [`echelon_simnet::linkload::LinkLoad`] for the per-link sums, a
+//! steady-state MADD allocation performs no heap allocation.
 //!
 //! Bit-identity with the map-based MADD reference in the workspace's
 //! test support (`tests/support`) holds by construction: groups appear
-//! in ascending key order (the `BTreeMap` iteration order of the member
-//! cache they are built from), members keep their cached EDD order, and
+//! in the engine's kept `(head deadline, key)` serve order, which every
+//! ranking but earliest-deadline re-sorts by a strict total order (BSSI
+//! numbers them in key order), members keep their cached EDD order, and
 //! per-link sums accumulate in member order. Folds whose result depends
 //! on order run over ascending sorted touched-link lists (see
 //! `LinkLoad`); a stage's γ is a max, which is order-free, so it folds
@@ -28,13 +29,14 @@ use echelon_simnet::topology::Topology;
 
 /// Flat, reusable group structure for one allocation event.
 ///
-/// Groups `g` own members `pos[starts[g]..starts[g + 1]]`; `pos` holds
-/// indices into the id-sorted active-flow slice, `deadline` the matching
-/// ideal finish times. `order`, `rank*`, `caps` and `residual` are
-/// working buffers for the inter-group sort and the serving pass.
+/// Groups `g`, in the kept `(head deadline, key)` serve order, own
+/// members `pos[starts[g]..starts[g + 1]]`; `pos` holds indices into the
+/// id-sorted active-flow slice, read from `slot_pos`, and `deadline` the
+/// matching ideal finish times. `order`, `ranked`, `caps` and `residual`
+/// are working buffers for the inter-group ranking and the serving pass.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GroupCsr {
-    /// Group keys in ascending key order.
+    /// Group keys, in the kept `(head deadline, key)` order.
     pub keys: Vec<GroupKey>,
     /// CSR offsets into `pos`/`deadline`; `len = keys.len() + 1`.
     pub starts: Vec<usize>,
@@ -44,10 +46,12 @@ pub(crate) struct GroupCsr {
     pub deadline: Vec<SimTime>,
     /// Group indices (into `keys`) in serve order.
     pub order: Vec<usize>,
-    /// Per-group primary sort rank.
-    pub rank: Vec<f64>,
-    /// Per-group secondary (time) sort rank.
-    pub rank_time: Vec<SimTime>,
+    /// `(rank, time, key, group)` per group, sorted into the serve order
+    /// by every ranking but earliest-deadline and BSSI.
+    pub ranked: Vec<(f64, SimTime, GroupKey, usize)>,
+    /// Position in the flow slice of the flow in each arena slot, written
+    /// by the allocation's cache-guard pass; other entries are stale.
+    pub slot_pos: Vec<u32>,
     /// Per-flow rate caps, indexed like the flow slice. Entries are only
     /// valid for the group currently being served (written just before
     /// its stages are).

@@ -14,7 +14,12 @@
 #     even pairs the change;
 #   - prints every run, each side's median [Q1, Q3] flow_events_per_s
 #     (quartiles as the benchmark's `stats::quartiles` computes them),
-#     the ratio of the medians and the pairs the change won.
+#     the ratio of the medians and the pairs the change won;
+#   - prints each side's median setup_s and peak_heap_mb, the ratio of
+#     the medians and whether it stays within the metric's bound in
+#     BENCHMARK.json;
+#   - says whether p50_ct_s, tail_ct_s and tardiness_s printed identical
+#     digits on both sides of every pair.
 #
 # Exits 1 if the two sides' instance completion digests differ in any
 # pair or a run reports `"correct": false`, and 2 on a usage error.
@@ -59,26 +64,39 @@ for side in par chg; do
             --manifest-path "$manifest")
 done
 
-# One run of `side`: appends "<side> <pair> <ev/s> <correct> <digests>".
+# One run of `side`: appends "<side> <pair> <correct> <digests>" and then
+# the value of each metric in $metrics, as the benchmark printed it.
+metrics="flow_events_per_s setup_s peak_heap_mb p50_ct_s tail_ct_s tardiness_s"
 run() {
     local side=$1 pair=$2 log="$dir/$1.$2.log"
     (cd "$dir/$side" &&
         "$dir/$side.target/release/benchmark" --workload "$workload" \
             --seconds 10 --trace 0 >"$log" 2>&1)
-    awk -v side="$side" -v pair="$pair" '
+    awk -v side="$side" -v pair="$pair" -v metrics="$metrics" '
+        BEGIN { n = split(metrics, name, " ") }
         match($0, /"instance_digests":\[[^]]*\]/) {
             digests = substr($0, RSTART + 19, RLENGTH - 19)
         }
-        match($0, /"flow_events_per_s":\{"value":[^,}]*/) {
-            evs = substr($0, RSTART + 29, RLENGTH - 29)
+        {
+            for (i = 1; i <= n; i++) {
+                # "<name>":{"value":<number>
+                if (match($0, "\"" name[i] "\":[{]\"value\":[^,}]*")) {
+                    skip = length(name[i]) + 12
+                    value[i] = substr($0, RSTART + skip, RLENGTH - skip)
+                }
+            }
         }
         /"correct":false/ { correct = "false" }
         END {
-            if (evs == "" || digests == "") {
-                print "no metrics in " FILENAME > "/dev/stderr"
-                exit 1
+            line = side " " pair " " (correct == "" ? "true" : correct) " " digests
+            for (i = 1; i <= n; i++) {
+                if (value[i] == "" || digests == "") {
+                    print "no metrics in " FILENAME > "/dev/stderr"
+                    exit 1
+                }
+                line = line " " value[i]
             }
-            print side, pair, evs, (correct == "" ? "true" : correct), digests
+            print line
         }' "$log" >>"$dir/runs.txt"
 }
 
@@ -91,11 +109,18 @@ for ((p = 1; p <= pairs; p++)); do
         run chg "$p"
         run par "$p"
     fi
-    awk -v p="$p" '$2 == p { printf "pair %2d %s %.0f ev/s\n", p, $1, $3 }' \
+    awk -v p="$p" '$2 == p { printf "pair %2d %s %.0f ev/s\n", p, $1, $5 }' \
         "$dir/runs.txt" >&2
 done
 
-awk -v workload="$workload" -v rev="$rev" '
+# A metric's bound in BENCHMARK.json.
+bound() {
+    sed -n "s/.*\"name\": *\"$1\".*\"bound\": *\([0-9.]*\).*/\1/p" \
+        "$repo/BENCHMARK.json"
+}
+
+awk -v workload="$workload" -v rev="$rev" \
+    -v setup_bound="$(bound setup_s)" -v heap_bound="$(bound peak_heap_mb)" '
     function sort(a, n,    i, j, t) {
         for (i = 2; i <= n; i++) {
             t = a[i]
@@ -121,22 +146,42 @@ awk -v workload="$workload" -v rev="$rev" '
         printf "%-7s median %.0f [%.0f, %.0f] ev/s over %d runs\n",
             name, median(a, n), quartile(a, n, 1), quartile(a, n, 3), n
     }
+    # Field f (a lower-is-better metric) on both sides: the medians, their
+    # ratio, and whether the change stays within the bound.
+    function lower_better(label, f, bnd,    p, a, b, r) {
+        for (p = 1; p <= pairs; p++) {
+            a[p] = v["par", p, f]
+            b[p] = v["chg", p, f]
+        }
+        sort(a, pairs)
+        sort(b, pairs)
+        r = median(b, pairs) / median(a, pairs)
+        printf "%-12s median %.6g -> %.6g, ratio %.3fx, bound %s: %s\n",
+            label, median(a, pairs), median(b, pairs), r, bnd,
+            (r <= 1 + bnd ? "within" : "BEYOND")
+    }
     {
-        v[$1, $2] = $3
-        d[$1, $2] = $5
-        if ($4 != "true") bad = 1
+        for (f = 5; f <= NF; f++) v[$1, $2, f] = $f
+        d[$1, $2] = $4
+        if ($3 != "true") bad = 1
         if ($2 > pairs) pairs = $2
     }
     END {
         for (p = 1; p <= pairs; p++) {
-            par[p] = v["par", p]
-            chg[p] = v["chg", p]
-            if (v["chg", p] > v["par", p]) won++
+            par[p] = v["par", p, 5]
+            chg[p] = v["chg", p, 5]
+            if (chg[p] > par[p]) won++
             if (d["par", p] != d["chg", p]) {
                 printf "pair %d: digests differ\n  par %s\n  chg %s\n",
                     p, d["par", p], d["chg", p]
                 bad = 1
             }
+            # p50_ct_s, tail_ct_s and tardiness_s, digit for digit.
+            for (f = 8; f <= 10; f++)
+                if (v["par", p, f] != v["chg", p, f]) {
+                    moved = moved " " p
+                    break
+                }
         }
         printf "%s, %d pairs, parent %s against the working tree\n",
             workload, pairs, rev
@@ -144,6 +189,12 @@ awk -v workload="$workload" -v rev="$rev" '
         summary("change", chg, pairs)
         printf "ratio   %.3fx (change median / parent median); change won %d of %d pairs\n",
             median(chg, pairs) / median(par, pairs), won, pairs
+        lower_better("setup_s", 6, setup_bound)
+        lower_better("peak_heap_mb", 7, heap_bound)
+        if (moved == "")
+            print "p50_ct_s, tail_ct_s, tardiness_s: identical digits in every pair"
+        else
+            print "p50_ct_s, tail_ct_s, tardiness_s: digits differ in pairs" moved
         if (bad) {
             print "FAILED: digests differ or a run was not correct"
             exit 1

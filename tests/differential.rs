@@ -740,3 +740,190 @@ fn coordinator_incremental_matches_full_for_all_triggers() {
         assert_eq!(d_full, d_inc, "decision count diverged for {cfg:?}");
     }
 }
+
+/// The MADD engine keeps its earliest-deadline serve order by patching it
+/// from flow deltas, and builds every ranking's group structure in that
+/// order. Seeded random deltas drive every `support::Madd::all`
+/// configuration through the cases that patch it: departures of an
+/// echelon's head, solo arrivals released at a live group's head
+/// deadline (a tie the group key breaks), echelons that empty and come
+/// back, eviction mid-run, and unreported departures, whose freed slots
+/// the next arrivals reuse, forcing the rebuild fallback. Every
+/// allocation must be bitwise the map-based reference; debug builds also
+/// assert in `allocate_cached` that the kept order equals sorting the
+/// cached groups by `(head deadline, key)`.
+#[test]
+fn kept_serve_order_matches_the_reference_under_random_deltas() {
+    use echelonflow::simnet::alloc::AllocScratch;
+    use echelonflow::simnet::flow::ActiveFlowView;
+    use echelonflow::simnet::fluid::FlowDelta;
+    use std::collections::VecDeque;
+    use support::{Madd, Rank};
+
+    const ECHELONS: u64 = 6;
+    let topo = Topology::big_switch_uniform(HOSTS, 1.5);
+    let endpoints = |rng: &mut DetRng| {
+        let src = rng.usize_range_inclusive(0, HOSTS - 1);
+        let dst = (src + rng.usize_range_inclusive(1, HOSTS - 1)) % HOSTS;
+        (NodeId(src as u32), NodeId(dst as u32))
+    };
+    let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // Head departures, ties, comebacks, evictions, unreported departures.
+    let mut seen = [0usize; 5];
+    for seed in 0..3u64 {
+        for cfg in Madd::all() {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut echelons = Vec::new();
+            let mut coflows = Vec::new();
+            // Each echelon's unreleased members, in release order.
+            let mut queued: Vec<VecDeque<FlowRef>> = Vec::new();
+            for e in 0..ECHELONS {
+                let refs: Vec<FlowRef> = (0..rng.usize_range_inclusive(3, 6) as u64)
+                    .map(|m| {
+                        let (src, dst) = endpoints(&mut rng);
+                        FlowRef::new(FlowId(10 * e + m), src, dst, rng.f64_range(0.5, 3.0))
+                    })
+                    .collect();
+                let arrangement = if rng.next_f64() < 0.5 {
+                    ArrangementFn::Coflow
+                } else {
+                    ArrangementFn::Staggered {
+                        gap: rng.f64_range(0.2, 1.0),
+                    }
+                };
+                let job = JobId(e as u32);
+                echelons.push(EchelonFlow::from_flows(
+                    EchelonId(e),
+                    job,
+                    refs.clone(),
+                    arrangement,
+                ));
+                coflows.push(Coflow::new(EchelonId(e), job, refs.clone()));
+                queued.push(refs.into());
+            }
+            let mut engine: EchelonMadd = match cfg.rank {
+                Rank::Inter(inter) => EchelonMadd::new(echelons.clone())
+                    .with_inter(inter)
+                    .with_intra(cfg.intra)
+                    .with_backfill(cfg.backfill),
+                Rank::Coflow(order) => VarysMadd::new(coflows.clone())
+                    .with_order(order)
+                    .with_backfill(cfg.backfill)
+                    .into(),
+            };
+            let mut reference = cfg.reference(&echelons, &coflows);
+            let echelon_of = |id: FlowId| (id.0 < 10 * ECHELONS).then_some(id.0 / 10);
+            // Live flows as views (their `remaining` is redrawn each step)
+            // and a LIFO free list of arena slots.
+            let mut live: Vec<ActiveFlowView> = Vec::new();
+            let (mut free, mut slots) = (Vec::new(), 0u32);
+            let mut next_solo = 100;
+            let mut evicted = [false; ECHELONS as usize];
+            let mut ws = AllocScratch::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for step in 0..48 {
+                let now = SimTime::new(0.25 * step as f64);
+                let mut delta = FlowDelta::default();
+                // The live member of one echelon with the earliest ideal
+                // finish departs, and a random eighth of all flows; a tenth
+                // of the departures go unreported.
+                let e = rng.usize_range_inclusive(0, ECHELONS as usize - 1) as u64;
+                let head = live
+                    .iter()
+                    .filter(|v| echelon_of(v.id) == Some(e))
+                    .min_by_key(|v| (engine.book().ideal_finish(v.id), v.id))
+                    .map(|v| v.id);
+                let mut k = 0;
+                while k < live.len() {
+                    if Some(live[k].id) == head || rng.next_f64() < 0.125 {
+                        let v = live.remove(k);
+                        seen[0] += usize::from(Some(v.id) == head);
+                        free.push(v.slot);
+                        if rng.next_f64() < 0.1 {
+                            seen[4] += 1;
+                        } else {
+                            delta.departed.push(v.id);
+                        }
+                    } else {
+                        k += 1;
+                    }
+                }
+                let mut arrive = |live: &mut Vec<ActiveFlowView>, f: FlowRef, release| {
+                    let slot = free.pop().unwrap_or_else(|| {
+                        slots += 1;
+                        slots - 1
+                    });
+                    delta.arrived.push(f.id);
+                    live.push(ActiveFlowView {
+                        id: f.id,
+                        src: f.src,
+                        dst: f.dst,
+                        size: f.size,
+                        remaining: f.size,
+                        release,
+                        route: topo.route(f.src, f.dst),
+                        slot,
+                    });
+                };
+                // Solo arrivals, half of them released at the head
+                // deadline of a live group (bound at an earlier step).
+                for _ in 0..rng.usize_range_inclusive(0, 2) {
+                    let mut release = now;
+                    if !live.is_empty() && rng.next_f64() < 0.5 {
+                        let v = &live[rng.usize_range_inclusive(0, live.len() - 1)];
+                        release = match echelon_of(v.id) {
+                            None => v.release,
+                            Some(e) => live
+                                .iter()
+                                .filter(|w| echelon_of(w.id) == Some(e))
+                                .filter_map(|w| engine.book().ideal_finish(w.id))
+                                .min()
+                                .expect("a live member's echelon is bound"),
+                        };
+                        seen[1] += 1;
+                    }
+                    let (src, dst) = endpoints(&mut rng);
+                    let f = FlowRef::new(FlowId(next_solo), src, dst, rng.f64_range(0.5, 3.0));
+                    next_solo += 1;
+                    arrive(&mut live, f, release);
+                }
+                // The next member of up to three echelons, at times the
+                // last one instead, which a later arrival heads; an echelon
+                // with members released before but none live comes back.
+                for _ in 0..rng.usize_range_inclusive(0, 3) {
+                    let e = rng.usize_range_inclusive(0, ECHELONS as usize - 1);
+                    let started = queued[e].len() < echelons[e].flows().count();
+                    let next = if rng.next_f64() < 0.4 {
+                        queued[e].pop_back()
+                    } else {
+                        queued[e].pop_front()
+                    };
+                    let Some(f) = next else {
+                        continue;
+                    };
+                    let empty = !live.iter().any(|v| echelon_of(v.id) == Some(e as u64));
+                    seen[2] += usize::from(started && empty);
+                    arrive(&mut live, f, now);
+                }
+                live.sort_by_key(|v| v.id);
+                for v in &mut live {
+                    v.remaining = v.size * rng.f64_range(0.1, 1.0);
+                }
+                engine.allocate_dense_incremental(now, &live, &delta, &topo, &mut ws, &mut got);
+                reference.allocate_dense(now, &live, &topo, &mut ws, &mut want);
+                assert_eq!(bits(&got), bits(&want), "{cfg:?}, seed {seed}, step {step}");
+                // Evict every echelon whose members have all departed.
+                for e in 0..ECHELONS as usize {
+                    let done = queued[e].is_empty()
+                        && !live.iter().any(|v| echelon_of(v.id) == Some(e as u64));
+                    if done && !evicted[e] {
+                        assert!(engine.evict(EchelonId(e as u64), &live));
+                        evicted[e] = true;
+                        seen[3] += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(seen.iter().all(|&n| n >= 20), "case counts {seen:?}");
+}
