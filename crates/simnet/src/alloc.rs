@@ -421,17 +421,14 @@ pub fn waterfill_dense(
 pub(crate) const ROUTE_RANK_STRIDE: usize = 8;
 
 /// Writes `route` into `slot`'s block of a stride-[`ROUTE_RANK_STRIDE`]
-/// route arena, growing the arena to cover the slot.
-///
-/// # Panics
-///
-/// Panics if the route has more hops than a slot holds.
-pub(crate) fn store_slot_route(arena: &mut Vec<u32>, slot: u32, route: &[ResourceId]) {
-    assert!(
-        route.len() < ROUTE_RANK_STRIDE,
-        "route of {} hops does not fit a {ROUTE_RANK_STRIDE}-entry arena slot",
-        route.len()
-    );
+/// route arena, growing the arena to cover the slot. Returns false, and
+/// writes nothing, if the route has more hops than a slot holds: no
+/// fat-tree route does, but a caller-built view may carry any route.
+#[must_use]
+pub(crate) fn store_slot_route(arena: &mut Vec<u32>, slot: u32, route: &[ResourceId]) -> bool {
+    if route.len() >= ROUTE_RANK_STRIDE {
+        return false;
+    }
     let base = slot as usize * ROUTE_RANK_STRIDE;
     if arena.len() < base + ROUTE_RANK_STRIDE {
         arena.resize(base + ROUTE_RANK_STRIDE, 0);
@@ -440,6 +437,7 @@ pub(crate) fn store_slot_route(arena: &mut Vec<u32>, slot: u32, route: &[Resourc
     for (e, r) in arena[base + 1..].iter_mut().zip(route) {
         *e = r.0;
     }
+    true
 }
 
 /// `slot`'s route in a stride-[`ROUTE_RANK_STRIDE`] arena.
@@ -466,7 +464,12 @@ fn slot_route(arena: &[u32], slot: u32) -> &[u32] {
 ///   matters for the resulting bits;
 /// - a member freezes in the round a route link first reaches ≤ EPS,
 ///   which is exactly the reference's end-of-round retain test: an
-///   active member's links were all > EPS at the previous round's end.
+///   active member's links were all > EPS at the previous round's end;
+/// - a link only one member crosses is born dead when that member's
+///   route holds another link of no greater capacity, which binds no
+///   later and saturates no later (DESIGN §13.2). In a whole-fabric fill
+///   with core crossers most touched links are such links, and the
+///   rounds skip them.
 ///
 /// The caller provides a capacity snapshot indexed by global link id
 /// (`caps`, the values `topo.capacity` returns; the caller invalidates
@@ -556,11 +559,55 @@ pub(crate) fn waterfill_bucket(
         crossers_span.push((total, total));
         total += mass_cnt[li];
     }
+    // Members' routes as touched positions, and the link→member index.
+    // A link whose only crosser is member `j` is *dominated* when `j`'s
+    // route holds another link of no greater capacity: that link has at
+    // least as many crossers every round, and IEEE subtraction and
+    // division round monotonically, so its residual and candidate never
+    // exceed the dominated link's. The dominated link is then never the
+    // strict minimum and saturates only in a round where the other does
+    // too, freezing `j` anyway (DESIGN §13.2). Each member keeps its
+    // route's lowest `(capacity, single-crosser, id)` link, its keeper;
+    // every other single-crosser link on the route is born dead: count 0,
+    // so the bucket queue below starts it before `bucket_start[1]`, and
+    // absent from the member's route and the crosser spans. Only a
+    // link's own member can retire it, and never its keeper, so every
+    // member keeps a link to freeze on. `residual_local` still holds the
+    // capacities here; the capacity test on retirement fails only for a
+    // NaN capacity, which is then never retired.
+    crossers_flat.clear();
+    crossers_flat.resize(total as usize, 0);
+    routes_local.clear();
+    route_span.clear();
+    for (j, &slot) in slots.iter().enumerate() {
+        let route = slot_route(slot_routes, slot);
+        let (mut kcap, mut ksingle, mut keeper) = (f64::INFINITY, true, u32::MAX);
+        for &l in route {
+            let t = link_slot[l as usize] as usize;
+            let (cap, single) = (residual_local[t], cnt_local[t] == 1);
+            if cap < kcap || (cap == kcap && (single, l) < (ksingle, keeper)) {
+                (kcap, ksingle, keeper) = (cap, single, l);
+            }
+        }
+        let start = routes_local.len() as u32;
+        for &l in route {
+            let t = link_slot[l as usize] as usize;
+            if cnt_local[t] == 1 && l != keeper && kcap <= residual_local[t] {
+                cnt_local[t] = 0;
+                continue;
+            }
+            let span = &mut crossers_span[t];
+            crossers_flat[span.1 as usize] = j as u32;
+            span.1 += 1;
+            routes_local.push(t as u32);
+        }
+        route_span.push((start, routes_local.len() as u32));
+    }
     // Seed the candidate cache with the round-1 divisions; later rounds
     // refresh it inside the subtraction pass (and the freeze fix-ups),
-    // so the min pass itself never divides. `cnt as f64` is exact for
-    // these whole numbers, so the quotient bits match the reference's
-    // accumulated-f64 mass division.
+    // so the min pass itself never divides. A born-dead link's entry is
+    // never read. `cnt as f64` is exact for these whole numbers, so the
+    // quotient bits match the reference's accumulated-f64 mass division.
     cand.clear();
     cand.extend(
         residual_local
@@ -570,13 +617,13 @@ pub(crate) fn waterfill_bucket(
     );
     // Bucket queue over touched positions, ascending by crosser count:
     // `order` is the permutation, `opos` its inverse, `bucket_start[c]`
-    // the first `order` index holding a count-`c` link. Decrementing a
-    // count is an O(1) swap-to-bucket-front plus a boundary bump, so
-    // links whose last crosser froze (count 0) migrate before
-    // `bucket_start[1]` and silently leave every later sweep — no inert
-    // sentinels, no liveness branches — while the live suffix stays
-    // grouped by count so the interleaved subtraction lanes below stay
-    // balanced.
+    // the first `order` index holding a count-`c` link. Born-dead links
+    // start before `bucket_start[1]`. Decrementing a count is an O(1)
+    // swap-to-bucket-front plus a boundary bump, so links whose last
+    // crosser froze (count 0) migrate there too and silently leave every
+    // later sweep — no inert sentinels, no liveness branches — while the
+    // live suffix stays grouped by count so the interleaved subtraction
+    // lanes below stay balanced.
     bucket_start.clear();
     bucket_start.resize(maxc as usize + 2, 0);
     for &c in cnt_local.iter() {
@@ -596,21 +643,6 @@ pub(crate) fn waterfill_bucket(
         order[p as usize] = t as u32;
         opos[t] = p;
         bucket_cursor[c as usize] = p + 1;
-    }
-    crossers_flat.clear();
-    crossers_flat.resize(total as usize, 0);
-    routes_local.clear();
-    route_span.clear();
-    for (j, &slot) in slots.iter().enumerate() {
-        let start = routes_local.len() as u32;
-        for &l in slot_route(slot_routes, slot) {
-            let t = link_slot[l as usize] as usize;
-            let span = &mut crossers_span[t];
-            crossers_flat[span.1 as usize] = j as u32;
-            span.1 += 1;
-            routes_local.push(t as u32);
-        }
-        route_span.push((start, routes_local.len() as u32));
     }
     rate_local.clear();
     rate_local.resize(n, 0.0);
@@ -1166,15 +1198,29 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut slot_routes = Vec::new();
-            for slot in 0..members as u32 {
-                let hops = rng.usize_range_inclusive(1, nranks.min(4));
-                let mut route: Vec<ResourceId> = (0..nranks as u32).map(ResourceId).collect();
-                rng.shuffle(&mut route);
-                store_slot_route(&mut slot_routes, slot, &route[..hops]);
-            }
+            let routes: Vec<Vec<u32>> = (0..members)
+                .map(|_| {
+                    let hops = rng.usize_range_inclusive(1, nranks.min(4));
+                    let mut route: Vec<u32> = (0..nranks as u32).collect();
+                    rng.shuffle(&mut route);
+                    route.truncate(hops);
+                    route
+                })
+                .collect();
             let mut slots: Vec<u32> = (0..members as u32).collect();
             rng.shuffle(&mut slots);
+            PodSim::from_routes(caps, &routes, slots)
+        }
+
+        /// The fill whose arena slot `s` holds `routes[s]` and whose member
+        /// `j` sits on arena slot `slots[j]`.
+        fn from_routes(caps: Vec<f64>, routes: &[Vec<u32>], slots: Vec<u32>) -> PodSim {
+            let nranks = caps.len();
+            let mut slot_routes = Vec::new();
+            for (slot, route) in routes.iter().enumerate() {
+                let route: Vec<ResourceId> = route.iter().map(|&l| ResourceId(l)).collect();
+                assert!(store_slot_route(&mut slot_routes, slot as u32, &route));
+            }
             let mut topo = Topology::big_switch_uniform(nranks.div_ceil(2), 1.0);
             for (r, &c) in caps.iter().enumerate() {
                 topo.set_capacity(ResourceId(r as u32), c);
@@ -1203,6 +1249,14 @@ mod tests {
                 slots,
                 slot_routes,
             }
+        }
+
+        /// Fills every member through the bucket engine; also returns how
+        /// many route hops it retired as dominated.
+        fn bucket_retired(&self, ws: &mut AllocScratch) -> (Vec<f64>, usize) {
+            let rates = self.bucket(ws);
+            let retired = route_hops(&self.slot_routes, &self.slots) - ws.routes_local.len();
+            (rates, retired)
         }
 
         /// Fills every member through the bucket engine.
@@ -1262,6 +1316,128 @@ mod tests {
         );
     }
 
+    /// Retiring dominated single-crosser links moves no bit. Hand-built
+    /// fills aim at each way the keeper rule could go wrong, and each
+    /// pins how many hops it retires; random narrow, wide and
+    /// whole-fabric fills then check it in bulk. Every fill is bitwise
+    /// the dense waterfill, and links are actually retired.
+    #[test]
+    fn bucket_engine_retires_dominated_links_bitwise() {
+        /// A label, capacities, routes by member and the hops retired.
+        type Case = (&'static str, Vec<f64>, Vec<Vec<u32>>, usize);
+        let cases: [Case; 6] = [
+            (
+                // Member 0's strict bottleneck is a degraded link only it
+                // crosses, behind a shared link with a lower id: it must
+                // be the keeper. Member 1's lone link is retired.
+                "degraded single-crosser bottleneck",
+                vec![1.0, 0.3, 2.0],
+                vec![vec![0, 1], vec![0, 2]],
+                1,
+            ),
+            (
+                // One member, every link single-crosser, the bottleneck
+                // last and with the highest id.
+                "all links single-crosser",
+                vec![1.0, 0.7, 0.5],
+                vec![vec![0, 1, 2]],
+                2,
+            ),
+            (
+                // Equal capacities: member 0's single-crosser link ties a
+                // shared one with a higher id, member 2's ties nothing.
+                "equal-capacity ties",
+                vec![1.0, 1.0, 1.0, 0.5, 1.0],
+                vec![vec![0, 1], vec![1, 2], vec![2, 3, 4]],
+                2,
+            ),
+            (
+                // Zero-capacity links, single-crosser (members 0 and 2)
+                // and shared (link 5, members 3 and 4).
+                "zero capacity",
+                vec![0.0, 1.0, 0.0, 1.0, 2.0, 0.0, 0.5],
+                vec![vec![1, 0], vec![1, 3, 4], vec![2, 3], vec![5, 6], vec![5]],
+                2,
+            ),
+            (
+                // A member with no hops beside one whose links are all
+                // single-crosser.
+                "zero-hop member",
+                vec![0.6, 0.9],
+                vec![vec![], vec![0, 1]],
+                1,
+            ),
+            (
+                // Two members on the same two links: no link has a
+                // single crosser, so nothing is retired.
+                "shared route",
+                vec![0.5, 0.5],
+                vec![vec![0, 1], vec![1, 0]],
+                0,
+            ),
+        ];
+        let mut ws = AllocScratch::new();
+        let check = |label: &str, sim: &PodSim, ws: &mut AllocScratch| -> usize {
+            let want = fair(&sim.topo, &sim.views, ws);
+            let (got, retired) = sim.bucket_retired(ws);
+            for (j, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{label} member {j}: {a} != {b}");
+            }
+            retired
+        };
+        for (label, caps, routes, retired) in cases {
+            let slots = (0..routes.len() as u32).collect();
+            let sim = PodSim::from_routes(caps, &routes, slots);
+            assert_eq!(
+                check(label, &sim, &mut ws),
+                retired,
+                "{label}: hops retired"
+            );
+        }
+        let mut retired = 0;
+        for seed in 0..200u64 {
+            let mut rng = echelon_detrand::DetRng::seed_from_u64(0xD0_417 + seed);
+            let sim = PodSim::new(&mut rng, seed % 2 == 1);
+            retired += check(&format!("synthetic seed {seed}"), &sim, &mut ws);
+        }
+        assert!(
+            retired > 100,
+            "only {retired} hops retired on synthetic fills"
+        );
+        let (mut retired, mut hops) = (0, 0);
+        for seed in 0..20u64 {
+            let mut rng = echelon_detrand::DetRng::seed_from_u64(0xD0_FAB + seed);
+            let k = if seed % 2 == 0 { 4 } else { 8 };
+            let sim = FabricSim::new(&mut rng, k, 12 * k, 0.2);
+            let want = fair(&sim.topo, &sim.flows, &mut ws);
+            let subset: Vec<usize> = (0..sim.flows.len()).collect();
+            let slots: Vec<u32> = sim.flows.iter().map(|v| v.slot).collect();
+            let mut got = vec![f64::NAN; subset.len()];
+            waterfill_bucket(
+                &sim.caps(),
+                &subset,
+                &slots,
+                &sim.slot_routes,
+                &mut got,
+                &mut ws,
+            );
+            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "fabric seed {seed} flow {i}: {a} != {b}"
+                );
+            }
+            hops += route_hops(&sim.slot_routes, &slots);
+            retired += route_hops(&sim.slot_routes, &slots) - ws.routes_local.len();
+        }
+        // Whole-fabric fills with core crossers retire a real share.
+        assert!(
+            retired * 10 > hops,
+            "only {retired} of {hops} fabric hops retired"
+        );
+    }
+
     /// A random fat-tree workload: a k-ary fabric with about one link in
     /// five degraded and one in twenty cut to zero capacity, and `n`
     /// flows on shuffled arena slots whose routes are stored as global
@@ -1312,7 +1488,7 @@ mod tests {
                     slot,
                     ..view(&topo, &d)
                 };
-                store_slot_route(&mut slot_routes, slot, &v.route);
+                assert!(store_slot_route(&mut slot_routes, slot, &v.route));
                 flows.push(v);
             }
             FabricSim {

@@ -261,6 +261,12 @@ impl RatePolicy for MaxMinPolicy {
 /// falls back to the whole-fabric waterfill.
 const CROSS_POD: u32 = u32::MAX;
 
+/// Sentinel pod id for flows whose route has more hops than a route
+/// arena slot holds. No fat-tree route does, but a caller-built view may
+/// carry any route: such a flow counts as a core crosser, and while one
+/// is live the fabric fallback fills from the views' routes.
+const LONG_ROUTE: u32 = u32::MAX - 1;
+
 /// Pod-decomposed max-min fair sharing for fat-tree fabrics.
 ///
 /// On a [`Topology::FatTree`], every resource belongs to exactly one pod
@@ -299,6 +305,8 @@ pub struct PodMaxMinPolicy {
     pod_of_flow: BTreeMap<FlowId, u32>,
     /// Live core-crossing flows; nonzero forces the global fallback.
     cross_pod_live: usize,
+    /// Live [`LONG_ROUTE`] flows, counted in `cross_pod_live` too.
+    long_routes_live: usize,
     /// Live member ids per pod, ascending — the order the pod-sequential
     /// arithmetic fills them in.
     pod_members: Vec<Vec<FlowId>>,
@@ -387,6 +395,7 @@ impl PodMaxMinPolicy {
         }
         self.pod_of_flow.clear();
         self.cross_pod_live = 0;
+        self.long_routes_live = 0;
         self.caps.clear();
     }
 
@@ -398,10 +407,14 @@ impl PodMaxMinPolicy {
         if slot >= self.slot_rate.len() {
             self.slot_rate.resize(slot + 1, 0.0);
         }
-        store_slot_route(&mut self.routes, v.slot, &v.route);
-        let pod = Self::classify(topo, v.src, v.dst);
+        let pod = if store_slot_route(&mut self.routes, v.slot, &v.route) {
+            Self::classify(topo, v.src, v.dst)
+        } else {
+            self.long_routes_live += 1;
+            LONG_ROUTE
+        };
         self.pod_of_flow.insert(v.id, pod);
-        if pod == CROSS_POD {
+        if pod == CROSS_POD || pod == LONG_ROUTE {
             self.cross_pod_live += 1;
             return;
         }
@@ -418,6 +431,10 @@ impl PodMaxMinPolicy {
     fn depart(&mut self, id: &FlowId) {
         match self.pod_of_flow.remove(id) {
             Some(CROSS_POD) => self.cross_pod_live -= 1,
+            Some(LONG_ROUTE) => {
+                self.cross_pod_live -= 1;
+                self.long_routes_live -= 1;
+            }
             Some(pod) => {
                 self.cache_valid[pod as usize] = false;
                 let pm = &mut self.pod_members[pod as usize];
@@ -435,6 +452,11 @@ impl PodMaxMinPolicy {
     /// and `members` ends up listing exactly those entries. Members
     /// resolve in ascending id order, the order the reference arithmetic
     /// fills them in, and the engine is bitwise that arithmetic.
+    ///
+    /// A member missing from `flows` departed without its delta saying
+    /// so. The driver always reports departures, but a caller-built
+    /// delta need not: such a member has no rate to write, so it leaves
+    /// its pod here.
     fn refill(
         &mut self,
         npods: usize,
@@ -453,13 +475,17 @@ impl PodMaxMinPolicy {
             self.cache_valid[pod] = true;
             self.pods_recomputed += 1;
             let start = self.members.len();
-            for id in &self.pod_members[pod] {
-                let i = flows
-                    .binary_search_by(|v| v.id.cmp(id))
-                    .expect("pod member missing from the active slice");
-                self.members.push(i);
-                self.member_slots.push(flows[i].slot);
-            }
+            let (members, member_slots) = (&mut self.members, &mut self.member_slots);
+            let pod_of_flow = &mut self.pod_of_flow;
+            self.pod_members[pod].retain(|id| {
+                let Ok(i) = flows.binary_search_by(|v| v.id.cmp(id)) else {
+                    pod_of_flow.remove(id);
+                    return false;
+                };
+                members.push(i);
+                member_slots.push(flows[i].slot);
+                true
+            });
             let members = &self.members[start..];
             let slots = &self.member_slots[start..];
             waterfill_bucket(&self.caps, members, slots, &self.routes, out, ws);
@@ -501,6 +527,13 @@ impl PodMaxMinPolicy {
             self.members.extend(0..flows.len());
             self.member_slots.clear();
             self.member_slots.extend(flows.iter().map(|v| v.slot));
+            if self.long_routes_live > 0 {
+                // Some route is not in the arena: fill from the views.
+                out.clear();
+                out.resize(flows.len(), 0.0);
+                waterfill_dense(topo, flows, None, out, ws);
+                return;
+            }
             out.resize(flows.len(), 0.0);
             waterfill_bucket(
                 &self.caps,
@@ -1166,6 +1199,92 @@ mod tests {
                     .approx_eq(SimTime::new(1.0)));
             }
         }
+    }
+
+    /// Inputs the driver never builds do not panic the pod policy: a
+    /// delta that omits a departure, and a view whose route does not fit
+    /// a route arena slot. Either way the rates are the ones a fresh
+    /// policy computes over the same views.
+    #[test]
+    fn pod_policy_survives_caller_built_inputs() {
+        let topo = crate::fattree::FatTree::new(4).build_fabric();
+        let view = |id: u64, slot: u32, src: u32, dst: u32| {
+            let (src, dst) = (NodeId(src), NodeId(dst));
+            ActiveFlowView {
+                id: FlowId(id),
+                slot,
+                src,
+                dst,
+                size: 1.0,
+                remaining: 1.0,
+                release: SimTime::ZERO,
+                route: topo.route(src, dst),
+            }
+        };
+        let fresh = |flows: &[ActiveFlowView]| {
+            let mut out = Vec::new();
+            let mut policy = PodMaxMinPolicy::new();
+            policy.allocate_dense(
+                SimTime::ZERO,
+                flows,
+                &topo,
+                &mut AllocScratch::new(),
+                &mut out,
+            );
+            out
+        };
+        let arrived = |flows: &[ActiveFlowView]| FlowDelta {
+            arrived: flows.iter().map(|v| v.id).collect(),
+            departed: Vec::new(),
+        };
+        let mut policy = PodMaxMinPolicy::new();
+        let mut ws = AllocScratch::new();
+        let mut out = Vec::new();
+        // Flow 0 leaves pod 0 without a departure in the next delta.
+        let both = [view(0, 0, 0, 1), view(1, 1, 0, 2)];
+        policy.allocate_dense_incremental(
+            SimTime::ZERO,
+            &both,
+            &arrived(&both),
+            &topo,
+            &mut ws,
+            &mut out,
+        );
+        let rest = [view(1, 1, 0, 2), view(2, 2, 3, 1)];
+        let only_2 = arrived(&rest[1..]);
+        policy.allocate_dense_incremental(SimTime::ZERO, &rest, &only_2, &topo, &mut ws, &mut out);
+        assert_eq!(out, fresh(&rest));
+        // An 8-hop route forces the fabric fallback until it departs.
+        let mut long = view(3, 3, 4, 5);
+        long.route = (0..8).map(crate::ids::ResourceId).collect();
+        let with_long = [rest[0].clone(), rest[1].clone(), long];
+        let delta = arrived(&with_long[2..]);
+        policy.allocate_dense_incremental(
+            SimTime::ZERO,
+            &with_long,
+            &delta,
+            &topo,
+            &mut ws,
+            &mut out,
+        );
+        assert_eq!(out, fresh(&with_long));
+        let mut dense = vec![0.0; with_long.len()];
+        waterfill_dense(&topo, &with_long, None, &mut dense, &mut ws);
+        assert_eq!(out, dense);
+        let departed = FlowDelta {
+            arrived: Vec::new(),
+            departed: vec![FlowId(3)],
+        };
+        policy.allocate_dense_incremental(
+            SimTime::ZERO,
+            &rest,
+            &departed,
+            &topo,
+            &mut ws,
+            &mut out,
+        );
+        assert_eq!(out, fresh(&rest));
+        assert_eq!((policy.cross_pod_live, policy.long_routes_live), (0, 0));
     }
 
     #[test]

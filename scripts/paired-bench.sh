@@ -26,6 +26,13 @@
 # PAIRED_BENCH_DIR names the scratch directory (default: `mktemp -d`);
 # its checkouts and run logs are replaced on every call, and its target
 # directories reused.
+#
+# PAIRED_BENCH_ALIGN=1 builds both sides with every function aligned to
+# 64 bytes (RUSTFLAGS="-C llvm-args=-align-all-functions=6"), in target
+# directories of their own (`par.aligned.target`, `chg.aligned.target`),
+# and says so in the summary. The protocol asks for this re-run when a
+# workload that runs none of the changed code moves: it takes code
+# layout shifts out of the comparison.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -57,11 +64,18 @@ git -C "$repo" archive "$(git -C "$repo" rev-parse --verify "$rev^{commit}")" |
         done
 )
 
+align=${PAIRED_BENCH_ALIGN:-0}
+target=target
+rustflags=${RUSTFLAGS:-}
+if [[ $align == 1 ]]; then
+    target=aligned.target
+    rustflags="$rustflags -C llvm-args=-align-all-functions=6"
+fi
 for side in par chg; do
     echo "building $side" >&2
     (cd "$dir/$side" &&
-        CARGO_TARGET_DIR="$dir/$side.target" cargo build --release --quiet \
-            --manifest-path "$manifest")
+        RUSTFLAGS="$rustflags" CARGO_TARGET_DIR="$dir/$side.$target" \
+            cargo build --release --quiet --manifest-path "$manifest")
 done
 
 # One run of `side`: appends "<side> <pair> <correct> <digests>" and then
@@ -70,7 +84,7 @@ metrics="flow_events_per_s setup_s peak_heap_mb p50_ct_s tail_ct_s tardiness_s"
 run() {
     local side=$1 pair=$2 log="$dir/$1.$2.log"
     (cd "$dir/$side" &&
-        "$dir/$side.target/release/benchmark" --workload "$workload" \
+        "$dir/$side.$target/release/benchmark" --workload "$workload" \
             --seconds 10 --trace 0 >"$log" 2>&1)
     awk -v side="$side" -v pair="$pair" -v metrics="$metrics" '
         BEGIN { n = split(metrics, name, " ") }
@@ -119,7 +133,7 @@ bound() {
         "$repo/BENCHMARK.json"
 }
 
-awk -v workload="$workload" -v rev="$rev" \
+awk -v workload="$workload" -v rev="$rev" -v align="$align" \
     -v setup_bound="$(bound setup_s)" -v heap_bound="$(bound peak_heap_mb)" '
     function sort(a, n,    i, j, t) {
         for (i = 2; i <= n; i++) {
@@ -183,8 +197,9 @@ awk -v workload="$workload" -v rev="$rev" \
                     break
                 }
         }
-        printf "%s, %d pairs, parent %s against the working tree\n",
-            workload, pairs, rev
+        printf "%s, %d pairs, parent %s against the working tree%s\n",
+            workload, pairs, rev,
+            (align == 1 ? ", every function aligned to 64 bytes" : "")
         summary("parent", par, pairs)
         summary("change", chg, pairs)
         printf "ratio   %.3fx (change median / parent median); change won %d of %d pairs\n",

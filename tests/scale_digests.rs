@@ -1,21 +1,25 @@
-//! Pinned completion digests for pod-local flows on fat trees under
+//! Pinned completion digests for flows on fat trees under
 //! [`PodMaxMinPolicy`], with tracing, feasibility checks and link counters
-//! off. Each scenario asserts that every flow completes, that peak
-//! concurrency reaches its floor, that turning the phase timers on records
-//! phase time without changing the digest, and that the digest equals the
-//! committed value. The full-size scenarios are `#[ignore]`d; run them with
+//! off. Most rows are pod-local; one mixes in core crossers under link
+//! churn, so it runs the whole-fabric fallback. Each scenario asserts that
+//! every flow completes, that peak concurrency reaches its floor, that
+//! turning the phase timers on records phase time without changing the
+//! digest, and that the digest equals the committed value. The full-size
+//! scenarios are `#[ignore]`d; run them with
 //! `cargo test --release --test scale_digests -- --ignored`.
 
 use echelon_detrand::DetRng;
 use echelonflow::simnet::driver::{DriveConfig, PhaseTimings};
 use echelonflow::simnet::fattree::FatTree;
+use echelonflow::simnet::fault::{FaultKind, FaultPlan};
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::NextCompletionMode;
-use echelonflow::simnet::ids::{FlowId, NodeId};
+use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
 use echelonflow::simnet::runner::{
-    run_flows_configured, FlowOutcomes, PodMaxMinPolicy, RecomputeMode,
+    run_flows_faulted_configured, FlowOutcomes, PodMaxMinPolicy, RecomputeMode,
 };
 use echelonflow::simnet::time::SimTime;
+use echelonflow::simnet::topology::Topology;
 
 /// How a scale scenario's releases are spread over time: uniformly in
 /// `[0, window)`, or as a Poisson process with the given mean gap.
@@ -32,11 +36,16 @@ struct ScaleSpec {
     size_hi: f64,
     /// Lower bound asserted on the peak concurrent flow count.
     min_peak_active: usize,
+    /// Share of Poisson flows sent to another pod, across the core.
+    cross: f64,
+    /// Link degrade/restore pairs spread over the release span.
+    churn_pairs: usize,
 }
 
-/// Pod-local demands on a fat-tree: every flow stays inside its pod, so
-/// the allocator's per-pod dirty sets are non-trivial and the
-/// whole-fabric fallback never triggers.
+/// Demands on a fat-tree. With `cross` zero every flow stays inside its
+/// pod, so the allocator's per-pod dirty sets are non-trivial and the
+/// whole-fabric fallback never triggers; otherwise each Poisson flow
+/// crosses the core with probability `cross`.
 fn scale_demands(spec: &ScaleSpec) -> Vec<FlowDemand> {
     let half = spec.k / 2;
     let hosts_per_pod = half * half;
@@ -72,6 +81,13 @@ fn scale_demands(spec: &ScaleSpec) -> Vec<FlowDemand> {
                 let u = rng.f64_range(0.0, 1.0);
                 t += -mean_gap * (1.0 - u).ln();
                 let pod = rng.usize_range_inclusive(0, spec.k - 1);
+                // No draw at `cross` zero, so the pod-local rows keep
+                // their streams.
+                let dst_pod = if spec.cross > 0.0 && rng.next_f64() < spec.cross {
+                    (pod + rng.usize_range_inclusive(1, spec.k - 1)) % spec.k
+                } else {
+                    pod
+                };
                 let base = pod * hosts_per_pod;
                 let src = rng.usize_range_inclusive(0, hosts_per_pod - 1);
                 let dst_raw = rng.usize_range_inclusive(0, hosts_per_pod - 2);
@@ -79,7 +95,7 @@ fn scale_demands(spec: &ScaleSpec) -> Vec<FlowDemand> {
                 demands.push(FlowDemand {
                     id: FlowId(next_id),
                     src: NodeId((base + src) as u32),
-                    dst: NodeId((base + dst) as u32),
+                    dst: NodeId((dst_pod * hosts_per_pod + dst) as u32),
                     size: rng.f64_range(spec.size_lo, spec.size_hi),
                     release: SimTime::new(t),
                 });
@@ -88,6 +104,29 @@ fn scale_demands(spec: &ScaleSpec) -> Vec<FlowDemand> {
         }
     }
     demands
+}
+
+/// `pairs` degrade/restore pairs on seeded random links, one per equal
+/// slice of `[0, span)`: each link drops to half its capacity a quarter
+/// into its slice and is restored at three quarters.
+fn churn_plan(topo: &Topology, k: usize, span: f64, pairs: usize) -> FaultPlan {
+    let mut rng = DetRng::seed_from_u64(0xC4_0257 + k as u64);
+    let slice = span / pairs as f64;
+    let mut plan = FaultPlan::empty();
+    for i in 0..pairs {
+        let link = ResourceId(rng.usize_range_inclusive(0, topo.num_resources() - 1) as u32);
+        let start = slice * i as f64;
+        plan = plan
+            .with(
+                SimTime::new(start + 0.25 * slice),
+                FaultKind::LinkDegrade(link, 0.5),
+            )
+            .with(
+                SimTime::new(start + 0.75 * slice),
+                FaultKind::LinkRestore(link),
+            );
+    }
+    plan
 }
 
 /// FNV-style digest over the completion map (deterministic iteration
@@ -109,6 +148,8 @@ fn completion_digest(out: &FlowOutcomes) -> u64 {
 fn assert_pinned(spec: ScaleSpec, pinned: &str) {
     let topo = FatTree::new(spec.k).build_fabric();
     let demands = scale_demands(&spec);
+    let span = demands.iter().map(|d| d.release.secs()).fold(0.0, f64::max);
+    let plan = churn_plan(&topo, spec.k, span, spec.churn_pairs);
     let run = |profile: bool| {
         let mut policy = PodMaxMinPolicy::new();
         let config = DriveConfig {
@@ -118,16 +159,18 @@ fn assert_pinned(spec: ScaleSpec, pinned: &str) {
             profile,
             link_stats: false,
         };
-        run_flows_configured(
+        run_flows_faulted_configured(
             &topo,
             demands.clone(),
             &mut policy,
             RecomputeMode::Incremental,
+            &plan,
             config,
         )
     };
     let timed = run(false);
     assert_eq!(timed.completions().len(), demands.len(), "flows lost");
+    assert_eq!(timed.drive_stats().fault_events, 2 * spec.churn_pairs);
     let peak = timed.drive_stats().peak_active;
     assert!(peak >= spec.min_peak_active, "peak_active {peak}");
     let profiled = run(true);
@@ -146,6 +189,8 @@ fn k8_smoke_burst_digest_is_pinned() {
         size_lo: 0.5,
         size_hi: 1.5,
         min_peak_active: 64,
+        cross: 0.0,
+        churn_pairs: 0,
     };
     assert_pinned(spec, "1cfdc92157f75eda");
 }
@@ -159,6 +204,8 @@ fn k8_smoke_spread_digest_is_pinned() {
         size_lo: 0.3,
         size_hi: 0.9,
         min_peak_active: 32,
+        cross: 0.0,
+        churn_pairs: 0,
     };
     assert_pinned(spec, "fc73076793ae00d5");
 }
@@ -174,6 +221,8 @@ fn k16_burst_digest_is_pinned() {
         size_lo: 0.5,
         size_hi: 1.5,
         min_peak_active: 10_000,
+        cross: 0.0,
+        churn_pairs: 0,
     };
     assert_pinned(spec, "73c77269a7769748");
 }
@@ -189,6 +238,8 @@ fn k32_trickle_digest_is_pinned() {
         size_lo: 0.2,
         size_hi: 0.6,
         min_peak_active: 64,
+        cross: 0.0,
+        churn_pairs: 0,
     };
     assert_pinned(spec, "bba2343c68164add");
 }
@@ -205,6 +256,34 @@ fn k16_staggered_digest_is_pinned() {
         size_lo: 0.5,
         size_hi: 1.5,
         min_peak_active: 128,
+        cross: 0.0,
+        churn_pairs: 0,
     };
     assert_pinned(spec, "91de76748782197e");
+}
+
+/// The whole-fabric fallback: Poisson flows, about a fifth of them core
+/// crossers, under link degrade/restore churn. While a crosser is live
+/// every allocation, and every fault-forced one, fills the whole fabric.
+#[test]
+fn k8_crosser_churn_digest_is_pinned() {
+    let spec = ScaleSpec {
+        k: 8,
+        flows_per_pod: 60,
+        arrival: Arrival::Poisson { mean_gap: 0.004 },
+        size_lo: 0.5,
+        size_hi: 1.5,
+        min_peak_active: 64,
+        cross: 0.2,
+        churn_pairs: 8,
+    };
+    // Non-vacuity: at least one flow in ten crosses the core.
+    let topo = FatTree::new(spec.k).build_fabric();
+    let demands = scale_demands(&spec);
+    let crossers = demands
+        .iter()
+        .filter(|d| topo.host_pod(d.src) != topo.host_pod(d.dst))
+        .count();
+    assert!(crossers * 10 >= demands.len(), "only {crossers} crossers");
+    assert_pinned(spec, "7cfc8eb4f8e82ba1");
 }
