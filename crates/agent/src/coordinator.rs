@@ -23,6 +23,14 @@
 //!   agent → coordinator round-trip yet; until then they receive only
 //!   backfilled (fair-share leftover) bandwidth.
 //!
+//! Groups enter before the policy exists ([`Coordinator::submit`]) or
+//! while it runs ([`CoordinatedPolicy::register`], absorbed before the
+//! next allocation), and leave through [`CoordinatedPolicy::retire`],
+//! evicted right after the next allocation. The open-loop service drives
+//! this one lifecycle. It has no gate of its own: the service's job-level
+//! pending queue is the only one, since a dropped group would silently
+//! ungroup an admitted job's flows.
+//!
 //! [`CoordinatedPolicy`] allocates in the simulator's dense rate currency
 //! (`out[i]` rates `flows[i]` of the id-sorted active slice; see
 //! [`echelon_simnet::alloc`]): the engine writes straight into the
@@ -72,12 +80,6 @@ pub struct CoordinatorConfig {
     pub inter: InterOrder,
     /// Intra-EchelonFlow discipline used by the heuristic.
     pub intra: IntraMode,
-    /// Admission gate for open-loop operation: the most requests the
-    /// coordinator will hold pending (pre-policy) or queue for live
-    /// registration (post-policy) at once. Requests beyond it are
-    /// rejected and counted, never silently dropped. The default is
-    /// effectively unbounded, preserving closed-loop behaviour.
-    pub pending_limit: usize,
 }
 
 impl Default for CoordinatorConfig {
@@ -87,7 +89,6 @@ impl Default for CoordinatorConfig {
             control_latency: 0.0,
             inter: InterOrder::EarliestDeadline,
             intra: IntraMode::FinishEarly,
-            pending_limit: usize::MAX,
         }
     }
 }
@@ -97,7 +98,6 @@ impl Default for CoordinatorConfig {
 pub struct Coordinator {
     config: CoordinatorConfig,
     registered: Vec<EchelonFlow>,
-    rejected: usize,
     decisions_computed: usize,
 }
 
@@ -107,30 +107,15 @@ impl Coordinator {
         Coordinator {
             config,
             registered: Vec::new(),
-            rejected: 0,
             decisions_computed: 0,
         }
     }
 
-    /// Registers one EchelonFlow request (agents call this).
-    ///
-    /// Unconditional: closed-loop callers pre-register a known job set
-    /// and a silent drop would corrupt the experiment. Open-loop callers
-    /// use [`Self::try_submit`].
+    /// Registers one EchelonFlow request (agents call this). Groups that
+    /// only exist once the policy runs enter through
+    /// [`CoordinatedPolicy::register`].
     pub fn submit(&mut self, request: EchelonRequest) {
         self.registered.push(request.echelon);
-    }
-
-    /// Gated registration: refuses (returning `false` and counting the
-    /// rejection) once [`CoordinatorConfig::pending_limit`] requests are
-    /// already held.
-    pub fn try_submit(&mut self, request: EchelonRequest) -> bool {
-        if self.registered.len() >= self.config.pending_limit {
-            self.rejected += 1;
-            return false;
-        }
-        self.submit(request);
-        true
     }
 
     /// Registers a batch of requests from any iterable source — a `Vec`,
@@ -148,11 +133,6 @@ impl Coordinator {
     /// Number of registered EchelonFlows.
     pub fn registered_count(&self) -> usize {
         self.registered.len()
-    }
-
-    /// Requests refused by [`Self::try_submit`]'s admission gate.
-    pub fn rejected_count(&self) -> usize {
-        self.rejected
     }
 
     /// How many times the decision engine ran (the scalability metric the
@@ -181,7 +161,7 @@ impl Coordinator {
             held: HeldDecision::default(),
             outage: false,
             pending_register: Vec::new(),
-            rejected_registrations: 0,
+            pending_retire: Vec::new(),
             known: Vec::new(),
             known_pos: Vec::new(),
             fresh: Vec::new(),
@@ -214,14 +194,16 @@ pub struct CoordinatedPolicy {
     /// rate first, then id, approximating the engine's serve order — on
     /// its first read after the decision (see `cached_sorted`).
     /// Allocations between decisions enforce it; flows absent from it
-    /// queue behind it in id order.
+    /// queue behind it in id order. Never filled under the `PerEvent`
+    /// trigger, where every allocation is a decision.
     cached_order: Vec<(FlowId, f64)>,
     /// Whether `cached_order` is in priority order yet. A decision
-    /// stores its pairs unsorted: under the `PerEvent` trigger every
-    /// allocation is a decision, and nothing reads the order.
+    /// stores its pairs unsorted, since the next one may replace them
+    /// unread.
     cached_sorted: bool,
     last_decision: Option<SimTime>,
-    /// Active EchelonFlow set at the last decision (for PerGroupChange).
+    /// Active EchelonFlow set at the last decision. Kept only under
+    /// `PerGroupChange`, its one reader (see [`Self::tracks_groups`]).
     last_groups: Vec<EchelonId>,
     /// When each flow was first seen, for the control-latency split.
     /// Stays empty without control latency: every flow is known at once.
@@ -229,6 +211,7 @@ pub struct CoordinatedPolicy {
     decisions_computed: usize,
     /// Incremental state: active member count per EchelonFlow, maintained
     /// from flow deltas so `active_groups` need not rescan every flow.
+    /// Empty unless [`Self::tracks_groups`].
     group_counts: BTreeMap<EchelonId, usize>,
     /// Whether `group_counts` has been initialised from a full scan.
     counts_valid: bool,
@@ -242,15 +225,12 @@ pub struct CoordinatedPolicy {
     /// a stale priority order must not be enforced forever while the
     /// coordinator cannot refresh it).
     outage: bool,
-    /// Live registrations queued since the last allocation: under
-    /// backlog, any number of [`Self::register`] calls are absorbed in
-    /// one batch at the next allocation instead of perturbing the
-    /// decision cadence per request. Registration is allocation-neutral
-    /// until the group's first flow releases, so batching cannot change
-    /// any decision.
+    /// Live registrations queued since the last allocation (see
+    /// [`Self::register`]).
     pending_register: Vec<EchelonFlow>,
-    /// Registrations refused at the full pending queue.
-    rejected_registrations: usize,
+    /// Retirements queued since the last allocation (see
+    /// [`Self::retire`]).
+    pending_retire: Vec<EchelonId>,
     /// The control-latency split of the current allocation, written by
     /// [`Self::split_known`]: the fresh flows' ids, and — only when there
     /// are any — the known flows' views and their positions in the
@@ -272,58 +252,37 @@ impl CoordinatedPolicy {
         self.decisions_computed
     }
 
-    /// Queues a live EchelonFlow registration (open-loop admission after
-    /// [`Coordinator::into_policy`]). Bounded by
-    /// [`CoordinatorConfig::pending_limit`]: returns `false` and counts
-    /// the rejection when the queue is full.
-    pub fn register(&mut self, echelon: EchelonFlow) -> bool {
-        if self.pending_register.len() >= self.config.pending_limit {
-            self.rejected_registrations += 1;
-            return false;
-        }
+    /// Registers an EchelonFlow that enters after
+    /// [`Coordinator::into_policy`] (open-loop admission). The group is
+    /// queued and lands in the engine before the next allocation, so a
+    /// head flow releasing at that very event binds its reference. Any
+    /// number of registrations are absorbed in one batch; registration
+    /// is allocation-neutral until the group's first flow releases, so
+    /// batching changes no decision.
+    ///
+    /// # Panics
+    ///
+    /// The next allocation panics if the id or any member flow is
+    /// already claimed.
+    pub fn register(&mut self, echelon: EchelonFlow) {
         self.pending_register.push(echelon);
-        true
     }
 
-    /// Queues a batch of live registrations; returns how many were
-    /// accepted before the pending queue filled.
-    pub fn register_batch<I>(&mut self, echelons: I) -> usize
-    where
-        I: IntoIterator<Item = EchelonFlow>,
-    {
-        echelons
-            .into_iter()
-            .map(|h| self.register(h))
-            .filter(|&accepted| accepted)
-            .count()
-    }
-
-    /// Registrations refused by the bounded pending queue.
-    pub fn rejected_registrations(&self) -> usize {
-        self.rejected_registrations
-    }
-
-    /// Evicts a completed EchelonFlow from the live engine, refusing
-    /// (`false`) while any member flow is still active. On success the
-    /// group's per-flow bookkeeping (`first_seen` aging stamps) is
-    /// dropped too, keeping coordinator memory proportional to *live*
-    /// jobs on an unbounded stream.
-    pub fn evict(&mut self, id: EchelonId, active: &[ActiveFlowView]) -> bool {
-        self.flush_pending();
-        // `first_seen` stays empty without control latency: nothing to drop.
-        let member_ids: Vec<FlowId> = match self.engine.book().get(id) {
-            Some(_) if self.first_seen.is_empty() => Vec::new(),
-            Some(h) => h.flows().map(|f| f.id).collect(),
-            None => return false,
-        };
-        if !self.engine.evict(id, active) {
-            return false;
-        }
-        for f in member_ids {
-            self.first_seen.remove(&f);
-        }
-        self.group_counts.remove(&id);
-        true
+    /// Retires an EchelonFlow whose every flow has completed (its job
+    /// retired). The group is queued and evicted right after the next
+    /// allocation: that allocation applies the departure delta of the
+    /// group's last flows while the book still maps them to the group,
+    /// and a flowless group can change no later allocation. Eviction
+    /// also drops the members' `first_seen` aging stamps, keeping
+    /// coordinator memory proportional to *live* jobs on an unbounded
+    /// stream.
+    ///
+    /// # Panics
+    ///
+    /// The allocation after the call panics if `id` is not registered or
+    /// a member flow is still active.
+    pub fn retire(&mut self, id: EchelonId) {
+        self.pending_retire.push(id);
     }
 
     /// Current and peak engine-book occupancy (see
@@ -341,6 +300,28 @@ impl CoordinatedPolicy {
         for h in self.pending_register.drain(..) {
             self.engine.register(h);
         }
+    }
+
+    /// Evicts every queued retirement; runs after an allocation.
+    fn evict_retired(&mut self, active: &[ActiveFlowView]) {
+        for id in self.pending_retire.drain(..) {
+            if let Some(h) = self.engine.book().get(id) {
+                for f in h.flows() {
+                    self.first_seen.remove(&f.id);
+                }
+            }
+            assert!(
+                self.engine.evict(id, active),
+                "evicting retired {id:?} refused"
+            );
+            self.group_counts.remove(&id);
+        }
+    }
+
+    /// Whether the active EchelonFlow set is tracked (`last_groups`,
+    /// `group_counts`): only the `PerGroupChange` trigger reads it.
+    fn tracks_groups(&self) -> bool {
+        self.config.trigger == Trigger::PerGroupChange
     }
 
     /// Whether the heuristic must run now. `active_groups` yields the
@@ -444,10 +425,12 @@ impl CoordinatedPolicy {
         } else {
             (flows, out)
         };
-        self.cached_order.clear();
-        self.cached_order
-            .extend(known.iter().map(|v| v.id).zip(rates.iter().copied()));
-        self.cached_sorted = false;
+        if self.config.trigger != Trigger::PerEvent {
+            self.cached_order.clear();
+            self.cached_order
+                .extend(known.iter().map(|v| v.id).zip(rates.iter().copied()));
+            self.cached_sorted = false;
+        }
         if any_fresh {
             self.backfill_fresh(flows, topo, ws, out);
         }
@@ -536,7 +519,8 @@ impl CoordinatedPolicy {
 
     /// Between decisions: enforce the cached order by priority filling
     /// the known flows, then let fresh flows (present only when
-    /// `any_fresh`) ride the leftover bandwidth.
+    /// `any_fresh`) ride the leftover bandwidth. Never reached under the
+    /// `PerEvent` trigger.
     fn between_decisions(
         &mut self,
         flows: &[ActiveFlowView],
@@ -603,10 +587,10 @@ impl CoordinatedPolicy {
         out.resize(flows.len(), 0.0);
         waterfill_dense(topo, flows, None, out, ws);
     }
-}
 
-impl RatePolicy for CoordinatedPolicy {
-    fn allocate_dense(
+    /// [`RatePolicy::allocate_dense`] before queued retirements are
+    /// evicted.
+    fn allocate_full(
         &mut self,
         now: SimTime,
         flows: &[ActiveFlowView],
@@ -638,7 +622,11 @@ impl RatePolicy for CoordinatedPolicy {
             return Self::fair_share(flows, topo, ws, out);
         }
         let any_fresh = self.split_known(now, flows);
-        let groups = self.active_groups(flows);
+        let groups = if self.tracks_groups() {
+            self.active_groups(flows)
+        } else {
+            Vec::new()
+        };
         if self.decision_due(now, groups.iter().copied()) {
             // Full heuristic run: rates for known flows, and the implied
             // global priority order becomes the cached decision.
@@ -648,7 +636,9 @@ impl RatePolicy for CoordinatedPolicy {
         self.between_decisions(flows, any_fresh, topo, ws, out);
     }
 
-    fn allocate_dense_incremental(
+    /// [`RatePolicy::allocate_dense_incremental`] before queued
+    /// retirements are evicted.
+    fn allocate_delta(
         &mut self,
         now: SimTime,
         flows: &[ActiveFlowView],
@@ -661,7 +651,9 @@ impl RatePolicy for CoordinatedPolicy {
             return;
         }
         self.flush_pending();
-        self.update_group_counts(flows, delta);
+        if self.tracks_groups() {
+            self.update_group_counts(flows, delta);
+        }
         // Without control latency every flow is immediately known, so the
         // known set is exactly `flows` and the engine's incremental path
         // applies. Feed the engine its delta at *every* event — not just
@@ -690,6 +682,33 @@ impl RatePolicy for CoordinatedPolicy {
             return self.decide(now, flows, any_fresh, cached, topo, ws, out);
         }
         self.between_decisions(flows, any_fresh, topo, ws, out);
+    }
+}
+
+impl RatePolicy for CoordinatedPolicy {
+    fn allocate_dense(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.allocate_full(now, flows, topo, ws, out);
+        self.evict_retired(flows);
+    }
+
+    fn allocate_dense_incremental(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        delta: &FlowDelta,
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.allocate_delta(now, flows, delta, topo, ws, out);
+        self.evict_retired(flows);
     }
 
     /// Every fault voids the held decision: link faults change the
@@ -1067,28 +1086,6 @@ mod tests {
         );
     }
 
-    /// The pre-policy admission gate: submissions beyond `pending_limit`
-    /// are refused and counted, never silently dropped.
-    #[test]
-    fn try_submit_respects_pending_limit() {
-        let dag = fig2_dag();
-        let mut coord = Coordinator::new(CoordinatorConfig {
-            pending_limit: 1,
-            ..CoordinatorConfig::default()
-        });
-        let requests = requests_from_dag(&dag);
-        assert!(requests.len() >= 2);
-        let mut accepted = 0;
-        for r in requests {
-            if coord.try_submit(r) {
-                accepted += 1;
-            }
-        }
-        assert_eq!(accepted, 1);
-        assert_eq!(coord.registered_count(), 1);
-        assert_eq!(coord.rejected_count(), 1);
-    }
-
     /// `submit_all` accepts any iterable — borrowed requests included —
     /// and registers them all.
     #[test]
@@ -1103,48 +1100,52 @@ mod tests {
         assert_eq!(coord2.registered_count(), coord.registered_count());
     }
 
-    /// Live registration is batched (absorbed at the next allocation)
-    /// and bounded; eviction of a completed group succeeds, frees its
-    /// aging stamps, and is refused while a member flow is active.
+    /// Live registration is batched (absorbed at the next allocation),
+    /// and a retired group is evicted right after the next allocation;
+    /// the peak keeps the high-water mark.
     #[test]
-    fn live_register_evict_lifecycle() {
+    fn live_register_retire_lifecycle() {
         let dag = fig2_dag();
         let topo = Topology::chain(2, 1.0);
         let views = views_of(&dag, &topo);
-        let first_group = dag.echelons[0].id();
+        let first = &dag.echelons[0];
 
         // Start empty; register the whole job live.
         let mut policy = Coordinator::new(CoordinatorConfig::default()).into_policy();
         assert_eq!(policy.book_occupancy(), (0, 0));
-        let accepted = policy.register_batch(dag.echelons.iter().cloned());
-        assert_eq!(accepted, dag.echelons.len());
+        dag.echelons.iter().for_each(|h| policy.register(h.clone()));
         // Still queued: nothing in the book until an allocation flushes.
         assert_eq!(policy.book_occupancy().0, 0);
         let _ = policy.allocate(SimTime::ZERO, &views, &topo);
         assert_eq!(policy.book_occupancy().0, dag.echelons.len());
 
-        // Eviction is refused while the group's flows are active…
-        assert!(!policy.evict(first_group, &views));
-        // …succeeds once they are gone, and unknown ids are refused.
-        assert!(policy.evict(first_group, &[]));
-        assert!(!policy.evict(first_group, &[]));
-        assert_eq!(policy.book_occupancy().0, dag.echelons.len() - 1);
-        // Peak keeps the high-water mark.
-        assert_eq!(policy.book_occupancy().1, dag.echelons.len());
+        // The first group's flows complete; its retirement waits for the
+        // allocation that sees them gone.
+        policy.retire(first.id());
+        assert_eq!(policy.book_occupancy().0, dag.echelons.len());
+        let rest: Vec<ActiveFlowView> = views
+            .iter()
+            .filter(|v| first.flows().all(|f| f.id != v.id))
+            .cloned()
+            .collect();
+        let _ = policy.allocate(SimTime::new(1.0), &rest, &topo);
+        assert_eq!(
+            policy.book_occupancy(),
+            (dag.echelons.len() - 1, dag.echelons.len())
+        );
     }
 
-    /// The live-registration queue honours the pending limit.
+    /// Retiring a group while one of its flows is active is a caller bug:
+    /// the allocation after the call panics instead of evicting.
     #[test]
-    fn live_register_bounded_queue_rejects() {
+    #[should_panic(expected = "evicting retired")]
+    fn retiring_a_group_with_active_flows_panics() {
         let dag = fig2_dag();
-        let mut policy = Coordinator::new(CoordinatorConfig {
-            pending_limit: 1,
-            ..CoordinatorConfig::default()
-        })
-        .into_policy();
-        let accepted = policy.register_batch(dag.echelons.iter().cloned());
-        assert_eq!(accepted, 1);
-        assert_eq!(policy.rejected_registrations(), dag.echelons.len() - 1);
+        let topo = Topology::chain(2, 1.0);
+        let views = views_of(&dag, &topo);
+        let mut policy = policy_with(CoordinatorConfig::default(), &dag);
+        policy.retire(dag.echelons[0].id());
+        let _ = policy.allocate(SimTime::ZERO, &views, &topo);
     }
 
     /// Registering a group before its flows release, and evicting it
@@ -1163,7 +1164,7 @@ mod tests {
         // Lifecycle path: the same groups registered live (batched, so
         // they land in one flush at the first allocation).
         let mut live = Coordinator::new(CoordinatorConfig::default()).into_policy();
-        live.register_batch(dag.echelons.iter().cloned());
+        dag.echelons.iter().for_each(|h| live.register(h.clone()));
         let got0 = live.allocate(SimTime::ZERO, &views, &topo);
         assert_eq!(got0, want, "live registration changed the allocation");
         let got1 = live.allocate(SimTime::new(0.5), &views, &topo);

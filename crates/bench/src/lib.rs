@@ -2,9 +2,7 @@
 //!
 //! Each module under [`experiments`] regenerates one artifact of the
 //! paper (see `DESIGN.md` §4 for the index E1-E11). The `repro` binary
-//! prints them as tables; the plain-`main` benches under `benches/`
-//! (built on [`timing`]) measure the scheduler costs behind Property 4.
+//! prints them as tables.
 
 pub mod experiments;
 pub mod table;
-pub mod timing;

@@ -14,10 +14,13 @@
 //!   queue, and admits them in `(tenant tier, arrival)` order with
 //!   backfill — re-scanning that queue only after an arrival or a
 //!   retirement could change the outcome;
-//! - a [`ServicePolicy`] wraps the scheduler and applies job
-//!   [`Lifecycle`] events from a shared bus: flow groups are registered
-//!   when their job is admitted and **evicted** when it retires, so the
-//!   scheduler's book holds only live jobs, not every job ever seen;
+//! - a [`ServicePolicy`] runs the scheduler and forwards job
+//!   [`Lifecycle`] events from a shared bus. Its grouped schedulers are
+//!   the paper's global coordinator ([`CoordinatedPolicy`], §5): echelon
+//!   with the paper's defaults, coflow as the same coordinator over
+//!   one-stage groups ranked by least work (Varys' SEBF). An admitted
+//!   job's groups are registered with it and a retired job's groups
+//!   retired, so the book holds only live jobs, not every job ever seen;
 //! - [`run_service`] drives either mode and returns per-job records, a
 //!   completion digest, and the scheduler's peak book occupancy (the
 //!   bounded-memory witness).
@@ -25,14 +28,18 @@
 //! # The eviction invariant
 //!
 //! Late registration and eager eviction must be *invisible*: the MADD
-//! schedulers group only flows that are currently active, so a group
+//! heuristic groups only flows that are currently active, so a group
 //! registered before its first flow releases, and evicted after its
-//! last flow completes, can never change an allocation. The module's
-//! differential check makes this executable —
-//! [`ServiceMode::Streaming`] (lazy generation, incremental
-//! register/evict) and [`ServiceMode::Materialized`] (same arrivals
-//! pre-generated, every group registered up front, nothing ever
-//! evicted) must produce bit-identical completion digests.
+//! last flow completes, can never change an allocation. The coordinator
+//! owns the ordering that makes this hold: a registration lands before
+//! the next allocation, and a retirement is evicted right after it, once
+//! that allocation has applied the departure delta of the group's last
+//! flows (see [`CoordinatedPolicy::retire`]). The module's differential
+//! check makes the invariant executable — [`ServiceMode::Streaming`]
+//! (lazy generation, incremental register/retire) and
+//! [`ServiceMode::Materialized`] (same arrivals pre-generated, every
+//! group registered up front, nothing ever evicted) must produce
+//! bit-identical completion digests.
 
 use crate::placement::{placer_for, HostPool, PlacementRequest, Placer};
 use crate::scenario::SchedulerKind;
@@ -40,6 +47,8 @@ use crate::workload::{
     compile_job, probe_phase_gap, JobStream, OpenLoopConfig, ParadigmKind, ServicePlacement,
     StreamJob,
 };
+use echelon_agent::api::EchelonRequest;
+use echelon_agent::coordinator::{CoordinatedPolicy, Coordinator, CoordinatorConfig};
 use echelon_core::coflow::Coflow;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::{EchelonId, JobId};
@@ -47,8 +56,7 @@ use echelon_paradigms::dag::JobDag;
 use echelon_paradigms::ids::IdAlloc;
 use echelon_paradigms::runtime::{run_jobs_streamed, JobFeed, RunResult};
 use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
-use echelon_sched::echelon::EchelonMadd;
-use echelon_sched::varys::VarysMadd;
+use echelon_sched::echelon::InterOrder;
 use echelon_simnet::alloc::AllocScratch;
 use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::ActiveFlowView;
@@ -542,55 +550,62 @@ impl JobFeed for ServiceFeed {
 }
 
 enum Engine {
-    /// The MADD engine; `coflows` says which of an admitted job's group
-    /// lists it schedules (coflows enter as one-stage EchelonFlows).
-    Madd {
-        engine: Box<EchelonMadd>,
+    /// The paper's coordinator; `coflows` says which of an admitted job's
+    /// group lists it schedules (coflows enter as one-stage EchelonFlows).
+    Coordinated {
+        policy: Box<CoordinatedPolicy>,
         coflows: bool,
     },
     Plain(Box<dyn RatePolicy>),
 }
 
-impl Engine {
-    fn madd(engine: impl Into<EchelonMadd>, coflows: bool) -> Engine {
-        Engine::Madd {
-            engine: Box::new(engine.into()),
-            coflows,
+/// The scheduler `kind` runs, with `jobs`' groups registered up front.
+/// The grouped kinds are the coordinator: echelon with the paper's
+/// defaults, coflow ranking its one-stage groups by least work, which is
+/// Varys' smallest-bottleneck-first order.
+fn engine_for(kind: SchedulerKind, jobs: &[StreamJob]) -> Engine {
+    let coflows = match kind {
+        SchedulerKind::Echelon => false,
+        SchedulerKind::Coflow => true,
+        SchedulerKind::Fair => return Engine::Plain(Box::new(MaxMinPolicy)),
+        SchedulerKind::Fifo => return Engine::Plain(Box::new(FifoPolicy)),
+        SchedulerKind::Srpt => return Engine::Plain(Box::new(SrptPolicy)),
+    };
+    let mut config = CoordinatorConfig::default();
+    if coflows {
+        config.inter = InterOrder::LeastWork;
+    }
+    let mut coordinator = Coordinator::new(config);
+    for dag in jobs.iter().filter_map(|j| j.dag.as_ref()) {
+        if coflows {
+            let groups = dag.coflows.iter().cloned().map(Coflow::into_echelon);
+            coordinator.submit_all(groups.map(EchelonRequest::new));
+        } else {
+            coordinator.submit_all(dag.echelons.iter().cloned().map(EchelonRequest::new));
         }
+    }
+    Engine::Coordinated {
+        policy: Box::new(coordinator.into_policy()),
+        coflows,
     }
 }
 
-/// Scheduler wrapper for service runs: drains the [`LifecycleBus`]
-/// before every allocation, registering admitted groups and evicting
-/// retired ones, then delegates to the wrapped engine.
+/// Scheduler wrapper for service runs: before every allocation it
+/// forwards the [`LifecycleBus`] to the coordinator — an admitted job's
+/// groups are registered, a retired job's groups retired — then
+/// delegates.
 ///
 /// Per-flow baselines (fair/FIFO/SRPT) keep no group state and simply
 /// ignore lifecycle events.
 pub struct ServicePolicy {
     engine: Engine,
     bus: Option<LifecycleBus>,
-    /// When false, retirements on the bus are dropped instead of parked:
-    /// the deferred-placement materialized reference registers at
-    /// admission (groups only exist then) but never evicts, so the
+    /// When false, retirements on the bus are dropped: the
+    /// deferred-placement materialized reference registers at admission
+    /// (groups only exist then) but never evicts, so the
     /// streaming/materialized differential isolates exactly the eviction
     /// half of the lifecycle.
     evict: bool,
-    /// Retirements seen on the bus, applied *after* the next delegation:
-    /// the engine's incremental caches drop a group's members while the
-    /// departure delta is applied, which needs the flow→group mapping —
-    /// i.e. the book entry — still alive. Evicting a flowless group
-    /// after the allocation is equally allocation-neutral.
-    pending_evictions: Vec<(Vec<EchelonId>, Vec<EchelonId>)>,
-}
-
-fn engine_for(kind: SchedulerKind) -> Engine {
-    match kind {
-        SchedulerKind::Echelon => Engine::madd(EchelonMadd::new(Vec::new()), false),
-        SchedulerKind::Coflow => Engine::madd(VarysMadd::new(Vec::new()), true),
-        SchedulerKind::Fair => Engine::Plain(Box::new(MaxMinPolicy)),
-        SchedulerKind::Fifo => Engine::Plain(Box::new(FifoPolicy)),
-        SchedulerKind::Srpt => Engine::Plain(Box::new(SrptPolicy)),
-    }
 }
 
 impl ServicePolicy {
@@ -598,10 +613,9 @@ impl ServicePolicy {
     /// learn their groups through `bus`.
     pub fn open(kind: SchedulerKind, bus: LifecycleBus) -> ServicePolicy {
         ServicePolicy {
-            engine: engine_for(kind),
+            engine: engine_for(kind, &[]),
             bus: Some(bus),
             evict: true,
-            pending_evictions: Vec::new(),
         }
     }
 
@@ -611,10 +625,8 @@ impl ServicePolicy {
     /// up front because the jobs are compiled at admission.
     pub fn open_no_evict(kind: SchedulerKind, bus: LifecycleBus) -> ServicePolicy {
         ServicePolicy {
-            engine: engine_for(kind),
-            bus: Some(bus),
             evict: false,
-            pending_evictions: Vec::new(),
+            ..ServicePolicy::open(kind, bus)
         }
     }
 
@@ -622,70 +634,42 @@ impl ServicePolicy {
     /// registered up front, no bus, nothing ever evicted. Jobs must be
     /// compiled (fixed placement).
     pub fn closed(kind: SchedulerKind, jobs: &[StreamJob]) -> ServicePolicy {
-        let dags = || jobs.iter().filter_map(|j| j.dag.as_ref());
-        let engine = match kind {
-            SchedulerKind::Echelon => Engine::madd(
-                EchelonMadd::new(dags().flat_map(|d| d.echelons.iter().cloned()).collect()),
-                false,
-            ),
-            SchedulerKind::Coflow => Engine::madd(
-                VarysMadd::new(dags().flat_map(|d| d.coflows.iter().cloned()).collect()),
-                true,
-            ),
-            other => engine_for(other),
-        };
         ServicePolicy {
-            engine,
+            engine: engine_for(kind, jobs),
             bus: None,
             evict: true,
-            pending_evictions: Vec::new(),
         }
     }
 
-    /// Pre-delegation half of the bus drain: registers admitted groups
-    /// (they must exist before their flows' arrival deltas are applied)
-    /// and parks retirements for [`Self::apply_evictions`].
-    fn apply_admissions(&mut self) {
+    /// Forwards the bus to the coordinator, which registers admitted
+    /// groups before this allocation and evicts retired ones right after
+    /// it.
+    fn drain_bus(&mut self) {
         let Some(bus) = &self.bus else { return };
         let mut queue = bus.borrow_mut();
         while let Some(event) = queue.pop_front() {
+            let Engine::Coordinated {
+                policy,
+                coflows: by_coflow,
+            } = &mut self.engine
+            else {
+                continue;
+            };
             match event {
                 Lifecycle::Admitted { echelons, coflows } => {
-                    if let Engine::Madd {
-                        engine,
-                        coflows: by_coflow,
-                    } = &mut self.engine
-                    {
-                        if *by_coflow {
-                            coflows
-                                .into_iter()
-                                .for_each(|c| engine.register(c.into_echelon()));
-                        } else {
-                            echelons.into_iter().for_each(|h| engine.register(h));
-                        }
+                    if *by_coflow {
+                        coflows
+                            .into_iter()
+                            .for_each(|c| policy.register(c.into_echelon()));
+                    } else {
+                        echelons.into_iter().for_each(|h| policy.register(h));
                     }
                 }
                 Lifecycle::Retired { echelons, coflows } => {
                     if self.evict {
-                        self.pending_evictions.push((echelons, coflows));
+                        let ids = if *by_coflow { coflows } else { echelons };
+                        ids.into_iter().for_each(|id| policy.retire(id));
                     }
-                }
-            }
-        }
-    }
-
-    /// Post-delegation half: evicts groups whose jobs retired. Runs after
-    /// the engine has applied the departure delta of the group's last
-    /// flows, so its incremental caches are already clean.
-    fn apply_evictions(&mut self, active: &[ActiveFlowView]) {
-        for (echelons, coflows) in std::mem::take(&mut self.pending_evictions) {
-            if let Engine::Madd {
-                engine,
-                coflows: by_coflow,
-            } = &mut self.engine
-            {
-                for id in if *by_coflow { coflows } else { echelons } {
-                    assert!(engine.evict(id, active), "evicting retired {id:?} refused");
                 }
             }
         }
@@ -693,14 +677,14 @@ impl ServicePolicy {
 
     fn engine_mut(&mut self) -> &mut dyn RatePolicy {
         match &mut self.engine {
-            Engine::Madd { engine, .. } => engine.as_mut(),
+            Engine::Coordinated { policy, .. } => policy.as_mut(),
             Engine::Plain(p) => p.as_mut(),
         }
     }
 
     fn engine_ref(&self) -> &dyn RatePolicy {
         match &self.engine {
-            Engine::Madd { engine, .. } => engine.as_ref(),
+            Engine::Coordinated { policy, .. } => policy.as_ref(),
             Engine::Plain(p) => p.as_ref(),
         }
     }
@@ -715,9 +699,8 @@ impl RatePolicy for ServicePolicy {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        self.apply_admissions();
+        self.drain_bus();
         self.engine_mut().allocate_dense(now, flows, topo, ws, out);
-        self.apply_evictions(flows);
     }
 
     fn allocate_dense_incremental(
@@ -729,10 +712,9 @@ impl RatePolicy for ServicePolicy {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        self.apply_admissions();
+        self.drain_bus();
         self.engine_mut()
             .allocate_dense_incremental(now, flows, delta, topo, ws, out);
-        self.apply_evictions(flows);
     }
 
     fn on_fault(&mut self, now: SimTime, fault: &FaultKind) {
@@ -852,7 +834,9 @@ pub fn run_service(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::PlacementPolicy;
     use crate::workload::ParadigmKind;
+    use echelon_simnet::fattree::FatTree;
 
     fn topo(hosts: usize) -> Topology {
         Topology::big_switch_uniform(hosts, 1.0)
@@ -1022,6 +1006,48 @@ mod tests {
             open.peak_book_occupancy
         );
         assert_keeps_no_history(&open);
+    }
+
+    /// A coordinator outage reaches the service's grouped schedulers,
+    /// under fixed and admission-time placement: the window changes
+    /// their completions (agents fall back to fair share), every job
+    /// still finishes, and both differentials hold through it.
+    #[test]
+    fn coordinator_outage_window_keeps_both_differentials() {
+        let plan = FaultPlan::empty()
+            .with(SimTime::new(2.0), FaultKind::CoordinatorDown)
+            .with(SimTime::new(6.0), FaultKind::CoordinatorUp);
+        let tree = FatTree::new(4);
+        let mut placed = cfg(7, 18, tree.hosts(), 0.5);
+        placed.placement = ServicePlacement::AtAdmission(PlacementPolicy::PodPacked);
+        let streams = [(topo(8), cfg(7, 16, 8, 0.6)), (tree.build_fabric(), placed)];
+        for ((t, c), kind) in streams
+            .iter()
+            .flat_map(|s| [(s, SchedulerKind::Echelon), (s, SchedulerKind::Coflow)])
+        {
+            let run = |mode, sm, plan: &FaultPlan| {
+                run_service(t, c, &ServiceConfig::default(), kind, mode, plan, sm)
+            };
+            let full = run(RecomputeMode::Full, ServiceMode::Streaming, &plan);
+            let inc = run(RecomputeMode::Incremental, ServiceMode::Streaming, &plan);
+            let closed = run(RecomputeMode::Full, ServiceMode::Materialized, &plan);
+            let calm = run(
+                RecomputeMode::Full,
+                ServiceMode::Streaming,
+                &FaultPlan::empty(),
+            );
+            let name = format!("{} {:?}", kind.name(), c.placement);
+            assert!(
+                full.records.iter().all(|r| r.finished_at.is_some()),
+                "{name}: a job never finished"
+            );
+            assert_eq!(full.digest, inc.digest, "{name}: Full vs Incremental");
+            assert_eq!(full.digest, closed.digest, "{name}: open vs closed");
+            assert_ne!(
+                full.digest, calm.digest,
+                "{name}: the outage changed nothing"
+            );
+        }
     }
 
     #[test]

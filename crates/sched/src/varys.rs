@@ -25,7 +25,6 @@
 
 use crate::echelon::{EchelonMadd, Ranking};
 use echelon_core::coflow::Coflow;
-use echelon_core::EchelonId;
 use echelon_simnet::alloc::AllocScratch;
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
@@ -59,35 +58,6 @@ impl VarysMadd {
     pub fn new(coflows: Vec<Coflow>) -> VarysMadd {
         let echelons = coflows.into_iter().map(Coflow::into_echelon).collect();
         VarysMadd(EchelonMadd::new(echelons).with_ranking(Ranking::Coflow(CoflowOrder::Sebf)))
-    }
-
-    /// Registers one more coflow into the live scheduler (open-loop
-    /// admission). Allocation-neutral any time before the coflow's first
-    /// flow is released: a group with no active flows is never served.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id or any member flow is already claimed.
-    pub fn register(&mut self, coflow: Coflow) {
-        self.0.register(coflow.into_echelon());
-    }
-
-    /// Evicts a completed coflow, refusing (returning `false`) while any
-    /// member flow is still in `active`. Evicting after the last member
-    /// completion changes no later allocation: departed flows are never
-    /// consulted again. Unknown ids are a no-op returning `false`.
-    pub fn evict(&mut self, id: EchelonId, active: &[ActiveFlowView]) -> bool {
-        self.0.evict(id, active)
-    }
-
-    /// Number of coflows currently registered.
-    pub fn occupancy(&self) -> usize {
-        self.0.book().occupancy()
-    }
-
-    /// High-water mark of registered coflows over the scheduler's life.
-    pub fn peak_occupancy(&self) -> usize {
-        self.0.book().peak_occupancy()
     }
 
     /// Selects the inter-coflow ordering.
@@ -147,7 +117,7 @@ impl RatePolicy for VarysMadd {
 mod tests {
     use super::*;
     use echelon_core::echelon::FlowRef;
-    use echelon_core::JobId;
+    use echelon_core::{EchelonId, JobId};
     use echelon_simnet::flow::FlowDemand;
     use echelon_simnet::ids::{FlowId, NodeId};
     use echelon_simnet::runner::run_flows;
