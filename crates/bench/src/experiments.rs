@@ -1264,6 +1264,32 @@ pub fn profile_fig2() -> (f64, f64) {
 mod tests {
     use super::*;
 
+    /// E11(b)'s rows at the seed `repro` prints: on its 4-job mix,
+    /// decision reuse cuts the coordinator's decisions from 52 per event
+    /// to 25 per EchelonFlow change and 4 at a 10 s interval, at the same
+    /// mean JCT bits on every row (EXPERIMENTS.md, E11(b)).
+    #[test]
+    fn e11b_interval_rows_are_pinned() {
+        const MEAN_JCT: u64 = 0x4033_bebf_ba70_c734; // 19.745113041433072
+        let want = [
+            ("per-event", 52),
+            ("per-EchelonFlow", 25),
+            ("1s", 15),
+            ("2s", 10),
+            ("5s", 6),
+            ("10s", 4),
+        ];
+        let got = ablation_interval(42);
+        assert_eq!(got.len(), want.len());
+        for ((label, decisions, jct), (want_label, want_decisions)) in got.iter().zip(want) {
+            assert_eq!(
+                (label.as_str(), *decisions, jct.to_bits()),
+                (want_label, want_decisions, MEAN_JCT),
+                "{label}: {jct}"
+            );
+        }
+    }
+
     #[test]
     fn fig2_reproduces_paper_numbers() {
         let r = fig2();

@@ -13,7 +13,8 @@
 //!   each round only the unfrozen flows and their links, so a floor that
 //!   saturates most links leaves a round or two over a few members. The
 //!   pod policy runs the same unweighted, zero-floor fill through a
-//!   link-id bucket-queue engine that the unit tests pin bitwise to it.
+//!   bucket-queue engine over a link index it keeps across fills
+//!   (`FillIndex`), which the unit tests pin bitwise to it.
 //! - [`priority_fill_dense`]: strict-priority greedy filling — flows are
 //!   served in a given order, each taking everything left on its path.
 //!   This is how the agent enforces schedules through priority queues
@@ -66,39 +67,19 @@ pub struct AllocScratch {
     links: Vec<u32>,
     /// Dedup marker for building `links`; all-false between calls.
     link_seen: Vec<bool>,
-    /// Link id → position in `links` (bucket waterfill); entries are
-    /// only read for links on the current `links` list, so no restore
-    /// pass.
-    link_slot: Vec<u32>,
-    /// Mirror of `residual` indexed by `links` position (bucket
-    /// waterfill): a route union is small, so the rounds run on
-    /// cache-resident entries instead of striding the fabric-sized
-    /// table.
+    /// Residual per [`FillIndex`] link position (bucket waterfill): the
+    /// fill seeds only its scope's live links, other entries are stale.
     residual_local: Vec<f64>,
-    /// Members' routes translated to `links` positions, flattened;
-    /// `route_span[j]` delimits member `j`'s slice.
-    routes_local: Vec<u32>,
-    /// See `routes_local`.
-    route_span: Vec<(u32, u32)>,
     /// Per-member rate (bucket waterfill), written as members freeze.
     rate_local: Vec<f64>,
-    /// Inverted link→member index for the bucket waterfill: member
-    /// positions crossing each touched link, flattened.
-    crossers_flat: Vec<u32>,
-    /// `crossers_flat` span per touched position.
-    crossers_span: Vec<(u32, u32)>,
-    /// Integer crosser count per link id (bucket engine). Mirrors the
-    /// f64 mass exactly: masses are whole numbers, and whole numbers up
-    /// to 2^53 are exact in f64, so `cnt as f64` is bitwise the value the
-    /// reference engine accumulates by repeated `+= 1.0`.
-    mass_cnt: Vec<u32>,
-    /// Per-member still-filling flag (bucket engine); mirrors
-    /// membership of `unfrozen` in the reference engine.
-    active: Vec<bool>,
-    /// Touched positions that crossed the saturation threshold this
+    /// Arena slot → member index while that member still fills (bucket
+    /// waterfill); [`NONE`] for every other slot, and all-[`NONE`]
+    /// between calls.
+    member_of: Vec<u32>,
+    /// Link positions that crossed the saturation threshold this
     /// round.
     newly_sat: Vec<u32>,
-    /// Candidate (`residual / mass`) per *live* touched position,
+    /// Candidate (`residual / mass`) per live link position,
     /// refreshed by the bucket engine's subtraction pass and freeze
     /// fix-ups so the min pass never divides.
     cand: Vec<f64>,
@@ -108,17 +89,18 @@ pub struct AllocScratch {
     /// Member position → index in `live_members`; only read while the
     /// member is unfrozen.
     member_pos: Vec<u32>,
-    /// Touched positions whose crosser count changed during this round's
+    /// Link positions whose crosser count changed during this round's
     /// freezes; their cached candidates are re-divided once per round.
     mass_changed: Vec<u32>,
-    /// Integer crosser count per touched position (bucket engine).
+    /// Integer crosser count per link position (bucket engine).
     cnt_local: Vec<u32>,
-    /// Touched positions permuted ascending by crosser count — a bucket
-    /// queue: dead ranks (count 0) collect at the front and leave the
-    /// live range, and adjacent live entries have near-equal counts so
-    /// the interleaved subtraction lanes stay balanced.
+    /// The scope's live link positions permuted ascending by crosser
+    /// count — a bucket queue: links whose last crosser froze (count 0)
+    /// collect at the front and leave the live range, and adjacent live
+    /// entries have near-equal counts so the interleaved subtraction
+    /// lanes stay balanced.
     order: Vec<u32>,
-    /// Touched position → index in `order`.
+    /// Link position → index in `order`.
     opos: Vec<u32>,
     /// First `order` index of each count's bucket; decrementing a count
     /// swaps the entry to its bucket's front and bumps the boundary.
@@ -413,37 +395,401 @@ pub fn waterfill_dense(
     }
 }
 
-/// Entries per arena slot in the flat route arenas [`waterfill_bucket`]
-/// reads: the first entry holds the route's hop count, the rest its hops
-/// as global link ids. Fat-tree routes are at most 6 hops (host→edge→agg→core→
-/// agg→edge→host for a core crosser), so a slot keeps a spare entry and
-/// fits one cache line.
+/// Entries per arena slot in [`FillIndex`]'s flat route arena: the first
+/// entry holds the route's hop count and kept-hop mask, the rest one link
+/// position per hop. Fat-tree routes are at most 6 hops (host→edge→agg→
+/// core→agg→edge→host for a core crosser), so a slot keeps a spare entry
+/// and fits one cache line.
 pub(crate) const ROUTE_RANK_STRIDE: usize = 8;
 
-/// Writes `route` into `slot`'s block of a stride-[`ROUTE_RANK_STRIDE`]
-/// route arena, growing the arena to cover the slot. Returns false, and
-/// writes nothing, if the route has more hops than a slot holds: no
-/// fat-tree route does, but a caller-built view may carry any route.
-#[must_use]
-pub(crate) fn store_slot_route(arena: &mut Vec<u32>, slot: u32, route: &[ResourceId]) -> bool {
-    if route.len() >= ROUTE_RANK_STRIDE {
-        return false;
+/// No link position, crosser node or member.
+const NONE: u32 = u32::MAX;
+
+/// The head entry of an arena slot that holds no member.
+const VACANT: u32 = u32::MAX;
+
+/// Resizes `v` to `len` entries, growing its capacity by a quarter
+/// instead of doubling it: the index's slot- and position-indexed arrays
+/// then carry at most a quarter of slack, and growth stays amortized
+/// O(1) per entry.
+pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.capacity() < len {
+        v.reserve_exact(len + len / 4 - v.len());
     }
-    let base = slot as usize * ROUTE_RANK_STRIDE;
-    if arena.len() < base + ROUTE_RANK_STRIDE {
-        arena.resize(base + ROUTE_RANK_STRIDE, 0);
-    }
-    arena[base] = route.len() as u32;
-    for (e, r) in arena[base + 1..].iter_mut().zip(route) {
-        *e = r.0;
-    }
-    true
+    v.resize(len, fill);
 }
 
-/// `slot`'s route in a stride-[`ROUTE_RANK_STRIDE`] arena.
-fn slot_route(arena: &[u32], slot: u32) -> &[u32] {
-    let base = slot as usize * ROUTE_RANK_STRIDE;
-    &arena[base + 1..base + 1 + arena[base] as usize]
+/// The bucket engine's link index over a set of members, kept across
+/// fills and patched by each arrival and departure, so that a fill only
+/// seeds its round state from it ([`waterfill_bucket`]).
+///
+/// Each link some member crosses holds a *position*, stable while the
+/// link stays in use, and per position the index keeps its raw crosser
+/// count (the mass), the list of its crossers, and whether it is live:
+/// crossed by two or more members, or by one that keeps it. A live
+/// link's crosser count is its round-1 count. Capacities come from the
+/// snapshot the index was last rebuilt from.
+///
+/// Per member, keyed by arena slot, it keeps its route as link positions
+/// and which of them it keeps. A member's keeper is its route's lowest
+/// `(capacity, single-crosser, id)` link. It keeps every link of its route
+/// except those that only it crosses, that are not its keeper and whose
+/// capacity is no lower than the keeper's: such a link binds no later and
+/// saturates no later than the keeper (DESIGN §13.2), so a fill leaves it
+/// out. Every piece of this is a function of the member set and the
+/// capacities alone, so patching it delta by delta lands on the index one
+/// built from scratch would hold, up to position numbering and list order,
+/// which no fill result depends on.
+///
+/// Live links are listed per pod (one pod on a topology without pods): a
+/// pod fill reads its pod's list, a whole-fabric fill all of them.
+///
+/// Masses, crosser lists and routes do not depend on capacities; keys and
+/// liveness do. A new, cleared or invalidated index is *stale*: it takes
+/// arrivals and departures without re-keying anyone, and
+/// [`Self::rekey_all`] re-reads the capacities and keys every member
+/// once before the next fill.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct FillIndex {
+    /// False while the index is stale.
+    keyed: bool,
+    /// Capacity per global link id, read by the last [`Self::rekey_all`].
+    caps: Vec<f64>,
+    /// Pod per global link id.
+    link_pod: Vec<u32>,
+    /// Per arena slot, [`ROUTE_RANK_STRIDE`] entries: the hop count in the
+    /// low byte of the first and the kept-hop mask above it ([`VACANT`]
+    /// for a slot without a member), then hop `h`'s link position at
+    /// `1 + h`. The index of that entry is also the hop's *node* in its
+    /// link's crosser list.
+    hops: Vec<u32>,
+    /// Per node: the next node on the same link's crosser list.
+    next: Vec<u32>,
+    /// Global link id → position, [`NONE`] while no member crosses it.
+    pos_of: Vec<u32>,
+    /// Per position: the global link id.
+    link: Vec<u32>,
+    /// Per position: the link's crosser count.
+    mass: Vec<u32>,
+    /// Per position: the first node of the link's crosser list.
+    head: Vec<u32>,
+    /// Per position: its index in its pod's `live` list, [`NONE`] while
+    /// the link is not live.
+    live_at: Vec<u32>,
+    /// Positions no link holds.
+    free: Vec<u32>,
+    /// Per pod: the positions of its live links.
+    live: Vec<Vec<u32>>,
+}
+
+impl FillIndex {
+    /// An empty, stale index.
+    pub(crate) fn new() -> FillIndex {
+        FillIndex::default()
+    }
+
+    /// Makes the index stale, keeping its members: a fault may have
+    /// changed any capacity, and with it any keeper.
+    pub(crate) fn invalidate(&mut self) {
+        self.keyed = false;
+    }
+
+    /// Forgets every member and link, leaving the index stale. The arrays
+    /// keep their lengths, so that a full recompute, which clears and
+    /// refills the index, does not grow them again.
+    pub(crate) fn clear(&mut self) {
+        for &l in &self.link {
+            self.pos_of[l as usize] = NONE;
+        }
+        self.hops.fill(VACANT);
+        self.free.clear();
+        self.free.extend((0..self.link.len() as u32).rev());
+        for list in &mut self.live {
+            list.clear();
+        }
+        self.live_at.fill(NONE);
+        self.keyed = false;
+    }
+
+    /// True when arena `slot` holds a member.
+    pub(crate) fn is_member(&self, slot: u32) -> bool {
+        self.hops
+            .get(slot as usize * ROUTE_RANK_STRIDE)
+            .is_some_and(|&h| h != VACANT)
+    }
+
+    /// Keys a stale index: re-reads the capacities and pods from `topo`,
+    /// then re-keys every member, in slot order, onto empty live lists.
+    /// That is the key every member would get from arriving one by one
+    /// on the current masses. A no-op on an index that is not stale.
+    pub(crate) fn rekey_all(&mut self, topo: &Topology) {
+        if self.keyed {
+            return;
+        }
+        topo.capacities_into(&mut self.caps);
+        self.link_pod.clear();
+        let npods = match topo.pod_partition() {
+            Some((npods, pod_of)) => {
+                self.link_pod.extend_from_slice(pod_of);
+                npods as usize
+            }
+            None => {
+                self.link_pod.resize(self.caps.len(), 0);
+                1
+            }
+        };
+        self.live.resize_with(npods, Vec::new);
+        for list in &mut self.live {
+            list.clear();
+        }
+        self.live_at.fill(NONE);
+        self.keyed = true;
+        for slot in 0..(self.hops.len() / ROUTE_RANK_STRIDE) as u32 {
+            if self.is_member(slot) {
+                self.rekey(slot);
+            }
+        }
+    }
+
+    /// Indexes a member on arena `slot` crossing `route` (global link
+    /// ids): bumps the masses on its route; then, unless the index is
+    /// stale, re-keys the former sole crosser of every link it makes
+    /// shared and keys itself. Returns false, and indexes nothing, for a
+    /// route with more hops than a slot holds or a slot that already
+    /// holds a member. A flow arena builds neither, but a caller-built
+    /// view may carry any route and slot.
+    #[must_use]
+    pub(crate) fn arrive(&mut self, slot: u32, route: impl ExactSizeIterator<Item = u32>) -> bool {
+        let len = route.len();
+        if len >= ROUTE_RANK_STRIDE || self.is_member(slot) {
+            return false;
+        }
+        let base = slot as usize * ROUTE_RANK_STRIDE;
+        if self.hops.len() < base + ROUTE_RANK_STRIDE {
+            grow(&mut self.hops, base + ROUTE_RANK_STRIDE, VACANT);
+            grow(&mut self.next, base + ROUTE_RANK_STRIDE, NONE);
+        }
+        let mut shared = [NONE; ROUTE_RANK_STRIDE - 1];
+        for (h, l) in route.enumerate() {
+            if l as usize >= self.pos_of.len() {
+                grow(&mut self.pos_of, l as usize + 1, NONE);
+            }
+            let p = match self.pos_of[l as usize] {
+                NONE => self.open(l),
+                p => p as usize,
+            };
+            if self.mass[p] == 1 {
+                shared[h] = self.head[p] / ROUTE_RANK_STRIDE as u32;
+            }
+            let node = base + 1 + h;
+            self.next[node] = self.head[p];
+            self.head[p] = node as u32;
+            self.mass[p] += 1;
+            self.hops[node] = p as u32;
+        }
+        self.hops[base] = len as u32;
+        if self.keyed {
+            for &m in &shared[..len] {
+                if m != NONE && m != slot {
+                    self.rekey(m);
+                }
+            }
+            self.rekey(slot);
+        }
+        true
+    }
+
+    /// Removes the member on arena `slot`, if any: decrements the masses
+    /// on its route, closes the links no member crosses any more and
+    /// re-keys the remaining crosser of every link it leaves single,
+    /// unless the index is stale.
+    pub(crate) fn depart(&mut self, slot: u32) {
+        if !self.is_member(slot) {
+            return;
+        }
+        let base = slot as usize * ROUTE_RANK_STRIDE;
+        let len = (self.hops[base] & 0xff) as usize;
+        self.hops[base] = VACANT;
+        let mut single = [NONE; ROUTE_RANK_STRIDE - 1];
+        for (node, left) in (base + 1..base + 1 + len).zip(single.iter_mut()) {
+            let p = self.hops[node] as usize;
+            if self.head[p] == node as u32 {
+                self.head[p] = self.next[node];
+            } else {
+                let mut at = self.head[p] as usize;
+                while self.next[at] != node as u32 {
+                    at = self.next[at] as usize;
+                }
+                self.next[at] = self.next[node];
+            }
+            self.mass[p] -= 1;
+            match self.mass[p] {
+                0 => self.close(p),
+                1 => *left = self.head[p] / ROUTE_RANK_STRIDE as u32,
+                _ => {}
+            }
+        }
+        if !self.keyed {
+            return;
+        }
+        for &m in &single[..len] {
+            if m != NONE && m != slot {
+                self.rekey(m);
+            }
+        }
+    }
+
+    /// A fresh position for link `l`, crossed by no member yet.
+    fn open(&mut self, l: u32) -> usize {
+        let p = match self.free.pop() {
+            Some(p) => p as usize,
+            None => {
+                let p = self.link.len();
+                grow(&mut self.link, p + 1, 0);
+                grow(&mut self.mass, p + 1, 0);
+                grow(&mut self.head, p + 1, NONE);
+                grow(&mut self.live_at, p + 1, NONE);
+                p
+            }
+        };
+        self.link[p] = l;
+        self.mass[p] = 0;
+        self.head[p] = NONE;
+        self.live_at[p] = NONE;
+        self.pos_of[l as usize] = p as u32;
+        p
+    }
+
+    /// Frees position `p`, whose last crosser left.
+    fn close(&mut self, p: usize) {
+        self.set_live(p, false);
+        self.pos_of[self.link[p] as usize] = NONE;
+        self.free.push(p as u32);
+    }
+
+    /// Recomputes member `m`'s keeper and kept hops from the current masses
+    /// and capacities, and the liveness of every link on its route. A link
+    /// crossed by others stays live whatever `m` keeps, and one only `m`
+    /// crosses is live exactly when `m` keeps it, so this sets the
+    /// liveness of each link whose single flag or sole crosser's keeper
+    /// changed. The keeper rule is the one [`FillIndex`] documents; the
+    /// capacity test fails only for a NaN capacity, which is then kept.
+    fn rekey(&mut self, m: u32) {
+        let base = m as usize * ROUTE_RANK_STRIDE;
+        let len = (self.hops[base] & 0xff) as usize;
+        let (mut kcap, mut ksingle, mut keeper) = (f64::INFINITY, true, u32::MAX);
+        for &p in &self.hops[base + 1..base + 1 + len] {
+            let p = p as usize;
+            let l = self.link[p];
+            let (cap, single) = (self.caps[l as usize], self.mass[p] == 1);
+            if cap < kcap || (cap == kcap && (single, l) < (ksingle, keeper)) {
+                (kcap, ksingle, keeper) = (cap, single, l);
+            }
+        }
+        let mut kept = 0u32;
+        for h in 0..len {
+            let p = self.hops[base + 1 + h] as usize;
+            let l = self.link[p];
+            let retired = self.mass[p] == 1 && l != keeper && kcap <= self.caps[l as usize];
+            self.set_live(p, !retired);
+            if !retired {
+                kept |= 1 << h;
+            }
+        }
+        self.hops[base] = len as u32 | kept << 8;
+    }
+
+    /// Lists or unlists position `p` in its pod's live links.
+    fn set_live(&mut self, p: usize, on: bool) {
+        let at = self.live_at[p];
+        if on == (at != NONE) {
+            return;
+        }
+        let list = &mut self.live[self.link_pod[self.link[p] as usize] as usize];
+        if on {
+            self.live_at[p] = list.len() as u32;
+            list.push(p as u32);
+        } else {
+            list.swap_remove(at as usize);
+            if let Some(&moved) = list.get(at as usize) {
+                self.live_at[moved as usize] = at;
+            }
+            self.live_at[p] = NONE;
+        }
+    }
+
+    /// Checks this index against `fresh`, one built from scratch over
+    /// the members this one should hold: both must hold the same members
+    /// with the same routes and kept links, and per link in use the same
+    /// capacity, crosser count, pod, liveness and crossers. Position
+    /// numbering and list order are free. Also checks each index's links
+    /// between its per-position arrays, crosser lists and live lists.
+    /// Returns the first difference found.
+    pub(crate) fn check_against(&self, fresh: &FillIndex) -> Result<(), String> {
+        let (kept, want) = (self.census()?, fresh.census()?);
+        match kept.iter().zip(&want).find(|(a, b)| a != b) {
+            Some((a, b)) => Err(format!("patched {a}, rebuilt {b}")),
+            None if kept.len() != want.len() => Err(format!(
+                "patched {} entries, rebuilt {}",
+                kept.len(),
+                want.len()
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// One line per member slot, then one per link in use by id, free of
+    /// position numbering and list order; an error where the internal
+    /// links disagree.
+    fn census(&self) -> Result<Vec<String>, String> {
+        let mut lines = Vec::new();
+        for (slot, e) in self.hops.chunks(ROUTE_RANK_STRIDE).enumerate() {
+            if e[0] != VACANT {
+                let route: Vec<u32> = e[1..1 + (e[0] & 0xff) as usize]
+                    .iter()
+                    .map(|&p| self.link[p as usize])
+                    .collect();
+                lines.push(format!(
+                    "slot {slot}: route {route:?} kept {:#b}",
+                    e[0] >> 8
+                ));
+            }
+        }
+        let mut links = Vec::new();
+        for (p, &l) in self.link.iter().enumerate() {
+            if self.free.contains(&(p as u32)) {
+                continue;
+            }
+            let mut crossers = Vec::new();
+            let mut node = self.head[p];
+            while node != NONE {
+                crossers.push(node / ROUTE_RANK_STRIDE as u32);
+                node = self.next[node as usize];
+            }
+            crossers.sort_unstable();
+            let pod = self.link_pod[l as usize];
+            let live = self.live_at[p] != NONE;
+            let listed = self.live[pod as usize].get(self.live_at[p] as usize);
+            if self.pos_of[l as usize] != p as u32
+                || crossers.len() != self.mass[p] as usize
+                || (live && listed != Some(&(p as u32)))
+            {
+                return Err(format!("link {l}: position {p} is inconsistent"));
+            }
+            let cap = self.caps[l as usize];
+            links.push((
+                l,
+                format!("link {l}: cap {cap:e} pod {pod} live {live} crossers {crossers:?}"),
+            ));
+        }
+        let listed: usize = self.live.iter().map(Vec::len).sum();
+        if listed != self.live_at.iter().filter(|&&at| at != NONE).count() {
+            return Err(format!("{listed} links listed live"));
+        }
+        links.sort_unstable();
+        lines.extend(links.into_iter().map(|(_, line)| line));
+        Ok(lines)
+    }
 }
 
 /// Bucket-queue waterfill: the pod policy's refill engine, for one pod
@@ -465,44 +811,39 @@ fn slot_route(arena: &[u32], slot: u32) -> &[u32] {
 /// - a member freezes in the round a route link first reaches ≤ EPS,
 ///   which is exactly the reference's end-of-round retain test: an
 ///   active member's links were all > EPS at the previous round's end;
-/// - a link only one member crosses is born dead when that member's
+/// - a link only one member crosses is left out when that member's
 ///   route holds another link of no greater capacity, which binds no
 ///   later and saturates no later (DESIGN §13.2). In a whole-fabric fill
-///   with core crossers most touched links are such links, and the
-///   rounds skip them.
+///   with core crossers most links in use are such links, and the rounds
+///   skip them.
 ///
-/// The caller provides a capacity snapshot indexed by global link id
-/// (`caps`, the values `topo.capacity` returns; the caller invalidates
-/// it on every fault) and each member's route, as global link ids, in a
-/// flat stride-[`ROUTE_RANK_STRIDE`] arena keyed by arena slot
-/// (`slot_routes`, written once at arrival), so a refill touches only
-/// its members' arena slots and scratch. `slots[j]` is the arena slot of
-/// member `subset[j]`; only `rates[i]` for `i ∈ subset` are written.
+/// The link index lives in `index` ([`FillIndex`]), which the caller
+/// keeps across fills and patches as members arrive and depart, so a fill
+/// pays for its rounds and for seeding its round state, O(live links +
+/// members), and for nothing else. `pod` names the scope: `Some(p)` fills
+/// pod `p`'s live links, `None` every live link. `slots[j]` is the arena
+/// slot of member `subset[j]`, and the members must be exactly the
+/// index's members whose routes cross the scope: every member for `None`;
+/// for a pod, its pod-local members while no member crosses pods. Only
+/// `rates[i]` for `i ∈ subset` are written.
 pub(crate) fn waterfill_bucket(
-    caps: &[f64],
+    index: &FillIndex,
+    pod: Option<u32>,
     subset: &[usize],
     slots: &[u32],
-    slot_routes: &[u32],
     rates: &mut [f64],
     ws: &mut AllocScratch,
 ) {
     debug_assert_eq!(subset.len(), slots.len());
+    debug_assert!(index.keyed, "fill from a stale index");
     let AllocScratch {
         rate_local,
-        link_seen,
-        links,
-        link_slot,
-        crossers_flat,
-        crossers_span,
-        mass_cnt,
-        active,
+        member_of,
         newly_sat,
         cand,
         live_members,
         member_pos,
         residual_local,
-        routes_local,
-        route_span,
         mass_changed,
         cnt_local,
         order,
@@ -511,124 +852,58 @@ pub(crate) fn waterfill_bucket(
         bucket_cursor,
         ..
     } = ws;
-    let nlinks = caps.len();
-    if link_seen.len() < nlinks {
-        link_seen.resize(nlinks, false);
-    }
-    if mass_cnt.len() < nlinks {
-        mass_cnt.resize(nlinks, 0);
-    }
-    if link_slot.len() < nlinks {
-        link_slot.resize(nlinks, 0);
-    }
-    // Touched links and integer masses. Intra-round results are
-    // order-independent (min and counted subtractions commute bitwise),
-    // so the links stay in first-seen order, unsorted.
-    links.clear();
-    let n = subset.len();
-    for &slot in slots {
-        for &l in slot_route(slot_routes, slot) {
-            let li = l as usize;
-            if !link_seen[li] {
-                link_seen[li] = true;
-                links.push(l);
-                mass_cnt[li] = 0;
-            }
-            mass_cnt[li] += 1;
-        }
-    }
-    let tcount = links.len();
-    // Everything the round loop reads or writes per iteration lives in
-    // small dense arrays indexed by *touched position* (0..tcount), not
-    // by global link id: residuals, crosser counts, candidates, crosser
-    // spans, and pre-translated member routes. Even a whole-fabric fill
-    // touches only its live routes' links, so the working set stays
-    // cache-resident.
-    residual_local.clear();
-    cnt_local.clear();
-    crossers_span.clear();
-    let mut total = 0u32;
-    let mut maxc = 0u32;
-    for (t, &l) in links.iter().enumerate() {
-        let li = l as usize;
-        link_seen[li] = false; // restore the all-false invariant
-        link_slot[li] = t as u32;
-        residual_local.push(caps[li]);
-        cnt_local.push(mass_cnt[li]);
-        maxc = maxc.max(mass_cnt[li]);
-        crossers_span.push((total, total));
-        total += mass_cnt[li];
-    }
-    // Members' routes as touched positions, and the link→member index.
-    // A link whose only crosser is member `j` is *dominated* when `j`'s
-    // route holds another link of no greater capacity: that link has at
-    // least as many crossers every round, and IEEE subtraction and
-    // division round monotonically, so its residual and candidate never
-    // exceed the dominated link's. The dominated link is then never the
-    // strict minimum and saturates only in a round where the other does
-    // too, freezing `j` anyway (DESIGN §13.2). Each member keeps its
-    // route's lowest `(capacity, single-crosser, id)` link, its keeper;
-    // every other single-crosser link on the route is born dead: count 0,
-    // so the bucket queue below starts it before `bucket_start[1]`, and
-    // absent from the member's route and the crosser spans. Only a
-    // link's own member can retire it, and never its keeper, so every
-    // member keeps a link to freeze on. `residual_local` still holds the
-    // capacities here; the capacity test on retirement fails only for a
-    // NaN capacity, which is then never retired.
-    crossers_flat.clear();
-    crossers_flat.resize(total as usize, 0);
-    routes_local.clear();
-    route_span.clear();
-    for (j, &slot) in slots.iter().enumerate() {
-        let route = slot_route(slot_routes, slot);
-        let (mut kcap, mut ksingle, mut keeper) = (f64::INFINITY, true, u32::MAX);
-        for &l in route {
-            let t = link_slot[l as usize] as usize;
-            let (cap, single) = (residual_local[t], cnt_local[t] == 1);
-            if cap < kcap || (cap == kcap && (single, l) < (ksingle, keeper)) {
-                (kcap, ksingle, keeper) = (cap, single, l);
-            }
-        }
-        let start = routes_local.len() as u32;
-        for &l in route {
-            let t = link_slot[l as usize] as usize;
-            if cnt_local[t] == 1 && l != keeper && kcap <= residual_local[t] {
-                cnt_local[t] = 0;
-                continue;
-            }
-            let span = &mut crossers_span[t];
-            crossers_flat[span.1 as usize] = j as u32;
-            span.1 += 1;
-            routes_local.push(t as u32);
-        }
-        route_span.push((start, routes_local.len() as u32));
-    }
-    // Seed the candidate cache with the round-1 divisions; later rounds
-    // refresh it inside the subtraction pass (and the freeze fix-ups),
-    // so the min pass itself never divides. A born-dead link's entry is
-    // never read. `cnt as f64` is exact for these whole numbers, so the
+    let FillIndex {
+        caps,
+        hops,
+        next,
+        link,
+        mass,
+        head,
+        live,
+        ..
+    } = index;
+    let lists = match pod {
+        Some(p) => std::slice::from_ref(&live[p as usize]),
+        None => &live[..],
+    };
+    // Round state per link position. A live link's crossers all keep it,
+    // so its round-1 count is its mass. Seed the candidate cache with the
+    // round-1 divisions; later rounds refresh it inside the subtraction
+    // pass (and the freeze fix-ups), so the min pass itself never
+    // divides. `cnt as f64` is exact for these whole numbers, so the
     // quotient bits match the reference's accumulated-f64 mass division.
-    cand.clear();
-    cand.extend(
-        residual_local
-            .iter()
-            .zip(cnt_local.iter())
-            .map(|(&r, &c)| r.max(0.0) / c as f64),
-    );
-    // Bucket queue over touched positions, ascending by crosser count:
-    // `order` is the permutation, `opos` its inverse, `bucket_start[c]`
-    // the first `order` index holding a count-`c` link. Born-dead links
-    // start before `bucket_start[1]`. Decrementing a count is an O(1)
-    // swap-to-bucket-front plus a boundary bump, so links whose last
-    // crosser froze (count 0) migrate there too and silently leave every
-    // later sweep — no inert sentinels, no liveness branches — while the
-    // live suffix stays grouped by count so the interleaved subtraction
-    // lanes below stay balanced.
-    bucket_start.clear();
-    bucket_start.resize(maxc as usize + 2, 0);
-    for &c in cnt_local.iter() {
-        bucket_start[c as usize + 1] += 1;
+    // Entries of positions outside the scope are stale and never read.
+    let npos = link.len();
+    if residual_local.len() < npos {
+        grow(residual_local, npos, 0.0);
+        grow(cnt_local, npos, 0);
+        grow(cand, npos, 0.0);
+        grow(opos, npos, 0);
     }
+    bucket_start.clear();
+    bucket_start.resize(2, 0);
+    let mut tcount = 0;
+    for &p in lists.iter().flatten() {
+        let (pi, c) = (p as usize, mass[p as usize]);
+        let cap = caps[link[pi] as usize];
+        residual_local[pi] = cap;
+        cnt_local[pi] = c;
+        cand[pi] = cap.max(0.0) / c as f64;
+        if bucket_start.len() < c as usize + 2 {
+            bucket_start.resize(c as usize + 2, 0);
+        }
+        bucket_start[c as usize + 1] += 1;
+        tcount += 1;
+    }
+    // Bucket queue over the live positions, ascending by crosser count:
+    // `order` is the permutation, `opos` its inverse, `bucket_start[c]`
+    // the first `order` index holding a count-`c` link. Decrementing a
+    // count is an O(1) swap-to-bucket-front plus a boundary bump, so
+    // links whose last crosser froze (count 0) migrate before
+    // `bucket_start[1]` and silently leave every later sweep — no inert
+    // sentinels, no liveness branches — while the live suffix stays
+    // grouped by count so the interleaved subtraction lanes below stay
+    // balanced.
     for c in 1..bucket_start.len() {
         bucket_start[c] += bucket_start[c - 1];
     }
@@ -636,22 +911,29 @@ pub(crate) fn waterfill_bucket(
     bucket_cursor.extend_from_slice(bucket_start);
     order.clear();
     order.resize(tcount, 0);
-    opos.clear();
-    opos.resize(tcount, 0);
-    for (t, &c) in cnt_local.iter().enumerate() {
-        let p = bucket_cursor[c as usize];
-        order[p as usize] = t as u32;
-        opos[t] = p;
-        bucket_cursor[c as usize] = p + 1;
+    for &p in lists.iter().flatten() {
+        let c = cnt_local[p as usize] as usize;
+        let at = bucket_cursor[c];
+        order[at as usize] = p;
+        opos[p as usize] = at;
+        bucket_cursor[c] = at + 1;
     }
+    let n = subset.len();
     rate_local.clear();
     rate_local.resize(n, 0.0);
-    active.clear();
-    active.resize(n, true);
     live_members.clear();
     live_members.extend(0..n as u32);
     member_pos.clear();
     member_pos.extend(0..n as u32);
+    if member_of.len() < hops.len() / ROUTE_RANK_STRIDE {
+        grow(member_of, hops.len() / ROUTE_RANK_STRIDE, NONE);
+    }
+    for (j, &slot) in slots.iter().enumerate() {
+        if member_of.len() <= slot as usize {
+            grow(member_of, slot as usize + 1, NONE);
+        }
+        member_of[slot as usize] = j as u32;
+    }
     // Running prefix of the increment sequence. Every member active
     // through round `r` accumulates exactly the first `r` increments in
     // order, so one shared fold replaces the reference's per-member
@@ -757,24 +1039,30 @@ pub(crate) fn waterfill_bucket(
         let before = live_members.len();
         mass_changed.clear();
         for &t in newly_sat.iter() {
-            let (s, e) = crossers_span[t as usize];
-            for &j in &crossers_flat[s as usize..e as usize] {
-                let j = j as usize;
-                if active[j] {
-                    active[j] = false;
+            let mut node = head[t as usize];
+            while node != NONE {
+                let slot = node as usize / ROUTE_RANK_STRIDE;
+                node = next[node as usize];
+                let j = member_of[slot];
+                if j != NONE {
+                    let j = j as usize;
+                    member_of[slot] = NONE;
                     rate_local[j] = prefix;
                     let p = member_pos[j] as usize;
                     live_members.swap_remove(p);
                     if p < live_members.len() {
                         member_pos[live_members[p] as usize] = p as u32;
                     }
-                    // O(1) bucket-queue decrement per route link: swap
-                    // the link to the front of its count bucket and bump
-                    // the boundary. A link hitting count 0 thereby moves
-                    // below `bucket_start[1]` and leaves every later
+                    // O(1) bucket-queue decrement per kept route link:
+                    // swap the link to the front of its count bucket and
+                    // bump the boundary. A link hitting count 0 thereby
+                    // moves below `bucket_start[1]` and leaves every later
                     // sweep.
-                    let (s, e) = route_span[j];
-                    for &t in &routes_local[s as usize..e as usize] {
+                    let base = slot * ROUTE_RANK_STRIDE;
+                    let mut kept = hops[base] >> 8;
+                    while kept != 0 {
+                        let t = hops[base + 1 + kept.trailing_zeros() as usize];
+                        kept &= kept - 1;
                         let ti = t as usize;
                         let c = cnt_local[ti] as usize;
                         let b = bucket_start[c];
@@ -812,6 +1100,7 @@ pub(crate) fn waterfill_bucket(
     // carries.
     for &j in live_members.iter() {
         rate_local[j as usize] = prefix;
+        member_of[slots[j as usize] as usize] = NONE;
     }
     for (j, &i) in subset.iter().enumerate() {
         rates[i] = rate_local[j];
@@ -1160,17 +1449,13 @@ mod tests {
     }
 
     /// A random synthetic fill: capacities over `nranks` link ids and one
-    /// stride-arena route per member, with members mapped to shuffled
-    /// arena slots the way the policy's recycled arena maps them. The
-    /// same fill is also given as views — member `j`'s route as
-    /// `ResourceId`s — on a big switch whose first `nranks` resources
-    /// carry the sim's capacities.
+    /// route per member, with members mapped to shuffled arena slots the
+    /// way the policy's recycled arena maps them. The fill is given as
+    /// views — member `j`'s route as `ResourceId`s — on a big switch whose
+    /// first `nranks` resources carry the sim's capacities.
     struct PodSim {
         topo: Topology,
         views: Vec<ActiveFlowView>,
-        caps: Vec<f64>,
-        slots: Vec<u32>,
-        slot_routes: Vec<u32>,
     }
 
     impl PodSim {
@@ -1216,11 +1501,6 @@ mod tests {
         /// `j` sits on arena slot `slots[j]`.
         fn from_routes(caps: Vec<f64>, routes: &[Vec<u32>], slots: Vec<u32>) -> PodSim {
             let nranks = caps.len();
-            let mut slot_routes = Vec::new();
-            for (slot, route) in routes.iter().enumerate() {
-                let route: Vec<ResourceId> = route.iter().map(|&l| ResourceId(l)).collect();
-                assert!(store_slot_route(&mut slot_routes, slot as u32, &route));
-            }
             let mut topo = Topology::big_switch_uniform(nranks.div_ceil(2), 1.0);
             for (r, &c) in caps.iter().enumerate() {
                 topo.set_capacity(ResourceId(r as u32), c);
@@ -1236,51 +1516,72 @@ mod tests {
                     size: 1.0,
                     remaining: 1.0,
                     release: SimTime::ZERO,
-                    route: slot_route(&slot_routes, slot)
+                    route: routes[slot as usize]
                         .iter()
                         .map(|&l| ResourceId(l))
                         .collect(),
                 })
                 .collect();
-            PodSim {
-                topo,
-                views,
-                caps,
-                slots,
-                slot_routes,
-            }
+            PodSim { topo, views }
         }
 
         /// Fills every member through the bucket engine; also returns how
         /// many route hops it retired as dominated.
         fn bucket_retired(&self, ws: &mut AllocScratch) -> (Vec<f64>, usize) {
-            let rates = self.bucket(ws);
-            let retired = route_hops(&self.slot_routes, &self.slots) - ws.routes_local.len();
+            let all: Vec<usize> = (0..self.views.len()).collect();
+            let mut rates = vec![f64::NAN; self.views.len()];
+            let retired = bucket(&self.topo, &self.views, &all, &mut rates, ws);
             (rates, retired)
         }
 
         /// Fills every member through the bucket engine.
         fn bucket(&self, ws: &mut AllocScratch) -> Vec<f64> {
-            let subset: Vec<usize> = (0..self.slots.len()).collect();
-            let mut rates = vec![f64::NAN; self.slots.len()];
-            waterfill_bucket(
-                &self.caps,
-                &subset,
-                &self.slots,
-                &self.slot_routes,
-                &mut rates,
-                ws,
-            );
-            rates
+            self.bucket_retired(ws).0
         }
     }
 
-    /// Total route hops of `slots` in a stride arena.
-    fn route_hops(slot_routes: &[u32], slots: &[u32]) -> usize {
-        slots
-            .iter()
-            .map(|&s| slot_route(slot_routes, s).len())
+    /// A fresh [`FillIndex`] over the members `subset` of `flows`, built
+    /// the one way an index is built: by arriving each member, then
+    /// keying them all.
+    fn index_over(topo: &Topology, flows: &[ActiveFlowView], subset: &[usize]) -> FillIndex {
+        let mut index = FillIndex::new();
+        for &i in subset {
+            let v = &flows[i];
+            assert!(index.arrive(v.slot, v.route.iter().map(|r| r.0)));
+        }
+        index.rekey_all(topo);
+        index
+    }
+
+    /// Fills the members `subset` of `flows` through the bucket engine
+    /// over a fresh index of them, writing `rates[i]` for `i ∈ subset`;
+    /// returns how many route hops the index retired as dominated.
+    fn bucket(
+        topo: &Topology,
+        flows: &[ActiveFlowView],
+        subset: &[usize],
+        rates: &mut [f64],
+        ws: &mut AllocScratch,
+    ) -> usize {
+        let index = index_over(topo, flows, subset);
+        let slots: Vec<u32> = subset.iter().map(|&i| flows[i].slot).collect();
+        waterfill_bucket(&index, None, subset, &slots, rates, ws);
+        retired_hops(&index)
+    }
+
+    /// Route hops an index's members do not keep.
+    fn retired_hops(index: &FillIndex) -> usize {
+        index
+            .hops
+            .chunks(ROUTE_RANK_STRIDE)
+            .filter(|e| e[0] != VACANT)
+            .map(|e| (e[0] & 0xff) as usize - (e[0] >> 8).count_ones() as usize)
             .sum()
+    }
+
+    /// Total route hops of the members `subset` of `flows`.
+    fn route_hops(flows: &[ActiveFlowView], subset: &[usize]) -> usize {
+        subset.iter().map(|&i| flows[i].route.len()).sum()
     }
 
     /// The bucket engine must be bitwise the dense waterfill on random
@@ -1303,7 +1604,8 @@ mod tests {
                     "seed {seed} member {j}: {a} != {b}"
                 );
             }
-            if route_hops(&sim.slot_routes, &sim.slots) > WIDE_FILL_HOPS {
+            let all: Vec<usize> = (0..sim.views.len()).collect();
+            if route_hops(&sim.views, &all) > WIDE_FILL_HOPS {
                 wide += 1;
             } else {
                 narrow += 1;
@@ -1411,16 +1713,8 @@ mod tests {
             let sim = FabricSim::new(&mut rng, k, 12 * k, 0.2);
             let want = fair(&sim.topo, &sim.flows, &mut ws);
             let subset: Vec<usize> = (0..sim.flows.len()).collect();
-            let slots: Vec<u32> = sim.flows.iter().map(|v| v.slot).collect();
             let mut got = vec![f64::NAN; subset.len()];
-            waterfill_bucket(
-                &sim.caps(),
-                &subset,
-                &slots,
-                &sim.slot_routes,
-                &mut got,
-                &mut ws,
-            );
+            let fill_retired = bucket(&sim.topo, &sim.flows, &subset, &mut got, &mut ws);
             for (i, (a, b)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -1428,8 +1722,8 @@ mod tests {
                     "fabric seed {seed} flow {i}: {a} != {b}"
                 );
             }
-            hops += route_hops(&sim.slot_routes, &slots);
-            retired += route_hops(&sim.slot_routes, &slots) - ws.routes_local.len();
+            hops += route_hops(&sim.flows, &subset);
+            retired += fill_retired;
         }
         // Whole-fabric fills with core crossers retire a real share.
         assert!(
@@ -1440,13 +1734,11 @@ mod tests {
 
     /// A random fat-tree workload: a k-ary fabric with about one link in
     /// five degraded and one in twenty cut to zero capacity, and `n`
-    /// flows on shuffled arena slots whose routes are stored as global
-    /// link ids, the way the pod policy stores them. Each flow crosses
-    /// the core with probability `cross`.
+    /// flows on shuffled arena slots. Each flow crosses the core with
+    /// probability `cross`.
     struct FabricSim {
         topo: Topology,
         flows: Vec<ActiveFlowView>,
-        slot_routes: Vec<u32>,
     }
 
     impl FabricSim {
@@ -1464,7 +1756,6 @@ mod tests {
             let mut slots: Vec<u32> = (0..n as u32).collect();
             rng.shuffle(&mut slots);
             let mut flows = Vec::with_capacity(n);
-            let mut slot_routes = Vec::new();
             for (id, &slot) in slots.iter().enumerate() {
                 let src_pod = rng.usize_range_inclusive(0, k - 1);
                 let dst_pod = if rng.next_f64() < cross {
@@ -1484,25 +1775,12 @@ mod tests {
                     1.0,
                     SimTime::ZERO,
                 );
-                let v = ActiveFlowView {
+                flows.push(ActiveFlowView {
                     slot,
                     ..view(&topo, &d)
-                };
-                assert!(store_slot_route(&mut slot_routes, slot, &v.route));
-                flows.push(v);
+                });
             }
-            FabricSim {
-                topo,
-                flows,
-                slot_routes,
-            }
-        }
-
-        /// The fabric capacity snapshot, indexed by global link id.
-        fn caps(&self) -> Vec<f64> {
-            let mut caps = Vec::new();
-            self.topo.capacities_into(&mut caps);
-            caps
+            FabricSim { topo, flows }
         }
 
         /// Indices of the flows that start and end in `pod`, ascending.
@@ -1518,9 +1796,9 @@ mod tests {
 
     /// The bucket engine must be bitwise the dense waterfill over each
     /// pod's gathered views, pod by pod, on k=4 and k=8 fat trees: random
-    /// pod-local flow sets on shuffled arena slots, routes as global link
-    /// ids, one fabric capacity snapshot, about one link in five degraded
-    /// and one in twenty cut to zero capacity.
+    /// pod-local flow sets on shuffled arena slots, one index over every
+    /// flow filled one pod's slice at a time, about one link in five
+    /// degraded and one in twenty cut to zero capacity.
     #[test]
     fn bucket_engine_matches_dense_waterfill_per_pod() {
         let mut ws = AllocScratch::new();
@@ -1530,13 +1808,13 @@ mod tests {
             let k = if seed % 2 == 0 { 4 } else { 8 };
             let n = rng.usize_range_inclusive(k, 12 * k);
             let sim = FabricSim::new(&mut rng, k, n, 0.0);
-            let caps = sim.caps();
+            let index = index_over(&sim.topo, &sim.flows, &(0..n).collect::<Vec<_>>());
             for pod in 0..k as u32 {
                 let subset = sim.pod_members(pod);
                 let slots: Vec<u32> = subset.iter().map(|&i| sim.flows[i].slot).collect();
                 let want = fair(&sim.topo, &gather(&sim.flows, &subset), &mut ws);
                 let mut got = vec![f64::NAN; n];
-                waterfill_bucket(&caps, &subset, &slots, &sim.slot_routes, &mut got, &mut ws);
+                waterfill_bucket(&index, Some(pod), &subset, &slots, &mut got, &mut ws);
                 for (j, &i) in subset.iter().enumerate() {
                     assert_eq!(
                         want[j].to_bits(),
@@ -1559,31 +1837,21 @@ mod tests {
     /// a wide one, in either order with a whole-fabric fill between them,
     /// land on the same bits, each the dense waterfill over its pod's
     /// views. Every fill builds the bucket queue, so this pins the shared
-    /// scratch across fill widths: the `link_seen` restore, crosser
-    /// counts and `link_slot` entries left by the previous fill.
+    /// scratch across fill widths: the `member_of` restore and the stale
+    /// per-position entries left by the previous fill.
     #[test]
     fn bucket_engine_disjoint_fills_commute() {
         let mut rng = echelon_detrand::DetRng::seed_from_u64(0xC0_33A7E);
         let sim = FabricSim::new(&mut rng, 4, 160, 0.2);
-        let caps = sim.caps();
         let n = sim.flows.len();
         let mut narrow = sim.pod_members(0);
         narrow.truncate(4);
         let wide = sim.pod_members(1);
-        let slots_of =
-            |subset: &[usize]| -> Vec<u32> { subset.iter().map(|&i| sim.flows[i].slot).collect() };
-        assert!(route_hops(&sim.slot_routes, &slots_of(&narrow)) <= WIDE_FILL_HOPS);
-        assert!(route_hops(&sim.slot_routes, &slots_of(&wide)) > WIDE_FILL_HOPS);
+        assert!(route_hops(&sim.flows, &narrow) <= WIDE_FILL_HOPS);
+        assert!(route_hops(&sim.flows, &wide) > WIDE_FILL_HOPS);
         let all: Vec<usize> = (0..n).collect();
         let fill = |subset: &[usize], rates: &mut [f64], ws: &mut AllocScratch| {
-            waterfill_bucket(
-                &caps,
-                subset,
-                &slots_of(subset),
-                &sim.slot_routes,
-                rates,
-                ws,
-            );
+            bucket(&sim.topo, &sim.flows, subset, rates, ws);
         };
         let mut ws = AllocScratch::new();
         let mut fabric = vec![f64::NAN; n];
@@ -1634,20 +1902,12 @@ mod tests {
             let sim = FabricSim::new(&mut rng, k, n, cross);
             let want = fair(&sim.topo, &sim.flows, &mut ws);
             let subset: Vec<usize> = (0..n).collect();
-            let slots: Vec<u32> = sim.flows.iter().map(|v| v.slot).collect();
             let mut got = vec![f64::NAN; n];
-            waterfill_bucket(
-                &sim.caps(),
-                &subset,
-                &slots,
-                &sim.slot_routes,
-                &mut got,
-                &mut ws,
-            );
+            bucket(&sim.topo, &sim.flows, &subset, &mut got, &mut ws);
             for (i, (a, b)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} flow {i}: {a} != {b}");
             }
-            if route_hops(&sim.slot_routes, &slots) > WIDE_FILL_HOPS {
+            if route_hops(&sim.flows, &subset) > WIDE_FILL_HOPS {
                 wide += 1;
             }
             starved += want.iter().filter(|&&r| r == 0.0).count();
@@ -1753,7 +2013,8 @@ mod tests {
             let n = rng.usize_range_inclusive(k, 12 * k);
             let cross = rng.f64_range(0.1, 0.5);
             let mut sim = FabricSim::new(&mut rng, k, n, cross);
-            let base = sim.caps();
+            let mut base = Vec::new();
+            sim.topo.capacities_into(&mut base);
             let mut audit = FeasibilityAudit::new(&sim.topo);
             for step in 0..8 {
                 if step > 0 {

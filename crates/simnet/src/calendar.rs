@@ -212,6 +212,11 @@ impl CalendarQueue {
         } else {
             &mut self.buckets[b as usize]
         };
+        // Unreachable from the public API: `where_of[slot]` names a bin
+        // only while that bin holds the slot's one entry. `set` detaches
+        // before it pushes and records the bin it pushed to, `detach`
+        // clears the record as it removes the entry, and `refit` records
+        // the new bin of every entry it moves; nothing else moves entries.
         let at = bucket
             .iter()
             .position(|e| e.slot == slot)

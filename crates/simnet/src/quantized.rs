@@ -133,6 +133,9 @@ impl WorkloadSource for ChunkSource<'_> {
         _trace: &mut FlowTrace,
     ) {
         for c in done {
+            // Unreachable from the public API: `ChunkSource` is private,
+            // the driver's network holds only the chunks it released, each
+            // recorded here on release, and a chunk completes once.
             let parent = self.active_parents.remove(&c.id).expect("known chunk");
             if !self.release_next(parent, now, net) {
                 self.finishes.insert(parent, now);

@@ -21,7 +21,7 @@
 //! cluster arrivals) plug their own sources into the same driver.
 
 use crate::alloc::{
-    alloc_via_dense, store_slot_route, waterfill_bucket, waterfill_dense, AllocScratch, RateAlloc,
+    alloc_via_dense, grow, waterfill_bucket, waterfill_dense, AllocScratch, FillIndex, RateAlloc,
 };
 use crate::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
 use crate::fault::{FaultKind, FaultPlan};
@@ -261,11 +261,13 @@ impl RatePolicy for MaxMinPolicy {
 /// falls back to the whole-fabric waterfill.
 const CROSS_POD: u32 = u32::MAX;
 
-/// Sentinel pod id for flows whose route has more hops than a route
-/// arena slot holds. No fat-tree route does, but a caller-built view may
-/// carry any route: such a flow counts as a core crosser, and while one
-/// is live the fabric fallback fills from the views' routes.
-const LONG_ROUTE: u32 = u32::MAX - 1;
+/// Sentinel pod id for flows the [`FillIndex`] does not hold: a route
+/// with more hops than an arena slot holds, or an arena slot another
+/// live view holds. A flow arena builds neither, but a caller-built view
+/// may carry any route and slot: such a flow counts as a core crosser,
+/// and while one is live the fabric fallback fills from the views'
+/// routes.
+const UNINDEXED: u32 = u32::MAX - 1;
 
 /// Pod-decomposed max-min fair sharing for fat-tree fabrics.
 ///
@@ -290,23 +292,26 @@ const LONG_ROUTE: u32 = u32::MAX - 1;
 /// core-crossing flow forces the whole-fabric fallback until it drains:
 /// the same engine over every live flow, bitwise
 /// [`crate::alloc::waterfill_dense`]. Pod and fabric fills of every
-/// width run one engine, the bucket-queue waterfill, in one coordinate
-/// system, global link ids. The differential suites pin both
-/// recompute modes bitwise against an independent pod-sequential
-/// reference.
+/// width run one engine, the bucket-queue waterfill, over one link index
+/// that each arrival and departure patches and each fault re-keys, so a
+/// fill pays for its rounds and not for re-deriving that index
+/// ([`Self::verify_index`] checks it against one built from scratch). The
+/// differential suites pin both recompute modes bitwise against an
+/// independent pod-sequential reference.
 ///
 /// On topologies without pods the policy always uses the whole-fabric
 /// waterfill and reports no pod work.
 #[derive(Debug, Default, Clone)]
 pub struct PodMaxMinPolicy {
-    /// Pod of each live flow ([`CROSS_POD`] for core-crossing flows);
-    /// needed to dirty the right pod on departures, whose views are gone
-    /// from the flow slice by allocation time.
-    pod_of_flow: BTreeMap<FlowId, u32>,
+    /// Pod ([`CROSS_POD`] for core-crossing flows) and arena slot of
+    /// each live flow; needed to dirty the right pod and patch the index
+    /// on departures, whose views are gone from the flow slice by
+    /// allocation time.
+    pod_of_flow: BTreeMap<FlowId, (u32, u32)>,
     /// Live core-crossing flows; nonzero forces the global fallback.
     cross_pod_live: usize,
-    /// Live [`LONG_ROUTE`] flows, counted in `cross_pod_live` too.
-    long_routes_live: usize,
+    /// Live [`UNINDEXED`] flows, counted in `cross_pod_live` too.
+    unindexed_live: usize,
     /// Live member ids per pod, ascending — the order the pod-sequential
     /// arithmetic fills them in.
     pod_members: Vec<Vec<FlowId>>,
@@ -335,16 +340,13 @@ pub struct PodMaxMinPolicy {
     emit_all: bool,
     pods_recomputed: usize,
     pods_total: usize,
-    /// Capacity per global link id; empty = stale. Snapshotted lazily
-    /// from the topology and cleared on every fault (capacities are the
-    /// only fault-mutable input) and every reset.
-    caps: Vec<f64>,
-    /// Per arena slot: the flow's route as global link ids, core
-    /// crossers included, written once at arrival (routes are fixed for
-    /// a flow's lifetime, slots recycle only through a departure +
-    /// arrival). Flat arena of [`crate::alloc::ROUTE_RANK_STRIDE`]
-    /// entries per slot — one cache line, no pointer chase.
-    routes: Vec<u32>,
+    /// The bucket engine's link index over every live flow whose route
+    /// fits an arena slot, core crossers included: patched at every
+    /// arrival and departure (routes are fixed for a flow's lifetime),
+    /// made stale by every fault (capacities are the only fault-mutable
+    /// input) and emptied by every reset, and re-keyed from the
+    /// topology before the next fill when stale.
+    index: FillIndex,
 }
 
 impl PodMaxMinPolicy {
@@ -360,6 +362,25 @@ impl PodMaxMinPolicy {
     pub fn with_threads(self, threads: usize) -> PodMaxMinPolicy {
         let _ = threads;
         self
+    }
+
+    /// Checks the link index the policy patches delta by delta against
+    /// one built from scratch over `flows` on `topo`: the same members,
+    /// routes, keepers' kept links, crosser counts, capacities and live
+    /// links, with intact internal links. Call it after an allocation
+    /// over `flows`; on a topology without pods there is no index and
+    /// the check passes. It costs a full build, so it is for tests.
+    pub fn verify_index(&self, flows: &[ActiveFlowView], topo: &Topology) -> Result<(), String> {
+        if topo.pod_partition().is_none() {
+            return Ok(());
+        }
+        let mut fresh = FillIndex::new();
+        for v in flows {
+            // A view the policy's index refuses is refused here too.
+            let _ = fresh.arrive(v.slot, v.route.iter().map(|r| r.0));
+        }
+        fresh.rekey_all(topo);
+        self.index.check_against(&fresh)
     }
 
     /// The pod of a flow, or [`CROSS_POD`] when its endpoints differ.
@@ -383,9 +404,9 @@ impl PodMaxMinPolicy {
     /// flow is among the current arrivals, since no earlier flow can
     /// then still be live. It also drops the departures the driver
     /// never delivers — flows finishing at a run's final instant — which
-    /// a reused policy would otherwise resolve, and the capacity
-    /// snapshot, since a previous run may have ended on a degraded link
-    /// or run on another fabric.
+    /// a reused policy would otherwise resolve, and empties the link
+    /// index, whose capacities a previous run may have read from a
+    /// degraded link or another fabric.
     fn reset(&mut self) {
         for (pod, members) in self.pod_members.iter_mut().enumerate() {
             if !members.is_empty() {
@@ -395,26 +416,35 @@ impl PodMaxMinPolicy {
         }
         self.pod_of_flow.clear();
         self.cross_pod_live = 0;
-        self.long_routes_live = 0;
-        self.caps.clear();
+        self.unindexed_live = 0;
+        self.index.clear();
     }
 
-    /// Observes `v` arriving: stores its route in the slot arena once
-    /// (routes are fixed for the flow's lifetime and a slot is recycled
-    /// only through a departure + arrival) and dirties its pod.
-    fn arrive(&mut self, v: &ActiveFlowView, topo: &Topology) {
+    /// Observes `v` arriving: indexes its route once (routes are fixed
+    /// for the flow's lifetime and a slot is recycled only through a
+    /// departure + arrival) and dirties its pod. A flow already live
+    /// changes nothing. An arrival on a slot the index still holds means
+    /// a delta omitted the holder's departure: every live flow missing
+    /// from `flows` departs first.
+    fn arrive(&mut self, v: &ActiveFlowView, flows: &[ActiveFlowView], topo: &Topology) {
+        if self.index.is_member(v.slot) && !self.pod_of_flow.contains_key(&v.id) {
+            self.depart_missing(flows);
+        }
+        let std::collections::btree_map::Entry::Vacant(entry) = self.pod_of_flow.entry(v.id) else {
+            return;
+        };
         let slot = v.slot as usize;
         if slot >= self.slot_rate.len() {
-            self.slot_rate.resize(slot + 1, 0.0);
+            grow(&mut self.slot_rate, slot + 1, 0.0);
         }
-        let pod = if store_slot_route(&mut self.routes, v.slot, &v.route) {
+        let pod = if self.index.arrive(v.slot, v.route.iter().map(|r| r.0)) {
             Self::classify(topo, v.src, v.dst)
         } else {
-            self.long_routes_live += 1;
-            LONG_ROUTE
+            self.unindexed_live += 1;
+            UNINDEXED
         };
-        self.pod_of_flow.insert(v.id, pod);
-        if pod == CROSS_POD || pod == LONG_ROUTE {
+        entry.insert((pod, v.slot));
+        if pod == CROSS_POD || pod == UNINDEXED {
             self.cross_pod_live += 1;
             return;
         }
@@ -425,38 +455,56 @@ impl PodMaxMinPolicy {
         }
     }
 
-    /// Observes a departure, dirtying the flow's pod. An id never seen
-    /// arriving — it arrived and departed within one delta, so it was
-    /// never allocated — changes nothing.
+    /// Observes a departure, dirtying the flow's pod and taking it out
+    /// of the index. An id never seen arriving — it arrived and departed
+    /// within one delta, so it was never allocated — changes nothing.
     fn depart(&mut self, id: &FlowId) {
-        match self.pod_of_flow.remove(id) {
-            Some(CROSS_POD) => self.cross_pod_live -= 1,
-            Some(LONG_ROUTE) => {
+        let Some((pod, slot)) = self.pod_of_flow.remove(id) else {
+            return;
+        };
+        match pod {
+            CROSS_POD => self.cross_pod_live -= 1,
+            UNINDEXED => {
                 self.cross_pod_live -= 1;
-                self.long_routes_live -= 1;
+                self.unindexed_live -= 1;
+                return;
             }
-            Some(pod) => {
+            pod => {
                 self.cache_valid[pod as usize] = false;
                 let pm = &mut self.pod_members[pod as usize];
                 if let Ok(p) = pm.binary_search(id) {
                     pm.remove(p);
                 }
             }
-            None => {}
+        }
+        self.index.depart(slot);
+    }
+
+    /// Departs every live flow missing from `flows`. The driver always
+    /// reports departures, but a caller-built delta need not; without
+    /// this, the index would keep filling a flow that is gone.
+    fn depart_missing(&mut self, flows: &[ActiveFlowView]) {
+        let missing: Vec<FlowId> = self
+            .pod_of_flow
+            .keys()
+            .filter(|id| flows.binary_search_by(|v| v.id.cmp(id)).is_err())
+            .copied()
+            .collect();
+        for id in &missing {
+            self.depart(id);
         }
     }
 
     /// Refills every dirty pod: resolves its members from `pod_members`,
-    /// runs the bucket engine over them, and stores their rates in
-    /// `slot_rate`. The engine also writes each member's entry of `out`,
-    /// and `members` ends up listing exactly those entries. Members
-    /// resolve in ascending id order, the order the reference arithmetic
-    /// fills them in, and the engine is bitwise that arithmetic.
+    /// runs the bucket engine over them and the pod's slice of the index,
+    /// and stores their rates in `slot_rate`. The engine also writes each
+    /// member's entry of `out`, and `members` ends up listing exactly
+    /// those entries.
     ///
-    /// A member missing from `flows` departed without its delta saying
-    /// so. The driver always reports departures, but a caller-built
-    /// delta need not: such a member has no rate to write, so it leaves
-    /// its pod here.
+    /// Every member is in `flows` once the delta's departures and
+    /// [`Self::depart_missing`] have run, unless a caller-built delta
+    /// also omitted an arrival; a member missing from `flows` has no
+    /// rate to write and is skipped.
     fn refill(
         &mut self,
         npods: usize,
@@ -475,20 +523,15 @@ impl PodMaxMinPolicy {
             self.cache_valid[pod] = true;
             self.pods_recomputed += 1;
             let start = self.members.len();
-            let (members, member_slots) = (&mut self.members, &mut self.member_slots);
-            let pod_of_flow = &mut self.pod_of_flow;
-            self.pod_members[pod].retain(|id| {
-                let Ok(i) = flows.binary_search_by(|v| v.id.cmp(id)) else {
-                    pod_of_flow.remove(id);
-                    return false;
-                };
-                members.push(i);
-                member_slots.push(flows[i].slot);
-                true
-            });
+            for id in &self.pod_members[pod] {
+                if let Ok(i) = flows.binary_search_by(|v| v.id.cmp(id)) {
+                    self.members.push(i);
+                    self.member_slots.push(flows[i].slot);
+                }
+            }
             let members = &self.members[start..];
             let slots = &self.member_slots[start..];
-            waterfill_bucket(&self.caps, members, slots, &self.routes, out, ws);
+            waterfill_bucket(&self.index, Some(pod as u32), members, slots, out, ws);
             for (&i, &slot) in members.iter().zip(slots) {
                 self.slot_rate[slot as usize] = out[i];
             }
@@ -509,9 +552,6 @@ impl PodMaxMinPolicy {
         out: &mut Vec<f64>,
         allow_sparse: bool,
     ) {
-        if self.caps.is_empty() {
-            topo.capacities_into(&mut self.caps);
-        }
         if self.cross_pod_live > 0 {
             // The fabric fill overwrites every live flow's applied rate,
             // including clean pods' — a later sparse apply would never
@@ -527,7 +567,7 @@ impl PodMaxMinPolicy {
             self.members.extend(0..flows.len());
             self.member_slots.clear();
             self.member_slots.extend(flows.iter().map(|v| v.slot));
-            if self.long_routes_live > 0 {
+            if self.unindexed_live > 0 {
                 // Some route is not in the arena: fill from the views.
                 out.clear();
                 out.resize(flows.len(), 0.0);
@@ -536,10 +576,10 @@ impl PodMaxMinPolicy {
             }
             out.resize(flows.len(), 0.0);
             waterfill_bucket(
-                &self.caps,
+                &self.index,
+                None,
                 &self.members,
                 &self.member_slots,
-                &self.routes,
                 out,
                 ws,
             );
@@ -589,17 +629,22 @@ impl PodMaxMinPolicy {
         {
             self.reset();
         }
-        // An arrival missing from the flow slice arrived *and* departed
-        // within this delta: it was never allocated, its pod is
-        // net-unchanged, and it is skipped here and in `depart`.
-        for id in &delta.arrived {
-            if let Some(i) = position(id) {
-                self.arrive(&flows[i], topo);
-            }
-        }
+        // Departures first, so that an arrival may take a slot freed in
+        // the same delta. An arrival missing from the flow slice arrived
+        // *and* departed within this delta: it was never allocated, its
+        // pod is net-unchanged, and `depart` skips it as well as here.
         for id in &delta.departed {
             self.depart(id);
         }
+        for id in &delta.arrived {
+            if let Some(i) = position(id) {
+                self.arrive(&flows[i], flows, topo);
+            }
+        }
+        if self.pod_of_flow.len() > flows.len() {
+            self.depart_missing(flows);
+        }
+        self.index.rekey_all(topo);
         self.emit(npods, flows, topo, ws, out, allow_sparse);
     }
 }
@@ -625,8 +670,9 @@ impl RatePolicy for PodMaxMinPolicy {
         self.ensure_pods(npods);
         self.reset();
         for v in flows {
-            self.arrive(v, topo);
+            self.arrive(v, flows, topo);
         }
+        self.index.rekey_all(topo);
         self.emit(npods, flows, topo, ws, out, false);
     }
 
@@ -656,12 +702,12 @@ impl RatePolicy for PodMaxMinPolicy {
     }
 
     /// Any fault may change link capacities, and a pod's stored rates
-    /// bake those in: dirty every pod *and* drop the capacity snapshot
-    /// (it feeds every pod and fabric fill and must be re-read from the
-    /// post-fault topology).
+    /// bake those in: dirty every pod *and* make the index stale (its
+    /// capacities, and with them its keepers, must be re-read from the
+    /// post-fault topology before the next fill).
     fn on_fault(&mut self, _now: SimTime, _fault: &FaultKind) {
         self.cache_valid.fill(false);
-        self.caps.clear();
+        self.index.invalidate();
     }
 
     fn name(&self) -> &'static str {
@@ -1177,22 +1223,52 @@ mod tests {
     /// final instant, so the second run's first allocation (where every
     /// live flow arrives) must forget them instead of resolving them, and
     /// a link the first run left degraded must not leak its capacity.
+    /// First runs: pod-local flows on k = 4, with and without a degrade;
+    /// a k = 8 run that ends with a core crosser still live (it finishes
+    /// last) behind a degraded link, then a k = 4 run; and a k = 4 run
+    /// followed by a k = 8 one.
     #[test]
     fn reused_pod_policy_matches_a_fresh_one() {
-        let topo = crate::fattree::FatTree::new(4).build_fabric();
+        let (k4, k8) = (
+            crate::fattree::FatTree::new(4).build_fabric(),
+            crate::fattree::FatTree::new(8).build_fabric(),
+        );
         let degraded = FaultPlan::empty().with(
             SimTime::new(0.5),
             FaultKind::LinkDegrade(crate::ids::ResourceId(0), 0.25),
         );
         let first = || vec![demand(0, 0, 1, 2.0, 0.0), demand(1, 2, 3, 2.0, 0.0)];
+        // Host 0 (pod 0) to host 20 (pod 1) on k = 8, across host 0's
+        // degraded up-link.
+        let crossing = || {
+            let mut d = first();
+            d.push(demand(2, 0, 20, 4.0, 0.0));
+            d
+        };
         let second = || vec![demand(10, 0, 1, 1.0, 0.0)];
-        for plan in [FaultPlan::empty(), degraded] {
+        let cases = [
+            (&k4, first(), FaultPlan::empty(), &k4),
+            (&k4, first(), degraded.clone(), &k4),
+            (&k8, crossing(), degraded, &k4),
+            (&k4, first(), FaultPlan::empty(), &k8),
+        ];
+        for (case, (topo, demands, plan, then)) in cases.iter().enumerate() {
             for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
                 let mut reused = PodMaxMinPolicy::new();
-                run_flows_faulted(&topo, first(), &mut reused, mode, &plan);
-                let again = run_flows_with(&topo, second(), &mut reused, mode);
-                let fresh = run_flows_with(&topo, second(), &mut PodMaxMinPolicy::new(), mode);
-                assert_eq!(again.trace().events(), fresh.trace().events(), "{mode:?}");
+                let out = run_flows_faulted(topo, demands.clone(), &mut reused, mode, plan);
+                if case == 2 {
+                    // The crosser finishes last, so it is still live in
+                    // the reused policy.
+                    assert!(out.makespan().approx_eq(out.finish(FlowId(2)).unwrap()));
+                    assert_eq!(reused.cross_pod_live, 1);
+                }
+                let again = run_flows_with(then, second(), &mut reused, mode);
+                let fresh = run_flows_with(then, second(), &mut PodMaxMinPolicy::new(), mode);
+                assert_eq!(
+                    again.trace().events(),
+                    fresh.trace().events(),
+                    "case {case} {mode:?}"
+                );
                 assert!(again
                     .finish(FlowId(10))
                     .unwrap()
@@ -1202,9 +1278,9 @@ mod tests {
     }
 
     /// Inputs the driver never builds do not panic the pod policy: a
-    /// delta that omits a departure, and a view whose route does not fit
-    /// a route arena slot. Either way the rates are the ones a fresh
-    /// policy computes over the same views.
+    /// delta that omits a departure, a view whose route does not fit an
+    /// arena slot, and two views on one slot. Each way the rates are the
+    /// ones a fresh policy computes over the same views.
     #[test]
     fn pod_policy_survives_caller_built_inputs() {
         let topo = crate::fattree::FatTree::new(4).build_fabric();
@@ -1284,7 +1360,41 @@ mod tests {
             &mut out,
         );
         assert_eq!(out, fresh(&rest));
-        assert_eq!((policy.cross_pod_live, policy.long_routes_live), (0, 0));
+        assert_eq!((policy.cross_pod_live, policy.unindexed_live), (0, 0));
+        // Two live views on one arena slot: the index holds the first, the
+        // second forces the fabric fallback until it departs.
+        let twin = ActiveFlowView {
+            id: FlowId(4),
+            ..rest[1].clone()
+        };
+        let with_twin = [rest[0].clone(), rest[1].clone(), twin];
+        let delta = arrived(&with_twin[2..]);
+        policy.allocate_dense_incremental(
+            SimTime::ZERO,
+            &with_twin,
+            &delta,
+            &topo,
+            &mut ws,
+            &mut out,
+        );
+        let mut dense = vec![0.0; with_twin.len()];
+        waterfill_dense(&topo, &with_twin, None, &mut dense, &mut ws);
+        assert_eq!(out, dense);
+        assert_eq!(policy.unindexed_live, 1);
+        let departed = FlowDelta {
+            arrived: Vec::new(),
+            departed: vec![FlowId(4)],
+        };
+        policy.allocate_dense_incremental(
+            SimTime::ZERO,
+            &rest,
+            &departed,
+            &topo,
+            &mut ws,
+            &mut out,
+        );
+        assert_eq!(out, fresh(&rest));
+        policy.verify_index(&rest, &topo).unwrap();
     }
 
     #[test]

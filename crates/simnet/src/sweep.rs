@@ -77,6 +77,8 @@ where
             break;
         }
         let out = f(i, &items[i]);
+        // A slot's lock is held only for this store, which cannot panic,
+        // so no lock is ever poisoned (here or below).
         *slots[i].lock().expect("sweep slot poisoned") = Some(out);
     };
     std::thread::scope(|scope| {
@@ -85,6 +87,9 @@ where
         }
         work();
     });
+    // Unreachable from the public API: every index below `items.len()` is
+    // claimed by exactly one worker, which stores its result, and a task
+    // that panics re-raises the panic when the scope joins, before this.
     slots
         .into_iter()
         .map(|slot| {

@@ -158,6 +158,11 @@ impl LinkGraph {
                 let mut path = Vec::new();
                 let mut cur = dst;
                 while cur != src {
+                    // Unreachable from the public API: the search sets a
+                    // node's parent link when it first visits it, src
+                    // aside, and each parent link leaves a node visited
+                    // earlier, so the walk meets only visited nodes and
+                    // ends at src.
                     let lid = parent[cur.0 as usize].expect("visited node has parent");
                     path.push(lid);
                     cur = self.links[lid.0 as usize].0;

@@ -19,7 +19,11 @@
 #     the medians and whether it stays within the metric's bound in
 #     BENCHMARK.json;
 #   - says whether p50_ct_s, tail_ct_s and tardiness_s printed identical
-#     digits on both sides of every pair.
+#     digits on both sides of every pair;
+#   - ends with the protocol's verdict on flow_events_per_s: `unresolved`
+#     when the parent's (Q3 - Q1) / median exceeds the metric's bound in
+#     BENCHMARK.json, else `gain` when the change won at least 9 in 10
+#     pairs, else `no gain`.
 #
 # Exits 1 if the two sides' instance completion digests differ in any
 # pair or a run reports `"correct": false`, and 2 on a usage error.
@@ -134,7 +138,8 @@ bound() {
 }
 
 awk -v workload="$workload" -v rev="$rev" -v align="$align" \
-    -v setup_bound="$(bound setup_s)" -v heap_bound="$(bound peak_heap_mb)" '
+    -v setup_bound="$(bound setup_s)" -v heap_bound="$(bound peak_heap_mb)" \
+    -v eps_bound="$(bound flow_events_per_s)" '
     function sort(a, n,    i, j, t) {
         for (i = 2; i <= n; i++) {
             t = a[i]
@@ -204,15 +209,25 @@ awk -v workload="$workload" -v rev="$rev" -v align="$align" \
         summary("change", chg, pairs)
         printf "ratio   %.3fx (change median / parent median); change won %d of %d pairs\n",
             median(chg, pairs) / median(par, pairs), won, pairs
+        # `summary` sorted `par`, so its quartiles are at hand.
+        spread = (quartile(par, pairs, 3) - quartile(par, pairs, 1)) / median(par, pairs)
         lower_better("setup_s", 6, setup_bound)
         lower_better("peak_heap_mb", 7, heap_bound)
         if (moved == "")
             print "p50_ct_s, tail_ct_s, tardiness_s: identical digits in every pair"
         else
             print "p50_ct_s, tail_ct_s, tardiness_s: digits differ in pairs" moved
+        if (spread > eps_bound)
+            verdict = sprintf("unresolved (parent (Q3 - Q1) / median %.3f > bound %s)",
+                spread, eps_bound)
+        else if (10 * won >= 9 * pairs)
+            verdict = sprintf("gain (won %d of %d pairs)", won, pairs)
+        else
+            verdict = sprintf("no gain (won %d of %d pairs)", won, pairs)
         if (bad) {
             print "FAILED: digests differ or a run was not correct"
             exit 1
         }
         print "digests identical on both sides"
+        print "flow_events_per_s verdict: " verdict
     }' "$dir/runs.txt"

@@ -690,6 +690,154 @@ fn pod_decomposition_caching_is_bit_identical() {
     }
 }
 
+/// The pod policy keeps one link index for its bucket engine and patches
+/// it from each flow delta instead of re-deriving it per fill. Seeded
+/// random deltas drive the policy on k = 4 and k = 8 fat trees through
+/// the cases that patch it: same-instant cohorts of arrivals and
+/// departures, core crossers arriving and draining (so fills alternate
+/// between whole-fabric and per-pod scope), degrade, down and restore
+/// faults on links in use, arena slots reused by later arrivals, a route
+/// too long for an arena slot, unreported departures, and full
+/// recomputes. After every allocation the patched index must equal one
+/// built from scratch over the live flows, and the rates must be bitwise
+/// the whole-fabric `waterfill_dense` while a crosser or a long route is
+/// live, and the per-pod reference otherwise.
+#[test]
+fn pod_fill_index_matches_a_rebuild_under_random_deltas() {
+    use echelonflow::simnet::alloc::{waterfill_dense, AllocScratch};
+    use echelonflow::simnet::fault::FaultKind;
+    use echelonflow::simnet::flow::ActiveFlowView;
+    use echelonflow::simnet::fluid::FlowDelta;
+    use echelonflow::simnet::ids::ResourceId;
+
+    // Fabric fills, pod fills, faults, unreported departures, reused
+    // slots, long routes, full recomputes.
+    let mut seen = [0usize; 7];
+    for seed in 0..4u64 {
+        for k in [4usize, 8] {
+            let mut rng = DetRng::seed_from_u64(0x1DE7 + seed);
+            let mut topo = FatTree::new(k).build_fabric();
+            let mut base = Vec::new();
+            topo.capacities_into(&mut base);
+            let hosts_per_pod = k * k / 4;
+            let mut policy = PodMaxMinPolicy::new();
+            let mut ws = AllocScratch::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            // Live flows in id order and a LIFO free list of arena slots.
+            let mut live: Vec<ActiveFlowView> = Vec::new();
+            let (mut free, mut slots, mut next_id) = (Vec::new(), 0u32, 0u64);
+            let mut reused = std::collections::BTreeSet::new();
+            for step in 0..60 {
+                let now = SimTime::new(0.1 * step as f64);
+                let mut delta = FlowDelta::default();
+                // Phases of ten steps: pod-local only (every crosser and
+                // long route drains at the phase start), then a few
+                // crossers, then many.
+                let cross = [0.0, 0.1, 0.4][step / 10 % 3];
+                let mut i = 0;
+                while i < live.len() {
+                    let v = &live[i];
+                    let crosser = topo.host_pod(v.src) != topo.host_pod(v.dst) || v.route.len() > 6;
+                    if (cross == 0.0 && crosser) || rng.next_f64() < 0.2 {
+                        let v = live.remove(i);
+                        free.push(v.slot);
+                        if rng.next_f64() < 0.1 {
+                            seen[3] += 1;
+                        } else {
+                            delta.departed.push(v.id);
+                        }
+                    } else {
+                        i += 1;
+                    }
+                }
+                for _ in 0..rng.usize_range_inclusive(0, 3 * k) {
+                    let src_pod = rng.usize_range_inclusive(0, k - 1);
+                    let dst_pod = if rng.next_f64() < cross {
+                        (src_pod + rng.usize_range_inclusive(1, k - 1)) % k
+                    } else {
+                        src_pod
+                    };
+                    let src = rng.usize_range_inclusive(0, hosts_per_pod - 1);
+                    let dst =
+                        (src + rng.usize_range_inclusive(1, hosts_per_pod - 1)) % hosts_per_pod;
+                    let (src, dst) = (
+                        NodeId((src_pod * hosts_per_pod + src) as u32),
+                        NodeId((dst_pod * hosts_per_pod + dst) as u32),
+                    );
+                    let slot = free.pop().unwrap_or_else(|| {
+                        slots += 1;
+                        slots - 1
+                    });
+                    if !reused.insert(slot) {
+                        seen[4] += 1;
+                    }
+                    let mut route = topo.route(src, dst);
+                    if cross > 0.0 && rng.next_f64() < 0.02 {
+                        // Eight hops: more than an arena slot holds.
+                        route = (0..8).map(|r| ResourceId(r * 3)).collect();
+                        seen[5] += 1;
+                    }
+                    delta.arrived.push(FlowId(next_id));
+                    live.push(ActiveFlowView {
+                        id: FlowId(next_id),
+                        slot,
+                        src,
+                        dst,
+                        size: 1.0,
+                        remaining: 1.0,
+                        release: now,
+                        route,
+                    });
+                    next_id += 1;
+                }
+                // A fault on a link some live flow crosses.
+                if !live.is_empty() && rng.next_f64() < 0.3 {
+                    let v = &live[rng.usize_range_inclusive(0, live.len() - 1)];
+                    let r = v.route[rng.usize_range_inclusive(0, v.route.len() - 1)];
+                    let kind = match rng.usize_range_inclusive(0, 2) {
+                        0 => FaultKind::LinkDown(r),
+                        1 => FaultKind::LinkDegrade(r, rng.f64_range(0.1, 0.9)),
+                        _ => FaultKind::LinkRestore(r),
+                    };
+                    let factor = match kind {
+                        FaultKind::LinkDown(_) => 0.0,
+                        FaultKind::LinkDegrade(_, f) => f,
+                        _ => 1.0,
+                    };
+                    topo.set_capacity(r, base[r.0 as usize] * factor);
+                    policy.on_fault(now, &kind);
+                    seen[2] += 1;
+                }
+                if rng.next_f64() < 0.1 {
+                    policy.allocate_dense(now, &live, &topo, &mut ws, &mut got);
+                    seen[6] += 1;
+                } else {
+                    policy.allocate_dense_incremental(now, &live, &delta, &topo, &mut ws, &mut got);
+                }
+                let fabric = live
+                    .iter()
+                    .any(|v| topo.host_pod(v.src) != topo.host_pod(v.dst) || v.route.len() > 6);
+                if fabric {
+                    want.clear();
+                    want.resize(live.len(), 0.0);
+                    waterfill_dense(&topo, &live, None, &mut want, &mut ws);
+                } else {
+                    PodReference.allocate_dense(now, &live, &topo, &mut ws, &mut want);
+                }
+                seen[usize::from(!fabric)] += 1;
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "seed {seed} k {k} step {step}");
+                if let Err(e) = policy.verify_index(&live, &topo) {
+                    panic!("seed {seed} k {k} step {step}: {e}");
+                }
+            }
+        }
+    }
+    // Non-vacuity: every case occurs, and both scopes fill often.
+    assert!(seen[0] >= 100 && seen[1] >= 100, "fills by scope {seen:?}");
+    assert!(seen[2..].iter().all(|&n| n >= 5), "cases {seen:?}");
+}
+
 /// The coordinator path (API → decisions → between-decision reuse) stays
 /// bit-identical across modes for every trigger, with and without control
 /// latency, on a multi-job workload with real cross-job contention.
