@@ -13,7 +13,7 @@ use echelon_paradigms::dag::{CompKind, CompUnit, JobDag};
 use echelon_paradigms::dp::{build_dp_allreduce, build_dp_ps};
 use echelon_paradigms::fsdp::build_fsdp;
 use echelon_paradigms::hybrid::{build_hybrid, HybridConfig};
-use echelon_paradigms::ids::IdAlloc;
+use echelon_paradigms::ids::{CompId, IdAlloc};
 use echelon_paradigms::pp::{build_pp_1f1b, build_pp_gpipe};
 use echelon_paradigms::profiler::profile_gaps;
 use echelon_paradigms::tp::build_tp;
@@ -135,19 +135,29 @@ pub fn delay_start(mut dag: JobDag, arrival: f64, alloc: &mut IdAlloc) -> JobDag
     // but also hosts that appear only as flow endpoints (e.g. a sink that
     // receives a broadcast without computing). Those have no `programs`
     // entry yet — indexing with `get_mut(..).unwrap()` panicked on them —
-    // so materialize one holding only the gate.
-    let mut participants: Vec<NodeId> = dag.workers();
+    // so materialize one holding only the gate. Gates take ids in host
+    // order, so every host gets its program entry first.
+    let mut endpoint_only = Vec::new();
     for comm in dag.comms.values() {
         for f in comm.flows() {
-            participants.push(f.src);
-            participants.push(f.dst);
+            for host in [f.src, f.dst] {
+                if !dag.programs.contains_key(&host) {
+                    endpoint_only.push(host);
+                }
+            }
         }
     }
-    participants.sort();
-    participants.dedup();
-    let mut gates = Vec::new();
-    for worker in participants {
+    for host in endpoint_only {
+        dag.programs.entry(host).or_default();
+    }
+    // The allocator issues ids in sequence, so the gates hold one range.
+    let mut gates = 0..0;
+    for (&worker, program) in dag.programs.iter_mut() {
         let id = alloc.next_comp();
+        if gates.is_empty() {
+            gates.start = id.0;
+        }
+        gates.end = id.0 + 1;
         dag.comps.insert(
             id,
             CompUnit {
@@ -160,12 +170,11 @@ pub fn delay_start(mut dag: JobDag, arrival: f64, alloc: &mut IdAlloc) -> JobDag
                 deps_comm: vec![],
             },
         );
-        dag.programs.entry(worker).or_default().insert(0, id);
-        gates.push(id);
+        program.insert(0, id);
     }
     for comm in dag.comms.values_mut() {
         if comm.deps_comp.is_empty() && comm.deps_comm.is_empty() {
-            comm.deps_comp.extend(gates.iter().copied());
+            comm.deps_comp.extend(gates.clone().map(CompId));
         }
     }
     dag

@@ -32,9 +32,14 @@ impl Coflow {
     /// Panics if `flows` is empty or contains duplicate ids.
     pub fn new(id: EchelonId, job: JobId, flows: Vec<FlowRef>) -> Coflow {
         assert!(!flows.is_empty(), "Coflow needs at least one flow");
-        let mut seen = std::collections::BTreeSet::new();
-        for f in &flows {
-            assert!(seen.insert(f.id), "flow {} appears twice", f.id);
+        // Builders emit flows in id order; only other orders need a
+        // sorted copy to find duplicates.
+        if !flows.windows(2).all(|w| w[0].id < w[1].id) {
+            let mut ids: Vec<FlowId> = flows.iter().map(|f| f.id).collect();
+            ids.sort_unstable();
+            if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+                panic!("flow {} appears twice", w[0]);
+            }
         }
         Coflow {
             id,

@@ -13,7 +13,6 @@ use crate::arrangement::ArrangementFn;
 use crate::{EchelonId, JobId};
 use echelon_simnet::ids::{FlowId, NodeId};
 use echelon_simnet::time::SimTime;
-use std::collections::BTreeMap;
 
 /// A flow belonging to an EchelonFlow: identity, endpoints and size.
 /// (Release time is dynamic — it is whenever the generating computation
@@ -53,8 +52,8 @@ pub struct EchelonFlow {
     stages: Vec<Vec<FlowRef>>,
     arrangement: ArrangementFn,
     reference: Option<SimTime>,
-    /// Reverse index: flow id → stage index.
-    stage_of: BTreeMap<FlowId, usize>,
+    /// Reverse index: `(flow id, stage index)` pairs sorted by flow id.
+    stage_of: Vec<(FlowId, usize)>,
 }
 
 impl EchelonFlow {
@@ -73,13 +72,14 @@ impl EchelonFlow {
         arrangement: ArrangementFn,
     ) -> EchelonFlow {
         assert!(!stages.is_empty(), "EchelonFlow needs at least one stage");
-        let mut stage_of = BTreeMap::new();
+        let mut stage_of = Vec::with_capacity(stages.iter().map(Vec::len).sum());
         for (j, stage) in stages.iter().enumerate() {
             assert!(!stage.is_empty(), "stage {j} is empty");
-            for f in stage {
-                let prev = stage_of.insert(f.id, j);
-                assert!(prev.is_none(), "flow {} appears twice", f.id);
-            }
+            stage_of.extend(stage.iter().map(|f| (f.id, j)));
+        }
+        stage_of.sort_unstable_by_key(|&(id, _)| id);
+        if let Some(w) = stage_of.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("flow {} appears twice", w[0].0);
         }
         // Validate the arrangement against the stage count eagerly.
         let _ = arrangement.offsets(stages.len());
@@ -157,12 +157,15 @@ impl EchelonFlow {
 
     /// The stage a flow belongs to, if it is part of this EchelonFlow.
     pub fn stage_of(&self, flow: FlowId) -> Option<usize> {
-        self.stage_of.get(&flow).copied()
+        self.stage_of
+            .binary_search_by_key(&flow, |&(id, _)| id)
+            .ok()
+            .map(|i| self.stage_of[i].1)
     }
 
     /// `true` if the flow belongs to this EchelonFlow.
     pub fn contains(&self, flow: FlowId) -> bool {
-        self.stage_of.contains_key(&flow)
+        self.stage_of(flow).is_some()
     }
 
     /// The arrangement function.

@@ -20,7 +20,7 @@ use echelon_core::coflow::Coflow;
 use echelon_core::echelon::{EchelonFlow, FlowRef};
 use echelon_core::{EchelonId, JobId};
 use echelon_simnet::ids::{FlowId, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// What a computation unit does, for timeline rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,6 +134,11 @@ impl JobDag {
 ///
 /// Units must be added in a topological order (dependencies first); this
 /// is checked eagerly, which guarantees the result is acyclic.
+///
+/// The builder holds the id allocator for its whole life, so the units
+/// and flows it creates hold contiguous id ranges starting where the
+/// allocator stood at [`Self::new`]. Its checks read flat per-job tables
+/// over those ranges instead of per-flow sets.
 pub struct DagBuilder<'a> {
     job: JobId,
     alloc: &'a mut IdAlloc,
@@ -142,23 +147,41 @@ pub struct DagBuilder<'a> {
     programs: BTreeMap<NodeId, Vec<CompId>>,
     echelons: Vec<EchelonFlow>,
     coflows: Vec<Coflow>,
-    declared_flows: BTreeSet<FlowId>,
-    grouped_flows: BTreeSet<FlowId>,
+    /// First comp and comm ids this builder issues.
+    first_comp: u64,
+    first_comm: u64,
+    /// First flow id the flow generator issues to this builder.
+    first_flow: u64,
+    /// Flag byte per flow id `first_flow + i` the generator has issued.
+    flow_flags: Vec<u8>,
+    /// Flag bytes of declared flows whose ids the generator had not issued
+    /// when they were declared (hand-built ids). Consulted first.
+    stray_flows: BTreeMap<FlowId, u8>,
 }
+
+/// Flow flag: the flow is part of a communication unit.
+const DECLARED: u8 = 1;
+/// Flow flag: the flow is grouped in an EchelonFlow.
+const GROUPED: u8 = 2;
+/// Flow flag: the flow is in a Coflow.
+const IN_COFLOW: u8 = 4;
 
 impl<'a> DagBuilder<'a> {
     /// Starts building a DAG for `job`, drawing ids from `alloc`.
     pub fn new(job: JobId, alloc: &'a mut IdAlloc) -> DagBuilder<'a> {
         DagBuilder {
             job,
+            first_comp: alloc.next_comp,
+            first_comm: alloc.next_comm,
+            first_flow: alloc.flows.peek().0,
             alloc,
             comps: BTreeMap::new(),
             comms: BTreeMap::new(),
             programs: BTreeMap::new(),
             echelons: Vec::new(),
             coflows: Vec::new(),
-            declared_flows: BTreeSet::new(),
-            grouped_flows: BTreeSet::new(),
+            flow_flags: Vec::new(),
+            stray_flows: BTreeMap::new(),
         }
     }
 
@@ -183,12 +206,36 @@ impl<'a> DagBuilder<'a> {
         &self.comps
     }
 
+    /// The units added so far are exactly the ids issued since `new`.
     fn check_deps(&self, deps_comp: &[CompId], deps_comm: &[CommId]) {
         for d in deps_comp {
-            assert!(self.comps.contains_key(d), "unknown comp dependency {d}");
+            assert!(
+                (self.first_comp..self.alloc.next_comp).contains(&d.0),
+                "unknown comp dependency {d}"
+            );
         }
         for d in deps_comm {
-            assert!(self.comms.contains_key(d), "unknown comm dependency {d}");
+            assert!(
+                (self.first_comm..self.alloc.next_comm).contains(&d.0),
+                "unknown comm dependency {d}"
+            );
+        }
+    }
+
+    /// The flags of flow `id` (zero for a flow never declared).
+    fn flags(&self, id: FlowId) -> u8 {
+        if let Some(&f) = self.stray_flows.get(&id) {
+            return f;
+        }
+        let i = id.0.wrapping_sub(self.first_flow) as usize;
+        self.flow_flags.get(i).copied().unwrap_or(0)
+    }
+
+    /// Sets `bit` on a declared flow.
+    fn set_flag(&mut self, id: FlowId, bit: u8) {
+        match self.stray_flows.get_mut(&id) {
+            Some(f) => *f |= bit,
+            None => self.flow_flags[(id.0 - self.first_flow) as usize] |= bit,
         }
     }
 
@@ -242,14 +289,26 @@ impl<'a> DagBuilder<'a> {
     ) -> CommId {
         assert!(!stages.is_empty(), "comm unit needs at least one stage");
         self.check_deps(deps_comp, deps_comm);
+        // The table grows to cover every id issued so far; it never
+        // shrinks, so a flow keeps its slot once it has one.
+        let issued = self.alloc.flows.peek().0.saturating_sub(self.first_flow) as usize;
+        if issued > self.flow_flags.len() {
+            self.flow_flags.resize(issued, 0);
+        }
+        let issued = self.first_flow..self.first_flow + self.flow_flags.len() as u64;
         for s in &stages {
             assert!(!s.flows.is_empty(), "comm stage {} is empty", s.step);
             for f in &s.flows {
                 assert!(
-                    self.declared_flows.insert(f.id),
+                    self.flags(f.id) & DECLARED == 0,
                     "flow {} declared twice",
                     f.id
                 );
+                if issued.contains(&f.id.0) {
+                    self.flow_flags[(f.id.0 - issued.start) as usize] = DECLARED;
+                } else {
+                    self.stray_flows.insert(f.id, DECLARED);
+                }
             }
         }
         let id = self.alloc.next_comm();
@@ -293,21 +352,35 @@ impl<'a> DagBuilder<'a> {
         let id = self.alloc.next_echelon();
         for s in &stages {
             for f in s {
+                let flags = self.flags(f.id);
                 assert!(
-                    self.declared_flows.contains(&f.id),
+                    flags & DECLARED != 0,
                     "EchelonFlow references unknown flow {}",
                     f.id
                 );
-                assert!(
-                    self.grouped_flows.insert(f.id),
-                    "flow {} grouped twice",
-                    f.id
-                );
+                assert!(flags & GROUPED == 0, "flow {} grouped twice", f.id);
+                self.set_flag(f.id, GROUPED);
             }
         }
         self.echelons
             .push(EchelonFlow::new(id, self.job, stages, arrangement));
         id
+    }
+
+    /// The flows of communication unit `comm`, stage by stage.
+    pub(crate) fn flows_of(&self, comm: CommId) -> Vec<FlowRef> {
+        let unit = &self.comms[&comm];
+        let mut flows = Vec::with_capacity(unit.stages.iter().map(|s| s.flows.len()).sum());
+        flows.extend(unit.flows().copied());
+        flows
+    }
+
+    /// Declares a collective's flows as both a Coflow-arranged
+    /// EchelonFlow and a plain Coflow (§4 Case I), in that order.
+    pub(crate) fn declare_collective(&mut self, comm: CommId) {
+        let flows = self.flows_of(comm);
+        self.declare_echelon(vec![flows.clone()], ArrangementFn::Coflow);
+        self.declare_coflow(flows);
     }
 
     /// Declares a Coflow grouping over already-added flows. Coflows are
@@ -317,10 +390,11 @@ impl<'a> DagBuilder<'a> {
         let id = self.alloc.next_echelon();
         for f in &flows {
             assert!(
-                self.declared_flows.contains(&f.id),
+                self.flags(f.id) & DECLARED != 0,
                 "Coflow references unknown flow {}",
                 f.id
             );
+            self.set_flag(f.id, IN_COFLOW);
         }
         self.coflows.push(Coflow::new(id, self.job, flows));
         id
@@ -333,20 +407,29 @@ impl<'a> DagBuilder<'a> {
     /// Panics if any flow was left out of the EchelonFlow grouping (every
     /// flow must have an ideal finish time) or the Coflow grouping.
     pub fn build(self) -> JobDag {
-        let coflow_flows: BTreeSet<FlowId> = self
-            .coflows
-            .iter()
-            .flat_map(|c| c.flows().iter().map(|f| f.id))
-            .collect();
-        for fid in &self.declared_flows {
+        let check = |fid: FlowId, flags: u8| {
+            if flags & DECLARED == 0 {
+                return;
+            }
             assert!(
-                self.grouped_flows.contains(fid),
+                flags & GROUPED != 0,
                 "flow {fid} has no EchelonFlow grouping"
             );
-            assert!(
-                coflow_flows.contains(fid),
-                "flow {fid} has no Coflow grouping"
-            );
+            assert!(flags & IN_COFLOW != 0, "flow {fid} has no Coflow grouping");
+        };
+        let table = (self.first_flow..)
+            .map(FlowId)
+            .zip(self.flow_flags.iter().copied());
+        if self.stray_flows.is_empty() {
+            table.for_each(|(fid, flags)| check(fid, flags));
+        } else {
+            // Walk both tables in id order. A table slot whose id has a
+            // stray entry was never declared, so the check skips it.
+            let mut all: Vec<(FlowId, u8)> = table
+                .chain(self.stray_flows.iter().map(|(&fid, &flags)| (fid, flags)))
+                .collect();
+            all.sort_unstable_by_key(|&(fid, _)| fid);
+            all.into_iter().for_each(|(fid, flags)| check(fid, flags));
         }
         JobDag {
             job: self.job,

@@ -18,8 +18,6 @@ use crate::config::DpConfig;
 use crate::dag::{CompKind, DagBuilder, JobDag};
 use crate::ids::{CompId, IdAlloc};
 use echelon_collectives::{CollectiveOp, Style};
-use echelon_core::arrangement::ArrangementFn;
-use echelon_core::echelon::FlowRef;
 use echelon_core::JobId;
 
 fn validate(cfg: &DpConfig) {
@@ -31,18 +29,11 @@ fn validate(cfg: &DpConfig) {
     }
 }
 
-/// Declares a collective's flows as both a Coflow-arranged EchelonFlow
-/// and a plain Coflow.
-fn declare_coflow_both(b: &mut DagBuilder<'_>, flows: Vec<FlowRef>) {
-    b.declare_echelon(vec![flows.clone()], ArrangementFn::Coflow);
-    b.declare_coflow(flows);
-}
-
 /// Builds a DP job with ring all-reduce gradient synchronization.
 pub fn build_dp_allreduce(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> JobDag {
     validate(cfg);
     let mut b = DagBuilder::new(job, alloc);
-    let workers = cfg.placement.clone();
+    let workers = &cfg.placement;
     let buckets = cfg.bucket_bytes.len();
 
     // Chained across iterations through each worker's program order plus
@@ -51,13 +42,12 @@ pub fn build_dp_allreduce(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> Jo
     for iter in 0..cfg.iterations {
         // Forward on every worker.
         for (w, &node) in workers.iter().enumerate() {
-            let deps: Vec<CompId> = prev_update[w].into_iter().collect();
             b.comp(
                 node,
                 cfg.fwd_time,
                 CompKind::Forward,
                 format!("F(i{iter})"),
-                &deps,
+                prev_update[w].as_slice(),
                 &[],
             );
         }
@@ -87,8 +77,7 @@ pub fn build_dp_allreduce(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> Jo
                 &bwds,
                 &[],
             );
-            let flows: Vec<FlowRef> = b.comms()[&ar].flows().copied().collect();
-            declare_coflow_both(&mut b, flows);
+            b.declare_collective(ar);
             syncs.push(ar);
         }
 
@@ -132,19 +121,18 @@ pub fn build_dp_hierarchical(
         "groups must partition cfg.placement in order"
     );
     let mut b = DagBuilder::new(job, alloc);
-    let workers = cfg.placement.clone();
+    let workers = &cfg.placement;
     let buckets = cfg.bucket_bytes.len();
 
     let mut prev_update: Vec<Option<CompId>> = vec![None; workers.len()];
     for iter in 0..cfg.iterations {
         for (w, &node) in workers.iter().enumerate() {
-            let deps: Vec<CompId> = prev_update[w].into_iter().collect();
             b.comp(
                 node,
                 cfg.fwd_time,
                 CompKind::Forward,
                 format!("F(i{iter})"),
-                &deps,
+                prev_update[w].as_slice(),
                 &[],
             );
         }
@@ -165,8 +153,7 @@ pub fn build_dp_hierarchical(
                 .collect();
             let d = echelon_collectives::hierarchical_allreduce(groups, bytes, b.flow_ids());
             let ar = b.comm("hierarchical-allreduce", d.stages, &bwds, &[]);
-            let flows: Vec<FlowRef> = b.comms()[&ar].flows().copied().collect();
-            declare_coflow_both(&mut b, flows);
+            b.declare_collective(ar);
             syncs.push(ar);
         }
         prev_update = workers
@@ -195,19 +182,18 @@ pub fn build_dp_ps(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> JobDag {
     validate(cfg);
     let ps = cfg.ps.expect("PS variant requires cfg.ps");
     let mut b = DagBuilder::new(job, alloc);
-    let workers = cfg.placement.clone();
+    let workers = &cfg.placement;
     let buckets = cfg.bucket_bytes.len();
 
     let mut prev_update: Vec<Option<CompId>> = vec![None; workers.len()];
     for iter in 0..cfg.iterations {
         for (w, &node) in workers.iter().enumerate() {
-            let deps: Vec<CompId> = prev_update[w].into_iter().collect();
             b.comp(
                 node,
                 cfg.fwd_time,
                 CompKind::Forward,
                 format!("F(i{iter})"),
-                &deps,
+                prev_update[w].as_slice(),
                 &[],
             );
         }
@@ -238,8 +224,7 @@ pub fn build_dp_ps(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> JobDag {
                 &bwds,
                 &[],
             );
-            let flows: Vec<FlowRef> = b.comms()[&push].flows().copied().collect();
-            declare_coflow_both(&mut b, flows);
+            b.declare_collective(push);
             pushes.push(push);
         }
 
@@ -257,8 +242,7 @@ pub fn build_dp_ps(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> JobDag {
             &[],
             &pushes,
         );
-        let flows: Vec<FlowRef> = b.comms()[&pull].flows().copied().collect();
-        declare_coflow_both(&mut b, flows);
+        b.declare_collective(pull);
 
         prev_update = workers
             .iter()

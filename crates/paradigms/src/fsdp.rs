@@ -27,7 +27,7 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
     assert!(cfg.layers >= 1, "FSDP needs at least one layer");
     assert!(cfg.iterations >= 1, "need at least one iteration");
     let mut b = DagBuilder::new(job, alloc);
-    let workers = cfg.placement.clone();
+    let workers = &cfg.placement;
     let n = cfg.layers;
 
     if let Some(per_layer) = &cfg.layer_shard_bytes {
@@ -65,19 +65,14 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
                 deps_comp,
                 &[],
             );
-            stage_flows.push(b.comms()[&ag].flows().copied().collect());
+            stage_flows.push(b.flows_of(ag));
             ag
         };
 
         // Forward: AG_l → F_l per worker.
         let mut fwd_comps: Vec<Vec<CompId>> = Vec::with_capacity(n);
         for l in 0..n {
-            let ag = gather(
-                &mut b,
-                &mut ag_stage_flows,
-                &prev_update.clone(),
-                bytes_of(l),
-            );
+            let ag = gather(&mut b, &mut ag_stage_flows, &prev_update, bytes_of(l));
             let comps: Vec<CompId> = workers
                 .iter()
                 .map(|&node| {
@@ -97,12 +92,7 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
         // Backward: AG'_l → B_l → RS_l, deepest layer first.
         let mut rs_comms: Vec<CommId> = Vec::with_capacity(n);
         for l in (0..n).rev() {
-            let ag = gather(
-                &mut b,
-                &mut ag_stage_flows,
-                &prev_update.clone(),
-                bytes_of(l),
-            );
+            let ag = gather(&mut b, &mut ag_stage_flows, &prev_update, bytes_of(l));
             let comps: Vec<CompId> = workers
                 .iter()
                 .map(|&node| {
@@ -125,7 +115,7 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
                 &comps,
                 &[],
             );
-            let flows: Vec<FlowRef> = b.comms()[&rs].flows().copied().collect();
+            let flows = b.flows_of(rs);
             b.declare_coflow(flows.clone());
             // RS Coflows are "equivalent to gradient synchronizations in
             // DP": degenerate EchelonFlows.

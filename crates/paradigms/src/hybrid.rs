@@ -25,8 +25,6 @@ use crate::dag::{CompKind, DagBuilder, JobDag};
 use crate::ids::{CompId, IdAlloc};
 use crate::pp::{build_iteration, gpipe_program};
 use echelon_collectives::{CollectiveOp, Style};
-use echelon_core::arrangement::ArrangementFn;
-use echelon_core::echelon::FlowRef;
 use echelon_core::JobId;
 use echelon_simnet::ids::NodeId;
 
@@ -104,10 +102,10 @@ pub fn build_hybrid(job: JobId, cfg: &HybridConfig, alloc: &mut IdAlloc) -> JobD
         //    once every replica finished that stage's backwards.
         let mut stage_sync = Vec::with_capacity(stages);
         for s in 0..stages {
-            let deps: Vec<CompId> = per_replica
-                .iter()
-                .flat_map(|it| it.bwd_comp[s].iter().copied())
-                .collect();
+            let mut deps: Vec<CompId> = Vec::with_capacity(replicas * cfg.micro_batches);
+            for it in &per_replica {
+                deps.extend_from_slice(it.bwd_comp(s));
+            }
             let group: Vec<NodeId> = (0..replicas).map(|r| cfg.replicas[r][s]).collect();
             let ar = b.comm_op(
                 &CollectiveOp::AllReduce {
@@ -118,10 +116,8 @@ pub fn build_hybrid(job: JobId, cfg: &HybridConfig, alloc: &mut IdAlloc) -> JobD
                 &deps,
                 &[],
             );
-            let flows: Vec<FlowRef> = b.comms()[&ar].flows().copied().collect();
             // §4 Case I: gradient synchronizations are Coflows.
-            b.declare_echelon(vec![flows.clone()], ArrangementFn::Coflow);
-            b.declare_coflow(flows);
+            b.declare_collective(ar);
             stage_sync.push(ar);
         }
 
@@ -137,7 +133,8 @@ pub fn build_hybrid(job: JobId, cfg: &HybridConfig, alloc: &mut IdAlloc) -> JobD
                     &[],
                     &[stage_sync[s]],
                 );
-                gates[r][s] = vec![u];
+                gates[r][s].clear();
+                gates[r][s].push(u);
             }
         }
     }

@@ -34,8 +34,8 @@ impl fmt::Display for CommId {
 pub struct IdAlloc {
     /// Flow id generator (shared with the network layer).
     pub flows: FlowIdGen,
-    next_comp: u64,
-    next_comm: u64,
+    pub(crate) next_comp: u64,
+    pub(crate) next_comm: u64,
     next_echelon: u64,
 }
 

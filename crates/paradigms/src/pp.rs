@@ -62,36 +62,25 @@ fn one_f_one_b_program(s: usize, stages: usize, micro_batches: usize) -> Vec<Slo
     prog
 }
 
-/// Ideal (zero-communication, no-stall) start offset of every slot in a
-/// program, walking durations back-to-back.
-fn ideal_starts(program: &[Slot], fwd: f64, bwd: f64) -> Vec<f64> {
+/// Offsets (relative to the first) of the program's `F` slots in
+/// micro-batch order (or `B` slots in program order when `backward`),
+/// from the ideal (zero-communication, no-stall) start of every slot
+/// walking durations back-to-back. Consumption order is program order:
+/// the starts ascend.
+fn consumption_offsets(program: &[Slot], fwd: f64, bwd: f64, backward: bool) -> Vec<f64> {
     let mut t = 0.0;
-    let mut starts = Vec::with_capacity(program.len());
+    let mut base = None;
+    let mut offsets = Vec::with_capacity(program.len() / 2);
     for slot in program {
-        starts.push(t);
+        if matches!((slot, backward), (Slot::F(_), false) | (Slot::B(_), true)) {
+            offsets.push(t - *base.get_or_insert(t));
+        }
         t += match slot {
             Slot::F(_) => fwd,
             Slot::B(_) => bwd,
         };
     }
-    starts
-}
-
-/// Offsets (relative to the first) of the program's `F` slots in
-/// micro-batch order (or `B` slots in program order when `backward`).
-fn consumption_offsets(program: &[Slot], fwd: f64, bwd: f64, backward: bool) -> Vec<f64> {
-    let starts = ideal_starts(program, fwd, bwd);
-    let mut picks: Vec<(usize, f64)> = Vec::new();
-    for (slot, &t) in program.iter().zip(&starts) {
-        match (slot, backward) {
-            (Slot::F(m), false) => picks.push((*m, t)),
-            (Slot::B(m), true) => picks.push((*m, t)),
-            _ => {}
-        }
-    }
-    // Consumption order = program order (starts are already ascending).
-    let base = picks.first().map(|&(_, t)| t).unwrap_or(0.0);
-    picks.iter().map(|&(_, t)| t - base).collect()
+    offsets
 }
 
 /// Collapses uniform offsets to the paper's Eq. 6 `Staggered` form.
@@ -113,8 +102,17 @@ fn arrangement_from_offsets(offsets: Vec<f64>) -> ArrangementFn {
 /// One constructed pipeline iteration: the handles downstream builders
 /// (update barriers, cross-replica gradient synchronization) attach to.
 pub(crate) struct PipelineIteration {
-    /// Backward computation units per stage, one per micro-batch.
-    pub bwd_comp: Vec<Vec<CompId>>,
+    /// Backward computation units, stage-major: stage `s`'s unit for
+    /// micro-batch `m` (1-based) sits at `s · micro_batches + m − 1`.
+    bwd_comp: Vec<CompId>,
+    micro_batches: usize,
+}
+
+impl PipelineIteration {
+    /// Stage `s`'s backward units, one per micro-batch.
+    pub fn bwd_comp(&self, s: usize) -> &[CompId] {
+        &self.bwd_comp[s * self.micro_batches..(s + 1) * self.micro_batches]
+    }
 }
 
 /// Builds one pipeline iteration into `b`: the forward/backward units of
@@ -130,168 +128,158 @@ pub(crate) fn build_iteration(
     gates: &[Vec<CompId>],
 ) -> PipelineIteration {
     let stages = cfg.placement.len();
-    {
-        let iter = 0; // label disambiguation is the caller's concern
-        let _ = iter;
-        // Per-stage bookkeeping for this iteration.
-        let mut fwd_comp: Vec<Vec<Option<CompId>>> = vec![vec![None; cfg.micro_batches]; stages];
-        let mut bwd_comp: Vec<Vec<Option<CompId>>> = vec![vec![None; cfg.micro_batches]; stages];
-        let mut act_comm: Vec<Vec<Option<CommId>>> =
-            vec![vec![None; cfg.micro_batches]; stages.saturating_sub(1)];
-        let mut grad_comm: Vec<Vec<Option<CommId>>> =
-            vec![vec![None; cfg.micro_batches]; stages.saturating_sub(1)];
-        let mut act_flows: Vec<Vec<Option<FlowRef>>> =
-            vec![vec![None; cfg.micro_batches]; stages.saturating_sub(1)];
-        let mut grad_flows: Vec<Vec<Option<FlowRef>>> =
-            vec![vec![None; cfg.micro_batches]; stages.saturating_sub(1)];
+    let mbs = cfg.micro_batches;
+    // Per-stage bookkeeping for this iteration, flat and stage-major:
+    // entry `s · mbs + mi` belongs to stage (or stage pair) `s` and
+    // micro-batch index `mi`. Pair `s` is the link between stages `s`
+    // and `s + 1`.
+    let mut fwd_comp: Vec<Option<CompId>> = vec![None; stages * mbs];
+    let mut bwd_comp: Vec<Option<CompId>> = vec![None; stages * mbs];
+    let pairs = stages.saturating_sub(1) * mbs;
+    let mut act: Vec<Option<(CommId, FlowRef)>> = vec![None; pairs];
+    let mut grad: Vec<Option<(CommId, FlowRef)>> = vec![None; pairs];
 
-        // Kahn-style interleaved construction: repeatedly advance each
-        // stage's program pointer while dependencies already exist. The
-        // pipeline schedules are deadlock-free, so this terminates.
-        let mut ptr = vec![0usize; stages];
-        loop {
-            let mut progress = false;
-            for s in 0..stages {
-                while ptr[s] < programs[s].len() {
-                    let slot = programs[s][ptr[s]];
-                    match slot {
-                        Slot::F(m) => {
-                            let mi = m - 1;
-                            // Needs activations from the previous stage.
-                            let dep_comm: Vec<CommId> = if s == 0 {
-                                vec![]
-                            } else {
-                                match act_comm[s - 1][mi] {
-                                    Some(c) => vec![c],
-                                    None => break, // upstream not built yet
-                                }
-                            };
-                            // The iteration gate applies to the first
-                            // forward of each stage (program order
-                            // sequences the rest).
-                            let dep_comp: Vec<CompId> = if mi == 0 {
-                                gates.get(s).cloned().unwrap_or_default()
-                            } else {
-                                vec![]
-                            };
-                            let id = b.comp(
-                                cfg.placement[s],
-                                cfg.fwd_time,
-                                CompKind::Forward,
-                                format!("F{m}"),
-                                &dep_comp,
-                                &dep_comm,
+    // Kahn-style interleaved construction: repeatedly advance each
+    // stage's program pointer while dependencies already exist. The
+    // pipeline schedules are deadlock-free, so this terminates.
+    let mut ptr = vec![0usize; stages];
+    loop {
+        let mut progress = false;
+        for s in 0..stages {
+            while ptr[s] < programs[s].len() {
+                let slot = programs[s][ptr[s]];
+                match slot {
+                    Slot::F(m) => {
+                        let mi = m - 1;
+                        // Needs activations from the previous stage.
+                        let dep_comm: Option<CommId> = if s == 0 {
+                            None
+                        } else {
+                            match act[(s - 1) * mbs + mi] {
+                                Some((c, _)) => Some(c),
+                                None => break, // upstream not built yet
+                            }
+                        };
+                        // The iteration gate applies to the first
+                        // forward of each stage (program order
+                        // sequences the rest).
+                        let dep_comp: &[CompId] = match gates.get(s) {
+                            Some(g) if mi == 0 => g,
+                            _ => &[],
+                        };
+                        let id = b.comp(
+                            cfg.placement[s],
+                            cfg.fwd_time,
+                            CompKind::Forward,
+                            format!("F{m}"),
+                            dep_comp,
+                            dep_comm.as_slice(),
+                        );
+                        fwd_comp[s * mbs + mi] = Some(id);
+                        // Emit activations to the next stage.
+                        if s + 1 < stages {
+                            let cid = b.comm_op(
+                                &CollectiveOp::P2p {
+                                    src: cfg.placement[s],
+                                    dst: cfg.placement[s + 1],
+                                    bytes: cfg.activation_bytes,
+                                },
+                                Style::Direct,
+                                &[id],
+                                &[],
                             );
-                            fwd_comp[s][mi] = Some(id);
-                            // Emit activations to the next stage.
-                            if s + 1 < stages {
-                                let cid = b.comm_op(
-                                    &CollectiveOp::P2p {
-                                        src: cfg.placement[s],
-                                        dst: cfg.placement[s + 1],
-                                        bytes: cfg.activation_bytes,
-                                    },
-                                    Style::Direct,
-                                    &[id],
-                                    &[],
-                                );
-                                act_comm[s][mi] = Some(cid);
-                                act_flows[s][mi] = Some(b.comms()[&cid].stages[0].flows[0]);
-                            }
-                        }
-                        Slot::B(m) => {
-                            let mi = m - 1;
-                            // Needs the matching forward (program order
-                            // implies it on the same worker) and, unless
-                            // this is the last stage, gradients from the
-                            // next stage.
-                            let mut dep_comp = Vec::new();
-                            if let Some(f) = fwd_comp[s][mi] {
-                                dep_comp.push(f);
-                            } else {
-                                break;
-                            }
-                            let dep_comm: Vec<CommId> = if s + 1 == stages {
-                                vec![]
-                            } else {
-                                match grad_comm[s][mi] {
-                                    Some(c) => vec![c],
-                                    None => break,
-                                }
-                            };
-                            let id = b.comp(
-                                cfg.placement[s],
-                                cfg.bwd_time,
-                                CompKind::Backward,
-                                format!("B{m}"),
-                                &dep_comp,
-                                &dep_comm,
-                            );
-                            bwd_comp[s][mi] = Some(id);
-                            // Emit activation gradients to the previous
-                            // stage.
-                            if s > 0 {
-                                let cid = b.comm_op(
-                                    &CollectiveOp::P2p {
-                                        src: cfg.placement[s],
-                                        dst: cfg.placement[s - 1],
-                                        bytes: cfg.activation_bytes,
-                                    },
-                                    Style::Direct,
-                                    &[id],
-                                    &[],
-                                );
-                                grad_comm[s - 1][mi] = Some(cid);
-                                grad_flows[s - 1][mi] = Some(b.comms()[&cid].stages[0].flows[0]);
-                            }
+                            act[s * mbs + mi] = Some((cid, b.comms()[&cid].stages[0].flows[0]));
                         }
                     }
-                    ptr[s] += 1;
-                    progress = true;
+                    Slot::B(m) => {
+                        let mi = m - 1;
+                        // Needs the matching forward (program order
+                        // implies it on the same worker) and, unless
+                        // this is the last stage, gradients from the
+                        // next stage.
+                        let Some(f) = fwd_comp[s * mbs + mi] else {
+                            break;
+                        };
+                        let dep_comm: Option<CommId> = if s + 1 == stages {
+                            None
+                        } else {
+                            match grad[s * mbs + mi] {
+                                Some((c, _)) => Some(c),
+                                None => break,
+                            }
+                        };
+                        let id = b.comp(
+                            cfg.placement[s],
+                            cfg.bwd_time,
+                            CompKind::Backward,
+                            format!("B{m}"),
+                            &[f],
+                            dep_comm.as_slice(),
+                        );
+                        bwd_comp[s * mbs + mi] = Some(id);
+                        // Emit activation gradients to the previous
+                        // stage.
+                        if s > 0 {
+                            let cid = b.comm_op(
+                                &CollectiveOp::P2p {
+                                    src: cfg.placement[s],
+                                    dst: cfg.placement[s - 1],
+                                    bytes: cfg.activation_bytes,
+                                },
+                                Style::Direct,
+                                &[id],
+                                &[],
+                            );
+                            grad[(s - 1) * mbs + mi] =
+                                Some((cid, b.comms()[&cid].stages[0].flows[0]));
+                        }
+                    }
                 }
+                ptr[s] += 1;
+                progress = true;
             }
-            if ptr.iter().enumerate().all(|(s, &p)| p == programs[s].len()) {
-                break;
+        }
+        if ptr.iter().enumerate().all(|(s, &p)| p == programs[s].len()) {
+            break;
+        }
+        assert!(progress, "pipeline program construction deadlocked");
+    }
+
+    // Group the iteration's flows: per consecutive pair and direction,
+    // one EchelonFlow (Case II) and one Coflow.
+    for s in 0..stages - 1 {
+        // Forward: consumption offsets come from the *receiving*
+        // stage's program (its forward slots).
+        let fwd_offsets = consumption_offsets(&programs[s + 1], cfg.fwd_time, cfg.bwd_time, false);
+        let flows: Vec<FlowRef> = act[s * mbs..(s + 1) * mbs]
+            .iter()
+            .map(|e| e.unwrap().1)
+            .collect();
+        b.declare_echelon(
+            flows.iter().map(|&f| vec![f]).collect(),
+            arrangement_from_offsets(fwd_offsets),
+        );
+        b.declare_coflow(flows);
+
+        // Backward: gradients flowing s+1 → s, consumed by stage s's
+        // backward slots in its program order.
+        let bwd_offsets = consumption_offsets(&programs[s], cfg.fwd_time, cfg.bwd_time, true);
+        let mut flows: Vec<FlowRef> = Vec::with_capacity(mbs);
+        for slot in &programs[s] {
+            if let Slot::B(m) = slot {
+                flows.push(grad[s * mbs + m - 1].unwrap().1);
             }
-            assert!(progress, "pipeline program construction deadlocked");
         }
+        b.declare_echelon(
+            flows.iter().map(|&f| vec![f]).collect(),
+            arrangement_from_offsets(bwd_offsets),
+        );
+        b.declare_coflow(flows);
+    }
 
-        // Group the iteration's flows: per consecutive pair and direction,
-        // one EchelonFlow (Case II) and one Coflow.
-        for s in 0..stages - 1 {
-            // Forward: consumption offsets come from the *receiving*
-            // stage's program (its forward slots).
-            let fwd_offsets =
-                consumption_offsets(&programs[s + 1], cfg.fwd_time, cfg.bwd_time, false);
-            let flows: Vec<FlowRef> = act_flows[s].iter().map(|f| f.unwrap()).collect();
-            b.declare_echelon(
-                flows.iter().map(|&f| vec![f]).collect(),
-                arrangement_from_offsets(fwd_offsets),
-            );
-            b.declare_coflow(flows);
-
-            // Backward: gradients flowing s+1 → s, consumed by stage s's
-            // backward slots in its program order.
-            let bwd_offsets = consumption_offsets(&programs[s], cfg.fwd_time, cfg.bwd_time, true);
-            let mut flows: Vec<FlowRef> = Vec::new();
-            for slot in &programs[s] {
-                if let Slot::B(m) = slot {
-                    flows.push(grad_flows[s][m - 1].unwrap());
-                }
-            }
-            b.declare_echelon(
-                flows.iter().map(|&f| vec![f]).collect(),
-                arrangement_from_offsets(bwd_offsets),
-            );
-            b.declare_coflow(flows);
-        }
-
-        PipelineIteration {
-            bwd_comp: bwd_comp
-                .into_iter()
-                .map(|per_mb| per_mb.into_iter().map(|c| c.unwrap()).collect())
-                .collect(),
-        }
+    PipelineIteration {
+        bwd_comp: bwd_comp.into_iter().map(Option::unwrap).collect(),
+        micro_batches: mbs,
     }
 }
 
@@ -317,18 +305,18 @@ fn build_pipeline(
     let mut gates: Vec<Vec<CompId>> = vec![Vec::new(); stages];
     for iter in 0..cfg.iterations {
         let it = build_iteration(&mut b, cfg, &programs, &gates);
-        gates = (0..stages)
-            .map(|s| {
-                vec![b.comp(
-                    cfg.placement[s],
-                    0.0,
-                    CompKind::Update,
-                    format!("U(i{iter})"),
-                    &it.bwd_comp[s],
-                    &[],
-                )]
-            })
-            .collect();
+        for (s, gate) in gates.iter_mut().enumerate() {
+            let u = b.comp(
+                cfg.placement[s],
+                0.0,
+                CompKind::Update,
+                format!("U(i{iter})"),
+                it.bwd_comp(s),
+                &[],
+            );
+            gate.clear();
+            gate.push(u);
+        }
     }
     b.build()
 }

@@ -11,8 +11,6 @@ use crate::config::TpConfig;
 use crate::dag::{CompKind, DagBuilder, JobDag};
 use crate::ids::{CommId, CompId, IdAlloc};
 use echelon_collectives::{CollectiveOp, Style};
-use echelon_core::arrangement::ArrangementFn;
-use echelon_core::echelon::FlowRef;
 use echelon_core::JobId;
 
 /// Builds a Megatron-style TP job.
@@ -21,83 +19,49 @@ pub fn build_tp(job: JobId, cfg: &TpConfig, alloc: &mut IdAlloc) -> JobDag {
     assert!(cfg.layers >= 1, "TP needs at least one layer");
     assert!(cfg.iterations >= 1, "need at least one iteration");
     let mut b = DagBuilder::new(job, alloc);
-    let workers = cfg.placement.clone();
-
-    let declare = |b: &mut DagBuilder<'_>, comm: CommId| {
-        let flows: Vec<FlowRef> = b.comms()[&comm].flows().copied().collect();
-        b.declare_echelon(vec![flows.clone()], ArrangementFn::Coflow);
-        b.declare_coflow(flows);
+    let workers = &cfg.placement;
+    // Every layer's activation and gradient all-reduce moves the same
+    // payload among the same workers.
+    let sync_op = CollectiveOp::AllToAll {
+        participants: workers.clone(),
+        bytes: cfg.activation_bytes / (workers.len() as f64 - 1.0).max(1.0),
     };
 
     let mut prev_barrier: Option<CommId> = None;
+    let mut comps: Vec<CompId> = Vec::with_capacity(workers.len());
     for iter in 0..cfg.iterations {
-        // Forward: layer computation, then activation all-reduce.
-        for l in 1..=cfg.layers {
-            let comps: Vec<CompId> = workers
-                .iter()
-                .map(|&node| {
-                    let deps_comm: Vec<CommId> = prev_barrier.into_iter().collect();
-                    b.comp(
-                        node,
-                        cfg.fwd_time_per_layer,
-                        CompKind::Forward,
-                        format!("F{l}(i{iter})"),
-                        &[],
-                        &deps_comm,
-                    )
-                })
-                .collect();
-            let sync = b.comm_op(
-                &CollectiveOp::AllToAll {
-                    participants: workers.clone(),
-                    bytes: cfg.activation_bytes / (workers.len() as f64 - 1.0).max(1.0),
-                },
-                Style::Direct,
-                &comps,
-                &[],
-            );
-            declare(&mut b, sync);
-            prev_barrier = Some(sync);
-        }
-        // Backward: layer computation, then gradient all-reduce, deepest
+        // Forward: layer computation, then activation all-reduce; then
+        // backward: layer computation, then gradient all-reduce, deepest
         // layer first.
-        for l in (1..=cfg.layers).rev() {
-            let comps: Vec<CompId> = workers
-                .iter()
-                .map(|&node| {
-                    let deps_comm: Vec<CommId> = prev_barrier.into_iter().collect();
-                    b.comp(
-                        node,
-                        cfg.bwd_time_per_layer,
-                        CompKind::Backward,
-                        format!("B{l}(i{iter})"),
-                        &[],
-                        &deps_comm,
-                    )
-                })
-                .collect();
-            let sync = b.comm_op(
-                &CollectiveOp::AllToAll {
-                    participants: workers.clone(),
-                    bytes: cfg.activation_bytes / (workers.len() as f64 - 1.0).max(1.0),
-                },
-                Style::Direct,
-                &comps,
-                &[],
-            );
-            declare(&mut b, sync);
+        let forward = (1..=cfg.layers).map(|l| (l, 'F', CompKind::Forward, cfg.fwd_time_per_layer));
+        let backward = (1..=cfg.layers)
+            .rev()
+            .map(|l| (l, 'B', CompKind::Backward, cfg.bwd_time_per_layer));
+        for (l, tag, kind, duration) in forward.chain(backward) {
+            comps.clear();
+            for &node in workers {
+                comps.push(b.comp(
+                    node,
+                    duration,
+                    kind,
+                    format!("{tag}{l}(i{iter})"),
+                    &[],
+                    prev_barrier.as_slice(),
+                ));
+            }
+            let sync = b.comm_op(&sync_op, Style::Direct, &comps, &[]);
+            b.declare_collective(sync);
             prev_barrier = Some(sync);
         }
         // Update barrier.
-        for &node in &workers {
-            let deps_comm: Vec<CommId> = prev_barrier.into_iter().collect();
+        for &node in workers {
             b.comp(
                 node,
                 0.0,
                 CompKind::Update,
                 format!("U(i{iter})"),
                 &[],
-                &deps_comm,
+                prev_barrier.as_slice(),
             );
         }
     }

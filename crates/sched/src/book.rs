@@ -41,21 +41,27 @@ impl EchelonBook {
     ///
     /// Panics if two EchelonFlows share an id or claim the same flow.
     pub fn new(echelons: Vec<EchelonFlow>) -> EchelonBook {
-        let mut map = BTreeMap::new();
-        let mut by_flow = BTreeMap::new();
-        for h in echelons {
-            for f in h.flows() {
-                let prev = by_flow.insert(f.id, h.id());
-                assert!(prev.is_none(), "flow {} claimed by two EchelonFlows", f.id);
-            }
-            let id = h.id();
-            let prev = map.insert(id, h);
-            assert!(prev.is_none(), "duplicate EchelonFlow id {id}");
+        // Both maps are built in one pass from sorted pairs; duplicates
+        // sit next to each other once sorted.
+        let mut claims: Vec<(FlowId, EchelonId)> =
+            Vec::with_capacity(echelons.iter().map(EchelonFlow::num_flows).sum());
+        for h in &echelons {
+            claims.extend(h.flows().map(|f| (f.id, h.id())));
         }
-        let peak = map.len();
+        claims.sort_unstable_by_key(|&(f, _)| f);
+        if let Some(w) = claims.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("flow {} claimed by two EchelonFlows", w[0].0);
+        }
+        let mut groups: Vec<(EchelonId, EchelonFlow)> =
+            echelons.into_iter().map(|h| (h.id(), h)).collect();
+        groups.sort_unstable_by_key(|&(id, _)| id);
+        if let Some(w) = groups.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("duplicate EchelonFlow id {}", w[0].0);
+        }
+        let peak = groups.len();
         EchelonBook {
-            echelons: map,
-            by_flow,
+            echelons: groups.into_iter().collect(),
+            by_flow: claims.into_iter().collect(),
             peak_occupancy: peak,
         }
     }
@@ -84,12 +90,16 @@ impl EchelonBook {
     /// flow is still in `active`. Evicting only after the last member
     /// completion is allocation-neutral: a departed flow is never
     /// consulted again, so dropping its group changes no later decision.
-    /// Unknown ids are a no-op returning `false`.
+    /// Unknown ids are a no-op returning `false`. `active` is id-sorted,
+    /// so each member is looked up by binary search.
     pub fn evict(&mut self, id: EchelonId, active: &[ActiveFlowView]) -> bool {
+        debug_assert!(active.windows(2).all(|w| w[0].id < w[1].id));
         let Some(h) = self.echelons.get(&id) else {
             return false;
         };
-        if active.iter().any(|v| h.contains(v.id)) {
+        if h.flows()
+            .any(|f| active.binary_search_by_key(&f.id, |v| v.id).is_ok())
+        {
             return false;
         }
         let h = self.echelons.remove(&id).expect("checked above");
@@ -358,6 +368,28 @@ mod tests {
         assert!(book.echelon_of(FlowId(0)).is_some());
         // Once the member set drains, eviction succeeds.
         assert!(book.evict(EchelonId(0), &[]));
+        assert_eq!(book.occupancy(), 0);
+    }
+
+    #[test]
+    fn evict_checks_members_against_a_large_active_slice() {
+        let topo = Topology::chain(2, 1.0);
+        let mut book = EchelonBook::new(vec![EchelonFlow::from_flows(
+            EchelonId(0),
+            JobId(0),
+            vec![fr(500, 1.0), fr(1500, 1.0)],
+            ArrangementFn::Coflow,
+        )]);
+        // One member among a thousand non-members.
+        let with_member: Vec<ActiveFlowView> =
+            (0..1000).map(|id| view(id, 1.0, 1.0, 0.0, &topo)).collect();
+        assert!(!book.evict(EchelonId(0), &with_member));
+        assert_eq!(book.occupancy(), 1);
+        let without: Vec<ActiveFlowView> = with_member
+            .into_iter()
+            .filter(|v| v.id != FlowId(500))
+            .collect();
+        assert!(book.evict(EchelonId(0), &without));
         assert_eq!(book.occupancy(), 0);
     }
 

@@ -523,7 +523,10 @@ impl EchelonMadd {
 
     /// MADD over one deadline-stage given as CSR member positions against
     /// residual capacity: all flows of the stage finish together at the
-    /// stage's residual bottleneck. A starved stage writes nothing.
+    /// stage's residual bottleneck. A starved stage — one crossing a link
+    /// at or below `EPS` — writes nothing, so the load pass returns at its
+    /// first such hop (seeding a residual is idempotent, so the reads it
+    /// skips change nothing).
     fn serve_stage_csr(
         stage: &[usize],
         flows: &[ActiveFlowView],
@@ -537,21 +540,18 @@ impl EchelonMadd {
         for &p in stage {
             let v = &flows[p];
             for r in &v.route {
+                if *residual.at(topo, *r) <= EPS {
+                    return;
+                }
                 load.add(*r, v.remaining);
             }
         }
         // γ folds over the touched links unsorted: a max over non-NaN
-        // values is order-free, and a link at or below EPS makes γ
-        // infinite in any order.
+        // values is order-free.
         let mut gamma: f64 = 0.0;
         for i in 0..load.touched().len() {
             let r = load.touched()[i];
-            let res = *residual.at(topo, r);
-            if res <= EPS {
-                gamma = f64::INFINITY;
-                break;
-            }
-            gamma = gamma.max(load.get(r) / res);
+            gamma = gamma.max(load.get(r) / *residual.at(topo, r));
         }
         if !gamma.is_finite() || gamma <= EPS {
             return;

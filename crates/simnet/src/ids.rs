@@ -73,6 +73,11 @@ impl FlowIdGen {
         self.next += 1;
         id
     }
+
+    /// The id the next [`Self::next_id`] call returns, without issuing it.
+    pub fn peek(&self) -> FlowId {
+        FlowId(self.next)
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark of a parent revision against the working tree.
 #
-#   scripts/paired-bench.sh <parent-rev> <workload> [pairs]
+#   scripts/paired-bench.sh <parent-rev> <workload> [pairs] [metric]
 #
 # The measurement protocol of ROADMAP.md, end to end:
 #   - checks out <parent-rev> (`git archive`) and the working tree
@@ -20,10 +20,15 @@
 #     BENCHMARK.json;
 #   - says whether p50_ct_s, tail_ct_s and tardiness_s printed identical
 #     digits on both sides of every pair;
-#   - ends with the protocol's verdict on flow_events_per_s: `unresolved`
-#     when the parent's (Q3 - Q1) / median exceeds the metric's bound in
-#     BENCHMARK.json, else `gain` when the change won at least 9 in 10
-#     pairs, else `no gain`.
+#   - ends with the protocol's verdict on [metric], the claimed
+#     end-to-end metric (default flow_events_per_s; any `end_to_end`
+#     name in BENCHMARK.json): each side's median [Q1, Q3], the ratio,
+#     the pairs the change won (by the metric's `better` direction in
+#     BENCHMARK.json), the medians' distance against the parent's
+#     Q3 - Q1, and the verdict: `unresolved` when the parent's
+#     (Q3 - Q1) / median exceeds the metric's bound in BENCHMARK.json,
+#     else `gain` when the change won at least 9 in 10 pairs, else
+#     `no gain`.
 #
 # Exits 1 if the two sides' instance completion digests differ in any
 # pair or a run reports `"correct": false`, and 2 on a usage error.
@@ -39,16 +44,29 @@
 # layout shifts out of the comparison.
 set -euo pipefail
 
-if [[ $# -lt 2 || $# -gt 3 ]]; then
-    echo "usage: $0 <parent-rev> <workload> [pairs]" >&2
+if [[ $# -lt 2 || $# -gt 4 ]]; then
+    echo "usage: $0 <parent-rev> <workload> [pairs] [metric]" >&2
     exit 2
 fi
 rev=$1
 workload=$2
 pairs=${3:-10}
+claimed=${4:-flow_events_per_s}
 repo=$(git rev-parse --show-toplevel)
 dir=${PAIRED_BENCH_DIR:-$(mktemp -d)}
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
+
+# A field of an end-to-end metric's entry in BENCHMARK.json.
+field() {
+    sed -n "s/.*\"name\": *\"$1\".*\"$2\": *\"\{0,1\}\([a-z0-9.]*\).*/\1/p" \
+        "$repo/BENCHMARK.json"
+}
+bound() { field "$1" bound; }
+better=$(field "$claimed" better)
+if [[ $better != higher && $better != lower || -z $(bound "$claimed") ]]; then
+    echo "$0: $claimed is not an end-to-end metric of BENCHMARK.json" >&2
+    exit 2
+fi
 
 mkdir -p "$dir"
 dir=$(cd "$dir" && pwd)
@@ -85,6 +103,9 @@ done
 # One run of `side`: appends "<side> <pair> <correct> <digests>" and then
 # the value of each metric in $metrics, as the benchmark printed it.
 metrics="flow_events_per_s setup_s peak_heap_mb p50_ct_s tail_ct_s tardiness_s"
+# The claimed metric's field in runs.txt.
+claimed_field=$(echo "$metrics" | tr ' ' '\n' | grep -nx "$claimed" | cut -d: -f1)
+claimed_field=$((claimed_field + 4))
 run() {
     local side=$1 pair=$2 log="$dir/$1.$2.log"
     (cd "$dir/$side" &&
@@ -127,19 +148,17 @@ for ((p = 1; p <= pairs; p++)); do
         run chg "$p"
         run par "$p"
     fi
-    awk -v p="$p" '$2 == p { printf "pair %2d %s %.0f ev/s\n", p, $1, $5 }' \
-        "$dir/runs.txt" >&2
+    awk -v p="$p" -v f="$claimed_field" -v m="$claimed" '$2 == p {
+        printf "pair %2d %s %.0f ev/s", p, $1, $5
+        if (f != 5) printf ", %s %.6g", m, $f
+        printf "\n"
+    }' "$dir/runs.txt" >&2
 done
-
-# A metric's bound in BENCHMARK.json.
-bound() {
-    sed -n "s/.*\"name\": *\"$1\".*\"bound\": *\([0-9.]*\).*/\1/p" \
-        "$repo/BENCHMARK.json"
-}
 
 awk -v workload="$workload" -v rev="$rev" -v align="$align" \
     -v setup_bound="$(bound setup_s)" -v heap_bound="$(bound peak_heap_mb)" \
-    -v eps_bound="$(bound flow_events_per_s)" '
+    -v metric="$claimed" -v cf="$claimed_field" -v better="$better" \
+    -v metric_bound="$(bound "$claimed")" '
     function sort(a, n,    i, j, t) {
         for (i = 2; i <= n; i++) {
             t = a[i]
@@ -209,25 +228,41 @@ awk -v workload="$workload" -v rev="$rev" -v align="$align" \
         summary("change", chg, pairs)
         printf "ratio   %.3fx (change median / parent median); change won %d of %d pairs\n",
             median(chg, pairs) / median(par, pairs), won, pairs
-        # `summary` sorted `par`, so its quartiles are at hand.
-        spread = (quartile(par, pairs, 3) - quartile(par, pairs, 1)) / median(par, pairs)
         lower_better("setup_s", 6, setup_bound)
         lower_better("peak_heap_mb", 7, heap_bound)
         if (moved == "")
             print "p50_ct_s, tail_ct_s, tardiness_s: identical digits in every pair"
         else
             print "p50_ct_s, tail_ct_s, tardiness_s: digits differ in pairs" moved
-        if (spread > eps_bound)
+        # The claimed metric: pairs won by its direction, then its spread.
+        cwon = 0
+        for (p = 1; p <= pairs; p++) {
+            a[p] = v["par", p, cf]
+            b[p] = v["chg", p, cf]
+            if (better == "higher" ? b[p] > a[p] : b[p] < a[p]) cwon++
+        }
+        sort(a, pairs)
+        sort(b, pairs)
+        iqr = quartile(a, pairs, 3) - quartile(a, pairs, 1)
+        gap = median(b, pairs) - median(a, pairs)
+        printf "%s (%s is better): parent median %.6g [%.6g, %.6g], change median %.6g [%.6g, %.6g]\n",
+            metric, better, median(a, pairs), quartile(a, pairs, 1), quartile(a, pairs, 3),
+            median(b, pairs), quartile(b, pairs, 1), quartile(b, pairs, 3)
+        printf "%s ratio %.3fx; change won %d of %d pairs; medians %.6g apart, parent Q3 - Q1 %.6g\n",
+            metric, median(b, pairs) / median(a, pairs), cwon, pairs,
+            (gap < 0 ? -gap : gap), iqr
+        spread = iqr / median(a, pairs)
+        if (spread > metric_bound)
             verdict = sprintf("unresolved (parent (Q3 - Q1) / median %.3f > bound %s)",
-                spread, eps_bound)
-        else if (10 * won >= 9 * pairs)
-            verdict = sprintf("gain (won %d of %d pairs)", won, pairs)
+                spread, metric_bound)
+        else if (10 * cwon >= 9 * pairs)
+            verdict = sprintf("gain (won %d of %d pairs)", cwon, pairs)
         else
-            verdict = sprintf("no gain (won %d of %d pairs)", won, pairs)
+            verdict = sprintf("no gain (won %d of %d pairs)", cwon, pairs)
         if (bad) {
             print "FAILED: digests differ or a run was not correct"
             exit 1
         }
         print "digests identical on both sides"
-        print "flow_events_per_s verdict: " verdict
+        print metric " verdict: " verdict
     }' "$dir/runs.txt"
