@@ -98,7 +98,6 @@ impl Default for CoordinatorConfig {
 pub struct Coordinator {
     config: CoordinatorConfig,
     registered: Vec<EchelonFlow>,
-    decisions_computed: usize,
 }
 
 impl Coordinator {
@@ -107,7 +106,6 @@ impl Coordinator {
         Coordinator {
             config,
             registered: Vec::new(),
-            decisions_computed: 0,
         }
     }
 
@@ -135,12 +133,6 @@ impl Coordinator {
         self.registered.len()
     }
 
-    /// How many times the decision engine ran (the scalability metric the
-    /// interval knob trades against).
-    pub fn decisions_computed(&self) -> usize {
-        self.decisions_computed
-    }
-
     /// Finalizes registration into a live scheduling policy. Moves the
     /// registered requests into the engine — no copy of the registry.
     pub fn into_policy(self) -> CoordinatedPolicy {
@@ -150,21 +142,18 @@ impl Coordinator {
         CoordinatedPolicy {
             config: self.config,
             engine,
-            cached_order: Vec::new(),
-            cached_sorted: true,
+            decision: Decision::default(),
             last_decision: None,
             last_groups: Vec::new(),
             first_seen: BTreeMap::new(),
             decisions_computed: 0,
             group_counts: BTreeMap::new(),
             counts_valid: false,
-            held: HeldDecision::default(),
             outage: false,
             pending_register: Vec::new(),
             pending_retire: Vec::new(),
             known: Vec::new(),
             known_pos: Vec::new(),
-            fresh: Vec::new(),
             known_rates: Vec::new(),
             order: Vec::new(),
             arrived: Vec::new(),
@@ -172,16 +161,25 @@ impl Coordinator {
     }
 }
 
-/// The last decision's rates and the flows they were computed for. Its
-/// buffers persist across decisions, so recording one reuses their
-/// capacity.
+/// The last decision: every flow it rated, in id order, with its rate.
+/// Allocations between decisions enforce its priority order; flows absent
+/// from it queue behind it in id order. Never recorded under the
+/// `PerEvent` trigger, where every allocation is a decision. Its buffers
+/// persist across decisions, so recording one reuses their capacity.
 #[derive(Debug, Default)]
-struct HeldDecision {
-    /// Allocations before this time (seconds) over the same flows serve
-    /// `rates` unchanged; `None` when nothing is held.
+struct Decision {
+    /// Allocations before this time (seconds) over exactly `ids` serve
+    /// `rates` unchanged; `None` when nothing is held (see
+    /// [`CoordinatedPolicy::hold`]). Every fault voids it, and so does
+    /// [`RatePolicy::release_held`].
     until: Option<f64>,
     ids: Vec<FlowId>,
     rates: Vec<f64>,
+    /// Positions in `ids` in the global flow priority order: higher rate
+    /// first, then id, approximating the engine's serve order. Sorted on
+    /// its first read after the decision and empty until then, since the
+    /// next decision may replace it unread.
+    ranked: Vec<usize>,
 }
 
 /// The coordinator's scheduling decision applied as a [`RatePolicy`].
@@ -189,18 +187,8 @@ struct HeldDecision {
 pub struct CoordinatedPolicy {
     config: CoordinatorConfig,
     engine: EchelonMadd,
-    /// Decision cache: every flow the last decision rated, with its
-    /// rate. Sorted into a global flow priority order — higher allocated
-    /// rate first, then id, approximating the engine's serve order — on
-    /// its first read after the decision (see `cached_sorted`).
-    /// Allocations between decisions enforce it; flows absent from it
-    /// queue behind it in id order. Never filled under the `PerEvent`
-    /// trigger, where every allocation is a decision.
-    cached_order: Vec<(FlowId, f64)>,
-    /// Whether `cached_order` is in priority order yet. A decision
-    /// stores its pairs unsorted, since the next one may replace them
-    /// unread.
-    cached_sorted: bool,
+    /// The decision the agents keep enforcing between triggers.
+    decision: Decision,
     last_decision: Option<SimTime>,
     /// Active EchelonFlow set at the last decision. Kept only under
     /// `PerGroupChange`, its one reader (see [`Self::tracks_groups`]).
@@ -215,10 +203,6 @@ pub struct CoordinatedPolicy {
     group_counts: BTreeMap<EchelonId, usize>,
     /// Whether `group_counts` has been initialised from a full scan.
     counts_valid: bool,
-    /// The decision the agents keep enforcing between triggers (see
-    /// [`Self::hold`]). Every fault voids it, and so does
-    /// [`RatePolicy::release_held`].
-    held: HeldDecision,
     /// True between [`FaultKind::CoordinatorDown`] and
     /// [`FaultKind::CoordinatorUp`]: no decisions are computed and every
     /// flow gets plain fair-share bandwidth (the agents' local fallback —
@@ -232,12 +216,10 @@ pub struct CoordinatedPolicy {
     /// [`Self::retire`]).
     pending_retire: Vec<EchelonId>,
     /// The control-latency split of the current allocation, written by
-    /// [`Self::split_known`]: the fresh flows' ids, and — only when there
-    /// are any — the known flows' views and their positions in the
-    /// active slice.
+    /// [`Self::split_known`]: the known flows' positions in the active
+    /// slice, and — only when some flow is fresh — their views.
     known: Vec<ActiveFlowView>,
     known_pos: Vec<usize>,
-    fresh: Vec<FlowId>,
     /// Reused buffers: the known flows' rates while fresh flows exist,
     /// and the priority order served between decisions.
     known_rates: Vec<f64>,
@@ -426,19 +408,21 @@ impl CoordinatedPolicy {
             (flows, out)
         };
         if self.config.trigger != Trigger::PerEvent {
-            self.cached_order.clear();
-            self.cached_order
-                .extend(known.iter().map(|v| v.id).zip(rates.iter().copied()));
-            self.cached_sorted = false;
+            let d = &mut self.decision;
+            d.ids.clear();
+            d.ids.extend(known.iter().map(|v| v.id));
+            d.rates.clear();
+            d.rates.extend_from_slice(rates);
+            d.ranked.clear();
         }
         if any_fresh {
             self.backfill_fresh(flows, topo, ws, out);
         }
-        self.hold(now, flows, out);
+        self.hold(now);
     }
 
-    /// Records a decision's `rates` for `flows` as the answer the agents
-    /// keep enforcing until the flow set changes, a fault strikes, or the
+    /// Holds the decision just recorded as the answer the agents keep
+    /// enforcing until the flow set changes, a fault strikes, or the
     /// trigger may fire:
     ///
     /// - `PerGroupChange`: no decision can come due while the flows stay
@@ -449,12 +433,14 @@ impl CoordinatedPolicy {
     ///   held, since every event may bring a decision or a flow
     ///   graduating from fresh to known.
     ///
-    /// The cached order's priority fill differs from the decision's rates
-    /// for the same flows, so holding is a choice, not a cache. Every
-    /// other allocation is a deterministic function of the flows, the
-    /// known/fresh split and the link capacities, so it is recomputed.
-    fn hold(&mut self, now: SimTime, flows: &[ActiveFlowView], rates: &[f64]) {
-        let until = if self.config.control_latency > 0.0 {
+    /// Without control latency every flow is known, so a held decision
+    /// rated exactly the allocation's flows and its rates are the
+    /// allocation. The priority fill of its order differs from those
+    /// rates for the same flows, so holding is a choice, not a cache.
+    /// Every other allocation is a deterministic function of the flows,
+    /// the known/fresh split and the link capacities, so it is recomputed.
+    fn hold(&mut self, now: SimTime) {
+        self.decision.until = if self.config.control_latency > 0.0 {
             None
         } else {
             match self.config.trigger {
@@ -463,26 +449,18 @@ impl CoordinatedPolicy {
                 Trigger::Interval(dt) => Some(now.secs() + dt - 1e-6),
             }
         };
-        let held = &mut self.held;
-        held.until = until;
-        if until.is_some() {
-            held.ids.clear();
-            held.ids.extend(flows.iter().map(|v| v.id));
-            held.rates.clear();
-            held.rates.extend_from_slice(rates);
-        }
     }
 
     /// Serves the held decision into `out` if it covers this allocation:
     /// the same flows as when it was made, no fault since, and the
     /// trigger's window still open.
     fn serve_held(&self, now: SimTime, flows: &[ActiveFlowView], out: &mut Vec<f64>) -> bool {
-        let held = &self.held;
-        let covered = held.until.is_some_and(|t| now.secs() < t)
-            && flows.len() == held.ids.len()
-            && flows.iter().zip(&held.ids).all(|(v, &id)| v.id == id);
+        let d = &self.decision;
+        let covered = d.until.is_some_and(|t| now.secs() < t)
+            && flows.len() == d.ids.len()
+            && flows.iter().zip(&d.ids).all(|(v, &id)| v.id == id);
         if covered {
-            out.clone_from(&held.rates);
+            out.clone_from(&d.rates);
         }
         covered
     }
@@ -492,10 +470,8 @@ impl CoordinatedPolicy {
     /// round-trip) and fresh (still in flight to it). Returns whether any
     /// flow is fresh. Only then are the known flows copied out (into
     /// `known`, with their positions in `known_pos`); otherwise the known
-    /// set is `flows` itself. `fresh` always ends up holding the fresh
-    /// flows' ids.
+    /// set is `flows` itself.
     fn split_known(&mut self, now: SimTime, flows: &[ActiveFlowView]) -> bool {
-        self.fresh.clear();
         if self.config.control_latency <= 0.0 {
             return false;
         }
@@ -504,11 +480,9 @@ impl CoordinatedPolicy {
             let seen = *self.first_seen.entry(v.id).or_insert(now);
             if now.secs() - seen.secs() + 1e-12 >= self.config.control_latency {
                 self.known_pos.push(i);
-            } else {
-                self.fresh.push(v.id);
             }
         }
-        if self.fresh.is_empty() {
+        if self.known_pos.len() == flows.len() {
             return false;
         }
         self.known.clear();
@@ -530,18 +504,20 @@ impl CoordinatedPolicy {
         out: &mut Vec<f64>,
     ) {
         let known: &[ActiveFlowView] = if any_fresh { &self.known } else { flows };
-        if !self.cached_sorted {
-            self.cached_order
-                .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            self.cached_sorted = true;
+        let d = &mut self.decision;
+        if d.ranked.len() != d.ids.len() {
+            d.ranked.clear();
+            d.ranked.extend(0..d.ids.len());
+            let (ids, rates) = (&d.ids, &d.rates);
+            d.ranked
+                .sort_by(|&a, &b| rates[b].total_cmp(&rates[a]).then(ids[a].cmp(&ids[b])));
         }
-        // Every known flow follows the cached order in id order. Priority
-        // filling serves a flow at its first mention only, so the cached
-        // flows keep their slots and the flows the order does not mention
-        // queue behind it in id order.
+        // Every known flow follows the decision's order in id order.
+        // Priority filling serves a flow at its first mention only, so the
+        // decided flows keep their slots and the flows the order does not
+        // mention queue behind it in id order.
         self.order.clear();
-        self.order
-            .extend(self.cached_order.iter().map(|&(id, _)| id));
+        self.order.extend(d.ranked.iter().map(|&i| d.ids[i]));
         self.order.extend(known.iter().map(|v| v.id));
         let rates = if any_fresh {
             &mut self.known_rates
@@ -716,7 +692,7 @@ impl RatePolicy for CoordinatedPolicy {
     /// switches agents to fair share. Recovery also forces a fresh
     /// decision at the next allocation.
     fn on_fault(&mut self, _now: SimTime, fault: &FaultKind) {
-        self.held.until = None;
+        self.decision.until = None;
         match fault {
             FaultKind::CoordinatorDown => self.outage = true,
             FaultKind::CoordinatorUp => {
@@ -734,7 +710,7 @@ impl RatePolicy for CoordinatedPolicy {
     }
 
     fn release_held(&mut self) {
-        self.held.until = None;
+        self.decision.until = None;
     }
 
     fn name(&self) -> &'static str {
@@ -801,25 +777,75 @@ mod tests {
         assert_eq!(coord.registered_count(), 2);
     }
 
-    /// The full system path (API → coordinator → policy) reproduces the
-    /// direct EchelonMadd result on the Fig. 2 job.
+    /// The full system path (API → coordinator → policy) is bitwise the
+    /// raw engine it wraps: on an eight-job default-mix workload placed
+    /// pod-packed on a 4:1 oversubscribed k = 8 fat-tree, in both recompute
+    /// modes, for both groupings — the coordinator at its defaults
+    /// against `EchelonMadd`, and with `LeastWork` over one-stage coflow
+    /// groups against `make_policy(Grouping::Coflow, …)`.
+    ///
+    /// The plan must be fault-free. A `CoordinatorDown` fault switches
+    /// the coordinator to fair share while the raw engine, with no
+    /// coordinator to lose, keeps scheduling, so under churn the two
+    /// diverge (the E18 `scattered` / `coflow` churn row's mean JCT moves
+    /// from 68.655 to 68.486). That is why closed-loop `Scenario` keeps
+    /// the raw engine.
     #[test]
     fn system_path_matches_direct_scheduling() {
-        let dag = fig2_dag();
-        let topo = Topology::chain(2, 1.0);
+        use echelon_cluster::placement::PlacementPolicy;
+        use echelon_cluster::workload::{generate_workload_on, WorkloadConfig};
+        use echelon_core::coflow::Coflow;
+        use echelon_paradigms::runtime::{make_policy, run_jobs_with, Grouping, RunResult};
+        use echelon_simnet::fattree::FatTree;
+        use echelon_simnet::runner::RecomputeMode;
 
-        let mut coord = Coordinator::new(CoordinatorConfig::default());
-        coord.submit_all(requests_from_dag(&dag));
-        let mut policy = coord.into_policy();
-        let via_system = run_job(&topo, &dag, &mut policy);
-
-        let mut direct = EchelonMadd::new(dag.echelons.clone());
-        let via_direct = run_job(&topo, &dag, &mut direct);
-
-        assert!(via_system.makespan.approx_eq(via_direct.makespan));
-        assert!(via_system
-            .comp_finish_time()
-            .approx_eq(via_direct.comp_finish_time()));
+        let tree = FatTree::new(8).with_oversubscription(4.0);
+        let topo = tree.build_fabric();
+        let mut cfg = WorkloadConfig::default_mix(5, 8, tree.hosts());
+        cfg.placement = PlacementPolicy::PodPacked;
+        let jobs = generate_workload_on(&cfg, &topo, &mut IdAlloc::new());
+        let dags: Vec<_> = jobs.iter().map(|j| &j.dag).collect();
+        let bits = |r: &RunResult| -> Vec<(FlowId, u64)> {
+            let finishes = r.flow_finishes.iter();
+            finishes.map(|(&id, t)| (id, t.secs().to_bits())).collect()
+        };
+        for coflow in [false, true] {
+            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+                let mut coord = Coordinator::new(CoordinatorConfig {
+                    inter: if coflow {
+                        InterOrder::LeastWork
+                    } else {
+                        InterOrder::EarliestDeadline
+                    },
+                    ..CoordinatorConfig::default()
+                });
+                for dag in &dags {
+                    if coflow {
+                        let groups = dag.coflows.iter().cloned().map(Coflow::into_echelon);
+                        coord.submit_all(groups.map(EchelonRequest::new));
+                    } else {
+                        coord.submit_all(requests_from_dag(dag));
+                    }
+                }
+                let via_system = run_jobs_with(&topo, &dags, &mut coord.into_policy(), mode);
+                let mut direct = if coflow {
+                    make_policy(Grouping::Coflow, &dags)
+                } else {
+                    Box::new(EchelonMadd::new(
+                        dags.iter().flat_map(|d| d.echelons.clone()).collect(),
+                    ))
+                };
+                let via_direct = run_jobs_with(&topo, &dags, direct.as_mut(), mode);
+                let at = format!("coflow {coflow}, {mode:?}");
+                assert!(
+                    via_direct.flow_finishes.len() > 100,
+                    "{at}: {} flows",
+                    via_direct.flow_finishes.len()
+                );
+                assert_eq!(bits(&via_system), bits(&via_direct), "{at}");
+                assert_eq!(via_system.trace.events(), via_direct.trace.events(), "{at}");
+            }
+        }
     }
 
     /// A long recompute interval reduces decision count but still

@@ -279,7 +279,7 @@ mod tests {
                     occupied, expect,
                     "{n} flows over {queues} queues occupied {occupied} (want {expect})"
                 );
-                // Ranking is monotone: a higher-rate flow never lands in a
+                // The ranking is monotone: a higher-rate flow never lands in a
                 // strictly lower-priority queue.
                 assert!(assignment.windows(2).all(|w| w[0] <= w[1]));
             }

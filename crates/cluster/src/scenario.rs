@@ -134,20 +134,6 @@ impl Scenario {
         (run, metrics)
     }
 
-    /// [`Scenario::run_all`] under an injected fault plan: every
-    /// scheduler sees the identical churn, fanned out across worker
-    /// threads, results in [`SchedulerKind::ALL`] order.
-    pub fn run_all_faulted(
-        &self,
-        mode: RecomputeMode,
-        plan: &FaultPlan,
-    ) -> Vec<(SchedulerKind, RunResult, ScenarioMetrics)> {
-        echelon_simnet::sweep::sweep(&SchedulerKind::ALL, |_, &kind| {
-            let (run, metrics) = self.run_faulted(kind, mode, plan);
-            (kind, run, metrics)
-        })
-    }
-
     /// Runs the scenario under a caller-supplied policy (for ablations).
     pub fn run_with(&self, policy: &mut dyn RatePolicy) -> (RunResult, ScenarioMetrics) {
         let dags: Vec<&_> = self.jobs.iter().map(|j| &j.dag).collect();

@@ -673,11 +673,6 @@ impl JobStream {
     pub fn emitted(&self) -> usize {
         self.emitted
     }
-
-    /// Total jobs the stream will emit.
-    pub fn len_total(&self) -> usize {
-        self.cfg.jobs
-    }
 }
 
 impl Iterator for JobStream {

@@ -185,11 +185,6 @@ impl<'a> DagBuilder<'a> {
         }
     }
 
-    /// Fresh EchelonFlow/Coflow group id.
-    pub fn next_group_id(&mut self) -> EchelonId {
-        self.alloc.next_echelon()
-    }
-
     /// Access the flow id generator (for hand-built flow stages).
     pub fn flow_ids(&mut self) -> &mut echelon_simnet::ids::FlowIdGen {
         &mut self.alloc.flows

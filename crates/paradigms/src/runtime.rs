@@ -30,9 +30,9 @@
 
 use crate::dag::{CompKind, CompUnit, JobDag};
 use crate::ids::{CommId, CompId};
+use echelon_core::coflow::Coflow;
 use echelon_core::JobId;
-use echelon_sched::echelon::EchelonMadd;
-use echelon_sched::varys::VarysMadd;
+use echelon_sched::echelon::{EchelonMadd, InterOrder};
 use echelon_simnet::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
 use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::{FlowCompletion, FlowDemand};
@@ -50,7 +50,9 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 pub enum Grouping {
     /// The §4 EchelonFlow formulation (scheduled by [`EchelonMadd`]).
     Echelon,
-    /// The plain Coflow formulation (scheduled by [`VarysMadd`]).
+    /// The plain Coflow formulation: the same engine over one-stage
+    /// groups (`Coflow::into_echelon`), ranked by
+    /// [`InterOrder::LeastWork`] (Varys' SEBF).
     Coflow,
 }
 
@@ -67,9 +69,9 @@ pub fn make_policy(grouping: Grouping, dags: &[&JobDag]) -> Box<dyn RatePolicy> 
         Grouping::Coflow => {
             let coflows = dags
                 .iter()
-                .flat_map(|d| d.coflows.iter().cloned())
+                .flat_map(|d| d.coflows.iter().cloned().map(Coflow::into_echelon))
                 .collect();
-            Box::new(VarysMadd::new(coflows))
+            Box::new(EchelonMadd::new(coflows).with_inter(InterOrder::LeastWork))
         }
     }
 }

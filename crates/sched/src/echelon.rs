@@ -1,5 +1,6 @@
 //! The one MADD engine: the EchelonFlow scheduler (the paper's
-//! contribution, §3.3 Property 4) and, under a coflow ranking, Varys.
+//! contribution, §3.3 Property 4) and, under the least-work ranking over
+//! coflows, Varys.
 //!
 //! Property 4 states Coflow algorithms adapt to EchelonFlow scheduling by
 //! swapping the metric: *"in intra-EchelonFlow scheduling, we estimate the
@@ -25,10 +26,16 @@
 //!   `d_j + τ*` (the literal constant-tardiness echelon), the behaviour
 //!   sketched in the paper's Fig. 6.
 //!
-//! Varys is the same engine with a different ranking: a coflow enters
-//! the book as a one-stage EchelonFlow (`Coflow::into_echelon`, Eq. 5),
-//! so all its members share one ideal finish time and form one MADD
-//! stage, and [`crate::varys::CoflowOrder`] picks the group ranking.
+//! Varys is this engine under a ranking, not a second type. Property 2
+//! embeds a Coflow as a one-stage EchelonFlow (`Coflow::into_echelon`,
+//! Eq. 5): every member shares one ideal finish time, so the engine
+//! serves each coflow as one MADD stage in id order, which is Varys'
+//! intra behaviour. Property 4 then makes Varys' inter-coflow order one
+//! of the engine's rankings: SEBF is [`InterOrder::LeastWork`] and
+//! Sincronia's BSSI is [`InterOrder::Bssi`]. The coflow scheduler is
+//! `EchelonMadd::new(coflows.into_iter().map(Coflow::into_echelon).collect())
+//! .with_inter(InterOrder::LeastWork)`; flows of no coflow are singleton
+//! groups.
 //!
 //! There is one allocation path. Group membership, each member's arena
 //! slot and the earliest-deadline serve order are cached and patched
@@ -40,7 +47,6 @@
 use crate::book::EchelonBook;
 use crate::scratch::{GroupCsr, Residual};
 use crate::sincronia::{bssi_order, GroupLoad};
-use crate::varys::CoflowOrder;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
 use echelon_simnet::alloc::{waterfill_dense, AllocScratch};
@@ -92,18 +98,6 @@ pub enum IntraMode {
     Equalize,
 }
 
-/// The engine's group ranking (Property 4's swapped metric): an
-/// EchelonFlow order, or a coflow order when the engine runs as Varys.
-/// SEBF ranks exactly as [`InterOrder::LeastWork`] and both BSSIs are
-/// one solve; only the coflow arrival order has no EchelonFlow twin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Ranking {
-    /// Set by [`EchelonMadd::with_inter`].
-    Echelon(InterOrder),
-    /// Set by [`crate::varys::VarysMadd::with_order`].
-    Coflow(CoflowOrder),
-}
-
 /// Grouping key: declared EchelonFlow or implicit singleton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum GroupKey {
@@ -118,7 +112,7 @@ type Member = (SimTime, FlowId, u32);
 #[derive(Debug, Clone)]
 pub struct EchelonMadd {
     book: EchelonBook,
-    ranking: Ranking,
+    inter: InterOrder,
     intra: IntraMode,
     backfill: bool,
     // `(head deadline, key, EDF-ordered members)` per active group, in
@@ -126,10 +120,6 @@ pub struct EchelonMadd {
     // once an echelon's reference is bound, so only groups whose flows
     // arrived or departed need touching; a group moves when its head does.
     serve: Vec<(SimTime, GroupKey, Vec<Member>)>,
-    // First-seen time of each group: the `now` of its first allocation.
-    // Kept only under the coflow arrival ranking, its only reader; a solo
-    // flow's entry leaves with the flow.
-    arrivals: BTreeMap<GroupKey, SimTime>,
     // The flow the member cache holds in each arena slot, and how many
     // it holds, fed the same deltas. Checking the flow slice against it
     // is the cache's O(F) guard; on a mismatch the conservative fallback
@@ -150,11 +140,10 @@ impl EchelonMadd {
     pub fn new(echelons: Vec<EchelonFlow>) -> EchelonMadd {
         EchelonMadd {
             book: EchelonBook::new(echelons),
-            ranking: Ranking::Echelon(InterOrder::EarliestDeadline),
+            inter: InterOrder::EarliestDeadline,
             intra: IntraMode::FinishEarly,
             backfill: true,
             serve: Vec::new(),
-            arrivals: BTreeMap::new(),
             held: Vec::new(),
             held_len: 0,
             scratch: GroupCsr::default(),
@@ -164,12 +153,8 @@ impl EchelonMadd {
     }
 
     /// Selects the inter-EchelonFlow ordering.
-    pub fn with_inter(self, inter: InterOrder) -> EchelonMadd {
-        self.with_ranking(Ranking::Echelon(inter))
-    }
-
-    pub(crate) fn with_ranking(mut self, ranking: Ranking) -> EchelonMadd {
-        self.ranking = ranking;
+    pub fn with_inter(mut self, inter: InterOrder) -> EchelonMadd {
+        self.inter = inter;
         self
     }
 
@@ -217,7 +202,6 @@ impl EchelonMadd {
         if let Some(at) = self.serve.iter().position(|e| e.1 == key) {
             self.serve.remove(at);
         }
-        self.arrivals.remove(&key);
         true
     }
 
@@ -261,10 +245,6 @@ impl EchelonMadd {
         }
     }
 
-    fn stamps_arrivals(&self) -> bool {
-        self.ranking == Ranking::Coflow(CoflowOrder::Arrival)
-    }
-
     /// Updates the cached groups, their serve order and the held-slot
     /// table for the flows that arrived or departed since the last call.
     ///
@@ -284,9 +264,6 @@ impl EchelonMadd {
         // arena slot a departure freed.
         for &id in &delta.departed {
             let key = self.group_of(id);
-            if matches!(key, GroupKey::Solo(_)) {
-                self.arrivals.remove(&key);
-            }
             let Some(at) = self.serve.iter().position(|e| e.1 == key) else {
                 continue;
             };
@@ -309,7 +286,7 @@ impl EchelonMadd {
             let Ok(idx) = flows.binary_search_by(|v| v.id.cmp(&id)) else {
                 continue; // arrived and departed without ever being served
             };
-            if !self.admit(now, &flows[idx]) {
+            if !self.admit(&flows[idx]) {
                 // Its slot is held already: the occupant's departure never
                 // arrived, so the cache is stale.
                 self.rebuild_cache(now, flows);
@@ -320,7 +297,7 @@ impl EchelonMadd {
 
     /// Caches flow `v` in its group, in its arena slot and in the serve
     /// order; `false`, caching nothing, if the slot is held already.
-    fn admit(&mut self, now: SimTime, v: &ActiveFlowView) -> bool {
+    fn admit(&mut self, v: &ActiveFlowView) -> bool {
         let s = v.slot as usize;
         if self.held.get(s).is_some_and(Option::is_some) {
             return false;
@@ -330,9 +307,6 @@ impl EchelonMadd {
         self.held_len += 1;
         let key = self.group_of(v.id);
         let deadline = self.deadline_of(key, v);
-        if self.stamps_arrivals() {
-            self.arrivals.entry(key).or_insert(now);
-        }
         let at = match self.serve.iter().position(|e| e.1 == key) {
             Some(at) => at,
             None => {
@@ -356,14 +330,8 @@ impl EchelonMadd {
         self.serve.clear();
         self.held.fill(None);
         self.held_len = 0;
-        if self.stamps_arrivals() {
-            self.arrivals.retain(|k, _| match k {
-                GroupKey::Solo(id) => flows.binary_search_by(|v| v.id.cmp(id)).is_ok(),
-                GroupKey::Echelon(_) => true,
-            });
-        }
         for v in flows {
-            let cached = self.admit(now, v);
+            let cached = self.admit(v);
             debug_assert!(cached, "flow {} shares arena slot {}", v.id, v.slot);
         }
     }
@@ -447,13 +415,11 @@ impl EchelonMadd {
     ) {
         let groups = sc.keys.len();
         sc.order.clear();
-        if self.ranking == Ranking::Echelon(InterOrder::EarliestDeadline) {
+        if self.inter == InterOrder::EarliestDeadline {
             sc.order.extend(0..groups);
             return;
         }
-        if let Ranking::Echelon(InterOrder::Bssi) | Ranking::Coflow(CoflowOrder::Bssi) =
-            self.ranking
-        {
+        if self.inter == InterOrder::Bssi {
             // Non-default ablation: keep the map-based load build (the
             // BSSI solve itself dominates). BSSI numbers the groups, so
             // they enter it in key order. Accumulate in ascending id
@@ -488,19 +454,19 @@ impl EchelonMadd {
         for g in 0..groups {
             let (start, end) = (sc.starts[g], sc.starts[g + 1]);
             let (pos, deadline) = (&sc.pos[start..end], &sc.deadline[start..end]);
-            let (rank, time) = match self.ranking {
+            let (rank, time) = match self.inter {
                 // Largest weighted tardiness first: the weighted objective
                 // (Eq. 4) makes a unit of lateness on a heavy EchelonFlow
                 // cost `weight` units. Negation reverses the total order.
-                Ranking::Echelon(InterOrder::MostTardy) => {
+                InterOrder::MostTardy => {
                     let tau = Self::projected_tardiness_csr(now, flows, pos, deadline, topo, load);
                     (-(self.weight_of(sc.keys[g]) * tau), SimTime::ZERO)
                 }
-                Ranking::Echelon(InterOrder::LeastWork) | Ranking::Coflow(CoflowOrder::Sebf) => (
+                InterOrder::LeastWork => (
                     Self::isolation_gamma_csr(flows, pos, topo, load),
                     SimTime::ZERO,
                 ),
-                Ranking::Echelon(InterOrder::StageLeastWork) => {
+                InterOrder::StageLeastWork => {
                     let head = deadline[0];
                     let stage = deadline.iter().take_while(|d| d.approx_eq(head)).count();
                     (
@@ -508,11 +474,7 @@ impl EchelonMadd {
                         head,
                     )
                 }
-                Ranking::Coflow(CoflowOrder::Arrival) => {
-                    (0.0, self.arrivals.get(&sc.keys[g]).copied().unwrap_or(now))
-                }
-                Ranking::Echelon(InterOrder::EarliestDeadline | InterOrder::Bssi)
-                | Ranking::Coflow(CoflowOrder::Bssi) => unreachable!("ordered above"),
+                InterOrder::EarliestDeadline | InterOrder::Bssi => unreachable!("ordered above"),
             };
             sc.ranked.push((rank, time, sc.keys[g], g));
         }
@@ -744,18 +706,13 @@ impl RatePolicy for EchelonMadd {
 
     fn name(&self) -> &'static str {
         use InterOrder as I;
-        match (self.ranking, self.intra) {
-            (Ranking::Echelon(I::EarliestDeadline), IntraMode::FinishEarly) => "echelon-madd",
-            (Ranking::Echelon(I::EarliestDeadline), IntraMode::Equalize) => {
-                "echelon-madd(equalize)"
-            }
-            (Ranking::Echelon(I::MostTardy), _) => "echelon-madd(most-tardy)",
-            (Ranking::Echelon(I::LeastWork), _) => "echelon-madd(least-work)",
-            (Ranking::Echelon(I::StageLeastWork), _) => "echelon-madd(stage-least-work)",
-            (Ranking::Echelon(I::Bssi), _) => "echelon-madd(bssi)",
-            (Ranking::Coflow(CoflowOrder::Sebf), _) => "varys-madd(sebf)",
-            (Ranking::Coflow(CoflowOrder::Bssi), _) => "varys-madd(bssi)",
-            (Ranking::Coflow(CoflowOrder::Arrival), _) => "varys-madd(arrival)",
+        match (self.inter, self.intra) {
+            (I::EarliestDeadline, IntraMode::FinishEarly) => "echelon-madd",
+            (I::EarliestDeadline, IntraMode::Equalize) => "echelon-madd(equalize)",
+            (I::MostTardy, _) => "echelon-madd(most-tardy)",
+            (I::LeastWork, _) => "echelon-madd(least-work)",
+            (I::StageLeastWork, _) => "echelon-madd(stage-least-work)",
+            (I::Bssi, _) => "echelon-madd(bssi)",
         }
     }
 
@@ -768,6 +725,7 @@ impl RatePolicy for EchelonMadd {
 mod tests {
     use super::*;
     use echelon_core::arrangement::ArrangementFn;
+    use echelon_core::coflow::Coflow;
     use echelon_core::echelon::FlowRef;
     use echelon_core::JobId;
     use echelon_simnet::flow::FlowDemand;
@@ -1018,7 +976,6 @@ mod tests {
     /// fresh engine does.
     #[test]
     fn reused_engine_matches_a_fresh_one() {
-        use crate::varys::VarysMadd;
         use echelon_simnet::runner::{run_flows_with, RecomputeMode};
         let topo = Topology::big_switch_uniform(3, 1.0);
         let demands = || {
@@ -1030,7 +987,7 @@ mod tests {
         };
         let engines: [fn() -> Box<dyn RatePolicy>; 2] = [
             || Box::new(EchelonMadd::new(vec![])),
-            || Box::new(VarysMadd::new(vec![])),
+            || Box::new(EchelonMadd::new(vec![]).with_inter(InterOrder::LeastWork)),
         ];
         for make in engines {
             for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
@@ -1228,81 +1185,6 @@ mod tests {
         assert_eq!(rates, [0.0, 1.0]);
     }
 
-    /// Under the coflow arrival ranking the first-seen map drops a solo
-    /// flow's entry with the flow: over a long solo-flow stream it never
-    /// holds more than the live solo flows plus the registered coflows,
-    /// on the delta path and on the rebuild alike.
-    #[test]
-    fn arrival_map_stays_bounded_by_live_groups() {
-        use crate::varys::VarysMadd;
-        use echelon_core::coflow::Coflow;
-        use echelon_simnet::runner::{run_flows_with, RecomputeMode};
-
-        struct Probe(EchelonMadd);
-        impl Probe {
-            fn check(&self, flows: &[ActiveFlowView]) {
-                let solo = flows
-                    .iter()
-                    .filter(|v| self.0.book.echelon_of(v.id).is_none())
-                    .count();
-                let bound = solo + self.0.book.occupancy();
-                assert!(
-                    self.0.arrivals.len() <= bound,
-                    "{} arrival entries, {bound} live solo flows and coflows",
-                    self.0.arrivals.len()
-                );
-            }
-        }
-        impl RatePolicy for Probe {
-            fn allocate_dense(
-                &mut self,
-                now: SimTime,
-                f: &[ActiveFlowView],
-                t: &Topology,
-                ws: &mut AllocScratch,
-                out: &mut Vec<f64>,
-            ) {
-                self.0.allocate_dense(now, f, t, ws, out);
-                self.check(f);
-            }
-            fn allocate_dense_incremental(
-                &mut self,
-                now: SimTime,
-                f: &[ActiveFlowView],
-                delta: &FlowDelta,
-                t: &Topology,
-                ws: &mut AllocScratch,
-                out: &mut Vec<f64>,
-            ) {
-                self.0.allocate_dense_incremental(now, f, delta, t, ws, out);
-                self.check(f);
-            }
-        }
-
-        let topo = Topology::chain(2, 1.0);
-        let coflow = Coflow::new(
-            EchelonId(0),
-            JobId(0),
-            vec![fr(0, 0, 1, 1.0), fr(1, 0, 1, 1.0)],
-        );
-        let demands: Vec<FlowDemand> = (0..200)
-            .map(|i| demand(i, 0, 1, 1.0, 0.6 * i as f64))
-            .collect();
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            let varys = VarysMadd::new(vec![coflow.clone()]).with_order(CoflowOrder::Arrival);
-            let mut probe = Probe(varys.into());
-            let out = run_flows_with(&topo, demands.clone(), &mut probe, mode);
-            assert_eq!(out.completions().len(), 200);
-            // The coflow, and at most the last solo flow: no allocation
-            // follows its departure.
-            assert!(
-                probe.0.arrivals.len() <= 2,
-                "{mode:?}: {:?}",
-                probe.0.arrivals
-            );
-        }
-    }
-
     /// Fig. 2 at t = 3 with all three 2B flows released on a B = 1 link
     /// and nothing sent yet: EDD prefixes finish at 5, 7, 9 against
     /// deadlines 1, 2, 3, so the projected tardiness is max(4, 5, 6).
@@ -1357,5 +1239,91 @@ mod tests {
         // h0's deadline (reference 0) precedes h1's (reference 0.5).
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(2.0)));
         assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(4.0)));
+    }
+
+    /// The coflow half of the paper's Fig. 2: three 2B flows released at
+    /// t = 1, 2, 3 on a B = 1 link, formulated as one coflow and ranked
+    /// by SEBF. MADD with remaining bytes converges to the published rates
+    /// (B/6, B/3, B/2) after the third arrival, and all finish at t = 7.
+    #[test]
+    fn coflow_fig2b_rates_and_simultaneous_finish() {
+        let topo = Topology::chain(2, 1.0);
+        let coflow = Coflow::new(
+            EchelonId(0),
+            JobId(0),
+            vec![fr(0, 0, 1, 2.0), fr(1, 0, 1, 2.0), fr(2, 0, 1, 2.0)],
+        );
+        let mut policy =
+            EchelonMadd::new(vec![coflow.into_echelon()]).with_inter(InterOrder::LeastWork);
+        let out = run_flows(&topo, fig2_demands(), &mut policy);
+        for (id, rate) in [(0, 1.0 / 6.0), (1, 1.0 / 3.0), (2, 1.0 / 2.0)] {
+            let id = FlowId(id);
+            assert!(out.finish(id).unwrap().approx_eq(SimTime::new(7.0)));
+            let last = out
+                .trace()
+                .rate_series(id)
+                .iter()
+                .rev()
+                .find(|(_, r)| *r > 0.0)
+                .unwrap()
+                .1;
+            assert!((last - rate).abs() < 1e-9, "flow {id} last rate {last}");
+        }
+    }
+
+    /// SEBF and BSSI both serve the small coflow first.
+    #[test]
+    fn coflow_rankings_serve_small_coflow_first() {
+        let topo = Topology::chain(2, 1.0);
+        for inter in [InterOrder::LeastWork, InterOrder::Bssi] {
+            let big = Coflow::new(EchelonId(1), JobId(1), vec![fr(1, 0, 1, 4.0)]);
+            let small = Coflow::new(EchelonId(0), JobId(0), vec![fr(0, 0, 1, 1.0)]);
+            let mut policy =
+                EchelonMadd::new(vec![big.into_echelon(), small.into_echelon()]).with_inter(inter);
+            let out = run_flows(
+                &topo,
+                vec![demand(0, 0, 1, 1.0, 0.0), demand(1, 0, 1, 4.0, 0.0)],
+                &mut policy,
+            );
+            assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(1.0)));
+            assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(5.0)));
+        }
+    }
+
+    /// MADD shapes a whole coflow to its bottleneck: a 2B flow and a 1B
+    /// flow on disjoint ports both finish at Γ = 2 with backfill off,
+    /// while backfill lets the small one finish at 1.
+    #[test]
+    fn coflow_backfill_accelerates_non_bottleneck_flow() {
+        let topo = Topology::big_switch_uniform(4, 1.0);
+        for (backfill, small_finish) in [(false, 2.0), (true, 1.0)] {
+            let coflow = Coflow::new(
+                EchelonId(0),
+                JobId(0),
+                vec![fr(0, 0, 1, 2.0), fr(1, 2, 3, 1.0)],
+            );
+            let mut policy = EchelonMadd::new(vec![coflow.into_echelon()])
+                .with_inter(InterOrder::LeastWork)
+                .with_backfill(backfill);
+            let out = run_flows(
+                &topo,
+                vec![demand(0, 0, 1, 2.0, 0.0), demand(1, 2, 3, 1.0, 0.0)],
+                &mut policy,
+            );
+            assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(2.0)));
+            let small = out.finish(FlowId(1)).unwrap();
+            assert!(
+                small.approx_eq(SimTime::new(small_finish)),
+                "{backfill}: {small:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "claimed by two")]
+    fn overlapping_coflows_rejected() {
+        let a = Coflow::new(EchelonId(0), JobId(0), vec![fr(0, 0, 1, 1.0)]);
+        let b = Coflow::new(EchelonId(1), JobId(0), vec![fr(0, 0, 1, 1.0)]);
+        let _ = EchelonMadd::new(vec![a.into_echelon(), b.into_echelon()]);
     }
 }

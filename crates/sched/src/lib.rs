@@ -6,15 +6,16 @@
 //!
 //! - [`baselines`] — per-flow policies: max-min fair sharing (Fig. 2a),
 //!   FIFO, and SRPT (pFabric-style shortest-remaining-first).
-//! - [`varys`] — Coflow scheduling (Fig. 2b): intra-coflow MADD (all flows
-//!   of a coflow finish together at its bottleneck time) with inter-coflow
-//!   SEBF or Sincronia-style ordering and work-conserving backfill.
 //! - [`echelon`] — **the paper's scheduler**: MADD adapted to the
 //!   tardiness metric exactly as Property 4 prescribes. Intra-EchelonFlow,
 //!   stages are served in ideal-finish-time order (earliest-due-date —
 //!   provably optimal for max lateness on a single resource) with MADD
 //!   rate shaping inside each stage; inter-EchelonFlow, EchelonFlows are
-//!   ranked by their tardiness (Eq. 2).
+//!   ranked by their tardiness (Eq. 2). Coflow scheduling (Fig. 2b) is the
+//!   same engine over one-stage groups (`Coflow::into_echelon`) under
+//!   [`echelon::InterOrder::LeastWork`] (Varys' SEBF) or
+//!   [`echelon::InterOrder::Bssi`]: every flow of a coflow finishes at its
+//!   bottleneck time, with work-conserving backfill.
 //! - [`sincronia`] — the BSSI-style coflow ordering used as an inter-group
 //!   ordering ablation.
 //! - [`optimal`] — brute-force search over permutation schedules on small
@@ -54,7 +55,6 @@ pub mod echelon;
 pub mod optimal;
 mod scratch;
 pub mod sincronia;
-pub mod varys;
 
 /// Convenient re-exports.
 pub mod prelude {
@@ -62,5 +62,4 @@ pub mod prelude {
     pub use crate::book::EchelonBook;
     pub use crate::echelon::{EchelonMadd, InterOrder, IntraMode};
     pub use crate::optimal::{optimal_schedule, Objective, OptimalResult};
-    pub use crate::varys::{CoflowOrder, VarysMadd};
 }

@@ -11,7 +11,6 @@ use echelon_core::{EchelonId, JobId};
 use echelon_detrand::DetRng;
 use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
 use echelon_sched::echelon::{EchelonMadd, InterOrder, IntraMode};
-use echelon_sched::varys::{CoflowOrder, VarysMadd};
 use echelon_simnet::alloc::{check_feasible_dense, AllocScratch};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::ids::{FlowId, NodeId};
@@ -140,8 +139,9 @@ fn all_schedulers_feasible_on_big_switch() {
         check_policy(&mut MaxMinPolicy, &flows, &topo);
         check_policy(&mut FifoPolicy, &flows, &topo);
         check_policy(&mut SrptPolicy, &flows, &topo);
-        for order in [CoflowOrder::Sebf, CoflowOrder::Bssi, CoflowOrder::Arrival] {
-            let mut p = VarysMadd::new(coflows.clone()).with_order(order);
+        for inter in [InterOrder::LeastWork, InterOrder::Bssi] {
+            let coflows = coflows.iter().cloned().map(Coflow::into_echelon);
+            let mut p = EchelonMadd::new(coflows.collect()).with_inter(inter);
             check_policy(&mut p, &flows, &topo);
         }
         for inter in [
@@ -168,7 +168,8 @@ fn all_schedulers_feasible_on_chain() {
         let topo = Topology::chain(HOSTS as usize, 0.7);
         let flows = views(&raw, &topo);
         let (echelons, coflows) = group(&flows);
-        let mut varys = VarysMadd::new(coflows);
+        let coflows = coflows.into_iter().map(Coflow::into_echelon).collect();
+        let mut varys = EchelonMadd::new(coflows).with_inter(InterOrder::LeastWork);
         check_policy(&mut varys, &flows, &topo);
         let mut echelon = EchelonMadd::new(echelons);
         check_policy(&mut echelon, &flows, &topo);

@@ -224,10 +224,6 @@ impl FluidNetwork {
         self.views.len()
     }
 
-    fn index_of(&self, id: FlowId) -> Option<usize> {
-        self.views.binary_search_by(|v| v.id.cmp(&id)).ok()
-    }
-
     /// Releases a flow into the network at the current time.
     ///
     /// The demand's `release` must not be in the future (the caller's event
@@ -273,11 +269,6 @@ impl FluidNetwork {
     /// active flows so far (the size of the dense per-slot side tables).
     pub fn arena_capacity(&self) -> usize {
         self.arena.capacity()
-    }
-
-    /// The configured next-completion backend.
-    pub fn next_completion_mode(&self) -> NextCompletionMode {
-        self.mode
     }
 
     /// Enables/disables the dense-allocation feasibility panic (on by
@@ -414,11 +405,6 @@ impl FluidNetwork {
             }
         }
         self.audit(None);
-    }
-
-    /// Current rate of a flow (zero if inactive).
-    pub fn rate_of(&self, id: FlowId) -> f64 {
-        self.index_of(id).map(|i| self.rates[i]).unwrap_or(0.0)
     }
 
     /// Current rates in ascending flow-id order (`rates()[i]` belongs to

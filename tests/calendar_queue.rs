@@ -17,8 +17,7 @@ use echelonflow::core::coflow::Coflow;
 use echelonflow::core::echelon::{EchelonFlow, FlowRef};
 use echelonflow::core::{EchelonId, JobId};
 use echelonflow::sched::baselines::SrptPolicy;
-use echelonflow::sched::echelon::EchelonMadd;
-use echelonflow::sched::varys::VarysMadd;
+use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::simnet::driver::DriveConfig;
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::{FluidNetwork, NextCompletionMode};
@@ -211,8 +210,11 @@ fn schedulers_and_fault_plans_agree_across_backends() {
                 Box::new(move || Box::new(EchelonMadd::new(echelons.clone()))),
             ),
             (
-                "varys-madd",
-                Box::new(move || Box::new(VarysMadd::new(coflows.clone()))),
+                "coflow",
+                Box::new(move || {
+                    let coflows = coflows.iter().cloned().map(Coflow::into_echelon);
+                    Box::new(EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork))
+                }),
             ),
         ];
         for (label, make) in &mk {

@@ -29,8 +29,7 @@ use echelonflow::paradigms::runtime::{
     make_policy, run_jobs_streamed, run_jobs_with, Grouping, RunResult,
 };
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
-use echelonflow::sched::echelon::EchelonMadd;
-use echelonflow::sched::varys::VarysMadd;
+use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::simnet::driver::DriveConfig;
 use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::fault::FaultPlan;
@@ -155,7 +154,7 @@ where
 /// Digests of every `support::Madd::all` configuration on seeds 0..6, in that
 /// order, recorded from the separate echelon and Varys engines before
 /// they merged into one.
-const MADD_PINS: [u64; 17] = [
+const MADD_PINS: [u64; 15] = [
     0x5cc1_3d1b_5deb_fc12,
     0x26bb_dfee_c4a7_b1c3,
     0x11e0_5a39_9fb8_b647,
@@ -171,8 +170,6 @@ const MADD_PINS: [u64; 17] = [
     0xd282_2da0_94f1_b828,
     0x4808_d2d0_f440_eb41,
     0xbc0f_5ce4_0880_881c,
-    0x0b3e_770f_7b7f_85b1,
-    0x2d41_c4af_b381_b29b,
 ];
 
 /// The three-way MADD check on seeds 0..6 of the seeded workload.
@@ -293,7 +290,10 @@ fn quantized_incremental_matches_full_on_seeded_workloads() {
         ("EchelonMadd", |w| {
             Box::new(EchelonMadd::new(w.echelons.clone()))
         }),
-        ("VarysMadd", |w| Box::new(VarysMadd::new(w.coflows.clone()))),
+        ("Coflow", |w| {
+            let coflows = w.coflows.iter().cloned().map(Coflow::into_echelon);
+            Box::new(EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork))
+        }),
     ];
     let topo = Topology::big_switch_uniform(HOSTS, 1.5);
     for seed in 0..4u64 {
@@ -551,7 +551,10 @@ fn calendar_and_scan_backends_are_bit_identical() {
         ("EchelonMadd", |w| {
             Box::new(EchelonMadd::new(w.echelons.clone()))
         }),
-        ("VarysMadd", |w| Box::new(VarysMadd::new(w.coflows.clone()))),
+        ("Coflow", |w| {
+            let coflows = w.coflows.iter().cloned().map(Coflow::into_echelon);
+            Box::new(EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork))
+        }),
     ];
     let topo = Topology::big_switch_uniform(HOSTS, 1.5);
     for seed in 0..4u64 {
@@ -906,7 +909,7 @@ fn kept_serve_order_matches_the_reference_under_random_deltas() {
     use echelonflow::simnet::flow::ActiveFlowView;
     use echelonflow::simnet::fluid::FlowDelta;
     use std::collections::VecDeque;
-    use support::{Madd, Rank};
+    use support::Madd;
 
     const ECHELONS: u64 = 6;
     let topo = Topology::big_switch_uniform(HOSTS, 1.5);
@@ -949,16 +952,7 @@ fn kept_serve_order_matches_the_reference_under_random_deltas() {
                 coflows.push(Coflow::new(EchelonId(e), job, refs.clone()));
                 queued.push(refs.into());
             }
-            let mut engine: EchelonMadd = match cfg.rank {
-                Rank::Inter(inter) => EchelonMadd::new(echelons.clone())
-                    .with_inter(inter)
-                    .with_intra(cfg.intra)
-                    .with_backfill(cfg.backfill),
-                Rank::Coflow(order) => VarysMadd::new(coflows.clone())
-                    .with_order(order)
-                    .with_backfill(cfg.backfill)
-                    .into(),
-            };
+            let mut engine = cfg.engine(&echelons, &coflows);
             let mut reference = cfg.reference(&echelons, &coflows);
             let echelon_of = |id: FlowId| (id.0 < 10 * ECHELONS).then_some(id.0 / 10);
             // Live flows as views (their `remaining` is redrawn each step)

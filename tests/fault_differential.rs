@@ -32,8 +32,7 @@ use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
 use echelonflow::paradigms::runtime::{make_policy, run_jobs_faulted, Grouping};
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
-use echelonflow::sched::echelon::EchelonMadd;
-use echelonflow::sched::varys::VarysMadd;
+use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::simnet::driver::DriveConfig;
 use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::fault::{FaultKind, FaultPlan};
@@ -188,7 +187,7 @@ fn baselines_survive_churn_bit_identically() {
 /// Digests of every `support::Madd::all` configuration under churn on seeds
 /// 0..4, in that order, recorded from the separate echelon and Varys
 /// engines before they merged into one.
-const FAULTED_MADD_PINS: [u64; 17] = [
+const FAULTED_MADD_PINS: [u64; 15] = [
     0x75b5_ad69_0a62_548f,
     0x6e53_a4b5_8548_afb1,
     0x6480_c700_3244_128c,
@@ -204,8 +203,6 @@ const FAULTED_MADD_PINS: [u64; 17] = [
     0xa527_6207_5e42_cbd1,
     0x470a_47a0_e6b6_081b,
     0xccd8_b0ed_40bd_c413,
-    0x91a4_646e_92b6_5675,
-    0x0afa_debd_5e34_59e9,
 ];
 
 /// The plain suite's three-way MADD check under each seed's churn plan,
@@ -674,7 +671,10 @@ fn next_completion_cache_survives_capacity_churn_bit_identically() {
         ("EchelonMadd", |w| {
             Box::new(EchelonMadd::new(w.echelons.clone()))
         }),
-        ("VarysMadd", |w| Box::new(VarysMadd::new(w.coflows.clone()))),
+        ("Coflow", |w| {
+            let coflows = w.coflows.iter().cloned().map(Coflow::into_echelon);
+            Box::new(EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork))
+        }),
     ];
     let topo = Topology::big_switch_uniform(HOSTS, 1.5);
     for seed in 0..4u64 {

@@ -13,8 +13,7 @@ use echelonflow::core::coflow::Coflow;
 use echelonflow::core::echelon::{EchelonFlow, FlowRef};
 use echelonflow::core::{EchelonId, JobId};
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
-use echelonflow::sched::echelon::EchelonMadd;
-use echelonflow::sched::varys::VarysMadd;
+use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::{FluidNetwork, NextCompletionMode};
 use echelonflow::simnet::ids::{FlowId, NodeId};
@@ -90,7 +89,7 @@ fn all_policies_conserve_bytes() {
             Box::new(MaxMinPolicy),
             Box::new(FifoPolicy),
             Box::new(SrptPolicy),
-            Box::new(VarysMadd::new(vec![])),
+            Box::new(EchelonMadd::new(vec![]).with_inter(InterOrder::LeastWork)),
             Box::new(EchelonMadd::new(echelon_over(&demands))),
         ];
         for mut p in policies {
@@ -142,8 +141,10 @@ fn runs_are_deterministic() {
 }
 
 /// Superset invariant (Property 2 under random inputs): any Coflow
-/// instance scheduled as a degenerate EchelonFlow yields the same CCT as
-/// Varys/MADD.
+/// instance declared as an EchelonFlow with the Coflow arrangement
+/// (Eq. 5) and scheduled by the default EchelonFlow scheduler yields the
+/// same CCT as the coflow scheduler (Varys/MADD: the coflow's one-stage
+/// group ranked by SEBF, `InterOrder::LeastWork`).
 #[test]
 fn coflow_embedding_preserves_cct() {
     for seed in 0..CASES {
@@ -156,9 +157,13 @@ fn coflow_embedding_preserves_cct() {
             .collect();
         let coflow = Coflow::new(EchelonId(0), JobId(0), flows.clone());
 
-        let mut varys = VarysMadd::new(vec![coflow.clone()]).with_backfill(false);
+        let mut varys = EchelonMadd::new(vec![coflow.into_echelon()])
+            .with_inter(InterOrder::LeastWork)
+            .with_backfill(false);
         let via_varys = run_flows(&topo, demands.clone(), &mut varys);
-        let mut echelon = EchelonMadd::new(vec![coflow.into_echelon()]).with_backfill(false);
+        let h =
+            EchelonFlow::from_flows(EchelonId(0), JobId(0), flows.clone(), ArrangementFn::Coflow);
+        let mut echelon = EchelonMadd::new(vec![h]).with_backfill(false);
         let via_echelon = run_flows(&topo, demands.clone(), &mut echelon);
 
         let cct = |out: &FlowOutcomes| {

@@ -8,7 +8,6 @@ use echelonflow::core::EchelonId;
 use echelonflow::sched::book::EchelonBook;
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder, IntraMode};
 use echelonflow::sched::sincronia::{bssi_order, GroupLoad};
-use echelonflow::sched::varys::{CoflowOrder, VarysMadd};
 use echelonflow::simnet::alloc::{waterfill_dense, AllocScratch};
 use echelonflow::simnet::flow::ActiveFlowView;
 use echelonflow::simnet::ids::FlowId;
@@ -65,26 +64,21 @@ impl RatePolicy for PodReference {
     }
 }
 
-/// A MADD group ranking: an EchelonFlow order or a coflow order.
-#[derive(Debug, Clone, Copy)]
-pub enum Rank {
-    Inter(InterOrder),
-    Coflow(CoflowOrder),
-}
-
 /// One MADD configuration, buildable as the production scheduler or as
-/// the map-based reference.
+/// the map-based reference. `coflow` picks the grouping: the declared
+/// EchelonFlows, or the coflows as one-stage groups (Eq. 5).
 #[derive(Debug, Clone, Copy)]
 pub struct Madd {
-    pub rank: Rank,
+    pub inter: InterOrder,
+    pub coflow: bool,
     pub intra: IntraMode,
     pub backfill: bool,
 }
 
 impl Madd {
     /// Every EchelonFlow configuration (5 orders × 2 intra modes, then
-    /// the default with backfill off), then every coflow order with
-    /// backfill on and off.
+    /// the default with backfill off), then the coflow rankings (SEBF,
+    /// i.e. `LeastWork`, and BSSI) with backfill on and off.
     pub fn all() -> Vec<Madd> {
         let inters = [
             InterOrder::MostTardy,
@@ -97,21 +91,24 @@ impl Madd {
         for inter in inters {
             for intra in [IntraMode::FinishEarly, IntraMode::Equalize] {
                 all.push(Madd {
-                    rank: Rank::Inter(inter),
+                    inter,
+                    coflow: false,
                     intra,
                     backfill: true,
                 });
             }
         }
         all.push(Madd {
-            rank: Rank::Inter(InterOrder::EarliestDeadline),
+            inter: InterOrder::EarliestDeadline,
+            coflow: false,
             intra: IntraMode::FinishEarly,
             backfill: false,
         });
-        for order in [CoflowOrder::Sebf, CoflowOrder::Bssi, CoflowOrder::Arrival] {
+        for inter in [InterOrder::LeastWork, InterOrder::Bssi] {
             for backfill in [true, false] {
                 all.push(Madd {
-                    rank: Rank::Coflow(order),
+                    inter,
+                    coflow: true,
                     intra: IntraMode::FinishEarly,
                     backfill,
                 });
@@ -120,35 +117,30 @@ impl Madd {
         all
     }
 
-    /// The production scheduler: `EchelonMadd` over `echelons`, or
-    /// `VarysMadd` over `coflows`.
-    pub fn engine(self, echelons: &[EchelonFlow], coflows: &[Coflow]) -> Box<dyn RatePolicy> {
-        match self.rank {
-            Rank::Inter(inter) => Box::new(
-                EchelonMadd::new(echelons.to_vec())
-                    .with_inter(inter)
-                    .with_intra(self.intra)
-                    .with_backfill(self.backfill),
-            ),
-            Rank::Coflow(order) => Box::new(
-                VarysMadd::new(coflows.to_vec())
-                    .with_order(order)
-                    .with_backfill(self.backfill),
-            ),
+    /// The configuration's groups: `echelons`, or `coflows` as one-stage
+    /// EchelonFlows.
+    fn groups(self, echelons: &[EchelonFlow], coflows: &[Coflow]) -> Vec<EchelonFlow> {
+        if self.coflow {
+            coflows.iter().cloned().map(Coflow::into_echelon).collect()
+        } else {
+            echelons.to_vec()
         }
     }
 
-    /// The map-based reference over the same groups; coflows enter as
-    /// one-stage EchelonFlows (Eq. 5).
+    /// The production scheduler, `EchelonMadd` over the configuration's
+    /// groups.
+    pub fn engine(self, echelons: &[EchelonFlow], coflows: &[Coflow]) -> EchelonMadd {
+        EchelonMadd::new(self.groups(echelons, coflows))
+            .with_inter(self.inter)
+            .with_intra(self.intra)
+            .with_backfill(self.backfill)
+    }
+
+    /// The map-based reference over the same groups.
     pub fn reference(self, echelons: &[EchelonFlow], coflows: &[Coflow]) -> MaddReference {
-        let groups = match self.rank {
-            Rank::Inter(_) => echelons.to_vec(),
-            Rank::Coflow(_) => coflows.iter().cloned().map(Coflow::into_echelon).collect(),
-        };
         MaddReference {
             cfg: self,
-            book: EchelonBook::new(groups),
-            arrivals: BTreeMap::new(),
+            book: EchelonBook::new(self.groups(echelons, coflows)),
         }
     }
 }
@@ -162,14 +154,13 @@ enum Key {
 }
 
 /// The map-based MADD reference: regroups the flow slice on every call
-/// and keeps only the book's reference times and the first-seen time of
-/// every group. Members are served in (ideal finish, id) order, one MADD
-/// stage per ideal finish time; a solo flow's ideal finish is its release.
+/// and keeps only the book's reference times. Members are served in
+/// (ideal finish, id) order, one MADD stage per ideal finish time; a solo
+/// flow's ideal finish is its release.
 #[derive(Debug)]
 pub struct MaddReference {
     cfg: Madd,
     book: EchelonBook,
-    arrivals: BTreeMap<Key, SimTime>,
 }
 
 /// Per-resource occupancy seconds of `members` (`scale` divides each
@@ -243,9 +234,8 @@ impl MaddReference {
         flows: &[ActiveFlowView],
         topo: &Topology,
     ) -> Vec<Key> {
-        use CoflowOrder as C;
         use InterOrder as I;
-        if let Rank::Inter(I::Bssi) | Rank::Coflow(C::Bssi) = self.cfg.rank {
+        if self.cfg.inter == I::Bssi {
             // BSSI sums each group's load in id order, not EDD order.
             let keys: Vec<Key> = groups.keys().copied().collect();
             let loads: Vec<GroupLoad> = keys
@@ -270,20 +260,15 @@ impl MaddReference {
             .iter()
             .map(|(&k, m)| {
                 let head = m[0].0;
-                let (rank, time) = match self.cfg.rank {
-                    Rank::Inter(I::MostTardy) => (
+                let (rank, time) = match self.cfg.inter {
+                    I::MostTardy => (
                         -(self.weight(k) * projected_tardiness(now, m, flows, topo)),
                         SimTime::ZERO,
                     ),
-                    Rank::Inter(I::LeastWork) | Rank::Coflow(C::Sebf) => {
-                        (max_value(&load(m, flows, topo, true)), SimTime::ZERO)
-                    }
-                    Rank::Inter(I::StageLeastWork) => {
-                        (max_value(&load(stage(m), flows, topo, true)), head)
-                    }
-                    Rank::Inter(I::EarliestDeadline) => (0.0, head),
-                    Rank::Coflow(C::Arrival) => (0.0, self.arrivals[&k]),
-                    Rank::Inter(I::Bssi) | Rank::Coflow(C::Bssi) => unreachable!(),
+                    I::LeastWork => (max_value(&load(m, flows, topo, true)), SimTime::ZERO),
+                    I::StageLeastWork => (max_value(&load(stage(m), flows, topo, true)), head),
+                    I::EarliestDeadline => (0.0, head),
+                    I::Bssi => unreachable!(),
                 };
                 (rank, time, k)
             })
@@ -309,7 +294,6 @@ impl RatePolicy for MaddReference {
                 Some(h) => (Key::Group(h.id()), self.book.ideal_finish(v.id).unwrap()),
                 None => (Key::Solo(v.id), v.release),
             };
-            self.arrivals.entry(key).or_insert(now);
             groups.entry(key).or_default().push((deadline, i));
         }
         for members in groups.values_mut() {
@@ -376,8 +360,9 @@ pub fn assert_madd_three_way(
     run: impl Fn(u64, &mut dyn RatePolicy, RecomputeMode) -> FlowOutcomes,
 ) {
     let mut moved = Vec::new();
+    assert_eq!(pins.len(), Madd::all().len(), "one pin per configuration");
     for (cfg, &pin) in Madd::all().into_iter().zip(pins) {
-        if matches!(cfg.rank, Rank::Coflow(_)) != coflow {
+        if cfg.coflow != coflow {
             continue;
         }
         let mut digest: u64 = 0;
@@ -389,7 +374,7 @@ pub fn assert_madd_three_way(
                 RecomputeMode::Full,
             );
             for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-                let out = run(seed, cfg.engine(&echelons, &coflows).as_mut(), mode);
+                let out = run(seed, &mut cfg.engine(&echelons, &coflows), mode);
                 let at = format!("{cfg:?} ({mode:?}), seed {seed}");
                 assert_eq!(
                     reference.trace().events(),
