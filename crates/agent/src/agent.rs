@@ -1,32 +1,25 @@
 //! The per-job EchelonFlow Agent (paper §5, Fig. 7).
 //!
 //! "We are inspired by ByteScheduler to build an EchelonFlow Agent as a
-//! shim layer between DDLT frameworks and message-passing backends." In
-//! the simulation, the agent's two responsibilities are:
-//!
-//! 1. **Reporting**: translate the framework's workload (a
-//!    [`JobDag`]) into [`EchelonRequest`]s and file them with the
-//!    [`Coordinator`].
-//! 2. **Enforcement bookkeeping**: map each of the job's flows to the
-//!    priority queue the coordinator's allocation implies (see
-//!    [`crate::enforce`]), mirroring "the agent stores flow data into
-//!    priority queues based on their allocated bandwidth".
+//! shim layer between DDLT frameworks and message-passing backends." The
+//! framework reports, per EchelonFlow, "the arrangement function and
+//! per-flow information (the size, source, and destination)". That record
+//! is the [`EchelonFlow`] itself, and a framework with a declared
+//! [`JobDag`] has already broken its workflow into them
+//! ([`JobDag::echelons`]). The agent hands the job's EchelonFlows to the
+//! [`Coordinator`]. Enforcing the returned schedule through priority
+//! queues is [`crate::enforce`]'s job.
 
-use crate::api::{requests_from_dag, EchelonRequest};
 use crate::coordinator::Coordinator;
+use echelon_core::echelon::EchelonFlow;
 use echelon_core::JobId;
 use echelon_paradigms::dag::JobDag;
-use echelon_simnet::ids::FlowId;
-use std::collections::BTreeMap;
 
-/// The per-job shim between framework and backend.
+/// The per-job shim between framework and coordinator.
 #[derive(Debug)]
 pub struct EchelonAgent {
     job: JobId,
-    requests: Vec<EchelonRequest>,
-    /// Queue assignment per flow, filled by the enforcement layer.
-    queue_of: BTreeMap<FlowId, u8>,
-    reported: bool,
+    echelons: Vec<EchelonFlow>,
 }
 
 impl EchelonAgent {
@@ -34,9 +27,7 @@ impl EchelonAgent {
     pub fn from_dag(dag: &JobDag) -> EchelonAgent {
         EchelonAgent {
             job: dag.job,
-            requests: requests_from_dag(dag),
-            queue_of: BTreeMap::new(),
-            reported: false,
+            echelons: dag.echelons.clone(),
         }
     }
 
@@ -45,31 +36,26 @@ impl EchelonAgent {
         self.job
     }
 
-    /// The requests the framework filed.
-    pub fn requests(&self) -> &[EchelonRequest] {
-        &self.requests
+    /// The EchelonFlows the framework reported.
+    pub fn echelons(&self) -> &[EchelonFlow] {
+        &self.echelons
     }
 
-    /// Reports all collected requests to the coordinator. Idempotent:
-    /// reporting twice is an error the agent guards against.
+    /// Moves the job's EchelonFlows into the coordinator. The agent is
+    /// consumed, so a job reports once:
     ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    pub fn report_to(&mut self, coordinator: &mut Coordinator) {
-        assert!(!self.reported, "agent for {} already reported", self.job);
-        coordinator.submit_all(self.requests.iter().cloned());
-        self.reported = true;
-    }
-
-    /// Records the queue the enforcement layer assigned to a flow.
-    pub fn assign_queue(&mut self, flow: FlowId, queue: u8) {
-        self.queue_of.insert(flow, queue);
-    }
-
-    /// The queue a flow was last assigned to.
-    pub fn queue_of(&self, flow: FlowId) -> Option<u8> {
-        self.queue_of.get(&flow).copied()
+    /// ```compile_fail
+    /// # use echelon_agent::prelude::*;
+    /// # use echelon_core::JobId;
+    /// # use echelon_paradigms::{config::PpConfig, ids::IdAlloc, pp::build_pp_gpipe};
+    /// let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut IdAlloc::new());
+    /// let mut coordinator = Coordinator::new(CoordinatorConfig::default());
+    /// let agent = EchelonAgent::from_dag(&dag);
+    /// agent.report_to(&mut coordinator);
+    /// agent.report_to(&mut coordinator); // use of moved value
+    /// ```
+    pub fn report_to(self, coordinator: &mut Coordinator) {
+        coordinator.submit_all(self.echelons);
     }
 }
 
@@ -81,39 +67,27 @@ mod tests {
     use echelon_paradigms::ids::IdAlloc;
     use echelon_paradigms::pp::build_pp_gpipe;
 
-    fn dag() -> JobDag {
-        let mut alloc = IdAlloc::new();
-        build_pp_gpipe(JobId(7), &PpConfig::fig2(), &mut alloc)
-    }
-
+    /// The agent reports every DAG flow exactly once, in groups that
+    /// carry the DAG's job, and the coordinator registers every group.
     #[test]
-    fn agent_reports_job_requests() {
-        let dag = dag();
-        let mut agent = EchelonAgent::from_dag(&dag);
+    fn agent_reports_job_echelons() {
+        let mut alloc = IdAlloc::new();
+        let dag = build_pp_gpipe(JobId(7), &PpConfig::fig2(), &mut alloc);
+        let agent = EchelonAgent::from_dag(&dag);
         assert_eq!(agent.job(), JobId(7));
-        assert_eq!(agent.requests().len(), 2);
+        assert_eq!(agent.echelons().len(), 2);
+        let mut reported: Vec<_> = agent.echelons().iter().flat_map(|h| h.flows()).collect();
+        reported.sort_by_key(|f| f.id);
+        let mut declared = dag.all_flows();
+        declared.sort_by_key(|f| f.id);
+        assert_eq!(reported.len(), declared.len());
+        assert!(reported.iter().zip(&declared).all(|(r, d)| r.id == d.id));
+        for h in agent.echelons() {
+            assert_eq!(h.job(), JobId(7));
+            assert!(h.total_bytes() > 0.0);
+        }
         let mut coord = Coordinator::new(CoordinatorConfig::default());
         agent.report_to(&mut coord);
         assert_eq!(coord.registered_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "already reported")]
-    fn double_report_rejected() {
-        let dag = dag();
-        let mut agent = EchelonAgent::from_dag(&dag);
-        let mut coord = Coordinator::new(CoordinatorConfig::default());
-        agent.report_to(&mut coord);
-        agent.report_to(&mut coord);
-    }
-
-    #[test]
-    fn queue_bookkeeping() {
-        let dag = dag();
-        let mut agent = EchelonAgent::from_dag(&dag);
-        let fid = dag.all_flows()[0].id;
-        assert_eq!(agent.queue_of(fid), None);
-        agent.assign_queue(fid, 3);
-        assert_eq!(agent.queue_of(fid), Some(3));
     }
 }

@@ -1,7 +1,7 @@
 //! The global Coordinator (paper §5, Fig. 7).
 //!
-//! The coordinator receives EchelonFlow requests from the per-job agents
-//! and computes bandwidth allocations with the heuristic adapted from
+//! The coordinator receives EchelonFlows from the per-job agents and
+//! computes bandwidth allocations with the heuristic adapted from
 //! Coflow scheduling ([`EchelonMadd`]). Two practicality knobs from the
 //! paper's discussion are modelled:
 //!
@@ -23,7 +23,7 @@
 //!   agent → coordinator round-trip yet; until then they receive only
 //!   backfilled (fair-share leftover) bandwidth.
 //!
-//! Groups enter before the policy exists ([`Coordinator::submit`]) or
+//! Groups enter before the policy exists ([`Coordinator::submit_all`]) or
 //! while it runs ([`CoordinatedPolicy::register`], absorbed before the
 //! next allocation), and leave through [`CoordinatedPolicy::retire`],
 //! evicted right after the next allocation. The open-loop service drives
@@ -38,7 +38,6 @@
 //! held decision and the fresh-flow backfill stay dense too. The map
 //! entry points are [`RatePolicy`]'s provided adapters over the dense ones.
 
-use crate::api::EchelonRequest;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
 use echelon_sched::echelon::{EchelonMadd, InterOrder, IntraMode};
@@ -93,7 +92,7 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// The global coordinator: request registry + decision engine.
+/// The global coordinator: EchelonFlow registry + decision engine.
 #[derive(Debug)]
 pub struct Coordinator {
     config: CoordinatorConfig,
@@ -109,23 +108,12 @@ impl Coordinator {
         }
     }
 
-    /// Registers one EchelonFlow request (agents call this). Groups that
+    /// Registers EchelonFlows from any iterable source — an agent's moved
+    /// `Vec`, or a borrowed slice via `.iter().cloned()`. Groups that
     /// only exist once the policy runs enter through
     /// [`CoordinatedPolicy::register`].
-    pub fn submit(&mut self, request: EchelonRequest) {
-        self.registered.push(request.echelon);
-    }
-
-    /// Registers a batch of requests from any iterable source — a `Vec`,
-    /// a draining iterator, or a borrowed slice via `.iter().cloned()` —
-    /// without forcing callers to materialize an intermediate vector.
-    pub fn submit_all<I>(&mut self, requests: I)
-    where
-        I: IntoIterator<Item = EchelonRequest>,
-    {
-        for r in requests {
-            self.submit(r);
-        }
+    pub fn submit_all(&mut self, echelons: impl IntoIterator<Item = EchelonFlow>) {
+        self.registered.extend(echelons);
     }
 
     /// Number of registered EchelonFlows.
@@ -134,7 +122,7 @@ impl Coordinator {
     }
 
     /// Finalizes registration into a live scheduling policy. Moves the
-    /// registered requests into the engine — no copy of the registry.
+    /// registered EchelonFlows into the engine — no copy of the registry.
     pub fn into_policy(self) -> CoordinatedPolicy {
         let engine = EchelonMadd::new(self.registered)
             .with_inter(self.config.inter)
@@ -147,8 +135,6 @@ impl Coordinator {
             last_groups: Vec::new(),
             first_seen: BTreeMap::new(),
             decisions_computed: 0,
-            group_counts: BTreeMap::new(),
-            counts_valid: false,
             outage: false,
             pending_register: Vec::new(),
             pending_retire: Vec::new(),
@@ -156,7 +142,6 @@ impl Coordinator {
             known_pos: Vec::new(),
             known_rates: Vec::new(),
             order: Vec::new(),
-            arrived: Vec::new(),
         }
     }
 }
@@ -191,18 +176,12 @@ pub struct CoordinatedPolicy {
     decision: Decision,
     last_decision: Option<SimTime>,
     /// Active EchelonFlow set at the last decision. Kept only under
-    /// `PerGroupChange`, its one reader (see [`Self::tracks_groups`]).
+    /// `PerGroupChange`, its one reader.
     last_groups: Vec<EchelonId>,
     /// When each flow was first seen, for the control-latency split.
     /// Stays empty without control latency: every flow is known at once.
     first_seen: BTreeMap<FlowId, SimTime>,
     decisions_computed: usize,
-    /// Incremental state: active member count per EchelonFlow, maintained
-    /// from flow deltas so `active_groups` need not rescan every flow.
-    /// Empty unless [`Self::tracks_groups`].
-    group_counts: BTreeMap<EchelonId, usize>,
-    /// Whether `group_counts` has been initialised from a full scan.
-    counts_valid: bool,
     /// True between [`FaultKind::CoordinatorDown`] and
     /// [`FaultKind::CoordinatorUp`]: no decisions are computed and every
     /// flow gets plain fair-share bandwidth (the agents' local fallback —
@@ -224,8 +203,6 @@ pub struct CoordinatedPolicy {
     /// and the priority order served between decisions.
     known_rates: Vec<f64>,
     order: Vec<FlowId>,
-    /// Reused buffer: the current delta's arrivals, sorted.
-    arrived: Vec<FlowId>,
 }
 
 impl CoordinatedPolicy {
@@ -267,15 +244,6 @@ impl CoordinatedPolicy {
         self.pending_retire.push(id);
     }
 
-    /// Current and peak engine-book occupancy (see
-    /// [`RatePolicy::book_stats`]).
-    pub fn book_occupancy(&self) -> (usize, usize) {
-        (
-            self.engine.book().occupancy(),
-            self.engine.book().peak_occupancy(),
-        )
-    }
-
     /// Absorbs every queued live registration into the engine — one
     /// batch per allocation, whatever the backlog.
     fn flush_pending(&mut self) {
@@ -296,25 +264,18 @@ impl CoordinatedPolicy {
                 self.engine.evict(id, active),
                 "evicting retired {id:?} refused"
             );
-            self.group_counts.remove(&id);
         }
     }
 
-    /// Whether the active EchelonFlow set is tracked (`last_groups`,
-    /// `group_counts`): only the `PerGroupChange` trigger reads it.
-    fn tracks_groups(&self) -> bool {
-        self.config.trigger == Trigger::PerGroupChange
-    }
-
-    /// Whether the heuristic must run now. `active_groups` yields the
-    /// active EchelonFlows in id order; only `PerGroupChange` reads it.
-    fn decision_due(&self, now: SimTime, active_groups: impl Iterator<Item = EchelonId>) -> bool {
+    /// Whether the heuristic must run now. `groups` holds the active
+    /// EchelonFlows in id order; only `PerGroupChange` reads it.
+    fn decision_due(&self, now: SimTime, groups: &[EchelonId]) -> bool {
         let Some(t0) = self.last_decision else {
             return true;
         };
         match self.config.trigger {
             Trigger::PerEvent => true,
-            Trigger::PerGroupChange => !self.last_groups.iter().copied().eq(active_groups),
+            Trigger::PerGroupChange => self.last_groups != groups,
             Trigger::Interval(dt) => now.secs() - t0.secs() + 1e-12 >= dt,
         }
     }
@@ -329,50 +290,6 @@ impl CoordinatedPolicy {
         groups.sort();
         groups.dedup();
         groups
-    }
-
-    /// Maintains `group_counts` from the event delta (full scan on the
-    /// first call), so the active-group set is read off the map keys
-    /// instead of re-derived from every flow.
-    fn update_group_counts(&mut self, flows: &[ActiveFlowView], delta: &FlowDelta) {
-        if !self.counts_valid {
-            self.group_counts.clear();
-            for v in flows {
-                if let Some(h) = self.engine.book().echelon_of(v.id) {
-                    *self.group_counts.entry(h.id()).or_insert(0) += 1;
-                }
-            }
-            self.counts_valid = true;
-            return;
-        }
-        for &id in &delta.arrived {
-            if flows.binary_search_by(|v| v.id.cmp(&id)).is_err() {
-                continue; // arrived and departed without ever being seen
-            }
-            if let Some(h) = self.engine.book().echelon_of(id) {
-                *self.group_counts.entry(h.id()).or_insert(0) += 1;
-            }
-        }
-        self.arrived.clone_from(&delta.arrived);
-        self.arrived.sort_unstable();
-        for &id in &delta.departed {
-            if self.arrived.binary_search(&id).is_ok() {
-                // Arrived and departed within this same delta: the arrival
-                // loop above never counted it (it is absent from `flows`),
-                // so decrementing here would steal a count from a flow
-                // that is still active in the same EchelonFlow.
-                continue;
-            }
-            if let Some(h) = self.engine.book().echelon_of(id) {
-                let gid = h.id();
-                if let Some(c) = self.group_counts.get_mut(&gid) {
-                    *c = c.saturating_sub(1);
-                    if *c == 0 {
-                        self.group_counts.remove(&gid);
-                    }
-                }
-            }
-        }
     }
 
     /// A due decision: runs the heuristic on the known flows — from the
@@ -550,26 +467,14 @@ impl CoordinatedPolicy {
         waterfill_dense(topo, flows, None, out, ws);
     }
 
-    /// The outage allocation: plain fair-share waterfill over every
-    /// active flow, ignoring the cached decision entirely. Used by both
-    /// the full and incremental paths so they stay bit-identical.
-    fn fair_share(
-        flows: &[ActiveFlowView],
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(flows.len(), 0.0);
-        waterfill_dense(topo, flows, None, out, ws);
-    }
-
-    /// [`RatePolicy::allocate_dense`] before queued retirements are
-    /// evicted.
-    fn allocate_full(
+    /// One allocation before queued retirements are evicted:
+    /// [`RatePolicy::allocate_dense_incremental`] with the event's `delta`,
+    /// [`RatePolicy::allocate_dense`] (a full recompute) with `None`.
+    fn allocate_with(
         &mut self,
         now: SimTime,
         flows: &[ActiveFlowView],
+        delta: Option<&FlowDelta>,
         topo: &Topology,
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
@@ -581,80 +486,44 @@ impl CoordinatedPolicy {
         // a head flow releasing this very event still binds its group's
         // reference.
         self.flush_pending();
-        // Reference binding tracks the data plane, not the decision
-        // cadence: a head flow that starts and finishes between two
-        // interval decisions (or during an outage) must still bind its
-        // EchelonFlow's reference, exactly as the incremental path's
-        // per-delta observation does. Skipping this was a stale-state
-        // divergence: Full mode bound the reference from a later
-        // surviving member and ranked the group differently after
-        // recovery.
-        self.engine.observe(now, flows);
+        // The engine sees every allocation, not just the due decisions:
+        // reference binding tracks the data plane, and the engine's
+        // caches must not go stale across skipped decisions or an
+        // outage. Without control latency every flow is known at once,
+        // so the known set is `flows` and a delta keeps the engine's
+        // caches current. With control latency the known set changes as
+        // flows age in ways a flow delta does not capture, so the engine
+        // observes the whole slice (fresh flows included) and runs its
+        // full path on the known subset.
+        let cached = match delta {
+            Some(delta) if self.config.control_latency <= 0.0 => {
+                self.engine.apply_delta(now, flows, delta);
+                true
+            }
+            _ => {
+                self.engine.observe(now, flows);
+                false
+            }
+        };
         if self.outage {
             // Coordinator unreachable: do not consult or refresh the
             // decision; agents fall back to fair sharing. Flows arriving
             // during the outage are first seen (for control-latency
             // aging) once the coordinator is back.
-            return Self::fair_share(flows, topo, ws, out);
+            out.clear();
+            out.resize(flows.len(), 0.0);
+            return waterfill_dense(topo, flows, None, out, ws);
         }
         let any_fresh = self.split_known(now, flows);
-        let groups = if self.tracks_groups() {
+        let groups = if self.config.trigger == Trigger::PerGroupChange {
             self.active_groups(flows)
         } else {
             Vec::new()
         };
-        if self.decision_due(now, groups.iter().copied()) {
+        if self.decision_due(now, &groups) {
             // Full heuristic run: rates for known flows, and the implied
             // global priority order becomes the cached decision.
             self.last_groups = groups;
-            return self.decide(now, flows, any_fresh, false, topo, ws, out);
-        }
-        self.between_decisions(flows, any_fresh, topo, ws, out);
-    }
-
-    /// [`RatePolicy::allocate_dense_incremental`] before queued
-    /// retirements are evicted.
-    fn allocate_delta(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        delta: &FlowDelta,
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        if self.serve_held(now, flows, out) {
-            return;
-        }
-        self.flush_pending();
-        if self.tracks_groups() {
-            self.update_group_counts(flows, delta);
-        }
-        // Without control latency every flow is immediately known, so the
-        // known set is exactly `flows` and the engine's incremental path
-        // applies. Feed the engine its delta at *every* event — not just
-        // when a decision is due — so its caches never go stale across
-        // skipped decisions (this also holds through a coordinator
-        // outage: the engine keeps absorbing deltas it will need when the
-        // coordinator returns). With control latency the known set
-        // changes as flows age in ways a flow delta does not capture, so
-        // the engine runs its full path on the known subset; group
-        // counting still applies. Observe
-        // the *whole* slice first (fresh flows included) so reference
-        // binding matches the naive path, which observes every event.
-        let cached = self.config.control_latency <= 0.0;
-        if cached {
-            self.engine.apply_delta(now, flows, delta);
-        } else {
-            self.engine.observe(now, flows);
-        }
-        if self.outage {
-            return Self::fair_share(flows, topo, ws, out);
-        }
-        let any_fresh = self.split_known(now, flows);
-        if self.decision_due(now, self.group_counts.keys().copied()) {
-            self.last_groups.clear();
-            self.last_groups.extend(self.group_counts.keys().copied());
             return self.decide(now, flows, any_fresh, cached, topo, ws, out);
         }
         self.between_decisions(flows, any_fresh, topo, ws, out);
@@ -670,7 +539,7 @@ impl RatePolicy for CoordinatedPolicy {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        self.allocate_full(now, flows, topo, ws, out);
+        self.allocate_with(now, flows, None, topo, ws, out);
         self.evict_retired(flows);
     }
 
@@ -683,7 +552,7 @@ impl RatePolicy for CoordinatedPolicy {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        self.allocate_delta(now, flows, delta, topo, ws, out);
+        self.allocate_with(now, flows, Some(delta), topo, ws, out);
         self.evict_retired(flows);
     }
 
@@ -714,18 +583,26 @@ impl RatePolicy for CoordinatedPolicy {
     }
 
     fn name(&self) -> &'static str {
-        "coordinated-echelon"
+        use InterOrder as I;
+        match (self.config.inter, self.config.intra) {
+            (I::EarliestDeadline, IntraMode::FinishEarly) => "coordinated-echelon",
+            (I::EarliestDeadline, IntraMode::Equalize) => "coordinated-echelon(equalize)",
+            (I::MostTardy, _) => "coordinated-echelon(most-tardy)",
+            (I::LeastWork, _) => "coordinated-echelon(least-work)",
+            (I::StageLeastWork, _) => "coordinated-echelon(stage-least-work)",
+            (I::Bssi, _) => "coordinated-echelon(bssi)",
+        }
     }
 
     fn book_stats(&self) -> Option<(usize, usize)> {
-        Some(self.book_occupancy())
+        let book = self.engine.book();
+        Some((book.occupancy(), book.peak_occupancy()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::requests_from_dag;
     use echelon_core::JobId;
     use echelon_paradigms::config::PpConfig;
     use echelon_paradigms::ids::IdAlloc;
@@ -765,7 +642,7 @@ mod tests {
         dag: &echelon_paradigms::dag::JobDag,
     ) -> CoordinatedPolicy {
         let mut coord = Coordinator::new(cfg);
-        coord.submit_all(requests_from_dag(dag));
+        coord.submit_all(dag.echelons.iter().cloned());
         coord.into_policy()
     }
 
@@ -773,11 +650,11 @@ mod tests {
     fn coordinator_registers_requests() {
         let dag = fig2_dag();
         let mut coord = Coordinator::new(CoordinatorConfig::default());
-        coord.submit_all(requests_from_dag(&dag));
+        coord.submit_all(dag.echelons.iter().cloned());
         assert_eq!(coord.registered_count(), 2);
     }
 
-    /// The full system path (API → coordinator → policy) is bitwise the
+    /// The full system path (coordinator → policy) is bitwise the
     /// raw engine it wraps: on an eight-job default-mix workload placed
     /// pod-packed on a 4:1 oversubscribed k = 8 fat-tree, in both recompute
     /// modes, for both groupings — the coordinator at its defaults
@@ -821,10 +698,9 @@ mod tests {
                 });
                 for dag in &dags {
                     if coflow {
-                        let groups = dag.coflows.iter().cloned().map(Coflow::into_echelon);
-                        coord.submit_all(groups.map(EchelonRequest::new));
+                        coord.submit_all(dag.coflows.iter().cloned().map(Coflow::into_echelon));
                     } else {
-                        coord.submit_all(requests_from_dag(dag));
+                        coord.submit_all(dag.echelons.iter().cloned());
                     }
                 }
                 let via_system = run_jobs_with(&topo, &dags, &mut coord.into_policy(), mode);
@@ -856,7 +732,7 @@ mod tests {
         let topo = Topology::chain(2, 1.0);
 
         let mut coord = Coordinator::new(CoordinatorConfig::default());
-        coord.submit_all(requests_from_dag(&dag));
+        coord.submit_all(dag.echelons.iter().cloned());
         let mut precise = coord.into_policy();
         let _ = run_job(&topo, &dag, &mut precise);
         let precise_decisions = precise.decisions_computed();
@@ -865,7 +741,7 @@ mod tests {
             trigger: Trigger::Interval(5.0),
             ..CoordinatorConfig::default()
         });
-        coord.submit_all(requests_from_dag(&dag));
+        coord.submit_all(dag.echelons.iter().cloned());
         let mut lazy = coord.into_policy();
         let out = run_job(&topo, &dag, &mut lazy);
         assert!(lazy.decisions_computed() < precise_decisions);
@@ -883,12 +759,12 @@ mod tests {
             control_latency: 0.5,
             ..CoordinatorConfig::default()
         });
-        coord.submit_all(requests_from_dag(&dag));
+        coord.submit_all(dag.echelons.iter().cloned());
         let mut policy = coord.into_policy();
         let with_latency = run_job(&topo, &dag, &mut policy);
 
         let mut coord = Coordinator::new(CoordinatorConfig::default());
-        coord.submit_all(requests_from_dag(&fig2_dag()));
+        coord.submit_all(fig2_dag().echelons);
         // (fresh dag has identical ids since it uses a fresh IdAlloc)
         let mut policy0 = coord.into_policy();
         let without = run_job(&topo, &dag, &mut policy0);
@@ -929,12 +805,12 @@ mod tests {
             let dag = fig2_dag();
 
             let mut coord = Coordinator::new(cfg);
-            coord.submit_all(requests_from_dag(&dag));
+            coord.submit_all(dag.echelons.iter().cloned());
             let mut naive = coord.into_policy();
             let full = run_jobs_with(&topo, &[&dag], &mut naive, RecomputeMode::Full);
 
             let mut coord = Coordinator::new(cfg);
-            coord.submit_all(requests_from_dag(&dag));
+            coord.submit_all(dag.echelons.iter().cloned());
             let mut inc = coord.into_policy();
             let fast = run_jobs_with(&topo, &[&dag], &mut inc, RecomputeMode::Incremental);
 
@@ -997,12 +873,12 @@ mod tests {
         assert_eq!(policy.decisions_computed(), 3);
     }
 
-    /// A flow that arrives *and* departs within one delta was never added
-    /// to the incremental group counts, so its departure must not subtract
-    /// one — otherwise a still-active sibling's EchelonFlow vanishes from
-    /// the active set and `PerGroupChange` fires a spurious decision.
+    /// A flow that arrives *and* departs within one delta leaves the
+    /// active flow set unchanged, so it must not drop its still-active
+    /// sibling's EchelonFlow from the active set: `PerGroupChange` fires
+    /// no decision on the blip.
     #[test]
-    fn group_counts_survive_arrive_depart_within_one_delta() {
+    fn arrive_depart_blip_fires_no_decision() {
         let dag = fig2_dag();
         let topo = Topology::chain(2, 1.0);
         let views = views_of(&dag, &topo);
@@ -1016,9 +892,9 @@ mod tests {
             .expect("fig2 echelon has >= 2 flows");
         let active: Vec<ActiveFlowView> = views.iter().filter(|v| v.id == first).cloned().collect();
 
-        // control_latency > 0 drives the engine-full incremental branch,
-        // which exercises `update_group_counts` without requiring the
-        // engine to see a globally consistent delta stream.
+        // control_latency > 0 has the engine observe the slice rather
+        // than apply the delta, so the test needs no globally consistent
+        // delta stream.
         let mut policy = policy_with(
             CoordinatorConfig {
                 trigger: Trigger::PerGroupChange,
@@ -1044,7 +920,7 @@ mod tests {
         assert_eq!(
             policy.decisions_computed(),
             1,
-            "blip flow corrupted the incremental group counts"
+            "the blip flow fired a decision"
         );
     }
 
@@ -1112,18 +988,35 @@ mod tests {
         );
     }
 
-    /// `submit_all` accepts any iterable — borrowed requests included —
+    /// `submit_all` accepts any iterable — borrowed groups included —
     /// and registers them all.
     #[test]
     fn submit_all_takes_any_iterator() {
         let dag = fig2_dag();
-        let requests = requests_from_dag(&dag);
         let mut coord = Coordinator::new(CoordinatorConfig::default());
-        coord.submit_all(requests.iter().cloned());
-        assert_eq!(coord.registered_count(), requests.len());
+        coord.submit_all(dag.echelons.iter().cloned());
+        assert_eq!(coord.registered_count(), dag.echelons.len());
         let mut coord2 = Coordinator::new(CoordinatorConfig::default());
-        coord2.submit_all(requests);
+        coord2.submit_all(dag.echelons);
         assert_eq!(coord2.registered_count(), coord.registered_count());
+    }
+
+    /// The policy names its ranking: the coflow configuration (least work
+    /// over one-stage groups) is not called by the default's name.
+    #[test]
+    fn name_follows_the_ranking() {
+        let name = |inter| {
+            let config = CoordinatorConfig {
+                inter,
+                ..CoordinatorConfig::default()
+            };
+            Coordinator::new(config).into_policy().name()
+        };
+        assert_eq!(name(InterOrder::EarliestDeadline), "coordinated-echelon");
+        assert_ne!(
+            name(InterOrder::LeastWork),
+            name(InterOrder::EarliestDeadline)
+        );
     }
 
     /// Live registration is batched (absorbed at the next allocation),
@@ -1138,17 +1031,17 @@ mod tests {
 
         // Start empty; register the whole job live.
         let mut policy = Coordinator::new(CoordinatorConfig::default()).into_policy();
-        assert_eq!(policy.book_occupancy(), (0, 0));
+        assert_eq!(policy.book_stats().unwrap(), (0, 0));
         dag.echelons.iter().for_each(|h| policy.register(h.clone()));
         // Still queued: nothing in the book until an allocation flushes.
-        assert_eq!(policy.book_occupancy().0, 0);
+        assert_eq!(policy.book_stats().unwrap().0, 0);
         let _ = policy.allocate(SimTime::ZERO, &views, &topo);
-        assert_eq!(policy.book_occupancy().0, dag.echelons.len());
+        assert_eq!(policy.book_stats().unwrap().0, dag.echelons.len());
 
         // The first group's flows complete; its retirement waits for the
         // allocation that sees them gone.
         policy.retire(first.id());
-        assert_eq!(policy.book_occupancy().0, dag.echelons.len());
+        assert_eq!(policy.book_stats().unwrap().0, dag.echelons.len());
         let rest: Vec<ActiveFlowView> = views
             .iter()
             .filter(|v| first.flows().all(|f| f.id != v.id))
@@ -1156,7 +1049,7 @@ mod tests {
             .collect();
         let _ = policy.allocate(SimTime::new(1.0), &rest, &topo);
         assert_eq!(
-            policy.book_occupancy(),
+            policy.book_stats().unwrap(),
             (dag.echelons.len() - 1, dag.echelons.len())
         );
     }

@@ -349,7 +349,6 @@ mod tests {
     /// unwrapped run does.
     #[test]
     fn enforcement_reports_the_inner_policy_counters() {
-        use crate::api::requests_from_dag;
         use crate::coordinator::{Coordinator, CoordinatorConfig};
         use echelon_core::JobId;
         use echelon_paradigms::config::PpConfig;
@@ -362,7 +361,7 @@ mod tests {
         let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut IdAlloc::new());
         let coordinated = || {
             let mut coord = Coordinator::new(CoordinatorConfig::default());
-            coord.submit_all(requests_from_dag(&dag));
+            coord.submit_all(dag.echelons.iter().cloned());
             coord.into_policy()
         };
         for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {

@@ -188,11 +188,6 @@ impl HostPool {
         })
     }
 
-    /// Total hosts in the pool.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts
-    }
-
     /// Currently free hosts.
     pub fn num_free(&self) -> usize {
         self.free.len()
@@ -881,9 +876,10 @@ mod tests {
                 }
             };
             check(pool);
+            let hosts: usize = (0..pool.num_pods()).map(|p| pool.pod_hosts(p).len()).sum();
             let busy: Vec<NodeId> = [0, 3, 4, 7, 8, 15]
                 .into_iter()
-                .filter(|&h| h < pool.num_hosts() as u32)
+                .filter(|&h| (h as usize) < hosts)
                 .map(NodeId)
                 .collect();
             pool.claim(&busy);

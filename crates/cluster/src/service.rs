@@ -47,7 +47,6 @@ use crate::workload::{
     compile_job, probe_phase_gap, JobStream, OpenLoopConfig, ParadigmKind, ServicePlacement,
     StreamJob,
 };
-use echelon_agent::api::EchelonRequest;
 use echelon_agent::coordinator::{CoordinatedPolicy, Coordinator, CoordinatorConfig};
 use echelon_core::coflow::Coflow;
 use echelon_core::echelon::EchelonFlow;
@@ -578,10 +577,9 @@ fn engine_for(kind: SchedulerKind, jobs: &[StreamJob]) -> Engine {
     let mut coordinator = Coordinator::new(config);
     for dag in jobs.iter().filter_map(|j| j.dag.as_ref()) {
         if coflows {
-            let groups = dag.coflows.iter().cloned().map(Coflow::into_echelon);
-            coordinator.submit_all(groups.map(EchelonRequest::new));
+            coordinator.submit_all(dag.coflows.iter().cloned().map(Coflow::into_echelon));
         } else {
-            coordinator.submit_all(dag.echelons.iter().cloned().map(EchelonRequest::new));
+            coordinator.submit_all(dag.echelons.iter().cloned());
         }
     }
     Engine::Coordinated {

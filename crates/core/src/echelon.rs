@@ -216,14 +216,6 @@ impl EchelonFlow {
         self.stage_of(flow).map(|j| self.ideal_finish_of_stage(j))
     }
 
-    /// The full ideal-finish-time table `D` (Definition 3.1), one entry
-    /// per stage.
-    pub fn ideal_finishes(&self) -> Vec<SimTime> {
-        (0..self.stages.len())
-            .map(|j| self.ideal_finish_of_stage(j))
-            .collect()
-    }
-
     /// `true` when the arrangement degenerates to a Coflow (all stages
     /// share one ideal finish time) — the Property 2 condition.
     pub fn is_coflow_compliant(&self) -> bool {
@@ -266,10 +258,9 @@ mod tests {
         // finishes d = 1, 2, 3.
         let mut h = pipeline_echelon();
         h.bind_reference(SimTime::new(1.0));
-        let d = h.ideal_finishes();
-        assert!(d[0].approx_eq(SimTime::new(1.0)));
-        assert!(d[1].approx_eq(SimTime::new(2.0)));
-        assert!(d[2].approx_eq(SimTime::new(3.0)));
+        for (j, want) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+            assert!(h.ideal_finish_of_stage(j).approx_eq(SimTime::new(want)));
+        }
         assert_eq!(
             h.ideal_finish_of_flow(FlowId(2)).unwrap(),
             h.ideal_finish_of_stage(2)

@@ -115,19 +115,6 @@ impl JobDag {
     pub fn total_bytes(&self) -> f64 {
         self.all_flows().iter().map(|f| f.size).sum()
     }
-
-    /// Total computation seconds across workers.
-    pub fn total_comp_time(&self) -> f64 {
-        self.comps.values().map(|c| c.duration).sum()
-    }
-
-    /// Lower bound on iteration time: the longest per-worker program.
-    pub fn critical_compute_per_worker(&self) -> f64 {
-        self.programs
-            .values()
-            .map(|prog| prog.iter().map(|id| self.comps[id].duration).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Incremental [`JobDag`] constructor.
@@ -470,8 +457,6 @@ mod tests {
         assert_eq!(dag.workers(), vec![NodeId(0), NodeId(1)]);
         assert_eq!(dag.all_flows().len(), 1);
         assert_eq!(dag.total_bytes(), 2.0);
-        assert_eq!(dag.total_comp_time(), 2.0);
-        assert_eq!(dag.critical_compute_per_worker(), 1.0);
         assert_eq!(dag.echelons.len(), 1);
         assert_eq!(dag.coflows.len(), 1);
     }

@@ -544,11 +544,6 @@ impl FluidNetwork {
         self.delta.departed.extend(done.iter().map(|c| c.id));
         done
     }
-
-    /// Aggregate bytes/second currently flowing.
-    pub fn total_rate(&self) -> f64 {
-        self.rates.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -681,15 +676,6 @@ mod tests {
         let ids: Vec<FlowId> = done.iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![FlowId(2)]);
         assert_eq!(net.active_count(), 0);
-    }
-
-    #[test]
-    fn total_rate_sums_active_rates() {
-        let mut net = FluidNetwork::new(Topology::big_switch_uniform(3, 1.0));
-        net.release(&demand(0, 0, 2, 1.0, 0.0));
-        net.release(&demand(1, 1, 2, 1.0, 0.0));
-        apply_fair(&mut net);
-        assert!((net.total_rate() - 1.0).abs() < 1e-9); // n2 ingress bound
     }
 
     #[test]

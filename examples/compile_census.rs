@@ -1,5 +1,5 @@
 //! Census of the job compile path: what it costs to turn a sampled job
-//! into its DAG, its EchelonFlow requests and the coordinator's book.
+//! into its DAG, its agent's report and the coordinator's book.
 //!
 //! Two tables:
 //!

@@ -1,11 +1,11 @@
 //! The full EchelonFlow scheduling system (paper §5, Fig. 7).
 //!
 //! Two pipeline jobs share a fabric. Each job's framework declares its
-//! workflow as EchelonFlows; a per-job **agent** reports them through the
-//! EchelonFlow API to the global **coordinator**, whose decisions are
-//! enforced through 8 discrete **priority queues** with weighted sharing
-//! — the complete path of the paper's Fig. 7, compared against direct
-//! (idealized) EchelonFlow scheduling.
+//! workflow as EchelonFlows; a per-job **agent** reports them to the
+//! global **coordinator**, whose decisions are enforced through 8
+//! discrete **priority queues** with weighted sharing — the complete
+//! path of the paper's Fig. 7, compared against direct (idealized)
+//! EchelonFlow scheduling.
 //!
 //! Run with: `cargo run --example coordinator_system`
 
@@ -47,17 +47,17 @@ fn main() {
     // Framework side: declare workloads, stand up one agent per job.
     let mut alloc = IdAlloc::new();
     let dags = jobs(&mut alloc);
-    let mut agents: Vec<EchelonAgent> = dags.iter().map(EchelonAgent::from_dag).collect();
+    let agents: Vec<EchelonAgent> = dags.iter().map(EchelonAgent::from_dag).collect();
 
-    // Agents file their EchelonFlow requests with the coordinator.
+    // Agents report their EchelonFlows to the coordinator.
     let mut coordinator = Coordinator::new(CoordinatorConfig::default());
-    for agent in &mut agents {
-        agent.report_to(&mut coordinator);
+    for agent in agents {
         println!(
             "agent for {:?} reported {} EchelonFlows",
             agent.job(),
-            agent.requests().len()
+            agent.echelons().len()
         );
+        agent.report_to(&mut coordinator);
     }
     println!(
         "coordinator holds {} EchelonFlows\n",

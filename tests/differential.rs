@@ -9,7 +9,6 @@
 //! seed.
 
 use echelon_detrand::DetRng;
-use echelonflow::agent::api::requests_from_dag;
 use echelonflow::agent::coordinator::{Coordinator, CoordinatorConfig, Trigger};
 use echelonflow::cluster::scenario::{Scenario, SchedulerKind};
 use echelonflow::cluster::service::{ServiceConfig, ServiceFeed};
@@ -875,7 +874,7 @@ fn coordinator_incremental_matches_full_for_all_triggers() {
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
             let mut coordinator = Coordinator::new(cfg);
             for dag in &dags {
-                coordinator.submit_all(requests_from_dag(dag));
+                coordinator.submit_all(dag.echelons.iter().cloned());
             }
             let mut policy = coordinator.into_policy();
             let out = run_jobs_with(&topo, &dag_refs, &mut policy, mode);

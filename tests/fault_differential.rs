@@ -14,7 +14,6 @@
 //! on the only route is a *designed* deadlock panic, not a hang).
 
 use echelon_detrand::DetRng;
-use echelonflow::agent::api::requests_from_dag;
 use echelonflow::agent::coordinator::{Coordinator, CoordinatorConfig, Trigger};
 use echelonflow::agent::enforce::{QueueConfig, QueueEnforcedPolicy};
 use echelonflow::cluster::churn::{random_fault_plan, ChurnConfig};
@@ -612,7 +611,7 @@ fn coordinator_churn_matches_across_modes_for_all_triggers() {
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
             let mut coordinator = Coordinator::new(cfg);
             for dag in &dags {
-                coordinator.submit_all(requests_from_dag(dag));
+                coordinator.submit_all(dag.echelons.iter().cloned());
             }
             let mut policy = coordinator.into_policy();
             let out = run_jobs_faulted(&topo, &dag_refs, &mut policy, mode, &plan);

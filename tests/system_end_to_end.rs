@@ -1,6 +1,6 @@
 //! Experiment E9 — the full Fig. 7 system path, end to end.
 //!
-//! Frameworks declare jobs → per-job agents file EchelonFlow requests →
+//! Frameworks declare jobs → per-job agents report their EchelonFlows →
 //! the coordinator schedules → enforcement happens through priority
 //! queues. Verified against direct (idealized) scheduling and across
 //! coordinator knobs.
@@ -46,8 +46,7 @@ fn agents_to_coordinator_to_queues() {
     // Fig. 7 path.
     let mut coordinator = Coordinator::new(CoordinatorConfig::default());
     for dag in &dags {
-        let mut agent = EchelonAgent::from_dag(dag);
-        agent.report_to(&mut coordinator);
+        EchelonAgent::from_dag(dag).report_to(&mut coordinator);
     }
     assert_eq!(coordinator.registered_count(), 4); // 2 jobs × 2 directions
     let mut enforced = QueueEnforcedPolicy::new(coordinator.into_policy(), QueueConfig::default());
