@@ -138,25 +138,29 @@ impl std::error::Error for PlacementError {}
 /// The free/busy host set, partitioned into pods when the topology has
 /// a pod structure. Hosts are `0..hosts`; pods are contiguous host
 /// groups on a fat-tree fabric and a single flat pod everywhere else.
+///
+/// The free set is a bitset with a free count per pod and in total, so
+/// counting is O(1) and listing free hosts reads one word per 64 hosts.
 #[derive(Debug, Clone)]
 pub struct HostPool {
     /// Hosts grouped by pod; ascending within each pod and across pods.
     pods: Vec<Vec<NodeId>>,
-    /// Currently free hosts.
-    free: BTreeSet<NodeId>,
-    hosts: usize,
+    /// Pod of each host; its length is the host count.
+    pod_of: Vec<u32>,
+    /// Free hosts: bit `h % 64` of word `h / 64` is set iff host `h` is
+    /// free. Bits past the last host stay clear.
+    free: Vec<u64>,
+    /// Free hosts per pod.
+    pod_free: Vec<usize>,
+    /// Free hosts in all.
+    num_free: usize,
 }
 
 impl HostPool {
     /// A flat pool (one pod) over hosts `0..hosts`, all free.
     pub fn flat(hosts: usize) -> Result<HostPool, PlacementError> {
         let n = u32::try_from(hosts).map_err(|_| PlacementError::PoolTooLarge { hosts })?;
-        let all: Vec<NodeId> = (0..n).map(NodeId).collect();
-        Ok(HostPool {
-            free: all.iter().copied().collect(),
-            pods: vec![all],
-            hosts,
-        })
+        Ok(HostPool::from_pods(vec![(0..n).map(NodeId).collect()]))
     }
 
     /// A pool over hosts `0..hosts` partitioned by the topology's pod
@@ -181,16 +185,32 @@ impl HostPool {
             pods.iter().all(contiguous),
             "pods must be contiguous host ranges"
         );
-        Ok(HostPool {
-            free: (0..n).map(NodeId).collect(),
+        Ok(HostPool::from_pods(pods))
+    }
+
+    /// A pool over the given pods of hosts `0..n`, all free.
+    fn from_pods(pods: Vec<Vec<NodeId>>) -> HostPool {
+        let hosts = pods.iter().map(Vec::len).sum::<usize>();
+        let mut pod_of = vec![0; hosts];
+        for (p, pod) in pods.iter().enumerate() {
+            for h in pod {
+                pod_of[h.0 as usize] = p as u32;
+            }
+        }
+        let mut pool = HostPool {
+            pod_free: vec![0; pods.len()],
             pods,
-            hosts,
-        })
+            pod_of,
+            free: Vec::new(),
+            num_free: 0,
+        };
+        pool.reset_with_busy(&BTreeSet::new());
+        pool
     }
 
     /// Currently free hosts.
     pub fn num_free(&self) -> usize {
-        self.free.len()
+        self.num_free
     }
 
     /// Number of pods (1 on flat topologies).
@@ -203,24 +223,31 @@ impl HostPool {
         &self.pods[p]
     }
 
+    /// Currently free hosts of pod `p`.
+    pub fn num_free_in_pod(&self, p: usize) -> usize {
+        self.pod_free[p]
+    }
+
     /// Whether `h` is currently free.
     pub fn is_free(&self, h: NodeId) -> bool {
-        self.free.contains(&h)
+        let h = h.0 as usize;
+        h < self.pod_of.len() && self.free[h / 64] & (1 << (h % 64)) != 0
     }
 
     /// All free hosts, ascending.
     pub fn free_hosts(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.free.iter().copied()
+        SetBits::new(&self.free, 0, self.pod_of.len())
     }
 
     /// Free hosts of pod `p`, ascending. Pods are contiguous host ranges,
     /// so these are one range of the free set: no per-host lookup.
     pub fn free_in_pod(&self, p: usize) -> impl Iterator<Item = NodeId> + '_ {
         let pod = &self.pods[p];
-        pod.first()
-            .zip(pod.last())
-            .into_iter()
-            .flat_map(|(&lo, &hi)| self.free.range(lo..=hi).copied())
+        let (lo, hi) = match (pod.first(), pod.last()) {
+            (Some(first), Some(last)) => (first.0 as usize, last.0 as usize + 1),
+            _ => (0, 0),
+        };
+        SetBits::new(&self.free, lo, hi)
     }
 
     /// Marks hosts busy.
@@ -229,46 +256,87 @@ impl HostPool {
     ///
     /// Panics if a host was not free (double-claims are placement bugs).
     pub fn claim(&mut self, hosts: &[NodeId]) {
-        for h in hosts {
-            assert!(self.free.remove(h), "host {h} claimed twice");
+        for &h in hosts {
+            assert!(self.is_free(h), "host {h} claimed twice");
+            self.take(h.0 as usize);
         }
     }
 
-    /// Marks hosts free again.
-    pub fn release(&mut self, hosts: &[NodeId]) {
-        for &h in hosts {
-            if (h.0 as usize) < self.hosts {
-                self.free.insert(h);
-            }
-        }
+    /// Marks free host `h` busy.
+    fn take(&mut self, h: usize) {
+        self.free[h / 64] &= !(1 << (h % 64));
+        self.pod_free[self.pod_of[h] as usize] -= 1;
+        self.num_free -= 1;
     }
 
     /// Resets the pool so exactly the hosts *not* in `busy` are free —
     /// the admission-time entry point, where the runtime owns the claim
-    /// set and the pool is rebuilt per admission pass.
+    /// set and the pool is rebuilt per admission pass. Costs one word per
+    /// 64 hosts plus one step per busy host.
     pub fn reset_with_busy(&mut self, busy: &BTreeSet<NodeId>) {
+        let hosts = self.pod_of.len();
         self.free.clear();
-        for pod in &self.pods {
-            for &h in pod {
-                if !busy.contains(&h) {
-                    self.free.insert(h);
-                }
+        self.free.resize(hosts / 64, !0);
+        let tail = hosts % 64;
+        if tail > 0 {
+            self.free.push((1 << tail) - 1);
+        }
+        for (count, pod) in self.pod_free.iter_mut().zip(&self.pods) {
+            *count = pod.len();
+        }
+        self.num_free = hosts;
+        for &h in busy {
+            if self.is_free(h) {
+                self.take(h.0 as usize);
             }
         }
     }
+}
 
-    /// Number of distinct pods the host set touches (1 on flat pools).
-    pub fn pods_spanned(&self, hosts: &[NodeId]) -> usize {
-        let mut seen = BTreeSet::new();
-        for &h in hosts {
-            for (p, pod) in self.pods.iter().enumerate() {
-                if pod.binary_search(&h).is_ok() {
-                    seen.insert(p);
-                    break;
-                }
-            }
+/// The set bits of a bitset in the bit range `lo..hi`, ascending.
+struct SetBits<'a> {
+    words: &'a [u64],
+    /// Index of the word `bits` came from.
+    word: usize,
+    /// The not yet listed set bits of that word.
+    bits: u64,
+    hi: usize,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(words: &'a [u64], lo: usize, hi: usize) -> SetBits<'a> {
+        let bits = if lo < hi {
+            words[lo / 64] & (!0 << (lo % 64))
+        } else {
+            0
+        };
+        SetBits {
+            words,
+            word: lo / 64,
+            bits,
+            hi,
         }
-        seen.len()
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.bits == 0 {
+            self.word += 1;
+            if self.word * 64 >= self.hi {
+                return None;
+            }
+            self.bits = self.words[self.word];
+        }
+        let h = self.word * 64 + self.bits.trailing_zeros() as usize;
+        if h >= self.hi {
+            self.bits = 0;
+            return None;
+        }
+        self.bits &= self.bits - 1;
+        Some(NodeId(h as u32))
     }
 }
 
@@ -406,7 +474,7 @@ impl Placer for ScatteredPlacer {
 /// counts.
 fn pods_by_free_desc(pool: &HostPool) -> Vec<(usize, usize)> {
     let mut order: Vec<(usize, usize)> = (0..pool.num_pods())
-        .map(|p| (p, pool.free_in_pod(p).count()))
+        .map(|p| (p, pool.num_free_in_pod(p)))
         .collect();
     order.sort_by_key(|&(p, free)| (std::cmp::Reverse(free), p));
     order
@@ -824,7 +892,7 @@ mod tests {
         // Retire job 0, free its hosts: a fresh identical request must
         // be satisfiable again and stay disjoint from job 1.
         placer.forget(JobId(0));
-        pool.release(&a);
+        pool.reset_with_busy(&b.iter().copied().collect());
         let c = placer.place(&req(2, 4), &pool, &topo).unwrap();
         for h in &c {
             assert!(!b.contains(h), "reused a live job's host {h}");
@@ -849,12 +917,14 @@ mod tests {
         assert_eq!(pool.num_free(), 14);
         assert!(!pool.is_free(NodeId(0)));
         assert!(pool.is_free(NodeId(1)));
-        assert_eq!(pool.pods_spanned(&[NodeId(1), NodeId(4)]), 2);
+        assert_eq!(pool.num_free_in_pod(0), 3);
+        assert_eq!(pool.num_free_in_pod(1), 3);
+        assert_eq!(pool.num_free_in_pod(2), 4);
     }
 
     /// `free_in_pod` reads a range of the free set; it must list exactly
-    /// the pod's hosts that are free, in ascending order, through claims,
-    /// releases and resets, on fat-tree and flat pools alike.
+    /// the pod's hosts that are free, in ascending order, through claims
+    /// and resets, on fat-tree and flat pools alike.
     #[test]
     fn free_in_pod_lists_the_pods_free_hosts() {
         let topo = FatTree::new(4).build_fabric();
@@ -872,6 +942,7 @@ mod tests {
                         .copied()
                         .filter(|&h| pool.is_free(h))
                         .collect();
+                    assert_eq!(pool.num_free_in_pod(p), want.len(), "pod {p}");
                     assert_eq!(pool.free_in_pod(p).collect::<Vec<_>>(), want, "pod {p}");
                 }
             };
@@ -884,7 +955,7 @@ mod tests {
                 .collect();
             pool.claim(&busy);
             check(pool);
-            pool.release(&busy[..busy.len() / 2]);
+            pool.reset_with_busy(&busy[busy.len() / 2..].iter().copied().collect());
             check(pool);
             pool.reset_with_busy(&[NodeId(5), NodeId(12)].into());
             check(pool);

@@ -165,7 +165,7 @@ pub fn delay_start(mut dag: JobDag, arrival: f64, alloc: &mut IdAlloc) -> JobDag
                 worker,
                 duration: arrival,
                 kind: CompKind::Generic,
-                label: ARRIVAL_LABEL.to_string(),
+                label: ARRIVAL_LABEL.into(),
                 deps_comp: vec![],
                 deps_comm: vec![],
             },
@@ -847,7 +847,7 @@ mod tests {
         // The sink got a program holding exactly its arrival gate.
         let program = &gated.programs[&NodeId(1)];
         assert_eq!(program.len(), 1);
-        assert_eq!(gated.comps[&program[0]].label, ARRIVAL_LABEL);
+        assert_eq!(gated.comps[&program[0]].label.to_string(), ARRIVAL_LABEL);
 
         // And the gated job still runs, with no flow before arrival.
         let topo = Topology::big_switch_uniform(2, 1.0);

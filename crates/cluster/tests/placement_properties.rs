@@ -1,4 +1,5 @@
-//! Property tests for the placement subsystem: host-set soundness for
+//! Property tests for the placement subsystem: the host pool against a
+//! `BTreeSet` model, host-set soundness for
 //! every policy on both topology families, the `Placer::place` failure
 //! contract (fails exactly on overdemand, failures leave memory
 //! untouched), pod-minimality of the
@@ -158,11 +159,12 @@ fn failed_placements_leave_placer_memory_unchanged() {
                     if !live.is_empty()
                         && (pool.num_free() == 0 || rng.usize_range_inclusive(0, 2) == 0)
                     {
-                        let (job, hosts) =
-                            live.remove(rng.usize_range_inclusive(0, live.len() - 1));
+                        let (job, _) = live.remove(rng.usize_range_inclusive(0, live.len() - 1));
                         probed.forget(job);
                         twin.forget(job);
-                        pool.release(&hosts);
+                        pool.reset_with_busy(
+                            &live.iter().flat_map(|(_, h)| h.iter().copied()).collect(),
+                        );
                         continue;
                     }
                     for probe in 0..rng.usize_range_inclusive(1, 3) {
@@ -192,6 +194,93 @@ fn failed_placements_leave_placer_memory_unchanged() {
                 }
             }
         }
+    }
+}
+
+/// The pool against a `BTreeSet` model: seeded random claims and
+/// `reset_with_busy` rebuilds, and after every operation the counts,
+/// membership and ascending listings agree with the model — on flat
+/// pools whose sizes straddle the bitset's word boundary and on fat-tree
+/// pools whose pods do (k=6 has pods of 9 hosts).
+#[test]
+fn host_pool_matches_btreeset_model() {
+    let mut pools: Vec<(String, HostPool)> = [0usize, 1, 63, 64, 65, 130]
+        .into_iter()
+        .map(|n| (format!("flat {n}"), HostPool::flat(n).unwrap()))
+        .collect();
+    for k in [4usize, 6, 8] {
+        let topo = FatTree::new(k).build_fabric();
+        let pool = HostPool::on_topology(k * k * k / 4, &topo).unwrap();
+        pools.push((format!("k={k}"), pool));
+    }
+    for (name, mut pool) in pools {
+        let hosts = pool.num_free();
+        let all: BTreeSet<NodeId> = (0..hosts as u32).map(NodeId).collect();
+        let mut model = all.clone();
+        let check = |pool: &HostPool, model: &BTreeSet<NodeId>, ctx: &str| {
+            assert_eq!(pool.num_free(), model.len(), "{ctx}: num_free");
+            let listed: Vec<NodeId> = pool.free_hosts().collect();
+            assert_eq!(listed, model.iter().copied().collect::<Vec<_>>(), "{ctx}");
+            for h in (0..hosts as u32 + 2).map(NodeId) {
+                assert_eq!(pool.is_free(h), model.contains(&h), "{ctx}: host {h}");
+            }
+            for p in 0..pool.num_pods() {
+                let want: Vec<NodeId> = pool
+                    .pod_hosts(p)
+                    .iter()
+                    .copied()
+                    .filter(|h| model.contains(h))
+                    .collect();
+                assert_eq!(pool.num_free_in_pod(p), want.len(), "{ctx}: pod {p} count");
+                assert_eq!(
+                    pool.free_in_pod(p).collect::<Vec<_>>(),
+                    want,
+                    "{ctx}: pod {p}"
+                );
+            }
+            let pods: usize = (0..pool.num_pods()).map(|p| pool.pod_hosts(p).len()).sum();
+            assert_eq!(pods, hosts, "{ctx}: pods cover the hosts");
+        };
+        check(&pool, &model, &name);
+        let mut rng = DetRng::seed_from_u64(0x9001 ^ hosts as u64);
+        for step in 0..200 {
+            let ctx = format!("{name} step {step}");
+            if model.is_empty() || rng.usize_range_inclusive(0, 3) == 0 {
+                // Busy sets may name hosts outside the pool; they are
+                // ignored, as the runtime's claim set may hold them.
+                let share = rng.next_f64();
+                let busy: BTreeSet<NodeId> = (0..hosts as u32 + 3)
+                    .map(NodeId)
+                    .filter(|_| rng.next_f64() < share)
+                    .collect();
+                pool.reset_with_busy(&busy);
+                model = all.difference(&busy).copied().collect();
+            } else {
+                let free: Vec<NodeId> = model.iter().copied().collect();
+                let mut take: Vec<NodeId> = (0..rng.usize_range_inclusive(1, free.len().min(9)))
+                    .map(|_| free[rng.usize_range_inclusive(0, free.len() - 1)])
+                    .collect();
+                take.sort_unstable();
+                take.dedup();
+                rng.shuffle(&mut take);
+                pool.claim(&take);
+                take.iter().for_each(|h| {
+                    model.remove(h);
+                });
+            }
+            check(&pool, &model, &ctx);
+        }
+    }
+}
+
+/// Claiming a host twice, or one outside the pool, panics.
+#[test]
+fn host_pool_rejects_double_claims() {
+    for bad in [NodeId(3), NodeId(16)] {
+        let mut pool = HostPool::flat(16).unwrap();
+        pool.claim(&[NodeId(3)]);
+        let caught = std::panic::catch_unwind(move || pool.claim(&[bad]));
+        assert!(caught.is_err(), "claiming {bad} did not panic");
     }
 }
 

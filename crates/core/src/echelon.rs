@@ -13,6 +13,7 @@ use crate::arrangement::ArrangementFn;
 use crate::{EchelonId, JobId};
 use echelon_simnet::ids::{FlowId, NodeId};
 use echelon_simnet::time::SimTime;
+use std::sync::Arc;
 
 /// A flow belonging to an EchelonFlow: identity, endpoints and size.
 /// (Release time is dynamic — it is whenever the generating computation
@@ -44,14 +45,24 @@ impl FlowRef {
 
 /// An EchelonFlow: stages of flows plus an arrangement function
 /// (Definition 3.1), with an optionally bound reference time.
+///
+/// The stages, the arrangement and the flow→stage index are fixed at
+/// declaration and shared by every clone, so a clone copies a pointer
+/// and the per-copy fields: id, job, weight and reference.
 #[derive(Debug, Clone)]
 pub struct EchelonFlow {
     id: EchelonId,
     job: JobId,
     weight: f64,
+    reference: Option<SimTime>,
+    shape: Arc<Shape>,
+}
+
+/// The immutable part of an [`EchelonFlow`].
+#[derive(Debug)]
+struct Shape {
     stages: Vec<Vec<FlowRef>>,
     arrangement: ArrangementFn,
-    reference: Option<SimTime>,
     /// Reverse index: `(flow id, stage index)` pairs sorted by flow id.
     stage_of: Vec<(FlowId, usize)>,
 }
@@ -87,10 +98,12 @@ impl EchelonFlow {
             id,
             job,
             weight: 1.0,
-            stages,
-            arrangement,
             reference: None,
-            stage_of,
+            shape: Arc::new(Shape {
+                stages,
+                arrangement,
+                stage_of,
+            }),
         }
     }
 
@@ -136,31 +149,32 @@ impl EchelonFlow {
 
     /// Number of stages.
     pub fn num_stages(&self) -> usize {
-        self.stages.len()
+        self.shape.stages.len()
     }
 
     /// Total number of flows (the paper's cardinality `|H|` when every
     /// stage is a single flow).
     pub fn num_flows(&self) -> usize {
-        self.stage_of.len()
+        self.shape.stage_of.len()
     }
 
     /// The flows of stage `j`.
     pub fn stage(&self, j: usize) -> &[FlowRef] {
-        &self.stages[j]
+        &self.shape.stages[j]
     }
 
     /// Iterator over all flows, stage by stage.
     pub fn flows(&self) -> impl Iterator<Item = &FlowRef> {
-        self.stages.iter().flatten()
+        self.shape.stages.iter().flatten()
     }
 
     /// The stage a flow belongs to, if it is part of this EchelonFlow.
     pub fn stage_of(&self, flow: FlowId) -> Option<usize> {
-        self.stage_of
+        self.shape
+            .stage_of
             .binary_search_by_key(&flow, |&(id, _)| id)
             .ok()
-            .map(|i| self.stage_of[i].1)
+            .map(|i| self.shape.stage_of[i].1)
     }
 
     /// `true` if the flow belongs to this EchelonFlow.
@@ -170,7 +184,7 @@ impl EchelonFlow {
 
     /// The arrangement function.
     pub fn arrangement(&self) -> &ArrangementFn {
-        &self.arrangement
+        &self.shape.arrangement
     }
 
     /// Total bytes across all flows.
@@ -208,7 +222,7 @@ impl EchelonFlow {
         let r = self
             .reference
             .expect("reference time not bound; bind_reference first");
-        r + self.arrangement.offset(j, self.stages.len())
+        r + self.shape.arrangement.offset(j, self.shape.stages.len())
     }
 
     /// Ideal finish time of a flow (its stage's ideal finish).
@@ -219,7 +233,7 @@ impl EchelonFlow {
     /// `true` when the arrangement degenerates to a Coflow (all stages
     /// share one ideal finish time) — the Property 2 condition.
     pub fn is_coflow_compliant(&self) -> bool {
-        self.arrangement.is_coflow(self.stages.len())
+        self.shape.arrangement.is_coflow(self.shape.stages.len())
     }
 }
 

@@ -21,6 +21,7 @@ use echelon_core::echelon::{EchelonFlow, FlowRef};
 use echelon_core::{EchelonId, JobId};
 use echelon_simnet::ids::{FlowId, NodeId};
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 
 /// What a computation unit does, for timeline rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,12 +47,83 @@ pub struct CompUnit {
     pub duration: f64,
     /// Kind, for timelines.
     pub kind: CompKind,
-    /// Human-readable label, e.g. `"F2"` (forward of micro-batch 2).
-    pub label: String,
+    /// Human-readable label, e.g. `F2` (forward of micro-batch 2).
+    pub label: CompLabel,
     /// Computation units that must complete first.
     pub deps_comp: Vec<CompId>,
     /// Communication units that must complete first.
     pub deps_comm: Vec<CommId>,
+}
+
+/// A computation unit's label: a static tag, an optional index and an
+/// optional iteration, printed `{tag}{index}(i{iteration})` with absent
+/// parts left out — `F3`, `B2(i0)`, `U(i1)`, `ARRIVAL`. It needs no
+/// heap and is no larger than a `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompLabel {
+    tag: &'static str,
+    /// The index plus one, so an absent part costs no extra space.
+    index: Option<NonZeroU32>,
+    /// The iteration plus one.
+    iteration: Option<NonZeroU32>,
+}
+
+/// `i + 1` as a label part.
+fn label_part(i: usize) -> Option<NonZeroU32> {
+    let i = u32::try_from(i)
+        .ok()
+        .filter(|&i| i < u32::MAX)
+        .expect("label part below u32::MAX");
+    NonZeroU32::new(i + 1)
+}
+
+impl CompLabel {
+    /// The label with `i` printed after the tag (`F` → `F3`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an index of `u32::MAX` or more.
+    pub fn index(self, i: usize) -> CompLabel {
+        CompLabel {
+            index: label_part(i),
+            ..self
+        }
+    }
+
+    /// The label with iteration `i` printed last (`B2` → `B2(i0)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an iteration of `u32::MAX` or more.
+    pub fn iteration(self, i: usize) -> CompLabel {
+        CompLabel {
+            iteration: label_part(i),
+            ..self
+        }
+    }
+}
+
+impl From<&'static str> for CompLabel {
+    fn from(tag: &'static str) -> CompLabel {
+        CompLabel {
+            tag,
+            index: None,
+            iteration: None,
+        }
+    }
+}
+
+impl std::fmt::Display for CompLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.tag)?;
+        if let Some(i) = self.index {
+            write!(f, "{}", i.get() - 1)?;
+        }
+        if let Some(i) = self.iteration {
+            write!(f, "(i{})", i.get() - 1)?;
+        }
+        Ok(())
+    }
 }
 
 /// One communication unit: a collective-operation instance decomposed
@@ -231,7 +303,7 @@ impl<'a> DagBuilder<'a> {
         worker: NodeId,
         duration: f64,
         kind: CompKind,
-        label: impl Into<String>,
+        label: impl Into<CompLabel>,
         deps_comp: &[CompId],
         deps_comm: &[CommId],
     ) -> CompId {
@@ -459,6 +531,24 @@ mod tests {
         assert_eq!(dag.total_bytes(), 2.0);
         assert_eq!(dag.echelons.len(), 1);
         assert_eq!(dag.coflows.len(), 1);
+    }
+
+    #[test]
+    fn labels_print_their_parts() {
+        let cases = [
+            (CompLabel::from("F").index(3), "F3"),
+            (CompLabel::from("B").index(2).iteration(0), "B2(i0)"),
+            (CompLabel::from("U").iteration(1), "U(i1)"),
+            (CompLabel::from("ARRIVAL"), "ARRIVAL"),
+            (CompLabel::from("F1'"), "F1'"),
+        ];
+        for (label, text) in cases {
+            assert_eq!(label.to_string(), text);
+        }
+        assert_eq!(
+            std::mem::size_of::<CompLabel>(),
+            std::mem::size_of::<String>()
+        );
     }
 
     #[test]

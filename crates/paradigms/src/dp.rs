@@ -15,7 +15,7 @@
 //! arrangement — DP is Coflow-compliant (Table 1).
 
 use crate::config::DpConfig;
-use crate::dag::{CompKind, DagBuilder, JobDag};
+use crate::dag::{CompKind, CompLabel, DagBuilder, JobDag};
 use crate::ids::{CompId, IdAlloc};
 use echelon_collectives::{CollectiveOp, Style};
 use echelon_core::JobId;
@@ -46,7 +46,7 @@ pub fn build_dp_allreduce(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> Jo
                 node,
                 cfg.fwd_time,
                 CompKind::Forward,
-                format!("F(i{iter})"),
+                CompLabel::from("F").iteration(iter),
                 prev_update[w].as_slice(),
                 &[],
             );
@@ -62,7 +62,7 @@ pub fn build_dp_allreduce(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> Jo
                         node,
                         cfg.bwd_time_per_bucket,
                         CompKind::Backward,
-                        format!("B{}(i{iter})", buckets - l),
+                        CompLabel::from("B").index(buckets - l).iteration(iter),
                         &[],
                         &[],
                     )
@@ -89,7 +89,7 @@ pub fn build_dp_allreduce(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> Jo
                     node,
                     0.0,
                     CompKind::Update,
-                    format!("U(i{iter})"),
+                    CompLabel::from("U").iteration(iter),
                     &[],
                     &syncs,
                 ))
@@ -131,7 +131,7 @@ pub fn build_dp_hierarchical(
                 node,
                 cfg.fwd_time,
                 CompKind::Forward,
-                format!("F(i{iter})"),
+                CompLabel::from("F").iteration(iter),
                 prev_update[w].as_slice(),
                 &[],
             );
@@ -145,7 +145,7 @@ pub fn build_dp_hierarchical(
                         node,
                         cfg.bwd_time_per_bucket,
                         CompKind::Backward,
-                        format!("B{}(i{iter})", buckets - l),
+                        CompLabel::from("B").index(buckets - l).iteration(iter),
                         &[],
                         &[],
                     )
@@ -163,7 +163,7 @@ pub fn build_dp_hierarchical(
                     node,
                     0.0,
                     CompKind::Update,
-                    format!("U(i{iter})"),
+                    CompLabel::from("U").iteration(iter),
                     &[],
                     &syncs,
                 ))
@@ -192,7 +192,7 @@ pub fn build_dp_ps(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> JobDag {
                 node,
                 cfg.fwd_time,
                 CompKind::Forward,
-                format!("F(i{iter})"),
+                CompLabel::from("F").iteration(iter),
                 prev_update[w].as_slice(),
                 &[],
             );
@@ -208,7 +208,7 @@ pub fn build_dp_ps(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> JobDag {
                         node,
                         cfg.bwd_time_per_bucket,
                         CompKind::Backward,
-                        format!("B{}(i{iter})", buckets - l),
+                        CompLabel::from("B").index(buckets - l).iteration(iter),
                         &[],
                         &[],
                     )
@@ -251,7 +251,7 @@ pub fn build_dp_ps(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> JobDag {
                     node,
                     0.0,
                     CompKind::Update,
-                    format!("U(i{iter})"),
+                    CompLabel::from("U").iteration(iter),
                     &[],
                     &[pull],
                 ))

@@ -14,7 +14,7 @@
 //! equivalent to DP gradient synchronizations: plain Coflows.
 
 use crate::config::FsdpConfig;
-use crate::dag::{CompKind, DagBuilder, JobDag};
+use crate::dag::{CompKind, CompLabel, DagBuilder, JobDag};
 use crate::ids::{CommId, CompId, IdAlloc};
 use echelon_collectives::{CollectiveOp, Style};
 use echelon_core::arrangement::ArrangementFn;
@@ -80,7 +80,7 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
                         node,
                         cfg.fwd_time_per_layer,
                         CompKind::Forward,
-                        format!("F{}(i{iter})", l + 1),
+                        CompLabel::from("F").index(l + 1).iteration(iter),
                         &[],
                         &[ag],
                     )
@@ -100,7 +100,7 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
                         node,
                         cfg.bwd_time_per_layer,
                         CompKind::Backward,
-                        format!("B{}(i{iter})", l + 1),
+                        CompLabel::from("B").index(l + 1).iteration(iter),
                         &[],
                         &[ag],
                     )
@@ -145,7 +145,7 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
                     node,
                     0.0,
                     CompKind::Update,
-                    format!("U(i{iter})"),
+                    CompLabel::from("U").iteration(iter),
                     &[],
                     &rs_comms,
                 )

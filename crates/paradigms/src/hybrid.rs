@@ -21,7 +21,7 @@
 //! abstraction.
 
 use crate::config::PpConfig;
-use crate::dag::{CompKind, DagBuilder, JobDag};
+use crate::dag::{CompKind, CompLabel, DagBuilder, JobDag};
 use crate::ids::{CompId, IdAlloc};
 use crate::pp::{build_iteration, gpipe_program};
 use echelon_collectives::{CollectiveOp, Style};
@@ -129,7 +129,7 @@ pub fn build_hybrid(job: JobId, cfg: &HybridConfig, alloc: &mut IdAlloc) -> JobD
                     worker,
                     0.0,
                     CompKind::Update,
-                    format!("U(i{iter})"),
+                    CompLabel::from("U").iteration(iter),
                     &[],
                     &[stage_sync[s]],
                 );

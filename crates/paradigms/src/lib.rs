@@ -68,7 +68,7 @@ pub mod tp;
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::config::{DpConfig, FsdpConfig, PpConfig, TpConfig};
-    pub use crate::dag::{CommUnit, CompUnit, DagBuilder, JobDag};
+    pub use crate::dag::{CommUnit, CompLabel, CompUnit, DagBuilder, JobDag};
     pub use crate::dp::{build_dp_allreduce, build_dp_hierarchical, build_dp_ps};
     pub use crate::fsdp::build_fsdp;
     pub use crate::hybrid::{build_hybrid, HybridConfig};

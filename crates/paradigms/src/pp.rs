@@ -14,7 +14,7 @@
 //! flows into one Coflow (what Fig. 2b schedules).
 
 use crate::config::PpConfig;
-use crate::dag::{CompKind, DagBuilder, JobDag};
+use crate::dag::{CompKind, CompLabel, DagBuilder, JobDag};
 use crate::ids::{CommId, CompId, IdAlloc};
 use echelon_collectives::{CollectiveOp, Style};
 use echelon_core::arrangement::ArrangementFn;
@@ -171,7 +171,7 @@ pub(crate) fn build_iteration(
                             cfg.placement[s],
                             cfg.fwd_time,
                             CompKind::Forward,
-                            format!("F{m}"),
+                            CompLabel::from("F").index(m),
                             dep_comp,
                             dep_comm.as_slice(),
                         );
@@ -212,7 +212,7 @@ pub(crate) fn build_iteration(
                             cfg.placement[s],
                             cfg.bwd_time,
                             CompKind::Backward,
-                            format!("B{m}"),
+                            CompLabel::from("B").index(m),
                             &[f],
                             dep_comm.as_slice(),
                         );
@@ -310,7 +310,7 @@ fn build_pipeline(
                 cfg.placement[s],
                 0.0,
                 CompKind::Update,
-                format!("U(i{iter})"),
+                CompLabel::from("U").iteration(iter),
                 it.bwd_comp(s),
                 &[],
             );

@@ -222,7 +222,7 @@ impl RunResult {
         self.timeline.push(TimelineEntry {
             worker: unit.worker,
             comp: id,
-            label: unit.label.clone(),
+            label: unit.label.to_string(),
             kind: unit.kind,
             start,
             end,

@@ -8,7 +8,7 @@
 //! TP is Coflow-compliant (Table 1).
 
 use crate::config::TpConfig;
-use crate::dag::{CompKind, DagBuilder, JobDag};
+use crate::dag::{CompKind, CompLabel, DagBuilder, JobDag};
 use crate::ids::{CommId, CompId, IdAlloc};
 use echelon_collectives::{CollectiveOp, Style};
 use echelon_core::JobId;
@@ -33,10 +33,10 @@ pub fn build_tp(job: JobId, cfg: &TpConfig, alloc: &mut IdAlloc) -> JobDag {
         // Forward: layer computation, then activation all-reduce; then
         // backward: layer computation, then gradient all-reduce, deepest
         // layer first.
-        let forward = (1..=cfg.layers).map(|l| (l, 'F', CompKind::Forward, cfg.fwd_time_per_layer));
+        let forward = (1..=cfg.layers).map(|l| (l, "F", CompKind::Forward, cfg.fwd_time_per_layer));
         let backward = (1..=cfg.layers)
             .rev()
-            .map(|l| (l, 'B', CompKind::Backward, cfg.bwd_time_per_layer));
+            .map(|l| (l, "B", CompKind::Backward, cfg.bwd_time_per_layer));
         for (l, tag, kind, duration) in forward.chain(backward) {
             comps.clear();
             for &node in workers {
@@ -44,7 +44,7 @@ pub fn build_tp(job: JobId, cfg: &TpConfig, alloc: &mut IdAlloc) -> JobDag {
                     node,
                     duration,
                     kind,
-                    format!("{tag}{l}(i{iter})"),
+                    CompLabel::from(tag).index(l).iteration(iter),
                     &[],
                     prev_barrier.as_slice(),
                 ));
@@ -59,7 +59,7 @@ pub fn build_tp(job: JobId, cfg: &TpConfig, alloc: &mut IdAlloc) -> JobDag {
                 node,
                 0.0,
                 CompKind::Update,
-                format!("U(i{iter})"),
+                CompLabel::from("U").iteration(iter),
                 &[],
                 prev_barrier.as_slice(),
             );

@@ -269,6 +269,23 @@ const CROSS_POD: u32 = u32::MAX;
 /// routes.
 const UNINDEXED: u32 = u32::MAX - 1;
 
+/// Binary search for `id` in the id-sorted `flows[from..]`, returning an
+/// index into `flows`. It probes forward from `from` at doubling steps
+/// first, so a target `d` entries ahead costs O(log d), not O(log n).
+fn search_from(flows: &[ActiveFlowView], from: usize, id: FlowId) -> Result<usize, usize> {
+    // Every entry before `lo` has a smaller id.
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= flows.len() && flows[lo + step - 1].id < id {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(flows.len());
+    flows[lo..hi]
+        .binary_search_by(|v| v.id.cmp(&id))
+        .map(|k| lo + k)
+        .map_err(|k| lo + k)
+}
+
 /// Pod-decomposed max-min fair sharing for fat-tree fabrics.
 ///
 /// On a [`Topology::FatTree`], every resource belongs to exactly one pod
@@ -523,10 +540,17 @@ impl PodMaxMinPolicy {
             self.cache_valid[pod] = true;
             self.pods_recomputed += 1;
             let start = self.members.len();
-            for id in &self.pod_members[pod] {
-                if let Ok(i) = flows.binary_search_by(|v| v.id.cmp(id)) {
-                    self.members.push(i);
-                    self.member_slots.push(flows[i].slot);
+            // Members and flows both ascend by id, so each member is
+            // searched for past the previous one's position.
+            let mut from = 0;
+            for &id in &self.pod_members[pod] {
+                match search_from(flows, from, id) {
+                    Ok(i) => {
+                        self.members.push(i);
+                        self.member_slots.push(flows[i].slot);
+                        from = i + 1;
+                    }
+                    Err(i) => from = i,
                 }
             }
             let members = &self.members[start..];
@@ -935,6 +959,37 @@ mod tests {
             size,
             SimTime::new(release),
         )
+    }
+
+    /// `search_from` finds what a whole-slice binary search finds, from
+    /// any start at or before the target's position.
+    #[test]
+    fn search_from_matches_binary_search() {
+        for n in [0usize, 1, 2, 5, 17, 64] {
+            let flows: Vec<ActiveFlowView> = (0..n as u64)
+                .map(|i| ActiveFlowView {
+                    id: FlowId(3 * i + i % 2),
+                    slot: i as u32,
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    size: 1.0,
+                    remaining: 1.0,
+                    release: SimTime::ZERO,
+                    route: Vec::new(),
+                })
+                .collect();
+            for id in (0..3 * n as u64 + 3).map(FlowId) {
+                let want = flows.binary_search_by(|v| v.id.cmp(&id));
+                let pos = want.unwrap_or_else(|p| p);
+                for from in 0..=pos {
+                    assert_eq!(
+                        search_from(&flows, from, id),
+                        want,
+                        "n {n} id {id} from {from}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!    layers: fat-tree build, `generate_workload_on` (compile, PodPacked
 //!    placement, arrival gates), agents reporting to the coordinator, and
 //!    `Coordinator::into_policy` (the book build) — the median over
-//!    several seeds, with the allocation count of each layer.
+//!    several seeds, with the allocation count of each layer. A last row
+//!    replays the PodPacked placement alone (`place_jobs_on` on the
+//!    instance's own demands, checked equal to the generated placement):
+//!    the share of `generate_workload_on` that placement takes.
 //!
 //! Allocation counts are deterministic; wall times depend on the machine,
 //! so compare them only between builds run back to back.
@@ -21,7 +24,7 @@
 
 use echelonflow::agent::agent::EchelonAgent;
 use echelonflow::agent::coordinator::{Coordinator, CoordinatorConfig};
-use echelonflow::cluster::placement::PlacementPolicy;
+use echelonflow::cluster::placement::{place_jobs_on, PlacementPolicy};
 use echelonflow::cluster::workload::{
     compile_job, generate_workload_on, hosts_needed, ParadigmKind, WorkloadConfig,
 };
@@ -129,9 +132,10 @@ fn per_job(compiles: usize) {
 }
 
 /// One `echelon-dag` set-up, layer by layer: (seconds, allocations) each
-/// for the fabric, the workload, the agent reports and the book build.
-fn echelon_dag_setup(seed: u64) -> [(f64, u64); 4] {
-    let mut layers = [(0.0, 0); 4];
+/// for the fabric, the workload, the agent reports and the book build,
+/// then for the replayed placement.
+fn echelon_dag_setup(seed: u64) -> [(f64, u64); 5] {
+    let mut layers = [(0.0, 0); 5];
     let mut span =
         |i: usize, t: Instant, a: u64| layers[i] = (t.elapsed().as_secs_f64(), allocs() - a);
 
@@ -158,26 +162,46 @@ fn echelon_dag_setup(seed: u64) -> [(f64, u64); 4] {
     let (t, a) = (Instant::now(), allocs());
     let policy = coordinator.into_policy();
     span(3, t, a);
+
+    let demands: Vec<usize> = jobs.iter().map(|j| j.placement.len()).collect();
+    let (t, a) = (Instant::now(), allocs());
+    let placed = place_jobs_on(cfg.placement, cfg.hosts, &demands, &topo, &[]).unwrap();
+    span(4, t, a);
+    assert!(
+        placed.iter().zip(&jobs).all(|(p, j)| *p == j.placement),
+        "the replay must place as the generator did"
+    );
     black_box((topo, jobs, policy));
     layers
 }
 
 fn setup(seeds: u64) {
-    const NAMES: [&str; 4] = [
+    const NAMES: [&str; 5] = [
         "fabric",
         "generate_workload_on",
         "agent reports",
         "into_policy",
+        "PodPacked placement (replayed)",
     ];
-    let runs: Vec<[(f64, u64); 4]> = (1..=seeds).map(echelon_dag_setup).collect();
-    println!("\nechelon-dag set-up layer     median ms   allocs (seed 1)");
+    let runs: Vec<[(f64, u64); 5]> = (1..=seeds).map(echelon_dag_setup).collect();
+    println!("\nechelon-dag set-up layer           median ms   allocs (seed 1)");
     let mut whole = vec![0.0; runs.len()];
-    for (i, name) in NAMES.iter().enumerate() {
+    let row = |i: usize| {
         let ms: Vec<f64> = runs.iter().map(|r| 1e3 * r[i].0).collect();
-        whole.iter_mut().zip(&ms).for_each(|(w, m)| *w += m);
-        println!("{name:<24} {:>10.3}   {:>14}", median(ms), runs[0][i].1);
+        println!(
+            "{:<30} {:>10.3}   {:>14}",
+            NAMES[i],
+            median(ms.clone()),
+            runs[0][i].1
+        );
+        ms
+    };
+    for i in 0..4 {
+        whole.iter_mut().zip(row(i)).for_each(|(w, m)| *w += m);
     }
-    println!("{:<24} {:>10.3}", "whole", median(whole));
+    println!("{:<30} {:>10.3}", "whole", median(whole));
+    // Part of `generate_workload_on` already, so not added to the whole.
+    row(4);
 }
 
 fn main() {

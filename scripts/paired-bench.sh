@@ -72,8 +72,11 @@ mkdir -p "$dir"
 dir=$(cd "$dir" && pwd)
 rm -rf "$dir/par" "$dir/chg" "$dir"/par.*.log "$dir"/chg.*.log
 mkdir "$dir/par" "$dir/chg"
+# `tar -m` stamps the files now: git archive stamps them with the commit
+# time, which may predate the reused target's last build, and cargo would
+# then keep a build of whatever revision that target last compiled.
 git -C "$repo" archive "$(git -C "$repo" rev-parse --verify "$rev^{commit}")" |
-    tar -x -C "$dir/par"
+    tar -x -m -C "$dir/par"
 (
     cd "$repo"
     git ls-files -co --exclude-standard -z |

@@ -88,7 +88,7 @@ impl Fold {
                 CompKind::Update => 3,
                 CompKind::Generic => 4,
             });
-            self.str(&c.label);
+            self.str(&c.label.to_string());
             self.eat(c.deps_comp.len() as u64);
             c.deps_comp.iter().for_each(|d| self.eat(d.0));
             self.eat(c.deps_comm.len() as u64);
