@@ -654,25 +654,25 @@ mod tests {
         assert_eq!(coord.registered_count(), 2);
     }
 
-    /// The full system path (coordinator → policy) is bitwise the
-    /// raw engine it wraps: on an eight-job default-mix workload placed
-    /// pod-packed on a 4:1 oversubscribed k = 8 fat-tree, in both recompute
-    /// modes, for both groupings — the coordinator at its defaults
-    /// against `EchelonMadd`, and with `LeastWork` over one-stage coflow
-    /// groups against `make_policy(Grouping::Coflow, …)`.
+    /// The full system path is bitwise the raw engine it wraps: on an
+    /// eight-job default-mix workload placed pod-packed on a 4:1
+    /// oversubscribed k = 8 fat-tree, in both recompute modes, each
+    /// grouped `SchedulerKind` — the scheduler `Scenario` and the
+    /// service run — against a directly built `EchelonMadd`: at its
+    /// defaults over the EchelonFlows, and with `LeastWork` over
+    /// one-stage coflow groups.
     ///
     /// The plan must be fault-free. A `CoordinatorDown` fault switches
     /// the coordinator to fair share while the raw engine, with no
     /// coordinator to lose, keeps scheduling, so under churn the two
-    /// diverge (the E18 `scattered` / `coflow` churn row's mean JCT moves
-    /// from 68.655 to 68.486). That is why closed-loop `Scenario` keeps
-    /// the raw engine.
+    /// diverge.
     #[test]
     fn system_path_matches_direct_scheduling() {
         use echelon_cluster::placement::PlacementPolicy;
+        use echelon_cluster::scenario::SchedulerKind;
         use echelon_cluster::workload::{generate_workload_on, WorkloadConfig};
         use echelon_core::coflow::Coflow;
-        use echelon_paradigms::runtime::{make_policy, run_jobs_with, Grouping, RunResult};
+        use echelon_paradigms::runtime::{run_jobs_with, RunResult};
         use echelon_simnet::fattree::FatTree;
         use echelon_simnet::runner::RecomputeMode;
 
@@ -686,33 +686,18 @@ mod tests {
             let finishes = r.flow_finishes.iter();
             finishes.map(|(&id, t)| (id, t.secs().to_bits())).collect()
         };
-        for coflow in [false, true] {
+        for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
             for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-                let mut coord = Coordinator::new(CoordinatorConfig {
-                    inter: if coflow {
-                        InterOrder::LeastWork
-                    } else {
-                        InterOrder::EarliestDeadline
-                    },
-                    ..CoordinatorConfig::default()
-                });
-                for dag in &dags {
-                    if coflow {
-                        coord.submit_all(dag.coflows.iter().cloned().map(Coflow::into_echelon));
-                    } else {
-                        coord.submit_all(dag.echelons.iter().cloned());
-                    }
-                }
-                let via_system = run_jobs_with(&topo, &dags, &mut coord.into_policy(), mode);
-                let mut direct = if coflow {
-                    make_policy(Grouping::Coflow, &dags)
+                let via_system = run_jobs_with(&topo, &dags, kind.policy(&dags).as_mut(), mode);
+                let mut direct = if kind == SchedulerKind::Coflow {
+                    let coflows = dags.iter().flat_map(|d| d.coflows.iter().cloned());
+                    EchelonMadd::new(coflows.map(Coflow::into_echelon).collect())
+                        .with_inter(InterOrder::LeastWork)
                 } else {
-                    Box::new(EchelonMadd::new(
-                        dags.iter().flat_map(|d| d.echelons.clone()).collect(),
-                    ))
+                    EchelonMadd::new(dags.iter().flat_map(|d| d.echelons.clone()).collect())
                 };
-                let via_direct = run_jobs_with(&topo, &dags, direct.as_mut(), mode);
-                let at = format!("coflow {coflow}, {mode:?}");
+                let via_direct = run_jobs_with(&topo, &dags, &mut direct, mode);
+                let at = format!("{}, {mode:?}", kind.name());
                 assert!(
                     via_direct.flow_finishes.len() > 100,
                     "{at}: {} flows",

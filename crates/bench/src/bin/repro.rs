@@ -22,8 +22,8 @@
 
 use echelon_bench::experiments as exp;
 use echelon_bench::table::{f, Table};
+use echelon_cluster::scenario::SchedulerKind;
 use echelon_paradigms::dag::CompKind;
-use echelon_paradigms::runtime::Grouping;
 use echelon_simnet::ids::NodeId;
 
 /// An experiment's command-line name and the function printing it.
@@ -243,20 +243,24 @@ fn table1() {
 
 fn fig1() {
     banner("E3 / Fig. 1a — GPipe timeline (4 stages x 4 micro-batches)");
-    for (name, grouping, bytes) in [
+    for (name, kind, bytes) in [
         (
             "fair-sharing, paper regime (transfers fit the gaps)",
-            None,
+            SchedulerKind::Fair,
             1.0,
         ),
-        ("fair-sharing, contended (3B activations)", None, 3.0),
+        (
+            "fair-sharing, contended (3B activations)",
+            SchedulerKind::Fair,
+            3.0,
+        ),
         (
             "echelonflow, contended (3B activations)",
-            Some(Grouping::Echelon),
+            SchedulerKind::Echelon,
             3.0,
         ),
     ] {
-        let out = exp::fig1_timeline(grouping, bytes);
+        let out = exp::fig1_timeline(kind, bytes);
         println!("\n[{name}] makespan = {}", out.makespan);
         for w in 0..4u32 {
             let worker = NodeId(w);

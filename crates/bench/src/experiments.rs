@@ -20,7 +20,7 @@ use echelon_paradigms::fsdp::build_fsdp;
 use echelon_paradigms::ids::IdAlloc;
 use echelon_paradigms::pp::build_pp_gpipe;
 use echelon_paradigms::profiler::profile_gaps;
-use echelon_paradigms::runtime::{make_policy, run_job, run_jobs, Grouping, RunResult};
+use echelon_paradigms::runtime::{run_job, run_jobs, RunResult};
 use echelon_paradigms::tp::build_tp;
 use echelon_sched::echelon::{EchelonMadd, IntraMode};
 use echelon_sched::optimal::{optimal_schedule, Objective};
@@ -60,20 +60,14 @@ pub struct Fig2Result {
 pub fn fig2() -> Fig2Result {
     let topo = Topology::chain(2, 1.0);
     let mut rows = Vec::new();
-    let runs: Vec<(&'static str, Option<Grouping>)> = vec![
-        ("fair-sharing", None),
-        ("coflow", Some(Grouping::Coflow)),
-        ("echelonflow", Some(Grouping::Echelon)),
+    let runs = [
+        ("fair-sharing", SchedulerKind::Fair),
+        ("coflow", SchedulerKind::Coflow),
+        ("echelonflow", SchedulerKind::Echelon),
     ];
-    for (name, grouping) in runs {
+    for (name, kind) in runs {
         let dag = fig2_dag();
-        let out = match grouping {
-            None => run_job(&topo, &dag, &mut MaxMinPolicy),
-            Some(g) => {
-                let mut p = make_policy(g, &[&dag]);
-                run_job(&topo, &dag, p.as_mut())
-            }
-        };
+        let out = run_job(&topo, &dag, kind.policy(&[&dag]).as_mut());
         // The three forward activation flows, in release order.
         let mut releases: Vec<(SimTime, FlowId)> =
             out.flow_releases.iter().map(|(&id, &t)| (t, id)).collect();
@@ -96,20 +90,14 @@ pub type RateSeries = Vec<(SimTime, f64)>;
 pub fn fig2_rate_series() -> Vec<(&'static str, Vec<(FlowId, RateSeries)>)> {
     let topo = Topology::chain(2, 1.0);
     let mut out = Vec::new();
-    let runs: Vec<(&'static str, Option<Grouping>)> = vec![
-        ("fair-sharing", None),
-        ("coflow", Some(Grouping::Coflow)),
-        ("echelonflow", Some(Grouping::Echelon)),
+    let runs = [
+        ("fair-sharing", SchedulerKind::Fair),
+        ("coflow", SchedulerKind::Coflow),
+        ("echelonflow", SchedulerKind::Echelon),
     ];
-    for (name, grouping) in runs {
+    for (name, kind) in runs {
         let dag = fig2_dag();
-        let run = match grouping {
-            None => run_job(&topo, &dag, &mut MaxMinPolicy),
-            Some(g) => {
-                let mut p = make_policy(g, &[&dag]);
-                run_job(&topo, &dag, p.as_mut())
-            }
-        };
+        let run = run_job(&topo, &dag, kind.policy(&[&dag]).as_mut());
         let mut releases: Vec<(SimTime, FlowId)> =
             run.flow_releases.iter().map(|(&id, &t)| (t, id)).collect();
         releases.sort();
@@ -238,10 +226,12 @@ pub fn table1() -> Vec<Table1Row> {
 
     for (paradigm, arrangement, dag, topo) in cases {
         let compliant = dag.echelons.iter().all(|h| h.is_coflow_compliant());
-        let mut pc = make_policy(Grouping::Coflow, &[&dag]);
-        let coflow_time = run_job(&topo, &dag, pc.as_mut()).comp_finish_time().secs();
-        let mut pe = make_policy(Grouping::Echelon, &[&dag]);
-        let echelon_time = run_job(&topo, &dag, pe.as_mut()).comp_finish_time().secs();
+        let finish = |kind: SchedulerKind| {
+            let out = run_job(&topo, &dag, kind.policy(&[&dag]).as_mut());
+            out.comp_finish_time().secs()
+        };
+        let coflow_time = finish(SchedulerKind::Coflow);
+        let echelon_time = finish(SchedulerKind::Echelon);
         rows.push(Table1Row {
             paradigm,
             coflow_compliant: compliant,
@@ -261,7 +251,7 @@ pub fn table1() -> Vec<Table1Row> {
 /// the inherent pipeline bubbles); `activation_bytes > 1.0` makes
 /// transfers slower than compute, where the scheduler changes the
 /// bubbles.
-pub fn fig1_timeline(grouping: Option<Grouping>, activation_bytes: f64) -> RunResult {
+pub fn fig1_timeline(kind: SchedulerKind, activation_bytes: f64) -> RunResult {
     // Fig. 1's shape: 4 stages, 4 micro-batches.
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(
@@ -277,13 +267,7 @@ pub fn fig1_timeline(grouping: Option<Grouping>, activation_bytes: f64) -> RunRe
         &mut alloc,
     );
     let topo = Topology::chain(4, 1.0);
-    match grouping {
-        None => run_job(&topo, &dag, &mut MaxMinPolicy),
-        Some(g) => {
-            let mut p = make_policy(g, &[&dag]);
-            run_job(&topo, &dag, p.as_mut())
-        }
-    }
+    run_job(&topo, &dag, kind.policy(&[&dag]).as_mut())
 }
 
 // ---------------------------------------------------------------- E4 --
@@ -419,13 +403,13 @@ pub fn workflows() -> Vec<WorkflowRow> {
             ops.push_str(&format!("{name}x{count}"));
         }
 
-        let fair = run_job(&topo, &dag, &mut MaxMinPolicy)
-            .comp_finish_time()
-            .secs();
-        let mut pc = make_policy(Grouping::Coflow, &[&dag]);
-        let coflow = run_job(&topo, &dag, pc.as_mut()).comp_finish_time().secs();
-        let mut pe = make_policy(Grouping::Echelon, &[&dag]);
-        let echelon = run_job(&topo, &dag, pe.as_mut()).comp_finish_time().secs();
+        let finish = |kind: SchedulerKind| {
+            let out = run_job(&topo, &dag, kind.policy(&[&dag]).as_mut());
+            out.comp_finish_time().secs()
+        };
+        let fair = finish(SchedulerKind::Fair);
+        let coflow = finish(SchedulerKind::Coflow);
+        let echelon = finish(SchedulerKind::Echelon);
         rows.push(WorkflowRow {
             paradigm,
             ops,
@@ -801,17 +785,16 @@ pub fn ablation_queues() -> Vec<(String, f64)> {
     ];
     let dag_refs: Vec<&_> = dags.iter().collect();
 
+    let echelons: Vec<EchelonFlow> = dags
+        .iter()
+        .flat_map(|d| d.echelons.iter().cloned())
+        .collect();
     let mut rows = Vec::new();
-    let mut exact = make_policy(Grouping::Echelon, &dag_refs);
-    let out = run_jobs(&topo, &dag_refs, exact.as_mut());
+    let out = run_jobs(&topo, &dag_refs, &mut EchelonMadd::new(echelons.clone()));
     rows.push(("exact rates".to_string(), out.makespan.secs()));
     for queues in [1u8, 2, 4, 8] {
-        let echelons: Vec<EchelonFlow> = dags
-            .iter()
-            .flat_map(|d| d.echelons.iter().cloned())
-            .collect();
         let mut policy = QueueEnforcedPolicy::new(
-            EchelonMadd::new(echelons),
+            EchelonMadd::new(echelons.clone()),
             QueueConfig { queues, ratio: 2.0 },
         );
         let out = run_jobs(&topo, &dag_refs, &mut policy);
@@ -1330,8 +1313,8 @@ mod tests {
 
     #[test]
     fn fig1_contended_echelon_not_worse() {
-        let fair = fig1_timeline(None, 3.0);
-        let echelon = fig1_timeline(Some(Grouping::Echelon), 3.0);
+        let fair = fig1_timeline(SchedulerKind::Fair, 3.0);
+        let echelon = fig1_timeline(SchedulerKind::Echelon, 3.0);
         assert!(
             echelon.makespan.secs() <= fair.makespan.secs() + 1e-6,
             "echelon {} vs fair {}",
@@ -1409,19 +1392,19 @@ mod tests {
     const CODESIGN_SEED42_DIGESTS: &str = "\
 packed fair 216fc993492af549 b933bcc055d815a9
 packed coflow f96d4c1b5756b9e6 ce8388fe48fe0977
-packed echelon 7e7e6ef2e80db5a8 a1c245c9c6ea3886
+packed echelon 7e7e6ef2e80db5a8 50a1f843c1f0aba6
 scattered fair 5cf78a1573456855 c759e89e7bc9132d
-scattered coflow 6124ee9446006006 6124ee9446006006
-scattered echelon 875d6ba5f22714d9 be8f7eeafbc5b50e
+scattered coflow 6124ee9446006006 f3a78a5c306fbb76
+scattered echelon 875d6ba5f22714d9 7a445e0142fcdaf9
 pod-packed fair 216fc993492af549 05f874b281b4a59b
 pod-packed coflow f96d4c1b5756b9e6 14cc20ae32c24e79
-pod-packed echelon 7e7e6ef2e80db5a8 e164c112b0796ca1
+pod-packed echelon 7e7e6ef2e80db5a8 9320f671917569fd
 phase-interleaved fair 216fc993492af549 05f874b281b4a59b
 phase-interleaved coflow f96d4c1b5756b9e6 14cc20ae32c24e79
-phase-interleaved echelon 7e7e6ef2e80db5a8 e164c112b0796ca1
+phase-interleaved echelon 7e7e6ef2e80db5a8 9320f671917569fd
 least-contended fair 216fc993492af549 b933bcc055d815a9
 least-contended coflow f96d4c1b5756b9e6 ce8388fe48fe0977
-least-contended echelon 7e7e6ef2e80db5a8 a1c245c9c6ea3886
+least-contended echelon 7e7e6ef2e80db5a8 50a1f843c1f0aba6
 ";
 
     #[test]

@@ -18,7 +18,8 @@
 //!   per-EchelonFlow tardiness reconstructed from the run trace (Eq. 2),
 //!   the global objective (Eq. 4), and worker idleness.
 //! - [`scenario`] — end-to-end scenario runner comparing schedulers on
-//!   the same workload.
+//!   the same workload, and [`scenario::SchedulerKind::policy`], which
+//!   builds every run's scheduler.
 //! - [`churn`] — seeded fault-plan generation (link flaps, degradations,
 //!   coordinator outages, stragglers) for the capacity-churn experiments.
 //! - [`service`] — the open-loop service runner: streaming job arrivals
@@ -44,7 +45,7 @@ pub mod prelude {
         place_jobs, place_jobs_on, placer_for, pods_spanned, HostPool, PlacementError,
         PlacementPolicy, PlacementRequest, Placer,
     };
-    pub use crate::scenario::{run_scenario, Scenario, SchedulerKind};
+    pub use crate::scenario::{Scenario, SchedulerKind};
     pub use crate::service::{run_service, ServiceConfig, ServiceMode, ServiceOutcome};
     pub use crate::workload::{
         apply_compute_jitter, delay_start, generate_workload, generate_workload_on, ArrivalProcess,

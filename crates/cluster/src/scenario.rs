@@ -7,12 +7,13 @@
 
 use crate::metrics::{scenario_metrics, ScenarioMetrics};
 use crate::workload::{generate_workload_on, GeneratedJob, WorkloadConfig};
+use echelon_agent::coordinator::{CoordinatedPolicy, Coordinator, CoordinatorConfig};
+use echelon_core::coflow::Coflow;
 use echelon_paradigms::dag::JobDag;
 use echelon_paradigms::ids::IdAlloc;
-use echelon_paradigms::runtime::{
-    make_policy, run_jobs, run_jobs_faulted, run_jobs_with, Grouping, RunResult,
-};
+use echelon_paradigms::runtime::{run_jobs, run_jobs_faulted, run_jobs_with, RunResult};
 use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
+use echelon_sched::echelon::InterOrder;
 use echelon_simnet::fault::FaultPlan;
 use echelon_simnet::runner::{MaxMinPolicy, RatePolicy, RecomputeMode};
 use echelon_simnet::topology::Topology;
@@ -26,9 +27,12 @@ pub enum SchedulerKind {
     Fifo,
     /// Per-flow SRPT.
     Srpt,
-    /// Varys/MADD over the Coflow formulation.
+    /// The Coflow formulation: the paper's coordinator over each job's
+    /// Coflows as one-stage EchelonFlows, ranked by least work (Varys'
+    /// smallest-bottleneck-first order).
     Coflow,
-    /// EchelonFlow scheduling (the paper's contribution).
+    /// EchelonFlow scheduling (the paper's contribution): the paper's
+    /// coordinator at its defaults over each job's EchelonFlows.
     Echelon,
 }
 
@@ -52,16 +56,58 @@ impl SchedulerKind {
             SchedulerKind::Echelon => "echelon",
         }
     }
-}
 
-/// A fresh policy instance for one scheduler over one job set.
-fn policy_for(kind: SchedulerKind, dags: &[&JobDag]) -> Box<dyn RatePolicy> {
-    match kind {
-        SchedulerKind::Fair => Box::new(MaxMinPolicy),
-        SchedulerKind::Fifo => Box::new(FifoPolicy),
-        SchedulerKind::Srpt => Box::new(SrptPolicy),
-        SchedulerKind::Coflow => make_policy(Grouping::Coflow, dags),
-        SchedulerKind::Echelon => make_policy(Grouping::Echelon, dags),
+    /// A fresh scheduler of this kind over `dags`. The grouped kinds
+    /// are the paper's global coordinator (§5) with every declared group
+    /// of `dags` registered; the per-flow kinds keep no group state.
+    pub fn policy(self, dags: &[&JobDag]) -> Box<dyn RatePolicy> {
+        match self {
+            SchedulerKind::Fair => Box::new(MaxMinPolicy),
+            SchedulerKind::Fifo => Box::new(FifoPolicy),
+            SchedulerKind::Srpt => Box::new(SrptPolicy),
+            SchedulerKind::Coflow | SchedulerKind::Echelon => {
+                Box::new(self.coordinator(dags).expect("a grouped kind"))
+            }
+        }
+    }
+
+    /// The coordinator a grouped kind runs, with `dags`' groups
+    /// registered; `None` for the per-flow kinds.
+    pub(crate) fn coordinator(self, dags: &[&JobDag]) -> Option<CoordinatedPolicy> {
+        let (groups, inter) = self.grouped(
+            || {
+                dags.iter()
+                    .flat_map(|d| d.echelons.iter().cloned())
+                    .collect::<Vec<_>>()
+            },
+            || {
+                let coflows = dags.iter().flat_map(|d| d.coflows.iter().cloned());
+                coflows.map(Coflow::into_echelon).collect()
+            },
+        )?;
+        let mut coordinator = Coordinator::new(CoordinatorConfig {
+            inter,
+            ..CoordinatorConfig::default()
+        });
+        coordinator.submit_all(groups);
+        Some(coordinator.into_policy())
+    }
+
+    /// Which of a job's two group lists a grouped kind schedules, and how
+    /// the coordinator ranks them: echelon takes the EchelonFlows in the
+    /// paper's default order, coflow the Coflows (as one-stage
+    /// EchelonFlows) by least work. `None` for the per-flow kinds. Only
+    /// the chosen list is built.
+    pub(crate) fn grouped<T>(
+        self,
+        echelons: impl FnOnce() -> T,
+        coflows: impl FnOnce() -> T,
+    ) -> Option<(T, InterOrder)> {
+        match self {
+            SchedulerKind::Echelon => Some((echelons(), CoordinatorConfig::default().inter)),
+            SchedulerKind::Coflow => Some((coflows(), InterOrder::LeastWork)),
+            SchedulerKind::Fair | SchedulerKind::Fifo | SchedulerKind::Srpt => None,
+        }
     }
 }
 
@@ -110,7 +156,7 @@ impl Scenario {
         mode: RecomputeMode,
     ) -> (RunResult, ScenarioMetrics) {
         let dags: Vec<&_> = self.jobs.iter().map(|j| &j.dag).collect();
-        let mut policy = policy_for(kind, &dags);
+        let mut policy = kind.policy(&dags);
         let run = run_jobs_with(&self.topology, &dags, policy.as_mut(), mode);
         let metrics = scenario_metrics(&self.jobs, &run);
         (run, metrics)
@@ -128,7 +174,7 @@ impl Scenario {
         plan: &FaultPlan,
     ) -> (RunResult, ScenarioMetrics) {
         let dags: Vec<&_> = self.jobs.iter().map(|j| &j.dag).collect();
-        let mut policy = policy_for(kind, &dags);
+        let mut policy = kind.policy(&dags);
         let run = run_jobs_faulted(&self.topology, &dags, policy.as_mut(), mode, plan);
         let metrics = scenario_metrics(&self.jobs, &run);
         (run, metrics)
@@ -141,24 +187,6 @@ impl Scenario {
         let metrics = scenario_metrics(&self.jobs, &run);
         (run, metrics)
     }
-
-    /// Runs the scenario under **all** schedulers, fanning the runs out
-    /// across worker threads via [`echelon_simnet::sweep`]. The runs
-    /// share nothing (each builds its own policy), results come back in
-    /// [`SchedulerKind::ALL`] order regardless of thread count, and each
-    /// run is bit-identical to its serial [`Scenario::run_with_mode`]
-    /// counterpart.
-    pub fn run_all(&self, mode: RecomputeMode) -> Vec<(SchedulerKind, RunResult, ScenarioMetrics)> {
-        echelon_simnet::sweep::sweep(&SchedulerKind::ALL, |_, &kind| {
-            let (run, metrics) = self.run_with_mode(kind, mode);
-            (kind, run, metrics)
-        })
-    }
-}
-
-/// Convenience: generate and run one workload under one scheduler.
-pub fn run_scenario(cfg: &WorkloadConfig, kind: SchedulerKind) -> ScenarioMetrics {
-    Scenario::generate(cfg).run(kind).1
 }
 
 #[cfg(test)]
@@ -213,40 +241,6 @@ mod tests {
         }
     }
 
-    /// The parallel all-schedulers fan-out returns results in `ALL` order
-    /// and each run is bit-identical to its serial counterpart, for both
-    /// the default thread count and a forced multi-thread sweep.
-    #[test]
-    fn run_all_matches_serial_runs_bitwise() {
-        let cfg = WorkloadConfig::default_mix(41, 4, 24);
-        let scenario = Scenario::generate(&cfg);
-        let serial: Vec<_> = SchedulerKind::ALL
-            .iter()
-            .map(|&k| scenario.run_with_mode(k, RecomputeMode::Incremental))
-            .collect();
-        let check = |results: &[(SchedulerKind, RunResult, ScenarioMetrics)]| {
-            assert_eq!(results.len(), SchedulerKind::ALL.len());
-            for (i, (kind, run, metrics)) in results.iter().enumerate() {
-                assert_eq!(*kind, SchedulerKind::ALL[i], "result order broke");
-                let (sr, sm) = &serial[i];
-                assert_eq!(run.trace.events(), sr.trace.events(), "{}", kind.name());
-                assert_eq!(run.flow_finishes, sr.flow_finishes);
-                assert_eq!(metrics.mean_jct.to_bits(), sm.mean_jct.to_bits());
-                assert_eq!(
-                    metrics.total_tardiness.to_bits(),
-                    sm.total_tardiness.to_bits()
-                );
-            }
-        };
-        check(&scenario.run_all(RecomputeMode::Incremental));
-        // Forced multi-thread sweep over the same grid.
-        let forced = echelon_simnet::sweep::sweep_with(4, &SchedulerKind::ALL, |_, &kind| {
-            let (run, metrics) = scenario.run_with_mode(kind, RecomputeMode::Incremental);
-            (kind, run, metrics)
-        });
-        check(&forced);
-    }
-
     /// Under randomized churn every scheduler still completes the
     /// workload, Full and Incremental remain bit-identical, and the
     /// faulted run is never faster than the fault-free one.
@@ -279,11 +273,39 @@ mod tests {
         }
     }
 
+    /// The grouped kinds are the paper's coordinator, so a coordinator
+    /// outage covering the whole run degrades them to fair sharing:
+    /// every flow finishes with the same bits as under `Fair`.
+    #[test]
+    fn grouped_runs_honour_a_coordinator_outage() {
+        use echelon_simnet::fault::FaultKind;
+        use echelon_simnet::time::SimTime;
+
+        let plan = FaultPlan::empty()
+            .with(SimTime::ZERO, FaultKind::CoordinatorDown)
+            .with(SimTime::new(1e6), FaultKind::CoordinatorUp);
+        let bits = |r: &RunResult| -> Vec<_> {
+            let finishes = r.flow_finishes.iter();
+            finishes.map(|(&id, t)| (id, t.secs().to_bits())).collect()
+        };
+        for seed in [13, 29] {
+            let scenario = Scenario::generate(&WorkloadConfig::default_mix(seed, 4, 24));
+            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+                let (fair, _) = scenario.run_faulted(SchedulerKind::Fair, mode, &plan);
+                for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
+                    let (run, _) = scenario.run_faulted(kind, mode, &plan);
+                    let at = format!("seed {seed}, {mode:?}, {}", kind.name());
+                    assert_eq!(bits(&run), bits(&fair), "{at}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn deterministic_across_runs() {
         let cfg = WorkloadConfig::default_mix(23, 3, 16);
-        let a = run_scenario(&cfg, SchedulerKind::Echelon);
-        let b = run_scenario(&cfg, SchedulerKind::Echelon);
+        let (_, a) = Scenario::generate(&cfg).run(SchedulerKind::Echelon);
+        let (_, b) = Scenario::generate(&cfg).run(SchedulerKind::Echelon);
         assert_eq!(a.mean_jct, b.mean_jct);
         assert_eq!(a.total_tardiness, b.total_tardiness);
     }

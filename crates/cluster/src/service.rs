@@ -47,21 +47,19 @@ use crate::workload::{
     compile_job, probe_phase_gap, JobStream, OpenLoopConfig, ParadigmKind, ServicePlacement,
     StreamJob,
 };
-use echelon_agent::coordinator::{CoordinatedPolicy, Coordinator, CoordinatorConfig};
+use echelon_agent::coordinator::CoordinatedPolicy;
 use echelon_core::coflow::Coflow;
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::{EchelonId, JobId};
 use echelon_paradigms::dag::JobDag;
 use echelon_paradigms::ids::IdAlloc;
 use echelon_paradigms::runtime::{run_jobs_streamed, JobFeed, RunResult};
-use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
-use echelon_sched::echelon::InterOrder;
 use echelon_simnet::alloc::AllocScratch;
 use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
 use echelon_simnet::ids::NodeId;
-use echelon_simnet::runner::{MaxMinPolicy, RatePolicy, RecomputeMode};
+use echelon_simnet::runner::{RatePolicy, RecomputeMode};
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
 use std::cell::RefCell;
@@ -548,44 +546,11 @@ impl JobFeed for ServiceFeed {
     }
 }
 
+/// A service run's scheduler: the paper's coordinator for the grouped
+/// kinds, which the bus feeds, or a bookless per-flow baseline.
 enum Engine {
-    /// The paper's coordinator; `coflows` says which of an admitted job's
-    /// group lists it schedules (coflows enter as one-stage EchelonFlows).
-    Coordinated {
-        policy: Box<CoordinatedPolicy>,
-        coflows: bool,
-    },
+    Coordinated(Box<CoordinatedPolicy>),
     Plain(Box<dyn RatePolicy>),
-}
-
-/// The scheduler `kind` runs, with `jobs`' groups registered up front.
-/// The grouped kinds are the coordinator: echelon with the paper's
-/// defaults, coflow ranking its one-stage groups by least work, which is
-/// Varys' smallest-bottleneck-first order.
-fn engine_for(kind: SchedulerKind, jobs: &[StreamJob]) -> Engine {
-    let coflows = match kind {
-        SchedulerKind::Echelon => false,
-        SchedulerKind::Coflow => true,
-        SchedulerKind::Fair => return Engine::Plain(Box::new(MaxMinPolicy)),
-        SchedulerKind::Fifo => return Engine::Plain(Box::new(FifoPolicy)),
-        SchedulerKind::Srpt => return Engine::Plain(Box::new(SrptPolicy)),
-    };
-    let mut config = CoordinatorConfig::default();
-    if coflows {
-        config.inter = InterOrder::LeastWork;
-    }
-    let mut coordinator = Coordinator::new(config);
-    for dag in jobs.iter().filter_map(|j| j.dag.as_ref()) {
-        if coflows {
-            coordinator.submit_all(dag.coflows.iter().cloned().map(Coflow::into_echelon));
-        } else {
-            coordinator.submit_all(dag.echelons.iter().cloned());
-        }
-    }
-    Engine::Coordinated {
-        policy: Box::new(coordinator.into_policy()),
-        coflows,
-    }
 }
 
 /// Scheduler wrapper for service runs: before every allocation it
@@ -596,6 +561,7 @@ fn engine_for(kind: SchedulerKind, jobs: &[StreamJob]) -> Engine {
 /// Per-flow baselines (fair/FIFO/SRPT) keep no group state and simply
 /// ignore lifecycle events.
 pub struct ServicePolicy {
+    kind: SchedulerKind,
     engine: Engine,
     bus: Option<LifecycleBus>,
     /// When false, retirements on the bus are dropped: the
@@ -610,11 +576,7 @@ impl ServicePolicy {
     /// Open-loop wrapper for `kind`: group schedulers start *empty* and
     /// learn their groups through `bus`.
     pub fn open(kind: SchedulerKind, bus: LifecycleBus) -> ServicePolicy {
-        ServicePolicy {
-            engine: engine_for(kind, &[]),
-            bus: Some(bus),
-            evict: true,
-        }
+        ServicePolicy::new(kind, &[], Some(bus))
     }
 
     /// Like [`ServicePolicy::open`] but retirement events are ignored:
@@ -632,9 +594,19 @@ impl ServicePolicy {
     /// registered up front, no bus, nothing ever evicted. Jobs must be
     /// compiled (fixed placement).
     pub fn closed(kind: SchedulerKind, jobs: &[StreamJob]) -> ServicePolicy {
+        let dags: Vec<&JobDag> = jobs.iter().filter_map(|j| j.dag.as_ref()).collect();
+        ServicePolicy::new(kind, &dags, None)
+    }
+
+    fn new(kind: SchedulerKind, dags: &[&JobDag], bus: Option<LifecycleBus>) -> ServicePolicy {
+        let engine = match kind.coordinator(dags) {
+            Some(coordinator) => Engine::Coordinated(Box::new(coordinator)),
+            None => Engine::Plain(kind.policy(dags)),
+        };
         ServicePolicy {
-            engine: engine_for(kind, jobs),
-            bus: None,
+            kind,
+            engine,
+            bus,
             evict: true,
         }
     }
@@ -645,44 +617,43 @@ impl ServicePolicy {
     fn drain_bus(&mut self) {
         let Some(bus) = &self.bus else { return };
         let mut queue = bus.borrow_mut();
-        while let Some(event) = queue.pop_front() {
-            let Engine::Coordinated {
-                policy,
-                coflows: by_coflow,
-            } = &mut self.engine
-            else {
-                continue;
-            };
+        let Engine::Coordinated(policy) = &mut self.engine else {
+            // Per-flow baselines keep no groups.
+            queue.clear();
+            return;
+        };
+        for event in queue.drain(..) {
             match event {
                 Lifecycle::Admitted { echelons, coflows } => {
-                    if *by_coflow {
-                        coflows
-                            .into_iter()
-                            .for_each(|c| policy.register(c.into_echelon()));
-                    } else {
-                        echelons.into_iter().for_each(|h| policy.register(h));
+                    let groups = self.kind.grouped(
+                        || echelons,
+                        || coflows.into_iter().map(Coflow::into_echelon).collect(),
+                    );
+                    for h in groups.into_iter().flat_map(|(groups, _)| groups) {
+                        policy.register(h);
                     }
                 }
-                Lifecycle::Retired { echelons, coflows } => {
-                    if self.evict {
-                        let ids = if *by_coflow { coflows } else { echelons };
-                        ids.into_iter().for_each(|id| policy.retire(id));
+                Lifecycle::Retired { echelons, coflows } if self.evict => {
+                    let ids = self.kind.grouped(|| echelons, || coflows);
+                    for id in ids.into_iter().flat_map(|(ids, _)| ids) {
+                        policy.retire(id);
                     }
                 }
+                Lifecycle::Retired { .. } => {}
             }
         }
     }
 
     fn engine_mut(&mut self) -> &mut dyn RatePolicy {
         match &mut self.engine {
-            Engine::Coordinated { policy, .. } => policy.as_mut(),
+            Engine::Coordinated(policy) => policy.as_mut(),
             Engine::Plain(p) => p.as_mut(),
         }
     }
 
     fn engine_ref(&self) -> &dyn RatePolicy {
         match &self.engine {
-            Engine::Coordinated { policy, .. } => policy.as_ref(),
+            Engine::Coordinated(policy) => policy.as_ref(),
             Engine::Plain(p) => p.as_ref(),
         }
     }

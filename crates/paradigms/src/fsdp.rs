@@ -158,7 +158,9 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{make_policy, run_job, Grouping};
+    use crate::runtime::run_job;
+    use echelon_core::coflow::Coflow;
+    use echelon_sched::echelon::{EchelonMadd, InterOrder};
     use echelon_simnet::ids::NodeId;
     use echelon_simnet::runner::MaxMinPolicy;
     use echelon_simnet::topology::Topology;
@@ -226,12 +228,13 @@ mod tests {
         let mut alloc = IdAlloc::new();
         let dag = build_fsdp(JobId(0), &cfg(), &mut alloc);
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let mut pe = make_policy(Grouping::Echelon, &[&dag]);
-        let out_e = run_job(&topo, &dag, pe.as_mut());
+        let mut pe = EchelonMadd::new(dag.echelons.clone());
+        let out_e = run_job(&topo, &dag, &mut pe);
         let mut alloc2 = IdAlloc::new();
         let dag2 = build_fsdp(JobId(0), &cfg(), &mut alloc2);
-        let mut pc = make_policy(Grouping::Coflow, &[&dag2]);
-        let out_c = run_job(&topo, &dag2, pc.as_mut());
+        let coflows = dag2.coflows.iter().cloned().map(Coflow::into_echelon);
+        let mut pc = EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork);
+        let out_c = run_job(&topo, &dag2, &mut pc);
         assert!(
             out_e.makespan.secs() <= out_c.makespan.secs() + 1e-6,
             "echelon {:?} vs coflow {:?}",

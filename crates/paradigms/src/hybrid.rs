@@ -144,7 +144,9 @@ pub fn build_hybrid(job: JobId, cfg: &HybridConfig, alloc: &mut IdAlloc) -> JobD
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{make_policy, run_job, Grouping};
+    use crate::runtime::run_job;
+    use echelon_core::coflow::Coflow;
+    use echelon_sched::echelon::{EchelonMadd, InterOrder};
     use echelon_simnet::runner::MaxMinPolicy;
     use echelon_simnet::topology::Topology;
 
@@ -202,15 +204,12 @@ mod tests {
             build_hybrid(JobId(0), &cfg(), &mut alloc)
         };
         let dag_e = mk();
-        let mut pe = make_policy(Grouping::Echelon, &[&dag_e]);
-        let e = run_job(&topo, &dag_e, pe.as_mut())
-            .comp_finish_time()
-            .secs();
+        let mut pe = EchelonMadd::new(dag_e.echelons.clone());
+        let e = run_job(&topo, &dag_e, &mut pe).comp_finish_time().secs();
         let dag_c = mk();
-        let mut pc = make_policy(Grouping::Coflow, &[&dag_c]);
-        let c = run_job(&topo, &dag_c, pc.as_mut())
-            .comp_finish_time()
-            .secs();
+        let coflows = dag_c.coflows.iter().cloned().map(Coflow::into_echelon);
+        let mut pc = EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork);
+        let c = run_job(&topo, &dag_c, &mut pc).comp_finish_time().secs();
         assert!(e <= c + 1e-6, "echelon {e} vs coflow {c}");
     }
 

@@ -35,6 +35,7 @@
 //! use echelon_core::JobId;
 //! use echelon_paradigms::prelude::*;
 //! use echelon_paradigms::config::PpConfig;
+//! use echelon_sched::echelon::EchelonMadd;
 //! use echelon_simnet::time::SimTime;
 //! use echelon_simnet::topology::Topology;
 //!
@@ -43,15 +44,9 @@
 //! let mut alloc = IdAlloc::new();
 //! let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
 //! let topo = Topology::chain(2, 1.0);
-//! let mut policy = run_job_policy(&dag);
-//! let out = run_job(&topo, &dag, policy.as_mut());
+//! let mut policy = EchelonMadd::new(dag.echelons.clone());
+//! let out = run_job(&topo, &dag, &mut policy);
 //! assert!(out.makespan.secs() > 0.0);
-//!
-//! fn run_job_policy(
-//!     dag: &echelon_paradigms::dag::JobDag,
-//! ) -> Box<dyn echelon_simnet::runner::RatePolicy> {
-//!     echelon_paradigms::runtime::make_policy(Grouping::Echelon, &[dag])
-//! }
 //! ```
 
 pub mod config;
@@ -75,6 +70,6 @@ pub mod prelude {
     pub use crate::ids::{CommId, CompId, IdAlloc};
     pub use crate::pp::{build_pp_1f1b, build_pp_gpipe};
     pub use crate::profiler::{profile_gaps, ProfileReport};
-    pub use crate::runtime::{run_job, run_jobs, Grouping, RunResult};
+    pub use crate::runtime::{run_job, run_jobs, RunResult};
     pub use crate::tp::build_tp;
 }

@@ -350,7 +350,8 @@ pub fn build_pp_1f1b(job: JobId, cfg: &PpConfig, alloc: &mut IdAlloc) -> JobDag 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{make_policy, run_job, Grouping};
+    use crate::runtime::run_job;
+    use echelon_sched::echelon::EchelonMadd;
     use echelon_simnet::ids::NodeId;
     use echelon_simnet::runner::MaxMinPolicy;
     use echelon_simnet::time::SimTime;
@@ -478,8 +479,8 @@ mod tests {
         let mut alloc = IdAlloc::new();
         let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
         let topo = Topology::chain(2, 1.0);
-        let mut policy = make_policy(Grouping::Echelon, &[&dag]);
-        let out = run_job(&topo, &dag, policy.as_mut());
+        let mut policy = EchelonMadd::new(dag.echelons.clone());
+        let out = run_job(&topo, &dag, &mut policy);
         // Last forward on stage 1 (F3) ends at 8.
         let f3_end = out
             .timeline_of(NodeId(1))

@@ -30,9 +30,7 @@
 
 use crate::dag::{CompKind, CompUnit, JobDag};
 use crate::ids::{CommId, CompId};
-use echelon_core::coflow::Coflow;
 use echelon_core::JobId;
-use echelon_sched::echelon::{EchelonMadd, InterOrder};
 use echelon_simnet::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
 use echelon_simnet::fault::{FaultKind, FaultPlan};
 use echelon_simnet::flow::{FlowCompletion, FlowDemand};
@@ -44,37 +42,6 @@ use echelon_simnet::topology::Topology;
 use echelon_simnet::trace::{FlowTrace, TraceEventKind};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-
-/// Which declared grouping to schedule a job under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Grouping {
-    /// The §4 EchelonFlow formulation (scheduled by [`EchelonMadd`]).
-    Echelon,
-    /// The plain Coflow formulation: the same engine over one-stage
-    /// groups (`Coflow::into_echelon`), ranked by
-    /// [`InterOrder::LeastWork`] (Varys' SEBF).
-    Coflow,
-}
-
-/// Builds the matching scheduler over every declared group of `dags`.
-pub fn make_policy(grouping: Grouping, dags: &[&JobDag]) -> Box<dyn RatePolicy> {
-    match grouping {
-        Grouping::Echelon => {
-            let echelons = dags
-                .iter()
-                .flat_map(|d| d.echelons.iter().cloned())
-                .collect();
-            Box::new(EchelonMadd::new(echelons))
-        }
-        Grouping::Coflow => {
-            let coflows = dags
-                .iter()
-                .flat_map(|d| d.coflows.iter().cloned().map(Coflow::into_echelon))
-                .collect();
-            Box::new(EchelonMadd::new(coflows).with_inter(InterOrder::LeastWork))
-        }
-    }
-}
 
 /// An incremental job supplier for open-loop runs ([`run_jobs_streamed`]).
 ///
@@ -922,6 +889,8 @@ mod tests {
     use crate::ids::IdAlloc;
     use echelon_collectives::{CollectiveOp, Style};
     use echelon_core::arrangement::ArrangementFn;
+    use echelon_core::coflow::Coflow;
+    use echelon_sched::echelon::{EchelonMadd, InterOrder};
     use echelon_simnet::runner::MaxMinPolicy;
 
     /// comp(1s) → 2B flow → comp(1s) on a unit link: makespan 4.
@@ -1309,10 +1278,11 @@ mod tests {
         let mut alloc = IdAlloc::new();
         let dag = relay_dag(&mut alloc);
         let topo = Topology::chain(2, 1.0);
-        let mut p1 = make_policy(Grouping::Echelon, &[&dag]);
-        let out1 = run_job(&topo, &dag, p1.as_mut());
-        let mut p2 = make_policy(Grouping::Coflow, &[&dag]);
-        let out2 = run_job(&topo, &dag, p2.as_mut());
+        let mut p1 = EchelonMadd::new(dag.echelons.clone());
+        let out1 = run_job(&topo, &dag, &mut p1);
+        let coflows = dag.coflows.iter().cloned().map(Coflow::into_echelon);
+        let mut p2 = EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork);
+        let out2 = run_job(&topo, &dag, &mut p2);
         // A single flow behaves identically under both.
         assert!(out1.makespan.approx_eq(out2.makespan));
     }

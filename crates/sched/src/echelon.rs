@@ -98,7 +98,7 @@ pub enum IntraMode {
     Equalize,
 }
 
-/// Grouping key: declared EchelonFlow or implicit singleton.
+/// Group key: declared EchelonFlow or implicit singleton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum GroupKey {
     Echelon(EchelonId),

@@ -16,7 +16,8 @@ use echelonflow::core::JobId;
 use echelonflow::paradigms::config::PpConfig;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{make_policy, run_jobs, Grouping};
+use echelonflow::paradigms::runtime::run_jobs;
+use echelonflow::sched::echelon::EchelonMadd;
 use echelonflow::simnet::ids::NodeId;
 use echelonflow::simnet::topology::Topology;
 
@@ -71,8 +72,8 @@ fn main() {
     let out_system = run_jobs(&topo, &dag_refs, &mut enforced);
 
     // Reference: idealized direct EchelonFlow scheduling (exact rates).
-    let mut direct = make_policy(Grouping::Echelon, &dag_refs);
-    let out_direct = run_jobs(&topo, &dag_refs, direct.as_mut());
+    let mut direct = EchelonMadd::new(dags.iter().flat_map(|d| d.echelons.clone()).collect());
+    let out_direct = run_jobs(&topo, &dag_refs, &mut direct);
 
     println!("{:<28} {:>10} {:>10}", "", "job 0", "job 1");
     println!(

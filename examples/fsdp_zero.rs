@@ -9,11 +9,12 @@
 //! Run with: `cargo run --example fsdp_zero`
 
 use echelonflow::cluster::metrics::echelon_tardiness_from_run;
+use echelonflow::cluster::scenario::SchedulerKind;
 use echelonflow::core::JobId;
 use echelonflow::paradigms::config::FsdpConfig;
 use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::ids::IdAlloc;
-use echelonflow::paradigms::runtime::{make_policy, run_job, Grouping, RunResult};
+use echelonflow::paradigms::runtime::{run_job, RunResult};
 use echelonflow::simnet::ids::NodeId;
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
@@ -30,20 +31,19 @@ fn cfg() -> FsdpConfig {
     }
 }
 
-fn run(grouping: Grouping) -> (echelonflow::paradigms::dag::JobDag, RunResult) {
+fn run(kind: SchedulerKind) -> (echelonflow::paradigms::dag::JobDag, RunResult) {
     let mut alloc = IdAlloc::new();
     let dag = build_fsdp(JobId(0), &cfg(), &mut alloc);
     let topo = Topology::big_switch_uniform(3, 1.0);
-    let mut policy = make_policy(grouping, &[&dag]);
-    let out = run_job(&topo, &dag, policy.as_mut());
+    let out = run_job(&topo, &dag, kind.policy(&[&dag]).as_mut());
     (dag, out)
 }
 
 fn main() {
     println!("FSDP/ZeRO: 4 layers x 3 workers, T_fwd=1, T_bwd=2 (Eq. 7)\n");
 
-    let (dag_e, out_e) = run(Grouping::Echelon);
-    let (_, out_c) = run(Grouping::Coflow);
+    let (dag_e, out_e) = run(SchedulerKind::Echelon);
+    let (_, out_c) = run(SchedulerKind::Coflow);
 
     // The phased EchelonFlow over the 2n all-gathers.
     let phased = dag_e

@@ -8,12 +8,12 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use echelonflow::cluster::scenario::SchedulerKind;
 use echelonflow::core::JobId;
 use echelonflow::paradigms::config::PpConfig;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{make_policy, run_job, Grouping};
-use echelonflow::simnet::runner::MaxMinPolicy;
+use echelonflow::paradigms::runtime::run_job;
 use echelonflow::simnet::topology::Topology;
 
 fn main() {
@@ -29,21 +29,20 @@ fn main() {
     // (a) Fair sharing.
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
-    let fair = run_job(&topo, &dag, &mut MaxMinPolicy);
+    let fair = run_job(&topo, &dag, SchedulerKind::Fair.policy(&[&dag]).as_mut());
     println!("{:<22} {:>18}", "fair sharing", forward_finish(&fair));
 
-    // (b) Coflow scheduling (Varys/MADD over the Coflow formulation).
+    // (b) Coflow scheduling: the coordinator over one-stage Coflow
+    // groups, ranked by least work (Varys' smallest-bottleneck-first).
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
-    let mut coflow = make_policy(Grouping::Coflow, &[&dag]);
-    let out = run_job(&topo, &dag, coflow.as_mut());
+    let out = run_job(&topo, &dag, SchedulerKind::Coflow.policy(&[&dag]).as_mut());
     println!("{:<22} {:>18}", "coflow (Varys/MADD)", forward_finish(&out));
 
     // (c) EchelonFlow scheduling.
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
-    let mut echelon = make_policy(Grouping::Echelon, &[&dag]);
-    let out = run_job(&topo, &dag, echelon.as_mut());
+    let out = run_job(&topo, &dag, SchedulerKind::Echelon.policy(&[&dag]).as_mut());
     println!("{:<22} {:>18}", "echelonflow", forward_finish(&out));
 
     println!("\npaper: fair = 8.5, coflow = 10, echelonflow = 8 (optimal)");

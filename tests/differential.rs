@@ -24,9 +24,7 @@ use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::hybrid::{build_hybrid, HybridConfig};
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{
-    make_policy, run_jobs_streamed, run_jobs_with, Grouping, RunResult,
-};
+use echelonflow::paradigms::runtime::{run_jobs_streamed, run_jobs_with, RunResult};
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::simnet::driver::DriveConfig;
@@ -47,6 +45,24 @@ mod support;
 use support::PodReference;
 
 const HOSTS: usize = 6;
+
+/// Builds a scheduler over a DAG set's declared groups.
+type DagPolicy = fn(&[&JobDag]) -> Box<dyn RatePolicy>;
+
+/// The raw MADD engine over a DAG set under each grouping: the declared
+/// EchelonFlows, and the coflows as one-stage groups ranked by least
+/// work (Varys' SEBF).
+const MADDS: [(&str, DagPolicy); 2] = [
+    ("echelon", |dags| {
+        let echelons = dags.iter().flat_map(|d| d.echelons.iter().cloned());
+        Box::new(EchelonMadd::new(echelons.collect()))
+    }),
+    ("coflow", |dags| {
+        let coflows = dags.iter().flat_map(|d| d.coflows.iter().cloned());
+        let groups = coflows.map(Coflow::into_echelon).collect();
+        Box::new(EchelonMadd::new(groups).with_inter(InterOrder::LeastWork))
+    }),
+];
 
 /// A seeded multi-job workload: flows on a big switch, some grouped into
 /// EchelonFlows/Coflows of 2–4 members, some solo, with staggered
@@ -253,14 +269,14 @@ fn paradigm_mix(alloc: &mut IdAlloc) -> Vec<JobDag> {
 #[test]
 fn paradigm_runtime_incremental_matches_full() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
-    for grouping in [Grouping::Echelon, Grouping::Coflow] {
+    for (grouping, madd) in MADDS {
         let mut alloc = IdAlloc::new();
         let dags = paradigm_mix(&mut alloc);
         let dag_refs: Vec<&JobDag> = dags.iter().collect();
 
-        let mut full_policy = make_policy(grouping, &dag_refs);
+        let mut full_policy = madd(&dag_refs);
         let full = run_jobs_with(&topo, &dag_refs, full_policy.as_mut(), RecomputeMode::Full);
-        let mut inc_policy = make_policy(grouping, &dag_refs);
+        let mut inc_policy = madd(&dag_refs);
         let inc = run_jobs_with(
             &topo,
             &dag_refs,
@@ -271,7 +287,7 @@ fn paradigm_runtime_incremental_matches_full() {
         assert_eq!(
             full.trace.events(),
             inc.trace.events(),
-            "trace diverged for {grouping:?}"
+            "trace diverged for {grouping}"
         );
         assert_eq!(full.makespan, inc.makespan);
         assert_eq!(full.job_makespans, inc.job_makespans);
@@ -335,7 +351,7 @@ fn quantized_incremental_matches_full_on_seeded_workloads() {
 #[test]
 fn hybrid_multi_iteration_runtime_matches_across_modes() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
-    for grouping in [Grouping::Echelon, Grouping::Coflow] {
+    for (grouping, madd) in MADDS {
         let mut alloc = IdAlloc::new();
         let hybrid = build_hybrid(
             JobId(0),
@@ -366,9 +382,9 @@ fn hybrid_multi_iteration_runtime_matches_across_modes() {
         let dags = [hybrid, fsdp];
         let dag_refs: Vec<&JobDag> = dags.iter().collect();
 
-        let mut full_policy = make_policy(grouping, &dag_refs);
+        let mut full_policy = madd(&dag_refs);
         let full = run_jobs_with(&topo, &dag_refs, full_policy.as_mut(), RecomputeMode::Full);
-        let mut inc_policy = make_policy(grouping, &dag_refs);
+        let mut inc_policy = madd(&dag_refs);
         let inc = run_jobs_with(
             &topo,
             &dag_refs,
@@ -379,7 +395,7 @@ fn hybrid_multi_iteration_runtime_matches_across_modes() {
         assert_eq!(
             full.trace.events(),
             inc.trace.events(),
-            "trace diverged for {grouping:?}"
+            "trace diverged for {grouping}"
         );
         assert_eq!(full.flow_finishes, inc.flow_finishes);
         assert_eq!(full.job_makespans, inc.job_makespans);
@@ -398,12 +414,12 @@ fn admission_runtime_matches_across_modes() {
         ParadigmKind::DpAllReduce,
         ParadigmKind::Fsdp,
     ];
-    for grouping in [Grouping::Echelon, Grouping::Coflow] {
+    for (grouping, madd) in MADDS {
         let run = |mode: RecomputeMode| {
             let mut alloc = IdAlloc::new();
             let dags = paradigm_mix(&mut alloc);
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
-            let mut policy = make_policy(grouping, &dag_refs);
+            let mut policy = madd(&dag_refs);
             let jobs = dags
                 .into_iter()
                 .zip(arrivals.iter().zip(kinds))
@@ -428,7 +444,7 @@ fn admission_runtime_matches_across_modes() {
         assert!(SimTime::new(2.75).at_or_before(full.job_makespans[&JobId(2)]));
         assert_eq!(
             full.flow_releases, inc.flow_releases,
-            "admission releases diverged for {grouping:?}"
+            "admission releases diverged for {grouping}"
         );
         assert_eq!(full.flow_finishes, inc.flow_finishes);
         assert_eq!(full.job_makespans, inc.job_makespans);
@@ -482,7 +498,7 @@ fn runtime_digest(result: &RunResult) -> u64 {
     h
 }
 
-type PinnedPolicy = (&'static str, fn(&[&JobDag]) -> Box<dyn RatePolicy>, u64);
+type PinnedPolicy = (&'static str, DagPolicy, u64);
 
 /// Runs `paradigm_mix` on the DAG runtime under each policy, in both
 /// recompute modes, and checks the digest of its trace and makespans
@@ -524,16 +540,8 @@ fn policy_runtime_matches_pinned_digests() {
 #[test]
 fn madd_runtime_matches_pinned_digests() {
     assert_runtime_pins(&[
-        (
-            "EchelonMadd",
-            |d| make_policy(Grouping::Echelon, d),
-            0xf3cc_dca0_9ff9_1717,
-        ),
-        (
-            "CoflowMadd",
-            |d| make_policy(Grouping::Coflow, d),
-            0x24b9_7f6e_6681_d3dd,
-        ),
+        ("EchelonMadd", MADDS[0].1, 0xf3cc_dca0_9ff9_1717),
+        ("CoflowMadd", MADDS[1].1, 0x24b9_7f6e_6681_d3dd),
     ]);
 }
 

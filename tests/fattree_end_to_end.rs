@@ -4,6 +4,7 @@
 
 use echelonflow::agent::agent::EchelonAgent;
 use echelonflow::agent::coordinator::{Coordinator, CoordinatorConfig};
+use echelonflow::cluster::scenario::SchedulerKind;
 use echelonflow::core::JobId;
 use echelonflow::paradigms::config::{DpConfig, FsdpConfig, PpConfig, TpConfig};
 use echelonflow::paradigms::dp::build_dp_allreduce;
@@ -11,7 +12,7 @@ use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::hybrid::{build_hybrid, HybridConfig};
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{make_policy, run_job, run_jobs, Grouping};
+use echelonflow::paradigms::runtime::{run_job, run_jobs};
 use echelonflow::paradigms::tp::build_tp;
 use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::ids::NodeId;
@@ -81,7 +82,7 @@ fn all_paradigms_run_cross_pod() {
         ),
     ];
     let dag_refs: Vec<&_> = dags.iter().collect();
-    let mut policy = make_policy(Grouping::Echelon, &dag_refs);
+    let mut policy = SchedulerKind::Echelon.policy(&dag_refs);
     let out = run_jobs(&topo, &dag_refs, policy.as_mut());
     for job in 0..4u32 {
         assert!(
@@ -117,7 +118,7 @@ fn hybrid_rack_aware_on_fattree() {
     // the chained ring-all-reduce stages and *every* ordering trails
     // fair sharing by one compute unit (25 vs 24). Pin the gap as a
     // known, bounded imperfection rather than hiding the instance.
-    let mut policy = make_policy(Grouping::Echelon, &[&dag]);
+    let mut policy = SchedulerKind::Echelon.policy(&[&dag]);
     let echelon = run_job(&topo, &dag, policy.as_mut());
     let gap = echelon.comp_finish_time().secs() / fair.comp_finish_time().secs();
     assert!(

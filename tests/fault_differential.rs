@@ -29,7 +29,7 @@ use echelonflow::paradigms::dp::build_dp_allreduce;
 use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{make_policy, run_jobs_faulted, Grouping};
+use echelonflow::paradigms::runtime::run_jobs_faulted;
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::simnet::driver::DriveConfig;
@@ -551,20 +551,26 @@ fn dag_level_plan() -> FaultPlan {
 fn paradigm_runtime_churn_matches_across_modes() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
     let plan = dag_level_plan();
-    for grouping in [Grouping::Echelon, Grouping::Coflow] {
+    for coflow in [false, true] {
         let run = |mode: RecomputeMode| {
             let mut alloc = IdAlloc::new();
             let dags = paradigm_mix(&mut alloc);
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
-            let mut policy = make_policy(grouping, &dag_refs);
-            run_jobs_faulted(&topo, &dag_refs, policy.as_mut(), mode, &plan)
+            let mut policy = if coflow {
+                let coflows = dags.iter().flat_map(|d| d.coflows.iter().cloned());
+                EchelonMadd::new(coflows.map(Coflow::into_echelon).collect())
+                    .with_inter(InterOrder::LeastWork)
+            } else {
+                EchelonMadd::new(dags.iter().flat_map(|d| d.echelons.clone()).collect())
+            };
+            run_jobs_faulted(&topo, &dag_refs, &mut policy, mode, &plan)
         };
         let full = run(RecomputeMode::Full);
         let inc = run(RecomputeMode::Incremental);
         assert_eq!(
             full.trace.events(),
             inc.trace.events(),
-            "faulted trace diverged across modes for {grouping:?}"
+            "faulted trace diverged across modes (coflow {coflow})"
         );
         assert_eq!(full.flow_finishes, inc.flow_finishes);
         assert_eq!(full.job_makespans, inc.job_makespans);

@@ -7,14 +7,14 @@
 //! scheduling, optimal)** — these tests pin all three to 1e-6, plus the
 //! flow-level schedules behind them.
 
+use echelonflow::cluster::scenario::SchedulerKind;
 use echelonflow::core::JobId;
 use echelonflow::paradigms::config::PpConfig;
 use echelonflow::paradigms::dag::CompKind;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{make_policy, run_job, Grouping, RunResult};
+use echelonflow::paradigms::runtime::{run_job, RunResult};
 use echelonflow::simnet::ids::NodeId;
-use echelonflow::simnet::runner::MaxMinPolicy;
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
@@ -29,22 +29,16 @@ fn forward_finish(out: &RunResult) -> SimTime {
         .expect("forward units on stage 1")
 }
 
-fn fig2_run(grouping: Option<Grouping>) -> RunResult {
+fn fig2_run(kind: SchedulerKind) -> RunResult {
     let topo = Topology::chain(2, 1.0);
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
-    match grouping {
-        None => run_job(&topo, &dag, &mut MaxMinPolicy),
-        Some(g) => {
-            let mut policy = make_policy(g, &[&dag]);
-            run_job(&topo, &dag, policy.as_mut())
-        }
-    }
+    run_job(&topo, &dag, kind.policy(&[&dag]).as_mut())
 }
 
 #[test]
 fn fig2a_fair_sharing_comp_finish_8_5() {
-    let out = fig2_run(None);
+    let out = fig2_run(SchedulerKind::Fair);
     assert!(
         forward_finish(&out).approx_eq(SimTime::new(8.5)),
         "fair sharing comp finish = {:?}, paper says 8.5",
@@ -54,7 +48,7 @@ fn fig2a_fair_sharing_comp_finish_8_5() {
 
 #[test]
 fn fig2b_coflow_comp_finish_10() {
-    let out = fig2_run(Some(Grouping::Coflow));
+    let out = fig2_run(SchedulerKind::Coflow);
     assert!(
         forward_finish(&out).approx_eq(SimTime::new(10.0)),
         "coflow comp finish = {:?}, paper says 10",
@@ -64,7 +58,7 @@ fn fig2b_coflow_comp_finish_10() {
 
 #[test]
 fn fig2c_echelon_comp_finish_8() {
-    let out = fig2_run(Some(Grouping::Echelon));
+    let out = fig2_run(SchedulerKind::Echelon);
     assert!(
         forward_finish(&out).approx_eq(SimTime::new(8.0)),
         "echelon comp finish = {:?}, paper says 8 (optimal)",
@@ -76,7 +70,7 @@ fn fig2c_echelon_comp_finish_8() {
 /// activation flows at 4.5, 6.5 and 7.
 #[test]
 fn fig2a_flow_finishes() {
-    let out = fig2_run(None);
+    let out = fig2_run(SchedulerKind::Fair);
     let forward_flows = forward_flow_finishes(&out);
     assert!(forward_flows[0].approx_eq(SimTime::new(4.5)));
     assert!(forward_flows[1].approx_eq(SimTime::new(6.5)));
@@ -87,7 +81,7 @@ fn fig2a_flow_finishes() {
 /// at t = 7.
 #[test]
 fn fig2b_flows_finish_simultaneously_at_7() {
-    let out = fig2_run(Some(Grouping::Coflow));
+    let out = fig2_run(SchedulerKind::Coflow);
     for t in forward_flow_finishes(&out) {
         assert!(t.approx_eq(SimTime::new(7.0)), "finish {t:?} != 7");
     }
@@ -96,7 +90,7 @@ fn fig2b_flows_finish_simultaneously_at_7() {
 /// Fig. 2c: the EchelonFlow schedule staggers finishes at 3, 5, 7.
 #[test]
 fn fig2c_flows_finish_staggered_3_5_7() {
-    let out = fig2_run(Some(Grouping::Echelon));
+    let out = fig2_run(SchedulerKind::Echelon);
     let finishes = forward_flow_finishes(&out);
     assert!(finishes[0].approx_eq(SimTime::new(3.0)));
     assert!(finishes[1].approx_eq(SimTime::new(5.0)));
@@ -122,9 +116,9 @@ fn forward_flow_finishes(out: &RunResult) -> Vec<SimTime> {
 /// cannot arrive before 7, and one more computation unit takes 1).
 #[test]
 fn fig2_ordering_coflow_worse_than_fair_echelon_best() {
-    let fair = forward_finish(&fig2_run(None));
-    let coflow = forward_finish(&fig2_run(Some(Grouping::Coflow)));
-    let echelon = forward_finish(&fig2_run(Some(Grouping::Echelon)));
+    let fair = forward_finish(&fig2_run(SchedulerKind::Fair));
+    let coflow = forward_finish(&fig2_run(SchedulerKind::Coflow));
+    let echelon = forward_finish(&fig2_run(SchedulerKind::Echelon));
     assert!(echelon < fair, "echelon {echelon:?} !< fair {fair:?}");
     assert!(fair < coflow, "fair {fair:?} !< coflow {coflow:?}");
 }

@@ -12,7 +12,8 @@ use echelonflow::core::JobId;
 use echelonflow::paradigms::config::PpConfig;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{make_policy, run_jobs, Grouping};
+use echelonflow::paradigms::runtime::run_jobs;
+use echelonflow::sched::echelon::EchelonMadd;
 use echelonflow::simnet::ids::NodeId;
 use echelonflow::simnet::topology::Topology;
 
@@ -73,8 +74,8 @@ fn system_close_to_idealized_direct_scheduling() {
     let mut enforced = QueueEnforcedPolicy::new(coordinator.into_policy(), QueueConfig::default());
     let system = run_jobs(&topo, &dag_refs, &mut enforced);
 
-    let mut direct = make_policy(Grouping::Echelon, &dag_refs);
-    let ideal = run_jobs(&topo, &dag_refs, direct.as_mut());
+    let mut direct = EchelonMadd::new(dags.iter().flat_map(|d| d.echelons.clone()).collect());
+    let ideal = run_jobs(&topo, &dag_refs, &mut direct);
 
     // Queue quantization costs at most a modest slowdown per job. (A
     // single job may even finish *earlier* than under exact rates — the

@@ -9,20 +9,24 @@
 //!    non-compliant ones (PP, FSDP) there exist instances where
 //!    EchelonFlow scheduling is strictly better.
 
+use echelonflow::cluster::scenario::SchedulerKind;
 use echelonflow::core::JobId;
 use echelonflow::paradigms::config::{DpConfig, FsdpConfig, PpConfig, TpConfig};
 use echelonflow::paradigms::dp::{build_dp_allreduce, build_dp_ps};
 use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{make_policy, run_job, Grouping};
+use echelonflow::paradigms::runtime::run_job;
 use echelonflow::paradigms::tp::build_tp;
 use echelonflow::simnet::ids::NodeId;
 use echelonflow::simnet::topology::Topology;
 
-fn comp_finish(dag: &echelonflow::paradigms::dag::JobDag, topo: &Topology, g: Grouping) -> f64 {
-    let mut policy = make_policy(g, &[dag]);
-    run_job(topo, dag, policy.as_mut())
+fn comp_finish(
+    dag: &echelonflow::paradigms::dag::JobDag,
+    topo: &Topology,
+    kind: SchedulerKind,
+) -> f64 {
+    run_job(topo, dag, kind.policy(&[dag]).as_mut())
         .comp_finish_time()
         .secs()
 }
@@ -46,8 +50,8 @@ fn dp_allreduce_is_coflow_compliant() {
     assert!(dag.echelons.iter().all(|h| h.is_coflow_compliant()));
     // Behaviour: Coflow scheduling is as good as EchelonFlow scheduling.
     let topo = Topology::big_switch_uniform(3, 1.0);
-    let c = comp_finish(&dag, &topo, Grouping::Coflow);
-    let e = comp_finish(&dag, &topo, Grouping::Echelon);
+    let c = comp_finish(&dag, &topo, SchedulerKind::Coflow);
+    let e = comp_finish(&dag, &topo, SchedulerKind::Echelon);
     assert!((c - e).abs() < 1e-6, "coflow {c} vs echelon {e}");
 }
 
@@ -68,8 +72,8 @@ fn dp_ps_is_coflow_compliant() {
     );
     assert!(dag.echelons.iter().all(|h| h.is_coflow_compliant()));
     let topo = Topology::big_switch_uniform(3, 1.0);
-    let c = comp_finish(&dag, &topo, Grouping::Coflow);
-    let e = comp_finish(&dag, &topo, Grouping::Echelon);
+    let c = comp_finish(&dag, &topo, SchedulerKind::Coflow);
+    let e = comp_finish(&dag, &topo, SchedulerKind::Echelon);
     assert!((c - e).abs() < 1e-6, "coflow {c} vs echelon {e}");
 }
 
@@ -90,8 +94,8 @@ fn tp_is_coflow_compliant() {
     );
     assert!(dag.echelons.iter().all(|h| h.is_coflow_compliant()));
     let topo = Topology::big_switch_uniform(2, 1.0);
-    let c = comp_finish(&dag, &topo, Grouping::Coflow);
-    let e = comp_finish(&dag, &topo, Grouping::Echelon);
+    let c = comp_finish(&dag, &topo, SchedulerKind::Coflow);
+    let e = comp_finish(&dag, &topo, SchedulerKind::Echelon);
     assert!((c - e).abs() < 1e-6, "coflow {c} vs echelon {e}");
 }
 
@@ -103,8 +107,8 @@ fn pp_is_not_coflow_compliant() {
     assert!(dag.echelons.iter().all(|h| !h.is_coflow_compliant()));
     // Behaviour (Fig. 2): Coflow scheduling is strictly worse.
     let topo = Topology::chain(2, 1.0);
-    let c = comp_finish(&dag, &topo, Grouping::Coflow);
-    let e = comp_finish(&dag, &topo, Grouping::Echelon);
+    let c = comp_finish(&dag, &topo, SchedulerKind::Coflow);
+    let e = comp_finish(&dag, &topo, SchedulerKind::Echelon);
     assert!(e + 1e-6 < c, "echelon {e} must beat coflow {c}");
 }
 
@@ -131,8 +135,8 @@ fn fsdp_is_not_coflow_compliant() {
     // EchelonFlow among the groups).
     assert!(dag.echelons.iter().any(|h| !h.is_coflow_compliant()));
     let topo = Topology::big_switch_uniform(2, 1.0);
-    let c = comp_finish(&dag, &topo, Grouping::Coflow);
-    let e = comp_finish(&dag, &topo, Grouping::Echelon);
+    let c = comp_finish(&dag, &topo, SchedulerKind::Coflow);
+    let e = comp_finish(&dag, &topo, SchedulerKind::Echelon);
     assert!(
         e + 1e-6 < c,
         "echelon {e} must beat coflow {c} on heterogeneous FSDP"
