@@ -6,22 +6,23 @@
 //! paper's discussion are modelled:
 //!
 //! - **Scheduling interval**: "Such algorithms would rerun per EchelonFlow
-//!   arrival/departure or per scheduling interval." With
-//!   [`CoordinatorConfig::trigger`] set to [`Trigger::Interval`], the
-//!   coordinator only
-//!   re-derives its *decision* (a global flow priority order) every
-//!   interval; between decisions the agents keep enforcing the cached
-//!   order, so newly arrived flows are served at stale priorities until
-//!   the next recomputation — trading decision freshness for coordinator
-//!   load, the scalability lever the paper proposes to exploit for
-//!   iterative DDLT jobs. Under `PerGroupChange` and `Interval` a
-//!   decision's own rates stand until the flow set changes, a fault
-//!   strikes or the next decision may come due, however many other
-//!   events (computation completions, say) pass in between.
-//! - **Control latency**: flows younger than
-//!   [`CoordinatorConfig::control_latency`] have not completed the
-//!   agent → coordinator round-trip yet; until then they receive only
-//!   backfilled (fair-share leftover) bandwidth.
+//!   arrival/departure or per scheduling interval." A *decision* runs the
+//!   heuristic's ranking, which orders the EchelonFlows afresh, and
+//!   [`CoordinatorConfig::trigger`] says when one runs. Between decisions
+//!   the agents keep enforcing the last decision's group ranking: every
+//!   allocation runs the engine's one serve pass (EDD stages, MADD,
+//!   backfill) with the groups in the held order. Groups the ranking
+//!   lacks (solo flows, or groups that first appear inside an `Interval`
+//!   window) come after it in the engine's serve order. So a flow takes
+//!   its group's slot whether or not the last decision saw it. This
+//!   trades ranking freshness for coordinator load, the scalability lever
+//!   the paper proposes to exploit for iterative DDLT jobs.
+//! - **Control latency**: an EchelonFlow is *known* to the coordinator
+//!   [`CoordinatorConfig::control_latency`] after its first flow is first
+//!   seen active, which is when its agent reports the reference time. Its
+//!   later flows are known at once, and a solo flow ages as its own
+//!   group. Groups not known yet take no MADD service and only ride the
+//!   backfill.
 //!
 //! Groups enter before the policy exists ([`Coordinator::submit_all`]) or
 //! while it runs ([`CoordinatedPolicy::register`], absorbed before the
@@ -34,18 +35,16 @@
 //! [`CoordinatedPolicy`] allocates in the simulator's dense rate currency
 //! (`out[i]` rates `flows[i]` of the id-sorted active slice; see
 //! [`echelon_simnet::alloc`]): the engine writes straight into the
-//! driver's buffer with the driver's scratch, and the decision cache, the
-//! held decision and the fresh-flow backfill stay dense too. The map
-//! entry points are [`RatePolicy`]'s provided adapters over the dense ones.
+//! driver's buffer with the driver's scratch. The map entry points are
+//! [`RatePolicy`]'s provided adapters over the dense ones.
 
 use echelon_core::echelon::EchelonFlow;
 use echelon_core::EchelonId;
-use echelon_sched::echelon::{EchelonMadd, InterOrder, IntraMode};
-use echelon_simnet::alloc::{priority_fill_dense, waterfill_dense, AllocScratch};
+use echelon_sched::echelon::{EchelonMadd, GroupKey, GroupOrder, InterOrder, IntraMode};
+use echelon_simnet::alloc::{waterfill_dense, AllocScratch};
 use echelon_simnet::fault::FaultKind;
 use echelon_simnet::flow::ActiveFlowView;
 use echelon_simnet::fluid::FlowDelta;
-use echelon_simnet::ids::FlowId;
 use echelon_simnet::runner::RatePolicy;
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
@@ -53,15 +52,16 @@ use std::collections::BTreeMap;
 
 /// When the coordinator re-runs its heuristic (§5: "such algorithms
 /// would rerun per EchelonFlow arrival/departure or per scheduling
-/// interval").
+/// interval"). A run ranks the EchelonFlows afresh; every allocation
+/// until the next run serves them in that order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Trigger {
     /// Recompute at every flow release/completion (the precise mode).
     PerEvent,
-    /// Recompute only when the set of *active EchelonFlows* changes — the
-    /// paper's "per EchelonFlow arrival/departure". Within one
-    /// EchelonFlow's lifetime the cached decision is reused, exploiting
-    /// the iterative repetitiveness of DDLT jobs.
+    /// Recompute only when the set of *known* active EchelonFlows changes
+    /// — the paper's "per EchelonFlow arrival/departure". Within one
+    /// EchelonFlow's lifetime its held rank is reused, exploiting the
+    /// iterative repetitiveness of DDLT jobs. Solo flows never trigger.
     PerGroupChange,
     /// Recompute at most every `dt` seconds of simulated time.
     Interval(f64),
@@ -72,8 +72,10 @@ pub enum Trigger {
 pub struct CoordinatorConfig {
     /// Decision recomputation trigger.
     pub trigger: Trigger,
-    /// Agent → coordinator → agent round-trip: flows younger than this
-    /// receive only leftover bandwidth.
+    /// Agent → coordinator → agent round-trip: an EchelonFlow is known
+    /// this long after its first flow is first seen active, and until
+    /// then its flows receive only backfilled bandwidth. Its later flows
+    /// are known at once.
     pub control_latency: f64,
     /// Inter-EchelonFlow ordering used by the heuristic.
     pub inter: InterOrder,
@@ -130,41 +132,17 @@ impl Coordinator {
         CoordinatedPolicy {
             config: self.config,
             engine,
-            decision: Decision::default(),
+            ranking: Vec::new(),
             last_decision: None,
             last_groups: Vec::new(),
+            groups: Vec::new(),
             first_seen: BTreeMap::new(),
             decisions_computed: 0,
             outage: false,
             pending_register: Vec::new(),
             pending_retire: Vec::new(),
-            known: Vec::new(),
-            known_pos: Vec::new(),
-            known_rates: Vec::new(),
-            order: Vec::new(),
         }
     }
-}
-
-/// The last decision: every flow it rated, in id order, with its rate.
-/// Allocations between decisions enforce its priority order; flows absent
-/// from it queue behind it in id order. Never recorded under the
-/// `PerEvent` trigger, where every allocation is a decision. Its buffers
-/// persist across decisions, so recording one reuses their capacity.
-#[derive(Debug, Default)]
-struct Decision {
-    /// Allocations before this time (seconds) over exactly `ids` serve
-    /// `rates` unchanged; `None` when nothing is held (see
-    /// [`CoordinatedPolicy::hold`]). Every fault voids it, and so does
-    /// [`RatePolicy::release_held`].
-    until: Option<f64>,
-    ids: Vec<FlowId>,
-    rates: Vec<f64>,
-    /// Positions in `ids` in the global flow priority order: higher rate
-    /// first, then id, approximating the engine's serve order. Sorted on
-    /// its first read after the decision and empty until then, since the
-    /// next decision may replace it unread.
-    ranked: Vec<usize>,
 }
 
 /// The coordinator's scheduling decision applied as a [`RatePolicy`].
@@ -172,21 +150,25 @@ struct Decision {
 pub struct CoordinatedPolicy {
     config: CoordinatorConfig,
     engine: EchelonMadd,
-    /// The decision the agents keep enforcing between triggers.
-    decision: Decision,
+    /// The last decision's group ranking, which the agents keep enforcing
+    /// until the next one. Never recorded under the `PerEvent` trigger,
+    /// where every allocation is a decision.
+    ranking: Vec<GroupKey>,
     last_decision: Option<SimTime>,
-    /// Active EchelonFlow set at the last decision. Kept only under
-    /// `PerGroupChange`, its one reader.
+    /// The known active EchelonFlows at the last decision and at this
+    /// allocation, in id order. Kept only under `PerGroupChange`, their
+    /// one reader.
     last_groups: Vec<EchelonId>,
-    /// When each flow was first seen, for the control-latency split.
-    /// Stays empty without control latency: every flow is known at once.
-    first_seen: BTreeMap<FlowId, SimTime>,
+    groups: Vec<EchelonId>,
+    /// When each group's first flow was first seen active, for control
+    /// latency. Stays empty without it: every group is known at once.
+    first_seen: BTreeMap<GroupKey, SimTime>,
     decisions_computed: usize,
     /// True between [`FaultKind::CoordinatorDown`] and
     /// [`FaultKind::CoordinatorUp`]: no decisions are computed and every
     /// flow gets plain fair-share bandwidth (the agents' local fallback —
-    /// a stale priority order must not be enforced forever while the
-    /// coordinator cannot refresh it).
+    /// a stale ranking must not be enforced forever while the coordinator
+    /// cannot refresh it).
     outage: bool,
     /// Live registrations queued since the last allocation (see
     /// [`Self::register`]).
@@ -194,15 +176,6 @@ pub struct CoordinatedPolicy {
     /// Retirements queued since the last allocation (see
     /// [`Self::retire`]).
     pending_retire: Vec<EchelonId>,
-    /// The control-latency split of the current allocation, written by
-    /// [`Self::split_known`]: the known flows' positions in the active
-    /// slice, and — only when some flow is fresh — their views.
-    known: Vec<ActiveFlowView>,
-    known_pos: Vec<usize>,
-    /// Reused buffers: the known flows' rates while fresh flows exist,
-    /// and the priority order served between decisions.
-    known_rates: Vec<f64>,
-    order: Vec<FlowId>,
 }
 
 impl CoordinatedPolicy {
@@ -232,7 +205,7 @@ impl CoordinatedPolicy {
     /// allocation: that allocation applies the departure delta of the
     /// group's last flows while the book still maps them to the group,
     /// and a flowless group can change no later allocation. Eviction
-    /// also drops the members' `first_seen` aging stamps, keeping
+    /// also drops the group's `first_seen` aging stamp, keeping
     /// coordinator memory proportional to *live* jobs on an unbounded
     /// stream.
     ///
@@ -255,216 +228,12 @@ impl CoordinatedPolicy {
     /// Evicts every queued retirement; runs after an allocation.
     fn evict_retired(&mut self, active: &[ActiveFlowView]) {
         for id in self.pending_retire.drain(..) {
-            if let Some(h) = self.engine.book().get(id) {
-                for f in h.flows() {
-                    self.first_seen.remove(&f.id);
-                }
-            }
+            self.first_seen.remove(&GroupKey::Echelon(id));
             assert!(
                 self.engine.evict(id, active),
                 "evicting retired {id:?} refused"
             );
         }
-    }
-
-    /// Whether the heuristic must run now. `groups` holds the active
-    /// EchelonFlows in id order; only `PerGroupChange` reads it.
-    fn decision_due(&self, now: SimTime, groups: &[EchelonId]) -> bool {
-        let Some(t0) = self.last_decision else {
-            return true;
-        };
-        match self.config.trigger {
-            Trigger::PerEvent => true,
-            Trigger::PerGroupChange => self.last_groups != groups,
-            Trigger::Interval(dt) => now.secs() - t0.secs() + 1e-12 >= dt,
-        }
-    }
-
-    /// The distinct EchelonFlows with at least one active flow, in id
-    /// order (solo flows are ignored — they come and go constantly).
-    fn active_groups(&self, flows: &[ActiveFlowView]) -> Vec<EchelonId> {
-        let mut groups: Vec<EchelonId> = flows
-            .iter()
-            .filter_map(|v| self.engine.book().echelon_of(v.id).map(|h| h.id()))
-            .collect();
-        groups.sort();
-        groups.dedup();
-        groups
-    }
-
-    /// A due decision: runs the heuristic on the known flows — from the
-    /// engine's delta-maintained caches when `cached`, else after
-    /// rebuilding them from the flows — caches the rated flows for the
-    /// implied priority order, and lets fresh flows (present only when
-    /// `any_fresh`) ride the leftover bandwidth.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        &mut self,
-        now: SimTime,
-        flows: &[ActiveFlowView],
-        any_fresh: bool,
-        cached: bool,
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        self.last_decision = Some(now);
-        self.decisions_computed += 1;
-        debug_assert!(!(cached && any_fresh), "the engine cache covers every flow");
-        if any_fresh {
-            self.engine
-                .allocate_dense(now, &self.known, topo, ws, &mut self.known_rates);
-        } else if cached {
-            self.engine.allocate_cached(now, flows, topo, ws, out);
-        } else {
-            self.engine.allocate_dense(now, flows, topo, ws, out);
-        }
-        let (known, rates): (&[ActiveFlowView], &[f64]) = if any_fresh {
-            (&self.known, &self.known_rates)
-        } else {
-            (flows, out)
-        };
-        if self.config.trigger != Trigger::PerEvent {
-            let d = &mut self.decision;
-            d.ids.clear();
-            d.ids.extend(known.iter().map(|v| v.id));
-            d.rates.clear();
-            d.rates.extend_from_slice(rates);
-            d.ranked.clear();
-        }
-        if any_fresh {
-            self.backfill_fresh(flows, topo, ws, out);
-        }
-        self.hold(now);
-    }
-
-    /// Holds the decision just recorded as the answer the agents keep
-    /// enforcing until the flow set changes, a fault strikes, or the
-    /// trigger may fire:
-    ///
-    /// - `PerGroupChange`: no decision can come due while the flows stay
-    ///   the same;
-    /// - `Interval(dt)`: until just before the next decision is due (the
-    ///   1 µs margin keeps clear of `decision_due`'s own rounding);
-    /// - `PerEvent`, or any trigger with control latency: nothing is
-    ///   held, since every event may bring a decision or a flow
-    ///   graduating from fresh to known.
-    ///
-    /// Without control latency every flow is known, so a held decision
-    /// rated exactly the allocation's flows and its rates are the
-    /// allocation. The priority fill of its order differs from those
-    /// rates for the same flows, so holding is a choice, not a cache.
-    /// Every other allocation is a deterministic function of the flows,
-    /// the known/fresh split and the link capacities, so it is recomputed.
-    fn hold(&mut self, now: SimTime) {
-        self.decision.until = if self.config.control_latency > 0.0 {
-            None
-        } else {
-            match self.config.trigger {
-                Trigger::PerEvent => None,
-                Trigger::PerGroupChange => Some(f64::INFINITY),
-                Trigger::Interval(dt) => Some(now.secs() + dt - 1e-6),
-            }
-        };
-    }
-
-    /// Serves the held decision into `out` if it covers this allocation:
-    /// the same flows as when it was made, no fault since, and the
-    /// trigger's window still open.
-    fn serve_held(&self, now: SimTime, flows: &[ActiveFlowView], out: &mut Vec<f64>) -> bool {
-        let d = &self.decision;
-        let covered = d.until.is_some_and(|t| now.secs() < t)
-            && flows.len() == d.ids.len()
-            && flows.iter().zip(&d.ids).all(|(v, &id)| v.id == id);
-        if covered {
-            out.clone_from(&d.rates);
-        }
-        covered
-    }
-
-    /// Control-latency split: stamps first-seen times and sorts the
-    /// active flows into known to the coordinator (aged past the
-    /// round-trip) and fresh (still in flight to it). Returns whether any
-    /// flow is fresh. Only then are the known flows copied out (into
-    /// `known`, with their positions in `known_pos`); otherwise the known
-    /// set is `flows` itself.
-    fn split_known(&mut self, now: SimTime, flows: &[ActiveFlowView]) -> bool {
-        if self.config.control_latency <= 0.0 {
-            return false;
-        }
-        self.known_pos.clear();
-        for (i, v) in flows.iter().enumerate() {
-            let seen = *self.first_seen.entry(v.id).or_insert(now);
-            if now.secs() - seen.secs() + 1e-12 >= self.config.control_latency {
-                self.known_pos.push(i);
-            }
-        }
-        if self.known_pos.len() == flows.len() {
-            return false;
-        }
-        self.known.clear();
-        self.known
-            .extend(self.known_pos.iter().map(|&i| flows[i].clone()));
-        true
-    }
-
-    /// Between decisions: enforce the cached order by priority filling
-    /// the known flows, then let fresh flows (present only when
-    /// `any_fresh`) ride the leftover bandwidth. Never reached under the
-    /// `PerEvent` trigger.
-    fn between_decisions(
-        &mut self,
-        flows: &[ActiveFlowView],
-        any_fresh: bool,
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        let known: &[ActiveFlowView] = if any_fresh { &self.known } else { flows };
-        let d = &mut self.decision;
-        if d.ranked.len() != d.ids.len() {
-            d.ranked.clear();
-            d.ranked.extend(0..d.ids.len());
-            let (ids, rates) = (&d.ids, &d.rates);
-            d.ranked
-                .sort_by(|&a, &b| rates[b].total_cmp(&rates[a]).then(ids[a].cmp(&ids[b])));
-        }
-        // Every known flow follows the decision's order in id order.
-        // Priority filling serves a flow at its first mention only, so the
-        // decided flows keep their slots and the flows the order does not
-        // mention queue behind it in id order.
-        self.order.clear();
-        self.order.extend(d.ranked.iter().map(|&i| d.ids[i]));
-        self.order.extend(known.iter().map(|v| v.id));
-        let rates = if any_fresh {
-            &mut self.known_rates
-        } else {
-            &mut *out
-        };
-        rates.clear();
-        rates.resize(known.len(), 0.0);
-        priority_fill_dense(topo, known, &self.order, rates, ws);
-        if any_fresh {
-            self.backfill_fresh(flows, topo, ws, out);
-        }
-    }
-
-    /// Fresh flows get leftover bandwidth only: the known flows' rates
-    /// (`known_rates`, placed at `known_pos`) are the waterfill floor, and
-    /// fresh flows start from zero.
-    fn backfill_fresh(
-        &self,
-        flows: &[ActiveFlowView],
-        topo: &Topology,
-        ws: &mut AllocScratch,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(flows.len(), 0.0);
-        for (&p, &rate) in self.known_pos.iter().zip(&self.known_rates) {
-            out[p] = rate;
-        }
-        waterfill_dense(topo, flows, None, out, ws);
     }
 
     /// One allocation before queued retirements are evicted:
@@ -479,54 +248,60 @@ impl CoordinatedPolicy {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        if self.serve_held(now, flows, out) {
-            return;
-        }
-        // Queued live registrations land before the observation pass so
-        // a head flow releasing this very event still binds its group's
-        // reference.
+        // Queued live registrations land before the sync so a head flow
+        // releasing this very event still binds its group's reference.
         self.flush_pending();
         // The engine sees every allocation, not just the due decisions:
-        // reference binding tracks the data plane, and the engine's
-        // caches must not go stale across skipped decisions or an
-        // outage. Without control latency every flow is known at once,
-        // so the known set is `flows` and a delta keeps the engine's
-        // caches current. With control latency the known set changes as
-        // flows age in ways a flow delta does not capture, so the engine
-        // observes the whole slice (fresh flows included) and runs its
-        // full path on the known subset.
-        let cached = match delta {
-            Some(delta) if self.config.control_latency <= 0.0 => {
-                self.engine.apply_delta(now, flows, delta);
-                true
-            }
-            _ => {
-                self.engine.observe(now, flows);
-                false
-            }
-        };
+        // reference binding tracks the data plane, and its group cache
+        // must not go stale across an outage.
+        self.engine.sync(now, flows, delta);
         if self.outage {
             // Coordinator unreachable: do not consult or refresh the
-            // decision; agents fall back to fair sharing. Flows arriving
-            // during the outage are first seen (for control-latency
-            // aging) once the coordinator is back.
+            // ranking; agents fall back to fair sharing. Groups whose
+            // first flow arrives during the outage are first seen (for
+            // control-latency aging) once the coordinator is back.
             out.clear();
             out.resize(flows.len(), 0.0);
             return waterfill_dense(topo, flows, None, out, ws);
         }
-        let any_fresh = self.split_known(now, flows);
-        let groups = if self.config.trigger == Trigger::PerGroupChange {
-            self.active_groups(flows)
-        } else {
-            Vec::new()
-        };
-        if self.decision_due(now, &groups) {
-            // Full heuristic run: rates for known flows, and the implied
-            // global priority order becomes the cached decision.
-            self.last_groups = groups;
-            return self.decide(now, flows, any_fresh, cached, topo, ws, out);
+        let latency = self.config.control_latency;
+        if latency > 0.0 {
+            for key in self.engine.active_groups() {
+                self.first_seen.entry(key).or_insert(now);
+            }
         }
-        self.between_decisions(flows, any_fresh, topo, ws, out);
+        let first_seen = &self.first_seen;
+        let known = move |key: GroupKey| {
+            latency <= 0.0
+                || first_seen
+                    .get(&key)
+                    .is_some_and(|seen| now.secs() - seen.secs() + 1e-12 >= latency)
+        };
+        if self.config.trigger == Trigger::PerGroupChange {
+            // Solo flows are left out: they come and go constantly.
+            self.groups.clear();
+            self.groups
+                .extend(self.engine.active_groups().filter_map(|key| match key {
+                    GroupKey::Echelon(id) if known(key) => Some(id),
+                    _ => None,
+                }));
+            self.groups.sort_unstable();
+        }
+        let due = match (self.last_decision, self.config.trigger) {
+            (None, _) | (Some(_), Trigger::PerEvent) => true,
+            (Some(_), Trigger::PerGroupChange) => self.groups != self.last_groups,
+            (Some(t0), Trigger::Interval(dt)) => now.secs() - t0.secs() + 1e-12 >= dt,
+        };
+        let order = if due {
+            self.last_decision = Some(now);
+            self.decisions_computed += 1;
+            std::mem::swap(&mut self.groups, &mut self.last_groups);
+            let held = self.config.trigger != Trigger::PerEvent;
+            GroupOrder::Rank(held.then_some(&mut self.ranking))
+        } else {
+            GroupOrder::Held(&self.ranking)
+        };
+        self.engine.serve(now, flows, order, known, topo, ws, out);
     }
 }
 
@@ -556,12 +331,11 @@ impl RatePolicy for CoordinatedPolicy {
         self.evict_retired(flows);
     }
 
-    /// Every fault voids the held decision: link faults change the
-    /// capacities it was computed against, and a coordinator outage
-    /// switches agents to fair share. Recovery also forces a fresh
-    /// decision at the next allocation.
+    /// A coordinator outage switches the agents to fair share, and
+    /// recovery forces a fresh decision at the next allocation. Link
+    /// faults need nothing: the held ranking is capacity-free, and every
+    /// serve pass reads the capacities afresh.
     fn on_fault(&mut self, _now: SimTime, fault: &FaultKind) {
-        self.decision.until = None;
         match fault {
             FaultKind::CoordinatorDown => self.outage = true,
             FaultKind::CoordinatorUp => {
@@ -576,10 +350,6 @@ impl RatePolicy for CoordinatedPolicy {
             | FaultKind::LinkDegrade(..)
             | FaultKind::WorkerSlowdown { .. } => {}
         }
-    }
-
-    fn release_held(&mut self) {
-        self.decision.until = None;
     }
 
     fn name(&self) -> &'static str {
@@ -603,11 +373,14 @@ impl RatePolicy for CoordinatedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use echelon_core::arrangement::ArrangementFn;
+    use echelon_core::echelon::FlowRef;
     use echelon_core::JobId;
     use echelon_paradigms::config::PpConfig;
     use echelon_paradigms::ids::IdAlloc;
     use echelon_paradigms::pp::build_pp_gpipe;
     use echelon_paradigms::runtime::run_job;
+    use echelon_simnet::ids::{FlowId, NodeId};
 
     fn fig2_dag() -> echelon_paradigms::dag::JobDag {
         let mut alloc = IdAlloc::new();
@@ -811,7 +584,7 @@ mod tests {
 
     /// With `Trigger::Interval`, the very first event must still produce a
     /// decision (the `last_decision.is_none()` guard), no matter how long
-    /// the interval: there is nothing cached to serve yet.
+    /// the interval: there is no ranking held yet.
     #[test]
     fn interval_trigger_decides_on_first_event() {
         let dag = fig2_dag();
@@ -846,7 +619,7 @@ mod tests {
         );
         let _ = policy.allocate(SimTime::ZERO, &views, &topo);
         assert_eq!(policy.decisions_computed(), 1);
-        // Clearly inside the interval: served from the cached order.
+        // Clearly inside the interval: served in the held ranking.
         let _ = policy.allocate(SimTime::new(4.999999), &views, &topo);
         assert_eq!(policy.decisions_computed(), 1);
         // Within float epsilon below the boundary: counts as due.
@@ -877,13 +650,9 @@ mod tests {
             .expect("fig2 echelon has >= 2 flows");
         let active: Vec<ActiveFlowView> = views.iter().filter(|v| v.id == first).cloned().collect();
 
-        // control_latency > 0 has the engine observe the slice rather
-        // than apply the delta, so the test needs no globally consistent
-        // delta stream.
         let mut policy = policy_with(
             CoordinatorConfig {
                 trigger: Trigger::PerGroupChange,
-                control_latency: 0.5,
                 ..CoordinatorConfig::default()
             },
             &dag,
@@ -909,40 +678,97 @@ mod tests {
         );
     }
 
-    /// Between triggers the agents keep the decision: a `PerGroupChange`
-    /// decision's rates are held while the flows stay the same, although
-    /// the cached order's priority fill differs from them. A fault or
-    /// [`RatePolicy::release_held`] voids the held decision without
-    /// forcing a new one.
-    #[test]
-    fn decision_is_held_while_flows_are_unchanged() {
-        let dag = fig2_dag();
-        let topo = Topology::chain(2, 1.0);
-        let views = views_of(&dag, &topo);
-        let cfg = CoordinatorConfig {
-            trigger: Trigger::PerGroupChange,
-            intra: IntraMode::Equalize,
-            ..CoordinatorConfig::default()
-        };
-        let slowdown = FaultKind::WorkerSlowdown {
-            worker: views[0].src,
-            factor: 2.0,
-        };
-        let mut policy = policy_with(cfg, &dag);
-        let decided = policy.allocate(SimTime::ZERO, &views, &topo);
-        let held = policy.allocate(SimTime::new(0.5), &views, &topo);
-        assert_eq!(held, decided, "the decision was not held");
-        policy.on_fault(SimTime::new(0.5), &slowdown);
-        let filled = policy.allocate(SimTime::new(0.5), &views, &topo);
-        assert_ne!(filled, decided, "priority fill matched the decision");
-        assert_eq!(policy.decisions_computed(), 1);
+    /// A 2-byte flow view released at `release`, in the arena slot of its
+    /// id.
+    fn view(topo: &Topology, id: u64, src: u32, dst: u32, release: f64) -> ActiveFlowView {
+        let (src, dst) = (NodeId(src), NodeId(dst));
+        ActiveFlowView {
+            id: FlowId(id),
+            src,
+            dst,
+            size: 2.0,
+            remaining: 2.0,
+            release: SimTime::new(release),
+            route: topo.route(src, dst),
+            slot: id as u32,
+        }
+    }
 
-        let mut policy = policy_with(cfg, &dag);
-        let _ = policy.allocate(SimTime::ZERO, &views, &topo);
-        policy.release_held();
-        let released = policy.allocate(SimTime::new(0.5), &views, &topo);
-        assert_eq!(released, filled);
+    /// EchelonFlow `A` is flows 0 (host 0 → 1) and 2 (host 2 → 3), due
+    /// one second apart; `B` is flow 1 (host 2 → 3), so `B` contends
+    /// with `A`'s second flow on one link. Every flow carries 2 bytes.
+    fn contending_groups() -> Vec<EchelonFlow> {
+        let flow = |id, src, dst| FlowRef::new(FlowId(id), NodeId(src), NodeId(dst), 2.0);
+        vec![
+            EchelonFlow::from_flows(
+                EchelonId(0),
+                JobId(0),
+                vec![flow(0, 0, 1), flow(2, 2, 3)],
+                ArrangementFn::Staggered { gap: 1.0 },
+            ),
+            EchelonFlow::from_flows(
+                EchelonId(1),
+                JobId(1),
+                vec![flow(1, 2, 3)],
+                ArrangementFn::Coflow,
+            ),
+        ]
+    }
+
+    /// Between decisions a flow takes its group's slot in the held
+    /// ranking, whether or not the last decision saw it. Under
+    /// `PerGroupChange` the decision at 0.2 s ranks `A` (head deadline 0)
+    /// ahead of `B` (0.2). `A`'s second flow releases at 0.5 s while `A`
+    /// is still active, so no decision runs, and it is served ahead of
+    /// `B`'s flow on their shared link.
+    #[test]
+    fn a_flow_joining_a_ranked_group_takes_its_slot() {
+        let topo = Topology::big_switch_uniform(4, 1.0);
+        let mut policy = Coordinator::new(CoordinatorConfig {
+            trigger: Trigger::PerGroupChange,
+            ..CoordinatorConfig::default()
+        });
+        policy.submit_all(contending_groups());
+        let mut policy = policy.into_policy();
+        let before = [view(&topo, 0, 0, 1, 0.0), view(&topo, 1, 2, 3, 0.2)];
+        let _ = policy.allocate(SimTime::new(0.2), &before, &topo);
+        let mut after = before.to_vec();
+        after.push(view(&topo, 2, 2, 3, 0.5));
+        let rates = policy.allocate(SimTime::new(0.5), &after, &topo);
         assert_eq!(policy.decisions_computed(), 1);
+        assert_eq!((rates[&FlowId(2)], rates[&FlowId(1)]), (1.0, 0.0));
+    }
+
+    /// Control latency ages groups, not flows. With 0.3 s of it, `A` is
+    /// known from 0.3 s, so its second flow takes MADD service at its
+    /// release at 0.5 s. `B`'s first flow, released at the same time,
+    /// rides only the backfill (none is left on the shared link) until
+    /// `B` is known at 0.8 s. Then `B`, whose head deadline (0.5) precedes
+    /// `A`'s (1.0 once its first flow is done), is served first.
+    #[test]
+    fn control_latency_ages_groups_not_flows() {
+        let topo = Topology::big_switch_uniform(4, 1.0);
+        let mut policy = Coordinator::new(CoordinatorConfig {
+            control_latency: 0.3,
+            ..CoordinatorConfig::default()
+        });
+        policy.submit_all(contending_groups());
+        let mut policy = policy.into_policy();
+        let (a0, b, a2) = (
+            view(&topo, 0, 0, 1, 0.0),
+            view(&topo, 1, 2, 3, 0.5),
+            view(&topo, 2, 2, 3, 0.5),
+        );
+        // Alone and fresh, `A`'s first flow rides the backfill at full rate.
+        let rates = policy.allocate(SimTime::ZERO, std::slice::from_ref(&a0), &topo);
+        assert_eq!(rates[&FlowId(0)], 1.0);
+        let all = [a0, b.clone(), a2.clone()];
+        for t in [0.5, 0.7] {
+            let rates = policy.allocate(SimTime::new(t), &all, &topo);
+            assert_eq!((rates[&FlowId(2)], rates[&FlowId(1)]), (1.0, 0.0), "at {t}");
+        }
+        let rates = policy.allocate(SimTime::new(0.9), &[b, a2], &topo);
+        assert_eq!((rates[&FlowId(1)], rates[&FlowId(2)]), (1.0, 0.0));
     }
 
     /// During a coordinator outage the policy serves plain fair share (no

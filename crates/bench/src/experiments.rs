@@ -1249,7 +1249,7 @@ mod tests {
 
     /// E11(b)'s rows at the seed `repro` prints: on its 4-job mix,
     /// decision reuse cuts the coordinator's decisions from 52 per event
-    /// to 25 per EchelonFlow change and 4 at a 10 s interval, at the same
+    /// to 25 per EchelonFlow change and 3 at a 10 s interval, at the same
     /// mean JCT bits on every row (EXPERIMENTS.md, E11(b)).
     #[test]
     fn e11b_interval_rows_are_pinned() {
@@ -1257,10 +1257,10 @@ mod tests {
         let want = [
             ("per-event", 52),
             ("per-EchelonFlow", 25),
-            ("1s", 15),
-            ("2s", 10),
+            ("1s", 14),
+            ("2s", 9),
             ("5s", 6),
-            ("10s", 4),
+            ("10s", 3),
         ];
         let got = ablation_interval(42);
         assert_eq!(got.len(), want.len());

@@ -39,10 +39,13 @@
 //!
 //! There is one allocation path. Group membership, each member's arena
 //! slot and the earliest-deadline serve order are cached and patched
-//! from flow deltas ([`EchelonMadd::apply_delta`]); a full recompute
-//! rebuilds that cache from the flow slice and then runs the same
-//! ranking and serving pass. The map-based reference the differential
-//! suites check this engine against lives in test support.
+//! from flow deltas ([`EchelonMadd::sync`]); a full recompute rebuilds
+//! that cache from the flow slice. Either way one serve pass follows
+//! ([`EchelonMadd::serve`]): it ranks the groups afresh, or follows a
+//! ranking the caller holds (the coordinator between decisions), and may
+//! leave groups the caller does not know yet to the backfill. The
+//! map-based reference the differential suites check this engine against
+//! lives in test support.
 
 use crate::book::EchelonBook;
 use crate::scratch::{GroupCsr, Residual};
@@ -100,9 +103,22 @@ pub enum IntraMode {
 
 /// Group key: declared EchelonFlow or implicit singleton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum GroupKey {
+pub enum GroupKey {
+    /// A declared EchelonFlow.
     Echelon(EchelonId),
+    /// A flow of no EchelonFlow, served as a group of one.
     Solo(FlowId),
+}
+
+/// The group order a serve pass follows ([`EchelonMadd::serve`]).
+#[derive(Debug)]
+pub enum GroupOrder<'a> {
+    /// Rank the groups afresh under the engine's [`InterOrder`] (a
+    /// decision), writing the ranking into the buffer when one is given.
+    Rank(Option<&'a mut Vec<GroupKey>>),
+    /// Follow a held ranking: the groups it lists first, in its order,
+    /// then every other group in the kept serve order.
+    Held(&'a [GroupKey]),
 }
 
 /// A cached group member: ideal finish time, flow id, arena slot.
@@ -205,18 +221,51 @@ impl EchelonMadd {
         true
     }
 
-    /// Binds reference times for any EchelonFlow whose head flow has just
-    /// become active, without computing an allocation.
+    /// Brings the group cache up to the id-sorted active `flows`: patched
+    /// from the event's `delta`, or rebuilt from the slice when `delta` is
+    /// `None` (a full recompute). A cache that still misses the active set
+    /// (a missed delta) is rebuilt too.
     ///
-    /// Reference binding is an *observation* of the data plane (the
-    /// paper's `r = s_0` — when the head flow started), not a scheduling
-    /// decision: callers that do not run the heuristic at every event
-    /// (e.g. a coordinator between interval decisions, or one serving a
-    /// fallback during an outage) must still observe each event, or a
-    /// head flow that finishes before the next heuristic run silently
-    /// binds the reference from a later member.
-    pub fn observe(&mut self, now: SimTime, flows: &[ActiveFlowView]) {
-        self.book.observe(now, flows);
+    /// Syncing also binds the reference time of every EchelonFlow whose
+    /// head flow just became active. That is an *observation* of the data
+    /// plane (the paper's `r = s_0`), not a scheduling decision, so a
+    /// caller that serves no MADD at some event (a coordinator in an
+    /// outage) still syncs it, or a head flow that finishes before the
+    /// next serve pass silently binds the reference from a later member.
+    pub fn sync(&mut self, now: SimTime, flows: &[ActiveFlowView], delta: Option<&FlowDelta>) {
+        debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
+        match delta {
+            Some(delta) => self.apply_delta(now, flows, delta),
+            None => self.rebuild_cache(now, flows),
+        }
+        // One pass: the cache guard, and each slot's position in `flows`.
+        let slot_pos = &mut self.scratch.slot_pos;
+        let mut holds_flows = self.held_len == flows.len();
+        for (i, v) in flows.iter().enumerate() {
+            let s = v.slot as usize;
+            slot_pos.resize(slot_pos.len().max(s + 1), 0);
+            slot_pos[s] = i as u32;
+            holds_flows &= self.held.get(s) == Some(&Some(v.id));
+        }
+        if !holds_flows {
+            self.rebuild_cache(now, flows);
+        }
+        debug_assert!(
+            self.serve
+                .iter()
+                .all(|e| e.2.first().map(|m| m.0) == Some(e.0))
+                && self
+                    .serve
+                    .windows(2)
+                    .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "the kept serve order is not sorted by (head deadline, key)"
+        );
+    }
+
+    /// The groups with an active flow, in the kept serve order (earliest
+    /// head deadline first), as of the last [`Self::sync`].
+    pub fn active_groups(&self) -> impl Iterator<Item = GroupKey> + '_ {
+        self.serve.iter().map(|e| e.1)
     }
 
     fn group_of(&self, flow: FlowId) -> GroupKey {
@@ -254,8 +303,8 @@ impl EchelonMadd {
     /// rebuild, here when an arrival lands in a slot the cache still
     /// holds (its earlier occupant's departure never arrived, as when an
     /// engine is reused for a second run) and otherwise in
-    /// [`Self::allocate_cached`].
-    pub fn apply_delta(&mut self, now: SimTime, flows: &[ActiveFlowView], delta: &FlowDelta) {
+    /// [`Self::sync`].
+    fn apply_delta(&mut self, now: SimTime, flows: &[ActiveFlowView], delta: &FlowDelta) {
         // Reference binding driven by the delta alone: O(arrivals), not
         // O(active flows); debug builds assert agreement with the full
         // scan inside `observe_delta`.
@@ -608,59 +657,74 @@ impl EchelonMadd {
         }
     }
 
-    /// Allocation from the cached group structure maintained by
-    /// [`Self::apply_delta`], written densely into `out` (`out[i]` rates
-    /// `flows[i]`). Requires `flows` sorted by ascending id (the fluid
-    /// network's view order) and in distinct arena slots. If the cache
-    /// does not cover the active set (a missed delta), it is rebuilt from
-    /// scratch first. [`RatePolicy::allocate_dense`] is this call after a
-    /// forced rebuild.
-    pub fn allocate_cached(
+    /// The one serve pass over the cache as of the last [`Self::sync`]
+    /// with the same `flows`, written densely into `out` (`out[i]` rates
+    /// `flows[i]`): the groups in `order`, each group's stages EDD, then
+    /// the backfill. Only the groups `known` admits take MADD service;
+    /// the flows of the others ride the backfill alone.
+    #[allow(clippy::too_many_arguments)]
+    pub fn serve(
         &mut self,
         now: SimTime,
         flows: &[ActiveFlowView],
+        order: GroupOrder<'_>,
+        known: impl Fn(GroupKey) -> bool,
         topo: &Topology,
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        debug_assert!(flows.windows(2).all(|w| w[0].id < w[1].id));
-        // One pass: the cache guard, and each slot's position in `flows`.
-        let slot_pos = &mut self.scratch.slot_pos;
-        let mut holds_flows = self.held_len == flows.len();
-        for (i, v) in flows.iter().enumerate() {
-            let s = v.slot as usize;
-            slot_pos.resize(slot_pos.len().max(s + 1), 0);
-            slot_pos[s] = i as u32;
-            holds_flows &= self.held.get(s) == Some(&Some(v.id));
-        }
-        if !holds_flows {
-            self.rebuild_cache(now, flows);
-        }
-        debug_assert!(
-            self.serve
-                .iter()
-                .all(|e| e.2.first().map(|m| m.0) == Some(e.0))
-                && self
-                    .serve
-                    .windows(2)
-                    .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
-            "the kept serve order is not sorted by (head deadline, key)"
-        );
         let mut sc = std::mem::take(&mut self.scratch);
         let mut load = std::mem::take(&mut self.load);
-        self.build_csr(flows, &mut sc);
-        self.order_groups(now, flows, topo, &mut sc, &mut load);
+        self.build_csr(flows, &mut sc, known);
+        match order {
+            GroupOrder::Rank(ranking) => {
+                self.order_groups(now, flows, topo, &mut sc, &mut load);
+                if let Some(ranking) = ranking {
+                    ranking.clear();
+                    ranking.extend(sc.order.iter().map(|&g| sc.keys[g]));
+                }
+            }
+            GroupOrder::Held(ranking) => Self::follow(ranking, &mut sc),
+        }
         self.serve_csr(now, flows, topo, ws, &mut sc, &mut load, out);
         self.scratch = sc;
         self.load = load;
     }
 
-    /// Flattens the cached member lists into the CSR workspace in the kept
-    /// serve order, members in their cached EDD order, each member's
-    /// position in the flow slice read from the slot table.
-    fn build_csr(&self, flows: &[ActiveFlowView], sc: &mut GroupCsr) {
+    /// Orders the groups by a held `ranking`: the groups it lists first,
+    /// in its order, then the rest in the kept serve order.
+    fn follow(ranking: &[GroupKey], sc: &mut GroupCsr) {
+        let keys = &sc.keys;
+        // Key lookups run against the group indices sorted by key.
+        sc.order.clear();
+        sc.order.extend(0..keys.len());
+        sc.order.sort_unstable_by_key(|&g| keys[g]);
+        sc.held_rank.clear();
+        sc.held_rank.resize(keys.len(), usize::MAX);
+        for (rank, key) in ranking.iter().enumerate() {
+            if let Ok(i) = sc.order.binary_search_by_key(key, |&g| keys[g]) {
+                sc.held_rank[sc.order[i]] = rank;
+            }
+        }
+        let held_rank = &sc.held_rank;
+        sc.order.sort_unstable_by_key(|&g| (held_rank[g], g));
+    }
+
+    /// Flattens the cached member lists of the `known` groups into the
+    /// CSR workspace in the kept serve order, members in their cached EDD
+    /// order, each member's position in the flow slice read from the slot
+    /// table.
+    fn build_csr(
+        &self,
+        flows: &[ActiveFlowView],
+        sc: &mut GroupCsr,
+        known: impl Fn(GroupKey) -> bool,
+    ) {
         sc.clear_groups();
         for (_, key, members) in &self.serve {
+            if !known(*key) {
+                continue;
+            }
             sc.keys.push(*key);
             for &(deadline, id, slot) in members {
                 let p = sc.slot_pos[slot as usize] as usize;
@@ -687,8 +751,8 @@ impl RatePolicy for EchelonMadd {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        self.rebuild_cache(now, flows);
-        self.allocate_cached(now, flows, topo, ws, out);
+        self.sync(now, flows, None);
+        self.serve(now, flows, GroupOrder::Rank(None), |_| true, topo, ws, out);
     }
 
     fn allocate_dense_incremental(
@@ -700,8 +764,8 @@ impl RatePolicy for EchelonMadd {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) {
-        self.apply_delta(now, flows, delta);
-        self.allocate_cached(now, flows, topo, ws, out);
+        self.sync(now, flows, Some(delta));
+        self.serve(now, flows, GroupOrder::Rank(None), |_| true, topo, ws, out);
     }
 
     fn name(&self) -> &'static str {

@@ -32,8 +32,9 @@ use echelon_simnet::topology::Topology;
 /// Groups `g`, in the kept `(head deadline, key)` serve order, own
 /// members `pos[starts[g]..starts[g + 1]]`; `pos` holds indices into the
 /// id-sorted active-flow slice, read from `slot_pos`, and `deadline` the
-/// matching ideal finish times. `order`, `ranked`, `caps` and `residual`
-/// are working buffers for the inter-group ranking and the serving pass.
+/// matching ideal finish times. `order`, `ranked`, `held_rank`, `caps`
+/// and `residual` are working buffers for the inter-group ranking and the
+/// serving pass.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GroupCsr {
     /// Group keys, in the kept `(head deadline, key)` order.
@@ -49,6 +50,9 @@ pub(crate) struct GroupCsr {
     /// `(rank, time, key, group)` per group, sorted into the serve order
     /// by every ranking but earliest-deadline and BSSI.
     pub ranked: Vec<(f64, SimTime, GroupKey, usize)>,
+    /// Each group's position in the held ranking a serve pass follows,
+    /// `usize::MAX` for a group it does not list.
+    pub held_rank: Vec<usize>,
     /// Position in the flow slice of the flow in each arena slot, written
     /// by the allocation's cache-guard pass; other entries are stale.
     pub slot_pos: Vec<u32>,

@@ -128,14 +128,6 @@ pub trait RatePolicy {
         let _ = (now, fault);
     }
 
-    /// Voids any answer the policy holds over from an earlier allocation
-    /// (a coordinator keeps a decision's rates in force between its
-    /// triggers), so the next allocation computes afresh. A decorator
-    /// that re-derives its own answer from the wrapped policy's at every
-    /// event calls it before each allocation; the driver never does.
-    /// Default: nothing is held.
-    fn release_held(&mut self) {}
-
     /// Human-readable policy name for reports.
     fn name(&self) -> &'static str {
         "policy"

@@ -4,9 +4,13 @@
 //!
 //! - `coordinator_runs_match_pinned_digests` pins the rate trace of every
 //!   trigger, with and without control latency, through a coordinator
-//!   outage, and behind queue enforcement, in both recompute modes. The
-//!   pinned values were recorded from the map-based coordinator the dense
-//!   path replaced, so a changed digest means a changed schedule.
+//!   outage, and behind queue enforcement, in both recompute modes. A
+//!   changed digest means a changed schedule. The per-event rows without
+//!   latency (plain, outage, enforced) were recorded from the map-based
+//!   coordinator the dense path replaced. The other rows were recorded
+//!   once the coordinator held its group ranking between decisions and
+//!   aged groups rather than flows for control latency; of those, only
+//!   `per-event+lat/outage` kept its earlier digest.
 //! - `enforcement_drives_only_dense_entry_points` wraps the coordinator in
 //!   a policy whose map entry points panic: the queue-enforcement layer
 //!   must reach it through the dense ones only.
@@ -96,38 +100,38 @@ fn mode_name(mode: RecomputeMode) -> &'static str {
     }
 }
 
-/// Recorded from the map-based coordinator that the dense path replaced,
-/// with exactly this workload and these runs. Full and incremental runs
-/// of one configuration must agree; every configuration differs.
+/// Recorded with exactly this workload and these runs (see the module
+/// doc for which coordinator recorded which row). Full and incremental
+/// runs of one configuration must agree; every configuration differs.
 const PINNED: [(&str, u64); 28] = [
     ("per-event/plain/full", 0x07d8c6eaa1e53cbe),
     ("per-event/plain/inc", 0x07d8c6eaa1e53cbe),
     ("per-event/outage/full", 0x57f3a250b1099cfb),
     ("per-event/outage/inc", 0x57f3a250b1099cfb),
-    ("per-group/plain/full", 0x0a50d1a9f3eba307),
-    ("per-group/plain/inc", 0x0a50d1a9f3eba307),
-    ("per-group/outage/full", 0xd8d0b813ba46e19f),
-    ("per-group/outage/inc", 0xd8d0b813ba46e19f),
-    ("interval/plain/full", 0xe8e7a93e9d5f4126),
-    ("interval/plain/inc", 0xe8e7a93e9d5f4126),
-    ("interval/outage/full", 0xa3ad8a88201d9c7e),
-    ("interval/outage/inc", 0xa3ad8a88201d9c7e),
-    ("per-event+lat/plain/full", 0x3dce57909ea5d8ea),
-    ("per-event+lat/plain/inc", 0x3dce57909ea5d8ea),
+    ("per-group/plain/full", 0x07d87deaa1e4c0b3),
+    ("per-group/plain/inc", 0x07d87deaa1e4c0b3),
+    ("per-group/outage/full", 0x57f3de50b10a02ef),
+    ("per-group/outage/inc", 0x57f3de50b10a02ef),
+    ("interval/plain/full", 0x07d897eaa1e4ece1),
+    ("interval/plain/inc", 0x07d897eaa1e4ece1),
+    ("interval/outage/full", 0x57f3cb50b109e2a6),
+    ("interval/outage/inc", 0x57f3cb50b109e2a6),
+    ("per-event+lat/plain/full", 0x20291ecaddfa019f),
+    ("per-event+lat/plain/inc", 0x20291ecaddfa019f),
     ("per-event+lat/outage/full", 0x38b1ad490472e6f4),
     ("per-event+lat/outage/inc", 0x38b1ad490472e6f4),
-    ("per-group+lat/plain/full", 0x0567368c8c9cb80e),
-    ("per-group+lat/plain/inc", 0x0567368c8c9cb80e),
-    ("per-group+lat/outage/full", 0x15b237556a1ba55f),
-    ("per-group+lat/outage/inc", 0x15b237556a1ba55f),
-    ("interval+lat/plain/full", 0xc379ecad911806df),
-    ("interval+lat/plain/inc", 0xc379ecad911806df),
-    ("interval+lat/outage/full", 0xa595ffe6d0dcbe15),
-    ("interval+lat/outage/inc", 0xa595ffe6d0dcbe15),
+    ("per-group+lat/plain/full", 0x2028eccaddf9aca9),
+    ("per-group+lat/plain/inc", 0x2028eccaddf9aca9),
+    ("per-group+lat/outage/full", 0x38b1e24904734103),
+    ("per-group+lat/outage/inc", 0x38b1e24904734103),
+    ("interval+lat/plain/full", 0x2028edcaddf9ae5c),
+    ("interval+lat/plain/inc", 0x2028edcaddf9ae5c),
+    ("interval+lat/outage/full", 0x38b1d84904733005),
+    ("interval+lat/outage/inc", 0x38b1d84904733005),
     ("enforced-per-event/full", 0x3b79bbabb68b9de4),
     ("enforced-per-event/inc", 0x3b79bbabb68b9de4),
-    ("enforced-interval/full", 0x8154f7c244854d08),
-    ("enforced-interval/inc", 0x8154f7c244854d08),
+    ("enforced-interval/full", 0x3b796eabb68b1b0d),
+    ("enforced-interval/inc", 0x3b796eabb68b1b0d),
 ];
 
 #[test]
@@ -226,10 +230,6 @@ impl<P: RatePolicy> RatePolicy for DenseOnly<P> {
 
     fn on_fault(&mut self, now: SimTime, fault: &FaultKind) {
         self.0.on_fault(now, fault)
-    }
-
-    fn release_held(&mut self) {
-        self.0.release_held()
     }
 }
 

@@ -848,9 +848,10 @@ fn pod_fill_index_matches_a_rebuild_under_random_deltas() {
     assert!(seen[2..].iter().all(|&n| n >= 5), "cases {seen:?}");
 }
 
-/// The coordinator path (API → decisions → between-decision reuse) stays
-/// bit-identical across modes for every trigger, with and without control
-/// latency, on a multi-job workload with real cross-job contention.
+/// The coordinator path (agents → decisions → the group ranking held
+/// between them) stays bit-identical across modes for every trigger,
+/// with and without control latency, on a multi-job workload with real
+/// cross-job contention.
 #[test]
 fn coordinator_incremental_matches_full_for_all_triggers() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
@@ -908,7 +909,7 @@ fn coordinator_incremental_matches_full_for_all_triggers() {
 /// back, eviction mid-run, and unreported departures, whose freed slots
 /// the next arrivals reuse, forcing the rebuild fallback. Every
 /// allocation must be bitwise the map-based reference; debug builds also
-/// assert in `allocate_cached` that the kept order equals sorting the
+/// assert in `EchelonMadd::sync` that the kept order equals sorting the
 /// cached groups by `(head deadline, key)`.
 #[test]
 fn kept_serve_order_matches_the_reference_under_random_deltas() {
