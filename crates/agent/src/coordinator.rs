@@ -359,7 +359,6 @@ impl RatePolicy for CoordinatedPolicy {
             (I::EarliestDeadline, IntraMode::Equalize) => "coordinated-echelon(equalize)",
             (I::MostTardy, _) => "coordinated-echelon(most-tardy)",
             (I::LeastWork, _) => "coordinated-echelon(least-work)",
-            (I::StageLeastWork, _) => "coordinated-echelon(stage-least-work)",
             (I::Bssi, _) => "coordinated-echelon(bssi)",
         }
     }

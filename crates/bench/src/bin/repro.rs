@@ -392,9 +392,20 @@ fn ablations() {
     print!("{}", t.render());
 
     banner("E11f — inter-EchelonFlow ordering (total tardiness)");
+    let (rows, sweep) = exp::ablation_inter_order(13, 1..=20);
     let mut t = Table::new(&["ordering", "total tardiness"]);
-    for (name, tardiness) in exp::ablation_inter_order(13) {
+    for (name, tardiness) in rows {
         t.row(vec![name.to_string(), f(tardiness)]);
+    }
+    print!("{}", t.render());
+    println!("\nseeds 1-20 of the same mix (ties within 1e-9 relative):");
+    let mut t = Table::new(&["ordering", "best or tied", "strictly best"]);
+    for (name, tied, best) in sweep {
+        t.row(vec![
+            name.to_string(),
+            format!("{tied}/20"),
+            format!("{best}/20"),
+        ]);
     }
     print!("{}", t.render());
 

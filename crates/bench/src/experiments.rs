@@ -30,6 +30,7 @@ use echelon_simnet::runner::{run_flows, MaxMinPolicy};
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// Finish time of the forward phase on the consuming stage of a 2-stage
 /// pipeline (the quantity Fig. 2 annotates).
@@ -732,9 +733,38 @@ pub fn ablation_backfill(seed: u64) -> Vec<(&'static str, f64, f64)> {
     rows
 }
 
+/// An ordering's count of sweep seeds where it is best or tied for best,
+/// and where it is strictly best.
+type SweepCounts = (&'static str, usize, usize);
+
 /// E11f — inter-EchelonFlow ordering: total tardiness per ordering on a
-/// multi-job scenario, with Coflow scheduling as reference.
-pub fn ablation_inter_order(seed: u64) -> Vec<(&'static str, f64)> {
+/// multi-job scenario at `seed`, with Coflow scheduling as reference, and
+/// over the `sweep` seeds each ordering's (reference excluded) best-or-tied
+/// and strictly-best counts.
+pub fn ablation_inter_order(
+    seed: u64,
+    sweep: RangeInclusive<u64>,
+) -> (Vec<(&'static str, f64)>, Vec<SweepCounts>) {
+    let rows = inter_order_tardiness(seed);
+    let mut counts: Vec<SweepCounts> = rows[1..].iter().map(|r| (r.0, 0, 0)).collect();
+    for s in sweep {
+        let run = inter_order_tardiness(s);
+        let orders = &run[1..];
+        let best = orders.iter().map(|o| o.1).fold(f64::INFINITY, f64::min);
+        let tied = |t: f64| t - best <= 1e-9 * best.max(1.0);
+        let winners = orders.iter().filter(|o| tied(o.1)).count();
+        for (c, &(_, t)) in counts.iter_mut().zip(orders) {
+            if tied(t) {
+                c.1 += 1;
+                c.2 += usize::from(winners == 1);
+            }
+        }
+    }
+    (rows, counts)
+}
+
+/// E11f's rows at one seed: the Coflow reference, then each ordering.
+fn inter_order_tardiness(seed: u64) -> Vec<(&'static str, f64)> {
     use echelon_sched::echelon::InterOrder;
     let cfg = WorkloadConfig::default_mix(seed, 5, 32);
     let scenario = Scenario::generate(&cfg);
@@ -745,7 +775,6 @@ pub fn ablation_inter_order(seed: u64) -> Vec<(&'static str, f64)> {
         ("earliest-deadline (default)", InterOrder::EarliestDeadline),
         ("most-tardy", InterOrder::MostTardy),
         ("least-work", InterOrder::LeastWork),
-        ("stage-least-work", InterOrder::StageLeastWork),
         ("bssi", InterOrder::Bssi),
     ] {
         let echelons: Vec<EchelonFlow> = scenario
@@ -824,7 +853,7 @@ pub fn placement_experiment(seed: u64) -> Vec<(&'static str, &'static str, f64, 
     ] {
         let mut cfg = WorkloadConfig::default_mix(seed, 3, 16);
         cfg.placement = placement;
-        let fabric = FatTree::new(4).with_oversubscription(4.0).build();
+        let fabric = FatTree::new(4).with_oversubscription(4.0).build_fabric();
         let scenario = Scenario::generate_on(&cfg, fabric);
         for kind in [
             SchedulerKind::Fair,
@@ -953,7 +982,7 @@ pub fn quantization_experiment() -> Vec<(f64, f64, f64, f64)> {
 pub fn hierarchy_experiment() -> Vec<(&'static str, f64, usize)> {
     use echelon_paradigms::dp::build_dp_hierarchical;
     use echelon_simnet::fattree::FatTree;
-    let topo = FatTree::new(4).with_oversubscription(4.0).build();
+    let topo = FatTree::new(4).with_oversubscription(4.0).build_fabric();
     // Two racks of two workers (pods 0 and 1 of the k=4 fat-tree).
     let groups = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(4), NodeId(5)]];
     let cfg = DpConfig {
@@ -1271,6 +1300,23 @@ mod tests {
                 "{label}: {jct}"
             );
         }
+    }
+
+    /// E11(f)'s sweep over seeds 1–20 (EXPERIMENTS.md, E11(f)):
+    /// least-work is best or tied on every seed's multi-tenant sum and
+    /// strictly best on 8, and no other ordering is ever strictly best.
+    #[test]
+    fn e11f_sweep_counts_are_pinned() {
+        let (_, sweep) = ablation_inter_order(13, 1..=20);
+        assert_eq!(
+            sweep,
+            [
+                ("earliest-deadline (default)", 5, 0),
+                ("most-tardy", 0, 0),
+                ("least-work", 20, 8),
+                ("bssi", 8, 0),
+            ]
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::scenario::{Scenario, SchedulerKind};
     pub use crate::service::{run_service, ServiceConfig, ServiceMode, ServiceOutcome};
     pub use crate::workload::{
-        apply_compute_jitter, delay_start, generate_workload, generate_workload_on, ArrivalProcess,
-        OpenLoopConfig, ParadigmKind, ServicePlacement, TenantSpec, WorkloadConfig,
+        apply_compute_jitter, delay_start, generate_workload, generate_workload_on, OpenLoopConfig,
+        ParadigmKind, ServicePlacement, TenantSpec, WorkloadConfig,
     };
 }

@@ -484,22 +484,6 @@ pub struct TenantSpec {
     pub slo_tardiness: Option<f64>,
 }
 
-/// How an open-loop stream produces job arrival times.
-#[derive(Debug, Clone)]
-pub enum ArrivalProcess {
-    /// Poisson arrivals by inverse transform (exponential gaps).
-    Poisson {
-        /// Mean inter-arrival gap.
-        mean_interarrival: f64,
-    },
-    /// Trace-driven arrivals: job `i` arrives at `arrivals[i]`. Must be
-    /// non-decreasing and at least as long as the configured job count.
-    Trace {
-        /// Absolute arrival times, one per job.
-        arrivals: Vec<f64>,
-    },
-}
-
 /// When and how an open-loop service assigns hosts to jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServicePlacement {
@@ -524,8 +508,9 @@ pub struct OpenLoopConfig {
     /// Cluster size; each job's hosts are sampled from `0..hosts` at
     /// generation time and held fixed (admission waits until they free).
     pub hosts: usize,
-    /// Arrival process.
-    pub arrivals: ArrivalProcess,
+    /// Mean gap between Poisson arrivals (exponential gaps by inverse
+    /// transform).
+    pub mean_interarrival: f64,
     /// Paradigm mix with relative weights.
     pub mix: Vec<(ParadigmKind, f64)>,
     /// Tenant tiers (admission scans them in declaration order). Must be
@@ -551,7 +536,7 @@ impl OpenLoopConfig {
             seed,
             jobs,
             hosts,
-            arrivals: ArrivalProcess::Poisson { mean_interarrival },
+            mean_interarrival,
             mix: WorkloadConfig::default_mix(seed, jobs, hosts).mix,
             tenants: vec![
                 TenantSpec {
@@ -645,20 +630,11 @@ impl JobStream {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.tenants` is empty, the mix is empty, a trace is
-    /// shorter than `cfg.jobs`, or the cluster is smaller than the
-    /// largest possible single-job demand.
+    /// Panics if `cfg.tenants` is empty, the mix is empty, or the cluster
+    /// is smaller than the largest possible single-job demand.
     pub fn new(cfg: OpenLoopConfig) -> JobStream {
         assert!(!cfg.tenants.is_empty(), "open-loop config needs tenants");
         assert!(!cfg.mix.is_empty(), "open-loop config needs a paradigm mix");
-        if let ArrivalProcess::Trace { arrivals } = &cfg.arrivals {
-            assert!(
-                arrivals.len() >= cfg.jobs,
-                "trace has {} arrivals but the stream needs {}",
-                arrivals.len(),
-                cfg.jobs
-            );
-        }
         let rng = DetRng::seed_from_u64(cfg.seed);
         JobStream {
             cfg,
@@ -691,23 +667,9 @@ impl Iterator for JobStream {
             ParadigmKind::PpGpipe | ParadigmKind::Pp1f1b => self.rng.usize_range_inclusive(2, 3),
             _ => self.rng.usize_range_inclusive(2, 4),
         };
-        let arrival = match &self.cfg.arrivals {
-            ArrivalProcess::Poisson { mean_interarrival } => {
-                let u: f64 = self.rng.f64_range(1e-12, 1.0);
-                self.t += -u.ln() * mean_interarrival;
-                self.t
-            }
-            ArrivalProcess::Trace { arrivals } => {
-                let t = arrivals[i];
-                assert!(
-                    t >= self.t && t.is_finite(),
-                    "trace arrival {t} regresses before {}",
-                    self.t
-                );
-                self.t = t;
-                t
-            }
-        };
+        let u: f64 = self.rng.f64_range(1e-12, 1.0);
+        self.t += -u.ln() * self.cfg.mean_interarrival;
+        let arrival = self.t;
         let comp_scale = self.rng.f64_range(0.5, 2.0);
         let bytes_scale = self.rng.f64_range(0.5, 2.0);
         let tenant = pick_tenant(&mut self.rng, &self.cfg.tenants);

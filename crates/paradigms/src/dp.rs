@@ -372,7 +372,7 @@ mod tests {
         let groups = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(4), NodeId(5)]];
         let mut c = cfg(4, 1);
         c.placement = vec![NodeId(0), NodeId(1), NodeId(4), NodeId(5)];
-        let topo = FatTree::new(4).with_oversubscription(4.0).build();
+        let topo = FatTree::new(4).with_oversubscription(4.0).build_fabric();
 
         let mut alloc = IdAlloc::new();
         let flat = build_dp_allreduce(JobId(0), &c, &mut alloc);

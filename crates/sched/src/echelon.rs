@@ -79,11 +79,6 @@ pub enum InterOrder {
     MostTardy,
     /// Smallest isolation bottleneck first (Varys' SEBF).
     LeastWork,
-    /// Smallest *current-stage* bottleneck first, ties broken by earliest
-    /// deadline: SEBF at the granularity the EchelonFlow is actually
-    /// consumed (its next unfinished stage), so a long pipeline is not
-    /// penalized for work that is not due yet.
-    StageLeastWork,
     /// Earliest ideal finish time among active flows first. Default.
     EarliestDeadline,
     /// Sincronia BSSI over group loads.
@@ -452,7 +447,7 @@ impl EchelonMadd {
 
     /// Inter-group ordering over the flat group structure, built in the
     /// earliest-deadline order, so that ranking sorts nothing. Every other
-    /// but BSSI sorts one `(rank, time, key, group)` per group: a strict
+    /// but BSSI sorts one `(rank, key, group)` per group: a strict
     /// total order, blind to the order the groups arrive in.
     fn order_groups(
         &self,
@@ -503,33 +498,22 @@ impl EchelonMadd {
         for g in 0..groups {
             let (start, end) = (sc.starts[g], sc.starts[g + 1]);
             let (pos, deadline) = (&sc.pos[start..end], &sc.deadline[start..end]);
-            let (rank, time) = match self.inter {
+            let rank = match self.inter {
                 // Largest weighted tardiness first: the weighted objective
                 // (Eq. 4) makes a unit of lateness on a heavy EchelonFlow
                 // cost `weight` units. Negation reverses the total order.
                 InterOrder::MostTardy => {
                     let tau = Self::projected_tardiness_csr(now, flows, pos, deadline, topo, load);
-                    (-(self.weight_of(sc.keys[g]) * tau), SimTime::ZERO)
+                    -(self.weight_of(sc.keys[g]) * tau)
                 }
-                InterOrder::LeastWork => (
-                    Self::isolation_gamma_csr(flows, pos, topo, load),
-                    SimTime::ZERO,
-                ),
-                InterOrder::StageLeastWork => {
-                    let head = deadline[0];
-                    let stage = deadline.iter().take_while(|d| d.approx_eq(head)).count();
-                    (
-                        Self::isolation_gamma_csr(flows, &pos[..stage], topo, load),
-                        head,
-                    )
-                }
+                InterOrder::LeastWork => Self::isolation_gamma_csr(flows, pos, topo, load),
                 InterOrder::EarliestDeadline | InterOrder::Bssi => unreachable!("ordered above"),
             };
-            sc.ranked.push((rank, time, sc.keys[g], g));
+            sc.ranked.push((rank, sc.keys[g], g));
         }
         sc.ranked
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        sc.order.extend(sc.ranked.iter().map(|r| r.3));
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        sc.order.extend(sc.ranked.iter().map(|r| r.2));
     }
 
     /// MADD over one deadline-stage given as CSR member positions against
@@ -775,7 +759,6 @@ impl RatePolicy for EchelonMadd {
             (I::EarliestDeadline, IntraMode::Equalize) => "echelon-madd(equalize)",
             (I::MostTardy, _) => "echelon-madd(most-tardy)",
             (I::LeastWork, _) => "echelon-madd(least-work)",
-            (I::StageLeastWork, _) => "echelon-madd(stage-least-work)",
             (I::Bssi, _) => "echelon-madd(bssi)",
         }
     }
@@ -1012,7 +995,6 @@ mod tests {
         for inter in [
             InterOrder::MostTardy,
             InterOrder::LeastWork,
-            InterOrder::StageLeastWork,
             InterOrder::EarliestDeadline,
             InterOrder::Bssi,
         ] {
@@ -1192,7 +1174,6 @@ mod tests {
         for inter in [
             InterOrder::MostTardy,
             InterOrder::LeastWork,
-            InterOrder::StageLeastWork,
             InterOrder::EarliestDeadline,
             InterOrder::Bssi,
         ] {

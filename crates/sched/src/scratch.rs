@@ -47,9 +47,9 @@ pub(crate) struct GroupCsr {
     pub deadline: Vec<SimTime>,
     /// Group indices (into `keys`) in serve order.
     pub order: Vec<usize>,
-    /// `(rank, time, key, group)` per group, sorted into the serve order
+    /// `(rank, key, group)` per group, sorted into the serve order
     /// by every ranking but earliest-deadline and BSSI.
-    pub ranked: Vec<(f64, SimTime, GroupKey, usize)>,
+    pub ranked: Vec<(f64, GroupKey, usize)>,
     /// Each group's position in the held ranking a serve pass follows,
     /// `usize::MAX` for a group it does not list.
     pub held_rank: Vec<usize>,

@@ -2,11 +2,13 @@
 //!
 //! The canonical three-tier Clos fabric of Al-Fares et al.: `k` pods,
 //! each with `k/2` edge and `k/2` aggregation switches, `(k/2)²` core
-//! switches, and `k³/4` hosts. We model each switch-to-switch and
-//! host-to-edge connection as a pair of directed links; routing is
-//! deterministic up-down (the up-path is picked by hashing the
-//! destination host, a static ECMP stand-in, so a given host pair always
-//! uses one path and the simulation stays reproducible).
+//! switches, and `k³/4` hosts. [`FatTree::build_fabric`] builds it as a
+//! [`FatTreeFabric`]: each switch-to-switch and host-to-edge connection
+//! is a pair of directed links, and routing is deterministic up-down
+//! with a static ECMP stand-in keyed by the destination host (see
+//! [`FatTreeFabric`]). A given host pair always uses one path, so the
+//! simulation stays reproducible, while cross-pod traffic as a whole
+//! spreads over every aggregation and core switch.
 //!
 //! An **oversubscription** factor `f` divides the capacity of the
 //! edge-to-aggregation and aggregation-to-core uplinks: `f = 1.0` is a
@@ -15,7 +17,7 @@
 //! scheduling policy matters most.
 
 use crate::ids::{NodeId, ResourceId};
-use crate::topology::{LinkGraph, Topology};
+use crate::topology::Topology;
 
 /// Builder for k-ary fat-trees.
 #[derive(Debug, Clone, Copy)]
@@ -24,9 +26,8 @@ pub struct FatTree {
     pub k: usize,
     /// Host NIC / edge downlink capacity.
     pub host_capacity: f64,
-    /// Oversubscription factor: uplink capacity = `host capacity ×
-    /// (k/2) / factor` per uplink bundle... modelled per-link as
-    /// `host_capacity / factor`.
+    /// Oversubscription factor: every edge↔aggregation and
+    /// aggregation↔core link gets `host_capacity / factor`.
     pub oversubscription: f64,
 }
 
@@ -52,72 +53,8 @@ impl FatTree {
         self.k * self.k * self.k / 4
     }
 
-    /// Builds the topology. Node numbering: hosts first (`0..k³/4`), then
-    /// edge switches, aggregation switches, core switches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is odd or < 2.
-    pub fn build(&self) -> Topology {
-        let k = self.k;
-        assert!(
-            k >= 2 && k.is_multiple_of(2),
-            "fat-tree needs even k >= 2, got {k}"
-        );
-        let half = k / 2;
-        let hosts = self.hosts();
-        let edges = k * half; // k pods × k/2 edge switches
-        let aggs = k * half;
-        let cores = half * half;
-
-        let host_id = |h: usize| NodeId(h as u32);
-        let edge_id = |pod: usize, e: usize| NodeId((hosts + pod * half + e) as u32);
-        let agg_id = |pod: usize, a: usize| NodeId((hosts + edges + pod * half + a) as u32);
-        let core_id = |c: usize| NodeId((hosts + edges + aggs + c) as u32);
-
-        let edge_cap = self.host_capacity;
-        let up_cap = self.host_capacity / self.oversubscription;
-
-        let mut links = Vec::new();
-        let both = |a: NodeId, b: NodeId, cap: f64, links: &mut Vec<(NodeId, NodeId, f64)>| {
-            links.push((a, b, cap));
-            links.push((b, a, cap));
-        };
-
-        // Hosts ↔ edge switches: host h lives in pod h/(k²/4), under edge
-        // switch (h / half) % half within the pod.
-        for h in 0..hosts {
-            let pod = h / (half * half);
-            let e = (h / half) % half;
-            both(host_id(h), edge_id(pod, e), edge_cap, &mut links);
-        }
-        // Edge ↔ aggregation (full mesh within a pod).
-        for pod in 0..k {
-            for e in 0..half {
-                for a in 0..half {
-                    both(edge_id(pod, e), agg_id(pod, a), up_cap, &mut links);
-                }
-            }
-        }
-        // Aggregation ↔ core: aggregation switch a of each pod connects
-        // to cores [a·k/2, (a+1)·k/2).
-        for pod in 0..k {
-            for a in 0..half {
-                for i in 0..half {
-                    both(agg_id(pod, a), core_id(a * half + i), up_cap, &mut links);
-                }
-            }
-        }
-
-        let total_nodes = hosts + edges + aggs + cores;
-        Topology::LinkGraph(LinkGraph::new(total_nodes, links))
-    }
-
-    /// Builds the formulaic fabric form of the same tree: closed-form
-    /// O(1) routing (no all-pairs BFS precompute, which is O(hosts²) and
-    /// the scale blocker past a few hundred hosts) plus a pod partition
-    /// over every link. Resource numbering differs from [`Self::build`];
-    /// capacities and hop counts agree (see the cross-check test).
+    /// Builds the tree as a [`FatTreeFabric`]: closed-form O(1) routing
+    /// (no route table) plus a pod partition over every link.
     ///
     /// # Panics
     ///
@@ -328,17 +265,16 @@ mod tests {
     fn k4_counts() {
         let ft = FatTree::new(4);
         assert_eq!(ft.hosts(), 16);
-        let topo = ft.build();
+        let topo = ft.build_fabric();
         // 16 hosts + 8 edge + 8 agg + 4 core = 36 nodes.
         assert_eq!(topo.num_nodes(), 36);
-        // Links: 16 host pairs + 4·2·2 edge-agg pairs ×... just check
-        // resource count is positive and consistent.
-        assert!(topo.num_resources() > 0);
+        // 16 host links, 16 edge-agg and 16 agg-core links, both ways.
+        assert_eq!(topo.num_resources(), 96);
     }
 
     #[test]
     fn same_edge_traffic_stays_local() {
-        let topo = FatTree::new(4).build();
+        let topo = FatTree::new(4).build_fabric();
         // Hosts 0 and 1 share an edge switch: two hops.
         let route = topo.route(NodeId(0), NodeId(1));
         assert_eq!(route.len(), 2);
@@ -346,7 +282,7 @@ mod tests {
 
     #[test]
     fn cross_pod_traffic_traverses_core() {
-        let topo = FatTree::new(4).build();
+        let topo = FatTree::new(4).build_fabric();
         // Host 0 (pod 0) to host 15 (pod 3): up to core and down = 6 hops.
         let route = topo.route(NodeId(0), NodeId(15));
         assert_eq!(route.len(), 6);
@@ -354,8 +290,8 @@ mod tests {
 
     #[test]
     fn oversubscription_shrinks_uplinks() {
-        let full = FatTree::new(4).build();
-        let over = FatTree::new(4).with_oversubscription(4.0).build();
+        let full = FatTree::new(4).build_fabric();
+        let over = FatTree::new(4).with_oversubscription(4.0).build_fabric();
         // Cross-pod bottleneck shrinks by the factor.
         let b_full = full.bottleneck_capacity(NodeId(0), NodeId(15));
         let b_over = over.bottleneck_capacity(NodeId(0), NodeId(15));
@@ -367,7 +303,7 @@ mod tests {
 
     #[test]
     fn every_host_pair_is_connected() {
-        let topo = FatTree::new(4).build();
+        let topo = FatTree::new(4).build_fabric();
         for a in 0..16u32 {
             for b in 0..16u32 {
                 if a != b {
@@ -381,7 +317,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "even k")]
     fn odd_k_rejected() {
-        let _ = FatTree::new(3).build();
+        let _ = FatTree::new(3).build_fabric();
     }
 
     #[test]
@@ -401,29 +337,78 @@ mod tests {
         assert!(counts.iter().all(|&c| c == tags.len() / pods as usize));
     }
 
+    /// Every host pair's hop count and bottleneck follow from where the
+    /// two hosts sit in the tree: 2 hops under one edge switch, 4 within
+    /// a pod, 6 across pods, and the full host capacity only when the
+    /// route never leaves the edge switch.
     #[test]
-    fn fabric_routes_match_linkgraph_hop_counts_and_bottlenecks() {
-        let spec = FatTree::new(4).with_oversubscription(4.0);
-        let graph = spec.build();
-        let fabric = spec.build_fabric();
+    fn fabric_hop_counts_and_bottlenecks_follow_the_tree() {
+        let spec = FatTree {
+            host_capacity: 2.0,
+            ..FatTree::new(4).with_oversubscription(4.0)
+        };
+        let topo = spec.build_fabric();
+        let (edge, pod) = (|h: u32| h / 2, |h: u32| h / 4);
         for a in 0..16u32 {
             for b in 0..16u32 {
                 if a == b {
                     continue;
                 }
                 let (src, dst) = (NodeId(a), NodeId(b));
+                let (hops, bottleneck) = if edge(a) == edge(b) {
+                    (2, 2.0)
+                } else if pod(a) == pod(b) {
+                    (4, 0.5)
+                } else {
+                    (6, 0.5)
+                };
+                assert_eq!(topo.route(src, dst).len(), hops, "hop count {a}->{b}");
                 assert_eq!(
-                    fabric.route(src, dst).len(),
-                    graph.route(src, dst).len(),
-                    "hop count mismatch {a}->{b}"
-                );
-                assert!(
-                    (fabric.bottleneck_capacity(src, dst) - graph.bottleneck_capacity(src, dst))
-                        .abs()
-                        < 1e-12,
-                    "bottleneck mismatch {a}->{b}"
+                    topo.bottleneck_capacity(src, dst),
+                    bottleneck,
+                    "bottleneck {a}->{b}"
                 );
             }
+        }
+    }
+
+    /// Destination-keyed ECMP spreads cross-pod traffic: every
+    /// aggregation↔core link carries some cross-pod host pair, and no
+    /// switch-to-switch link carries more of them than one host NIC does
+    /// (one pair per host outside its pod).
+    #[test]
+    fn fabric_spreads_cross_pod_pairs_over_every_core_link() {
+        for k in [4usize, 8] {
+            let tree = FatTree::new(k);
+            let topo = tree.build_fabric();
+            let hosts = tree.hosts() as u32;
+            let per_pod = hosts / k as u32;
+            let mut pairs = vec![0u32; topo.num_resources()];
+            let mut core_links = std::collections::BTreeSet::<ResourceId>::new();
+            for a in 0..hosts {
+                for b in (0..hosts).filter(|b| b / per_pod != a / per_pod) {
+                    let route = topo.route(NodeId(a), NodeId(b));
+                    assert_eq!(route.len(), 6, "cross-pod route {a}->{b}");
+                    // Hops 1..5 are the switch-to-switch links, 2 and 3
+                    // the aggregation↔core pair.
+                    for r in &route[1..5] {
+                        pairs[r.0 as usize] += 1;
+                    }
+                    core_links.extend(&route[2..4]);
+                }
+            }
+            let half = k / 2;
+            assert_eq!(
+                core_links.len(),
+                2 * k * half * half,
+                "k={k}: some aggregation-core link carries no cross-pod pair"
+            );
+            let worst = pairs.iter().max().copied().unwrap();
+            assert!(
+                worst <= hosts - per_pod,
+                "k={k}: a switch link carries {worst} cross-pod pairs, a host NIC {}",
+                hosts - per_pod
+            );
         }
     }
 

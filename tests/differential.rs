@@ -169,13 +169,11 @@ where
 /// Digests of every `support::Madd::all` configuration on seeds 0..6, in that
 /// order, recorded from the separate echelon and Varys engines before
 /// they merged into one.
-const MADD_PINS: [u64; 15] = [
+const MADD_PINS: [u64; 13] = [
     0x5cc1_3d1b_5deb_fc12,
     0x26bb_dfee_c4a7_b1c3,
     0x11e0_5a39_9fb8_b647,
     0xd0f2_2513_ec09_8859,
-    0xf2e1_ef93_d71b_2e6c,
-    0xd373_5721_cb99_a6c5,
     0x92c5_69d1_e2ae_d637,
     0x2c2a_1949_5116_3b80,
     0x5375_f8b6_e352_e1f3,

@@ -19,7 +19,7 @@ use echelonflow::simnet::ids::NodeId;
 use echelonflow::simnet::runner::MaxMinPolicy;
 
 fn fabric() -> echelonflow::simnet::topology::Topology {
-    FatTree::new(4).with_oversubscription(4.0).build()
+    FatTree::new(4).with_oversubscription(4.0).build_fabric()
 }
 
 /// Every paradigm completes on the fat-tree with cross-pod placement.
@@ -113,11 +113,12 @@ fn hybrid_rack_aware_on_fattree() {
     let dag = build_hybrid(JobId(0), &cfg, &mut alloc);
 
     let fair = run_job(&topo, &dag, &mut MaxMinPolicy);
-    // EchelonMadd is a heuristic for an NP-hard problem (Property 3): on
-    // this instance strict group-priority service interacts badly with
-    // the chained ring-all-reduce stages and *every* ordering trails
-    // fair sharing by one compute unit (25 vs 24). Pin the gap as a
-    // known, bounded imperfection rather than hiding the instance.
+    // EchelonMadd is a heuristic for an NP-hard problem (Property 3):
+    // strict group-priority service can interact badly with the chained
+    // ring-all-reduce stages. On this fabric EDF finishes at 18.0 and
+    // fair sharing at 18.33; a tree that routed every cross-pod flow
+    // through one core link made EDF trail by one compute unit (25 vs
+    // 24). Bound the gap rather than hiding the instance.
     let mut policy = SchedulerKind::Echelon.policy(&[&dag]);
     let echelon = run_job(&topo, &dag, policy.as_mut());
     let gap = echelon.comp_finish_time().secs() / fair.comp_finish_time().secs();

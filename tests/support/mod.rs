@@ -76,14 +76,13 @@ pub struct Madd {
 }
 
 impl Madd {
-    /// Every EchelonFlow configuration (5 orders × 2 intra modes, then
+    /// Every EchelonFlow configuration (4 orders × 2 intra modes, then
     /// the default with backfill off), then the coflow rankings (SEBF,
     /// i.e. `LeastWork`, and BSSI) with backfill on and off.
     pub fn all() -> Vec<Madd> {
         let inters = [
             InterOrder::MostTardy,
             InterOrder::LeastWork,
-            InterOrder::StageLeastWork,
             InterOrder::EarliestDeadline,
             InterOrder::Bssi,
         ];
@@ -266,7 +265,6 @@ impl MaddReference {
                         SimTime::ZERO,
                     ),
                     I::LeastWork => (max_value(&load(m, flows, topo, true)), SimTime::ZERO),
-                    I::StageLeastWork => (max_value(&load(stage(m), flows, topo, true)), head),
                     I::EarliestDeadline => (0.0, head),
                     I::Bssi => unreachable!(),
                 };
