@@ -12,9 +12,12 @@
 //!   what its flows touch: seeding reads only the links they cross, and
 //!   each round only the unfrozen flows and their links, so a floor that
 //!   saturates most links leaves a round or two over a few members. The
-//!   pod policy runs the same unweighted, zero-floor fill through a
-//!   bucket-queue engine over a link index it keeps across fills
-//!   (`FillIndex`), which the unit tests pin bitwise to it.
+//!   pod policy runs the same unweighted, zero-floor fill through the
+//!   bucket engine over a link index it keeps across fills
+//!   (`FillIndex`), which the unit tests pin bitwise to it. That
+//!   engine's unit of work is a class of live links that share residual
+//!   bits and crosser count, so a round costs the fill's link states,
+//!   not its links.
 //! - [`priority_fill_dense`]: strict-priority greedy filling — flows are
 //!   served in a given order, each taking everything left on its path.
 //!   This is how the agent enforces schedules through priority queues
@@ -67,46 +70,87 @@ pub struct AllocScratch {
     links: Vec<u32>,
     /// Dedup marker for building `links`; all-false between calls.
     link_seen: Vec<bool>,
-    /// Residual per [`FillIndex`] link position (bucket waterfill): the
-    /// fill seeds only its scope's live links, other entries are stale.
-    residual_local: Vec<f64>,
     /// Per-member rate (bucket waterfill), written as members freeze.
     rate_local: Vec<f64>,
     /// Arena slot → member index while that member still fills (bucket
     /// waterfill); [`NONE`] for every other slot, and all-[`NONE`]
     /// between calls.
     member_of: Vec<u32>,
-    /// Link positions that crossed the saturation threshold this
-    /// round.
+    /// Classes that crossed the saturation threshold this round.
     newly_sat: Vec<u32>,
-    /// Candidate (`residual / mass`) per live link position,
-    /// refreshed by the bucket engine's subtraction pass and freeze
-    /// fix-ups so the min pass never divides.
-    cand: Vec<f64>,
     /// Unfrozen member positions (bucket engine), swap-removed as
     /// members freeze so late rounds iterate only the survivors.
     live_members: Vec<u32>,
     /// Member position → index in `live_members`; only read while the
     /// member is unfrozen.
     member_pos: Vec<u32>,
-    /// Link positions whose crosser count changed during this round's
+    /// Classes whose crosser count dropped in place during this round's
     /// freezes; their cached candidates are re-divided once per round.
     mass_changed: Vec<u32>,
-    /// Integer crosser count per link position (bucket engine).
-    cnt_local: Vec<u32>,
-    /// The scope's live link positions permuted ascending by crosser
-    /// count — a bucket queue: links whose last crosser froze (count 0)
-    /// collect at the front and leave the live range, and adjacent live
-    /// entries have near-equal counts so the interleaved subtraction
-    /// lanes stay balanced.
-    order: Vec<u32>,
-    /// Link position → index in `order`.
-    opos: Vec<u32>,
-    /// First `order` index of each count's bucket; decrementing a count
+    /// The bucket engine's link classes, in creation order (bucket
+    /// waterfill): every fill rebuilds them from its scope's live links.
+    classes: Vec<LinkClass>,
+    /// Live link positions grouped by class: class `x` holds
+    /// `class_links[x.start..x.end]`.
+    class_links: Vec<u32>,
+    /// Link position → its class; stale off the fill's scope.
+    link_class: Vec<u32>,
+    /// Link position → its index in `class_links`; stale off the scope.
+    link_at: Vec<u32>,
+    /// Class ids permuted ascending by crosser count — a bucket queue:
+    /// classes whose count reaches 0 collect at the front and leave the
+    /// live range, and adjacent live entries have near-equal counts so
+    /// the interleaved subtraction lanes stay balanced.
+    queue: Vec<u32>,
+    /// First `queue` index of each count's bucket; decrementing a count
     /// swaps the entry to its bucket's front and bumps the boundary.
     bucket_start: Vec<u32>,
-    /// Scratch cursors for the counting sort that seeds `order`.
+    /// Scratch cursors for the counting sort that seeds `class_links`.
     bucket_cursor: Vec<u32>,
+    /// The bucket engine's work since this scratch was made.
+    census: FillCensus,
+}
+
+/// The bucket engine's unit of work: a set of live links that hold the
+/// same residual bits and the same live-crosser count, so every round
+/// puts each of them through the same IEEE operations (DESIGN §22).
+#[derive(Debug, Clone, Copy)]
+struct LinkClass {
+    /// Residual capacity of each link of the class.
+    res: f64,
+    /// Candidate increment `max(res, 0) / cnt`, refreshed by the
+    /// subtraction pass and the freeze fix-ups so the min pass never
+    /// divides.
+    cand: f64,
+    /// Live crossers of each link of the class; 0 once the class is
+    /// dead (saturated, or its links' last crosser froze).
+    cnt: u32,
+    /// The class's links are `class_links[start..end]`.
+    start: u32,
+    end: u32,
+    /// The class this round's freezes move this class's count-lowered
+    /// links to; valid only when it was made this round. Its links sit
+    /// just below `start`.
+    split: u32,
+    /// The class this one is the split of; read only while this class
+    /// was made this round.
+    from: u32,
+    /// Index in the bucket queue.
+    qpos: u32,
+}
+
+/// Deterministic work counts of the bucket engine, summed over fills.
+/// Plain integer adds on every fill; the unit tests read them.
+#[derive(Debug, Default, Clone, Copy)]
+struct FillCensus {
+    /// Fill rounds.
+    rounds: u64,
+    /// Live links summed over rounds.
+    link_rounds: u64,
+    /// Live classes summed over rounds.
+    class_rounds: u64,
+    /// Counted subtractions `r -= inc`, summed over rounds.
+    subtractions: u64,
 }
 
 impl AllocScratch {
@@ -792,13 +836,20 @@ impl FillIndex {
     }
 }
 
-/// Bucket-queue waterfill: the pod policy's refill engine, for one pod
+/// Classes of the same count the set-up searches, newest first, for one
+/// with a link's capacity bits before it opens a new class. Links of one
+/// count and capacity that this misses land in classes of equal state,
+/// which costs rounds a little work and moves no bit.
+const CLASS_SCAN: usize = 8;
+
+/// Class-bucket waterfill: the pod policy's refill engine, for one pod
 /// or the whole fabric. Bit-identical to the unweighted, zero-floor
 /// [`waterfill_dense`] over the same members (the unit tests pin this
 /// per pod, over whole fabrics with core crossers, and on synthetic
 /// fills, degraded and zero-capacity links included), but restructured
-/// around an inverted link→member index so a round costs O(active route
-/// hops) instead of three full member sweeps:
+/// around an inverted link→member index, and around *classes* of live
+/// links, so a round costs O(link states + frozen route hops) instead of
+/// three full member sweeps:
 ///
 /// - masses are maintained as integer crosser counts, decremented as
 ///   members freeze (whole-number f64 arithmetic is exact, so
@@ -808,6 +859,21 @@ impl FillIndex {
 ///   across links in member order, but every subtraction on a link in a
 ///   given round subtracts the *same* increment, so only the count
 ///   matters for the resulting bits;
+/// - links that hold the same residual bits and the same count therefore
+///   go through the same operations every round, and the engine keeps
+///   them as one *class*: the min pass reads one cached candidate per
+///   class, the counted subtraction runs once per class, and a saturated
+///   class freezes the crossers of all its links. The set-up groups the
+///   scope's live links by (capacity bits, count). A freeze that lowers
+///   a link's count moves it to the class for (its class, new count),
+///   made on first use in the round, so a class splits when only some of
+///   its links lose a crosser; a class of one link takes its new count
+///   in place;
+/// - the live classes sit in a bucket queue ascending by count: a count
+///   decrement is an O(1) swap to its bucket's front, a new split enters
+///   with one move per nonempty bucket above its count, classes at count
+///   0 leave every later sweep, and the subtraction runs four classes in
+///   interleaved lanes whose counts stay near-equal;
 /// - a member freezes in the round a route link first reaches ≤ EPS,
 ///   which is exactly the reference's end-of-round retain test: an
 ///   active member's links were all > EPS at the previous round's end;
@@ -840,16 +906,17 @@ pub(crate) fn waterfill_bucket(
         rate_local,
         member_of,
         newly_sat,
-        cand,
         live_members,
         member_pos,
-        residual_local,
         mass_changed,
-        cnt_local,
-        order,
-        opos,
+        classes,
+        class_links,
+        link_class,
+        link_at,
+        queue,
         bucket_start,
         bucket_cursor,
+        census,
         ..
     } = ws;
     let FillIndex {
@@ -866,58 +933,101 @@ pub(crate) fn waterfill_bucket(
         Some(p) => std::slice::from_ref(&live[p as usize]),
         None => &live[..],
     };
-    // Round state per link position. A live link's crossers all keep it,
-    // so its round-1 count is its mass. Seed the candidate cache with the
-    // round-1 divisions; later rounds refresh it inside the subtraction
-    // pass (and the freeze fix-ups), so the min pass itself never
-    // divides. `cnt as f64` is exact for these whole numbers, so the
-    // quotient bits match the reference's accumulated-f64 mass division.
-    // Entries of positions outside the scope are stale and never read.
+    // A live link's crossers all keep it, so its round-1 count is its
+    // mass. Counting sort of the scope's live links by count, into
+    // `queue` for now. Entries of positions outside the scope are stale
+    // and never read.
     let npos = link.len();
-    if residual_local.len() < npos {
-        grow(residual_local, npos, 0.0);
-        grow(cnt_local, npos, 0);
-        grow(cand, npos, 0.0);
-        grow(opos, npos, 0);
+    if link_class.len() < npos {
+        grow(link_class, npos, 0);
+        grow(link_at, npos, 0);
     }
     bucket_start.clear();
     bucket_start.resize(2, 0);
     let mut tcount = 0;
     for &p in lists.iter().flatten() {
-        let (pi, c) = (p as usize, mass[p as usize]);
-        let cap = caps[link[pi] as usize];
-        residual_local[pi] = cap;
-        cnt_local[pi] = c;
-        cand[pi] = cap.max(0.0) / c as f64;
-        if bucket_start.len() < c as usize + 2 {
-            bucket_start.resize(c as usize + 2, 0);
+        let c = mass[p as usize] as usize;
+        if bucket_start.len() < c + 2 {
+            bucket_start.resize(c + 2, 0);
         }
-        bucket_start[c as usize + 1] += 1;
+        bucket_start[c + 1] += 1;
         tcount += 1;
     }
-    // Bucket queue over the live positions, ascending by crosser count:
-    // `order` is the permutation, `opos` its inverse, `bucket_start[c]`
-    // the first `order` index holding a count-`c` link. Decrementing a
-    // count is an O(1) swap-to-bucket-front plus a boundary bump, so
-    // links whose last crosser froze (count 0) migrate before
-    // `bucket_start[1]` and silently leave every later sweep — no inert
-    // sentinels, no liveness branches — while the live suffix stays
-    // grouped by count so the interleaved subtraction lanes below stay
-    // balanced.
+    let mut top = bucket_start.len() - 2;
     for c in 1..bucket_start.len() {
         bucket_start[c] += bucket_start[c - 1];
     }
     bucket_cursor.clear();
     bucket_cursor.extend_from_slice(bucket_start);
-    order.clear();
-    order.resize(tcount, 0);
+    queue.clear();
+    queue.resize(tcount, 0);
     for &p in lists.iter().flatten() {
-        let c = cnt_local[p as usize] as usize;
-        let at = bucket_cursor[c];
-        order[at as usize] = p;
-        opos[p as usize] = at;
-        bucket_cursor[c] = at + 1;
+        let c = mass[p as usize] as usize;
+        queue[bucket_cursor[c] as usize] = p;
+        bucket_cursor[c] += 1;
     }
+    // Classes of equal (capacity bits, count), count-ascending, each
+    // seeded with its round-1 candidate; `end` counts links for now.
+    // `cnt as f64` is exact for these whole numbers, so the quotient bits
+    // match the reference's accumulated-f64 mass division.
+    classes.clear();
+    let (mut first, mut count) = (0, 0);
+    for &p in queue.iter() {
+        let c = mass[p as usize];
+        let cap = caps[link[p as usize] as usize];
+        if c != count {
+            (first, count) = (classes.len(), c);
+        }
+        let lo = first.max(classes.len().saturating_sub(CLASS_SCAN));
+        let same = classes[lo..]
+            .iter()
+            .rposition(|k| k.res.to_bits() == cap.to_bits());
+        let x = match same {
+            Some(i) => lo + i,
+            None => {
+                classes.push(LinkClass {
+                    res: cap,
+                    cand: cap.max(0.0) / c as f64,
+                    cnt: c,
+                    start: 0,
+                    end: 0,
+                    split: NONE,
+                    from: NONE,
+                    qpos: classes.len() as u32,
+                });
+                classes.len() - 1
+            }
+        };
+        link_class[p as usize] = x as u32;
+        classes[x].end += 1;
+    }
+    let mut at = 0;
+    for k in classes.iter_mut() {
+        (k.start, k.end, at) = (at, at, at + k.end);
+    }
+    class_links.clear();
+    class_links.resize(tcount, 0);
+    for &p in queue.iter() {
+        let k = &mut classes[link_class[p as usize] as usize];
+        class_links[k.end as usize] = p;
+        link_at[p as usize] = k.end;
+        k.end += 1;
+    }
+    // Bucket queue over the classes, ascending by count: `queue` is the
+    // permutation, `LinkClass::qpos` its inverse, `bucket_start[c]` the
+    // first `queue` index holding a count-`c` class. The classes were
+    // made count-ascending, so the queue starts as the identity. Counts
+    // above `top` are empty, and their boundaries are not kept.
+    queue.clear();
+    queue.extend(0..classes.len() as u32);
+    bucket_start.fill(0);
+    for k in classes.iter() {
+        bucket_start[k.cnt as usize + 1] += 1;
+    }
+    for c in 1..bucket_start.len() {
+        bucket_start[c] += bucket_start[c - 1];
+    }
+    let mut qlen = classes.len();
     let n = subset.len();
     rate_local.clear();
     rate_local.resize(n, 0.0);
@@ -934,26 +1044,37 @@ pub(crate) fn waterfill_bucket(
         }
         member_of[slot as usize] = j as u32;
     }
+    #[cfg(debug_assertions)]
+    let mut shadow = ShadowLinks::new(index, lists);
     // Running prefix of the increment sequence. Every member active
     // through round `r` accumulates exactly the first `r` increments in
     // order, so one shared fold replaces the reference's per-member
     // accumulators: assigning `prefix` at freeze time is bitwise the
     // same value.
     let mut prefix = 0.0f64;
+    let mut live_links = tcount as u64;
 
     while !live_members.is_empty() {
+        while top > 0 && bucket_start[top] as usize == qlen {
+            top -= 1;
+        }
         let live0 = bucket_start[1] as usize;
-        // Min pass over live links only: a pure scan of the cached
+        census.rounds += 1;
+        census.link_rounds += live_links;
+        census.class_rounds += (qlen - live0) as u64;
+        #[cfg(debug_assertions)]
+        shadow.check(index, member_of, classes, class_links, link_class, link_at);
+        // Min pass over live classes only: a pure scan of the cached
         // candidates — the divisions already happened in the previous
         // round's subtraction pass (or the freeze fix-ups). The scan
         // runs count-descending (reversed bucket order) because heavier
-        // links tend toward smaller candidates, so the running min
+        // classes tend toward smaller candidates, so the running min
         // settles early and its branch stays predictable. Min over
         // non-NaN values is order-independent and ties carry identical
         // bits, so any scan order picks the reference minimum's bits.
         let mut inc = f64::INFINITY;
-        for &t in order[live0..tcount].iter().rev() {
-            let c = cand[t as usize];
+        for &x in queue[live0..qlen].iter().rev() {
+            let c = classes[x as usize].cand;
             if c < inc {
                 inc = c;
             }
@@ -962,36 +1083,39 @@ pub(crate) fn waterfill_bucket(
             break;
         }
         prefix += inc;
-        // Link-major counted subtraction over the live suffix, fused
+        #[cfg(debug_assertions)]
+        shadow.subtract(inc);
+        // Class-major counted subtraction over the live suffix, fused
         // with saturation detection and the next round's candidate
         // division. Per link the reference subtracts `inc` once per
         // crossing active member, interleaved across links in member
         // order — but equal-decrement chains land on the same bits in
-        // any interleaving, so folding each link's `cnt` subtractions
-        // in a register is bitwise the member-major order. Four links
-        // run in interleaved lanes to hide the subtraction latency;
-        // bucket order groups near-equal counts, so the masked `- 0.0`
-        // padding (a bitwise identity for non-NaN x) on shorter lanes
-        // is marginal. The candidate cache written here uses this
-        // round's pre-freeze counts; freeze fix-ups below re-divide the
-        // few links whose count changes.
+        // any interleaving, so folding a class's `cnt` subtractions in a
+        // register is bitwise the member-major order on each of its
+        // links. Four classes run in interleaved lanes to hide the
+        // subtraction latency; bucket order groups near-equal counts, so
+        // the masked `- 0.0` padding (a bitwise identity for non-NaN x)
+        // on shorter lanes is marginal. The candidate cache written here
+        // uses this round's pre-freeze counts; the freezes below give
+        // each class whose count changes its own division.
         newly_sat.clear();
         let inc_bits = inc.to_bits();
+        let mut subtractions = 0;
         {
             let mut i = live0;
-            while i + 4 <= tcount {
-                let t0 = order[i] as usize;
-                let t1 = order[i + 1] as usize;
-                let t2 = order[i + 2] as usize;
-                let t3 = order[i + 3] as usize;
-                let n0 = cnt_local[t0];
-                let n1 = cnt_local[t1];
-                let n2 = cnt_local[t2];
-                let n3 = cnt_local[t3];
-                let mut r0 = residual_local[t0];
-                let mut r1 = residual_local[t1];
-                let mut r2 = residual_local[t2];
-                let mut r3 = residual_local[t3];
+            while i + 4 <= qlen {
+                let x0 = queue[i] as usize;
+                let x1 = queue[i + 1] as usize;
+                let x2 = queue[i + 2] as usize;
+                let x3 = queue[i + 3] as usize;
+                let n0 = classes[x0].cnt;
+                let n1 = classes[x1].cnt;
+                let n2 = classes[x2].cnt;
+                let n3 = classes[x3].cnt;
+                let mut r0 = classes[x0].res;
+                let mut r1 = classes[x1].res;
+                let mut r2 = classes[x2].res;
+                let mut r3 = classes[x3].res;
                 let cmax = n0.max(n1).max(n2).max(n3);
                 for k in 0..cmax {
                     r0 -= f64::from_bits(inc_bits & 0u64.wrapping_sub((k < n0) as u64));
@@ -999,52 +1123,73 @@ pub(crate) fn waterfill_bucket(
                     r2 -= f64::from_bits(inc_bits & 0u64.wrapping_sub((k < n2) as u64));
                     r3 -= f64::from_bits(inc_bits & 0u64.wrapping_sub((k < n3) as u64));
                 }
-                residual_local[t0] = r0;
-                residual_local[t1] = r1;
-                residual_local[t2] = r2;
-                residual_local[t3] = r3;
-                cand[t0] = r0.max(0.0) / n0 as f64;
-                cand[t1] = r1.max(0.0) / n1 as f64;
-                cand[t2] = r2.max(0.0) / n2 as f64;
-                cand[t3] = r3.max(0.0) / n3 as f64;
+                subtractions += n0 + n1 + n2 + n3;
+                classes[x0].res = r0;
+                classes[x1].res = r1;
+                classes[x2].res = r2;
+                classes[x3].res = r3;
+                classes[x0].cand = r0.max(0.0) / n0 as f64;
+                classes[x1].cand = r1.max(0.0) / n1 as f64;
+                classes[x2].cand = r2.max(0.0) / n2 as f64;
+                classes[x3].cand = r3.max(0.0) / n3 as f64;
                 if r0 <= EPS {
-                    newly_sat.push(t0 as u32);
+                    newly_sat.push(x0 as u32);
                 }
                 if r1 <= EPS {
-                    newly_sat.push(t1 as u32);
+                    newly_sat.push(x1 as u32);
                 }
                 if r2 <= EPS {
-                    newly_sat.push(t2 as u32);
+                    newly_sat.push(x2 as u32);
                 }
                 if r3 <= EPS {
-                    newly_sat.push(t3 as u32);
+                    newly_sat.push(x3 as u32);
                 }
                 i += 4;
             }
-            while i < tcount {
-                let t = order[i] as usize;
-                let nt = cnt_local[t];
-                let mut r = residual_local[t];
-                for _ in 0..nt {
+            while i < qlen {
+                let x = queue[i] as usize;
+                let nx = classes[x].cnt;
+                let mut r = classes[x].res;
+                for _ in 0..nx {
                     r -= inc;
                 }
-                residual_local[t] = r;
-                cand[t] = r.max(0.0) / nt as f64;
+                subtractions += nx;
+                classes[x].res = r;
+                classes[x].cand = r.max(0.0) / nx as f64;
                 if r <= EPS {
-                    newly_sat.push(t as u32);
+                    newly_sat.push(x as u32);
                 }
                 i += 1;
             }
         }
+        census.subtractions += u64::from(subtractions);
+        // Every link of a saturated class loses all its crossers this
+        // round, so the class leaves the queue first (count 0, below
+        // `bucket_start[1]`), and the freezes below pass its links by
+        // instead of splitting it.
+        for &x in newly_sat.iter() {
+            let x = x as usize;
+            let k = classes[x];
+            live_links -= u64::from(k.end - k.start);
+            for c in (1..=k.cnt).rev() {
+                queue_lower(queue, bucket_start, classes, x, c);
+            }
+            classes[x].cnt = 0;
+        }
         let before = live_members.len();
         mass_changed.clear();
-        for &t in newly_sat.iter() {
-            let mut node = head[t as usize];
-            while node != NONE {
-                let slot = node as usize / ROUTE_RANK_STRIDE;
-                node = next[node as usize];
-                let j = member_of[slot];
-                if j != NONE {
+        let round_first = classes.len() as u32;
+        for &x in newly_sat.iter() {
+            let LinkClass { start, end, .. } = classes[x as usize];
+            for li in start..end {
+                let mut node = head[class_links[li as usize] as usize];
+                while node != NONE {
+                    let slot = node as usize / ROUTE_RANK_STRIDE;
+                    node = next[node as usize];
+                    let j = member_of[slot];
+                    if j == NONE {
+                        continue;
+                    }
                     let j = j as usize;
                     member_of[slot] = NONE;
                     rate_local[j] = prefix;
@@ -1053,42 +1198,83 @@ pub(crate) fn waterfill_bucket(
                     if p < live_members.len() {
                         member_pos[live_members[p] as usize] = p as u32;
                     }
-                    // O(1) bucket-queue decrement per kept route link:
-                    // swap the link to the front of its count bucket and
-                    // bump the boundary. A link hitting count 0 thereby
-                    // moves below `bucket_start[1]` and leaves every later
-                    // sweep.
+                    // Each kept route link loses a crosser: its class
+                    // lowers in place when the link is alone in it, else
+                    // the link moves to the class's split for this round.
                     let base = slot * ROUTE_RANK_STRIDE;
                     let mut kept = hops[base] >> 8;
                     while kept != 0 {
-                        let t = hops[base + 1 + kept.trailing_zeros() as usize];
+                        let t = hops[base + 1 + kept.trailing_zeros() as usize] as usize;
                         kept &= kept - 1;
-                        let ti = t as usize;
-                        let c = cnt_local[ti] as usize;
-                        let b = bucket_start[c];
-                        let p = opos[ti];
-                        let other = order[b as usize];
-                        order[b as usize] = t;
-                        order[p as usize] = other;
-                        opos[ti] = b;
-                        opos[other as usize] = p;
-                        bucket_start[c] = b + 1;
-                        cnt_local[ti] = c as u32 - 1;
-                        mass_changed.push(t);
+                        let x = link_class[t] as usize;
+                        let k = classes[x];
+                        if k.cnt == 0 {
+                            continue;
+                        }
+                        if k.end - k.start == 1 {
+                            queue_lower(queue, bucket_start, classes, x, k.cnt);
+                            classes[x].cnt = k.cnt - 1;
+                            if x as u32 >= round_first {
+                                // Its parent's next lowered link must
+                                // not join it at the old count.
+                                classes[k.from as usize].split = NONE;
+                            }
+                            if k.cnt == 1 {
+                                live_links -= 1;
+                            } else {
+                                mass_changed.push(x as u32);
+                            }
+                            continue;
+                        }
+                        let y = if k.split != NONE && k.split >= round_first {
+                            k.split as usize
+                        } else {
+                            let y = classes.len();
+                            let cnt = k.cnt - 1;
+                            classes.push(LinkClass {
+                                res: k.res,
+                                cand: 0.0,
+                                cnt,
+                                start: k.start,
+                                end: k.start,
+                                split: NONE,
+                                from: x as u32,
+                                qpos: NONE,
+                            });
+                            if cnt > 0 {
+                                classes[y].cand = k.res.max(0.0) / cnt as f64;
+                                queue_insert(queue, bucket_start, classes, &mut qlen, top, y);
+                            }
+                            classes[x].split = y as u32;
+                            y
+                        };
+                        // The link swaps to the front of its class's
+                        // links, which the split, sitting just below,
+                        // then takes over.
+                        let (i, s) = (link_at[t], classes[x].start);
+                        let other = class_links[s as usize];
+                        class_links[s as usize] = t as u32;
+                        class_links[i as usize] = other;
+                        link_at[other as usize] = i;
+                        link_at[t] = s;
+                        classes[x].start = s + 1;
+                        classes[y].end = s + 1;
+                        link_class[t] = y as u32;
+                        if classes[y].cnt == 0 {
+                            live_links -= 1;
+                        }
                     }
                 }
             }
         }
-        // Candidate fix-ups for surviving links whose crosser count
-        // changed: the division the reference would perform next round
-        // (same residual bits, post-freeze count). Links at count 0 need
-        // nothing — the bucket queue already retired them. Duplicate
-        // entries are harmless, the fix-up is idempotent.
-        for &t in mass_changed.iter() {
-            let ti = t as usize;
-            let c = cnt_local[ti];
-            if c > 0 {
-                cand[ti] = residual_local[ti].max(0.0) / c as f64;
+        // Candidate fix-ups for surviving classes whose count dropped in
+        // place: the division the reference would perform next round
+        // (same residual bits, post-freeze count). Duplicate entries are
+        // harmless, the fix-up is idempotent.
+        for &x in mass_changed.iter() {
+            let k = &mut classes[x as usize];
+            if k.cnt > 0 {
+                k.cand = k.res.max(0.0) / k.cnt as f64;
             }
         }
         if live_members.len() == before {
@@ -1104,6 +1290,129 @@ pub(crate) fn waterfill_bucket(
     }
     for (j, &i) in subset.iter().enumerate() {
         rates[i] = rate_local[j];
+    }
+}
+
+/// Lowers class `x`, at count `c`, into count bucket `c - 1` of the
+/// queue: swaps it to the front of its bucket and bumps the boundary.
+fn queue_lower(
+    queue: &mut [u32],
+    bucket_start: &mut [u32],
+    classes: &mut [LinkClass],
+    x: usize,
+    c: u32,
+) {
+    let b = bucket_start[c as usize];
+    let p = classes[x].qpos;
+    let other = queue[b as usize];
+    queue[b as usize] = x as u32;
+    queue[p as usize] = other;
+    classes[other as usize].qpos = p;
+    classes[x].qpos = b;
+    bucket_start[c as usize] = b + 1;
+}
+
+/// Enqueues the new class `x` at the end of its count's bucket, below
+/// `top`, the highest count with a class: every nonempty bucket above it
+/// moves its first entry to its end, which frees the slot.
+fn queue_insert(
+    queue: &mut Vec<u32>,
+    bucket_start: &mut [u32],
+    classes: &mut [LinkClass],
+    qlen: &mut usize,
+    top: usize,
+    x: usize,
+) {
+    let mut hole = *qlen as u32;
+    *qlen += 1;
+    if queue.len() < *qlen {
+        queue.push(NONE);
+    }
+    for c in (classes[x].cnt as usize + 1..=top).rev() {
+        let s = bucket_start[c];
+        if s != hole {
+            let f = queue[s as usize];
+            queue[hole as usize] = f;
+            classes[f as usize].qpos = hole;
+            hole = s;
+        }
+        bucket_start[c] = s + 1;
+    }
+    queue[hole as usize] = x as u32;
+    classes[x].qpos = hole;
+}
+
+/// A debug build's per-link replay of the class engine: each live link's
+/// own residual and live-crosser count, recomputed every round from the
+/// index and the frozen members alone. Every round it asserts that each
+/// link's class holds exactly that state and lists the link, and that a
+/// link without live crossers sits in a dead class.
+#[cfg(debug_assertions)]
+struct ShadowLinks<'a> {
+    /// The scope's live link positions.
+    lists: &'a [Vec<u32>],
+    /// Per position: residual and live-crosser count.
+    state: Vec<(f64, u32)>,
+}
+
+#[cfg(debug_assertions)]
+impl<'a> ShadowLinks<'a> {
+    fn new(index: &FillIndex, lists: &'a [Vec<u32>]) -> ShadowLinks<'a> {
+        let mut state = vec![(0.0, 0); index.link.len()];
+        for &p in lists.iter().flatten() {
+            state[p as usize].0 = index.caps[index.link[p as usize] as usize];
+        }
+        ShadowLinks { lists, state }
+    }
+
+    /// Recounts each link's live crossers that keep it, then checks the
+    /// link's class against its state.
+    fn check(
+        &mut self,
+        index: &FillIndex,
+        member_of: &[u32],
+        classes: &[LinkClass],
+        class_links: &[u32],
+        link_class: &[u32],
+        link_at: &[u32],
+    ) {
+        for &p in self.lists.iter().flatten() {
+            let p = p as usize;
+            let mut n = 0;
+            let mut node = index.head[p];
+            while node != NONE {
+                let slot = node as usize / ROUTE_RANK_STRIDE;
+                let hop = node as usize % ROUTE_RANK_STRIDE - 1;
+                let kept = (index.hops[slot * ROUTE_RANK_STRIDE] >> 8 >> hop) & 1 == 1;
+                n += u32::from(kept && member_of[slot] != NONE);
+                node = index.next[node as usize];
+            }
+            let (res, cnt) = &mut self.state[p];
+            *cnt = n;
+            let k = classes[link_class[p] as usize];
+            if n == 0 {
+                assert_eq!(k.cnt, 0, "link position {p} has no crosser left");
+                continue;
+            }
+            let at = link_at[p];
+            assert!(
+                k.cnt == n
+                    && k.res.to_bits() == res.to_bits()
+                    && (k.start..k.end).contains(&at)
+                    && class_links[at as usize] == p as u32,
+                "link position {p}: count {n} residual {res:e}, its class {k:?}"
+            );
+        }
+    }
+
+    /// Subtracts `inc` from each link once per live crosser.
+    fn subtract(&mut self, inc: f64) {
+        for &p in self.lists.iter().flatten() {
+            let (res, cnt) = &mut self.state[p as usize];
+            for _ in 0..*cnt {
+                *res -= inc;
+            }
+        }
     }
 }
 
@@ -1752,6 +2061,18 @@ mod tests {
                     _ => {}
                 }
             }
+            FabricSim::on(topo, rng, k, n, cross)
+        }
+
+        /// `n` flows on `topo`, a k-ary fat tree, as [`Self::new`] draws
+        /// them.
+        fn on(
+            topo: Topology,
+            rng: &mut echelon_detrand::DetRng,
+            k: usize,
+            n: usize,
+            cross: f64,
+        ) -> FabricSim {
             let hosts_per_pod = k * k / 4;
             let mut slots: Vec<u32> = (0..n as u32).collect();
             rng.shuffle(&mut slots);
@@ -1929,6 +2250,209 @@ mod tests {
             "only {crossers} of {flows} flows cross the core"
         );
         assert!(starved > 0, "no flow crossed a zero-capacity link");
+    }
+
+    /// A k-ary fat tree at full capacity but for `degraded` links at half
+    /// capacity and `dead` links at zero, drawn from `rng`: most links in
+    /// use share their capacity bits, so a fill's link classes are large.
+    fn uniform_fabric(
+        rng: &mut echelon_detrand::DetRng,
+        k: usize,
+        degraded: usize,
+        dead: usize,
+    ) -> Topology {
+        let mut topo = crate::fattree::FatTree::new(k).build_fabric();
+        for i in 0..degraded + dead {
+            let r = ResourceId(rng.usize_range_inclusive(0, topo.num_resources() - 1) as u32);
+            let factor = if i < degraded { 0.5 } else { 0.0 };
+            topo.set_capacity(r, topo.capacity(r) * factor);
+        }
+        topo
+    }
+
+    /// Link classes split, shrink and die without moving a bit. Hand-built
+    /// fills aim at each way a class could go wrong, each under several
+    /// arena slot orders (which set the order freezes visit crossers in);
+    /// random fills on fat trees whose links mostly share one capacity
+    /// then check it in bulk, fabric-wide and pod by pod. Every fill is
+    /// bitwise the dense waterfill, and debug builds check every round
+    /// that each link's class holds its own residual bits and count.
+    #[test]
+    fn bucket_engine_splits_link_classes_bitwise() {
+        /// A label, capacities and routes by member.
+        type Case = (&'static str, Vec<f64>, Vec<Vec<u32>>);
+        let cases: [Case; 4] = [
+            (
+                // Links 0–3 share capacity and count 2. Link 4 saturates
+                // first and takes a crosser from link 0 alone; link 5
+                // saturates next and takes one from link 1 alone.
+                "equal links lose crossers in different rounds",
+                vec![1.0, 1.0, 1.0, 1.0, 0.2, 0.35],
+                vec![
+                    vec![0, 4],
+                    vec![0],
+                    vec![1, 5],
+                    vec![1],
+                    vec![2],
+                    vec![2],
+                    vec![3],
+                    vec![3],
+                ],
+            ),
+            (
+                // Link 2 has the count of links 0, 1 and 3 but half their
+                // capacity.
+                "degraded link beside a shared class",
+                vec![1.0, 1.0, 0.5, 1.0],
+                vec![
+                    vec![0],
+                    vec![0],
+                    vec![1],
+                    vec![1],
+                    vec![2],
+                    vec![2],
+                    vec![3],
+                    vec![3],
+                ],
+            ),
+            (
+                // As above with link 2 cut to zero capacity.
+                "dead link beside a shared class",
+                vec![1.0, 1.0, 0.0, 1.0],
+                vec![
+                    vec![0],
+                    vec![0],
+                    vec![1],
+                    vec![1],
+                    vec![2],
+                    vec![2],
+                    vec![3],
+                    vec![3],
+                ],
+            ),
+            (
+                // Links 0–2 share capacity and count 3. Link 3 saturates
+                // first and freezes two crossers of link 0 and one of
+                // link 1 in one round: the class splits three ways, and
+                // a split may lower in place before its parent moves
+                // another link.
+                "one round lowers links of a class by different counts",
+                vec![1.0, 1.0, 1.0, 0.1],
+                vec![
+                    vec![0, 3],
+                    vec![0, 3],
+                    vec![1, 3],
+                    vec![0],
+                    vec![1],
+                    vec![1],
+                    vec![2],
+                    vec![2],
+                    vec![2],
+                ],
+            ),
+        ];
+        let mut ws = AllocScratch::new();
+        let mut rng = echelon_detrand::DetRng::seed_from_u64(0xC1A55);
+        for (label, caps, routes) in cases {
+            for order in 0..6 {
+                let mut slots: Vec<u32> = (0..routes.len() as u32).collect();
+                if order > 0 {
+                    rng.shuffle(&mut slots);
+                }
+                let sim = PodSim::from_routes(caps.clone(), &routes, slots);
+                let want = fair(&sim.topo, &sim.views, &mut ws);
+                let got = sim.bucket(&mut ws);
+                for (j, (a, b)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{label} order {order} member {j}: {a} != {b}"
+                    );
+                }
+            }
+        }
+        let before = ws.census;
+        for seed in 0..40u64 {
+            let mut rng = echelon_detrand::DetRng::seed_from_u64(0xC1A_5000 + seed);
+            let k = if seed % 2 == 0 { 4 } else { 8 };
+            let topo = uniform_fabric(&mut rng, k, 3, 1);
+            let n = rng.usize_range_inclusive(4 * k, 24 * k);
+            let cross = if seed % 4 < 2 { 0.0 } else { 0.2 };
+            let sim = FabricSim::on(topo, &mut rng, k, n, cross);
+            let all: Vec<usize> = (0..n).collect();
+            if cross > 0.0 {
+                let want = fair(&sim.topo, &sim.flows, &mut ws);
+                let mut got = vec![f64::NAN; n];
+                bucket(&sim.topo, &sim.flows, &all, &mut got, &mut ws);
+                for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} flow {i}: {a} != {b}");
+                }
+                continue;
+            }
+            let index = index_over(&sim.topo, &sim.flows, &all);
+            for pod in 0..k as u32 {
+                let subset = sim.pod_members(pod);
+                let slots: Vec<u32> = subset.iter().map(|&i| sim.flows[i].slot).collect();
+                let want = fair(&sim.topo, &gather(&sim.flows, &subset), &mut ws);
+                let mut got = vec![f64::NAN; n];
+                waterfill_bucket(&index, Some(pod), &subset, &slots, &mut got, &mut ws);
+                for (j, &i) in subset.iter().enumerate() {
+                    assert_eq!(
+                        want[j].to_bits(),
+                        got[i].to_bits(),
+                        "seed {seed} pod {pod} flow {i}: {} != {}",
+                        want[j],
+                        got[i]
+                    );
+                }
+            }
+        }
+        // Non-vacuity: classes hold several links each on these fabrics.
+        let (links, classes) = (
+            ws.census.link_rounds - before.link_rounds,
+            ws.census.class_rounds - before.class_rounds,
+        );
+        assert!(
+            classes * 3 < links,
+            "{classes} class-rounds for {links} link-rounds"
+        );
+    }
+
+    /// The work census of two seeded fills on a k = 8 fat tree at full
+    /// capacity but for one link at half: a whole-fabric fill with core
+    /// crossers and a pod fill. The counts are exact, so they catch work
+    /// that wall-time noise would hide. The per-link bucket engine this
+    /// one replaced spent `PER_LINK` on the same fills, as (link-rounds,
+    /// counted subtractions): its live links are the classes' links, so
+    /// its link-rounds match these.
+    #[test]
+    fn bucket_engine_work_census_is_pinned() {
+        const PER_LINK: [(u64, u64); 2] = [(855, 1559), (514, 1415)];
+        let mut rng = echelon_detrand::DetRng::seed_from_u64(0xCE_4505);
+        let topo = uniform_fabric(&mut rng, 8, 1, 0);
+        let sim = FabricSim::on(topo, &mut rng, 8, 128, 0.1);
+        let all: Vec<usize> = (0..sim.flows.len()).collect();
+        let mut ws = AllocScratch::new();
+        let mut got = vec![f64::NAN; all.len()];
+        bucket(&sim.topo, &sim.flows, &all, &mut got, &mut ws);
+        let fabric = ws.census;
+        let topo = uniform_fabric(&mut rng, 8, 1, 0);
+        let sim = FabricSim::on(topo, &mut rng, 8, 480, 0.0);
+        let all: Vec<usize> = (0..sim.flows.len()).collect();
+        let index = index_over(&sim.topo, &sim.flows, &all);
+        let subset = sim.pod_members(0);
+        let slots: Vec<u32> = subset.iter().map(|&i| sim.flows[i].slot).collect();
+        let mut ws = AllocScratch::new();
+        let mut got = vec![f64::NAN; all.len()];
+        waterfill_bucket(&index, Some(0), &subset, &slots, &mut got, &mut ws);
+        let pod = ws.census;
+        let counts = |c: FillCensus| (c.rounds, c.link_rounds, c.class_rounds, c.subtractions);
+        assert_eq!(counts(fabric), (11, 855, 76, 115), "whole-fabric fill");
+        assert_eq!(counts(pod), (16, 514, 277, 601), "pod fill");
+        let (links, subtractions) = PER_LINK[0];
+        assert_eq!(fabric.link_rounds, links);
+        assert!(fabric.class_rounds * 5 <= links && fabric.subtractions * 5 <= subtractions);
+        assert_eq!(pod.link_rounds, PER_LINK[1].0);
     }
 
     /// The regime the MADD backfill runs in: floors that saturate links.

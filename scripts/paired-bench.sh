@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark of a parent revision against the working tree.
 #
-#   scripts/paired-bench.sh <parent-rev> <workload> [pairs] [metric]
+#   scripts/paired-bench.sh <parent-rev> <workload> [pairs] [metric] [seed]
 #
 # The measurement protocol of ROADMAP.md, end to end:
 #   - checks out <parent-rev> (`git archive`) and the working tree
@@ -9,15 +9,18 @@
 #     directories `par` and `chg`, whose paths have equal length;
 #   - builds the benchmark package in each, with its own
 #     CARGO_TARGET_DIR (`par.target`, `chg.target`);
-#   - runs `--workload <workload> --seconds 10 --trace 0` in [pairs]
-#     (default 10) alternating pairs: odd pairs run the parent first,
-#     even pairs the change;
+#   - runs `--workload <workload> --seconds 10 --trace 0 --seed [seed]`
+#     (default seed 1, the benchmark's own) in [pairs] (default 10)
+#     alternating pairs: odd pairs run the parent first, even pairs the
+#     change. A claim must also hold on a seed not used while the change
+#     was written;
 #   - prints every run, each side's median [Q1, Q3] flow_events_per_s
 #     (quartiles as the benchmark's `stats::quartiles` computes them),
 #     the ratio of the medians and the pairs the change won;
 #   - prints each side's median setup_s and peak_heap_mb, the ratio of
 #     the medians and whether it stays within the metric's bound in
-#     BENCHMARK.json;
+#     BENCHMARK.json, or `unresolved` when the parent's (Q3 - Q1) / median
+#     exceeds that bound and not every change run beats every parent run;
 #   - says whether p50_ct_s, tail_ct_s and tardiness_s printed identical
 #     digits on both sides of every pair;
 #   - ends with the protocol's verdict on [metric], the claimed
@@ -25,9 +28,10 @@
 #     name in BENCHMARK.json): each side's median [Q1, Q3], the ratio,
 #     the pairs the change won (by the metric's `better` direction in
 #     BENCHMARK.json), the medians' distance against the parent's
-#     Q3 - Q1, and the verdict: `unresolved` when the parent's
-#     (Q3 - Q1) / median exceeds the metric's bound in BENCHMARK.json,
-#     else `gain` when the change won at least 9 in 10 pairs, else
+#     Q3 - Q1, and the verdict: when the parent's (Q3 - Q1) / median
+#     exceeds the metric's bound in BENCHMARK.json, `gain (every change
+#     run beats every parent run)` if it does, else `unresolved`; when it
+#     does not, `gain` when the change won at least 9 in 10 pairs, else
 #     `no gain`.
 #
 # Exits 1 if the two sides' instance completion digests differ in any
@@ -44,14 +48,15 @@
 # layout shifts out of the comparison.
 set -euo pipefail
 
-if [[ $# -lt 2 || $# -gt 4 ]]; then
-    echo "usage: $0 <parent-rev> <workload> [pairs] [metric]" >&2
+if [[ $# -lt 2 || $# -gt 5 ]]; then
+    echo "usage: $0 <parent-rev> <workload> [pairs] [metric] [seed]" >&2
     exit 2
 fi
 rev=$1
 workload=$2
 pairs=${3:-10}
 claimed=${4:-flow_events_per_s}
+seed=${5:-1}
 repo=$(git rev-parse --show-toplevel)
 dir=${PAIRED_BENCH_DIR:-$(mktemp -d)}
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
@@ -113,7 +118,7 @@ run() {
     local side=$1 pair=$2 log="$dir/$1.$2.log"
     (cd "$dir/$side" &&
         "$dir/$side.$target/release/benchmark" --workload "$workload" \
-            --seconds 10 --trace 0 >"$log" 2>&1)
+            --seconds 10 --trace 0 --seed "$seed" >"$log" 2>&1)
     awk -v side="$side" -v pair="$pair" -v metrics="$metrics" '
         BEGIN { n = split(metrics, name, " ") }
         match($0, /"instance_digests":\[[^]]*\]/) {
@@ -158,7 +163,7 @@ for ((p = 1; p <= pairs; p++)); do
     }' "$dir/runs.txt" >&2
 done
 
-awk -v workload="$workload" -v rev="$rev" -v align="$align" \
+awk -v workload="$workload" -v rev="$rev" -v align="$align" -v seed="$seed" \
     -v setup_bound="$(bound setup_s)" -v heap_bound="$(bound peak_heap_mb)" \
     -v metric="$claimed" -v cf="$claimed_field" -v better="$better" \
     -v metric_bound="$(bound "$claimed")" '
@@ -187,9 +192,20 @@ awk -v workload="$workload" -v rev="$rev" -v align="$align" \
         printf "%-7s median %.0f [%.0f, %.0f] ev/s over %d runs\n",
             name, median(a, n), quartile(a, n, 1), quartile(a, n, 3), n
     }
+    # (Q3 - Q1) / median of the sorted runs a.
+    function spread(a, n) {
+        return (quartile(a, n, 3) - quartile(a, n, 1)) / median(a, n)
+    }
+    # True when every sorted change run b beats every sorted parent run a
+    # in direction dir (higher or lower).
+    function dominates(a, b, n, dir) {
+        return dir == "higher" ? b[1] > a[n] : b[n] < a[1]
+    }
     # Field f (a lower-is-better metric) on both sides: the medians, their
-    # ratio, and whether the change stays within the bound.
-    function lower_better(label, f, bnd,    p, a, b, r) {
+    # ratio, and whether the change stays within the bound; unresolved
+    # when the parent spread exceeds the bound and not every change run
+    # beats every parent run.
+    function lower_better(label, f, bnd,    p, a, b, r, s, verdict) {
         for (p = 1; p <= pairs; p++) {
             a[p] = v["par", p, f]
             b[p] = v["chg", p, f]
@@ -197,9 +213,13 @@ awk -v workload="$workload" -v rev="$rev" -v align="$align" \
         sort(a, pairs)
         sort(b, pairs)
         r = median(b, pairs) / median(a, pairs)
+        s = spread(a, pairs)
+        if (s > bnd && !dominates(a, b, pairs, "lower"))
+            verdict = sprintf("unresolved (parent (Q3 - Q1) / median %.3f > bound)", s)
+        else
+            verdict = r <= 1 + bnd ? "within" : "BEYOND"
         printf "%-12s median %.6g -> %.6g, ratio %.3fx, bound %s: %s\n",
-            label, median(a, pairs), median(b, pairs), r, bnd,
-            (r <= 1 + bnd ? "within" : "BEYOND")
+            label, median(a, pairs), median(b, pairs), r, bnd, verdict
     }
     {
         for (f = 5; f <= NF; f++) v[$1, $2, f] = $f
@@ -224,8 +244,8 @@ awk -v workload="$workload" -v rev="$rev" -v align="$align" \
                     break
                 }
         }
-        printf "%s, %d pairs, parent %s against the working tree%s\n",
-            workload, pairs, rev,
+        printf "%s, %d pairs at seed %s, parent %s against the working tree%s\n",
+            workload, pairs, seed, rev,
             (align == 1 ? ", every function aligned to 64 bytes" : "")
         summary("parent", par, pairs)
         summary("change", chg, pairs)
@@ -254,10 +274,12 @@ awk -v workload="$workload" -v rev="$rev" -v align="$align" \
         printf "%s ratio %.3fx; change won %d of %d pairs; medians %.6g apart, parent Q3 - Q1 %.6g\n",
             metric, median(b, pairs) / median(a, pairs), cwon, pairs,
             (gap < 0 ? -gap : gap), iqr
-        spread = iqr / median(a, pairs)
-        if (spread > metric_bound)
+        s = spread(a, pairs)
+        if (s > metric_bound && dominates(a, b, pairs, better))
+            verdict = "gain (every change run beats every parent run)"
+        else if (s > metric_bound)
             verdict = sprintf("unresolved (parent (Q3 - Q1) / median %.3f > bound %s)",
-                spread, metric_bound)
+                s, metric_bound)
         else if (10 * cwon >= 9 * pairs)
             verdict = sprintf("gain (won %d of %d pairs)", cwon, pairs)
         else

@@ -30,7 +30,11 @@ enum Arrival {
 
 struct ScaleSpec {
     k: usize,
-    flows_per_pod: usize,
+    /// Fat-tree oversubscription: the links above the edge carry the
+    /// host link capacity divided by this factor.
+    oversub: f64,
+    /// Flows in all; a uniform row spreads them evenly over the pods.
+    flows: usize,
     arrival: Arrival,
     size_lo: f64,
     size_hi: f64,
@@ -49,15 +53,16 @@ struct ScaleSpec {
 fn scale_demands(spec: &ScaleSpec) -> Vec<FlowDemand> {
     let half = spec.k / 2;
     let hosts_per_pod = half * half;
-    let total = spec.k * spec.flows_per_pod;
+    let total = spec.flows;
     let mut demands = Vec::with_capacity(total);
     let mut next_id = 0u64;
     match spec.arrival {
         Arrival::Uniform { window } => {
             let mut rng = DetRng::seed_from_u64(0x5CA1E + spec.k as u64);
+            assert_eq!(total % spec.k, 0, "uniform rows fill every pod alike");
             for pod in 0..spec.k {
                 let base = pod * hosts_per_pod;
-                for _ in 0..spec.flows_per_pod {
+                for _ in 0..total / spec.k {
                     let src = rng.usize_range_inclusive(0, hosts_per_pod - 1);
                     let dst_raw = rng.usize_range_inclusive(0, hosts_per_pod - 2);
                     let dst = if dst_raw >= src { dst_raw + 1 } else { dst_raw };
@@ -146,7 +151,9 @@ fn completion_digest(out: &FlowOutcomes) -> u64 {
 /// Runs `spec` with the phase timers off and on, checks the floor and
 /// the timing identity, and asserts the digest equals `pinned` (hex).
 fn assert_pinned(spec: ScaleSpec, pinned: &str) {
-    let topo = FatTree::new(spec.k).build_fabric();
+    let topo = FatTree::new(spec.k)
+        .with_oversubscription(spec.oversub)
+        .build_fabric();
     let demands = scale_demands(&spec);
     let span = demands.iter().map(|d| d.release.secs()).fold(0.0, f64::max);
     let plan = churn_plan(&topo, spec.k, span, spec.churn_pairs);
@@ -184,7 +191,8 @@ fn assert_pinned(spec: ScaleSpec, pinned: &str) {
 fn k8_smoke_burst_digest_is_pinned() {
     let spec = ScaleSpec {
         k: 8,
-        flows_per_pod: 60,
+        oversub: 1.0,
+        flows: 480,
         arrival: Arrival::Uniform { window: 1.0 },
         size_lo: 0.5,
         size_hi: 1.5,
@@ -199,7 +207,8 @@ fn k8_smoke_burst_digest_is_pinned() {
 fn k8_smoke_spread_digest_is_pinned() {
     let spec = ScaleSpec {
         k: 8,
-        flows_per_pod: 120,
+        oversub: 1.0,
+        flows: 960,
         arrival: Arrival::Uniform { window: 4.0 },
         size_lo: 0.3,
         size_hi: 0.9,
@@ -216,7 +225,8 @@ fn k8_smoke_spread_digest_is_pinned() {
 fn k16_burst_digest_is_pinned() {
     let spec = ScaleSpec {
         k: 16,
-        flows_per_pod: 800,
+        oversub: 1.0,
+        flows: 12_800,
         arrival: Arrival::Uniform { window: 1.0 },
         size_lo: 0.5,
         size_hi: 1.5,
@@ -233,7 +243,8 @@ fn k16_burst_digest_is_pinned() {
 fn k32_trickle_digest_is_pinned() {
     let spec = ScaleSpec {
         k: 32,
-        flows_per_pod: 3200,
+        oversub: 1.0,
+        flows: 102_400,
         arrival: Arrival::Uniform { window: 300.0 },
         size_lo: 0.2,
         size_hi: 0.6,
@@ -251,7 +262,8 @@ fn k32_trickle_digest_is_pinned() {
 fn k16_staggered_digest_is_pinned() {
     let spec = ScaleSpec {
         k: 16,
-        flows_per_pod: 800,
+        oversub: 1.0,
+        flows: 12_800,
         arrival: Arrival::Poisson { mean_gap: 0.002 },
         size_lo: 0.5,
         size_hi: 1.5,
@@ -269,7 +281,8 @@ fn k16_staggered_digest_is_pinned() {
 fn k8_crosser_churn_digest_is_pinned() {
     let spec = ScaleSpec {
         k: 8,
-        flows_per_pod: 60,
+        oversub: 1.0,
+        flows: 480,
         arrival: Arrival::Poisson { mean_gap: 0.004 },
         size_lo: 0.5,
         size_hi: 1.5,
@@ -286,4 +299,43 @@ fn k8_crosser_churn_digest_is_pinned() {
         .count();
     assert!(crossers * 10 >= demands.len(), "only {crossers} crossers");
     assert_pinned(spec, "7cfc8eb4f8e82ba1");
+}
+
+/// The whole-fabric fallback on a 4:1 oversubscribed fabric: host links
+/// and the links above the edge differ in capacity, so the fill's link
+/// classes split by capacity as well as by crosser count.
+#[test]
+fn k8_oversubscribed_crosser_churn_digest_is_pinned() {
+    let spec = ScaleSpec {
+        k: 8,
+        oversub: 4.0,
+        flows: 480,
+        arrival: Arrival::Poisson { mean_gap: 0.004 },
+        size_lo: 0.5,
+        size_hi: 1.5,
+        min_peak_active: 400,
+        cross: 0.2,
+        churn_pairs: 8,
+    };
+    assert_pinned(spec, "28b4090a5270a053");
+}
+
+/// Shaped like the benchmark's `crosspod-churn`: 3,000 Poisson flows at a
+/// 4 ms mean gap on k = 16, one in ten across the core, under eight
+/// degrade/restore pairs.
+#[test]
+#[ignore = "full-size scale row; run in release with --ignored"]
+fn k16_crosspod_churn_digest_is_pinned() {
+    let spec = ScaleSpec {
+        k: 16,
+        oversub: 1.0,
+        flows: 3_000,
+        arrival: Arrival::Poisson { mean_gap: 0.004 },
+        size_lo: 0.5,
+        size_hi: 1.5,
+        min_peak_active: 400,
+        cross: 0.1,
+        churn_pairs: 8,
+    };
+    assert_pinned(spec, "42494ead8d9933f9");
 }
