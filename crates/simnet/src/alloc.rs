@@ -13,11 +13,13 @@
 //!   each round only the unfrozen flows and their links, so a floor that
 //!   saturates most links leaves a round or two over a few members. The
 //!   pod policy runs the same unweighted, zero-floor fill through the
-//!   bucket engine over a link index it keeps across fills
-//!   (`FillIndex`), which the unit tests pin bitwise to it. That
+//!   bucket engine, which the unit tests pin bitwise to it. That
 //!   engine's unit of work is a class of live links that share residual
 //!   bits and crosser count, so a round costs the fill's link states,
-//!   not its links.
+//!   not its links. Its link index (`FillIndex`) survives across fills,
+//!   patched per arrival and departure, and keeps the live links grouped
+//!   by their round-1 state, so a fill starts from the index's groups and
+//!   pays for its rounds, not for sorting its links into classes.
 //! - [`priority_fill_dense`]: strict-priority greedy filling — flows are
 //!   served in a given order, each taking everything left on its path.
 //!   This is how the agent enforces schedules through priority queues
@@ -70,33 +72,30 @@ pub struct AllocScratch {
     links: Vec<u32>,
     /// Dedup marker for building `links`; all-false between calls.
     link_seen: Vec<bool>,
-    /// Per-member rate (bucket waterfill), written as members freeze.
-    rate_local: Vec<f64>,
-    /// Arena slot → member index while that member still fills (bucket
-    /// waterfill); [`NONE`] for every other slot, and all-[`NONE`]
-    /// between calls.
-    member_of: Vec<u32>,
     /// Classes that crossed the saturation threshold this round.
     newly_sat: Vec<u32>,
-    /// Unfrozen member positions (bucket engine), swap-removed as
-    /// members freeze so late rounds iterate only the survivors.
-    live_members: Vec<u32>,
-    /// Member position → index in `live_members`; only read while the
-    /// member is unfrozen.
-    member_pos: Vec<u32>,
     /// Classes whose crosser count dropped in place during this round's
     /// freezes; their cached candidates are re-divided once per round.
     mass_changed: Vec<u32>,
     /// The bucket engine's link classes, in creation order (bucket
-    /// waterfill): every fill rebuilds them from its scope's live links.
+    /// waterfill): every fill seeds them from its scope's kept groups.
     classes: Vec<LinkClass>,
     /// Live link positions grouped by class: class `x` holds
     /// `class_links[x.start..x.end]`.
     class_links: Vec<u32>,
-    /// Link position → its class; stale off the fill's scope.
-    link_class: Vec<u32>,
-    /// Link position → its index in `class_links`; stale off the scope.
-    link_at: Vec<u32>,
+    /// Per link position: `[stamp, class, index in class_links]` of a
+    /// link the current fill moved; a link without the fill's stamp
+    /// sits where the set-up copied its group ([`place`]).
+    link_place: Vec<[u32; 3]>,
+    /// Per arena slot: the stamp of the last fill that froze its member.
+    frozen: Vec<u32>,
+    /// The current fill's stamp, bumped by every fill; 0 marks nothing.
+    stamp: u32,
+    /// Per index group: the class the set-up copied it into.
+    group_class: Vec<u32>,
+    /// Per index group: where the set-up copied its links to in
+    /// `class_links`.
+    group_base: Vec<u32>,
     /// Class ids permuted ascending by crosser count — a bucket queue:
     /// classes whose count reaches 0 collect at the front and leave the
     /// live range, and adjacent live entries have near-equal counts so
@@ -105,7 +104,8 @@ pub struct AllocScratch {
     /// First `queue` index of each count's bucket; decrementing a count
     /// swaps the entry to its bucket's front and bumps the boundary.
     bucket_start: Vec<u32>,
-    /// Scratch cursors for the counting sort that seeds `class_links`.
+    /// Scratch cursors for the counting sort that orders the classes
+    /// into `queue`.
     bucket_cursor: Vec<u32>,
     /// The bucket engine's work since this scratch was made.
     census: FillCensus,
@@ -140,9 +140,13 @@ struct LinkClass {
 }
 
 /// Deterministic work counts of the bucket engine, summed over fills.
-/// Plain integer adds on every fill; the unit tests read them.
+/// Plain integer adds on every fill; the unit tests read them. The
+/// patches' side of the census is [`FillIndex`]'s `group_moves`.
 #[derive(Debug, Default, Clone, Copy)]
 struct FillCensus {
+    /// Index groups the set-up copied into classes. The set-up touches
+    /// no link one by one: it copies each group's link list whole.
+    setup_groups: u64,
     /// Fill rounds.
     rounds: u64,
     /// Live links summed over rounds.
@@ -464,8 +468,8 @@ pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
 }
 
 /// The bucket engine's link index over a set of members, kept across
-/// fills and patched by each arrival and departure, so that a fill only
-/// seeds its round state from it ([`waterfill_bucket`]).
+/// fills and patched by each arrival and departure, so that a fill
+/// starts from it instead of deriving its round state ([`waterfill_bucket`]).
 ///
 /// Each link some member crosses holds a *position*, stable while the
 /// link stays in use, and per position the index keeps its raw crosser
@@ -480,19 +484,27 @@ pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
 /// except those that only it crosses, that are not its keeper and whose
 /// capacity is no lower than the keeper's: such a link binds no later and
 /// saturates no later than the keeper (DESIGN §13.2), so a fill leaves it
-/// out. Every piece of this is a function of the member set and the
+/// out.
+///
+/// The live links are kept *grouped* by round-1 state: a group holds the
+/// live links of one pod (one pod on a topology without pods) that share
+/// capacity bits and crosser count, so its links go through the same
+/// operations in a fill's first round and seed one class (DESIGN §23).
+/// Every patch that changes a live link's mass or liveness moves it
+/// between groups, opening a group on its first link and closing it on
+/// its last. A pod fill copies its pod's groups, a whole-fabric fill the
+/// groups of every pod, those of equal state into one class.
+///
+/// Every piece of this is a function of the member set and the
 /// capacities alone, so patching it delta by delta lands on the index one
-/// built from scratch would hold, up to position numbering and list order,
-/// which no fill result depends on.
+/// built from scratch would hold, up to position and group numbering and
+/// list order, which no fill result depends on.
 ///
-/// Live links are listed per pod (one pod on a topology without pods): a
-/// pod fill reads its pod's list, a whole-fabric fill all of them.
-///
-/// Masses, crosser lists and routes do not depend on capacities; keys and
-/// liveness do. A new, cleared or invalidated index is *stale*: it takes
-/// arrivals and departures without re-keying anyone, and
-/// [`Self::rekey_all`] re-reads the capacities and keys every member
-/// once before the next fill.
+/// Masses, crosser lists and routes do not depend on capacities; keys,
+/// liveness and groups do. A new, cleared or invalidated index is
+/// *stale*: it takes arrivals and departures without re-keying anyone,
+/// and [`Self::rekey_all`] re-reads the capacities, keys every member
+/// and regroups every live link once before the next fill.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FillIndex {
     /// False while the index is stale.
@@ -509,6 +521,8 @@ pub(crate) struct FillIndex {
     hops: Vec<u32>,
     /// Per node: the next node on the same link's crosser list.
     next: Vec<u32>,
+    /// Members held.
+    members: u32,
     /// Global link id → position, [`NONE`] while no member crosses it.
     pos_of: Vec<u32>,
     /// Per position: the global link id.
@@ -517,13 +531,39 @@ pub(crate) struct FillIndex {
     mass: Vec<u32>,
     /// Per position: the first node of the link's crosser list.
     head: Vec<u32>,
-    /// Per position: its index in its pod's `live` list, [`NONE`] while
-    /// the link is not live.
-    live_at: Vec<u32>,
+    /// Per position: its group, [`NONE`] while the link is not live.
+    group_of: Vec<u32>,
+    /// Per position: its index in its group's `links`.
+    group_at: Vec<u32>,
     /// Positions no link holds.
     free: Vec<u32>,
-    /// Per pod: the positions of its live links.
-    live: Vec<Vec<u32>>,
+    /// Groups by id; an id no group holds has no links.
+    groups: Vec<LinkGroup>,
+    /// Group ids no group holds.
+    free_groups: Vec<u32>,
+    /// `(capacity bits, count, pod)` → id of every group, so that the
+    /// groups of equal state in different pods are adjacent.
+    group_ids: BTreeMap<(u64, u32, u32), u32>,
+    /// Per pod: the ids of its groups.
+    pod_groups: Vec<Vec<u32>>,
+    /// Work census: links the index filed into, out of or between
+    /// groups since it was made.
+    group_moves: u64,
+}
+
+/// The live links of one pod that share capacity bits and crosser count.
+#[derive(Debug, Default, Clone)]
+struct LinkGroup {
+    /// Capacity of each link.
+    cap: f64,
+    /// Crosser count of each link.
+    cnt: u32,
+    /// The pod of the links.
+    pod: u32,
+    /// Index in its pod's group list.
+    pod_at: u32,
+    /// The links' positions.
+    links: Vec<u32>,
 }
 
 impl FillIndex {
@@ -546,13 +586,25 @@ impl FillIndex {
             self.pos_of[l as usize] = NONE;
         }
         self.hops.fill(VACANT);
+        self.members = 0;
         self.free.clear();
         self.free.extend((0..self.link.len() as u32).rev());
-        for list in &mut self.live {
+        self.ungroup_all();
+        self.keyed = false;
+    }
+
+    /// Empties every group, leaving no link live.
+    fn ungroup_all(&mut self) {
+        for g in &mut self.groups {
+            g.links.clear();
+        }
+        self.free_groups.clear();
+        self.free_groups.extend((0..self.groups.len() as u32).rev());
+        self.group_ids.clear();
+        for list in &mut self.pod_groups {
             list.clear();
         }
-        self.live_at.fill(NONE);
-        self.keyed = false;
+        self.group_of.fill(NONE);
     }
 
     /// True when arena `slot` holds a member.
@@ -563,9 +615,9 @@ impl FillIndex {
     }
 
     /// Keys a stale index: re-reads the capacities and pods from `topo`,
-    /// then re-keys every member, in slot order, onto empty live lists.
-    /// That is the key every member would get from arriving one by one
-    /// on the current masses. A no-op on an index that is not stale.
+    /// then re-keys every member, in slot order, onto empty groups. That
+    /// is the key every member would get from arriving one by one on the
+    /// current masses. A no-op on an index that is not stale.
     pub(crate) fn rekey_all(&mut self, topo: &Topology) {
         if self.keyed {
             return;
@@ -582,11 +634,8 @@ impl FillIndex {
                 1
             }
         };
-        self.live.resize_with(npods, Vec::new);
-        for list in &mut self.live {
-            list.clear();
-        }
-        self.live_at.fill(NONE);
+        self.ungroup_all();
+        self.pod_groups.resize_with(npods, Vec::new);
         self.keyed = true;
         for slot in 0..(self.hops.len() / ROUTE_RANK_STRIDE) as u32 {
             if self.is_member(slot) {
@@ -596,12 +645,13 @@ impl FillIndex {
     }
 
     /// Indexes a member on arena `slot` crossing `route` (global link
-    /// ids): bumps the masses on its route; then, unless the index is
-    /// stale, re-keys the former sole crosser of every link it makes
-    /// shared and keys itself. Returns false, and indexes nothing, for a
-    /// route with more hops than a slot holds or a slot that already
-    /// holds a member. A flow arena builds neither, but a caller-built
-    /// view may carry any route and slot.
+    /// ids): bumps the masses on its route, moving each live one to its
+    /// new count's group; then, unless the index is stale, re-keys the
+    /// former sole crosser of every link it makes shared and keys itself.
+    /// Returns false, and indexes nothing, for a route with more hops
+    /// than a slot holds or a slot that already holds a member. A flow
+    /// arena builds neither, but a caller-built view may carry any route
+    /// and slot.
     #[must_use]
     pub(crate) fn arrive(&mut self, slot: u32, route: impl ExactSizeIterator<Item = u32>) -> bool {
         let len = route.len();
@@ -629,9 +679,11 @@ impl FillIndex {
             self.next[node] = self.head[p];
             self.head[p] = node as u32;
             self.mass[p] += 1;
+            self.regroup(p);
             self.hops[node] = p as u32;
         }
         self.hops[base] = len as u32;
+        self.members += 1;
         if self.keyed {
             for &m in &shared[..len] {
                 if m != NONE && m != slot {
@@ -644,9 +696,10 @@ impl FillIndex {
     }
 
     /// Removes the member on arena `slot`, if any: decrements the masses
-    /// on its route, closes the links no member crosses any more and
-    /// re-keys the remaining crosser of every link it leaves single,
-    /// unless the index is stale.
+    /// on its route, moving each live one to its new count's group,
+    /// closes the links no member crosses any more and re-keys the
+    /// remaining crosser of every link it leaves single, unless the index
+    /// is stale.
     pub(crate) fn depart(&mut self, slot: u32) {
         if !self.is_member(slot) {
             return;
@@ -654,6 +707,7 @@ impl FillIndex {
         let base = slot as usize * ROUTE_RANK_STRIDE;
         let len = (self.hops[base] & 0xff) as usize;
         self.hops[base] = VACANT;
+        self.members -= 1;
         let mut single = [NONE; ROUTE_RANK_STRIDE - 1];
         for (node, left) in (base + 1..base + 1 + len).zip(single.iter_mut()) {
             let p = self.hops[node] as usize;
@@ -672,6 +726,7 @@ impl FillIndex {
                 1 => *left = self.head[p] / ROUTE_RANK_STRIDE as u32,
                 _ => {}
             }
+            self.regroup(p);
         }
         if !self.keyed {
             return;
@@ -692,14 +747,15 @@ impl FillIndex {
                 grow(&mut self.link, p + 1, 0);
                 grow(&mut self.mass, p + 1, 0);
                 grow(&mut self.head, p + 1, NONE);
-                grow(&mut self.live_at, p + 1, NONE);
+                grow(&mut self.group_of, p + 1, NONE);
+                grow(&mut self.group_at, p + 1, 0);
                 p
             }
         };
         self.link[p] = l;
         self.mass[p] = 0;
         self.head[p] = NONE;
-        self.live_at[p] = NONE;
+        self.group_of[p] = NONE;
         self.pos_of[l as usize] = p as u32;
         p
     }
@@ -743,32 +799,91 @@ impl FillIndex {
         self.hops[base] = len as u32 | kept << 8;
     }
 
-    /// Lists or unlists position `p` in its pod's live links.
+    /// Files position `p` under the group of its state when `on`, and
+    /// under none otherwise.
     fn set_live(&mut self, p: usize, on: bool) {
-        let at = self.live_at[p];
-        if on == (at != NONE) {
+        if on == (self.group_of[p] != NONE) {
             return;
         }
-        let list = &mut self.live[self.link_pod[self.link[p] as usize] as usize];
         if on {
-            self.live_at[p] = list.len() as u32;
-            list.push(p as u32);
+            self.join(p);
         } else {
-            list.swap_remove(at as usize);
-            if let Some(&moved) = list.get(at as usize) {
-                self.live_at[moved as usize] = at;
-            }
-            self.live_at[p] = NONE;
+            self.leave(p);
         }
+        self.group_moves += 1;
+    }
+
+    /// Moves live position `p`, whose mass changed, to the group of its
+    /// new count; a no-op for a link that is not live.
+    fn regroup(&mut self, p: usize) {
+        if self.group_of[p] != NONE {
+            self.leave(p);
+            self.join(p);
+            self.group_moves += 1;
+        }
+    }
+
+    /// Adds position `p` to the group of its pod, capacity and count,
+    /// opening that group if it has no links yet.
+    fn join(&mut self, p: usize) {
+        let l = self.link[p] as usize;
+        let (cap, cnt, pod) = (self.caps[l], self.mass[p], self.link_pod[l]);
+        let g = match self.group_ids.get(&(cap.to_bits(), cnt, pod)) {
+            Some(&g) => g as usize,
+            None => {
+                let g = match self.free_groups.pop() {
+                    Some(g) => g as usize,
+                    None => {
+                        self.groups.push(LinkGroup::default());
+                        self.groups.len() - 1
+                    }
+                };
+                let list = &mut self.pod_groups[pod as usize];
+                let group = &mut self.groups[g];
+                (group.cap, group.cnt, group.pod) = (cap, cnt, pod);
+                group.pod_at = list.len() as u32;
+                list.push(g as u32);
+                self.group_ids.insert((cap.to_bits(), cnt, pod), g as u32);
+                g
+            }
+        };
+        self.group_of[p] = g as u32;
+        self.group_at[p] = self.groups[g].links.len() as u32;
+        self.groups[g].links.push(p as u32);
+    }
+
+    /// Takes position `p` out of its group, closing the group if that was
+    /// its last link.
+    fn leave(&mut self, p: usize) {
+        let (g, at) = (self.group_of[p] as usize, self.group_at[p] as usize);
+        self.group_of[p] = NONE;
+        let group = &mut self.groups[g];
+        group.links.swap_remove(at);
+        if let Some(&moved) = group.links.get(at) {
+            self.group_at[moved as usize] = at as u32;
+        }
+        if !group.links.is_empty() {
+            return;
+        }
+        let (pod, pod_at) = (group.pod as usize, group.pod_at as usize);
+        self.group_ids
+            .remove(&(group.cap.to_bits(), group.cnt, group.pod));
+        let list = &mut self.pod_groups[pod];
+        list.swap_remove(pod_at);
+        if let Some(&moved) = list.get(pod_at) {
+            self.groups[moved as usize].pod_at = pod_at as u32;
+        }
+        self.free_groups.push(g as u32);
     }
 
     /// Checks this index against `fresh`, one built from scratch over
     /// the members this one should hold: both must hold the same members
-    /// with the same routes and kept links, and per link in use the same
-    /// capacity, crosser count, pod, liveness and crossers. Position
-    /// numbering and list order are free. Also checks each index's links
-    /// between its per-position arrays, crosser lists and live lists.
-    /// Returns the first difference found.
+    /// with the same routes and kept links, per link in use the same
+    /// capacity, crosser count, pod, liveness and crossers, and per pod
+    /// the same groups of the same links. Position and group numbering
+    /// and list order are free. Also checks each index's links between
+    /// its per-position arrays, crosser lists and groups. Returns the
+    /// first difference found.
     pub(crate) fn check_against(&self, fresh: &FillIndex) -> Result<(), String> {
         let (kept, want) = (self.census()?, fresh.census()?);
         match kept.iter().zip(&want).find(|(a, b)| a != b) {
@@ -782,9 +897,9 @@ impl FillIndex {
         }
     }
 
-    /// One line per member slot, then one per link in use by id, free of
-    /// position numbering and list order; an error where the internal
-    /// links disagree.
+    /// One line per member slot, then one per link in use by id, then
+    /// one per group, free of position and group numbering and list
+    /// order; an error where the internal links disagree.
     fn census(&self) -> Result<Vec<String>, String> {
         let mut lines = Vec::new();
         for (slot, e) in self.hops.chunks(ROUTE_RANK_STRIDE).enumerate() {
@@ -799,6 +914,9 @@ impl FillIndex {
                 ));
             }
         }
+        if lines.len() != self.members as usize {
+            return Err(format!("{} members counted", self.members));
+        }
         let mut links = Vec::new();
         for (p, &l) in self.link.iter().enumerate() {
             if self.free.contains(&(p as u32)) {
@@ -812,35 +930,68 @@ impl FillIndex {
             }
             crossers.sort_unstable();
             let pod = self.link_pod[l as usize];
-            let live = self.live_at[p] != NONE;
-            let listed = self.live[pod as usize].get(self.live_at[p] as usize);
+            let cap = self.caps[l as usize];
+            let g = self.group_of[p];
+            let filed = self.groups.get(g as usize).is_some_and(|k| {
+                k.links.get(self.group_at[p] as usize) == Some(&(p as u32))
+                    && (k.cap.to_bits(), k.cnt, k.pod) == (cap.to_bits(), self.mass[p], pod)
+            });
             if self.pos_of[l as usize] != p as u32
                 || crossers.len() != self.mass[p] as usize
-                || (live && listed != Some(&(p as u32)))
+                || (g != NONE && !filed)
             {
                 return Err(format!("link {l}: position {p} is inconsistent"));
             }
-            let cap = self.caps[l as usize];
             links.push((
                 l,
-                format!("link {l}: cap {cap:e} pod {pod} live {live} crossers {crossers:?}"),
+                format!(
+                    "link {l}: cap {cap:e} pod {pod} live {} crossers {crossers:?}",
+                    g != NONE
+                ),
             ));
-        }
-        let listed: usize = self.live.iter().map(Vec::len).sum();
-        if listed != self.live_at.iter().filter(|&&at| at != NONE).count() {
-            return Err(format!("{listed} links listed live"));
         }
         links.sort_unstable();
         lines.extend(links.into_iter().map(|(_, line)| line));
+        let mut groups = Vec::new();
+        for (pod, list) in self.pod_groups.iter().enumerate() {
+            for (at, &g) in list.iter().enumerate() {
+                let k = &self.groups[g as usize];
+                let key = (k.cap.to_bits(), k.cnt, k.pod);
+                if k.pod as usize != pod
+                    || k.pod_at as usize != at
+                    || k.links.is_empty()
+                    || self.group_ids.get(&key) != Some(&g)
+                {
+                    return Err(format!("group {g} of pod {pod} is inconsistent"));
+                }
+                let mut ids: Vec<u32> = k.links.iter().map(|&p| self.link[p as usize]).collect();
+                ids.sort_unstable();
+                groups.push(format!(
+                    "pod {pod} group cap {:e} count {}: links {ids:?}",
+                    k.cap, k.cnt
+                ));
+            }
+        }
+        let filed: usize = self.groups.iter().map(|k| k.links.len()).sum();
+        let live = self.group_of.iter().filter(|&&g| g != NONE).count();
+        if groups.len() != self.group_ids.len() || filed != live {
+            return Err(format!("{filed} links filed in {} groups", groups.len()));
+        }
+        groups.sort_unstable();
+        lines.extend(groups);
         Ok(lines)
     }
 }
 
-/// Classes of the same count the set-up searches, newest first, for one
-/// with a link's capacity bits before it opens a new class. Links of one
-/// count and capacity that this misses land in classes of equal state,
-/// which costs rounds a little work and moves no bit.
-const CLASS_SCAN: usize = 8;
+/// The members and links a [`waterfill_bucket`] fill covers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FillScope<'a> {
+    /// Pod `.0`'s live links and its members, on arena slots `.1`: the
+    /// index's members that cross the pod, while no member crosses pods.
+    Pod(u32, &'a [u32]),
+    /// Every live link and every member of the index.
+    Fabric,
+}
 
 /// Class-bucket waterfill: the pod policy's refill engine, for one pod
 /// or the whole fabric. Bit-identical to the unweighted, zero-floor
@@ -863,12 +1014,12 @@ const CLASS_SCAN: usize = 8;
 ///   go through the same operations every round, and the engine keeps
 ///   them as one *class*: the min pass reads one cached candidate per
 ///   class, the counted subtraction runs once per class, and a saturated
-///   class freezes the crossers of all its links. The set-up groups the
-///   scope's live links by (capacity bits, count). A freeze that lowers
-///   a link's count moves it to the class for (its class, new count),
-///   made on first use in the round, so a class splits when only some of
-///   its links lose a crosser; a class of one link takes its new count
-///   in place;
+///   class freezes the crossers of all its links. Round 1's classes are
+///   the index's groups of (capacity bits, count), merged across pods in
+///   a whole-fabric fill. A freeze that lowers a link's count moves it to
+///   the class for (its class, new count), made on first use in the
+///   round, so a class splits when only some of its links lose a
+///   crosser; a class of one link takes its new count in place;
 /// - the live classes sit in a bucket queue ascending by count: a count
 ///   decrement is an O(1) swap to its bucket's front, a new split enters
 ///   with one move per nonempty bucket above its count, classes at count
@@ -883,36 +1034,35 @@ const CLASS_SCAN: usize = 8;
 ///   with core crossers most links in use are such links, and the rounds
 ///   skip them.
 ///
-/// The link index lives in `index` ([`FillIndex`]), which the caller
-/// keeps across fills and patches as members arrive and depart, so a fill
-/// pays for its rounds and for seeding its round state, O(live links +
-/// members), and for nothing else. `pod` names the scope: `Some(p)` fills
-/// pod `p`'s live links, `None` every live link. `slots[j]` is the arena
-/// slot of member `subset[j]`, and the members must be exactly the
-/// index's members whose routes cross the scope: every member for `None`;
-/// for a pod, its pod-local members while no member crosses pods. Only
-/// `rates[i]` for `i ∈ subset` are written.
+/// The link index and its grouping live in `index` ([`FillIndex`]),
+/// which the caller keeps across fills and patches as members arrive and
+/// depart. So the set-up touches no link one by one: it copies each
+/// group's link list whole into its class, a link's class and place are
+/// read from its group until a freeze moves it, and frozen members are
+/// marked with the fill's stamp. A fill pays for its rounds, O(groups)
+/// to start them, and nothing else. `scope` names the links and members
+/// ([`FillScope`]). Each member's rate is written to `slot_rate` at its
+/// arena slot, which must cover every slot the index holds; no other
+/// entry is written.
 pub(crate) fn waterfill_bucket(
     index: &FillIndex,
-    pod: Option<u32>,
-    subset: &[usize],
-    slots: &[u32],
-    rates: &mut [f64],
+    scope: FillScope,
+    slot_rate: &mut [f64],
     ws: &mut AllocScratch,
 ) {
-    debug_assert_eq!(subset.len(), slots.len());
     debug_assert!(index.keyed, "fill from a stale index");
+    let nslots = index.hops.len() / ROUTE_RANK_STRIDE;
+    debug_assert!(slot_rate.len() >= nslots);
     let AllocScratch {
-        rate_local,
-        member_of,
         newly_sat,
-        live_members,
-        member_pos,
         mass_changed,
         classes,
         class_links,
-        link_class,
-        link_at,
+        link_place,
+        frozen,
+        stamp,
+        group_class,
+        group_base,
         queue,
         bucket_start,
         bucket_cursor,
@@ -920,141 +1070,111 @@ pub(crate) fn waterfill_bucket(
         ..
     } = ws;
     let FillIndex {
-        caps,
         hops,
         next,
-        link,
-        mass,
         head,
-        live,
+        groups,
         ..
     } = index;
-    let lists = match pod {
-        Some(p) => std::slice::from_ref(&live[p as usize]),
-        None => &live[..],
-    };
-    // A live link's crossers all keep it, so its round-1 count is its
-    // mass. Counting sort of the scope's live links by count, into
-    // `queue` for now. Entries of positions outside the scope are stale
-    // and never read.
-    let npos = link.len();
-    if link_class.len() < npos {
-        grow(link_class, npos, 0);
-        grow(link_at, npos, 0);
+    // A fresh stamp leaves every member unfrozen and every link where the
+    // set-up puts it.
+    *stamp = stamp.wrapping_add(1);
+    if *stamp == 0 {
+        frozen.fill(0);
+        link_place.fill([0; 3]);
+        *stamp = 1;
     }
-    bucket_start.clear();
-    bucket_start.resize(2, 0);
-    let mut tcount = 0;
-    for &p in lists.iter().flatten() {
-        let c = mass[p as usize] as usize;
-        if bucket_start.len() < c + 2 {
-            bucket_start.resize(c + 2, 0);
-        }
-        bucket_start[c + 1] += 1;
-        tcount += 1;
+    let stamp = *stamp;
+    if frozen.len() < nslots {
+        grow(frozen, nslots, 0);
     }
-    let mut top = bucket_start.len() - 2;
-    for c in 1..bucket_start.len() {
-        bucket_start[c] += bucket_start[c - 1];
+    if link_place.len() < index.link.len() {
+        grow(link_place, index.link.len(), [0; 3]);
     }
-    bucket_cursor.clear();
-    bucket_cursor.extend_from_slice(bucket_start);
-    queue.clear();
-    queue.resize(tcount, 0);
-    for &p in lists.iter().flatten() {
-        let c = mass[p as usize] as usize;
-        queue[bucket_cursor[c] as usize] = p;
-        bucket_cursor[c] += 1;
+    if group_class.len() < groups.len() {
+        grow(group_class, groups.len(), 0);
+        grow(group_base, groups.len(), 0);
     }
-    // Classes of equal (capacity bits, count), count-ascending, each
-    // seeded with its round-1 candidate; `end` counts links for now.
+    // Round 1's classes: each group's links, copied whole. A live link's
+    // crossers all keep it, so its round-1 count is its mass. A pod's
+    // groups all differ in state; a fabric fill reads every pod's groups
+    // with those of equal state adjacent, and merges them into one class.
     // `cnt as f64` is exact for these whole numbers, so the quotient bits
     // match the reference's accumulated-f64 mass division.
     classes.clear();
-    let (mut first, mut count) = (0, 0);
-    for &p in queue.iter() {
-        let c = mass[p as usize];
-        let cap = caps[link[p as usize] as usize];
-        if c != count {
-            (first, count) = (classes.len(), c);
-        }
-        let lo = first.max(classes.len().saturating_sub(CLASS_SCAN));
-        let same = classes[lo..]
-            .iter()
-            .rposition(|k| k.res.to_bits() == cap.to_bits());
-        let x = match same {
-            Some(i) => lo + i,
-            None => {
-                classes.push(LinkClass {
-                    res: cap,
-                    cand: cap.max(0.0) / c as f64,
-                    cnt: c,
-                    start: 0,
-                    end: 0,
-                    split: NONE,
-                    from: NONE,
-                    qpos: classes.len() as u32,
-                });
-                classes.len() - 1
-            }
-        };
-        link_class[p as usize] = x as u32;
-        classes[x].end += 1;
-    }
-    let mut at = 0;
-    for k in classes.iter_mut() {
-        (k.start, k.end, at) = (at, at, at + k.end);
-    }
     class_links.clear();
-    class_links.resize(tcount, 0);
-    for &p in queue.iter() {
-        let k = &mut classes[link_class[p as usize] as usize];
-        class_links[k.end as usize] = p;
-        link_at[p as usize] = k.end;
-        k.end += 1;
-    }
+    let mut seed = |g: u32| {
+        let k = &groups[g as usize];
+        let same = classes
+            .last()
+            .is_some_and(|c: &LinkClass| c.res.to_bits() == k.cap.to_bits() && c.cnt == k.cnt);
+        if !same {
+            classes.push(LinkClass {
+                res: k.cap,
+                cand: k.cap.max(0.0) / k.cnt as f64,
+                cnt: k.cnt,
+                start: class_links.len() as u32,
+                end: 0,
+                split: NONE,
+                from: NONE,
+                qpos: 0,
+            });
+        }
+        group_class[g as usize] = classes.len() as u32 - 1;
+        group_base[g as usize] = class_links.len() as u32;
+        class_links.extend_from_slice(&k.links);
+        classes.last_mut().expect("a class was made").end = class_links.len() as u32;
+        census.setup_groups += 1;
+    };
+    let members = match scope {
+        FillScope::Pod(pod, slots) => {
+            index.pod_groups[pod as usize].iter().for_each(|&g| seed(g));
+            slots.len()
+        }
+        FillScope::Fabric => {
+            index.group_ids.values().for_each(|&g| seed(g));
+            index.members as usize
+        }
+    };
     // Bucket queue over the classes, ascending by count: `queue` is the
     // permutation, `LinkClass::qpos` its inverse, `bucket_start[c]` the
-    // first `queue` index holding a count-`c` class. The classes were
-    // made count-ascending, so the queue starts as the identity. Counts
-    // above `top` are empty, and their boundaries are not kept.
-    queue.clear();
-    queue.extend(0..classes.len() as u32);
-    bucket_start.fill(0);
+    // first `queue` index holding a count-`c` class, placed by a counting
+    // sort of the classes. Counts above `top` are empty, and their
+    // boundaries are not kept.
+    let mut top = classes.iter().map(|k| k.cnt as usize).max().unwrap_or(0);
+    bucket_start.clear();
+    bucket_start.resize(top + 2, 0);
     for k in classes.iter() {
         bucket_start[k.cnt as usize + 1] += 1;
     }
     for c in 1..bucket_start.len() {
         bucket_start[c] += bucket_start[c - 1];
     }
+    bucket_cursor.clear();
+    bucket_cursor.extend_from_slice(bucket_start);
+    queue.clear();
+    queue.resize(classes.len(), 0);
+    for (x, k) in classes.iter_mut().enumerate() {
+        let c = k.cnt as usize;
+        k.qpos = bucket_cursor[c];
+        queue[k.qpos as usize] = x as u32;
+        bucket_cursor[c] += 1;
+    }
     let mut qlen = classes.len();
-    let n = subset.len();
-    rate_local.clear();
-    rate_local.resize(n, 0.0);
-    live_members.clear();
-    live_members.extend(0..n as u32);
-    member_pos.clear();
-    member_pos.extend(0..n as u32);
-    if member_of.len() < hops.len() / ROUTE_RANK_STRIDE {
-        grow(member_of, hops.len() / ROUTE_RANK_STRIDE, NONE);
-    }
-    for (j, &slot) in slots.iter().enumerate() {
-        if member_of.len() <= slot as usize {
-            grow(member_of, slot as usize + 1, NONE);
-        }
-        member_of[slot as usize] = j as u32;
-    }
+    let group_class = &group_class[..];
+    let group_base = &group_base[..];
     #[cfg(debug_assertions)]
-    let mut shadow = ShadowLinks::new(index, lists);
+    let mut shadow = ShadowLinks::new(index, class_links);
     // Running prefix of the increment sequence. Every member active
     // through round `r` accumulates exactly the first `r` increments in
     // order, so one shared fold replaces the reference's per-member
     // accumulators: assigning `prefix` at freeze time is bitwise the
     // same value.
     let mut prefix = 0.0f64;
-    let mut live_links = tcount as u64;
+    let mut live_links = class_links.len() as u64;
+    let mut thawed = members;
 
-    while !live_members.is_empty() {
+    while thawed > 0 {
         while top > 0 && bucket_start[top] as usize == qlen {
             top -= 1;
         }
@@ -1063,7 +1183,13 @@ pub(crate) fn waterfill_bucket(
         census.link_rounds += live_links;
         census.class_rounds += (qlen - live0) as u64;
         #[cfg(debug_assertions)]
-        shadow.check(index, member_of, classes, class_links, link_class, link_at);
+        shadow.check(
+            index,
+            (&frozen[..], stamp),
+            classes,
+            class_links,
+            (&link_place[..], group_class, group_base),
+        );
         // Min pass over live classes only: a pure scan of the cached
         // candidates — the divisions already happened in the previous
         // round's subtraction pass (or the freeze fix-ups). The scan
@@ -1176,7 +1302,7 @@ pub(crate) fn waterfill_bucket(
             }
             classes[x].cnt = 0;
         }
-        let before = live_members.len();
+        let before = thawed;
         mass_changed.clear();
         let round_first = classes.len() as u32;
         for &x in newly_sat.iter() {
@@ -1186,18 +1312,12 @@ pub(crate) fn waterfill_bucket(
                 while node != NONE {
                     let slot = node as usize / ROUTE_RANK_STRIDE;
                     node = next[node as usize];
-                    let j = member_of[slot];
-                    if j == NONE {
+                    if frozen[slot] == stamp {
                         continue;
                     }
-                    let j = j as usize;
-                    member_of[slot] = NONE;
-                    rate_local[j] = prefix;
-                    let p = member_pos[j] as usize;
-                    live_members.swap_remove(p);
-                    if p < live_members.len() {
-                        member_pos[live_members[p] as usize] = p as u32;
-                    }
+                    frozen[slot] = stamp;
+                    slot_rate[slot] = prefix;
+                    thawed -= 1;
                     // Each kept route link loses a crosser: its class
                     // lowers in place when the link is alone in it, else
                     // the link moves to the class's split for this round.
@@ -1206,7 +1326,8 @@ pub(crate) fn waterfill_bucket(
                     while kept != 0 {
                         let t = hops[base + 1 + kept.trailing_zeros() as usize] as usize;
                         kept &= kept - 1;
-                        let x = link_class[t] as usize;
+                        let (x, i) = place(index, link_place, group_class, group_base, stamp, t);
+                        let x = x as usize;
                         let k = classes[x];
                         if k.cnt == 0 {
                             continue;
@@ -1251,15 +1372,14 @@ pub(crate) fn waterfill_bucket(
                         // The link swaps to the front of its class's
                         // links, which the split, sitting just below,
                         // then takes over.
-                        let (i, s) = (link_at[t], classes[x].start);
+                        let s = classes[x].start;
                         let other = class_links[s as usize];
                         class_links[s as usize] = t as u32;
                         class_links[i as usize] = other;
-                        link_at[other as usize] = i;
-                        link_at[t] = s;
+                        link_place[other as usize] = [stamp, x as u32, i];
+                        link_place[t] = [stamp, y as u32, s];
                         classes[x].start = s + 1;
                         classes[y].end = s + 1;
-                        link_class[t] = y as u32;
                         if classes[y].cnt == 0 {
                             live_links -= 1;
                         }
@@ -1277,19 +1397,46 @@ pub(crate) fn waterfill_bucket(
                 k.cand = k.res.max(0.0) / k.cnt as f64;
             }
         }
-        if live_members.len() == before {
+        if thawed == before {
             break;
         }
     }
-    // Members that never froze (zero-capacity stall or a no-progress
-    // round) hold everything accumulated so far — the same fold `prefix`
-    // carries.
-    for &j in live_members.iter() {
-        rate_local[j as usize] = prefix;
-        member_of[slots[j as usize] as usize] = NONE;
+    // Members that never froze (zero-capacity stall, a no-progress round
+    // or no route) hold everything accumulated so far — the same fold
+    // `prefix` carries. A pod's members are listed; a fabric fill's are
+    // every member of the index, searched for only when one is left.
+    let mut rest = |slot: usize| {
+        if frozen[slot] != stamp {
+            slot_rate[slot] = prefix;
+        }
+    };
+    match scope {
+        FillScope::Pod(_, slots) => slots.iter().for_each(|&s| rest(s as usize)),
+        FillScope::Fabric if thawed > 0 => (0..nslots)
+            .filter(|&s| hops[s * ROUTE_RANK_STRIDE] != VACANT)
+            .for_each(rest),
+        FillScope::Fabric => {}
     }
-    for (j, &i) in subset.iter().enumerate() {
-        rates[i] = rate_local[j];
+}
+
+/// The class of live link position `p` in the current fill, and its
+/// index in `class_links`: a link the fill moved carries both in
+/// `link_place` under the fill's `stamp`; any other link sits in the
+/// class its group was copied into, at its place in the group.
+fn place(
+    index: &FillIndex,
+    link_place: &[[u32; 3]],
+    group_class: &[u32],
+    group_base: &[u32],
+    stamp: u32,
+    p: usize,
+) -> (u32, u32) {
+    match link_place[p] {
+        [s, x, at] if s == stamp => (x, at),
+        _ => {
+            let g = index.group_of[p] as usize;
+            (group_class[g], group_base[g] + index.group_at[p])
+        }
     }
 }
 
@@ -1348,21 +1495,25 @@ fn queue_insert(
 /// link's class holds exactly that state and lists the link, and that a
 /// link without live crossers sits in a dead class.
 #[cfg(debug_assertions)]
-struct ShadowLinks<'a> {
+struct ShadowLinks {
     /// The scope's live link positions.
-    lists: &'a [Vec<u32>],
+    links: Vec<u32>,
     /// Per position: residual and live-crosser count.
     state: Vec<(f64, u32)>,
 }
 
 #[cfg(debug_assertions)]
-impl<'a> ShadowLinks<'a> {
-    fn new(index: &FillIndex, lists: &'a [Vec<u32>]) -> ShadowLinks<'a> {
+impl ShadowLinks {
+    /// The replay of a fill whose round-1 classes hold `links`.
+    fn new(index: &FillIndex, links: &[u32]) -> ShadowLinks {
         let mut state = vec![(0.0, 0); index.link.len()];
-        for &p in lists.iter().flatten() {
+        for &p in links {
             state[p as usize].0 = index.caps[index.link[p as usize] as usize];
         }
-        ShadowLinks { lists, state }
+        ShadowLinks {
+            links: links.to_vec(),
+            state,
+        }
     }
 
     /// Recounts each link's live crossers that keep it, then checks the
@@ -1370,13 +1521,12 @@ impl<'a> ShadowLinks<'a> {
     fn check(
         &mut self,
         index: &FillIndex,
-        member_of: &[u32],
+        (frozen, stamp): (&[u32], u32),
         classes: &[LinkClass],
         class_links: &[u32],
-        link_class: &[u32],
-        link_at: &[u32],
+        (link_place, group_class, group_base): (&[[u32; 3]], &[u32], &[u32]),
     ) {
-        for &p in self.lists.iter().flatten() {
+        for &p in &self.links {
             let p = p as usize;
             let mut n = 0;
             let mut node = index.head[p];
@@ -1384,17 +1534,17 @@ impl<'a> ShadowLinks<'a> {
                 let slot = node as usize / ROUTE_RANK_STRIDE;
                 let hop = node as usize % ROUTE_RANK_STRIDE - 1;
                 let kept = (index.hops[slot * ROUTE_RANK_STRIDE] >> 8 >> hop) & 1 == 1;
-                n += u32::from(kept && member_of[slot] != NONE);
+                n += u32::from(kept && frozen[slot] != stamp);
                 node = index.next[node as usize];
             }
             let (res, cnt) = &mut self.state[p];
             *cnt = n;
-            let k = classes[link_class[p] as usize];
+            let (x, at) = place(index, link_place, group_class, group_base, stamp, p);
+            let k = classes[x as usize];
             if n == 0 {
                 assert_eq!(k.cnt, 0, "link position {p} has no crosser left");
                 continue;
             }
-            let at = link_at[p];
             assert!(
                 k.cnt == n
                     && k.res.to_bits() == res.to_bits()
@@ -1407,7 +1557,7 @@ impl<'a> ShadowLinks<'a> {
 
     /// Subtracts `inc` from each link once per live crosser.
     fn subtract(&mut self, inc: f64) {
-        for &p in self.lists.iter().flatten() {
+        for &p in &self.links {
             let (res, cnt) = &mut self.state[p as usize];
             for _ in 0..*cnt {
                 *res -= inc;
@@ -1873,9 +2023,40 @@ mod tests {
         ws: &mut AllocScratch,
     ) -> usize {
         let index = index_over(topo, flows, subset);
-        let slots: Vec<u32> = subset.iter().map(|&i| flows[i].slot).collect();
-        waterfill_bucket(&index, None, subset, &slots, rates, ws);
+        fill(&index, FillScope::Fabric, flows, subset, rates, ws);
         retired_hops(&index)
+    }
+
+    /// Fills `scope` of `index`, whose members are `subset` of `flows`,
+    /// through the bucket engine, writing `rates[i]` for `i ∈ subset`.
+    fn fill(
+        index: &FillIndex,
+        scope: FillScope,
+        flows: &[ActiveFlowView],
+        subset: &[usize],
+        rates: &mut [f64],
+        ws: &mut AllocScratch,
+    ) {
+        let mut slot_rate = vec![f64::NAN; index.hops.len() / ROUTE_RANK_STRIDE];
+        waterfill_bucket(index, scope, &mut slot_rate, ws);
+        for &i in subset {
+            rates[i] = slot_rate[flows[i].slot as usize];
+        }
+    }
+
+    /// Fills pod `pod` of `index`, whose members there are `subset` of
+    /// `flows`, through the bucket engine, writing `rates[i]` for
+    /// `i ∈ subset`.
+    fn pod_fill(
+        index: &FillIndex,
+        pod: u32,
+        flows: &[ActiveFlowView],
+        subset: &[usize],
+        rates: &mut [f64],
+        ws: &mut AllocScratch,
+    ) {
+        let slots: Vec<u32> = subset.iter().map(|&i| flows[i].slot).collect();
+        fill(index, FillScope::Pod(pod, &slots), flows, subset, rates, ws);
     }
 
     /// Route hops an index's members do not keep.
@@ -2132,10 +2313,9 @@ mod tests {
             let index = index_over(&sim.topo, &sim.flows, &(0..n).collect::<Vec<_>>());
             for pod in 0..k as u32 {
                 let subset = sim.pod_members(pod);
-                let slots: Vec<u32> = subset.iter().map(|&i| sim.flows[i].slot).collect();
                 let want = fair(&sim.topo, &gather(&sim.flows, &subset), &mut ws);
                 let mut got = vec![f64::NAN; n];
-                waterfill_bucket(&index, Some(pod), &subset, &slots, &mut got, &mut ws);
+                pod_fill(&index, pod, &sim.flows, &subset, &mut got, &mut ws);
                 for (j, &i) in subset.iter().enumerate() {
                     assert_eq!(
                         want[j].to_bits(),
@@ -2158,8 +2338,8 @@ mod tests {
     /// a wide one, in either order with a whole-fabric fill between them,
     /// land on the same bits, each the dense waterfill over its pod's
     /// views. Every fill builds the bucket queue, so this pins the shared
-    /// scratch across fill widths: the `member_of` restore and the stale
-    /// per-position entries left by the previous fill.
+    /// scratch across fill widths: the frozen-member stamps and the
+    /// moved-link places left by the previous fill.
     #[test]
     fn bucket_engine_disjoint_fills_commute() {
         let mut rng = echelon_detrand::DetRng::seed_from_u64(0xC0_33A7E);
@@ -2392,10 +2572,9 @@ mod tests {
             let index = index_over(&sim.topo, &sim.flows, &all);
             for pod in 0..k as u32 {
                 let subset = sim.pod_members(pod);
-                let slots: Vec<u32> = subset.iter().map(|&i| sim.flows[i].slot).collect();
                 let want = fair(&sim.topo, &gather(&sim.flows, &subset), &mut ws);
                 let mut got = vec![f64::NAN; n];
-                waterfill_bucket(&index, Some(pod), &subset, &slots, &mut got, &mut ws);
+                pod_fill(&index, pod, &sim.flows, &subset, &mut got, &mut ws);
                 for (j, &i) in subset.iter().enumerate() {
                     assert_eq!(
                         want[j].to_bits(),
@@ -2418,37 +2597,81 @@ mod tests {
         );
     }
 
+    /// An index over the members `subset` of `flows`, keyed on `topo`
+    /// from the start, so that every arrival patches its groups, checked
+    /// against [`index_over`]'s rebuild.
+    fn patched_index(topo: &Topology, flows: &[ActiveFlowView], subset: &[usize]) -> FillIndex {
+        let mut index = FillIndex::new();
+        index.rekey_all(topo);
+        for &i in subset {
+            let v = &flows[i];
+            assert!(index.arrive(v.slot, v.route.iter().map(|r| r.0)));
+        }
+        index
+            .check_against(&index_over(topo, flows, subset))
+            .unwrap();
+        index
+    }
+
     /// The work census of two seeded fills on a k = 8 fat tree at full
     /// capacity but for one link at half: a whole-fabric fill with core
-    /// crossers and a pod fill. The counts are exact, so they catch work
-    /// that wall-time noise would hide. The per-link bucket engine this
-    /// one replaced spent `PER_LINK` on the same fills, as (link-rounds,
+    /// crossers and a pod fill, each over an index its arrivals patched.
+    /// The counts are exact, so they catch work that wall-time noise
+    /// would hide. The per-link bucket engine that the class engine
+    /// replaced spent `PER_LINK` on the same fills, as (link-rounds,
     /// counted subtractions): its live links are the classes' links, so
-    /// its link-rounds match these.
+    /// its link-rounds match these. The class engine before the index
+    /// kept its groups counted, sorted and grouped every live link of
+    /// each fill before round 1, `SETUP_LINKS` of them; the set-up now
+    /// touches none one by one, and copies 26 and 7 groups whole. The
+    /// arrivals' patches made 245 and 1,343 group moves.
     #[test]
     fn bucket_engine_work_census_is_pinned() {
         const PER_LINK: [(u64, u64); 2] = [(855, 1559), (514, 1415)];
+        const SETUP_LINKS: [usize; 2] = [137, 56];
         let mut rng = echelon_detrand::DetRng::seed_from_u64(0xCE_4505);
         let topo = uniform_fabric(&mut rng, 8, 1, 0);
         let sim = FabricSim::on(topo, &mut rng, 8, 128, 0.1);
         let all: Vec<usize> = (0..sim.flows.len()).collect();
+        let index = patched_index(&sim.topo, &sim.flows, &all);
         let mut ws = AllocScratch::new();
         let mut got = vec![f64::NAN; all.len()];
-        bucket(&sim.topo, &sim.flows, &all, &mut got, &mut ws);
-        let fabric = ws.census;
+        fill(
+            &index,
+            FillScope::Fabric,
+            &sim.flows,
+            &all,
+            &mut got,
+            &mut ws,
+        );
+        let (fabric, fabric_links, fabric_moves) =
+            (ws.census, ws.class_links.len(), index.group_moves);
         let topo = uniform_fabric(&mut rng, 8, 1, 0);
         let sim = FabricSim::on(topo, &mut rng, 8, 480, 0.0);
         let all: Vec<usize> = (0..sim.flows.len()).collect();
-        let index = index_over(&sim.topo, &sim.flows, &all);
+        let index = patched_index(&sim.topo, &sim.flows, &all);
         let subset = sim.pod_members(0);
-        let slots: Vec<u32> = subset.iter().map(|&i| sim.flows[i].slot).collect();
         let mut ws = AllocScratch::new();
         let mut got = vec![f64::NAN; all.len()];
-        waterfill_bucket(&index, Some(0), &subset, &slots, &mut got, &mut ws);
-        let pod = ws.census;
-        let counts = |c: FillCensus| (c.rounds, c.link_rounds, c.class_rounds, c.subtractions);
-        assert_eq!(counts(fabric), (11, 855, 76, 115), "whole-fabric fill");
-        assert_eq!(counts(pod), (16, 514, 277, 601), "pod fill");
+        pod_fill(&index, 0, &sim.flows, &subset, &mut got, &mut ws);
+        let (pod, pod_links, pod_moves) = (ws.census, ws.class_links.len(), index.group_moves);
+        let counts = |c: FillCensus| {
+            (
+                c.setup_groups,
+                c.rounds,
+                c.link_rounds,
+                c.class_rounds,
+                c.subtractions,
+            )
+        };
+        assert_eq!(counts(fabric), (26, 11, 855, 76, 115), "whole-fabric fill");
+        assert_eq!(counts(pod), (7, 16, 514, 277, 601), "pod fill");
+        assert_eq!(
+            [fabric_links, pod_links],
+            SETUP_LINKS,
+            "live links at round 1"
+        );
+        assert_eq!([fabric_moves, pod_moves], [245, 1343], "group moves");
         let (links, subtractions) = PER_LINK[0];
         assert_eq!(fabric.link_rounds, links);
         assert!(fabric.class_rounds * 5 <= links && fabric.subtractions * 5 <= subtractions);

@@ -21,7 +21,8 @@
 //! cluster arrivals) plug their own sources into the same driver.
 
 use crate::alloc::{
-    alloc_via_dense, grow, waterfill_bucket, waterfill_dense, AllocScratch, FillIndex, RateAlloc,
+    alloc_via_dense, grow, waterfill_bucket, waterfill_dense, AllocScratch, FillIndex, FillScope,
+    RateAlloc,
 };
 use crate::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
 use crate::fault::{FaultKind, FaultPlan};
@@ -302,9 +303,10 @@ fn search_from(flows: &[ActiveFlowView], from: usize, id: FlowId) -> Result<usiz
 /// the same engine over every live flow, bitwise
 /// [`crate::alloc::waterfill_dense`]. Pod and fabric fills of every
 /// width run one engine, the bucket-queue waterfill, over one link index
-/// that each arrival and departure patches and each fault re-keys, so a
-/// fill pays for its rounds and not for re-deriving that index
-/// ([`Self::verify_index`] checks it against one built from scratch). The
+/// that each arrival and departure patches and each fault re-keys, and
+/// that keeps its live links grouped by round-1 state, so a fill pays for
+/// its rounds and not for re-deriving that index or its classes
+/// ([`Self::verify_index`] checks both against a rebuild). The
 /// differential suites pin both recompute modes bitwise against an
 /// independent pod-sequential reference.
 ///
@@ -333,10 +335,12 @@ pub struct PodMaxMinPolicy {
     /// were all refilled together. Slot recycling is safe for the same
     /// reason — reuse implies a departure and an arrival.
     slot_rate: Vec<f64>,
+    /// Rate per arena slot, written by the whole-fabric fallback's
+    /// fills, which must leave the clean pods' `slot_rate` entries be.
+    fabric_rate: Vec<f64>,
     /// Scratch: output indices of the members of the pods the latest
-    /// allocation refilled, in ascending pod order — after a sparse
-    /// allocation, exactly the rewritten entries. A whole-fabric
-    /// fallback lists every flow.
+    /// pod-mode allocation refilled, in ascending pod order — after a
+    /// sparse allocation, exactly the rewritten entries.
     members: Vec<usize>,
     /// Scratch parallel to `members`: each member's arena slot.
     member_slots: Vec<u32>,
@@ -375,8 +379,9 @@ impl PodMaxMinPolicy {
 
     /// Checks the link index the policy patches delta by delta against
     /// one built from scratch over `flows` on `topo`: the same members,
-    /// routes, keepers' kept links, crosser counts, capacities and live
-    /// links, with intact internal links. Call it after an allocation
+    /// routes, keepers' kept links, crosser counts, capacities, live
+    /// links and per-pod groups of live links, with intact internal
+    /// links. Call it after an allocation
     /// over `flows`; on a topology without pods there is no index and
     /// the check passes. It costs a full build, so it is for tests.
     pub fn verify_index(&self, flows: &[ActiveFlowView], topo: &Topology) -> Result<(), String> {
@@ -506,8 +511,8 @@ impl PodMaxMinPolicy {
 
     /// Refills every dirty pod: resolves its members from `pod_members`,
     /// runs the bucket engine over them and the pod's slice of the index,
-    /// and stores their rates in `slot_rate`. The engine also writes each
-    /// member's entry of `out`, and `members` ends up listing exactly
+    /// which stores their rates in `slot_rate`, and copies each member's
+    /// rate to its entry of `out`; `members` ends up listing exactly
     /// those entries.
     ///
     /// Every member is in `flows` once the delta's departures and
@@ -545,11 +550,11 @@ impl PodMaxMinPolicy {
                     Err(i) => from = i,
                 }
             }
-            let members = &self.members[start..];
             let slots = &self.member_slots[start..];
-            waterfill_bucket(&self.index, Some(pod as u32), members, slots, out, ws);
-            for (&i, &slot) in members.iter().zip(slots) {
-                self.slot_rate[slot as usize] = out[i];
+            let scope = FillScope::Pod(pod as u32, slots);
+            waterfill_bucket(&self.index, scope, &mut self.slot_rate, ws);
+            for (&i, &slot) in self.members[start..].iter().zip(slots) {
+                out[i] = self.slot_rate[slot as usize];
             }
         }
     }
@@ -579,26 +584,20 @@ impl PodMaxMinPolicy {
             self.emit_all = true;
             self.pods_total += npods;
             self.pods_recomputed += npods;
-            self.members.clear();
-            self.members.extend(0..flows.len());
-            self.member_slots.clear();
-            self.member_slots.extend(flows.iter().map(|v| v.slot));
+            out.clear();
             if self.unindexed_live > 0 {
                 // Some route is not in the arena: fill from the views.
-                out.clear();
                 out.resize(flows.len(), 0.0);
                 waterfill_dense(topo, flows, None, out, ws);
                 return;
             }
-            out.resize(flows.len(), 0.0);
-            waterfill_bucket(
-                &self.index,
-                None,
-                &self.members,
-                &self.member_slots,
-                out,
-                ws,
-            );
+            // The fill writes by arena slot, beside the clean pods'
+            // cached rates, and every flow's rate is gathered once.
+            if self.fabric_rate.len() < self.slot_rate.len() {
+                grow(&mut self.fabric_rate, self.slot_rate.len(), 0.0);
+            }
+            waterfill_bucket(&self.index, FillScope::Fabric, &mut self.fabric_rate, ws);
+            out.extend(flows.iter().map(|v| self.fabric_rate[v.slot as usize]));
             return;
         }
         self.refill(npods, flows, ws, out);

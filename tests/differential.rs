@@ -706,8 +706,9 @@ fn pod_decomposition_caching_is_bit_identical() {
 /// between whole-fabric and per-pod scope), degrade, down and restore
 /// faults on links in use, arena slots reused by later arrivals, a route
 /// too long for an arena slot, unreported departures, and full
-/// recomputes. After every allocation the patched index must equal one
-/// built from scratch over the live flows, and the rates must be bitwise
+/// recomputes. After every allocation the patched index, its per-pod
+/// groups of live links included, must equal one built from scratch over
+/// the live flows, and the rates must be bitwise
 /// the whole-fabric `waterfill_dense` while a crosser or a long route is
 /// live, and the per-pod reference otherwise.
 #[test]
