@@ -428,7 +428,7 @@ mod tests {
 
     /// The full system path is bitwise the raw engine it wraps: on an
     /// eight-job default-mix workload placed pod-packed on a 4:1
-    /// oversubscribed k = 8 fat-tree, in both recompute modes, each
+    /// oversubscribed k = 8 fat-tree, plain and through `FullRecompute`, each
     /// grouped `SchedulerKind` — the scheduler `Scenario` and the
     /// service run — against a directly built `EchelonMadd`: at its
     /// defaults over the EchelonFlows, and with `LeastWork` over
@@ -444,9 +444,9 @@ mod tests {
         use echelon_cluster::scenario::SchedulerKind;
         use echelon_cluster::workload::{generate_workload_on, WorkloadConfig};
         use echelon_core::coflow::Coflow;
-        use echelon_paradigms::runtime::{run_jobs_with, RunResult};
+        use echelon_paradigms::runtime::{run_jobs, RunResult};
         use echelon_simnet::fattree::FatTree;
-        use echelon_simnet::runner::RecomputeMode;
+        use echelon_simnet::runner::FullRecompute;
 
         let tree = FatTree::new(8).with_oversubscription(4.0);
         let topo = tree.build_fabric();
@@ -459,8 +459,15 @@ mod tests {
             finishes.map(|(&id, t)| (id, t.secs().to_bits())).collect()
         };
         for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
-            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-                let via_system = run_jobs_with(&topo, &dags, kind.policy(&dags).as_mut(), mode);
+            for full in [false, true] {
+                let run = |policy: &mut dyn RatePolicy| {
+                    if full {
+                        run_jobs(&topo, &dags, &mut FullRecompute(policy))
+                    } else {
+                        run_jobs(&topo, &dags, policy)
+                    }
+                };
+                let via_system = run(kind.policy(&dags).as_mut());
                 let mut direct = if kind == SchedulerKind::Coflow {
                     let coflows = dags.iter().flat_map(|d| d.coflows.iter().cloned());
                     EchelonMadd::new(coflows.map(Coflow::into_echelon).collect())
@@ -468,8 +475,8 @@ mod tests {
                 } else {
                     EchelonMadd::new(dags.iter().flat_map(|d| d.echelons.clone()).collect())
                 };
-                let via_direct = run_jobs_with(&topo, &dags, &mut direct, mode);
-                let at = format!("{}, {mode:?}", kind.name());
+                let via_direct = run(&mut direct);
+                let at = format!("{}, full {full}", kind.name());
                 assert!(
                     via_direct.flow_finishes.len() > 100,
                     "{at}: {} flows",
@@ -534,8 +541,8 @@ mod tests {
     /// control latency.
     #[test]
     fn incremental_path_matches_naive() {
-        use echelon_paradigms::runtime::run_jobs_with;
-        use echelon_simnet::runner::RecomputeMode;
+        use echelon_paradigms::runtime::run_jobs;
+        use echelon_simnet::runner::FullRecompute;
 
         let configs = [
             CoordinatorConfig::default(),
@@ -564,12 +571,12 @@ mod tests {
             let mut coord = Coordinator::new(cfg);
             coord.submit_all(dag.echelons.iter().cloned());
             let mut naive = coord.into_policy();
-            let full = run_jobs_with(&topo, &[&dag], &mut naive, RecomputeMode::Full);
+            let full = run_jobs(&topo, &[&dag], &mut FullRecompute(&mut naive));
 
             let mut coord = Coordinator::new(cfg);
             coord.submit_all(dag.echelons.iter().cloned());
             let mut inc = coord.into_policy();
-            let fast = run_jobs_with(&topo, &[&dag], &mut inc, RecomputeMode::Incremental);
+            let fast = run_jobs(&topo, &[&dag], &mut inc);
 
             assert_eq!(
                 full.trace.events(),
@@ -910,7 +917,7 @@ mod tests {
     fn outage_window_preserves_differential_identity() {
         use echelon_paradigms::runtime::run_jobs_faulted;
         use echelon_simnet::fault::FaultPlan;
-        use echelon_simnet::runner::RecomputeMode;
+        use echelon_simnet::runner::FullRecompute;
 
         let topo = Topology::chain(2, 1.0);
         let plan = FaultPlan::empty()
@@ -926,10 +933,8 @@ mod tests {
         for cfg in configs {
             let dag = fig2_dag();
             let mut naive = policy_with(cfg, &dag);
-            let full = run_jobs_faulted(&topo, &[&dag], &mut naive, RecomputeMode::Full, &plan);
-            let mut inc = policy_with(cfg, &dag);
-            let fast =
-                run_jobs_faulted(&topo, &[&dag], &mut inc, RecomputeMode::Incremental, &plan);
+            let full = run_jobs_faulted(&topo, &[&dag], &mut FullRecompute(&mut naive), &plan);
+            let fast = run_jobs_faulted(&topo, &[&dag], &mut policy_with(cfg, &dag), &plan);
             assert_eq!(
                 full.trace.events(),
                 fast.trace.events(),

@@ -351,8 +351,8 @@ mod tests {
         use echelon_paradigms::config::PpConfig;
         use echelon_paradigms::ids::IdAlloc;
         use echelon_paradigms::pp::build_pp_gpipe;
-        use echelon_paradigms::runtime::run_jobs_with;
-        use echelon_simnet::runner::{PodMaxMinPolicy, RecomputeMode};
+        use echelon_paradigms::runtime::run_jobs;
+        use echelon_simnet::runner::{FullRecompute, PodMaxMinPolicy};
 
         let topo = Topology::chain(2, 1.0);
         let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut IdAlloc::new());
@@ -361,14 +361,23 @@ mod tests {
             coord.submit_all(dag.echelons.iter().cloned());
             coord.into_policy()
         };
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            let bare = run_jobs_with(&topo, &[&dag], &mut coordinated(), mode);
-            let mut enforced = QueueEnforcedPolicy::new(coordinated(), QueueConfig::default());
-            let wrapped = run_jobs_with(&topo, &[&dag], &mut enforced, mode);
-            assert!(bare.stats.peak_book_occupancy > 0, "{mode:?}");
+        for full in [false, true] {
+            let run = |policy: &mut dyn RatePolicy| {
+                if full {
+                    run_jobs(&topo, &[&dag], &mut FullRecompute(policy))
+                } else {
+                    run_jobs(&topo, &[&dag], policy)
+                }
+            };
+            let bare = run(&mut coordinated());
+            let wrapped = run(&mut QueueEnforcedPolicy::new(
+                coordinated(),
+                QueueConfig::default(),
+            ));
+            assert!(bare.stats.peak_book_occupancy > 0, "full {full}");
             assert_eq!(
                 wrapped.stats.peak_book_occupancy, bare.stats.peak_book_occupancy,
-                "{mode:?}"
+                "full {full}"
             );
         }
         let pod = QueueEnforcedPolicy::new(PodMaxMinPolicy::new(), QueueConfig::default());

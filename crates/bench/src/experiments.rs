@@ -922,7 +922,6 @@ pub fn jitter_experiment(seed: u64) -> Vec<(f64, f64, f64)> {
 pub fn quantization_experiment() -> Vec<(f64, f64, f64, f64)> {
     use echelon_sched::baselines::SrptPolicy;
     use echelon_simnet::quantized::{run_flows_quantized_with, ChunkVisibility};
-    use echelon_simnet::runner::RecomputeMode;
     let topo = Topology::chain(2, 1.0);
     let demands = vec![
         FlowDemand::new(FlowId(0), NodeId(0), NodeId(1), 2.0, SimTime::new(1.0)),
@@ -946,7 +945,6 @@ pub fn quantization_experiment() -> Vec<(f64, f64, f64, f64)> {
             &mut MaxMinPolicy,
             chunk,
             ChunkVisibility::FlowState,
-            RecomputeMode::Full,
         );
         let q_srpt = run_flows_quantized_with(
             &topo,
@@ -954,7 +952,6 @@ pub fn quantization_experiment() -> Vec<(f64, f64, f64, f64)> {
             &mut SrptPolicy,
             chunk,
             ChunkVisibility::FlowState,
-            RecomputeMode::Full,
         );
         let q_srpt_local = run_flows_quantized_with(
             &topo,
@@ -962,7 +959,6 @@ pub fn quantization_experiment() -> Vec<(f64, f64, f64, f64)> {
             &mut SrptPolicy,
             chunk,
             ChunkVisibility::ChunkLocal,
-            RecomputeMode::Full,
         );
         rows.push((
             chunk,
@@ -1071,7 +1067,6 @@ pub struct ChurnRow {
 /// fault hooks invalidate exactly the caches the incremental paths keep.
 pub fn churn_experiment(seed: u64) -> Vec<ChurnRow> {
     use echelon_cluster::churn::{random_fault_plan, ChurnConfig};
-    use echelon_simnet::runner::RecomputeMode;
 
     let cfg = WorkloadConfig::default_mix(seed, 4, 24);
     let scenario = Scenario::generate(&cfg);
@@ -1098,8 +1093,8 @@ pub fn churn_experiment(seed: u64) -> Vec<ChurnRow> {
         SchedulerKind::Coflow,
         SchedulerKind::Echelon,
     ] {
-        let (_, clean) = scenario.run_with_mode(kind, RecomputeMode::Incremental);
-        let (run, m) = scenario.run_faulted(kind, RecomputeMode::Incremental, &plan);
+        let (_, clean) = scenario.run(kind);
+        let (run, m) = scenario.run_faulted(kind, &plan);
         rows.push(ChurnRow {
             scheduler: kind.name(),
             clean_jct: clean.mean_jct,
@@ -1173,8 +1168,6 @@ pub fn codesign_experiment_with(threads: usize, seed: u64) -> Vec<PlacementCell>
     use echelon_cluster::metrics::{percentile, placement_spread};
     use echelon_cluster::service::completion_digest;
     use echelon_simnet::fattree::FatTree;
-    use echelon_simnet::fault::FaultPlan;
-    use echelon_simnet::runner::RecomputeMode;
 
     let placements = codesign_placements(seed);
     // One scenario per placement, generated up front so every cell of a
@@ -1216,13 +1209,9 @@ pub fn codesign_experiment_with(threads: usize, seed: u64) -> Vec<PlacementCell>
     echelon_simnet::sweep::sweep_with(threads, &cells, |_, &(pi, kind, faulted)| {
         let (max_pods, scenario) = &scenarios[pi];
         let (run, m) = if faulted {
-            scenario.run_faulted(kind, RecomputeMode::Incremental, &plan)
+            scenario.run_faulted(kind, &plan)
         } else {
-            scenario.run_faulted(
-                kind,
-                RecomputeMode::Incremental,
-                &FaultPlan::new(Vec::new()),
-            )
+            scenario.run(kind)
         };
         let spread = placement_spread(
             &scenario.topology,

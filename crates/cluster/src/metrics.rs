@@ -519,7 +519,6 @@ mod tests {
         use crate::service::{run_service, ServiceConfig, ServiceMode};
         use crate::workload::OpenLoopConfig;
         use echelon_simnet::fault::FaultPlan;
-        use echelon_simnet::runner::RecomputeMode;
 
         let cfg = OpenLoopConfig::default_tiers(9, 15, 8, 0.6);
         let out = run_service(
@@ -527,7 +526,6 @@ mod tests {
             &cfg,
             &ServiceConfig::default(),
             crate::scenario::SchedulerKind::Echelon,
-            RecomputeMode::Full,
             &FaultPlan::new(Vec::new()),
             ServiceMode::Streaming,
         );

@@ -11,11 +11,11 @@ use echelon_agent::coordinator::{CoordinatedPolicy, Coordinator, CoordinatorConf
 use echelon_core::coflow::Coflow;
 use echelon_paradigms::dag::JobDag;
 use echelon_paradigms::ids::IdAlloc;
-use echelon_paradigms::runtime::{run_jobs, run_jobs_faulted, run_jobs_with, RunResult};
+use echelon_paradigms::runtime::{run_jobs, run_jobs_faulted, RunResult};
 use echelon_sched::baselines::{FifoPolicy, SrptPolicy};
 use echelon_sched::echelon::InterOrder;
 use echelon_simnet::fault::FaultPlan;
-use echelon_simnet::runner::{MaxMinPolicy, RatePolicy, RecomputeMode};
+use echelon_simnet::runner::{MaxMinPolicy, RatePolicy};
 use echelon_simnet::topology::Topology;
 
 /// The schedulers a scenario can compare.
@@ -145,37 +145,21 @@ impl Scenario {
 
     /// Runs the scenario under one scheduler.
     pub fn run(&self, kind: SchedulerKind) -> (RunResult, ScenarioMetrics) {
-        self.run_with_mode(kind, RecomputeMode::Full)
-    }
-
-    /// Runs the scenario under one scheduler with an explicit recompute
-    /// mode (Full and Incremental are bit-identical by contract).
-    pub fn run_with_mode(
-        &self,
-        kind: SchedulerKind,
-        mode: RecomputeMode,
-    ) -> (RunResult, ScenarioMetrics) {
-        let dags: Vec<&_> = self.jobs.iter().map(|j| &j.dag).collect();
-        let mut policy = kind.policy(&dags);
-        let run = run_jobs_with(&self.topology, &dags, policy.as_mut(), mode);
-        let metrics = scenario_metrics(&self.jobs, &run);
-        (run, metrics)
+        self.run_faulted(kind, &FaultPlan::empty())
     }
 
     /// Runs the scenario under one scheduler with an injected fault plan
     /// (link churn, coordinator outages, stragglers — see
-    /// [`crate::churn`]). Full and Incremental stay bit-identical here
-    /// too: faults force a recompute through every policy's invalidation
-    /// hook.
+    /// [`crate::churn`]). Faults force a recompute through every policy's
+    /// invalidation hook.
     pub fn run_faulted(
         &self,
         kind: SchedulerKind,
-        mode: RecomputeMode,
         plan: &FaultPlan,
     ) -> (RunResult, ScenarioMetrics) {
         let dags: Vec<&_> = self.jobs.iter().map(|j| &j.dag).collect();
         let mut policy = kind.policy(&dags);
-        let run = run_jobs_faulted(&self.topology, &dags, policy.as_mut(), mode, plan);
+        let run = run_jobs_faulted(&self.topology, &dags, policy.as_mut(), plan);
         let metrics = scenario_metrics(&self.jobs, &run);
         (run, metrics)
     }
@@ -192,6 +176,15 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use echelon_simnet::runner::FullRecompute;
+
+    /// The scenario under `kind` with its policy wrapped in
+    /// [`FullRecompute`]: the reference for the plain run.
+    fn run_full(scenario: &Scenario, kind: SchedulerKind, plan: &FaultPlan) -> RunResult {
+        let dags: Vec<&_> = scenario.jobs.iter().map(|j| &j.dag).collect();
+        let mut policy = FullRecompute(kind.policy(&dags));
+        run_jobs_faulted(&scenario.topology, &dags, &mut policy, plan)
+    }
 
     #[test]
     fn all_schedulers_complete_the_same_workload() {
@@ -221,15 +214,15 @@ mod tests {
         );
     }
 
-    /// Incremental recomputation is bit-identical to Full on the gated
-    /// multi-tenant workload for every scheduler.
+    /// The delta path is bit-identical to the from-scratch reference on
+    /// the gated multi-tenant workload for every scheduler.
     #[test]
     fn incremental_mode_matches_full_on_cluster_workload() {
         let cfg = WorkloadConfig::default_mix(29, 4, 24);
         let scenario = Scenario::generate(&cfg);
         for kind in SchedulerKind::ALL {
-            let (full, _) = scenario.run_with_mode(kind, RecomputeMode::Full);
-            let (inc, _) = scenario.run_with_mode(kind, RecomputeMode::Incremental);
+            let full = run_full(&scenario, kind, &FaultPlan::empty());
+            let (inc, _) = scenario.run(kind);
             assert_eq!(
                 full.trace.events(),
                 inc.trace.events(),
@@ -242,8 +235,9 @@ mod tests {
     }
 
     /// Under randomized churn every scheduler still completes the
-    /// workload, Full and Incremental remain bit-identical, and the
-    /// faulted run is never faster than the fault-free one.
+    /// workload, the delta path stays bit-identical to the from-scratch
+    /// reference, and the faulted run is never faster than the
+    /// fault-free one.
     #[test]
     fn churn_preserves_differential_identity_for_all_schedulers() {
         use crate::churn::{random_fault_plan, ChurnConfig};
@@ -253,9 +247,9 @@ mod tests {
         let plan = random_fault_plan(43, &scenario.topology, &ChurnConfig::default());
         assert!(!plan.is_empty());
         for kind in SchedulerKind::ALL {
-            let (clean, _) = scenario.run_with_mode(kind, RecomputeMode::Full);
-            let (full, m) = scenario.run_faulted(kind, RecomputeMode::Full, &plan);
-            let (inc, _) = scenario.run_faulted(kind, RecomputeMode::Incremental, &plan);
+            let (clean, _) = scenario.run(kind);
+            let full = run_full(&scenario, kind, &plan);
+            let (inc, m) = scenario.run_faulted(kind, &plan);
             assert_eq!(
                 full.trace.events(),
                 inc.trace.events(),
@@ -290,13 +284,13 @@ mod tests {
         };
         for seed in [13, 29] {
             let scenario = Scenario::generate(&WorkloadConfig::default_mix(seed, 4, 24));
-            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-                let (fair, _) = scenario.run_faulted(SchedulerKind::Fair, mode, &plan);
-                for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
-                    let (run, _) = scenario.run_faulted(kind, mode, &plan);
-                    let at = format!("seed {seed}, {mode:?}, {}", kind.name());
-                    assert_eq!(bits(&run), bits(&fair), "{at}");
-                }
+            let (fair, _) = scenario.run_faulted(SchedulerKind::Fair, &plan);
+            for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
+                let (run, _) = scenario.run_faulted(kind, &plan);
+                let full = run_full(&scenario, kind, &plan);
+                let at = format!("seed {seed}, {}", kind.name());
+                assert_eq!(bits(&run), bits(&fair), "{at}");
+                assert_eq!(bits(&full), bits(&fair), "{at}, full recompute");
             }
         }
     }

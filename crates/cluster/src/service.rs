@@ -756,20 +756,45 @@ pub fn run_service(
     cfg: &OpenLoopConfig,
     service: &ServiceConfig,
     kind: SchedulerKind,
-    mode: RecomputeMode,
     plan: &FaultPlan,
     service_mode: ServiceMode,
 ) -> ServiceOutcome {
-    let deferred = matches!(cfg.placement, ServicePlacement::AtAdmission(_));
-    let (result, records, rejected_per_tenant, peak) = match service_mode {
+    let (feed, mut policy) = service_parts(topo, cfg, service, kind, service_mode);
+    run_service_parts(topo, feed, &mut policy, plan)
+}
+
+/// Runs `feed` under `policy` and collects the outcome; [`run_service`]
+/// runs it on the parts [`service_parts`] builds.
+pub fn run_service_parts(
+    topo: &Topology,
+    mut feed: ServiceFeed,
+    policy: &mut dyn RatePolicy,
+    plan: &FaultPlan,
+) -> ServiceOutcome {
+    let result = run_jobs_streamed(topo, &mut feed, policy, RecomputeMode::Incremental, plan);
+    let (records, rejected_per_tenant) = feed.consume();
+    ServiceOutcome {
+        digest: completion_digest(&result),
+        result,
+        records,
+        rejected_per_tenant,
+        peak_book_occupancy: policy.book_stats().map_or(0, |(_, p)| p),
+    }
+}
+
+/// The feed and the policy [`run_service`] runs `cfg`'s stream with.
+pub fn service_parts(
+    topo: &Topology,
+    cfg: &OpenLoopConfig,
+    service: &ServiceConfig,
+    kind: SchedulerKind,
+    service_mode: ServiceMode,
+) -> (ServiceFeed, ServicePolicy) {
+    let bus: LifecycleBus = Rc::new(RefCell::new(VecDeque::new()));
+    match service_mode {
         ServiceMode::Streaming => {
-            let bus: LifecycleBus = Rc::new(RefCell::new(VecDeque::new()));
-            let mut feed = ServiceFeed::streaming_on(topo, cfg.clone(), service, Some(bus.clone()));
-            let mut policy = ServicePolicy::open(kind, bus);
-            let result = run_jobs_streamed(topo, &mut feed, &mut policy, mode, plan);
-            let peak = policy.book_stats().map_or(0, |(_, p)| p);
-            let (records, rejected) = feed.consume();
-            (result, records, rejected, peak)
+            let feed = ServiceFeed::streaming_on(topo, cfg.clone(), service, Some(bus.clone()));
+            (feed, ServicePolicy::open(kind, bus))
         }
         ServiceMode::Materialized => {
             let jobs: Vec<StreamJob> = JobStream::new(cfg.clone()).collect();
@@ -777,26 +802,15 @@ pub fn run_service(
             // so the reference registers through the bus (like streaming)
             // but never evicts (like the closed loop): the differential
             // then isolates the eviction half of the lifecycle.
-            let (mut policy, bus) = if deferred {
-                let bus: LifecycleBus = Rc::new(RefCell::new(VecDeque::new()));
-                (ServicePolicy::open_no_evict(kind, bus.clone()), Some(bus))
-            } else {
-                (ServicePolicy::closed(kind, &jobs), None)
+            let (policy, bus) = match cfg.placement {
+                ServicePlacement::AtAdmission(_) => {
+                    (ServicePolicy::open_no_evict(kind, bus.clone()), Some(bus))
+                }
+                ServicePlacement::Fixed => (ServicePolicy::closed(kind, &jobs), None),
             };
-            let mut feed = ServiceFeed::materialized_on(topo, jobs, cfg, service, bus);
-            let result = run_jobs_streamed(topo, &mut feed, &mut policy, mode, plan);
-            let peak = policy.book_stats().map_or(0, |(_, p)| p);
-            let (records, rejected) = feed.consume();
-            (result, records, rejected, peak)
+            let feed = ServiceFeed::materialized_on(topo, jobs, cfg, service, bus);
+            (feed, policy)
         }
-    };
-    let digest = completion_digest(&result);
-    ServiceOutcome {
-        result,
-        records,
-        rejected_per_tenant,
-        peak_book_occupancy: peak,
-        digest,
     }
 }
 
@@ -806,6 +820,7 @@ mod tests {
     use crate::placement::PlacementPolicy;
     use crate::workload::ParadigmKind;
     use echelon_simnet::fattree::FatTree;
+    use echelon_simnet::runner::FullRecompute;
 
     fn topo(hosts: usize) -> Topology {
         Topology::big_switch_uniform(hosts, 1.0)
@@ -834,7 +849,6 @@ mod tests {
         c: &OpenLoopConfig,
         hosts: usize,
         kind: SchedulerKind,
-        mode: RecomputeMode,
         sm: ServiceMode,
     ) -> ServiceOutcome {
         run_service(
@@ -842,10 +856,22 @@ mod tests {
             c,
             &ServiceConfig::default(),
             kind,
-            mode,
             &FaultPlan::new(Vec::new()),
             sm,
         )
+    }
+
+    /// [`run_service`]'s run with its policy wrapped in [`FullRecompute`]:
+    /// the reference the plain run's delta path must match.
+    fn run_full(
+        t: &Topology,
+        c: &OpenLoopConfig,
+        kind: SchedulerKind,
+        plan: &FaultPlan,
+        sm: ServiceMode,
+    ) -> ServiceOutcome {
+        let (feed, mut policy) = service_parts(t, c, &ServiceConfig::default(), kind, sm);
+        run_service_parts(t, feed, &mut FullRecompute(&mut policy), plan)
     }
 
     /// A unit-less job claiming `hosts`: admitted, it retires instantly.
@@ -875,12 +901,25 @@ mod tests {
     fn open_equals_closed_bitwise_for_all_schedulers() {
         let c = cfg(7, 12, 8, 0.8);
         for kind in SchedulerKind::ALL {
-            let open = run(&c, 8, kind, RecomputeMode::Full, ServiceMode::Streaming);
-            let closed = run(&c, 8, kind, RecomputeMode::Full, ServiceMode::Materialized);
+            let open = run(&c, 8, kind, ServiceMode::Streaming);
+            let closed = run(&c, 8, kind, ServiceMode::Materialized);
+            let full = run_full(
+                &topo(8),
+                &c,
+                kind,
+                &FaultPlan::empty(),
+                ServiceMode::Materialized,
+            );
             assert_eq!(
                 open.digest,
                 closed.digest,
                 "digest diverged for {}",
+                kind.name()
+            );
+            assert_eq!(
+                full.digest,
+                closed.digest,
+                "materialized run diverged from FullRecompute for {}",
                 kind.name()
             );
             assert_eq!(
@@ -904,14 +943,14 @@ mod tests {
     fn streaming_incremental_matches_full() {
         let c = cfg(11, 10, 8, 0.6);
         for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
-            let full = run(&c, 8, kind, RecomputeMode::Full, ServiceMode::Streaming);
-            let inc = run(
+            let full = run_full(
+                &topo(8),
                 &c,
-                8,
                 kind,
-                RecomputeMode::Incremental,
+                &FaultPlan::empty(),
                 ServiceMode::Streaming,
             );
+            let inc = run(&c, 8, kind, ServiceMode::Streaming);
             assert_eq!(
                 full.digest,
                 inc.digest,
@@ -924,20 +963,8 @@ mod tests {
     #[test]
     fn eviction_bounds_book_occupancy() {
         let c = cfg(3, 60, 8, 0.2);
-        let open = run(
-            &c,
-            8,
-            SchedulerKind::Echelon,
-            RecomputeMode::Full,
-            ServiceMode::Streaming,
-        );
-        let closed = run(
-            &c,
-            8,
-            SchedulerKind::Echelon,
-            RecomputeMode::Full,
-            ServiceMode::Materialized,
-        );
+        let open = run(&c, 8, SchedulerKind::Echelon, ServiceMode::Streaming);
+        let closed = run(&c, 8, SchedulerKind::Echelon, ServiceMode::Materialized);
         let total: usize = open.records.iter().map(|r| r.echelons.len()).sum();
         assert!(open.peak_book_occupancy > 0);
         assert!(
@@ -960,13 +987,7 @@ mod tests {
     #[ignore = "2,000-job stream; run in release with --ignored"]
     fn eviction_bounds_book_occupancy_on_a_long_stream() {
         let c = cfg(0x0BE7, 2000, 16, 1.2 / 0.8);
-        let open = run(
-            &c,
-            16,
-            SchedulerKind::Echelon,
-            RecomputeMode::Incremental,
-            ServiceMode::Streaming,
-        );
+        let open = run(&c, 16, SchedulerKind::Echelon, ServiceMode::Streaming);
         let groups: usize = open.records.iter().map(|r| r.echelons.len()).sum();
         assert!(open.peak_book_occupancy > 0, "book never held a group");
         assert!(
@@ -994,26 +1015,21 @@ mod tests {
             .iter()
             .flat_map(|s| [(s, SchedulerKind::Echelon), (s, SchedulerKind::Coflow)])
         {
-            let run = |mode, sm, plan: &FaultPlan| {
-                run_service(t, c, &ServiceConfig::default(), kind, mode, plan, sm)
-            };
-            let full = run(RecomputeMode::Full, ServiceMode::Streaming, &plan);
-            let inc = run(RecomputeMode::Incremental, ServiceMode::Streaming, &plan);
-            let closed = run(RecomputeMode::Full, ServiceMode::Materialized, &plan);
-            let calm = run(
-                RecomputeMode::Full,
-                ServiceMode::Streaming,
-                &FaultPlan::empty(),
-            );
+            let run =
+                |sm, plan: &FaultPlan| run_service(t, c, &ServiceConfig::default(), kind, plan, sm);
+            let inc = run(ServiceMode::Streaming, &plan);
+            let full = run_full(t, c, kind, &plan, ServiceMode::Streaming);
+            let closed = run_full(t, c, kind, &plan, ServiceMode::Materialized);
+            let calm = run(ServiceMode::Streaming, &FaultPlan::empty());
             let name = format!("{} {:?}", kind.name(), c.placement);
             assert!(
-                full.records.iter().all(|r| r.finished_at.is_some()),
+                inc.records.iter().all(|r| r.finished_at.is_some()),
                 "{name}: a job never finished"
             );
             assert_eq!(full.digest, inc.digest, "{name}: Full vs Incremental");
-            assert_eq!(full.digest, closed.digest, "{name}: open vs closed");
+            assert_eq!(closed.digest, inc.digest, "{name}: open vs closed");
             assert_ne!(
-                full.digest, calm.digest,
+                inc.digest, calm.digest,
                 "{name}: the outage changed nothing"
             );
         }
@@ -1022,13 +1038,7 @@ mod tests {
     #[test]
     fn every_offered_job_finishes() {
         let c = cfg(5, 20, 8, 0.5);
-        let out = run(
-            &c,
-            8,
-            SchedulerKind::Echelon,
-            RecomputeMode::Full,
-            ServiceMode::Streaming,
-        );
+        let out = run(&c, 8, SchedulerKind::Echelon, ServiceMode::Streaming);
         assert_eq!(out.records.len(), 20);
         for r in &out.records {
             assert!(!r.rejected);

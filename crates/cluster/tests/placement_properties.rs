@@ -13,13 +13,13 @@
 use std::collections::BTreeSet;
 
 use echelon_cluster::prelude::*;
-use echelon_cluster::service::completion_digest;
+use echelon_cluster::service::{completion_digest, run_service_parts, service_parts};
 use echelon_core::JobId;
 use echelon_detrand::DetRng;
 use echelon_simnet::fattree::FatTree;
 use echelon_simnet::fault::FaultPlan;
 use echelon_simnet::ids::NodeId;
-use echelon_simnet::runner::RecomputeMode;
+use echelon_simnet::runner::FullRecompute;
 use echelon_simnet::sweep::sweep_with;
 use echelon_simnet::topology::Topology;
 
@@ -345,7 +345,7 @@ fn placement_axis_sweep_is_thread_invariant() {
             cfg.placement = policy;
             let topo = FatTree::new(4).with_oversubscription(4.0).build_fabric();
             let sc = Scenario::generate_on(&cfg, topo);
-            let (run, _) = sc.run_with_mode(SchedulerKind::Echelon, RecomputeMode::Incremental);
+            let (run, _) = sc.run(SchedulerKind::Echelon);
             completion_digest(&run)
         })
     };
@@ -357,8 +357,9 @@ fn placement_axis_sweep_is_thread_invariant() {
 }
 
 /// Admission-time placement preserves the open≡closed contract: for
-/// every policy, the streamed service and its materialized replay land
-/// on bit-identical completion digests.
+/// every policy, the streamed service, its materialized replay and that
+/// replay through `FullRecompute` land on bit-identical completion
+/// digests.
 #[test]
 fn at_admission_streaming_matches_materialized_for_every_policy() {
     let topo = FatTree::new(4).build_fabric();
@@ -372,7 +373,6 @@ fn at_admission_streaming_matches_materialized_for_every_policy() {
             &cfg,
             &svc,
             SchedulerKind::Echelon,
-            RecomputeMode::Incremental,
             &plan,
             ServiceMode::Streaming,
         );
@@ -381,14 +381,27 @@ fn at_admission_streaming_matches_materialized_for_every_policy() {
             &cfg,
             &svc,
             SchedulerKind::Echelon,
-            RecomputeMode::Full,
             &plan,
             ServiceMode::Materialized,
         );
+        let (feed, mut replay) = service_parts(
+            &topo,
+            &cfg,
+            &svc,
+            SchedulerKind::Echelon,
+            ServiceMode::Materialized,
+        );
+        let replayed_full = run_service_parts(&topo, feed, &mut FullRecompute(&mut replay), &plan);
         assert_eq!(
             open.digest,
             closed.digest,
             "{}: streamed and materialized runs diverged under deferred placement",
+            policy.name()
+        );
+        assert_eq!(
+            open.digest,
+            replayed_full.digest,
+            "{}: the replay through FullRecompute diverged",
             policy.name()
         );
         assert!(

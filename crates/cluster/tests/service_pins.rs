@@ -1,18 +1,21 @@
 //! Absolute pins for the open-loop service: `run_service`'s completion
 //! digest and scheduler book peak for both grouped schedulers, both
-//! placement modes, both recompute modes and both service modes, at three
-//! seeds. The open≡closed differential in `service.rs` is relative and
-//! would pass if both sides moved together; these pins would not.
+//! placement modes and both service modes, each plain and through
+//! `FullRecompute`, at three seeds. The open≡closed differential in
+//! `service.rs` is relative and would pass if both sides moved together;
+//! these pins would not.
 
 use echelon_cluster::prelude::*;
+use echelon_cluster::service::{run_service_parts, service_parts};
 use echelon_simnet::fattree::FatTree;
 use echelon_simnet::fault::FaultPlan;
-use echelon_simnet::runner::RecomputeMode;
+use echelon_simnet::runner::FullRecompute;
 use echelon_simnet::topology::Topology;
 
 /// `(stream, digest, streaming book peak, materialized book peak)`. Every
-/// stream row covers four runs: Full and Incremental recompute, each
-/// streamed and materialized. All four share the digest.
+/// stream row covers four runs: `run_service` streamed and materialized,
+/// and the same parts with the policy wrapped in `FullRecompute`. All four
+/// share the digest.
 const PINS: &[(&str, u64, usize, usize)] = &[
     ("echelon/fixed/3", 0x0154_1ba3_b787_3c86, 12, 63),
     ("echelon/fixed/7", 0x4999_fcf1_11fa_61c8, 14, 61),
@@ -71,21 +74,17 @@ fn service_runs_match_pinned_digests() {
     assert_eq!(streams.len(), PINS.len());
     for (s, &(name, digest, streaming_peak, materialized_peak)) in streams.iter().zip(PINS) {
         assert_eq!(s.name, name, "grid order changed");
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            for (service_mode, peak) in [
-                (ServiceMode::Streaming, streaming_peak),
-                (ServiceMode::Materialized, materialized_peak),
-            ] {
-                let out = run_service(
-                    &s.topo,
-                    &s.cfg,
-                    &ServiceConfig::default(),
-                    s.kind,
-                    mode,
-                    &FaultPlan::empty(),
-                    service_mode,
-                );
-                let case = format!("{name} {mode:?} {service_mode:?}");
+        for (service_mode, peak) in [
+            (ServiceMode::Streaming, streaming_peak),
+            (ServiceMode::Materialized, materialized_peak),
+        ] {
+            let svc = ServiceConfig::default();
+            let plan = FaultPlan::empty();
+            let plain = run_service(&s.topo, &s.cfg, &svc, s.kind, &plan, service_mode);
+            let (feed, mut policy) = service_parts(&s.topo, &s.cfg, &svc, s.kind, service_mode);
+            let full = run_service_parts(&s.topo, feed, &mut FullRecompute(&mut policy), &plan);
+            for (out, path) in [(plain, "plain"), (full, "FullRecompute")] {
+                let case = format!("{name} {path} {service_mode:?}");
                 assert_eq!(out.digest, digest, "{case}: digest {:#x}", out.digest);
                 assert_eq!(out.peak_book_occupancy, peak, "{case}: book peak");
             }

@@ -777,50 +777,43 @@ pub fn run_job(topo: &Topology, dag: &JobDag, policy: &mut dyn RatePolicy) -> Ru
     run_jobs(topo, &[dag], policy)
 }
 
-/// Runs several jobs sharing the network to completion, using the
-/// full-recompute path. Shorthand for [`run_jobs_with`] with
-/// [`RecomputeMode::Full`].
-pub fn run_jobs(topo: &Topology, dags: &[&JobDag], policy: &mut dyn RatePolicy) -> RunResult {
-    run_jobs_with(topo, dags, policy, RecomputeMode::Full)
-}
-
 /// Runs several jobs sharing the network to completion.
-///
-/// `mode` selects which [`RatePolicy`] entry point is driven at each
-/// event; `Full` and `Incremental` must produce bit-identical results
-/// (see `tests/differential.rs` at the workspace root).
 ///
 /// # Panics
 ///
 /// Panics if two jobs claim the same worker, or if the simulation
 /// deadlocks (a dependency cycle or a policy that starves all flows).
+pub fn run_jobs(topo: &Topology, dags: &[&JobDag], policy: &mut dyn RatePolicy) -> RunResult {
+    run_jobs_faulted(topo, dags, policy, &FaultPlan::empty())
+}
+
+/// [`run_jobs`] with an ignored `mode`.
 pub fn run_jobs_with(
     topo: &Topology,
     dags: &[&JobDag],
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
+    _mode: RecomputeMode,
 ) -> RunResult {
-    run_jobs_faulted(topo, dags, policy, mode, &FaultPlan::empty())
+    run_jobs(topo, dags, policy)
 }
 
-/// [`run_jobs_with`] under an injected [`FaultPlan`]: link churn,
+/// [`run_jobs`] under an injected [`FaultPlan`]: link churn,
 /// coordinator outages, and worker slowdowns strike at their scheduled
 /// times while the jobs run (see [`echelon_simnet::fault`]).
 ///
 /// # Panics
 ///
-/// Panics for the same reasons as [`run_jobs_with`], plus the deadlock
+/// Panics for the same reasons as [`run_jobs`], plus the deadlock
 /// panic if the plan downs a link forever while unfinished flows depend
 /// on it.
 pub fn run_jobs_faulted(
     topo: &Topology,
     dags: &[&JobDag],
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
     plan: &FaultPlan,
 ) -> RunResult {
     let source = JobSource::new(dags);
-    drive_jobs(topo, source, policy, mode, plan, DriveConfig::default())
+    drive_jobs(topo, source, policy, plan, DriveConfig::default())
 }
 
 /// Runs an open-loop service: jobs are admitted incrementally from
@@ -839,7 +832,7 @@ pub fn run_jobs_faulted(
 /// the live jobs, not the stream: the returned [`RunResult`] has an empty
 /// `trace`, `timeline`, `comp_spans` and `comm_spans`, and keeps only the
 /// flow releases and finishes, job makespans, worker busy seconds and
-/// counters.
+/// counters. `mode` is ignored.
 ///
 /// # Panics
 ///
@@ -850,14 +843,14 @@ pub fn run_jobs_streamed<'a>(
     topo: &Topology,
     feed: &'a mut (dyn JobFeed + 'a),
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
+    _mode: RecomputeMode,
     plan: &FaultPlan,
 ) -> RunResult {
     let config = DriveConfig {
         trace: false,
         ..DriveConfig::default()
     };
-    drive_jobs(topo, JobSource::with_feed(feed), policy, mode, plan, config)
+    drive_jobs(topo, JobSource::with_feed(feed), policy, plan, config)
 }
 
 /// Drives `source` under `config`, whose `trace` switch also decides
@@ -866,12 +859,11 @@ fn drive_jobs(
     topo: &Topology,
     mut source: JobSource<'_>,
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
     plan: &FaultPlan,
     config: DriveConfig,
 ) -> RunResult {
     source.history = config.trace;
-    let outcome = drive_faulted_configured(topo, &mut source, policy, mode, plan, config);
+    let outcome = drive_faulted_configured(topo, &mut source, policy, plan, config);
     let mut result = source.result;
     result.makespan = outcome.end;
     result.trace = outcome.trace;
@@ -1047,7 +1039,6 @@ mod tests {
             &Topology::chain(2, 1.0),
             JobSource::with_feed(&mut feed),
             &mut MaxMinPolicy,
-            RecomputeMode::Full,
             &FaultPlan::empty(),
             DriveConfig::default(),
         );
@@ -1121,13 +1112,7 @@ mod tests {
                 factor: 2.0,
             },
         );
-        let out = run_jobs_faulted(
-            &topo,
-            &[&dag, &other],
-            &mut MaxMinPolicy,
-            RecomputeMode::Full,
-            &plan,
-        );
+        let out = run_jobs_faulted(&topo, &[&dag, &other], &mut MaxMinPolicy, &plan);
         assert!(out.makespan.approx_eq(SimTime::new(4.5)));
         // F1 led the queue (end 1.0) when the fault struck and was
         // rescaled in place; S now ends first.
@@ -1232,7 +1217,6 @@ mod tests {
             &Topology::chain(2, 1.0),
             &mut source,
             &mut MaxMinPolicy,
-            RecomputeMode::Full,
             &FaultPlan::empty(),
             config,
         );
@@ -1261,13 +1245,7 @@ mod tests {
         let plan = FaultPlan::empty()
             .with(SimTime::new(1.5), FaultKind::LinkDown(r))
             .with(SimTime::new(2.5), FaultKind::LinkRestore(r));
-        let out = run_jobs_faulted(
-            &topo,
-            &[&dag],
-            &mut MaxMinPolicy,
-            RecomputeMode::Full,
-            &plan,
-        );
+        let out = run_jobs_faulted(&topo, &[&dag], &mut MaxMinPolicy, &plan);
         assert!(out.makespan.approx_eq(SimTime::new(5.0)));
         assert!((out.stats.stall_flow_seconds - 1.0).abs() < 1e-9);
         assert_eq!(out.stats.fault_events, 2);

@@ -154,7 +154,7 @@ impl EchelonBook {
     ///
     /// Debug builds re-run the full scan on a copy and assert both paths
     /// bound the same references, so an unreported arrival cannot
-    /// silently diverge from the Full mode.
+    /// silently diverge from a from-scratch observation.
     pub fn observe_delta(&mut self, now: SimTime, active: &[ActiveFlowView], delta: &FlowDelta) {
         if !delta.arrived.is_empty() {
             // Ascending id order: binding is first-touch, and the full

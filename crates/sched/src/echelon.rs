@@ -969,12 +969,12 @@ mod tests {
     }
 
     /// The delta-patched cache must allocate bit-identically to the cache
-    /// rebuilt at every call (Full mode) across every inter/intra
+    /// rebuilt at every call (through `FullRecompute`) across every inter/intra
     /// combination. The sweep against the map-based reference lives in
     /// `tests/differential.rs` at the workspace root.
     #[test]
     fn incremental_path_matches_naive() {
-        use echelon_simnet::runner::{run_flows_with, RecomputeMode};
+        use echelon_simnet::runner::FullRecompute;
         let topo = Topology::big_switch_uniform(3, 1.0);
         let make = |inter, intra| {
             let h0 = fig2_echelon();
@@ -999,13 +999,9 @@ mod tests {
             InterOrder::Bssi,
         ] {
             for intra in [IntraMode::FinishEarly, IntraMode::Equalize] {
-                let a = run_flows(&topo, demands.clone(), &mut make(inter, intra));
-                let b = run_flows_with(
-                    &topo,
-                    demands.clone(),
-                    &mut make(inter, intra),
-                    RecomputeMode::Incremental,
-                );
+                let mut full = FullRecompute(&mut make(inter, intra));
+                let a = run_flows(&topo, demands.clone(), &mut full);
+                let b = run_flows(&topo, demands.clone(), &mut make(inter, intra));
                 assert_eq!(
                     a.trace().events(),
                     b.trace().events(),
@@ -1022,7 +1018,7 @@ mod tests {
     /// fresh engine does.
     #[test]
     fn reused_engine_matches_a_fresh_one() {
-        use echelon_simnet::runner::{run_flows_with, RecomputeMode};
+        use echelon_simnet::runner::FullRecompute;
         let topo = Topology::big_switch_uniform(3, 1.0);
         let demands = || {
             vec![
@@ -1036,15 +1032,22 @@ mod tests {
             || Box::new(EchelonMadd::new(vec![]).with_inter(InterOrder::LeastWork)),
         ];
         for make in engines {
-            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+            for full in [false, true] {
+                let run = |policy: &mut dyn RatePolicy| {
+                    if full {
+                        run_flows(&topo, demands(), &mut FullRecompute(policy))
+                    } else {
+                        run_flows(&topo, demands(), policy)
+                    }
+                };
                 let mut reused = make();
-                run_flows_with(&topo, demands(), reused.as_mut(), mode);
-                let again = run_flows_with(&topo, demands(), reused.as_mut(), mode);
-                let fresh = run_flows_with(&topo, demands(), make().as_mut(), mode);
+                run(reused.as_mut());
+                let again = run(reused.as_mut());
+                let fresh = run(make().as_mut());
                 assert_eq!(
                     again.trace().events(),
                     fresh.trace().events(),
-                    "{} {mode:?}",
+                    "{}, full {full}",
                     reused.name()
                 );
                 assert_eq!(again.completions().len(), 3);

@@ -12,7 +12,7 @@
 //! constant in between. The parts that differ per workload live behind
 //! [`WorkloadSource`]:
 //!
-//! - the static demand runner ([`crate::runner::run_flows_with`]) releases
+//! - the static demand runner ([`crate::runner::run_flows`]) releases
 //!   flows at fixed times;
 //! - the chunk-quantized validator ([`crate::quantized`]) chains chunk
 //!   releases off completions and presents chunks to the policy under
@@ -22,15 +22,19 @@
 //! - the cluster scenario layer adds per-job admission times on top of
 //!   the DAG runtime.
 //!
-//! All of them share the [`RatePolicy`]/[`RecomputeMode`] seam, so the
-//! Full-vs-Incremental bit-identity guarantee (see `tests/differential.rs`
-//! at the workspace root) holds uniformly across layers.
+//! All of them share one [`RatePolicy`] seam: every allocation is one
+//! call of the policy's delta entry,
+//! [`RatePolicy::allocate_dense_incremental_sparse`]. A run whose policy
+//! is wrapped in [`crate::runner::FullRecompute`] re-derives everything
+//! at every allocation instead, and the differential suites (see
+//! `tests/differential.rs` at the workspace root) hold the two to the
+//! same bits across layers.
 
 use crate::alloc::AllocScratch;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::flow::{ActiveFlowView, FlowCompletion};
 use crate::fluid::{FlowDelta, FluidNetwork, NextCompletionMode};
-use crate::runner::{RatePolicy, RecomputeMode};
+use crate::runner::RatePolicy;
 use crate::time::{SimTime, EPS};
 use crate::topology::Topology;
 use crate::trace::{FlowTrace, TraceEventKind};
@@ -179,8 +183,9 @@ pub trait WorkloadSource {
 
     /// Runs one allocation into the dense `out` buffer (`out[i]` rates
     /// `flows[i]`) and reports how the driver must apply it. The default
-    /// dispatches on `mode` exactly like the historical loops did and
-    /// passes through the policy's sparse-change report; sources that
+    /// is the policy's delta entry,
+    /// [`RatePolicy::allocate_dense_incremental_sparse`], and passes
+    /// through its sparse-change report; sources that
     /// present flows to the policy under a different identity
     /// (chunk → parent) override this to translate views, delta, and
     /// resulting rates — such translations invalidate the policy's index
@@ -192,7 +197,6 @@ pub trait WorkloadSource {
     fn allocate(
         &mut self,
         policy: &mut dyn RatePolicy,
-        mode: RecomputeMode,
         now: SimTime,
         flows: &[ActiveFlowView],
         delta: &FlowDelta,
@@ -200,18 +204,10 @@ pub trait WorkloadSource {
         ws: &mut AllocScratch,
         out: &mut Vec<f64>,
     ) -> RateApply {
-        match mode {
-            RecomputeMode::Full => {
-                policy.allocate_dense(now, flows, topo, ws, out);
-                RateApply::Dense
-            }
-            RecomputeMode::Incremental => {
-                if policy.allocate_dense_incremental_sparse(now, flows, delta, topo, ws, out) {
-                    RateApply::Sparse
-                } else {
-                    RateApply::Dense
-                }
-            }
+        if policy.allocate_dense_incremental_sparse(now, flows, delta, topo, ws, out) {
+            RateApply::Sparse
+        } else {
+            RateApply::Dense
         }
     }
 
@@ -272,9 +268,9 @@ pub struct DriveStats {
     pub peak_book_occupancy: usize,
     /// Coalesced event batches: groups of raw events (faults, releases,
     /// completions) sharing one instant that were drained into a single
-    /// allocation decision. This — not the raw event count — is the
-    /// denominator the `*_recompute_fraction` counters accumulate per,
-    /// so incremental-win numbers stay comparable as batching widens.
+    /// allocation decision. Equal to [`Self::allocations`]: the driver
+    /// allocates once per batch. ([`Self::pod_recompute_fraction`] has
+    /// its own denominator, the pods in scope.)
     pub alloc_batches: usize,
     /// Raw events absorbed into an allocation batch *beyond* the first:
     /// a batch of N same-instant events contributes N-1. Zero means every
@@ -362,9 +358,8 @@ pub fn drive(
     topo: &Topology,
     source: &mut dyn WorkloadSource,
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
 ) -> DriveOutcome {
-    drive_faulted(topo, source, policy, mode, &FaultPlan::empty())
+    drive_faulted(topo, source, policy, &FaultPlan::empty())
 }
 
 /// [`drive`] with an injected [`FaultPlan`]: fault events are a third
@@ -388,10 +383,9 @@ pub fn drive_faulted(
     topo: &Topology,
     source: &mut dyn WorkloadSource,
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
     plan: &FaultPlan,
 ) -> DriveOutcome {
-    drive_faulted_configured(topo, source, policy, mode, plan, DriveConfig::default())
+    drive_faulted_configured(topo, source, policy, plan, DriveConfig::default())
 }
 
 /// [`drive_faulted`] with explicit [`DriveConfig`] engine knobs. The
@@ -401,7 +395,6 @@ pub fn drive_faulted_configured(
     topo: &Topology,
     source: &mut dyn WorkloadSource,
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
     plan: &FaultPlan,
     config: DriveConfig,
 ) -> DriveOutcome {
@@ -470,7 +463,6 @@ pub fn drive_faulted_configured(
             let t_alloc = profile.then(std::time::Instant::now);
             let apply = source.allocate(
                 policy,
-                mode,
                 now,
                 net.views(),
                 &delta,
@@ -634,7 +626,7 @@ mod tests {
             released: false,
             done: false,
         };
-        let out = drive(&topo, &mut source, &mut MaxMinPolicy, RecomputeMode::Full);
+        let out = drive(&topo, &mut source, &mut MaxMinPolicy);
         // Released at 1, 2 bytes at unit rate: ends at 3.
         assert!(out.end.approx_eq(SimTime::new(3.0)));
         assert_eq!(out.trace.events().len(), 3); // release, rate, finish
@@ -709,7 +701,7 @@ mod tests {
             released: false,
             done: false,
         };
-        let out = drive(&topo, &mut source, &mut MaxMinPolicy, RecomputeMode::Full);
+        let out = drive(&topo, &mut source, &mut MaxMinPolicy);
         assert_eq!(out.stats.peak_active, 1);
         assert_eq!(out.stats.arena_capacity, 1);
         // MaxMin is not pod-decomposed: no pod work reported.
@@ -734,7 +726,6 @@ mod tests {
                 &topo,
                 &mut source,
                 &mut MaxMinPolicy,
-                RecomputeMode::Full,
                 &FaultPlan::empty(),
                 cfg,
             );
@@ -748,7 +739,7 @@ mod tests {
         let topo = Topology::big_switch_uniform(2, 1.0);
         let mut source = Starved { released: false };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive(&topo, &mut source, &mut ZeroPolicy, RecomputeMode::Full)
+            drive(&topo, &mut source, &mut ZeroPolicy)
         }))
         .expect_err("starved flow must deadlock");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

@@ -11,12 +11,13 @@
 //! [`crate::driver`]: the source chains chunk releases off completions and
 //! overrides [`WorkloadSource::allocate`] to present chunks to the policy
 //! under their *parents'* identities. Under [`ChunkVisibility::FlowState`]
-//! the incremental mode reports arrivals/departures at parent granularity
-//! (a parent "arrives" with its first chunk and "departs" with its last;
-//! chunk rollovers are invisible to the policy's cached group state), so
-//! stateful schedulers run their delta paths unchanged. Chunk-local
-//! visibility has no stable flow identity for a cache to key on — there
-//! the incremental mode degenerates to the full recompute.
+//! the source reports arrivals/departures at parent granularity (a parent
+//! "arrives" with its first chunk and "departs" with its last; chunk
+//! rollovers are invisible to the policy's cached group state), so
+//! stateful schedulers run their delta paths unchanged. Chunk-local views
+//! change size and release at every rollover, so no parent delta can
+//! patch them: that visibility calls the policy's from-scratch
+//! [`RatePolicy::allocate_dense`] at every allocation.
 //!
 //! The bundled validation experiment shows fluid and quantized finish
 //! times converge as the chunk size shrinks, which is the standard
@@ -24,11 +25,11 @@
 //! simulators.
 
 use crate::alloc::AllocScratch;
-use crate::driver::{drive, RateApply, WorkloadSource};
+use crate::driver::{drive, DriveStats, RateApply, WorkloadSource};
 use crate::flow::{ActiveFlowView, FlowCompletion, FlowDemand};
 use crate::fluid::{FlowDelta, FluidNetwork};
 use crate::ids::FlowId;
-use crate::runner::{RatePolicy, RecomputeMode};
+use crate::runner::RatePolicy;
 use crate::time::SimTime;
 use crate::topology::Topology;
 use crate::trace::FlowTrace;
@@ -55,6 +56,8 @@ pub enum ChunkVisibility {
 pub struct QuantizedOutcome {
     /// Finish time per original flow.
     pub finishes: BTreeMap<FlowId, SimTime>,
+    /// Driver counters of the chunked run.
+    pub stats: DriveStats,
 }
 
 /// The chunk-quantized [`WorkloadSource`]: chunks of one flow are strictly
@@ -76,7 +79,7 @@ struct ChunkSource<'a> {
     finishes: BTreeMap<FlowId, SimTime>,
     total_parents: usize,
     visibility: ChunkVisibility,
-    /// Parent-granularity delta buffers for the incremental path. A
+    /// Parent-granularity delta buffers for the delta path. A
     /// parent arrives when its first chunk is released and departs when
     /// its last chunk completes; rollovers appear in neither list — the
     /// parent stays active, and rates recompute every event regardless.
@@ -152,7 +155,6 @@ impl WorkloadSource for ChunkSource<'_> {
     fn allocate(
         &mut self,
         policy: &mut dyn RatePolicy,
-        mode: RecomputeMode,
         now: SimTime,
         flows: &[ActiveFlowView],
         _delta: &FlowDelta,
@@ -199,17 +201,15 @@ impl WorkloadSource for ChunkSource<'_> {
         let disguised: Vec<ActiveFlowView> = pairs.iter().map(|(v, _)| v.clone()).collect();
 
         let mut dense: Vec<f64> = Vec::with_capacity(disguised.len());
-        match (mode, self.visibility) {
-            (RecomputeMode::Incremental, ChunkVisibility::FlowState) => {
-                let pdelta = FlowDelta {
-                    arrived: std::mem::take(&mut self.parent_arrived),
-                    departed: std::mem::take(&mut self.parent_departed),
-                };
+        let pdelta = FlowDelta {
+            arrived: std::mem::take(&mut self.parent_arrived),
+            departed: std::mem::take(&mut self.parent_departed),
+        };
+        match self.visibility {
+            ChunkVisibility::FlowState => {
                 policy.allocate_dense_incremental(now, &disguised, &pdelta, topo, ws, &mut dense);
             }
-            _ => {
-                self.parent_arrived.clear();
-                self.parent_departed.clear();
+            ChunkVisibility::ChunkLocal => {
                 policy.allocate_dense(now, &disguised, topo, ws, &mut dense);
             }
         }
@@ -249,20 +249,13 @@ pub fn run_flows_quantized(
     policy: &mut dyn RatePolicy,
     chunk: f64,
 ) -> QuantizedOutcome {
-    run_flows_quantized_with(
-        topology,
-        demands,
-        policy,
-        chunk,
-        ChunkVisibility::FlowState,
-        RecomputeMode::Full,
-    )
+    run_flows_quantized_with(topology, demands, policy, chunk, ChunkVisibility::FlowState)
 }
 
-/// [`run_flows_quantized`] with explicit policy visibility and
-/// [`RecomputeMode`]. Under [`ChunkVisibility::ChunkLocal`] the
-/// incremental mode falls back to the full recompute (chunk ids are too
-/// short-lived for cached group state to track).
+/// [`run_flows_quantized`] with explicit policy visibility. Under
+/// [`ChunkVisibility::ChunkLocal`] every allocation is the policy's
+/// from-scratch one (chunk views are too short-lived for cached group
+/// state to track).
 ///
 /// # Panics
 ///
@@ -273,7 +266,6 @@ pub fn run_flows_quantized_with(
     policy: &mut dyn RatePolicy,
     chunk: f64,
     visibility: ChunkVisibility,
-    mode: RecomputeMode,
 ) -> QuantizedOutcome {
     assert!(chunk > 0.0 && chunk.is_finite(), "bad chunk size {chunk}");
 
@@ -310,9 +302,10 @@ pub fn run_flows_quantized_with(
         parent_arrived: Vec::new(),
         parent_departed: Vec::new(),
     };
-    drive(topology, &mut source, policy, mode);
+    let stats = drive(topology, &mut source, policy).stats;
     QuantizedOutcome {
         finishes: source.finishes,
+        stats,
     }
 }
 
@@ -320,7 +313,7 @@ pub fn run_flows_quantized_with(
 mod tests {
     use super::*;
     use crate::ids::NodeId;
-    use crate::runner::{run_flows, MaxMinPolicy};
+    use crate::runner::{run_flows, FullRecompute, MaxMinPolicy};
 
     fn demand(id: u64, size: f64, release: f64) -> FlowDemand {
         FlowDemand::new(
@@ -405,7 +398,6 @@ mod tests {
             &mut Srpt,
             0.25,
             ChunkVisibility::FlowState,
-            RecomputeMode::Full,
         );
         let local = run_flows_quantized_with(
             &topo,
@@ -413,7 +405,6 @@ mod tests {
             &mut Srpt,
             0.25,
             ChunkVisibility::ChunkLocal,
-            RecomputeMode::Full,
         );
         // Flow-state visibility reproduces fluid exactly.
         assert!(aware.finishes[&FlowId(1)].approx_eq(fluid.finish(FlowId(1)).unwrap()));
@@ -433,22 +424,10 @@ mod tests {
             ]
         };
         for visibility in [ChunkVisibility::FlowState, ChunkVisibility::ChunkLocal] {
-            let full = run_flows_quantized_with(
-                &topo,
-                demands(),
-                &mut MaxMinPolicy,
-                0.25,
-                visibility,
-                RecomputeMode::Full,
-            );
-            let inc = run_flows_quantized_with(
-                &topo,
-                demands(),
-                &mut MaxMinPolicy,
-                0.25,
-                visibility,
-                RecomputeMode::Incremental,
-            );
+            let mut full = FullRecompute(&mut MaxMinPolicy);
+            let full = run_flows_quantized_with(&topo, demands(), &mut full, 0.25, visibility);
+            let inc =
+                run_flows_quantized_with(&topo, demands(), &mut MaxMinPolicy, 0.25, visibility);
             assert_eq!(full.finishes, inc.finishes, "diverged for {visibility:?}");
         }
     }

@@ -3,15 +3,16 @@
 //! [`run_flows`] drives a static set of [`FlowDemand`]s to completion under
 //! a [`RatePolicy`]. The driver recomputes rates at every event batch
 //! that has active flows: releases, completions and faults (the fluid
-//! model's only rate-change points for static demand sets).
+//! model's only rate-change points for static demand sets). Each
+//! recompute is one call of [`RatePolicy::allocate_dense_incremental_sparse`]
+//! with the [`FlowDelta`] accumulated since the previous allocation, so
+//! stateful schedulers patch cached group structure instead of
+//! re-deriving it.
 //!
-//! [`run_flows_with`] additionally selects a [`RecomputeMode`]: `Full`
-//! calls [`RatePolicy::allocate_dense`] (the naive reference path,
-//! re-deriving everything from the flow slice), `Incremental` calls
-//! [`RatePolicy::allocate_dense_incremental`] with the [`FlowDelta`]
-//! accumulated since the previous allocation, letting stateful schedulers
-//! reuse cached group structure. Both modes must produce bit-identical
-//! traces; the differential tests in `tests/differential.rs` enforce this.
+//! [`FullRecompute`] wraps a policy so that every allocation re-derives
+//! everything from the flow slice through [`RatePolicy::allocate_dense`]
+//! instead. It is the reference the differential suites (starting with
+//! `tests/differential.rs`) hold every delta path to, bit for bit.
 //!
 //! The event-loop skeleton itself lives in [`crate::driver`]; this module
 //! contributes only the static-demand [`WorkloadSource`] (release flows at
@@ -33,19 +34,21 @@ use crate::time::SimTime;
 use crate::topology::Topology;
 use crate::trace::{FlowTrace, TraceEventKind};
 use std::collections::BTreeMap;
+use std::ops::DerefMut;
 
 /// A bandwidth allocation policy: the single extension point all
 /// schedulers implement.
 ///
-/// The driver calls [`Self::allocate_dense`] or
-/// [`Self::allocate_dense_incremental`] (or its sparse variant) at every
-/// event batch with active flows, and the policy must write a feasible
-/// rate for every active flow. Policies may keep internal state (e.g. coflow orderings
+/// The driver has one entry: at every event batch with active flows it
+/// calls [`Self::allocate_dense_incremental_sparse`] with the delta since
+/// its previous call, and the policy must write a feasible rate for every
+/// active flow. Policies may keep internal state (e.g. coflow orderings
 /// computed on arrival).
 ///
-/// [`Self::allocate_dense`] is the one required method. Every other
-/// entry point has a provided default built on it: the incremental
-/// recompute ignores the delta, and the map-based [`Self::allocate`] and
+/// [`Self::allocate_dense`] is the one required method: the from-scratch
+/// answer, which [`FullRecompute`] drives as the differentials' reference.
+/// Every other entry point has a provided default built on it: the delta
+/// entries ignore the delta, and the map-based [`Self::allocate`] and
 /// [`Self::allocate_incremental`] convert the dense answer once
 /// ([`alloc_via_dense`]). A stateful policy overrides
 /// [`Self::allocate_dense_incremental`] to patch its cached structure.
@@ -216,14 +219,55 @@ pub enum AllocHorizon {
     NextEvent,
 }
 
-/// Which `RatePolicy` entry point the simulation loop drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Ignored; the benchmark still passes it. Every run allocates through
+/// the delta entry, and [`FullRecompute`] is the from-scratch reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomputeMode {
-    /// Call [`RatePolicy::allocate_dense`] — re-derive everything per event.
-    #[default]
+    /// Formerly the from-scratch path.
     Full,
-    /// Call [`RatePolicy::allocate_dense_incremental`] with the flow delta.
+    /// Formerly the delta path.
     Incremental,
+}
+
+/// Runs the wrapped policy from scratch at every allocation, the
+/// differential suites' reference for the delta path. It overrides only
+/// [`RatePolicy::allocate_dense`], so both delta entries take their
+/// defaults: the wrapped policy's `allocate_dense`, answered densely.
+/// Faults, the name and the counters are forwarded. `P` is any mutable
+/// handle to a policy (`&mut P`, `Box<dyn RatePolicy>`).
+pub struct FullRecompute<P>(pub P);
+
+impl<P, T> RatePolicy for FullRecompute<P>
+where
+    P: DerefMut<Target = T>,
+    T: RatePolicy + ?Sized,
+{
+    fn allocate_dense(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.0.allocate_dense(now, flows, topo, ws, out);
+    }
+
+    fn on_fault(&mut self, now: SimTime, fault: &FaultKind) {
+        self.0.on_fault(now, fault);
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn pod_stats(&self) -> Option<(usize, usize)> {
+        self.0.pod_stats()
+    }
+
+    fn book_stats(&self) -> Option<(usize, usize)> {
+        self.0.book_stats()
+    }
 }
 
 /// Max-min fair sharing: the paper's baseline (Fig. 2a).
@@ -307,8 +351,9 @@ fn search_from(flows: &[ActiveFlowView], from: usize, id: FlowId) -> Result<usiz
 /// that keeps its live links grouped by round-1 state, so a fill pays for
 /// its rounds and not for re-deriving that index or its classes
 /// ([`Self::verify_index`] checks both against a rebuild). The
-/// differential suites pin both recompute modes bitwise against an
-/// independent pod-sequential reference.
+/// differential suites pin the plain policy and the policy through
+/// [`FullRecompute`] bitwise against an independent pod-sequential
+/// reference.
 ///
 /// On topologies without pods the policy always uses the whole-fabric
 /// waterfill and reports no pod work.
@@ -787,15 +832,19 @@ impl FlowOutcomes {
     }
 }
 
-/// Runs `demands` to completion under `policy` on `topology`, using the
-/// full-recompute path. Shorthand for [`run_flows_with`] with
-/// [`RecomputeMode::Full`].
+/// Runs `demands` to completion under `policy` on `topology`.
+///
+/// # Panics
+///
+/// Panics if the policy ever returns an infeasible allocation or a rate
+/// for a flow outside the active set, or if the simulation stops making
+/// progress while flows remain (a policy that starves all flows forever).
 pub fn run_flows(
     topology: &Topology,
     demands: Vec<FlowDemand>,
     policy: &mut dyn RatePolicy,
 ) -> FlowOutcomes {
-    run_flows_with(topology, demands, policy, RecomputeMode::Full)
+    run_flows_faulted(topology, demands, policy, &FaultPlan::empty())
 }
 
 /// The static-demand [`WorkloadSource`]: flows release at fixed times and
@@ -851,69 +900,55 @@ impl WorkloadSource for DemandSource {
     }
 }
 
-/// Runs `demands` to completion under `policy` on `topology`.
-///
-/// # Panics
-///
-/// Panics if the policy ever returns an infeasible allocation or a rate
-/// for a flow outside the active set, or if the simulation stops making
-/// progress while flows remain (a policy that starves all flows forever).
-pub fn run_flows_with(
-    topology: &Topology,
-    demands: Vec<FlowDemand>,
-    policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
-) -> FlowOutcomes {
-    run_flows_faulted(topology, demands, policy, mode, &FaultPlan::empty())
-}
-
-/// [`run_flows_with`] under an injected [`FaultPlan`]: link churn and
+/// [`run_flows`] under an injected [`FaultPlan`]: link churn and
 /// component outages strike at their scheduled times while the static
 /// demand set plays out (see [`crate::fault`]).
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`run_flows_with`], plus the
-/// deadlock panic if the plan downs a link forever while unfinished flows
-/// depend on it.
+/// Panics under the same conditions as [`run_flows`], plus the deadlock
+/// panic if the plan downs a link forever while unfinished flows depend
+/// on it.
 pub fn run_flows_faulted(
     topology: &Topology,
     demands: Vec<FlowDemand>,
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
     plan: &FaultPlan,
 ) -> FlowOutcomes {
-    run_flows_faulted_configured(
-        topology,
-        demands,
-        policy,
-        mode,
-        plan,
-        DriveConfig::default(),
-    )
+    run_demands(topology, demands, policy, plan, DriveConfig::default())
 }
 
-/// [`run_flows_with`] with explicit [`DriveConfig`] engine knobs and no
+/// [`run_flows`] with explicit [`DriveConfig`] engine knobs and no
 /// faults.
 pub fn run_flows_configured(
     topology: &Topology,
     demands: Vec<FlowDemand>,
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
     config: DriveConfig,
 ) -> FlowOutcomes {
-    run_flows_faulted_configured(topology, demands, policy, mode, &FaultPlan::empty(), config)
+    run_demands(topology, demands, policy, &FaultPlan::empty(), config)
 }
 
 /// [`run_flows_faulted`] with explicit [`DriveConfig`] engine knobs
 /// (next-completion backend, feasibility checks, trace recording). All
 /// config combinations are bit-identical on the trace-visible outcomes;
-/// the differential suites pin this.
+/// the differential suites pin this. `mode` is ignored.
 pub fn run_flows_faulted_configured(
     topology: &Topology,
     demands: Vec<FlowDemand>,
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
+    _mode: RecomputeMode,
+    plan: &FaultPlan,
+    config: DriveConfig,
+) -> FlowOutcomes {
+    run_demands(topology, demands, policy, plan, config)
+}
+
+/// The body of every static-demand run.
+fn run_demands(
+    topology: &Topology,
+    demands: Vec<FlowDemand>,
+    policy: &mut dyn RatePolicy,
     plan: &FaultPlan,
     config: DriveConfig,
 ) -> FlowOutcomes {
@@ -927,7 +962,7 @@ pub fn run_flows_faulted_configured(
         completed: Vec::with_capacity(total),
         total,
     };
-    let outcome = drive_faulted_configured(topology, &mut source, policy, mode, plan, config);
+    let outcome = drive_faulted_configured(topology, &mut source, policy, plan, config);
 
     FlowOutcomes {
         completions: source.completed.into_iter().map(|c| (c.id, c)).collect(),
@@ -1077,12 +1112,10 @@ mod tests {
             ]
         };
         let run = |trace| {
-            run_flows_faulted_configured(
+            run_flows_configured(
                 &topo,
                 demands(),
                 &mut MaxMinPolicy,
-                RecomputeMode::Full,
-                &FaultPlan::empty(),
                 DriveConfig {
                     trace,
                     ..DriveConfig::default()
@@ -1102,7 +1135,7 @@ mod tests {
     #[test]
     fn full_and_incremental_modes_agree_for_default_policy() {
         // The default allocate_dense_incremental falls back to
-        // allocate_dense, so the two modes must be trivially bit-identical.
+        // allocate_dense, so the two paths must be trivially bit-identical.
         let topo = Topology::big_switch_uniform(4, 1.0);
         let demands = || {
             vec![
@@ -1112,13 +1145,8 @@ mod tests {
                 demand(3, 3, 1, 0.5, 1.0),
             ]
         };
-        let a = run_flows_with(&topo, demands(), &mut MaxMinPolicy, RecomputeMode::Full);
-        let b = run_flows_with(
-            &topo,
-            demands(),
-            &mut MaxMinPolicy,
-            RecomputeMode::Incremental,
-        );
+        let a = run_flows(&topo, demands(), &mut FullRecompute(&mut MaxMinPolicy));
+        let b = run_flows(&topo, demands(), &mut MaxMinPolicy);
         assert_eq!(a.trace().events(), b.trace().events());
     }
 
@@ -1135,7 +1163,6 @@ mod tests {
             &topo,
             vec![demand(0, 0, 1, 2.0, 0.0)],
             &mut MaxMinPolicy,
-            RecomputeMode::Full,
             &plan,
         );
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(4.0)));
@@ -1156,7 +1183,6 @@ mod tests {
             &topo,
             vec![demand(0, 0, 1, 2.0, 0.0)],
             &mut MaxMinPolicy,
-            RecomputeMode::Full,
             &plan,
         );
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(5.0)));
@@ -1175,7 +1201,6 @@ mod tests {
             &topo,
             vec![demand(0, 0, 1, 2.0, 0.0)],
             &mut MaxMinPolicy,
-            RecomputeMode::Full,
             &plan,
         );
     }
@@ -1188,14 +1213,9 @@ mod tests {
         let topo = Topology::big_switch_uniform(2, 1.0);
         let r = crate::ids::ResourceId(0);
         let plan = FaultPlan::empty().with(SimTime::new(1.0), FaultKind::LinkDegrade(r, 0.5));
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            let out = run_flows_faulted(
-                &topo,
-                vec![demand(0, 0, 1, 2.0, 0.0)],
-                &mut MaxMinPolicy,
-                mode,
-                &plan,
-            );
+        let mut full = FullRecompute(&mut MaxMinPolicy);
+        for policy in [&mut MaxMinPolicy as &mut dyn RatePolicy, &mut full] {
+            let out = run_flows_faulted(&topo, vec![demand(0, 0, 1, 2.0, 0.0)], policy, &plan);
             // 1 byte by t=1, then 1 byte at 0.5 → t=3.
             assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(3.0)));
         }
@@ -1217,17 +1237,12 @@ mod tests {
     #[test]
     fn pod_policy_incremental_matches_full_recompute() {
         let topo = crate::fattree::FatTree::new(4).build_fabric();
-        let incremental = run_flows_with(
+        let incremental = run_flows(&topo, pod_local_demands(), &mut PodMaxMinPolicy::new());
+        let mut reference = PodMaxMinPolicy::new();
+        let full = run_flows(
             &topo,
             pod_local_demands(),
-            &mut PodMaxMinPolicy::new(),
-            RecomputeMode::Incremental,
-        );
-        let full = run_flows_with(
-            &topo,
-            pod_local_demands(),
-            &mut PodMaxMinPolicy::new(),
-            RecomputeMode::Full,
+            &mut FullRecompute(&mut reference),
         );
         assert_eq!(incremental.trace().events(), full.trace().events());
         // The incremental path must actually have skipped pods: releases
@@ -1248,18 +1263,9 @@ mod tests {
         let topo = crate::fattree::FatTree::new(4).build_fabric();
         let mut demands = pod_local_demands();
         demands.push(demand(6, 0, 7, 2.0, 0.25)); // pod 0 → pod 1
-        let incremental = run_flows_with(
-            &topo,
-            demands.clone(),
-            &mut PodMaxMinPolicy::new(),
-            RecomputeMode::Incremental,
-        );
-        let full = run_flows_with(
-            &topo,
-            demands,
-            &mut PodMaxMinPolicy::new(),
-            RecomputeMode::Full,
-        );
+        let incremental = run_flows(&topo, demands.clone(), &mut PodMaxMinPolicy::new());
+        let mut reference = PodMaxMinPolicy::new();
+        let full = run_flows(&topo, demands, &mut FullRecompute(&mut reference));
         assert_eq!(incremental.trace().events(), full.trace().events());
         assert_eq!(incremental.completions().len(), 7);
     }
@@ -1298,22 +1304,30 @@ mod tests {
             (&k8, crossing(), degraded, &k4),
             (&k4, first(), FaultPlan::empty(), &k8),
         ];
+        let run = |topo, demands, policy: &mut PodMaxMinPolicy, plan, full| {
+            if full {
+                run_flows_faulted(topo, demands, &mut FullRecompute(policy), plan)
+            } else {
+                run_flows_faulted(topo, demands, policy, plan)
+            }
+        };
+        let none = FaultPlan::empty();
         for (case, (topo, demands, plan, then)) in cases.iter().enumerate() {
-            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+            for full in [false, true] {
                 let mut reused = PodMaxMinPolicy::new();
-                let out = run_flows_faulted(topo, demands.clone(), &mut reused, mode, plan);
+                let out = run(topo, demands.clone(), &mut reused, plan, full);
                 if case == 2 {
                     // The crosser finishes last, so it is still live in
                     // the reused policy.
                     assert!(out.makespan().approx_eq(out.finish(FlowId(2)).unwrap()));
                     assert_eq!(reused.cross_pod_live, 1);
                 }
-                let again = run_flows_with(then, second(), &mut reused, mode);
-                let fresh = run_flows_with(then, second(), &mut PodMaxMinPolicy::new(), mode);
+                let again = run(then, second(), &mut reused, &none, full);
+                let fresh = run(then, second(), &mut PodMaxMinPolicy::new(), &none, full);
                 assert_eq!(
                     again.trace().events(),
                     fresh.trace().events(),
-                    "case {case} {mode:?}"
+                    "case {case}, full {full}"
                 );
                 assert!(again
                     .finish(FlowId(10))
@@ -1454,12 +1468,7 @@ mod tests {
                 demand(2, 0, 3, 3.0, 1.0),
             ]
         };
-        let pod = run_flows_with(
-            &topo,
-            demands(),
-            &mut PodMaxMinPolicy::new(),
-            RecomputeMode::Incremental,
-        );
+        let pod = run_flows(&topo, demands(), &mut PodMaxMinPolicy::new());
         let maxmin = run_flows(&topo, demands(), &mut MaxMinPolicy);
         for id in [FlowId(0), FlowId(1), FlowId(2)] {
             assert_eq!(
@@ -1480,17 +1489,11 @@ mod tests {
         let plan = FaultPlan::empty()
             .with(SimTime::new(0.75), FaultKind::LinkDegrade(r, 0.25))
             .with(SimTime::new(2.0), FaultKind::LinkRestore(r));
-        let run = |mode| {
-            run_flows_faulted(
-                &topo,
-                pod_local_demands(),
-                &mut PodMaxMinPolicy::new(),
-                mode,
-                &plan,
-            )
+        let run = |policy: &mut dyn RatePolicy| {
+            run_flows_faulted(&topo, pod_local_demands(), policy, &plan)
         };
-        let incremental = run(RecomputeMode::Incremental);
-        let full = run(RecomputeMode::Full);
+        let incremental = run(&mut PodMaxMinPolicy::new());
+        let full = run(&mut FullRecompute(&mut PodMaxMinPolicy::new()));
         assert_eq!(incremental.trace().events(), full.trace().events());
     }
 

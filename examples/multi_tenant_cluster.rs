@@ -21,7 +21,6 @@ use echelonflow::cluster::scenario::{Scenario, SchedulerKind};
 use echelonflow::cluster::service::{run_service, ServiceConfig, ServiceMode};
 use echelonflow::cluster::workload::{OpenLoopConfig, WorkloadConfig};
 use echelonflow::simnet::fault::FaultPlan;
-use echelonflow::simnet::runner::RecomputeMode;
 use echelonflow::simnet::topology::Topology;
 
 fn main() {
@@ -81,7 +80,6 @@ fn main() {
             &cfg,
             &ServiceConfig::default(),
             kind,
-            RecomputeMode::Incremental,
             &FaultPlan::empty(),
             ServiceMode::Streaming,
         );
@@ -90,7 +88,6 @@ fn main() {
             &cfg,
             &ServiceConfig::default(),
             kind,
-            RecomputeMode::Incremental,
             &FaultPlan::empty(),
             ServiceMode::Materialized,
         );

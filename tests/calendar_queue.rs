@@ -23,7 +23,7 @@ use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::{FluidNetwork, NextCompletionMode};
 use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
 use echelonflow::simnet::runner::{
-    run_flows_faulted_configured, MaxMinPolicy, RatePolicy, RecomputeMode,
+    run_flows_faulted_configured, FullRecompute, MaxMinPolicy, RatePolicy, RecomputeMode,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
@@ -190,8 +190,8 @@ fn grouped(demands: &[FlowDemand]) -> (Vec<EchelonFlow>, Vec<Coflow>) {
 }
 
 /// Run-level axis: random scenario × scheduler × random fault plan must
-/// produce bit-identical traces and completions under both backends and
-/// both recompute modes.
+/// produce bit-identical traces and completions under both backends,
+/// plain and through `FullRecompute`.
 #[test]
 fn schedulers_and_fault_plans_agree_across_backends() {
     for seed in 0..16 {
@@ -218,14 +218,18 @@ fn schedulers_and_fault_plans_agree_across_backends() {
             ),
         ];
         for (label, make) in &mk {
-            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+            for full in [true, false] {
                 let run = |nc: NextCompletionMode| {
-                    let mut p = make();
+                    let mut p = if full {
+                        Box::new(FullRecompute(make()))
+                    } else {
+                        make()
+                    };
                     run_flows_faulted_configured(
                         &topo,
                         demands.clone(),
                         p.as_mut(),
-                        mode,
+                        RecomputeMode::Incremental,
                         &plan,
                         DriveConfig {
                             next_completion: nc,
@@ -238,12 +242,12 @@ fn schedulers_and_fault_plans_agree_across_backends() {
                 assert_eq!(
                     scan.trace().events(),
                     calendar.trace().events(),
-                    "{label} {mode:?} seed {seed}: traces diverged"
+                    "{label} full {full} seed {seed}: traces diverged"
                 );
                 assert_eq!(
                     scan.completions(),
                     calendar.completions(),
-                    "{label} {mode:?} seed {seed}: completions diverged"
+                    "{label} full {full} seed {seed}: completions diverged"
                 );
             }
         }

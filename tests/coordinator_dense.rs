@@ -4,7 +4,8 @@
 //!
 //! - `coordinator_runs_match_pinned_digests` pins the rate trace of every
 //!   trigger, with and without control latency, through a coordinator
-//!   outage, and behind queue enforcement, in both recompute modes. A
+//!   outage, and behind queue enforcement, plain and through
+//!   `FullRecompute` (the `inc` and `full` rows). A
 //!   changed digest means a changed schedule. The per-event rows without
 //!   latency (plain, outage, enforced) were recorded from the map-based
 //!   coordinator the dense path replaced. The other rows were recorded
@@ -28,7 +29,7 @@ use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::fault::{FaultKind, FaultPlan};
 use echelonflow::simnet::flow::ActiveFlowView;
 use echelonflow::simnet::fluid::FlowDelta;
-use echelonflow::simnet::runner::{RatePolicy, RecomputeMode};
+use echelonflow::simnet::runner::{FullRecompute, RatePolicy};
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 use echelonflow::simnet::trace::TraceEventKind;
@@ -93,10 +94,23 @@ fn configs() -> [(&'static str, CoordinatorConfig); 6] {
     ]
 }
 
-fn mode_name(mode: RecomputeMode) -> &'static str {
-    match mode {
-        RecomputeMode::Full => "full",
-        RecomputeMode::Incremental => "inc",
+/// Each row's label suffix, and whether its run goes through
+/// `FullRecompute`.
+const PATHS: [(&str, bool); 2] = [("full", true), ("inc", false)];
+
+/// Runs `dags` under `policy` and `plan`, through `FullRecompute` when
+/// `full`.
+fn run(
+    topo: &Topology,
+    dags: &[&JobDag],
+    policy: &mut dyn RatePolicy,
+    full: bool,
+    plan: &FaultPlan,
+) -> RunResult {
+    if full {
+        run_jobs_faulted(topo, dags, &mut FullRecompute(policy), plan)
+    } else {
+        run_jobs_faulted(topo, dags, policy, plan)
     }
 }
 
@@ -141,15 +155,14 @@ fn coordinator_runs_match_pinned_digests() {
     let outage = FaultPlan::empty()
         .with(SimTime::new(2.0), FaultKind::CoordinatorDown)
         .with(SimTime::new(4.0), FaultKind::CoordinatorUp);
-    let modes = [RecomputeMode::Full, RecomputeMode::Incremental];
     let mut got: Vec<(String, u64)> = Vec::new();
     for (name, cfg) in configs() {
         for (plan_name, plan) in [("plain", FaultPlan::empty()), ("outage", outage.clone())] {
-            for mode in modes {
+            for (path, full) in PATHS {
                 let mut policy = coordinated(cfg, &jobs);
-                let result = run_jobs_faulted(&topo, &dags, &mut policy, mode, &plan);
+                let result = run(&topo, &dags, &mut policy, full, &plan);
                 assert!(policy.decisions_computed() > 0);
-                let label = format!("{name}/{plan_name}/{}", mode_name(mode));
+                let label = format!("{name}/{plan_name}/{path}");
                 got.push((label, digest(&result, policy.decisions_computed())));
             }
         }
@@ -158,7 +171,7 @@ fn coordinator_runs_match_pinned_digests() {
         ("enforced-per-event", Trigger::PerEvent),
         ("enforced-interval", Trigger::Interval(1.0)),
     ] {
-        for mode in modes {
+        for (path, full) in PATHS {
             let cfg = CoordinatorConfig {
                 trigger,
                 ..CoordinatorConfig::default()
@@ -168,12 +181,9 @@ fn coordinator_runs_match_pinned_digests() {
                 ratio: 2.0,
             };
             let mut policy = QueueEnforcedPolicy::new(coordinated(cfg, &jobs), queues);
-            let result = run_jobs_faulted(&topo, &dags, &mut policy, mode, &FaultPlan::empty());
+            let result = run(&topo, &dags, &mut policy, full, &FaultPlan::empty());
             let decisions = policy.inner().decisions_computed();
-            got.push((
-                format!("{name}/{}", mode_name(mode)),
-                digest(&result, decisions),
-            ));
+            got.push((format!("{name}/{path}"), digest(&result, decisions)));
         }
     }
     let want: Vec<(String, u64)> = PINNED.iter().map(|&(l, d)| (l.to_string(), d)).collect();
@@ -245,15 +255,15 @@ fn enforcement_drives_only_dense_entry_points() {
         control_latency: 0.3,
         ..CoordinatorConfig::default()
     };
-    for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+    for (path, full) in PATHS {
         let mut reference =
             QueueEnforcedPolicy::new(coordinated(cfg, &jobs), QueueConfig::default());
-        let want = run_jobs_faulted(&topo, &dags, &mut reference, mode, &outage);
+        let want = run(&topo, &dags, &mut reference, full, &outage);
         let mut policy =
             QueueEnforcedPolicy::new(DenseOnly(coordinated(cfg, &jobs)), QueueConfig::default());
-        let got = run_jobs_faulted(&topo, &dags, &mut policy, mode, &outage);
-        assert_eq!(got.trace.events(), want.trace.events(), "{mode:?}");
-        assert_eq!(got.job_makespans.len(), jobs.len(), "{mode:?}");
+        let got = run(&topo, &dags, &mut policy, full, &outage);
+        assert_eq!(got.trace.events(), want.trace.events(), "{path}");
+        assert_eq!(got.job_makespans.len(), jobs.len(), "{path}");
         assert!(policy.inner().0.decisions_computed() > 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The coordinator's decision triggers on the `echelon-dag` benchmark
 //! workload's inputs: a 200-job default mix (one iteration, mean
 //! inter-arrival 0.5 s, pod-packed) on a k = 16, 4:1 oversubscribed
-//! fat-tree, run closed-loop through `Scenario::run_with` in Full mode.
+//! fat-tree, run closed-loop through `Scenario::run_with`.
 //!
 //! `hold_grid_is_pinned` runs seeds 1–8 under both the earliest-deadline
 //! and the least-work ranking with each trigger (`PerEvent`,

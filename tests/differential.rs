@@ -1,12 +1,12 @@
 //! Differential property tests for the incremental scheduling path.
 //!
-//! The tentpole guarantee: for every scheduler, `RecomputeMode::Full`
-//! (recompute everything from the active-flow list at each event) and
-//! `RecomputeMode::Incremental` (patch cached group state from flow
-//! deltas) produce **bit-identical** traces — same events, same times,
-//! same floating-point rates. Workloads are generated from seeded
-//! `echelon-detrand` streams so any failure reproduces from the printed
-//! seed.
+//! The tentpole guarantee: for every scheduler, a run whose policy is
+//! wrapped in `FullRecompute` (recompute everything from the active-flow
+//! list at each event) and the plain run (the driver's delta path:
+//! patch cached group state from flow deltas) produce **bit-identical**
+//! traces — same events, same times, same floating-point rates.
+//! Workloads are generated from seeded `echelon-detrand` streams so any
+//! failure reproduces from the printed seed.
 
 use echelon_detrand::DetRng;
 use echelonflow::agent::coordinator::{Coordinator, CoordinatorConfig, Trigger};
@@ -24,25 +24,29 @@ use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::hybrid::{build_hybrid, HybridConfig};
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{run_jobs_streamed, run_jobs_with, RunResult};
+use echelonflow::paradigms::runtime::{run_jobs, run_jobs_streamed, RunResult};
 use echelonflow::sched::baselines::{FifoPolicy, SrptPolicy};
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
+use echelonflow::simnet::alloc::AllocScratch;
 use echelonflow::simnet::driver::DriveConfig;
 use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::fault::FaultPlan;
-use echelonflow::simnet::flow::FlowDemand;
-use echelonflow::simnet::fluid::NextCompletionMode;
+use echelonflow::simnet::flow::{ActiveFlowView, FlowDemand};
+use echelonflow::simnet::fluid::{FlowDelta, NextCompletionMode};
 use echelonflow::simnet::ids::{FlowId, NodeId};
-use echelonflow::simnet::quantized::{run_flows_quantized_with, ChunkVisibility};
+use echelonflow::simnet::quantized::{
+    run_flows_quantized, run_flows_quantized_with, ChunkVisibility,
+};
 use echelonflow::simnet::runner::{
-    run_flows_configured, run_flows_with, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,
+    run_flows, run_flows_configured, FullRecompute, MaxMinPolicy, PodMaxMinPolicy, RatePolicy,
+    RecomputeMode,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 use echelonflow::simnet::trace::TraceEventKind;
 
 mod support;
-use support::PodReference;
+use support::{plain_or_full, PodReference};
 
 const HOSTS: usize = 6;
 
@@ -130,8 +134,8 @@ fn workload(seed: u64) -> Workload {
     }
 }
 
-/// Runs one policy-constructor under both modes and asserts identical
-/// traces and completions.
+/// Runs one policy-constructor plain and through `FullRecompute` and
+/// asserts identical traces and completions.
 fn assert_flow_level_identical<F>(seed: u64, label: &str, mut mk: F)
 where
     F: FnMut(&Workload) -> Box<dyn RatePolicy>,
@@ -139,20 +143,8 @@ where
     let w = workload(seed);
     let topo = Topology::big_switch_uniform(HOSTS, 1.5);
 
-    let mut full_policy = mk(&w);
-    let full = run_flows_with(
-        &topo,
-        w.demands.clone(),
-        full_policy.as_mut(),
-        RecomputeMode::Full,
-    );
-    let mut inc_policy = mk(&w);
-    let inc = run_flows_with(
-        &topo,
-        w.demands.clone(),
-        inc_policy.as_mut(),
-        RecomputeMode::Incremental,
-    );
+    let full = run_flows(&topo, w.demands.clone(), &mut FullRecompute(mk(&w)));
+    let inc = run_flows(&topo, w.demands.clone(), mk(&w).as_mut());
 
     assert_eq!(
         full.trace().events(),
@@ -196,7 +188,7 @@ fn assert_madd_three_way(coflow: bool) {
             let w = workload(seed);
             (w.echelons, w.coflows)
         },
-        |seed, policy, mode| run_flows_with(&topo, workload(seed).demands, policy, mode),
+        |seed, policy| run_flows(&topo, workload(seed).demands, policy),
     );
 }
 
@@ -211,7 +203,7 @@ fn varys_madd_incremental_matches_full_on_seeded_workloads() {
 }
 
 /// Policies without an incremental override fall back to the naive path;
-/// the two modes must still agree exactly.
+/// the two paths must still agree exactly.
 #[test]
 fn default_fallback_policies_agree_across_modes() {
     for seed in 10..14u64 {
@@ -219,6 +211,94 @@ fn default_fallback_policies_agree_across_modes() {
         assert_flow_level_identical(seed, "FifoPolicy", |_| Box::new(FifoPolicy));
         assert_flow_level_identical(seed, "SrptPolicy", |_| Box::new(SrptPolicy));
     }
+}
+
+/// Counts the calls of the from-scratch entry and of the two delta
+/// entries, answering max-min fair share from each.
+#[derive(Default)]
+struct CountingPolicy {
+    from_scratch: usize,
+    delta: usize,
+}
+
+impl RatePolicy for CountingPolicy {
+    fn allocate_dense(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.from_scratch += 1;
+        MaxMinPolicy.allocate_dense(now, flows, topo, ws, out);
+    }
+
+    fn allocate_dense_incremental(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        _delta: &FlowDelta,
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.delta += 1;
+        MaxMinPolicy.allocate_dense(now, flows, topo, ws, out);
+    }
+
+    fn allocate_dense_incremental_sparse(
+        &mut self,
+        now: SimTime,
+        flows: &[ActiveFlowView],
+        _delta: &FlowDelta,
+        topo: &Topology,
+        ws: &mut AllocScratch,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        self.delta += 1;
+        MaxMinPolicy.allocate_dense(now, flows, topo, ws, out);
+        false
+    }
+}
+
+/// Runs `run` with a [`CountingPolicy`], plain and through
+/// `FullRecompute`; `run` returns the driver's allocation count.
+fn assert_entries_used(label: &str, run: impl Fn(&mut dyn RatePolicy) -> usize) {
+    let mut plain = CountingPolicy::default();
+    let allocations = run(&mut plain);
+    assert!(allocations > 0, "{label}: no allocation");
+    let calls = (plain.from_scratch, plain.delta);
+    assert_eq!(calls, (0, allocations), "{label}");
+    let mut wrapped = CountingPolicy::default();
+    let allocations = run(&mut FullRecompute(&mut wrapped));
+    let calls = (wrapped.from_scratch, wrapped.delta);
+    assert_eq!(calls, (allocations, 0), "{label} through FullRecompute");
+}
+
+/// Every run allocates through a delta entry, once per driver
+/// allocation, and never from scratch; through `FullRecompute` every
+/// allocation is one from-scratch call of the wrapped policy and none
+/// reaches a delta entry. A driver that still calls `allocate_dense`, or
+/// a `FullRecompute` that passes the delta through, fails here.
+#[test]
+fn runs_allocate_through_the_delta_entry_and_full_recompute_from_scratch() {
+    let topo = Topology::big_switch_uniform(HOSTS, 1.5);
+    let demands = workload(3).demands;
+    assert_entries_used("run_flows", |p| {
+        let out = run_flows(&topo, demands.clone(), p);
+        out.drive_stats().allocations
+    });
+    assert_entries_used("run_flows_quantized", |p| {
+        let out = run_flows_quantized(&topo, demands.clone(), p, 0.5);
+        out.stats.allocations
+    });
+    let dags = paradigm_mix(&mut IdAlloc::new());
+    let dag_refs: Vec<&JobDag> = dags.iter().collect();
+    let topo = Topology::big_switch_uniform(HOSTS, 1.0);
+    assert_entries_used("run_jobs", |p| {
+        run_jobs(&topo, &dag_refs, p).stats.allocations
+    });
 }
 
 /// Multi-paradigm jobs (DP + PP + FSDP) on disjoint workers sharing one
@@ -272,15 +352,8 @@ fn paradigm_runtime_incremental_matches_full() {
         let dags = paradigm_mix(&mut alloc);
         let dag_refs: Vec<&JobDag> = dags.iter().collect();
 
-        let mut full_policy = madd(&dag_refs);
-        let full = run_jobs_with(&topo, &dag_refs, full_policy.as_mut(), RecomputeMode::Full);
-        let mut inc_policy = madd(&dag_refs);
-        let inc = run_jobs_with(
-            &topo,
-            &dag_refs,
-            inc_policy.as_mut(),
-            RecomputeMode::Incremental,
-        );
+        let full = run_jobs(&topo, &dag_refs, &mut FullRecompute(madd(&dag_refs)));
+        let inc = run_jobs(&topo, &dag_refs, madd(&dag_refs).as_mut());
 
         assert_eq!(
             full.trace.events(),
@@ -293,8 +366,8 @@ fn paradigm_runtime_incremental_matches_full() {
 }
 
 /// Chunk-quantized transport under both chunk-visibility modes: the
-/// incremental path (parent-level deltas with disguised chunk views)
-/// must reproduce the Full-mode finish times exactly.
+/// delta path (parent-level deltas with disguised chunk views) must
+/// reproduce the finish times of the run through `FullRecompute` exactly.
 #[test]
 fn quantized_incremental_matches_full_on_seeded_workloads() {
     type MkPolicy = fn(&Workload) -> Box<dyn RatePolicy>;
@@ -314,24 +387,17 @@ fn quantized_incremental_matches_full_on_seeded_workloads() {
         for visibility in [ChunkVisibility::FlowState, ChunkVisibility::ChunkLocal] {
             for chunk in [0.5, 0.25] {
                 for (label, mk) in kinds {
-                    let mut full_policy = mk(&w);
-                    let full = run_flows_quantized_with(
-                        &topo,
-                        w.demands.clone(),
-                        full_policy.as_mut(),
-                        chunk,
-                        visibility,
-                        RecomputeMode::Full,
-                    );
-                    let mut inc_policy = mk(&w);
-                    let inc = run_flows_quantized_with(
-                        &topo,
-                        w.demands.clone(),
-                        inc_policy.as_mut(),
-                        chunk,
-                        visibility,
-                        RecomputeMode::Incremental,
-                    );
+                    let run = |policy: &mut dyn RatePolicy| {
+                        run_flows_quantized_with(
+                            &topo,
+                            w.demands.clone(),
+                            policy,
+                            chunk,
+                            visibility,
+                        )
+                    };
+                    let full = run(&mut FullRecompute(mk(&w)));
+                    let inc = run(mk(&w).as_mut());
                     assert_eq!(
                         full.finishes, inc.finishes,
                         "finishes diverged for {label}, {visibility:?}, \
@@ -344,8 +410,8 @@ fn quantized_incremental_matches_full_on_seeded_workloads() {
 }
 
 /// A hybrid (DP × PP) job over multiple training iterations — the
-/// densest DAG shape the builders produce — stays bit-identical across
-/// recompute modes under both groupings.
+/// densest DAG shape the builders produce — stays bit-identical to its
+/// run through `FullRecompute` under both groupings.
 #[test]
 fn hybrid_multi_iteration_runtime_matches_across_modes() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
@@ -380,15 +446,8 @@ fn hybrid_multi_iteration_runtime_matches_across_modes() {
         let dags = [hybrid, fsdp];
         let dag_refs: Vec<&JobDag> = dags.iter().collect();
 
-        let mut full_policy = madd(&dag_refs);
-        let full = run_jobs_with(&topo, &dag_refs, full_policy.as_mut(), RecomputeMode::Full);
-        let mut inc_policy = madd(&dag_refs);
-        let inc = run_jobs_with(
-            &topo,
-            &dag_refs,
-            inc_policy.as_mut(),
-            RecomputeMode::Incremental,
-        );
+        let full = run_jobs(&topo, &dag_refs, &mut FullRecompute(madd(&dag_refs)));
+        let inc = run_jobs(&topo, &dag_refs, madd(&dag_refs).as_mut());
 
         assert_eq!(
             full.trace.events(),
@@ -400,8 +459,8 @@ fn hybrid_multi_iteration_runtime_matches_across_modes() {
     }
 }
 
-/// Jobs entering mid-simulation through a feed stay bit-identical across
-/// recompute modes. The fed run keeps no rate trace, so the flow
+/// Jobs entering mid-simulation through a feed stay bit-identical to
+/// their run through `FullRecompute`. The fed run keeps no rate trace, so the flow
 /// releases and finishes and the job makespans carry the comparison.
 #[test]
 fn admission_runtime_matches_across_modes() {
@@ -413,7 +472,7 @@ fn admission_runtime_matches_across_modes() {
         ParadigmKind::Fsdp,
     ];
     for (grouping, madd) in MADDS {
-        let run = |mode: RecomputeMode| {
+        let run = |full: bool| {
             let mut alloc = IdAlloc::new();
             let dags = paradigm_mix(&mut alloc);
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
@@ -434,10 +493,13 @@ fn admission_runtime_matches_across_modes() {
                 })
                 .collect();
             let mut feed = ServiceFeed::materialized(jobs, 1, &ServiceConfig::default());
-            run_jobs_streamed(&topo, &mut feed, policy.as_mut(), mode, &FaultPlan::empty())
+            let plan = FaultPlan::empty();
+            plain_or_full(full, policy.as_mut(), |p| {
+                run_jobs_streamed(&topo, &mut feed, p, RecomputeMode::Incremental, &plan)
+            })
         };
-        let full = run(RecomputeMode::Full);
-        let inc = run(RecomputeMode::Incremental);
+        let full = run(true);
+        let inc = run(false);
         assert_eq!(full.job_makespans.len(), 3);
         assert!(SimTime::new(2.75).at_or_before(full.job_makespans[&JobId(2)]));
         assert_eq!(
@@ -451,14 +513,15 @@ fn admission_runtime_matches_across_modes() {
 }
 
 /// The full cluster layer — seeded multi-tenant workload through the
-/// scenario runner — is bit-identical across modes.
+/// scenario runner — is bit-identical to its run through `FullRecompute`.
 #[test]
 fn cluster_scenario_matches_across_modes() {
     let cfg = WorkloadConfig::default_mix(43, 4, 24);
     let scenario = Scenario::generate(&cfg);
     for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
-        let (full, _) = scenario.run_with_mode(kind, RecomputeMode::Full);
-        let (inc, _) = scenario.run_with_mode(kind, RecomputeMode::Incremental);
+        let dags: Vec<&JobDag> = scenario.jobs.iter().map(|j| &j.dag).collect();
+        let (full, _) = scenario.run_with(&mut FullRecompute(kind.policy(&dags)));
+        let (inc, _) = scenario.run(kind);
         assert_eq!(
             full.trace.events(),
             inc.trace.events(),
@@ -498,26 +561,25 @@ fn runtime_digest(result: &RunResult) -> u64 {
 
 type PinnedPolicy = (&'static str, DagPolicy, u64);
 
-/// Runs `paradigm_mix` on the DAG runtime under each policy, in both
-/// recompute modes, and checks the digest of its trace and makespans
-/// against the pin. Full and Incremental share one pin, since their
-/// traces are bit-identical.
+/// Runs `paradigm_mix` on the DAG runtime under each policy, plain and
+/// through `FullRecompute`, and checks the digest of its trace and
+/// makespans against the pin. Both share one pin, since their traces are
+/// bit-identical.
 fn assert_runtime_pins(pins: &[PinnedPolicy]) {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
     for &(label, mk, pin) in pins {
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-            let mut alloc = IdAlloc::new();
-            let dags = paradigm_mix(&mut alloc);
-            let dag_refs: Vec<&JobDag> = dags.iter().collect();
-            let mut policy = mk(&dag_refs);
-            let out = run_jobs_with(&topo, &dag_refs, policy.as_mut(), mode);
-            assert_eq!(runtime_digest(&out), pin, "{label} ({mode:?}) digest moved");
-        }
+        let mut alloc = IdAlloc::new();
+        let dags = paradigm_mix(&mut alloc);
+        let dag_refs: Vec<&JobDag> = dags.iter().collect();
+        let out = run_jobs(&topo, &dag_refs, mk(&dag_refs).as_mut());
+        assert_eq!(runtime_digest(&out), pin, "{label} digest moved");
+        let out = run_jobs(&topo, &dag_refs, &mut FullRecompute(mk(&dag_refs)));
+        assert_eq!(runtime_digest(&out), pin, "{label} (full) digest moved");
     }
 }
 
 /// Max-min, FIFO and SRPT on `paradigm_mix`, pinned to digests recorded
-/// from `run_jobs_with` while the driver still skipped allocations inside
+/// from the DAG runtime while the driver still skipped allocations inside
 /// a policy-certified recompute horizon: on this mix all three reported
 /// `horizon_skips > 0`. The driver now allocates at every event batch,
 /// so unchanged pins show the skipping was exact. SRPT shares its pin
@@ -532,7 +594,7 @@ fn policy_runtime_matches_pinned_digests() {
 }
 
 /// Echelon and coflow MADD on `paradigm_mix`, pinned to digests recorded
-/// from `run_jobs_with` before the recompute horizon was deleted. The
+/// from the DAG runtime before the recompute horizon was deleted. The
 /// MADD engines never certified a horizon, so they allocated at every
 /// event then as every policy does now.
 #[test]
@@ -564,21 +626,17 @@ fn calendar_and_scan_backends_are_bit_identical() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.5);
     for seed in 0..4u64 {
         let w = workload(seed);
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+        for full in [true, false] {
             for (label, mk) in kinds {
                 let run = |nc: NextCompletionMode, checks: bool| {
-                    let mut policy = mk(&w);
-                    run_flows_configured(
-                        &topo,
-                        w.demands.clone(),
-                        policy.as_mut(),
-                        mode,
-                        DriveConfig {
-                            next_completion: nc,
-                            feasibility_checks: checks,
-                            ..DriveConfig::default()
-                        },
-                    )
+                    let config = DriveConfig {
+                        next_completion: nc,
+                        feasibility_checks: checks,
+                        ..DriveConfig::default()
+                    };
+                    plain_or_full(full, mk(&w).as_mut(), |p| {
+                        run_flows_configured(&topo, w.demands.clone(), p, config)
+                    })
                 };
                 let scan = run(NextCompletionMode::Scan, true);
                 let calendar = run(NextCompletionMode::Calendar, true);
@@ -586,12 +644,12 @@ fn calendar_and_scan_backends_are_bit_identical() {
                 assert_eq!(
                     scan.trace().events(),
                     calendar.trace().events(),
-                    "scan vs calendar diverged for {label} ({mode:?}), seed {seed}"
+                    "scan vs calendar diverged for {label} (full {full}), seed {seed}"
                 );
                 assert_eq!(
                     scan.completions(),
                     calendar.completions(),
-                    "completions diverged for {label} ({mode:?}), seed {seed}"
+                    "completions diverged for {label} (full {full}), seed {seed}"
                 );
                 assert_eq!(
                     calendar.trace().events(),
@@ -641,34 +699,27 @@ fn fattree_demands(seed: u64, cross_pod: bool) -> Vec<FlowDemand> {
 
 /// The pod-decomposition axis: the policy keeps per-pod rates for
 /// untouched pods; that must be bit-identical to the stateless
-/// pod-sequential reference, across recompute modes and next-completion
-/// backends, with and without core-crossing flows in the mix.
+/// pod-sequential reference, plain and through `FullRecompute`, on both
+/// next-completion backends, with and without core-crossing flows in
+/// the mix.
 #[test]
 fn pod_decomposition_caching_is_bit_identical() {
     let topo = FatTree::new(4).build_fabric();
     for seed in 20..24u64 {
         for cross_pod in [false, true] {
             let demands = fattree_demands(seed, cross_pod);
-            let reference = run_flows_with(
-                &topo,
-                demands.clone(),
-                &mut PodReference,
-                RecomputeMode::Full,
-            );
+            let reference = run_flows(&topo, demands.clone(), &mut PodReference);
             let mut traces = vec![("reference".to_string(), reference)];
-            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+            for full in [true, false] {
                 for nc in [NextCompletionMode::Scan, NextCompletionMode::Calendar] {
-                    let out = run_flows_configured(
-                        &topo,
-                        demands.clone(),
-                        &mut PodMaxMinPolicy::new(),
-                        mode,
-                        DriveConfig {
-                            next_completion: nc,
-                            ..DriveConfig::default()
-                        },
-                    );
-                    traces.push((format!("{mode:?}/{nc:?}"), out));
+                    let config = DriveConfig {
+                        next_completion: nc,
+                        ..DriveConfig::default()
+                    };
+                    let out = plain_or_full(full, &mut PodMaxMinPolicy::new(), |p| {
+                        run_flows_configured(&topo, demands.clone(), p, config)
+                    });
+                    traces.push((format!("full {full}/{nc:?}"), out));
                 }
             }
             let (ref_label, reference) = &traces[0];
@@ -684,7 +735,7 @@ fn pod_decomposition_caching_is_bit_identical() {
             // The incremental run must actually skip pods on the
             // pod-local workloads (non-vacuous).
             if !cross_pod {
-                // Index 3 = Incremental, Scan (after the reference).
+                // Index 3 = plain, Scan (after the reference).
                 let stats = traces[3].1.drive_stats();
                 assert!(stats.pods_total > 0, "seed {seed}: no pod work reported");
                 assert!(
@@ -713,10 +764,8 @@ fn pod_decomposition_caching_is_bit_identical() {
 /// live, and the per-pod reference otherwise.
 #[test]
 fn pod_fill_index_matches_a_rebuild_under_random_deltas() {
-    use echelonflow::simnet::alloc::{waterfill_dense, AllocScratch};
+    use echelonflow::simnet::alloc::waterfill_dense;
     use echelonflow::simnet::fault::FaultKind;
-    use echelonflow::simnet::flow::ActiveFlowView;
-    use echelonflow::simnet::fluid::FlowDelta;
     use echelonflow::simnet::ids::ResourceId;
 
     // Fabric fills, pod fills, faults, unreported departures, reused
@@ -848,7 +897,7 @@ fn pod_fill_index_matches_a_rebuild_under_random_deltas() {
 }
 
 /// The coordinator path (agents → decisions → the group ranking held
-/// between them) stays bit-identical across modes for every trigger,
+/// between them) stays bit-identical to its run through `FullRecompute` for every trigger,
 /// with and without control latency, on a multi-job workload with real
 /// cross-job contention.
 #[test]
@@ -876,7 +925,7 @@ fn coordinator_incremental_matches_full_for_all_triggers() {
         },
     ];
     for cfg in configs {
-        let run = |mode: RecomputeMode| {
+        let run = |full: bool| {
             let mut alloc = IdAlloc::new();
             let dags = paradigm_mix(&mut alloc);
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
@@ -885,11 +934,11 @@ fn coordinator_incremental_matches_full_for_all_triggers() {
                 coordinator.submit_all(dag.echelons.iter().cloned());
             }
             let mut policy = coordinator.into_policy();
-            let out = run_jobs_with(&topo, &dag_refs, &mut policy, mode);
+            let out = plain_or_full(full, &mut policy, |p| run_jobs(&topo, &dag_refs, p));
             (out, policy.decisions_computed())
         };
-        let (full, d_full) = run(RecomputeMode::Full);
-        let (inc, d_inc) = run(RecomputeMode::Incremental);
+        let (full, d_full) = run(true);
+        let (inc, d_inc) = run(false);
         assert_eq!(
             full.trace.events(),
             inc.trace.events(),
@@ -912,9 +961,6 @@ fn coordinator_incremental_matches_full_for_all_triggers() {
 /// cached groups by `(head deadline, key)`.
 #[test]
 fn kept_serve_order_matches_the_reference_under_random_deltas() {
-    use echelonflow::simnet::alloc::AllocScratch;
-    use echelonflow::simnet::flow::ActiveFlowView;
-    use echelonflow::simnet::fluid::FlowDelta;
     use std::collections::VecDeque;
     use support::Madd;
 

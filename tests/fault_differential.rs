@@ -2,10 +2,10 @@
 //!
 //! The tentpole guarantee of the fault subsystem: injecting a
 //! [`FaultPlan`] (link down/restore, fractional degradation, coordinator
-//! outage, worker slowdown) into a run must leave `RecomputeMode::Full`
-//! and `RecomputeMode::Incremental` **bit-identical** — every capacity
-//! change must invalidate or repair every incremental structure exactly
-//! as a from-scratch recompute would. Every scheduler family is driven
+//! outage, worker slowdown) into a run must leave the plain run (the
+//! driver's delta path) and the run through `FullRecompute`
+//! **bit-identical** — every capacity change must invalidate or repair
+//! every incremental structure exactly as a from-scratch recompute would. Every scheduler family is driven
 //! through seeded random churn, from flat demand sets through the DAG
 //! runtime to the coordinator and the cluster layer.
 //!
@@ -39,14 +39,14 @@ use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::NextCompletionMode;
 use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
 use echelonflow::simnet::runner::{
-    run_flows_faulted, run_flows_faulted_configured, FlowOutcomes, MaxMinPolicy, PodMaxMinPolicy,
-    RatePolicy, RecomputeMode,
+    run_flows_faulted, run_flows_faulted_configured, FlowOutcomes, FullRecompute, MaxMinPolicy,
+    PodMaxMinPolicy, RatePolicy, RecomputeMode,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
 mod support;
-use support::PodReference;
+use support::{plain_or_full, PodReference};
 
 const HOSTS: usize = 6;
 
@@ -126,8 +126,8 @@ fn flow_level_plan(seed: u64, topo: &Topology) -> FaultPlan {
         .with(SimTime::new(2.5), FaultKind::LinkRestore(ResourceId(0)))
 }
 
-/// Runs one policy-constructor under churn in both modes and asserts
-/// identical traces and completions.
+/// Runs one policy-constructor under churn plain and through
+/// `FullRecompute` and asserts identical traces and completions.
 fn assert_faulted_flow_level_identical<F>(seed: u64, label: &str, mut mk: F)
 where
     F: FnMut(&Workload) -> Box<dyn RatePolicy>,
@@ -136,22 +136,8 @@ where
     let topo = Topology::big_switch_uniform(HOSTS, 1.5);
     let plan = flow_level_plan(seed, &topo);
 
-    let mut full_policy = mk(&w);
-    let full = run_flows_faulted(
-        &topo,
-        w.demands.clone(),
-        full_policy.as_mut(),
-        RecomputeMode::Full,
-        &plan,
-    );
-    let mut inc_policy = mk(&w);
-    let inc = run_flows_faulted(
-        &topo,
-        w.demands.clone(),
-        inc_policy.as_mut(),
-        RecomputeMode::Incremental,
-        &plan,
-    );
+    let full = run_flows_faulted(&topo, w.demands.clone(), &mut FullRecompute(mk(&w)), &plan);
+    let inc = run_flows_faulted(&topo, w.demands.clone(), mk(&w).as_mut(), &plan);
 
     assert_eq!(
         full.trace().events(),
@@ -214,9 +200,9 @@ fn assert_faulted_madd_three_way(coflow: bool) {
             let w = workload(seed);
             (w.echelons, w.coflows)
         },
-        |seed, policy, mode| {
+        |seed, policy| {
             let plan = flow_level_plan(seed, &topo);
-            let out = run_flows_faulted(&topo, workload(seed).demands, policy, mode, &plan);
+            let out = run_flows_faulted(&topo, workload(seed).demands, policy, &plan);
             assert!(
                 out.drive_stats().fault_events > 0,
                 "no fault fired on seed {seed}: the test is vacuous"
@@ -293,40 +279,38 @@ fn pod_churn_plan(at: [f64; 4]) -> FaultPlan {
         .with(SimTime::new(at[3]), FaultKind::LinkRestore(ResourceId(1)))
 }
 
-/// Runs the pod policy in both recompute modes on `fabric` under `plan`
-/// and asserts each bitwise equal to the stateless pod-sequential
-/// reference, traces and completions. Returns the incremental run for
-/// non-vacuity checks.
+/// Runs the pod policy plain and through `FullRecompute` on `fabric`
+/// under `plan` and asserts each bitwise equal to the stateless
+/// pod-sequential reference, traces and completions. Returns the plain
+/// run for non-vacuity checks.
 fn assert_pod_policy_matches_reference(
     fabric: &Topology,
     demands: &[FlowDemand],
     plan: &FaultPlan,
     label: &str,
 ) -> FlowOutcomes {
-    let run = |policy: &mut dyn RatePolicy, mode| {
-        run_flows_faulted(fabric, demands.to_vec(), policy, mode, plan)
-    };
-    let reference = run(&mut PodReference, RecomputeMode::Full);
-    let mut incremental = None;
-    for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-        let out = run(&mut PodMaxMinPolicy::new(), mode);
+    let run =
+        |policy: &mut dyn RatePolicy| run_flows_faulted(fabric, demands.to_vec(), policy, plan);
+    let reference = run(&mut PodReference);
+    let full = run(&mut FullRecompute(&mut PodMaxMinPolicy::new()));
+    let plain = run(&mut PodMaxMinPolicy::new());
+    for (path, out) in [("full", &full), ("plain", &plain)] {
         assert_eq!(
             reference.trace().events(),
             out.trace().events(),
-            "trace diverged from the reference, {label}, mode {mode:?}"
+            "trace diverged from the reference, {label}, {path}"
         );
         assert_eq!(
             reference.completions(),
             out.completions(),
-            "completions diverged from the reference, {label}, mode {mode:?}"
+            "completions diverged from the reference, {label}, {path}"
         );
         assert!(
             out.drive_stats().fault_events > 0,
             "no fault fired, {label}"
         );
-        incremental = Some(out);
     }
-    incremental.expect("the mode loop ran")
+    plain
 }
 
 /// The pod-decomposed allocator under churn (per-pod rate store, sparse
@@ -443,8 +427,8 @@ fn crosser_churn_plan(fabric: &Topology, demands: &[FlowDemand]) -> (FaultPlan, 
 /// The whole-fabric fallback under churn: ~200 Poisson flows on a k=8
 /// fat tree, ~10 % of them core-crossing, with degrade/restore pairs
 /// that land while crossers are live. Each fault forces a fabric fill
-/// over a stale-free capacity snapshot, many flows wide, in both
-/// recompute modes.
+/// over a stale-free capacity snapshot, many flows wide, plain and
+/// through `FullRecompute`.
 #[test]
 fn crosspod_churn_matches_reference() {
     let fabric = FatTree::new(8).build_fabric();
@@ -550,7 +534,7 @@ fn paradigm_runtime_churn_matches_across_modes() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
     let plan = dag_level_plan();
     for coflow in [false, true] {
-        let run = |mode: RecomputeMode| {
+        let run = |full: bool| {
             let mut alloc = IdAlloc::new();
             let dags = paradigm_mix(&mut alloc);
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
@@ -561,14 +545,16 @@ fn paradigm_runtime_churn_matches_across_modes() {
             } else {
                 EchelonMadd::new(dags.iter().flat_map(|d| d.echelons.clone()).collect())
             };
-            run_jobs_faulted(&topo, &dag_refs, &mut policy, mode, &plan)
+            plain_or_full(full, &mut policy, |p| {
+                run_jobs_faulted(&topo, &dag_refs, p, &plan)
+            })
         };
-        let full = run(RecomputeMode::Full);
-        let inc = run(RecomputeMode::Incremental);
+        let full = run(true);
+        let inc = run(false);
         assert_eq!(
             full.trace.events(),
             inc.trace.events(),
-            "faulted trace diverged across modes (coflow {coflow})"
+            "faulted trace diverged from FullRecompute (coflow {coflow})"
         );
         assert_eq!(full.flow_finishes, inc.flow_finishes);
         assert_eq!(full.job_makespans, inc.job_makespans);
@@ -609,7 +595,7 @@ fn coordinator_churn_matches_across_modes_for_all_triggers() {
         },
     ];
     for cfg in configs {
-        let run = |mode: RecomputeMode| {
+        let run = |full: bool| {
             let mut alloc = IdAlloc::new();
             let dags = paradigm_mix(&mut alloc);
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
@@ -618,11 +604,13 @@ fn coordinator_churn_matches_across_modes_for_all_triggers() {
                 coordinator.submit_all(dag.echelons.iter().cloned());
             }
             let mut policy = coordinator.into_policy();
-            let out = run_jobs_faulted(&topo, &dag_refs, &mut policy, mode, &plan);
+            let out = plain_or_full(full, &mut policy, |p| {
+                run_jobs_faulted(&topo, &dag_refs, p, &plan)
+            });
             (out, policy.decisions_computed())
         };
-        let (full, d_full) = run(RecomputeMode::Full);
-        let (inc, d_inc) = run(RecomputeMode::Incremental);
+        let (full, d_full) = run(true);
+        let (inc, d_inc) = run(false);
         assert_eq!(
             full.trace.events(),
             inc.trace.events(),
@@ -635,7 +623,7 @@ fn coordinator_churn_matches_across_modes_for_all_triggers() {
 }
 
 /// The full cluster layer under seeded random churn: every scheduler,
-/// both modes, bit-identical. (The seeds also vary the workload, so each
+/// plain and through `FullRecompute`, bit-identical. (The seeds also vary the workload, so each
 /// seed is a different contention pattern under a different fault plan.)
 #[test]
 fn cluster_scenarios_survive_random_churn() {
@@ -643,9 +631,11 @@ fn cluster_scenarios_survive_random_churn() {
         let cfg = WorkloadConfig::default_mix(seed, 3, 16);
         let scenario = Scenario::generate(&cfg);
         let plan = random_fault_plan(seed, &scenario.topology, &ChurnConfig::default());
+        let dags: Vec<&JobDag> = scenario.jobs.iter().map(|j| &j.dag).collect();
         for kind in SchedulerKind::ALL {
-            let (full, _) = scenario.run_faulted(kind, RecomputeMode::Full, &plan);
-            let (inc, _) = scenario.run_faulted(kind, RecomputeMode::Incremental, &plan);
+            let mut policy = FullRecompute(kind.policy(&dags));
+            let full = run_jobs_faulted(&scenario.topology, &dags, &mut policy, &plan);
+            let (inc, _) = scenario.run_faulted(kind, &plan);
             assert_eq!(
                 full.trace.events(),
                 inc.trace.events(),
@@ -683,28 +673,31 @@ fn next_completion_cache_survives_capacity_churn_bit_identically() {
     for seed in 0..4u64 {
         let w = workload(seed);
         let plan = flow_level_plan(seed, &topo);
-        for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+        for full in [true, false] {
             for (label, mk) in kinds {
                 let run = |nc: NextCompletionMode| {
-                    let mut policy = mk(&w);
-                    run_flows_faulted_configured(
-                        &topo,
-                        w.demands.clone(),
-                        policy.as_mut(),
-                        mode,
-                        &plan,
-                        DriveConfig {
-                            next_completion: nc,
-                            ..DriveConfig::default()
-                        },
-                    )
+                    let config = DriveConfig {
+                        next_completion: nc,
+                        ..DriveConfig::default()
+                    };
+                    plain_or_full(full, mk(&w).as_mut(), |p| {
+                        let mode = RecomputeMode::Incremental;
+                        run_flows_faulted_configured(
+                            &topo,
+                            w.demands.clone(),
+                            p,
+                            mode,
+                            &plan,
+                            config,
+                        )
+                    })
                 };
                 let scan = run(NextCompletionMode::Scan);
                 let calendar = run(NextCompletionMode::Calendar);
                 assert_eq!(
                     scan.trace().events(),
                     calendar.trace().events(),
-                    "calendar diverged from scan under churn: {label} ({mode:?}), seed {seed}"
+                    "calendar diverged from scan under churn: {label} (full {full}), seed {seed}"
                 );
                 assert_eq!(scan.completions(), calendar.completions());
                 assert_eq!(
@@ -761,7 +754,8 @@ fn degrade_mid_flight_moves_the_cached_completion() {
 }
 
 /// Downing the only route stalls its flows at rate zero (stall time is
-/// accounted) and restores resume them — across both recompute modes.
+/// accounted) and restores resume them — plain and through
+/// `FullRecompute`.
 #[test]
 fn stall_accounting_matches_across_modes() {
     let topo = Topology::chain(2, 1.0);
@@ -775,13 +769,16 @@ fn stall_accounting_matches_across_modes() {
     let plan = FaultPlan::empty()
         .with(SimTime::new(0.5), FaultKind::LinkDown(ResourceId(0)))
         .with(SimTime::new(1.75), FaultKind::LinkRestore(ResourceId(0)));
-    for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-        let mut policy = MaxMinPolicy;
-        let out = run_flows_faulted(&topo, demands.clone(), &mut policy, mode, &plan);
+    let mut full = FullRecompute(&mut MaxMinPolicy);
+    for (path, policy) in [
+        ("plain", &mut MaxMinPolicy as &mut dyn RatePolicy),
+        ("full", &mut full),
+    ] {
+        let out = run_flows_faulted(&topo, demands.clone(), policy, &plan);
         let finish = out.finish(FlowId(0)).unwrap();
         assert!(
             finish.approx_eq(SimTime::new(3.25)),
-            "{mode:?}: finish {finish:?}"
+            "{path}: finish {finish:?}"
         );
         assert!((out.drive_stats().stall_flow_seconds - 1.25).abs() < 1e-9);
         assert_eq!(out.drive_stats().fault_events, 2);

@@ -16,7 +16,7 @@ use echelonflow::simnet::flow::{FlowCompletion, FlowDemand};
 use echelonflow::simnet::fluid::FluidNetwork;
 use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
 use echelonflow::simnet::runner::{
-    run_flows_faulted, run_flows_with, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,
+    run_flows, run_flows_faulted, FullRecompute, MaxMinPolicy, PodMaxMinPolicy, RatePolicy,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
@@ -117,12 +117,25 @@ fn run_cohorts(
     topo: &Topology,
     demands: Vec<FlowDemand>,
     policy: &mut dyn RatePolicy,
-    mode: RecomputeMode,
     batch: bool,
 ) -> (DriveOutcome, Vec<FlowCompletion>) {
     let mut source = CohortSource::new(demands, batch);
-    let outcome = drive(topo, &mut source, policy, mode);
+    let outcome = drive(topo, &mut source, policy);
     (outcome, source.completed)
+}
+
+/// Runs `run` on `policy` plain, or wrapped in `FullRecompute` when
+/// `full`.
+fn plain_or_full<R>(
+    full: bool,
+    policy: &mut dyn RatePolicy,
+    run: impl FnOnce(&mut dyn RatePolicy) -> R,
+) -> R {
+    if full {
+        run(&mut FullRecompute(policy))
+    } else {
+        run(policy)
+    }
 }
 
 /// Batched draining must be invisible in every outcome: completions
@@ -133,16 +146,21 @@ where
     F: FnMut() -> Box<dyn RatePolicy>,
 {
     let demands = cohort_demands(seed, hosts, 4, 6);
-    for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-        let (batched, batched_done) = run_cohorts(topo, demands.clone(), mk().as_mut(), mode, true);
-        let (single, single_done) = run_cohorts(topo, demands.clone(), mk().as_mut(), mode, false);
+    for full in [true, false] {
+        let mut run = |batch| {
+            plain_or_full(full, mk().as_mut(), |p| {
+                run_cohorts(topo, demands.clone(), p, batch)
+            })
+        };
+        let (batched, batched_done) = run(true);
+        let (single, single_done) = run(false);
         assert_eq!(
             batched_done, single_done,
-            "completions diverged for {label}, seed {seed}, mode {mode:?}"
+            "completions diverged for {label}, seed {seed}, full {full}"
         );
         assert_eq!(
             batched.end, single.end,
-            "end time diverged for {label}, seed {seed}, mode {mode:?}"
+            "end time diverged for {label}, seed {seed}, full {full}"
         );
         // Non-vacuity: the cohorts really coalesced (width-6 release
         // instants absorb at least 5 events each), and the one-at-a-time
@@ -203,13 +221,7 @@ fn alloc_batches_exact_accounting_single_cohort() {
             release: SimTime::new(0.0),
         })
         .collect();
-    let (out, done) = run_cohorts(
-        &topo,
-        demands,
-        &mut MaxMinPolicy,
-        RecomputeMode::Incremental,
-        true,
-    );
+    let (out, done) = run_cohorts(&topo, demands, &mut MaxMinPolicy, true);
     assert_eq!(done.len(), m);
     assert_eq!(
         out.stats.alloc_batches, m,
@@ -266,26 +278,14 @@ fn alloc_batches_account_for_every_drained_event() {
     for seed in 0..6u64 {
         let demands = cohort_demands(seed, 6, 3, 5);
         let n = demands.len();
-        let (out, done) = run_cohorts(
-            &topo,
-            demands.clone(),
-            &mut MaxMinPolicy,
-            RecomputeMode::Incremental,
-            true,
-        );
+        let (out, done) = run_cohorts(&topo, demands.clone(), &mut MaxMinPolicy, true);
         assert_eq!(
             out.stats.alloc_batches + out.stats.batched_events,
             drained(n, &done, 0),
             "batch denominator accounting broke for seed {seed}"
         );
 
-        let faulted = run_flows_faulted(
-            &topo,
-            demands,
-            &mut MaxMinPolicy,
-            RecomputeMode::Incremental,
-            &plan,
-        );
+        let faulted = run_flows_faulted(&topo, demands, &mut MaxMinPolicy, &plan);
         let stats = faulted.drive_stats();
         assert_eq!(
             stats.fault_events, 6,
@@ -335,8 +335,10 @@ fn same_instant_heavy_denominators_count_batches_not_events() {
         }
     }
     let n = demands.len();
-    for mode in [RecomputeMode::Incremental, RecomputeMode::Full] {
-        let out = run_flows_with(&fabric, demands.clone(), &mut PodMaxMinPolicy::new(), mode);
+    for full in [false, true] {
+        let out = plain_or_full(full, &mut PodMaxMinPolicy::new(), |p| {
+            run_flows(&fabric, demands.clone(), p)
+        });
         let stats = out.drive_stats();
         assert_eq!(out.completions().len(), n);
         // The fraction's denominator is pods × batches: each allocation
@@ -345,17 +347,17 @@ fn same_instant_heavy_denominators_count_batches_not_events() {
         assert_eq!(
             stats.pods_total,
             pods * stats.alloc_batches,
-            "pods_total must be pod-count × batch-count (mode={mode:?})"
+            "pods_total must be pod-count × batch-count (full {full})"
         );
         assert_eq!(
             stats.alloc_batches, stats.allocations,
-            "every batch is one allocation decision (mode={mode:?})"
+            "every batch is one allocation decision (full {full})"
         );
         // Non-vacuity: each release wave really coalesced its 48 − 1
         // same-instant arrivals.
         assert!(
             stats.batched_events >= waves * (pods * width - 1),
-            "same-instant waves did not coalesce (mode={mode:?}): {} batched events",
+            "same-instant waves did not coalesce (full {full}): {} batched events",
             stats.batched_events
         );
         // Raw-event identity (DESIGN §12.1): batches + absorbed events
@@ -375,7 +377,7 @@ fn same_instant_heavy_denominators_count_batches_not_events() {
         assert_eq!(
             stats.alloc_batches + stats.batched_events,
             2 * n - final_batch,
-            "raw-event accounting identity broke (mode={mode:?})"
+            "raw-event accounting identity broke (full {full})"
         );
     }
 }

@@ -7,7 +7,6 @@
 
 use echelonflow::cluster::scenario::{Scenario, SchedulerKind};
 use echelonflow::cluster::workload::WorkloadConfig;
-use echelonflow::simnet::runner::RecomputeMode;
 use echelonflow::simnet::sweep::{configured_threads, sweep, sweep_with};
 
 /// One rendered row per (seed, scheduler) combo: a hand-rolled JSON
@@ -21,7 +20,7 @@ fn render_grid(threads: usize) -> String {
     let rows = sweep_with(threads, &combos, |_, &(seed, kind)| {
         let cfg = WorkloadConfig::default_mix(seed, 3, 16);
         let scenario = Scenario::generate(&cfg);
-        let (run, metrics) = scenario.run_with_mode(kind, RecomputeMode::Incremental);
+        let (run, metrics) = scenario.run(kind);
         format!(
             "{{\"seed\": {seed}, \"scheduler\": \"{}\", \"events\": {}, \
              \"mean_jct_bits\": {}, \"tardiness_bits\": {}}}",

@@ -11,7 +11,7 @@ use echelonflow::sched::sincronia::{bssi_order, GroupLoad};
 use echelonflow::simnet::alloc::{waterfill_dense, AllocScratch};
 use echelonflow::simnet::flow::ActiveFlowView;
 use echelonflow::simnet::ids::FlowId;
-use echelonflow::simnet::runner::{FlowOutcomes, RatePolicy, RecomputeMode};
+use echelonflow::simnet::runner::{FlowOutcomes, FullRecompute, RatePolicy};
 use echelonflow::simnet::time::{SimTime, EPS};
 use echelonflow::simnet::topology::Topology;
 use echelonflow::simnet::trace::TraceEventKind;
@@ -343,19 +343,33 @@ impl RatePolicy for MaddReference {
     }
 }
 
+/// Runs `run` on `policy` plain, or wrapped in [`FullRecompute`] when
+/// `full`: the two sides of every Full ≡ Incremental differential.
+pub fn plain_or_full<R>(
+    full: bool,
+    policy: &mut dyn RatePolicy,
+    run: impl FnOnce(&mut dyn RatePolicy) -> R,
+) -> R {
+    if full {
+        run(&mut FullRecompute(policy))
+    } else {
+        run(policy)
+    }
+}
+
 /// Runs each MADD configuration of one grouping (`coflow`, else
-/// EchelonFlow) three ways per seed: the map-based reference in Full
-/// mode, then the engine in Full and in Incremental mode. All three must
+/// EchelonFlow) three ways per seed: the map-based reference, then the
+/// engine through [`FullRecompute`] and plain. All three must
 /// agree in trace events, completions and fault accounting, and the
 /// digest folded over the seeds must equal the configuration's entry in
 /// `pins` (indexed like [`Madd::all`]). `groups(seed)` declares a seed's
-/// EchelonFlows and coflows; `run(seed, policy, mode)` drives its flows.
+/// EchelonFlows and coflows; `run(seed, policy)` drives its flows.
 pub fn assert_madd_three_way(
     coflow: bool,
     pins: &[u64],
     seeds: Range<u64>,
     groups: impl Fn(u64) -> (Vec<EchelonFlow>, Vec<Coflow>),
-    run: impl Fn(u64, &mut dyn RatePolicy, RecomputeMode) -> FlowOutcomes,
+    run: impl Fn(u64, &mut dyn RatePolicy) -> FlowOutcomes,
 ) {
     let mut moved = Vec::new();
     assert_eq!(pins.len(), Madd::all().len(), "one pin per configuration");
@@ -366,14 +380,11 @@ pub fn assert_madd_three_way(
         let mut digest: u64 = 0;
         for seed in seeds.clone() {
             let (echelons, coflows) = groups(seed);
-            let reference = run(
-                seed,
-                &mut cfg.reference(&echelons, &coflows),
-                RecomputeMode::Full,
-            );
-            for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
-                let out = run(seed, &mut cfg.engine(&echelons, &coflows), mode);
-                let at = format!("{cfg:?} ({mode:?}), seed {seed}");
+            let reference = run(seed, &mut cfg.reference(&echelons, &coflows));
+            for full in [true, false] {
+                let out =
+                    plain_or_full(full, &mut cfg.engine(&echelons, &coflows), |p| run(seed, p));
+                let at = format!("{cfg:?} (full {full}), seed {seed}");
                 assert_eq!(
                     reference.trace().events(),
                     out.trace().events(),
