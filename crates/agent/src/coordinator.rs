@@ -378,8 +378,9 @@ mod tests {
     use echelon_paradigms::config::PpConfig;
     use echelon_paradigms::ids::IdAlloc;
     use echelon_paradigms::pp::build_pp_gpipe;
-    use echelon_paradigms::runtime::run_job;
+    use echelon_paradigms::runtime::run_jobs;
     use echelon_simnet::ids::{FlowId, NodeId};
+    use echelon_simnet::runner::RunConfig;
 
     fn fig2_dag() -> echelon_paradigms::dag::JobDag {
         let mut alloc = IdAlloc::new();
@@ -450,6 +451,7 @@ mod tests {
 
         let tree = FatTree::new(8).with_oversubscription(4.0);
         let topo = tree.build_fabric();
+        let config = RunConfig::default();
         let mut cfg = WorkloadConfig::default_mix(5, 8, tree.hosts());
         cfg.placement = PlacementPolicy::PodPacked;
         let jobs = generate_workload_on(&cfg, &topo, &mut IdAlloc::new());
@@ -462,9 +464,9 @@ mod tests {
             for full in [false, true] {
                 let run = |policy: &mut dyn RatePolicy| {
                     if full {
-                        run_jobs(&topo, &dags, &mut FullRecompute(policy))
+                        run_jobs(&topo, &dags, &mut FullRecompute(policy), &config)
                     } else {
-                        run_jobs(&topo, &dags, policy)
+                        run_jobs(&topo, &dags, policy, &config)
                     }
                 };
                 let via_system = run(kind.policy(&dags).as_mut());
@@ -498,7 +500,7 @@ mod tests {
         let mut coord = Coordinator::new(CoordinatorConfig::default());
         coord.submit_all(dag.echelons.iter().cloned());
         let mut precise = coord.into_policy();
-        let _ = run_job(&topo, &dag, &mut precise);
+        let _ = run_jobs(&topo, &[&dag], &mut precise, &RunConfig::default());
         let precise_decisions = precise.decisions_computed();
 
         let mut coord = Coordinator::new(CoordinatorConfig {
@@ -507,7 +509,7 @@ mod tests {
         });
         coord.submit_all(dag.echelons.iter().cloned());
         let mut lazy = coord.into_policy();
-        let out = run_job(&topo, &dag, &mut lazy);
+        let out = run_jobs(&topo, &[&dag], &mut lazy, &RunConfig::default());
         assert!(lazy.decisions_computed() < precise_decisions);
         assert!(out.makespan.secs() > 0.0);
     }
@@ -525,13 +527,13 @@ mod tests {
         });
         coord.submit_all(dag.echelons.iter().cloned());
         let mut policy = coord.into_policy();
-        let with_latency = run_job(&topo, &dag, &mut policy);
+        let with_latency = run_jobs(&topo, &[&dag], &mut policy, &RunConfig::default());
 
         let mut coord = Coordinator::new(CoordinatorConfig::default());
         coord.submit_all(fig2_dag().echelons);
         // (fresh dag has identical ids since it uses a fresh IdAlloc)
         let mut policy0 = coord.into_policy();
-        let without = run_job(&topo, &dag, &mut policy0);
+        let without = run_jobs(&topo, &[&dag], &mut policy0, &RunConfig::default());
 
         assert!(with_latency.makespan.secs() + 1e-9 >= without.makespan.secs());
     }
@@ -565,18 +567,19 @@ mod tests {
             },
         ];
         let topo = Topology::chain(2, 1.0);
+        let config = RunConfig::default();
         for cfg in configs {
             let dag = fig2_dag();
 
             let mut coord = Coordinator::new(cfg);
             coord.submit_all(dag.echelons.iter().cloned());
             let mut naive = coord.into_policy();
-            let full = run_jobs(&topo, &[&dag], &mut FullRecompute(&mut naive));
+            let full = run_jobs(&topo, &[&dag], &mut FullRecompute(&mut naive), &config);
 
             let mut coord = Coordinator::new(cfg);
             coord.submit_all(dag.echelons.iter().cloned());
             let mut inc = coord.into_policy();
-            let fast = run_jobs(&topo, &[&dag], &mut inc);
+            let fast = run_jobs(&topo, &[&dag], &mut inc, &config);
 
             assert_eq!(
                 full.trace.events(),
@@ -915,7 +918,6 @@ mod tests {
     /// outage window injected mid-job.
     #[test]
     fn outage_window_preserves_differential_identity() {
-        use echelon_paradigms::runtime::run_jobs_faulted;
         use echelon_simnet::fault::FaultPlan;
         use echelon_simnet::runner::FullRecompute;
 
@@ -923,6 +925,7 @@ mod tests {
         let plan = FaultPlan::empty()
             .with(SimTime::new(1.0), FaultKind::CoordinatorDown)
             .with(SimTime::new(3.0), FaultKind::CoordinatorUp);
+        let outage = RunConfig::from(plan);
         let configs = [
             CoordinatorConfig::default(),
             CoordinatorConfig {
@@ -933,8 +936,8 @@ mod tests {
         for cfg in configs {
             let dag = fig2_dag();
             let mut naive = policy_with(cfg, &dag);
-            let full = run_jobs_faulted(&topo, &[&dag], &mut FullRecompute(&mut naive), &plan);
-            let fast = run_jobs_faulted(&topo, &[&dag], &mut policy_with(cfg, &dag), &plan);
+            let full = run_jobs(&topo, &[&dag], &mut FullRecompute(&mut naive), &outage);
+            let fast = run_jobs(&topo, &[&dag], &mut policy_with(cfg, &dag), &outage);
             assert_eq!(
                 full.trace.events(),
                 fast.trace.events(),

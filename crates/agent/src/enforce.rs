@@ -220,7 +220,7 @@ mod tests {
     use echelon_sched::baselines::SrptPolicy;
     use echelon_simnet::flow::FlowDemand;
     use echelon_simnet::ids::NodeId;
-    use echelon_simnet::runner::{run_flows, MaxMinPolicy};
+    use echelon_simnet::runner::{run_flows, MaxMinPolicy, RunConfig};
 
     fn demand(id: u64, size: f64) -> FlowDemand {
         FlowDemand::new(FlowId(id), NodeId(0), NodeId(1), size, SimTime::ZERO)
@@ -299,10 +299,11 @@ mod tests {
     #[test]
     fn enforced_srpt_preserves_ordering() {
         let topo = Topology::chain(2, 1.0);
+        let config = RunConfig::default();
         let demands = vec![demand(0, 4.0), demand(1, 1.0)];
-        let exact = run_flows(&topo, demands.clone(), &mut SrptPolicy);
+        let exact = run_flows(&topo, demands.clone(), &mut SrptPolicy, &config);
         let mut enforced = QueueEnforcedPolicy::new(SrptPolicy, QueueConfig::default());
-        let quantized = run_flows(&topo, demands, &mut enforced);
+        let quantized = run_flows(&topo, demands, &mut enforced, &config);
         // Ordering preserved.
         assert!(quantized.finish(FlowId(1)).unwrap() < quantized.finish(FlowId(0)).unwrap());
         // Makespan identical (work conservation).
@@ -317,8 +318,9 @@ mod tests {
     #[test]
     fn single_queue_degenerates_to_fair_sharing() {
         let topo = Topology::chain(2, 1.0);
+        let config = RunConfig::default();
         let demands = vec![demand(0, 2.0), demand(1, 2.0)];
-        let fair = run_flows(&topo, demands.clone(), &mut MaxMinPolicy);
+        let fair = run_flows(&topo, demands.clone(), &mut MaxMinPolicy, &config);
         let mut one_queue = QueueEnforcedPolicy::new(
             SrptPolicy,
             QueueConfig {
@@ -326,7 +328,7 @@ mod tests {
                 ratio: 2.0,
             },
         );
-        let out = run_flows(&topo, demands, &mut one_queue);
+        let out = run_flows(&topo, demands, &mut one_queue, &config);
         for id in [FlowId(0), FlowId(1)] {
             assert!(out.finish(id).unwrap().approx_eq(fair.finish(id).unwrap()));
         }
@@ -337,7 +339,7 @@ mod tests {
         let topo = Topology::chain(2, 1.0);
         let demands = vec![demand(0, 4.0), demand(1, 1.0)];
         let mut enforced = QueueEnforcedPolicy::new(SrptPolicy, QueueConfig::default());
-        let _ = run_flows(&topo, demands, &mut enforced);
+        let _ = run_flows(&topo, demands, &mut enforced, &RunConfig::default());
         assert!(!enforced.last_assignment().is_empty());
     }
 
@@ -355,6 +357,7 @@ mod tests {
         use echelon_simnet::runner::{FullRecompute, PodMaxMinPolicy};
 
         let topo = Topology::chain(2, 1.0);
+        let config = RunConfig::default();
         let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut IdAlloc::new());
         let coordinated = || {
             let mut coord = Coordinator::new(CoordinatorConfig::default());
@@ -364,9 +367,9 @@ mod tests {
         for full in [false, true] {
             let run = |policy: &mut dyn RatePolicy| {
                 if full {
-                    run_jobs(&topo, &[&dag], &mut FullRecompute(policy))
+                    run_jobs(&topo, &[&dag], &mut FullRecompute(policy), &config)
                 } else {
-                    run_jobs(&topo, &[&dag], policy)
+                    run_jobs(&topo, &[&dag], policy, &config)
                 }
             };
             let bare = run(&mut coordinated());

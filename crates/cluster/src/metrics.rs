@@ -343,7 +343,7 @@ mod tests {
     use crate::workload::{generate_workload, WorkloadConfig};
     use echelon_paradigms::ids::IdAlloc;
     use echelon_paradigms::runtime::run_jobs;
-    use echelon_simnet::runner::MaxMinPolicy;
+    use echelon_simnet::runner::{MaxMinPolicy, RunConfig};
     use echelon_simnet::topology::Topology;
 
     fn run_small() -> (Vec<crate::workload::GeneratedJob>, RunResult) {
@@ -352,7 +352,7 @@ mod tests {
         let jobs = generate_workload(&cfg, &mut alloc);
         let topo = Topology::big_switch_uniform(16, 1.0);
         let dags: Vec<&_> = jobs.iter().map(|j| &j.dag).collect();
-        let run = run_jobs(&topo, &dags, &mut MaxMinPolicy);
+        let run = run_jobs(&topo, &dags, &mut MaxMinPolicy, &RunConfig::default());
         (jobs, run)
     }
 
@@ -516,19 +516,20 @@ mod tests {
 
     #[test]
     fn steady_state_over_real_service_run() {
-        use crate::service::{run_service, ServiceConfig, ServiceMode};
+        use crate::service::{run_service, service_parts, ServiceConfig, ServiceMode};
         use crate::workload::OpenLoopConfig;
         use echelon_simnet::fault::FaultPlan;
 
         let cfg = OpenLoopConfig::default_tiers(9, 15, 8, 0.6);
-        let out = run_service(
-            &Topology::big_switch_uniform(8, 1.0),
+        let topo = Topology::big_switch_uniform(8, 1.0);
+        let (feed, mut policy) = service_parts(
+            &topo,
             &cfg,
             &ServiceConfig::default(),
             crate::scenario::SchedulerKind::Echelon,
-            &FaultPlan::new(Vec::new()),
             ServiceMode::Streaming,
         );
+        let out = run_service(&topo, feed, &mut policy, &FaultPlan::new(Vec::new()));
         let m = steady_state_metrics(&out.records, &out.result, &cfg.tenants, 0.0);
         assert_eq!(m.completed, 15);
         assert!(m.throughput > 0.0);

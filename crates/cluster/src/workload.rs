@@ -730,7 +730,7 @@ impl Iterator for JobStream {
 mod tests {
     use super::*;
     use echelon_paradigms::runtime::run_jobs;
-    use echelon_simnet::runner::MaxMinPolicy;
+    use echelon_simnet::runner::{MaxMinPolicy, RunConfig};
     use echelon_simnet::time::SimTime;
     use echelon_simnet::topology::Topology;
 
@@ -764,7 +764,7 @@ mod tests {
         let jobs = generate_workload(&cfg, &mut alloc);
         let topo = Topology::big_switch_uniform(16, 1.0);
         let dags: Vec<&_> = jobs.iter().map(|j| &j.dag).collect();
-        let out = run_jobs(&topo, &dags, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &dags, &mut MaxMinPolicy, &RunConfig::default());
         for j in &jobs {
             // No flow of the job releases before its arrival.
             for f in j.dag.all_flows() {
@@ -813,7 +813,7 @@ mod tests {
 
         // And the gated job still runs, with no flow before arrival.
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let out = run_jobs(&topo, &[&gated], &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&gated], &mut MaxMinPolicy, &RunConfig::default());
         for f in gated.all_flows() {
             assert!(SimTime::new(2.0).at_or_before(out.flow_releases[&f.id]));
         }
@@ -826,7 +826,7 @@ mod tests {
         let jobs = generate_workload(&cfg, &mut alloc);
         let topo = Topology::big_switch_uniform(32, 1.0);
         let dags: Vec<&_> = jobs.iter().map(|j| &j.dag).collect();
-        let out = run_jobs(&topo, &dags, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &dags, &mut MaxMinPolicy, &RunConfig::default());
         assert_eq!(out.job_makespans.len(), 6);
     }
 

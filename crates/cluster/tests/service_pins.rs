@@ -6,15 +6,16 @@
 //! these pins would not.
 
 use echelon_cluster::prelude::*;
-use echelon_cluster::service::{run_service_parts, service_parts};
+use echelon_cluster::service::service_parts;
 use echelon_simnet::fattree::FatTree;
 use echelon_simnet::fault::FaultPlan;
 use echelon_simnet::runner::FullRecompute;
 use echelon_simnet::topology::Topology;
 
 /// `(stream, digest, streaming book peak, materialized book peak)`. Every
-/// stream row covers four runs: `run_service` streamed and materialized,
-/// and the same parts with the policy wrapped in `FullRecompute`. All four
+/// stream row covers four runs: `run_service` on the streamed and the
+/// materialized parts, and on the same parts with the policy wrapped in
+/// `FullRecompute`. All four
 /// share the digest.
 const PINS: &[(&str, u64, usize, usize)] = &[
     ("echelon/fixed/3", 0x0154_1ba3_b787_3c86, 12, 63),
@@ -80,9 +81,11 @@ fn service_runs_match_pinned_digests() {
         ] {
             let svc = ServiceConfig::default();
             let plan = FaultPlan::empty();
-            let plain = run_service(&s.topo, &s.cfg, &svc, s.kind, &plan, service_mode);
-            let (feed, mut policy) = service_parts(&s.topo, &s.cfg, &svc, s.kind, service_mode);
-            let full = run_service_parts(&s.topo, feed, &mut FullRecompute(&mut policy), &plan);
+            let parts = || service_parts(&s.topo, &s.cfg, &svc, s.kind, service_mode);
+            let (feed, mut policy) = parts();
+            let plain = run_service(&s.topo, feed, &mut policy, &plan);
+            let (feed, mut policy) = parts();
+            let full = run_service(&s.topo, feed, &mut FullRecompute(&mut policy), &plan);
             for (out, path) in [(plain, "plain"), (full, "FullRecompute")] {
                 let case = format!("{name} {path} {service_mode:?}");
                 assert_eq!(out.digest, digest, "{case}: digest {:#x}", out.digest);

@@ -264,9 +264,9 @@ pub fn build_dp_ps(job: JobId, cfg: &DpConfig, alloc: &mut IdAlloc) -> JobDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_job, run_jobs};
+    use crate::runtime::run_jobs;
     use echelon_simnet::ids::NodeId;
-    use echelon_simnet::runner::MaxMinPolicy;
+    use echelon_simnet::runner::{MaxMinPolicy, RunConfig};
     use echelon_simnet::time::SimTime;
     use echelon_simnet::topology::Topology;
 
@@ -303,7 +303,7 @@ mod tests {
         let mut alloc = IdAlloc::new();
         let dag = build_dp_allreduce(JobId(0), &cfg(3, 2), &mut alloc);
         let topo = Topology::big_switch_uniform(3, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         // The first bucket's all-reduce starts while the second bucket's
         // backward still computes (comm/comp overlap).
         assert!(out.makespan.secs() > 5.0);
@@ -330,7 +330,7 @@ mod tests {
         // Push: 2 flows per bucket; pull: 2 flows.
         assert_eq!(dag.all_flows().len(), 6);
         let topo = Topology::big_switch_uniform(3, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         assert!(out.makespan.secs() > 0.0);
         assert_eq!(out.flow_finishes.len(), 6);
     }
@@ -342,7 +342,7 @@ mod tests {
         c.iterations = 2;
         let dag = build_dp_allreduce(JobId(0), &c, &mut alloc);
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         let updates: Vec<_> = out
             .timeline
             .iter()
@@ -376,11 +376,11 @@ mod tests {
 
         let mut alloc = IdAlloc::new();
         let flat = build_dp_allreduce(JobId(0), &c, &mut alloc);
-        let flat_out = run_job(&topo, &flat, &mut MaxMinPolicy);
+        let flat_out = run_jobs(&topo, &[&flat], &mut MaxMinPolicy, &RunConfig::default());
 
         let mut alloc = IdAlloc::new();
         let hier = build_dp_hierarchical(JobId(0), &c, &groups, &mut alloc);
-        let hier_out = run_job(&topo, &hier, &mut MaxMinPolicy);
+        let hier_out = run_jobs(&topo, &[&hier], &mut MaxMinPolicy, &RunConfig::default());
 
         assert!(
             hier_out.makespan.secs() <= flat_out.makespan.secs() + 1e-6,
@@ -413,7 +413,8 @@ mod tests {
         c1.placement = vec![NodeId(2), NodeId(3)];
         let dag1 = build_dp_allreduce(JobId(1), &c1, &mut alloc);
         let topo = Topology::big_switch_uniform(4, 1.0);
-        let out = run_jobs(&topo, &[&dag0, &dag1], &mut MaxMinPolicy);
+        let config = RunConfig::default();
+        let out = run_jobs(&topo, &[&dag0, &dag1], &mut MaxMinPolicy, &config);
         assert!(out.job_makespans.contains_key(&JobId(0)));
         assert!(out.job_makespans.contains_key(&JobId(1)));
     }

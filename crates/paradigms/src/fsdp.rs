@@ -158,11 +158,11 @@ pub fn build_fsdp(job: JobId, cfg: &FsdpConfig, alloc: &mut IdAlloc) -> JobDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_job;
+    use crate::runtime::run_jobs;
     use echelon_core::coflow::Coflow;
     use echelon_sched::echelon::{EchelonMadd, InterOrder};
     use echelon_simnet::ids::NodeId;
-    use echelon_simnet::runner::MaxMinPolicy;
+    use echelon_simnet::runner::{MaxMinPolicy, RunConfig};
     use echelon_simnet::topology::Topology;
 
     fn cfg() -> FsdpConfig {
@@ -207,7 +207,7 @@ mod tests {
         let mut alloc = IdAlloc::new();
         let dag = build_fsdp(JobId(0), &cfg(), &mut alloc);
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         // 9 collectives × 2 flows each.
         assert_eq!(out.flow_finishes.len(), 18);
         assert!(out.makespan.secs() > 0.0);
@@ -229,12 +229,12 @@ mod tests {
         let dag = build_fsdp(JobId(0), &cfg(), &mut alloc);
         let topo = Topology::big_switch_uniform(2, 1.0);
         let mut pe = EchelonMadd::new(dag.echelons.clone());
-        let out_e = run_job(&topo, &dag, &mut pe);
+        let out_e = run_jobs(&topo, &[&dag], &mut pe, &RunConfig::default());
         let mut alloc2 = IdAlloc::new();
         let dag2 = build_fsdp(JobId(0), &cfg(), &mut alloc2);
         let coflows = dag2.coflows.iter().cloned().map(Coflow::into_echelon);
         let mut pc = EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork);
-        let out_c = run_job(&topo, &dag2, &mut pc);
+        let out_c = run_jobs(&topo, &[&dag2], &mut pc, &RunConfig::default());
         assert!(
             out_e.makespan.secs() <= out_c.makespan.secs() + 1e-6,
             "echelon {:?} vs coflow {:?}",
@@ -251,7 +251,7 @@ mod tests {
         let dag = build_fsdp(JobId(0), &c, &mut alloc);
         assert_eq!(dag.comms.len(), 18);
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         assert_eq!(out.flow_finishes.len(), 36);
     }
 }

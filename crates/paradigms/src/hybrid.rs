@@ -144,10 +144,10 @@ pub fn build_hybrid(job: JobId, cfg: &HybridConfig, alloc: &mut IdAlloc) -> JobD
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_job;
+    use crate::runtime::run_jobs;
     use echelon_core::coflow::Coflow;
     use echelon_sched::echelon::{EchelonMadd, InterOrder};
-    use echelon_simnet::runner::MaxMinPolicy;
+    use echelon_simnet::runner::{MaxMinPolicy, RunConfig};
     use echelon_simnet::topology::Topology;
 
     fn cfg() -> HybridConfig {
@@ -188,7 +188,7 @@ mod tests {
         let mut alloc = IdAlloc::new();
         let dag = build_hybrid(JobId(0), &cfg(), &mut alloc);
         let topo = Topology::big_switch_uniform(4, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         // Every comp and flow completes.
         assert_eq!(out.comp_spans.len(), dag.comps.len());
         assert_eq!(out.flow_finishes.len(), dag.all_flows().len());
@@ -205,11 +205,15 @@ mod tests {
         };
         let dag_e = mk();
         let mut pe = EchelonMadd::new(dag_e.echelons.clone());
-        let e = run_job(&topo, &dag_e, &mut pe).comp_finish_time().secs();
+        let e = run_jobs(&topo, &[&dag_e], &mut pe, &RunConfig::default())
+            .comp_finish_time()
+            .secs();
         let dag_c = mk();
         let coflows = dag_c.coflows.iter().cloned().map(Coflow::into_echelon);
         let mut pc = EchelonMadd::new(coflows.collect()).with_inter(InterOrder::LeastWork);
-        let c = run_job(&topo, &dag_c, &mut pc).comp_finish_time().secs();
+        let c = run_jobs(&topo, &[&dag_c], &mut pc, &RunConfig::default())
+            .comp_finish_time()
+            .secs();
         assert!(e <= c + 1e-6, "echelon {e} vs coflow {c}");
     }
 
@@ -220,7 +224,7 @@ mod tests {
         c.iterations = 2;
         let dag = build_hybrid(JobId(0), &c, &mut alloc);
         let topo = Topology::big_switch_uniform(4, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         // Second iteration's first forward starts after the first
         // iteration's all-reduces.
         let first_ar_end = out

@@ -36,6 +36,7 @@
 //! use echelon_paradigms::prelude::*;
 //! use echelon_paradigms::config::PpConfig;
 //! use echelon_sched::echelon::EchelonMadd;
+//! use echelon_simnet::runner::RunConfig;
 //! use echelon_simnet::time::SimTime;
 //! use echelon_simnet::topology::Topology;
 //!
@@ -45,7 +46,7 @@
 //! let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
 //! let topo = Topology::chain(2, 1.0);
 //! let mut policy = EchelonMadd::new(dag.echelons.clone());
-//! let out = run_job(&topo, &dag, &mut policy);
+//! let out = run_jobs(&topo, &[&dag], &mut policy, &RunConfig::default());
 //! assert!(out.makespan.secs() > 0.0);
 //! ```
 
@@ -70,6 +71,6 @@ pub mod prelude {
     pub use crate::ids::{CommId, CompId, IdAlloc};
     pub use crate::pp::{build_pp_1f1b, build_pp_gpipe};
     pub use crate::profiler::{profile_gaps, ProfileReport};
-    pub use crate::runtime::{run_job, run_jobs, RunResult};
+    pub use crate::runtime::{run_jobs, RunResult};
     pub use crate::tp::build_tp;
 }

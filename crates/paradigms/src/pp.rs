@@ -350,10 +350,10 @@ pub fn build_pp_1f1b(job: JobId, cfg: &PpConfig, alloc: &mut IdAlloc) -> JobDag 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_job;
+    use crate::runtime::run_jobs;
     use echelon_sched::echelon::EchelonMadd;
     use echelon_simnet::ids::NodeId;
-    use echelon_simnet::runner::MaxMinPolicy;
+    use echelon_simnet::runner::{MaxMinPolicy, RunConfig};
     use echelon_simnet::time::SimTime;
     use echelon_simnet::topology::Topology;
 
@@ -458,7 +458,7 @@ mod tests {
         let mut alloc = IdAlloc::new();
         let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
         let topo = Topology::chain(2, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         assert!(out.makespan.secs() > 0.0);
         // All 6 flows completed and conserved.
         assert_eq!(out.flow_finishes.len(), 6);
@@ -480,7 +480,7 @@ mod tests {
         let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
         let topo = Topology::chain(2, 1.0);
         let mut policy = EchelonMadd::new(dag.echelons.clone());
-        let out = run_job(&topo, &dag, &mut policy);
+        let out = run_jobs(&topo, &[&dag], &mut policy, &RunConfig::default());
         // Last forward on stage 1 (F3) ends at 8.
         let f3_end = out
             .timeline_of(NodeId(1))
@@ -500,7 +500,7 @@ mod tests {
         assert_eq!(dag.comps.len(), 28);
         assert_eq!(dag.echelons.len(), 4);
         let topo = Topology::chain(2, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         assert_eq!(out.flow_finishes.len(), 12);
     }
 
@@ -517,7 +517,7 @@ mod tests {
         };
         let dag = build_pp_1f1b(JobId(0), &cfg, &mut alloc);
         let topo = Topology::chain(3, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         // 3 stages × 4 mbs × 2 + 3 updates = 27 comps.
         assert_eq!(out.comp_spans.len(), 27);
         // 2 pairs × 4 mbs × 2 directions = 16 flows.

@@ -13,9 +13,9 @@
 //! to profiling error.
 
 use crate::dag::{CompKind, JobDag};
-use crate::runtime::run_job;
+use crate::runtime::run_jobs;
 use echelon_simnet::ids::NodeId;
-use echelon_simnet::runner::MaxMinPolicy;
+use echelon_simnet::runner::{MaxMinPolicy, RunConfig};
 use echelon_simnet::topology::Topology;
 use std::collections::BTreeMap;
 
@@ -65,7 +65,7 @@ fn mean_of(gaps: &BTreeMap<NodeId, Vec<f64>>) -> Option<f64> {
 /// distances.
 pub fn profile_gaps(dag: &JobDag, num_nodes: usize) -> ProfileReport {
     let topo = Topology::big_switch_uniform(num_nodes, PROFILE_BANDWIDTH);
-    let out = run_job(&topo, dag, &mut MaxMinPolicy);
+    let out = run_jobs(&topo, &[dag], &mut MaxMinPolicy, &RunConfig::default());
 
     let mut fwd_gaps: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
     let mut bwd_gaps: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();

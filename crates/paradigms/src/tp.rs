@@ -71,9 +71,9 @@ pub fn build_tp(job: JobId, cfg: &TpConfig, alloc: &mut IdAlloc) -> JobDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_job;
+    use crate::runtime::run_jobs;
     use echelon_simnet::ids::NodeId;
-    use echelon_simnet::runner::MaxMinPolicy;
+    use echelon_simnet::runner::{MaxMinPolicy, RunConfig};
     use echelon_simnet::time::SimTime;
     use echelon_simnet::topology::Topology;
 
@@ -105,7 +105,7 @@ mod tests {
         let mut alloc = IdAlloc::new();
         let dag = build_tp(JobId(0), &cfg(), &mut alloc);
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         // F1 [0,1]; AS1: 2 flows of 2 B on disjoint port pairs → [1,3];
         // F2 [3,4]; AS2 [4,6]; B2 [6,7]; GS2 [7,9]; B1 [9,10]; GS1
         // [10,12]; update at 12.
@@ -126,7 +126,7 @@ mod tests {
         let dag = build_tp(JobId(0), &c, &mut alloc);
         assert_eq!(dag.comms.len(), 8);
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let out = run_job(&topo, &dag, &mut MaxMinPolicy);
+        let out = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
         assert!(out.makespan.approx_eq(SimTime::new(24.0)));
     }
 }

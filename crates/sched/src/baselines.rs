@@ -76,7 +76,7 @@ mod tests {
     use super::*;
     use echelon_simnet::flow::FlowDemand;
     use echelon_simnet::ids::NodeId;
-    use echelon_simnet::runner::run_flows;
+    use echelon_simnet::runner::{run_flows, RunConfig};
 
     fn demand(id: u64, size: f64, release: f64) -> FlowDemand {
         FlowDemand::new(
@@ -95,6 +95,7 @@ mod tests {
             &topo,
             vec![demand(0, 2.0, 0.0), demand(1, 1.0, 0.5)],
             &mut FifoPolicy,
+            &RunConfig::default(),
         );
         // f0 runs [0,2] at full rate despite f1 being shorter.
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(2.0)));
@@ -108,6 +109,7 @@ mod tests {
             &topo,
             vec![demand(0, 2.0, 0.0), demand(1, 0.5, 1.0)],
             &mut SrptPolicy,
+            &RunConfig::default(),
         );
         // At t=1, f0 has 1.0 left, f1 has 0.5 → f1 wins, finishes at 1.5;
         // f0 resumes and finishes at 2.5.
@@ -122,6 +124,7 @@ mod tests {
             &topo,
             vec![demand(1, 1.0, 0.0), demand(0, 1.0, 0.0)],
             &mut SrptPolicy,
+            &RunConfig::default(),
         );
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(1.0)));
         assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(2.0)));
@@ -135,7 +138,7 @@ mod tests {
             FlowDemand::new(FlowId(0), NodeId(0), NodeId(1), 1.0, SimTime::ZERO),
             FlowDemand::new(FlowId(1), NodeId(2), NodeId(3), 1.0, SimTime::ZERO),
         ];
-        let out = run_flows(&topo, demands, &mut FifoPolicy);
+        let out = run_flows(&topo, demands, &mut FifoPolicy, &RunConfig::default());
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(1.0)));
         assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(1.0)));
     }

@@ -777,7 +777,7 @@ mod tests {
     use echelon_core::JobId;
     use echelon_simnet::flow::FlowDemand;
     use echelon_simnet::ids::NodeId;
-    use echelon_simnet::runner::run_flows;
+    use echelon_simnet::runner::{run_flows, RunConfig};
 
     fn fr(id: u64, src: u32, dst: u32, size: f64) -> FlowRef {
         FlowRef::new(FlowId(id), NodeId(src), NodeId(dst), size)
@@ -816,7 +816,7 @@ mod tests {
     fn fig2c_staggered_finishes() {
         let topo = Topology::chain(2, 1.0);
         let mut policy = EchelonMadd::new(vec![fig2_echelon()]);
-        let out = run_flows(&topo, fig2_demands(), &mut policy);
+        let out = run_flows(&topo, fig2_demands(), &mut policy, &RunConfig::default());
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(3.0)));
         assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(5.0)));
         assert!(out.finish(FlowId(2)).unwrap().approx_eq(SimTime::new(7.0)));
@@ -828,7 +828,7 @@ mod tests {
     fn fig2c_max_tardiness_is_edd_optimal() {
         let topo = Topology::chain(2, 1.0);
         let mut policy = EchelonMadd::new(vec![fig2_echelon()]);
-        let out = run_flows(&topo, fig2_demands(), &mut policy);
+        let out = run_flows(&topo, fig2_demands(), &mut policy, &RunConfig::default());
         // Ideal finishes with r = 1, T = 1: d = 1, 2, 3.
         let tardiness = [
             out.finish(FlowId(0)).unwrap().secs() - 1.0,
@@ -851,7 +851,7 @@ mod tests {
             ArrangementFn::Coflow,
         );
         let mut policy = EchelonMadd::new(vec![h]);
-        let out = run_flows(&topo, fig2_demands(), &mut policy);
+        let out = run_flows(&topo, fig2_demands(), &mut policy, &RunConfig::default());
         for id in [FlowId(0), FlowId(1), FlowId(2)] {
             assert!(
                 out.finish(id).unwrap().approx_eq(SimTime::new(7.0)),
@@ -868,7 +868,7 @@ mod tests {
     fn equalize_mode_constant_tardiness() {
         let topo = Topology::chain(2, 1.0);
         let mut policy = EchelonMadd::new(vec![fig2_echelon()]).with_intra(IntraMode::Equalize);
-        let out = run_flows(&topo, fig2_demands(), &mut policy);
+        let out = run_flows(&topo, fig2_demands(), &mut policy, &RunConfig::default());
         let e2 = out.finish(FlowId(2)).unwrap();
         assert!(e2.at_or_before(SimTime::new(7.0 + 1e-6)), "e2 = {e2:?}");
         // Work conservation: total bytes 6 over a unit link starting at
@@ -884,6 +884,7 @@ mod tests {
             &topo,
             vec![demand(0, 0, 1, 3.0, 0.0), demand(1, 0, 1, 1.0, 0.0)],
             &mut policy,
+            &RunConfig::default(),
         );
         // Solo deadlines are the (equal) release times; the EDF tie
         // breaks by group key, so f0 runs first.
@@ -899,6 +900,7 @@ mod tests {
             &topo,
             vec![demand(0, 0, 1, 3.0, 0.0), demand(1, 0, 1, 1.0, 0.0)],
             &mut policy,
+            &RunConfig::default(),
         );
         assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(1.0)));
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(4.0)));
@@ -912,6 +914,7 @@ mod tests {
             &topo,
             vec![demand(0, 0, 1, 3.0, 0.0), demand(1, 0, 1, 1.0, 0.0)],
             &mut policy,
+            &RunConfig::default(),
         );
         // Both solo: projected tardiness = projected FCT; the long flow
         // is "most tardy" and goes first under this ordering.
@@ -947,6 +950,7 @@ mod tests {
                 demand(11, 1, 2, 1.0, 1.0),
             ],
             &mut policy,
+            &RunConfig::default(),
         );
         // All four must finish by 4 (total 4 bytes through the shared
         // ingress) and each pipeline's last flow no earlier than 2.
@@ -964,7 +968,7 @@ mod tests {
         // echelon's later stages do not exceed their MADD rates.
         let topo = Topology::chain(2, 1.0);
         let mut policy = EchelonMadd::new(vec![fig2_echelon()]).with_backfill(false);
-        let out = run_flows(&topo, fig2_demands(), &mut policy);
+        let out = run_flows(&topo, fig2_demands(), &mut policy, &RunConfig::default());
         assert!(out.finish(FlowId(2)).unwrap().approx_eq(SimTime::new(7.0)));
     }
 
@@ -976,6 +980,7 @@ mod tests {
     fn incremental_path_matches_naive() {
         use echelon_simnet::runner::FullRecompute;
         let topo = Topology::big_switch_uniform(3, 1.0);
+        let config = RunConfig::default();
         let make = |inter, intra| {
             let h0 = fig2_echelon();
             let h1 = EchelonFlow::from_flows(
@@ -1000,8 +1005,8 @@ mod tests {
         ] {
             for intra in [IntraMode::FinishEarly, IntraMode::Equalize] {
                 let mut full = FullRecompute(&mut make(inter, intra));
-                let a = run_flows(&topo, demands.clone(), &mut full);
-                let b = run_flows(&topo, demands.clone(), &mut make(inter, intra));
+                let a = run_flows(&topo, demands.clone(), &mut full, &config);
+                let b = run_flows(&topo, demands.clone(), &mut make(inter, intra), &config);
                 assert_eq!(
                     a.trace().events(),
                     b.trace().events(),
@@ -1020,6 +1025,7 @@ mod tests {
     fn reused_engine_matches_a_fresh_one() {
         use echelon_simnet::runner::FullRecompute;
         let topo = Topology::big_switch_uniform(3, 1.0);
+        let config = RunConfig::default();
         let demands = || {
             vec![
                 demand(0, 0, 1, 2.0, 0.0),
@@ -1035,9 +1041,9 @@ mod tests {
             for full in [false, true] {
                 let run = |policy: &mut dyn RatePolicy| {
                     if full {
-                        run_flows(&topo, demands(), &mut FullRecompute(policy))
+                        run_flows(&topo, demands(), &mut FullRecompute(policy), &config)
                     } else {
-                        run_flows(&topo, demands(), policy)
+                        run_flows(&topo, demands(), policy, &config)
                     }
                 };
                 let mut reused = make();
@@ -1283,6 +1289,7 @@ mod tests {
             &topo,
             vec![demand(0, 0, 1, 2.0, 0.0), demand(1, 0, 1, 2.0, 0.5)],
             &mut policy,
+            &RunConfig::default(),
         );
         // h0's deadline (reference 0) precedes h1's (reference 0.5).
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(2.0)));
@@ -1303,7 +1310,7 @@ mod tests {
         );
         let mut policy =
             EchelonMadd::new(vec![coflow.into_echelon()]).with_inter(InterOrder::LeastWork);
-        let out = run_flows(&topo, fig2_demands(), &mut policy);
+        let out = run_flows(&topo, fig2_demands(), &mut policy, &RunConfig::default());
         for (id, rate) in [(0, 1.0 / 6.0), (1, 1.0 / 3.0), (2, 1.0 / 2.0)] {
             let id = FlowId(id);
             assert!(out.finish(id).unwrap().approx_eq(SimTime::new(7.0)));
@@ -1332,6 +1339,7 @@ mod tests {
                 &topo,
                 vec![demand(0, 0, 1, 1.0, 0.0), demand(1, 0, 1, 4.0, 0.0)],
                 &mut policy,
+                &RunConfig::default(),
             );
             assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(1.0)));
             assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(5.0)));
@@ -1357,6 +1365,7 @@ mod tests {
                 &topo,
                 vec![demand(0, 0, 1, 2.0, 0.0), demand(1, 2, 3, 1.0, 0.0)],
                 &mut policy,
+                &RunConfig::default(),
             );
             assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(2.0)));
             let small = out.finish(FlowId(1)).unwrap();

@@ -44,7 +44,7 @@
 //!     .collect();
 //!
 //! let mut policy = EchelonMadd::new(vec![h]);
-//! let out = run_flows(&topo, demands, &mut policy);
+//! let out = run_flows(&topo, demands, &mut policy, &RunConfig::default());
 //! // Staggered finishes at 3, 5, 7 — the paper's optimal schedule.
 //! assert!(out.finish(FlowId(2)).unwrap().approx_eq(SimTime::new(7.0)));
 //! ```

@@ -15,7 +15,7 @@
 use echelon_simnet::alloc::{priority_fill_dense, AllocScratch};
 use echelon_simnet::flow::{ActiveFlowView, FlowDemand};
 use echelon_simnet::ids::FlowId;
-use echelon_simnet::runner::{run_flows, FlowOutcomes, RatePolicy};
+use echelon_simnet::runner::{run_flows, FlowOutcomes, RatePolicy, RunConfig};
 use echelon_simnet::time::SimTime;
 use echelon_simnet::topology::Topology;
 use std::collections::BTreeMap;
@@ -117,7 +117,7 @@ pub fn optimal_schedule(
         let mut policy = FixedOrderPolicy {
             order: perm.to_vec(),
         };
-        let out = run_flows(topo, demands.to_vec(), &mut policy);
+        let out = run_flows(topo, demands.to_vec(), &mut policy, &RunConfig::default());
         let value = objective.evaluate(&out);
         evaluated += 1;
         if value < best_value - 1e-12 {
@@ -139,7 +139,7 @@ pub fn run_permutation(topo: &Topology, demands: &[FlowDemand], order: &[FlowId]
     let mut policy = FixedOrderPolicy {
         order: order.to_vec(),
     };
-    run_flows(topo, demands.to_vec(), &mut policy)
+    run_flows(topo, demands.to_vec(), &mut policy, &RunConfig::default())
 }
 
 /// Heap's algorithm, calling `visit` on every permutation of `items`.

@@ -22,6 +22,11 @@
 //! - the cluster scenario layer adds per-job admission times on top of
 //!   the DAG runtime.
 //!
+//! Each shape has one run call, and each takes a [`RunConfig`]: the
+//! [`crate::fault::FaultPlan`] injected while the run plays out and the
+//! [`DriveConfig`] engine knobs. Its default is a fault-free run at the
+//! default knobs.
+//!
 //! All of them share one [`RatePolicy`] seam: every allocation is one
 //! call of the policy's delta entry,
 //! [`RatePolicy::allocate_dense_incremental_sparse`]. A run whose policy
@@ -31,10 +36,10 @@
 //! same bits across layers.
 
 use crate::alloc::AllocScratch;
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::FaultKind;
 use crate::flow::{ActiveFlowView, FlowCompletion};
 use crate::fluid::{FlowDelta, FluidNetwork, NextCompletionMode};
-use crate::runner::RatePolicy;
+use crate::runner::{RatePolicy, RunConfig};
 use crate::time::{SimTime, EPS};
 use crate::topology::Topology;
 use crate::trace::{FlowTrace, TraceEventKind};
@@ -43,7 +48,7 @@ use crate::trace::{FlowTrace, TraceEventKind};
 /// uses and whether per-allocation feasibility checks run. All paths are
 /// bit-identical across every combination — the differential suites pin
 /// this — so the config only trades debuggability against throughput.
-/// Defaults match [`drive_faulted`]: calendar queue, checks on.
+/// Defaults: calendar queue, checks on, trace on, profiling off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriveConfig {
     /// Next-completion backend (linear scan vs calendar queue) for the
@@ -239,7 +244,7 @@ pub struct DriveStats {
     /// none. Kept because readers of `DriveStats` (the benchmark) still
     /// report it.
     pub horizon_skips: usize,
-    /// Fault events applied from the [`FaultPlan`].
+    /// Fault events applied from the [`crate::fault::FaultPlan`].
     pub fault_events: usize,
     /// Allocations at a fault instant: batches that drained at least one
     /// fault, whether or not the flow set also changed.
@@ -331,7 +336,8 @@ fn stuck_flows(net: &FluidNetwork) -> String {
     parts.join(", ")
 }
 
-/// Drives `source` to completion under `policy` on `topo`.
+/// Drives `source` to completion under `policy` on `topo`, with
+/// `config`'s fault plan and engine knobs.
 ///
 /// The loop skeleton, shared by all four workload shapes:
 ///
@@ -345,6 +351,12 @@ fn stuck_flows(net: &FluidNetwork) -> String {
 ///    round a sub-ulp gap to zero and stall);
 /// 5. report completions back to the source.
 ///
+/// Faults are a third event source. At a fault instant the driver applies
+/// the due events in plan order (capacity changes mutate the network's
+/// topology copy; every fault is forwarded to [`RatePolicy::on_fault`]
+/// and [`WorkloadSource::on_fault`]) and recomputes rates, so flows
+/// crossing a downed link stall at rate 0 until its restore event.
+///
 /// # Panics
 ///
 /// Panics if the policy returns an infeasible allocation or rates a flow
@@ -353,51 +365,15 @@ fn stuck_flows(net: &FluidNetwork) -> String {
 /// deadlocks: flows are active but none makes progress and the source
 /// has nothing pending. The deadlock message lists the stuck flow ids
 /// with remaining bytes, the current time, the policy name, and the
-/// source's own pending-work context.
+/// source's own pending-work context. A plan that downs a link forever
+/// while flows depend on it ends in the deadlock panic.
 pub fn drive(
     topo: &Topology,
     source: &mut dyn WorkloadSource,
     policy: &mut dyn RatePolicy,
+    config: &RunConfig,
 ) -> DriveOutcome {
-    drive_faulted(topo, source, policy, &FaultPlan::empty())
-}
-
-/// [`drive`] with an injected [`FaultPlan`]: fault events are a third
-/// event source next to flow releases and completions.
-///
-/// At each fault instant the driver applies due events in plan order —
-/// link capacity changes mutate the network's authoritative topology
-/// copy, and every fault is forwarded to [`RatePolicy::on_fault`] and
-/// [`WorkloadSource::on_fault`] — then recomputes rates like at any
-/// other event, even when the flow set is unchanged. Allocations from
-/// that point on see the mutated topology, so flows crossing a downed
-/// link stall at rate 0 until its restore event.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`drive`]. A plan that downs a
-/// link forever while flows depend on it ends in the deadlock panic —
-/// plans should restore what they break (or the workload must be able to
-/// finish without the downed resource).
-pub fn drive_faulted(
-    topo: &Topology,
-    source: &mut dyn WorkloadSource,
-    policy: &mut dyn RatePolicy,
-    plan: &FaultPlan,
-) -> DriveOutcome {
-    drive_faulted_configured(topo, source, policy, plan, DriveConfig::default())
-}
-
-/// [`drive_faulted`] with explicit [`DriveConfig`] engine knobs. The
-/// differential suites run the same workloads through every config
-/// combination and require bit-identical traces.
-pub fn drive_faulted_configured(
-    topo: &Topology,
-    source: &mut dyn WorkloadSource,
-    policy: &mut dyn RatePolicy,
-    plan: &FaultPlan,
-    config: DriveConfig,
-) -> DriveOutcome {
+    let (plan, config) = (&config.faults, config.drive);
     let mut net = FluidNetwork::with_next_completion(topo.clone(), config.next_completion);
     net.set_feasibility_checks(config.feasibility_checks);
     if let Some(expected) = source.expected_flows() {
@@ -626,7 +602,7 @@ mod tests {
             released: false,
             done: false,
         };
-        let out = drive(&topo, &mut source, &mut MaxMinPolicy);
+        let out = drive(&topo, &mut source, &mut MaxMinPolicy, &RunConfig::default());
         // Released at 1, 2 bytes at unit rate: ends at 3.
         assert!(out.end.approx_eq(SimTime::new(3.0)));
         assert_eq!(out.trace.events().len(), 3); // release, rate, finish
@@ -701,7 +677,7 @@ mod tests {
             released: false,
             done: false,
         };
-        let out = drive(&topo, &mut source, &mut MaxMinPolicy);
+        let out = drive(&topo, &mut source, &mut MaxMinPolicy, &RunConfig::default());
         assert_eq!(out.stats.peak_active, 1);
         assert_eq!(out.stats.arena_capacity, 1);
         // MaxMin is not pod-decomposed: no pod work reported.
@@ -718,17 +694,9 @@ mod tests {
                 released: false,
                 done: false,
             };
-            let cfg = DriveConfig {
-                next_completion: mode,
-                ..DriveConfig::default()
-            };
-            let out = drive_faulted_configured(
-                &topo,
-                &mut source,
-                &mut MaxMinPolicy,
-                &FaultPlan::empty(),
-                cfg,
-            );
+            let mut cfg = RunConfig::default();
+            cfg.drive.next_completion = mode;
+            let out = drive(&topo, &mut source, &mut MaxMinPolicy, &cfg);
             ends.push(out.end.secs().to_bits());
         }
         assert_eq!(ends[0], ends[1]);
@@ -739,7 +707,7 @@ mod tests {
         let topo = Topology::big_switch_uniform(2, 1.0);
         let mut source = Starved { released: false };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive(&topo, &mut source, &mut ZeroPolicy)
+            drive(&topo, &mut source, &mut ZeroPolicy, &RunConfig::default())
         }))
         .expect_err("starved flow must deadlock");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

@@ -4,7 +4,7 @@
 //! coordinator can degrade or vanish; CASSINI (NSDI '24) shows network
 //! perturbation is exactly where DDLT schedulers win or lose. This module
 //! supplies the missing workload class: a [`FaultPlan`] of timed
-//! [`FaultEvent`]s that [`crate::driver::drive_faulted`] treats as a
+//! [`FaultEvent`]s that [`crate::driver::drive`] treats as a
 //! first-class event source alongside flow releases and completions.
 //!
 //! Fault kinds and who handles them:

@@ -36,7 +36,7 @@
 //!   times backing the fluid layer's next-completion query.
 //! - [`fault`] — timed fault injection: link down/restore/degrade,
 //!   coordinator outage windows, and straggler compute slowdowns, driven
-//!   as a first-class event source by [`driver::drive_faulted`].
+//!   as a first-class event source by [`driver::drive`].
 //! - [`linkload`] — the stamped dense per-link accumulator the MADD
 //!   schedulers allocate rates with.
 //! - [`sweep`] — deterministic parallel sweep engine: shared-nothing
@@ -66,7 +66,7 @@
 //!     FlowDemand::new(FlowId(1), NodeId(0), NodeId(1), 2.0, SimTime::ZERO),
 //! ];
 //! let mut policy = MaxMinPolicy;
-//! let outcome = run_flows(&topo, demands, &mut policy);
+//! let outcome = run_flows(&topo, demands, &mut policy, &RunConfig::default());
 //! // Two equal flows share the egress port fairly: both finish at t = 4.
 //! assert!(outcome.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(4.0)));
 //! ```
@@ -91,16 +91,17 @@ pub mod trace;
 pub mod prelude {
     pub use crate::alloc::{AllocScratch, RateAlloc};
     pub use crate::calendar::CalendarQueue;
-    pub use crate::driver::{drive, drive_faulted, DriveOutcome, WorkloadSource};
+    pub use crate::driver::{drive, DriveOutcome, WorkloadSource};
     pub use crate::fattree::{FatTree, FatTreeFabric};
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::flow::{ActiveFlowView, FlowArena, FlowDemand};
     pub use crate::fluid::{FlowDelta, FluidNetwork, NextCompletionMode};
     pub use crate::ids::{FlowId, LinkId, NodeId, ResourceId};
     pub use crate::linkload::LinkLoad;
-    pub use crate::quantized::{run_flows_quantized, QuantizedOutcome};
+    pub use crate::quantized::{run_flows_quantized, ChunkVisibility, QuantizedOutcome};
     pub use crate::runner::{
         run_flows, FlowOutcomes, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RecomputeMode,
+        RunConfig,
     };
     pub use crate::time::SimTime;
     pub use crate::topology::Topology;

@@ -2,7 +2,8 @@
 //!
 //! The fluid model lets a flow's rate change continuously; real transports
 //! move discrete segments. [`run_flows_quantized`] re-runs a demand set
-//! with every flow split into fixed-size chunks released back-to-back:
+//! with every flow split into fixed-size chunks released back-to-back
+//! (at least one per flow), under a chosen [`ChunkVisibility`]:
 //! the policy is consulted at every chunk completion, so rate decisions
 //! apply at chunk granularity — a coarse stand-in for
 //! packetized/windowed behaviour.
@@ -29,7 +30,7 @@ use crate::driver::{drive, DriveStats, RateApply, WorkloadSource};
 use crate::flow::{ActiveFlowView, FlowCompletion, FlowDemand};
 use crate::fluid::{FlowDelta, FluidNetwork};
 use crate::ids::FlowId;
-use crate::runner::RatePolicy;
+use crate::runner::{RatePolicy, RunConfig};
 use crate::time::SimTime;
 use crate::topology::Topology;
 use crate::trace::FlowTrace;
@@ -234,33 +235,21 @@ impl WorkloadSource for ChunkSource<'_> {
     }
 }
 
-/// Runs `demands` with each flow quantized into `chunk` byte pieces.
+/// Runs `demands` with each flow quantized into `chunk` byte pieces,
+/// under the given policy `visibility`. Under
+/// [`ChunkVisibility::ChunkLocal`] every allocation is the policy's
+/// from-scratch one (chunk views are too short-lived for cached group
+/// state to track).
 ///
 /// Chunks of one flow are strictly sequential: chunk `i+1` enters the
 /// network the instant chunk `i` completes (completion-triggered
-/// releases, like a windowed transport draining a send queue).
+/// releases, like a windowed transport draining a send queue). Every
+/// flow sends at least one chunk, however small.
 ///
 /// # Panics
 ///
 /// Panics on a non-positive chunk size.
 pub fn run_flows_quantized(
-    topology: &Topology,
-    demands: Vec<FlowDemand>,
-    policy: &mut dyn RatePolicy,
-    chunk: f64,
-) -> QuantizedOutcome {
-    run_flows_quantized_with(topology, demands, policy, chunk, ChunkVisibility::FlowState)
-}
-
-/// [`run_flows_quantized`] with explicit policy visibility. Under
-/// [`ChunkVisibility::ChunkLocal`] every allocation is the policy's
-/// from-scratch one (chunk views are too short-lived for cached group
-/// state to track).
-///
-/// # Panics
-///
-/// Panics on a non-positive chunk size.
-pub fn run_flows_quantized_with(
     topology: &Topology,
     demands: Vec<FlowDemand>,
     policy: &mut dyn RatePolicy,
@@ -272,12 +261,17 @@ pub fn run_flows_quantized_with(
     // Per flow: the queue of chunk sizes still to send.
     let mut queues: BTreeMap<FlowId, Vec<f64>> = BTreeMap::new();
     for d in &demands {
+        // At least one chunk, so a demand of at most 1e-12 bytes is
+        // still sent.
         let mut sizes = Vec::new();
         let mut remaining = d.size;
-        while remaining > 1e-12 {
+        loop {
             let size = remaining.min(chunk);
             sizes.push(size);
             remaining -= size;
+            if remaining <= 1e-12 {
+                break;
+            }
         }
         sizes.reverse(); // pop() yields the next chunk
         queues.insert(d.id, sizes);
@@ -302,7 +296,7 @@ pub fn run_flows_quantized_with(
         parent_arrived: Vec::new(),
         parent_departed: Vec::new(),
     };
-    let stats = drive(topology, &mut source, policy).stats;
+    let stats = drive(topology, &mut source, policy, &RunConfig::default()).stats;
     QuantizedOutcome {
         finishes: source.finishes,
         stats,
@@ -314,6 +308,7 @@ mod tests {
     use super::*;
     use crate::ids::NodeId;
     use crate::runner::{run_flows, FullRecompute, MaxMinPolicy};
+    use ChunkVisibility::{ChunkLocal, FlowState};
 
     fn demand(id: u64, size: f64, release: f64) -> FlowDemand {
         FlowDemand::new(
@@ -328,8 +323,15 @@ mod tests {
     #[test]
     fn single_flow_matches_fluid_exactly() {
         let topo = Topology::chain(2, 1.0);
-        let fluid = run_flows(&topo, vec![demand(0, 2.0, 0.0)], &mut MaxMinPolicy);
-        let quant = run_flows_quantized(&topo, vec![demand(0, 2.0, 0.0)], &mut MaxMinPolicy, 0.5);
+        let config = RunConfig::default();
+        let fluid = run_flows(&topo, vec![demand(0, 2.0, 0.0)], &mut MaxMinPolicy, &config);
+        let quant = run_flows_quantized(
+            &topo,
+            vec![demand(0, 2.0, 0.0)],
+            &mut MaxMinPolicy,
+            0.5,
+            FlowState,
+        );
         assert!(quant.finishes[&FlowId(0)].approx_eq(fluid.finish(FlowId(0)).unwrap()));
     }
 
@@ -337,15 +339,17 @@ mod tests {
     fn chunking_converges_to_fluid() {
         // The fair-sharing Fig. 2 instance: finishes 4.5, 6.5, 7.0.
         let topo = Topology::chain(2, 1.0);
+        let config = RunConfig::default();
         let demands = vec![
             demand(0, 2.0, 1.0),
             demand(1, 2.0, 2.0),
             demand(2, 2.0, 3.0),
         ];
-        let fluid = run_flows(&topo, demands.clone(), &mut MaxMinPolicy);
+        let fluid = run_flows(&topo, demands.clone(), &mut MaxMinPolicy, &config);
         let mut prev_err = f64::INFINITY;
         for chunk in [1.0, 0.25, 0.05] {
-            let quant = run_flows_quantized(&topo, demands.clone(), &mut MaxMinPolicy, chunk);
+            let quant =
+                run_flows_quantized(&topo, demands.clone(), &mut MaxMinPolicy, chunk, FlowState);
             let err: f64 = demands
                 .iter()
                 .map(|d| (quant.finishes[&d.id] - fluid.finish(d.id).unwrap()).abs())
@@ -362,8 +366,15 @@ mod tests {
     #[test]
     fn chunk_larger_than_flow_degenerates() {
         let topo = Topology::chain(2, 1.0);
-        let fluid = run_flows(&topo, vec![demand(0, 2.0, 0.0)], &mut MaxMinPolicy);
-        let quant = run_flows_quantized(&topo, vec![demand(0, 2.0, 0.0)], &mut MaxMinPolicy, 100.0);
+        let config = RunConfig::default();
+        let fluid = run_flows(&topo, vec![demand(0, 2.0, 0.0)], &mut MaxMinPolicy, &config);
+        let quant = run_flows_quantized(
+            &topo,
+            vec![demand(0, 2.0, 0.0)],
+            &mut MaxMinPolicy,
+            100.0,
+            FlowState,
+        );
         assert!(quant.finishes[&FlowId(0)].approx_eq(fluid.finish(FlowId(0)).unwrap()));
     }
 
@@ -391,21 +402,9 @@ mod tests {
         }
         let topo = Topology::chain(2, 1.0);
         let demands = vec![demand(0, 2.0, 0.0), demand(1, 1.2, 0.2)];
-        let fluid = run_flows(&topo, demands.clone(), &mut Srpt);
-        let aware = run_flows_quantized_with(
-            &topo,
-            demands.clone(),
-            &mut Srpt,
-            0.25,
-            ChunkVisibility::FlowState,
-        );
-        let local = run_flows_quantized_with(
-            &topo,
-            demands.clone(),
-            &mut Srpt,
-            0.25,
-            ChunkVisibility::ChunkLocal,
-        );
+        let fluid = run_flows(&topo, demands.clone(), &mut Srpt, &RunConfig::default());
+        let aware = run_flows_quantized(&topo, demands.clone(), &mut Srpt, 0.25, FlowState);
+        let local = run_flows_quantized(&topo, demands.clone(), &mut Srpt, 0.25, ChunkLocal);
         // Flow-state visibility reproduces fluid exactly.
         assert!(aware.finishes[&FlowId(1)].approx_eq(fluid.finish(FlowId(1)).unwrap()));
         // Chunk-local state loses SRPT's preemption: the short flow
@@ -423,12 +422,27 @@ mod tests {
                 demand(2, 1.0, 3.0),
             ]
         };
-        for visibility in [ChunkVisibility::FlowState, ChunkVisibility::ChunkLocal] {
+        for visibility in [FlowState, ChunkLocal] {
             let mut full = FullRecompute(&mut MaxMinPolicy);
-            let full = run_flows_quantized_with(&topo, demands(), &mut full, 0.25, visibility);
-            let inc =
-                run_flows_quantized_with(&topo, demands(), &mut MaxMinPolicy, 0.25, visibility);
+            let full = run_flows_quantized(&topo, demands(), &mut full, 0.25, visibility);
+            let inc = run_flows_quantized(&topo, demands(), &mut MaxMinPolicy, 0.25, visibility);
             assert_eq!(full.finishes, inc.finishes, "diverged for {visibility:?}");
+        }
+    }
+
+    /// A demand of at most 1e-12 bytes still gets its one chunk: without
+    /// it the run deadlocks with the parent unfinished.
+    #[test]
+    fn tiny_demand_finishes_under_both_visibilities() {
+        let topo = Topology::chain(2, 1.0);
+        let demands = || vec![demand(0, 1e-13, 0.0), demand(1, 1.0, 0.0)];
+        let fluid = run_flows(&topo, demands(), &mut MaxMinPolicy, &RunConfig::default());
+        for visibility in [FlowState, ChunkLocal] {
+            let quant = run_flows_quantized(&topo, demands(), &mut MaxMinPolicy, 0.5, visibility);
+            assert_eq!(quant.finishes.len(), 2, "{visibility:?}");
+            for id in [FlowId(0), FlowId(1)] {
+                assert!(quant.finishes[&id].approx_eq(fluid.finish(id).unwrap()));
+            }
         }
     }
 
@@ -436,6 +450,12 @@ mod tests {
     #[should_panic(expected = "bad chunk size")]
     fn zero_chunk_rejected() {
         let topo = Topology::chain(2, 1.0);
-        let _ = run_flows_quantized(&topo, vec![demand(0, 1.0, 0.0)], &mut MaxMinPolicy, 0.0);
+        let _ = run_flows_quantized(
+            &topo,
+            vec![demand(0, 1.0, 0.0)],
+            &mut MaxMinPolicy,
+            0.0,
+            FlowState,
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! Self-contained flow simulation loop for static demand sets.
 //!
 //! [`run_flows`] drives a static set of [`FlowDemand`]s to completion under
-//! a [`RatePolicy`]. The driver recomputes rates at every event batch
-//! that has active flows: releases, completions and faults (the fluid
-//! model's only rate-change points for static demand sets). Each
+//! a [`RatePolicy`] and a [`RunConfig`] (faults and engine knobs). The
+//! driver recomputes rates at every event batch that has active flows:
+//! releases, completions and faults (the fluid model's only rate-change
+//! points for static demand sets). Each
 //! recompute is one call of [`RatePolicy::allocate_dense_incremental_sparse`]
 //! with the [`FlowDelta`] accumulated since the previous allocation, so
 //! stateful schedulers patch cached group structure instead of
@@ -25,7 +26,7 @@ use crate::alloc::{
     alloc_via_dense, grow, waterfill_bucket, waterfill_dense, AllocScratch, FillIndex, FillScope,
     RateAlloc,
 };
-use crate::driver::{drive_faulted_configured, DriveConfig, DriveStats, WorkloadSource};
+use crate::driver::{drive, DriveConfig, DriveStats, WorkloadSource};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::flow::{ActiveFlowView, FlowCompletion, FlowDemand};
 use crate::fluid::{FlowDelta, FluidNetwork};
@@ -121,7 +122,7 @@ pub trait RatePolicy {
     }
 
     /// Notifies the policy of an injected fault (see [`crate::fault`]).
-    /// Called by [`crate::driver::drive_faulted`] *after* link capacity
+    /// Called by [`crate::driver::drive`] *after* link capacity
     /// changes have been applied to the driver's network but *before* the
     /// fault-forced reallocation. Policies holding caches whose validity
     /// depends on capacities or coordinator availability must invalidate
@@ -783,6 +784,28 @@ impl RatePolicy for PodMaxMinPolicy {
     }
 }
 
+/// Everything a run takes besides its workload and policy: the faults
+/// injected while it plays out and the engine knobs. The default is a
+/// fault-free run at [`DriveConfig::default`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunConfig {
+    /// Faults injected while the run plays out (see [`crate::fault`]);
+    /// empty by default.
+    pub faults: FaultPlan,
+    /// Engine knobs for the drive.
+    pub drive: DriveConfig,
+}
+
+impl From<FaultPlan> for RunConfig {
+    /// `faults` at the default engine knobs.
+    fn from(faults: FaultPlan) -> RunConfig {
+        RunConfig {
+            faults,
+            drive: DriveConfig::default(),
+        }
+    }
+}
+
 /// Results of a completed flow simulation.
 #[derive(Debug, Clone)]
 pub struct FlowOutcomes {
@@ -830,21 +853,6 @@ impl FlowOutcomes {
         }
         self.completions.values().map(|c| c.fct()).sum::<f64>() / self.completions.len() as f64
     }
-}
-
-/// Runs `demands` to completion under `policy` on `topology`.
-///
-/// # Panics
-///
-/// Panics if the policy ever returns an infeasible allocation or a rate
-/// for a flow outside the active set, or if the simulation stops making
-/// progress while flows remain (a policy that starves all flows forever).
-pub fn run_flows(
-    topology: &Topology,
-    demands: Vec<FlowDemand>,
-    policy: &mut dyn RatePolicy,
-) -> FlowOutcomes {
-    run_flows_faulted(topology, demands, policy, &FaultPlan::empty())
 }
 
 /// The static-demand [`WorkloadSource`]: flows release at fixed times and
@@ -900,57 +908,21 @@ impl WorkloadSource for DemandSource {
     }
 }
 
-/// [`run_flows`] under an injected [`FaultPlan`]: link churn and
-/// component outages strike at their scheduled times while the static
-/// demand set plays out (see [`crate::fault`]).
+/// Runs `demands` to completion under `policy` on `topology`, with
+/// `config`'s fault plan and engine knobs (see [`drive`]).
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`run_flows`], plus the deadlock
-/// panic if the plan downs a link forever while unfinished flows depend
-/// on it.
-pub fn run_flows_faulted(
+/// Panics if the policy ever returns an infeasible allocation or a rate
+/// for a flow outside the active set, or if the simulation stops making
+/// progress while flows remain (a policy that starves all flows forever,
+/// or a plan that downs a link forever while unfinished flows depend on
+/// it).
+pub fn run_flows(
     topology: &Topology,
     demands: Vec<FlowDemand>,
     policy: &mut dyn RatePolicy,
-    plan: &FaultPlan,
-) -> FlowOutcomes {
-    run_demands(topology, demands, policy, plan, DriveConfig::default())
-}
-
-/// [`run_flows`] with explicit [`DriveConfig`] engine knobs and no
-/// faults.
-pub fn run_flows_configured(
-    topology: &Topology,
-    demands: Vec<FlowDemand>,
-    policy: &mut dyn RatePolicy,
-    config: DriveConfig,
-) -> FlowOutcomes {
-    run_demands(topology, demands, policy, &FaultPlan::empty(), config)
-}
-
-/// [`run_flows_faulted`] with explicit [`DriveConfig`] engine knobs
-/// (next-completion backend, feasibility checks, trace recording). All
-/// config combinations are bit-identical on the trace-visible outcomes;
-/// the differential suites pin this. `mode` is ignored.
-pub fn run_flows_faulted_configured(
-    topology: &Topology,
-    demands: Vec<FlowDemand>,
-    policy: &mut dyn RatePolicy,
-    _mode: RecomputeMode,
-    plan: &FaultPlan,
-    config: DriveConfig,
-) -> FlowOutcomes {
-    run_demands(topology, demands, policy, plan, config)
-}
-
-/// The body of every static-demand run.
-fn run_demands(
-    topology: &Topology,
-    demands: Vec<FlowDemand>,
-    policy: &mut dyn RatePolicy,
-    plan: &FaultPlan,
-    config: DriveConfig,
+    config: &RunConfig,
 ) -> FlowOutcomes {
     let mut pending = demands;
     // Ascending release order, ties by id for determinism.
@@ -962,7 +934,7 @@ fn run_demands(
         completed: Vec::with_capacity(total),
         total,
     };
-    let outcome = drive_faulted_configured(topology, &mut source, policy, plan, config);
+    let outcome = drive(topology, &mut source, policy, config);
 
     FlowOutcomes {
         completions: source.completed.into_iter().map(|c| (c.id, c)).collect(),
@@ -970,6 +942,27 @@ fn run_demands(
         makespan: outcome.end,
         stats: outcome.stats,
     }
+}
+
+/// [`run_flows`] with its plan and config passed apart; `mode` is
+/// ignored. Kept for the benchmark.
+pub fn run_flows_faulted_configured(
+    topology: &Topology,
+    demands: Vec<FlowDemand>,
+    policy: &mut dyn RatePolicy,
+    _mode: RecomputeMode,
+    plan: &FaultPlan,
+    config: DriveConfig,
+) -> FlowOutcomes {
+    run_flows(
+        topology,
+        demands,
+        policy,
+        &RunConfig {
+            faults: plan.clone(),
+            drive: config,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1025,6 +1018,7 @@ mod tests {
             &topo,
             vec![demand(0, 0, 1, 2.0, 0.0), demand(1, 0, 1, 2.0, 0.0)],
             &mut MaxMinPolicy,
+            &RunConfig::default(),
         );
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(4.0)));
         assert!(out.finish(FlowId(1)).unwrap().approx_eq(SimTime::new(4.0)));
@@ -1044,6 +1038,7 @@ mod tests {
                 demand(2, 0, 1, 2.0, 3.0),
             ],
             &mut MaxMinPolicy,
+            &RunConfig::default(),
         );
         // Worked out by hand: f0 finishes at 4.5, f1 at 6.5, f2 at 7.0.
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(4.5)));
@@ -1059,7 +1054,7 @@ mod tests {
             demand(1, 0, 1, 2.0, 2.0),
             demand(2, 0, 1, 2.0, 3.0),
         ];
-        let out = run_flows(&topo, demands, &mut MaxMinPolicy);
+        let out = run_flows(&topo, demands, &mut MaxMinPolicy, &RunConfig::default());
         for id in [FlowId(0), FlowId(1), FlowId(2)] {
             assert!(
                 (out.trace().delivered_bytes(id) - 2.0).abs() < 1e-6,
@@ -1072,14 +1067,19 @@ mod tests {
     #[test]
     fn mean_fct_reported() {
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let out = run_flows(&topo, vec![demand(0, 0, 1, 1.0, 0.0)], &mut MaxMinPolicy);
+        let out = run_flows(
+            &topo,
+            vec![demand(0, 0, 1, 1.0, 0.0)],
+            &mut MaxMinPolicy,
+            &RunConfig::default(),
+        );
         assert!((out.mean_fct() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_demand_set() {
         let topo = Topology::big_switch_uniform(2, 1.0);
-        let out = run_flows(&topo, vec![], &mut MaxMinPolicy);
+        let out = run_flows(&topo, vec![], &mut MaxMinPolicy, &RunConfig::default());
         assert_eq!(out.completions().len(), 0);
         assert_eq!(out.makespan(), SimTime::ZERO);
     }
@@ -1094,8 +1094,8 @@ mod tests {
                 demand(2, 0, 3, 3.0, 1.0),
             ]
         };
-        let a = run_flows(&topo, demands(), &mut MaxMinPolicy);
-        let b = run_flows(&topo, demands(), &mut MaxMinPolicy);
+        let a = run_flows(&topo, demands(), &mut MaxMinPolicy, &RunConfig::default());
+        let b = run_flows(&topo, demands(), &mut MaxMinPolicy, &RunConfig::default());
         assert_eq!(a.trace().events(), b.trace().events());
     }
 
@@ -1112,15 +1112,9 @@ mod tests {
             ]
         };
         let run = |trace| {
-            run_flows_configured(
-                &topo,
-                demands(),
-                &mut MaxMinPolicy,
-                DriveConfig {
-                    trace,
-                    ..DriveConfig::default()
-                },
-            )
+            let mut config = RunConfig::default();
+            config.drive.trace = trace;
+            run_flows(&topo, demands(), &mut MaxMinPolicy, &config)
         };
         let (on, off) = (run(true), run(false));
         assert!(!on.trace().events().is_empty());
@@ -1145,8 +1139,13 @@ mod tests {
                 demand(3, 3, 1, 0.5, 1.0),
             ]
         };
-        let a = run_flows(&topo, demands(), &mut FullRecompute(&mut MaxMinPolicy));
-        let b = run_flows(&topo, demands(), &mut MaxMinPolicy);
+        let a = run_flows(
+            &topo,
+            demands(),
+            &mut FullRecompute(&mut MaxMinPolicy),
+            &RunConfig::default(),
+        );
+        let b = run_flows(&topo, demands(), &mut MaxMinPolicy, &RunConfig::default());
         assert_eq!(a.trace().events(), b.trace().events());
     }
 
@@ -1159,11 +1158,11 @@ mod tests {
         let plan = FaultPlan::empty()
             .with(SimTime::new(1.0), FaultKind::LinkDown(r))
             .with(SimTime::new(3.0), FaultKind::LinkRestore(r));
-        let out = run_flows_faulted(
+        let out = run_flows(
             &topo,
             vec![demand(0, 0, 1, 2.0, 0.0)],
             &mut MaxMinPolicy,
-            &plan,
+            &RunConfig::from(plan),
         );
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(4.0)));
         let stats = out.drive_stats();
@@ -1179,11 +1178,11 @@ mod tests {
         let topo = Topology::big_switch_uniform(2, 1.0);
         let r = crate::ids::ResourceId(0);
         let plan = FaultPlan::empty().with(SimTime::new(1.0), FaultKind::LinkDegrade(r, 0.25));
-        let out = run_flows_faulted(
+        let out = run_flows(
             &topo,
             vec![demand(0, 0, 1, 2.0, 0.0)],
             &mut MaxMinPolicy,
-            &plan,
+            &RunConfig::from(plan),
         );
         assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(5.0)));
         assert_eq!(out.drive_stats().stall_flow_seconds, 0.0);
@@ -1197,11 +1196,11 @@ mod tests {
             SimTime::new(1.0),
             FaultKind::LinkDown(crate::ids::ResourceId(0)),
         );
-        let _ = run_flows_faulted(
+        let _ = run_flows(
             &topo,
             vec![demand(0, 0, 1, 2.0, 0.0)],
             &mut MaxMinPolicy,
-            &plan,
+            &RunConfig::from(plan),
         );
     }
 
@@ -1213,9 +1212,10 @@ mod tests {
         let topo = Topology::big_switch_uniform(2, 1.0);
         let r = crate::ids::ResourceId(0);
         let plan = FaultPlan::empty().with(SimTime::new(1.0), FaultKind::LinkDegrade(r, 0.5));
+        let config = RunConfig::from(plan);
         let mut full = FullRecompute(&mut MaxMinPolicy);
         for policy in [&mut MaxMinPolicy as &mut dyn RatePolicy, &mut full] {
-            let out = run_flows_faulted(&topo, vec![demand(0, 0, 1, 2.0, 0.0)], policy, &plan);
+            let out = run_flows(&topo, vec![demand(0, 0, 1, 2.0, 0.0)], policy, &config);
             // 1 byte by t=1, then 1 byte at 0.5 → t=3.
             assert!(out.finish(FlowId(0)).unwrap().approx_eq(SimTime::new(3.0)));
         }
@@ -1237,12 +1237,18 @@ mod tests {
     #[test]
     fn pod_policy_incremental_matches_full_recompute() {
         let topo = crate::fattree::FatTree::new(4).build_fabric();
-        let incremental = run_flows(&topo, pod_local_demands(), &mut PodMaxMinPolicy::new());
+        let incremental = run_flows(
+            &topo,
+            pod_local_demands(),
+            &mut PodMaxMinPolicy::new(),
+            &RunConfig::default(),
+        );
         let mut reference = PodMaxMinPolicy::new();
         let full = run_flows(
             &topo,
             pod_local_demands(),
             &mut FullRecompute(&mut reference),
+            &RunConfig::default(),
         );
         assert_eq!(incremental.trace().events(), full.trace().events());
         // The incremental path must actually have skipped pods: releases
@@ -1261,11 +1267,12 @@ mod tests {
     #[test]
     fn pod_policy_core_crossing_flow_forces_fallback() {
         let topo = crate::fattree::FatTree::new(4).build_fabric();
+        let config = RunConfig::default();
         let mut demands = pod_local_demands();
         demands.push(demand(6, 0, 7, 2.0, 0.25)); // pod 0 → pod 1
-        let incremental = run_flows(&topo, demands.clone(), &mut PodMaxMinPolicy::new());
+        let incremental = run_flows(&topo, demands.clone(), &mut PodMaxMinPolicy::new(), &config);
         let mut reference = PodMaxMinPolicy::new();
-        let full = run_flows(&topo, demands, &mut FullRecompute(&mut reference));
+        let full = run_flows(&topo, demands, &mut FullRecompute(&mut reference), &config);
         assert_eq!(incremental.trace().events(), full.trace().events());
         assert_eq!(incremental.completions().len(), 7);
     }
@@ -1289,6 +1296,7 @@ mod tests {
             SimTime::new(0.5),
             FaultKind::LinkDegrade(crate::ids::ResourceId(0), 0.25),
         );
+        let degraded = RunConfig::from(degraded);
         let first = || vec![demand(0, 0, 1, 2.0, 0.0), demand(1, 2, 3, 2.0, 0.0)];
         // Host 0 (pod 0) to host 20 (pod 1) on k = 8, across host 0's
         // degraded up-link.
@@ -1299,23 +1307,23 @@ mod tests {
         };
         let second = || vec![demand(10, 0, 1, 1.0, 0.0)];
         let cases = [
-            (&k4, first(), FaultPlan::empty(), &k4),
+            (&k4, first(), RunConfig::default(), &k4),
             (&k4, first(), degraded.clone(), &k4),
             (&k8, crossing(), degraded, &k4),
-            (&k4, first(), FaultPlan::empty(), &k8),
+            (&k4, first(), RunConfig::default(), &k8),
         ];
-        let run = |topo, demands, policy: &mut PodMaxMinPolicy, plan, full| {
+        let run = |topo, demands, policy: &mut PodMaxMinPolicy, config, full| {
             if full {
-                run_flows_faulted(topo, demands, &mut FullRecompute(policy), plan)
+                run_flows(topo, demands, &mut FullRecompute(policy), config)
             } else {
-                run_flows_faulted(topo, demands, policy, plan)
+                run_flows(topo, demands, policy, config)
             }
         };
-        let none = FaultPlan::empty();
-        for (case, (topo, demands, plan, then)) in cases.iter().enumerate() {
+        let none = RunConfig::default();
+        for (case, (topo, demands, config, then)) in cases.iter().enumerate() {
             for full in [false, true] {
                 let mut reused = PodMaxMinPolicy::new();
-                let out = run(topo, demands.clone(), &mut reused, plan, full);
+                let out = run(topo, demands.clone(), &mut reused, config, full);
                 if case == 2 {
                     // The crosser finishes last, so it is still live in
                     // the reused policy.
@@ -1461,6 +1469,7 @@ mod tests {
     fn pod_policy_matches_maxmin_on_podless_topology() {
         // Without pods the policy *is* the whole-fabric waterfill.
         let topo = Topology::big_switch_uniform(4, 1.0);
+        let config = RunConfig::default();
         let demands = || {
             vec![
                 demand(0, 0, 1, 2.0, 0.0),
@@ -1468,8 +1477,8 @@ mod tests {
                 demand(2, 0, 3, 3.0, 1.0),
             ]
         };
-        let pod = run_flows(&topo, demands(), &mut PodMaxMinPolicy::new());
-        let maxmin = run_flows(&topo, demands(), &mut MaxMinPolicy);
+        let pod = run_flows(&topo, demands(), &mut PodMaxMinPolicy::new(), &config);
+        let maxmin = run_flows(&topo, demands(), &mut MaxMinPolicy, &config);
         for id in [FlowId(0), FlowId(1), FlowId(2)] {
             assert_eq!(
                 pod.finish(id).unwrap().secs().to_bits(),
@@ -1489,9 +1498,9 @@ mod tests {
         let plan = FaultPlan::empty()
             .with(SimTime::new(0.75), FaultKind::LinkDegrade(r, 0.25))
             .with(SimTime::new(2.0), FaultKind::LinkRestore(r));
-        let run = |policy: &mut dyn RatePolicy| {
-            run_flows_faulted(&topo, pod_local_demands(), policy, &plan)
-        };
+        let config = RunConfig::from(plan);
+        let run =
+            |policy: &mut dyn RatePolicy| run_flows(&topo, pod_local_demands(), policy, &config);
         let incremental = run(&mut PodMaxMinPolicy::new());
         let full = run(&mut FullRecompute(&mut PodMaxMinPolicy::new()));
         assert_eq!(incremental.trace().events(), full.trace().events());
@@ -1520,6 +1529,11 @@ mod tests {
     #[should_panic(expected = "dense allocation covers")]
     fn policy_writing_a_misaligned_buffer_is_rejected() {
         let topo = Topology::big_switch_uniform(2, 1.0);
-        run_flows(&topo, vec![demand(0, 0, 1, 1.0, 0.0)], &mut OverlongPolicy);
+        run_flows(
+            &topo,
+            vec![demand(0, 0, 1, 1.0, 0.0)],
+            &mut OverlongPolicy,
+            &RunConfig::default(),
+        );
     }
 }

@@ -19,6 +19,7 @@ use echelonflow::paradigms::pp::build_pp_gpipe;
 use echelonflow::paradigms::runtime::run_jobs;
 use echelonflow::sched::echelon::EchelonMadd;
 use echelonflow::simnet::ids::NodeId;
+use echelonflow::simnet::runner::RunConfig;
 use echelonflow::simnet::topology::Topology;
 
 fn jobs(alloc: &mut IdAlloc) -> Vec<echelonflow::paradigms::dag::JobDag> {
@@ -69,11 +70,11 @@ fn main() {
     let coordinated = coordinator.into_policy();
     let mut enforced = QueueEnforcedPolicy::new(coordinated, QueueConfig::default());
     let dag_refs: Vec<&_> = dags.iter().collect();
-    let out_system = run_jobs(&topo, &dag_refs, &mut enforced);
+    let out_system = run_jobs(&topo, &dag_refs, &mut enforced, &RunConfig::default());
 
     // Reference: idealized direct EchelonFlow scheduling (exact rates).
     let mut direct = EchelonMadd::new(dags.iter().flat_map(|d| d.echelons.clone()).collect());
-    let out_direct = run_jobs(&topo, &dag_refs, &mut direct);
+    let out_direct = run_jobs(&topo, &dag_refs, &mut direct, &RunConfig::default());
 
     println!("{:<28} {:>10} {:>10}", "", "job 0", "job 1");
     println!(

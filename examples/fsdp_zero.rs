@@ -14,8 +14,9 @@ use echelonflow::core::JobId;
 use echelonflow::paradigms::config::FsdpConfig;
 use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::ids::IdAlloc;
-use echelonflow::paradigms::runtime::{run_job, RunResult};
+use echelonflow::paradigms::runtime::{run_jobs, RunResult};
 use echelonflow::simnet::ids::NodeId;
+use echelonflow::simnet::runner::RunConfig;
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
@@ -35,7 +36,8 @@ fn run(kind: SchedulerKind) -> (echelonflow::paradigms::dag::JobDag, RunResult) 
     let mut alloc = IdAlloc::new();
     let dag = build_fsdp(JobId(0), &cfg(), &mut alloc);
     let topo = Topology::big_switch_uniform(3, 1.0);
-    let out = run_job(&topo, &dag, kind.policy(&[&dag]).as_mut());
+    let config = RunConfig::default();
+    let out = run_jobs(&topo, &[&dag], kind.policy(&[&dag]).as_mut(), &config);
     (dag, out)
 }
 

@@ -20,8 +20,9 @@ use echelonflow::paradigms::config::PpConfig;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
 use echelonflow::paradigms::profiler::profile_gaps;
-use echelonflow::paradigms::runtime::run_job;
+use echelonflow::paradigms::runtime::run_jobs;
 use echelonflow::sched::echelon::EchelonMadd;
+use echelonflow::simnet::runner::RunConfig;
 use echelonflow::simnet::topology::Topology;
 
 fn main() {
@@ -56,10 +57,10 @@ fn main() {
     // 3. Schedule the contended run with the profiled arrangement.
     let topo = Topology::chain(2, 1.0);
     let mut profiled_policy = EchelonMadd::new(profiled_echelons);
-    let profiled = run_job(&topo, &dag, &mut profiled_policy);
+    let profiled = run_jobs(&topo, &[&dag], &mut profiled_policy, &RunConfig::default());
 
     let mut truth_policy = EchelonMadd::new(dag.echelons.clone());
-    let truth = run_job(&topo, &dag, &mut truth_policy);
+    let truth = run_jobs(&topo, &[&dag], &mut truth_policy, &RunConfig::default());
 
     let forward_finish = |out: &echelonflow::paradigms::runtime::RunResult| {
         use echelonflow::paradigms::dag::CompKind;

@@ -13,7 +13,8 @@ use echelonflow::core::JobId;
 use echelonflow::paradigms::config::PpConfig;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::run_job;
+use echelonflow::paradigms::runtime::run_jobs;
+use echelonflow::simnet::runner::RunConfig;
 use echelonflow::simnet::topology::Topology;
 
 fn main() {
@@ -29,20 +30,35 @@ fn main() {
     // (a) Fair sharing.
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
-    let fair = run_job(&topo, &dag, SchedulerKind::Fair.policy(&[&dag]).as_mut());
+    let fair = run_jobs(
+        &topo,
+        &[&dag],
+        SchedulerKind::Fair.policy(&[&dag]).as_mut(),
+        &RunConfig::default(),
+    );
     println!("{:<22} {:>18}", "fair sharing", forward_finish(&fair));
 
     // (b) Coflow scheduling: the coordinator over one-stage Coflow
     // groups, ranked by least work (Varys' smallest-bottleneck-first).
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
-    let out = run_job(&topo, &dag, SchedulerKind::Coflow.policy(&[&dag]).as_mut());
+    let out = run_jobs(
+        &topo,
+        &[&dag],
+        SchedulerKind::Coflow.policy(&[&dag]).as_mut(),
+        &RunConfig::default(),
+    );
     println!("{:<22} {:>18}", "coflow (Varys/MADD)", forward_finish(&out));
 
     // (c) EchelonFlow scheduling.
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
-    let out = run_job(&topo, &dag, SchedulerKind::Echelon.policy(&[&dag]).as_mut());
+    let out = run_jobs(
+        &topo,
+        &[&dag],
+        SchedulerKind::Echelon.policy(&[&dag]).as_mut(),
+        &RunConfig::default(),
+    );
     println!("{:<22} {:>18}", "echelonflow", forward_finish(&out));
 
     println!("\npaper: fair = 8.5, coflow = 10, echelonflow = 8 (optimal)");

@@ -18,13 +18,10 @@ use echelonflow::core::echelon::{EchelonFlow, FlowRef};
 use echelonflow::core::{EchelonId, JobId};
 use echelonflow::sched::baselines::SrptPolicy;
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
-use echelonflow::simnet::driver::DriveConfig;
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::{FluidNetwork, NextCompletionMode};
 use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
-use echelonflow::simnet::runner::{
-    run_flows_faulted_configured, FullRecompute, MaxMinPolicy, RatePolicy, RecomputeMode,
-};
+use echelonflow::simnet::runner::{run_flows, FullRecompute, MaxMinPolicy, RatePolicy, RunConfig};
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
@@ -225,17 +222,9 @@ fn schedulers_and_fault_plans_agree_across_backends() {
                     } else {
                         make()
                     };
-                    run_flows_faulted_configured(
-                        &topo,
-                        demands.clone(),
-                        p.as_mut(),
-                        RecomputeMode::Incremental,
-                        &plan,
-                        DriveConfig {
-                            next_completion: nc,
-                            ..DriveConfig::default()
-                        },
-                    )
+                    let mut config = RunConfig::from(plan.clone());
+                    config.drive.next_completion = nc;
+                    run_flows(&topo, demands.clone(), p.as_mut(), &config)
                 };
                 let scan = run(NextCompletionMode::Scan);
                 let calendar = run(NextCompletionMode::Calendar);

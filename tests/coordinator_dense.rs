@@ -23,13 +23,13 @@ use echelonflow::cluster::placement::PlacementPolicy;
 use echelonflow::cluster::workload::{generate_workload_on, GeneratedJob, WorkloadConfig};
 use echelonflow::paradigms::dag::JobDag;
 use echelonflow::paradigms::ids::IdAlloc;
-use echelonflow::paradigms::runtime::{run_jobs_faulted, RunResult};
+use echelonflow::paradigms::runtime::{run_jobs, RunResult};
 use echelonflow::simnet::alloc::{AllocScratch, RateAlloc};
 use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::fault::{FaultKind, FaultPlan};
 use echelonflow::simnet::flow::ActiveFlowView;
 use echelonflow::simnet::fluid::FlowDelta;
-use echelonflow::simnet::runner::{FullRecompute, RatePolicy};
+use echelonflow::simnet::runner::{FullRecompute, RatePolicy, RunConfig};
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 use echelonflow::simnet::trace::TraceEventKind;
@@ -107,10 +107,11 @@ fn run(
     full: bool,
     plan: &FaultPlan,
 ) -> RunResult {
+    let config = RunConfig::from(plan.clone());
     if full {
-        run_jobs_faulted(topo, dags, &mut FullRecompute(policy), plan)
+        run_jobs(topo, dags, &mut FullRecompute(policy), &config)
     } else {
-        run_jobs_faulted(topo, dags, policy, plan)
+        run_jobs(topo, dags, policy, &config)
     }
 }
 

@@ -12,11 +12,11 @@ use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::hybrid::{build_hybrid, HybridConfig};
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{run_job, run_jobs};
+use echelonflow::paradigms::runtime::run_jobs;
 use echelonflow::paradigms::tp::build_tp;
 use echelonflow::simnet::fattree::FatTree;
 use echelonflow::simnet::ids::NodeId;
-use echelonflow::simnet::runner::MaxMinPolicy;
+use echelonflow::simnet::runner::{MaxMinPolicy, RunConfig};
 
 fn fabric() -> echelonflow::simnet::topology::Topology {
     FatTree::new(4).with_oversubscription(4.0).build_fabric()
@@ -83,7 +83,7 @@ fn all_paradigms_run_cross_pod() {
     ];
     let dag_refs: Vec<&_> = dags.iter().collect();
     let mut policy = SchedulerKind::Echelon.policy(&dag_refs);
-    let out = run_jobs(&topo, &dag_refs, policy.as_mut());
+    let out = run_jobs(&topo, &dag_refs, policy.as_mut(), &RunConfig::default());
     for job in 0..4u32 {
         assert!(
             out.job_makespans.contains_key(&JobId(job)),
@@ -112,7 +112,7 @@ fn hybrid_rack_aware_on_fattree() {
     let mut alloc = IdAlloc::new();
     let dag = build_hybrid(JobId(0), &cfg, &mut alloc);
 
-    let fair = run_job(&topo, &dag, &mut MaxMinPolicy);
+    let fair = run_jobs(&topo, &[&dag], &mut MaxMinPolicy, &RunConfig::default());
     // EchelonMadd is a heuristic for an NP-hard problem (Property 3):
     // strict group-priority service can interact badly with the chained
     // ring-all-reduce stages. On this fabric EDF finishes at 18.0 and
@@ -120,7 +120,7 @@ fn hybrid_rack_aware_on_fattree() {
     // through one core link made EDF trail by one compute unit (25 vs
     // 24). Bound the gap rather than hiding the instance.
     let mut policy = SchedulerKind::Echelon.policy(&[&dag]);
-    let echelon = run_job(&topo, &dag, policy.as_mut());
+    let echelon = run_jobs(&topo, &[&dag], policy.as_mut(), &RunConfig::default());
     let gap = echelon.comp_finish_time().secs() / fair.comp_finish_time().secs();
     assert!(
         gap <= 1.1,
@@ -163,7 +163,7 @@ fn coordinator_path_on_fattree() {
         EchelonAgent::from_dag(dag).report_to(&mut coordinator);
     }
     let mut policy = coordinator.into_policy();
-    let out = run_jobs(&topo, &dag_refs, &mut policy);
+    let out = run_jobs(&topo, &dag_refs, &mut policy, &RunConfig::default());
     assert!(out.job_makespans[&JobId(0)].secs() > 0.0);
     assert!(out.job_makespans[&JobId(1)].secs() > 0.0);
     assert!(policy.decisions_computed() > 0);

@@ -13,8 +13,9 @@ use echelonflow::paradigms::config::PpConfig;
 use echelonflow::paradigms::dag::CompKind;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::{run_job, RunResult};
+use echelonflow::paradigms::runtime::{run_jobs, RunResult};
 use echelonflow::simnet::ids::NodeId;
+use echelonflow::simnet::runner::RunConfig;
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
@@ -31,9 +32,10 @@ fn forward_finish(out: &RunResult) -> SimTime {
 
 fn fig2_run(kind: SchedulerKind) -> RunResult {
     let topo = Topology::chain(2, 1.0);
+    let config = RunConfig::default();
     let mut alloc = IdAlloc::new();
     let dag = build_pp_gpipe(JobId(0), &PpConfig::fig2(), &mut alloc);
-    run_job(&topo, &dag, kind.policy(&[&dag]).as_mut())
+    run_jobs(&topo, &[&dag], kind.policy(&[&dag]).as_mut(), &config)
 }
 
 #[test]

@@ -16,11 +16,17 @@ use echelonflow::simnet::flow::{FlowCompletion, FlowDemand};
 use echelonflow::simnet::fluid::FluidNetwork;
 use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
 use echelonflow::simnet::runner::{
-    run_flows, run_flows_faulted, FullRecompute, MaxMinPolicy, PodMaxMinPolicy, RatePolicy,
+    run_flows, MaxMinPolicy, PodMaxMinPolicy, RatePolicy, RunConfig,
 };
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 use echelonflow::simnet::trace::{FlowTrace, TraceEventKind};
+
+// Only `plain_or_full` is used here; the rest serves the differential
+// suites.
+#[allow(dead_code)]
+mod support;
+use support::plain_or_full;
 
 /// A static demand set that can drain same-instant cohorts either the
 /// normal way (everything due releases in one call — one coalesced
@@ -120,22 +126,8 @@ fn run_cohorts(
     batch: bool,
 ) -> (DriveOutcome, Vec<FlowCompletion>) {
     let mut source = CohortSource::new(demands, batch);
-    let outcome = drive(topo, &mut source, policy);
+    let outcome = drive(topo, &mut source, policy, &RunConfig::default());
     (outcome, source.completed)
-}
-
-/// Runs `run` on `policy` plain, or wrapped in `FullRecompute` when
-/// `full`.
-fn plain_or_full<R>(
-    full: bool,
-    policy: &mut dyn RatePolicy,
-    run: impl FnOnce(&mut dyn RatePolicy) -> R,
-) -> R {
-    if full {
-        run(&mut FullRecompute(policy))
-    } else {
-        run(policy)
-    }
 }
 
 /// Batched draining must be invisible in every outcome: completions
@@ -275,6 +267,7 @@ fn alloc_batches_account_for_every_drained_event() {
         .with(SimTime::new(1.05), FaultKind::LinkDown(ResourceId(7)))
         .with(SimTime::new(1.2), FaultKind::CoordinatorUp)
         .with(SimTime::new(1.4), FaultKind::LinkRestore(ResourceId(7)));
+    let config = RunConfig::from(plan);
     for seed in 0..6u64 {
         let demands = cohort_demands(seed, 6, 3, 5);
         let n = demands.len();
@@ -285,7 +278,7 @@ fn alloc_batches_account_for_every_drained_event() {
             "batch denominator accounting broke for seed {seed}"
         );
 
-        let faulted = run_flows_faulted(&topo, demands, &mut MaxMinPolicy, &plan);
+        let faulted = run_flows(&topo, demands, &mut MaxMinPolicy, &config);
         let stats = faulted.drive_stats();
         assert_eq!(
             stats.fault_events, 6,
@@ -337,7 +330,7 @@ fn same_instant_heavy_denominators_count_batches_not_events() {
     let n = demands.len();
     for full in [false, true] {
         let out = plain_or_full(full, &mut PodMaxMinPolicy::new(), |p| {
-            run_flows(&fabric, demands.clone(), p)
+            run_flows(&fabric, demands.clone(), p, &RunConfig::default())
         });
         let stats = out.drive_stats();
         assert_eq!(out.completions().len(), n);

@@ -17,7 +17,7 @@ use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::{FluidNetwork, NextCompletionMode};
 use echelonflow::simnet::ids::{FlowId, NodeId};
-use echelonflow::simnet::runner::{run_flows, FlowOutcomes, MaxMinPolicy, RatePolicy};
+use echelonflow::simnet::runner::{run_flows, FlowOutcomes, MaxMinPolicy, RatePolicy, RunConfig};
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
@@ -93,7 +93,7 @@ fn all_policies_conserve_bytes() {
             Box::new(EchelonMadd::new(echelon_over(&demands))),
         ];
         for mut p in policies {
-            let out = run_flows(&topo, demands.clone(), p.as_mut());
+            let out = run_flows(&topo, demands.clone(), p.as_mut(), &RunConfig::default());
             check_all_finished(&demands, &out);
         }
     }
@@ -116,7 +116,7 @@ fn makespan_bounded_by_load() {
         // one unit-capacity resource.
         let bound = last_release + total + 1e-6;
         let mut policy = EchelonMadd::new(echelon_over(&demands));
-        let out = run_flows(&topo, demands.clone(), &mut policy);
+        let out = run_flows(&topo, demands.clone(), &mut policy, &RunConfig::default());
         assert!(
             out.makespan().secs() <= bound,
             "seed {seed}: makespan {:?} above bound {bound}",
@@ -134,8 +134,8 @@ fn runs_are_deterministic() {
         let topo = Topology::big_switch_uniform(HOSTS as usize, 1.0);
         let mut p1 = EchelonMadd::new(echelon_over(&demands));
         let mut p2 = EchelonMadd::new(echelon_over(&demands));
-        let a = run_flows(&topo, demands.clone(), &mut p1);
-        let b = run_flows(&topo, demands.clone(), &mut p2);
+        let a = run_flows(&topo, demands.clone(), &mut p1, &RunConfig::default());
+        let b = run_flows(&topo, demands.clone(), &mut p2, &RunConfig::default());
         assert_eq!(a.trace().events(), b.trace().events(), "seed {seed}");
     }
 }
@@ -160,11 +160,11 @@ fn coflow_embedding_preserves_cct() {
         let mut varys = EchelonMadd::new(vec![coflow.into_echelon()])
             .with_inter(InterOrder::LeastWork)
             .with_backfill(false);
-        let via_varys = run_flows(&topo, demands.clone(), &mut varys);
+        let via_varys = run_flows(&topo, demands.clone(), &mut varys, &RunConfig::default());
         let h =
             EchelonFlow::from_flows(EchelonId(0), JobId(0), flows.clone(), ArrangementFn::Coflow);
         let mut echelon = EchelonMadd::new(vec![h]).with_backfill(false);
-        let via_echelon = run_flows(&topo, demands.clone(), &mut echelon);
+        let via_echelon = run_flows(&topo, demands.clone(), &mut echelon, &RunConfig::default());
 
         let cct = |out: &FlowOutcomes| {
             flows
@@ -266,6 +266,7 @@ fn remaining_bytes_never_negative_under_tiny_steps() {
 /// classic scheduling fact, as a cross-check of the substrate).
 #[test]
 fn srpt_mean_fct_beats_fifo() {
+    let config = RunConfig::default();
     for seed in 0..CASES {
         let mut rng = DetRng::seed_from_u64(seed);
         let n = rng.usize_range_inclusive(2, 5);
@@ -281,8 +282,8 @@ fn srpt_mean_fct_beats_fifo() {
                 )
             })
             .collect();
-        let srpt = run_flows(&topo, demands.clone(), &mut SrptPolicy);
-        let fifo = run_flows(&topo, demands, &mut FifoPolicy);
+        let srpt = run_flows(&topo, demands.clone(), &mut SrptPolicy, &config);
+        let fifo = run_flows(&topo, demands, &mut FifoPolicy, &config);
         assert!(
             srpt.mean_fct() <= fifo.mean_fct() + 1e-9,
             "seed {seed}: srpt {} vs fifo {}",

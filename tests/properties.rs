@@ -18,7 +18,7 @@ use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::sched::optimal::{optimal_schedule, Objective};
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::ids::{FlowId, NodeId};
-use echelonflow::simnet::runner::run_flows;
+use echelonflow::simnet::runner::{run_flows, RunConfig};
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 use std::collections::BTreeMap;
@@ -61,7 +61,7 @@ fn property1_pipeline_matches_optimal_max_tardiness() {
         ArrangementFn::Staggered { gap: 1.0 },
     );
     let mut policy = EchelonMadd::new(vec![h]);
-    let out = run_flows(&topo, demands, &mut policy);
+    let out = run_flows(&topo, demands, &mut policy, &RunConfig::default());
     let achieved = deadlines
         .iter()
         .map(|(id, d)| out.finish(*id).unwrap() - *d)
@@ -93,7 +93,7 @@ fn property1_coflow_instance_matches_optimal_makespan() {
         ArrangementFn::Coflow,
     );
     let mut policy = EchelonMadd::new(vec![h]);
-    let out = run_flows(&topo, demands, &mut policy);
+    let out = run_flows(&topo, demands, &mut policy, &RunConfig::default());
     assert!(
         (out.makespan().secs() - best.best_value).abs() < 1e-9,
         "echelon {} vs optimal {}",
@@ -121,11 +121,11 @@ fn property2_coflow_embedding_matches_varys() {
     let mut varys = EchelonMadd::new(vec![coflow.into_echelon()])
         .with_inter(InterOrder::LeastWork)
         .with_backfill(false);
-    let via_varys = run_flows(&topo, demands.clone(), &mut varys);
+    let via_varys = run_flows(&topo, demands.clone(), &mut varys, &RunConfig::default());
 
     let h = EchelonFlow::from_flows(EchelonId(0), JobId(0), flows.clone(), ArrangementFn::Coflow);
     let mut echelon = EchelonMadd::new(vec![h]).with_backfill(false);
-    let via_echelon = run_flows(&topo, demands, &mut echelon);
+    let via_echelon = run_flows(&topo, demands, &mut echelon, &RunConfig::default());
 
     // From t = 1 the coflow's bottleneck is host 3's ingress, holding
     // 1.2 + 0.8 bytes, so Γ = 2 and every flow finishes at 3.
@@ -178,7 +178,7 @@ fn property4_metric_swap_preserves_group_completions() {
     let mut echelon = EchelonMadd::new(echelons)
         .with_inter(InterOrder::LeastWork)
         .with_backfill(false);
-    let out = run_flows(&topo, demands, &mut echelon);
+    let out = run_flows(&topo, demands, &mut echelon, &RunConfig::default());
 
     // Group-level metric: the completion time of each group (its last
     // flow).

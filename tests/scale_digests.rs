@@ -15,9 +15,7 @@ use echelonflow::simnet::fault::{FaultKind, FaultPlan};
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::fluid::NextCompletionMode;
 use echelonflow::simnet::ids::{FlowId, NodeId, ResourceId};
-use echelonflow::simnet::runner::{
-    run_flows_faulted_configured, FlowOutcomes, PodMaxMinPolicy, RecomputeMode,
-};
+use echelonflow::simnet::runner::{run_flows, FlowOutcomes, PodMaxMinPolicy, RunConfig};
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
@@ -159,21 +157,17 @@ fn assert_pinned(spec: ScaleSpec, pinned: &str) {
     let plan = churn_plan(&topo, spec.k, span, spec.churn_pairs);
     let run = |profile: bool| {
         let mut policy = PodMaxMinPolicy::new();
-        let config = DriveConfig {
-            next_completion: NextCompletionMode::Calendar,
-            feasibility_checks: false,
-            trace: false,
-            profile,
-            link_stats: false,
+        let config = RunConfig {
+            faults: plan.clone(),
+            drive: DriveConfig {
+                next_completion: NextCompletionMode::Calendar,
+                feasibility_checks: false,
+                trace: false,
+                profile,
+                link_stats: false,
+            },
         };
-        run_flows_faulted_configured(
-            &topo,
-            demands.clone(),
-            &mut policy,
-            RecomputeMode::Incremental,
-            &plan,
-            config,
-        )
+        run_flows(&topo, demands.clone(), &mut policy, &config)
     };
     let timed = run(false);
     assert_eq!(timed.completions().len(), demands.len(), "flows lost");

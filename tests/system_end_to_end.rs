@@ -15,6 +15,7 @@ use echelonflow::paradigms::pp::build_pp_gpipe;
 use echelonflow::paradigms::runtime::run_jobs;
 use echelonflow::sched::echelon::EchelonMadd;
 use echelonflow::simnet::ids::NodeId;
+use echelonflow::simnet::runner::RunConfig;
 use echelonflow::simnet::topology::Topology;
 
 /// Two pipelines on disjoint workers whose stage-to-stage traffic shares
@@ -51,7 +52,7 @@ fn agents_to_coordinator_to_queues() {
     }
     assert_eq!(coordinator.registered_count(), 4); // 2 jobs × 2 directions
     let mut enforced = QueueEnforcedPolicy::new(coordinator.into_policy(), QueueConfig::default());
-    let system = run_jobs(&topo, &dag_refs, &mut enforced);
+    let system = run_jobs(&topo, &dag_refs, &mut enforced, &RunConfig::default());
 
     // All jobs complete, queue assignments happened.
     assert!(system.job_makespans.contains_key(&JobId(0)));
@@ -72,10 +73,10 @@ fn system_close_to_idealized_direct_scheduling() {
         EchelonAgent::from_dag(dag).report_to(&mut coordinator);
     }
     let mut enforced = QueueEnforcedPolicy::new(coordinator.into_policy(), QueueConfig::default());
-    let system = run_jobs(&topo, &dag_refs, &mut enforced);
+    let system = run_jobs(&topo, &dag_refs, &mut enforced, &RunConfig::default());
 
     let mut direct = EchelonMadd::new(dags.iter().flat_map(|d| d.echelons.clone()).collect());
-    let ideal = run_jobs(&topo, &dag_refs, &mut direct);
+    let ideal = run_jobs(&topo, &dag_refs, &mut direct, &RunConfig::default());
 
     // Queue quantization costs at most a modest slowdown per job. (A
     // single job may even finish *earlier* than under exact rates — the
@@ -115,7 +116,7 @@ fn interval_scheduling_trades_decisions_for_quality() {
             EchelonAgent::from_dag(dag).report_to(&mut coordinator);
         }
         let mut policy = coordinator.into_policy();
-        let out = run_jobs(&topo, &dag_refs, &mut policy);
+        let out = run_jobs(&topo, &dag_refs, &mut policy, &RunConfig::default());
         (out, policy.decisions_computed())
     };
 
@@ -150,7 +151,9 @@ fn fewer_queues_degrade_monotonically_in_the_limit() {
             coordinator.into_policy(),
             QueueConfig { queues, ratio: 2.0 },
         );
-        run_jobs(&topo, &dag_refs, &mut enforced).makespan.secs()
+        run_jobs(&topo, &dag_refs, &mut enforced, &RunConfig::default())
+            .makespan
+            .secs()
     };
 
     let one = run_with(1);

@@ -16,9 +16,10 @@ use echelonflow::paradigms::dp::{build_dp_allreduce, build_dp_ps};
 use echelonflow::paradigms::fsdp::build_fsdp;
 use echelonflow::paradigms::ids::IdAlloc;
 use echelonflow::paradigms::pp::build_pp_gpipe;
-use echelonflow::paradigms::runtime::run_job;
+use echelonflow::paradigms::runtime::run_jobs;
 use echelonflow::paradigms::tp::build_tp;
 use echelonflow::simnet::ids::NodeId;
+use echelonflow::simnet::runner::RunConfig;
 use echelonflow::simnet::topology::Topology;
 
 fn comp_finish(
@@ -26,7 +27,8 @@ fn comp_finish(
     topo: &Topology,
     kind: SchedulerKind,
 ) -> f64 {
-    run_job(topo, dag, kind.policy(&[dag]).as_mut())
+    let config = RunConfig::default();
+    run_jobs(topo, &[dag], kind.policy(&[dag]).as_mut(), &config)
         .comp_finish_time()
         .secs()
 }

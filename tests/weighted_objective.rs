@@ -14,7 +14,7 @@ use echelonflow::core::{EchelonId, JobId};
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder};
 use echelonflow::simnet::flow::FlowDemand;
 use echelonflow::simnet::ids::{FlowId, NodeId};
-use echelonflow::simnet::runner::run_flows;
+use echelonflow::simnet::runner::{run_flows, RunConfig};
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 use std::collections::BTreeMap;
@@ -53,7 +53,7 @@ fn weighted_objective(h0: &EchelonFlow, h1: &EchelonFlow, w0: f64, w1: f64) -> f
     let topo = Topology::chain(2, 1.0);
     let mut policy = EchelonMadd::new(vec![pipeline(0, 0, 0, w0), pipeline(1, 1, 10, w1)])
         .with_inter(InterOrder::MostTardy);
-    let out = run_flows(&topo, demands(), &mut policy);
+    let out = run_flows(&topo, demands(), &mut policy, &RunConfig::default());
     let finishes: BTreeMap<FlowId, SimTime> = out
         .completions()
         .iter()
@@ -83,7 +83,7 @@ fn weights_steer_the_most_tardy_ordering() {
     let mut uniform_policy =
         EchelonMadd::new(vec![pipeline(0, 0, 0, 1.0), pipeline(1, 1, 10, 1.0)])
             .with_inter(InterOrder::MostTardy);
-    let out = run_flows(&topo, demands(), &mut uniform_policy);
+    let out = run_flows(&topo, demands(), &mut uniform_policy, &RunConfig::default());
     let finishes: BTreeMap<FlowId, SimTime> = out
         .completions()
         .iter()
@@ -111,7 +111,7 @@ fn heavy_group_finishes_first_under_most_tardy() {
         pipeline(1, 1, 10, 8.0), // heavy
     ])
     .with_inter(InterOrder::MostTardy);
-    let out = run_flows(&topo, demands(), &mut policy);
+    let out = run_flows(&topo, demands(), &mut policy, &RunConfig::default());
     // The heavy group's last flow beats the light group's last flow.
     let light_last = out.finish(FlowId(2)).unwrap();
     let heavy_last = out.finish(FlowId(12)).unwrap();
