@@ -23,8 +23,9 @@
 //! - [`churn`] — seeded fault-plan generation (link flaps, degradations,
 //!   coordinator outages, stragglers) for the capacity-churn experiments.
 //! - [`service`] — the open-loop service runner: streaming job arrivals
-//!   through a bounded admission queue, scheduler-book eviction of
-//!   completed jobs, and the open≡closed replay differential.
+//!   through a bounded admission queue, placement and compilation at
+//!   admission, scheduler-book eviction of completed jobs, and the
+//!   open≡closed differential that shows eviction changes nothing.
 
 pub mod churn;
 pub mod metrics;

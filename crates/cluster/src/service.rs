@@ -1,5 +1,5 @@
-//! Open-loop service runner: streaming admission, bounded scheduler
-//! memory, and a closed-loop replay differential.
+//! Open-loop service runner: streaming admission, admission-time
+//! placement, bounded scheduler memory, and an eviction differential.
 //!
 //! The batch entry points in [`crate::scenario`] materialize every job
 //! up front and register every flow group with the scheduler before the
@@ -7,13 +7,14 @@
 //! service model where jobs arrive forever. This module runs the same
 //! fluid simulation *open loop*:
 //!
-//! - a [`ServiceFeed`] pulls jobs lazily from a
+//! - a [`ServiceFeed`] pulls job specs lazily from a
 //!   [`JobStream`] (one-job lookahead — the
 //!   next arrival time is only known once the job is generated), parks
-//!   arrivals whose pre-assigned hosts are busy in a bounded pending
-//!   queue, and admits them in `(tenant tier, arrival)` order with
-//!   backfill — re-scanning that queue only after an arrival or a
-//!   retirement could change the outcome;
+//!   arrivals in a bounded pending queue, and admits them in
+//!   `(tenant tier, arrival)` order with backfill: each admitted job is
+//!   placed on free hosts by the configured policy and compiled then,
+//!   and the queue is re-scanned only after an arrival or a retirement
+//!   could change the outcome;
 //! - a [`ServicePolicy`] runs the scheduler and forwards job
 //!   [`Lifecycle`] events from a shared bus. Its grouped schedulers are
 //!   the paper's global coordinator ([`CoordinatedPolicy`], §5): echelon
@@ -36,17 +37,15 @@
 //! the next allocation, and a retirement is evicted right after it, once
 //! that allocation has applied the departure delta of the group's last
 //! flows (see [`CoordinatedPolicy::retire`]). The module's differential
-//! check makes the invariant executable — [`ServiceMode::Streaming`]
-//! (lazy generation, incremental register/retire) and
-//! [`ServiceMode::Materialized`] (same arrivals pre-generated, every
-//! group registered up front, nothing ever evicted) must produce
-//! bit-identical completion digests.
+//! check makes the eviction half executable — [`ServiceMode::Streaming`]
+//! (groups evicted on retirement) and [`ServiceMode::Materialized`] (the
+//! same admissions, nothing ever evicted) must produce bit-identical
+//! completion digests.
 
 use crate::placement::{placer_for, HostPool, PlacementRequest, Placer};
 use crate::scenario::SchedulerKind;
 use crate::workload::{
-    compile_job, probe_phase_gap, JobStream, OpenLoopConfig, ParadigmKind, ServicePlacement,
-    StreamJob,
+    compile_job, probe_phase_gap, JobStream, OpenLoopConfig, ServicePlacement, StreamJob,
 };
 use echelon_agent::coordinator::CoordinatedPolicy;
 use echelon_core::coflow::Coflow;
@@ -86,15 +85,16 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How a service run ([`service_parts`]) sources jobs and manages
-/// scheduler state.
+/// Which coordinator a service run ([`service_parts`]) gets. Both modes
+/// run the same streamed feed, so they admit, place and compile the
+/// same jobs at the same times; they differ only in eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceMode {
-    /// Lazy generation; flow groups registered on admission and evicted
-    /// on retirement (the open-loop service proper).
+    /// Flow groups registered on admission and evicted on retirement
+    /// (the open-loop service proper).
     Streaming,
-    /// All jobs pre-generated, every flow group registered up front,
-    /// nothing evicted (the closed-loop replay reference).
+    /// Flow groups registered on admission and never evicted: the
+    /// reference the evicting run must match bit for bit.
     Materialized,
 }
 
@@ -131,84 +131,59 @@ pub struct JobRecord {
     pub tenant: usize,
     /// Offered arrival time.
     pub arrival: f64,
-    /// When the job's hosts freed up and it entered the cluster
+    /// When the placer found the job hosts and it entered the cluster
     /// (`None`: rejected, or the run ended first).
     pub admitted_at: Option<f64>,
     /// When the job's last unit finished (`None`: never completed).
     pub finished_at: Option<f64>,
-    /// True if the pending queue was full at arrival.
+    /// True if the job was turned away at arrival, never parked and
+    /// never admitted: either the pending queue was full, or the job
+    /// needs more hosts than the cluster has, so no placement could
+    /// ever hold it.
     pub rejected: bool,
-    /// The job's EchelonFlow groups, retained for tardiness metrics
-    /// after the scheduler has evicted them. Filled at admission when
-    /// placement (and thus compilation) is deferred.
+    /// The job's EchelonFlow groups, filled at admission and retained
+    /// for tardiness metrics after the scheduler has evicted them.
     pub echelons: Vec<EchelonFlow>,
-    /// Hosts the job ran on: its fixed set, or — under admission-time
-    /// placement — whatever the placer chose (empty until admitted).
+    /// Hosts the placer chose (empty until admitted).
     pub hosts: Vec<NodeId>,
 }
 
-/// A generated job waiting for its hosts to free (fixed placement) or
-/// for the placer to find it hosts (admission-time placement, where
-/// `dag` is `None` and `hosts` empty until admission places and compiles
-/// it).
+/// A job spec parked until the placer finds it hosts.
 struct PendingJob {
-    job: JobId,
-    dag: Option<JobDag>,
-    kind: ParadigmKind,
-    demand: usize,
-    comp_scale: f64,
-    bytes_scale: f64,
+    spec: StreamJob,
     /// Profiled communication period, computed once at arrival when the
     /// placer wants it (admission retries reuse it).
     phase_gap: Option<f64>,
-    hosts: Vec<NodeId>,
 }
 
 /// Admission-time placement state: the pool is reset from the runtime's
 /// claimed set at the start of every admission pass and claims each
-/// placement the pass makes, the placer carries cross-job
-/// memory (pod residents, link loads), and the feed-owned allocator
-/// issues ids in admission order — identical in both service modes,
-/// which is what keeps the open≡closed differential alive with deferred
-/// placement.
+/// placement the pass makes, the placer carries cross-job memory (pod
+/// residents, link loads), and the feed-owned allocator issues ids in
+/// admission order, so both service modes, which admit identically,
+/// compile identical DAGs.
 struct AdmissionPlacer {
     topo: Topology,
     pool: HostPool,
     placer: Box<dyn Placer>,
     alloc: IdAlloc,
+    /// Cluster size: a job that needs more hosts can never be placed.
+    hosts: usize,
     iterations: usize,
 }
 
 impl AdmissionPlacer {
-    /// Builds the admission-time placement state when `cfg` asks for it
-    /// (`None` for fixed placement).
-    fn from_config(topo: &Topology, cfg: &OpenLoopConfig) -> Option<AdmissionPlacer> {
-        let ServicePlacement::AtAdmission(policy) = cfg.placement else {
-            return None;
-        };
+    fn new(topo: &Topology, cfg: &OpenLoopConfig) -> AdmissionPlacer {
+        let ServicePlacement::AtAdmission(policy) = cfg.placement;
         let pool = HostPool::on_topology(cfg.hosts, topo)
             .unwrap_or_else(|e| panic!("service host pool: {e}"));
-        Some(AdmissionPlacer {
+        AdmissionPlacer {
             topo: topo.clone(),
             pool,
             placer: placer_for(policy),
             alloc: IdAlloc::new(),
+            hosts: cfg.hosts,
             iterations: cfg.iterations,
-        })
-    }
-}
-
-enum JobSourceIter {
-    Stream(Box<JobStream>),
-    Batch(std::vec::IntoIter<StreamJob>),
-}
-
-impl Iterator for JobSourceIter {
-    type Item = StreamJob;
-    fn next(&mut self) -> Option<StreamJob> {
-        match self {
-            JobSourceIter::Stream(s) => s.next(),
-            JobSourceIter::Batch(b) => b.next(),
         }
     }
 }
@@ -216,13 +191,19 @@ impl Iterator for JobSourceIter {
 /// The open-loop admission gate: an incremental [`JobFeed`] over a job
 /// stream with a bounded pending queue and tier-priority admission.
 ///
+/// Each arrival is parked, unless the queue is full or the job needs
+/// more hosts than the cluster has: such an arrival is rejected, which
+/// its [`JobRecord::rejected`] and [`ServiceFeed::rejected_per_tenant`]
+/// record, and never admitted. An admission pass places parked jobs on
+/// the hosts the runtime has not claimed, in `(tenant tier, arrival)`
+/// order, and compiles each placed job then.
+///
 /// Both service modes run through this same gate — the only difference
-/// is whether jobs are generated lazily and whether a [`LifecycleBus`]
-/// carries register/evict events to the scheduler. That is what makes
+/// is whether the scheduler evicts retired groups. That is what makes
 /// the open≡closed differential meaningful: admission decisions are
 /// shared by construction, so any divergence is the scheduler's.
 pub struct ServiceFeed {
-    jobs: JobSourceIter,
+    jobs: Box<dyn Iterator<Item = StreamJob>>,
     /// One generated-but-not-yet-due job (the stream must be pulled to
     /// learn the next arrival time).
     lookahead: Option<StreamJob>,
@@ -248,64 +229,25 @@ pub struct ServiceFeed {
     retire_ids: BTreeMap<JobId, (Vec<EchelonId>, Vec<EchelonId>)>,
     rejected_per_tenant: Vec<usize>,
     bus: Option<LifecycleBus>,
-    placement: Option<AdmissionPlacer>,
+    placement: AdmissionPlacer,
 }
 
 impl ServiceFeed {
     /// Streaming feed over `cfg`'s lazily generated job stream on
-    /// `topo`, publishing lifecycle events to `bus` when given one. When
-    /// `cfg` defers placement to admission, the feed places each job from
-    /// the free-host set using the configured policy and compiles it then.
+    /// `topo`, publishing lifecycle events to `bus` when given one. The
+    /// feed places each job from the free-host set with `cfg`'s policy
+    /// when it admits it, and compiles it then.
     pub fn streaming_on(
         topo: &Topology,
         cfg: OpenLoopConfig,
         service: &ServiceConfig,
         bus: Option<LifecycleBus>,
     ) -> ServiceFeed {
-        let placement = AdmissionPlacer::from_config(topo, &cfg);
+        let placement = AdmissionPlacer::new(topo, &cfg);
         let tenants = cfg.tenants.len();
         ServiceFeed::over(
-            JobSourceIter::Stream(Box::new(JobStream::new(cfg))),
+            Box::new(JobStream::new(cfg)),
             tenants,
-            service,
-            bus,
-            placement,
-        )
-    }
-
-    /// Replay feed over pre-generated jobs (no lifecycle events: the
-    /// closed-loop reference registers everything up front). Fixed
-    /// placement only — use [`ServiceFeed::materialized_on`] for
-    /// deferred-placement replays.
-    pub fn materialized(
-        jobs: Vec<StreamJob>,
-        tenants: usize,
-        service: &ServiceConfig,
-    ) -> ServiceFeed {
-        ServiceFeed::over(
-            JobSourceIter::Batch(jobs.into_iter()),
-            tenants,
-            service,
-            None,
-            None,
-        )
-    }
-
-    /// [`ServiceFeed::materialized`] on an explicit topology, placing
-    /// deferred jobs at admission exactly as the streaming feed would
-    /// (lifecycle events flow through `bus` so the scheduler learns the
-    /// groups when they first exist).
-    pub fn materialized_on(
-        topo: &Topology,
-        jobs: Vec<StreamJob>,
-        cfg: &OpenLoopConfig,
-        service: &ServiceConfig,
-        bus: Option<LifecycleBus>,
-    ) -> ServiceFeed {
-        let placement = AdmissionPlacer::from_config(topo, cfg);
-        ServiceFeed::over(
-            JobSourceIter::Batch(jobs.into_iter()),
-            cfg.tenants.len(),
             service,
             bus,
             placement,
@@ -313,11 +255,11 @@ impl ServiceFeed {
     }
 
     fn over(
-        mut jobs: JobSourceIter,
+        mut jobs: Box<dyn Iterator<Item = StreamJob>>,
         tenants: usize,
         service: &ServiceConfig,
         bus: Option<LifecycleBus>,
-        placement: Option<AdmissionPlacer>,
+        placement: AdmissionPlacer,
     ) -> ServiceFeed {
         let lookahead = jobs.next();
         ServiceFeed {
@@ -340,7 +282,8 @@ impl ServiceFeed {
         &self.records
     }
 
-    /// Arrivals rejected because the pending queue was full, per tenant.
+    /// Arrivals rejected per tenant: the pending queue was full, or the
+    /// job needs more hosts than the cluster has.
     pub fn rejected_per_tenant(&self) -> &[usize] {
         &self.rejected_per_tenant
     }
@@ -350,7 +293,7 @@ impl ServiceFeed {
     }
 
     /// Moves every due arrival from the stream into the pending queue,
-    /// rejecting when it is full.
+    /// rejecting it when the queue is full or it could never be placed.
     fn pull_due(&mut self, now: SimTime) {
         while self
             .lookahead
@@ -359,15 +302,8 @@ impl ServiceFeed {
         {
             let job = self.lookahead.take().expect("checked above");
             self.lookahead = self.jobs.next();
-            // The admission scan treats every parked job the feed's way:
-            // fixed jobs by their hosts, deferred ones through the placer.
-            assert_eq!(
-                job.dag.is_none(),
-                self.placement.is_some(),
-                "job {} does not match the feed's placement mode",
-                job.job
-            );
-            let rejected = self.pending.len() >= self.pending_limit;
+            let ap = &self.placement;
+            let rejected = self.pending.len() >= self.pending_limit || job.demand > ap.hosts;
             let record = self.records.len();
             self.record_of.insert(job.job, record);
             self.records.push(JobRecord {
@@ -377,13 +313,8 @@ impl ServiceFeed {
                 admitted_at: None,
                 finished_at: None,
                 rejected,
-                // Deferred jobs have no groups yet; admission fills them.
-                echelons: job
-                    .dag
-                    .as_ref()
-                    .map(|d| d.echelons.clone())
-                    .unwrap_or_default(),
-                hosts: job.hosts.clone(),
+                echelons: Vec::new(),
+                hosts: Vec::new(),
             });
             if rejected {
                 self.rejected_per_tenant[job.tenant] += 1;
@@ -391,29 +322,20 @@ impl ServiceFeed {
             }
             // Profile the spec's communication period once, at arrival,
             // when the placer is phase-aware and will need it.
-            let phase_gap = match &self.placement {
-                Some(ap) if job.dag.is_none() && ap.placer.wants_phase_gap() => {
-                    Some(probe_phase_gap(
-                        job.kind,
-                        job.demand,
-                        job.comp_scale,
-                        job.bytes_scale,
-                        ap.iterations,
-                    ))
-                }
-                _ => None,
-            };
+            let phase_gap = ap.placer.wants_phase_gap().then(|| {
+                probe_phase_gap(
+                    job.kind,
+                    job.demand,
+                    job.comp_scale,
+                    job.bytes_scale,
+                    ap.iterations,
+                )
+            });
             self.pending.insert(
                 (job.tenant, record),
                 PendingJob {
-                    job: job.job,
-                    dag: job.dag,
-                    kind: job.kind,
-                    demand: job.demand,
-                    comp_scale: job.comp_scale,
-                    bytes_scale: job.bytes_scale,
+                    spec: job,
                     phase_gap,
-                    hosts: job.hosts,
                 },
             );
         }
@@ -435,75 +357,51 @@ impl JobFeed for ServiceFeed {
 
     fn admit(&mut self, now: SimTime, claimed: &BTreeSet<NodeId>) -> Vec<JobDag> {
         self.pull_due(now);
-        // Admission scan in `pending` key order (tier, then arrival); a
-        // blocked job does not block later admissible ones (backfill).
-        let mut take: Vec<(usize, usize)> = Vec::new();
-        match &mut self.placement {
-            // Fixed placement: the job waits for its exact hosts.
-            None => {
-                let mut busy: BTreeSet<NodeId> = claimed.clone();
-                for (&key, p) in &self.pending {
-                    if p.hosts.iter().all(|h| !busy.contains(h)) {
-                        busy.extend(p.hosts.iter().copied());
-                        take.push(key);
-                    }
-                }
+        // Admission scan in `pending` key order (tier, then arrival),
+        // choosing hosts from whatever is free right now; an unplaceable
+        // job stays parked (the waitlist outcome) without blocking later
+        // admissible ones (backfill).
+        let ap = &mut self.placement;
+        ap.pool.reset_with_busy(claimed);
+        let mut take: Vec<((usize, usize), Vec<NodeId>)> = Vec::new();
+        for (&key, p) in &self.pending {
+            // The placer's own failure condition, checked without
+            // calling it (a failed call changes nothing).
+            if p.spec.demand > ap.pool.num_free() {
+                continue;
             }
-            // Admission-time placement: choose hosts from whatever is
-            // free right now; an unplaceable job stays parked (the
-            // waitlist outcome) without blocking backfill.
-            Some(ap) => {
-                ap.pool.reset_with_busy(claimed);
-                for (&key, p) in self.pending.iter_mut() {
-                    // The placer's own failure condition, checked without
-                    // calling it (a failed call changes nothing).
-                    if p.demand > ap.pool.num_free() {
-                        continue;
-                    }
-                    let req = PlacementRequest {
-                        job: p.job,
-                        index: key.1,
-                        demand: p.demand,
-                        phase_gap: p.phase_gap,
-                    };
-                    if let Ok(hosts) = ap.placer.place(&req, &ap.pool, &ap.topo) {
-                        ap.pool.claim(&hosts);
-                        p.hosts = hosts;
-                        take.push(key);
-                    }
-                }
+            let req = PlacementRequest {
+                job: p.spec.job,
+                index: key.1,
+                demand: p.spec.demand,
+                phase_gap: p.phase_gap,
+            };
+            if let Ok(hosts) = ap.placer.place(&req, &ap.pool, &ap.topo) {
+                ap.pool.claim(&hosts);
+                take.push((key, hosts));
             }
         }
         self.settled = take.is_empty();
         let mut out = Vec::with_capacity(take.len());
-        for key in take {
+        for (key, hosts) in take {
             let record = key.1;
-            let mut p = self.pending.remove(&key).expect("scanned above");
-            let dag = match p.dag.take() {
-                Some(dag) => dag,
-                None => {
-                    // Compile in admission order with the feed-owned
-                    // allocator: both service modes admit identically,
-                    // so ids — and therefore digests — line up.
-                    let ap = self
-                        .placement
-                        .as_mut()
-                        .expect("deferred jobs park only in a placing feed");
-                    let dag = compile_job(
-                        p.job,
-                        p.kind,
-                        &p.hosts,
-                        p.comp_scale,
-                        p.bytes_scale,
-                        ap.iterations,
-                        &mut ap.alloc,
-                    );
-                    self.records[record].echelons = dag.echelons.clone();
-                    self.records[record].hosts = p.hosts;
-                    dag
-                }
-            };
-            self.records[record].admitted_at = Some(now.secs());
+            let p = self.pending.remove(&key).expect("scanned above").spec;
+            // Compile in admission order with the feed-owned allocator:
+            // both service modes admit identically, so ids — and
+            // therefore digests — line up.
+            let dag = compile_job(
+                p.job,
+                p.kind,
+                &hosts,
+                p.comp_scale,
+                p.bytes_scale,
+                ap.iterations,
+                &mut ap.alloc,
+            );
+            let rec = &mut self.records[record];
+            rec.echelons = dag.echelons.clone();
+            rec.hosts = hosts;
+            rec.admitted_at = Some(now.secs());
             if let Some(bus) = &self.bus {
                 bus.borrow_mut().push_back(Lifecycle::Admitted {
                     echelons: dag.echelons.clone(),
@@ -522,12 +420,10 @@ impl JobFeed for ServiceFeed {
         if let Some(&r) = self.record_of.get(&job) {
             self.records[r].finished_at = Some(now.secs());
         }
-        if let Some(ap) = &mut self.placement {
-            // Drop the job from the placer's cross-job memory; its hosts
-            // free implicitly (the runtime's claimed set shrinks, and the
-            // pool is rebuilt from it on every admission pass).
-            ap.placer.forget(job);
-        }
+        // Drop the job from the placer's cross-job memory; its hosts
+        // free implicitly (the runtime's claimed set shrinks, and the
+        // pool is rebuilt from it on every admission pass).
+        self.placement.placer.forget(job);
         // Freed claims and placer memory can unblock parked jobs.
         self.settled = false;
         let ids = self.retire_ids.remove(&job);
@@ -565,12 +461,11 @@ enum Engine {
 pub struct ServicePolicy {
     kind: SchedulerKind,
     engine: Engine,
-    bus: Option<LifecycleBus>,
-    /// When false, retirements on the bus are dropped: the
-    /// deferred-placement materialized reference registers at admission
-    /// (groups only exist then) but never evicts, so the
-    /// streaming/materialized differential isolates exactly the eviction
-    /// half of the lifecycle.
+    bus: LifecycleBus,
+    /// When false, retirements on the bus are dropped: the non-evicting
+    /// reference registers at admission, like the service, but never
+    /// evicts, so the differential between the two isolates exactly the
+    /// eviction half of the lifecycle.
     evict: bool,
 }
 
@@ -578,32 +473,9 @@ impl ServicePolicy {
     /// Open-loop wrapper for `kind`: group schedulers start *empty* and
     /// learn their groups through `bus`.
     pub fn open(kind: SchedulerKind, bus: LifecycleBus) -> ServicePolicy {
-        ServicePolicy::new(kind, &[], Some(bus))
-    }
-
-    /// Like [`ServicePolicy::open`] but retirement events are ignored:
-    /// groups accumulate forever. This is the closed-loop-like reference
-    /// for admission-time placement, where groups cannot be registered
-    /// up front because the jobs are compiled at admission.
-    pub fn open_no_evict(kind: SchedulerKind, bus: LifecycleBus) -> ServicePolicy {
-        ServicePolicy {
-            evict: false,
-            ..ServicePolicy::open(kind, bus)
-        }
-    }
-
-    /// Closed-loop reference for `kind`: every group of every job
-    /// registered up front, no bus, nothing ever evicted. Jobs must be
-    /// compiled (fixed placement).
-    pub fn closed(kind: SchedulerKind, jobs: &[StreamJob]) -> ServicePolicy {
-        let dags: Vec<&JobDag> = jobs.iter().filter_map(|j| j.dag.as_ref()).collect();
-        ServicePolicy::new(kind, &dags, None)
-    }
-
-    fn new(kind: SchedulerKind, dags: &[&JobDag], bus: Option<LifecycleBus>) -> ServicePolicy {
-        let engine = match kind.coordinator(dags) {
+        let engine = match kind.coordinator(&[]) {
             Some(coordinator) => Engine::Coordinated(Box::new(coordinator)),
-            None => Engine::Plain(kind.policy(dags)),
+            None => Engine::Plain(kind.policy(&[])),
         };
         ServicePolicy {
             kind,
@@ -613,12 +485,21 @@ impl ServicePolicy {
         }
     }
 
+    /// Like [`ServicePolicy::open`] but retirement events are ignored:
+    /// groups accumulate forever. This is the non-evicting reference the
+    /// service must match bit for bit.
+    pub fn open_no_evict(kind: SchedulerKind, bus: LifecycleBus) -> ServicePolicy {
+        ServicePolicy {
+            evict: false,
+            ..ServicePolicy::open(kind, bus)
+        }
+    }
+
     /// Forwards the bus to the coordinator, which registers admitted
     /// groups before this allocation and evicts retired ones right after
     /// it.
     fn drain_bus(&mut self) {
-        let Some(bus) = &self.bus else { return };
-        let mut queue = bus.borrow_mut();
+        let mut queue = self.bus.borrow_mut();
         let Engine::Coordinated(policy) = &mut self.engine else {
             // Per-flow baselines keep no groups.
             queue.clear();
@@ -715,7 +596,8 @@ pub struct ServiceOutcome {
     pub result: RunResult,
     /// One record per offered job, in arrival order.
     pub records: Vec<JobRecord>,
-    /// Arrivals rejected at the full pending queue, per tenant.
+    /// Arrivals rejected per tenant: the pending queue was full, or the
+    /// job needs more hosts than the cluster has.
     pub rejected_per_tenant: Vec<usize>,
     /// Scheduler book high-water mark (0 for bookless baselines). With
     /// eviction this tracks *concurrently live* groups, not the stream
@@ -727,7 +609,7 @@ pub struct ServiceOutcome {
 }
 
 /// FNV-1a digest over a run's flow finish times and job makespans.
-/// Streaming and materialized runs of the same workload must agree.
+/// The evicting and the non-evicting run of the same stream must agree.
 pub fn completion_digest(result: &RunResult) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mix = |h: &mut u64, x: u64| {
@@ -753,8 +635,8 @@ pub fn completion_digest(result: &RunResult) -> u64 {
 ///
 /// The parts [`service_parts`] builds for a stream in either
 /// [`ServiceMode`] produce bit-identical [`ServiceOutcome::digest`]s — the
-/// open≡closed differential that certifies admission gating and group
-/// eviction change no allocation decision.
+/// open≡closed differential that certifies group eviction changes no
+/// allocation decision.
 pub fn run_service(
     topo: &Topology,
     mut feed: ServiceFeed,
@@ -773,7 +655,9 @@ pub fn run_service(
 }
 
 /// The feed and the policy that run `cfg`'s stream as a service in the
-/// given [`ServiceMode`] (see [`run_service`]).
+/// given [`ServiceMode`] (see [`run_service`]): the streamed feed, and on
+/// the same bus a coordinator that evicts retired groups or one that
+/// never does.
 pub fn service_parts(
     topo: &Topology,
     cfg: &OpenLoopConfig,
@@ -782,33 +666,17 @@ pub fn service_parts(
     service_mode: ServiceMode,
 ) -> (ServiceFeed, ServicePolicy) {
     let bus: LifecycleBus = Rc::new(RefCell::new(VecDeque::new()));
-    match service_mode {
-        ServiceMode::Streaming => {
-            let feed = ServiceFeed::streaming_on(topo, cfg.clone(), service, Some(bus.clone()));
-            (feed, ServicePolicy::open(kind, bus))
-        }
-        ServiceMode::Materialized => {
-            let jobs: Vec<StreamJob> = JobStream::new(cfg.clone()).collect();
-            // With deferred placement the groups only exist at admission,
-            // so the reference registers through the bus (like streaming)
-            // but never evicts (like the closed loop): the differential
-            // then isolates the eviction half of the lifecycle.
-            let (policy, bus) = match cfg.placement {
-                ServicePlacement::AtAdmission(_) => {
-                    (ServicePolicy::open_no_evict(kind, bus.clone()), Some(bus))
-                }
-                ServicePlacement::Fixed => (ServicePolicy::closed(kind, &jobs), None),
-            };
-            let feed = ServiceFeed::materialized_on(topo, jobs, cfg, service, bus);
-            (feed, policy)
-        }
-    }
+    let feed = ServiceFeed::streaming_on(topo, cfg.clone(), service, Some(bus.clone()));
+    let policy = match service_mode {
+        ServiceMode::Streaming => ServicePolicy::open(kind, bus),
+        ServiceMode::Materialized => ServicePolicy::open_no_evict(kind, bus),
+    };
+    (feed, policy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::PlacementPolicy;
     use crate::workload::ParadigmKind;
     use echelon_simnet::fattree::FatTree;
     use echelon_simnet::runner::FullRecompute;
@@ -860,27 +728,34 @@ mod tests {
         run_service(t, feed, &mut FullRecompute(&mut policy), plan)
     }
 
-    /// A unit-less job claiming `hosts`: admitted, it retires instantly.
-    fn bare_job(id: u32, hosts: Vec<NodeId>, arrival: f64, tenant: usize) -> StreamJob {
-        let demand = hosts.len();
+    /// A ring all-reduce job spec needing `demand` hosts.
+    fn spec(id: u32, demand: usize, arrival: f64, tenant: usize) -> StreamJob {
         StreamJob {
             job: JobId(id),
-            dag: Some(JobDag {
-                job: JobId(id),
-                comps: BTreeMap::new(),
-                comms: BTreeMap::new(),
-                programs: hosts.iter().map(|h| (*h, Vec::new())).collect(),
-                echelons: Vec::new(),
-                coflows: Vec::new(),
-            }),
             kind: ParadigmKind::DpAllReduce,
             arrival,
             tenant,
-            hosts,
             demand,
             comp_scale: 1.0,
             bytes_scale: 1.0,
         }
+    }
+
+    /// A feed over hand-built `specs` on a `hosts`-host big switch.
+    fn spec_feed(
+        specs: Vec<StreamJob>,
+        hosts: usize,
+        tenants: usize,
+        service: &ServiceConfig,
+    ) -> ServiceFeed {
+        let placement = AdmissionPlacer::new(&topo(hosts), &cfg(0, specs.len(), hosts, 1.0));
+        ServiceFeed::over(
+            Box::new(specs.into_iter()),
+            tenants,
+            service,
+            None,
+            placement,
+        )
     }
 
     #[test]
@@ -959,7 +834,7 @@ mod tests {
             open.peak_book_occupancy,
             total
         );
-        // The closed-loop reference registers everything up front: its
+        // The non-evicting reference keeps every group it registers: its
         // peak IS the stream size. Same completions regardless.
         assert_eq!(closed.peak_book_occupancy, total);
         assert_eq!(open.digest, closed.digest);
@@ -985,18 +860,19 @@ mod tests {
     }
 
     /// A coordinator outage reaches the service's grouped schedulers,
-    /// under fixed and admission-time placement: the window changes
-    /// their completions (agents fall back to fair share), every job
-    /// still finishes, and both differentials hold through it.
+    /// on a big switch and on a fat tree: the window changes their
+    /// completions (agents fall back to fair share), every job still
+    /// finishes, and both differentials hold through it.
     #[test]
     fn coordinator_outage_window_keeps_both_differentials() {
         let plan = FaultPlan::empty()
             .with(SimTime::new(2.0), FaultKind::CoordinatorDown)
             .with(SimTime::new(6.0), FaultKind::CoordinatorUp);
         let tree = FatTree::new(4);
-        let mut placed = cfg(7, 18, tree.hosts(), 0.5);
-        placed.placement = ServicePlacement::AtAdmission(PlacementPolicy::PodPacked);
-        let streams = [(topo(8), cfg(7, 16, 8, 0.6)), (tree.build_fabric(), placed)];
+        let streams = [
+            (topo(8), cfg(7, 16, 8, 0.6)),
+            (tree.build_fabric(), cfg(7, 18, tree.hosts(), 0.5)),
+        ];
         for ((t, c), kind) in streams
             .iter()
             .flat_map(|s| [(s, SchedulerKind::Echelon), (s, SchedulerKind::Coflow)])
@@ -1009,7 +885,7 @@ mod tests {
             let full = run_full(t, c, kind, &plan, ServiceMode::Streaming);
             let closed = run_full(t, c, kind, &plan, ServiceMode::Materialized);
             let calm = run(ServiceMode::Streaming, &FaultPlan::empty());
-            let name = format!("{} {:?}", kind.name(), c.placement);
+            let name = format!("{} on {} hosts", kind.name(), c.hosts);
             assert!(
                 inc.records.iter().all(|r| r.finished_at.is_some()),
                 "{name}: a job never finished"
@@ -1037,10 +913,29 @@ mod tests {
         }
     }
 
+    /// A job that needs more hosts than the cluster has is rejected at
+    /// arrival, never parked, and the run still ends.
+    #[test]
+    fn oversized_job_is_rejected_not_parked() {
+        let mut c = cfg(1, 20, 4, 0.5);
+        c.mix = vec![(ParadigmKind::DpPs, 1.0)];
+        let too_big: Vec<bool> = JobStream::new(c.clone()).map(|j| j.demand > 4).collect();
+        assert!(too_big.contains(&true) && too_big.contains(&false));
+        let out = run(&c, 4, SchedulerKind::Echelon, ServiceMode::Streaming);
+        assert_eq!(out.records.len(), too_big.len());
+        for (r, &big) in out.records.iter().zip(&too_big) {
+            assert_eq!(r.rejected, big, "{}", r.job);
+            assert_eq!(r.admitted_at.is_some(), !big, "{}", r.job);
+            assert_eq!(r.finished_at.is_some(), !big, "{}", r.job);
+        }
+        let rejected: usize = out.rejected_per_tenant.iter().sum();
+        assert_eq!(rejected, too_big.iter().filter(|&&b| b).count());
+    }
+
     #[test]
     fn boundary_arrival_admitted_at_exact_now() {
-        let jobs = vec![bare_job(0, vec![NodeId(0)], 1.5, 0)];
-        let mut feed = ServiceFeed::materialized(jobs, 1, &ServiceConfig::default());
+        let jobs = vec![spec(0, 2, 1.5, 0)];
+        let mut feed = spec_feed(jobs, 2, 1, &ServiceConfig::default());
         assert!(feed.admit(SimTime::new(1.0), &BTreeSet::new()).is_empty());
         let out = feed.admit(SimTime::new(1.5), &BTreeSet::new());
         assert_eq!(
@@ -1053,16 +948,12 @@ mod tests {
 
     #[test]
     fn full_pending_queue_rejects_and_counts() {
-        let jobs = vec![
-            bare_job(0, vec![NodeId(0)], 0.0, 0),
-            bare_job(1, vec![NodeId(0)], 0.0, 1),
-            bare_job(2, vec![NodeId(0)], 0.0, 1),
-        ];
+        let jobs = vec![spec(0, 2, 0.0, 0), spec(1, 2, 0.0, 1), spec(2, 2, 0.0, 1)];
         let svc = ServiceConfig {
             pending_limit: 1,
             ..ServiceConfig::default()
         };
-        let mut feed = ServiceFeed::materialized(jobs, 2, &svc);
+        let mut feed = spec_feed(jobs, 2, 2, &svc);
         let busy: BTreeSet<NodeId> = [NodeId(0)].into();
         assert!(feed.admit(SimTime::new(0.0), &busy).is_empty());
         assert_eq!(feed.rejected_per_tenant(), &[0, 2]);
@@ -1076,13 +967,10 @@ mod tests {
 
     #[test]
     fn higher_tier_preempts_admission_order() {
-        // Tenant 1 arrived first, tenant 0 (higher tier) later; both need
-        // host 0 — the tier wins the scan.
-        let jobs = vec![
-            bare_job(0, vec![NodeId(0)], 0.0, 1),
-            bare_job(1, vec![NodeId(0)], 0.5, 0),
-        ];
-        let mut feed = ServiceFeed::materialized(jobs, 2, &ServiceConfig::default());
+        // Tenant 1 arrived first, tenant 0 (higher tier) later; each
+        // needs the whole two-host cluster — the tier wins the scan.
+        let jobs = vec![spec(0, 2, 0.0, 1), spec(1, 2, 0.5, 0)];
+        let mut feed = spec_feed(jobs, 2, 2, &ServiceConfig::default());
         let busy: BTreeSet<NodeId> = [NodeId(0)].into();
         assert!(feed.admit(SimTime::new(0.0), &busy).is_empty());
         // An empty pass settles the feed until an arrival or retirement.
@@ -1100,11 +988,10 @@ mod tests {
 
     #[test]
     fn blocked_job_does_not_block_backfill() {
-        let jobs = vec![
-            bare_job(0, vec![NodeId(0)], 0.0, 0),
-            bare_job(1, vec![NodeId(1)], 0.0, 0),
-        ];
-        let mut feed = ServiceFeed::materialized(jobs, 1, &ServiceConfig::default());
+        // With one of four hosts claimed, the four-host job waits and
+        // the two-host one behind it is placed.
+        let jobs = vec![spec(0, 4, 0.0, 0), spec(1, 2, 0.0, 0)];
+        let mut feed = spec_feed(jobs, 4, 1, &ServiceConfig::default());
         let busy: BTreeSet<NodeId> = [NodeId(0)].into();
         let out = feed.admit(SimTime::new(0.0), &busy);
         assert_eq!(out.len(), 1);
@@ -1113,23 +1000,5 @@ mod tests {
             JobId(1),
             "job on free host backfills past the blocked one"
         );
-    }
-
-    #[test]
-    fn zero_unit_job_retires_at_admission() {
-        let jobs = vec![bare_job(4, vec![NodeId(2)], 0.25, 0)];
-        let mut feed = ServiceFeed::materialized(jobs, 1, &ServiceConfig::default());
-        let mut policy = ServicePolicy::closed(SchedulerKind::Fair, &[]);
-        let result = run_jobs_fed(
-            &topo(4),
-            &mut feed,
-            &mut policy,
-            &FaultPlan::new(Vec::new()),
-        );
-        assert_eq!(
-            result.job_makespans.get(&JobId(4)),
-            Some(&SimTime::new(0.25))
-        );
-        assert_eq!(feed.records()[0].finished_at, Some(0.25));
     }
 }

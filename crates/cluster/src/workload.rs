@@ -235,10 +235,11 @@ pub fn generate_workload_on(
 }
 
 /// Compiles one sampled job into its [`JobDag`] — the single shared
-/// frontend used by the batch generator and the open-loop [`JobStream`].
-/// `hosts` must have exactly [`hosts_needed`] entries for `kind`; the DAG
-/// is ungated (its arrival is enforced by the service feed's admission,
-/// or by [`delay_start`] in the closed-loop batch).
+/// frontend used by the batch generator and, at admission, by the
+/// open-loop service feed. `hosts` must have exactly [`hosts_needed`]
+/// entries for `kind`; the DAG is ungated (its arrival is enforced by
+/// the service feed's admission, or by [`delay_start`] in the
+/// closed-loop batch).
 pub fn compile_job(
     job: JobId,
     kind: ParadigmKind,
@@ -484,16 +485,13 @@ pub struct TenantSpec {
     pub slo_tardiness: Option<f64>,
 }
 
-/// When and how an open-loop service assigns hosts to jobs.
+/// How an open-loop service assigns hosts to jobs: at admission, by a
+/// [`PlacementPolicy`] over whatever hosts are free then. The stream
+/// emits job specs without hosts or DAGs, and the service feed places
+/// and compiles each job once it admits it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServicePlacement {
-    /// Hosts sampled uniformly at generation time and held fixed;
-    /// admission waits until all of them free (the original behavior,
-    /// and the default — stream digests are unchanged).
-    Fixed,
-    /// Hosts chosen by a [`PlacementPolicy`] at *admission* time, from
-    /// whatever is free then: the stream emits job specs without DAGs
-    /// and the service feed compiles each job once it is placed.
+    /// Hosts chosen by the policy at admission time.
     AtAdmission(PlacementPolicy),
 }
 
@@ -505,8 +503,8 @@ pub struct OpenLoopConfig {
     /// Jobs in the stream (the bounded-horizon termination condition:
     /// the service drains once this many have been offered).
     pub jobs: usize,
-    /// Cluster size; each job's hosts are sampled from `0..hosts` at
-    /// generation time and held fixed (admission waits until they free).
+    /// Cluster size: the service places jobs on hosts `0..hosts`, and a
+    /// job that needs more is rejected at arrival.
     pub hosts: usize,
     /// Mean gap between Poisson arrivals (exponential gaps by inverse
     /// transform).
@@ -518,14 +516,14 @@ pub struct OpenLoopConfig {
     pub tenants: Vec<TenantSpec>,
     /// Training iterations per job.
     pub iterations: usize,
-    /// When hosts are assigned ([`ServicePlacement::Fixed`] preserves
-    /// the historical stream bit-for-bit).
+    /// The admission-time placement policy.
     pub placement: ServicePlacement,
 }
 
 impl OpenLoopConfig {
     /// A three-tier mix (prod with a tight SLO, standard with a loose
-    /// one, SLO-less batch) over every paradigm.
+    /// one, SLO-less batch) over every paradigm, placed pod-packed at
+    /// admission (packed on a fabric without pods).
     pub fn default_tiers(
         seed: u64,
         jobs: usize,
@@ -556,29 +554,23 @@ impl OpenLoopConfig {
                 },
             ],
             iterations: 1,
-            placement: ServicePlacement::Fixed,
+            placement: ServicePlacement::AtAdmission(PlacementPolicy::PodPacked),
         }
     }
 }
 
-/// One job emitted by a [`JobStream`].
+/// One job spec emitted by a [`JobStream`]: what to run, not where. The
+/// service feed places it and compiles its DAG at admission.
 #[derive(Debug, Clone)]
 pub struct StreamJob {
-    /// Job id (also carried by the DAG once one exists).
+    /// Job id.
     pub job: JobId,
-    /// The compiled, ungated DAG (arrival enforced by the admission
-    /// path). `None` under [`ServicePlacement::AtAdmission`]: the
-    /// service feed compiles the job once hosts are chosen.
-    pub dag: Option<JobDag>,
     /// Paradigm used.
     pub kind: ParadigmKind,
     /// Arrival time.
     pub arrival: f64,
     /// Index into [`OpenLoopConfig::tenants`].
     pub tenant: usize,
-    /// The job's fixed host set, sampled at generation time; empty when
-    /// placement is deferred to admission.
-    pub hosts: Vec<NodeId>,
     /// Hosts the job needs ([`hosts_needed`]).
     pub demand: usize,
     /// Computation-time scale drawn for this job.
@@ -601,26 +593,15 @@ fn pick_tenant(rng: &mut DetRng, tenants: &[TenantSpec]) -> usize {
 }
 
 /// A lazy, seeded job generator for open-loop service runs: each call to
-/// [`Iterator::next`] samples and compiles exactly one job, so the memory
-/// held is one job's DAG rather than the whole stream. Collecting the
-/// stream into a `Vec` yields the *identical* jobs (same RNG draws, same
-/// id-allocator sequence) — that is the closed-loop replay of the
-/// differential gate in `cluster::service`.
-///
-/// Under [`ServicePlacement::Fixed`] a job's hosts are sampled
-/// uniformly at generation time (distinct, independent of cluster
-/// occupancy) and admission later waits until all of them are free.
-/// This keeps generation independent of simulation state, which is what
-/// makes streaming and pre-materialized replays bit-identical. Under
-/// [`ServicePlacement::AtAdmission`] the stream emits *specs* — no host
-/// draw, no DAG — and the service feed places and compiles each job at
-/// admission (both replay modes defer identically, so the differential
-/// still holds).
+/// [`Iterator::next`] samples exactly one job spec, and the stream keeps
+/// none of them. It draws no hosts and issues no unit ids: the service
+/// feed places each job from the free set and compiles it, with its own
+/// id allocator, when it admits it. Generation therefore never depends
+/// on simulation state.
 #[derive(Debug)]
 pub struct JobStream {
     cfg: OpenLoopConfig,
     rng: DetRng,
-    alloc: IdAlloc,
     t: f64,
     emitted: usize,
 }
@@ -630,8 +611,7 @@ impl JobStream {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.tenants` is empty, the mix is empty, or the cluster
-    /// is smaller than the largest possible single-job demand.
+    /// Panics if `cfg.tenants` or the mix is empty.
     pub fn new(cfg: OpenLoopConfig) -> JobStream {
         assert!(!cfg.tenants.is_empty(), "open-loop config needs tenants");
         assert!(!cfg.mix.is_empty(), "open-loop config needs a paradigm mix");
@@ -639,15 +619,9 @@ impl JobStream {
         JobStream {
             cfg,
             rng,
-            alloc: IdAlloc::new(),
             t: 0.0,
             emitted: 0,
         }
-    }
-
-    /// Jobs emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
     }
 }
 
@@ -658,10 +632,10 @@ impl Iterator for JobStream {
         if self.emitted == self.cfg.jobs {
             return None;
         }
-        let i = self.emitted;
+        let job = JobId(self.emitted as u32);
         self.emitted += 1;
         // Draw order is part of the determinism contract: kind, workers,
-        // arrival gap, comp scale, bytes scale, tenant, hosts.
+        // arrival gap, comp scale, bytes scale, tenant.
         let kind = pick_kind(&mut self.rng, &self.cfg.mix);
         let workers = match kind {
             ParadigmKind::PpGpipe | ParadigmKind::Pp1f1b => self.rng.usize_range_inclusive(2, 3),
@@ -669,57 +643,15 @@ impl Iterator for JobStream {
         };
         let u: f64 = self.rng.f64_range(1e-12, 1.0);
         self.t += -u.ln() * self.cfg.mean_interarrival;
-        let arrival = self.t;
         let comp_scale = self.rng.f64_range(0.5, 2.0);
         let bytes_scale = self.rng.f64_range(0.5, 2.0);
         let tenant = pick_tenant(&mut self.rng, &self.cfg.tenants);
-        let need = hosts_needed(kind, workers);
-        assert!(
-            need <= self.cfg.hosts,
-            "job needs {need} hosts but the cluster has {}",
-            self.cfg.hosts
-        );
-        let job = JobId(i as u32);
-        if let ServicePlacement::AtAdmission(_) = self.cfg.placement {
-            // Deferred placement: emit the spec only. Neither the host
-            // RNG draws nor the id allocator advance here, so the feed's
-            // admission-time compilation owns the whole id sequence.
-            return Some(StreamJob {
-                job,
-                dag: None,
-                kind,
-                arrival,
-                tenant,
-                hosts: Vec::new(),
-                demand: need,
-                comp_scale,
-                bytes_scale,
-            });
-        }
-        let mut hosts = Vec::with_capacity(need);
-        while hosts.len() < need {
-            let h = NodeId(self.rng.usize_range_inclusive(0, self.cfg.hosts - 1) as u32);
-            if !hosts.contains(&h) {
-                hosts.push(h);
-            }
-        }
-        let dag = compile_job(
-            job,
-            kind,
-            &hosts,
-            comp_scale,
-            bytes_scale,
-            self.cfg.iterations,
-            &mut self.alloc,
-        );
         Some(StreamJob {
             job,
-            dag: Some(dag),
             kind,
-            arrival,
+            arrival: self.t,
             tenant,
-            hosts,
-            demand: need,
+            demand: hosts_needed(kind, workers),
             comp_scale,
             bytes_scale,
         })

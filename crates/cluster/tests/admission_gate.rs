@@ -124,19 +124,15 @@ fn stream<F: JobFeed>(
 }
 
 /// Gated vs every-event admission on an overloaded, DpPs-only stream,
-/// under fixed placement and every admission-time policy: identical
-/// digests, admission times and host sets. DpPs jobs are the case the
+/// under every admission-time policy: identical digests, admission
+/// times and host sets. DpPs jobs are the case the
 /// gate's settle rule is built around — their parameter-server host is
 /// placed but never claimed by the runtime.
 #[test]
 fn gated_admission_matches_every_event_admission() {
     let topo = FatTree::new(4).build_fabric();
-    let placements = std::iter::once(ServicePlacement::Fixed).chain(
-        PlacementPolicy::ALL
-            .iter()
-            .map(|p| ServicePlacement::AtAdmission(p.with_seed(5))),
-    );
-    for placement in placements {
+    for policy in PlacementPolicy::ALL {
+        let placement = ServicePlacement::AtAdmission(policy.with_seed(5));
         let mut cfg = OpenLoopConfig::default_tiers(0xA0D, 40, 16, 0.2);
         cfg.mix = vec![(ParadigmKind::DpPs, 1.0)];
         cfg.placement = placement;

@@ -357,9 +357,9 @@ fn placement_axis_sweep_is_thread_invariant() {
 }
 
 /// Admission-time placement preserves the open≡closed contract: for
-/// every policy, the streamed service, its materialized replay and that
-/// replay through `FullRecompute` land on bit-identical completion
-/// digests.
+/// every policy, the streamed service, its non-evicting reference and
+/// that reference through `FullRecompute` land on bit-identical
+/// completion digests.
 #[test]
 fn at_admission_streaming_matches_materialized_for_every_policy() {
     let topo = FatTree::new(4).build_fabric();
@@ -378,13 +378,13 @@ fn at_admission_streaming_matches_materialized_for_every_policy() {
         assert_eq!(
             open.digest,
             closed.digest,
-            "{}: streamed and materialized runs diverged under deferred placement",
+            "{}: the evicting and the non-evicting runs diverged",
             policy.name()
         );
         assert_eq!(
             open.digest,
             replayed_full.digest,
-            "{}: the replay through FullRecompute diverged",
+            "{}: the reference through FullRecompute diverged",
             policy.name()
         );
         assert!(
@@ -392,41 +392,5 @@ fn at_admission_streaming_matches_materialized_for_every_policy() {
             "{}: an admitted job has no placement",
             policy.name()
         );
-    }
-}
-
-/// The placement knob leaves the fixed-placement stream untouched: both
-/// modes share the per-job draw prefix (kind, arrival, scales, tenant —
-/// witnessed exactly on the first job, before host sampling can shear
-/// the streams apart), the fixed stream still materializes hosts and a
-/// DAG per job, and the deferred stream emits bare specs. Bit-exact
-/// digest preservation for `ServicePlacement::Fixed` is enforced by the
-/// open≡closed differential in the service suite.
-#[test]
-fn deferred_stream_defers_only_the_host_draws() {
-    let fixed_cfg = OpenLoopConfig::default_tiers(0xFEED, 40, 16, 1.2);
-    let mut deferred_cfg = fixed_cfg.clone();
-    deferred_cfg.placement = ServicePlacement::AtAdmission(PlacementPolicy::Packed);
-    let fixed: Vec<_> = echelon_cluster::workload::JobStream::new(fixed_cfg).collect();
-    let deferred: Vec<_> = echelon_cluster::workload::JobStream::new(deferred_cfg).collect();
-    assert_eq!(fixed.len(), deferred.len());
-    let (f0, d0) = (&fixed[0], &deferred[0]);
-    assert_eq!(f0.kind, d0.kind);
-    assert_eq!(f0.arrival.to_bits(), d0.arrival.to_bits());
-    assert_eq!(f0.tenant, d0.tenant);
-    assert_eq!(f0.demand, d0.demand);
-    assert_eq!(f0.comp_scale.to_bits(), d0.comp_scale.to_bits());
-    assert_eq!(f0.bytes_scale.to_bits(), d0.bytes_scale.to_bits());
-    for f in &fixed {
-        assert!(f.dag.is_some(), "fixed stream must compile eagerly");
-        assert_eq!(f.hosts.len(), f.demand);
-        let distinct: BTreeSet<NodeId> = f.hosts.iter().copied().collect();
-        assert_eq!(distinct.len(), f.demand, "fixed hosts must be distinct");
-        assert!(f.hosts.iter().all(|h| (h.0 as usize) < 16));
-    }
-    for d in &deferred {
-        assert!(d.dag.is_none(), "deferred stream must not compile");
-        assert!(d.hosts.is_empty(), "deferred stream must not place");
-        assert!(d.demand > 0);
     }
 }

@@ -1,9 +1,9 @@
 //! Absolute pins for the open-loop service: `run_service`'s completion
-//! digest and scheduler book peak for both grouped schedulers, both
-//! placement modes and both service modes, each plain and through
-//! `FullRecompute`, at three seeds. The open≡closed differential in
-//! `service.rs` is relative and would pass if both sides moved together;
-//! these pins would not.
+//! digest and scheduler book peak for both grouped schedulers, on a big
+//! switch and on a fat tree, and both service modes, each plain and
+//! through `FullRecompute`, at three seeds. The open≡closed differential
+//! in `service.rs` is relative and would pass if both sides moved
+//! together; these pins would not.
 
 use echelon_cluster::prelude::*;
 use echelon_cluster::service::service_parts;
@@ -18,15 +18,15 @@ use echelon_simnet::topology::Topology;
 /// `FullRecompute`. All four
 /// share the digest.
 const PINS: &[(&str, u64, usize, usize)] = &[
-    ("echelon/fixed/3", 0x0154_1ba3_b787_3c86, 12, 63),
-    ("echelon/fixed/7", 0x4999_fcf1_11fa_61c8, 14, 61),
-    ("echelon/fixed/11", 0xdcfb_a574_f231_213a, 15, 61),
+    ("echelon/big-switch/3", 0x2d33_0665_15cb_6d63, 14, 51),
+    ("echelon/big-switch/7", 0x5c07_7dfa_9829_d34e, 16, 58),
+    ("echelon/big-switch/11", 0x6e9e_6a62_0afb_76fe, 14, 59),
     ("echelon/pod-packed/3", 0x8637_5643_641f_9bfb, 24, 61),
     ("echelon/pod-packed/7", 0x977e_1b2d_7f39_97a1, 24, 62),
     ("echelon/pod-packed/11", 0x2e01_cff2_2ba9_7b6b, 27, 66),
-    ("coflow/fixed/3", 0x3521_8802_c8e1_122a, 17, 78),
-    ("coflow/fixed/7", 0x9568_7e21_3aaa_853a, 18, 71),
-    ("coflow/fixed/11", 0xb786_99ae_8045_3ff4, 17, 71),
+    ("coflow/big-switch/3", 0xd5f8_cf63_82b6_d83d, 19, 56),
+    ("coflow/big-switch/7", 0x7301_56d4_71f8_a53b, 21, 68),
+    ("coflow/big-switch/11", 0x2970_4ffe_e415_e0f4, 20, 64),
     ("coflow/pod-packed/3", 0x4c84_f632_7d7b_15e7, 28, 71),
     ("coflow/pod-packed/7", 0xc968_e8da_73f4_98fc, 29, 72),
     ("coflow/pod-packed/11", 0x2254_7f03_8e1a_788e, 30, 71),
@@ -40,23 +40,24 @@ struct Stream {
     kind: SchedulerKind,
 }
 
-/// The twelve streams, in [`PINS`] order: {echelon, coflow} × {fixed
-/// placement on an 8-host big switch with 16 jobs, pod-packed admission
-/// placement on a k = 4 fat tree with 18 jobs} × seeds {3, 7, 11}.
+/// The twelve streams, in [`PINS`] order: {echelon, coflow} × {an
+/// 8-host big switch with 16 jobs, a k = 4 fat tree with 18 jobs} ×
+/// seeds {3, 7, 11}, every one placed pod-packed at admission (on the
+/// big switch, one pod, that degrades to packed).
 fn streams() -> Vec<Stream> {
     let tree = FatTree::new(4);
     let mut out = Vec::new();
     for kind in [SchedulerKind::Echelon, SchedulerKind::Coflow] {
-        for placed in [false, true] {
+        for on_tree in [false, true] {
             for seed in [3, 7, 11] {
-                let (topo, cfg, label) = if placed {
-                    let mut cfg = OpenLoopConfig::default_tiers(seed, 18, tree.hosts(), 0.5);
-                    cfg.placement = ServicePlacement::AtAdmission(PlacementPolicy::PodPacked);
+                let (topo, mut cfg, label) = if on_tree {
+                    let cfg = OpenLoopConfig::default_tiers(seed, 18, tree.hosts(), 0.5);
                     (tree.build_fabric(), cfg, "pod-packed")
                 } else {
                     let cfg = OpenLoopConfig::default_tiers(seed, 16, 8, 0.6);
-                    (Topology::big_switch_uniform(8, 1.0), cfg, "fixed")
+                    (Topology::big_switch_uniform(8, 1.0), cfg, "big-switch")
                 };
+                cfg.placement = ServicePlacement::AtAdmission(PlacementPolicy::PodPacked);
                 out.push(Stream {
                     name: format!("{}/{label}/{seed}", kind.name()),
                     topo,

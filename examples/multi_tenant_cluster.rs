@@ -7,11 +7,12 @@
 //! completion times and utilization.
 //!
 //! Part 2 (open loop): runs the same paradigm mix as a *service* — jobs
-//! stream in through the admission gate, tiered tenants carry tardiness
-//! SLOs, completed jobs are evicted from the scheduler book — and
-//! reports steady-state throughput, tail JCT/tardiness, and per-tier
-//! SLO violation rates. Every streamed run is replayed closed-loop and
-//! the completion digests are asserted bit-identical.
+//! stream in through the admission gate and are placed on free hosts
+//! when admitted, tiered tenants carry tardiness SLOs, completed jobs
+//! are evicted from the scheduler book — and reports steady-state
+//! throughput, tail JCT/tardiness, and per-tier SLO violation rates.
+//! Every streamed run is replayed under a coordinator that never evicts
+//! and the completion digests are asserted bit-identical.
 //!
 //! Run with: `cargo run --example multi_tenant_cluster`
 

@@ -11,8 +11,7 @@
 use echelon_detrand::DetRng;
 use echelonflow::agent::coordinator::{Coordinator, CoordinatorConfig, Trigger};
 use echelonflow::cluster::scenario::{Scenario, SchedulerKind};
-use echelonflow::cluster::service::{ServiceConfig, ServiceFeed};
-use echelonflow::cluster::workload::{ParadigmKind, StreamJob, WorkloadConfig};
+use echelonflow::cluster::workload::WorkloadConfig;
 use echelonflow::core::arrangement::ArrangementFn;
 use echelonflow::core::coflow::Coflow;
 use echelonflow::core::echelon::{EchelonFlow, FlowRef};
@@ -42,7 +41,7 @@ use echelonflow::simnet::topology::Topology;
 use echelonflow::simnet::trace::TraceEventKind;
 
 mod support;
-use support::{plain_or_full, PodReference};
+use support::{plain_or_full, PodReference, QueueFeed};
 
 const HOSTS: usize = 6;
 
@@ -475,33 +474,14 @@ fn hybrid_multi_iteration_runtime_matches_across_modes() {
 fn admission_runtime_matches_across_modes() {
     let topo = Topology::big_switch_uniform(HOSTS, 1.0);
     let arrivals = [0.0, 1.25, 2.75];
-    let kinds = [
-        ParadigmKind::PpGpipe,
-        ParadigmKind::DpAllReduce,
-        ParadigmKind::Fsdp,
-    ];
     for (grouping, madd) in MADDS {
         let run = |full: bool| {
             let mut alloc = IdAlloc::new();
             let dags = paradigm_mix(&mut alloc);
             let dag_refs: Vec<&JobDag> = dags.iter().collect();
             let mut policy = madd(&dag_refs);
-            let jobs = dags
-                .into_iter()
-                .zip(arrivals.iter().zip(kinds))
-                .map(|(dag, (&arrival, kind))| StreamJob {
-                    job: dag.job,
-                    kind,
-                    arrival,
-                    tenant: 0,
-                    hosts: dag.workers(),
-                    demand: dag.workers().len(),
-                    comp_scale: 1.0,
-                    bytes_scale: 1.0,
-                    dag: Some(dag),
-                })
-                .collect();
-            let mut feed = ServiceFeed::materialized(jobs, 1, &ServiceConfig::default());
+            let jobs = arrivals.iter().map(|&t| SimTime::new(t)).zip(dags);
+            let mut feed = QueueFeed::new(jobs.collect());
             let plan = FaultPlan::empty();
             plain_or_full(full, policy.as_mut(), |p| {
                 run_jobs_fed(&topo, &mut feed, p, &plan)

@@ -43,6 +43,8 @@ use echelonflow::simnet::runner::{
 use echelonflow::simnet::time::SimTime;
 use echelonflow::simnet::topology::Topology;
 
+// `QueueFeed` serves the differential suite only.
+#[allow(dead_code)]
 mod support;
 use support::{plain_or_full, PodReference};
 

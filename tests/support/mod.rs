@@ -1,21 +1,24 @@
 //! Test-only references shared by the differential suites: the
 //! pod-sequential max-min reference and the map-based MADD reference,
-//! plus the digest their pinned tables use.
+//! plus the digest their pinned tables use, and a feed of pre-built
+//! jobs.
 
 use echelonflow::core::coflow::Coflow;
 use echelonflow::core::echelon::EchelonFlow;
-use echelonflow::core::EchelonId;
+use echelonflow::core::{EchelonId, JobId};
+use echelonflow::paradigms::dag::JobDag;
+use echelonflow::paradigms::runtime::JobFeed;
 use echelonflow::sched::book::EchelonBook;
 use echelonflow::sched::echelon::{EchelonMadd, InterOrder, IntraMode};
 use echelonflow::sched::sincronia::{bssi_order, GroupLoad};
 use echelonflow::simnet::alloc::{waterfill_dense, AllocScratch};
 use echelonflow::simnet::flow::ActiveFlowView;
-use echelonflow::simnet::ids::FlowId;
+use echelonflow::simnet::ids::{FlowId, NodeId};
 use echelonflow::simnet::runner::{FlowOutcomes, FullRecompute, RatePolicy};
 use echelonflow::simnet::time::{SimTime, EPS};
 use echelonflow::simnet::topology::Topology;
 use echelonflow::simnet::trace::TraceEventKind;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
 /// The pod-sequential reference for `PodMaxMinPolicy`, re-derived from
@@ -440,4 +443,35 @@ pub fn flow_digest(out: &FlowOutcomes) -> u64 {
         eat(c.finish.secs().to_bits());
     }
     h
+}
+
+/// A feed that admits each pre-built DAG at its arrival time. Callers
+/// put the DAGs on disjoint hosts, so claims never clash.
+pub struct QueueFeed(VecDeque<(SimTime, JobDag)>);
+
+impl QueueFeed {
+    pub fn new(jobs: Vec<(SimTime, JobDag)>) -> QueueFeed {
+        QueueFeed(jobs.into())
+    }
+}
+
+impl JobFeed for QueueFeed {
+    fn next_event_at(&self) -> Option<SimTime> {
+        self.0.front().map(|&(at, _)| at)
+    }
+
+    fn admit(&mut self, now: SimTime, _claimed: &BTreeSet<NodeId>) -> Vec<JobDag> {
+        let due = self
+            .0
+            .iter()
+            .take_while(|(at, _)| at.at_or_before(now))
+            .count();
+        self.0.drain(..due).map(|(_, dag)| dag).collect()
+    }
+
+    fn on_job_retired(&mut self, _now: SimTime, _job: JobId) {}
+
+    fn exhausted(&self) -> bool {
+        self.0.is_empty()
+    }
 }
